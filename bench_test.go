@@ -210,7 +210,7 @@ func BenchmarkFig2CrackingSteps(b *testing.B) {
 // --- Multi-core: concurrent selects and the parallel idle pool -------------
 
 // BenchmarkConcurrentSelects measures select throughput on one holistic
-// column in the piece-latched steady state. The "serial" variant issues
+// column in the cracked steady state. The "serial" variant issues
 // queries from a single goroutine — the seed's effective behaviour, where
 // the column-wide mutex serialised every select. The "parallel" variant
 // drives the same engine from GOMAXPROCS goroutines via RunParallel; on a

@@ -30,7 +30,6 @@
 package core
 
 import (
-	"holistic/internal/cracker"
 	"holistic/internal/forecast"
 	"holistic/internal/stats"
 )
@@ -86,28 +85,6 @@ func (t *Tuner) SpecWins() int64 {
 	return t.specWins
 }
 
-// rangePieceAvgIx mirrors shard.Part.RangePieceAvg for callers that already
-// hold the column's shared latch and an index: average size of the pieces
-// overlapping [lo, hi), walking in value order with early exit.
-func rangePieceAvgIx(ix *cracker.Index, lo, hi int64) float64 {
-	pieces, total := 0, 0
-	ix.ForEachPiece(func(pc cracker.Piece) bool {
-		if pc.HasHi && pc.Hi <= lo {
-			return true
-		}
-		if pc.HasLo && pc.Lo >= hi {
-			return false
-		}
-		pieces++
-		total += pc.Size()
-		return true
-	})
-	if pieces == 0 {
-		return 0
-	}
-	return float64(total) / float64(pieces)
-}
-
 // rangeAvg scores how coarse a shard still is inside a predicted range.
 func (t *Tuner) rangeAvg(sh *shard, r stats.Range) float64 {
 	if rs, ok := sh.col.(RangeStatser); ok {
@@ -116,7 +93,7 @@ func (t *Tuner) rangeAvg(sh *shard, r stats.Range) float64 {
 	ix := sh.index()
 	sh.col.RLock()
 	defer sh.col.RUnlock()
-	return rangePieceAvgIx(ix, r.Lo, r.Hi)
+	return ix.RangePieceAvg(r.Lo, r.Hi)
 }
 
 // realWorkPending reports whether any reactive action — crack, merge or aux
@@ -223,8 +200,7 @@ func (t *Tuner) TrySpeculativeStep() (work int, res StepResult) {
 // range's boundaries (so the burst's first query needs no partitioning at
 // the edges), then random cracks inside until the range's pieces reach the
 // speculative target or the per-action crack bound runs out. Runs under the
-// column's shared latch with piece-level latching, like every concurrent
-// refinement.
+// column's shared latch, like every refinement.
 func (t *Tuner) preCrackRange(sh *shard, r stats.Range) int {
 	rng := t.childRNG()
 	ix := sh.index()
@@ -232,17 +208,15 @@ func (t *Tuner) preCrackRange(sh *shard, r stats.Range) int {
 	sh.col.RLock()
 	defer sh.col.RUnlock()
 	w := 0
-	if pw, cracked := ix.CrackAtConcurrent(r.Lo); cracked {
-		w += pw
-	}
-	if pw, cracked := ix.CrackAtConcurrent(r.Hi); cracked {
-		w += pw
-	}
+	pw, _ := ix.CrackAt(r.Lo)
+	w += pw
+	pw, _ = ix.CrackAt(r.Hi)
+	w += pw
 	for i := 0; i < DefaultSpecCracks; i++ {
-		if rangePieceAvgIx(ix, r.Lo, r.Hi) <= specTarget {
+		if ix.RangePieceAvg(r.Lo, r.Hi) <= specTarget {
 			break
 		}
-		w += ix.RandomCrackInRangeConcurrent(rng, r.Lo, r.Hi)
+		w += ix.RandomCrackInRange(rng, r.Lo, r.Hi, int(specTarget))
 	}
 	return w
 }

@@ -94,7 +94,7 @@ func TestSpeculativeRefinesToSpecTargetThenStops(t *testing.T) {
 		t.Fatal("speculation never ran on an idle converged column")
 	}
 	c.mu.RLock()
-	avg := rangePieceAvgIx(c.ix, pr.Lo, pr.Hi)
+	avg := c.ix.RangePieceAvg(pr.Lo, pr.Hi)
 	c.mu.RUnlock()
 	if target := tn.model.SpecTarget(); avg > target {
 		t.Fatalf("predicted range avg piece %f above speculative target %f", avg, target)

@@ -96,8 +96,8 @@ func (c Config) hotBoost() int {
 // engine. Lock/Unlock take the column's exclusive latch; RLock/RUnlock take
 // it shared. CrackIndex materialises the cracked copy on first use and is
 // only called with the exclusive latch held; the returned index is stable
-// thereafter and supports piece-latched concurrent refinement under the
-// shared latch (see package cracker).
+// thereafter and latches itself, so refinement runs under the shared column
+// latch (see cracker.Index).
 type Column interface {
 	Name() string
 	Lock()
@@ -365,8 +365,8 @@ const (
 // TryStep is safe — and useful — to call from many goroutines: each caller
 // claims a column shard with an atomic flag before cracking, so concurrent
 // workers fan out across columns instead of serialising on one latch, and
-// the crack itself runs under the column's shared latch with piece-level
-// latching inside the cracker.
+// the crack itself runs under the column's shared latch, taking the cracker
+// index's own latch exclusively only while it partitions.
 func (t *Tuner) TryStep() (work int, res StepResult) {
 	shards := t.snapshotShards()
 	aux := t.snapshotAux()
@@ -390,6 +390,13 @@ func (t *Tuner) TryStep() (work int, res StepResult) {
 		refinable := false
 		for i := 0; i < n; i++ {
 			sh := shards[(rr+i)%n]
+			if sh.busy.Load() {
+				// Another worker owns this column's action queue, so it was
+				// refinable a moment ago. Do not score it: scoring takes the
+				// index latch, which that worker may hold for a whole crack.
+				refinable = true
+				continue
+			}
 			freq := t.collector.Frequency(sh.col.Name())
 			// A column offers up to two actions: drain its update backlog
 			// (ranked even at zero frequency — reads pay for the backlog
@@ -417,9 +424,6 @@ func (t *Tuner) TryStep() (work int, res StepResult) {
 				continue
 			}
 			refinable = true
-			if sh.busy.Load() {
-				continue // another worker owns this column's action queue
-			}
 			if s > bestScore {
 				best, bestScore, bestMerge = sh, s, merge
 			}
@@ -503,8 +507,7 @@ func (t *Tuner) Step() (work int, ok bool) {
 }
 
 // crackShard performs one random refinement on a claimed shard under the
-// column's shared latch; the cracker's piece latches serialise only the
-// piece actually split.
+// column's shared latch.
 func (t *Tuner) crackShard(sh *shard) int {
 	rng := t.childRNG()
 	ix := sh.index()
@@ -512,14 +515,14 @@ func (t *Tuner) crackShard(sh *shard) int {
 	defer sh.col.RUnlock()
 	w := 0
 	for attempt := 0; attempt < DefaultCrackRetries; attempt++ {
-		if w = ix.RandomCrackDomainConcurrent(rng); w > 0 {
+		if w = ix.RandomCrackDomain(rng); w > 0 {
 			break
 		}
 	}
 	if w == 0 {
 		// Domain pivots keep hitting existing boundaries; force progress on
 		// the largest piece instead.
-		w = ix.RandomCrackLargestConcurrent(rng)
+		w = ix.RandomCrackLargest(rng)
 	}
 	return w
 }
@@ -561,7 +564,11 @@ func (t *Tuner) RunActions(n int) (actions int, work int64) {
 // over a pool of workers: the multi-core version of the paper's "idle time
 // is the time needed to apply X random index refinement actions". Workers
 // claim slots of the shared budget atomically and fan out across column
-// shards via TryStep. workers <= 1 degrades to the serial RunActions.
+// shards via TryStep. A worker that gives up under contention (more workers
+// than refinable shards) forfeits the slot it claimed; once the pool has
+// drained and holds no shard, the forfeited slots run serially, so the
+// window performs exactly n actions unless the columns converge first.
+// workers <= 1 degrades to the serial RunActions.
 func (t *Tuner) RunActionsParallel(n, workers int) (actions int, work int64) {
 	if workers > n {
 		workers = n
@@ -598,7 +605,12 @@ func (t *Tuner) RunActionsParallel(n, workers int) (actions int, work int64) {
 		}()
 	}
 	wg.Wait()
-	return int(acts.Load()), wrk.Load()
+	actions, work = int(acts.Load()), wrk.Load()
+	if actions < n {
+		a, w := t.RunActions(n - actions)
+		actions, work = actions+a, work+w
+	}
+	return actions, work
 }
 
 // MaybeBoost implements the "No Time" opportunity: called by the select
@@ -607,9 +619,10 @@ func (t *Tuner) RunActionsParallel(n, workers int) (actions int, work int64) {
 // applies the configured number of extra random cracks inside the range to
 // ix and returns the elements touched; the cost lands in the query's own
 // critical path, which is acceptable because hot pieces are small by
-// construction. The cracks use the piece-latched concurrent path, so under
-// a shared column latch concurrent boosts of disjoint ranges proceed in
-// parallel.
+// construction. A boost obeys the same convergence rule as idle refinement:
+// a piece already at or below the target piece size is left alone (and not
+// counted), so a converged hot range costs two shared-latch probes and
+// stops shrinking.
 func (t *Tuner) MaybeBoost(ix *cracker.Index, col string, lo, hi int64) int {
 	boost := t.cfg.hotBoost()
 	if boost == 0 {
@@ -619,10 +632,11 @@ func (t *Tuner) MaybeBoost(ix *cracker.Index, col string, lo, hi int64) int {
 		return 0
 	}
 	rng := t.childRNG()
+	target := int(t.model.Target())
 	work := 0
 	done := 0
 	for i := 0; i < boost; i++ {
-		w := ix.RandomCrackInRangeConcurrent(rng, lo, hi)
+		w := ix.RandomCrackInRange(rng, lo, hi, target)
 		work += w
 		if w > 0 {
 			done++

@@ -76,7 +76,9 @@ type Params struct {
 	TargetPieceSize int
 }
 
-func (p Params) target() float64 {
+// Target is the resolved target piece size: the convergence point below
+// which neither idle refinement nor hot-range boosts split a piece further.
+func (p Params) Target() float64 {
 	if p.TargetPieceSize <= 0 {
 		return DefaultTargetPieceSize
 	}
@@ -86,7 +88,7 @@ func (p Params) target() float64 {
 // Distance returns how far a column is from its cache-resident optimum, in
 // expected remaining halvings: log2(avgPieceSize/target), floored at 0.
 func (p Params) Distance(avgPieceSize float64) float64 {
-	t := p.target()
+	t := p.Target()
 	if avgPieceSize <= t || avgPieceSize <= 0 {
 		return 0
 	}
@@ -119,7 +121,7 @@ func (p Params) MergeScore(frequency float64, pendingOps int) float64 {
 	if frequency < 0 {
 		frequency = 0
 	}
-	return (1 + frequency) * float64(pendingOps) / p.target()
+	return (1 + frequency) * float64(pendingOps) / p.Target()
 }
 
 // DefaultSnapshotThreshold is the statement-log growth (bytes since the
@@ -162,7 +164,7 @@ const specTargetFloor = 64
 // SpecTarget is the piece size speculation refines a predicted range toward:
 // the cache-resident target divided by SpecFineFraction, floored.
 func (p Params) SpecTarget() float64 {
-	t := p.target() / SpecFineFraction
+	t := p.Target() / SpecFineFraction
 	if t < specTargetFloor {
 		t = specTargetFloor
 	}

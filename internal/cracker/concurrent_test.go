@@ -6,10 +6,9 @@ import (
 	"testing"
 )
 
-// TestConcurrentCrackAndRead hammers one index from many goroutines using
-// only the shared-mode API — cracking selects, random refinements and
-// aggregations — and checks every answer against a naive oracle. Run with
-// -race: this is the piece-latch protocol's primary test.
+// TestConcurrentCrackAndRead hammers one index from many goroutines —
+// cracking selects, random refinements and aggregations — and checks every
+// answer against a naive oracle. Run with -race.
 func TestConcurrentCrackAndRead(t *testing.T) {
 	const n, domain, gs = 40000, int64(1 << 18), 8
 	rng := rand.New(rand.NewPCG(5, 6))
@@ -42,9 +41,9 @@ func TestConcurrentCrackAndRead(t *testing.T) {
 						return
 					}
 				case 2: // idle refinement
-					ix.RandomCrackDomainConcurrent(grng)
+					ix.RandomCrackDomain(grng)
 					lo := grng.Int64N(domain)
-					ix.RandomCrackInRangeConcurrent(grng, lo, lo+domain/128+1)
+					ix.RandomCrackInRange(grng, lo, lo+domain/128+1, 0)
 				}
 			}
 		}(g)
@@ -96,7 +95,7 @@ func TestConcurrentCrackSamePivot(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			if _, ok := ix.CrackAtConcurrent(pivot); ok {
+			if _, ok := ix.CrackAt(pivot); ok {
 				cracked.Store(g, true)
 			}
 		}(g)

@@ -17,14 +17,11 @@ package cracker
 //
 // It returns the number of boundaries removed. Query results are unaffected:
 // only the granularity of known partitioning information changes, never its
-// correctness.
+// correctness. Removing a boundary invalidates positions looked up for it,
+// so the owner excludes every other user of the index around the call.
 func (ix *Index) Consolidate(minPiece int) int {
-	// Exclusive-mode operation: boundary removal merges pieces, so no shared
-	// readers or crackers may be active. Latches are reset at the end since
-	// piece starts change.
-	defer ix.resetLatches()
-	ix.treeMu.Lock()
-	defer ix.treeMu.Unlock()
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	if ix.tree.Len() == 0 {
 		return 0
 	}

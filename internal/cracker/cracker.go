@@ -25,38 +25,28 @@ import (
 
 // Index is a cracker index over a single column.
 //
-// Concurrency: the index supports two access modes, arbitrated by the
-// owner's (the engine's) column reader/writer latch:
+// Concurrency: one reader/writer latch per index (mu) guards the crack tree
+// and the physical order of the cracked copy together. Every exported method
+// takes it itself — shared for lookups and aggregates, exclusive for anything
+// that moves values or boundaries (a crack is locate-piece + partition +
+// boundary insert under one exclusive hold) — so any number of goroutines
+// may select, aggregate and refine one index at once, and a read costs the
+// same latch work however many pieces its range spans. Parallelism comes
+// from sharding (package shard gives every shard a private index), not from
+// latching below the index.
 //
-//   - Exclusive mode (column write latch): the plain methods — CrackRange,
-//     CrackAt, the Random* actions, ripple updates, Consolidate — may be
-//     used freely; nothing else runs.
-//   - Shared mode (column read latch): any number of goroutines may use the
-//     *Concurrent methods simultaneously. They coordinate through the
-//     cracker tree's internal lock plus per-piece latches, so only the
-//     piece actually being split is exclusively held and lookups or
-//     aggregations over already-cracked pieces proceed in parallel.
-//
-// Structural operations that move values across piece boundaries (ripple
-// inserts/deletes, consolidation) always require exclusive mode.
+// Positions returned by one call (CrackRange, LookupRange, PieceOf) stay
+// valid for a later call (CountSum) only while no structural operation runs
+// in between: cracks never move a value across an existing boundary and
+// never move a boundary, but ripple inserts/deletes and Consolidate do. The
+// owner therefore holds its own latch shared around a lookup-then-aggregate
+// pair and exclusively around RippleInsert, RippleDelete*, Consolidate and
+// any use of Values/Rows.
 type Index struct {
+	mu   sync.RWMutex
 	vals []int64
 	rows []uint32
 	tree cracktree.Tree
-
-	// treeMu guards every access to tree. Piece partitioning is NOT covered
-	// by it — that is what the per-piece latches are for — so boundary
-	// lookups stay cheap and concurrent.
-	treeMu sync.RWMutex
-
-	// latches holds one RWMutex per piece, keyed by the piece's start
-	// position. Piece starts are stable under shared mode (splits keep the
-	// left half's start; only exclusive-mode ripples move positions), so the
-	// key identifies a piece for as long as shared mode lasts.
-	latches struct {
-		mu sync.Mutex
-		m  map[int]*sync.RWMutex
-	}
 
 	// Domain bounds of the stored values, cached at construction.
 	domLo, domHi int64
@@ -97,18 +87,25 @@ func FromColumn(c *column.Column) *Index {
 }
 
 // Len returns the number of values in the index.
-func (ix *Index) Len() int { return len(ix.vals) }
+func (ix *Index) Len() int {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return len(ix.vals)
+}
 
 // Pieces returns the number of pieces the column is currently cracked into.
 // An uncracked, non-empty column is one piece.
 func (ix *Index) Pieces() int {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.pieces()
+}
+
+func (ix *Index) pieces() int {
 	if len(ix.vals) == 0 {
 		return 0
 	}
-	ix.treeMu.RLock()
-	n := ix.tree.Len()
-	ix.treeMu.RUnlock()
-	return n + 1
+	return ix.tree.Len() + 1
 }
 
 // Cracks returns the number of crack actions (boundary insertions) so far.
@@ -119,7 +116,9 @@ func (ix *Index) Work() int64 { return ix.work.Load() }
 
 // AvgPieceSize returns the mean piece size, or 0 for an empty index.
 func (ix *Index) AvgPieceSize() float64 {
-	p := ix.Pieces()
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	p := ix.pieces()
 	if p == 0 {
 		return 0
 	}
@@ -129,27 +128,27 @@ func (ix *Index) AvgPieceSize() float64 {
 // Domain returns the cached [lo, hi] value bounds of the indexed data.
 // Ok is false for an empty index.
 func (ix *Index) Domain() (lo, hi int64, ok bool) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
 	if len(ix.vals) == 0 {
 		return 0, 0, false
 	}
 	return ix.domLo, ix.domHi, true
 }
 
-// Values exposes the cracked copy. Callers must treat it as read-only.
+// Values exposes the cracked copy. Callers must treat it as read-only and
+// hold the index exclusively through the owner's latch (see the Index
+// comment): a concurrent crack reorders — a radix pass even replaces — the
+// array.
 func (ix *Index) Values() []int64 { return ix.vals }
 
-// Rows exposes the base row ids aligned with Values.
+// Rows exposes the base row ids aligned with Values, under the same rule.
 func (ix *Index) Rows() []uint32 { return ix.rows }
 
 // pieceBounds returns the [start, end) positions of the piece that value v
-// falls into. A boundary key exactly equal to v starts the piece.
+// falls into. A boundary key exactly equal to v starts the piece. The caller
+// holds the index latch.
 func (ix *Index) pieceBounds(v int64) (int, int) {
-	ix.treeMu.RLock()
-	defer ix.treeMu.RUnlock()
-	return ix.pieceBoundsTreeLocked(v)
-}
-
-func (ix *Index) pieceBoundsTreeLocked(v int64) (int, int) {
 	start := 0
 	if _, pos, ok := ix.tree.Floor(v); ok {
 		start = pos
@@ -165,20 +164,62 @@ func (ix *Index) pieceBoundsTreeLocked(v int64) (int, int) {
 // currently falls into, without cracking anything. Stochastic variants use
 // it to decide whether a piece still needs splitting.
 func (ix *Index) PieceOf(v int64) (start, end int) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
 	return ix.pieceBounds(v)
+}
+
+// LookupRange reports, without cracking anything, whether crack boundaries
+// already exist for both lo and hi; if so it returns their positions. It is
+// the read-only fast path for selects on already-cracked ranges.
+func (ix *Index) LookupRange(lo, hi int64) (from, to int, ok bool) {
+	if lo >= hi {
+		return 0, 0, false
+	}
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	if len(ix.vals) == 0 {
+		return 0, 0, false
+	}
+	pLo, okLo := ix.tree.Get(lo)
+	pHi, okHi := ix.tree.Get(hi)
+	if !okLo || !okHi {
+		return 0, 0, false
+	}
+	return pLo, pHi, true
 }
 
 // CrackRange ensures crack boundaries exist for lo and hi and returns the
 // contiguous region [from, to) of the cracked copy that holds exactly the
 // values in [lo, hi). It is the select operator's core: the first query on a
-// range pays for partitioning, later queries on the same bounds are pure
-// lookups. An empty or inverted range yields (0, 0).
+// range pays for partitioning under the exclusive latch, later queries on
+// the same bounds are pure lookups under the shared one. An empty or
+// inverted range yields (0, 0).
 func (ix *Index) CrackRange(lo, hi int64) (from, to int) {
-	if lo >= hi || len(ix.vals) == 0 {
+	if lo >= hi {
 		return 0, 0
 	}
-	pLo, okLo := ix.boundaryPos(lo)
-	pHi, okHi := ix.boundaryPos(hi)
+	if from, to, ok := ix.LookupRange(lo, hi); ok {
+		return from, to
+	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if len(ix.vals) == 0 {
+		return 0, 0
+	}
+	return ix.crackRange(lo, hi)
+}
+
+// CrackRangeConcurrent is CrackRange; the name is kept because the frozen
+// benchmark rig (bench/) calls it.
+func (ix *Index) CrackRangeConcurrent(lo, hi int64) (from, to int) {
+	return ix.CrackRange(lo, hi)
+}
+
+// crackRange is CrackRange with the exclusive latch held and lo < hi.
+func (ix *Index) crackRange(lo, hi int64) (from, to int) {
+	pLo, okLo := ix.tree.Get(lo)
+	pHi, okHi := ix.tree.Get(hi)
 	switch {
 	case okLo && okHi:
 		return pLo, pHi
@@ -195,12 +236,12 @@ func (ix *Index) CrackRange(lo, hi int64) (from, to int) {
 		// different) buckets — re-dispatch. Recursion depth is bounded by the
 		// radix level count (the span shrinks 2^radixBits-fold per level).
 		if ix.maybeRadixPiece(aL, bL) {
-			return ix.CrackRange(lo, hi)
+			return ix.crackRange(lo, hi)
 		}
 		// Crack in three: one pass over the piece for both bounds.
 		m1, m2 := partition3(ix.vals, ix.rows, aL, bL, lo, hi)
-		ix.insertBoundary(lo, m1)
-		ix.insertBoundary(hi, m2)
+		ix.tree.Insert(lo, m1)
+		ix.tree.Insert(hi, m2)
 		ix.cracks.Add(2)
 		ix.work.Add(int64(bL - aL))
 		return m1, m2
@@ -208,35 +249,21 @@ func (ix *Index) CrackRange(lo, hi int64) (from, to int) {
 	return ix.crackAt(lo), ix.crackAt(hi)
 }
 
-// boundaryPos looks up an existing crack boundary for value v.
-func (ix *Index) boundaryPos(v int64) (pos int, ok bool) {
-	ix.treeMu.RLock()
-	pos, ok = ix.tree.Get(v)
-	ix.treeMu.RUnlock()
-	return pos, ok
-}
-
-// insertBoundary records a new crack boundary under the tree lock.
-func (ix *Index) insertBoundary(v int64, pos int) {
-	ix.treeMu.Lock()
-	ix.tree.Insert(v, pos)
-	ix.treeMu.Unlock()
-}
-
-// crackAt inserts a boundary for v (assumed absent) and returns its position.
+// crackAt inserts a boundary for v (assumed absent) and returns its
+// position. The caller holds the exclusive latch.
 func (ix *Index) crackAt(v int64) int {
 	for {
 		a, b := ix.pieceBounds(v)
 		if !ix.maybeRadixPiece(a, b) {
 			m := partition2(ix.vals, ix.rows, a, b, v)
-			ix.insertBoundary(v, m)
+			ix.tree.Insert(v, m)
 			ix.cracks.Add(1)
 			ix.work.Add(int64(b - a))
 			return m
 		}
 		// The radix pass may have put a boundary exactly at v; inserting it
 		// again would clobber the position, so look before cracking.
-		if pos, ok := ix.boundaryPos(v); ok {
+		if pos, ok := ix.tree.Get(v); ok {
 			return pos
 		}
 	}
@@ -244,12 +271,23 @@ func (ix *Index) crackAt(v int64) int {
 
 // CrackAt cracks the piece containing v around pivot v. It reports the size
 // of the piece partitioned (the work done) and whether a new boundary was
-// created; cracking at an existing boundary is a no-op.
+// created; cracking at an existing boundary is a no-op that only takes the
+// shared latch, so a pivot that loses a race (or is re-pinned by every
+// speculative step) never stalls readers.
 func (ix *Index) CrackAt(v int64) (pieceSize int, cracked bool) {
+	ix.mu.RLock()
+	_, exists := ix.tree.Get(v)
+	ix.mu.RUnlock()
+	if exists {
+		return 0, false
+	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	if len(ix.vals) == 0 {
 		return 0, false
 	}
-	if _, ok := ix.boundaryPos(v); ok {
+	// Another goroutine may have cracked at exactly v between the latches.
+	if _, ok := ix.tree.Get(v); ok {
 		return 0, false
 	}
 	a, b := ix.pieceBounds(v)
@@ -262,14 +300,11 @@ func (ix *Index) CrackAt(v int64) (pieceSize int, cracked bool) {
 // paper's idle-time work unit. It reports the work done (elements touched);
 // work 0 means the pivot hit an existing boundary.
 func (ix *Index) RandomCrackDomain(rng *rand.Rand) int {
-	if len(ix.vals) == 0 || ix.domLo >= ix.domHi {
+	lo, hi, ok := ix.Domain()
+	if !ok || lo >= hi {
 		return 0
 	}
-	v := ix.domLo + rng.Int64N(ix.domHi-ix.domLo) + 1 // pivot in (domLo, domHi]
-	size, ok := ix.CrackAt(v)
-	if !ok {
-		return 0
-	}
+	size, _ := ix.CrackAt(lo + rng.Int64N(hi-lo) + 1) // pivot in (lo, hi]
 	return size
 }
 
@@ -283,37 +318,44 @@ func randInRange(rng *rand.Rand, lo, hi int64) int64 {
 
 // RandomCrackInRange performs one random refinement inside the value range
 // [lo, hi): it picks a random element of a piece overlapping the range as
-// pivot (the MDD1R pivot rule) and cracks there. Used for hot-range boosts.
-func (ix *Index) RandomCrackInRange(rng *rand.Rand, lo, hi int64) int {
-	if len(ix.vals) == 0 || lo >= hi {
+// pivot (the MDD1R pivot rule) and cracks there. A piece of at most minPiece
+// values is left alone — the caller's convergence target — and costs only
+// the shared latch. Used for hot-range boosts and speculative pre-cracks.
+func (ix *Index) RandomCrackInRange(rng *rand.Rand, lo, hi int64, minPiece int) int {
+	if lo >= hi {
 		return 0
 	}
 	mid := randInRange(rng, lo, hi)
+	ix.mu.RLock()
 	a, b := ix.pieceBounds(mid)
-	if b-a < 2 {
+	var v int64
+	split := b-a >= 2 && b-a > minPiece
+	if split {
+		v = ix.vals[a+rng.IntN(b-a)]
+	}
+	ix.mu.RUnlock()
+	if !split {
 		return 0
 	}
-	v := ix.vals[a+rng.IntN(b-a)]
-	size, ok := ix.CrackAt(v)
-	if !ok {
-		return 0
-	}
+	size, _ := ix.CrackAt(v)
 	return size
 }
 
 // RandomCrackLargest finds the largest piece and cracks it around one of its
-// elements chosen at random. O(pieces) to locate the piece; used by tuners
-// that prefer guaranteed progress over the cheaper domain-uniform pick.
+// elements chosen at random. O(pieces) to locate the piece, under the shared
+// latch; used by tuners that prefer guaranteed progress over the cheaper
+// domain-uniform pick. Other goroutines may split the piece between the
+// search and the crack, so the worst case is cracking a piece that is no
+// longer the largest.
 func (ix *Index) RandomCrackLargest(rng *rand.Rand) int {
 	p, ok := ix.MaxPiece()
-	if !ok || p.End-p.Start < 2 {
+	if !ok || p.Size() < 2 {
 		return 0
 	}
-	v := ix.vals[p.Start+rng.IntN(p.End-p.Start)]
-	size, cracked := ix.CrackAt(v)
-	if !cracked {
-		return 0
-	}
+	ix.mu.RLock()
+	v := ix.vals[p.Start+rng.IntN(p.Size())]
+	ix.mu.RUnlock()
+	size, _ := ix.CrackAt(v)
 	return size
 }
 
@@ -331,8 +373,15 @@ type Piece struct {
 func (p Piece) Size() int { return p.End - p.Start }
 
 // ForEachPiece visits every piece in position order. The visit function
-// returns false to stop early.
+// returns false to stop early; it runs under the shared latch and must not
+// call back into the index.
 func (ix *Index) ForEachPiece(visit func(Piece) bool) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	ix.forEachPiece(visit)
+}
+
+func (ix *Index) forEachPiece(visit func(Piece) bool) {
 	if len(ix.vals) == 0 {
 		return
 	}
@@ -340,8 +389,6 @@ func (ix *Index) ForEachPiece(visit func(Piece) bool) {
 	prevKey := int64(0)
 	hasPrev := false
 	stopped := false
-	ix.treeMu.RLock()
-	defer ix.treeMu.RUnlock()
 	ix.tree.Walk(func(key int64, pos int) bool {
 		p := Piece{Start: prevPos, End: pos, Lo: prevKey, Hi: key, HasLo: hasPrev, HasHi: true}
 		prevPos, prevKey, hasPrev = pos, key, true
@@ -357,6 +404,37 @@ func (ix *Index) ForEachPiece(visit func(Piece) bool) {
 	visit(Piece{Start: prevPos, End: len(ix.vals), Lo: prevKey, HasLo: hasPrev})
 }
 
+// RangePieceAvg returns the average size (in values) of the pieces
+// overlapping the value range [lo, hi), or 0 for an empty index or range.
+// It descends to lo's piece and walks only the boundaries inside the range,
+// so its cost does not depend on how finely the rest of the column is
+// cracked.
+func (ix *Index) RangePieceAvg(lo, hi int64) float64 {
+	if lo >= hi {
+		return 0
+	}
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	if len(ix.vals) == 0 {
+		return 0
+	}
+	// The overlapping pieces run from lo's piece up to the first boundary at
+	// or above hi; every boundary strictly between starts one more piece.
+	start, end, pieces := 0, len(ix.vals), 1
+	if _, pos, ok := ix.tree.Floor(lo); ok {
+		start = pos
+	}
+	ix.tree.WalkFrom(lo+1, func(key int64, pos int) bool {
+		if key >= hi {
+			end = pos
+			return false
+		}
+		pieces++
+		return true
+	})
+	return float64(end-start) / float64(pieces)
+}
+
 // MaxPiece returns the largest piece. Ok is false for an empty index.
 func (ix *Index) MaxPiece() (Piece, bool) {
 	var best Piece
@@ -370,10 +448,15 @@ func (ix *Index) MaxPiece() (Piece, bool) {
 	return best, found
 }
 
-// CountSum aggregates the region [from, to) of the cracked copy, returning
-// the tuple count and the sum of values — the projection checksum the engine
-// uses to compare strategies.
+// CountSum aggregates the region [from, to) of the cracked copy — delimited
+// by existing crack boundaries — returning the tuple count and the sum of
+// values, the projection checksum the engine uses to compare strategies. One
+// shared latch acquisition and one contiguous loop, whatever the number of
+// pieces in the region: concurrent cracks wait for the read, concurrent
+// reads do not wait for each other.
 func (ix *Index) CountSum(from, to int) (int, int64) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
 	if from < 0 {
 		from = 0
 	}
@@ -385,6 +468,11 @@ func (ix *Index) CountSum(from, to int) (int, int64) {
 		sum += v
 	}
 	return to - from, sum
+}
+
+// CountSumConcurrent is CountSum; see CrackRangeConcurrent.
+func (ix *Index) CountSumConcurrent(from, to int) (int, int64) {
+	return ix.CountSum(from, to)
 }
 
 // Stats summarises the physical state of the index.
@@ -420,12 +508,13 @@ func (ix *Index) Stats() Stats {
 //
 // It is exported for use by tests across packages.
 func (ix *Index) Validate() error {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
 	if len(ix.vals) != len(ix.rows) {
 		return fmt.Errorf("cracker: vals/rows length mismatch %d != %d", len(ix.vals), len(ix.rows))
 	}
 	prevPos := 0
 	var err error
-	ix.treeMu.RLock()
 	ix.tree.Walk(func(key int64, pos int) bool {
 		if pos < prevPos || pos > len(ix.vals) {
 			err = fmt.Errorf("cracker: boundary %d has position %d out of order (prev %d, len %d)", key, pos, prevPos, len(ix.vals))
@@ -434,12 +523,11 @@ func (ix *Index) Validate() error {
 		prevPos = pos
 		return true
 	})
-	ix.treeMu.RUnlock()
 	if err != nil {
 		return err
 	}
 	// Verify piece value bounds.
-	ix.ForEachPiece(func(p Piece) bool {
+	ix.forEachPiece(func(p Piece) bool {
 		for i := p.Start; i < p.End; i++ {
 			if p.HasLo && ix.vals[i] < p.Lo {
 				err = fmt.Errorf("cracker: vals[%d]=%d below piece bound %d", i, ix.vals[i], p.Lo)

@@ -367,7 +367,7 @@ func TestPropertyCrackingEquivalence(t *testing.T) {
 			// Interleave idle-style random cracks.
 			if q%3 == 0 {
 				ix.RandomCrackDomain(rng)
-				ix.RandomCrackInRange(rng, lo, hi)
+				ix.RandomCrackInRange(rng, lo, hi, 0)
 			}
 		}
 		// Permutation invariant: cracked copy is the base data, reordered.
@@ -457,20 +457,15 @@ func BenchmarkRandomCrackAction(b *testing.B) {
 func TestRandomCrackExtremeRange(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
 	vals := randomVals(rng, 4096, 1<<30)
-	for name, crack := range map[string]func(ix *Index) int{
-		"serial":     func(ix *Index) int { return ix.RandomCrackInRange(rng, -1<<63, 1<<63-1) },
-		"concurrent": func(ix *Index) int { return ix.RandomCrackInRangeConcurrent(rng, -1<<63, 1<<63-1) },
-	} {
-		ix := newTestIndex(vals)
-		worked := 0
-		for i := 0; i < 64; i++ {
-			worked += crack(ix)
-		}
-		if worked == 0 {
-			t.Fatalf("%s: 64 full-range random cracks did no work", name)
-		}
-		if n, s := ix.CountSumConcurrent(0, 1<<30); n != len(vals) {
-			t.Fatalf("%s: index corrupted by extreme-range cracks: count %d sum %d", name, n, s)
-		}
+	ix := newTestIndex(vals)
+	worked := 0
+	for i := 0; i < 64; i++ {
+		worked += ix.RandomCrackInRange(rng, -1<<63, 1<<63-1, 0)
+	}
+	if worked == 0 {
+		t.Fatal("64 full-range random cracks did no work")
+	}
+	if n, s := ix.CountSum(0, 1<<30); n != len(vals) {
+		t.Fatalf("index corrupted by extreme-range cracks: count %d sum %d", n, s)
 	}
 }

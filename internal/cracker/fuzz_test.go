@@ -1,8 +1,8 @@
 package cracker
 
 // FuzzCrackRange drives an index through an arbitrary interleaved sequence
-// of crack operations — range cracks, point cracks, random refinements,
-// and their piece-latched concurrent twins — decoded from the fuzz input,
+// of crack operations — range cracks, point cracks, random refinements
+// with and without a minimum piece size — decoded from the fuzz input,
 // then checks the structural invariants:
 //
 //   - Validate: boundary positions in key order, piece value bounds hold;
@@ -73,13 +73,13 @@ func FuzzCrackRange(f *testing.F) {
 			case 2:
 				ix.CrackAt(lo)
 			case 3:
-				ix.CrackAtConcurrent(hi)
+				ix.CrackAt(hi)
 			case 4:
 				ix.RandomCrackDomain(rng)
-				ix.RandomCrackInRange(rng, lo, hi)
+				ix.RandomCrackInRange(rng, lo, hi, 0)
 			case 5:
-				ix.RandomCrackDomainConcurrent(rng)
-				ix.RandomCrackInRangeConcurrent(rng, lo, hi)
+				ix.RandomCrackLargest(rng)
+				ix.RandomCrackInRange(rng, lo, hi, 8) // leaves pieces <= 8 alone
 			}
 			if err := ix.Validate(); err != nil {
 				t.Fatalf("after op %d at [%d,%d): %v", op, lo, hi, err)

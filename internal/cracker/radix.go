@@ -20,9 +20,7 @@ package cracker
 // empty buckets — each level divides the value span by up to 256, so
 // repeated radix passes over still-large buckets terminate in at most
 // ceil(64/8) levels even on maximally skewed data. An empty bucket is a
-// zero-size piece whose start collides with its right neighbour's; the
-// piece-latch protocol tolerates that (the shared latch key merely
-// over-serialises two adjacent pieces).
+// zero-size piece whose start collides with its right neighbour's.
 //
 // The scatter buffer comes from the scratch pool, so steady-state radix
 // passes allocate nothing.
@@ -43,34 +41,20 @@ func (ix *Index) SetRadixMinPiece(n int) { ix.radixMin = n }
 
 // maybeRadixPiece runs a radix coarse pass over the piece [a, b) if the
 // radix-first heuristic says the piece is worth it, reporting whether any
-// boundaries were inserted. The caller must hold the whole index exclusively
-// (the column write latch): when the piece is the entire column, the pass
-// swaps the scatter buffer in place of the index arrays instead of copying
-// back, which is only sound with no concurrent readers of ix.vals.
+// boundaries were inserted. Like every crack it runs with the index latch
+// held exclusively, which is what makes the buffer swap below sound: no
+// reader can be inside ix.vals.
 func (ix *Index) maybeRadixPiece(a, b int) bool {
 	if ix.radixMin <= 0 || b-a < ix.radixMin {
 		return false
 	}
-	return ix.radixPiece(a, b, true) > 0
-}
-
-// maybeRadixPieceShared is maybeRadixPiece for callers that hold only the
-// piece's write latch (the *Concurrent paths): readers may be scanning other
-// pieces of ix.vals, so the pass always copies the scattered data back
-// instead of swapping buffers. When it returns true, piece identities have
-// changed and the caller must drop its latch and re-locate.
-func (ix *Index) maybeRadixPieceShared(a, b int) bool {
-	if ix.radixMin <= 0 || b-a < ix.radixMin {
-		return false
-	}
-	return ix.radixPiece(a, b, false) > 0
+	return ix.radixPiece(a, b) > 0
 }
 
 // radixPiece scatters the piece [a, b) into value-ordered radix buckets and
 // registers the bucket boundaries, returning the number of boundaries
-// inserted (0 when the piece is single-valued and cannot be split). swapOK
-// permits the full-column buffer swap (exclusive callers only).
-func (ix *Index) radixPiece(a, b int, swapOK bool) int {
+// inserted (0 when the piece is single-valued and cannot be split).
+func (ix *Index) radixPiece(a, b int) int {
 	if a < 0 || a >= b || b > len(ix.vals) || b > len(ix.rows) {
 		return 0
 	}
@@ -87,7 +71,6 @@ func (ix *Index) radixPiece(a, b int, swapOK bool) int {
 	// conservative (ripple deletes never shrink the domain), which only
 	// coarsens the buckets; correctness needs just lo <= min(piece) and
 	// max(piece) <= hi, both guaranteed by the cracking invariant.
-	ix.treeMu.RLock()
 	lo, hi := ix.domLo, ix.domHi
 	if k, p, ok := ix.tree.FloorPos(a); ok && p == a {
 		lo = k
@@ -95,7 +78,6 @@ func (ix *Index) radixPiece(a, b int, swapOK bool) int {
 	if k, _, ok := ix.tree.HigherPos(a); ok {
 		hi = k - 1 // neighbour key is exclusive: values < k
 	}
-	ix.treeMu.RUnlock()
 	if lo >= hi {
 		return 0
 	}
@@ -142,12 +124,11 @@ func (ix *Index) radixPiece(a, b int, swapOK bool) int {
 			cur[bkt] = o + 1
 		}
 	}
-	if swapOK && a == 0 && b == len(ix.vals) && n <= len(bv) && n <= len(br) {
-		// The piece is the whole column and the caller holds it exclusively:
-		// keep the scattered buffer as the index arrays and donate the old
-		// arrays to the pool — the copy-back (the single largest slice of the
-		// pass's memory traffic) disappears. v and r still alias the full old
-		// arrays here because a == 0.
+	if a == 0 && b == len(ix.vals) && n <= len(bv) && n <= len(br) {
+		// The piece is the whole column: keep the scattered buffer as the
+		// index arrays and donate the old arrays to the pool — the copy-back
+		// (the single largest slice of the pass's memory traffic) disappears.
+		// v and r still alias the full old arrays here because a == 0.
 		ix.vals, ix.rows = bv[:n], br[:n]
 		scratch.Adopt(buf, v, r)
 	} else {
@@ -162,7 +143,6 @@ func (ix *Index) radixPiece(a, b int, swapOK bool) int {
 	// with value >= key) holds even for empty buckets. All keys lie strictly
 	// inside the piece's open value interval, so none collides with an
 	// existing boundary.
-	ix.treeMu.Lock()
 	inserted := 0
 	for k := 1; k < nb; k++ {
 		key := lo + int64(uint64(k)<<shift)
@@ -170,7 +150,6 @@ func (ix *Index) radixPiece(a, b int, swapOK bool) int {
 			inserted++
 		}
 	}
-	ix.treeMu.Unlock()
 	ix.cracks.Add(int64(inserted))
 	ix.work.Add(int64(2 * n)) // histogram pass + scatter pass
 	return inserted

@@ -7,10 +7,17 @@ package cracker
 // an insert only needs to move one element per piece: each piece above the
 // target donates its first slot to the piece below, shifting boundaries by
 // one. Deletes run the same dance in reverse.
+//
+// Ripples shift the positions of every piece above the touched one, so
+// positions handed out earlier go stale: the owner excludes every other user
+// of the index (its exclusive latch) around them — see the Index comment.
 
 // RippleInsert inserts value v with base row id r into the cracked copy,
-// keeping all piece invariants intact. Cost is O(pieces) element moves.
+// keeping all piece invariants intact. Cost is one element move per piece
+// above v's.
 func (ix *Index) RippleInsert(v int64, r uint32) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	if len(ix.vals) == 0 {
 		ix.vals = append(ix.vals, v)
 		ix.rows = append(ix.rows, r)
@@ -20,14 +27,12 @@ func (ix *Index) RippleInsert(v int64, r uint32) {
 	// Collect the start positions of every piece strictly above v's piece,
 	// i.e. every boundary with key > v, in ascending order.
 	var starts []int
-	ix.treeMu.RLock()
-	ix.tree.Walk(func(key int64, pos int) bool {
+	ix.tree.WalkFrom(v, func(key int64, pos int) bool {
 		if key > v {
 			starts = append(starts, pos)
 		}
 		return true
 	})
-	ix.treeMu.RUnlock()
 	// Open a free slot at the end, then ripple it down: the first element of
 	// each higher piece moves to the free slot just past that piece's end.
 	ix.vals = append(ix.vals, 0)
@@ -41,10 +46,7 @@ func (ix *Index) RippleInsert(v int64, r uint32) {
 	}
 	ix.vals[free] = v
 	ix.rows[free] = r
-	ix.treeMu.Lock()
 	ix.tree.ShiftAfter(v, 1)
-	ix.treeMu.Unlock()
-	ix.resetLatches()
 	if v < ix.domLo {
 		ix.domLo = v
 	}
@@ -55,7 +57,7 @@ func (ix *Index) RippleInsert(v int64, r uint32) {
 
 // RippleDelete removes one occurrence of value v from the cracked copy,
 // returning its base row id. Ok is false if v is not present. Cost is a scan
-// of v's piece plus O(pieces) element moves.
+// of v's piece plus one element move per piece above it.
 func (ix *Index) RippleDelete(v int64) (r uint32, ok bool) {
 	return ix.rippleDelete(v, 0, false)
 }
@@ -69,6 +71,8 @@ func (ix *Index) RippleDeleteRow(v int64, row uint32) bool {
 }
 
 func (ix *Index) rippleDelete(v int64, row uint32, matchRow bool) (r uint32, ok bool) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	if len(ix.vals) == 0 {
 		return 0, false
 	}
@@ -92,14 +96,12 @@ func (ix *Index) rippleDelete(v int64, row uint32, matchRow bool) (r uint32, ok 
 	// Ripple the hole up: each higher piece's last element drops into the
 	// slot just before that piece's start.
 	var bounds []int // start positions of pieces above v's, ascending
-	ix.treeMu.RLock()
-	ix.tree.Walk(func(key int64, pos int) bool {
+	ix.tree.WalkFrom(v, func(key int64, pos int) bool {
 		if key > v {
 			bounds = append(bounds, pos)
 		}
 		return true
 	})
-	ix.treeMu.RUnlock()
 	for i := range bounds {
 		end := len(ix.vals)
 		if i+1 < len(bounds) {
@@ -115,9 +117,6 @@ func (ix *Index) rippleDelete(v int64, row uint32, matchRow bool) (r uint32, ok 
 	}
 	ix.vals = ix.vals[:len(ix.vals)-1]
 	ix.rows = ix.rows[:len(ix.rows)-1]
-	ix.treeMu.Lock()
 	ix.tree.ShiftAfter(v, -1)
-	ix.treeMu.Unlock()
-	ix.resetLatches()
 	return r, true
 }

@@ -11,11 +11,10 @@ type Boundary struct {
 	Pos int
 }
 
-// Boundaries returns the crack-tree entries in ascending key order. Safe
-// under the shared latch.
+// Boundaries returns the crack-tree entries in ascending key order.
 func (ix *Index) Boundaries() []Boundary {
-	ix.treeMu.RLock()
-	defer ix.treeMu.RUnlock()
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
 	bs := make([]Boundary, 0, ix.tree.Len())
 	ix.tree.Walk(func(key int64, pos int) bool {
 		bs = append(bs, Boundary{Key: key, Pos: pos})

@@ -315,6 +315,32 @@ func walk(n *node, visit func(int64, int) bool) bool {
 	return walk(n.right, visit)
 }
 
+// WalkFrom visits every boundary whose key is >= from in ascending key
+// order, descending straight to the first such key instead of walking the
+// whole tree: O(height + visited). The visit function returns false to stop
+// the walk early.
+func (t *Tree) WalkFrom(from int64, visit func(key int64, pos int) bool) {
+	walkFrom(t.root, from, visit)
+}
+
+func walkFrom(n *node, from int64, visit func(int64, int) bool) bool {
+	if n == nil {
+		return true
+	}
+	if n.key < from {
+		// n and its whole left subtree lie below from.
+		return walkFrom(n.right, from, visit)
+	}
+	if !walkFrom(n.left, from, visit) {
+		return false
+	}
+	if !visit(n.key, n.pos) {
+		return false
+	}
+	// Everything right of n is > n.key >= from: no more pruning needed.
+	return walk(n.right, visit)
+}
+
 // ShiftAfter adds delta to the position of every boundary whose key is
 // strictly greater than key. Updates use it when a ripple insert or delete
 // moves every piece above the touched piece by one slot.

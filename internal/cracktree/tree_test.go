@@ -195,6 +195,48 @@ func TestWalkEarlyStop(t *testing.T) {
 	}
 }
 
+// WalkFrom must visit exactly what Walk visits after filtering key >= from,
+// in the same order, on random trees — including from below the minimum,
+// above the maximum and exactly on a key — and must honour early stops.
+func TestWalkFromMatchesWalkFilter(t *testing.T) {
+	rng := rand.New(rand.NewPCG(21, 22))
+	for trial := 0; trial < 200; trial++ {
+		var tr Tree
+		n := rng.IntN(300)
+		domain := int64(1 + rng.IntN(1000))
+		for i := 0; i < n; i++ {
+			tr.Insert(rng.Int64N(domain)-domain/2, i)
+		}
+		for probe := 0; probe < 20; probe++ {
+			from := rng.Int64N(domain+20) - domain/2 - 10
+			limit := 1 + rng.IntN(n+1) // stop after this many visits
+			type kp struct {
+				key int64
+				pos int
+			}
+			var want, got []kp
+			tr.Walk(func(key int64, pos int) bool {
+				if key >= from {
+					want = append(want, kp{key, pos})
+				}
+				return len(want) < limit
+			})
+			tr.WalkFrom(from, func(key int64, pos int) bool {
+				got = append(got, kp{key, pos})
+				return len(got) < limit
+			})
+			if len(got) != len(want) {
+				t.Fatalf("trial %d from %d limit %d: WalkFrom visited %d, Walk+filter %d", trial, from, limit, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d from %d: visit %d = %+v, want %+v", trial, from, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestRemove(t *testing.T) {
 	var tr Tree
 	keys := rand.New(rand.NewPCG(3, 4)).Perm(200)

@@ -13,30 +13,29 @@
 //
 // # Concurrency model
 //
-// The kernel is multi-core end to end, latched at four granularities:
+// The kernel is multi-core end to end. Every column is split into
+// Config.Shards striped parts (package shard), each owning its own cracker
+// index, sorted index, pending buffer and latch; selects fan out one
+// goroutine per part and merge partial aggregates, so a single large select
+// executes on multiple cores — intra-query parallelism, not just
+// inter-query. Latching has three levels (ARCHITECTURE.md, "Latching"):
 //
-//   - Catalog: Engine.mu and Table.mu (RWMutex) guard table/column maps;
+//   - Table: Engine.mu and Table.mu (RWMutex) guard table/column maps;
 //     row inserts and deletes hold the table lock, so rows are added to all
 //     columns atomically.
-//   - Shard: every column is split into Config.Shards striped parts
-//     (package shard), each owning its own cracker index, crack tree,
-//     sorted index, pending buffer and latch. Selects fan out one goroutine
-//     per shard and merge partial aggregates, so a single large select
-//     executes on multiple cores — intra-query parallelism, not just
-//     inter-query.
 //   - Part: every shard.Part has a reader/writer latch. The WRITE side is
 //     only for structural changes — materialising the cracked copy, merging
 //     pending updates into it (ripple moves shift piece positions),
 //     (re)building or dropping the sorted index, tombstoning deletes, and
 //     stochastic-variant selects. The READ side admits any number of
 //     queries and idle workers simultaneously.
-//   - Piece: under the shared part latch, work on the cracker index is
-//     coordinated by the index's own piece-level latches (see package
-//     cracker): a select or idle action that splits a piece write-latches
-//     just that piece; reads of already-cracked ranges take per-piece read
-//     latches. Concurrent selects on cracked ranges therefore proceed
-//     fully in parallel, and two queries only collide when they split the
-//     very same piece.
+//   - Index: under the shared part latch, work on the part's cracker index
+//     is coordinated by the index's own reader/writer latch (see
+//     cracker.Index): a lookup or aggregate takes it shared once, whatever
+//     the number of pieces it spans; a crack takes it exclusively while it
+//     partitions. Concurrent selects on cracked ranges therefore proceed
+//     fully in parallel, and parallelism between cracks comes from the
+//     shards.
 //
 // Idle refinement is preemptible at action granularity: each worker claims
 // one action, re-checks for an in-flight query inside the claim, and yields
@@ -122,7 +121,7 @@ type Config struct {
 	// 1 the budget is divided across the shards' concurrent scans.
 	ScanParallelism int
 	// Shards splits every column into this many striped parts, each with
-	// its own cracker index, piece latches and idle action queue; selects
+	// its own cracker index, latch and idle action queue; selects
 	// fan out one goroutine per shard and merge. <= 1 keeps one part per
 	// column (the pre-sharding behaviour). See package shard.
 	Shards int

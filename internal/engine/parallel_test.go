@@ -152,7 +152,7 @@ func TestParallelMixedWorkloadAllStrategies(t *testing.T) {
 
 // TestParallelCrackingConvergence hammers one holistic column from many
 // goroutines with no writers at all, so every result is exactly checkable,
-// and asserts the piece-latched concurrent crack path converges to a valid,
+// and asserts the concurrent crack path converges to a valid,
 // well-partitioned index.
 func TestParallelCrackingConvergence(t *testing.T) {
 	const (

@@ -3,8 +3,8 @@ package engine
 // Mixed concurrent workload with radix-first coarse cracking forced on (a
 // threshold far below the default, so coarse passes fire on real query
 // traffic at every shard count). The radix pass rewrites whole pieces and
-// inserts up to 255 boundaries at once — the widest structural change the
-// piece-latch protocol has to absorb — so this runs readers, a writer, and
+// inserts up to 255 boundaries at once — the widest structural change one
+// exclusive hold of the index latch covers — so this runs readers, a writer, and
 // idle refinement against the scan oracle under -race, at the single-part
 // and many-part extremes.
 

@@ -19,11 +19,12 @@ import (
 // multiple cores even with no other query in the system. Within each shard,
 // selects on the same part run in parallel wherever the physical design
 // allows it: scan/offline/online selects are pure reads under the part's
-// shared latch, and adaptive/holistic selects rely on the part's cracker
-// piece-level latches, so two queries cracking different pieces — or reading
-// already-cracked ranges — never wait on each other; only materialising the
-// cracked copy, merging pending updates and stochastic-variant selects fall
-// back to the part's exclusive latch.
+// shared latch, and adaptive/holistic selects run under it too, taking the
+// part's cracker index latch shared to look up and sum an already-cracked
+// range (one acquisition each, whatever the piece count) and exclusively
+// only while partitioning a piece; only materialising the cracked copy,
+// merging pending updates and stochastic-variant selects fall back to the
+// part's exclusive latch.
 func (e *Engine) Select(table, col string, lo, hi int64) (Result, error) {
 	cs, err := e.colState(table, col)
 	if err != nil {
@@ -73,9 +74,8 @@ func (e *Engine) Select(table, col string, lo, hi int64) (Result, error) {
 		})
 		// Continuous monitoring plus the "No Time" opportunity, per shard: a
 		// hot range earns a few extra cracks inside the query (cheap — hot
-		// pieces are already small). Boost cracks use the piece-latched
-		// path, so they only serialise against work on the pieces they
-		// split.
+		// pieces are already small), and none once the range's pieces have
+		// reached the target piece size.
 		for _, p := range cs.sc.Parts() {
 			e.tuner.NoteQuery(p.Name(), lo, hi)
 			p.RLock()

@@ -105,6 +105,7 @@ func TestShardedSelectRunsShardsConcurrently(t *testing.T) {
 			var mu sync.Mutex
 			inside := map[int]bool{}
 			release := make(chan struct{})
+			var releaseOnce sync.Once
 			timeout := time.After(10 * time.Second)
 			cs.sc.SetSelectHook(func(part int) {
 				mu.Lock()
@@ -112,11 +113,8 @@ func TestShardedSelectRunsShardsConcurrently(t *testing.T) {
 				ready := len(inside) >= 2
 				mu.Unlock()
 				if ready {
-					select {
-					case <-release:
-					default:
-						close(release)
-					}
+					// Two parts can both see ready at once.
+					releaseOnce.Do(func() { close(release) })
 				}
 				select {
 				case <-release:

@@ -28,8 +28,8 @@
 // quantum) and therefore bounded-latency, which is the granularity the
 // paper's "small, preemptible actions" design calls for. The step function
 // must be safe for concurrent calls when the pool has more than one worker;
-// the holistic tuner guarantees this via per-column action claims and
-// piece-level latches.
+// the holistic tuner guarantees this via per-column action claims and the
+// cracker index's own latch.
 //
 // Behind a network frontend, "a query is active" is too narrow a signal:
 // requests spend time queued, parsing and serialising around the engine

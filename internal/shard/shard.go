@@ -4,9 +4,9 @@
 // parallel-cracking design of "Main Memory Adaptive Indexing for Multi-core
 // Systems" (Alvarez et al., DaMoN 2014): instead of many cores contending on
 // one shared cracker index through ever finer latches, each shard owns a
-// private cracker index, crack tree, piece latches, sorted index and pending
-// update buffer, and a select fans out one goroutine per shard and merges the
-// partial aggregates.
+// private cracker index (crack tree, cracked copy and their one latch),
+// sorted index and pending update buffer, and a select fans out one goroutine
+// per shard and merges the partial aggregates.
 //
 // # Partitioning scheme
 //
@@ -76,7 +76,8 @@
 // structural changes (materialising the cracked copy, merging the ingest
 // queue, (re)building the sorted index, tombstoning), while the read side
 // admits any number of queries and idle workers, which coordinate through
-// the cracker index's piece-level latches. The ingest queue's mutex is a
+// the cracker index's own latch: shared for a lookup or aggregate, exclusive
+// for a crack (see cracker.Index). The ingest queue's mutex is a
 // leaf below the part latch: queue methods never take the latch, and both
 // "latch then queue" (merge, reads' fallback) and "queue only" (writers)
 // orders are deadlock free. The idle pool's claim/re-check protocol and the
@@ -613,12 +614,13 @@ func (p *Part) SortedCountSum(lo, hi int64) (int, int64) {
 }
 
 // CrackedSelect is the adaptive select operator on one part. The common case
-// — cracked copy materialised, plain cracking — runs under the shared latch
-// with piece-level latching inside the cracker, combines the cracked result
-// with the queue's net contribution, and validates the pair with the merge
-// epoch. Structural work (materialisation, stochastic variants) falls back
-// to the exclusive latch, under which the queue cannot be drained and the
-// combined read is trivially consistent.
+// — cracked copy materialised, plain cracking — runs under the shared latch:
+// a select whose bounds are already cracked takes the index latch shared
+// twice (boundary lookup, contiguous sum) and never exclusively. It combines
+// the cracked result with the queue's net contribution and validates the
+// pair with the merge epoch. Structural work (materialisation, stochastic
+// variants) falls back to the exclusive latch, under which the queue cannot
+// be drained and the combined read is trivially consistent.
 func (p *Part) CrackedSelect(lo, hi int64) (int, int64) {
 	for try := 0; try < seqlockRetries; try++ {
 		p.mu.RLock()
@@ -628,8 +630,8 @@ func (p *Part) CrackedSelect(lo, hi int64) (int, int64) {
 			break
 		}
 		e := p.epoch.Load()
-		from, to := ix.CrackRangeConcurrent(lo, hi)
-		count, sum := ix.CountSumConcurrent(from, to)
+		from, to := ix.CrackRange(lo, hi)
+		count, sum := ix.CountSum(from, to)
 		p.mu.RUnlock()
 		dc, ds := p.ingest.CountSum(lo, hi)
 		if p.epoch.Load() == e {
@@ -792,32 +794,10 @@ func (p *Part) Predictive() (bool, int) { return p.cfg.Predict, p.cfg.SpecBudget
 func (p *Part) RangePieceAvg(lo, hi int64) float64 {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	if p.crack == nil || lo >= hi {
+	if p.crack == nil {
 		return 0
 	}
-	return rangePieceAvg(p.crack, lo, hi)
-}
-
-// rangePieceAvg walks the pieces overlapping [lo, hi) in value order. The
-// caller holds the part's shared latch; the walk takes the index's own tree
-// latch internally.
-func rangePieceAvg(ix *cracker.Index, lo, hi int64) float64 {
-	pieces, total := 0, 0
-	ix.ForEachPiece(func(pc cracker.Piece) bool {
-		if pc.HasHi && pc.Hi <= lo {
-			return true // entirely below the range: keep walking
-		}
-		if pc.HasLo && pc.Lo >= hi {
-			return false // pieces are value ordered: nothing further overlaps
-		}
-		pieces++
-		total += pc.Size()
-		return true
-	})
-	if pieces == 0 {
-		return 0
-	}
-	return float64(total) / float64(pieces)
+	return p.crack.RangePieceAvg(lo, hi)
 }
 
 // PendingCounts returns the part's buffered (inserts, deletes).

@@ -211,6 +211,7 @@ func TestFanOutRunsPartsConcurrently(t *testing.T) {
 	var mu sync.Mutex
 	inside := map[int]bool{}
 	release := make(chan struct{})
+	var releaseOnce sync.Once
 	timeout := time.After(10 * time.Second)
 	c.SetSelectHook(func(part int) {
 		mu.Lock()
@@ -218,11 +219,8 @@ func TestFanOutRunsPartsConcurrently(t *testing.T) {
 		n := len(inside)
 		mu.Unlock()
 		if n >= 2 {
-			select {
-			case <-release:
-			default:
-				close(release)
-			}
+			// Two parts can both see n >= 2 at once.
+			releaseOnce.Do(func() { close(release) })
 		}
 		select {
 		case <-release:
