@@ -13,6 +13,7 @@ package holistic_test
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"sync/atomic"
 	"testing"
 
@@ -314,6 +315,81 @@ func benchParallelIdle(b *testing.B, workers int) {
 func BenchmarkParallelIdle(b *testing.B) {
 	b.Run("workers-1", func(b *testing.B) { benchParallelIdle(b, 1) })
 	b.Run("workers-4", func(b *testing.B) { benchParallelIdle(b, 4) })
+}
+
+// BenchmarkDeleteWhereIn times DELETE ... WHERE A IN (4 present values) on
+// an indexed column: holistic cracked down to its target piece size, offline
+// with its full sorted index. The delete resolves each value's first live
+// row through the index (one piece, or one binary search), so ns/op must stay
+// flat from 250k to 4M rows — up to cache misses and, for holistic, the
+// spread of piece sizes random cracking leaves around the same 1024 average
+// (about 2x over the range) — where a resolution that scans the column
+// grows 16x.
+//
+// Values are unique and each is deleted once, so every op must delete
+// exactly four rows; deletes only buffer, nothing merges inside the timer,
+// and when the values run out the timer stops for a fresh indexed engine.
+func BenchmarkDeleteWhereIn(b *testing.B) {
+	const (
+		inList = 4
+		stride = 2654435761 // prime > every n: k -> k*stride % n is a bijection on [0, n)
+	)
+	for _, s := range []holistic.Strategy{holistic.StrategyHolistic, holistic.StrategyOffline} {
+		for _, n := range []int{250_000, 1_000_000, 4_000_000} {
+			b.Run(fmt.Sprintf("%s/n=%d", s, n), func(b *testing.B) {
+				shuffled := make([]int64, n)
+				for i := range shuffled {
+					shuffled[i] = int64(i)
+				}
+				rng := rand.New(rand.NewPCG(41, uint64(n)))
+				rng.Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+				indexed := func() (*holistic.Engine, *holistic.Table) {
+					e := holistic.New(holistic.Config{Strategy: s, Seed: 42, TargetPieceSize: 1 << 10})
+					tab, err := e.CreateTable("R")
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := tab.AddColumnFromSlice("A", append([]int64{}, shuffled...)); err != nil {
+						b.Fatal(err)
+					}
+					if s == holistic.StrategyOffline {
+						_, err = e.BuildFullIndex("R", "A")
+					} else {
+						_, err = e.Select("R", "A", 0, 1) // materialise the cracked copy
+						for actions := 1; actions > 0; {  // idle windows until the tuner reports convergence
+							actions, _ = e.IdleActions(1 << 12)
+						}
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+					return e, tab
+				}
+				e, tab := indexed()
+				defer func() { e.Close() }()
+				vals := make([]int64, inList)
+				next := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if next+inList > n {
+						b.StopTimer()
+						e.Close()
+						e, tab = indexed()
+						next = 0
+						b.StartTimer()
+					}
+					for k := range vals {
+						vals[k] = int64(uint64(next) * stride % uint64(n))
+						next++
+					}
+					deleted, err := tab.DeleteWhereIn("A", vals)
+					if err != nil || deleted != inList {
+						b.Fatalf("DeleteWhereIn(%v) = %d, %v; want %d rows", vals, deleted, err, inList)
+					}
+				}
+			})
+		}
+	}
 }
 
 // --- Ablations -------------------------------------------------------------

@@ -169,6 +169,26 @@ func (ix *Index) PieceOf(v int64) (start, end int) {
 	return ix.pieceBounds(v)
 }
 
+// MinRowOf returns the lowest base row id among the entries holding exactly
+// value v for which live reports true. It reads v's piece under the shared
+// latch and cracks nothing, so its cost is that piece's size — the point
+// lookup a DELETE resolves its row with. live runs under the latch and must
+// not call back into the index.
+func (ix *Index) MinRowOf(v int64, live func(row uint32) bool) (row uint32, ok bool) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	a, b := ix.pieceBounds(v)
+	for i, val := range ix.vals[a:b] {
+		if val != v {
+			continue
+		}
+		if r := ix.rows[a+i]; (!ok || r < row) && live(r) {
+			row, ok = r, true
+		}
+	}
+	return row, ok
+}
+
 // LookupRange reports, without cracking anything, whether crack boundaries
 // already exist for both lo and hi; if so it returns their positions. It is
 // the read-only fast path for selects on already-cracked ranges.
@@ -304,7 +324,7 @@ func (ix *Index) RandomCrackDomain(rng *rand.Rand) int {
 	if !ok || lo >= hi {
 		return 0
 	}
-	size, _ := ix.CrackAt(lo + rng.Int64N(hi-lo) + 1) // pivot in (lo, hi]
+	size, _ := ix.CrackAt(randInRange(rng, lo, hi) + 1) // pivot in (lo, hi]
 	return size
 }
 

@@ -39,18 +39,13 @@ func (e *Engine) DescribePhysicalDesign() []ColumnDesign {
 
 	var out []ColumnDesign
 	for _, t := range tables {
-		t.mu.RLock()
-		names := append([]string(nil), t.order...)
+		cat := t.cat.Load()
 		live := int(t.live.Load())
-		cols := make([]*colState, 0, len(names))
-		for _, n := range names {
-			cols = append(cols, t.cols[n])
-		}
-		t.mu.RUnlock()
-		for i, cs := range cols {
+		for _, name := range cat.order {
+			cs := cat.cols[name]
 			d := ColumnDesign{
 				Table:     t.name,
-				Column:    names[i],
+				Column:    name,
 				Rows:      live,
 				FullIndex: cs.hasSorted(),
 				Cracked:   cs.anyCracked(),

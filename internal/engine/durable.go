@@ -95,13 +95,14 @@ func (e *Engine) CaptureState(cut func()) (EngineState, error) {
 	st := EngineState{Tables: make([]TableState, 0, len(names))}
 	for _, name := range names {
 		t := e.tables[name]
+		cat := t.cat.Load()
 		ts := TableState{
 			Name:  name,
-			Order: append([]string(nil), t.order...),
+			Order: append([]string(nil), cat.order...),
 			Live:  t.live.Load(),
 		}
-		for _, cname := range t.order {
-			snap, err := t.cols[cname].sc.Snapshot()
+		for _, cname := range cat.order {
+			snap, err := cat.cols[cname].sc.Snapshot()
 			if err != nil {
 				return EngineState{}, err
 			}
@@ -124,7 +125,8 @@ func (e *Engine) RestoreState(st EngineState) error {
 		return fmt.Errorf("engine: RestoreState on a non-empty catalog")
 	}
 	for _, ts := range st.Tables {
-		t := &Table{name: ts.Name, eng: e, cols: map[string]*colState{}}
+		t := newTable(ts.Name, e)
+		cat := t.cat.Load()
 		if len(ts.Columns) != len(ts.Order) {
 			return fmt.Errorf("engine: restore %s: %d column snapshots for %d columns", ts.Name, len(ts.Columns), len(ts.Order))
 		}
@@ -138,14 +140,14 @@ func (e *Engine) RestoreState(st EngineState) error {
 				return fmt.Errorf("engine: restore %s: snapshot names column %q", qname, sc.Name())
 			}
 			cs := &colState{name: qname, eng: e, sc: sc}
-			t.cols[cname] = cs
-			t.order = append(t.order, cname)
+			cat = cat.with(cname, cs)
 			if i == 0 {
 				t.rows.Store(int64(sc.Rows()))
 			}
 			e.registerColumn(cs, sc.Rows())
 		}
 		t.live.Store(ts.Live)
+		t.cat.Store(cat)
 		e.tables[ts.Name] = t
 	}
 	return nil
@@ -197,6 +199,7 @@ func (e *Engine) ReplayInsert(table string, first uint32, rows [][]int64) error 
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	cat := t.cat.Load()
 	cur := t.rows.Load()
 	if int64(first) > cur {
 		return fmt.Errorf("engine: replay insert at row %d but table %s has only %d rows (log gap)", first, table, cur)
@@ -206,16 +209,16 @@ func (e *Engine) ReplayInsert(table string, first uint32, rows [][]int64) error 
 		if g < cur {
 			continue
 		}
-		if len(vals) != len(t.order) {
-			return fmt.Errorf("%w: replay insert of %d values into %d columns", ErrLengthMismatch, len(vals), len(t.order))
+		if len(vals) != len(cat.order) {
+			return fmt.Errorf("%w: replay insert of %d values into %d columns", ErrLengthMismatch, len(vals), len(cat.order))
 		}
 		if g >= int64(column.MaxRows) {
 			return column.ErrTooLarge
 		}
 		t.rows.Store(g + 1)
 		cur = g + 1
-		for j, name := range t.order {
-			t.cols[name].sc.AppendAt(uint32(g), vals[j])
+		for j, name := range cat.order {
+			cat.cols[name].sc.AppendAt(uint32(g), vals[j])
 		}
 		t.live.Add(1)
 	}
@@ -230,12 +233,13 @@ func (e *Engine) ReplayDeleteRows(table string, rows []uint32) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	cols := t.cat.Load().cols
 	for _, g := range rows {
 		if int64(g) >= t.rows.Load() {
 			return fmt.Errorf("engine: replay delete of unknown row %d in %s", g, table)
 		}
-		for _, name := range t.order {
-			t.cols[name].sc.DeleteRow(g)
+		for _, cs := range cols {
+			cs.sc.DeleteRow(g)
 		}
 		t.live.Add(-1)
 	}

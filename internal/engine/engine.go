@@ -20,9 +20,11 @@
 // executes on multiple cores — intra-query parallelism, not just
 // inter-query. Latching has three levels (ARCHITECTURE.md, "Latching"):
 //
-//   - Table: Engine.mu and Table.mu (RWMutex) guard table/column maps;
-//     row inserts and deletes hold the table lock, so rows are added to all
-//     columns atomically.
+//   - Table: Engine.mu (RWMutex) guards the table map. Table.mu is taken by
+//     writers only — inserts shared, deletes exclusive — so rows are added
+//     to and removed from all columns atomically; selects resolve their
+//     column from a copy-on-write catalog snapshot and take no table lock
+//     (see Table).
 //   - Part: every shard.Part has a reader/writer latch. The WRITE side is
 //     only for structural changes — materialising the cracked copy, merging
 //     pending updates into it (ripple moves shift piece positions),
@@ -401,7 +403,7 @@ func (e *Engine) createTable(name string, logIt bool) (*Table, error) {
 			return nil, err
 		}
 	}
-	t := &Table{name: name, eng: e, cols: map[string]*colState{}}
+	t := newTable(name, e)
 	e.tables[name] = t
 	return t, nil
 }
@@ -525,14 +527,11 @@ func (e *Engine) findByQualifiedName(name string) *colState {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	for _, t := range e.tables {
-		t.mu.RLock()
-		for _, cs := range t.cols {
+		for _, cs := range t.cat.Load().cols {
 			if cs.name == name {
-				t.mu.RUnlock()
 				return cs
 			}
 		}
-		t.mu.RUnlock()
 	}
 	return nil
 }

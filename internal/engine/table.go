@@ -12,23 +12,32 @@ import (
 
 // Table is a collection of equal-length integer columns.
 //
-// Write concurrency: t.mu guards the catalog (cols, order) and row-level
-// atomicity across columns. Inserts hold it SHARED — any number of writers
+// Write concurrency: t.mu gives row-level atomicity across columns and
+// serialises column creation. Inserts hold it SHARED — any number of writers
 // append concurrently, each reserving its row id with one atomic fetch-add
 // and enqueueing per-column into the shards' ingest queues — while deletes
 // hold it EXCLUSIVE, so a delete never observes a half-inserted row (some
 // columns enqueued, others not). Neither path touches a part's RW latch;
 // buffered updates reach the index structures via merge refinement actions
-// (see package shard).
+// (see package shard). A delete resolves "the first live row holding v"
+// through the column's indexes (shard.Column.FirstLive: sorted index, else
+// the cracked piece holding v, a scan only for a part with neither), so the
+// exclusive hold is microseconds, not a column scan.
+//
+// Reads take no table lock at all: the catalog is a copy-on-write snapshot
+// behind an atomic pointer, so a select resolves its column with one load.
+// It must not queue on t.mu — a sync.RWMutex blocks new readers behind a
+// waiting writer, so one insert fsyncing under the shared side plus one
+// delete waiting for the exclusive side would stall every select on the
+// table for the length of the fsync.
 type Table struct {
 	name string
 	eng  *Engine
 
-	mu    sync.RWMutex
-	cols  map[string]*colState
-	order []string     // column order for row-wise operations
-	rows  atomic.Int64 // total rows ever inserted (including deleted)
-	live  atomic.Int64 // live (non-deleted) rows
+	mu   sync.RWMutex
+	cat  atomic.Pointer[catalog] // never nil; republished under mu held exclusively
+	rows atomic.Int64            // total rows ever inserted (including deleted)
+	live atomic.Int64            // live (non-deleted) rows
 
 	// idMu serializes row-id reservation with the write-ahead log append
 	// when a WriteLog is attached: ids are reserved and logged inside one
@@ -39,14 +48,39 @@ type Table struct {
 	idMu sync.Mutex
 }
 
+// catalog is one immutable version of a table's column set. Adding a column
+// publishes a new catalog; a published one is never written again, so any
+// goroutine may use the version it loaded without a lock.
+type catalog struct {
+	cols  map[string]*colState
+	order []string // column order for row-wise operations
+}
+
+// with returns a copy of c extended by one column.
+func (c *catalog) with(name string, cs *colState) *catalog {
+	next := &catalog{
+		cols:  make(map[string]*colState, len(c.cols)+1),
+		order: append(c.order[:len(c.order):len(c.order)], name),
+	}
+	for k, v := range c.cols {
+		next.cols[k] = v
+	}
+	next.cols[name] = cs
+	return next
+}
+
+func newTable(name string, e *Engine) *Table {
+	t := &Table{name: name, eng: e}
+	t.cat.Store(&catalog{})
+	return t
+}
+
 // Name returns the table name.
 func (t *Table) Name() string { return t.name }
 
 // Columns returns the column names in creation order.
 func (t *Table) Columns() []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return append([]string(nil), t.order...)
+	return append([]string(nil), t.cat.Load().order...)
 }
 
 // Rows returns the number of live rows.
@@ -177,10 +211,11 @@ func (t *Table) AddColumnFromSlice(name string, vals []int64) error {
 func (t *Table) addColumnFromSlice(name string, vals []int64, logIt bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.cols[name]; ok {
+	cat := t.cat.Load()
+	if _, ok := cat.cols[name]; ok {
 		return fmt.Errorf("%w: %s.%s", ErrColumnExists, t.name, name)
 	}
-	if len(t.order) > 0 && int64(len(vals)) != t.rows.Load() {
+	if len(cat.order) > 0 && int64(len(vals)) != t.rows.Load() {
 		return fmt.Errorf("%w: %s.%s has %d values, table has %d rows",
 			ErrLengthMismatch, t.name, name, len(vals), t.rows.Load())
 	}
@@ -200,13 +235,12 @@ func (t *Table) addColumnFromSlice(name string, vals []int64, logIt bool) error 
 		return err
 	}
 	cs := &colState{name: t.name + "." + name, eng: t.eng, sc: sc}
-	t.cols[name] = cs
-	t.order = append(t.order, name)
-	if len(t.order) == 1 {
+	if len(cat.order) == 0 {
 		t.rows.Store(int64(len(vals)))
 		t.live.Store(int64(len(vals)))
 	}
-	// Register with the strategy's machinery.
+	// Register with the strategy's machinery, then publish: a select can
+	// resolve the column the moment it is in the catalog.
 	switch t.eng.cfg.Strategy {
 	case StrategyOnline:
 		t.eng.advisor.Register(cs.name, len(vals))
@@ -215,14 +249,13 @@ func (t *Table) addColumnFromSlice(name string, vals []int64, logIt bool) error 
 			t.eng.tuner.Register(p, lo, hi)
 		}
 	}
+	t.cat.Store(cat.with(name, cs))
 	return nil
 }
 
-// column resolves a column by bare name.
+// column resolves a column by bare name, lock-free (see Table).
 func (t *Table) column(name string) (*colState, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	cs, ok := t.cols[name]
+	cs, ok := t.cat.Load().cols[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoColumn, t.name, name)
 	}
@@ -253,10 +286,11 @@ func (t *Table) InsertRow(vals ...int64) (uint32, error) {
 // enqueued. Concurrent batches may interleave their enqueues — the ingest
 // queues key by row id and drain in dense order regardless.
 func (t *Table) insertBatchDurable(rows [][]int64) (uint32, error) {
+	cat := t.cat.Load()
 	for _, vals := range rows {
-		if len(vals) != len(t.order) {
+		if len(vals) != len(cat.order) {
 			return 0, fmt.Errorf("%w: insert of %d values into %d columns",
-				ErrLengthMismatch, len(vals), len(t.order))
+				ErrLengthMismatch, len(vals), len(cat.order))
 		}
 	}
 	t.idMu.Lock()
@@ -273,8 +307,8 @@ func (t *Table) insertBatchDurable(rows [][]int64) (uint32, error) {
 	t.idMu.Unlock()
 	for i, vals := range rows {
 		g := uint32(r + int64(i))
-		for j, name := range t.order {
-			t.cols[name].sc.AppendAt(g, vals[j])
+		for j, name := range cat.order {
+			cat.cols[name].sc.AppendAt(g, vals[j])
 		}
 	}
 	t.live.Add(int64(len(rows)))
@@ -283,9 +317,10 @@ func (t *Table) insertBatchDurable(rows [][]int64) (uint32, error) {
 
 // insertRowLocked appends one row under a held shared table lock.
 func (t *Table) insertRowLocked(vals []int64) (uint32, error) {
-	if len(vals) != len(t.order) {
+	cat := t.cat.Load()
+	if len(vals) != len(cat.order) {
 		return 0, fmt.Errorf("%w: insert of %d values into %d columns",
-			ErrLengthMismatch, len(vals), len(t.order))
+			ErrLengthMismatch, len(vals), len(cat.order))
 	}
 	r := t.rows.Add(1) - 1
 	if r >= int64(column.MaxRows) {
@@ -293,8 +328,8 @@ func (t *Table) insertRowLocked(vals []int64) (uint32, error) {
 		return 0, column.ErrTooLarge
 	}
 	row := uint32(r)
-	for i, name := range t.order {
-		t.cols[name].sc.AppendAt(row, vals[i])
+	for i, name := range cat.order {
+		cat.cols[name].sc.AppendAt(row, vals[i])
 	}
 	t.live.Add(1)
 	return row, nil
@@ -390,7 +425,8 @@ func (t *Table) DeleteWhereIn(col string, values []int64) (int, error) {
 // deleteWhereLocked deletes under a held exclusive table lock, returning
 // the resolved global row id.
 func (t *Table) deleteWhereLocked(col string, value int64) (uint32, bool, error) {
-	cs, ok := t.cols[col]
+	cat := t.cat.Load()
+	cs, ok := cat.cols[col]
 	if !ok {
 		return 0, false, fmt.Errorf("%w: %s.%s", ErrNoColumn, t.name, col)
 	}
@@ -398,8 +434,8 @@ func (t *Table) deleteWhereLocked(col string, value int64) (uint32, bool, error)
 	if !found {
 		return 0, false, nil
 	}
-	for _, name := range t.order {
-		t.cols[name].sc.DeleteRow(row)
+	for _, cs := range cat.cols {
+		cs.sc.DeleteRow(row)
 	}
 	t.live.Add(-1)
 	return row, true, nil
@@ -409,22 +445,18 @@ func (t *Table) deleteWhereLocked(col string, value int64) (uint32, bool, error)
 // structures and returns the operations applied. Quiesce helper: tests and
 // checkpoints call it to force buffered updates through before validating.
 func (t *Table) MergePending() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	total := 0
-	for _, name := range t.order {
-		total += t.cols[name].sc.MergePending()
+	for _, cs := range t.cat.Load().cols {
+		total += cs.sc.MergePending()
 	}
 	return total
 }
 
 // PendingOps returns the buffered update operations across all columns.
 func (t *Table) PendingOps() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	total := 0
-	for _, name := range t.order {
-		ins, del := t.cols[name].pendingCounts()
+	for _, cs := range t.cat.Load().cols {
+		ins, del := cs.pendingCounts()
 		total += ins + del
 	}
 	return total

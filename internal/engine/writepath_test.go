@@ -8,6 +8,7 @@ package engine
 // committed operation. Run with -race.
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -348,5 +349,53 @@ func TestIngestCapForcesInlineMerge(t *testing.T) {
 	}
 	if r.Count != inserts || r.Sum != wantSum {
 		t.Fatalf("got %d/%d want %d/%d", r.Count, r.Sum, inserts, wantSum)
+	}
+}
+
+// TestSelectTakesNoTableLock: a select resolves its column from the
+// catalog snapshot and must finish while the table lock is held exclusively
+// — which is also what a delete queued behind an fsyncing insert looks like
+// to a sync.RWMutex reader. Every strategy: the online advisor's by-name
+// lookup sits on the select path too.
+func TestSelectTakesNoTableLock(t *testing.T) {
+	rng := rand.New(rand.NewPCG(801, 802))
+	seed := randomVals(rng, 2000, 1<<16)
+	for _, tc := range strategiesUnderTest {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEngineWithData(t, Config{Strategy: tc.s, Shards: 2, OnlineEpoch: 1}, seed)
+			defer e.Close()
+			tab, err := e.Table("R")
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantCount, wantSum := naiveRange(seed, 100, 9000)
+
+			tab.mu.Lock()
+			defer tab.mu.Unlock()
+			done := make(chan error, 1)
+			go func() {
+				for i := 0; i < 3; i++ { // OnlineEpoch 1: the advisor reviews on these
+					res, err := e.Select("R", "A", 100, 9000)
+					if err == nil && (res.Count != wantCount || res.Sum != wantSum) {
+						err = fmt.Errorf("select under a held table lock: got %d/%d want %d/%d", res.Count, res.Sum, wantCount, wantSum)
+					}
+					if err != nil {
+						done <- err
+						return
+					}
+				}
+				_ = tab.Columns()
+				_ = e.DescribePhysicalDesign()
+				done <- nil
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("select blocked on the table lock")
+			}
+		})
 	}
 }

@@ -179,6 +179,10 @@ func RunNetBench(cfg NetBenchConfig) (*NetBenchResult, error) {
 			StepGrants:  gate.Snapshot().StepGrants - grantsNow,
 		})
 	}
+	// Stop the idle pool before the final counters are read: a worker
+	// probing for work would otherwise show up as a running step in the gate
+	// snapshot. Queries (PieceStats below) still work on a closed engine.
+	eng.Close()
 	total := int64(0)
 	for _, g := range res.Gaps {
 		total += g.IdleActions

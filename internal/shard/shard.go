@@ -56,6 +56,18 @@
 // still in flight (assigned but not yet enqueued) leaves a gap that pauses
 // insert draining until it lands; deletes and earlier rows still drain.
 //
+// # Delete resolution
+//
+// A delete names a value, not a row: Column.FirstLive resolves it to the
+// lowest live global row id, asking every part (Part.firstLive) and taking
+// the minimum. A part answers through the index it has — sorted index:
+// binary search plus the run of duplicates; cracked copy: the one piece
+// holding the value, under the cracker index's shared latch, cracking
+// nothing; neither: an early-exit scan of its rows — skipping rows with a
+// buffered delete, then consults its buffered inserts. The indexes hold
+// exactly the merged, non-tombstoned rows, so every path names the same
+// row; the caller's exclusive table lock is held for a piece, not a column.
+//
 // # Snapshot reads
 //
 // A select must observe every row exactly once while merges move rows from
@@ -718,21 +730,33 @@ func (p *Part) PendingOps() int { return p.ingest.Len() }
 
 // firstLive returns the lowest global row id in this part holding value v
 // live: merged rows that are neither tombstoned nor pending-deleted, and
-// buffered inserts.
+// buffered inserts. The merged rows are resolved through whichever index the
+// part has — both hold exactly the merged, non-tombstoned rows — so a DELETE
+// costs a binary search (sorted index) or one piece (cracked copy, read under
+// the index's shared latch: nothing is cracked or reorganised on the
+// writer's path) instead of a scan of the part; only a part with no index
+// scans, stopping at the first hit. The shared latch is held across the
+// queue read as well, so no merge can move a buffered insert into the
+// structures between the two and hide it from both.
 func (p *Part) firstLive(v int64) (uint32, bool) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	live := func(g uint32) bool { return !p.ingest.HasDelete(v, g) }
 	var best uint32
 	found := false
-	p.mu.RLock()
-	for i, val := range p.col.Values() {
-		if val == v && !p.deleted[i] {
-			g := p.globalRow(i)
-			if !p.ingest.HasDelete(v, g) {
+	switch {
+	case p.sorted != nil:
+		best, found = p.sorted.MinRowOf(v, live)
+	case p.crack != nil:
+		best, found = p.crack.MinRowOf(v, live)
+	default:
+		for i, val := range p.col.Values() {
+			if g := p.globalRow(i); val == v && !p.deleted[i] && live(g) {
 				best, found = g, true
 				break
 			}
 		}
 	}
-	p.mu.RUnlock()
 	if r, ok := p.ingest.MinInsertRowFor(v); ok && (!found || r < best) {
 		best, found = r, true
 	}

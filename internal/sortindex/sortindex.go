@@ -80,6 +80,19 @@ func (ix *Index) Range(lo, hi int64) (from, to int) {
 	return from, to
 }
 
+// MinRowOf returns the lowest base row id among the entries holding exactly
+// value v for which live reports true: one binary search plus the run of
+// duplicates of v, whose row order is unspecified.
+func (ix *Index) MinRowOf(v int64, live func(row uint32) bool) (row uint32, ok bool) {
+	at := sort.Search(len(ix.vals), func(i int) bool { return ix.vals[i] >= v })
+	for ; at < len(ix.vals) && ix.vals[at] == v; at++ {
+		if r := ix.rows[at]; (!ok || r < row) && live(r) {
+			row, ok = r, true
+		}
+	}
+	return row, ok
+}
+
 // CountSum aggregates the region [from, to): tuple count and value sum.
 func (ix *Index) CountSum(from, to int) (int, int64) {
 	if from < 0 {
