@@ -222,7 +222,7 @@ func benchConcurrentSelects(b *testing.B, parallel bool) {
 	data := workload.UniformData(21, rows, 1, rows+1)
 	e := holistic.New(holistic.Config{
 		Strategy: holistic.StrategyHolistic, Seed: 22,
-		TargetPieceSize: 1 << 12, IdleWorkers: 4, ScanParallelism: 4,
+		TargetPieceSize: 1 << 12, IdleWorkers: 4,
 	})
 	defer e.Close()
 	tab, err := e.CreateTable("R")

@@ -1,6 +1,7 @@
 // Command holisticbench regenerates every table and figure of the paper's
 // evaluation section (and the conceptual Table 1 / Figures 1-2) at a
-// configurable scale.
+// configurable scale. Performance numbers for the kernel as a whole come
+// from the repository's one benchmark, bench/ (see bench/README.md).
 //
 // Usage:
 //
@@ -9,17 +10,6 @@
 //	holisticbench -exp fig4 -cols 10 -full 2       # Figure 4
 //	holisticbench -exp table2 -queries 10000       # Table 2 (all three X)
 //	holisticbench -exp fig3 -csv fig3.csv          # also dump CSV series
-//	holisticbench -exp net -clients 8 -bursts 4    # closed-loop network bench
-//	holisticbench -exp shard                       # shard sweep -> BENCH_shard.json
-//	holisticbench -exp shard -smoke                # tiny CI-sized shard sweep
-//	holisticbench -exp writes                      # write-path bench -> BENCH_writes.json
-//	holisticbench -exp writes -smoke               # tiny CI-sized write-path bench
-//	holisticbench -exp kernel                      # kernel microbench -> BENCH_kernel.json
-//	holisticbench -exp kernel -smoke               # tiny CI-sized kernel microbench
-//	holisticbench -exp recover                     # cold vs warm restart -> BENCH_recover.json
-//	holisticbench -exp recover -smoke              # tiny CI-sized restart bench
-//	holisticbench -exp predict                     # predictive idle bench -> BENCH_predict.json
-//	holisticbench -exp predict -smoke              # tiny CI-sized predictive bench
 //
 // The paper's scale is -n 100000000 -queries 10000 (needs ~6 GB and
 // patience); defaults are laptop-sized and preserve the curves' shape.
@@ -29,16 +19,38 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
-	"time"
 
 	"holistic/internal/harness"
 )
 
+// experiment is one table or figure of the paper; -exp all runs them in
+// table order.
+type experiment struct {
+	name string
+	run  func() error
+}
+
+// pick returns the experiments -exp name selects: all of them for "all",
+// the one so named otherwise, and an error listing the valid names for
+// anything else.
+func pick(exps []experiment, name string) ([]experiment, error) {
+	if name == "all" {
+		return exps, nil
+	}
+	names := make([]string, len(exps))
+	for i, e := range exps {
+		if e.name == name {
+			return exps[i : i+1], nil
+		}
+		names[i] = e.name
+	}
+	return nil, fmt.Errorf("unknown experiment %q (valid: %s|all)", name, strings.Join(names, "|"))
+}
+
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: fig1|fig2|fig3|fig4|table1|table2|net|shard|writes|kernel|recover|predict|all")
+		exp     = flag.String("exp", "all", "experiment: table1|fig1|fig2|fig3|table2|fig4|all")
 		n       = flag.Int("n", 1<<20, "rows per column")
 		queries = flag.Int("queries", 2000, "queries per run")
 		x       = flag.Int("x", 100, "refinement actions per idle window (fig3)")
@@ -50,415 +62,89 @@ func main() {
 		actions = flag.Int("actions", 100, "refinements per column for holistic (fig4)")
 		target  = flag.Int("target", 1<<14, "holistic target piece size (values)")
 		workers = flag.Int("idle-workers", 0, "idle worker pool size (0 = GOMAXPROCS)")
-		scanPar = flag.Int("scan-par", 0, "goroutines per full-column scan (<=1 = serial)")
-		clients = flag.Int("clients", 8, "concurrent client connections (net)")
-		bursts  = flag.Int("bursts", 4, "busy/gap phases (net)")
-		burstQ  = flag.Int("burst-q", 50, "queries per client per burst (net)")
-		gap     = flag.Duration("gap", 200*time.Millisecond, "traffic gap between bursts (net)")
-		shards  = flag.String("shards", "1,2,4,8", "comma-separated shard counts to sweep (shard)")
-		batches = flag.Int("batches", 40, "insert batches per client per burst (writes)")
-		batch   = flag.Int("batch", 8, "rows per insert statement (writes)")
-		out     = flag.String("out", "", "output JSON path (shard: BENCH_shard.json, writes: BENCH_writes.json, kernel: BENCH_kernel.json)")
-		iters   = flag.Int("iters", 0, "measured repetitions per kernel case (0 = suite default)")
-		smoke   = flag.Bool("smoke", false, "CI smoke mode: shrink the shard/writes/kernel sweep to seconds")
 		csvPath = flag.String("csv", "", "write cumulative series CSV to this file")
 		width   = flag.Int("plot-width", 72, "ASCII plot width")
 		height  = flag.Int("plot-height", 18, "ASCII plot height")
 	)
 	flag.Parse()
 
-	run := func(name string, f func() error) {
-		switch *exp {
-		case "all", name:
-			if err := f(); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-				os.Exit(1)
-			}
-		}
+	fig3 := func(x int) (*harness.Fig3Result, error) {
+		return harness.RunFig3(harness.Fig3Config{
+			N: *n, Queries: *queries, X: x, IdleEvery: *idleEv,
+			Selectivity: *sel, Seed: *seed, TargetPieceSize: *target,
+			IdleWorkers: *workers,
+		})
 	}
 
-	run("table1", func() error {
-		fmt.Println(harness.FormatTable1(harness.Table1Rows()))
-		return nil
-	})
-
-	run("fig1", func() error {
-		fmt.Println(harness.FormatTimelines(12, 4))
-		return nil
-	})
-
-	run("fig2", func() error {
-		fmt.Println(harness.Fig2(
-			[]int64{13, 16, 4, 9, 2, 12, 7, 1, 19, 3, 14, 11, 8, 6},
-			[][2]int64{{10, 14}, {7, 16}},
-		))
-		return nil
-	})
-
-	run("fig3", func() error {
-		res, err := harness.RunFig3(harness.Fig3Config{
-			N: *n, Queries: *queries, X: *x, IdleEvery: *idleEv,
-			Selectivity: *sel, Seed: *seed, TargetPieceSize: *target,
-			IdleWorkers: *workers, ScanParallelism: *scanPar,
-		})
-		if err != nil {
-			return err
-		}
-		title := fmt.Sprintf("Figure 3 (X=%d): T_init=%v, T_total_idle=%v, Time_sort=%v",
-			*x, res.TInit.Round(0), res.IdleTotal.Round(0), res.TSort.Round(0))
-		fmt.Println(harness.ASCIIPlot(title, res.Strategies(), *width, *height))
-		if *csvPath != "" {
-			if err := writeCSV(*csvPath, res); err != nil {
+	exps := []experiment{
+		{"table1", func() error {
+			fmt.Println(harness.FormatTable1(harness.Table1Rows()))
+			return nil
+		}},
+		{"fig1", func() error {
+			fmt.Println(harness.FormatTimelines(12, 4))
+			return nil
+		}},
+		{"fig2", func() error {
+			fmt.Println(harness.Fig2(
+				[]int64{13, 16, 4, 9, 2, 12, 7, 1, 19, 3, 14, 11, 8, 6},
+				[][2]int64{{10, 14}, {7, 16}},
+			))
+			return nil
+		}},
+		{"fig3", func() error {
+			res, err := fig3(*x)
+			if err != nil {
 				return err
 			}
-			fmt.Printf("series written to %s\n", *csvPath)
-		}
-		return nil
-	})
-
-	run("table2", func() error {
-		for _, xi := range []int{10, 100, 1000} {
-			res, err := harness.RunFig3(harness.Fig3Config{
-				N: *n, Queries: *queries, X: xi, IdleEvery: *idleEv,
-				Selectivity: *sel, Seed: *seed, TargetPieceSize: *target,
-				IdleWorkers: *workers, ScanParallelism: *scanPar,
+			title := fmt.Sprintf("Figure 3 (X=%d): T_init=%v, T_total_idle=%v, Time_sort=%v",
+				*x, res.TInit.Round(0), res.IdleTotal.Round(0), res.TSort.Round(0))
+			fmt.Println(harness.ASCIIPlot(title, res.Strategies(), *width, *height))
+			if *csvPath != "" {
+				if err := writeCSV(*csvPath, res); err != nil {
+					return err
+				}
+				fmt.Printf("series written to %s\n", *csvPath)
+			}
+			return nil
+		}},
+		{"table2", func() error {
+			for _, xi := range []int{10, 100, 1000} {
+				res, err := fig3(xi)
+				if err != nil {
+					return err
+				}
+				fmt.Println(harness.FormatTable2(xi, harness.Table2(res)))
+			}
+			return nil
+		}},
+		{"fig4", func() error {
+			res, err := harness.RunFig4(harness.Fig4Config{
+				Columns: *cols, N: *n, Queries: *queries, Selectivity: *sel,
+				Seed: *seed, FullIndexes: *full, ActionsPerColumn: *actions,
+				TargetPieceSize: *target, IdleWorkers: *workers,
 			})
 			if err != nil {
 				return err
 			}
-			fmt.Println(harness.FormatTable2(xi, harness.Table2(res)))
-		}
-		return nil
-	})
+			title := fmt.Sprintf("Figure 4: %d columns, offline sorted %d fully (%v); holistic spread %d cracks/column (%v)",
+				*cols, *full, res.OfflineIdle.Round(0), *actions, res.HolisticIdle.Round(0))
+			fmt.Println(harness.ASCIIPlot(title, []*harness.Series{&res.Offline, &res.Holistic}, *width, *height))
+			return nil
+		}},
+	}
 
-	run("net", func() error {
-		// Query-driven cracking plus hot-range boosts converge a laptop-
-		// sized column below the paper-scale 16K target within one burst,
-		// leaving the traffic gaps nothing to harvest; unless -target was
-		// given explicitly, the net experiment uses a much finer default so
-		// sustained gap harvesting stays visible across bursts.
-		netTarget := 1 << 7
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "target" {
-				netTarget = *target
-			}
-		})
-		res, err := harness.RunNetBench(harness.NetBenchConfig{
-			N: *n, Clients: *clients, Bursts: *bursts, QueriesPerBurst: *burstQ,
-			Gap: *gap, Selectivity: *sel, Seed: *seed,
-			TargetPieceSize: netTarget, IdleWorkers: *workers,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Println(harness.FormatNetBench(res))
-		return nil
-	})
-
-	// The shard sweep is explicit-only (not part of -exp all): it writes
-	// BENCH_shard.json, and timing sweeps deserve a quiet machine.
-	runShard := func(f func() error) {
-		if *exp != "shard" {
-			return
-		}
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "shard: %v\n", err)
+	selected, err := pick(exps, *exp)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "holisticbench: %v\n", err)
+		os.Exit(2)
+	}
+	for _, e := range selected {
+		if err := e.run(); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
 			os.Exit(1)
 		}
 	}
-	runShard(func() error {
-		counts, err := parseShardCounts(*shards)
-		if err != nil {
-			return err
-		}
-		// Like -exp net: with N shards every query cracks 2 boundaries in
-		// EVERY shard, so the design reaches a paper-scale 16K target before
-		// the first idle window and the harvest column would read all zeros.
-		// Unless -target was given explicitly, sweep with a much finer
-		// target so idle refinement stays observable at every shard count.
-		shardTarget := 1 << 7
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "target" {
-				shardTarget = *target
-			}
-		})
-		cfg := harness.ShardBenchConfig{
-			N: *n, Queries: *queries, ShardCounts: counts,
-			Selectivity: *sel, Seed: *seed, TargetPieceSize: shardTarget,
-			IdleEvery: *idleEv, IdleX: *x,
-		}
-		if *smoke {
-			// Small enough for a CI job, large enough that the fan-out and
-			// oracle checks still mean something.
-			cfg.N, cfg.Queries = 1<<17, 300
-			cfg.ShardCounts = []int{1, 2, 4}
-			cfg.IdleEvery, cfg.IdleX = 50, 50
-		}
-		res, err := harness.RunShardBench(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(harness.FormatShardBench(res))
-		path := *out
-		if path == "" {
-			path = "BENCH_shard.json"
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := harness.WriteShardBenchJSON(f, res); err != nil {
-			return err
-		}
-		fmt.Printf("shard sweep written to %s\n", path)
-		return nil
-	})
-
-	// The write-path benchmark is likewise explicit-only: it writes
-	// BENCH_writes.json and its gap-harvest numbers deserve a quiet machine.
-	runWrites := func(f func() error) {
-		if *exp != "writes" {
-			return
-		}
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "writes: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	runWrites(func() error {
-		// Same reasoning as -exp net: unless -target was given explicitly,
-		// use a fine piece-size target so the gaps also show cracking work,
-		// not just merge drains.
-		writeTarget := 1 << 7
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "target" {
-				writeTarget = *target
-			}
-		})
-		cfg := harness.WriteBenchConfig{
-			N: *n, Clients: *clients, Bursts: *bursts,
-			BatchesPerBurst: *batches, Batch: *batch,
-			Gap: *gap, Selectivity: *sel, Seed: *seed,
-			TargetPieceSize: writeTarget, IdleWorkers: *workers,
-		}
-		if *smoke {
-			// CI-sized: seconds of wall clock, but still multi-client,
-			// oracle-checked, and enough backlog for gap merges to show.
-			cfg.N, cfg.Clients, cfg.Bursts = 1<<16, 2, 2
-			cfg.BatchesPerBurst, cfg.Batch = 12, 6
-			cfg.Gap = 80 * time.Millisecond
-		}
-		res, err := harness.RunWriteBench(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(harness.FormatWriteBench(res))
-		path := *out
-		if path == "" {
-			path = "BENCH_writes.json"
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := harness.WriteWriteBenchJSON(f, res); err != nil {
-			return err
-		}
-		fmt.Printf("write benchmark written to %s\n", path)
-		return nil
-	})
-
-	// The kernel microbenchmark suite is likewise explicit-only: it writes
-	// BENCH_kernel.json, and before/after loop timings deserve a quiet
-	// machine.
-	runKernel := func(f func() error) {
-		if *exp != "kernel" {
-			return
-		}
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "kernel: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	runKernel(func() error {
-		cfg := harness.KernelBenchConfig{
-			N: 1 << 21, Queries: 512, Iters: 5, Seed: *seed,
-		}
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "n":
-				cfg.N = *n
-			case "queries":
-				cfg.Queries = *queries
-			case "iters":
-				cfg.Iters = *iters
-			}
-		})
-		if *smoke {
-			// CI-sized: the agreement checks and schema shape still hold,
-			// the timings are merely noisy.
-			cfg.N, cfg.Queries, cfg.Iters = 1<<17, 64, 2
-		}
-		res, err := harness.RunKernelBench(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(harness.FormatKernelBench(res))
-		path := *out
-		if path == "" {
-			path = "BENCH_kernel.json"
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := harness.WriteKernelBenchJSON(f, res); err != nil {
-			return err
-		}
-		fmt.Printf("kernel microbenchmarks written to %s\n", path)
-		return nil
-	})
-
-	// The restart benchmark is likewise explicit-only: it writes
-	// BENCH_recover.json and builds real data directories on disk.
-	runRecover := func(f func() error) {
-		if *exp != "recover" {
-			return
-		}
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "recover: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	runRecover(func() error {
-		cfg := harness.RecoverBenchConfig{
-			N: *n, PrepQueries: *queries, Burst: *burstQ,
-			Selectivity: *sel, Seed: *seed,
-		}
-		if *smoke {
-			// CI-sized: recovery correctness and schema shape still hold,
-			// the cold/warm gap is merely smaller.
-			cfg.N, cfg.PrepQueries, cfg.Burst = 1<<17, 96, 24
-		}
-		res, err := harness.RunRecoverBench(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(harness.FormatRecoverBench(res))
-		path := *out
-		if path == "" {
-			path = "BENCH_recover.json"
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := harness.WriteRecoverBenchJSON(f, res); err != nil {
-			return err
-		}
-		fmt.Printf("restart benchmark written to %s\n", path)
-		return nil
-	})
-
-	// The predictive idle scheduling benchmark is likewise explicit-only: it
-	// writes BENCH_predict.json, and the first-query-after-gap comparison
-	// deserves a quiet machine.
-	runPredict := func(f func() error) {
-		if *exp != "predict" {
-			return
-		}
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "predict: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	runPredict(func() error {
-		cfg := harness.PredictBenchConfig{
-			Seed: *seed, IdleWorkers: *workers,
-		}
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "n":
-				cfg.N = *n
-			case "clients":
-				cfg.Clients = *clients
-			case "bursts":
-				cfg.Bursts = *bursts
-			case "burst-q":
-				cfg.QueriesPerBurst = *burstQ
-			case "gap":
-				cfg.Gap = *gap
-			case "target":
-				cfg.TargetPieceSize = *target
-			}
-		})
-		if *smoke {
-			// CI-sized: the forecast still needs three warmup epochs, so keep
-			// enough bursts for a post-warmup median; the latency contrast is
-			// merely smaller.
-			cfg.N, cfg.Clients, cfg.Bursts = 1<<19, 2, 6
-			cfg.QueriesPerBurst, cfg.Gap = 16, 60*time.Millisecond
-			cfg.TargetPieceSize = 1 << 15
-		}
-		res, err := harness.RunPredictBench(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(harness.FormatPredictBench(res))
-		path := *out
-		if path == "" {
-			path = "BENCH_predict.json"
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := harness.WritePredictBenchJSON(f, res); err != nil {
-			return err
-		}
-		fmt.Printf("predictive idle benchmark written to %s\n", path)
-		return nil
-	})
-
-	run("fig4", func() error {
-		res, err := harness.RunFig4(harness.Fig4Config{
-			Columns: *cols, N: *n, Queries: *queries, Selectivity: *sel,
-			Seed: *seed, FullIndexes: *full, ActionsPerColumn: *actions,
-			TargetPieceSize: *target,
-			IdleWorkers:     *workers, ScanParallelism: *scanPar,
-		})
-		if err != nil {
-			return err
-		}
-		title := fmt.Sprintf("Figure 4: %d columns, offline sorted %d fully (%v); holistic spread %d cracks/column (%v)",
-			*cols, *full, res.OfflineIdle.Round(0), *actions, res.HolisticIdle.Round(0))
-		fmt.Println(harness.ASCIIPlot(title, []*harness.Series{&res.Offline, &res.Holistic}, *width, *height))
-		return nil
-	})
-}
-
-func parseShardCounts(s string) ([]int, error) {
-	var counts []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("invalid shard count %q", part)
-		}
-		counts = append(counts, n)
-	}
-	if len(counts) == 0 {
-		return nil, fmt.Errorf("empty -shards list")
-	}
-	return counts, nil
 }
 
 func writeCSV(path string, res *harness.Fig3Result) error {

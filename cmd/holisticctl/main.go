@@ -23,11 +23,11 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"syscall"
 	"time"
 
-	"holistic/internal/harness"
 	"holistic/internal/server"
 	"holistic/internal/workload"
 )
@@ -203,6 +203,9 @@ func cmdBench(dial dialer, args []string) error {
 		seed     = fs.Uint64("seed", 1, "RNG seed")
 	)
 	fs.Parse(args)
+	if *clients < 1 || *requests < 1 {
+		return fmt.Errorf("bench: -clients and -requests must be at least 1 (got %d and %d)", *clients, *requests)
+	}
 
 	// One probe connection fetches before/after idle counters.
 	probe, err := dial.dial()
@@ -265,11 +268,23 @@ func cmdBench(dial dialer, args []string) error {
 	for _, l := range lats {
 		all = append(all, l...)
 	}
-	p50, p95, p99, max := harness.LatencyProfile(all)
+	p50, p95, p99, max := latencyProfile(all)
 	fmt.Printf("bench: %d clients, %d queries in %v (%.0f q/s)\n",
 		*clients, len(all), elapsed.Round(time.Millisecond), float64(len(all))/elapsed.Seconds())
 	fmt.Printf("latency: p50=%v p95=%v p99=%v max=%v\n", p50, p95, p99, max)
 	fmt.Printf("server idle refinement: %d actions before, %d after (+%d); gate: %+v\n",
 		before.IdleActions, after.IdleActions, after.IdleActions-before.IdleActions, after.Gate)
 	return nil
+}
+
+// latencyProfile returns nearest-rank latency percentiles (p50, p95, p99)
+// and the maximum. It sorts lats in place; a nil or empty slice returns
+// zeros.
+func latencyProfile(lats []time.Duration) (p50, p95, p99, max time.Duration) {
+	if len(lats) == 0 {
+		return 0, 0, 0, 0
+	}
+	slices.Sort(lats)
+	pct := func(p float64) time.Duration { return lats[int(p*float64(len(lats)-1))] }
+	return pct(0.50), pct(0.95), pct(0.99), lats[len(lats)-1]
 }

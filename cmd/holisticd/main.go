@@ -57,7 +57,6 @@ func main() {
 		workers = flag.Int("idle-workers", 0, "idle worker pool size (0 = GOMAXPROCS)")
 		quiet   = flag.Duration("idle-quiet", 10*time.Millisecond, "traffic gap length before idle refinement starts")
 		quantum = flag.Int("idle-quantum", 0, "refinement actions per idle wakeup (0 = default)")
-		scanPar = flag.Int("scan-par", 0, "goroutines per full-column scan (<=1 = serial)")
 		shards  = flag.Int("shards", 1, "striped shards per column: selects fan out across them (<=1 = unsharded)")
 		maxIn   = flag.Int("max-inflight", server.DefaultMaxInFlight, "bounded admission: max statements in the system")
 		load    = flag.String("load", "", "preload spec: comma-separated table.col:n uniform columns, e.g. r.a:1000000,r.b:1000000")
@@ -84,7 +83,6 @@ func main() {
 		IdleQuiet:       *quiet,
 		IdleQuantum:     *quantum,
 		IdleWorkers:     *workers,
-		ScanParallelism: *scanPar,
 		Shards:          *shards,
 		Predict:         *predict,
 		SpecBudget:      *specBud,

@@ -45,11 +45,11 @@ const DefaultRadixMinPiece = 1 << 17
 // PredicatedCrackFactor scales the comparison-crack cost terms for the
 // predicated (branch-free) partition loops: with no data-dependent branches
 // the partition sweep runs at close to memory speed instead of paying a
-// misprediction every other element. The factor is the measured single-core
-// ratio of predicated to branchy sweep time on random data (see
-// BENCH_kernel.json); cost estimates only ever compare against one another,
-// so the exact value matters less than applying it consistently to every
-// partition-sweep term.
+// misprediction every other element. The factor is the single-core ratio of
+// predicated to branchy sweep time on random data; re-measure it with the
+// BenchmarkPartition2/{reference,predicated} pair in internal/cracker. Cost
+// estimates only ever compare against one another, so the exact value
+// matters less than applying it consistently to every partition-sweep term.
 const PredicatedCrackFactor = 0.6
 
 // RadixCrackCost is the cost of one radix-first coarse pass over a piece of

@@ -48,10 +48,6 @@
 // of convoying on one latch, and idle refinement drains N shards of one
 // column concurrently during a traffic gap.
 //
-// Large uncracked columns additionally use a chunk-parallel scan
-// (Config.ScanParallelism, package scan) so even the no-index baseline
-// saturates the memory bandwidth of a multi-core box.
-//
 // Behind the network server (internal/server) the idle pool is additionally
 // gated on client traffic: SetLoadGate attaches a loadgate.Gate so that no
 // refinement step starts while any request is in flight, and traffic gaps
@@ -118,10 +114,6 @@ type Config struct {
 	// goroutines pull refinement actions concurrently during idle time.
 	// <= 0 selects GOMAXPROCS — one refinement stream per core.
 	IdleWorkers int
-	// ScanParallelism caps the goroutines a single full-column scan fans
-	// out to on large uncracked columns. <= 1 scans serially. With Shards >
-	// 1 the budget is divided across the shards' concurrent scans.
-	ScanParallelism int
 	// Shards splits every column into this many striped parts, each with
 	// its own cracker index, latch and idle action queue; selects
 	// fan out one goroutine per shard and merge. <= 1 keeps one part per
@@ -245,24 +237,13 @@ func (e *Engine) idleWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// shardConfig derives the per-column sharding configuration. The scan
-// fan-out budget is split across shards so Shards × ScanParallelism never
-// multiplies into more goroutines than the caller asked for.
+// shardConfig derives the per-column sharding configuration.
 func (e *Engine) shardConfig() shard.Config {
-	n := e.cfg.Shards
-	if n < 1 {
-		n = 1
-	}
-	par := e.cfg.ScanParallelism
-	if n > 1 && par > 1 {
-		par = (par + n - 1) / n
-	}
 	return shard.Config{
-		Shards:              n,
+		Shards:              e.Shards(),
 		Stochastic:          e.cfg.Stochastic,
 		StochasticThreshold: e.cfg.StochasticThreshold,
 		RadixBuild:          e.cfg.RadixBuild,
-		ScanParallelism:     par,
 		Seed:                e.cfg.Seed,
 		IngestCap:           e.cfg.IngestCap,
 		RadixMinPiece:       e.cfg.RadixMinPiece,

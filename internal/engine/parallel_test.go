@@ -49,7 +49,6 @@ func TestParallelMixedWorkloadAllStrategies(t *testing.T) {
 				Seed:            9,
 				TargetPieceSize: 256,
 				OnlineEpoch:     25,
-				ScanParallelism: 4,
 			}
 			if tc.s == StrategyHolistic {
 				cfg.AutoIdle = true

@@ -143,3 +143,61 @@ func TestSpeculationNeverLosesAdversarial(t *testing.T) {
 		})
 	}
 }
+
+// TestSpeculationWinsOnDrift is the learnable counterpart: a hot window one
+// forecast bucket wide drifts exactly four buckets per burst, one forecaster
+// epoch per burst, so after three warm-up bursts the velocity estimate is
+// stable and each gap's speculation must pre-crack where the next burst
+// lands. Gaps are deterministic runner.RunActions calls, not wall-clock
+// sleeps; radix-first cracking is off so the cold-window partition is the
+// cost speculation moves off the query path. Every answer stays
+// oracle-exact, and speculation must both run and be hit by a later query.
+func TestSpeculationWinsOnDrift(t *testing.T) {
+	const (
+		n      = 1 << 16
+		width  = int64(n / 64) // one forecast bucket
+		span   = width / 2
+		bursts = 3 + 5 // three warm-up bursts, then the ones that must win
+		qpb    = 16
+	)
+	rng := rand.New(rand.NewPCG(911, 912))
+	vals := randomVals(rng, n, n)
+	e := newEngineWithData(t, Config{
+		Strategy: StrategyHolistic,
+		Seed:     41,
+		// Coarse, so reactive refinement exhausts early in each gap and the
+		// rest of it is the speculative layer's (which refines 16x finer).
+		TargetPieceSize: 1 << 13,
+		RadixMinPiece:   -1,
+		Predict:         true,
+		PredictEpoch:    qpb,
+	}, vals)
+	defer e.Close()
+
+	for b := 0; b < bursts; b++ {
+		hot := n/8 + int64(b)*4*width
+		for q := 0; q < qpb; q++ {
+			lo := hot
+			if q > 0 { // the burst opens on the window's origin
+				lo += rng.Int64N(width - span)
+			}
+			r, err := e.Select("R", "A", lo, lo+span)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wc, ws := naiveRange(vals, lo, lo+span)
+			if r.Count != wc || r.Sum != ws {
+				t.Fatalf("burst %d query %d [%d,%d): got %d/%d want %d/%d",
+					b, q, lo, lo+span, r.Count, r.Sum, wc, ws)
+			}
+		}
+		// Traffic gap: reactive work first, then speculation on the forecast.
+		e.runner.RunActions(256)
+	}
+	if got := e.tuner.SpecActions(); got == 0 {
+		t.Fatal("a learnable drift ran zero speculative actions")
+	}
+	if got := e.tuner.SpecWins(); got == 0 {
+		t.Fatal("speculative pre-cracks on a learnable drift were never hit by a query")
+	}
+}

@@ -25,10 +25,9 @@ type Fig3Config struct {
 	// RadixBuild switches offline index builds from the paper-faithful
 	// comparison sort to the faster radix sort (ablation A8).
 	RadixBuild bool
-	// IdleWorkers / ScanParallelism: see engine.Config. Zero keeps the
-	// engine defaults (GOMAXPROCS idle workers, serial scans).
-	IdleWorkers     int
-	ScanParallelism int
+	// IdleWorkers: see engine.Config. Zero keeps the engine default
+	// (GOMAXPROCS idle workers).
+	IdleWorkers int
 }
 
 func (c *Fig3Config) fill() {
@@ -132,7 +131,6 @@ func newEngine(strategy engine.Strategy, cfg Fig3Config, data []int64) (*engine.
 		TargetPieceSize: cfg.TargetPieceSize,
 		RadixBuild:      cfg.RadixBuild,
 		IdleWorkers:     cfg.IdleWorkers,
-		ScanParallelism: cfg.ScanParallelism,
 	})
 	tab, err := e.CreateTable("R")
 	if err != nil {

@@ -24,9 +24,8 @@ type Fig4Config struct {
 	TargetPieceSize  int
 	// RadixBuild: see Fig3Config.
 	RadixBuild bool
-	// IdleWorkers / ScanParallelism: see engine.Config.
-	IdleWorkers     int
-	ScanParallelism int
+	// IdleWorkers: see engine.Config.
+	IdleWorkers int
 }
 
 func (c *Fig4Config) fill() {
@@ -93,7 +92,6 @@ func RunFig4(cfg Fig4Config) (*Fig4Result, error) {
 			TargetPieceSize: cfg.TargetPieceSize,
 			RadixBuild:      cfg.RadixBuild,
 			IdleWorkers:     cfg.IdleWorkers,
-			ScanParallelism: cfg.ScanParallelism,
 		})
 		tab, err := e.CreateTable("R")
 		if err != nil {

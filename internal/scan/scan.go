@@ -2,66 +2,7 @@
 // unindexed column evaluating a range predicate. This is the no-indexing
 // baseline of the paper ("Scan" in Figure 3 and Table 2) and the operator
 // every strategy falls back to for columns without any physical design.
-//
-// ParallelCountSum is the multi-core variant: the column is cut into one
-// chunk per worker, each chunk is scanned by its own goroutine, and a small
-// reducer folds the partial (count, sum) pairs. The engine routes large
-// uncracked columns through it when Config.ScanParallelism > 1.
 package scan
-
-import "sync"
-
-// ParallelMinLen is the column size below which ParallelCountSum falls back
-// to the serial scan: under ~64K values the goroutine fan-out costs more
-// than the scan itself.
-const ParallelMinLen = 1 << 16
-
-// ParallelCountSum returns the number and sum of values v with lo <= v < hi,
-// scanning up to `parallelism` chunks concurrently. It gives the same answer
-// as CountSum for every input; parallelism <= 1 or a small input degrades to
-// the serial path.
-func ParallelCountSum(vals []int64, lo, hi int64, parallelism int) (int, int64) {
-	if parallelism > len(vals)/ParallelMinLen {
-		parallelism = len(vals) / ParallelMinLen
-	}
-	if parallelism <= 1 {
-		return CountSum(vals, lo, hi)
-	}
-	type partial struct {
-		count int
-		sum   int64
-		_     [48]byte // pad to a cache line so workers don't false-share
-	}
-	parts := make([]partial, parallelism)
-	chunk := (len(vals) + parallelism - 1) / parallelism
-	var wg sync.WaitGroup
-	for w := range parts {
-		a := w * chunk
-		b := a + chunk
-		if b > len(vals) {
-			b = len(vals)
-		}
-		if a < 0 || a >= b {
-			break
-		}
-		// Slice and index outside the goroutine: bounds facts proved here
-		// don't cross the closure boundary.
-		sub := vals[a:b]
-		p := &parts[w]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.count, p.sum = CountSum(sub, lo, hi)
-		}()
-	}
-	wg.Wait()
-	count, sum := 0, int64(0)
-	for i := range parts {
-		count += parts[i].count
-		sum += parts[i].sum
-	}
-	return count, sum
-}
 
 // b2i returns 1 when b is true, 0 otherwise; the compiler lowers it to a
 // flag materialisation (SETcc on amd64), not a branch.
@@ -78,8 +19,7 @@ func b2i(b bool) int {
 // and folded into the accumulators with mask arithmetic, so selectivities
 // near 50% — where a branch would mispredict every other element — cost the
 // same as 0% or 100%. The sum doubles as a projection checksum so results
-// can be compared across select operator implementations. ParallelCountSum
-// runs this same loop per chunk.
+// can be compared across select operator implementations.
 func CountSum(vals []int64, lo, hi int64) (count int, sum int64) {
 	var c, s int64
 	for _, v := range vals {

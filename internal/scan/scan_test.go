@@ -93,33 +93,3 @@ func BenchmarkScan1M(b *testing.B) {
 		CountSum(vals, 1<<28, 1<<28+1<<24)
 	}
 }
-
-func TestParallelCountSumMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	vals := make([]int64, 3*ParallelMinLen+17)
-	for i := range vals {
-		vals[i] = rng.Int64N(1 << 20)
-	}
-	for _, p := range []int{0, 1, 2, 4, 8, 64} {
-		for q := 0; q < 20; q++ {
-			lo := rng.Int64N(1 << 20)
-			hi := lo + rng.Int64N(1<<16)
-			wc, ws := CountSum(vals, lo, hi)
-			c, s := ParallelCountSum(vals, lo, hi, p)
-			if c != wc || s != ws {
-				t.Fatalf("p=%d [%d,%d): got %d/%d want %d/%d", p, lo, hi, c, s, wc, ws)
-			}
-		}
-	}
-}
-
-func TestParallelCountSumSmallInput(t *testing.T) {
-	vals := []int64{5, 1, 9, 3}
-	c, s := ParallelCountSum(vals, 2, 10, 8)
-	if c != 3 || s != 17 {
-		t.Fatalf("small input: %d/%d", c, s)
-	}
-	if c, s = ParallelCountSum(nil, 0, 10, 4); c != 0 || s != 0 {
-		t.Fatalf("nil input: %d/%d", c, s)
-	}
-}

@@ -131,6 +131,11 @@ func TestServerRoundTrip(t *testing.T) {
 	if stats.Gate.Arrivals != stats.Gate.Completed {
 		t.Fatalf("gate unbalanced at rest: %+v", stats.Gate)
 	}
+	// The gate tallies the statements that mutated data: the insert and the
+	// delete, not the selects and not the two rejected statements.
+	if stats.Gate.Writes != 2 {
+		t.Fatalf("gate counted %d writes, want 2: %+v", stats.Gate.Writes, stats.Gate)
+	}
 }
 
 // TestServerBareTextProtocol drives the server with raw statement lines (no

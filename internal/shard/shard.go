@@ -136,10 +136,6 @@ type Config struct {
 	StochasticThreshold int
 	// RadixBuild makes full sorted-index builds use the radix sort.
 	RadixBuild bool
-	// ScanParallelism caps goroutines per part for full scans of large
-	// uncracked parts. With several shards the fan-out itself is the
-	// parallelism, so this is usually 1.
-	ScanParallelism int
 	// Seed derives per-part RNG seeds for stochastic variants.
 	Seed uint64
 	// IngestCap bounds a part's ingest queue: the writer whose enqueue
@@ -598,9 +594,6 @@ func (p *Part) ScanCountSum(lo, hi int64) (int, int64) {
 
 func (p *Part) scanLocked(lo, hi int64) (int, int64) {
 	if p.nDeleted == 0 {
-		if par := p.cfg.ScanParallelism; par > 1 {
-			return scan.ParallelCountSum(p.col.Values(), lo, hi, par)
-		}
 		return scan.CountSum(p.col.Values(), lo, hi)
 	}
 	count, sum := 0, int64(0)

@@ -2,8 +2,28 @@ package sortindex
 
 import (
 	"math/rand/v2"
+	"sort"
 	"testing"
 )
+
+// referenceComparisonSortPairs is the seed's interface-based comparison sort
+// (sort.Slice over an index permutation), kept as the baseline the offline-
+// sort benchmarks compare the concrete-pair pdqsort against.
+func referenceComparisonSortPairs(vals []int64, rows []uint32) {
+	idx := make([]int, len(vals))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return vals[idx[a]] < vals[idx[b]] })
+	outV := make([]int64, len(vals))
+	outR := make([]uint32, len(rows))
+	for i, j := range idx {
+		outV[i] = vals[j]
+		outR[i] = rows[j]
+	}
+	copy(vals, outV)
+	copy(rows, outR)
+}
 
 func benchPairs(n int) ([]int64, []uint32) {
 	rng := rand.New(rand.NewPCG(1, 2))
