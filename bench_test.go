@@ -12,13 +12,17 @@
 package holistic_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
+	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"holistic"
 	"holistic/internal/harness"
+	"holistic/internal/server"
 	"holistic/internal/workload"
 )
 
@@ -389,6 +393,79 @@ func BenchmarkDeleteWhereIn(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// --- Front end: one converged select over the wire -------------------------
+
+// BenchmarkWireSelect times one statement end to end over loopback TCP on a
+// fully converged column: two closed-loop clients (one connection each) send
+// 16-value range selects at 2^11 grid points of a 1M-row, 2-shard holistic
+// column whose every integer in those ranges already is a crack boundary. No
+// select cracks and no boost can split a piece, so ns/op, B/op and allocs/op
+// are the front end — socket, wire codec, admission, parse, per-part
+// bookkeeping — for client and server together (both live in this process).
+func BenchmarkWireSelect(b *testing.B) {
+	const (
+		rows, grid, width = 1 << 20, 1 << 11, 16
+		clients           = 2
+	)
+	e := holistic.New(holistic.Config{
+		Strategy: holistic.StrategyHolistic, Seed: 51, TargetPieceSize: 128, Shards: 2,
+	})
+	defer e.Close()
+	tab, err := e.CreateTable("r")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := tab.AddColumnFromSlice("a", workload.UniformData(52, rows, 1, rows+1)); err != nil {
+		b.Fatal(err)
+	}
+	stmts := make([]string, grid)
+	for g := range stmts {
+		base := int64(1 + g*(rows/grid))
+		stmts[g] = fmt.Sprintf("select a from r where a >= %d and a < %d", base, base+width)
+		for v := base; v <= base+width; v++ { // a boundary at every integer of the range
+			if _, err := e.Select("r", "a", v, v+1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	srv := server.New(server.Config{Engine: e})
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	go srv.Serve(lis)
+	defer srv.Shutdown(context.Background())
+	conns := make([]*server.Client, clients)
+	for i := range conns {
+		if conns[i], err = server.Dial(lis.Addr().String()); err != nil {
+			b.Fatal(err)
+		}
+		defer conns[i].Close()
+	}
+	pieces, _, _ := e.PieceStats("r", "a")
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for ci, c := range conns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(53, uint64(ci)))
+			for i := ci; i < b.N; i += clients {
+				if count, _, err := c.Query(stmts[rng.IntN(grid)]); err != nil || count == 0 {
+					b.Errorf("select: count=%d err=%v", count, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	if after, _, _ := e.PieceStats("r", "a"); after != pieces {
+		b.Fatalf("column reorganised during the measured phase: %d pieces before, %d after", pieces, after)
 	}
 }
 

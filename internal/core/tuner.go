@@ -613,6 +613,9 @@ func (t *Tuner) RunActionsParallel(n, workers int) (actions int, work int64) {
 	return actions, work
 }
 
+// TargetPieceSize is the convergence target: no refinement splits a piece this small.
+func (t *Tuner) TargetPieceSize() int { return int(t.model.Target()) }
+
 // MaybeBoost implements the "No Time" opportunity: called by the select
 // operator (with the column latch held, shared or exclusive) right after
 // serving a query on [lo, hi). If the range is hot per the collector, it
@@ -632,7 +635,7 @@ func (t *Tuner) MaybeBoost(ix *cracker.Index, col string, lo, hi int64) int {
 		return 0
 	}
 	rng := t.childRNG()
-	target := int(t.model.Target())
+	target := t.TargetPieceSize()
 	work := 0
 	done := 0
 	for i := 0; i < boost; i++ {

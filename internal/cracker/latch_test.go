@@ -2,6 +2,7 @@ package cracker
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"sort"
@@ -145,6 +146,44 @@ func TestCrackedReadZeroAlloc(t *testing.T) {
 		}
 	}); a != 0 {
 		t.Fatalf("lookup + aggregate over %d fresh pieces allocates %.1f per run, want 0", regionPieces, a)
+	}
+}
+
+// TestCountSumMatchesPlainLoop compares the four-accumulator aggregate with
+// the one-accumulator loop it replaced: every length around the unroll width,
+// every [from, to) including bounds CountSum clamps, extreme values and sums
+// that wrap around.
+func TestCountSumMatchesPlainLoop(t *testing.T) {
+	plain := func(vals []int64, from, to int) (int, int64) {
+		from, to = max(from, 0), min(to, len(vals))
+		var sum int64
+		for _, v := range vals[from:to] {
+			sum += v
+		}
+		return to - from, sum
+	}
+	rng := rand.New(rand.NewPCG(43, 44))
+	extremes := []int64{math.MinInt64, math.MaxInt64, -1, 0, 1, math.MaxInt64 - 1, math.MinInt64 + 1}
+	for n := 0; n <= 9; n++ {
+		for trial := 0; trial < 50; trial++ {
+			vals := make([]int64, n)
+			for i := range vals {
+				if trial%2 == 0 {
+					vals[i] = extremes[rng.IntN(len(extremes))] // sums wrap
+				} else {
+					vals[i] = rng.Int64() - rng.Int64()
+				}
+			}
+			ix := newTestIndex(vals)
+			for from := -2; from <= n; from++ {
+				for to := max(from, 0); to <= n+2; to++ {
+					wc, ws := plain(vals, from, to)
+					if c, s := ix.CountSum(from, to); c != wc || s != ws {
+						t.Fatalf("CountSum(%d, %d) over %v = %d, %d; plain loop %d, %d", from, to, vals, c, s, wc, ws)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -1,0 +1,254 @@
+package engine
+
+// Tests of the converged-lookup path of adaptive and holistic selects
+// (crackedSelect): it runs no fan-out worker, it is exact, and it stays exact
+// while writes and merges land in the very range it reads. Run with -race.
+
+import (
+	"math/rand/v2"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"holistic/internal/shard"
+)
+
+// countFanOut installs a select hook that counts fan-out workers.
+func countFanOut(sc *shard.Column) *atomic.Int64 {
+	var n atomic.Int64
+	sc.SetSelectHook(func(int) { n.Add(1) })
+	return &n
+}
+
+// TestConvergedSelectRunsInline: once a narrow range is cracked on every
+// shard, selecting it again starts no fan-out worker — the hook, which fires
+// in each of them, stays silent — answers exactly, and still records the
+// query with the tuner for every part.
+func TestConvergedSelectRunsInline(t *testing.T) {
+	for _, s := range []Strategy{StrategyAdaptive, StrategyHolistic} {
+		t.Run(s.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(311, 312))
+			seed := randomVals(rng, 40000, 1<<20)
+			e := newEngineWithData(t, Config{Strategy: s, Seed: 17, Shards: 4, TargetPieceSize: 64}, seed)
+			defer e.Close()
+			cs, err := e.colState("R", "A")
+			if err != nil {
+				t.Fatal(err)
+			}
+			const lo, hi = 1 << 18, 1<<18 + 1<<12 // ~160 rows, ~40 a shard
+			fanned := countFanOut(cs.sc)
+			if _, err := e.Select("R", "A", lo, hi); err != nil {
+				t.Fatal(err)
+			}
+			if fanned.Load() != 4 {
+				t.Fatalf("cold select ran %d fan-out workers, want 4", fanned.Load())
+			}
+			noted := func() uint64 { // adaptive runs no tuner
+				if s != StrategyHolistic {
+					return 0
+				}
+				return e.tuner.Collector().Queries("R.A#3")
+			}
+			before := noted()
+			wc, ws := naiveRange(seed, lo, hi)
+			for i := 0; i < 5; i++ {
+				r, err := e.Select("R", "A", lo, hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Count != wc || r.Sum != ws {
+					t.Fatalf("converged select %d: got %d/%d want %d/%d", i, r.Count, r.Sum, wc, ws)
+				}
+			}
+			if fanned.Load() != 4 {
+				t.Fatalf("converged selects ran %d fan-out workers, want 0", fanned.Load()-4)
+			}
+			if got := noted() - before; s == StrategyHolistic && got != 5 {
+				t.Fatalf("tuner noted %d of 5 inline selects on part 3", got)
+			}
+			// A range with one bound never queried declines on the first part
+			// and takes the fan-out, which cracks it.
+			if _, err := e.Select("R", "A", lo, hi+77); err != nil {
+				t.Fatal(err)
+			}
+			if fanned.Load() != 8 {
+				t.Fatalf("half-cracked select ran %d fan-out workers, want 4", fanned.Load()-4)
+			}
+		})
+	}
+}
+
+// TestConvergedSelectRacesWrites: readers select one converged range while a
+// writer inserts into it and deletes from it one row a statement, and merges
+// move those rows from the ingest queues into the cracked copies. A select is
+// exact per shard, not a snapshot across shards: each part is read at its own
+// instant between the select's start and end. So with the statements the
+// writer finished before a read began as the base, the answer must be the
+// base plus, for each part, some prefix of the statements that landed on that
+// part before the read ended. Every statement moves one row of a value no
+// other row holds, so a torn read of a part — a row counted in both its queue
+// and its cracked copy, or in neither, which is what the merge-epoch re-check
+// of shard.Part.ConvergedSelect rules out — matches no such combination.
+func TestConvergedSelectRacesWrites(t *testing.T) {
+	const (
+		n, domain  = 20000, int64(1 << 16)
+		lo, hi     = int64(1 << 12), int64(1<<12 + 1<<11) // ~600 rows, ~150 a shard
+		statements = 600
+		readers    = 3
+		shards     = 4
+	)
+	rng := rand.New(rand.NewPCG(321, 322))
+	seed := make([]int64, n)
+	for i := range seed {
+		seed[i] = rng.Int64N(domain/2) * 2 // even: inserted values are odd, hence unique
+	}
+	e := newEngineWithData(t, Config{Strategy: StrategyHolistic, Seed: 19, Shards: shards, TargetPieceSize: 64}, seed)
+	defer e.Close()
+	tab, err := e.Table("R")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := e.colState("R", "A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Select("R", "A", lo, hi); err != nil { // crack both bounds on every shard
+		t.Fatal(err)
+	}
+
+	// The plan. Statement k (1-based) changes the range by delta[k] on part
+	// part[k]: the one writer appends rows n, n+1, ... and row g lives on
+	// part g % shards; a delete removes a row this plan inserted earlier.
+	type state struct {
+		count int
+		sum   int64
+	}
+	type step struct {
+		insert bool
+		v      int64
+		part   int
+		delta  state
+	}
+	type liveRow struct {
+		v    int64
+		part int
+	}
+	c0, s0 := naiveRange(seed, lo, hi)
+	base := []state{{c0, s0}} // base[k]: the range after statements 1..k
+	plan := []step{{}}
+	var live []liveRow
+	for i, row := 0, n; len(plan) <= statements; i++ {
+		var st step
+		if len(live) > 0 && i%3 == 2 {
+			k := rng.IntN(len(live))
+			st = step{false, live[k].v, live[k].part, state{-1, -live[k].v}}
+			live = append(live[:k], live[k+1:]...)
+		} else {
+			v := lo + int64(2*i+1)%(hi-lo) // odd offsets from an even lo, each used once
+			st = step{true, v, row % shards, state{1, v}}
+			live = append(live, liveRow{v, st.part})
+			row++
+		}
+		plan = append(plan, st)
+		cur := base[len(base)-1]
+		base = append(base, state{cur.count + st.delta.count, cur.sum + st.delta.sum})
+	}
+	// explains reports whether got is base[from] plus a per-part prefix of
+	// statements from+1..to.
+	explains := func(from, to int64, got state) bool {
+		var perPart [shards][]state
+		for k := from + 1; k <= to; k++ {
+			perPart[plan[k].part] = append(perPart[plan[k].part], plan[k].delta)
+		}
+		var try func(p int, acc state) bool
+		try = func(p int, acc state) bool {
+			if p == shards {
+				return acc == got
+			}
+			if try(p+1, acc) {
+				return true
+			}
+			for _, d := range perPart[p] {
+				acc = state{acc.count + d.count, acc.sum + d.sum}
+				if try(p+1, acc) {
+					return true
+				}
+			}
+			return false
+		}
+		return try(0, base[from])
+	}
+
+	var started, finished atomic.Int64 // statements begun / completed by the writer
+	var done atomic.Bool
+	var reads atomic.Int64
+	fanned := countFanOut(cs.sc)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				from := finished.Load()
+				res, err := e.Select("R", "A", lo, hi)
+				to := started.Load()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				reads.Add(1)
+				if !explains(from, to, state{res.Count, res.Sum}) {
+					t.Errorf("select saw count=%d sum=%d: not %+v plus per-part prefixes of statements %d..%d",
+						res.Count, res.Sum, base[from], from+1, to)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() { // a second merger, so merges also race each other and the writer
+		defer wg.Done()
+		for !done.Load() {
+			e.MergePending()
+		}
+	}()
+	for k := 1; k <= statements; k++ {
+		for reads.Load() < int64(k-1) && !t.Failed() {
+			runtime.Gosched() // pace the writer: at least one read per statement
+		}
+		started.Store(int64(k))
+		if st := plan[k]; st.insert {
+			var row uint32
+			if row, err = tab.InsertRows([][]int64{{st.v}}); err == nil && int(row)%shards != st.part {
+				t.Fatalf("statement %d: row %d is not on part %d", k, row, st.part)
+			}
+		} else {
+			var deleted int
+			if deleted, err = tab.DeleteWhereIn("A", []int64{st.v}); err == nil && deleted != 1 {
+				t.Fatalf("statement %d: delete of %d removed %d rows", k, st.v, deleted)
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		finished.Store(int64(k))
+		if k%5 == 0 {
+			tab.MergePending()
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	cs.sc.SetSelectHook(nil)
+
+	final := base[statements]
+	if res, err := e.Select("R", "A", lo, hi); err != nil || res.Count != final.count || res.Sum != final.sum {
+		t.Fatalf("quiesced select: %+v, %v; want %+v", res, err, final)
+	}
+	// The test is about the inline path: reads must have taken it.
+	if inline := reads.Load() - fanned.Load()/shards; inline <= 0 {
+		t.Fatalf("no read of %d ran inline (%d fan-out workers)", reads.Load(), fanned.Load())
+	} else {
+		t.Logf("%d reads, %d of them inline", reads.Load(), inline)
+	}
+}

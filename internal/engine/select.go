@@ -16,7 +16,9 @@ import (
 // Concurrency: every strategy fans the select out across the column's
 // shards — one goroutine per shard (shard.Column.FanOutCountSum) — and
 // merges the partial (count, sum), so a single large select executes on
-// multiple cores even with no other query in the system. Within each shard,
+// multiple cores even with no other query in the system — except an adaptive
+// or holistic select every part answers with a converged lookup, which runs
+// on the caller's goroutine (see crackedSelect). Within each shard,
 // selects on the same part run in parallel wherever the physical design
 // allows it: scan/offline/online selects are pure reads under the part's
 // shared latch, and adaptive/holistic selects run under it too, taking the
@@ -64,20 +66,22 @@ func (e *Engine) Select(table, col string, lo, hi int64) (Result, error) {
 		}
 
 	case StrategyAdaptive:
-		count, sum = cs.sc.FanOutCountSum(func(p *shard.Part) (int, int64) {
-			return p.CrackedSelect(lo, hi)
-		})
+		count, sum, _, _ = crackedSelect(cs.sc, lo, hi)
 
 	case StrategyHolistic:
-		count, sum = cs.sc.FanOutCountSum(func(p *shard.Part) (int, int64) {
-			return p.CrackedSelect(lo, hi)
-		})
+		c, s, region, inline := crackedSelect(cs.sc, lo, hi)
+		count, sum = c, s
 		// Continuous monitoring plus the "No Time" opportunity, per shard: a
 		// hot range earns a few extra cracks inside the query (cheap — hot
 		// pieces are already small), and none once the range's pieces have
-		// reached the target piece size.
+		// reached the target piece size — which an inline answer knows
+		// outright: no piece inside a region that small can be split.
+		boost := !inline || region > e.tuner.TargetPieceSize()
 		for _, p := range cs.sc.Parts() {
 			e.tuner.NoteQuery(p.Name(), lo, hi)
+			if !boost {
+				continue
+			}
 			p.RLock()
 			if ix := p.Cracked(); ix != nil {
 				e.tuner.MaybeBoost(ix, p.Name(), lo, hi)
@@ -86,4 +90,25 @@ func (e *Engine) Select(table, col string, lo, hi int64) (Result, error) {
 		}
 	}
 	return Result{Count: count, Sum: sum, Elapsed: time.Since(start)}, nil
+}
+
+// crackedSelect answers an adaptive or holistic select. It first asks every
+// part in turn, on the caller's goroutine, for a converged lookup
+// (shard.Part.ConvergedSelect): summing a few thousand already-cracked values
+// costs less than starting a worker for them. The first part that declines
+// sends the whole statement down the fan-out; which path runs depends only on
+// what the indexes hold for [lo, hi). inline reports the first path; region is
+// then the most values any part's cracked copy holds for the range.
+func crackedSelect(sc *shard.Column, lo, hi int64) (count int, sum int64, region int, inline bool) {
+	for _, p := range sc.Parts() {
+		c, s, r, ok := p.ConvergedSelect(lo, hi)
+		if !ok {
+			count, sum = sc.FanOutCountSum(func(p *shard.Part) (int, int64) {
+				return p.CrackedSelect(lo, hi)
+			})
+			return count, sum, 0, false
+		}
+		count, sum, region = count+c, sum+s, max(region, r)
+	}
+	return count, sum, region, true
 }

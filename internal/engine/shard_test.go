@@ -102,36 +102,45 @@ func TestShardedSelectRunsShardsConcurrently(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			var mu sync.Mutex
-			inside := map[int]bool{}
-			release := make(chan struct{})
-			var releaseOnce sync.Once
-			timeout := time.After(10 * time.Second)
-			cs.sc.SetSelectHook(func(part int) {
-				mu.Lock()
-				inside[part] = true
-				ready := len(inside) >= 2
-				mu.Unlock()
-				if ready {
-					// Two parts can both see ready at once.
-					releaseOnce.Do(func() { close(release) })
+			// Cold, the column is uncracked: the select does the initial scan
+			// (or cracked-copy materialisation + crack) on every shard.
+			// Repeated, both bounds are crack boundaries and the holistic
+			// select is a pure lookup — but of ~5000 values a shard, more than
+			// a converged lookup sums inline (shard.ConvergedSelectMax), so it
+			// must fan out all the same. The hook fires only in fan-out workers.
+			for _, phase := range []string{"cold", "repeated"} {
+				var mu sync.Mutex
+				inside := map[int]bool{}
+				release := make(chan struct{})
+				var releaseOnce sync.Once
+				timeout := time.After(10 * time.Second)
+				cs.sc.SetSelectHook(func(part int) {
+					mu.Lock()
+					inside[part] = true
+					ready := len(inside) >= 2
+					mu.Unlock()
+					if ready {
+						// Two parts can both see ready at once.
+						releaseOnce.Do(func() { close(release) })
+					}
+					select {
+					case <-release:
+					case <-timeout:
+						t.Errorf("%s: single select never had 2 shards in flight", phase)
+					}
+				})
+				r, err := e.Select("R", "A", 1<<18, 3<<18)
+				cs.sc.SetSelectHook(nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-				select {
-				case <-release:
-				case <-timeout:
-					t.Error("single select never had 2 shards in flight")
+				wc, ws := naiveRange(seed, 1<<18, 3<<18)
+				if r.Count != wc || r.Sum != ws {
+					t.Fatalf("%s: got %d/%d want %d/%d", phase, r.Count, r.Sum, wc, ws)
 				}
-			})
-			// The column is uncracked: this one select does the initial
-			// scan (or cracked-copy materialisation + crack) on every shard.
-			r, err := e.Select("R", "A", 1<<18, 3<<18)
-			cs.sc.SetSelectHook(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wc, ws := naiveRange(seed, 1<<18, 3<<18)
-			if r.Count != wc || r.Sum != ws {
-				t.Fatalf("got %d/%d want %d/%d", r.Count, r.Sum, wc, ws)
+				if len(inside) < 2 {
+					t.Fatalf("%s: %d shards entered the fan-out, want >= 2", phase, len(inside))
+				}
 			}
 			shards, fan, err := e.ShardStats("R", "A")
 			if err != nil {

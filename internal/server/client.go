@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 	"time"
@@ -16,8 +15,9 @@ import (
 type Client struct {
 	conn   net.Conn
 	br     *bufio.Reader
-	bw     *bufio.Writer
 	nextID int64
+	// Reused buffers: the request being written; a response line longer than br's.
+	out, long []byte
 }
 
 // Dial connects to a holisticd server at addr ("host:port").
@@ -31,11 +31,7 @@ func Dial(addr string) (*Client, error) {
 
 // NewClient wraps an established connection.
 func NewClient(conn net.Conn) *Client {
-	return &Client{
-		conn: conn,
-		br:   bufio.NewReader(conn),
-		bw:   bufio.NewWriter(conn),
-	}
+	return &Client{conn: conn, br: bufio.NewReader(conn)}
 }
 
 // Close closes the connection.
@@ -47,27 +43,32 @@ func (c *Client) Close() error { return c.conn.Close() }
 func (c *Client) Send(stmt string) (int64, error) {
 	c.nextID++
 	id := c.nextID
-	payload, err := json.Marshal(Request{ID: id, Stmt: stmt})
-	if err != nil {
+	var err error
+	if c.out, err = appendRequest(c.out[:0], Request{ID: id, Stmt: stmt}); err != nil {
 		return 0, err
 	}
-	if _, err := c.bw.Write(payload); err != nil {
-		return 0, err
-	}
-	if err := c.bw.WriteByte('\n'); err != nil {
-		return 0, err
-	}
-	return id, c.bw.Flush()
+	c.out = append(c.out, '\n')
+	_, err = c.conn.Write(c.out)
+	return id, err
 }
 
 // Recv reads the next response line.
 func (c *Client) Recv() (Response, error) {
-	line, err := c.br.ReadString('\n')
+	line, err := c.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		// A line longer than br's buffer (\stats with a forecast): collect it.
+		c.long = append(c.long[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = c.br.ReadSlice('\n')
+			c.long = append(c.long, line...)
+		}
+		line = c.long
+	}
 	if err != nil {
 		return Response{}, err
 	}
-	var resp Response
-	if err := json.Unmarshal([]byte(line), &resp); err != nil {
+	resp, err := decodeResponse(line)
+	if err != nil {
 		return Response{}, fmt.Errorf("client: bad response %q: %w", line, err)
 	}
 	return resp, nil

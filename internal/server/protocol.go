@@ -1,9 +1,7 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
-	"strings"
 
 	"holistic/internal/engine"
 	"holistic/internal/loadgate"
@@ -69,18 +67,14 @@ type Stats struct {
 	Forecast *engine.ForecastStats `json:"forecast,omitempty"`
 }
 
-// parseRequest decodes one wire line. A line starting with '{' is a JSON
-// Request; anything else is a bare statement with id 0.
-func parseRequest(line string) (Request, error) {
-	trimmed := strings.TrimSpace(line)
-	if strings.HasPrefix(trimmed, "{") {
-		var req Request
-		if err := json.Unmarshal([]byte(trimmed), &req); err != nil {
-			return Request{}, err
-		}
-		return req, nil
+// parseRequest decodes one wire line, trimmed of white space and not empty.
+// A line starting with '{' is a JSON Request; anything else is a bare
+// statement with id 0. The result shares no memory with line.
+func parseRequest(line []byte) (Request, error) {
+	if line[0] == '{' {
+		return decodeRequest(line)
 	}
-	return Request{Stmt: trimmed}, nil
+	return Request{Stmt: string(line)}, nil
 }
 
 // okResponse maps a structured sqlmini result onto the wire shape.

@@ -24,8 +24,8 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -81,10 +81,12 @@ type Server struct {
 	admit       chan struct{}
 	connTimeout time.Duration
 
-	mu     sync.Mutex
-	lis    net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
+	mu    sync.Mutex
+	lis   net.Listener
+	conns map[net.Conn]struct{}
+	// closed is written under mu (so Serve and Shutdown agree on who owns a
+	// new connection) and read without it by sessions after every statement.
+	closed atomic.Bool
 
 	wg         sync.WaitGroup
 	connsEver  atomic.Int64
@@ -133,7 +135,7 @@ func (s *Server) Gate() *loadgate.Gate { return s.gate }
 // graceful shutdown and the accept error otherwise.
 func (s *Server) Serve(lis net.Listener) error {
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		lis.Close()
 		return errors.New("server: already shut down")
@@ -143,7 +145,7 @@ func (s *Server) Serve(lis net.Listener) error {
 	for {
 		conn, err := lis.Accept()
 		if err != nil {
-			if s.isClosed() {
+			if s.closed.Load() {
 				return nil
 			}
 			var ne net.Error
@@ -154,7 +156,7 @@ func (s *Server) Serve(lis net.Listener) error {
 			return err
 		}
 		s.mu.Lock()
-		if s.closed {
+		if s.closed.Load() {
 			s.mu.Unlock()
 			conn.Close()
 			return nil
@@ -186,12 +188,6 @@ func (s *Server) Addr() net.Addr {
 	return s.lis.Addr()
 }
 
-func (s *Server) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
 // Shutdown stops the server gracefully: the listener closes, idle sessions
 // are woken and closed, and sessions executing a statement finish it and
 // flush the response before exiting. Shutdown returns once every session
@@ -199,11 +195,11 @@ func (s *Server) isClosed() bool {
 // when the context expires first.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		return nil
 	}
-	s.closed = true
+	s.closed.Store(true)
 	lis := s.lis
 	// Nudge sessions blocked in a read: an expired read deadline unblocks
 	// them with a timeout error and they exit; sessions mid-statement are
@@ -254,23 +250,25 @@ func (s *Server) session(conn net.Conn) {
 	}
 	sc := bufio.NewScanner(src)
 	sc.Buffer(make([]byte, 4096), MaxLineBytes)
-	bw := bufio.NewWriter(conn)
+	// One response is one Write of this buffer, reused for the connection's
+	// lifetime; request lines are parsed in place in the scanner's.
+	var out []byte
 	respond := func(resp Response) bool {
-		payload, err := json.Marshal(resp)
-		if err != nil {
-			payload, _ = json.Marshal(errResponse(resp.ID, fmt.Errorf("encode: %w", err)))
+		var err error
+		if out, err = appendResponse(out[:0], &resp); err != nil {
+			fail := errResponse(resp.ID, fmt.Errorf("encode: %w", err))
+			out, _ = appendResponse(out[:0], &fail)
 		}
-		bw.Write(payload)
-		bw.WriteByte('\n')
-		if err := bw.Flush(); err != nil {
+		out = append(out, '\n')
+		if _, err := conn.Write(out); err != nil {
 			s.logf("session %s: write: %v", conn.RemoteAddr(), err)
 			return false
 		}
 		return true
 	}
 	for sc.Scan() {
-		if trimmed := strings.TrimSpace(sc.Text()); trimmed != "" {
-			req, perr := parseRequest(trimmed)
+		if line := bytes.TrimSpace(sc.Bytes()); len(line) > 0 {
+			req, perr := parseRequest(line)
 			var resp Response
 			if perr != nil {
 				resp = errResponse(0, fmt.Errorf("bad request: %w", perr))
@@ -281,7 +279,7 @@ func (s *Server) session(conn net.Conn) {
 				return
 			}
 		}
-		if s.isClosed() {
+		if s.closed.Load() {
 			return
 		}
 	}
@@ -294,7 +292,7 @@ func (s *Server) session(conn net.Conn) {
 	default:
 		var ne net.Error
 		switch {
-		case s.isClosed():
+		case s.closed.Load():
 		case errors.As(err, &ne) && ne.Timeout():
 			s.logf("session %s: idle for %v, closing", conn.RemoteAddr(), s.connTimeout)
 		default:

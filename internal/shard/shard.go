@@ -657,6 +657,36 @@ func (p *Part) CrackedSelect(lo, hi int64) (int, int64) {
 	return count + dc, sum + ds
 }
 
+// ConvergedSelectMax is the largest cracked region, in values, a part sums
+// on the calling goroutine: a fan-out worker costs ~1.7 µs (goroutine,
+// WaitGroup, wake-up: bench/'s shard.fanout_overhead_us) and the sum ~0.5 ns
+// a value, so below ~4K values the spawn costs more than the work it moves.
+const ConvergedSelectMax = 4096
+
+// ConvergedSelect answers [lo, hi) as CrackedSelect does, but only when that
+// takes no structural work and little time: the cracked copy exists, cracking
+// is plain, both bounds already are crack boundaries and the region between
+// them holds at most ConvergedSelectMax values (region; buffered writes not
+// counted). It never cracks or latches exclusively, so it may run on the
+// query's own goroutine. ok false — the part declined, or a merge moved rows
+// during the read — sends the caller to CrackedSelect.
+func (p *Part) ConvergedSelect(lo, hi int64) (count int, sum int64, region int, ok bool) {
+	p.mu.RLock()
+	e := p.epoch.Load()
+	if ix := p.crack; ix != nil && p.selector == nil {
+		if from, to, hit := ix.LookupRange(lo, hi); hit && to-from <= ConvergedSelectMax {
+			count, sum = ix.CountSum(from, to)
+			region, ok = to-from, true
+		}
+	}
+	p.mu.RUnlock()
+	if !ok {
+		return 0, 0, 0, false
+	}
+	dc, ds := p.ingest.CountSum(lo, hi)
+	return count + dc, sum + ds, region, p.epoch.Load() == e
+}
+
 // enqueueInsert buffers one insert without touching the part latch. The
 // writer that pushes the queue past the configured cap pays an inline merge
 // of (up to) the whole backlog — batched, amortised maintenance.

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"holistic/internal/stochastic"
 )
 
 func naiveRange(vals []int64, lo, hi int64) (int, int64) {
@@ -127,6 +129,82 @@ func TestCrackedSelectMatchesNaive(t *testing.T) {
 			t.Fatalf("part %s never cracked", p.Name())
 		}
 	}
+}
+
+// TestConvergedSelectDeclines walks the conditions under which a part
+// refuses the inline lookup — no cracked copy yet, a bound that is not a crack
+// boundary, a region one value over ConvergedSelectMax, a stochastic cracking
+// variant — and checks that each refusal cracks nothing, that CrackedSelect
+// then answers as it always did, and that the lookup is taken and exact once
+// the condition is gone, pending inserts and deletes included.
+func TestConvergedSelectDeclines(t *testing.T) {
+	// 0..n-1 shuffled: the range [a, b) holds exactly b-a values.
+	const n = 3 * ConvergedSelectMax
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(i)
+	}
+	rand.New(rand.NewPCG(5, 6)).Shuffle(n, func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+	newPart := func(cfg Config) *Part {
+		c, err := NewColumn("R.A", append([]int64{}, vals...), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Parts()[0]
+	}
+	declines := func(p *Part, why string, lo, hi int64) {
+		t.Helper()
+		pieces, _ := p.PieceStats()
+		if _, _, _, ok := p.ConvergedSelect(lo, hi); ok {
+			t.Fatalf("%s: ConvergedSelect(%d, %d) answered, want it to decline", why, lo, hi)
+		}
+		if after, _ := p.PieceStats(); after != pieces {
+			t.Fatalf("%s: declining changed the piece count %d -> %d", why, pieces, after)
+		}
+		wc, ws := naiveRange(vals, lo, hi)
+		if c, s := p.CrackedSelect(lo, hi); c != wc || s != ws {
+			t.Fatalf("%s: CrackedSelect(%d, %d) = %d/%d, want %d/%d", why, lo, hi, c, s, wc, ws)
+		}
+	}
+
+	p := newPart(Config{})
+	declines(p, "uncracked part", 100, 200) // ... and CrackedSelect cracked [100, 200)
+	if c, s, region, ok := p.ConvergedSelect(100, 200); !ok || c != 100 || region != 100 || s != (100+199)*100/2 {
+		t.Fatalf("converged [100, 200): %d/%d region %d ok %v", c, s, region, ok)
+	}
+	declines(p, "upper bound not a boundary", 100, 300)
+	declines(p, "lower bound not a boundary", 50, 200)
+	declines(p, "inverted range", 200, 100)
+	declines(p, "region one over the limit", 1000, 1000+ConvergedSelectMax+1)
+	if c, _, region, ok := p.ConvergedSelect(1000, 1000+ConvergedSelectMax+1); ok {
+		t.Fatalf("a cracked region of %d values (count %d) still ran inline", region, c)
+	}
+	if _, _, _, ok := p.ConvergedSelect(1001, 1001+ConvergedSelectMax); ok {
+		t.Fatal("lower bound 1001 was never cracked")
+	}
+	p.CrackedSelect(1001, 1001+ConvergedSelectMax)
+	if c, _, region, ok := p.ConvergedSelect(1001, 1001+ConvergedSelectMax); !ok || c != ConvergedSelectMax || region != ConvergedSelectMax {
+		t.Fatalf("a region of exactly the limit: count %d region %d ok %v", c, region, ok)
+	}
+
+	// Buffered writes are part of the answer; region counts only merged rows.
+	p.enqueueInsert(150, uint32(n))
+	p.ingest.Delete(vals[7], 7) // whichever value row 7 holds
+	want, wantSum := 101, int64((100+199)*100/2+150)
+	if v := vals[7]; v >= 100 && v < 200 {
+		want, wantSum = want-1, wantSum-v
+	}
+	if c, s, region, ok := p.ConvergedSelect(100, 200); !ok || c != want || s != wantSum || region != 100 {
+		t.Fatalf("with pending writes: %d/%d region %d ok %v, want %d/%d region 100", c, s, region, ok, want, wantSum)
+	}
+	p.MergeStep(0)
+	if c, s, _, ok := p.ConvergedSelect(100, 200); !ok || c != want || s != wantSum {
+		t.Fatalf("after the merge: %d/%d ok %v, want %d/%d", c, s, ok, want, wantSum)
+	}
+
+	sp := newPart(Config{Stochastic: stochastic.MDD1R, Seed: 9})
+	declines(sp, "stochastic variant, uncracked", 100, 200)
+	declines(sp, "stochastic variant, cracked", 100, 200)
 }
 
 func TestDeleteAndFirstLive(t *testing.T) {

@@ -35,48 +35,71 @@ type token struct {
 	pos  int
 }
 
-// lex splits the input into tokens. Identifiers keep their raw spelling in
-// raw; text holds the lower-cased form used for keyword matching.
-func lex(input string) ([]token, error) {
-	var toks []token
-	i := 0
-	n := len(input)
-	for i < n {
-		c := input[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case unicode.IsLetter(rune(c)) || c == '_':
-			start := i
-			for i < n && (unicode.IsLetter(rune(input[i])) || unicode.IsDigit(rune(input[i])) || input[i] == '_' || input[i] == '.') {
-				i++
-			}
-			raw := input[start:i]
-			toks = append(toks, token{kind: tokIdent, text: strings.ToLower(raw), raw: raw, pos: start})
-		case unicode.IsDigit(rune(c)) || (c == '-' && i+1 < n && unicode.IsDigit(rune(input[i+1]))):
-			start := i
-			i++
-			for i < n && unicode.IsDigit(rune(input[i])) {
-				i++
-			}
-			toks = append(toks, token{kind: tokNumber, text: input[start:i], raw: input[start:i], pos: start})
-		case c == '>' || c == '<':
-			start := i
-			i++
-			if i < n && input[i] == '=' {
-				i++
-			}
-			toks = append(toks, token{kind: tokOp, text: input[start:i], raw: input[start:i], pos: start})
-		case c == '=':
-			toks = append(toks, token{kind: tokOp, text: "=", raw: "=", pos: i})
-			i++
-		case c == '(' || c == ')' || c == ',' || c == ';' || c == '*':
-			toks = append(toks, token{kind: tokPunct, text: string(c), raw: string(c), pos: i})
-			i++
-		default:
-			return nil, fmt.Errorf("sqlmini: unexpected character %q at position %d", c, i)
+// lexer is a pull lexer: next scans one token on demand, so parsing builds
+// no token slice. After a byte no token can start with, err holds the reason
+// and next returns tokEOF from then on.
+type lexer struct {
+	input string
+	pos   int
+	err   error
+}
+
+// isLetter classifies a byte: a range test for ASCII — every byte of a real
+// statement — and the Latin-1 reading (which has no digits) for the rest.
+func isLetter(c byte) bool {
+	return 'a' <= c|0x20 && c|0x20 <= 'z' || c >= 0x80 && unicode.IsLetter(rune(c))
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// lower returns raw lower-cased, allocating only when some byte needs it.
+func lower(raw string) string {
+	for i := 0; i < len(raw); i++ {
+		if c := raw[i]; 'A' <= c && c <= 'Z' || c >= 0x80 {
+			return strings.ToLower(raw)
 		}
 	}
-	toks = append(toks, token{kind: tokEOF, pos: n})
-	return toks, nil
+	return raw
+}
+
+// next scans the next token. Identifiers keep their raw spelling in raw;
+// text holds the lower-cased form used for keyword matching.
+func (l *lexer) next() token {
+	input, i, n := l.input, l.pos, len(l.input)
+	for i < n && (input[i] == ' ' || input[i] == '\t' || input[i] == '\n' || input[i] == '\r') {
+		i++
+	}
+	start, kind := i, tokPunct
+	switch {
+	case i >= n: // also after an error, which parks pos at n
+		kind = tokEOF
+	case isLetter(input[i]) || input[i] == '_':
+		kind = tokIdent
+		for i < n && (isLetter(input[i]) || isDigit(input[i]) || input[i] == '_' || input[i] == '.') {
+			i++
+		}
+	case isDigit(input[i]) || (input[i] == '-' && i+1 < n && isDigit(input[i+1])):
+		kind = tokNumber
+		for i++; i < n && isDigit(input[i]); i++ {
+		}
+	case input[i] == '>' || input[i] == '<':
+		kind = tokOp
+		if i++; i < n && input[i] == '=' {
+			i++
+		}
+	case input[i] == '=':
+		kind = tokOp
+		i++
+	case strings.IndexByte("(),;*", input[i]) >= 0:
+		i++
+	default:
+		l.err = fmt.Errorf("sqlmini: unexpected character %q at position %d", input[i], i)
+		start, i, kind = n, n, tokEOF
+	}
+	l.pos = i
+	t := token{kind: kind, text: input[start:i], raw: input[start:i], pos: start}
+	if kind == tokIdent {
+		t.text = lower(t.raw)
+	}
+	return t
 }

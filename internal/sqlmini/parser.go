@@ -53,17 +53,18 @@ type DeleteStmt struct {
 
 func (*DeleteStmt) stmt() {}
 
+// parser holds the lexer and one token of lookahead.
 type parser struct {
-	toks []token
-	i    int
+	lx  lexer
+	tok token
 }
 
-func (p *parser) peek() token { return p.toks[p.i] }
+func (p *parser) peek() token { return p.tok }
 
 func (p *parser) next() token {
-	t := p.toks[p.i]
+	t := p.tok
 	if t.kind != tokEOF {
-		p.i++
+		p.tok = p.lx.next()
 	}
 	return t
 }
@@ -106,16 +107,25 @@ func (p *parser) number() (int64, error) {
 
 // Parse parses one statement, tolerating a trailing semicolon.
 func Parse(input string) (Stmt, error) {
-	toks, err := lex(input)
-	if err != nil {
-		return nil, err
+	p := parser{lx: lexer{input: input}}
+	p.tok = p.lx.next()
+	s, err := p.parseStatement()
+	for p.tok.kind != tokEOF { // after a grammar error: a byte the lexer rejects outranks it
+		p.tok = p.lx.next()
 	}
-	p := &parser{toks: toks}
+	if p.lx.err != nil {
+		return nil, p.lx.err
+	}
+	return s, err
+}
+
+func (p *parser) parseStatement() (Stmt, error) {
 	t := p.peek()
 	if t.kind != tokIdent {
 		return nil, fmt.Errorf("sqlmini: expected statement, got %q", t.raw)
 	}
 	var s Stmt
+	var err error
 	switch t.text {
 	case "select":
 		s, err = p.parseSelect()
