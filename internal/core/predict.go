@@ -1,8 +1,8 @@
-// Speculative pre-cracking: the predictive extension of the holistic tuner
-// (ROADMAP item 4). The reactive loop in tuner.go refines where queries
-// *were*; this file spends left-over idle capacity where the forecaster
-// (internal/forecast) says they are *going*, so the first query after a
-// traffic gap finds its range already cracked.
+// Speculative pre-cracking: the predictive extension of the holistic tuner.
+// The reactive loop in tuner.go refines where queries *were*; this file
+// spends left-over idle capacity where the workload sketch's drift model
+// (stats.Collector.Predict) says they are *going*, so the first query after
+// a traffic gap finds its range already cracked.
 //
 // Discipline, in order of priority:
 //
@@ -11,7 +11,7 @@
 //     idle slots that reactive refinement has no use for.
 //  2. Confidence-scaled bids. Predicted ranges are ranked by
 //     costmodel.PredictScore, which multiplies the payoff by the
-//     forecaster's confidence; below the forecaster's own confidence floor
+//     sketch's confidence; below the sketch's own confidence floor
 //     no prediction is emitted at all, so an adversarial (teleporting)
 //     workload shuts speculation off by itself.
 //  3. Budget-capped. The idle runner charges every speculative attempt
@@ -29,10 +29,7 @@
 // where it will land.
 package core
 
-import (
-	"holistic/internal/forecast"
-	"holistic/internal/stats"
-)
+import "holistic/internal/stats"
 
 // DefaultSpecCracks bounds the random cracks one speculative action applies
 // inside its predicted range, keeping a speculative step in the same
@@ -55,11 +52,7 @@ type RangeStatser interface {
 
 // Predictive reports whether the forecast-driven speculative layer is
 // enabled (Config.Predict).
-func (t *Tuner) Predictive() bool { return t.fc != nil }
-
-// Forecaster exposes the tuner's forecaster (nil unless Config.Predict);
-// diagnostics and tests consult it directly.
-func (t *Tuner) Forecaster() *forecast.Forecaster { return t.fc }
+func (t *Tuner) Predictive() bool { return t.cfg.Predict }
 
 // SpecActions returns how many speculative pre-crack actions ran. They are
 // deliberately not part of Actions(): "X refinement actions" keeps its
@@ -97,25 +90,13 @@ func (t *Tuner) rangeAvg(sh *shard, r stats.Range) float64 {
 }
 
 // realWorkPending reports whether any reactive action — crack, merge or aux
-// — still has a positive score. It mirrors TryStep's scoring without
+// — still has a positive score. It asks each shard for TryStep's bid without
 // claiming anything; "claimed by another worker" still counts as pending,
 // so speculation stays strictly behind real work even under contention.
 func (t *Tuner) realWorkPending(shards []*shard) bool {
 	for _, sh := range shards {
-		freq := t.collector.Frequency(sh.col.Name())
-		if sh.merger != nil {
-			if pending := sh.merger.PendingOps(); pending > 0 && t.model.MergeScore(freq, pending) > 0 {
-				return true
-			}
-		}
-		if freq > 0 {
-			ix := sh.index()
-			sh.col.RLock()
-			avg := ix.AvgPieceSize()
-			sh.col.RUnlock()
-			if t.model.Score(freq, avg) > 0 {
-				return true
-			}
+		if s, _ := t.bid(sh); s > 0 {
+			return true
 		}
 	}
 	for _, a := range t.snapshotAux() {
@@ -134,7 +115,7 @@ func (t *Tuner) realWorkPending(shards []*shard) bool {
 // already pre-cracked to the speculative target — the idle runner then
 // stops charging the gap's speculative budget.
 func (t *Tuner) TrySpeculativeStep() (work int, res StepResult) {
-	if t.fc == nil {
+	if !t.cfg.Predict {
 		return 0, StepExhausted
 	}
 	shards := t.snapshotShards()
@@ -151,7 +132,7 @@ func (t *Tuner) TrySpeculativeStep() (work int, res StepResult) {
 		claimable bool
 	)
 	for _, sh := range shards {
-		preds := t.fc.Predict(sh.col.Name())
+		preds := t.collector.Predict(sh.col.Name())
 		if len(preds) == 0 {
 			continue
 		}
@@ -275,7 +256,7 @@ type ColumnForecast struct {
 // so an operator can see the forecaster warming up. Returns nil when
 // speculation is disabled.
 func (t *Tuner) ForecastSummary() []ColumnForecast {
-	if t.fc == nil {
+	if !t.cfg.Predict {
 		return nil
 	}
 	shards := t.snapshotShards()
@@ -284,10 +265,10 @@ func (t *Tuner) ForecastSummary() []ColumnForecast {
 		name := sh.col.Name()
 		cf := ColumnForecast{
 			Column:     name,
-			Confidence: t.fc.Confidence(name),
-			Epochs:     t.fc.Epochs(name),
+			Confidence: t.collector.Confidence(name),
+			Epochs:     t.collector.Epochs(name),
 		}
-		for _, p := range t.fc.Predict(name) {
+		for _, p := range t.collector.Predict(name) {
 			cf.Ranges = append(cf.Ranges, PredictedRange{
 				Lo:         p.Range.Lo,
 				Hi:         p.Range.Hi,

@@ -38,7 +38,7 @@ func TestSpeculativeWaitsForRealWork(t *testing.T) {
 	c := newFakeColumn("a", 16384, 1<<20, 61)
 	tn.Register(c, 0, 1<<20)
 	trainStationary(tn, "a", 100, 200, epoch)
-	if conf := tn.Forecaster().Confidence("a"); conf != 1 {
+	if conf := tn.Collector().Confidence("a"); conf != 1 {
 		t.Fatalf("stationary confidence = %f, want 1", conf)
 	}
 	// The column is coarse and hot: reactive cracking owns every idle slot.
@@ -74,7 +74,7 @@ func TestSpeculativeRefinesToSpecTargetThenStops(t *testing.T) {
 	c := newFakeColumn("a", 16384, 1<<20, 62)
 	tn.Register(c, 0, 1<<20)
 	trainStationary(tn, "a", 100, 200, epoch)
-	preds := tn.Forecaster().Predict("a")
+	preds := tn.Collector().Predict("a")
 	if len(preds) == 0 {
 		t.Fatal("no prediction after stationary training")
 	}
@@ -112,7 +112,7 @@ func TestSpecWinAccounting(t *testing.T) {
 	c := newFakeColumn("a", 16384, 1<<20, 63)
 	tn.Register(c, 0, 1<<20)
 	trainStationary(tn, "a", 100, 200, epoch)
-	preds := tn.Forecaster().Predict("a")
+	preds := tn.Collector().Predict("a")
 	if len(preds) == 0 {
 		t.Fatal("no prediction after training")
 	}

@@ -35,7 +35,6 @@ import (
 
 	"holistic/internal/costmodel"
 	"holistic/internal/cracker"
-	"holistic/internal/forecast"
 	"holistic/internal/stats"
 )
 
@@ -66,12 +65,11 @@ type Config struct {
 	// Seed seeds the tuner's private RNG for reproducible runs.
 	Seed uint64
 	// Predict enables the forecast-driven speculative pre-crack layer (see
-	// predict.go): NoteQuery additionally feeds a forecaster, and
+	// predict.go): the collector additionally tracks drift, and
 	// TrySpeculativeStep pre-cracks ranges predicted to be hot next.
 	Predict bool
-	// PredictEpoch is the forecaster's epoch length in observed queries.
-	// <= 0 selects forecast.DefaultEpochQueries. Benchmarks align it with
-	// their burst size so one burst closes exactly one epoch.
+	// PredictEpoch is the drift model's epoch length in observed queries.
+	// <= 0 selects stats.DefaultEpochQueries.
 	PredictEpoch int
 }
 
@@ -149,7 +147,6 @@ type Tuner struct {
 	cfg       Config
 	model     costmodel.Params
 	collector *stats.Collector
-	fc        *forecast.Forecaster // nil unless Config.Predict (see predict.go)
 
 	mu        sync.Mutex
 	shards    []*shard
@@ -176,16 +173,15 @@ func NewTuner(cfg Config, collector *stats.Collector) *Tuner {
 	if collector == nil {
 		collector = stats.NewCollector()
 	}
-	t := &Tuner{
+	if cfg.Predict {
+		collector.TrackDrift(cfg.PredictEpoch)
+	}
+	return &Tuner{
 		cfg:       cfg,
 		model:     costmodel.Params{TargetPieceSize: cfg.TargetPieceSize},
 		collector: collector,
 		rng:       rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x5DEECE66D)),
 	}
-	if cfg.Predict {
-		t.fc = forecast.New(forecast.Config{EpochQueries: cfg.PredictEpoch})
-	}
-	return t
 }
 
 // Collector returns the workload statistics collector the tuner consults.
@@ -210,20 +206,14 @@ func (t *Tuner) Register(c Column, domLo, domHi int64) {
 		sh.merger = m
 	}
 	t.shards = append(t.shards, sh)
-	if !t.collector.Registered(c.Name()) {
-		t.collector.Register(c.Name(), domLo, domHi)
-	}
-	if t.fc != nil && !t.fc.Registered(c.Name()) {
-		t.fc.Register(c.Name(), domLo, domHi)
-	}
+	t.collector.Register(c.Name(), domLo, domHi)
 }
 
 // NoteQuery records a range query for monitoring. The engine calls it for
 // every select the holistic strategy serves.
 func (t *Tuner) NoteQuery(col string, lo, hi int64) {
 	t.collector.RecordQuery(col, lo, hi)
-	if t.fc != nil {
-		t.fc.Observe(col, lo, hi)
+	if t.cfg.Predict {
 		t.noteSpecWin(col, lo, hi)
 	}
 }
@@ -232,17 +222,11 @@ func (t *Tuner) NoteQuery(col string, lo, hi int64) {
 // queries over [lo, hi) of the column. This is the offline-indexing-style
 // input for the paper's "Some Idle Time and Enough Knowledge" case — after
 // seeding, idle actions concentrate on the seeded columns before any real
-// query arrives.
+// query arrives. It is one weighted observation: seeding expresses mass, not
+// a stream of distinct arrivals, so it advances the sketch's decay and epoch
+// clocks by a single query.
 func (t *Tuner) SeedWorkload(col string, lo, hi int64, weight int) {
-	for i := 0; i < weight; i++ {
-		t.collector.RecordQuery(col, lo, hi)
-	}
-	if t.fc != nil {
-		// One weighted observation: seeding expresses mass, not a stream of
-		// distinct arrivals, so it advances the forecaster's epoch clock by
-		// a single query.
-		t.fc.ObserveWeighted(col, lo, hi, float64(weight))
-	}
+	t.collector.RecordWeighted(col, lo, hi, float64(weight))
 }
 
 // Actions returns the number of idle refinement actions performed.
@@ -309,7 +293,7 @@ func (t *Tuner) Ranking() []RankEntry {
 	shards := t.snapshotShards()
 	entries := make([]RankEntry, 0, len(shards))
 	for _, sh := range shards {
-		freq := t.collector.Frequency(sh.col.Name())
+		score, _ := t.bid(sh)
 		ix := sh.index()
 		sh.col.RLock()
 		avg := ix.AvgPieceSize()
@@ -319,14 +303,10 @@ func (t *Tuner) Ranking() []RankEntry {
 		if sh.merger != nil {
 			pending = sh.merger.PendingOps()
 		}
-		score := t.model.Score(freq, avg)
-		if ms := t.model.MergeScore(freq, pending); ms > score {
-			score = ms
-		}
 		entries = append(entries, RankEntry{
 			Column:       sh.col.Name(),
 			Score:        score,
-			Frequency:    freq,
+			Frequency:    t.collector.Frequency(sh.col.Name()),
 			AvgPieceSize: avg,
 			Pieces:       pieces,
 			PendingOps:   pending,
@@ -334,6 +314,32 @@ func (t *Tuner) Ranking() []RankEntry {
 	}
 	sort.SliceStable(entries, func(i, j int) bool { return entries[i].Score > entries[j].Score })
 	return entries
+}
+
+// bid scores the one action a shard offers the idle auction. A shard has up
+// to two: drain its update backlog (ranked even at zero frequency — reads pay
+// for the backlog whether or not the tuner has seen queries) and crack; it
+// bids the better one. The crack score is frequency-weighted: an unqueried,
+// unseeded column can never rank, so its cracked copy is not materialised
+// just to be scored. Scoring takes the index latch, which a worker that has
+// claimed the shard may hold for a whole crack.
+func (t *Tuner) bid(sh *shard) (score float64, merge bool) {
+	freq := t.collector.Frequency(sh.col.Name())
+	if sh.merger != nil {
+		if pending := sh.merger.PendingOps(); pending > 0 {
+			score, merge = t.model.MergeScore(freq, pending), true
+		}
+	}
+	if freq > 0 {
+		ix := sh.index()
+		sh.col.RLock()
+		avg := ix.AvgPieceSize()
+		sh.col.RUnlock()
+		if cs := t.model.Score(freq, avg); cs > score {
+			score, merge = cs, false
+		}
+	}
+	return score, merge
 }
 
 func (t *Tuner) snapshotShards() []*shard {
@@ -392,34 +398,11 @@ func (t *Tuner) TryStep() (work int, res StepResult) {
 			sh := shards[(rr+i)%n]
 			if sh.busy.Load() {
 				// Another worker owns this column's action queue, so it was
-				// refinable a moment ago. Do not score it: scoring takes the
-				// index latch, which that worker may hold for a whole crack.
+				// refinable a moment ago. Do not score it (see bid).
 				refinable = true
 				continue
 			}
-			freq := t.collector.Frequency(sh.col.Name())
-			// A column offers up to two actions: drain its update backlog
-			// (ranked even at zero frequency — reads pay for the backlog
-			// whether or not the tuner has seen queries) and crack. The
-			// shard bids its better one.
-			s, merge := 0.0, false
-			if sh.merger != nil {
-				if pending := sh.merger.PendingOps(); pending > 0 {
-					s, merge = t.model.MergeScore(freq, pending), true
-				}
-			}
-			if freq > 0 {
-				// Crack score is frequency-weighted: an unqueried, unseeded
-				// column can never rank, so don't materialise its cracked
-				// copy just to score it.
-				ix := sh.index()
-				sh.col.RLock()
-				avg := ix.AvgPieceSize()
-				sh.col.RUnlock()
-				if cs := t.model.Score(freq, avg); cs > s {
-					s, merge = cs, false
-				}
-			}
+			s, merge := t.bid(sh)
 			if s <= 0 {
 				continue
 			}

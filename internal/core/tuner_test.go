@@ -384,3 +384,15 @@ func TestDeterministicGivenSeed(t *testing.T) {
 		t.Fatalf("non-deterministic: (%d,%d) vs (%d,%d)", w1, p1, w2, p2)
 	}
 }
+
+// A weight-100 hint is one weighted sketch update, not 100 locked decays.
+func BenchmarkSeedWorkload(b *testing.B) {
+	tn := NewTuner(Config{}, nil)
+	tn.Register(newFakeColumn("a", 128, 1<<20, 7), 0, 1<<20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := int64(i%1000) * 1000
+		tn.SeedWorkload("a", lo, lo+1<<12, 100)
+	}
+}

@@ -19,7 +19,6 @@ package costmodel
 
 import (
 	"math"
-	"sort"
 )
 
 // DefaultTargetPieceSize is the piece size (in values) considered cache
@@ -201,33 +200,6 @@ func (p Params) PredictScore(confidence, frequency, avgPieceSize float64) float6
 		frequency = 0
 	}
 	return confidence * (0.5 + frequency) * p.SpecDistance(avgPieceSize)
-}
-
-// Candidate is one column considered by the ranking scheme.
-type Candidate struct {
-	Column       string
-	Frequency    float64
-	AvgPieceSize float64
-	Len          int
-}
-
-// Ranked is a scored candidate.
-type Ranked struct {
-	Candidate
-	Score float64
-}
-
-// Rank scores all candidates and orders them best first. Ties (including the
-// all-zero-frequency "no knowledge" case, where callers typically pass equal
-// frequencies) preserve the caller's order, enabling round-robin behaviour
-// when the tuner rotates its candidate list.
-func (p Params) Rank(cands []Candidate) []Ranked {
-	out := make([]Ranked, len(cands))
-	for i, c := range cands {
-		out[i] = Ranked{Candidate: c, Score: p.Score(c.Frequency, c.AvgPieceSize)}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Score > out[j].Score })
-	return out
 }
 
 // Operator cost estimates, in element-touch units. They support the online

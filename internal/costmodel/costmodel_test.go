@@ -2,7 +2,6 @@ package costmodel
 
 import (
 	"math"
-	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -45,35 +44,6 @@ func TestScoreWeighting(t *testing.T) {
 	}
 	if s := p.Score(0.5, 100); s != 0 {
 		t.Fatal("converged column scored")
-	}
-}
-
-func TestRankOrdering(t *testing.T) {
-	p := Params{TargetPieceSize: 1 << 10}
-	cands := []Candidate{
-		{Column: "cold", Frequency: 0.05, AvgPieceSize: 1 << 20},
-		{Column: "hot", Frequency: 0.80, AvgPieceSize: 1 << 20},
-		{Column: "done", Frequency: 0.15, AvgPieceSize: 512},
-	}
-	ranked := p.Rank(cands)
-	if ranked[0].Column != "hot" {
-		t.Fatalf("best = %s", ranked[0].Column)
-	}
-	if ranked[2].Column != "done" || ranked[2].Score != 0 {
-		t.Fatalf("converged column not last: %+v", ranked[2])
-	}
-}
-
-func TestRankStableOnTies(t *testing.T) {
-	p := Params{TargetPieceSize: 1 << 10}
-	cands := []Candidate{
-		{Column: "a", Frequency: 0.5, AvgPieceSize: 1 << 20},
-		{Column: "b", Frequency: 0.5, AvgPieceSize: 1 << 20},
-		{Column: "c", Frequency: 0.5, AvgPieceSize: 1 << 20},
-	}
-	ranked := p.Rank(cands)
-	if ranked[0].Column != "a" || ranked[1].Column != "b" || ranked[2].Column != "c" {
-		t.Fatalf("tie order not stable: %v", ranked)
 	}
 }
 
@@ -175,31 +145,6 @@ func TestPropertyDistanceMonotone(t *testing.T) {
 		return da <= db
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPropertyRankBestHasMaxScore(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		rng := rand.New(rand.NewPCG(seed, 3))
-		n := int(nRaw%10) + 1
-		p := Params{TargetPieceSize: 1 << 10}
-		cands := make([]Candidate, n)
-		for i := range cands {
-			cands[i] = Candidate{
-				Frequency:    rng.Float64(),
-				AvgPieceSize: float64(rng.Int64N(1 << 24)),
-			}
-		}
-		ranked := p.Rank(cands)
-		for i := 1; i < len(ranked); i++ {
-			if ranked[i].Score > ranked[0].Score {
-				return false
-			}
-		}
-		return len(ranked) == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"holistic/internal/column"
@@ -144,7 +145,7 @@ func (e *Engine) RestoreState(st EngineState) error {
 			if i == 0 {
 				t.rows.Store(int64(sc.Rows()))
 			}
-			e.registerColumn(cs, sc.Rows())
+			e.registerColumn(cs)
 		}
 		t.live.Store(ts.Live)
 		t.cat.Store(cat)
@@ -153,21 +154,29 @@ func (e *Engine) RestoreState(st EngineState) error {
 	return nil
 }
 
-// registerColumn hooks a (new or restored) column into the strategy's
-// monitoring machinery. Callers hold e.mu.
-func (e *Engine) registerColumn(cs *colState, rows int) {
+// registerColumn hooks a new or restored column into the strategy's
+// monitoring machinery. The holistic tuner gets every part under ONE domain,
+// the column's: parts of one column must bucket a query alike, and a warm
+// restart must not move the buckets, so hot ranges and forecasts mean the
+// same values before and after it.
+func (e *Engine) registerColumn(cs *colState) {
 	switch e.cfg.Strategy {
 	case StrategyOnline:
-		e.advisor.Register(cs.name, rows)
+		e.advisor.Register(cs.name, cs.sc.Rows())
 		if cs.hasSorted() {
 			e.advisor.SetIndexed(cs.name, true)
 		}
 	case StrategyHolistic:
+		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 		for _, p := range cs.sc.Parts() {
-			lo, hi, ok := p.MinMax()
-			if !ok {
-				lo, hi = 0, 1
+			if plo, phi, ok := p.MinMax(); ok {
+				lo, hi = min(lo, plo), max(hi, phi)
 			}
+		}
+		if lo > hi { // every part is empty
+			lo, hi = 0, 1
+		}
+		for _, p := range cs.sc.Parts() {
 			e.tuner.Register(p, lo, hi)
 		}
 	}

@@ -65,7 +65,6 @@ import (
 	"holistic/internal/idle"
 	"holistic/internal/monitor"
 	"holistic/internal/shard"
-	"holistic/internal/stats"
 	"holistic/internal/stochastic"
 )
 
@@ -132,15 +131,15 @@ type Config struct {
 	RadixMinPiece int
 	// Predict enables forecast-driven speculative pre-cracking (holistic
 	// only): once reactive refinement has drained, idle workers pre-crack
-	// the ranges the forecaster (internal/forecast) predicts the next
-	// queries will hit, capped per traffic gap by SpecBudget. See
+	// the ranges the workload sketch (stats.Collector.Predict) expects the
+	// next queries to hit, capped per traffic gap by SpecBudget. See
 	// core.TrySpeculativeStep for the discipline.
 	Predict bool
 	// SpecBudget caps speculative attempts per traffic gap. <= 0 selects
 	// idle.DefaultSpecBudget. Only meaningful with Predict.
 	SpecBudget int
-	// PredictEpoch is the forecaster's epoch length in observed queries.
-	// <= 0 selects the forecast default. Only meaningful with Predict.
+	// PredictEpoch is the drift model's epoch length in observed queries.
+	// <= 0 selects stats.DefaultEpochQueries. Only meaningful with Predict.
 	PredictEpoch int
 }
 
@@ -159,10 +158,9 @@ type Engine struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
 
-	collector *stats.Collector
-	advisor   *monitor.Advisor // online strategy only
-	tuner     *core.Tuner      // holistic strategy only
-	runner    *idle.Runner     // holistic strategy only
+	advisor *monitor.Advisor // online strategy only
+	tuner   *core.Tuner      // holistic strategy only
+	runner  *idle.Runner     // holistic strategy only
 
 	// wlog, when attached (SetWriteLog), is the durability hook: every
 	// mutation is logged through it before being acknowledged. Set once at
@@ -177,7 +175,6 @@ func New(cfg Config) *Engine {
 	case StrategyOnline:
 		e.advisor = monitor.New(monitor.Config{Epoch: cfg.OnlineEpoch})
 	case StrategyHolistic:
-		e.collector = stats.NewCollector()
 		e.tuner = core.NewTuner(core.Config{
 			TargetPieceSize: cfg.TargetPieceSize,
 			HotThreshold:    cfg.HotThreshold,
@@ -185,7 +182,7 @@ func New(cfg Config) *Engine {
 			Seed:            cfg.Seed,
 			Predict:         cfg.Predict,
 			PredictEpoch:    cfg.PredictEpoch,
-		}, e.collector)
+		}, nil)
 		opts := []idle.Option{}
 		if cfg.IdleQuiet > 0 {
 			opts = append(opts, idle.WithQuiet(cfg.IdleQuiet))
@@ -247,8 +244,6 @@ func (e *Engine) shardConfig() shard.Config {
 		Seed:                e.cfg.Seed,
 		IngestCap:           e.cfg.IngestCap,
 		RadixMinPiece:       e.cfg.RadixMinPiece,
-		Predict:             e.cfg.Predict,
-		SpecBudget:          e.cfg.SpecBudget,
 	}
 }
 

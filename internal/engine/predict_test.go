@@ -37,7 +37,7 @@ func TestSpeculativeStepNeverStartsAfterQueryAdmitted(t *testing.T) {
 		}
 	}
 	for _, part := range []string{"R.A#0", "R.A#1"} {
-		if conf := e.tuner.Forecaster().Confidence(part); conf != 1 {
+		if conf := e.tuner.Collector().Confidence(part); conf != 1 {
 			t.Fatalf("confidence(%s) = %f after stationary training, want 1", part, conf)
 		}
 	}
@@ -199,5 +199,53 @@ func TestSpeculationWinsOnDrift(t *testing.T) {
 	}
 	if got := e.tuner.SpecWins(); got == 0 {
 		t.Fatal("speculative pre-cracks on a learnable drift were never hit by a query")
+	}
+}
+
+// TestForecastGeometrySurvivesRestart: the sketch buckets every part of a
+// column over the COLUMN's domain, on load and on restore alike. The sharp
+// case is a maximum that sits in one part: registering each restored part
+// under its own bounds would give parts 1 and 2 buckets a tenth as wide as
+// part 0's, so the same query stream would turn different ranges hot and
+// forecast different ranges after a warm restart than before it.
+func TestForecastGeometrySurvivesRestart(t *testing.T) {
+	const epoch, width = 8, int64(100_000) // width: one bucket of [0, 6.4M)
+	cfg := Config{Strategy: StrategyHolistic, Seed: 43, Shards: 3, Predict: true, PredictEpoch: epoch}
+	vals := randomVals(rand.New(rand.NewPCG(921, 922)), 3000, 6*width)
+	vals[0], vals[1] = 64*width, 0 // the column's maximum lives in part 0 only
+	// view runs a stream drifting one bucket per epoch, then renders every
+	// part's forecast and its IsHot answers over a grid of probes.
+	view := func(e *Engine) string {
+		for q := int64(0); q < 6*epoch; q++ {
+			if _, err := e.Select("R", "A", q/epoch*width, (q/epoch+1)*width); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fc := e.tuner.ForecastSummary()
+		var hot []bool
+		for _, cf := range fc {
+			if len(fc) != 3 || len(cf.Ranges) == 0 || fmt.Sprint(cf.Ranges) != fmt.Sprint(fc[0].Ranges) {
+				t.Fatalf("parts of one column forecast differently: %+v", fc)
+			}
+			for lo := int64(0); lo < 8*width; lo += width / 10 {
+				hot = append(hot, e.tuner.Collector().IsHot(cf.Column, lo, lo+width/10, 4))
+			}
+		}
+		return fmt.Sprintf("%+v %v", fc, hot)
+	}
+	e := newEngineWithData(t, cfg, vals)
+	defer e.Close()
+	before := view(e)
+	st, err := e.CaptureState(func() {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := New(cfg)
+	defer restored.Close()
+	if err := restored.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	if after := view(restored); after != before {
+		t.Fatalf("sketch views changed across a restart:\nbefore %s\nafter  %s", before, after)
 	}
 }

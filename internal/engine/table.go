@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"holistic/internal/column"
-	"holistic/internal/scan"
 	"holistic/internal/shard"
 )
 
@@ -225,11 +224,6 @@ func (t *Table) addColumnFromSlice(name string, vals []int64, logIt bool) error 
 			return err
 		}
 	}
-	// Domain bounds for histogram registration, before vals is adopted.
-	lo, hi, ok := scan.MinMax(vals)
-	if !ok {
-		lo, hi = 0, 1
-	}
 	sc, err := shard.NewColumn(t.name+"."+name, vals, t.eng.shardConfig())
 	if err != nil {
 		return err
@@ -241,14 +235,7 @@ func (t *Table) addColumnFromSlice(name string, vals []int64, logIt bool) error 
 	}
 	// Register with the strategy's machinery, then publish: a select can
 	// resolve the column the moment it is in the catalog.
-	switch t.eng.cfg.Strategy {
-	case StrategyOnline:
-		t.eng.advisor.Register(cs.name, len(vals))
-	case StrategyHolistic:
-		for _, p := range sc.Parts() {
-			t.eng.tuner.Register(p, lo, hi)
-		}
-	}
+	t.eng.registerColumn(cs)
 	t.cat.Store(cat.with(name, cs))
 	return nil
 }

@@ -145,14 +145,6 @@ type Config struct {
 	// each part's cracker index. 0 selects costmodel.DefaultRadixMinPiece;
 	// < 0 disables radix-first cracking.
 	RadixMinPiece int
-	// Predict marks the column's parts as participating in forecast-driven
-	// speculative pre-cracking. The forecaster and the speculative budget
-	// live above the shard layer (internal/core, internal/idle); the flag is
-	// carried per part so diagnostics and tests can see which parts are
-	// forecast-driven, and SpecBudget records the per-gap cap they run
-	// under.
-	Predict    bool
-	SpecBudget int
 }
 
 // radixMinPiece resolves Config.RadixMinPiece to the value the cracker
@@ -827,10 +819,6 @@ func (p *Part) PieceStats() (pieces, n int) {
 	}
 	return p.crack.Pieces(), p.crack.Len()
 }
-
-// Predictive reports whether the part participates in forecast-driven
-// speculative pre-cracking, and under which per-gap budget.
-func (p *Part) Predictive() (bool, int) { return p.cfg.Predict, p.cfg.SpecBudget }
 
 // RangePieceAvg returns the average size (in values) of the cracker pieces
 // overlapping the value range [lo, hi), or 0 when the part has no cracker

@@ -1,29 +1,30 @@
-package forecast
+package stats
 
 import (
 	"math"
 	"testing"
-
-	"holistic/internal/stats"
 )
 
-// testConfig gives small, hand-computable epochs: 64 buckets of width 100
-// over [0, 6400), epoch every 8 queries, EWMA alphas 0.5, trend gamma 1.
-func testConfig() Config {
-	return Config{Buckets: 64, EpochQueries: 8}
+// newDrift returns a collector that tracks drift with the given epoch length.
+func newDrift(epochQueries int) *Collector {
+	c := NewCollector()
+	c.TrackDrift(epochQueries)
+	return c
 }
 
-func newTestForecaster(t *testing.T) *Forecaster {
+// newTestForecaster gives small, hand-computable epochs: 64 buckets of width
+// 100 over [0, 6400), epoch every 8 queries, EWMA alphas 0.5, trend gamma 1.
+func newTestForecaster(t *testing.T) *Collector {
 	t.Helper()
-	fc := New(testConfig())
+	fc := newDrift(8)
 	fc.Register("c", 0, 6400)
 	return fc
 }
 
 // feed observes the same range n times.
-func feed(fc *Forecaster, col string, lo, hi int64, n int) {
+func feed(fc *Collector, col string, lo, hi int64, n int) {
 	for i := 0; i < n; i++ {
-		fc.Observe(col, lo, hi)
+		fc.RecordQuery(col, lo, hi)
 	}
 }
 
@@ -58,7 +59,7 @@ func TestPredictStationary(t *testing.T) {
 		t.Fatalf("confidence = %g, want 1", conf)
 	}
 	wantPredictions(t, fc.Predict("c"), []Prediction{
-		{Range: stats.Range{Lo: 100, Hi: 200}, Confidence: 1},
+		{Range: Range{Lo: 100, Hi: 200}, Confidence: 1},
 	})
 }
 
@@ -77,7 +78,7 @@ func TestPredictLinearDrift(t *testing.T) {
 	// per epoch, so the forecast is bucket 6 ([600,700)) — a range no query
 	// has touched yet.
 	wantPredictions(t, fc.Predict("c"), []Prediction{
-		{Range: stats.Range{Lo: 600, Hi: 700}, Confidence: 1},
+		{Range: Range{Lo: 600, Hi: 700}, Confidence: 1},
 	})
 }
 
@@ -109,8 +110,8 @@ func TestPredictBimodal(t *testing.T) {
 		feed(fc, "c", 5000, 5100, 4) // bucket 50
 	}
 	wantPredictions(t, fc.Predict("c"), []Prediction{
-		{Range: stats.Range{Lo: 200, Hi: 300}, Confidence: 0.5},
-		{Range: stats.Range{Lo: 5000, Hi: 5100}, Confidence: 0.5},
+		{Range: Range{Lo: 200, Hi: 300}, Confidence: 0.5},
+		{Range: Range{Lo: 5000, Hi: 5100}, Confidence: 0.5},
 	})
 }
 
@@ -127,10 +128,10 @@ func TestPredictMassScaleInvariant(t *testing.T) {
 		}
 	}
 	run := func(w float64) []Prediction {
-		fc := New(testConfig())
+		fc := newDrift(8)
 		fc.Register("c", 0, 6400)
 		for _, o := range stream {
-			fc.ObserveWeighted("c", o.lo, o.hi, w)
+			fc.RecordWeighted("c", o.lo, o.hi, w)
 		}
 		return fc.Predict("c")
 	}
@@ -154,25 +155,21 @@ func TestPredictMassScaleInvariant(t *testing.T) {
 
 // Degenerate domains must normalise instead of breaking bucket math.
 func TestRegisterDegenerateDomain(t *testing.T) {
-	fc := New(testConfig())
+	fc := newDrift(8)
 	fc.Register("c", 5, 5) // empty domain -> [5, 6)
-	dom, ok := fc.Domain("c")
-	if !ok || dom.Lo != 5 || dom.Hi != 6 {
-		t.Fatalf("domain = %v ok=%v, want [5,6) true", dom, ok)
+	dom := fc.cols["c"].domain
+	if dom.Lo != 5 || dom.Hi != 6 {
+		t.Fatalf("domain = %v, want [5,6)", dom)
 	}
 	feed(fc, "c", 5, 6, 24)
-	for _, p := range fc.Predict("c") {
-		if p.Range.Lo < dom.Lo || p.Range.Hi > dom.Hi || p.Range.Lo >= p.Range.Hi {
-			t.Fatalf("prediction %v outside domain %v", p.Range, dom)
-		}
-	}
+	checkPredictions(t, fc, "c")
 }
 
 // The full int64 domain is the wrap class PR 7 fixed in the cracker: bucket
 // width and offsets must be computed in uint64 so nothing overflows, and
 // predictions must stay inside the domain.
 func TestFullInt64Domain(t *testing.T) {
-	fc := New(testConfig())
+	fc := newDrift(8)
 	fc.Register("c", math.MinInt64, math.MaxInt64)
 	feed(fc, "c", math.MinInt64, math.MinInt64+10, 8)
 	feed(fc, "c", -5, 5, 8)
@@ -192,19 +189,19 @@ func TestFullInt64Domain(t *testing.T) {
 // epoch clock or corrupt the model.
 func TestObserveIgnoresDegenerateInput(t *testing.T) {
 	fc := newTestForecaster(t)
-	fc.Observe("c", 300, 300)                     // empty
-	fc.Observe("c", 500, 100)                     // inverted
-	fc.ObserveWeighted("c", 100, 200, 0)          // zero weight
-	fc.ObserveWeighted("c", 100, 200, -3)         // negative weight
-	fc.ObserveWeighted("c", 100, 200, math.NaN()) // NaN weight
-	fc.Observe("c", 7000, 8000)                   // entirely above the domain
-	fc.Observe("c", -100, -50)                    // entirely below the domain
-	fc.Observe("missing", 100, 200)               // unknown column
+	fc.RecordQuery("c", 300, 300)                // empty
+	fc.RecordQuery("c", 500, 100)                // inverted
+	fc.RecordWeighted("c", 100, 200, 0)          // zero weight
+	fc.RecordWeighted("c", 100, 200, -3)         // negative weight
+	fc.RecordWeighted("c", 100, 200, math.NaN()) // NaN weight
+	fc.RecordQuery("c", 7000, 8000)              // entirely above the domain
+	fc.RecordQuery("c", -100, -50)               // entirely below the domain
+	fc.RecordQuery("missing", 100, 200)          // unknown column
 	if e := fc.Epochs("c"); e != 0 {
 		t.Fatalf("degenerate observations closed %d epochs, want 0", e)
 	}
 	feed(fc, "c", 100, 200, 24)
 	wantPredictions(t, fc.Predict("c"), []Prediction{
-		{Range: stats.Range{Lo: 100, Hi: 200}, Confidence: 1},
+		{Range: Range{Lo: 100, Hi: 200}, Confidence: 1},
 	})
 }

@@ -1,15 +1,45 @@
-// Package stats implements continuous workload monitoring, the statistical
-// substrate holistic indexing shares with online indexing (Table 1 of the
-// paper: "statistical analysis during workload execution"). A Collector
-// tracks, per column, how often the column is queried and where in its value
-// domain predicates land, with exponential decay so that shifting workloads
-// age out stale knowledge. The holistic tuner consumes two signals:
+// Package stats is the kernel's one workload sketch: continuous monitoring
+// of where queries land, the statistical substrate holistic indexing shares
+// with online indexing (Table 1 of the paper: "statistical analysis during
+// workload execution"). A Collector keeps, per column, one equi-width bucket
+// geometry over the column's value domain and feeds it from one write path;
+// everything the tuner asks is a read-only view over that state.
+//
+// Where queries were (always on), decayed per noted query so a shifting
+// workload ages out stale knowledge:
 //
 //   - Frequency: the decayed share of recent queries touching a column,
 //     which weights the ranking scheme's "which column next?" decision;
-//   - hot ranges: histogram regions hit more than a threshold number of
-//     times, which trigger query-time auxiliary cracks (the paper's
-//     "this column and this value range is rather hot" case).
+//   - IsHot: whether a bucket a query overlaps was hit more than a threshold
+//     number of times, which triggers query-time auxiliary cracks (the
+//     paper's "this column and this value range is rather hot" case).
+//
+// Where they will be next (after TrackDrift; the shape follows Predictive
+// Indexing, Arulraj et al., and Learned Adaptive Indexing, Das & Ray — see
+// PAPERS.md), a deliberately lightweight linear drift model over the same
+// buckets:
+//
+//   - observations accumulate, undecayed, into the open epoch, which closes
+//     every epochQueries queries of the column; epoch masses are normalised,
+//     so only the *shape* of the workload matters (scaling every observation
+//     weight by a constant leaves predictions unchanged — the metamorphic
+//     property the tests pin);
+//   - per-bucket trend is an EWMA of normalised-mass deltas between epochs,
+//     sharpening predictions toward a moving range's leading edge;
+//   - drift velocity is an EWMA of the hot-mass centroid's movement per
+//     epoch (in bucket units), with an EWMA of its squared residuals as the
+//     variance estimate. Confidence is 1/(1+variance): a stationary or
+//     constant-drift stream converges to 1, while a range that teleports
+//     unpredictably drives the variance up and the confidence toward 0, so
+//     adversarial workloads suppress speculation on their own.
+//
+// Predict projects the last epoch's masses (plus trend) forward by the
+// rounded velocity and returns the top-scoring buckets coalesced into value
+// ranges, each carrying its share of the column's confidence. All bucket
+// arithmetic is done in unsigned 64-bit offsets from the domain origin, so
+// domains spanning the entire int64 range (the wrap class PR 7 fixed in the
+// cracker) cannot overflow; predicted ranges are unions of whole buckets
+// inside the registered domain (FuzzForecastObserve pins both properties).
 package stats
 
 import (
@@ -19,12 +49,35 @@ import (
 	"sync"
 )
 
-// DefaultBuckets is the number of equi-width histogram buckets per column.
-const DefaultBuckets = 64
+const (
+	// Buckets is the number of equi-width histogram buckets per column.
+	Buckets = 64
+	// Decay is the per-query multiplicative decay applied to the hit counts
+	// and the frequency mass. 0.999 halves a counter's weight roughly every
+	// 700 queries.
+	Decay = 0.999
+	// DefaultEpochQueries is how many noted queries close one drift epoch.
+	DefaultEpochQueries = 32
 
-// DefaultDecay is the per-query multiplicative decay applied to all counters.
-// 0.999 halves a counter's weight roughly every 700 queries.
-const DefaultDecay = 0.999
+	// trendAlpha is the EWMA weight of the newest mass delta.
+	trendAlpha = 0.5
+	// velocityAlpha is the EWMA weight of the newest centroid move.
+	velocityAlpha = 0.5
+	// trendGamma weights the trend term against the mass term when scoring
+	// buckets.
+	trendGamma = 1.0
+	// topK is how many top-scoring buckets Predict considers before
+	// coalescing adjacent ones into ranges.
+	topK = 4
+	// minConfidence is the confidence floor below which Predict returns
+	// nothing: with no consistent drift evidence, speculating is worse than
+	// staying reactive.
+	minConfidence = 0.1
+	// maxWeight caps RecordWeighted's weight so adversarial inputs cannot
+	// push an epoch's mass sum to +Inf (which would poison the
+	// normalisation with NaNs).
+	maxWeight = 1e12
+)
 
 // Range is a half-open value interval [Lo, Hi).
 type Range struct {
@@ -40,46 +93,56 @@ func (r Range) Overlaps(o Range) bool { return r.Lo < o.Hi && o.Lo < r.Hi }
 // String renders the range for diagnostics.
 func (r Range) String() string { return fmt.Sprintf("[%d,%d)", r.Lo, r.Hi) }
 
-// columnStats is the per-column state. All access goes through Collector's
+// Prediction is one range expected to be hot next, with the sketch's
+// confidence share in it.
+type Prediction struct {
+	Range      Range
+	Confidence float64
+}
+
+// columnStats is the per-column sketch. All access goes through Collector's
 // lock.
 type columnStats struct {
 	domain  Range
 	width   uint64  // bucket width in value units (unsigned: full-domain safe)
-	queries uint64  // raw query count (never decayed)
-	decayed float64 // decayed query count
+	queries uint64  // noted queries (never decayed, weight-independent)
+	decayed float64 // decayed query mass
 	lastSeq uint64  // collector sequence at last touch (for lazy decay)
-	buckets []float64
+	hits    [Buckets]float64
+
+	// Drift model; fed only while the collector tracks drift.
+	cur        [Buckets]float64 // the open epoch's accumulating masses
+	curQueries int              // queries in the open epoch (weight-independent)
+	mass       [Buckets]float64 // normalised masses at the last epoch close
+	trend      [Buckets]float64 // EWMA of normalised-mass deltas per bucket
+	epochs     int              // closed epochs that carried mass
+	center     float64          // last epoch's mass centroid, in bucket units
+	hasCenter  bool
+	velocity   float64 // EWMA centroid drift per epoch (bucket units)
+	velVar     float64 // EWMA of squared velocity residuals
+	velSamples int
 }
 
-func (cs *columnStats) catchUp(seq uint64, decay float64) {
+func (cs *columnStats) catchUp(seq uint64) {
 	if cs.lastSeq == seq {
 		return
 	}
-	f := math.Pow(decay, float64(seq-cs.lastSeq))
+	f := math.Pow(Decay, float64(seq-cs.lastSeq))
 	cs.decayed *= f
-	for i := range cs.buckets {
-		cs.buckets[i] *= f
+	for i := range cs.hits {
+		cs.hits[i] *= f
 	}
 	cs.lastSeq = seq
 }
 
-// bucketOf maps a value to its histogram bucket. The offset from the domain
-// origin is computed in uint64: an int64 subtraction would wrap for domains
-// wider than half the value space (e.g. a column holding both MinInt64 and
-// MaxInt64), yielding a negative bucket index and an out-of-range panic in
-// RecordQuery — the same wrap class PR 7 fixed in the cracker.
+// bucketOf maps a value inside the domain to its bucket. The offset from the
+// domain origin is computed in uint64: an int64 subtraction would wrap for
+// domains wider than half the value space (e.g. a column holding both
+// MinInt64 and MaxInt64), yielding a negative bucket index — the same wrap
+// class PR 7 fixed in the cracker. The last bucket absorbs the remainder of
+// a span that is not a multiple of the bucket count.
 func (cs *columnStats) bucketOf(v int64) int {
-	if v < cs.domain.Lo {
-		return 0
-	}
-	if v >= cs.domain.Hi {
-		return len(cs.buckets) - 1
-	}
-	b := int((uint64(v) - uint64(cs.domain.Lo)) / cs.width)
-	if b >= len(cs.buckets) {
-		b = len(cs.buckets) - 1
-	}
-	return b
+	return int(min((uint64(v)-uint64(cs.domain.Lo))/cs.width, Buckets-1))
 }
 
 // bucketRange returns the value interval covered by bucket b, clamped to the
@@ -87,64 +150,54 @@ func (cs *columnStats) bucketOf(v int64) int {
 // collapse to empty ranges at the domain's top; they never accumulate hits.
 func (cs *columnStats) bucketRange(b int) Range {
 	span := uint64(cs.domain.Hi) - uint64(cs.domain.Lo)
-	lo := uint64(b) * cs.width
-	if lo > span {
-		lo = span
-	}
+	lo := min(uint64(b)*cs.width, span)
 	hi := uint64(b+1) * cs.width
-	if hi > span || b == len(cs.buckets)-1 {
+	if hi > span || b == Buckets-1 {
 		hi = span
 	}
 	base := uint64(cs.domain.Lo)
 	return Range{Lo: int64(base + lo), Hi: int64(base + hi)}
 }
 
+// bucketSpan resolves the buckets [b0, b1] a query [lo, hi) overlaps. ok is
+// false for an empty query and for one lying entirely outside the domain:
+// neither says anything about where in the domain the workload is.
+func (cs *columnStats) bucketSpan(lo, hi int64) (b0, b1 int, ok bool) {
+	if lo >= hi || hi <= cs.domain.Lo || lo >= cs.domain.Hi {
+		return 0, 0, false
+	}
+	return cs.bucketOf(max(lo, cs.domain.Lo)), cs.bucketOf(min(hi-1, cs.domain.Hi-1)), true
+}
+
 // Collector aggregates workload statistics across columns. It is safe for
 // concurrent use.
 type Collector struct {
-	mu      sync.Mutex
-	cols    map[string]*columnStats
-	seq     uint64
-	decay   float64
-	buckets int
+	mu    sync.Mutex
+	cols  map[string]*columnStats
+	seq   uint64 // noted queries across all columns: the decay clock
+	epoch int    // drift epoch length in queries; 0 = drift tracking off
 }
 
-// Option configures a Collector.
-type Option func(*Collector)
-
-// WithDecay sets the per-query decay factor (0 < d <= 1).
-func WithDecay(d float64) Option {
-	return func(c *Collector) {
-		if d > 0 && d <= 1 {
-			c.decay = d
-		}
-	}
+// NewCollector returns an empty collector with drift tracking off.
+func NewCollector() *Collector {
+	return &Collector{cols: map[string]*columnStats{}}
 }
 
-// WithBuckets sets the histogram resolution per column.
-func WithBuckets(n int) Option {
-	return func(c *Collector) {
-		if n > 0 {
-			c.buckets = n
-		}
+// TrackDrift turns the drift model on with the given epoch length in noted
+// queries per column (<= 0 selects DefaultEpochQueries). Until it is called
+// no epoch ever closes, so Confidence is 0 and Predict returns nothing.
+func (c *Collector) TrackDrift(epochQueries int) {
+	if epochQueries <= 0 {
+		epochQueries = DefaultEpochQueries
 	}
+	c.mu.Lock()
+	c.epoch = epochQueries
+	c.mu.Unlock()
 }
 
-// NewCollector returns an empty collector.
-func NewCollector(opts ...Option) *Collector {
-	c := &Collector{
-		cols:    map[string]*columnStats{},
-		decay:   DefaultDecay,
-		buckets: DefaultBuckets,
-	}
-	for _, o := range opts {
-		o(c)
-	}
-	return c
-}
-
-// Register introduces a column with its value domain. Registering an already
-// known column resets its statistics (the domain may have changed).
+// Register introduces a column with its value domain [domLo, domHi).
+// Registering an already known column resets its sketch (the domain may have
+// changed).
 func (c *Collector) Register(col string, domLo, domHi int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -157,29 +210,32 @@ func (c *Collector) Register(col string, domLo, domHi int64) {
 	// Bucket width in unsigned offset units so a domain spanning more than
 	// half the int64 space (uint64(domHi)-uint64(domLo) wraps correctly)
 	// cannot produce a negative width.
-	width := (uint64(domHi) - uint64(domLo)) / uint64(c.buckets)
-	if width == 0 {
-		width = 1
-	}
+	width := max((uint64(domHi)-uint64(domLo))/Buckets, 1)
 	c.cols[col] = &columnStats{
 		domain:  Range{Lo: domLo, Hi: domHi},
 		width:   width,
-		buckets: make([]float64, c.buckets),
 		lastSeq: c.seq,
 	}
-}
-
-// Registered reports whether the column is known.
-func (c *Collector) Registered(col string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.cols[col]
-	return ok
 }
 
 // RecordQuery notes a range query [lo, hi) against a column. Queries against
 // unregistered columns are ignored (the caller registers on table creation).
 func (c *Collector) RecordQuery(col string, lo, hi int64) {
+	c.RecordWeighted(col, lo, hi, 1)
+}
+
+// RecordWeighted notes a range query with mass weight w (e.g. a seeded
+// workload hint). The weight scales frequency and bucket mass, but the
+// observation is still ONE query on the decay clock and the epoch clock —
+// weight is mass, not arrivals — so uniformly scaling every weight leaves
+// all predictions unchanged. Non-positive (and NaN) weights are ignored. An
+// empty range, or one entirely outside the domain, counts toward the
+// column's frequency but adds no bucket mass and does not advance the epoch.
+func (c *Collector) RecordWeighted(col string, lo, hi int64, w float64) {
+	if !(w > 0) {
+		return
+	}
+	w = min(w, maxWeight)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.seq++
@@ -187,20 +243,66 @@ func (c *Collector) RecordQuery(col string, lo, hi int64) {
 	if !ok {
 		return
 	}
-	cs.catchUp(c.seq, c.decay)
+	cs.catchUp(c.seq)
 	cs.queries++
-	cs.decayed++
-	if lo >= hi {
+	cs.decayed += w
+	b0, b1, ok := cs.bucketSpan(lo, hi)
+	if !ok {
 		return
 	}
-	b0 := cs.bucketOf(lo)
-	b1 := cs.bucketOf(hi - 1)
 	for b := b0; b <= b1; b++ {
-		cs.buckets[b]++
+		cs.hits[b] += w
+	}
+	if c.epoch == 0 {
+		return
+	}
+	for b := b0; b <= b1; b++ {
+		cs.cur[b] += w
+	}
+	cs.curQueries++
+	if cs.curQueries >= c.epoch {
+		cs.closeEpoch()
 	}
 }
 
-// Queries returns the raw (undecayed) query count for a column.
+// closeEpoch folds the open epoch into the drift model: normalise, update
+// per-bucket trend, move the centroid, update velocity and its variance.
+func (cs *columnStats) closeEpoch() {
+	total := 0.0
+	for _, m := range cs.cur {
+		total += m
+	}
+	cur := cs.cur
+	cs.cur, cs.curQueries = [Buckets]float64{}, 0
+	if !(total > 0) || math.IsInf(total, 0) {
+		return // degenerate epoch: keep the previous model untouched
+	}
+	center := 0.0
+	for b := range cur {
+		nm := cur[b] / total
+		if cs.epochs > 0 {
+			cs.trend[b] += trendAlpha * (nm - cs.mass[b] - cs.trend[b])
+		}
+		cs.mass[b] = nm
+		center += (float64(b) + 0.5) * nm
+	}
+	if cs.hasCenter {
+		v := center - cs.center
+		if cs.velSamples == 0 {
+			cs.velocity, cs.velVar = v, 0
+		} else {
+			resid := v - cs.velocity
+			cs.velocity += velocityAlpha * (v - cs.velocity)
+			cs.velVar += velocityAlpha * (resid*resid - cs.velVar)
+		}
+		cs.velSamples++
+	}
+	cs.center, cs.hasCenter = center, true
+	cs.epochs++
+}
+
+// Queries returns how many queries were noted for a column (undecayed; a
+// weighted observation counts once).
 func (c *Collector) Queries(col string) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -210,14 +312,7 @@ func (c *Collector) Queries(col string) uint64 {
 	return 0
 }
 
-// Seq returns the global query sequence number.
-func (c *Collector) Seq() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.seq
-}
-
-// Frequency returns the column's decayed query count normalised by the total
+// Frequency returns the column's decayed query mass normalised by the total
 // across all registered columns — a value in [0, 1] once any query has been
 // seen. With no recorded queries at all it returns equal shares, the
 // "no workload knowledge" prior that makes the tuner spread actions round-
@@ -229,46 +324,15 @@ func (c *Collector) Frequency(col string) float64 {
 	if !ok {
 		return 0
 	}
-	cs.catchUp(c.seq, c.decay)
 	total := 0.0
 	for _, other := range c.cols {
-		other.catchUp(c.seq, c.decay)
+		other.catchUp(c.seq)
 		total += other.decayed
 	}
 	if total < 1e-9 {
 		return 1 / float64(len(c.cols))
 	}
 	return cs.decayed / total
-}
-
-// HotRange describes a histogram bucket whose decayed hit count crossed a
-// threshold.
-type HotRange struct {
-	Range Range
-	Hits  float64
-}
-
-// HotRanges returns up to k histogram buckets of the column with decayed hit
-// counts >= threshold, hottest first.
-func (c *Collector) HotRanges(col string, threshold float64, k int) []HotRange {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cs, ok := c.cols[col]
-	if !ok {
-		return nil
-	}
-	cs.catchUp(c.seq, c.decay)
-	var out []HotRange
-	for b, hits := range cs.buckets {
-		if hits >= threshold {
-			out = append(out, HotRange{Range: cs.bucketRange(b), Hits: hits})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Hits > out[j].Hits })
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
 }
 
 // IsHot reports whether any histogram bucket overlapping [lo, hi) has a
@@ -278,55 +342,124 @@ func (c *Collector) IsHot(col string, lo, hi int64, threshold float64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cs, ok := c.cols[col]
-	if !ok || lo >= hi {
+	if !ok {
 		return false
 	}
-	cs.catchUp(c.seq, c.decay)
-	b0 := cs.bucketOf(lo)
-	b1 := cs.bucketOf(hi - 1)
+	b0, b1, ok := cs.bucketSpan(lo, hi)
+	if !ok {
+		return false
+	}
+	cs.catchUp(c.seq)
 	for b := b0; b <= b1; b++ {
-		if cs.buckets[b] >= threshold {
+		if cs.hits[b] >= threshold {
 			return true
 		}
 	}
 	return false
 }
 
-// Summary is a point-in-time snapshot of one column's statistics.
-type Summary struct {
-	Column    string
-	Domain    Range
-	Queries   uint64
-	Decayed   float64
-	Frequency float64
+// confidence is 1/(1+velocityVariance): 1 for a stationary or constant-drift
+// stream, near 0 for a teleporting one. Zero until two velocity samples
+// exist (three closed epochs) — no evidence, no speculation.
+func (cs *columnStats) confidence() float64 {
+	if cs.velSamples < 2 {
+		return 0
+	}
+	return 1 / (1 + cs.velVar)
 }
 
-// Snapshot returns summaries for all registered columns, sorted by column
-// name for deterministic output.
-func (c *Collector) Snapshot() []Summary {
+// Confidence returns the column's current drift confidence in [0, 1].
+func (c *Collector) Confidence(col string) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	total := 0.0
-	for _, cs := range c.cols {
-		cs.catchUp(c.seq, c.decay)
-		total += cs.decayed
+	if cs, ok := c.cols[col]; ok {
+		return cs.confidence()
 	}
-	out := make([]Summary, 0, len(c.cols))
-	for name, cs := range c.cols {
-		f := 0.0
-		if total >= 1e-9 {
-			f = cs.decayed / total
-		} else if len(c.cols) > 0 {
-			f = 1 / float64(len(c.cols))
+	return 0
+}
+
+// Epochs returns how many drift epochs the column's model has closed.
+func (c *Collector) Epochs(col string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cs, ok := c.cols[col]; ok {
+		return cs.epochs
+	}
+	return 0
+}
+
+// Predict returns the value ranges expected to be hot next, best first, each
+// carrying its share of the column's confidence. It returns nil for unknown
+// or not-yet-learned columns and whenever confidence is below the floor, so
+// callers can treat "no prediction" and "don't speculate" the same way.
+// Every returned range is a non-empty union of whole adjacent buckets inside
+// the registered domain.
+func (c *Collector) Predict(col string) []Prediction {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cs, ok := c.cols[col]
+	if !ok || cs.epochs == 0 {
+		return nil
+	}
+	conf := cs.confidence()
+	if conf < minConfidence {
+		return nil
+	}
+	shift := int(math.Round(cs.velocity))
+	var score [Buckets]float64
+	// Top-K buckets by (score desc, bucket asc) — deterministic.
+	order := make([]int, 0, Buckets)
+	for b := range score {
+		src := b - shift
+		if src < 0 || src >= Buckets {
+			continue
 		}
-		out = append(out, Summary{
-			Column:    name,
-			Domain:    cs.domain,
-			Queries:   cs.queries,
-			Decayed:   cs.decayed,
-			Frequency: f,
-		})
+		if s := cs.mass[src] + trendGamma*cs.trend[src]; s > 0 {
+			score[b] = s
+			order = append(order, b)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Column < out[j].Column })
+	if len(order) == 0 {
+		return nil
+	}
+	sort.Slice(order, func(i, j int) bool {
+		bi, bj := order[i], order[j]
+		if score[bi] != score[bj] {
+			return score[bi] > score[bj]
+		}
+		return bi < bj
+	})
+	order = order[:min(len(order), topK)]
+	total := 0.0
+	for _, b := range order {
+		total += score[b]
+	}
+	// Coalesce adjacent picked buckets into ranges; each range's confidence
+	// is the column confidence weighted by its score share.
+	sort.Ints(order)
+	var out []Prediction
+	for i := 0; i < len(order); {
+		j := i
+		mass := 0.0
+		for j < len(order) && order[j] == order[i]+(j-i) {
+			mass += score[order[j]]
+			j++
+		}
+		lo := cs.bucketRange(order[i]).Lo
+		hi := cs.bucketRange(order[j-1]).Hi
+		if lo < hi {
+			out = append(out, Prediction{
+				Range:      Range{Lo: lo, Hi: hi},
+				Confidence: conf * (mass / total),
+			})
+		}
+		i = j
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Confidence != out[j].Confidence {
+			return out[i].Confidence > out[j].Confidence
+		}
+		return out[i].Range.Lo < out[j].Range.Lo
+	})
 	return out
 }

@@ -25,12 +25,6 @@ func TestRegisterFullInt64Domain(t *testing.T) {
 	if !c.IsHot("c", -10, -1, 1) {
 		t.Fatal("recorded negative-half range not hot")
 	}
-	dom := Range{Lo: math.MinInt64, Hi: math.MaxInt64}
-	for _, hr := range c.HotRanges("c", 1, 0) {
-		if hr.Range.Lo < dom.Lo || hr.Range.Hi > dom.Hi || hr.Range.Lo >= hr.Range.Hi {
-			t.Fatalf("hot range %v outside domain %v", hr.Range, dom)
-		}
-	}
 }
 
 // Degenerate registrations must normalise without wrapping, including the
@@ -48,23 +42,26 @@ func TestRegisterDegenerateDomains(t *testing.T) {
 	// collapse to empty ranges and must never be reported hot.
 	c.Register("narrow", 0, 10)
 	c.RecordQuery("narrow", 0, 10)
-	for _, hr := range c.HotRanges("narrow", 0.5, 0) {
-		if hr.Range.Lo >= hr.Range.Hi || hr.Range.Hi > 10 {
-			t.Fatalf("narrow-domain hot range %v invalid", hr.Range)
+	cs := c.cols["narrow"]
+	for b, hits := range cs.hits {
+		if r := cs.bucketRange(b); (hits > 0) != (r.Lo < r.Hi) || r.Hi > 10 {
+			t.Fatalf("narrow-domain bucket %d %v has %g hits", b, r, hits)
 		}
 	}
 }
 
 // Bucket boundary values must land in the bucket whose half-open range
 // contains them: v = k*width belongs to bucket k, v = k*width-1 to bucket
-// k-1, and values outside the domain clamp to the edge buckets.
+// k-1, and the part of a query outside the domain clamps to the edge buckets.
 func TestBucketBoundaryValues(t *testing.T) {
 	c := NewCollector() // 64 buckets over [0, 640): width exactly 10
 	c.Register("c", 0, 640)
 	c.RecordQuery("c", 10, 20) // exactly bucket 1
-	hot := c.HotRanges("c", 1, 0)
-	if len(hot) != 1 || hot[0].Range != (Range{Lo: 10, Hi: 20}) {
-		t.Fatalf("boundary-aligned query hot ranges = %v, want exactly [10,20)", hot)
+	cs := c.cols["c"]
+	for b, hits := range cs.hits {
+		if r := cs.bucketRange(b); (hits >= 1) != (r == Range{Lo: 10, Hi: 20}) {
+			t.Fatalf("boundary-aligned query: bucket %d %v has %g hits, want exactly [10,20) hit", b, r, hits)
+		}
 	}
 	if c.IsHot("c", 0, 10, 1) || c.IsHot("c", 20, 30, 1) {
 		t.Fatal("neighbouring buckets contaminated by boundary-aligned query")
@@ -75,12 +72,39 @@ func TestBucketBoundaryValues(t *testing.T) {
 		t.Fatal("straddling query bucket assignment wrong")
 	}
 	// The domain edges clamp instead of indexing out of range.
-	c.RecordQuery("c", -100, -50)
-	c.RecordQuery("c", 700, 800)
+	c.RecordQuery("c", -100, 1)
+	c.RecordQuery("c", 639, 800)
 	// Threshold below 1: each RecordQuery advances the decay clock, so the
 	// earlier hit has decayed slightly by the time we read it.
 	if !c.IsHot("c", 0, 1, 0.9) || !c.IsHot("c", 639, 640, 0.9) {
-		t.Fatal("out-of-domain queries did not clamp to edge buckets")
+		t.Fatal("queries straddling the domain edges did not clamp to edge buckets")
+	}
+}
+
+// One geometry: on the full int64 space, a domain narrower than the bucket
+// count and one whose span leaves the last bucket a remainder, a stream that
+// walks up to the top bucket and stays there predicts whole buckets.
+func TestPredictionsAreWholeBuckets(t *testing.T) {
+	for _, dom := range []Range{
+		{math.MinInt64, math.MaxInt64},
+		{-1, 2},
+		{1000, 1000 + 64*37 + 1},
+	} {
+		c := newDrift(4)
+		c.Register("c", dom.Lo, dom.Hi)
+		cs := c.cols["c"]
+		top := cs.bucketOf(dom.Hi - 1)
+		predicted := 0
+		for _, b := range []int{top - 2, top - 1, top, top, top, top} {
+			r := cs.bucketRange(b)
+			for i := 0; i < 4; i++ {
+				c.RecordQuery("c", r.Lo, r.Hi)
+			}
+			predicted += checkPredictions(t, c, "c")
+		}
+		if predicted == 0 {
+			t.Fatalf("domain %v: stream produced no predictions to check", dom)
+		}
 	}
 }
 

@@ -6,9 +6,10 @@ import (
 )
 
 // TestConcurrentCollector hammers the collector from multiple goroutines;
-// run with -race. Frequencies must stay normalised throughout.
+// run with -race, drift tracking on so the writers close epochs under the
+// Predict / Confidence readers. Frequencies must stay normalised throughout.
 func TestConcurrentCollector(t *testing.T) {
-	c := NewCollector()
+	c := newDrift(16)
 	cols := []string{"a", "b", "c"}
 	for _, col := range cols {
 		c.Register(col, 0, 100000)
@@ -18,7 +19,7 @@ func TestConcurrentCollector(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			col := cols[g%len(cols)]
+			col := cols[g/3] // one writer and two readers per column
 			for i := 0; i < 500; i++ {
 				switch g % 3 {
 				case 0:
@@ -31,8 +32,11 @@ func TestConcurrentCollector(t *testing.T) {
 					}
 				case 2:
 					c.IsHot(col, 0, 1000, 3)
-					c.HotRanges(col, 1, 4)
-					c.Snapshot()
+					c.Predict(col)
+					if conf := c.Confidence(col); conf < 0 || conf > 1 {
+						t.Errorf("confidence out of range: %f", conf)
+						return
+					}
 				}
 			}
 		}(g)

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -28,13 +29,10 @@ func TestUnregisteredColumn(t *testing.T) {
 	if c.Frequency("ghost") != 0 {
 		t.Fatal("unregistered column has frequency")
 	}
-	if c.HotRanges("ghost", 1, 5) != nil {
-		t.Fatal("unregistered column has hot ranges")
-	}
 	if c.IsHot("ghost", 0, 10, 1) {
 		t.Fatal("unregistered column is hot")
 	}
-	if c.Registered("ghost") {
+	if _, ok := c.cols["ghost"]; ok {
 		t.Fatal("ghost registered")
 	}
 }
@@ -52,8 +50,8 @@ func TestQueryCounting(t *testing.T) {
 	if c.Queries("a") != 30 || c.Queries("b") != 10 {
 		t.Fatalf("counts %d/%d", c.Queries("a"), c.Queries("b"))
 	}
-	if c.Seq() != 40 {
-		t.Fatalf("seq %d", c.Seq())
+	if c.seq != 40 {
+		t.Fatalf("seq %d", c.seq)
 	}
 	fa, fb := c.Frequency("a"), c.Frequency("b")
 	if fa <= fb {
@@ -79,7 +77,7 @@ func TestNoKnowledgePrior(t *testing.T) {
 }
 
 func TestDecayShiftsFrequency(t *testing.T) {
-	c := NewCollector(WithDecay(0.9))
+	c := NewCollector()
 	c.Register("old", 0, 100)
 	c.Register("new", 0, 100)
 	for i := 0; i < 50; i++ {
@@ -95,19 +93,12 @@ func TestDecayShiftsFrequency(t *testing.T) {
 }
 
 func TestHotRanges(t *testing.T) {
-	c := NewCollector(WithBuckets(10), WithDecay(1.0))
-	c.Register("a", 0, 1000) // buckets of width 100
+	c := NewCollector()
+	c.Register("a", 0, 6400) // buckets of width 100
 	for i := 0; i < 20; i++ {
 		c.RecordQuery("a", 150, 180) // bucket 1
 	}
 	c.RecordQuery("a", 850, 870) // bucket 8, once
-	hot := c.HotRanges("a", 10, 0)
-	if len(hot) != 1 {
-		t.Fatalf("hot ranges: %v", hot)
-	}
-	if hot[0].Range.Lo != 100 || hot[0].Range.Hi != 200 {
-		t.Fatalf("hot bucket %v", hot[0].Range)
-	}
 	if !c.IsHot("a", 160, 170, 10) {
 		t.Fatal("IsHot missed the hot bucket")
 	}
@@ -115,49 +106,39 @@ func TestHotRanges(t *testing.T) {
 		t.Fatal("IsHot false positive")
 	}
 	// Query spanning hot and cold buckets counts as hot.
-	if !c.IsHot("a", 0, 1000, 10) {
+	if !c.IsHot("a", 0, 6400, 10) {
 		t.Fatal("spanning query should be hot")
 	}
 }
 
-func TestHotRangesTopK(t *testing.T) {
-	c := NewCollector(WithBuckets(4), WithDecay(1.0))
-	c.Register("a", 0, 400)
-	for i := 0; i < 5; i++ {
-		c.RecordQuery("a", 0, 50)
-	}
-	for i := 0; i < 9; i++ {
-		c.RecordQuery("a", 100, 150)
-	}
-	for i := 0; i < 7; i++ {
-		c.RecordQuery("a", 200, 250)
-	}
-	hot := c.HotRanges("a", 1, 2)
-	if len(hot) != 2 {
-		t.Fatalf("top-k: %v", hot)
-	}
-	if hot[0].Hits < hot[1].Hits {
-		t.Fatal("hot ranges not sorted")
-	}
-	if hot[0].Range.Lo != 100 {
-		t.Fatalf("hottest bucket %v", hot[0].Range)
-	}
-}
-
+// A query entirely outside the domain carries no location information: it
+// raises the column's query count and frequency, adds no bucket mass (so
+// nothing turns hot, not even the query's own range) and does not advance
+// the drift epoch. Neither does a degenerate predicate.
 func TestDomainEdgeQueries(t *testing.T) {
-	c := NewCollector(WithBuckets(8))
+	c := newDrift(4)
 	c.Register("a", -100, 100)
-	// Out-of-domain predicates clamp to edge buckets without panicking.
-	c.RecordQuery("a", -1000, -150)
-	c.RecordQuery("a", 150, 1000)
-	c.RecordQuery("a", -1000, 1000)
-	if c.Queries("a") != 3 {
+	c.Register("b", -100, 100)
+	c.RecordQuery("b", 0, 10)
+	before := c.Frequency("a")
+	for i := 0; i < 10; i++ {
+		c.RecordQuery("a", -1000, -150)
+		c.RecordQuery("a", 100, 1000)
+		c.RecordQuery("a", 50, 50)
+	}
+	if c.Queries("a") != 30 {
 		t.Fatalf("queries %d", c.Queries("a"))
 	}
-	// Degenerate predicate records the query but no bucket hits.
-	c.RecordQuery("a", 50, 50)
-	if c.Queries("a") != 4 {
-		t.Fatal("degenerate query not counted")
+	if after := c.Frequency("a"); after <= before {
+		t.Fatalf("frequency %g did not rise above %g", after, before)
+	}
+	for _, q := range []Range{{-1000, -150}, {100, 1000}, {-100, -99}, {99, 100}, {-1000, 1000}} {
+		if c.IsHot("a", q.Lo, q.Hi, 1e-9) {
+			t.Fatalf("%v hot after out-of-domain queries only", q)
+		}
+	}
+	if e := c.Epochs("a"); e != 0 {
+		t.Fatalf("out-of-domain queries closed %d epochs, want 0", e)
 	}
 }
 
@@ -169,7 +150,7 @@ func TestRegisterResets(t *testing.T) {
 	if c.Queries("a") != 0 {
 		t.Fatal("re-registration kept old counts")
 	}
-	if !c.Registered("a") {
+	if _, ok := c.cols["a"]; !ok {
 		t.Fatal("column lost")
 	}
 }
@@ -180,35 +161,6 @@ func TestSingleValueDomain(t *testing.T) {
 	c.RecordQuery("a", 5, 6)
 	if c.Queries("a") != 1 {
 		t.Fatal("degenerate domain broke recording")
-	}
-}
-
-func TestSnapshot(t *testing.T) {
-	c := NewCollector()
-	c.Register("b", 0, 10)
-	c.Register("a", 0, 10)
-	c.RecordQuery("a", 0, 5)
-	snap := c.Snapshot()
-	if len(snap) != 2 || snap[0].Column != "a" || snap[1].Column != "b" {
-		t.Fatalf("snapshot order: %+v", snap)
-	}
-	if snap[0].Queries != 1 || snap[1].Queries != 0 {
-		t.Fatalf("snapshot counts: %+v", snap)
-	}
-	if snap[0].Frequency <= snap[1].Frequency {
-		t.Fatal("snapshot frequencies wrong")
-	}
-}
-
-func TestSnapshotNoQueriesPrior(t *testing.T) {
-	c := NewCollector()
-	c.Register("a", 0, 10)
-	c.Register("b", 0, 10)
-	snap := c.Snapshot()
-	for _, s := range snap {
-		if math.Abs(s.Frequency-0.5) > 1e-9 {
-			t.Fatalf("prior snapshot frequency %f", s.Frequency)
-		}
 	}
 }
 
@@ -240,11 +192,15 @@ func TestPropertyFrequenciesSumToOne(t *testing.T) {
 }
 
 func BenchmarkRecordQuery(b *testing.B) {
-	c := NewCollector()
-	c.Register("a", 0, 1<<30)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lo := int64(i%(1<<20)) * 1000
-		c.RecordQuery("a", lo, lo+1<<20)
+	for _, c := range []*Collector{NewCollector(), newDrift(0)} {
+		b.Run(fmt.Sprintf("drift=%v", c.epoch > 0), func(b *testing.B) {
+			c.Register("a", 0, 1<<30)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo := int64(i%(1<<20)) * 1000
+				c.RecordQuery("a", lo, lo+1<<20)
+			}
+		})
 	}
 }
