@@ -227,16 +227,6 @@ func IndexedSelectCost(n int, selectivity float64) float64 {
 	return 2*math.Log2(float64(n)+1) + selectivity*float64(n)
 }
 
-// CrackedSelectCost is the expected cost of a cracked select when the column
-// is cracked into pieces of avgPieceSize: partitioning the bound pieces with
-// the predicated loops plus touching the qualifying tuples.
-func CrackedSelectCost(n int, avgPieceSize, selectivity float64) float64 {
-	if n == 0 {
-		return 0
-	}
-	return PredicatedCrackFactor*2*avgPieceSize + selectivity*float64(n)
-}
-
 // CrackActionCost is the expected cost of one random refinement action:
 // one predicated partition sweep of an average piece.
 func CrackActionCost(avgPieceSize float64) float64 {

@@ -61,13 +61,8 @@ func TestOperatorCosts(t *testing.T) {
 	if IndexedSelectCost(n, 0.01) >= ScanCost(n) {
 		t.Fatal("indexed select must beat a scan at 1% selectivity")
 	}
-	if IndexedSelectCost(0, 0.5) != 0 || CrackedSelectCost(0, 10, 0.5) != 0 {
+	if IndexedSelectCost(0, 0.5) != 0 {
 		t.Fatal("empty column costs")
-	}
-	// A freshly cracked column (huge pieces) costs more per query than a
-	// converged one.
-	if CrackedSelectCost(n, float64(n), 0.01) <= CrackedSelectCost(n, 1024, 0.01) {
-		t.Fatal("cracked select cost not monotone in piece size")
 	}
 	if CrackActionCost(4096) != PredicatedCrackFactor*4096 {
 		t.Fatal("crack action cost")

@@ -20,6 +20,7 @@ func TestConcurrentCrackAndRead(t *testing.T) {
 	}
 	orig := append([]int64(nil), vals...)
 	ix := New(vals, rows)
+	ix.SetRadixMinPiece(n / 4) // the first touches scatter, later ones split
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, gs)
@@ -30,11 +31,17 @@ func TestConcurrentCrackAndRead(t *testing.T) {
 			grng := rand.New(rand.NewPCG(uint64(g), 9))
 			for i := 0; i < 300; i++ {
 				switch i % 3 {
-				case 0, 1: // cracking select
+				case 0, 1: // cracking select, by position and by boundary sums
 					lo := grng.Int64N(domain)
 					hi := lo + grng.Int64N(domain/64) + 1
-					from, to := ix.CrackRangeConcurrent(lo, hi)
-					c, s := ix.CountSumConcurrent(from, to)
+					var c int
+					var s int64
+					if i%3 == 0 {
+						from, to := ix.CrackRangeConcurrent(lo, hi)
+						c, s = ix.CountSumConcurrent(from, to)
+					} else {
+						c, s = ix.CrackCountSum(lo, hi)
+					}
 					wc, ws := naiveCountSum(orig, lo, hi)
 					if c != wc || s != ws {
 						errCh <- &rangeMismatch{lo, hi, c, wc, s, ws}
@@ -57,8 +64,8 @@ func TestConcurrentCrackAndRead(t *testing.T) {
 	if err := ix.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if c, s := ix.CountSum(0, ix.Len()); c != n {
-		t.Fatalf("values lost: %d/%d (sum %d)", c, n, s)
+	if c, s := ix.CountSum(0, ix.Len()); c != n || s != sumInt64(orig) {
+		t.Fatalf("values lost: count %d sum %d, want %d and %d", c, s, n, sumInt64(orig))
 	}
 	if p := ix.Pieces(); p < gs {
 		t.Fatalf("suspiciously few pieces after concurrent storm: %d", p)

@@ -30,7 +30,7 @@ func (ix *Index) Consolidate(minPiece int) int {
 		pos int
 	}
 	var bounds []bnd
-	ix.tree.Walk(func(key int64, pos int) bool {
+	ix.tree.Walk(func(key int64, pos int, _ int64) bool {
 		bounds = append(bounds, bnd{key, pos})
 		return true
 	})

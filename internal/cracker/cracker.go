@@ -11,6 +11,27 @@
 // Beyond query-driven cracking the package provides random crack actions —
 // partitioning a piece around an arbitrary pivot — which are the unit of
 // holistic indexing's idle-time work ("X index refinements" in the paper).
+//
+// # The boundary-sum invariant
+//
+// The engine's answer to a select is (count, sum), so every boundary also
+// records the wrapping (mod 2^64) sum of the cracked copy below its
+// position, and a range whose bounds are boundaries is answered by a
+// subtraction — no value is read. The invariant survives every mutator
+// because none of them changes the multiset of values below an existing
+// boundary except by the one value it is told about:
+//
+//   - a crack (in two, in three, or a radix pass) permutes values inside one
+//     piece only, so existing sums stand and each new boundary is seeded with
+//     its piece's base sum plus the sum of the side just partitioned below it;
+//   - a ripple insert or delete of v moves one value across each boundary
+//     above v's piece — the array below each of those gains or loses exactly
+//     v — so the walk that shifts their positions by ±1 shifts their sums by ±v;
+//   - Consolidate only removes boundaries;
+//   - RestoreIndex recomputes the sums from the restored copy, so a snapshot
+//     does not store them.
+//
+// Validate re-derives every sum from a running scan.
 package cracker
 
 import (
@@ -149,15 +170,22 @@ func (ix *Index) Rows() []uint32 { return ix.rows }
 // falls into. A boundary key exactly equal to v starts the piece. The caller
 // holds the index latch.
 func (ix *Index) pieceBounds(v int64) (int, int) {
-	start := 0
-	if _, pos, ok := ix.tree.Floor(v); ok {
-		start = pos
+	start, end, _ := ix.pieceBoundsSum(v)
+	return start, end
+}
+
+// pieceBoundsSum is pieceBounds plus base, the sum of the cracked copy below
+// the piece's start — what a new boundary inside the piece builds its own
+// sum on.
+func (ix *Index) pieceBoundsSum(v int64) (start, end int, base int64) {
+	if _, pos, sum, ok := ix.tree.Floor(v); ok {
+		start, base = pos, sum
 	}
-	end := len(ix.vals)
+	end = len(ix.vals)
 	if _, pos, ok := ix.tree.Higher(v); ok {
 		end = pos
 	}
-	return start, end
+	return start, end, base
 }
 
 // PieceOf returns the [start, end) positions of the piece that value v
@@ -189,24 +217,63 @@ func (ix *Index) MinRowOf(v int64, live func(row uint32) bool) (row uint32, ok b
 	return row, ok
 }
 
+// lookup returns the positions of the boundaries at lo and hi and the sum of
+// the values between them, or ok false when a bound is not a boundary yet (or
+// the range or index is empty). The caller holds the index latch.
+func (ix *Index) lookup(lo, hi int64) (from, to int, sum int64, ok bool) {
+	if lo >= hi || len(ix.vals) == 0 {
+		return 0, 0, 0, false
+	}
+	pLo, sLo, okLo := ix.tree.Get(lo)
+	pHi, sHi, okHi := ix.tree.Get(hi)
+	if !okLo || !okHi {
+		return 0, 0, 0, false
+	}
+	return pLo, pHi, sHi - sLo, true
+}
+
 // LookupRange reports, without cracking anything, whether crack boundaries
 // already exist for both lo and hi; if so it returns their positions. It is
 // the read-only fast path for selects on already-cracked ranges.
 func (ix *Index) LookupRange(lo, hi int64) (from, to int, ok bool) {
-	if lo >= hi {
-		return 0, 0, false
-	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
+	from, to, _, ok = ix.lookup(lo, hi)
+	return from, to, ok
+}
+
+// LookupCountSum answers [lo, hi) — tuple count and sum of values, the
+// projection checksum the engine uses to compare strategies — when crack
+// boundaries already exist for both bounds: one shared latch acquisition, two
+// tree descents and a subtraction, whatever the number of pieces or values in
+// between; the cracked copy is not read. ok false means a bound is not a
+// boundary yet (or the range or index is empty).
+func (ix *Index) LookupCountSum(lo, hi int64) (count int, sum int64, ok bool) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	from, to, sum, ok := ix.lookup(lo, hi)
+	return to - from, sum, ok
+}
+
+// CrackCountSum is the select operator: it answers [lo, hi) from the
+// boundaries when both exist (LookupCountSum) and otherwise cracks them in
+// under the exclusive latch (CrackRange) and answers from the boundaries it
+// just made. An empty or inverted range yields (0, 0).
+func (ix *Index) CrackCountSum(lo, hi int64) (count int, sum int64) {
+	if lo >= hi {
+		return 0, 0
+	}
+	if count, sum, ok := ix.LookupCountSum(lo, hi); ok {
+		return count, sum
+	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	if len(ix.vals) == 0 {
-		return 0, 0, false
+		return 0, 0
 	}
-	pLo, okLo := ix.tree.Get(lo)
-	pHi, okHi := ix.tree.Get(hi)
-	if !okLo || !okHi {
-		return 0, 0, false
-	}
-	return pLo, pHi, true
+	ix.crackRange(lo, hi)
+	from, to, sum, _ := ix.lookup(lo, hi)
+	return to - from, sum
 }
 
 // CrackRange ensures crack boundaries exist for lo and hi and returns the
@@ -238,8 +305,8 @@ func (ix *Index) CrackRangeConcurrent(lo, hi int64) (from, to int) {
 
 // crackRange is CrackRange with the exclusive latch held and lo < hi.
 func (ix *Index) crackRange(lo, hi int64) (from, to int) {
-	pLo, okLo := ix.tree.Get(lo)
-	pHi, okHi := ix.tree.Get(hi)
+	pLo, _, okLo := ix.tree.Get(lo)
+	pHi, _, okHi := ix.tree.Get(hi)
 	switch {
 	case okLo && okHi:
 		return pLo, pHi
@@ -248,7 +315,7 @@ func (ix *Index) crackRange(lo, hi int64) (from, to int) {
 	case okHi:
 		return ix.crackAt(lo), pHi
 	}
-	aL, bL := ix.pieceBounds(lo)
+	aL, bL, base := ix.pieceBoundsSum(lo)
 	aH, bH := ix.pieceBounds(hi)
 	if aL == aH && bL == bH {
 		// Both bounds fall inside the same piece. A large cold piece takes a
@@ -260,8 +327,9 @@ func (ix *Index) crackRange(lo, hi int64) (from, to int) {
 		}
 		// Crack in three: one pass over the piece for both bounds.
 		m1, m2 := partition3(ix.vals, ix.rows, aL, bL, lo, hi)
-		ix.tree.Insert(lo, m1)
-		ix.tree.Insert(hi, m2)
+		sLo := base + sumInt64(ix.vals[aL:m1])
+		ix.tree.Insert(lo, m1, sLo)
+		ix.tree.Insert(hi, m2, sLo+sumInt64(ix.vals[m1:m2]))
 		ix.cracks.Add(2)
 		ix.work.Add(int64(bL - aL))
 		return m1, m2
@@ -273,17 +341,17 @@ func (ix *Index) crackRange(lo, hi int64) (from, to int) {
 // position. The caller holds the exclusive latch.
 func (ix *Index) crackAt(v int64) int {
 	for {
-		a, b := ix.pieceBounds(v)
+		a, b, base := ix.pieceBoundsSum(v)
 		if !ix.maybeRadixPiece(a, b) {
 			m := partition2(ix.vals, ix.rows, a, b, v)
-			ix.tree.Insert(v, m)
+			ix.tree.Insert(v, m, base+sumInt64(ix.vals[a:m]))
 			ix.cracks.Add(1)
 			ix.work.Add(int64(b - a))
 			return m
 		}
 		// The radix pass may have put a boundary exactly at v; inserting it
 		// again would clobber the position, so look before cracking.
-		if pos, ok := ix.tree.Get(v); ok {
+		if pos, _, ok := ix.tree.Get(v); ok {
 			return pos
 		}
 	}
@@ -296,7 +364,7 @@ func (ix *Index) crackAt(v int64) int {
 // speculative step) never stalls readers.
 func (ix *Index) CrackAt(v int64) (pieceSize int, cracked bool) {
 	ix.mu.RLock()
-	_, exists := ix.tree.Get(v)
+	_, _, exists := ix.tree.Get(v)
 	ix.mu.RUnlock()
 	if exists {
 		return 0, false
@@ -307,7 +375,7 @@ func (ix *Index) CrackAt(v int64) (pieceSize int, cracked bool) {
 		return 0, false
 	}
 	// Another goroutine may have cracked at exactly v between the latches.
-	if _, ok := ix.tree.Get(v); ok {
+	if _, _, ok := ix.tree.Get(v); ok {
 		return 0, false
 	}
 	a, b := ix.pieceBounds(v)
@@ -409,7 +477,7 @@ func (ix *Index) forEachPiece(visit func(Piece) bool) {
 	prevKey := int64(0)
 	hasPrev := false
 	stopped := false
-	ix.tree.Walk(func(key int64, pos int) bool {
+	ix.tree.Walk(func(key int64, pos int, _ int64) bool {
 		p := Piece{Start: prevPos, End: pos, Lo: prevKey, Hi: key, HasLo: hasPrev, HasHi: true}
 		prevPos, prevKey, hasPrev = pos, key, true
 		if !visit(p) {
@@ -441,10 +509,10 @@ func (ix *Index) RangePieceAvg(lo, hi int64) float64 {
 	// The overlapping pieces run from lo's piece up to the first boundary at
 	// or above hi; every boundary strictly between starts one more piece.
 	start, end, pieces := 0, len(ix.vals), 1
-	if _, pos, ok := ix.tree.Floor(lo); ok {
+	if _, pos, _, ok := ix.tree.Floor(lo); ok {
 		start = pos
 	}
-	ix.tree.WalkFrom(lo+1, func(key int64, pos int) bool {
+	ix.tree.WalkFrom(lo+1, func(key int64, pos int, _ int64) bool {
 		if key >= hi {
 			end = pos
 			return false
@@ -468,29 +536,38 @@ func (ix *Index) MaxPiece() (Piece, bool) {
 	return best, found
 }
 
-// CountSum aggregates the region [from, to) of the cracked copy — delimited
-// by existing crack boundaries — returning the tuple count and the sum of
-// values, the projection checksum the engine uses to compare strategies. One
-// shared latch acquisition and one contiguous loop, whatever the number of
-// pieces in the region: concurrent cracks wait for the read, concurrent
-// reads do not wait for each other.
+// CountSum aggregates the region [from, to) of the cracked copy, returning
+// the tuple count and the sum of values. It is the positional twin of
+// LookupCountSum for callers that hold positions from CrackRange or
+// LookupRange: each end costs one tree descent, and only the ragged edge
+// between a position and the boundary below it is read — nothing when the
+// position is a boundary's, which is what those calls return. Positions are
+// clamped to the copy; an empty or inverted region yields (0, 0).
 func (ix *Index) CountSum(from, to int) (int, int64) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if from < 0 {
-		from = 0
+	from, to = max(from, 0), min(to, len(ix.vals))
+	if from >= to {
+		return 0, 0
 	}
-	if to > len(ix.vals) {
-		to = len(ix.vals)
-	}
-	return to - from, sumInt64(ix.vals[from:to])
+	return to - from, ix.prefixSum(to) - ix.prefixSum(from)
+}
+
+// prefixSum returns the wrapping sum of vals[:pos], 0 <= pos <= len(vals):
+// the sum carried by the last boundary at or below pos plus the values
+// between that boundary and pos. The caller holds the index latch.
+func (ix *Index) prefixSum(pos int) int64 {
+	_, p, sum, _ := ix.tree.FloorPos(pos) // no boundary: p = 0, sum = 0
+	return sum + sumInt64(ix.vals[p:pos])
 }
 
 // sumInt64 adds vals into four independent accumulators: one is a serial
 // dependency chain whose speed depends on where the linker places the loop
 // (±15 % measured), four keep the adders busy wherever it lands. Re-slicing by
 // a checked length drops every bounds check; wrap-around is the plain loop's,
-// int64 addition being associative and commutative modulo 2^64.
+// int64 addition being associative and commutative modulo 2^64. No select
+// calls it: it seeds a new boundary's sum from the side a crack just
+// partitioned and reads CountSum's ragged edges.
 func sumInt64(vals []int64) int64 {
 	var s0, s1, s2, s3 int64
 	for len(vals) >= 4 {
@@ -540,6 +617,7 @@ func (ix *Index) Stats() Stats {
 // Validate checks the structural invariants of the index:
 //   - boundary positions are within range and non-decreasing in key order;
 //   - every value left of a boundary is < its key, every value right is >= it;
+//   - every boundary's sum is the wrapping sum of the values left of it;
 //   - vals and rows have equal length.
 //
 // It is exported for use by tests across packages.
@@ -549,32 +627,41 @@ func (ix *Index) Validate() error {
 	if len(ix.vals) != len(ix.rows) {
 		return fmt.Errorf("cracker: vals/rows length mismatch %d != %d", len(ix.vals), len(ix.rows))
 	}
-	prevPos := 0
-	var err error
-	ix.tree.Walk(func(key int64, pos int) bool {
+	// One walk: each boundary closes the piece [prevPos, pos) holding values
+	// in [prevKey, key), and its sum must equal the running sum of everything
+	// scanned so far.
+	var (
+		err     error
+		prevPos int
+		prevKey int64
+		hasPrev bool
+		run     int64
+	)
+	scanPiece := func(end int, hi int64, hasHi bool) {
+		for i := prevPos; i < end && err == nil; i++ {
+			switch v := ix.vals[i]; {
+			case hasPrev && v < prevKey:
+				err = fmt.Errorf("cracker: vals[%d]=%d below piece bound %d", i, v, prevKey)
+			case hasHi && v >= hi:
+				err = fmt.Errorf("cracker: vals[%d]=%d not below piece bound %d", i, v, hi)
+			}
+			run += ix.vals[i]
+		}
+	}
+	ix.tree.Walk(func(key int64, pos int, sum int64) bool {
 		if pos < prevPos || pos > len(ix.vals) {
 			err = fmt.Errorf("cracker: boundary %d has position %d out of order (prev %d, len %d)", key, pos, prevPos, len(ix.vals))
 			return false
 		}
-		prevPos = pos
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	// Verify piece value bounds.
-	ix.forEachPiece(func(p Piece) bool {
-		for i := p.Start; i < p.End; i++ {
-			if p.HasLo && ix.vals[i] < p.Lo {
-				err = fmt.Errorf("cracker: vals[%d]=%d below piece bound %d", i, ix.vals[i], p.Lo)
-				return false
-			}
-			if p.HasHi && ix.vals[i] >= p.Hi {
-				err = fmt.Errorf("cracker: vals[%d]=%d not below piece bound %d", i, ix.vals[i], p.Hi)
-				return false
-			}
+		scanPiece(pos, key, true)
+		if err == nil && sum != run {
+			err = fmt.Errorf("cracker: boundary %d at position %d carries sum %d, the values below it add to %d", key, pos, sum, run)
 		}
-		return true
+		prevPos, prevKey, hasPrev = pos, key, true
+		return err == nil
 	})
+	if err == nil {
+		scanPiece(len(ix.vals), 0, false)
+	}
 	return err
 }

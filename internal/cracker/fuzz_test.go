@@ -5,8 +5,11 @@ package cracker
 // with and without a minimum piece size — decoded from the fuzz input,
 // then checks the structural invariants:
 //
-//   - Validate: boundary positions in key order, piece value bounds hold;
-//   - every CrackRange answer matches a naive scan of the original data;
+//   - Validate: boundary positions in key order, piece value bounds hold,
+//     every boundary sum equals a running scan;
+//   - every select answer — positional (CrackRange + CountSum) and from the
+//     boundary sums (CrackCountSum, LookupCountSum) — matches a naive scan of
+//     the original data, count and sum;
 //   - count/sum over the full domain never drift.
 
 import (
@@ -64,11 +67,13 @@ func FuzzCrackRange(f *testing.F) {
 					t.Fatalf("CrackRange[%d,%d): got %d/%d want %d/%d", lo, hi, c, s, wc, ws)
 				}
 			case 1:
-				from, to := ix.CrackRangeConcurrent(lo, hi)
-				c, s := ix.CountSumConcurrent(from, to)
+				c, s := ix.CrackCountSum(lo, hi)
 				wc, ws := naiveCountSum(orig, lo, hi)
 				if c != wc || s != ws {
-					t.Fatalf("CrackRangeConcurrent[%d,%d): got %d/%d want %d/%d", lo, hi, c, s, wc, ws)
+					t.Fatalf("CrackCountSum[%d,%d): got %d/%d want %d/%d", lo, hi, c, s, wc, ws)
+				}
+				if lc, ls, ok := ix.LookupCountSum(lo, hi); ok != (lo < hi) || lc != wc || ls != ws {
+					t.Fatalf("LookupCountSum[%d,%d) after the crack: %d/%d hit %v, want %d/%d", lo, hi, lc, ls, ok, wc, ws)
 				}
 			case 2:
 				ix.CrackAt(lo)

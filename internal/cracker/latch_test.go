@@ -101,23 +101,25 @@ func TestReadersExactWhileCrackingInsideRegions(t *testing.T) {
 	}
 }
 
-// piecedIndex builds an index over the n values 0, 4, 8, ... whose whole
-// value range [0, 4n) is cut into the given number of pieces by evenly
+// piecedIndex builds an index over the n values 0, s, 2s, ... (s = 4, or
+// wider when it takes that to keep the boundary keys distinct) whose whole
+// value range [0, s*n) is cut into the given number of pieces by evenly
 // spaced boundaries (more pieces than values means zero-width pieces, which
 // a piece walk would still visit one by one).
 func piecedIndex(tb testing.TB, n, pieces int) (ix *Index, lo, hi int64) {
 	tb.Helper()
+	stride := int64(max(4, (pieces+n-1)/n))
 	vals := make([]int64, n)
 	rows := make([]uint32, n)
 	for i := range vals {
-		vals[i] = int64(4 * i)
+		vals[i] = int64(i) * stride
 		rows[i] = uint32(i)
 	}
-	hi = int64(4 * n)
+	hi = int64(n) * stride
 	bs := make([]Boundary, 0, pieces+1)
 	for k := 0; k <= pieces; k++ {
 		key := int64(k) * hi / int64(pieces)
-		bs = append(bs, Boundary{Key: key, Pos: int((key + 3) / 4)})
+		bs = append(bs, Boundary{Key: key, Pos: int((key + stride - 1) / stride)})
 	}
 	ix, err := RestoreIndex(vals, rows, bs)
 	if err != nil {
@@ -144,24 +146,68 @@ func TestCrackedReadZeroAlloc(t *testing.T) {
 		if c, _ := ix.CountSumConcurrent(from, to); !ok || c != regionVals {
 			t.Fatalf("read %d values (hit %v), want %d", c, ok, regionVals)
 		}
+		if c, _, ok := ix.LookupCountSum(lo, lo+4*regionVals); !ok || c != regionVals {
+			t.Fatalf("looked up %d values (hit %v), want %d", c, ok, regionVals)
+		}
 	}); a != 0 {
 		t.Fatalf("lookup + aggregate over %d fresh pieces allocates %.1f per run, want 0", regionPieces, a)
 	}
 }
 
-// TestCountSumMatchesPlainLoop compares the four-accumulator aggregate with
-// the one-accumulator loop it replaced: every length around the unroll width,
-// every [from, to) including bounds CountSum clamps, extreme values and sums
-// that wrap around.
-func TestCountSumMatchesPlainLoop(t *testing.T) {
-	plain := func(vals []int64, from, to int) (int, int64) {
-		from, to = max(from, 0), min(to, len(vals))
-		var sum int64
-		for _, v := range vals[from:to] {
-			sum += v
-		}
-		return to - from, sum
+// plainCountSum is the loop CountSum must agree with: positions clamped to
+// the copy, an empty or inverted region empty.
+func plainCountSum(vals []int64, from, to int) (int, int64) {
+	count, sum := 0, int64(0)
+	for i := max(from, 0); i < min(to, len(vals)); i++ {
+		count, sum = count+1, sum+vals[i]
 	}
+	return count, sum
+}
+
+// TestCountSumAnyPositions: CountSum answers from boundary sums, but its
+// contract is positional — any [from, to), not only boundary positions. On a
+// five-value index cracked once, so position 2 is a boundary and the others
+// are not: negative, inverted, past-the-end (CountSum(10, 20) used to slice
+// vals[10:5] and panic) and ragged positions, each against the plain loop.
+func TestCountSumAnyPositions(t *testing.T) {
+	ix := newTestIndex([]int64{50, 10, 40, 20, 30})
+	ix.CrackAt(25)
+	if pos, _, ok := ix.tree.Get(25); !ok || pos != 2 {
+		t.Fatalf("crack at 25 landed on position %d (found %v), want 2", pos, ok)
+	}
+	for _, c := range []struct {
+		name     string
+		from, to int
+	}{
+		{"whole copy", 0, 5},
+		{"boundary to end", 2, 5},
+		{"start to boundary", 0, 2},
+		{"negative from", -3, 2},
+		{"to past the end", 2, 99},
+		{"both past the end", 10, 20},
+		{"from at the end", 5, 9},
+		{"both negative", -9, -1},
+		{"inverted", 4, 1},
+		{"inverted across the boundary", 3, 2},
+		{"empty at the boundary", 2, 2},
+		{"ragged below the boundary", 1, 2},
+		{"ragged above the boundary", 2, 4},
+		{"ragged both sides", 1, 4},
+		{"ragged inside one piece", 3, 4},
+	} {
+		wc, ws := plainCountSum(ix.Values(), c.from, c.to)
+		if gc, gs := ix.CountSum(c.from, c.to); gc != wc || gs != ws {
+			t.Errorf("%s: CountSum(%d, %d) = %d, %d; plain loop %d, %d", c.name, c.from, c.to, gc, gs, wc, ws)
+		}
+	}
+}
+
+// TestCountSumMatchesPlainLoop compares the aggregate with a one-accumulator
+// loop: every length around sumInt64's unroll width, every [from, to) —
+// bounds CountSum clamps and inverted ones included — extreme values and sums
+// that wrap around, on an uncracked copy (all ragged edge) and again after a
+// few cracks (boundary sums plus ragged edges).
+func TestCountSumMatchesPlainLoop(t *testing.T) {
 	rng := rand.New(rand.NewPCG(43, 44))
 	extremes := []int64{math.MinInt64, math.MaxInt64, -1, 0, 1, math.MaxInt64 - 1, math.MinInt64 + 1}
 	for n := 0; n <= 9; n++ {
@@ -175,11 +221,16 @@ func TestCountSumMatchesPlainLoop(t *testing.T) {
 				}
 			}
 			ix := newTestIndex(vals)
-			for from := -2; from <= n; from++ {
-				for to := max(from, 0); to <= n+2; to++ {
-					wc, ws := plain(vals, from, to)
-					if c, s := ix.CountSum(from, to); c != wc || s != ws {
-						t.Fatalf("CountSum(%d, %d) over %v = %d, %d; plain loop %d, %d", from, to, vals, c, s, wc, ws)
+			for _, cracks := range []int{0, 3} {
+				for i := 0; i < cracks && n > 0; i++ {
+					ix.CrackAt(vals[rng.IntN(n)])
+				}
+				for from := -2; from <= n+2; from++ {
+					for to := -2; to <= n+2; to++ {
+						wc, ws := plainCountSum(ix.Values(), from, to)
+						if c, s := ix.CountSum(from, to); c != wc || s != ws {
+							t.Fatalf("CountSum(%d, %d) over %v = %d, %d; plain loop %d, %d", from, to, ix.Values(), c, s, wc, ws)
+						}
 					}
 				}
 			}
@@ -187,23 +238,50 @@ func TestCountSumMatchesPlainLoop(t *testing.T) {
 	}
 }
 
+// TestValidateCatchesCorruptSum: Validate re-derives every boundary sum, so
+// one boundary whose sum is off by one fails it — and nothing else does.
+func TestValidateCatchesCorruptSum(t *testing.T) {
+	rng := rand.New(rand.NewPCG(45, 46))
+	ix := newTestIndex(randomVals(rng, 1000, 1<<12))
+	for i := 0; i < 20; i++ {
+		ix.RandomCrackDomain(rng)
+	}
+	if err := ix.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	bs := ix.Boundaries()
+	b := bs[len(bs)/2]
+	_, sum, _ := ix.tree.Get(b.Key)
+	ix.tree.Insert(b.Key, b.Pos, sum+1)
+	if err := ix.Validate(); err == nil {
+		t.Fatalf("Validate passed with boundary %d carrying sum %d instead of %d", b.Key, sum+1, sum)
+	}
+	ix.tree.Insert(b.Key, b.Pos, sum)
+	if err := ix.Validate(); err != nil {
+		t.Fatalf("Validate after repairing the sum: %v", err)
+	}
+}
+
 var sinkSum int64
 
-// BenchmarkCountSumPieces reads the same 40 000 values cut into 1, 1k and
-// 100k pieces: the lookup-and-sum of a converged select. The sub-benchmarks
-// must stay within 2x of each other — only the two boundary descents depend
-// on the piece count.
+// BenchmarkCountSumPieces is the converged select's aggregate: both bounds
+// are crack boundaries, with 16 to 1M values between them cut into 1, 1k and
+// 100k pieces. ns/op must be flat in the width — the answer is two boundary
+// sums, no value is read — depend on the piece count only through the two
+// tree descents, and allocate nothing.
 func BenchmarkCountSumPieces(b *testing.B) {
-	for _, pieces := range []int{1, 1000, 100000} {
-		b.Run(fmt.Sprint(pieces), func(b *testing.B) {
-			ix, lo, hi := piecedIndex(b, 40000, pieces)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				from, to, _ := ix.LookupRange(lo, hi)
-				_, s := ix.CountSumConcurrent(from, to)
-				sinkSum += s
-			}
-		})
+	for _, width := range []int{16, 4096, 40000, 1000000} {
+		for _, pieces := range []int{1, 1000, 100000} {
+			b.Run(fmt.Sprintf("width=%d/pieces=%d", width, pieces), func(b *testing.B) {
+				ix, lo, hi := piecedIndex(b, width, pieces)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					_, s, _ := ix.LookupCountSum(lo, hi)
+					sinkSum += s
+				}
+			})
+		}
 	}
 }
 

@@ -1,0 +1,217 @@
+package cracker
+
+import (
+	"math"
+	"math/rand/v2"
+	"slices"
+	"testing"
+)
+
+// One model, every mutator: a seeded program interleaves everything that can
+// move a value or a boundary — query cracks, point cracks, the three random
+// refinements, forced radix passes, ripple inserts and deletes, Consolidate
+// and a Boundaries -> RestoreIndex round trip — beside a plain slice of the
+// (value, row) pairs the index must hold. After every step Validate passes
+// (piece bounds and every boundary's sum against a running scan) and the
+// aggregates of random value ranges and random positions equal the model's.
+//
+// Values are drawn to hurt: MinInt64 and MaxInt64 (prefix sums wrap, their
+// differences must not), a handful of heavily duplicated values, and two
+// tight clusters a wide gap apart, so a radix pass leaves most of its 256
+// buckets empty and registers runs of boundaries at one position.
+
+type modelRow struct {
+	v int64
+	r uint32
+}
+
+type sumModel struct {
+	t       *testing.T
+	seed    int
+	rng     *rand.Rand
+	ix      *Index
+	rows    []modelRow
+	nextRow uint32
+	palette int // which value generator this program uses
+}
+
+func (m *sumModel) fatalf(format string, args ...any) {
+	m.t.Helper()
+	m.t.Fatalf("seed %d: "+format, append([]any{m.seed}, args...)...)
+}
+
+func (m *sumModel) value() int64 {
+	switch m.palette {
+	case 0: // heavy duplicates
+		return m.rng.Int64N(6)
+	case 1: // extremes: sums wrap
+		extremes := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+		if m.rng.IntN(3) > 0 {
+			return extremes[m.rng.IntN(len(extremes))]
+		}
+		return m.rng.Int64() - m.rng.Int64()
+	case 2: // two clusters, empty radix buckets in between
+		return int64(m.rng.IntN(2))<<40 + m.rng.Int64N(5)
+	default: // uniform over a small domain
+		return m.rng.Int64N(1<<10) - 1<<9
+	}
+}
+
+// bounds draws a value range around the palette's values; one in eight is
+// empty or inverted.
+func (m *sumModel) bounds() (lo, hi int64) {
+	lo, hi = m.value(), m.value()
+	if lo > hi && m.rng.IntN(8) > 0 {
+		lo, hi = hi, lo
+	}
+	if hi < math.MaxInt64 && m.rng.IntN(2) == 0 {
+		hi++ // include the drawn value
+	}
+	return lo, hi
+}
+
+func (m *sumModel) countSum(lo, hi int64) (count int, sum int64) {
+	for _, e := range m.rows {
+		if e.v >= lo && e.v < hi {
+			count, sum = count+1, sum+e.v
+		}
+	}
+	return count, sum
+}
+
+func (m *sumModel) step() string {
+	ix, rng := m.ix, m.rng
+	switch op := rng.IntN(12); op {
+	case 0:
+		lo, hi := m.bounds()
+		from, to := ix.CrackRange(lo, hi)
+		wc, ws := m.countSum(lo, hi)
+		if c, s := ix.CountSum(from, to); c != wc || s != ws {
+			m.fatalf("CrackRange[%d, %d) + CountSum = %d/%d, model %d/%d", lo, hi, c, s, wc, ws)
+		}
+		return "CrackRange"
+	case 1:
+		ix.CrackAt(m.value())
+		return "CrackAt"
+	case 2:
+		lo, hi := m.bounds()
+		ix.RandomCrackInRange(rng, lo, hi, rng.IntN(4))
+		return "RandomCrackInRange"
+	case 3:
+		ix.RandomCrackDomain(rng)
+		return "RandomCrackDomain"
+	case 4:
+		ix.RandomCrackLargest(rng)
+		return "RandomCrackLargest"
+	case 5: // forced radix pass over the piece a drawn value falls into
+		ix.mu.Lock()
+		a, b := ix.pieceBounds(m.value())
+		ix.radixPiece(a, b)
+		ix.mu.Unlock()
+		return "radixPiece"
+	case 6, 7:
+		e := modelRow{m.value(), m.nextRow}
+		m.nextRow++
+		ix.RippleInsert(e.v, e.r)
+		m.rows = append(m.rows, e)
+		return "RippleInsert"
+	case 8:
+		if len(m.rows) == 0 {
+			return "RippleDeleteRow (empty)"
+		}
+		k := rng.IntN(len(m.rows))
+		e := m.rows[k]
+		if ix.RippleDeleteRow(e.v, m.nextRow) {
+			m.fatalf("RippleDeleteRow(%d, %d) removed a row that was never inserted", e.v, m.nextRow)
+		}
+		if !ix.RippleDeleteRow(e.v, e.r) {
+			m.fatalf("RippleDeleteRow(%d, %d) did not find a live row", e.v, e.r)
+		}
+		m.rows = slices.Delete(m.rows, k, k+1)
+		return "RippleDeleteRow"
+	case 9:
+		v := m.value()
+		r, ok := ix.RippleDelete(v)
+		k := slices.IndexFunc(m.rows, func(e modelRow) bool { return e.v == v && e.r == r })
+		if ok != slices.ContainsFunc(m.rows, func(e modelRow) bool { return e.v == v }) || (ok && k < 0) {
+			m.fatalf("RippleDelete(%d) = row %d, %v; the model disagrees", v, r, ok)
+		}
+		if ok {
+			m.rows = slices.Delete(m.rows, k, k+1)
+		}
+		return "RippleDelete"
+	case 10:
+		ix.Consolidate(rng.IntN(12))
+		return "Consolidate"
+	default: // what a checkpoint and a restart do: the sums are not persisted
+		restored, err := RestoreIndex(slices.Clone(ix.Values()), slices.Clone(ix.Rows()), ix.Boundaries())
+		if err != nil {
+			m.fatalf("RestoreIndex of a valid index: %v", err)
+		}
+		restored.SetRadixMinPiece(ix.radixMin)
+		m.ix = restored
+		return "RestoreIndex"
+	}
+}
+
+func (m *sumModel) check(after string) {
+	ix, rng := m.ix, m.rng
+	if err := ix.Validate(); err != nil {
+		m.fatalf("after %s: %v", after, err)
+	}
+	if ix.Len() != len(m.rows) {
+		m.fatalf("after %s: index holds %d values, model %d", after, ix.Len(), len(m.rows))
+	}
+	for i := 0; i < 3; i++ {
+		lo, hi := m.bounds()
+		wc, ws := m.countSum(lo, hi)
+		if lo >= hi {
+			wc, ws = 0, 0
+		}
+		// A lookup answers only when both bounds are boundaries, and then
+		// without reading a value; the cracking select always answers, and
+		// leaves the boundaries the second lookup must hit.
+		if c, s, ok := ix.LookupCountSum(lo, hi); ok && (c != wc || s != ws) {
+			m.fatalf("after %s: LookupCountSum[%d, %d) = %d/%d, model %d/%d", after, lo, hi, c, s, wc, ws)
+		}
+		if c, s := ix.CrackCountSum(lo, hi); c != wc || s != ws {
+			m.fatalf("after %s: CrackCountSum[%d, %d) = %d/%d, model %d/%d", after, lo, hi, c, s, wc, ws)
+		}
+		if c, s, ok := ix.LookupCountSum(lo, hi); ok != (lo < hi && len(m.rows) > 0) || c != wc || s != ws {
+			m.fatalf("after %s and a crack: LookupCountSum[%d, %d) = %d/%d hit %v, model %d/%d", after, lo, hi, c, s, ok, wc, ws)
+		}
+		from, to := rng.IntN(ix.Len()+3)-1, rng.IntN(ix.Len()+3)-1
+		wc, ws = plainCountSum(ix.Values(), from, to)
+		if c, s := ix.CountSum(from, to); c != wc || s != ws {
+			m.fatalf("after %s: CountSum(%d, %d) = %d/%d, plain loop %d/%d", after, from, to, c, s, wc, ws)
+		}
+	}
+	if err := ix.Validate(); err != nil {
+		m.fatalf("after %s and the checks' own cracks: %v", after, err)
+	}
+}
+
+func TestPropertySumsMatchModel(t *testing.T) {
+	programs := 1000
+	if testing.Short() {
+		programs = 200
+	}
+	for seed := 0; seed < programs; seed++ {
+		rng := rand.New(rand.NewPCG(uint64(seed), 0x5eed))
+		m := &sumModel{t: t, seed: seed, rng: rng, palette: seed % 4}
+		n := rng.IntN(200)
+		vals := make([]int64, n)
+		rows := make([]uint32, n)
+		for i := range vals {
+			vals[i], rows[i] = m.value(), uint32(i)
+			m.rows = append(m.rows, modelRow{vals[i], rows[i]})
+		}
+		m.nextRow = uint32(n)
+		m.ix = New(vals, rows)
+		m.ix.SetRadixMinPiece([]int{0, 2, 16, 64}[rng.IntN(4)])
+		m.check("New")
+		for steps := 20 + rng.IntN(40); steps > 0; steps-- {
+			m.check(m.step())
+		}
+	}
+}

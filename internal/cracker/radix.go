@@ -71,9 +71,12 @@ func (ix *Index) radixPiece(a, b int) int {
 	// conservative (ripple deletes never shrink the domain), which only
 	// coarsens the buckets; correctness needs just lo <= min(piece) and
 	// max(piece) <= hi, both guaranteed by the cracking invariant.
+	// base is the sum of the copy below the piece: its own boundary's, or 0
+	// for the piece at the front of the array.
 	lo, hi := ix.domLo, ix.domHi
-	if k, p, ok := ix.tree.FloorPos(a); ok && p == a {
-		lo = k
+	var base int64
+	if k, p, sum, ok := ix.tree.FloorPos(a); ok && p == a {
+		lo, base = k, sum
 	}
 	if k, _, ok := ix.tree.HigherPos(a); ok {
 		hi = k - 1 // neighbour key is exclusive: values < k
@@ -94,11 +97,15 @@ func (ix *Index) radixPiece(a, b int) int {
 		return 0 // unreachable: shift bounds span>>shift to 8 bits; BCE only
 	}
 
-	// Pass 1: histogram. The &0xff mask is redundant (the shift bounds the
-	// index) but lets the compiler drop the bounds check in the hot loop.
+	// Pass 1: histogram, and each bucket's value sum for the boundary sums
+	// below. The &0xff mask is redundant (the shift bounds the index) but lets
+	// the compiler drop the bounds check in the hot loop.
 	var hist [1 << radixBits]int
+	var bsum [1 << radixBits]int64
 	for _, x := range v {
-		hist[((uint64(x)-uint64(lo))>>shift)&(1<<radixBits-1)]++
+		bkt := ((uint64(x) - uint64(lo)) >> shift) & (1<<radixBits - 1)
+		hist[bkt]++
+		bsum[bkt] += x
 	}
 	var starts [1<<radixBits + 1]int
 	sum := 0
@@ -142,11 +149,14 @@ func (ix *Index) radixPiece(a, b int) int {
 	// its range's low end and the crack-tree invariant (key -> first position
 	// with value >= key) holds even for empty buckets. All keys lie strictly
 	// inside the piece's open value interval, so none collides with an
-	// existing boundary.
+	// existing boundary. Its sum is everything below the piece plus the
+	// buckets below k.
 	inserted := 0
+	below := base
 	for k := 1; k < nb; k++ {
 		key := lo + int64(uint64(k)<<shift)
-		if ix.tree.Insert(key, a+starts[k]) {
+		below += bsum[k-1]
+		if ix.tree.Insert(key, a+starts[k], below) {
 			inserted++
 		}
 	}

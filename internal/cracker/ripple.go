@@ -8,6 +8,10 @@ package cracker
 // target donates its first slot to the piece below, shifting boundaries by
 // one. Deletes run the same dance in reverse.
 //
+// The array below every boundary above the touched piece gains (or loses)
+// exactly the one value v, so the same tree walk that shifts those boundaries'
+// positions by one shifts their prefix sums by v.
+//
 // Ripples shift the positions of every piece above the touched one, so
 // positions handed out earlier go stale: the owner excludes every other user
 // of the index (its exclusive latch) around them — see the Index comment.
@@ -19,15 +23,14 @@ func (ix *Index) RippleInsert(v int64, r uint32) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if len(ix.vals) == 0 {
-		ix.vals = append(ix.vals, v)
-		ix.rows = append(ix.rows, r)
+		// Nothing left to bound the domain; boundaries that outlived the last
+		// delete still get the shift below.
 		ix.domLo, ix.domHi = v, v
-		return
 	}
 	// Collect the start positions of every piece strictly above v's piece,
 	// i.e. every boundary with key > v, in ascending order.
 	var starts []int
-	ix.tree.WalkFrom(v, func(key int64, pos int) bool {
+	ix.tree.WalkFrom(v, func(key int64, pos int, _ int64) bool {
 		if key > v {
 			starts = append(starts, pos)
 		}
@@ -46,7 +49,7 @@ func (ix *Index) RippleInsert(v int64, r uint32) {
 	}
 	ix.vals[free] = v
 	ix.rows[free] = r
-	ix.tree.ShiftAfter(v, 1)
+	ix.tree.ShiftAfter(v, 1, v)
 	if v < ix.domLo {
 		ix.domLo = v
 	}
@@ -96,7 +99,7 @@ func (ix *Index) rippleDelete(v int64, row uint32, matchRow bool) (r uint32, ok 
 	// Ripple the hole up: each higher piece's last element drops into the
 	// slot just before that piece's start.
 	var bounds []int // start positions of pieces above v's, ascending
-	ix.tree.WalkFrom(v, func(key int64, pos int) bool {
+	ix.tree.WalkFrom(v, func(key int64, pos int, _ int64) bool {
 		if key > v {
 			bounds = append(bounds, pos)
 		}
@@ -117,6 +120,6 @@ func (ix *Index) rippleDelete(v int64, row uint32, matchRow bool) (r uint32, ok 
 	}
 	ix.vals = ix.vals[:len(ix.vals)-1]
 	ix.rows = ix.rows[:len(ix.rows)-1]
-	ix.tree.ShiftAfter(v, -1)
+	ix.tree.ShiftAfter(v, -1, -v)
 	return r, true
 }

@@ -98,6 +98,16 @@ func TestRippleDeleteToEmpty(t *testing.T) {
 	if _, ok := ix.RippleDelete(7); ok {
 		t.Fatal("delete from empty succeeded")
 	}
+	// The boundaries at 7 and 8 outlive the values. An insert below them must
+	// still push them up: it used to take a shortcut for the empty copy that
+	// left boundary 7 at position 0 claiming every value is >= 7.
+	ix.RippleInsert(3, 9)
+	if err := ix.Validate(); err != nil {
+		t.Fatalf("insert into an emptied, still cracked index: %v", err)
+	}
+	if c, s := ix.CrackCountSum(0, 7); c != 1 || s != 3 {
+		t.Fatalf("[0, 7) after the insert: %d/%d, want 1/3", c, s)
+	}
 }
 
 // TestPropertyRippleMatchesReference interleaves inserts, deletes, queries

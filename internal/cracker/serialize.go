@@ -16,7 +16,7 @@ func (ix *Index) Boundaries() []Boundary {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	bs := make([]Boundary, 0, ix.tree.Len())
-	ix.tree.Walk(func(key int64, pos int) bool {
+	ix.tree.Walk(func(key int64, pos int, _ int64) bool {
 		bs = append(bs, Boundary{Key: key, Pos: pos})
 		return true
 	})
@@ -27,7 +27,8 @@ func (ix *Index) Boundaries() []Boundary {
 // (vals, rows — adopted, not copied) and its boundary list in ascending key
 // order. It re-validates the structural invariants the tree cannot express —
 // monotone positions and per-piece value bounds — so a corrupted snapshot is
-// rejected here rather than silently producing wrong query results.
+// rejected here rather than silently producing wrong query results. Boundary
+// sums are not part of a snapshot: they are re-derived from vals here.
 func RestoreIndex(vals []int64, rows []uint32, bs []Boundary) (*Index, error) {
 	if len(vals) != len(rows) {
 		return nil, fmt.Errorf("cracker: restore vals/rows length mismatch %d != %d", len(vals), len(rows))
@@ -35,6 +36,7 @@ func RestoreIndex(vals []int64, rows []uint32, bs []Boundary) (*Index, error) {
 	ix := New(vals, rows)
 	prevPos := 0
 	prevKey := int64(0)
+	var below int64 // sum of vals[:prevPos]
 	for i, b := range bs {
 		if i > 0 && b.Key <= prevKey {
 			return nil, fmt.Errorf("cracker: restore boundary keys not ascending at %d", i)
@@ -42,7 +44,8 @@ func RestoreIndex(vals []int64, rows []uint32, bs []Boundary) (*Index, error) {
 		if b.Pos < prevPos || b.Pos > len(vals) {
 			return nil, fmt.Errorf("cracker: restore boundary %d position %d out of order", b.Key, b.Pos)
 		}
-		ix.tree.Insert(b.Key, b.Pos)
+		below += sumInt64(vals[prevPos:b.Pos])
+		ix.tree.Insert(b.Key, b.Pos, below)
 		prevPos, prevKey = b.Pos, b.Key
 	}
 	ix.cracks.Store(int64(len(bs)))

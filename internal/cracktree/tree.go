@@ -8,8 +8,14 @@
 // "pieces": maximal contiguous regions whose value bounds are known but whose
 // contents are unsorted. Database cracking refines pieces over time by
 // inserting new boundaries; the tree must support ordered lookups (floor,
-// ceiling, exact), in-order traversal for piece enumeration, and bulk
-// position shifts for updates that ripple through the cracked copy.
+// higher, exact — by key and by position), in-order traversal for piece
+// enumeration, and bulk shifts for updates that ripple through the cracked
+// copy.
+//
+// Every boundary also carries sum, the wrapping (mod 2^64) sum of the cracked
+// array's values at positions < p. The tree only stores and shifts it; the
+// cracker seeds it when it inserts a boundary and reads it to answer a range
+// aggregate as the difference of two boundaries instead of a scan.
 package cracktree
 
 // Tree is an AVL tree of crack boundaries. The zero value is an empty tree
@@ -22,6 +28,7 @@ type Tree struct {
 type node struct {
 	key         int64 // boundary value
 	pos         int   // first position whose value is >= key
+	sum         int64 // wrapping sum of the values at positions < pos
 	left, right *node
 	height      int8
 }
@@ -90,36 +97,36 @@ func rebalance(n *node) *node {
 	return n
 }
 
-// Insert records a boundary key -> pos. If the key is already present its
-// position is overwritten. It reports whether a new boundary was created.
-func (t *Tree) Insert(key int64, pos int) bool {
+// Insert records a boundary key -> (pos, sum). If the key is already present
+// both are overwritten. It reports whether a new boundary was created.
+func (t *Tree) Insert(key int64, pos int, sum int64) bool {
 	var added bool
-	t.root, added = insert(t.root, key, pos)
+	t.root, added = insert(t.root, key, pos, sum)
 	if added {
 		t.size++
 	}
 	return added
 }
 
-func insert(n *node, key int64, pos int) (*node, bool) {
+func insert(n *node, key int64, pos int, sum int64) (*node, bool) {
 	if n == nil {
-		return &node{key: key, pos: pos, height: 1}, true
+		return &node{key: key, pos: pos, sum: sum, height: 1}, true
 	}
 	var added bool
 	switch {
 	case key < n.key:
-		n.left, added = insert(n.left, key, pos)
+		n.left, added = insert(n.left, key, pos, sum)
 	case key > n.key:
-		n.right, added = insert(n.right, key, pos)
+		n.right, added = insert(n.right, key, pos, sum)
 	default:
-		n.pos = pos
+		n.pos, n.sum = pos, sum
 		return n, false
 	}
 	return rebalance(n), added
 }
 
-// Get returns the position recorded for an exact boundary key.
-func (t *Tree) Get(key int64) (pos int, ok bool) {
+// Get returns the position and prefix sum recorded for an exact boundary key.
+func (t *Tree) Get(key int64) (pos int, sum int64, ok bool) {
 	n := t.root
 	for n != nil {
 		switch {
@@ -128,44 +135,27 @@ func (t *Tree) Get(key int64) (pos int, ok bool) {
 		case key > n.key:
 			n = n.right
 		default:
-			return n.pos, true
+			return n.pos, n.sum, true
 		}
 	}
-	return 0, false
+	return 0, 0, false
 }
 
 // Floor returns the largest boundary whose key is <= key.
-func (t *Tree) Floor(key int64) (k int64, pos int, ok bool) {
+func (t *Tree) Floor(key int64) (k int64, pos int, sum int64, ok bool) {
 	n := t.root
 	for n != nil {
 		switch {
 		case key < n.key:
 			n = n.left
 		case key > n.key:
-			k, pos, ok = n.key, n.pos, true
+			k, pos, sum, ok = n.key, n.pos, n.sum, true
 			n = n.right
 		default:
-			return n.key, n.pos, true
+			return n.key, n.pos, n.sum, true
 		}
 	}
-	return k, pos, ok
-}
-
-// Ceiling returns the smallest boundary whose key is >= key.
-func (t *Tree) Ceiling(key int64) (k int64, pos int, ok bool) {
-	n := t.root
-	for n != nil {
-		switch {
-		case key > n.key:
-			n = n.right
-		case key < n.key:
-			k, pos, ok = n.key, n.pos, true
-			n = n.left
-		default:
-			return n.key, n.pos, true
-		}
-	}
-	return k, pos, ok
+	return k, pos, sum, ok
 }
 
 // Higher returns the smallest boundary whose key is strictly greater than key.
@@ -182,61 +172,23 @@ func (t *Tree) Higher(key int64) (k int64, pos int, ok bool) {
 	return k, pos, ok
 }
 
-// Lower returns the largest boundary whose key is strictly less than key.
-func (t *Tree) Lower(key int64) (k int64, pos int, ok bool) {
-	n := t.root
-	for n != nil {
-		if key > n.key {
-			k, pos, ok = n.key, n.pos, true
-			n = n.right
-		} else {
-			n = n.left
-		}
-	}
-	return k, pos, ok
-}
-
-// Min returns the smallest boundary in the tree.
-func (t *Tree) Min() (k int64, pos int, ok bool) {
-	n := t.root
-	if n == nil {
-		return 0, 0, false
-	}
-	for n.left != nil {
-		n = n.left
-	}
-	return n.key, n.pos, true
-}
-
-// Max returns the largest boundary in the tree.
-func (t *Tree) Max() (k int64, pos int, ok bool) {
-	n := t.root
-	if n == nil {
-		return 0, 0, false
-	}
-	for n.right != nil {
-		n = n.right
-	}
-	return n.key, n.pos, true
-}
-
 // FloorPos returns the boundary with the largest position <= pos. When
 // several boundaries share that position (zero-width pieces) the one with
 // the largest key wins, so the returned boundary is the true lower bound of
 // the piece starting at pos. Positions are non-decreasing in key order, so
-// an ordinary BST descent works. Concurrent readers use it to re-locate the
-// piece containing a position while holding that piece's latch.
-func (t *Tree) FloorPos(pos int) (k int64, p int, ok bool) {
+// an ordinary BST descent works. Boundaries sharing a position share a sum,
+// so sum is the prefix sum at p whichever of them wins.
+func (t *Tree) FloorPos(pos int) (k int64, p int, sum int64, ok bool) {
 	n := t.root
 	for n != nil {
 		if n.pos <= pos {
-			k, p, ok = n.key, n.pos, true
+			k, p, sum, ok = n.key, n.pos, n.sum, true
 			n = n.right
 		} else {
 			n = n.left
 		}
 	}
-	return k, p, ok
+	return k, p, sum, ok
 }
 
 // HigherPos returns the boundary with the smallest position strictly greater
@@ -290,7 +242,7 @@ func remove(n *node, key int64) (*node, bool) {
 		for s.left != nil {
 			s = s.left
 		}
-		n.key, n.pos = s.key, s.pos
+		n.key, n.pos, n.sum = s.key, s.pos, s.sum
 		n.right, _ = remove(n.right, s.key)
 	}
 	return rebalance(n), removed
@@ -298,18 +250,18 @@ func remove(n *node, key int64) (*node, bool) {
 
 // Walk visits every boundary in ascending key order. The visit function
 // returns false to stop the walk early.
-func (t *Tree) Walk(visit func(key int64, pos int) bool) {
+func (t *Tree) Walk(visit func(key int64, pos int, sum int64) bool) {
 	walk(t.root, visit)
 }
 
-func walk(n *node, visit func(int64, int) bool) bool {
+func walk(n *node, visit func(int64, int, int64) bool) bool {
 	if n == nil {
 		return true
 	}
 	if !walk(n.left, visit) {
 		return false
 	}
-	if !visit(n.key, n.pos) {
+	if !visit(n.key, n.pos, n.sum) {
 		return false
 	}
 	return walk(n.right, visit)
@@ -319,11 +271,11 @@ func walk(n *node, visit func(int64, int) bool) bool {
 // order, descending straight to the first such key instead of walking the
 // whole tree: O(height + visited). The visit function returns false to stop
 // the walk early.
-func (t *Tree) WalkFrom(from int64, visit func(key int64, pos int) bool) {
+func (t *Tree) WalkFrom(from int64, visit func(key int64, pos int, sum int64) bool) {
 	walkFrom(t.root, from, visit)
 }
 
-func walkFrom(n *node, from int64, visit func(int64, int) bool) bool {
+func walkFrom(n *node, from int64, visit func(int64, int, int64) bool) bool {
 	if n == nil {
 		return true
 	}
@@ -334,36 +286,32 @@ func walkFrom(n *node, from int64, visit func(int64, int) bool) bool {
 	if !walkFrom(n.left, from, visit) {
 		return false
 	}
-	if !visit(n.key, n.pos) {
+	if !visit(n.key, n.pos, n.sum) {
 		return false
 	}
 	// Everything right of n is > n.key >= from: no more pruning needed.
 	return walk(n.right, visit)
 }
 
-// ShiftAfter adds delta to the position of every boundary whose key is
-// strictly greater than key. Updates use it when a ripple insert or delete
-// moves every piece above the touched piece by one slot.
-func (t *Tree) ShiftAfter(key int64, delta int) {
-	shiftAfter(t.root, key, delta)
+// ShiftAfter adds dpos to the position and dsum to the prefix sum of every
+// boundary whose key is strictly greater than key. Updates use it when a
+// ripple insert or delete moves every piece above the touched piece by one
+// slot: one value enters or leaves the array below each such boundary.
+func (t *Tree) ShiftAfter(key int64, dpos int, dsum int64) {
+	shiftAfter(t.root, key, dpos, dsum)
 }
 
-func shiftAfter(n *node, key int64, delta int) {
+func shiftAfter(n *node, key int64, dpos int, dsum int64) {
 	if n == nil {
 		return
 	}
 	if n.key > key {
-		n.pos += delta
-		shiftAfter(n.left, key, delta)
-		shiftAfter(n.right, key, delta)
+		n.pos += dpos
+		n.sum += dsum
+		shiftAfter(n.left, key, dpos, dsum)
+		shiftAfter(n.right, key, dpos, dsum)
 		return
 	}
 	// n.key <= key: the whole left subtree is <= key as well.
-	shiftAfter(n.right, key, delta)
-}
-
-// Clear removes every boundary.
-func (t *Tree) Clear() {
-	t.root = nil
-	t.size = 0
+	shiftAfter(n.right, key, dpos, dsum)
 }

@@ -5,7 +5,12 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// A node must stay in the allocator's 48-byte size class: a fully converged
+// column holds hundreds of thousands of them.
+var _ [48 - unsafe.Sizeof(node{})]byte
 
 // validate checks the AVL balance and BST ordering invariants, returning the
 // number of nodes seen.
@@ -45,20 +50,17 @@ func TestEmptyTree(t *testing.T) {
 	if tr.Height() != 0 {
 		t.Fatalf("empty tree Height = %d", tr.Height())
 	}
-	if _, ok := tr.Get(5); ok {
+	if _, _, ok := tr.Get(5); ok {
 		t.Fatal("Get on empty tree returned ok")
 	}
-	if _, _, ok := tr.Floor(5); ok {
+	if _, _, _, ok := tr.Floor(5); ok {
 		t.Fatal("Floor on empty tree returned ok")
 	}
-	if _, _, ok := tr.Ceiling(5); ok {
-		t.Fatal("Ceiling on empty tree returned ok")
+	if _, _, ok := tr.Higher(5); ok {
+		t.Fatal("Higher on empty tree returned ok")
 	}
-	if _, _, ok := tr.Min(); ok {
-		t.Fatal("Min on empty tree returned ok")
-	}
-	if _, _, ok := tr.Max(); ok {
-		t.Fatal("Max on empty tree returned ok")
+	if _, _, _, ok := tr.FloorPos(5); ok {
+		t.Fatal("FloorPos on empty tree returned ok")
 	}
 	if tr.Remove(1) {
 		t.Fatal("Remove on empty tree reported success")
@@ -69,7 +71,7 @@ func TestInsertAndGet(t *testing.T) {
 	var tr Tree
 	keys := []int64{50, 20, 80, 10, 30, 70, 90, 60}
 	for i, k := range keys {
-		if !tr.Insert(k, int(k)*2) {
+		if !tr.Insert(k, int(k)*2, -k) {
 			t.Fatalf("Insert(%d) reported duplicate", k)
 		}
 		if tr.Len() != i+1 {
@@ -77,12 +79,12 @@ func TestInsertAndGet(t *testing.T) {
 		}
 	}
 	for _, k := range keys {
-		pos, ok := tr.Get(k)
-		if !ok || pos != int(k)*2 {
-			t.Fatalf("Get(%d) = %d,%v; want %d,true", k, pos, ok, int(k)*2)
+		pos, sum, ok := tr.Get(k)
+		if !ok || pos != int(k)*2 || sum != -k {
+			t.Fatalf("Get(%d) = %d,%d,%v; want %d,%d,true", k, pos, sum, ok, int(k)*2, -k)
 		}
 	}
-	if _, ok := tr.Get(55); ok {
+	if _, _, ok := tr.Get(55); ok {
 		t.Fatal("Get(55) should miss")
 	}
 	validate(t, tr.root, 0, 0, false, false)
@@ -90,23 +92,30 @@ func TestInsertAndGet(t *testing.T) {
 
 func TestInsertOverwrites(t *testing.T) {
 	var tr Tree
-	tr.Insert(7, 100)
-	if tr.Insert(7, 200) {
+	tr.Insert(7, 100, 1000)
+	if tr.Insert(7, 200, 2000) {
 		t.Fatal("second Insert of same key reported new boundary")
 	}
 	if tr.Len() != 1 {
 		t.Fatalf("Len = %d after duplicate insert", tr.Len())
 	}
-	pos, _ := tr.Get(7)
-	if pos != 200 {
-		t.Fatalf("position not overwritten: %d", pos)
+	pos, sum, _ := tr.Get(7)
+	if pos != 200 || sum != 2000 {
+		t.Fatalf("position and sum not overwritten: %d, %d", pos, sum)
 	}
 }
 
-func TestFloorCeilingHigherLower(t *testing.T) {
+func TestFloorHigher(t *testing.T) {
 	var tr Tree
 	for _, k := range []int64{10, 20, 30, 40} {
-		tr.Insert(k, int(k))
+		tr.Insert(k, int(k), 2*k)
+	}
+	floor := func(q int64) (int64, int, bool) {
+		k, pos, sum, ok := tr.Floor(q)
+		if ok && sum != 2*k {
+			t.Errorf("Floor(%d): sum=%d want %d", q, sum, 2*k)
+		}
+		return k, pos, ok
 	}
 	cases := []struct {
 		name      string
@@ -115,20 +124,13 @@ func TestFloorCeilingHigherLower(t *testing.T) {
 		wantKey   int64
 		wantFound bool
 	}{
-		{"Floor exact", tr.Floor, 20, 20, true},
-		{"Floor between", tr.Floor, 25, 20, true},
-		{"Floor below all", tr.Floor, 5, 0, false},
-		{"Floor above all", tr.Floor, 99, 40, true},
-		{"Ceiling exact", tr.Ceiling, 30, 30, true},
-		{"Ceiling between", tr.Ceiling, 25, 30, true},
-		{"Ceiling above all", tr.Ceiling, 99, 0, false},
-		{"Ceiling below all", tr.Ceiling, 5, 10, true},
+		{"Floor exact", floor, 20, 20, true},
+		{"Floor between", floor, 25, 20, true},
+		{"Floor below all", floor, 5, 0, false},
+		{"Floor above all", floor, 99, 40, true},
 		{"Higher exact", tr.Higher, 20, 30, true},
 		{"Higher between", tr.Higher, 25, 30, true},
 		{"Higher at max", tr.Higher, 40, 0, false},
-		{"Lower exact", tr.Lower, 20, 10, true},
-		{"Lower at min", tr.Lower, 10, 0, false},
-		{"Lower above all", tr.Lower, 99, 40, true},
 	}
 	for _, c := range cases {
 		k, pos, ok := c.fn(c.query)
@@ -145,29 +147,16 @@ func TestFloorCeilingHigherLower(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	var tr Tree
-	for _, k := range []int64{42, 7, 99, 13} {
-		tr.Insert(k, 0)
-	}
-	if k, _, _ := tr.Min(); k != 7 {
-		t.Fatalf("Min = %d", k)
-	}
-	if k, _, _ := tr.Max(); k != 99 {
-		t.Fatalf("Max = %d", k)
-	}
-}
-
 func TestWalkInOrder(t *testing.T) {
 	var tr Tree
 	perm := rand.New(rand.NewPCG(1, 2)).Perm(100)
 	for _, k := range perm {
-		tr.Insert(int64(k), k+1000)
+		tr.Insert(int64(k), k+1000, int64(-k))
 	}
 	var got []int64
-	tr.Walk(func(k int64, pos int) bool {
-		if pos != int(k)+1000 {
-			t.Fatalf("pos mismatch for key %d: %d", k, pos)
+	tr.Walk(func(k int64, pos int, sum int64) bool {
+		if pos != int(k)+1000 || sum != -k {
+			t.Fatalf("pos, sum mismatch for key %d: %d, %d", k, pos, sum)
 		}
 		got = append(got, k)
 		return true
@@ -183,10 +172,10 @@ func TestWalkInOrder(t *testing.T) {
 func TestWalkEarlyStop(t *testing.T) {
 	var tr Tree
 	for k := int64(0); k < 50; k++ {
-		tr.Insert(k, 0)
+		tr.Insert(k, 0, 0)
 	}
 	count := 0
-	tr.Walk(func(k int64, pos int) bool {
+	tr.Walk(func(k int64, pos int, _ int64) bool {
 		count++
 		return count < 10
 	})
@@ -205,7 +194,7 @@ func TestWalkFromMatchesWalkFilter(t *testing.T) {
 		n := rng.IntN(300)
 		domain := int64(1 + rng.IntN(1000))
 		for i := 0; i < n; i++ {
-			tr.Insert(rng.Int64N(domain)-domain/2, i)
+			tr.Insert(rng.Int64N(domain)-domain/2, i, int64(3*i))
 		}
 		for probe := 0; probe < 20; probe++ {
 			from := rng.Int64N(domain+20) - domain/2 - 10
@@ -213,16 +202,17 @@ func TestWalkFromMatchesWalkFilter(t *testing.T) {
 			type kp struct {
 				key int64
 				pos int
+				sum int64
 			}
 			var want, got []kp
-			tr.Walk(func(key int64, pos int) bool {
+			tr.Walk(func(key int64, pos int, sum int64) bool {
 				if key >= from {
-					want = append(want, kp{key, pos})
+					want = append(want, kp{key, pos, sum})
 				}
 				return len(want) < limit
 			})
-			tr.WalkFrom(from, func(key int64, pos int) bool {
-				got = append(got, kp{key, pos})
+			tr.WalkFrom(from, func(key int64, pos int, sum int64) bool {
+				got = append(got, kp{key, pos, sum})
 				return len(got) < limit
 			})
 			if len(got) != len(want) {
@@ -241,13 +231,21 @@ func TestRemove(t *testing.T) {
 	var tr Tree
 	keys := rand.New(rand.NewPCG(3, 4)).Perm(200)
 	for _, k := range keys {
-		tr.Insert(int64(k), k)
+		tr.Insert(int64(k), k, int64(7*k))
 	}
 	removeOrder := rand.New(rand.NewPCG(5, 6)).Perm(200)
 	for i, k := range removeOrder {
 		if !tr.Remove(int64(k)) {
 			t.Fatalf("Remove(%d) failed", k)
 		}
+		// A two-child removal copies the successor into the node: every
+		// survivor must still carry its own position and sum.
+		tr.Walk(func(key int64, pos int, sum int64) bool {
+			if pos != int(key) || sum != 7*key {
+				t.Fatalf("after Remove(%d): key %d carries pos %d sum %d", k, key, pos, sum)
+			}
+			return true
+		})
 		if tr.Remove(int64(k)) {
 			t.Fatalf("second Remove(%d) succeeded", k)
 		}
@@ -264,36 +262,23 @@ func TestRemove(t *testing.T) {
 func TestShiftAfter(t *testing.T) {
 	var tr Tree
 	for _, k := range []int64{10, 20, 30, 40} {
-		tr.Insert(k, int(k))
+		tr.Insert(k, int(k), 100*k)
 	}
-	// Shift everything strictly above key 20 by +3.
-	tr.ShiftAfter(20, 3)
-	want := map[int64]int{10: 10, 20: 20, 30: 33, 40: 43}
-	for k, w := range want {
-		pos, ok := tr.Get(k)
-		if !ok || pos != w {
-			t.Fatalf("after shift Get(%d) = %d,%v; want %d", k, pos, ok, w)
+	check := func(when string, want map[int64][2]int64) {
+		t.Helper()
+		for k, w := range want {
+			pos, sum, ok := tr.Get(k)
+			if !ok || int64(pos) != w[0] || sum != w[1] {
+				t.Fatalf("%s: Get(%d) = %d,%d,%v; want %d,%d", when, k, pos, sum, ok, w[0], w[1])
+			}
 		}
 	}
-	// Negative delta, boundary key not present in the tree.
-	tr.ShiftAfter(35, -1)
-	if pos, _ := tr.Get(40); pos != 42 {
-		t.Fatalf("Get(40) = %d after negative shift, want 42", pos)
-	}
-	if pos, _ := tr.Get(30); pos != 33 {
-		t.Fatalf("Get(30) = %d after negative shift, want 33", pos)
-	}
-}
-
-func TestClear(t *testing.T) {
-	var tr Tree
-	for k := int64(0); k < 10; k++ {
-		tr.Insert(k, 0)
-	}
-	tr.Clear()
-	if tr.Len() != 0 || tr.root != nil {
-		t.Fatal("Clear left state behind")
-	}
+	// Shift everything strictly above key 20 by +3 positions and +7 in sum.
+	tr.ShiftAfter(20, 3, 7)
+	check("after shift", map[int64][2]int64{10: {10, 1000}, 20: {20, 2000}, 30: {33, 3007}, 40: {43, 4007}})
+	// Negative deltas, boundary key not present in the tree.
+	tr.ShiftAfter(35, -1, -4007)
+	check("after negative shift", map[int64][2]int64{10: {10, 1000}, 20: {20, 2000}, 30: {33, 3007}, 40: {42, 0}})
 }
 
 func TestHeightLogarithmic(t *testing.T) {
@@ -301,7 +286,7 @@ func TestHeightLogarithmic(t *testing.T) {
 	// Sorted insertion is the classic worst case for unbalanced BSTs.
 	const n = 1 << 12
 	for k := int64(0); k < n; k++ {
-		tr.Insert(k, int(k))
+		tr.Insert(k, int(k), 0)
 	}
 	// AVL height bound: 1.44*log2(n+2). For n=4096 that is ~18.
 	if h := tr.Height(); h > 18 {
@@ -316,28 +301,41 @@ func TestPropertyTreeMatchesSortedMap(t *testing.T) {
 	f := func(seed uint64, opsRaw []uint16) bool {
 		rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b9))
 		var tr Tree
-		ref := map[int64]int{}
+		type entry struct {
+			pos int
+			sum int64
+		}
+		ref := map[int64]entry{}
 		for i, raw := range opsRaw {
 			key := int64(raw % 512)
-			switch rng.IntN(4) {
+			switch rng.IntN(5) {
 			case 0, 1: // insert
-				tr.Insert(key, i)
-				ref[key] = i
+				e := entry{i, rng.Int64()}
+				tr.Insert(key, e.pos, e.sum)
+				ref[key] = e
 			case 2: // remove
 				delete(ref, key)
 				tr.Remove(key)
 			case 3: // lookup consistency checked below
-				pos, ok := tr.Get(key)
-				wpos, wok := ref[key]
-				if ok != wok || (ok && pos != wpos) {
+				pos, sum, ok := tr.Get(key)
+				w, wok := ref[key]
+				if ok != wok || (ok && (entry{pos, sum}) != w) {
 					return false
+				}
+			case 4: // shift everything above key
+				dpos, dsum := rng.IntN(7)-3, rng.Int64()
+				tr.ShiftAfter(key, dpos, dsum)
+				for k, e := range ref {
+					if k > key {
+						ref[k] = entry{e.pos + dpos, e.sum + dsum}
+					}
 				}
 			}
 		}
 		if tr.Len() != len(ref) {
 			return false
 		}
-		// Floor/Ceiling against the sorted reference.
+		// Floor/Higher against the sorted reference.
 		keys := make([]int64, 0, len(ref))
 		for k := range ref {
 			keys = append(keys, k)
@@ -345,21 +343,20 @@ func TestPropertyTreeMatchesSortedMap(t *testing.T) {
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 		for probe := int64(0); probe < 512; probe += 13 {
 			i := sort.Search(len(keys), func(i int) bool { return keys[i] > probe })
-			k, _, ok := tr.Floor(probe)
+			k, pos, sum, ok := tr.Floor(probe)
 			if i == 0 {
 				if ok {
 					return false
 				}
-			} else if !ok || k != keys[i-1] {
+			} else if !ok || k != keys[i-1] || (entry{pos, sum}) != ref[k] {
 				return false
 			}
-			j := sort.Search(len(keys), func(i int) bool { return keys[i] >= probe })
-			k, _, ok = tr.Ceiling(probe)
-			if j == len(keys) {
+			k, pos, ok = tr.Higher(probe)
+			if i == len(keys) {
 				if ok {
 					return false
 				}
-			} else if !ok || k != keys[j] {
+			} else if !ok || k != keys[i] || pos != ref[k].pos {
 				return false
 			}
 		}
@@ -379,7 +376,7 @@ func BenchmarkInsert(b *testing.B) {
 	b.ResetTimer()
 	var tr Tree
 	for i := 0; i < b.N; i++ {
-		tr.Insert(keys[i], i)
+		tr.Insert(keys[i], i, 0)
 	}
 }
 
@@ -390,10 +387,46 @@ func BenchmarkGet(b *testing.B) {
 	keys := make([]int64, n)
 	for i := range keys {
 		keys[i] = rng.Int64()
-		tr.Insert(keys[i], i)
+		tr.Insert(keys[i], i, 0)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Get(keys[i&(n-1)])
+	}
+}
+
+// FloorPos and HigherPos descend by position: among boundaries sharing a
+// position (zero-width pieces) FloorPos returns the largest key, HigherPos
+// the smallest of the next position, and FloorPos hands back that boundary's
+// sum.
+func TestFloorPosHigherPos(t *testing.T) {
+	var tr Tree
+	for _, b := range []struct {
+		key int64
+		pos int
+	}{{10, 0}, {20, 5}, {30, 5}, {40, 5}, {50, 9}, {60, 9}} {
+		tr.Insert(b.key, b.pos, int64(100*b.pos))
+	}
+	for _, c := range []struct {
+		pos               int
+		floorKey, highKey int64
+		floorOK, highOK   bool
+	}{
+		{-1, 0, 10, false, true},
+		{0, 10, 20, true, true},
+		{4, 10, 20, true, true},
+		{5, 40, 50, true, true},
+		{8, 40, 50, true, true},
+		{9, 60, 0, true, false},
+		{99, 60, 0, true, false},
+	} {
+		k, p, sum, ok := tr.FloorPos(c.pos)
+		if ok != c.floorOK || (ok && (k != c.floorKey || p > c.pos || sum != int64(100*p))) {
+			t.Errorf("FloorPos(%d) = %d,%d,%d,%v; want key %d ok %v", c.pos, k, p, sum, ok, c.floorKey, c.floorOK)
+		}
+		k, p, ok = tr.HigherPos(c.pos)
+		if ok != c.highOK || (ok && (k != c.highKey || p <= c.pos)) {
+			t.Errorf("HigherPos(%d) = %d,%d,%v; want key %d ok %v", c.pos, k, p, ok, c.highKey, c.highOK)
+		}
 	}
 }

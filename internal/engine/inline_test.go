@@ -245,6 +245,11 @@ func TestConvergedSelectRacesWrites(t *testing.T) {
 	if res, err := e.Select("R", "A", lo, hi); err != nil || res.Count != final.count || res.Sum != final.sum {
 		t.Fatalf("quiesced select: %+v, %v; want %+v", res, err, final)
 	}
+	// Every merged write rippled through the boundaries above it: each part's
+	// boundary sums must still equal a scan of its cracked copy.
+	if err := cs.validate(); err != nil {
+		t.Fatal(err)
+	}
 	// The test is about the inline path: reads must have taken it.
 	if inline := reads.Load() - fanned.Load()/shards; inline <= 0 {
 		t.Fatalf("no read of %d ran inline (%d fan-out workers)", reads.Load(), fanned.Load())

@@ -22,11 +22,11 @@ import (
 // selects on the same part run in parallel wherever the physical design
 // allows it: scan/offline/online selects are pure reads under the part's
 // shared latch, and adaptive/holistic selects run under it too, taking the
-// part's cracker index latch shared to look up and sum an already-cracked
-// range (one acquisition each, whatever the piece count) and exclusively
-// only while partitioning a piece; only materialising the cracked copy,
-// merging pending updates and stochastic-variant selects fall back to the
-// part's exclusive latch.
+// part's cracker index latch shared to subtract the boundary sums of an
+// already-cracked range (one acquisition, whatever the piece or value count)
+// and exclusively only while partitioning a piece; only materialising the
+// cracked copy, merging pending updates and stochastic-variant selects fall
+// back to the part's exclusive latch.
 func (e *Engine) Select(table, col string, lo, hi int64) (Result, error) {
 	cs, err := e.colState(table, col)
 	if err != nil {
@@ -94,11 +94,12 @@ func (e *Engine) Select(table, col string, lo, hi int64) (Result, error) {
 
 // crackedSelect answers an adaptive or holistic select. It first asks every
 // part in turn, on the caller's goroutine, for a converged lookup
-// (shard.Part.ConvergedSelect): summing a few thousand already-cracked values
-// costs less than starting a worker for them. The first part that declines
-// sends the whole statement down the fan-out; which path runs depends only on
-// what the indexes hold for [lo, hi). inline reports the first path; region is
-// then the most values any part's cracked copy holds for the range.
+// (shard.Part.ConvergedSelect): a range whose bounds are crack boundaries is
+// two tree descents and a subtraction at any width, far less than starting a
+// worker for it. The first part that declines sends the whole statement down
+// the fan-out; which path runs depends only on what the indexes hold for
+// [lo, hi). inline reports the first path; region is then the most values any
+// part's cracked copy holds for the range.
 func crackedSelect(sc *shard.Column, lo, hi int64) (count int, sum int64, region int, inline bool) {
 	for _, p := range sc.Parts() {
 		c, s, r, ok := p.ConvergedSelect(lo, hi)

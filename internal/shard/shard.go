@@ -613,11 +613,12 @@ func (p *Part) SortedCountSum(lo, hi int64) (int, int64) {
 // CrackedSelect is the adaptive select operator on one part. The common case
 // — cracked copy materialised, plain cracking — runs under the shared latch:
 // a select whose bounds are already cracked takes the index latch shared
-// twice (boundary lookup, contiguous sum) and never exclusively. It combines
-// the cracked result with the queue's net contribution and validates the
-// pair with the merge epoch. Structural work (materialisation, stochastic
-// variants) falls back to the exclusive latch, under which the queue cannot
-// be drained and the combined read is trivially consistent.
+// once, subtracts two boundary sums (cracker.Index.CrackCountSum) and never
+// latches exclusively. It combines the cracked result with the queue's net
+// contribution and validates the pair with the merge epoch. Structural work
+// (materialisation, stochastic variants) falls back to the exclusive latch,
+// under which the queue cannot be drained and the combined read is trivially
+// consistent.
 func (p *Part) CrackedSelect(lo, hi int64) (int, int64) {
 	for try := 0; try < seqlockRetries; try++ {
 		p.mu.RLock()
@@ -627,8 +628,7 @@ func (p *Part) CrackedSelect(lo, hi int64) (int, int64) {
 			break
 		}
 		e := p.epoch.Load()
-		from, to := ix.CrackRange(lo, hi)
-		count, sum := ix.CountSum(from, to)
+		count, sum := ix.CrackCountSum(lo, hi)
 		p.mu.RUnlock()
 		dc, ds := p.ingest.CountSum(lo, hi)
 		if p.epoch.Load() == e {
@@ -638,38 +638,29 @@ func (p *Part) CrackedSelect(lo, hi int64) (int, int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	ix := p.crackIndexLocked()
-	var from, to int
 	if p.selector != nil {
-		from, to = p.selector.Select(lo, hi)
-	} else {
-		from, to = ix.CrackRange(lo, hi)
+		// The variant's auxiliary cracks; it ends by cracking lo and hi, so
+		// the aggregate below is a boundary lookup.
+		p.selector.Select(lo, hi)
 	}
-	count, sum := ix.CountSum(from, to)
+	count, sum := ix.CrackCountSum(lo, hi)
 	dc, ds := p.ingest.CountSum(lo, hi)
 	return count + dc, sum + ds
 }
 
-// ConvergedSelectMax is the largest cracked region, in values, a part sums
-// on the calling goroutine: a fan-out worker costs ~1.7 µs (goroutine,
-// WaitGroup, wake-up: bench/'s shard.fanout_overhead_us) and the sum ~0.5 ns
-// a value, so below ~4K values the spawn costs more than the work it moves.
-const ConvergedSelectMax = 4096
-
 // ConvergedSelect answers [lo, hi) as CrackedSelect does, but only when that
-// takes no structural work and little time: the cracked copy exists, cracking
-// is plain, both bounds already are crack boundaries and the region between
-// them holds at most ConvergedSelectMax values (region; buffered writes not
-// counted). It never cracks or latches exclusively, so it may run on the
-// query's own goroutine. ok false — the part declined, or a merge moved rows
-// during the read — sends the caller to CrackedSelect.
+// takes no structural work: the cracked copy exists, cracking is plain and
+// both bounds already are crack boundaries, so the answer is the difference
+// of their sums — the same cost however many values lie between them (region;
+// buffered writes not counted). It never cracks or latches exclusively, so it
+// runs on the query's own goroutine. ok false — the part declined, or a merge
+// moved rows during the read — sends the caller to CrackedSelect.
 func (p *Part) ConvergedSelect(lo, hi int64) (count int, sum int64, region int, ok bool) {
 	p.mu.RLock()
 	e := p.epoch.Load()
 	if ix := p.crack; ix != nil && p.selector == nil {
-		if from, to, hit := ix.LookupRange(lo, hi); hit && to-from <= ConvergedSelectMax {
-			count, sum = ix.CountSum(from, to)
-			region, ok = to-from, true
-		}
+		count, sum, ok = ix.LookupCountSum(lo, hi)
+		region = count
 	}
 	p.mu.RUnlock()
 	if !ok {

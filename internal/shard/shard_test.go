@@ -133,13 +133,13 @@ func TestCrackedSelectMatchesNaive(t *testing.T) {
 
 // TestConvergedSelectDeclines walks the conditions under which a part
 // refuses the inline lookup — no cracked copy yet, a bound that is not a crack
-// boundary, a region one value over ConvergedSelectMax, a stochastic cracking
-// variant — and checks that each refusal cracks nothing, that CrackedSelect
-// then answers as it always did, and that the lookup is taken and exact once
-// the condition is gone, pending inserts and deletes included.
+// boundary, a stochastic cracking variant — and checks that each refusal
+// cracks nothing, that CrackedSelect then answers as it always did, and that
+// the lookup is taken and exact once the condition is gone, at any region
+// width, pending inserts and deletes included.
 func TestConvergedSelectDeclines(t *testing.T) {
 	// 0..n-1 shuffled: the range [a, b) holds exactly b-a values.
-	const n = 3 * ConvergedSelectMax
+	const n = 12288
 	vals := make([]int64, n)
 	for i := range vals {
 		vals[i] = int64(i)
@@ -175,16 +175,10 @@ func TestConvergedSelectDeclines(t *testing.T) {
 	declines(p, "upper bound not a boundary", 100, 300)
 	declines(p, "lower bound not a boundary", 50, 200)
 	declines(p, "inverted range", 200, 100)
-	declines(p, "region one over the limit", 1000, 1000+ConvergedSelectMax+1)
-	if c, _, region, ok := p.ConvergedSelect(1000, 1000+ConvergedSelectMax+1); ok {
-		t.Fatalf("a cracked region of %d values (count %d) still ran inline", region, c)
-	}
-	if _, _, _, ok := p.ConvergedSelect(1001, 1001+ConvergedSelectMax); ok {
-		t.Fatal("lower bound 1001 was never cracked")
-	}
-	p.CrackedSelect(1001, 1001+ConvergedSelectMax)
-	if c, _, region, ok := p.ConvergedSelect(1001, 1001+ConvergedSelectMax); !ok || c != ConvergedSelectMax || region != ConvergedSelectMax {
-		t.Fatalf("a region of exactly the limit: count %d region %d ok %v", c, region, ok)
+	// A hit costs the same at any width: most of the column runs inline too.
+	declines(p, "wide range, not cracked yet", 1000, n-1000)
+	if c, s, region, ok := p.ConvergedSelect(1000, n-1000); !ok || c != n-2000 || region != n-2000 || s != int64(n-1)*(n-2000)/2 {
+		t.Fatalf("converged [1000, %d): %d/%d region %d ok %v", n-1000, c, s, region, ok)
 	}
 
 	// Buffered writes are part of the answer; region counts only merged rows.

@@ -1,6 +1,9 @@
 // Package sortindex implements the offline (full) index: a completely sorted
 // copy of a column plus the base row ids, answering range selects with two
-// binary searches. Building it costs a full sort — the paper's Time_sort,
+// binary searches and — the reply being (count, sum) — one subtraction of
+// prefix sums, the same aggregate shortcut the cracker's boundaries carry, so
+// the paper's offline/online baselines are not charged for a scan the
+// adaptive strategies skip. Building it costs a full sort — the paper's Time_sort,
 // 28.4 s for 10^8 values on the authors' hardware — which is exactly the
 // investment offline indexing must make up front and holistic indexing
 // chooses to spread over many partial indexes instead.
@@ -20,6 +23,16 @@ import (
 type Index struct {
 	vals []int64  // ascending
 	rows []uint32 // base row ids aligned with vals
+	pre  []int64  // pre[i] is the wrapping sum of vals[:i]; len(vals)+1 entries
+}
+
+// newIndex adopts sorted vals and rows and builds the prefix sums.
+func newIndex(vals []int64, rows []uint32) *Index {
+	pre := make([]int64, len(vals)+1)
+	for i, v := range vals {
+		pre[i+1] = pre[i] + v
+	}
+	return &Index{vals: vals, rows: rows, pre: pre}
 }
 
 // Build sorts vals (adopting the slice) together with rows and returns the
@@ -27,7 +40,7 @@ type Index struct {
 // standard library sort below a small threshold.
 func Build(vals []int64, rows []uint32) *Index {
 	radixSortPairs(vals, rows)
-	return &Index{vals: vals, rows: rows}
+	return newIndex(vals, rows)
 }
 
 // BuildComparison builds the index with a comparison sort (O(n log n)).
@@ -36,7 +49,7 @@ func Build(vals []int64, rows []uint32) *Index {
 // alternative the ablation benchmarks contrast it with.
 func BuildComparison(vals []int64, rows []uint32) *Index {
 	comparisonSortPairs(vals, rows)
-	return &Index{vals: vals, rows: rows}
+	return newIndex(vals, rows)
 }
 
 // FromColumn snapshots and sorts a base column.
@@ -58,7 +71,7 @@ func FromSorted(vals []int64, rows []uint32) (*Index, error) {
 			return nil, fmt.Errorf("sortindex: restore input not sorted at %d", i)
 		}
 	}
-	return &Index{vals: vals, rows: rows}, nil
+	return newIndex(vals, rows), nil
 }
 
 // Len returns the number of indexed values.
@@ -93,24 +106,21 @@ func (ix *Index) MinRowOf(v int64, live func(row uint32) bool) (row uint32, ok b
 	return row, ok
 }
 
-// CountSum aggregates the region [from, to): tuple count and value sum.
+// CountSum aggregates the region [from, to): tuple count and value sum, a
+// subtraction of two prefix sums. Positions are clamped to the index; an
+// empty or inverted region yields (0, 0).
 func (ix *Index) CountSum(from, to int) (int, int64) {
-	if from < 0 {
-		from = 0
+	from, to = max(from, 0), min(to, len(ix.vals))
+	if from >= to {
+		return 0, 0
 	}
-	if to > len(ix.vals) {
-		to = len(ix.vals)
-	}
-	var sum int64
-	for _, v := range ix.vals[from:to] {
-		sum += v
-	}
-	return to - from, sum
+	return to - from, ix.pre[to] - ix.pre[from]
 }
 
 // Insert adds one value, keeping the index sorted. O(n) memmove — this is
 // the maintenance cost a full index pays per update, which the ablation
-// benchmarks contrast with the cracker's O(pieces) ripple.
+// benchmarks contrast with the cracker's O(pieces) ripple. The prefix sums
+// above the slot move with the values and gain v.
 func (ix *Index) Insert(v int64, row uint32) {
 	at := sort.Search(len(ix.vals), func(i int) bool { return ix.vals[i] >= v })
 	ix.vals = append(ix.vals, 0)
@@ -119,6 +129,10 @@ func (ix *Index) Insert(v int64, row uint32) {
 	copy(ix.rows[at+1:], ix.rows[at:])
 	ix.vals[at] = v
 	ix.rows[at] = row
+	ix.pre = append(ix.pre, 0)
+	for i := len(ix.pre) - 1; i > at; i-- {
+		ix.pre[i] = ix.pre[i-1] + v
+	}
 }
 
 // Delete removes one occurrence of v, returning its base row id.
@@ -146,6 +160,11 @@ func (ix *Index) DeleteRow(v int64, row uint32) bool {
 }
 
 func (ix *Index) removeAt(at int) {
+	v := ix.vals[at]
+	for i := at + 1; i < len(ix.pre)-1; i++ {
+		ix.pre[i] = ix.pre[i+1] - v
+	}
+	ix.pre = ix.pre[:len(ix.pre)-1]
 	copy(ix.vals[at:], ix.vals[at+1:])
 	copy(ix.rows[at:], ix.rows[at+1:])
 	ix.vals = ix.vals[:len(ix.vals)-1]

@@ -1,7 +1,9 @@
 package sortindex
 
 import (
+	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -189,20 +191,43 @@ func TestPropertySortedEquivalence(t *testing.T) {
 	}
 }
 
+// TestPropertyInsertDeleteReference also holds the prefix sums to the values:
+// after every insert and delete — extremes included, so the sums wrap —
+// CountSum of a random region, clamped, inverted and past-the-end ones among
+// them, equals a plain loop over Values.
 func TestPropertyInsertDeleteReference(t *testing.T) {
 	f := func(seed uint64, opsRaw uint8) bool {
 		rng := rand.New(rand.NewPCG(seed, 17))
 		ix := buildFrom(nil)
 		var ref []int64
 		ops := int(opsRaw) + 10
+		draw := func() int64 {
+			switch rng.IntN(10) {
+			case 0:
+				return math.MinInt64
+			case 1:
+				return math.MaxInt64
+			}
+			return rng.Int64N(100)
+		}
 		for i := 0; i < ops; i++ {
-			switch rng.IntN(3) {
+			switch rng.IntN(4) {
+			case 3: // remove one entry by (value, row), as a merge does
+				if ix.Len() == 0 {
+					continue
+				}
+				j := rng.IntN(ix.Len())
+				v := ix.Values()[j]
+				if !ix.DeleteRow(v, ix.Rows()[j]) || ix.DeleteRow(v, uint32(ops)) {
+					return false
+				}
+				ref = slices.Delete(ref, slices.Index(ref, v), slices.Index(ref, v)+1)
 			case 0, 1:
-				v := rng.Int64N(100)
+				v := draw()
 				ix.Insert(v, uint32(i))
 				ref = append(ref, v)
 			case 2:
-				v := rng.Int64N(100)
+				v := draw()
 				_, ok := ix.Delete(v)
 				found := false
 				for j, rv := range ref {
@@ -215,6 +240,15 @@ func TestPropertyInsertDeleteReference(t *testing.T) {
 				if ok != found {
 					return false
 				}
+			}
+			from, to := rng.IntN(ix.Len()+5)-2, rng.IntN(ix.Len()+5)-2
+			wn, ws := 0, int64(0)
+			for j := max(from, 0); j < min(to, ix.Len()); j++ {
+				wn, ws = wn+1, ws+ix.Values()[j]
+			}
+			if n, s := ix.CountSum(from, to); n != wn || s != ws {
+				t.Logf("CountSum(%d, %d) over %v = %d, %d; plain loop %d, %d", from, to, ix.Values(), n, s, wn, ws)
+				return false
 			}
 		}
 		sort.Slice(ref, func(a, b int) bool { return ref[a] < ref[b] })
