@@ -49,6 +49,13 @@ const DefaultRadixMinPiece = 1 << 17
 // BenchmarkPartition2/{reference,predicated} pair in internal/cracker. Cost
 // estimates only ever compare against one another, so the exact value
 // matters less than applying it consistently to every partition-sweep term.
+//
+// The one-cursor kernel (PR 22) measures ~0.32 on the 2-core dev host at a
+// median pivot (~0.21 ms vs ~0.67 ms for 2^17 values); the two-cursor kernel
+// before it measured ~0.88. The value stays 0.6 deliberately: changing it
+// re-weights CrackActionCost against merges, snapshots and radix passes in
+// the idle auction, which is the tuner calibration's job (ROADMAP item 2),
+// not a kernel change's.
 const PredicatedCrackFactor = 0.6
 
 // RadixCrackCost is the cost of one radix-first coarse pass over a piece of

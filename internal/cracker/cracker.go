@@ -23,7 +23,8 @@
 //
 //   - a crack (in two, in three, or a radix pass) permutes values inside one
 //     piece only, so existing sums stand and each new boundary is seeded with
-//     its piece's base sum plus the sum of the side just partitioned below it;
+//     its piece's base sum plus the sum of the side below it, which the
+//     partition sweep (or the radix histogram) accumulates as it goes;
 //   - a ripple insert or delete of v moves one value across each boundary
 //     above v's piece — the array below each of those gains or loses exactly
 //     v — so the walk that shifts their positions by ±1 shifts their sums by ±v;
@@ -326,10 +327,9 @@ func (ix *Index) crackRange(lo, hi int64) (from, to int) {
 			return ix.crackRange(lo, hi)
 		}
 		// Crack in three: one pass over the piece for both bounds.
-		m1, m2 := partition3(ix.vals, ix.rows, aL, bL, lo, hi)
-		sLo := base + sumInt64(ix.vals[aL:m1])
-		ix.tree.Insert(lo, m1, sLo)
-		ix.tree.Insert(hi, m2, sLo+sumInt64(ix.vals[m1:m2]))
+		m1, m2, sumLow, sumMid := partition3(ix.vals, ix.rows, aL, bL, lo, hi)
+		ix.tree.Insert(lo, m1, base+sumLow)
+		ix.tree.Insert(hi, m2, base+sumLow+sumMid)
 		ix.cracks.Add(2)
 		ix.work.Add(int64(bL - aL))
 		return m1, m2
@@ -343,8 +343,8 @@ func (ix *Index) crackAt(v int64) int {
 	for {
 		a, b, base := ix.pieceBoundsSum(v)
 		if !ix.maybeRadixPiece(a, b) {
-			m := partition2(ix.vals, ix.rows, a, b, v)
-			ix.tree.Insert(v, m, base+sumInt64(ix.vals[a:m]))
+			m, sumLow := partition2(ix.vals, ix.rows, a, b, v)
+			ix.tree.Insert(v, m, base+sumLow)
 			ix.cracks.Add(1)
 			ix.work.Add(int64(b - a))
 			return m
@@ -566,8 +566,8 @@ func (ix *Index) prefixSum(pos int) int64 {
 // (±15 % measured), four keep the adders busy wherever it lands. Re-slicing by
 // a checked length drops every bounds check; wrap-around is the plain loop's,
 // int64 addition being associative and commutative modulo 2^64. No select
-// calls it: it seeds a new boundary's sum from the side a crack just
-// partitioned and reads CountSum's ragged edges.
+// or crack calls it: it reads CountSum's ragged edges and re-derives the
+// boundary sums in RestoreIndex.
 func sumInt64(vals []int64) int64 {
 	var s0, s1, s2, s3 int64
 	for len(vals) >= 4 {

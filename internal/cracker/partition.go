@@ -1,23 +1,36 @@
 package cracker
 
-// Predicated (branch-free) partition kernels — the innermost loops every
-// select, merge and idle refinement funnels through.
+// The predicated (branch-free) partition kernel — the innermost loop every
+// select, merge and idle refinement funnels through, and the whole of a
+// crack's exclusive-latch section.
 //
 // The seed's Hoare-style loops branched on every comparison; with a random
 // pivot over unsorted data each branch is a coin flip, so the partition paid
-// a misprediction stall roughly every other element. Following the
-// predicated-cracking pattern of "Main Memory Adaptive Indexing for
-// Multi-core Systems" (Alvarez, Schuhknecht, Dittrich, Richter, DaMoN 2014),
-// the loops below replace data-dependent branches with flag materialisation
-// and mask arithmetic: every iteration executes the same instructions, swaps
-// are applied through an XOR mask, and the cursors advance by 0 or 1
-// computed from the comparison results. Nothing in here allocates.
+// a misprediction stall roughly every other element. Following "Main Memory
+// Adaptive Indexing for Multi-core Systems" (Alvarez, Schuhknecht, Dittrich,
+// Richter, DaMoN 2014), the comparison becomes a materialised 0/1 flag and
+// every iteration executes the same instructions.
+//
+// Predication alone was not enough: a two-cursor predicated loop advances
+// both cursors by flags computed from the values just loaded AT those
+// cursors, so each step's load addresses wait for the previous step's load,
+// compare and add — a ~10-cycle latency chain per value, longer off the
+// median. The loop below has one read cursor, right, that walks the piece
+// front to back whatever the data says, so its loads run ahead at memory
+// speed, and one write cursor, left, the count of values < pivot so far: each
+// element is exchanged with v[left] and left advances by the flag, leaving a
+// one-cycle add as the only loop-carried dependency, at any pivot position.
+// v[left:right] holds the values >= pivot met so far; the order of values
+// WITHIN a side is unspecified and nothing may rely on it.
+//
+// The low side's wrapping sum is folded into the sweep (the value masked by
+// the negated flag; measured free): every crack seeds its new boundary's
+// prefix sum with it. Nothing in here allocates.
 //
 // Bounds-check elimination is part of the file's contract: CI compiles this
 // file with -gcflags='-d=ssa/check_bce' and fails if any check appears. The
-// loops are written over re-sliced, zero-based views (and the last masked
-// access is index-clamped) so the compiler's prove pass can discharge every
-// access.
+// loop runs over zero-based views of equal length, and one never-taken guard
+// states the cursor invariant for the prove pass.
 
 // b2i returns 1 when b is true, 0 otherwise. The compiler lowers the
 // conditional to a flag materialisation (SETcc on amd64), not a branch.
@@ -29,58 +42,43 @@ func b2i(b bool) int {
 }
 
 // partition2 reorders vals[a:b] (and rows in lockstep) so that values < pivot
-// precede values >= pivot, returning the split position. Branch-free: the
-// loop body is identical whether or not a swap happens.
-func partition2(vals []int64, rows []uint32, a, b int, pivot int64) int {
+// precede values >= pivot, returning the split position and the wrapping sum
+// of the values below it. Branch-free: the loop body is identical whichever
+// side a value belongs to.
+func partition2(vals []int64, rows []uint32, a, b int, pivot int64) (m int, sumLow int64) {
 	// The caller always passes a valid piece (0 <= a <= b <= len); spelling
 	// the comparisons out lets the prove pass discharge the slice ops below.
 	if a < 0 || a >= b || b > len(vals) || b > len(rows) {
-		return a
+		return a, 0
 	}
 	v := vals[a:b]
 	r := rows[a:b]
-	i, j := 0, len(v)-1
-	for i < j {
-		if uint(i) >= uint(len(v)) || uint(j) >= uint(len(v)) || uint(j) >= uint(len(r)) {
-			break // unreachable: 0 <= i < j <= len(v)-1 throughout; BCE only
+	if len(r) != len(v) {
+		return a, 0 // unreachable: both are b-a long; BCE only
+	}
+	left := 0
+	for right, rv := range v {
+		if uint(left) > uint(right) {
+			break // unreachable: left advances at most once per step; BCE only
 		}
-		vi, vj := v[i], v[j]
-		ri, rj := r[i], r[j]
-		// Swap exactly when both ends are misplaced. m is all-ones then,
-		// all-zeros otherwise; XOR-masking applies or skips the exchange
-		// without a branch.
-		m := -int64(b2i(vi >= pivot) & b2i(vj < pivot))
-		x := (vi ^ vj) & m
-		y := (ri ^ rj) & uint32(m)
-		nvi, nvj := vi^x, vj^x
-		v[i], v[j] = nvi, nvj
-		r[i], r[j] = ri^y, rj^y
-		// After the (possible) swap at least one cursor moves: if neither
-		// condition held, the swap fired and both do — progress is
-		// unconditional, so the loop terminates with i == j (last element
-		// unclassified) or i == j+1 (all classified).
-		i += b2i(nvi < pivot)
-		j -= b2i(nvj >= pivot)
+		rr := r[right]
+		v[right], r[right] = v[left], r[left]
+		v[left], r[left] = rv, rr
+		lt := b2i(rv < pivot)
+		left += lt
+		sumLow += rv & -int64(lt)
 	}
-	// Classify the element the cursors met on. When they crossed instead
-	// (i == j+1), v[i] is already known >= pivot and contributes 0. The
-	// guard is always true — i only ever advances while i < j <= len(v)-1 —
-	// so it predicts perfectly and exists purely to let the compiler
-	// discharge the final bounds check.
-	if uint(i) < uint(len(v)) {
-		i += b2i(v[i] < pivot)
-	}
-	return a + i
+	return a + left, sumLow
 }
 
 // partition3 reorders vals[a:b] into three bands: < lo, [lo, hi), >= hi,
 // returning the two split positions (m1 = start of middle, m2 = start of the
-// high band). Predicating a three-way split directly would need two masks
-// and three-way cursor logic; Alvarez et al. observe that two predicated
-// two-way passes are faster than one branchy three-way pass, so crack-in-
-// three is exactly that: split on lo, then split the upper band on hi.
-func partition3(vals []int64, rows []uint32, a, b int, lo, hi int64) (m1, m2 int) {
-	m1 = partition2(vals, rows, a, b, lo)
-	m2 = partition2(vals, rows, m1, b, hi)
-	return m1, m2
+// high band) and the wrapping sums of the low and middle bands. Alvarez et
+// al. observe that two predicated two-way passes are faster than one branchy
+// three-way pass, so crack-in-three is exactly that: split on lo, then split
+// the upper band on hi.
+func partition3(vals []int64, rows []uint32, a, b int, lo, hi int64) (m1, m2 int, sumLow, sumMid int64) {
+	m1, sumLow = partition2(vals, rows, a, b, lo)
+	m2, sumMid = partition2(vals, rows, m1, b, hi)
+	return m1, m2, sumLow, sumMid
 }

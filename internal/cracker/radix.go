@@ -23,7 +23,8 @@ package cracker
 // zero-size piece whose start collides with its right neighbour's.
 //
 // The scatter buffer comes from the scratch pool, so steady-state radix
-// passes allocate nothing.
+// passes allocate nothing; only the one pass over a whole column whose length
+// is not a pool size class allocates, because it keeps what it scatters into.
 
 import (
 	"math/bits"
@@ -49,6 +50,23 @@ func (ix *Index) maybeRadixPiece(a, b int) bool {
 		return false
 	}
 	return ix.radixPiece(a, b) > 0
+}
+
+// exactBuf returns a scatter destination of length AND capacity n, for the
+// pass that keeps it: the pool rounds capacity up to a power of two and files
+// adopted arrays under the class below their capacity, so a kept pooled pair
+// could carry up to 2x slack for the life of the index (a part of 2^20+1 rows
+// held 2^21). Only a power-of-two n can be an exact fit, and only an exact
+// fit is taken from the pool.
+func exactBuf(n int) *scratch.Buf {
+	if n&(n-1) == 0 {
+		buf := scratch.Get(n)
+		if cap(buf.V) == n && cap(buf.R) == n {
+			return buf
+		}
+		scratch.Put(buf)
+	}
+	return &scratch.Buf{V: make([]int64, n), R: make([]uint32, n)}
 }
 
 // radixPiece scatters the piece [a, b) into value-ordered radix buckets and
@@ -115,9 +133,18 @@ func (ix *Index) radixPiece(a, b int) int {
 	}
 	starts[nb] = sum
 
-	// Pass 2: out-of-place scatter into pooled scratch, then copy back.
-	// hist doubles as the per-bucket write cursor.
-	buf := scratch.Get(n)
+	// Pass 2: out-of-place scatter. A pass over the whole column keeps its
+	// destination as the index arrays and donates the old arrays to the pool
+	// — the copy-back, the single largest slice of the pass's memory traffic,
+	// disappears. Every other pass scatters into pooled scratch and copies
+	// back.
+	whole := a == 0 && b == len(ix.vals)
+	var buf *scratch.Buf
+	if whole {
+		buf = exactBuf(n)
+	} else {
+		buf = scratch.Get(n)
+	}
 	bv, br := buf.V, buf.R
 	cur := starts // copy; starts stays pristine for boundary registration
 	if len(bv) >= len(v) && len(br) >= len(r) {
@@ -131,10 +158,7 @@ func (ix *Index) radixPiece(a, b int) int {
 			cur[bkt] = o + 1
 		}
 	}
-	if a == 0 && b == len(ix.vals) && n <= len(bv) && n <= len(br) {
-		// The piece is the whole column: keep the scattered buffer as the
-		// index arrays and donate the old arrays to the pool — the copy-back
-		// (the single largest slice of the pass's memory traffic) disappears.
+	if whole && n <= len(bv) && n <= len(br) {
 		// v and r still alias the full old arrays here because a == 0.
 		ix.vals, ix.rows = bv[:n], br[:n]
 		scratch.Adopt(buf, v, r)

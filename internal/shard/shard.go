@@ -508,12 +508,26 @@ func (p *Part) attachCrackLocked(ix *cracker.Index) {
 // merge tombstones them, keeping every structure consistent with the same
 // merged-state boundary.
 func (p *Part) liveSnapshotLocked() ([]int64, []uint32) {
-	n := p.col.Len() - p.nDeleted
+	src := p.col.Values()
+	if p.nDeleted == 0 {
+		// No tombstones — every first touch of a loaded column: one copy and
+		// a strided fill of globalRow(0), globalRow(1), ...
+		vals := make([]int64, len(src))
+		copy(vals, src)
+		rows := make([]uint32, len(src))
+		row, stride := p.globalRow(0), uint32(p.stride)
+		for i := range rows {
+			rows[i] = row
+			row += stride
+		}
+		return vals, rows
+	}
+	n := len(src) - p.nDeleted
 	vals := make([]int64, 0, n)
 	rows := make([]uint32, 0, n)
-	for i := 0; i < p.col.Len(); i++ {
+	for i, v := range src {
 		if !p.deleted[i] {
-			vals = append(vals, p.col.Get(i))
+			vals = append(vals, v)
 			rows = append(rows, p.globalRow(i))
 		}
 	}

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -231,6 +232,48 @@ func TestDeleteAndFirstLive(t *testing.T) {
 	count, sum := c.FanOutCountSum(func(p *Part) (int, int64) { return p.ScanCountSum(0, 100) })
 	if count != 2 || sum != 16 {
 		t.Fatalf("post-delete scan %d/%d, want 2/16", count, sum)
+	}
+}
+
+// TestLiveSnapshotFastPathMatchesLoop holds the tombstone-free copy (one copy
+// plus a strided row fill) to the per-row loop it stands in for, on every
+// part of a striped column, and checks the loop still runs once a row dies.
+func TestLiveSnapshotFastPathMatchesLoop(t *testing.T) {
+	vals := randomVals(rand.New(rand.NewPCG(8, 9)), 1003, 1<<40)
+	c, err := NewColumn("R.A", append([]int64{}, vals...), Config{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(p *Part) {
+		t.Helper()
+		var wantV []int64
+		var wantR []uint32
+		for i := 0; i < p.col.Len(); i++ {
+			if !p.deleted[i] {
+				wantV = append(wantV, p.col.Get(i))
+				wantR = append(wantR, p.globalRow(i))
+			}
+		}
+		gotV, gotR := p.liveSnapshotLocked()
+		if !slices.Equal(gotV, wantV) || !slices.Equal(gotR, wantR) {
+			t.Fatalf("part %d (%d tombstones): snapshot differs from the per-row loop", p.id, p.nDeleted)
+		}
+		for i, r := range gotR {
+			if vals[r] != gotV[i] {
+				t.Fatalf("part %d: row id %d carries %d, column has %d", p.id, r, gotV[i], vals[r])
+			}
+		}
+	}
+	for _, p := range c.Parts() {
+		check(p)
+	}
+	c.DeleteRow(4)
+	c.MergePending()
+	for _, p := range c.Parts() {
+		check(p)
+	}
+	if p := c.Parts()[4%3]; p.nDeleted != 1 {
+		t.Fatalf("part %d has %d tombstones after the delete merged, want 1", p.id, p.nDeleted)
 	}
 }
 
