@@ -57,7 +57,7 @@ func main() {
 		workers = flag.Int("idle-workers", 0, "idle worker pool size (0 = GOMAXPROCS)")
 		quiet   = flag.Duration("idle-quiet", 10*time.Millisecond, "traffic gap length before idle refinement starts")
 		quantum = flag.Int("idle-quantum", 0, "refinement actions per idle wakeup (0 = default)")
-		shards  = flag.Int("shards", 1, "striped shards per column: selects fan out across them (<=1 = unsharded)")
+		shards  = flag.Int("shards", 1, "striped shards per column: large selects fan out across them (<=1 = unsharded)")
 		maxIn   = flag.Int("max-inflight", server.DefaultMaxInFlight, "bounded admission: max statements in the system")
 		load    = flag.String("load", "", "preload spec: comma-separated table.col:n uniform columns, e.g. r.a:1000000,r.b:1000000")
 		dataDir = flag.String("data-dir", "", "durable mode: statement log + snapshots live here (empty = in-memory only)")

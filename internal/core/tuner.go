@@ -155,7 +155,6 @@ type Tuner struct {
 	rr        int   // round-robin rotation cursor for rank ties
 	actions   int64 // refinement actions performed
 	work      int64 // elements touched by those actions
-	boosts    int64 // hot-range boost cracks performed
 	contended int64 // Steps that yielded because every candidate was claimed
 	merges    int64 // refinement actions that drained pending updates
 	mergedOps int64 // buffered operations applied by those merges
@@ -165,6 +164,8 @@ type Tuner struct {
 	specWork    int64                    // elements touched by speculative actions
 	specWins    int64                    // speculated ranges later hit by a query
 	specRanges  map[string][]stats.Range // recent speculated ranges per column
+
+	boosts atomic.Int64 // hot-range boost cracks performed; bumped per part by hot statements, so not under mu
 }
 
 // NewTuner builds a tuner around a shared workload collector. A nil
@@ -187,14 +188,21 @@ func NewTuner(cfg Config, collector *stats.Collector) *Tuner {
 // Collector returns the workload statistics collector the tuner consults.
 func (t *Tuner) Collector() *stats.Collector { return t.collector }
 
-// childRNG derives an independent RNG from the tuner's seeded stream so
-// concurrent actions never share rand state. Deterministic given the seed
-// and call order.
-func (t *Tuner) childRNG() *rand.Rand {
+// childSeeds draws the two seeds of an independent generator from the tuner's
+// seeded stream, so concurrent actions never share rand state. Deterministic
+// given the seed and call order.
+func (t *Tuner) childSeeds() (seed1, seed2 uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return rand.New(rand.NewPCG(t.rng.Uint64(), t.rng.Uint64()))
+	return t.rng.Uint64(), t.rng.Uint64()
 }
+
+func (t *Tuner) childRNG() *rand.Rand { return rand.New(rand.NewPCG(t.childSeeds())) }
+
+// boostPCGs holds sources for the select path's childRNGs, reseeded in place:
+// a rand.Rand reaches its source through an interface, so a per-call PCG moves
+// to the heap however local it looks, once per part of every hot statement.
+var boostPCGs = sync.Pool{New: func() any { return new(rand.PCG) }}
 
 // Register adds a column to the tuner's candidate set, declaring its value
 // domain for histogram purposes.
@@ -244,11 +252,7 @@ func (t *Tuner) Work() int64 {
 }
 
 // Boosts returns the number of hot-range boost cracks performed.
-func (t *Tuner) Boosts() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.boosts
-}
+func (t *Tuner) Boosts() int64 { return t.boosts.Load() }
 
 // Merges returns how many refinement actions drained pending updates
 // instead of cracking.
@@ -617,7 +621,9 @@ func (t *Tuner) MaybeBoost(ix *cracker.Index, col string, lo, hi int64) int {
 	if !t.collector.IsHot(col, lo, hi, t.cfg.hotThreshold()) {
 		return 0
 	}
-	rng := t.childRNG()
+	pcg := boostPCGs.Get().(*rand.PCG)
+	pcg.Seed(t.childSeeds())
+	rng := rand.New(pcg)
 	target := t.TargetPieceSize()
 	work := 0
 	done := 0
@@ -628,8 +634,7 @@ func (t *Tuner) MaybeBoost(ix *cracker.Index, col string, lo, hi int64) int {
 			done++
 		}
 	}
-	t.mu.Lock()
-	t.boosts += int64(done)
-	t.mu.Unlock()
+	boostPCGs.Put(pcg)
+	t.boosts.Add(int64(done))
 	return work
 }

@@ -230,6 +230,36 @@ func TestMaybeBoostStopsAtTarget(t *testing.T) {
 	}
 }
 
+// A boost draws its pivots from a pooled generator reseeded in place; they
+// must be the pivots a fresh childRNG would have drawn, so a seeded run cracks
+// where it always did.
+func TestMaybeBoostDrawsChildRNGPivots(t *testing.T) {
+	const target, lo, hi = 32, int64(1 << 18), int64(1 << 19)
+	cfg := Config{TargetPieceSize: target, HotThreshold: 1, HotBoost: 3, Seed: 99}
+	boosted, byHand := NewTuner(cfg, nil), NewTuner(cfg, nil)
+	a, b := newFakeColumn("a", 8192, 1<<20, 63), newFakeColumn("a", 8192, 1<<20, 63)
+	boosted.Register(a, 0, 1<<20)
+	for i := 0; i < 10; i++ {
+		boosted.NoteQuery("a", lo, hi)
+	}
+	for i := 0; i < 50; i++ {
+		boosted.MaybeBoost(a.ix, "a", lo, hi)
+		rng := byHand.childRNG()
+		for j := 0; j < cfg.HotBoost; j++ {
+			b.ix.RandomCrackInRange(rng, lo, hi, target)
+		}
+	}
+	got, want := a.ix.Boundaries(), b.ix.Boundaries()
+	if len(got) < 10 || len(got) != len(want) {
+		t.Fatalf("%d boundaries from MaybeBoost, %d from childRNG draws", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("boundary %d: %+v from MaybeBoost, %+v from childRNG draws", i, got[i], want[i])
+		}
+	}
+}
+
 // rangeConverged reports whether every piece overlapping [lo, hi) holds at
 // most target values.
 func rangeConverged(ix *cracker.Index, lo, hi int64, target int) bool {
@@ -394,5 +424,29 @@ func BenchmarkSeedWorkload(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		lo := int64(i%1000) * 1000
 		tn.SeedWorkload("a", lo, lo+1<<12, 100)
+	}
+}
+
+// A statement on a hot range calls MaybeBoost once per part, and once the
+// range's pieces are at the target every call finds nothing to split: that
+// steady state must cost one tuner lock and no allocation.
+func BenchmarkMaybeBoostHot(b *testing.B) {
+	const target, lo, hi = 64, int64(1 << 18), int64(1 << 19)
+	tn := NewTuner(Config{TargetPieceSize: target, HotThreshold: 1, Seed: 12}, nil)
+	c := newFakeColumn("a", 1<<16, 1<<20, 62)
+	tn.Register(c, 0, 1<<20)
+	for i := 0; i < 10; i++ {
+		tn.NoteQuery("a", lo, hi)
+	}
+	c.ix.CrackRange(lo, hi)
+	for !rangeConverged(c.ix, lo, hi, target) {
+		tn.MaybeBoost(c.ix, "a", lo, hi)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if w := tn.MaybeBoost(c.ix, "a", lo, hi); w != 0 {
+			b.Fatalf("boost on a converged range did %d work", w)
+		}
 	}
 }

@@ -58,6 +58,17 @@ const DefaultRadixMinPiece = 1 << 17
 // not a kernel change's.
 const PredicatedCrackFactor = 0.6
 
+// FanOutMinWork is how many values a fan-out must take off the caller's
+// goroutine before a select starts one (shard.Column.CountSum); below it the
+// parts run one after the other. A hand-off costs 7 us with the other core
+// spinning and up to 25 us with it parked, 4.5k-16k values at the partition
+// kernel's ~1.6 ns a value, and pays from ~32k values when a second core is
+// really free — never when it is not (docs/pr23_select_handoff.md), so the
+// constant sits a factor of two above that. Re-measure with
+// BenchmarkFanOutCrossover in internal/shard (serial vs fanned out, pieces of
+// 2^12..2^18 values, 2 and 4 parts).
+const FanOutMinWork = 1 << 16
+
 // RadixCrackCost is the cost of one radix-first coarse pass over a piece of
 // n values: a histogram sweep plus an out-of-place scatter sweep. The
 // scatter's random-write pattern makes its touches full price even though

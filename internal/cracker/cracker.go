@@ -167,35 +167,14 @@ func (ix *Index) Values() []int64 { return ix.vals }
 // Rows exposes the base row ids aligned with Values, under the same rule.
 func (ix *Index) Rows() []uint32 { return ix.rows }
 
-// pieceBounds returns the [start, end) positions of the piece that value v
-// falls into. A boundary key exactly equal to v starts the piece. The caller
-// holds the index latch.
-func (ix *Index) pieceBounds(v int64) (int, int) {
-	start, end, _ := ix.pieceBoundsSum(v)
-	return start, end
-}
-
-// pieceBoundsSum is pieceBounds plus base, the sum of the cracked copy below
-// the piece's start — what a new boundary inside the piece builds its own
-// sum on.
-func (ix *Index) pieceBoundsSum(v int64) (start, end int, base int64) {
-	if _, pos, sum, ok := ix.tree.Floor(v); ok {
-		start, base = pos, sum
-	}
-	end = len(ix.vals)
-	if _, pos, ok := ix.tree.Higher(v); ok {
-		end = pos
-	}
-	return start, end, base
-}
-
 // PieceOf returns the [start, end) positions of the piece that value v
 // currently falls into, without cracking anything. Stochastic variants use
 // it to decide whether a piece still needs splitting.
 func (ix *Index) PieceOf(v int64) (start, end int) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.pieceBounds(v)
+	start, end, _, _ = ix.tree.Locate(v, len(ix.vals))
+	return start, end
 }
 
 // MinRowOf returns the lowest base row id among the entries holding exactly
@@ -206,7 +185,7 @@ func (ix *Index) PieceOf(v int64) (start, end int) {
 func (ix *Index) MinRowOf(v int64, live func(row uint32) bool) (row uint32, ok bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	a, b := ix.pieceBounds(v)
+	a, b, _, _ := ix.tree.Locate(v, len(ix.vals))
 	for i, val := range ix.vals[a:b] {
 		if val != v {
 			continue
@@ -218,19 +197,28 @@ func (ix *Index) MinRowOf(v int64, live func(row uint32) bool) (row uint32, ok b
 	return row, ok
 }
 
-// lookup returns the positions of the boundaries at lo and hi and the sum of
-// the values between them, or ok false when a bound is not a boundary yet (or
-// the range or index is empty). The caller holds the index latch.
-func (ix *Index) lookup(lo, hi int64) (from, to int, sum int64, ok bool) {
+// lookup locates both bounds of [lo, hi). When both already are boundaries —
+// ok — it returns their positions and the sum of the values between them.
+// Otherwise work is the number of values a crack would have to partition to
+// make them so: the sizes of the one or two pieces the missing bounds fall in
+// (0 for an empty range or index, where there is nothing to crack). The caller
+// holds the index latch.
+func (ix *Index) lookup(lo, hi int64) (from, to int, sum int64, work int, ok bool) {
 	if lo >= hi || len(ix.vals) == 0 {
-		return 0, 0, 0, false
+		return 0, 0, 0, 0, false
 	}
-	pLo, sLo, okLo := ix.tree.Get(lo)
-	pHi, sHi, okHi := ix.tree.Get(hi)
-	if !okLo || !okHi {
-		return 0, 0, 0, false
+	aL, bL, sLo, okLo := ix.tree.Locate(lo, len(ix.vals))
+	aH, bH, sHi, okHi := ix.tree.Locate(hi, len(ix.vals))
+	if okLo && okHi {
+		return aL, aH, sHi - sLo, 0, true
 	}
-	return pLo, pHi, sHi - sLo, true
+	if !okLo {
+		work = bL - aL
+	}
+	if !okHi && (okLo || aH != aL || bH != bL) {
+		work += bH - aH
+	}
+	return 0, 0, 0, work, false
 }
 
 // LookupRange reports, without cracking anything, whether crack boundaries
@@ -239,7 +227,7 @@ func (ix *Index) lookup(lo, hi int64) (from, to int, sum int64, ok bool) {
 func (ix *Index) LookupRange(lo, hi int64) (from, to int, ok bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	from, to, _, ok = ix.lookup(lo, hi)
+	from, to, _, _, ok = ix.lookup(lo, hi)
 	return from, to, ok
 }
 
@@ -248,23 +236,22 @@ func (ix *Index) LookupRange(lo, hi int64) (from, to int, ok bool) {
 // boundaries already exist for both bounds: one shared latch acquisition, two
 // tree descents and a subtraction, whatever the number of pieces or values in
 // between; the cracked copy is not read. ok false means a bound is not a
-// boundary yet (or the range or index is empty).
-func (ix *Index) LookupCountSum(lo, hi int64) (count int, sum int64, ok bool) {
+// boundary yet (or the range or index is empty); work then says how many
+// values CrackCountSum would partition as the index stands (see lookup) — what
+// the caller weighs before deciding where to run the crack.
+func (ix *Index) LookupCountSum(lo, hi int64) (count int, sum int64, work int, ok bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	from, to, sum, ok := ix.lookup(lo, hi)
-	return to - from, sum, ok
+	from, to, sum, work, ok := ix.lookup(lo, hi)
+	return to - from, sum, work, ok
 }
 
 // CrackCountSum is the select operator: it answers [lo, hi) from the
 // boundaries when both exist (LookupCountSum) and otherwise cracks them in
-// under the exclusive latch (CrackRange) and answers from the boundaries it
-// just made. An empty or inverted range yields (0, 0).
+// under the exclusive latch and answers from the positions and sums of the
+// boundaries it just made. An empty or inverted range yields (0, 0).
 func (ix *Index) CrackCountSum(lo, hi int64) (count int, sum int64) {
-	if lo >= hi {
-		return 0, 0
-	}
-	if count, sum, ok := ix.LookupCountSum(lo, hi); ok {
+	if count, sum, _, ok := ix.LookupCountSum(lo, hi); ok || lo >= hi {
 		return count, sum
 	}
 	ix.mu.Lock()
@@ -272,8 +259,7 @@ func (ix *Index) CrackCountSum(lo, hi int64) (count int, sum int64) {
 	if len(ix.vals) == 0 {
 		return 0, 0
 	}
-	ix.crackRange(lo, hi)
-	from, to, sum, _ := ix.lookup(lo, hi)
+	from, to, sum := ix.crackRange(lo, hi)
 	return to - from, sum
 }
 
@@ -284,10 +270,7 @@ func (ix *Index) CrackCountSum(lo, hi int64) (count int, sum int64) {
 // the same bounds are pure lookups under the shared one. An empty or
 // inverted range yields (0, 0).
 func (ix *Index) CrackRange(lo, hi int64) (from, to int) {
-	if lo >= hi {
-		return 0, 0
-	}
-	if from, to, ok := ix.LookupRange(lo, hi); ok {
+	if from, to, ok := ix.LookupRange(lo, hi); ok || lo >= hi {
 		return from, to
 	}
 	ix.mu.Lock()
@@ -295,7 +278,8 @@ func (ix *Index) CrackRange(lo, hi int64) (from, to int) {
 	if len(ix.vals) == 0 {
 		return 0, 0
 	}
-	return ix.crackRange(lo, hi)
+	from, to, _ = ix.crackRange(lo, hi)
+	return from, to
 }
 
 // CrackRangeConcurrent is CrackRange; the name is kept because the frozen
@@ -304,21 +288,14 @@ func (ix *Index) CrackRangeConcurrent(lo, hi int64) (from, to int) {
 	return ix.CrackRange(lo, hi)
 }
 
-// crackRange is CrackRange with the exclusive latch held and lo < hi.
-func (ix *Index) crackRange(lo, hi int64) (from, to int) {
-	pLo, _, okLo := ix.tree.Get(lo)
-	pHi, _, okHi := ix.tree.Get(hi)
-	switch {
-	case okLo && okHi:
-		return pLo, pHi
-	case okLo:
-		return pLo, ix.crackAt(hi)
-	case okHi:
-		return ix.crackAt(lo), pHi
-	}
-	aL, bL, base := ix.pieceBoundsSum(lo)
-	aH, bH := ix.pieceBounds(hi)
-	if aL == aH && bL == bH {
+// crackRange is CrackRange with the exclusive latch held, lo < hi and a
+// non-empty copy; sum is the sum of the values in [from, to). Each bound is
+// located once: a crack never moves a boundary or a value across one, so
+// cracking lo's piece leaves what was located for hi in another piece valid.
+func (ix *Index) crackRange(lo, hi int64) (from, to int, sum int64) {
+	aL, bL, sLo, okLo := ix.tree.Locate(lo, len(ix.vals))
+	aH, bH, sHi, okHi := ix.tree.Locate(hi, len(ix.vals))
+	if !okLo && !okHi && aL == aH && bL == bH {
 		// Both bounds fall inside the same piece. A large cold piece takes a
 		// radix coarse pass first, after which the bounds land in (possibly
 		// different) buckets — re-dispatch. Recursion depth is bounded by the
@@ -328,33 +305,38 @@ func (ix *Index) crackRange(lo, hi int64) (from, to int) {
 		}
 		// Crack in three: one pass over the piece for both bounds.
 		m1, m2, sumLow, sumMid := partition3(ix.vals, ix.rows, aL, bL, lo, hi)
-		ix.tree.Insert(lo, m1, base+sumLow)
-		ix.tree.Insert(hi, m2, base+sumLow+sumMid)
+		ix.tree.Insert(lo, m1, sLo+sumLow)
+		ix.tree.Insert(hi, m2, sLo+sumLow+sumMid)
 		ix.cracks.Add(2)
 		ix.work.Add(int64(bL - aL))
-		return m1, m2
+		return m1, m2, sumMid
 	}
-	return ix.crackAt(lo), ix.crackAt(hi)
+	if !okLo {
+		aL, sLo = ix.crackIn(lo, aL, bL, sLo)
+	}
+	if !okHi {
+		aH, sHi = ix.crackIn(hi, aH, bH, sHi)
+	}
+	return aL, aH, sHi - sLo
 }
 
-// crackAt inserts a boundary for v (assumed absent) and returns its
-// position. The caller holds the exclusive latch.
-func (ix *Index) crackAt(v int64) int {
-	for {
-		a, b, base := ix.pieceBoundsSum(v)
-		if !ix.maybeRadixPiece(a, b) {
-			m, sumLow := partition2(ix.vals, ix.rows, a, b, v)
-			ix.tree.Insert(v, m, base+sumLow)
-			ix.cracks.Add(1)
-			ix.work.Add(int64(b - a))
-			return m
-		}
-		// The radix pass may have put a boundary exactly at v; inserting it
-		// again would clobber the position, so look before cracking.
-		if pos, _, ok := ix.tree.Get(v); ok {
-			return pos
+// crackIn inserts a boundary for v, which Locate found absent in the piece
+// [a, b) above base, and returns its position and prefix sum. The caller
+// holds the exclusive latch.
+func (ix *Index) crackIn(v int64, a, b int, base int64) (pos int, sum int64) {
+	for ix.maybeRadixPiece(a, b) {
+		// v now falls in one bucket of the piece — or the pass put a boundary
+		// exactly at v, and there is nothing left to sweep.
+		var exact bool
+		if a, b, base, exact = ix.tree.Locate(v, len(ix.vals)); exact {
+			return a, base
 		}
 	}
+	m, sumLow := partition2(ix.vals, ix.rows, a, b, v)
+	ix.tree.Insert(v, m, base+sumLow)
+	ix.cracks.Add(1)
+	ix.work.Add(int64(b - a))
+	return m, base + sumLow
 }
 
 // CrackAt cracks the piece containing v around pivot v. It reports the size
@@ -369,17 +351,22 @@ func (ix *Index) CrackAt(v int64) (pieceSize int, cracked bool) {
 	if exists {
 		return 0, false
 	}
+	return ix.crackAt(v)
+}
+
+// crackAt is CrackAt from the exclusive latch on: one Locate, which also
+// catches a goroutine that cracked at exactly v since the caller last looked.
+func (ix *Index) crackAt(v int64) (pieceSize int, cracked bool) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if len(ix.vals) == 0 {
 		return 0, false
 	}
-	// Another goroutine may have cracked at exactly v between the latches.
-	if _, _, ok := ix.tree.Get(v); ok {
+	a, b, base, exact := ix.tree.Locate(v, len(ix.vals))
+	if exact {
 		return 0, false
 	}
-	a, b := ix.pieceBounds(v)
-	ix.crackAt(v)
+	ix.crackIn(v, a, b, base)
 	return b - a, true
 }
 
@@ -415,7 +402,7 @@ func (ix *Index) RandomCrackInRange(rng *rand.Rand, lo, hi int64, minPiece int) 
 	}
 	mid := randInRange(rng, lo, hi)
 	ix.mu.RLock()
-	a, b := ix.pieceBounds(mid)
+	a, b, _, _ := ix.tree.Locate(mid, len(ix.vals))
 	var v int64
 	split := b-a >= 2 && b-a > minPiece
 	if split {
@@ -425,7 +412,9 @@ func (ix *Index) RandomCrackInRange(rng *rand.Rand, lo, hi int64, minPiece int) 
 	if !split {
 		return 0
 	}
-	size, _ := ix.CrackAt(v)
+	// Straight to the exclusive latch: the pivot was read from the copy a
+	// moment ago, a shared probe for it would almost always miss.
+	size, _ := ix.crackAt(v)
 	return size
 }
 
@@ -508,10 +497,8 @@ func (ix *Index) RangePieceAvg(lo, hi int64) float64 {
 	}
 	// The overlapping pieces run from lo's piece up to the first boundary at
 	// or above hi; every boundary strictly between starts one more piece.
-	start, end, pieces := 0, len(ix.vals), 1
-	if _, pos, _, ok := ix.tree.Floor(lo); ok {
-		start = pos
-	}
+	start, _, _, _ := ix.tree.Locate(lo, len(ix.vals))
+	end, pieces := len(ix.vals), 1
 	ix.tree.WalkFrom(lo+1, func(key int64, pos int, _ int64) bool {
 		if key >= hi {
 			end = pos

@@ -8,8 +8,9 @@ package cracker
 //   - Validate: boundary positions in key order, piece value bounds hold,
 //     every boundary sum equals a running scan;
 //   - every select answer — positional (CrackRange + CountSum) and from the
-//     boundary sums (CrackCountSum, LookupCountSum) — matches a naive scan of
-//     the original data, count and sum;
+//     boundary sums (CrackCountSum's direct answer from the crack it made,
+//     LookupCountSum afterwards) — matches a naive scan of the original data,
+//     count and sum, and a crack partitions exactly what the lookup estimated;
 //   - count/sum over the full domain never drift.
 
 import (
@@ -67,12 +68,20 @@ func FuzzCrackRange(f *testing.F) {
 					t.Fatalf("CrackRange[%d,%d): got %d/%d want %d/%d", lo, hi, c, s, wc, ws)
 				}
 			case 1:
+				_, _, estimate, _ := ix.LookupCountSum(lo, hi)
+				before := ix.Work()
 				c, s := ix.CrackCountSum(lo, hi)
 				wc, ws := naiveCountSum(orig, lo, hi)
 				if c != wc || s != ws {
 					t.Fatalf("CrackCountSum[%d,%d): got %d/%d want %d/%d", lo, hi, c, s, wc, ws)
 				}
-				if lc, ls, ok := ix.LookupCountSum(lo, hi); ok != (lo < hi) || lc != wc || ls != ws {
+				if did := ix.Work() - before; did != int64(estimate) {
+					t.Fatalf("CrackCountSum[%d,%d) partitioned %d values, the lookup estimated %d", lo, hi, did, estimate)
+				}
+				if err := ix.Validate(); err != nil {
+					t.Fatalf("after CrackCountSum[%d,%d): %v", lo, hi, err)
+				}
+				if lc, ls, _, ok := ix.LookupCountSum(lo, hi); ok != (lo < hi) || lc != wc || ls != ws {
 					t.Fatalf("LookupCountSum[%d,%d) after the crack: %d/%d hit %v, want %d/%d", lo, hi, lc, ls, ok, wc, ws)
 				}
 			case 2:

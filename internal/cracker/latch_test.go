@@ -146,7 +146,7 @@ func TestCrackedReadZeroAlloc(t *testing.T) {
 		if c, _ := ix.CountSumConcurrent(from, to); !ok || c != regionVals {
 			t.Fatalf("read %d values (hit %v), want %d", c, ok, regionVals)
 		}
-		if c, _, ok := ix.LookupCountSum(lo, lo+4*regionVals); !ok || c != regionVals {
+		if c, _, _, ok := ix.LookupCountSum(lo, lo+4*regionVals); !ok || c != regionVals {
 			t.Fatalf("looked up %d values (hit %v), want %d", c, ok, regionVals)
 		}
 	}); a != 0 {
@@ -277,7 +277,7 @@ func BenchmarkCountSumPieces(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					_, s, _ := ix.LookupCountSum(lo, hi)
+					_, s, _, _ := ix.LookupCountSum(lo, hi)
 					sinkSum += s
 				}
 			})

@@ -105,7 +105,7 @@ func (m *sumModel) step() string {
 		return "RandomCrackLargest"
 	case 5: // forced radix pass over the piece a drawn value falls into
 		ix.mu.Lock()
-		a, b := ix.pieceBounds(m.value())
+		a, b, _, _ := ix.tree.Locate(m.value(), len(ix.vals))
 		ix.radixPiece(a, b)
 		ix.mu.Unlock()
 		return "radixPiece"
@@ -171,13 +171,23 @@ func (m *sumModel) check(after string) {
 		// A lookup answers only when both bounds are boundaries, and then
 		// without reading a value; the cracking select always answers, and
 		// leaves the boundaries the second lookup must hit.
-		if c, s, ok := ix.LookupCountSum(lo, hi); ok && (c != wc || s != ws) {
+		c, s, estimate, ok := ix.LookupCountSum(lo, hi)
+		if ok && (c != wc || s != ws) {
 			m.fatalf("after %s: LookupCountSum[%d, %d) = %d/%d, model %d/%d", after, lo, hi, c, s, wc, ws)
 		}
+		// It answers from the positions and sums of the crack it makes, and
+		// without a radix pass it partitions exactly what the lookup estimated.
+		before := ix.Work()
 		if c, s := ix.CrackCountSum(lo, hi); c != wc || s != ws {
 			m.fatalf("after %s: CrackCountSum[%d, %d) = %d/%d, model %d/%d", after, lo, hi, c, s, wc, ws)
 		}
-		if c, s, ok := ix.LookupCountSum(lo, hi); ok != (lo < hi && len(m.rows) > 0) || c != wc || s != ws {
+		if did := ix.Work() - before; ix.radixMin <= 0 && did != int64(estimate) {
+			m.fatalf("after %s: CrackCountSum[%d, %d) partitioned %d values, the lookup estimated %d", after, lo, hi, did, estimate)
+		}
+		if err := ix.Validate(); err != nil {
+			m.fatalf("after %s and CrackCountSum[%d, %d): %v", after, lo, hi, err)
+		}
+		if c, s, _, ok := ix.LookupCountSum(lo, hi); ok != (lo < hi && len(m.rows) > 0) || c != wc || s != ws {
 			m.fatalf("after %s and a crack: LookupCountSum[%d, %d) = %d/%d hit %v, model %d/%d", after, lo, hi, c, s, ok, wc, ws)
 		}
 		from, to := rng.IntN(ix.Len()+3)-1, rng.IntN(ix.Len()+3)-1

@@ -79,7 +79,7 @@ func (ix *Index) rippleDelete(v int64, row uint32, matchRow bool) (r uint32, ok 
 	if len(ix.vals) == 0 {
 		return 0, false
 	}
-	a, b := ix.pieceBounds(v)
+	a, b, _, _ := ix.tree.Locate(v, len(ix.vals))
 	at := -1
 	for i := a; i < b; i++ {
 		if ix.vals[i] == v && (!matchRow || ix.rows[i] == row) {

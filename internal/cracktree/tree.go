@@ -7,10 +7,10 @@
 // position >= p has a value >= v. Consecutive boundaries therefore delimit
 // "pieces": maximal contiguous regions whose value bounds are known but whose
 // contents are unsorted. Database cracking refines pieces over time by
-// inserting new boundaries; the tree must support ordered lookups (floor,
-// higher, exact — by key and by position), in-order traversal for piece
-// enumeration, and bulk shifts for updates that ripple through the cracked
-// copy.
+// inserting new boundaries; the tree must support ordered lookups (exact by
+// key; the piece around a key in one descent, Locate; floor and higher by
+// position), in-order traversal for piece enumeration, and bulk shifts for
+// updates that ripple through the cracked copy.
 //
 // Every boundary also carries sum, the wrapping (mod 2^64) sum of the cracked
 // array's values at positions < p. The tree only stores and shifts it; the
@@ -141,35 +141,34 @@ func (t *Tree) Get(key int64) (pos int, sum int64, ok bool) {
 	return 0, 0, false
 }
 
-// Floor returns the largest boundary whose key is <= key.
-func (t *Tree) Floor(key int64) (k int64, pos int, sum int64, ok bool) {
-	n := t.root
-	for n != nil {
+// Locate finds, in one descent, the piece a key falls in: the positions
+// [start, end) between the last boundary at or below key and the first one
+// above it, with n — the length of the cracked array — closing the last piece
+// and 0 opening the first. base is the prefix sum at start (0 without a
+// boundary below) and exact says key itself is a boundary, the one that
+// starts the piece. The descent remembers the last node it passed on the
+// right as the floor and the last it passed on the left as the ceiling; on an
+// exact hit the ceiling is instead the leftmost node of the right subtree, if
+// there is one — still the same root-to-leaf path.
+func (t *Tree) Locate(key int64, n int) (start, end int, base int64, exact bool) {
+	end = n
+	x := t.root
+	for x != nil {
 		switch {
-		case key < n.key:
-			n = n.left
-		case key > n.key:
-			k, pos, sum, ok = n.key, n.pos, n.sum, true
-			n = n.right
+		case key < x.key:
+			end = x.pos
+			x = x.left
+		case key > x.key:
+			start, base = x.pos, x.sum
+			x = x.right
 		default:
-			return n.key, n.pos, n.sum, true
+			for s := x.right; s != nil; s = s.left {
+				end = s.pos
+			}
+			return x.pos, end, x.sum, true
 		}
 	}
-	return k, pos, sum, ok
-}
-
-// Higher returns the smallest boundary whose key is strictly greater than key.
-func (t *Tree) Higher(key int64) (k int64, pos int, ok bool) {
-	n := t.root
-	for n != nil {
-		if key < n.key {
-			k, pos, ok = n.key, n.pos, true
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return k, pos, ok
+	return start, end, base, false
 }
 
 // FloorPos returns the boundary with the largest position <= pos. When

@@ -53,11 +53,8 @@ func TestEmptyTree(t *testing.T) {
 	if _, _, ok := tr.Get(5); ok {
 		t.Fatal("Get on empty tree returned ok")
 	}
-	if _, _, _, ok := tr.Floor(5); ok {
-		t.Fatal("Floor on empty tree returned ok")
-	}
-	if _, _, ok := tr.Higher(5); ok {
-		t.Fatal("Higher on empty tree returned ok")
+	if start, end, base, exact := tr.Locate(5, 9); start != 0 || end != 9 || base != 0 || exact {
+		t.Fatalf("Locate on empty tree = %d,%d,%d,%v; want the whole array 0,9,0,false", start, end, base, exact)
 	}
 	if _, _, _, ok := tr.FloorPos(5); ok {
 		t.Fatal("FloorPos on empty tree returned ok")
@@ -105,45 +102,92 @@ func TestInsertOverwrites(t *testing.T) {
 	}
 }
 
-func TestFloorHigher(t *testing.T) {
-	var tr Tree
-	for _, k := range []int64{10, 20, 30, 40} {
-		tr.Insert(k, int(k), 2*k)
+// floorHigher is the reference Locate is held to: the largest boundary at or
+// below key and the smallest strictly above it, found by walking every node.
+func floorHigher(tr *Tree, key int64) (floorPos int, floorSum int64, hasFloor bool, highPos int, hasHigh bool) {
+	tr.Walk(func(k int64, pos int, sum int64) bool {
+		if k <= key {
+			floorPos, floorSum, hasFloor = pos, sum, true
+			return true
+		}
+		highPos, hasHigh = pos, true
+		return false
+	})
+	return
+}
+
+// TestLocateMatchesFloorHigherGet: Locate's one descent must return what a
+// floor lookup, a higher lookup and an exact Get return together — the start
+// and base of the piece from the floor (0, 0 without one), its end from the
+// higher boundary (n without one), exact iff Get hits — on seeded random
+// trees that hold the extreme keys and runs of boundaries sharing a position
+// (zero-width pieces), on the empty tree, and after Remove and ShiftAfter
+// have rearranged nodes and payloads.
+func TestLocateMatchesFloorHigherGet(t *testing.T) {
+	const minKey, maxKey = -1 << 63, 1<<63 - 1
+	check := func(when string, tr *Tree, n int, probes []int64) {
+		t.Helper()
+		for _, key := range probes {
+			fPos, fSum, _, hPos, hasHigh := floorHigher(tr, key)
+			if !hasHigh {
+				hPos = n
+			}
+			_, _, hit := tr.Get(key)
+			start, end, base, exact := tr.Locate(key, n)
+			if start != fPos || base != fSum || end != hPos || exact != hit {
+				t.Fatalf("%s: Locate(%d, %d) = %d,%d,%d,%v; floor/higher/Get say %d,%d,%d,%v",
+					when, key, n, start, end, base, exact, fPos, hPos, fSum, hit)
+			}
+		}
 	}
-	floor := func(q int64) (int64, int, bool) {
-		k, pos, sum, ok := tr.Floor(q)
-		if ok && sum != 2*k {
-			t.Errorf("Floor(%d): sum=%d want %d", q, sum, 2*k)
+	for trial := uint64(0); trial < 300; trial++ {
+		rng := rand.New(rand.NewPCG(41, trial))
+		var tr Tree
+		check("empty", &tr, int(trial), []int64{minKey, -1, 0, 1, maxKey})
+		domain := int64(2 + rng.IntN(400))
+		keys := map[int64]bool{}
+		for i, k := 0, rng.IntN(200); i < k; i++ {
+			keys[rng.Int64N(domain)-domain/2] = true
 		}
-		return k, pos, ok
-	}
-	cases := []struct {
-		name      string
-		fn        func(int64) (int64, int, bool)
-		query     int64
-		wantKey   int64
-		wantFound bool
-	}{
-		{"Floor exact", floor, 20, 20, true},
-		{"Floor between", floor, 25, 20, true},
-		{"Floor below all", floor, 5, 0, false},
-		{"Floor above all", floor, 99, 40, true},
-		{"Higher exact", tr.Higher, 20, 30, true},
-		{"Higher between", tr.Higher, 25, 30, true},
-		{"Higher at max", tr.Higher, 40, 0, false},
-	}
-	for _, c := range cases {
-		k, pos, ok := c.fn(c.query)
-		if ok != c.wantFound {
-			t.Errorf("%s: found=%v want %v", c.name, ok, c.wantFound)
-			continue
+		if trial%3 == 0 {
+			keys[minKey] = true
 		}
-		if ok && k != c.wantKey {
-			t.Errorf("%s: key=%d want %d", c.name, k, c.wantKey)
+		if trial%3 != 1 {
+			keys[maxKey] = true
 		}
-		if ok && pos != int(k) {
-			t.Errorf("%s: pos=%d want %d", c.name, pos, k)
+		sorted := make([]int64, 0, len(keys))
+		for k := range keys {
+			sorted = append(sorted, k)
 		}
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		// Positions are non-decreasing in key order, as the cracker keeps
+		// them; every third step or so repeats the position before it.
+		pos := make(map[int64]int, len(sorted))
+		n := 0
+		for _, k := range sorted {
+			n += rng.IntN(3) * rng.IntN(5)
+			pos[k] = n
+		}
+		n += rng.IntN(4)
+		for _, i := range rng.Perm(len(sorted)) { // insertion order shapes the tree
+			k := sorted[i]
+			tr.Insert(k, pos[k], int64(pos[k])*1000003)
+		}
+		probes := []int64{minKey, minKey + 1, maxKey - 1, maxKey}
+		for _, k := range sorted {
+			probes = append(probes, k-1, k, k+1) // wraps at the extremes: still a probe
+		}
+		for i := 0; i < 50; i++ {
+			probes = append(probes, rng.Int64N(domain+20)-domain/2-10)
+		}
+		check("built", &tr, n, probes)
+		for i := 0; i < len(sorted)/3; i++ {
+			tr.Remove(sorted[rng.IntN(len(sorted))])
+		}
+		validate(t, tr.root, 0, 0, false, false)
+		check("after Remove", &tr, n, probes)
+		tr.ShiftAfter(probes[rng.IntN(len(probes))], 1, rng.Int64())
+		check("after ShiftAfter", &tr, n+1, probes)
 	}
 }
 
@@ -335,7 +379,7 @@ func TestPropertyTreeMatchesSortedMap(t *testing.T) {
 		if tr.Len() != len(ref) {
 			return false
 		}
-		// Floor/Higher against the sorted reference.
+		// Locate against the sorted reference.
 		keys := make([]int64, 0, len(ref))
 		for k := range ref {
 			keys = append(keys, k)
@@ -343,20 +387,17 @@ func TestPropertyTreeMatchesSortedMap(t *testing.T) {
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 		for probe := int64(0); probe < 512; probe += 13 {
 			i := sort.Search(len(keys), func(i int) bool { return keys[i] > probe })
-			k, pos, sum, ok := tr.Floor(probe)
-			if i == 0 {
-				if ok {
-					return false
-				}
-			} else if !ok || k != keys[i-1] || (entry{pos, sum}) != ref[k] {
-				return false
+			var floor entry
+			if i > 0 {
+				floor = ref[keys[i-1]]
 			}
-			k, pos, ok = tr.Higher(probe)
-			if i == len(keys) {
-				if ok {
-					return false
-				}
-			} else if !ok || k != keys[i] || pos != ref[k].pos {
+			higher := -7 // n: no boundary above
+			if i < len(keys) {
+				higher = ref[keys[i]].pos
+			}
+			_, hit := ref[probe]
+			start, end, base, exact := tr.Locate(probe, -7)
+			if (entry{start, base}) != floor || end != higher || exact != hit {
 				return false
 			}
 		}

@@ -15,10 +15,10 @@
 //
 // The kernel is multi-core end to end. Every column is split into
 // Config.Shards striped parts (package shard), each owning its own cracker
-// index, sorted index, pending buffer and latch; selects fan out one
-// goroutine per part and merge partial aggregates, so a single large select
-// executes on multiple cores — intra-query parallelism, not just
-// inter-query. Latching has three levels (ARCHITECTURE.md, "Latching"):
+// index, sorted index, pending buffer and latch; a select whose parts have
+// enough work to pay for the hand-off fans out one goroutine per part and
+// merges partial aggregates, so a single large select executes on multiple
+// cores — intra-query parallelism, not just inter-query. Latching has three levels (ARCHITECTURE.md, "Latching"):
 //
 //   - Table: Engine.mu (RWMutex) guards the table map. Table.mu is taken by
 //     writers only — inserts shared, deletes exclusive — so rows are added
@@ -114,7 +114,7 @@ type Config struct {
 	// <= 0 selects GOMAXPROCS — one refinement stream per core.
 	IdleWorkers int
 	// Shards splits every column into this many striped parts, each with
-	// its own cracker index, latch and idle action queue; selects
+	// its own cracker index, latch and idle action queue; large selects
 	// fan out one goroutine per shard and merge. <= 1 keeps one part per
 	// column (the pre-sharding behaviour). See package shard.
 	Shards int

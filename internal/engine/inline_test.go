@@ -1,8 +1,9 @@
 package engine
 
-// Tests of the converged-lookup path of adaptive and holistic selects
-// (crackedSelect): it runs no fan-out worker, it is exact, and it stays exact
-// while writes and merges land in the very range it reads. Run with -race.
+// Tests of the caller's-goroutine paths of adaptive and holistic selects
+// (shard.Column.CountSum): a converged lookup and a small crack run no
+// fan-out worker, they are exact, and they stay exact while writes and merges
+// land in the very range they read. Run with -race.
 
 import (
 	"math/rand/v2"
@@ -24,19 +25,21 @@ func countFanOut(sc *shard.Column) *atomic.Int64 {
 // TestConvergedSelectRunsInline: once a narrow range is cracked on every
 // shard, selecting it again starts no fan-out worker — the hook, which fires
 // in each of them, stays silent — answers exactly, and still records the
-// query with the tuner for every part.
+// query with the tuner for every part. The column is big enough for its first
+// touch, and for a crack of the large piece next to the range, to pass the
+// fan-out rule.
 func TestConvergedSelectRunsInline(t *testing.T) {
 	for _, s := range []Strategy{StrategyAdaptive, StrategyHolistic} {
 		t.Run(s.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(311, 312))
-			seed := randomVals(rng, 40000, 1<<20)
+			seed := randomVals(rng, 1<<18, 1<<20) // 65 536 rows a shard
 			e := newEngineWithData(t, Config{Strategy: s, Seed: 17, Shards: 4, TargetPieceSize: 64}, seed)
 			defer e.Close()
 			cs, err := e.colState("R", "A")
 			if err != nil {
 				t.Fatal(err)
 			}
-			const lo, hi = 1 << 18, 1<<18 + 1<<12 // ~160 rows, ~40 a shard
+			const lo, hi = 1 << 18, 1<<18 + 1<<9 // ~128 rows, ~32 a shard
 			fanned := countFanOut(cs.sc)
 			if _, err := e.Select("R", "A", lo, hi); err != nil {
 				t.Fatal(err)
@@ -67,13 +70,68 @@ func TestConvergedSelectRunsInline(t *testing.T) {
 			if got := noted() - before; s == StrategyHolistic && got != 5 {
 				t.Fatalf("tuner noted %d of 5 inline selects on part 3", got)
 			}
-			// A range with one bound never queried declines on the first part
-			// and takes the fan-out, which cracks it.
-			if _, err := e.Select("R", "A", lo, hi+77); err != nil {
-				t.Fatal(err)
+			// A range with one bound never queried: every part declines with
+			// the ~49 000 values above hi as its estimate, which pays for the
+			// hand-off.
+			r, err := e.Select("R", "A", lo, hi+77)
+			if wc, ws := naiveRange(seed, lo, hi+77); err != nil || r.Count != wc || r.Sum != ws {
+				t.Fatalf("half-cracked select: %+v, %v; want %d/%d", r, err, wc, ws)
 			}
 			if fanned.Load() != 8 {
 				t.Fatalf("half-cracked select ran %d fan-out workers, want 4", fanned.Load()-4)
+			}
+		})
+	}
+}
+
+// TestSmallCrackRunsInline: a select that has to crack, but only pieces far
+// below the fan-out threshold, runs every part on the caller's goroutine —
+// the hook stays silent — answers exactly, leaves the new boundaries behind
+// and is noted by the tuner on every part like any other select.
+func TestSmallCrackRunsInline(t *testing.T) {
+	for _, s := range []Strategy{StrategyAdaptive, StrategyHolistic} {
+		t.Run(s.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(313, 314))
+			seed := randomVals(rng, 40000, 1<<20) // 10 000 rows a shard: no crack can pay
+			e := newEngineWithData(t, Config{Strategy: s, Seed: 17, Shards: 4, TargetPieceSize: 64}, seed)
+			defer e.Close()
+			cs, err := e.colState("R", "A")
+			if err != nil {
+				t.Fatal(err)
+			}
+			fanned := countFanOut(cs.sc)
+			const lo, hi = 1 << 18, 1<<18 + 1<<12
+			pieces := 4 // uncracked: one piece a part
+			for i, q := range [][2]int64{
+				{lo, hi},          // first touch of a small part: materialise and crack in three
+				{lo, hi + 77},     // half-cracked: lo is a boundary, hi+77 is not
+				{lo - 500, hi},    // the other half
+				{lo + 9, hi + 99}, // both bounds new, in different pieces
+				{lo + 9, hi + 99}, // and now converged
+			} {
+				r, err := e.Select("R", "A", q[0], q[1])
+				wc, ws := naiveRange(seed, q[0], q[1])
+				if err != nil || r.Count != wc || r.Sum != ws {
+					t.Fatalf("select %d [%d, %d): %+v, %v; want %d/%d", i, q[0], q[1], r, err, wc, ws)
+				}
+				got, _ := cs.pieceStats()
+				if i < 4 && got <= pieces {
+					t.Fatalf("select %d cracked nothing: %d pieces before and after", i, got)
+				}
+				pieces = got
+			}
+			if fanned.Load() != 0 {
+				t.Fatalf("small cracks ran %d fan-out workers, want 0", fanned.Load())
+			}
+			if s == StrategyHolistic {
+				for _, p := range cs.sc.Parts() {
+					if got := e.tuner.Collector().Queries(p.Name()); got != 5 {
+						t.Fatalf("tuner noted %d of 5 selects on part %s", got, p.Name())
+					}
+				}
+			}
+			if err := cs.validate(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -90,7 +148,17 @@ func TestConvergedSelectRunsInline(t *testing.T) {
 // other row holds, so a torn read of a part — a row counted in both its queue
 // and its cracked copy, or in neither, which is what the merge-epoch re-check
 // of shard.Part.ConvergedSelect rules out — matches no such combination.
-func TestConvergedSelectRacesWrites(t *testing.T) {
+func TestConvergedSelectRacesWrites(t *testing.T) { selectRacesWrites(t, false) }
+
+// TestSmallCrackRacesWrites is the same race with readers whose bounds never
+// repeat: the seed holds nothing within 2^30 of either side of the range, so
+// every read asks for the same rows through two boundaries nobody made yet,
+// and each part cracks them in — partitioning everything below, then
+// everything above the range — on the reader's goroutine while inserts,
+// deletes and merges ripple through the boundaries it is adding to.
+func TestSmallCrackRacesWrites(t *testing.T) { selectRacesWrites(t, true) }
+
+func selectRacesWrites(t *testing.T, freshBounds bool) {
 	const (
 		n, domain  = 20000, int64(1 << 16)
 		lo, hi     = int64(1 << 12), int64(1<<12 + 1<<11) // ~600 rows, ~150 a shard
@@ -102,6 +170,13 @@ func TestConvergedSelectRacesWrites(t *testing.T) {
 	seed := make([]int64, n)
 	for i := range seed {
 		seed[i] = rng.Int64N(domain/2) * 2 // even: inserted values are odd, hence unique
+		switch {
+		case !freshBounds:
+		case seed[i] < lo:
+			seed[i] -= 1 << 30
+		case seed[i] >= hi:
+			seed[i] += 1 << 30
+		}
 	}
 	e := newEngineWithData(t, Config{Strategy: StrategyHolistic, Seed: 19, Shards: shards, TargetPieceSize: 64}, seed)
 	defer e.Close()
@@ -182,16 +257,21 @@ func TestConvergedSelectRacesWrites(t *testing.T) {
 
 	var started, finished atomic.Int64 // statements begun / completed by the writer
 	var done atomic.Bool
-	var reads atomic.Int64
+	var reads, widen atomic.Int64
 	fanned := countFanOut(cs.sc)
+	piecesBefore, _ := cs.pieceStats()
 	var wg sync.WaitGroup
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for !done.Load() {
+				w := int64(0)
+				if freshBounds {
+					w = widen.Add(1)
+				}
 				from := finished.Load()
-				res, err := e.Select("R", "A", lo, hi)
+				res, err := e.Select("R", "A", lo-w, hi+w)
 				to := started.Load()
 				if err != nil {
 					t.Error(err)
@@ -249,6 +329,16 @@ func TestConvergedSelectRacesWrites(t *testing.T) {
 	// boundary sums must still equal a scan of its cracked copy.
 	if err := cs.validate(); err != nil {
 		t.Fatal(err)
+	}
+	if freshBounds {
+		// The test is about cracks on the readers' goroutines: every read must
+		// have cracked, none of them through a fan-out worker.
+		pieces, _ := cs.pieceStats()
+		if fanned.Load() != 0 || int64(pieces-piecesBefore) < reads.Load() {
+			t.Fatalf("%d reads added %d pieces and ran %d fan-out workers, want a crack a read and no worker",
+				reads.Load(), pieces-piecesBefore, fanned.Load())
+		}
+		return
 	}
 	// The test is about the inline path: reads must have taken it.
 	if inline := reads.Load() - fanned.Load()/shards; inline <= 0 {

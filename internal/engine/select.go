@@ -13,17 +13,20 @@ import (
 // critical path is included in Elapsed; idle-time work is not (it runs in
 // IdleActions or the background worker pool).
 //
-// Concurrency: every strategy fans the select out across the column's
-// shards — one goroutine per shard (shard.Column.FanOutCountSum) — and
-// merges the partial (count, sum), so a single large select executes on
-// multiple cores even with no other query in the system — except an adaptive
-// or holistic select every part answers with a converged lookup, which runs
-// on the caller's goroutine (see crackedSelect). Within each shard,
-// selects on the same part run in parallel wherever the physical design
-// allows it: scan/offline/online selects are pure reads under the part's
-// shared latch, and adaptive/holistic selects run under it too, taking the
-// part's cracker index latch shared to subtract the boundary sums of an
-// already-cracked range (one acquisition, whatever the piece or value count)
+// Concurrency: every strategy answers part by part and merges the partial
+// (count, sum), and one rule decides where the parts run (shard.Column.CountSum,
+// costmodel.FanOutMinWork). Each part is first probed on the caller's
+// goroutine: a scan estimates its rows, a sorted lookup nothing, an adaptive
+// or holistic select gets from shard.Part.ConvergedSelect either the answer —
+// both bounds already are crack boundaries — or the size of the pieces a
+// crack would partition. Only when the estimates the other parts would take
+// off the caller's path reach the threshold does the select start a goroutine
+// per part: a large select (a scan, a first touch) runs on several cores even
+// with no other query in the system, a small crack, like a converged lookup,
+// runs where the query is. Within a shard, selects run in parallel wherever
+// the physical design allows: scan/offline/online selects are pure reads
+// under the part's shared latch, and adaptive/holistic selects run under it
+// too, taking the cracker index latch shared to subtract two boundary sums
 // and exclusively only while partitioning a piece; only materialising the
 // cracked copy, merging pending updates and stochastic-variant selects fall
 // back to the part's exclusive latch.
@@ -41,19 +44,13 @@ func (e *Engine) Select(table, col string, lo, hi int64) (Result, error) {
 	var sum int64
 	switch e.cfg.Strategy {
 	case StrategyScan:
-		count, sum = cs.sc.FanOutCountSum(func(p *shard.Part) (int, int64) {
-			return p.ScanCountSum(lo, hi)
-		})
+		count, sum, _, _ = cs.sc.CountSum(lo, hi, (*shard.Part).ScanWork, (*shard.Part).ScanCountSum)
 
 	case StrategyOffline:
-		count, sum = cs.sc.FanOutCountSum(func(p *shard.Part) (int, int64) {
-			return p.SortedCountSum(lo, hi)
-		})
+		count, sum, _, _ = cs.sc.CountSum(lo, hi, (*shard.Part).SortedWork, (*shard.Part).SortedCountSum)
 
 	case StrategyOnline:
-		count, sum = cs.sc.FanOutCountSum(func(p *shard.Part) (int, int64) {
-			return p.SortedCountSum(lo, hi)
-		})
+		count, sum, _, _ = cs.sc.CountSum(lo, hi, (*shard.Part).SortedWork, (*shard.Part).SortedCountSum)
 		sel := 0.0
 		if n := cs.sc.Live(); n > 0 {
 			sel = float64(count) / float64(n)
@@ -66,10 +63,10 @@ func (e *Engine) Select(table, col string, lo, hi int64) (Result, error) {
 		}
 
 	case StrategyAdaptive:
-		count, sum, _, _ = crackedSelect(cs.sc, lo, hi)
+		count, sum, _, _ = cs.sc.CountSum(lo, hi, (*shard.Part).ConvergedSelect, (*shard.Part).CrackedSelect)
 
 	case StrategyHolistic:
-		c, s, region, inline := crackedSelect(cs.sc, lo, hi)
+		c, s, region, inline := cs.sc.CountSum(lo, hi, (*shard.Part).ConvergedSelect, (*shard.Part).CrackedSelect)
 		count, sum = c, s
 		// Continuous monitoring plus the "No Time" opportunity, per shard: a
 		// hot range earns a few extra cracks inside the query (cheap — hot
@@ -90,26 +87,4 @@ func (e *Engine) Select(table, col string, lo, hi int64) (Result, error) {
 		}
 	}
 	return Result{Count: count, Sum: sum, Elapsed: time.Since(start)}, nil
-}
-
-// crackedSelect answers an adaptive or holistic select. It first asks every
-// part in turn, on the caller's goroutine, for a converged lookup
-// (shard.Part.ConvergedSelect): a range whose bounds are crack boundaries is
-// two tree descents and a subtraction at any width, far less than starting a
-// worker for it. The first part that declines sends the whole statement down
-// the fan-out; which path runs depends only on what the indexes hold for
-// [lo, hi). inline reports the first path; region is then the most values any
-// part's cracked copy holds for the range.
-func crackedSelect(sc *shard.Column, lo, hi int64) (count int, sum int64, region int, inline bool) {
-	for _, p := range sc.Parts() {
-		c, s, r, ok := p.ConvergedSelect(lo, hi)
-		if !ok {
-			count, sum = sc.FanOutCountSum(func(p *shard.Part) (int, int64) {
-				return p.CrackedSelect(lo, hi)
-			})
-			return count, sum, 0, false
-		}
-		count, sum, region = count+c, sum+s, max(region, r)
-	}
-	return count, sum, region, true
 }

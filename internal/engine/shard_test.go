@@ -93,8 +93,10 @@ func TestShardedSelectRunsShardsConcurrently(t *testing.T) {
 		{"holistic", StrategyHolistic}, // first-touch crack work fans out
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			// 65 536 rows a shard: three shards' worth of first-touch work
+			// taken off the caller is well past costmodel.FanOutMinWork.
 			rng := rand.New(rand.NewPCG(301, 302))
-			seed := randomVals(rng, 40000, 1<<20)
+			seed := randomVals(rng, 1<<18, 1<<20)
 			e := newEngineWithData(t, Config{Strategy: tc.s, Seed: 17, Shards: 4}, seed)
 			defer e.Close()
 			cs, err := e.colState("R", "A")
@@ -105,7 +107,7 @@ func TestShardedSelectRunsShardsConcurrently(t *testing.T) {
 			// Cold, the column is uncracked: the select does the initial scan
 			// (or cracked-copy materialisation + crack) on every shard.
 			// Repeated, a scan is the same work again, but for the holistic
-			// select both bounds are crack boundaries on every shard: ~5000
+			// select both bounds are crack boundaries on every shard: ~33 000
 			// values a shard cost two boundary sums and a subtraction, so it
 			// runs inline on this goroutine and no fan-out worker may be
 			// entered. The hook fires only in fan-out workers.

@@ -5,8 +5,10 @@
 // Systems" (Alvarez et al., DaMoN 2014): instead of many cores contending on
 // one shared cracker index through ever finer latches, each shard owns a
 // private cracker index (crack tree, cracked copy and their one latch),
-// sorted index and pending update buffer, and a select fans out one goroutine
-// per shard and merges the partial aggregates.
+// sorted index and pending update buffer, and a select visits every shard and
+// merges the partial aggregates — one goroutine per shard when the shards'
+// work pays for the hand-off, one shard after the other on the caller's
+// goroutine when it does not (see "Fan-out rule").
 //
 // # Partitioning scheme
 //
@@ -21,20 +23,32 @@
 //     balanced under any workload, and no rebalancing is ever needed under
 //     skewed inserts (range partitioning needs a-priori knowledge of the
 //     value distribution and splits when the distribution drifts);
-//   - every range select touches all parts, which is exactly what we want
-//     for intra-query parallelism: the fan-out is the parallelism.
+//   - every range select touches all parts, each holding 1/N of the work: a
+//     large select splits evenly over N cores, and a small one is N small
+//     lookups on one.
 //
 // The cost is that selective point-ish queries cannot prune shards; range
 // pruning is a property of value partitioning and belongs to a later PR if a
 // workload demands it.
+//
+// # Fan-out rule
+//
+// Handing a part to another goroutine costs 7-25 us — more than a converged
+// lookup or a crack of a cache-sized piece takes. So every select first probes
+// each part on the caller's goroutine, and the parts that still have work get
+// a goroutine each only when that takes at least costmodel.FanOutMinWork
+// values off the caller's path (Column.CountSum: one rule for all five
+// strategies, nothing to configure). FanOutCountSum is the unconditional
+// fan-out the benchmark rig calls.
 //
 // # Interface discipline
 //
 // Part is deliberately narrow and value-oriented — every method takes and
 // returns plain values (ranges, counts, sums, row ids), never shared mutable
 // state — so a Part could later live behind internal/server's wire protocol
-// on another node: the fan-out/merge in Column is already the client side of
-// a scatter/gather, and nothing in the engine above this layer would change.
+// on another node: the probe/fan-out/merge in Column is already the client
+// side of a scatter/gather, and nothing in the engine above this layer would
+// change.
 //
 // # Write path
 //
@@ -175,7 +189,7 @@ func (c Config) ingestCap() int {
 }
 
 // Column is one logical column split into per-shard Parts, with fan-out and
-// merge of range aggregates. Reads fan out concurrently; appends and deletes
+// merge of range aggregates. Reads visit every part; appends and deletes
 // are safe for concurrent use — appends only touch per-part ingest queues,
 // while the caller (the engine's table lock, held shared by inserts and
 // exclusively by deletes) keeps row-level delete/insert atomicity across
@@ -186,9 +200,9 @@ type Column struct {
 	parts []*Part
 	rows  atomic.Int64 // high-water mark of rows ever appended
 
-	// Fan-out instrumentation: how many per-part select workers are active
-	// right now and the high-water mark ever observed. The benchmark records
-	// the high-water mark as direct evidence of intra-query parallelism.
+	// Fan-out instrumentation: how many fan-out workers are active right now
+	// and the high-water mark ever observed, direct evidence of intra-query
+	// parallelism.
 	active    atomic.Int32
 	maxActive atomic.Int32
 
@@ -250,9 +264,9 @@ func (c *Column) Parts() []*Part { return c.parts }
 // not-yet-merged ones).
 func (c *Column) Rows() int { return int(c.rows.Load()) }
 
-// MaxFanOut returns the highest number of per-part select workers ever
-// observed running concurrently on this column — at least 1 once any select
-// has run, and >= 2 proves intra-query parallelism actually happened.
+// MaxFanOut returns the highest number of fan-out workers ever observed
+// running concurrently on this column: >= 2 proves intra-query parallelism
+// actually happened. Selects that ran on the caller's goroutine do not count.
 func (c *Column) MaxFanOut() int { return int(c.maxActive.Load()) }
 
 // SetSelectHook installs (or clears, with nil) the fan-out test hook. Safe
@@ -284,35 +298,68 @@ func (c *Column) exit() { c.active.Add(-1) }
 
 // FanOutCountSum runs f on every part — one goroutine per part beyond the
 // first, which runs on the caller's goroutine — and returns the merged
-// (count, sum). With one part it degrades to a plain call.
+// (count, sum), whatever the work: the engine's selects use CountSum.
 func (c *Column) FanOutCountSum(f func(p *Part) (int, int64)) (int, int64) {
-	if len(c.parts) == 1 {
-		c.enter(0)
-		defer c.exit()
-		return f(c.parts[0])
+	return c.fanOut(c.parts, f)
+}
+
+func (c *Column) fanOut(parts []*Part, f func(p *Part) (int, int64)) (int, int64) {
+	var count, sum atomic.Int64
+	worker := func(p *Part) {
+		c.enter(p.id)
+		n, s := f(p)
+		c.exit()
+		count.Add(int64(n))
+		sum.Add(s)
 	}
-	counts := make([]int, len(c.parts))
-	sums := make([]int64, len(c.parts))
 	var wg sync.WaitGroup
-	for i := 1; i < len(c.parts); i++ {
+	for _, p := range parts[1:] {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			c.enter(i)
-			defer c.exit()
-			counts[i], sums[i] = f(c.parts[i])
-		}(i)
+			worker(p)
+		}()
 	}
-	c.enter(0)
-	counts[0], sums[0] = f(c.parts[0])
-	c.exit()
+	worker(parts[0])
 	wg.Wait()
-	count, sum := 0, int64(0)
-	for i := range counts {
-		count += counts[i]
-		sum += sums[i]
+	return int(count.Load()), sum.Load()
+}
+
+// CountSum answers [lo, hi) over every part in two steps. probe asks each
+// part, on the caller's goroutine, for the answer or — ok false — for an
+// estimate of the values answering would touch: (ScanWork, ScanCountSum),
+// (SortedWork, SortedCountSum) or (ConvergedSelect, CrackedSelect). run then
+// answers the parts that declined. The caller takes the largest itself either
+// way, so a fan-out takes total-largest off its path, and only when that is at
+// least costmodel.FanOutMinWork do they get a goroutine each: one part, nothing
+// to do, or one part holding all the work stays on the caller's goroutine.
+// inline reports that every part answered its probe; region is the largest
+// work an answering part returned.
+func (c *Column) CountSum(lo, hi int64,
+	probe func(p *Part, lo, hi int64) (count int, sum int64, work int, ok bool),
+	run func(p *Part, lo, hi int64) (int, int64),
+) (count int, sum int64, region int, inline bool) {
+	var buf [8]*Part // the declined parts; on the stack for up to 8
+	todo := buf[:0]
+	total, largest := 0, 0
+	for _, p := range c.parts {
+		cnt, s, work, ok := probe(p, lo, hi)
+		if ok {
+			count, sum, region = count+cnt, sum+s, max(region, work)
+			continue
+		}
+		todo = append(todo, p)
+		total, largest = total+work, max(largest, work)
 	}
-	return count, sum
+	if total-largest >= costmodel.FanOutMinWork {
+		cnt, s := c.fanOut(todo, func(p *Part) (int, int64) { return run(p, lo, hi) })
+		return count + cnt, sum + s, region, false
+	}
+	for _, p := range todo {
+		cnt, s := run(p, lo, hi)
+		count, sum = count+cnt, sum+s
+	}
+	return count, sum, region, len(todo) == 0
 }
 
 // Append assigns the next global row id to v and enqueues it. Safe for
@@ -662,26 +709,45 @@ func (p *Part) CrackedSelect(lo, hi int64) (int, int64) {
 	return count + dc, sum + ds
 }
 
-// ConvergedSelect answers [lo, hi) as CrackedSelect does, but only when that
-// takes no structural work: the cracked copy exists, cracking is plain and
-// both bounds already are crack boundaries, so the answer is the difference
-// of their sums — the same cost however many values lie between them (region;
-// buffered writes not counted). It never cracks or latches exclusively, so it
-// runs on the query's own goroutine. ok false — the part declined, or a merge
-// moved rows during the read — sends the caller to CrackedSelect.
-func (p *Part) ConvergedSelect(lo, hi int64) (count int, sum int64, region int, ok bool) {
+// ConvergedSelect is the probe of an adaptive select: under the shared
+// latches, never cracking, it answers [lo, hi) as CrackedSelect would — ok:
+// cracking is plain and both bounds already are crack boundaries, so the
+// answer is the difference of their sums; work is the values between them,
+// buffered writes not counted — or says what CrackedSelect would partition:
+// the pieces the missing bounds fall in, or the merged live rows when there is
+// no cracked copy yet or a stochastic variant picks the pivots (nothing when
+// only a merge moved rows during the read).
+func (p *Part) ConvergedSelect(lo, hi int64) (count int, sum int64, work int, ok bool) {
 	p.mu.RLock()
 	e := p.epoch.Load()
 	if ix := p.crack; ix != nil && p.selector == nil {
-		count, sum, ok = ix.LookupCountSum(lo, hi)
-		region = count
+		count, sum, work, ok = ix.LookupCountSum(lo, hi)
+	} else {
+		work = p.col.Len() - p.nDeleted
 	}
 	p.mu.RUnlock()
 	if !ok {
-		return 0, 0, 0, false
+		return 0, 0, work, false
 	}
 	dc, ds := p.ingest.CountSum(lo, hi)
-	return count + dc, sum + ds, region, p.epoch.Load() == e
+	if p.epoch.Load() != e {
+		return 0, 0, 0, false
+	}
+	return count + dc, sum + ds, count, true
+}
+
+// ScanWork and SortedWork are the probes of the selects that never answer
+// from one: a scan touches every row of the part, a sorted lookup none —
+// unless the index is missing and it scans.
+func (p *Part) ScanWork(lo, hi int64) (count int, sum int64, work int, ok bool) {
+	return 0, 0, p.Len(), false
+}
+
+func (p *Part) SortedWork(lo, hi int64) (count int, sum int64, work int, ok bool) {
+	if p.HasSorted() {
+		return 0, 0, 0, false
+	}
+	return p.ScanWork(lo, hi)
 }
 
 // enqueueInsert buffers one insert without touching the part latch. The

@@ -135,9 +135,11 @@ func TestCrackedSelectMatchesNaive(t *testing.T) {
 // TestConvergedSelectDeclines walks the conditions under which a part
 // refuses the inline lookup — no cracked copy yet, a bound that is not a crack
 // boundary, a stochastic cracking variant — and checks that each refusal
-// cracks nothing, that CrackedSelect then answers as it always did, and that
-// the lookup is taken and exact once the condition is gone, at any region
-// width, pending inserts and deletes included.
+// cracks nothing and estimates exactly the values CrackedSelect then
+// partitions (the pieces the missing bounds fall in, once each; every live
+// row without a plain cracked copy), that CrackedSelect answers as it always
+// did, and that the lookup is taken and exact once the condition is gone, at
+// any region width, pending inserts and deletes included.
 func TestConvergedSelectDeclines(t *testing.T) {
 	// 0..n-1 shuffled: the range [a, b) holds exactly b-a values.
 	const n = 12288
@@ -153,11 +155,11 @@ func TestConvergedSelectDeclines(t *testing.T) {
 		}
 		return c.Parts()[0]
 	}
-	declines := func(p *Part, why string, lo, hi int64) {
+	declines := func(p *Part, why string, lo, hi int64, wantWork int) {
 		t.Helper()
 		pieces, _ := p.PieceStats()
-		if _, _, _, ok := p.ConvergedSelect(lo, hi); ok {
-			t.Fatalf("%s: ConvergedSelect(%d, %d) answered, want it to decline", why, lo, hi)
+		if _, _, work, ok := p.ConvergedSelect(lo, hi); ok || work != wantWork {
+			t.Fatalf("%s: ConvergedSelect(%d, %d) = work %d, ok %v; want it to decline with %d", why, lo, hi, work, ok, wantWork)
 		}
 		if after, _ := p.PieceStats(); after != pieces {
 			t.Fatalf("%s: declining changed the piece count %d -> %d", why, pieces, after)
@@ -169,15 +171,16 @@ func TestConvergedSelectDeclines(t *testing.T) {
 	}
 
 	p := newPart(Config{})
-	declines(p, "uncracked part", 100, 200) // ... and CrackedSelect cracked [100, 200)
+	declines(p, "uncracked part", 100, 200, n) // ... and CrackedSelect cracked [100, 200)
 	if c, s, region, ok := p.ConvergedSelect(100, 200); !ok || c != 100 || region != 100 || s != (100+199)*100/2 {
 		t.Fatalf("converged [100, 200): %d/%d region %d ok %v", c, s, region, ok)
 	}
-	declines(p, "upper bound not a boundary", 100, 300)
-	declines(p, "lower bound not a boundary", 50, 200)
-	declines(p, "inverted range", 200, 100)
+	declines(p, "upper bound not a boundary", 100, 300, n-200) // the piece [200, n)
+	declines(p, "lower bound not a boundary", 50, 200, 100)    // the piece [0, 100)
+	declines(p, "inverted range", 200, 100, 0)
+	declines(p, "bounds in two pieces", 25, 250, 50+100) // [0, 50) and [200, 300)
 	// A hit costs the same at any width: most of the column runs inline too.
-	declines(p, "wide range, not cracked yet", 1000, n-1000)
+	declines(p, "wide range, both bounds in one piece", 1000, n-1000, n-300)
 	if c, s, region, ok := p.ConvergedSelect(1000, n-1000); !ok || c != n-2000 || region != n-2000 || s != int64(n-1)*(n-2000)/2 {
 		t.Fatalf("converged [1000, %d): %d/%d region %d ok %v", n-1000, c, s, region, ok)
 	}
@@ -198,8 +201,8 @@ func TestConvergedSelectDeclines(t *testing.T) {
 	}
 
 	sp := newPart(Config{Stochastic: stochastic.MDD1R, Seed: 9})
-	declines(sp, "stochastic variant, uncracked", 100, 200)
-	declines(sp, "stochastic variant, cracked", 100, 200)
+	declines(sp, "stochastic variant, uncracked", 100, 200, n)
+	declines(sp, "stochastic variant, cracked", 100, 200, n)
 }
 
 func TestDeleteAndFirstLive(t *testing.T) {

@@ -191,6 +191,44 @@ func TestPropertyFrequenciesSumToOne(t *testing.T) {
 	}
 }
 
+// TestColdBucketsReachZero: a bucket nobody queries any more decays to
+// exactly zero instead of parking in the subnormals, and the buckets still
+// queried are what they would have been.
+func TestColdBucketsReachZero(t *testing.T) {
+	c := NewCollector()
+	c.Register("a", 0, 64<<10)
+	c.RecordWeighted("a", 0, 1<<10, 1000) // bucket 0, then never again
+	if !c.IsHot("a", 0, 1<<10, 999) {
+		t.Fatal("seeded bucket is not hot")
+	}
+	// 0.999^n leaves the normal range after ~708k queries; go well past it in
+	// strides so the test is a few thousand catch-ups, not a million.
+	for i := 0; i < 4000; i++ {
+		c.mu.Lock()
+		c.seq += 499
+		c.mu.Unlock()
+		c.RecordQuery("a", 63<<10, 64<<10)
+	}
+	cs := c.cols["a"]
+	if cs.hits[0] != 0 {
+		t.Fatalf("cold bucket holds %g after 2M queries, want exactly 0", cs.hits[0])
+	}
+	for b := 1; b < Buckets-1; b++ {
+		if cs.hits[b] != 0 {
+			t.Fatalf("never-queried bucket %d holds %g", b, cs.hits[b])
+		}
+	}
+	// The live bucket: one hit every 500 queries is the geometric series
+	// 1/(1-0.999^500).
+	want := 1 / (1 - math.Pow(Decay, 500))
+	if got := cs.hits[Buckets-1]; math.Abs(got-want) > 1e-9 {
+		t.Fatalf("live bucket holds %g, want %g", got, want)
+	}
+	if c.IsHot("a", 0, 1<<10, 1e-290) || !c.IsHot("a", 63<<10, 64<<10, 1) {
+		t.Fatal("IsHot disagrees with the buckets")
+	}
+}
+
 func BenchmarkRecordQuery(b *testing.B) {
 	for _, c := range []*Collector{NewCollector(), newDrift(0)} {
 		b.Run(fmt.Sprintf("drift=%v", c.epoch > 0), func(b *testing.B) {
@@ -203,4 +241,20 @@ func BenchmarkRecordQuery(b *testing.B) {
 			}
 		})
 	}
+	// Buckets seeded once and then left alone for 2M queries while the
+	// workload stays in the top bucket: at the parent they sat in the
+	// subnormals and every call paid 64 slow multiplies (~740 ns/op).
+	b.Run("cold", func(b *testing.B) {
+		c := NewCollector()
+		c.Register("a", 0, 1<<30)
+		c.RecordWeighted("a", 0, 1<<30, 1000)
+		for i := 0; i < 2_000_000; i++ {
+			c.RecordQuery("a", 1<<30-1<<20, 1<<30)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.RecordQuery("a", 1<<30-1<<20, 1<<30)
+		}
+	})
 }
