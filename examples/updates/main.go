@@ -1,7 +1,9 @@
-// Updates: a cracked store under a live insert/delete stream. Cracker
-// indexes absorb updates through pending buffers merged on demand (the
-// "Updating a Cracked Database" design), so queries stay correct while the
-// physical design keeps adapting.
+// Updates: a cracked store under a live insert/delete stream. Writes land in
+// pending buffers that the cracker indexes absorb in batches — as idle-time
+// merge steps, or inline when a writer fills a buffer to its cap (the
+// "Updating a Cracked Database" design) — and every query adds what is still
+// buffered in its range, so answers stay correct while the physical design
+// keeps adapting.
 package main
 
 import (
@@ -52,7 +54,7 @@ func main() {
 			} else if ok {
 				deleted++
 			}
-		case 3: // one query, merging pending updates in its range
+		case 3: // one query: the index plus the updates still buffered in its range
 			lo := int64((i * 31) % 95_000)
 			if _, err := eng.Select("orders", "amount", lo, lo+5_000); err != nil {
 				log.Fatal(err)

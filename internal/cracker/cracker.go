@@ -25,9 +25,10 @@
 //     piece only, so existing sums stand and each new boundary is seeded with
 //     its piece's base sum plus the sum of the side below it, which the
 //     partition sweep (or the radix histogram) accumulates as it goes;
-//   - a ripple insert or delete of v moves one value across each boundary
-//     above v's piece — the array below each of those gains or loses exactly
-//     v — so the walk that shifts their positions by ±1 shifts their sums by ±v;
+//   - a merge moves values across only the boundaries above its batch's
+//     lowest value, and the array below each of those gains or loses exactly
+//     the batch values below its key, so the walk that slides their positions
+//     adds those values' sum to theirs;
 //   - Consolidate only removes boundaries;
 //   - RestoreIndex recomputes the sums from the restored copy, so a snapshot
 //     does not store them.
@@ -41,7 +42,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"holistic/internal/column"
 	"holistic/internal/cracktree"
 )
 
@@ -60,10 +60,9 @@ import (
 // Positions returned by one call (CrackRange, LookupRange, PieceOf) stay
 // valid for a later call (CountSum) only while no structural operation runs
 // in between: cracks never move a value across an existing boundary and
-// never move a boundary, but ripple inserts/deletes and Consolidate do. The
-// owner therefore holds its own latch shared around a lookup-then-aggregate
-// pair and exclusively around RippleInsert, RippleDelete*, Consolidate and
-// any use of Values/Rows.
+// never move a boundary, but Merge and Consolidate do. The owner therefore
+// holds its own latch shared around a lookup-then-aggregate pair and
+// exclusively around Merge, Consolidate and any use of Values/Rows.
 type Index struct {
 	mu   sync.RWMutex
 	vals []int64
@@ -99,13 +98,6 @@ func New(vals []int64, rows []uint32) *Index {
 		ix.domLo, ix.domHi = lo, hi
 	}
 	return ix
-}
-
-// FromColumn snapshots a base column into a fresh cracker index. This is the
-// copy the first query pays for when cracking starts on a column.
-func FromColumn(c *column.Column) *Index {
-	vals, rows := c.Snapshot()
-	return New(vals, rows)
 }
 
 // Len returns the number of values in the index.

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-
-	"holistic/internal/column"
 )
 
 // newTestIndex builds an index over a copy of vals with identity row ids.
@@ -308,24 +306,6 @@ func TestStats(t *testing.T) {
 	}
 	if s.Work <= 0 {
 		t.Fatal("no work recorded")
-	}
-}
-
-func TestFromColumn(t *testing.T) {
-	c := column.New("a")
-	c.AppendBatch([]int64{5, 1, 9})
-	ix := FromColumn(c)
-	if ix.Len() != 3 {
-		t.Fatalf("len %d", ix.Len())
-	}
-	lo, hi, ok := ix.Domain()
-	if !ok || lo != 1 || hi != 9 {
-		t.Fatalf("domain %d,%d,%v", lo, hi, ok)
-	}
-	// The index must be a snapshot: appending to the column doesn't change it.
-	c.Append(100)
-	if ix.Len() != 3 {
-		t.Fatal("index aliases the column")
 	}
 }
 

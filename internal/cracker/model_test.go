@@ -1,15 +1,18 @@
 package cracker
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
+
+	"holistic/internal/updates"
 )
 
 // One model, every mutator: a seeded program interleaves everything that can
 // move a value or a boundary — query cracks, point cracks, the three random
-// refinements, forced radix passes, ripple inserts and deletes, Consolidate
+// refinements, forced radix passes, batched merges, Consolidate
 // and a Boundaries -> RestoreIndex round trip — beside a plain slice of the
 // (value, row) pairs the index must hold. After every step Validate passes
 // (piece bounds and every boundary's sum against a running scan) and the
@@ -109,37 +112,8 @@ func (m *sumModel) step() string {
 		ix.radixPiece(a, b)
 		ix.mu.Unlock()
 		return "radixPiece"
-	case 6, 7:
-		e := modelRow{m.value(), m.nextRow}
-		m.nextRow++
-		ix.RippleInsert(e.v, e.r)
-		m.rows = append(m.rows, e)
-		return "RippleInsert"
-	case 8:
-		if len(m.rows) == 0 {
-			return "RippleDeleteRow (empty)"
-		}
-		k := rng.IntN(len(m.rows))
-		e := m.rows[k]
-		if ix.RippleDeleteRow(e.v, m.nextRow) {
-			m.fatalf("RippleDeleteRow(%d, %d) removed a row that was never inserted", e.v, m.nextRow)
-		}
-		if !ix.RippleDeleteRow(e.v, e.r) {
-			m.fatalf("RippleDeleteRow(%d, %d) did not find a live row", e.v, e.r)
-		}
-		m.rows = slices.Delete(m.rows, k, k+1)
-		return "RippleDeleteRow"
-	case 9:
-		v := m.value()
-		r, ok := ix.RippleDelete(v)
-		k := slices.IndexFunc(m.rows, func(e modelRow) bool { return e.v == v && e.r == r })
-		if ok != slices.ContainsFunc(m.rows, func(e modelRow) bool { return e.v == v }) || (ok && k < 0) {
-			m.fatalf("RippleDelete(%d) = row %d, %v; the model disagrees", v, r, ok)
-		}
-		if ok {
-			m.rows = slices.Delete(m.rows, k, k+1)
-		}
-		return "RippleDelete"
+	case 6, 7, 8, 9:
+		return m.merge()
 	case 10:
 		ix.Consolidate(rng.IntN(12))
 		return "Consolidate"
@@ -152,6 +126,52 @@ func (m *sumModel) step() string {
 		m.ix = restored
 		return "RestoreIndex"
 	}
+}
+
+// merge applies one batch of 0 to 600 inserts (mostly few, up to 600 one time
+// in eight) of the palette's values and of the extremes below and above every
+// boundary; deletes of a random subset of the rows — all of them one time in
+// eight, so the batch empties the index and refills it — and, one time in
+// four, of pairs the index does not hold, which Merge must count as missing
+// and nothing else.
+func (m *sumModel) merge() string {
+	rng := m.rng
+	size := func() int { return rng.IntN([]int{2, 2, 9, 9, 65, 65, 65, 601}[rng.IntN(8)]) }
+	var ins, del []updates.Entry
+	for k := size(); k > 0; k-- {
+		v := m.value()
+		switch rng.IntN(16) {
+		case 0:
+			v = math.MinInt64
+		case 1:
+			v = math.MaxInt64
+		}
+		ins = append(ins, updates.Entry{Val: v, Row: m.nextRow})
+		m.nextRow++
+	}
+	nd := min(size(), len(m.rows))
+	if rng.IntN(8) == 0 {
+		nd = len(m.rows)
+	}
+	rng.Shuffle(len(m.rows), func(i, j int) { m.rows[i], m.rows[j] = m.rows[j], m.rows[i] })
+	for _, e := range m.rows[:nd] {
+		del = append(del, updates.Entry{Val: e.v, Row: e.r})
+	}
+	absent := 0
+	for rng.IntN(4) == 0 {
+		del = append(del, updates.Entry{Val: m.value(), Row: m.nextRow}) // no row has that id yet
+		absent++
+	}
+	updates.SortByVal(ins)
+	updates.SortByVal(del)
+	if missing := m.ix.Merge(ins, del); missing != absent {
+		m.fatalf("Merge of %d inserts and %d deletes missed %d deletes; %d were absent", len(ins), len(del), missing, absent)
+	}
+	m.rows = slices.Delete(m.rows, 0, nd)
+	for _, e := range ins {
+		m.rows = append(m.rows, modelRow{e.Val, e.Row})
+	}
+	return fmt.Sprintf("Merge(%d inserts, %d deletes)", len(ins), len(del))
 }
 
 func (m *sumModel) check(after string) {

@@ -14,7 +14,7 @@ package cracker
 // (histogram + scatter) over the same data.
 //
 // Bucket keys are derived from the piece's OWN data min/max, not the column
-// domain: ripple updates drift the column domain, and a piece's value bounds
+// domain: merged updates drift the column domain, and a piece's value bounds
 // in the crack tree are open at the extremes, so the data itself is the only
 // reliable range. Because every bucket boundary is inserted — including
 // empty buckets — each level divides the value span by up to 256, so
@@ -86,7 +86,7 @@ func (ix *Index) radixPiece(a, b int) int {
 	// The piece's value bounds come from the crack tree (its own boundary
 	// key below, its right neighbour's key above) with the cached domain
 	// bounds for the outermost pieces — no scan needed. The bounds are
-	// conservative (ripple deletes never shrink the domain), which only
+	// conservative (merged deletes never shrink the domain), which only
 	// coarsens the buckets; correctness needs just lo <= min(piece) and
 	// max(piece) <= hi, both guaranteed by the cracking invariant.
 	// base is the sum of the copy below the piece: its own boundary's, or 0

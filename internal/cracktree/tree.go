@@ -9,13 +9,15 @@
 // contents are unsorted. Database cracking refines pieces over time by
 // inserting new boundaries; the tree must support ordered lookups (exact by
 // key; the piece around a key in one descent, Locate; floor and higher by
-// position), in-order traversal for piece enumeration, and bulk shifts for
-// updates that ripple through the cracked copy.
+// position), in-order traversal for piece enumeration, and one rewriting
+// walk, in either direction, over the boundaries above a key — the walk a
+// batched merge moves every piece above its lowest value with.
 //
 // Every boundary also carries sum, the wrapping (mod 2^64) sum of the cracked
-// array's values at positions < p. The tree only stores and shifts it; the
-// cracker seeds it when it inserts a boundary and reads it to answer a range
-// aggregate as the difference of two boundaries instead of a scan.
+// array's values at positions < p. The tree only stores it; the cracker seeds
+// it when it inserts a boundary, rewrites it when a merge moves the boundary,
+// and reads it to answer a range aggregate as the difference of two
+// boundaries instead of a scan.
 package cracktree
 
 // Tree is an AVL tree of crack boundaries. The zero value is an empty tree
@@ -292,25 +294,28 @@ func walkFrom(n *node, from int64, visit func(int64, int, int64) bool) bool {
 	return walk(n.right, visit)
 }
 
-// ShiftAfter adds dpos to the position and dsum to the prefix sum of every
-// boundary whose key is strictly greater than key. Updates use it when a
-// ripple insert or delete moves every piece above the touched piece by one
-// slot: one value enters or leaves the array below each such boundary.
-func (t *Tree) ShiftAfter(key int64, dpos int, dsum int64) {
-	shiftAfter(t.root, key, dpos, dsum)
+// Rewrite visits every boundary whose key is strictly greater than above —
+// in ascending key order, or descending when down is set — and replaces its
+// position and prefix sum with what visit returns: O(height + visited). A
+// merge walks exactly the boundaries above its batch's lowest value, reading
+// where each piece starts and recording where it ends up in the same visit.
+// The new positions must stay non-decreasing in key order.
+func (t *Tree) Rewrite(above int64, down bool, visit func(key int64, pos int, sum int64) (int, int64)) {
+	rewrite(t.root, above, down, visit)
 }
 
-func shiftAfter(n *node, key int64, dpos int, dsum int64) {
+func rewrite(n *node, above int64, down bool, visit func(int64, int, int64) (int, int64)) {
+	for n != nil && n.key <= above {
+		n = n.right // n and its whole left subtree lie at or below above
+	}
 	if n == nil {
 		return
 	}
-	if n.key > key {
-		n.pos += dpos
-		n.sum += dsum
-		shiftAfter(n.left, key, dpos, dsum)
-		shiftAfter(n.right, key, dpos, dsum)
-		return
+	first, second := n.left, n.right
+	if down {
+		first, second = second, first
 	}
-	// n.key <= key: the whole left subtree is <= key as well.
-	shiftAfter(n.right, key, dpos, dsum)
+	rewrite(first, above, down, visit)
+	n.pos, n.sum = visit(n.key, n.pos, n.sum)
+	rewrite(second, above, down, visit)
 }

@@ -1,6 +1,7 @@
 package cracktree
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"sort"
 	"testing"
@@ -121,7 +122,7 @@ func floorHigher(tr *Tree, key int64) (floorPos int, floorSum int64, hasFloor bo
 // and base of the piece from the floor (0, 0 without one), its end from the
 // higher boundary (n without one), exact iff Get hits — on seeded random
 // trees that hold the extreme keys and runs of boundaries sharing a position
-// (zero-width pieces), on the empty tree, and after Remove and ShiftAfter
+// (zero-width pieces), on the empty tree, and after Remove and Rewrite
 // have rearranged nodes and payloads.
 func TestLocateMatchesFloorHigherGet(t *testing.T) {
 	const minKey, maxKey = -1 << 63, 1<<63 - 1
@@ -186,8 +187,11 @@ func TestLocateMatchesFloorHigherGet(t *testing.T) {
 		}
 		validate(t, tr.root, 0, 0, false, false)
 		check("after Remove", &tr, n, probes)
-		tr.ShiftAfter(probes[rng.IntN(len(probes))], 1, rng.Int64())
-		check("after ShiftAfter", &tr, n+1, probes)
+		dsum := rng.Int64()
+		tr.Rewrite(probes[rng.IntN(len(probes))], rng.IntN(2) == 0, func(_ int64, pos int, sum int64) (int, int64) {
+			return pos + 1, sum + dsum
+		})
+		check("after Rewrite", &tr, n+1, probes)
 	}
 }
 
@@ -303,7 +307,10 @@ func TestRemove(t *testing.T) {
 	}
 }
 
-func TestShiftAfter(t *testing.T) {
+// TestRewrite: the walk visits exactly the keys strictly above its bound, in
+// the asked direction, and each visit's answer replaces that boundary's
+// position and sum.
+func TestRewrite(t *testing.T) {
 	var tr Tree
 	for _, k := range []int64{10, 20, 30, 40} {
 		tr.Insert(k, int(k), 100*k)
@@ -317,12 +324,29 @@ func TestShiftAfter(t *testing.T) {
 			}
 		}
 	}
-	// Shift everything strictly above key 20 by +3 positions and +7 in sum.
-	tr.ShiftAfter(20, 3, 7)
+	var seen []int64
+	shift := func(dpos int, dsum int64) func(int64, int, int64) (int, int64) {
+		seen = seen[:0]
+		return func(key int64, pos int, sum int64) (int, int64) {
+			seen = append(seen, key)
+			return pos + dpos, sum + dsum
+		}
+	}
+	// Everything strictly above key 20 moves +3 positions and +7 in sum.
+	tr.Rewrite(20, false, shift(3, 7))
 	check("after shift", map[int64][2]int64{10: {10, 1000}, 20: {20, 2000}, 30: {33, 3007}, 40: {43, 4007}})
-	// Negative deltas, boundary key not present in the tree.
-	tr.ShiftAfter(35, -1, -4007)
-	check("after negative shift", map[int64][2]int64{10: {10, 1000}, 20: {20, 2000}, 30: {33, 3007}, 40: {42, 0}})
+	if fmt.Sprint(seen) != "[30 40]" {
+		t.Fatalf("ascending walk above 20 visited %v", seen)
+	}
+	// Negative deltas, downwards, from a bound that is not a key.
+	tr.Rewrite(15, true, shift(-1, -7))
+	check("after negative shift", map[int64][2]int64{10: {10, 1000}, 20: {19, 1993}, 30: {32, 3000}, 40: {42, 4000}})
+	if fmt.Sprint(seen) != "[40 30 20]" {
+		t.Fatalf("descending walk above 15 visited %v", seen)
+	}
+	if tr.Rewrite(40, true, shift(1, 1)); len(seen) != 0 {
+		t.Fatalf("walk above the largest key visited %v", seen)
+	}
 }
 
 func TestHeightLogarithmic(t *testing.T) {
@@ -368,7 +392,9 @@ func TestPropertyTreeMatchesSortedMap(t *testing.T) {
 				}
 			case 4: // shift everything above key
 				dpos, dsum := rng.IntN(7)-3, rng.Int64()
-				tr.ShiftAfter(key, dpos, dsum)
+				tr.Rewrite(key, rng.IntN(2) == 0, func(_ int64, pos int, sum int64) (int, int64) {
+					return pos + dpos, sum + dsum
+				})
 				for k, e := range ref {
 					if k > key {
 						ref[k] = entry{e.pos + dpos, e.sum + dsum}

@@ -27,7 +27,7 @@
 //     (see Table).
 //   - Part: every shard.Part has a reader/writer latch. The WRITE side is
 //     only for structural changes — materialising the cracked copy, merging
-//     pending updates into it (ripple moves shift piece positions),
+//     pending updates into it (a merge slides piece positions),
 //     (re)building or dropping the sorted index, tombstoning deletes, and
 //     stochastic-variant selects. The READ side admits any number of
 //     queries and idle workers simultaneously.

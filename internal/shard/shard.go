@@ -68,7 +68,9 @@
 // dense local-row order: the base storage is a positional array, so drained
 // inserts must be exactly rows next, next+stride, next+2·stride... A row id
 // still in flight (assigned but not yet enqueued) leaves a gap that pauses
-// insert draining until it lands; deletes and earlier rows still drain.
+// insert draining until it lands; deletes and earlier rows still drain. Once
+// the base has grown, the batch is sorted by value and each index the part
+// has takes it in one Merge: one pass over the pieces, not one per row.
 //
 // # Delete resolution
 //
@@ -776,6 +778,8 @@ func (p *Part) mergeLocked(max int) int {
 		return 0
 	}
 	p.epoch.Add(1) // odd: rows are moving between queue and structures
+	n := len(ins) + len(del)
+	live := del[:0]
 	for _, e := range del {
 		local := int(e.Row) / p.stride
 		if local >= p.col.Len() || p.deleted[local] {
@@ -785,29 +789,28 @@ func (p *Part) mergeLocked(max int) int {
 		}
 		p.deleted[local] = true
 		p.nDeleted++
-		if p.sorted != nil {
-			p.sorted.DeleteRow(e.Val, e.Row)
-		}
-		if p.crack != nil {
-			p.crack.RippleDeleteRow(e.Val, e.Row)
-		}
+		live = append(live, e)
 	}
-	for _, e := range ins {
+	for i, e := range ins {
 		// The append cannot fail: row ids were bounds checked when assigned,
 		// and Drain guarantees dense order.
 		if _, err := p.col.Append(e.Val); err != nil {
+			ins = ins[:i]
 			break
 		}
 		p.deleted = append(p.deleted, false)
-		if p.sorted != nil {
-			p.sorted.Insert(e.Val, e.Row)
-		}
-		if p.crack != nil {
-			p.crack.RippleInsert(e.Val, e.Row)
-		}
+	}
+	// The base grew in row order; the indexes take the batch in value order.
+	updates.SortByVal(ins)
+	updates.SortByVal(live)
+	if p.sorted != nil {
+		p.sorted.Merge(ins, live)
+	}
+	if p.crack != nil {
+		p.crack.Merge(ins, live)
 	}
 	p.epoch.Add(1) // even: structures and queue agree again
-	return len(ins) + len(del)
+	return n
 }
 
 // PendingOps returns the part's buffered operation count — the tuner's

@@ -15,8 +15,8 @@ import (
 	"slices"
 	"sort"
 
-	"holistic/internal/column"
 	"holistic/internal/scratch"
+	"holistic/internal/updates"
 )
 
 // Index is a fully sorted index over one column.
@@ -46,16 +46,10 @@ func Build(vals []int64, rows []uint32) *Index {
 // BuildComparison builds the index with a comparison sort (O(n log n)).
 // This matches the cost profile of the paper's MonetDB index build
 // (Time_sort = 28.4 s for 10^8 values); Build's radix sort is the modern
-// alternative the ablation benchmarks contrast it with.
+// alternative.
 func BuildComparison(vals []int64, rows []uint32) *Index {
 	comparisonSortPairs(vals, rows)
 	return newIndex(vals, rows)
-}
-
-// FromColumn snapshots and sorts a base column.
-func FromColumn(c *column.Column) *Index {
-	vals, rows := c.Snapshot()
-	return Build(vals, rows)
 }
 
 // FromSorted adopts already-sorted slices — the restore path for a snapshot
@@ -88,17 +82,14 @@ func (ix *Index) Range(lo, hi int64) (from, to int) {
 	if lo >= hi {
 		return 0, 0
 	}
-	from = sort.Search(len(ix.vals), func(i int) bool { return ix.vals[i] >= lo })
-	to = sort.Search(len(ix.vals), func(i int) bool { return ix.vals[i] >= hi })
-	return from, to
+	return ix.lowerBound(lo), ix.lowerBound(hi)
 }
 
 // MinRowOf returns the lowest base row id among the entries holding exactly
 // value v for which live reports true: one binary search plus the run of
 // duplicates of v, whose row order is unspecified.
 func (ix *Index) MinRowOf(v int64, live func(row uint32) bool) (row uint32, ok bool) {
-	at := sort.Search(len(ix.vals), func(i int) bool { return ix.vals[i] >= v })
-	for ; at < len(ix.vals) && ix.vals[at] == v; at++ {
+	for at := ix.lowerBound(v); at < len(ix.vals) && ix.vals[at] == v; at++ {
 		if r := ix.rows[at]; (!ok || r < row) && live(r) {
 			row, ok = r, true
 		}
@@ -117,58 +108,69 @@ func (ix *Index) CountSum(from, to int) (int, int64) {
 	return to - from, ix.pre[to] - ix.pre[from]
 }
 
-// Insert adds one value, keeping the index sorted. O(n) memmove — this is
-// the maintenance cost a full index pays per update, which the ablation
-// benchmarks contrast with the cracker's O(pieces) ripple. The prefix sums
-// above the slot move with the values and gain v.
-func (ix *Index) Insert(v int64, row uint32) {
-	at := sort.Search(len(ix.vals), func(i int) bool { return ix.vals[i] >= v })
-	ix.vals = append(ix.vals, 0)
-	ix.rows = append(ix.rows, 0)
-	copy(ix.vals[at+1:], ix.vals[at:])
-	copy(ix.rows[at+1:], ix.rows[at:])
-	ix.vals[at] = v
-	ix.rows[at] = row
-	ix.pre = append(ix.pre, 0)
-	for i := len(ix.pre) - 1; i > at; i-- {
-		ix.pre[i] = ix.pre[i-1] + v
-	}
-}
-
-// Delete removes one occurrence of v, returning its base row id.
-func (ix *Index) Delete(v int64) (row uint32, ok bool) {
-	at := sort.Search(len(ix.vals), func(i int) bool { return ix.vals[i] >= v })
-	if at == len(ix.vals) || ix.vals[at] != v {
-		return 0, false
-	}
-	row = ix.rows[at]
-	ix.removeAt(at)
-	return row, true
-}
-
-// DeleteRow removes the entry for value v belonging to base row `row`,
-// scanning the (usually tiny) run of duplicates of v.
-func (ix *Index) DeleteRow(v int64, row uint32) bool {
-	at := sort.Search(len(ix.vals), func(i int) bool { return ix.vals[i] >= v })
-	for ; at < len(ix.vals) && ix.vals[at] == v; at++ {
-		if ix.rows[at] == row {
-			ix.removeAt(at)
-			return true
+// Merge applies a batch: ins and del, each sorted by value, deletes first (a
+// batch never deletes a row it inserts). Deletes are one filter pass from the
+// lowest one's position, dropping each entry that holds exactly a delete's
+// (value, row); inserts are one backward merge into the grown arrays; the
+// prefix sums are recomputed from the first position either changed. Merge
+// returns how many deletes found no such entry.
+func (ix *Index) Merge(ins, del []updates.Entry) (missing int) {
+	n := len(ix.vals)
+	from := n
+	if len(del) > 0 {
+		from = ix.lowerBound(del[0].Val)
+		w, d := from, 0
+		for r := from; r < n; r++ {
+			v, row := ix.vals[r], ix.rows[r]
+			for d < len(del) && del[d].Val < v {
+				d++
+			}
+			if d == len(del) { // no delete reaches this far: the rest slides
+				copy(ix.rows[w:], ix.rows[r:n])
+				w += copy(ix.vals[w:], ix.vals[r:n])
+				break
+			}
+			drop := false
+			for e := d; e < len(del) && del[e].Val == v && !drop; e++ {
+				drop = del[e].Row == row
+			}
+			if !drop {
+				ix.vals[w], ix.rows[w] = v, row
+				w++
+			}
 		}
+		missing = len(del) - (n - w)
+		n = w
 	}
-	return false
+	if len(ins) > 0 {
+		k := len(ins)
+		ix.vals = slices.Grow(ix.vals[:n], k)[:n+k]
+		ix.rows = slices.Grow(ix.rows[:n], k)[:n+k]
+		i, w := n-1, n+k-1
+		for k > 0 {
+			if i >= 0 && ix.vals[i] > ins[k-1].Val {
+				ix.vals[w], ix.rows[w] = ix.vals[i], ix.rows[i]
+				i--
+			} else {
+				k--
+				ix.vals[w], ix.rows[w] = ins[k].Val, ins[k].Row
+			}
+			w--
+		}
+		from = min(from, i+1)
+		n += len(ins)
+	}
+	ix.vals, ix.rows = ix.vals[:n], ix.rows[:n]
+	ix.pre = slices.Grow(ix.pre[:from+1], n-from)[:n+1]
+	for i := from; i < n; i++ {
+		ix.pre[i+1] = ix.pre[i] + ix.vals[i]
+	}
+	return missing
 }
 
-func (ix *Index) removeAt(at int) {
-	v := ix.vals[at]
-	for i := at + 1; i < len(ix.pre)-1; i++ {
-		ix.pre[i] = ix.pre[i+1] - v
-	}
-	ix.pre = ix.pre[:len(ix.pre)-1]
-	copy(ix.vals[at:], ix.vals[at+1:])
-	copy(ix.rows[at:], ix.rows[at+1:])
-	ix.vals = ix.vals[:len(ix.vals)-1]
-	ix.rows = ix.rows[:len(ix.rows)-1]
+// lowerBound returns the first position holding a value >= v.
+func (ix *Index) lowerBound(v int64) int {
+	return sort.Search(len(ix.vals), func(i int) bool { return ix.vals[i] >= v })
 }
 
 const (

@@ -1,6 +1,7 @@
 package sortindex
 
 import (
+	"cmp"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -8,7 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"holistic/internal/column"
+	"holistic/internal/updates"
 )
 
 func buildFrom(vals []int64) *Index {
@@ -40,7 +41,7 @@ func TestEmpty(t *testing.T) {
 	if from, to := ix.Range(1, 5); from != to {
 		t.Fatal("empty index returned values")
 	}
-	if _, ok := ix.Delete(3); ok {
+	if ix.Merge(nil, []updates.Entry{{Val: 3}}) != 1 {
 		t.Fatal("delete on empty succeeded")
 	}
 }
@@ -126,10 +127,7 @@ func TestRadixAllEqual(t *testing.T) {
 
 func TestInsertKeepsSorted(t *testing.T) {
 	ix := buildFrom([]int64{10, 30, 50})
-	ix.Insert(20, 100)
-	ix.Insert(5, 101)
-	ix.Insert(60, 102)
-	ix.Insert(30, 103)
+	ix.Merge([]updates.Entry{{Val: 5, Row: 101}, {Val: 20, Row: 100}, {Val: 30, Row: 103}, {Val: 60, Row: 102}}, nil)
 	got := ix.Values()
 	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
 		t.Fatalf("not sorted after inserts: %v", got)
@@ -145,28 +143,17 @@ func TestInsertKeepsSorted(t *testing.T) {
 
 func TestDelete(t *testing.T) {
 	ix := buildFrom([]int64{10, 20, 20, 30})
-	r, ok := ix.Delete(20)
-	if !ok || (r != 1 && r != 2) {
-		t.Fatalf("delete: %d,%v", r, ok)
+	if ix.Merge(nil, []updates.Entry{{Val: 20, Row: 1}}) != 0 {
+		t.Fatal("delete of a present (value, row) missed")
 	}
 	if ix.Len() != 3 {
 		t.Fatalf("len %d", ix.Len())
 	}
-	if _, ok := ix.Delete(25); ok {
-		t.Fatal("deleted absent value")
+	if from, _ := ix.Range(20, 21); ix.Rows()[from] != 2 {
+		t.Fatalf("row 2's duplicate should remain, found row %d", ix.Rows()[from])
 	}
-}
-
-func TestFromColumn(t *testing.T) {
-	c := column.New("a")
-	c.AppendBatch([]int64{3, 1, 2})
-	ix := FromColumn(c)
-	if ix.Values()[0] != 1 || ix.Values()[2] != 3 {
-		t.Fatalf("contents %v", ix.Values())
-	}
-	c.Append(0)
-	if ix.Len() != 3 {
-		t.Fatal("index aliases column")
+	if ix.Merge(nil, []updates.Entry{{Val: 25}, {Val: 30}}) != 2 {
+		t.Fatal("deleted an absent (value, row)")
 	}
 }
 
@@ -191,16 +178,25 @@ func TestPropertySortedEquivalence(t *testing.T) {
 	}
 }
 
-// TestPropertyInsertDeleteReference also holds the prefix sums to the values:
-// after every insert and delete — extremes included, so the sums wrap —
-// CountSum of a random region, clamped, inverted and past-the-end ones among
-// them, equals a plain loop over Values.
+// byPair returns es sorted by value, then row.
+func byPair(es []updates.Entry) []updates.Entry {
+	return slices.SortedFunc(slices.Values(es), func(a, b updates.Entry) int {
+		return cmp.Or(cmp.Compare(a.Val, b.Val), cmp.Compare(a.Row, b.Row))
+	})
+}
+
+// TestPropertyInsertDeleteReference merges random batches — duplicates and
+// the extremes among them, so the prefix sums wrap, and deletes of pairs the
+// index does not hold — and holds the index to a sorted slice of the (value,
+// row) pairs it must hold: sorted values, the same pairs, the misses counted,
+// and CountSum of a random region (clamped, inverted and past-the-end ones
+// among them) equal to a plain loop.
 func TestPropertyInsertDeleteReference(t *testing.T) {
 	f := func(seed uint64, opsRaw uint8) bool {
 		rng := rand.New(rand.NewPCG(seed, 17))
 		ix := buildFrom(nil)
-		var ref []int64
-		ops := int(opsRaw) + 10
+		var ref []updates.Entry
+		nextRow := uint32(0)
 		draw := func() int64 {
 			switch rng.IntN(10) {
 			case 0:
@@ -210,36 +206,35 @@ func TestPropertyInsertDeleteReference(t *testing.T) {
 			}
 			return rng.Int64N(100)
 		}
-		for i := 0; i < ops; i++ {
-			switch rng.IntN(4) {
-			case 3: // remove one entry by (value, row), as a merge does
-				if ix.Len() == 0 {
-					continue
-				}
-				j := rng.IntN(ix.Len())
-				v := ix.Values()[j]
-				if !ix.DeleteRow(v, ix.Rows()[j]) || ix.DeleteRow(v, uint32(ops)) {
-					return false
-				}
-				ref = slices.Delete(ref, slices.Index(ref, v), slices.Index(ref, v)+1)
-			case 0, 1:
-				v := draw()
-				ix.Insert(v, uint32(i))
-				ref = append(ref, v)
-			case 2:
-				v := draw()
-				_, ok := ix.Delete(v)
-				found := false
-				for j, rv := range ref {
-					if rv == v {
-						ref = append(ref[:j], ref[j+1:]...)
-						found = true
-						break
-					}
-				}
-				if ok != found {
-					return false
-				}
+		for i := int(opsRaw%40) + 5; i > 0; i-- {
+			var ins, del []updates.Entry
+			for k := rng.IntN([]int{2, 9, 65}[rng.IntN(3)]); k > 0; k-- {
+				ins = append(ins, updates.Entry{Val: draw(), Row: nextRow})
+				nextRow++
+			}
+			for k := rng.IntN(9); k > 0 && len(ref) > 0; k-- {
+				j := rng.IntN(len(ref))
+				del = append(del, ref[j])
+				ref = slices.Delete(ref, j, j+1)
+			}
+			absent := rng.IntN(3)
+			for k := 0; k < absent; k++ {
+				del = append(del, updates.Entry{Val: draw(), Row: nextRow})
+			}
+			updates.SortByVal(ins)
+			updates.SortByVal(del)
+			if missing := ix.Merge(ins, del); missing != absent {
+				t.Logf("Merge missed %d deletes, %d were absent", missing, absent)
+				return false
+			}
+			ref = append(ref, ins...)
+			got := make([]updates.Entry, ix.Len())
+			for j, v := range ix.Values() {
+				got[j] = updates.Entry{Val: v, Row: ix.Rows()[j]}
+			}
+			if !slices.IsSorted(ix.Values()) || !slices.Equal(byPair(got), byPair(ref)) {
+				t.Logf("index holds %v, the slice %v", got, byPair(ref))
+				return false
 			}
 			from, to := rng.IntN(ix.Len()+5)-2, rng.IntN(ix.Len()+5)-2
 			wn, ws := 0, int64(0)
@@ -248,15 +243,6 @@ func TestPropertyInsertDeleteReference(t *testing.T) {
 			}
 			if n, s := ix.CountSum(from, to); n != wn || s != ws {
 				t.Logf("CountSum(%d, %d) over %v = %d, %d; plain loop %d, %d", from, to, ix.Values(), n, s, wn, ws)
-				return false
-			}
-		}
-		sort.Slice(ref, func(a, b int) bool { return ref[a] < ref[b] })
-		if ix.Len() != len(ref) {
-			return false
-		}
-		for i := range ref {
-			if ix.Values()[i] != ref[i] {
 				return false
 			}
 		}

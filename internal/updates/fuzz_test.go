@@ -7,19 +7,13 @@ import (
 // checkMaps asserts the position-map invariant: every buffered entry is
 // findable through its map at its exact slice index, and the maps hold
 // nothing else. A desynchronised map makes later annihilations miss (leaking
-// delete entries) or, worse, swap-remove the wrong entry.
+// delete entries) or, worse, pair a delete with the wrong insert.
 func checkMaps(t *testing.T, p *Pending) {
 	t.Helper()
-	if len(p.insAt) != len(p.ins) {
-		t.Fatalf("insAt has %d entries for %d inserts", len(p.insAt), len(p.ins))
-	}
 	if len(p.rowAt) != len(p.ins) {
 		t.Fatalf("rowAt has %d entries for %d inserts", len(p.rowAt), len(p.ins))
 	}
 	for i, e := range p.ins {
-		if j, ok := p.insAt[e]; !ok || j != i {
-			t.Fatalf("insAt[%v] = %d,%v want %d", e, j, ok, i)
-		}
 		if j, ok := p.rowAt[e.Row]; !ok || j != i {
 			t.Fatalf("rowAt[%d] = %d,%v want %d", e.Row, j, ok, i)
 		}
@@ -138,7 +132,7 @@ func FuzzPendingMergeDelete(f *testing.F) {
 				}
 				v := ref[pick]
 				insBefore, delBefore := p.Counts()
-				if _, ok := p.ValueAt(pick); ok {
+				if _, ok := p.rowAt[pick]; ok {
 					// Still buffered: kill it the way shard.deleteLocal does.
 					av, aok := p.AnnihilateRow(pick)
 					if !aok || av != v {
@@ -217,8 +211,7 @@ func FuzzPendingMergeDelete(f *testing.F) {
 				dead[e.Row] = true
 			}
 		}
-		if !p.Empty() {
-			i, d := p.Counts()
+		if i, d := p.Counts(); i+d != 0 {
 			t.Fatalf("buffer not empty after full drain: %d/%d", i, d)
 		}
 		checkMaps(t, &p)

@@ -27,7 +27,7 @@ func TestQueueDrainContiguity(t *testing.T) {
 	if len(ins) != 2 || ins[0].Row != 2 || ins[1].Row != 3 {
 		t.Fatalf("drain after gap closed: %v", ins)
 	}
-	if !q.Empty() {
+	if q.Len() != 0 {
 		t.Fatal("queue not empty after full drain")
 	}
 }
@@ -117,7 +117,7 @@ func TestQueueAnnihilateRow(t *testing.T) {
 	if len(del) != 1 || del[0] != (Entry{9, 3}) || len(ins) != 0 {
 		t.Fatalf("paired delete did not follow: ins=%v del=%v", ins, del)
 	}
-	if !q.Empty() {
+	if q.Len() != 0 {
 		t.Fatal("queue not empty after the pair drained")
 	}
 }

@@ -1,26 +1,21 @@
 // Package updates implements update support for cracked columns following
 // the "merge gradually" design of Updating a Cracked Database (Idreos,
 // Kersten, Manegold, SIGMOD 2007). Inserts and deletes land in per-column
-// pending buffers; merges ripple — via the cracker's ripple moves — pending
-// tuples into the indexed structures, so update cost is deferred and paid
-// during idle time (or amortised over batches) instead of inside the
-// writer's critical path.
+// pending buffers; a merge step drains a batch and every index of the part
+// merges it in one pass (cracker.Index.Merge, sortindex.Index.Merge), so
+// update cost is deferred and paid during idle time (or amortised over
+// batches) instead of inside the writer's critical path.
 //
-// Two layers live here:
-//
-//   - Pending is the single-threaded buffer with O(1) insert/delete
-//     annihilation via position maps. It is not safe for concurrent use.
-//   - Queue wraps a Pending in a private mutex, giving writers a
-//     finely-latched ingest path that never touches the column's RW latch,
-//     plus the snapshot-read primitives (net CountSum over the buffer) and
-//     the contiguous Drain the merge step consumes.
+// Queue wraps a Pending in a private mutex, giving writers a finely-latched
+// ingest path that never touches the column's RW latch, plus the
+// snapshot-read primitives (net CountSum over the buffer) and the contiguous
+// Drain the merge step consumes.
 package updates
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
-
-	"holistic/internal/cracker"
 )
 
 // Entry is one buffered update: value Val destined for (insert) or removed
@@ -31,19 +26,20 @@ type Entry struct {
 	Row uint32
 }
 
+// SortByVal orders a drained batch by value, the order the indexes merge it in.
+func SortByVal(es []Entry) {
+	slices.SortFunc(es, func(a, b Entry) int { return cmp.Compare(a.Val, b.Val) })
+}
+
 // Pending buffers not-yet-merged inserts and deletes for one cracked column
 // shard. It is not safe for concurrent use; wrap it in a Queue (or guard it
 // with the column latch) for concurrent writers.
 type Pending struct {
 	ins []Entry
 	del []Entry
-	// insAt indexes the insert buffer by (val, row) so Delete annihilates in
-	// O(1) instead of scanning — a burst of K inserts + K deletes used to be
-	// O(K²). Allocated lazily on first insert; rebuilt after merge compacts
-	// the buffer.
-	insAt map[Entry]int
 	// rowAt indexes the insert buffer by row id (unique per row), so
-	// annihilation and value lookups by row are O(1) too.
+	// annihilation and value lookups by row are O(1). Allocated lazily on
+	// first insert; rebuilt after a drain compacts the buffer.
 	rowAt map[uint32]int
 	// delAt gives O(1) membership for buffered deletes: a pending-delete row
 	// is logically dead and must be hidden from reads, and a duplicate
@@ -53,30 +49,19 @@ type Pending struct {
 
 // Insert buffers an insert of value v for base row `row`.
 func (p *Pending) Insert(v int64, row uint32) {
-	e := Entry{v, row}
-	if p.insAt == nil {
-		p.insAt = make(map[Entry]int)
+	if p.rowAt == nil {
 		p.rowAt = make(map[uint32]int)
 	}
-	p.ins = append(p.ins, e)
-	p.insAt[e] = len(p.ins) - 1
+	p.ins = append(p.ins, Entry{v, row})
 	p.rowAt[row] = len(p.ins) - 1
 }
 
-// Delete buffers a delete of (v, row). If the same (value, row) pair is
-// still sitting in the insert buffer the two annihilate immediately and
-// nothing is buffered — legacy semantics for the query-driven MergeRange
-// path, whose value-ordered merges never need row contiguity. The
-// concurrent Drain path never routes buffered-row deletes here: it uses
-// AnnihilateRow, which preserves the insert for dense row-ordered
-// application. It reports whether the delete took logical effect: false
-// means the identical delete was already buffered (a no-op).
+// Delete buffers a delete of (v, row) for a row that is already merged; a
+// still-buffered row is deleted with AnnihilateRow instead. It reports
+// whether the delete took logical effect: false means the identical delete
+// was already buffered (a no-op).
 func (p *Pending) Delete(v int64, row uint32) bool {
 	e := Entry{v, row}
-	if i, ok := p.insAt[e]; ok {
-		p.removeInsAt(i)
-		return true
-	}
 	if _, ok := p.delAt[e]; ok {
 		return false
 	}
@@ -86,21 +71,6 @@ func (p *Pending) Delete(v int64, row uint32) bool {
 	p.del = append(p.del, e)
 	p.delAt[e] = len(p.del) - 1
 	return true
-}
-
-// removeInsAt swap-removes insert i, keeping all three maps aligned.
-func (p *Pending) removeInsAt(i int) {
-	e := p.ins[i]
-	last := len(p.ins) - 1
-	moved := p.ins[last]
-	p.ins[i] = moved
-	p.ins = p.ins[:last]
-	delete(p.insAt, e)
-	delete(p.rowAt, e.Row)
-	if i != last {
-		p.insAt[moved] = i
-		p.rowAt[moved.Row] = i
-	}
 }
 
 // AnnihilateRow logically deletes the buffered insert destined for `row`, if
@@ -125,15 +95,6 @@ func (p *Pending) AnnihilateRow(row uint32) (int64, bool) {
 	p.del = append(p.del, e)
 	p.delAt[e] = len(p.del) - 1
 	return e.Val, true
-}
-
-// ValueAt returns the value of the buffered insert destined for `row`.
-func (p *Pending) ValueAt(row uint32) (int64, bool) {
-	i, ok := p.rowAt[row]
-	if !ok {
-		return 0, false
-	}
-	return p.ins[i].Val, true
 }
 
 // HasDelete reports whether a delete of (v, row) is buffered — i.e. whether
@@ -183,9 +144,6 @@ func (p *Pending) CountSumNet(lo, hi int64) (count int, sum int64) {
 // Counts returns the number of buffered inserts and deletes.
 func (p *Pending) Counts() (ins, del int) { return len(p.ins), len(p.del) }
 
-// Empty reports whether nothing is buffered.
-func (p *Pending) Empty() bool { return len(p.ins) == 0 && len(p.del) == 0 }
-
 // Drain removes and returns up to max buffered operations for the merge
 // step to apply: buffered deletes whose target row is already merged
 // (Row < next), plus the longest prefix of buffered inserts that is
@@ -203,7 +161,7 @@ func (p *Pending) Drain(next uint32, stride int, max int) (ins, del []Entry) {
 		max = len(p.ins) + len(p.del)
 	}
 	// Applicable deletes drain first; application order does not matter for
-	// tombstoning. Compaction moves survivors, so their indices rebuild.
+	// tombstoning. Compaction moves survivors, so their index rebuilds.
 	if len(p.del) > 0 {
 		kept := p.del[:0]
 		for _, e := range p.del {
@@ -224,8 +182,8 @@ func (p *Pending) Drain(next uint32, stride int, max int) (ins, del []Entry) {
 		return ins, del
 	}
 	// Sort the insert buffer by row, take the contiguous prefix, compact the
-	// remainder to the front and rebuild the position maps.
-	sort.Slice(p.ins, func(i, j int) bool { return p.ins[i].Row < p.ins[j].Row })
+	// remainder to the front and rebuild the row index.
+	slices.SortFunc(p.ins, func(a, b Entry) int { return cmp.Compare(a.Row, b.Row) })
 	k := 0
 	for k < len(p.ins) && k < budget && p.ins[k].Row == next {
 		next += uint32(stride)
@@ -236,80 +194,11 @@ func (p *Pending) Drain(next uint32, stride int, max int) (ins, del []Entry) {
 		copy(p.ins, p.ins[k:])
 		p.ins = p.ins[:len(p.ins)-k]
 	}
-	clear(p.insAt)
 	clear(p.rowAt)
 	for i, e := range p.ins {
-		p.insAt[e] = i
 		p.rowAt[e.Row] = i
-	}
-	for _, e := range ins {
-		delete(p.insAt, e)
-		delete(p.rowAt, e.Row)
 	}
 	return ins, del
-}
-
-// MergeRange ripples every buffered update whose value lies in [lo, hi)
-// into the index, removing it from the buffer. It returns the number of
-// updates applied. This is the original query-driven partial merge of the
-// 2007 design; the concurrent write path merges via Drain instead (dense
-// base storage needs row-contiguous application).
-func (p *Pending) MergeRange(ix *cracker.Index, lo, hi int64) int {
-	if lo >= hi {
-		return 0
-	}
-	return p.merge(ix, func(v int64) bool { return v >= lo && v < hi })
-}
-
-// MergeAll ripples every buffered update into the index.
-func (p *Pending) MergeAll(ix *cracker.Index) int {
-	return p.merge(ix, func(int64) bool { return true })
-}
-
-func (p *Pending) merge(ix *cracker.Index, in func(int64) bool) int {
-	applied := 0
-	// Inserts first: a buffered delete can only reference a row that is
-	// either already in the index or in the insert buffer ahead of it
-	// (annihilation removes the only other case).
-	keep := p.ins[:0]
-	for _, e := range p.ins {
-		if in(e.Val) {
-			ix.RippleInsert(e.Val, e.Row)
-			applied++
-		} else {
-			keep = append(keep, e)
-		}
-	}
-	p.ins = keep
-	// Compaction moved survivors; reindex them for O(1) annihilation.
-	if len(p.insAt) > 0 {
-		clear(p.insAt)
-		clear(p.rowAt)
-	}
-	for i, e := range p.ins {
-		p.insAt[e] = i
-		p.rowAt[e.Row] = i
-	}
-	keepD := p.del[:0]
-	for _, e := range p.del {
-		if in(e.Val) {
-			ix.RippleDeleteRow(e.Val, e.Row)
-			applied++
-		} else {
-			keepD = append(keepD, e)
-		}
-	}
-	p.del = keepD
-	if len(p.delAt) > 0 {
-		clear(p.delAt)
-	}
-	for i, e := range p.del {
-		if p.delAt == nil {
-			p.delAt = make(map[Entry]int)
-		}
-		p.delAt[e] = i
-	}
-	return applied
 }
 
 // Queue is the concurrent ingest buffer of one column shard: a Pending
@@ -332,9 +221,9 @@ func (q *Queue) Insert(v int64, row uint32) int {
 	return len(q.p.ins) + len(q.p.del)
 }
 
-// Delete enqueues a delete of (v, row), annihilating a matching buffered
-// insert. It reports whether the delete took logical effect (false: the
-// identical delete was already buffered).
+// Delete enqueues a delete of (v, row) for a merged row. It reports whether
+// the delete took logical effect (false: the identical delete was already
+// buffered).
 func (q *Queue) Delete(v int64, row uint32) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -346,13 +235,6 @@ func (q *Queue) AnnihilateRow(row uint32) (int64, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.p.AnnihilateRow(row)
-}
-
-// ValueAt returns the buffered-insert value destined for `row`, if any.
-func (q *Queue) ValueAt(row uint32) (int64, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.p.ValueAt(row)
 }
 
 // HasDelete reports whether a delete of (v, row) is buffered.
@@ -388,13 +270,6 @@ func (q *Queue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.p.ins) + len(q.p.del)
-}
-
-// Empty reports whether nothing is buffered.
-func (q *Queue) Empty() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.p.Empty()
 }
 
 // Drain removes and returns up to max operations in mergeable order: all

@@ -1,13 +1,13 @@
-package updates
+package updates_test
 
 import (
-	"fmt"
 	"math/rand/v2"
-	"sort"
 	"testing"
 	"testing/quick"
 
 	"holistic/internal/cracker"
+	"holistic/internal/sortindex"
+	"holistic/internal/updates"
 )
 
 func newIndex(vals []int64) *cracker.Index {
@@ -20,86 +20,82 @@ func newIndex(vals []int64) *cracker.Index {
 	return cracker.New(v, rows)
 }
 
+// drain drains everything mergeable above the first next rows and sorts it
+// for the indexes, as a part's merge step does.
+func drain(p *updates.Pending, next uint32, max int) (ins, del []updates.Entry) {
+	ins, del = p.Drain(next, 1, max)
+	updates.SortByVal(ins)
+	updates.SortByVal(del)
+	return ins, del
+}
+
 func TestInsertThenQuery(t *testing.T) {
 	ix := newIndex([]int64{10, 30, 50})
-	var p Pending
+	var p updates.Pending
 	p.Insert(20, 3)
 	p.Insert(70, 4)
-	if p.Empty() {
-		t.Fatal("buffer empty after inserts")
+	if n, s := p.CountSumNet(15, 35); n != 1 || s != 20 {
+		t.Fatalf("buffered [15, 35): %d/%d, want 1/20", n, s)
 	}
-	n := p.MergeRange(ix, 15, 35)
-	if n != 1 {
-		t.Fatalf("merged %d, want 1 (only value 20 is in range)", n)
-	}
+	ix.Merge(drain(&p, 3, 0))
 	from, to := ix.CrackRange(15, 35)
 	if cnt, _ := ix.CountSum(from, to); cnt != 2 { // 20 and 30
 		t.Fatalf("count %d", cnt)
 	}
-	ins, del := p.Counts()
-	if ins != 1 || del != 0 {
-		t.Fatalf("buffer state %d/%d", ins, del)
+	if ins, del := p.Counts(); ins != 0 || del != 0 || ix.Len() != 5 {
+		t.Fatalf("buffer state %d/%d, index length %d", ins, del, ix.Len())
 	}
 }
 
+// TestDeleteAnnihilatesPendingInsert: deleting a still-buffered insert pairs
+// a delete with it, so the two net to zero in every read; deleting another
+// row of the same value leaves the insert live.
 func TestDeleteAnnihilatesPendingInsert(t *testing.T) {
-	var p Pending
+	var p updates.Pending
 	p.Insert(5, 1)
-	p.Delete(5, 1)
-	if !p.Empty() {
-		t.Fatal("insert+delete did not annihilate")
+	if v, ok := p.AnnihilateRow(1); !ok || v != 5 {
+		t.Fatalf("AnnihilateRow(1) = %d,%v", v, ok)
 	}
-	// Deleting a different row of the same value must not annihilate.
+	if n, s := p.CountSumNet(0, 10); n != 0 || s != 0 {
+		t.Fatalf("insert+delete read %d/%d, want 0/0", n, s)
+	}
 	p.Insert(5, 2)
-	p.Delete(5, 3)
-	ins, del := p.Counts()
-	if ins != 1 || del != 1 {
-		t.Fatalf("buffer state %d/%d", ins, del)
+	if _, ok := p.AnnihilateRow(3); ok {
+		t.Fatal("annihilated row 3, which was never buffered")
+	}
+	if row, ok := p.MinInsertRowFor(5); !ok || row != 2 {
+		t.Fatalf("live buffered row for 5 = %d,%v, want 2", row, ok)
 	}
 }
 
-// TestDeleteAnnihilationSwapRemove pins the position-index bookkeeping: when
-// an annihilation swap-removes from the middle of the insert buffer, the
-// entry moved into the vacated slot must still be findable (stale indexes
-// would make later annihilations miss and leak delete entries).
-func TestDeleteAnnihilationSwapRemove(t *testing.T) {
-	var p Pending
-	p.Insert(1, 10)
-	p.Insert(2, 11)
-	p.Insert(3, 12)
-	p.Delete(1, 10) // swap-removes front; (3,12) moves to slot 0
-	p.Delete(3, 12) // must still annihilate via the fixed-up index
-	p.Delete(2, 11)
-	if !p.Empty() {
-		ins, del := p.Counts()
-		t.Fatalf("buffer state %d/%d after full annihilation, want 0/0", ins, del)
-	}
-}
-
-// TestDeleteAnnihilationAfterMerge pins the reindex after merge compaction:
-// a partial MergeRange compacts survivors to new positions, and a later
-// delete of a survivor must still annihilate it.
+// TestDeleteAnnihilationAfterMerge pins the reindex after drain compaction:
+// a partial drain moves the surviving inserts to new positions, and a later
+// delete of a survivor must still find and annihilate it.
 func TestDeleteAnnihilationAfterMerge(t *testing.T) {
-	ix := newIndex([]int64{10, 20, 30})
-	var p Pending
+	var p updates.Pending
 	p.Insert(5, 10)
 	p.Insert(25, 11)
 	p.Insert(95, 12)
-	p.MergeRange(ix, 20, 30) // merges (25,11); survivors compact
-	p.Delete(95, 12)
-	p.Delete(5, 10)
-	ins, del := p.Counts()
-	if ins != 0 || del != 0 {
-		t.Fatalf("buffer state %d/%d, want 0/0 (stale index after merge?)", ins, del)
+	if ins, _ := p.Drain(10, 1, 1); len(ins) != 1 { // merges (5,10); survivors compact
+		t.Fatalf("budget-1 drain took %v", ins)
+	}
+	if v, ok := p.AnnihilateRow(12); !ok || v != 95 {
+		t.Fatalf("AnnihilateRow(12) = %d,%v after compaction", v, ok)
+	}
+	if v, ok := p.AnnihilateRow(11); !ok || v != 25 {
+		t.Fatalf("AnnihilateRow(11) = %d,%v after compaction", v, ok)
+	}
+	if n, s := p.CountSumNet(0, 100); n != 0 || s != 0 {
+		t.Fatalf("annihilated pairs read %d/%d, want 0/0 (stale index after drain?)", n, s)
 	}
 }
 
 func TestDeleteMergesAgainstIndex(t *testing.T) {
 	ix := newIndex([]int64{10, 20, 30})
-	var p Pending
+	var p updates.Pending
 	p.Delete(20, 1)
-	if n := p.MergeRange(ix, 0, 100); n != 1 {
-		t.Fatalf("merged %d", n)
+	if missing := ix.Merge(drain(&p, 3, 0)); missing != 0 {
+		t.Fatalf("the drained delete missed row 1")
 	}
 	from, to := ix.CrackRange(0, 100)
 	if cnt, _ := ix.CountSum(from, to); cnt != 2 {
@@ -110,41 +106,9 @@ func TestDeleteMergesAgainstIndex(t *testing.T) {
 	}
 }
 
-func TestMergeRangeLeavesOutsideUntouched(t *testing.T) {
-	ix := newIndex([]int64{10, 20, 30})
-	var p Pending
-	p.Insert(5, 10)
-	p.Insert(25, 11)
-	p.Insert(95, 12)
-	p.MergeRange(ix, 20, 30)
-	if ix.Len() != 4 {
-		t.Fatalf("len %d, want 4", ix.Len())
-	}
-	ins, _ := p.Counts()
-	if ins != 2 {
-		t.Fatalf("pending inserts %d, want 2", ins)
-	}
-	// MergeAll finishes the job.
-	p.MergeAll(ix)
-	if ix.Len() != 6 || !p.Empty() {
-		t.Fatalf("after MergeAll: len=%d empty=%v", ix.Len(), p.Empty())
-	}
-}
-
-func TestDegenerateMergeRange(t *testing.T) {
-	ix := newIndex([]int64{1, 2, 3})
-	var p Pending
-	p.Insert(2, 9)
-	if n := p.MergeRange(ix, 5, 5); n != 0 {
-		t.Fatal("empty range merged something")
-	}
-	if n := p.MergeRange(ix, 9, 2); n != 0 {
-		t.Fatal("inverted range merged something")
-	}
-}
-
-// TestPropertyPendingMatchesReference interleaves buffered updates, merges
-// and queries; query results must always match a reference multiset that
+// TestPropertyPendingMatchesReference interleaves buffered updates, drains
+// merged into a cracker and a sorted index, and queries; each index plus the
+// buffer's net contribution must always answer like a reference multiset that
 // applies updates immediately.
 func TestPropertyPendingMatchesReference(t *testing.T) {
 	f := func(seed uint64, opsRaw uint8) bool {
@@ -155,124 +119,75 @@ func TestPropertyPendingMatchesReference(t *testing.T) {
 			base[i] = rng.Int64N(domain)
 		}
 		ix := newIndex(base)
-		var p Pending
-		type live struct {
-			val int64
-			row uint32
-		}
-		ref := make([]live, len(base))
+		sx := sortindex.Build(append([]int64{}, base...), append([]uint32{}, ix.Rows()...))
+		var p updates.Pending
+		ref := map[uint32]int64{} // live row -> value
 		for i, v := range base {
-			ref[i] = live{v, uint32(i)}
+			ref[uint32(i)] = v
 		}
-		nextRow := uint32(len(base))
+		next, merged := uint32(len(base)), uint32(len(base)) // rows assigned, rows merged
+		merge := func(max int) int {
+			ins, del := drain(&p, merged, max)
+			merged += uint32(len(ins))
+			if ix.Merge(ins, del) != 0 || sx.Merge(ins, del) != 0 {
+				return -1
+			}
+			return len(ins) + len(del)
+		}
 
 		ops := int(opsRaw%100) + 20
 		for i := 0; i < ops; i++ {
 			switch rng.IntN(4) {
 			case 0: // insert
 				v := rng.Int64N(domain)
-				p.Insert(v, nextRow)
-				ref = append(ref, live{v, nextRow})
-				nextRow++
-			case 1: // delete a random live row
+				p.Insert(v, next)
+				ref[next] = v
+				next++
+			case 1: // delete a random live row, buffered or merged
 				if len(ref) == 0 {
 					continue
 				}
-				j := rng.IntN(len(ref))
-				p.Delete(ref[j].val, ref[j].row)
-				ref = append(ref[:j], ref[j+1:]...)
-			case 2: // query with merge
+				row := uint32(rng.IntN(int(next)))
+				for _, ok := ref[row]; !ok; _, ok = ref[row] {
+					row = (row + 1) % next
+				}
+				if row >= merged {
+					p.AnnihilateRow(row)
+				} else {
+					p.Delete(ref[row], row)
+				}
+				delete(ref, row)
+			case 2: // query
 				lo := rng.Int64N(domain)
 				hi := lo + rng.Int64N(domain/3+1)
-				p.MergeRange(ix, lo, hi)
-				from, to := ix.CrackRange(lo, hi)
-				cnt, sum := ix.CountSum(from, to)
 				wc, ws := 0, int64(0)
-				for _, e := range ref {
-					if e.val >= lo && e.val < hi {
-						wc++
-						ws += e.val
+				for _, v := range ref {
+					if v >= lo && v < hi {
+						wc, ws = wc+1, ws+v
 					}
 				}
-				if cnt != wc || sum != ws {
+				pc, ps := p.CountSumNet(lo, hi)
+				from, to := ix.CrackRange(lo, hi)
+				cc, cs := ix.CountSum(from, to)
+				from, to = sx.Range(lo, hi)
+				sc, ss := sx.CountSum(from, to)
+				if cc+pc != wc || cs+ps != ws || sc+pc != wc || ss+ps != ws {
 					return false
 				}
-			case 3: // occasionally flush everything
-				p.MergeAll(ix)
-				if ix.Len() != len(ref) {
+			case 3: // a merge step
+				if merge(rng.IntN(16)+1) < 0 {
 					return false
 				}
 			}
 		}
-		p.MergeAll(ix)
-		if ix.Validate() != nil || ix.Len() != len(ref) {
-			return false
-		}
-		got := append([]int64{}, ix.Values()...)
-		want := make([]int64, len(ref))
-		for i, e := range ref {
-			want[i] = e.val
-		}
-		sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
-		sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
-		for i := range got {
-			if got[i] != want[i] {
+		for n := merge(0); n != 0; n = merge(0) { // a dead pair drains over two steps
+			if n < 0 {
 				return false
 			}
 		}
-		return true
+		return ix.Validate() == nil && ix.Len() == len(ref) && sx.Len() == len(ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// BenchmarkDeleteAnnihilation buffers K inserts then deletes all K in
-// reverse order — the old linear-scan worst case, where every delete walked
-// the whole remaining buffer (O(K²) total). With the (val, row) position
-// index the sweep is O(K): ns/op should stay flat as K grows 10×.
-func BenchmarkDeleteAnnihilation(b *testing.B) {
-	for _, k := range []int{1_000, 10_000, 100_000} {
-		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
-			vals := make([]int64, k)
-			rng := rand.New(rand.NewPCG(7, uint64(k)))
-			for i := range vals {
-				vals[i] = rng.Int64N(1 << 30)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var p Pending
-				for j := 0; j < k; j++ {
-					p.Insert(vals[j], uint32(j))
-				}
-				for j := k - 1; j >= 0; j-- {
-					p.Delete(vals[j], uint32(j))
-				}
-				if !p.Empty() {
-					b.Fatal("burst did not fully annihilate")
-				}
-			}
-			// Per-operation cost across the 2K updates: flat when linear.
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*k), "ns/update")
-		})
-	}
-}
-
-func BenchmarkMergeRange(b *testing.B) {
-	rng := rand.New(rand.NewPCG(1, 1))
-	base := make([]int64, 1<<18)
-	for i := range base {
-		base[i] = rng.Int64N(1 << 30)
-	}
-	ix := newIndex(base)
-	for i := 0; i < 500; i++ {
-		ix.RandomCrackDomain(rng)
-	}
-	var p Pending
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Insert(rng.Int64N(1<<30), uint32(i))
-		lo := rng.Int64N(1 << 30)
-		p.MergeRange(ix, lo, lo+1<<20)
 	}
 }
