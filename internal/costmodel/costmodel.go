@@ -26,14 +26,10 @@ import (
 // stopping criterion is "pieces fit into the CPU caches".
 const DefaultTargetPieceSize = 1 << 18
 
-// RadixBits is the fan-out of one radix-first coarse pass (2^RadixBits
-// buckets), mirrored from the cracker kernel for cost arithmetic.
-const RadixBits = 8
-
 // DefaultRadixMinPiece is the piece size above which the first touch of a
 // cold piece runs a radix coarse pass instead of a comparison crack. A radix
-// pass costs ~2 sweeps (histogram + scatter) and buys up to RadixBits
-// halvings; a comparison crack costs 1 sweep and buys one halving. Radix
+// pass costs ~2 sweeps (histogram + scatter) and buys up to 8 halvings (2^8
+// buckets); a comparison crack costs 1 sweep and buys one halving. Radix
 // therefore wins whenever the piece still needs 2+ halvings — but it also
 // fans out into up to 256 pieces at once, so gating it at half the
 // cache-resident target keeps it from shattering pieces that one or two
@@ -53,8 +49,8 @@ const DefaultRadixMinPiece = 1 << 17
 // The one-cursor kernel (PR 22) measures ~0.32 on the 2-core dev host at a
 // median pivot (~0.21 ms vs ~0.67 ms for 2^17 values); the two-cursor kernel
 // before it measured ~0.88. The value stays 0.6 deliberately: changing it
-// re-weights CrackActionCost against merges, snapshots and radix passes in
-// the idle auction, which is the tuner calibration's job (ROADMAP item 2),
+// re-weights CrackActionCost against merges and snapshots in the idle
+// auction, which is the tuner calibration's job (ROADMAP item 2),
 // not a kernel change's.
 const PredicatedCrackFactor = 0.6
 
@@ -68,23 +64,6 @@ const PredicatedCrackFactor = 0.6
 // BenchmarkFanOutCrossover in internal/shard (serial vs fanned out, pieces of
 // 2^12..2^18 values, 2 and 4 parts).
 const FanOutMinWork = 1 << 16
-
-// RadixCrackCost is the cost of one radix-first coarse pass over a piece of
-// n values: a histogram sweep plus an out-of-place scatter sweep. The
-// scatter's random-write pattern makes its touches full price even though
-// the loop is branch-free.
-func RadixCrackCost(n int) float64 { return 2 * float64(n) }
-
-// RadixFirst reports whether the first touch of a cold piece of pieceSize
-// values should run the radix coarse pass rather than a comparison crack.
-// minPiece <= 0 selects DefaultRadixMinPiece; the engine maps its
-// "disabled" sentinel before calling.
-func RadixFirst(pieceSize, minPiece int) bool {
-	if minPiece <= 0 {
-		minPiece = DefaultRadixMinPiece
-	}
-	return pieceSize >= minPiece
-}
 
 // Params configures the model.
 type Params struct {

@@ -67,20 +67,6 @@ func TestOperatorCosts(t *testing.T) {
 	if CrackActionCost(4096) != PredicatedCrackFactor*4096 {
 		t.Fatal("crack action cost")
 	}
-	// A radix coarse pass costs two sweeps but must stay cheaper than the
-	// ~RadixBits comparison sweeps it replaces on a large cold piece.
-	if RadixCrackCost(n) != 2*float64(n) {
-		t.Fatal("radix crack cost")
-	}
-	if RadixCrackCost(n) >= float64(RadixBits)*CrackActionCost(float64(n)) {
-		t.Fatal("radix pass must undercut the comparison cracks it replaces")
-	}
-	if !RadixFirst(DefaultRadixMinPiece, 0) || RadixFirst(DefaultRadixMinPiece-1, 0) {
-		t.Fatal("radix-first default threshold")
-	}
-	if !RadixFirst(100, 100) || RadixFirst(99, 100) {
-		t.Fatal("radix-first explicit threshold")
-	}
 }
 
 func TestSpecTarget(t *testing.T) {

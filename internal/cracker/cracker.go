@@ -21,10 +21,10 @@
 // because none of them changes the multiset of values below an existing
 // boundary except by the one value it is told about:
 //
-//   - a crack (in two, in three, or a radix pass) permutes values inside one
-//     piece only, so existing sums stand and each new boundary is seeded with
-//     its piece's base sum plus the sum of the side below it, which the
-//     partition sweep (or the radix histogram) accumulates as it goes;
+//   - a crack (in two, in three, or a radix pass, NewFromBase's included)
+//     permutes values inside one piece only, so existing sums stand and each
+//     new boundary is seeded with its piece's base sum plus the sum below it
+//     in the piece, which the partition sweep or radix histogram accumulates;
 //   - a merge moves values across only the boundaries above its batch's
 //     lowest value, and the array below each of those gains or loses exactly
 //     the batch values below its key, so the walk that slides their positions

@@ -22,9 +22,9 @@ package cracker
 // ceil(64/8) levels even on maximally skewed data. An empty bucket is a
 // zero-size piece whose start collides with its right neighbour's.
 //
-// The scatter buffer comes from the scratch pool, so steady-state radix
-// passes allocate nothing; only the one pass over a whole column whose length
-// is not a pool size class allocates, because it keeps what it scatters into.
+// A pass scatters into a scratch-pool buffer, so steady-state passes allocate
+// nothing. The engine's first touch of a loaded part is not a crack: it is
+// NewFromBase (firsttouch.go), a build that shares this file's bucket plan.
 
 import (
 	"math/bits"
@@ -102,38 +102,10 @@ func (ix *Index) radixPiece(a, b int) int {
 	if lo >= hi {
 		return 0
 	}
-	// Bucket index of value x is (x-lo)>>shift, with shift chosen so the
-	// largest index fits in radixBits bits. All arithmetic is uint64: hi-lo
-	// overflows int64 when the piece spans most of the int64 range.
-	span := uint64(hi) - uint64(lo)
-	shift := uint(0)
-	if w := bits.Len64(span); w > radixBits {
-		shift = uint(w - radixBits)
-	}
-	nb := int(span>>shift) + 1 // buckets actually used, in [2, 256]
-	if nb < 2 || nb > 1<<radixBits {
-		return 0 // unreachable: shift bounds span>>shift to 8 bits; BCE only
-	}
+	var g buckets
+	g.count(v, lo, hi)
 
-	// Pass 1: histogram, and each bucket's value sum for the boundary sums
-	// below. The &0xff mask is redundant (the shift bounds the index) but lets
-	// the compiler drop the bounds check in the hot loop.
-	var hist [1 << radixBits]int
-	var bsum [1 << radixBits]int64
-	for _, x := range v {
-		bkt := ((uint64(x) - uint64(lo)) >> shift) & (1<<radixBits - 1)
-		hist[bkt]++
-		bsum[bkt] += x
-	}
-	var starts [1<<radixBits + 1]int
-	sum := 0
-	for k := 0; k < nb; k++ {
-		starts[k] = sum
-		sum += hist[k]
-	}
-	starts[nb] = sum
-
-	// Pass 2: out-of-place scatter. A pass over the whole column keeps its
+	// Out-of-place scatter. A pass over the whole column keeps its
 	// destination as the index arrays and donates the old arrays to the pool
 	// — the copy-back, the single largest slice of the pass's memory traffic,
 	// disappears. Every other pass scatters into pooled scratch and copies
@@ -146,7 +118,7 @@ func (ix *Index) radixPiece(a, b int) int {
 		buf = scratch.Get(n)
 	}
 	bv, br := buf.V, buf.R
-	cur := starts // copy; starts stays pristine for boundary registration
+	cur, shift := g.starts, g.shift // starts stays pristine for addBuckets
 	if len(bv) >= len(v) && len(br) >= len(r) {
 		for i, x := range v {
 			bkt := ((uint64(x) - uint64(lo)) >> shift) & (1<<radixBits - 1)
@@ -167,24 +139,65 @@ func (ix *Index) radixPiece(a, b int) int {
 		copy(r, br)
 		scratch.Put(buf)
 	}
+	return ix.addBuckets(&g, a, base)
+}
 
-	// Register every bucket boundary — bucket k holds exactly the values in
-	// [lo + k<<shift, lo + (k+1)<<shift), so the boundary key of bucket k is
-	// its range's low end and the crack-tree invariant (key -> first position
-	// with value >= key) holds even for empty buckets. All keys lie strictly
-	// inside the piece's open value interval, so none collides with an
-	// existing boundary. Its sum is everything below the piece plus the
-	// buckets below k.
+// buckets is one radix pass's plan over values in [lo, hi]: bucket k holds
+// exactly the values in [lo + k<<shift, lo + (k+1)<<shift), the first nb of
+// which can be non-empty; it starts at offset starts[k] of the scattered
+// piece, and its values add to sum[k].
+type buckets struct {
+	lo     int64
+	shift  uint
+	nb     int
+	starts [1<<radixBits + 1]int
+	sum    [1 << radixBits]int64
+}
+
+// count plans buckets for values in [lo, hi], lo < hi, and runs the histogram
+// pass over v. shift is chosen so the largest bucket index fits in radixBits
+// bits; all arithmetic is uint64, as hi-lo overflows int64 when the values
+// span most of the int64 range. The &0xff mask is redundant but lets the
+// compiler drop the bounds check in the hot loop, and locals keep the loop
+// from re-reading lo and shift through g after every store.
+func (g *buckets) count(v []int64, lo, hi int64) {
+	span := uint64(hi) - uint64(lo)
+	shift := uint(0)
+	if w := bits.Len64(span); w > radixBits {
+		shift = uint(w - radixBits)
+	}
+	g.lo, g.shift, g.nb = lo, shift, int(span>>shift)+1
+	var hist [1 << radixBits]int
+	var sum [1 << radixBits]int64
+	for _, x := range v {
+		bkt := ((uint64(x) - uint64(lo)) >> shift) & (1<<radixBits - 1)
+		hist[bkt]++
+		sum[bkt] += x
+	}
+	at := 0 // buckets from nb on are empty: their starts are all len(v)
+	for k, h := range hist {
+		g.starts[k] = at
+		at += h
+	}
+	g.starts[1<<radixBits], g.sum = at, sum
+}
+
+// addBuckets registers every bucket boundary of a piece scattered to position
+// a under plan g — empty buckets included, so the crack-tree invariant (key ->
+// first position with value >= key) holds for them too — and tallies the
+// pass, returning the boundaries inserted. All keys lie strictly inside the
+// piece's open value interval, so none collides with an existing boundary.
+// Bucket k's sum is below, the sum below the piece, plus the buckets below k.
+func (ix *Index) addBuckets(g *buckets, a int, below int64) int {
 	inserted := 0
-	below := base
-	for k := 1; k < nb; k++ {
-		key := lo + int64(uint64(k)<<shift)
-		below += bsum[k-1]
-		if ix.tree.Insert(key, a+starts[k], below) {
+	for k := 1; k < g.nb && k < 1<<radixBits; k++ {
+		key := g.lo + int64(uint64(k)<<g.shift)
+		below += g.sum[k-1]
+		if ix.tree.Insert(key, a+g.starts[k], below) {
 			inserted++
 		}
 	}
 	ix.cracks.Add(int64(inserted))
-	ix.work.Add(int64(2 * n)) // histogram pass + scatter pass
+	ix.work.Add(int64(2 * g.starts[1<<radixBits])) // histogram pass + scatter pass
 	return inserted
 }

@@ -1,21 +1,24 @@
 package cracker
 
 // FuzzRadixPartition is the differential check for radix-first coarse
-// cracking: the same data and query sequence run through three oracles —
+// cracking: the same data and query sequence run through four oracles —
 //
 //  1. a radix-enabled index (threshold decoded from the input, low enough
 //     that coarse passes actually fire);
-//  2. a radix-disabled index (pure comparison cracking);
-//  3. a naive scan of the original data.
+//  2. the same index built straight from the data (NewFromBase), whose first
+//     radix pass runs at construction;
+//  3. a radix-disabled index (pure comparison cracking);
+//  4. a naive scan of the original data.
 //
-// All three must agree on every range result, and the radix index must keep
-// its structural invariants (Validate) and its full-column multiset. The
+// All four must agree on every range result, and both radix indexes must
+// keep their structural invariants (Validate) and the full-column multiset. The
 // data shape varies with the input: uniform, heavily duplicated, and skewed
 // distributions with outliers all exercise different bucket geometries
 // (empty buckets, single-bucket pieces, repeated radix levels).
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -61,6 +64,7 @@ func FuzzRadixPartition(f *testing.F) {
 		}
 		radix := mk(radixMin)
 		comparison := mk(0)
+		fused := NewFromBase(orig, 0, 1, slices.Min(orig), slices.Max(orig), radixMin)
 
 		for i := 2; i+2 < len(data); i += 3 {
 			concurrent := data[i]&1 == 1
@@ -69,43 +73,40 @@ func FuzzRadixPartition(f *testing.F) {
 			if lo > hi {
 				lo, hi = hi, lo
 			}
-			var rc, cc int
-			var rs, cs int64
-			if concurrent {
-				from, to := radix.CrackRangeConcurrent(lo, hi)
-				rc, rs = radix.CountSumConcurrent(from, to)
-				from, to = comparison.CrackRangeConcurrent(lo, hi)
-				cc, cs = comparison.CountSumConcurrent(from, to)
-			} else {
-				from, to := radix.CrackRange(lo, hi)
-				rc, rs = radix.CountSum(from, to)
-				from, to = comparison.CrackRange(lo, hi)
-				cc, cs = comparison.CountSum(from, to)
-			}
 			wc, ws := naiveCountSum(orig, lo, hi)
-			if rc != wc || rs != ws {
-				t.Fatalf("radix [%d,%d): got %d/%d want %d/%d", lo, hi, rc, rs, wc, ws)
+			for name, ix := range map[string]*Index{"radix": radix, "fused": fused, "comparison": comparison} {
+				var c int
+				var s int64
+				if concurrent {
+					c, s = ix.CountSumConcurrent(ix.CrackRangeConcurrent(lo, hi))
+				} else {
+					c, s = ix.CountSum(ix.CrackRange(lo, hi))
+				}
+				if c != wc || s != ws {
+					t.Fatalf("%s [%d,%d): got %d/%d want %d/%d", name, lo, hi, c, s, wc, ws)
+				}
 			}
-			if cc != wc || cs != ws {
-				t.Fatalf("comparison [%d,%d): got %d/%d want %d/%d", lo, hi, cc, cs, wc, ws)
-			}
-			if err := radix.Validate(); err != nil {
-				t.Fatalf("radix index after [%d,%d): %v", lo, hi, err)
+			for _, ix := range []*Index{radix, fused} {
+				if err := ix.Validate(); err != nil {
+					t.Fatalf("radix index after [%d,%d): %v", lo, hi, err)
+				}
 			}
 		}
 
-		// The radix index still holds exactly the original multiset, value
+		// The radix indexes still hold exactly the original multiset, value
 		// by value, with every row id paired to its original value.
-		got := make(map[uint32]int64, n)
-		for i, r := range radix.Rows() {
-			got[r] = radix.Values()[i]
-		}
-		if len(got) != n {
-			t.Fatalf("row ids collapsed: %d distinct of %d", len(got), n)
-		}
-		for r, v := range got {
-			if orig[r] != v {
-				t.Fatalf("row %d detached: value %d, want %d", r, v, orig[r])
+		for _, ix := range []*Index{radix, fused} {
+			got := make(map[uint32]int64, n)
+			for i, r := range ix.Rows() {
+				got[r] = ix.Values()[i]
+			}
+			if len(got) != n {
+				t.Fatalf("row ids collapsed: %d distinct of %d", len(got), n)
+			}
+			for r, v := range got {
+				if orig[r] != v {
+					t.Fatalf("row %d detached: value %d, want %d", r, v, orig[r])
+				}
 			}
 		}
 	})

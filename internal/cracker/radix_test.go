@@ -3,6 +3,7 @@ package cracker
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -125,23 +126,27 @@ func TestRadixConcurrentMatchesOracle(t *testing.T) {
 // scattered into as the index arrays, and the scratch pool rounds capacity up
 // to a power of two — a column of 2^k+1 rows used to carry twice its length
 // for life. Whatever the length, the first crack must leave the arrays
-// exactly as long as the column.
+// exactly as long as the column — and so must the build that scatters
+// straight from a base column (NewFromBase).
 func TestRadixFirstTouchKeepsNoSlack(t *testing.T) {
 	for _, n := range []int{1<<12 + 1, 3 << 11, 1 << 12} {
 		ix, orig := buildRadixIndex(n, 1<<10, uint64(n))
-		from, to := ix.CrackRange(1<<38, 1<<39)
-		wc, ws := oracleCountSum(orig, 1<<38, 1<<39)
-		if gc, gs := ix.CountSum(from, to); gc != wc || gs != ws {
-			t.Fatalf("n=%d: got count=%d sum=%d, want count=%d sum=%d", n, gc, gs, wc, ws)
-		}
-		if ix.Pieces() < 256 {
-			t.Fatalf("n=%d: %d pieces; the coarse pass did not run", n, ix.Pieces())
-		}
-		if cv, cr := cap(ix.Values()), cap(ix.Rows()); cv != ix.Len() || cr != ix.Len() {
-			t.Fatalf("n=%d: after the first crack cap(vals)=%d cap(rows)=%d, want %d", n, cv, cr, ix.Len())
-		}
-		if err := ix.Validate(); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
+		fused := NewFromBase(orig, 0, 1, slices.Min(orig), slices.Max(orig), 1<<10)
+		for _, ix := range []*Index{ix, fused} {
+			from, to := ix.CrackRange(1<<38, 1<<39)
+			wc, ws := oracleCountSum(orig, 1<<38, 1<<39)
+			if gc, gs := ix.CountSum(from, to); gc != wc || gs != ws {
+				t.Fatalf("n=%d: got count=%d sum=%d, want count=%d sum=%d", n, gc, gs, wc, ws)
+			}
+			if ix.Pieces() < 256 {
+				t.Fatalf("n=%d: %d pieces; the coarse pass did not run", n, ix.Pieces())
+			}
+			if cv, cr := cap(ix.Values()), cap(ix.Rows()); cv != ix.Len() || cr != ix.Len() {
+				t.Fatalf("n=%d: after the first crack cap(vals)=%d cap(rows)=%d, want %d", n, cv, cr, ix.Len())
+			}
+			if err := ix.Validate(); err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
 		}
 	}
 }

@@ -530,10 +530,16 @@ func (p *Part) CrackIndex() *cracker.Index { return p.crackIndexLocked() }
 // either latch mode.
 func (p *Part) Cracked() *cracker.Index { return p.crack }
 
+// crackIndexLocked materialises the cracked copy: straight from the base
+// column (radix pass included) when no row is tombstoned, else from a copy.
 func (p *Part) crackIndexLocked() *cracker.Index {
 	if p.crack == nil {
-		vals, rows := p.liveSnapshotLocked()
-		p.attachCrackLocked(cracker.New(vals, rows))
+		if p.nDeleted == 0 {
+			lo, hi, _ := p.col.MinMax()
+			p.attachCrackLocked(cracker.NewFromBase(p.col.Values(), p.globalRow(0), uint32(p.stride), lo, hi, p.cfg.radixMinPiece()))
+		} else {
+			p.attachCrackLocked(cracker.New(p.liveSnapshotLocked()))
+		}
 	}
 	return p.crack
 }
@@ -559,7 +565,7 @@ func (p *Part) attachCrackLocked(ix *cracker.Index) {
 func (p *Part) liveSnapshotLocked() ([]int64, []uint32) {
 	src := p.col.Values()
 	if p.nDeleted == 0 {
-		// No tombstones — every first touch of a loaded column: one copy and
+		// No tombstones — every sorted build of a loaded column: one copy and
 		// a strided fill of globalRow(0), globalRow(1), ...
 		vals := make([]int64, len(src))
 		copy(vals, src)
