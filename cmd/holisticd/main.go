@@ -9,8 +9,8 @@
 //	$ printf 'select a from r where a >= 1000 and a < 11000\n' | nc localhost 7701
 //	{"ok":true,"kind":"select","count":10038,"sum":60222337,"elapsed_us":1843}
 //
-// The daemon wires a load gate (internal/loadgate) between the network
-// frontend and the engine's idle worker pool: while requests are in flight
+// The server's load gate (internal/loadgate) is the one gate the engine's
+// idle worker pool answers to: while requests are in flight
 // the pool yields entirely, and every traffic gap is spent on ranked index
 // refinement, ramping up the longer the gap lasts. Watch it happen with
 // `holisticctl stats` or a `\stats` line.
@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"holistic/internal/engine"
-	"holistic/internal/loadgate"
 	"holistic/internal/server"
 	"holistic/internal/snapshot"
 	"holistic/internal/wal"
@@ -143,7 +142,6 @@ func main() {
 	}
 	srv := server.New(server.Config{
 		Engine:      eng,
-		Gate:        loadgate.New(),
 		MaxInFlight: *maxIn,
 		ConnTimeout: *connTO,
 		Logf:        logf,

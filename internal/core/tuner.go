@@ -482,17 +482,6 @@ func (t *Tuner) TryStep() (work int, res StepResult) {
 	return 0, StepContended
 }
 
-// Step performs one idle refinement action on the best-ranked column. It
-// returns the work done and whether any column still had refinement
-// potential; (0, true) can occur when a random pivot lands on an existing
-// boundary or when every refinable column is claimed by another worker.
-// This is the unit the paper calls "a random index refinement action".
-// Callers that need to distinguish contention from work use TryStep.
-func (t *Tuner) Step() (work int, ok bool) {
-	w, res := t.TryStep()
-	return w, res != StepExhausted
-}
-
 // crackShard performs one random refinement on a claimed shard under the
 // column's shared latch.
 func (t *Tuner) crackShard(sh *shard) int {

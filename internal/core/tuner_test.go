@@ -42,8 +42,8 @@ func (f *fakeColumn) pieces() int {
 
 func TestStepOnEmptyTuner(t *testing.T) {
 	tn := NewTuner(Config{}, nil)
-	if w, ok := tn.Step(); ok || w != 0 {
-		t.Fatalf("Step on empty tuner: %d,%v", w, ok)
+	if w, res := tn.TryStep(); res != StepExhausted || w != 0 {
+		t.Fatalf("TryStep on empty tuner: %d,%v", w, res)
 	}
 	if a, w := tn.RunActions(10); a != 0 || w != 0 {
 		t.Fatalf("RunActions on empty tuner: %d,%d", a, w)
@@ -118,8 +118,8 @@ func TestConvergenceStopsActions(t *testing.T) {
 	}
 	// Once pieces fit "in cache", further idle time is left unused —
 	// the paper's observed plateau.
-	if _, ok := tn.Step(); ok {
-		t.Fatal("Step reported work available on converged catalog")
+	if _, res := tn.TryStep(); res != StepExhausted {
+		t.Fatal("TryStep reported work available on converged catalog")
 	}
 }
 
@@ -337,7 +337,7 @@ func TestConcurrentStepsAndQueries(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				switch g % 2 {
 				case 0:
-					tn.Step()
+					tn.TryStep()
 				case 1:
 					tn.NoteQuery(cols[i%3].name, int64(i*10), int64(i*10+100))
 				}

@@ -567,32 +567,6 @@ func (ix *Index) CountSumConcurrent(from, to int) (int, int64) {
 	return ix.CountSum(from, to)
 }
 
-// Stats summarises the physical state of the index.
-type Stats struct {
-	Len          int
-	Pieces       int
-	Cracks       int
-	Work         int64
-	AvgPieceSize float64
-	MaxPieceSize int
-}
-
-// Stats returns a snapshot of the index's physical state. MaxPieceSize costs
-// O(pieces).
-func (ix *Index) Stats() Stats {
-	s := Stats{
-		Len:          ix.Len(),
-		Pieces:       ix.Pieces(),
-		Cracks:       ix.Cracks(),
-		Work:         ix.Work(),
-		AvgPieceSize: ix.AvgPieceSize(),
-	}
-	if p, ok := ix.MaxPiece(); ok {
-		s.MaxPieceSize = p.Size()
-	}
-	return s
-}
-
 // Validate checks the structural invariants of the index:
 //   - boundary positions are within range and non-decreasing in key order;
 //   - every value left of a boundary is < its key, every value right is >= it;

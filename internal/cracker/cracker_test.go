@@ -297,14 +297,13 @@ func TestStats(t *testing.T) {
 	rng := rand.New(rand.NewPCG(51, 52))
 	ix := newTestIndex(randomVals(rng, 1000, 1<<20))
 	ix.CrackRange(1000, 2000)
-	s := ix.Stats()
-	if s.Len != 1000 || s.Pieces != ix.Pieces() || s.Cracks != ix.Cracks() {
-		t.Fatalf("stats mismatch: %+v", s)
+	if ix.Len() != 1000 || ix.Pieces() != ix.Cracks()+1 {
+		t.Fatalf("len %d, %d pieces from %d cracks", ix.Len(), ix.Pieces(), ix.Cracks())
 	}
-	if s.MaxPieceSize <= 0 || s.AvgPieceSize <= 0 {
-		t.Fatalf("stats degenerate: %+v", s)
+	if p, ok := ix.MaxPiece(); !ok || p.Size() <= 0 || ix.AvgPieceSize() <= 0 {
+		t.Fatalf("stats degenerate: max piece %+v, avg %f", p, ix.AvgPieceSize())
 	}
-	if s.Work <= 0 {
+	if ix.Work() <= 0 {
 		t.Fatal("no work recorded")
 	}
 }

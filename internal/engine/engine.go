@@ -39,19 +39,22 @@
 //     fully in parallel, and parallelism between cracks comes from the
 //     shards.
 //
-// Idle refinement is preemptible at action granularity: each worker claims
-// one action, re-checks for an in-flight query inside the claim, and yields
-// immediately if one arrived (package idle). The holistic tuner makes
+// Idle refinement is preemptible at action granularity: every select and
+// write holds the idle pool's load gate (package loadgate) while it runs,
+// and each worker claims one action, takes a step token from that gate —
+// granted only while nothing holds it — and yields immediately if a
+// statement arrived (package idle). The holistic tuner makes
 // concurrent claims useful by sharding its action queue with atomic
 // ownership flags (package core); every shard.Part registers as its own
 // queue shard, so a pool of workers fans out across column shards instead
 // of convoying on one latch, and idle refinement drains N shards of one
 // column concurrently during a traffic gap.
 //
-// Behind the network server (internal/server) the idle pool is additionally
-// gated on client traffic: SetLoadGate attaches a loadgate.Gate so that no
-// refinement step starts while any request is in flight, and traffic gaps
-// ramp the pool up (see package idle and package loadgate).
+// There is one gate per deployment. In process it is the pool's own; behind
+// the network server (internal/server) SetLoadGate swaps in the server's,
+// which also holds every request from admission to response, so no
+// refinement step starts while any request is queued or in flight. Either
+// way traffic gaps ramp the pool up (see package idle and package loadgate).
 package engine
 
 import (
@@ -63,6 +66,7 @@ import (
 
 	"holistic/internal/core"
 	"holistic/internal/idle"
+	"holistic/internal/loadgate"
 	"holistic/internal/monitor"
 	"holistic/internal/shard"
 	"holistic/internal/stochastic"
@@ -269,14 +273,14 @@ func (e *Engine) RegisterAux(a core.AuxAction) {
 	}
 }
 
-// SetLoadGate attaches an external load signal (internal/loadgate) to the
-// automatic idle worker pool: while the gate reports requests in flight the
-// pool fully yields, and every refinement step takes an atomic token from
-// the gate so it can never start against live traffic. The network server
-// calls this so that idleness becomes an emergent property of client
-// traffic rather than of engine-level query activity alone. No-op for
-// strategies without an idle pool.
-func (e *Engine) SetLoadGate(g idle.Gate) {
+// SetLoadGate replaces the idle pool's own load gate with g, which the
+// engine's selects and writes then hold too: while g reports statements in
+// flight the pool fully yields, and every refinement step takes an atomic
+// token from g so it can never start against live traffic. The network
+// server calls this so that idleness becomes an emergent property of client
+// traffic. Call once at boot, before the engine serves any traffic (like
+// SetWriteLog). No-op for strategies without an idle pool.
+func (e *Engine) SetLoadGate(g *loadgate.Gate) {
 	if e.runner != nil {
 		e.runner.SetGate(g)
 	}
@@ -324,26 +328,17 @@ func (e *Engine) ForecastStats() *ForecastStats {
 	}
 }
 
-// writeBegin announces a write to the idle pool — writes count as query
-// activity, so idle workers yield and no new refinement step starts until
-// the write completes — and returns the matching end function. Strategies
-// without an idle pool get a no-op pair.
+// writeBegin holds the idle pool's load gate for one write — idle workers
+// yield and no new refinement step starts until the write completes — and
+// returns the matching release. Strategies without an idle pool get a no-op
+// pair.
 func (e *Engine) writeBegin() func() {
 	if e.runner == nil {
 		return func() {}
 	}
-	e.runner.QueryBegin()
-	return e.runner.QueryEnd
-}
-
-// MergeStats reports the idle-pool merge harvest: how many refinement
-// actions drained pending updates and how many buffered operations they
-// applied. Zero for strategies without a tuner.
-func (e *Engine) MergeStats() (merges, ops int64) {
-	if e.tuner == nil {
-		return 0, 0
-	}
-	return e.tuner.Merges(), e.tuner.MergedOps()
+	g := e.runner.Gate()
+	g.Hold()
+	return g.Release
 }
 
 // MergePending force-drains every table's ingest queues (see
@@ -523,15 +518,4 @@ func (e *Engine) PieceStats(table, col string) (pieces int, avg float64, err err
 	}
 	pieces, avg = cs.pieceStats()
 	return pieces, avg, nil
-}
-
-// ShardStats reports a column's shard count and the highest number of
-// per-shard select workers ever observed running concurrently on it — the
-// direct evidence of intra-query parallelism the shard benchmark records.
-func (e *Engine) ShardStats(table, col string) (shards, maxFanOut int, err error) {
-	cs, e2 := e.colState(table, col)
-	if e2 != nil {
-		return 0, 0, e2
-	}
-	return cs.sc.Shards(), cs.sc.MaxFanOut(), nil
 }

@@ -51,7 +51,7 @@ func TestSpeculativeStepNeverStartsAfterQueryAdmitted(t *testing.T) {
 
 	// Rendezvous: a query arrives between the worker's idle check and its
 	// token grant — the speculative path must never be reached.
-	e.runner.SetClaimHook(func() { e.runner.QueryBegin() })
+	e.runner.SetClaimHook(e.runner.Gate().Hold)
 	if ran := e.runner.RunActions(5); ran != 0 {
 		t.Fatalf("%d idle actions ran against an admitted query", ran)
 	}
@@ -62,7 +62,7 @@ func TestSpeculativeStepNeverStartsAfterQueryAdmitted(t *testing.T) {
 		t.Fatalf("speculative actions ran against an admitted query: %d", got)
 	}
 	e.runner.SetClaimHook(nil)
-	e.runner.QueryEnd()
+	e.runner.Gate().Release()
 
 	// The gap is real now: the pending speculative work runs, capped by the
 	// per-gap budget.

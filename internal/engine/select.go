@@ -36,8 +36,9 @@ func (e *Engine) Select(table, col string, lo, hi int64) (Result, error) {
 		return Result{}, err
 	}
 	if e.runner != nil {
-		e.runner.QueryBegin()
-		defer e.runner.QueryEnd()
+		g := e.runner.Gate()
+		g.Hold()
+		defer g.Release()
 	}
 	start := time.Now()
 	var count int

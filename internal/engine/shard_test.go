@@ -152,12 +152,9 @@ func TestShardedSelectRunsShardsConcurrently(t *testing.T) {
 					t.Fatalf("%s: %d shards entered the fan-out, want >= 2", phase, len(inside))
 				}
 			}
-			shards, fan, err := e.ShardStats("R", "A")
-			if err != nil {
-				t.Fatal(err)
-			}
+			shards, fan := cs.sc.Shards(), cs.sc.MaxFanOut()
 			if shards != 4 {
-				t.Fatalf("ShardStats shards = %d", shards)
+				t.Fatalf("shards = %d", shards)
 			}
 			if fan < 2 {
 				t.Fatalf("max fan-out %d, want >= 2", fan)

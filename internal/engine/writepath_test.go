@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"holistic/internal/loadgate"
 )
 
 // writerLedger records the operations one writer committed, for the serial
@@ -284,18 +286,18 @@ func TestMergeStepNeverStartsAfterWriteAdmitted(t *testing.T) {
 
 	// Rendezvous: the write is admitted between the worker's idle check and
 	// its token grant — the exact window the old re-check code raced.
-	e.runner.SetClaimHook(func() { e.runner.QueryBegin() })
+	e.runner.SetClaimHook(e.runner.Gate().Hold)
 	if ran := e.runner.RunActions(1); ran != 0 {
 		t.Fatalf("%d refinement actions ran against an admitted write", ran)
 	}
-	if m, ops := e.MergeStats(); m != 0 || ops != 0 {
+	if m, ops := e.tuner.Merges(), e.tuner.MergedOps(); m != 0 || ops != 0 {
 		t.Fatalf("merge ran against an admitted write: %d merges / %d ops", m, ops)
 	}
 	if got := tab.PendingOps(); got != backlog {
 		t.Fatalf("backlog moved from %d to %d while a write was admitted", backlog, got)
 	}
 	e.runner.SetClaimHook(nil)
-	e.runner.QueryEnd()
+	e.runner.Gate().Release()
 
 	// The write completed: idle actions now drain the backlog as ranked
 	// merge actions (the column was never queried — frequency is zero — so
@@ -306,7 +308,7 @@ func TestMergeStepNeverStartsAfterWriteAdmitted(t *testing.T) {
 	if got := tab.PendingOps(); got != 0 {
 		t.Fatalf("backlog not drained by idle merges: %d left", got)
 	}
-	merges, ops := e.MergeStats()
+	merges, ops := e.tuner.Merges(), e.tuner.MergedOps()
 	if merges == 0 || ops != int64(backlog) {
 		t.Fatalf("merge harvest %d actions / %d ops, want ops = %d", merges, ops, backlog)
 	}
@@ -316,6 +318,59 @@ func TestMergeStepNeverStartsAfterWriteAdmitted(t *testing.T) {
 	}
 	if r.Count != 300 {
 		t.Fatalf("inserted rows visible: %d/300", r.Count)
+	}
+}
+
+// blockingLog is a WriteLog whose LogInsert parks until release is closed;
+// the test that uses it calls no other method.
+type blockingLog struct {
+	WriteLog
+	entered, release chan struct{}
+}
+
+func (l blockingLog) LogInsert(string, uint32, [][]int64) error {
+	close(l.entered)
+	<-l.release
+	return nil
+}
+
+// TestInProcessWriteHoldsServerGate: with a server-style gate attached, an
+// in-process write holds that gate for as long as it runs, so no idle step
+// starts, yet it is not counted as a request arrival; its release closes
+// exactly one traffic gap.
+func TestInProcessWriteHoldsServerGate(t *testing.T) {
+	e := newEngineWithData(t, Config{Strategy: StrategyHolistic, Seed: 47}, randomVals(rand.New(rand.NewPCG(47, 48)), 1000, 1<<16))
+	defer e.Close()
+	g := loadgate.New()
+	e.SetLoadGate(g)
+	wl := blockingLog{entered: make(chan struct{}), release: make(chan struct{})}
+	e.SetWriteLog(wl)
+	tab, err := e.Table("R")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := g.Snapshot()
+	done := make(chan error, 1)
+	go func() {
+		_, err := tab.InsertRows([][]int64{{1 << 17}})
+		done <- err
+	}()
+	<-wl.entered
+	inFlight, ran, arrivals := g.InFlight(), e.runner.RunActions(1), g.Snapshot().Arrivals
+	close(wl.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if inFlight != 1 || ran != 0 || arrivals != before.Arrivals {
+		t.Fatalf("during the write: in flight %d (want 1), %d idle actions ran (want 0), arrivals %d -> %d (want unchanged)",
+			inFlight, ran, before.Arrivals, arrivals)
+	}
+	if after := g.Snapshot(); after.InFlight != 0 || after.Gaps != before.Gaps+1 {
+		t.Fatalf("after the write: in flight %d, gaps %d -> %d, want 0 and one more gap", after.InFlight, before.Gaps, after.Gaps)
+	}
+	// The queued row is merge work: the zero above was the gate's veto.
+	if ran := e.runner.RunActions(1); ran != 1 {
+		t.Fatalf("%d idle actions ran after the write, want 1", ran)
 	}
 }
 

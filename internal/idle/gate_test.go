@@ -8,55 +8,35 @@ import (
 	"holistic/internal/loadgate"
 )
 
-// TestGateVetoesPool: with a load gate attached, a pool must not run a
-// single action while the gate reports in-flight requests — even when no
-// engine-level query is active — and must resume once the traffic gap
-// starts.
+// TestGateVetoesPool: with a server's gate swapped in, a pool must not run a
+// single action while the gate reports a request in flight, and must resume
+// once the traffic gap starts, taking its step tokens from that gate.
 func TestGateVetoesPool(t *testing.T) {
 	var calls atomic.Int64
 	r := NewRunner(func() bool { calls.Add(1); return true },
 		WithQuiet(time.Millisecond), WithQuantum(4), WithWorkers(2))
 	g := loadgate.New()
 	r.SetGate(g)
-	g.Begin() // a request is in flight before the pool starts
-	r.Start()
-	defer r.Stop()
-	time.Sleep(20 * time.Millisecond)
-	if calls.Load() != 0 {
-		t.Fatalf("pool ran %d actions while the gate was busy", calls.Load())
-	}
-	g.End() // traffic gap begins
-	deadline := time.After(2 * time.Second)
-	for calls.Load() == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("pool never resumed after the traffic gap began")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
+	checkPoolYields(t, r, &calls, g.Begin, g.End)
 	if g.Snapshot().StepGrants == 0 {
 		t.Fatal("pool stepped without taking gate tokens")
 	}
 }
 
-// TestGateRecheckPreemptsStep: a request arriving between the worker's idle
-// check and the step must deny the step, exactly like the engine-level
-// claim/re-check. The test hook injects the arrival inside the claim
-// window; the gate token acquisition is what must catch it.
+// TestGateRecheckPreemptsStep: a request arriving on a swapped-in server gate
+// between the worker's idle check and the step must deny the step's token.
+// The test hook injects the arrival inside the claim window.
 func TestGateRecheckPreemptsStep(t *testing.T) {
 	var calls atomic.Int64
 	r := NewRunner(func() bool { calls.Add(1); return true })
 	g := loadgate.New()
 	r.SetGate(g)
-	r.testHookClaim = func() {
-		g.Begin() // a request arrives mid-claim
+	r.testHookClaim = g.Begin // a request arrives mid-claim
+	if got := r.RunActions(1); got != 0 || calls.Load() != 0 {
+		t.Fatalf("ran %d actions (%d steps) despite a request arriving inside the claim", got, calls.Load())
 	}
-	if got := r.RunActions(1); got != 0 {
-		t.Fatalf("ran %d actions despite a request arriving inside the claim", got)
-	}
-	if calls.Load() != 0 {
-		t.Fatalf("step executed %d times against live traffic", calls.Load())
+	if s := g.Snapshot(); s.StepRejected != 1 {
+		t.Fatalf("gate did not refuse the step token: %+v", s)
 	}
 	r.testHookClaim = nil
 	g.End()
@@ -65,7 +45,8 @@ func TestGateRecheckPreemptsStep(t *testing.T) {
 	}
 }
 
-// TestManualRunRespectsGate: manual idle windows consult the gate too.
+// TestManualRunRespectsGate: manual idle windows consult a swapped-in server
+// gate too.
 func TestManualRunRespectsGate(t *testing.T) {
 	var calls atomic.Int64
 	r := NewRunner(func() bool { calls.Add(1); return true })
@@ -86,13 +67,9 @@ func TestManualRunRespectsGate(t *testing.T) {
 func TestBurstRampsWithGapLength(t *testing.T) {
 	r := NewRunner(func() bool { return true },
 		WithQuiet(10*time.Millisecond), WithQuantum(8))
-	if got := r.burst(); got != 8 {
-		t.Fatalf("ungated burst = %d, want the plain quantum 8", got)
-	}
-	g := loadgate.New()
-	r.SetGate(g)
-	g.Begin()
-	g.End() // gap starts now
+	g := r.Gate()
+	g.Hold()
+	g.Release() // gap starts now
 	if got := r.burst(); got != 8 {
 		t.Fatalf("fresh-gap burst = %d, want 8", got)
 	}

@@ -15,31 +15,30 @@
 //     work never sits in a query's critical path.
 //
 // Preemption protocol: a step is claimed, not just run. Every worker (and
-// RunActions) first checks that no query is active, announces its claim,
-// then atomically takes a step token before invoking the step function. The
-// token lives in one packed atomic word alongside the in-flight query count
-// (the same construction internal/loadgate uses for network traffic), and
-// is only ever issued by a compare-and-swap that observes the query count
-// at exactly zero — so "query admitted" and "step started" are ordered by a
-// single linearisation point and a refinement action can never start after
-// a query (or write) was admitted. There is no check-then-act window left:
-// a QueryBegin between the worker's load and its CAS fails the CAS and the
-// worker yields. Steps themselves are small (one crack action, one merge
-// quantum) and therefore bounded-latency, which is the granularity the
+// RunActions) first checks that the runner's load gate (internal/loadgate)
+// holds no statement, announces its claim, then takes one step token from
+// the gate before invoking the step function. The gate issues a token only
+// by a compare-and-swap that observes its in-flight count at exactly zero,
+// so "statement admitted" and "step started" are ordered by a single
+// linearisation point and a refinement action can never start after a query
+// (or write) was admitted. There is no check-then-act window left: a
+// statement admitted between the worker's check and its CAS fails the CAS
+// and the worker yields. Steps themselves are small (one crack action, one
+// merge quantum) and therefore bounded-latency, which is the granularity the
 // paper's "small, preemptible actions" design calls for. The step function
 // must be safe for concurrent calls when the pool has more than one worker;
 // the holistic tuner guarantees this via per-column action claims and the
 // cracker index's own latch.
 //
-// Behind a network frontend, "a query is active" is too narrow a signal:
-// requests spend time queued, parsing and serialising around the engine
-// call, and the pool should already be out of the way. SetGate attaches an
-// external load signal (internal/loadgate) that the workers consult the
-// same way: a busy gate vetoes claims, the gate's quiet period must elapse
-// before the pool wakes, and each step additionally takes an atomic token
-// from the gate so a step never starts against live traffic. Sustained
-// traffic gaps ramp the per-wakeup burst up (see WithQuantum), so the pool
-// automatically works harder the longer the system stays quiet.
+// The gate is the runner's only idle signal. NewRunner gives the runner a
+// gate of its own, on which the engine brackets every select and write;
+// behind a network frontend the engine swaps in the server's gate
+// (SetGate), which also holds every request from admission to response, so
+// a request that is queued, parsing or serialising keeps the pool out of
+// the way too. Either way the workers wake only once the gate's current
+// traffic gap has lasted the quiet period, and sustained gaps ramp the
+// per-wakeup burst up (see WithQuantum), so the pool works harder the longer
+// the system stays quiet.
 package idle
 
 import (
@@ -47,6 +46,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"holistic/internal/loadgate"
 )
 
 // DefaultQuiet is the quiet period after the last query before the automatic
@@ -70,20 +71,6 @@ const MaxRamp = 8
 // zero-in-flight tokens as real ones.
 const DefaultSpecBudget = 2 * DefaultQuantum
 
-// Gate is an external load signal the automatic workers yield to, in
-// addition to the engine-level query activity they already track. It is
-// implemented by internal/loadgate for the network server: Busy vetoes
-// claims while requests are in flight (queued or executing), QuietFor gates
-// wakeups on the traffic gap length (and ramps burst sizes during long
-// gaps), and StepBegin/StepEnd bracket every step with an atomic token so a
-// refinement action can never start while traffic is live.
-type Gate interface {
-	Busy() bool
-	QuietFor() time.Duration
-	StepBegin() bool
-	StepEnd()
-}
-
 // Runner schedules tuning actions into idle time. All methods are safe for
 // concurrent use.
 type Runner struct {
@@ -92,25 +79,25 @@ type Runner struct {
 	quantum int
 	workers int
 
-	// state packs the in-flight query count (upper bits, from queryShift)
-	// and the running step count (lower bits) into one atomic word so the
-	// zero-queries check and the step-token grant are a single CAS.
-	state   atomic.Int64
-	lastEnd atomic.Int64 // UnixNano of last query completion
+	// gate is the runner's only admission state: statements hold it, every
+	// step takes one token from it, and its quiet clock times the gaps.
+	// Atomic because SetGate may swap it while the pool is running.
+	gate    atomic.Pointer[loadgate.Gate]
 	actions atomic.Int64 // total actions executed
 	stopped atomic.Bool
-	gate    atomic.Value // Gate; external load signal, nil until SetGate
 
 	// Speculative drain: when real refinement reports exhaustion, a worker
 	// may spend one of the current gap's budget slots on specStep (a
-	// forecast-driven pre-crack). The budget is per traffic gap — every
-	// QueryBegin resets specSpent — so a wrong forecast burns at most
+	// forecast-driven pre-crack). The budget is per traffic gap — it resets
+	// when the gate's gap count moves — so a wrong forecast burns at most
 	// specBudget slots before real traffic re-arms it, and zero slots while
 	// traffic is live (spec steps run inside the same claim/token scope as
 	// real ones).
 	specStep    func() bool // nil = speculation disabled
 	specBudget  int
-	specSpent   atomic.Int64 // slots consumed this gap
+	specMu      sync.Mutex
+	specGap     int64        // gate gap count specSpent belongs to; guarded by specMu
+	specSpent   int64        // slots consumed in gap specGap; guarded by specMu
 	specActions atomic.Int64 // speculative steps that did work, ever
 
 	// testHookClaim, when non-nil, runs between a step's claim and the
@@ -169,79 +156,23 @@ func NewRunner(step func() bool, opts ...Option) *Runner {
 	for _, o := range opts {
 		o(r)
 	}
-	r.lastEnd.Store(time.Now().UnixNano())
+	r.gate.Store(loadgate.New())
 	return r
 }
 
-// Workers returns the size of the automatic worker pool.
-func (r *Runner) Workers() int { return r.workers }
+// Gate returns the load gate statements must hold while they run: no step
+// starts while the gate has one in flight.
+func (r *Runner) Gate() *loadgate.Gate { return r.gate.Load() }
 
-// SetGate attaches an external load gate. It may be called while the pool
-// is running (the server wires the gate after the engine is built); passing
-// the same gate again is harmless. The gate cannot be detached — a serving
-// frontend never stops being the load authority.
-func (r *Runner) SetGate(g Gate) {
+// SetGate replaces the runner's own gate with g (the network server's, so
+// that requests hold it from admission on). Call it before traffic starts:
+// a statement holding the old gate is invisible to the new one. A nil g is
+// ignored.
+func (r *Runner) SetGate(g *loadgate.Gate) {
 	if g != nil {
 		r.gate.Store(g)
 	}
 }
-
-// loadGate returns the attached gate, or nil.
-func (r *Runner) loadGate() Gate {
-	if v := r.gate.Load(); v != nil {
-		return v.(Gate)
-	}
-	return nil
-}
-
-// queryShift positions the in-flight query count above the running step
-// count in Runner.state, leaving 24 bits for concurrent steps — far above
-// any worker pool size.
-const queryShift = 24
-
-// QueryBegin tells the runner a query entered the system. Automatic workers
-// finish their current step (steps are bounded: one crack, one merge
-// quantum) and then yield; no new step token is granted until the query
-// completes. Real traffic also re-arms the speculative budget: the cap is
-// per traffic gap, not global.
-func (r *Runner) QueryBegin() {
-	r.state.Add(1 << queryShift)
-	if r.specStep != nil {
-		r.specSpent.Store(0)
-	}
-}
-
-// QueryEnd tells the runner a query completed, restarting the quiet clock.
-// The clock is stamped before the count drops so a worker that observes
-// zero queries always observes a fresh quiet timestamp too.
-func (r *Runner) QueryEnd() {
-	r.lastEnd.Store(time.Now().UnixNano())
-	r.state.Add(-1 << queryShift)
-}
-
-// activeQueries returns the in-flight query count.
-func (r *Runner) activeQueries() int64 { return r.state.Load() >> queryShift }
-
-// RunningSteps returns how many tuning steps are executing right now.
-func (r *Runner) RunningSteps() int64 { return r.state.Load() & (1<<queryShift - 1) }
-
-// stepBegin atomically grants a step token iff no query is in flight: the
-// CAS fails if anything — in particular a QueryBegin — touched the state
-// word after the load, so a token is never issued concurrently with an
-// admission. Callers that got true must call stepEnd after the step.
-func (r *Runner) stepBegin() bool {
-	for {
-		s := r.state.Load()
-		if s>>queryShift > 0 {
-			return false
-		}
-		if r.state.CompareAndSwap(s, s+1) {
-			return true
-		}
-	}
-}
-
-func (r *Runner) stepEnd() { r.state.Add(-1) }
 
 // Actions returns the total number of tuning actions executed so far (both
 // manual and automatic).
@@ -273,71 +204,64 @@ func (r *Runner) SetSpeculative(step func() bool, perGapBudget int) {
 	r.specBudget = perGapBudget
 }
 
-// Speculative reports whether a speculative step is attached.
-func (r *Runner) Speculative() bool { return r.specStep != nil }
-
 // SpecBudget returns the per-gap speculative slot cap (0 when disabled).
 func (r *Runner) SpecBudget() int { return r.specBudget }
 
 // SpecSpent returns how many speculative slots the current traffic gap has
 // consumed; it never exceeds SpecBudget within a gap.
-func (r *Runner) SpecSpent() int64 { return r.specSpent.Load() }
+func (r *Runner) SpecSpent() int64 {
+	r.specMu.Lock()
+	defer r.specMu.Unlock()
+	if r.specGap != r.Gate().Gaps() {
+		return 0
+	}
+	return r.specSpent
+}
 
 // SpecActions returns the total number of speculative steps that performed
 // work. They are also included in Actions.
 func (r *Runner) SpecActions() int64 { return r.specActions.Load() }
 
-// claimSpecSlot takes one speculative budget slot for the current gap, or
-// reports the cap reached. A QueryBegin racing the CAS can only reset the
-// counter to zero — the cap is never exceeded within a gap.
-func (r *Runner) claimSpecSlot() bool {
-	for {
-		n := r.specSpent.Load()
-		if n >= int64(r.specBudget) {
-			return false
-		}
-		if r.specSpent.CompareAndSwap(n, n+1) {
-			return true
-		}
+// claimSpecSlot takes one speculative budget slot for the current gap of g,
+// or reports the cap reached. The first claim after g's gap count moved
+// re-arms the budget.
+func (r *Runner) claimSpecSlot(g *loadgate.Gate) bool {
+	r.specMu.Lock()
+	defer r.specMu.Unlock()
+	if gap := g.Gaps(); gap != r.specGap {
+		r.specGap, r.specSpent = gap, 0
 	}
+	if r.specSpent >= int64(r.specBudget) {
+		return false
+	}
+	r.specSpent++
+	return true
 }
 
 // claimStep attempts to run exactly one tuning action. After the
-// preliminary idle checks it takes the runner's step token — a CAS that
-// only succeeds while the in-flight query count is exactly zero — so a
-// query admitted at any point before the token grant forces a yield; there
-// is no re-check race left. With a load gate attached the step additionally
-// holds a gate token under the same zero-in-flight rule for network
-// traffic. ran reports whether the step executed; more is false only when
-// the step function reports exhaustion.
+// preliminary idle check it takes one step token from the gate — a CAS that
+// only succeeds while the gate's in-flight count is exactly zero — so a
+// statement admitted at any point before the token grant forces a yield;
+// there is no re-check race left. ran reports whether the step executed;
+// more is false only when the step function reports exhaustion.
 func (r *Runner) claimStep() (ran, more bool) {
-	if r.activeQueries() > 0 {
-		return false, true
-	}
-	g := r.loadGate()
-	if g != nil && g.Busy() {
+	g := r.Gate()
+	if g.Busy() {
 		return false, true
 	}
 	if h := r.testHookClaim; h != nil {
 		h()
 	}
-	if g != nil {
-		if !g.StepBegin() {
-			// A request arrived after the claim: yield without stepping.
-			return false, true
-		}
-		defer g.StepEnd()
-	}
-	if !r.stepBegin() {
-		// A query slipped in after the claim: yield without stepping.
+	if !g.StepBegin() {
+		// A statement arrived after the claim: yield without stepping.
 		return false, true
 	}
-	defer r.stepEnd()
+	defer g.StepEnd()
 	if !r.step() {
 		// Real refinement is exhausted; spend one speculative budget slot if
-		// the gap still has one. The tokens taken above stay held, so the
+		// the gap still has one. The token taken above stays held, so the
 		// speculative step is gated against traffic exactly like a real one.
-		if r.specStep == nil || !r.claimSpecSlot() {
+		if r.specStep == nil || !r.claimSpecSlot(g) {
 			return false, false
 		}
 		if !r.specStep() {
@@ -352,7 +276,7 @@ func (r *Runner) claimStep() (ran, more bool) {
 }
 
 // RunActions synchronously executes up to n tuning actions, stopping early
-// if the step function reports exhaustion or a query becomes active. It
+// if the step function reports exhaustion or the gate is held. It
 // returns the number of actions actually executed. This is the manual idle
 // injection the experiments use.
 func (r *Runner) RunActions(n int) int {
@@ -367,32 +291,17 @@ func (r *Runner) RunActions(n int) int {
 	return done
 }
 
-// idleNow reports whether the system has been quiet long enough: no active
-// query, the engine-level quiet period elapsed, and — with a load gate
-// attached — no request in flight and the traffic gap at least as long.
-func (r *Runner) idleNow() bool {
-	if r.activeQueries() > 0 {
-		return false
-	}
-	if g := r.loadGate(); g != nil {
-		if g.Busy() || g.QuietFor() < r.quiet {
-			return false
-		}
-	}
-	last := time.Unix(0, r.lastEnd.Load())
-	return time.Since(last) >= r.quiet
-}
+// idleNow reports whether the system has been quiet long enough: nothing
+// holds the gate and its current gap has lasted the quiet period (QuietFor
+// is zero while the gate is held).
+func (r *Runner) idleNow() bool { return r.Gate().QuietFor() >= r.quiet }
 
 // burst returns how many actions a worker should attempt this wakeup. The
 // base quantum is multiplied by how many quiet periods the current traffic
 // gap spans (capped at MaxRamp), so the pool ramps up during sustained gaps
 // and falls back to cautious quanta the moment traffic resumes.
 func (r *Runner) burst() int {
-	g := r.loadGate()
-	if g == nil {
-		return r.quantum
-	}
-	mult := int(g.QuietFor() / r.quiet)
+	mult := int(r.Gate().QuietFor() / r.quiet)
 	if mult < 1 {
 		mult = 1
 	} else if mult > MaxRamp {

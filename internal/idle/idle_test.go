@@ -33,16 +33,44 @@ func TestRunActionsStopsOnExhaustion(t *testing.T) {
 	}
 }
 
+// waitFor polls cond until it holds, failing the test with msg after 2s.
+func waitFor(t *testing.T, cond func() bool, msg string) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal(msg)
+		}
+	}
+}
+
+// checkPoolYields starts r's pool with admit already called, checks that no
+// action runs while the statement is in flight, then calls release and waits
+// for the pool to resume in the traffic gap.
+func checkPoolYields(t *testing.T, r *Runner, calls *atomic.Int64, admit, release func()) {
+	t.Helper()
+	admit() // the system is busy before the pool even starts
+	r.Start()
+	defer r.Stop()
+	time.Sleep(20 * time.Millisecond)
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("pool ran %d actions while a statement was in flight", n)
+	}
+	release()
+	waitFor(t, func() bool { return calls.Load() > 0 }, "pool never resumed after the traffic gap began")
+}
+
+// TestRunActionsPreemptedByActiveQuery: a manual idle window runs nothing
+// while a statement holds the runner's own gate.
 func TestRunActionsPreemptedByActiveQuery(t *testing.T) {
 	var calls atomic.Int64
 	r := NewRunner(func() bool { calls.Add(1); return true })
-	r.QueryBegin()
+	r.Gate().Hold()
 	if got := r.RunActions(50); got != 0 {
-		t.Fatalf("ran %d actions while query active", got)
+		t.Fatalf("ran %d actions while a statement was in flight", got)
 	}
-	r.QueryEnd()
+	r.Gate().Release()
 	if got := r.RunActions(5); got != 5 {
-		t.Fatalf("ran %d actions after query end", got)
+		t.Fatalf("ran %d actions after the statement ended", got)
 	}
 }
 
@@ -52,38 +80,16 @@ func TestAutomaticRunsWhenQuiet(t *testing.T) {
 		WithQuiet(2*time.Millisecond), WithQuantum(8))
 	r.Start()
 	defer r.Stop()
-	deadline := time.After(2 * time.Second)
-	for calls.Load() < 8 {
-		select {
-		case <-deadline:
-			t.Fatalf("automatic runner executed only %d actions", calls.Load())
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
+	waitFor(t, func() bool { return calls.Load() >= 8 }, "automatic runner never executed 8 actions")
 }
 
+// TestAutomaticYieldsToQueries: a one-worker pool stays off while a
+// statement holds the runner's own gate, and resumes once it ends.
 func TestAutomaticYieldsToQueries(t *testing.T) {
 	var calls atomic.Int64
 	r := NewRunner(func() bool { calls.Add(1); return true },
 		WithQuiet(time.Millisecond), WithQuantum(4))
-	r.QueryBegin() // system busy before the worker even starts
-	r.Start()
-	defer r.Stop()
-	time.Sleep(20 * time.Millisecond)
-	if calls.Load() != 0 {
-		t.Fatalf("worker ran %d actions while a query was active", calls.Load())
-	}
-	r.QueryEnd()
-	deadline := time.After(2 * time.Second)
-	for calls.Load() == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("worker never resumed after query end")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
+	checkPoolYields(t, r, &calls, r.Gate().Hold, r.Gate().Release)
 }
 
 func TestStartStopIdempotent(t *testing.T) {
@@ -102,15 +108,7 @@ func TestStopHaltsWork(t *testing.T) {
 	r := NewRunner(func() bool { calls.Add(1); return true },
 		WithQuiet(time.Millisecond), WithQuantum(4))
 	r.Start()
-	deadline := time.After(2 * time.Second)
-	for calls.Load() == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("worker never started")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
+	waitFor(t, func() bool { return calls.Load() > 0 }, "worker never started")
 	r.Stop()
 	after := calls.Load()
 	time.Sleep(10 * time.Millisecond)
@@ -135,71 +133,69 @@ func TestOptionsValidation(t *testing.T) {
 	if r.quiet != DefaultQuiet || r.quantum != DefaultQuantum {
 		t.Fatalf("invalid options accepted: quiet=%v quantum=%d", r.quiet, r.quantum)
 	}
-	if r.Workers() < 1 {
-		t.Fatalf("worker pool default %d, want >= 1", r.Workers())
+	if r.workers < 1 {
+		t.Fatalf("worker pool default %d, want >= 1", r.workers)
 	}
 }
 
 // TestClaimRecheckPreemptsStep is the regression test for the TOCTOU between
-// the idle check and the step: a query arriving after a worker has claimed a
-// step but before the step runs must prevent the step from running. The test
-// hook injects the query arrival deterministically inside the claim window —
+// the idle check and the step: a statement admitted after a worker has
+// claimed a step but before its token grant must stop the step. The test
+// hook injects the admission deterministically inside the claim window —
 // exactly the interleaving the old single-check code lost.
 func TestClaimRecheckPreemptsStep(t *testing.T) {
 	var calls atomic.Int64
 	r := NewRunner(func() bool { calls.Add(1); return true })
-	r.testHookClaim = func() {
-		r.QueryBegin() // a query arrives mid-claim
-	}
+	g := r.Gate()
+	r.testHookClaim = g.Hold
 	if got := r.RunActions(1); got != 0 {
-		t.Fatalf("ran %d actions despite query arriving inside the claim", got)
+		t.Fatalf("ran %d actions despite a statement admitted inside the claim", got)
 	}
 	if calls.Load() != 0 {
-		t.Fatalf("step executed %d times in the query's critical path", calls.Load())
+		t.Fatalf("step executed %d times in the statement's critical path", calls.Load())
 	}
-	// After the query drains, the runner proceeds again.
+	// After the statement drains, the runner proceeds again.
 	r.testHookClaim = nil
-	r.QueryEnd()
+	g.Release()
 	if got := r.RunActions(3); got != 3 {
-		t.Fatalf("ran %d actions after query end, want 3", got)
+		t.Fatalf("ran %d actions after the statement ended, want 3", got)
 	}
 }
 
 // TestClaimHookSeesTokenDenied drives the same mid-claim interleaving through
-// the exported hook (what out-of-package tests use) and additionally pins the
-// token mechanics: with a write admitted inside the claim window the CAS-based
-// stepBegin must refuse, and the refusal must leave no token leaked behind.
+// the exported hook (what out-of-package tests use) and pins the token
+// mechanics: the gate's CAS must refuse the grant, and the refusal must leave
+// no token behind.
 func TestClaimHookSeesTokenDenied(t *testing.T) {
 	var calls atomic.Int64
 	r := NewRunner(func() bool { calls.Add(1); return true })
-	r.SetClaimHook(func() { r.QueryBegin() })
-	if got := r.RunActions(1); got != 0 {
-		t.Fatalf("ran %d actions despite write admitted inside the claim", got)
+	g := r.Gate()
+	r.SetClaimHook(g.Hold)
+	if got := r.RunActions(1); got != 0 || calls.Load() != 0 {
+		t.Fatalf("ran %d actions (%d steps) despite a write admitted inside the claim", got, calls.Load())
 	}
-	if calls.Load() != 0 {
-		t.Fatal("step executed in the write's critical path")
-	}
-	if r.RunningSteps() != 0 {
-		t.Fatalf("leaked step token: RunningSteps = %d", r.RunningSteps())
+	if s := g.Snapshot(); s.RunningSteps != 0 || s.StepRejected != 1 {
+		t.Fatalf("token grant did not refuse cleanly: %+v", s)
 	}
 	r.SetClaimHook(nil)
-	r.QueryEnd()
+	g.Release()
 	if got := r.RunActions(2); got != 2 {
-		t.Fatalf("ran %d actions after write end, want 2", got)
+		t.Fatalf("ran %d actions after the write ended, want 2", got)
 	}
 }
 
 // TestStepNeverStartsAfterAdmission is the rendezvous proof for the write
-// path: once a write has been admitted (QueryBegin returned), no tuning step
+// path: once a write has been admitted (Hold returned), no tuning step
 // may start until it completes. Steppers race for tokens while the main
 // goroutine repeatedly admits a write, waits for pre-admission steps to
 // drain (steps are bounded), and then verifies the action counter is frozen
 // — any increment after the drain would mean a step token was granted
-// against a live admission, the exact check-then-act bug the packed-word CAS
-// removes. Run under -race this also exercises the token path for data races.
+// against a live admission, the exact check-then-act bug the gate's
+// packed-word CAS removes. Run under -race this also exercises the token path for data races.
 func TestStepNeverStartsAfterAdmission(t *testing.T) {
 	var stop atomic.Bool
 	r := NewRunner(func() bool { return true })
+	g := r.Gate()
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -212,10 +208,10 @@ func TestStepNeverStartsAfterAdmission(t *testing.T) {
 		}()
 	}
 	for k := 0; k < 100; k++ {
-		r.QueryBegin()
+		g.Hold()
 		// Steps granted before the admission are allowed to finish; wait
 		// them out (each is a no-op here, so this is instant in practice).
-		for r.RunningSteps() != 0 {
+		for g.RunningSteps() != 0 {
 			runtime.Gosched()
 		}
 		before := r.Actions()
@@ -225,12 +221,12 @@ func TestStepNeverStartsAfterAdmission(t *testing.T) {
 		if got := r.Actions(); got != before {
 			t.Fatalf("%d steps started while a write was admitted", got-before)
 		}
-		r.QueryEnd()
+		g.Release()
 	}
 	stop.Store(true)
 	wg.Wait()
-	if r.RunningSteps() != 0 {
-		t.Fatalf("unbalanced tokens after drain: %d", r.RunningSteps())
+	if g.RunningSteps() != 0 {
+		t.Fatalf("unbalanced tokens after drain: %d", g.RunningSteps())
 	}
 }
 
@@ -251,8 +247,8 @@ func TestWorkerPoolRunsConcurrently(t *testing.T) {
 		calls.Add(1)
 		return true
 	}, WithQuiet(time.Millisecond), WithQuantum(64), WithWorkers(4))
-	if r.Workers() != 4 {
-		t.Fatalf("workers = %d, want 4", r.Workers())
+	if r.workers != 4 {
+		t.Fatalf("workers = %d, want 4", r.workers)
 	}
 	r.Start()
 	defer r.Stop()
@@ -275,26 +271,10 @@ func TestWorkerPoolRunsConcurrently(t *testing.T) {
 }
 
 // TestPoolYieldsToQueries: every worker in a 4-wide pool must stop pulling
-// actions while a query is active.
+// actions while a statement holds the runner's own gate.
 func TestPoolYieldsToQueries(t *testing.T) {
 	var calls atomic.Int64
 	r := NewRunner(func() bool { calls.Add(1); return true },
 		WithQuiet(time.Millisecond), WithQuantum(4), WithWorkers(4))
-	r.QueryBegin()
-	r.Start()
-	defer r.Stop()
-	time.Sleep(20 * time.Millisecond)
-	if calls.Load() != 0 {
-		t.Fatalf("pool ran %d actions while a query was active", calls.Load())
-	}
-	r.QueryEnd()
-	deadline := time.After(2 * time.Second)
-	for calls.Load() == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("pool never resumed after query end")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
+	checkPoolYields(t, r, &calls, r.Gate().Hold, r.Gate().Release)
 }

@@ -46,22 +46,23 @@ func TestSpeculativeOnlyAfterRealExhausted(t *testing.T) {
 	}
 }
 
-// Real traffic re-arms the speculative budget: the cap is per gap.
+// Real traffic re-arms the speculative budget: the cap is per gap, and a
+// statement closing on the gate starts a new one.
 func TestSpecBudgetResetsPerGap(t *testing.T) {
 	r := NewRunner(func() bool { return false })
 	r.SetSpeculative(func() bool { return true }, 2)
 	if done := r.RunActions(100); done != 2 {
 		t.Fatalf("first gap ran %d speculative actions, want 2", done)
 	}
-	r.QueryBegin()
-	if got := r.SpecSpent(); got != 0 {
-		t.Fatalf("SpecSpent after QueryBegin = %d, want 0", got)
-	}
-	// While the query is in flight nothing runs, speculative or not.
+	r.Gate().Hold()
+	// While the statement is in flight nothing runs, speculative or not.
 	if done := r.RunActions(100); done != 0 {
-		t.Fatalf("ran %d actions against an in-flight query", done)
+		t.Fatalf("ran %d actions against an in-flight statement", done)
 	}
-	r.QueryEnd()
+	r.Gate().Release()
+	if got := r.SpecSpent(); got != 0 {
+		t.Fatalf("SpecSpent after the gap closed = %d, want 0", got)
+	}
 	if done := r.RunActions(100); done != 2 {
 		t.Fatalf("second gap ran %d speculative actions, want 2", done)
 	}
@@ -99,7 +100,7 @@ func TestSpecYieldsToQueryAdmittedMidClaim(t *testing.T) {
 		t.Error("speculative step ran against an admitted query")
 		return true
 	}, 8)
-	r.SetClaimHook(func() { r.QueryBegin() })
+	r.SetClaimHook(r.Gate().Hold)
 	if done := r.RunActions(1); done != 0 {
 		t.Fatalf("RunActions = %d with a query admitted mid-claim", done)
 	}
@@ -111,15 +112,15 @@ func TestSpecYieldsToQueryAdmittedMidClaim(t *testing.T) {
 // Defaults and accessors.
 func TestSpecConfig(t *testing.T) {
 	r := NewRunner(func() bool { return false })
-	if r.Speculative() || r.SpecBudget() != 0 {
+	if r.specStep != nil || r.SpecBudget() != 0 {
 		t.Fatal("speculation enabled by default")
 	}
 	r.SetSpeculative(nil, 5) // nil step: ignored
-	if r.Speculative() {
+	if r.specStep != nil {
 		t.Fatal("nil speculative step attached")
 	}
 	r.SetSpeculative(func() bool { return false }, 0)
-	if !r.Speculative() || r.SpecBudget() != DefaultSpecBudget {
+	if r.specStep == nil || r.SpecBudget() != DefaultSpecBudget {
 		t.Fatalf("SpecBudget = %d, want default %d", r.SpecBudget(), DefaultSpecBudget)
 	}
 }

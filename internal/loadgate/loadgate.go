@@ -1,22 +1,30 @@
-// Package loadgate turns client traffic into the idle signal that drives
-// holistic indexing behind a network frontend. The paper's premise is that a
-// running DBMS has gaps between requests and that every such gap should be
-// spent on index refinement — but "idle" must be an emergent property of the
-// actual traffic, not a guess. A Gate sits between the server (which reports
-// request lifecycle via Begin/End) and the idle worker pool (which asks for
-// permission to run refinement steps via StepBegin/StepEnd), and enforces
-// the paper's contract from both sides:
+// Package loadgate turns traffic into the idle signal that drives holistic
+// indexing. The paper's premise is that a running DBMS has gaps between
+// statements and that every such gap should be spent on index refinement —
+// but "idle" must be an emergent property of the actual traffic, not a
+// guess. A Gate sits between the statements (which hold it while they run)
+// and the idle worker pool (which asks for permission to run refinement
+// steps via StepBegin/StepEnd), and enforces the paper's contract from both
+// sides:
 //
-//   - While any request is in flight — admitted, queued or executing — no
+//   - While any statement is in flight — admitted, queued or executing — no
 //     new refinement step is granted, so tuning work never competes with a
 //     client query for cores or latches.
 //   - The moment the in-flight count drops to zero a traffic gap begins, and
-//     refinement steps are granted freely until the next request arrives.
+//     refinement steps are granted freely until the next statement arrives.
+//
+// Every deployment has exactly one gate. An idle pool starts with a gate of
+// its own, on which the engine brackets each select and write with
+// Hold/Release; behind the network server the pool is switched to the
+// server's gate, which additionally brackets each request with Begin/End
+// from admission to response. Only Begin counts a request: a statement the
+// engine holds inside a served request is the same arrival, not a second
+// one.
 //
 // The check is atomic, not advisory: the in-flight count and the number of
 // refinement steps currently running are packed into one atomic word, and a
 // step token is only ever issued by a compare-and-swap that witnessed an
-// in-flight count of exactly zero. A request can still arrive while a step
+// in-flight count of exactly zero. A statement can still arrive while a step
 // is already running — steps are small and bounded (one crack action), and
 // the idle pool's claim/re-check protocol yields at the next step boundary —
 // but a step can never *start* against live traffic.
@@ -36,8 +44,8 @@ import (
 
 // stepperBits is how many low bits of the packed state word hold the count
 // of refinement steps currently running; the remaining high bits hold the
-// in-flight request count. 2^24 concurrent idle steps is unreachable (the
-// pool is sized in the dozens), and 2^39 in-flight requests exceeds any
+// in-flight statement count. 2^24 concurrent idle steps is unreachable (the
+// pool is sized in the dozens), and 2^39 in-flight statements exceeds any
 // plausible admission bound.
 const stepperBits = 24
 
@@ -47,10 +55,11 @@ const stepperMask = (1 << stepperBits) - 1
 // dominate, traffic from a few seconds ago fades.
 const rateHalfLife = time.Second
 
-// Gate tracks server load and arbitrates idle refinement against it. The
+// Gate tracks load and arbitrates idle refinement against it. The
 // zero value is not ready; use New. All methods are safe for concurrent use.
 type Gate struct {
-	// state packs inFlight<<stepperBits | runningSteps.
+	// state packs inFlight<<stepperBits | runningSteps; inFlight counts
+	// Begin and Hold alike.
 	state atomic.Int64
 
 	// quietSince is the UnixNano instant the in-flight count last reached
@@ -88,28 +97,41 @@ func New() *Gate {
 }
 
 // Begin reports that a request entered the system (admitted by the server,
-// whether queued or executing). From this instant until the matching End,
-// no refinement step will be granted.
+// whether queued or executing): it counts an arrival and holds the gate.
+// From this instant until the matching End, no refinement step will be
+// granted.
 func (g *Gate) Begin() {
 	g.arrivals.Add(1)
-	g.state.Add(1 << stepperBits)
+	g.Hold()
 	g.bumpRate()
 }
 
 // End reports that a request finished (its response was written or its
-// connection died). If it was the last one in flight, a traffic gap begins.
+// connection died). If it was the last statement in flight, a traffic gap
+// begins.
+func (g *Gate) End() {
+	g.completed.Add(1)
+	g.Release()
+}
+
+// Hold marks one statement in flight without counting a request: the
+// engine brackets every select and write with Hold/Release, so on the
+// server's gate a served statement holds it twice but arrives once.
+func (g *Gate) Hold() { g.state.Add(1 << stepperBits) }
+
+// Release ends a Hold (or, via End, a Begin). If it was the last statement
+// in flight, a traffic gap begins.
 //
 // quietSince is (re)stamped BEFORE the in-flight decrement: between a
 // decrement-to-zero and a later store, a concurrent QuietFor would pair
 // state==0 with the PREVIOUS gap's start and report a huge stale gap. The
 // stamp is unconditional (a conditional "am I last?" load would leave two
-// racing Ends both seeing count 2 and neither stamping): while in-flight is
-// still nonzero every QuietFor returns 0 regardless of quietSince, racing
-// Ends only tighten the stamp toward now, and once the count reaches zero
-// no End can still be holding an unflushed stamp — each End's store is
-// ordered before its own decrement.
-func (g *Gate) End() {
-	g.completed.Add(1)
+// racing Releases both seeing count 2 and neither stamping): while in-flight
+// is still nonzero every QuietFor returns 0 regardless of quietSince, racing
+// Releases only tighten the stamp toward now, and once the count reaches
+// zero no Release can still be holding an unflushed stamp — each one's store
+// is ordered before its own decrement.
+func (g *Gate) Release() {
 	g.quietSince.Store(time.Now().UnixNano())
 	s := g.state.Add(-(1 << stepperBits))
 	if s>>stepperBits == 0 {
@@ -123,33 +145,32 @@ func (g *Gate) End() {
 // reporting; the server calls it once per insert/delete statement executed.
 func (g *Gate) NoteWrite() { g.writes.Add(1) }
 
-// Writes returns how many admitted requests mutated data.
-func (g *Gate) Writes() int64 { return g.writes.Load() }
+// Gaps returns how many busy -> idle transitions the gate has seen.
+func (g *Gate) Gaps() int64 { return g.gaps.Load() }
 
-// InFlight returns the number of requests currently in the system.
+// InFlight returns the number of statements currently holding the gate.
 func (g *Gate) InFlight() int64 { return g.state.Load() >> stepperBits }
 
-// Busy reports whether any request is in flight. The idle pool treats a
-// busy gate exactly like an in-progress query: it yields.
+// Busy reports whether any statement is in flight; the idle pool yields.
 func (g *Gate) Busy() bool { return g.InFlight() > 0 }
 
 // QuietFor returns how long the current traffic gap has lasted, or zero if
-// a request is in flight. The idle pool uses it both as a quiet-period
+// a statement is in flight. The idle pool uses it both as a quiet-period
 // check and as the ramp signal for longer refinement bursts.
 //
 // The state and quietSince loads cannot be one atomic read, so both are
-// re-validated after the fact: if a request Begins between the two loads,
-// checking state only once would let a caller observe a positive gap while
-// traffic is already live — exactly the window that would grant an idle
-// burst against an in-flight request — and if a whole Begin/End cycle lands
-// between the loads, the state re-check alone would still pair a quiet
-// state with the PREVIOUS gap's stamp and report a gap spanning the busy
-// period. Seeing state==0 on both sides of an unchanged quietSince
+// re-validated after the fact: if a statement arrives between the two
+// loads, checking state only once would let a caller observe a positive gap
+// while traffic is already live — exactly the window that would grant an
+// idle burst against an in-flight statement — and if a whole Hold/Release
+// cycle lands between the loads, the state re-check alone would still pair
+// a quiet state with the PREVIOUS gap's stamp and report a gap spanning the
+// busy period. Seeing state==0 on both sides of an unchanged quietSince
 // guarantees the returned gap belongs to the gap that was current at the
-// read (End stamps quietSince before decrementing, so a quiet state never
-// pairs with an unflushed stamp). The retry only triggers when a complete
-// request cycle fits inside the few-instruction read window, so the loop
-// terminates immediately in practice.
+// read (Release stamps quietSince before decrementing, so a quiet state
+// never pairs with an unflushed stamp). The retry only triggers when a
+// complete statement cycle fits inside the few-instruction read window, so
+// the loop terminates immediately in practice.
 func (g *Gate) QuietFor() time.Duration {
 	for {
 		if g.state.Load()>>stepperBits != 0 {
@@ -174,7 +195,7 @@ func (g *Gate) QuietFor() time.Duration {
 }
 
 // StepBegin asks for permission to run one idle refinement step. It grants
-// the token — atomically, only while the in-flight request count is exactly
+// the token — atomically, only while the in-flight statement count is exactly
 // zero — and returns true, or returns false if traffic is live. Every
 // granted token must be returned with StepEnd.
 func (g *Gate) StepBegin() bool {

@@ -57,6 +57,28 @@ func TestQuietForAndGaps(t *testing.T) {
 	}
 }
 
+// TestGateHoldIsNotAnArrival: Hold shares the in-flight count, quiet clock
+// and gap count with Begin/End but counts no request, so a statement held
+// inside a request arrives once and closes no gap of its own.
+func TestGateHoldIsNotAnArrival(t *testing.T) {
+	g := New()
+	g.Begin()
+	g.Hold()
+	g.Release()
+	if s := g.Snapshot(); s.InFlight != 1 || s.Gaps != 0 || s.QuietForUS != 0 || g.StepBegin() {
+		t.Fatalf("a released hold inside a request opened the gate: %+v", s)
+	}
+	g.End()
+	g.Hold()
+	if g.StepBegin() {
+		t.Fatal("step granted while a statement holds the gate")
+	}
+	g.Release()
+	if s := g.Snapshot(); s.Arrivals != 1 || s.Completed != 1 || s.Gaps != 2 || s.InFlight != 0 {
+		t.Fatalf("holds counted as requests or gaps miscounted: %+v", s)
+	}
+}
+
 // TestNoGrantWitnessesTraffic hammers the gate from both sides and verifies
 // the core invariant: a step token is only ever issued while the in-flight
 // count is exactly zero. Each granted stepper immediately re-reads the

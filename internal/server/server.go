@@ -5,9 +5,11 @@
 // execute in order against a shared engine, while sessions run concurrently
 // against each other.
 //
-// The server is the system's load authority. Every admitted statement is
-// bracketed by Begin/End on a loadgate.Gate, and the engine's idle worker
-// pool is wired to that gate (Engine.SetLoadGate): while any request is in
+// The server is the system's load authority. Its loadgate.Gate replaces the
+// engine idle pool's own (Engine.SetLoadGate), so there is one gate: every
+// admitted statement is bracketed by Begin/End on it from admission to
+// response, and the engine's select or write holds the same gate inside
+// that bracket without counting a second arrival. While any request is in
 // flight — queued or executing — idle refinement fully yields, and the
 // moment the last response is written a traffic gap begins and the pool
 // ramps up. Idleness is thus an emergent property of traffic, exactly the
@@ -57,8 +59,8 @@ var ErrOverloaded = errors.New("server overloaded: admission queue full")
 type Config struct {
 	// Engine is the shared kernel all sessions execute against. Required.
 	Engine *engine.Engine
-	// Gate is the load gate shared with the engine's idle pool. If nil the
-	// server creates one; either way it is attached to the engine via
+	// Gate is the load gate the engine's idle pool answers to. If nil the
+	// server creates one; either way it replaces the pool's own gate via
 	// SetLoadGate.
 	Gate *loadgate.Gate
 	// MaxInFlight bounds admitted statements; <= 0 selects
