@@ -544,35 +544,36 @@ func BenchmarkAblationHotRange(b *testing.B) {
 	}
 }
 
-// A3: stochastic cracking variants against the sequential-sweep adversary.
-func BenchmarkAblationStochastic(b *testing.B) {
-	data := workload.UniformData(11, benchN/2, 1, benchN/2+1)
-	variants := []struct {
-		name string
-		v    holistic.Config
-	}{
-		{"plain", holistic.Config{Strategy: holistic.StrategyAdaptive, Seed: 12}},
-		{"ddr", holistic.Config{Strategy: holistic.StrategyAdaptive, Seed: 12, Stochastic: holistic.StochasticDDR, StochasticThreshold: 1 << 12}},
-		{"mdd1r", holistic.Config{Strategy: holistic.StrategyAdaptive, Seed: 12, Stochastic: holistic.StochasticMDD1R, StochasticThreshold: 1 << 12}},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				e := holistic.New(v.v)
-				tab, _ := e.CreateTable("R")
-				tab.AddColumnFromSlice("A", append([]int64{}, data...))
-				gen := workload.NewSequential("R", "A", 1, int64(benchN/2+1), 0.002, 0)
-				b.StartTimer()
-				for q := 0; q < 300; q++ {
-					query := gen.Next()
-					if _, err := e.Select(query.Table, query.Column, query.Lo, query.Hi); err != nil {
-						b.Fatal(err)
+// A3: radix-first cracking against the sequential-sweep adversary, 300
+// selects of 0.2% each. With the radix pass off, the sweep leaves the
+// untouched tail one piece that every select re-partitions.
+func BenchmarkAblationSequential(b *testing.B) {
+	for _, n := range []int{benchN / 2, 4 * benchN} {
+		data := workload.UniformData(11, n, 1, int64(n)+1)
+		for _, s := range []holistic.Strategy{holistic.StrategyAdaptive, holistic.StrategyHolistic} {
+			for _, radix := range []struct {
+				name     string
+				minPiece int
+			}{{"radix-default", 0}, {"radix-off", -1}} {
+				b.Run(fmt.Sprintf("n=%d/%v/%s", n, s, radix.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						b.StopTimer()
+						e := holistic.New(holistic.Config{Strategy: s, Seed: 12, RadixMinPiece: radix.minPiece})
+						tab, _ := e.CreateTable("R")
+						tab.AddColumnFromSlice("A", append([]int64{}, data...))
+						gen := workload.NewSequential("R", "A", 1, int64(n)+1, 0.002, 0)
+						b.StartTimer()
+						for q := 0; q < 300; q++ {
+							query := gen.Next()
+							if _, err := e.Select(query.Table, query.Column, query.Lo, query.Hi); err != nil {
+								b.Fatal(err)
+							}
+						}
+						e.Close()
 					}
-				}
-				e.Close()
+				})
 			}
-		})
+		}
 	}
 }
 

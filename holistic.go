@@ -39,7 +39,6 @@ package holistic
 
 import (
 	"holistic/internal/engine"
-	"holistic/internal/stochastic"
 	"holistic/internal/workload"
 )
 
@@ -70,13 +69,6 @@ const (
 	StrategyOnline   = engine.StrategyOnline
 	StrategyAdaptive = engine.StrategyAdaptive
 	StrategyHolistic = engine.StrategyHolistic
-)
-
-// Stochastic cracking variants for Config.Stochastic.
-const (
-	StochasticOff   = stochastic.Plain
-	StochasticDDR   = stochastic.DDR
-	StochasticMDD1R = stochastic.MDD1R
 )
 
 // Catalog errors.
@@ -135,7 +127,8 @@ func NewHotspotWorkload(table, column string, domLo, domHi int64, selectivity, h
 }
 
 // NewSequentialWorkload sweeps the domain with fixed-width queries — the
-// adversarial pattern for plain cracking that motivates stochastic variants.
+// adversary of query-driven cracking, which the radix-first pass on a cold
+// piece's first touch (Config.RadixMinPiece) keeps bounded.
 func NewSequentialWorkload(table, column string, domLo, domHi int64, selectivity float64, step int64) WorkloadGenerator {
 	return workload.NewSequential(table, column, domLo, domHi, selectivity, step)
 }

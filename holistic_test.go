@@ -98,33 +98,6 @@ func TestPublicUpdatesFlow(t *testing.T) {
 	}
 }
 
-func TestPublicStochasticConfig(t *testing.T) {
-	eng := holistic.New(holistic.Config{
-		Strategy:   holistic.StrategyHolistic,
-		Stochastic: holistic.StochasticMDD1R,
-		Seed:       5,
-	})
-	defer eng.Close()
-	tab, _ := eng.CreateTable("R")
-	data := holistic.GenerateUniform(2, 50000, 0, 50000)
-	tab.AddColumnFromSlice("A", data)
-	for i := int64(0); i < 20; i++ {
-		res, err := eng.Select("R", "A", i*1000, i*1000+500)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wc := 0
-		for _, v := range data {
-			if v >= i*1000 && v < i*1000+500 {
-				wc++
-			}
-		}
-		if res.Count != wc {
-			t.Fatalf("q%d: %d want %d", i, res.Count, wc)
-		}
-	}
-}
-
 func TestPublicPhysicalDesign(t *testing.T) {
 	eng := holistic.New(holistic.Config{Strategy: holistic.StrategyAdaptive})
 	defer eng.Close()

@@ -57,7 +57,7 @@ import (
 // from sharding (package shard gives every shard a private index), not from
 // latching below the index.
 //
-// Positions returned by one call (CrackRange, LookupRange, PieceOf) stay
+// Positions returned by one call (CrackRange, LookupRange) stay
 // valid for a later call (CountSum) only while no structural operation runs
 // in between: cracks never move a value across an existing boundary and
 // never move a boundary, but Merge and Consolidate do. The owner therefore
@@ -158,16 +158,6 @@ func (ix *Index) Values() []int64 { return ix.vals }
 
 // Rows exposes the base row ids aligned with Values, under the same rule.
 func (ix *Index) Rows() []uint32 { return ix.rows }
-
-// PieceOf returns the [start, end) positions of the piece that value v
-// currently falls into, without cracking anything. Stochastic variants use
-// it to decide whether a piece still needs splitting.
-func (ix *Index) PieceOf(v int64) (start, end int) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	start, end, _, _ = ix.tree.Locate(v, len(ix.vals))
-	return start, end
-}
 
 // MinRowOf returns the lowest base row id among the entries holding exactly
 // value v for which live reports true. It reads v's piece under the shared

@@ -27,10 +27,10 @@
 //     (see Table).
 //   - Part: every shard.Part has a reader/writer latch. The WRITE side is
 //     only for structural changes — materialising the cracked copy, merging
-//     pending updates into it (a merge slides piece positions),
-//     (re)building or dropping the sorted index, tombstoning deletes, and
-//     stochastic-variant selects. The READ side admits any number of
-//     queries and idle workers simultaneously.
+//     pending updates (a merge slides piece positions and tombstones
+//     deletes), and (re)building or dropping the sorted index. Every select,
+//     cracking ones included, takes the READ side, which admits any number
+//     of queries and idle workers simultaneously.
 //   - Index: under the shared part latch, work on the part's cracker index
 //     is coordinated by the index's own reader/writer latch (see
 //     cracker.Index): a lookup or aggregate takes it shared once, whatever
@@ -69,7 +69,6 @@ import (
 	"holistic/internal/loadgate"
 	"holistic/internal/monitor"
 	"holistic/internal/shard"
-	"holistic/internal/stochastic"
 )
 
 // Errors returned by catalog operations.
@@ -97,11 +96,6 @@ type Config struct {
 	HotBoost     int
 	// OnlineEpoch is the online advisor's review period in queries.
 	OnlineEpoch int
-	// Stochastic selects the cracking variant for adaptive/holistic
-	// selects (default Plain).
-	Stochastic stochastic.Variant
-	// StochasticThreshold is the piece-size threshold for DDR/MDD1R.
-	StochasticThreshold int
 	// RadixBuild makes full-index builds use the radix sort instead of the
 	// default comparison sort. The default matches the paper's MonetDB
 	// build cost profile (Time_sort); radix is the modern alternative the
@@ -241,13 +235,10 @@ func (e *Engine) idleWorkers() int {
 // shardConfig derives the per-column sharding configuration.
 func (e *Engine) shardConfig() shard.Config {
 	return shard.Config{
-		Shards:              e.Shards(),
-		Stochastic:          e.cfg.Stochastic,
-		StochasticThreshold: e.cfg.StochasticThreshold,
-		RadixBuild:          e.cfg.RadixBuild,
-		Seed:                e.cfg.Seed,
-		IngestCap:           e.cfg.IngestCap,
-		RadixMinPiece:       e.cfg.RadixMinPiece,
+		Shards:        e.Shards(),
+		RadixBuild:    e.cfg.RadixBuild,
+		IngestCap:     e.cfg.IngestCap,
+		RadixMinPiece: e.cfg.RadixMinPiece,
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"holistic/internal/stochastic"
 )
 
 func randomVals(rng *rand.Rand, n int, domain int64) []int64 {
@@ -149,29 +147,6 @@ func TestAllStrategiesAgree(t *testing.T) {
 					qi, queries[qi], r.name, r.results[qi].Count, r.results[qi].Sum, wc, ws)
 			}
 		}
-	}
-}
-
-func TestStochasticVariantsAgreeInEngine(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	vals := randomVals(rng, 10000, 20000)
-	for _, v := range []stochastic.Variant{stochastic.DDR, stochastic.MDD1R} {
-		e := newEngineWithData(t, Config{
-			Strategy: StrategyHolistic, Seed: 9, Stochastic: v, StochasticThreshold: 128,
-		}, vals)
-		for i := 0; i < 100; i++ {
-			lo := rng.Int64N(20000)
-			hi := lo + rng.Int64N(300) + 1
-			r, err := e.Select("R", "A", lo, hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wc, ws := naiveRange(vals, lo, hi)
-			if r.Count != wc || r.Sum != ws {
-				t.Fatalf("%v q%d: %d/%d want %d/%d", v, i, r.Count, r.Sum, wc, ws)
-			}
-		}
-		e.Close()
 	}
 }
 

@@ -3,15 +3,13 @@ package engine
 // Differential test for index-resolved DELETE: shard.Column.FirstLive — a
 // binary search with a sorted index, one cracked piece with a cracker index,
 // an early-exit scan with neither — against a reference scan of a model
-// table, under every strategy, stochastic variant and shard count, in every
-// pending-update state a row can be in.
+// table, under every strategy and shard count, in every pending-update state
+// a row can be in.
 
 import (
 	"math"
 	"math/rand/v2"
 	"testing"
-
-	"holistic/internal/stochastic"
 )
 
 // modelRow is one row of the reference table; its index is the row id.
@@ -49,34 +47,19 @@ func TestFirstLiveMatchesReferenceScan(t *testing.T) {
 		rounds = 3
 		ops    = 150
 	)
-	type variant struct {
-		name string
-		s    Strategy
-		st   stochastic.Variant
-	}
-	var variants []variant
-	for _, tc := range strategiesUnderTest {
-		variants = append(variants, variant{tc.name, tc.s, stochastic.Plain})
-	}
-	variants = append(variants,
-		variant{"adaptive-ddr", StrategyAdaptive, stochastic.DDR},
-		variant{"holistic-mdd1r", StrategyHolistic, stochastic.MDD1R},
-	)
 	colNames := [2]string{"A", "B"}
 
 	for _, shards := range []int{1, 2, 8} {
-		for _, vr := range variants {
+		for _, vr := range strategiesUnderTest {
 			t.Run(vr.name+"/shards="+itoa(shards), func(t *testing.T) {
 				rng := rand.New(rand.NewPCG(1501, uint64(shards)))
 				e := New(Config{
-					Strategy:            vr.s,
-					Stochastic:          vr.st,
-					StochasticThreshold: 32,
-					Seed:                31,
-					TargetPieceSize:     16,
-					OnlineEpoch:         10,
-					Shards:              shards,
-					IngestCap:           1 << 20, // merge only when the test (or the tuner) says so
+					Strategy:        vr.s,
+					Seed:            31,
+					TargetPieceSize: 16,
+					OnlineEpoch:     10,
+					Shards:          shards,
+					IngestCap:       1 << 20, // merge only when the test (or the tuner) says so
 				})
 				defer e.Close()
 				tab, err := e.CreateTable("R")

@@ -28,8 +28,7 @@ import (
 // under the part's shared latch, and adaptive/holistic selects run under it
 // too, taking the cracker index latch shared to subtract two boundary sums
 // and exclusively only while partitioning a piece; only materialising the
-// cracked copy, merging pending updates and stochastic-variant selects fall
-// back to the part's exclusive latch.
+// cracked copy and merging pending updates take the part's exclusive latch.
 func (e *Engine) Select(table, col string, lo, hi int64) (Result, error) {
 	cs, err := e.colState(table, col)
 	if err != nil {

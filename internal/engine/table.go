@@ -13,8 +13,8 @@ import (
 //
 // Write concurrency: t.mu gives row-level atomicity across columns and
 // serialises column creation. Inserts hold it SHARED — any number of writers
-// append concurrently, each reserving its row id with one atomic fetch-add
-// and enqueueing per-column into the shards' ingest queues — while deletes
+// append concurrently, each reserving its batch's row ids under idMu and
+// enqueueing per-column into the shards' ingest queues — while deletes
 // hold it EXCLUSIVE, so a delete never observes a half-inserted row (some
 // columns enqueued, others not). Neither path touches a part's RW latch;
 // buffered updates reach the index structures via merge refinement actions
@@ -38,12 +38,11 @@ type Table struct {
 	rows atomic.Int64            // total rows ever inserted (including deleted)
 	live atomic.Int64            // live (non-deleted) rows
 
-	// idMu serializes row-id reservation with the write-ahead log append
-	// when a WriteLog is attached: ids are reserved and logged inside one
-	// critical section, so WAL order equals row-id order and a failed log
-	// burns no ids (a burned id would be a permanent gap that stalls the
-	// contiguous-prefix ingest drain). Without a WriteLog the lock-free
-	// fetch-add path is unchanged.
+	// idMu serializes row-id reservation, together with the write-ahead log
+	// append when a WriteLog is attached: a batch's ids are reserved (and
+	// logged) inside one critical section, so WAL order equals row-id order
+	// and a failed batch burns no ids (a burned id would be a permanent gap
+	// that stalls the contiguous-prefix ingest drain).
 	idMu sync.Mutex
 }
 
@@ -249,30 +248,33 @@ func (t *Table) column(name string) (*colState, error) {
 	return cs, nil
 }
 
-// InsertRow appends one row; vals must follow column creation order. It
-// returns the new row id. The table lock is held SHARED: concurrent inserts
-// proceed in parallel, each reserving its row id with one atomic fetch-add
-// (so every column of one row agrees on the id) and enqueueing per column
-// into the row's shard ingest queue — no part latch is taken. Index
-// structures absorb the insert when the buffered batch is merged by a
-// refinement action (or inline once a queue outgrows its cap); reads see
-// the row immediately through the snapshot-consistent combine.
+// InsertRow appends one row — a one-row InsertRows batch; vals must follow
+// column creation order. It returns the new row id. The table lock is held
+// SHARED: concurrent inserts proceed in parallel, each reserving its row id
+// in one short critical section (so every column of one row agrees on the
+// id) and enqueueing per column into the row's shard ingest queue — no part
+// latch is taken. Index structures absorb the insert when the buffered batch
+// is merged by a refinement action (or inline once a queue outgrows its
+// cap); reads see the row immediately through the snapshot-consistent
+// combine.
 func (t *Table) InsertRow(vals ...int64) (uint32, error) {
+	return t.InsertRows([][]int64{vals})
+}
+
+// InsertRows appends a batch of rows — one multi-group INSERT statement —
+// and returns the first new row id. The whole batch shares one shared-lock
+// acquisition and one idle-pool admission; row ids are consecutive. A batch
+// is atomic: every row is validated and the ids reserved (see idMu) before
+// any row is enqueued, so a failed batch inserts nothing. Concurrent batches
+// may interleave their enqueues — the ingest queues key by row id and drain
+// in dense order regardless.
+func (t *Table) InsertRows(rows [][]int64) (uint32, error) {
+	if len(rows) == 0 {
+		return 0, fmt.Errorf("%w: empty insert batch", ErrLengthMismatch)
+	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	defer t.eng.writeBegin()()
-	if t.eng.wlog != nil {
-		return t.insertBatchDurable([][]int64{vals})
-	}
-	return t.insertRowLocked(vals)
-}
-
-// insertBatchDurable is the log-first insert path under a held shared table
-// lock: row ids are reserved and the batch logged inside the id mutex (WAL
-// order == row-id order; a failed log reserves nothing), then the rows are
-// enqueued. Concurrent batches may interleave their enqueues — the ingest
-// queues key by row id and drain in dense order regardless.
-func (t *Table) insertBatchDurable(rows [][]int64) (uint32, error) {
 	cat := t.cat.Load()
 	for _, vals := range rows {
 		if len(vals) != len(cat.order) {
@@ -286,9 +288,11 @@ func (t *Table) insertBatchDurable(rows [][]int64) (uint32, error) {
 		t.idMu.Unlock()
 		return 0, column.ErrTooLarge
 	}
-	if err := t.eng.wlog.LogInsert(t.name, uint32(r), rows); err != nil {
-		t.idMu.Unlock()
-		return 0, err
+	if t.eng.wlog != nil {
+		if err := t.eng.wlog.LogInsert(t.name, uint32(r), rows); err != nil {
+			t.idMu.Unlock()
+			return 0, err
+		}
 	}
 	t.rows.Add(int64(len(rows)))
 	t.idMu.Unlock()
@@ -300,51 +304,6 @@ func (t *Table) insertBatchDurable(rows [][]int64) (uint32, error) {
 	}
 	t.live.Add(int64(len(rows)))
 	return uint32(r), nil
-}
-
-// insertRowLocked appends one row under a held shared table lock.
-func (t *Table) insertRowLocked(vals []int64) (uint32, error) {
-	cat := t.cat.Load()
-	if len(vals) != len(cat.order) {
-		return 0, fmt.Errorf("%w: insert of %d values into %d columns",
-			ErrLengthMismatch, len(vals), len(cat.order))
-	}
-	r := t.rows.Add(1) - 1
-	if r >= int64(column.MaxRows) {
-		t.rows.Add(-1)
-		return 0, column.ErrTooLarge
-	}
-	row := uint32(r)
-	for i, name := range cat.order {
-		cat.cols[name].sc.AppendAt(row, vals[i])
-	}
-	t.live.Add(1)
-	return row, nil
-}
-
-// InsertRows appends a batch of rows — one multi-group INSERT statement —
-// and returns the first new row id. The whole batch shares one shared-lock
-// acquisition and one idle-pool admission; row ids are consecutive.
-func (t *Table) InsertRows(rows [][]int64) (uint32, error) {
-	if len(rows) == 0 {
-		return 0, fmt.Errorf("%w: empty insert batch", ErrLengthMismatch)
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	defer t.eng.writeBegin()()
-	if t.eng.wlog != nil {
-		return t.insertBatchDurable(rows)
-	}
-	first, err := t.insertRowLocked(rows[0])
-	if err != nil {
-		return 0, err
-	}
-	for _, vals := range rows[1:] {
-		if _, err := t.insertRowLocked(vals); err != nil {
-			return first, err
-		}
-	}
-	return first, nil
 }
 
 // DeleteWhere removes the first live row whose column `col` equals value.

@@ -8,6 +8,7 @@ package engine
 // committed operation. Run with -race.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"sync"
@@ -404,6 +405,34 @@ func TestIngestCapForcesInlineMerge(t *testing.T) {
 	}
 	if r.Count != inserts || r.Sum != wantSum {
 		t.Fatalf("got %d/%d want %d/%d", r.Count, r.Sum, inserts, wantSum)
+	}
+}
+
+// TestFailedInsertBatchInsertsNothing: a batch is atomic, so a batch whose
+// last row has the wrong width fails whole — no row of it is visible, and no
+// row id is burned for the next insert.
+func TestFailedInsertBatchInsertsNothing(t *testing.T) {
+	for _, tc := range strategiesUnderTest {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEngineWithData(t, Config{Strategy: tc.s, Shards: 2}, []int64{1, 2, 3})
+			defer e.Close()
+			tab, err := e.Table("R")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tab.InsertRows([][]int64{{10}, {11}, {12, 13}}); !errors.Is(err, ErrLengthMismatch) {
+				t.Fatalf("mixed-width batch: err = %v, want ErrLengthMismatch", err)
+			}
+			if got := tab.Rows(); got != 3 {
+				t.Fatalf("Rows() = %d after the failed batch, want 3", got)
+			}
+			if r, err := e.Select("R", "A", -100, 100); err != nil || r.Count != 3 || r.Sum != 6 {
+				t.Fatalf("full select after the failed batch = %d/%d (%v), want 3/6", r.Count, r.Sum, err)
+			}
+			if row, err := tab.InsertRow(20); err != nil || row != 3 {
+				t.Fatalf("next insert got row %d (%v), want row 3", row, err)
+			}
+		})
 	}
 }
 

@@ -7,14 +7,13 @@ import (
 	"testing"
 
 	"holistic/internal/core"
-	"holistic/internal/stochastic"
 )
 
 // TestFirstTouchFromBase materialises every part's cracked copy — built
 // straight from the base column, radix pass included — through each path
-// that can first touch a part: a select, a tuner idle step, and a select
-// under a stochastic selector. Every cracked copy must pair each value with
-// its global row id and pass Validate, and every answer must match a scan.
+// that can first touch a part: a select and a tuner idle step. Every cracked
+// copy must pair each value with its global row id and pass Validate, and
+// every answer must match a scan.
 func TestFirstTouchFromBase(t *testing.T) {
 	const n, domain = 6000, 1 << 30
 	vals := randomVals(rand.New(rand.NewPCG(27, 2)), n, domain)
@@ -35,9 +34,6 @@ func TestFirstTouchFromBase(t *testing.T) {
 			if acts, _ := tu.RunActions(3 * c.Shards()); acts == 0 {
 				t.Fatal("the tuner ran no idle action")
 			}
-		}},
-		"stochastic select": {Config{Shards: 3, RadixMinPiece: 256, Stochastic: stochastic.MDD1R, Seed: 5}, func(c *Column) {
-			c.FanOutCountSum(func(p *Part) (int, int64) { return p.CrackedSelect(domain/3, domain/2) })
 		}},
 	}
 	for name, path := range paths {

@@ -116,7 +116,6 @@ package shard
 
 import (
 	"fmt"
-	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 
@@ -125,7 +124,6 @@ import (
 	"holistic/internal/cracker"
 	"holistic/internal/scan"
 	"holistic/internal/sortindex"
-	"holistic/internal/stochastic"
 	"holistic/internal/updates"
 )
 
@@ -146,13 +144,10 @@ type Config struct {
 	// behaves exactly like the pre-sharding column (and names itself after
 	// the bare column, keeping stats and ranking output identical).
 	Shards int
-	// Stochastic / StochasticThreshold select the cracking variant used by
-	// adaptive selects (see package stochastic).
-	Stochastic          stochastic.Variant
-	StochasticThreshold int
 	// RadixBuild makes full sorted-index builds use the radix sort.
 	RadixBuild bool
-	// Seed derives per-part RNG seeds for stochastic variants.
+	// Seed is read by nothing: cracking is deterministic. It stays so that
+	// callers which still set it keep compiling.
 	Seed uint64
 	// IngestCap bounds a part's ingest queue: the writer whose enqueue
 	// crosses the cap pays an inline merge. <= 0 selects DefaultIngestCap.
@@ -465,7 +460,6 @@ type Part struct {
 	mu       sync.RWMutex
 	col      *column.Column
 	crack    *cracker.Index
-	selector *stochastic.Selector // non-nil iff crack != nil and variant != Plain
 	sorted   *sortindex.Index
 	deleted  []bool // tombstones by local position
 	nDeleted int
@@ -545,16 +539,11 @@ func (p *Part) crackIndexLocked() *cracker.Index {
 }
 
 // attachCrackLocked adopts ix as the part's cracker index, applying the
-// configured radix threshold and stochastic selector. Used by lazy
-// materialisation and by snapshot restore.
+// configured radix threshold. Used by lazy materialisation and by snapshot
+// restore.
 func (p *Part) attachCrackLocked(ix *cracker.Index) {
 	ix.SetRadixMinPiece(p.cfg.radixMinPiece())
 	p.crack = ix
-	if v := p.cfg.Stochastic; v != stochastic.Plain {
-		seed := p.cfg.Seed ^ hashName(p.name)
-		rng := rand.New(rand.NewPCG(seed, seed^0x9E3779B97F4A7C15))
-		p.selector = stochastic.NewSelector(p.crack, v, p.cfg.StochasticThreshold, rng)
-	}
 }
 
 // liveSnapshotLocked copies the merged, non-tombstoned rows paired with
@@ -679,20 +668,20 @@ func (p *Part) SortedCountSum(lo, hi int64) (int, int64) {
 	})
 }
 
-// CrackedSelect is the adaptive select operator on one part. The common case
-// — cracked copy materialised, plain cracking — runs under the shared latch:
-// a select whose bounds are already cracked takes the index latch shared
-// once, subtracts two boundary sums (cracker.Index.CrackCountSum) and never
-// latches exclusively. It combines the cracked result with the queue's net
-// contribution and validates the pair with the merge epoch. Structural work
-// (materialisation, stochastic variants) falls back to the exclusive latch,
-// under which the queue cannot be drained and the combined read is trivially
-// consistent.
+// CrackedSelect is the adaptive select operator on one part. Once the cracked
+// copy exists it runs under the shared latch: cracking [lo, hi) takes the
+// index latch exclusively only while it partitions, and a select whose bounds
+// are already cracked takes it shared once and subtracts two boundary sums
+// (cracker.Index.CrackCountSum). It combines the cracked result with the
+// queue's net contribution and validates the pair with the merge epoch. Only
+// materialising the copy, or a merge interleaving with every one of
+// seqlockRetries attempts, falls back to the exclusive latch, under which the
+// queue cannot be drained and the combined read is trivially consistent.
 func (p *Part) CrackedSelect(lo, hi int64) (int, int64) {
 	for try := 0; try < seqlockRetries; try++ {
 		p.mu.RLock()
 		ix := p.crack
-		if ix == nil || p.selector != nil {
+		if ix == nil {
 			p.mu.RUnlock()
 			break
 		}
@@ -706,29 +695,22 @@ func (p *Part) CrackedSelect(lo, hi int64) (int, int64) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	ix := p.crackIndexLocked()
-	if p.selector != nil {
-		// The variant's auxiliary cracks; it ends by cracking lo and hi, so
-		// the aggregate below is a boundary lookup.
-		p.selector.Select(lo, hi)
-	}
-	count, sum := ix.CrackCountSum(lo, hi)
+	count, sum := p.crackIndexLocked().CrackCountSum(lo, hi)
 	dc, ds := p.ingest.CountSum(lo, hi)
 	return count + dc, sum + ds
 }
 
 // ConvergedSelect is the probe of an adaptive select: under the shared
 // latches, never cracking, it answers [lo, hi) as CrackedSelect would — ok:
-// cracking is plain and both bounds already are crack boundaries, so the
-// answer is the difference of their sums; work is the values between them,
-// buffered writes not counted — or says what CrackedSelect would partition:
-// the pieces the missing bounds fall in, or the merged live rows when there is
-// no cracked copy yet or a stochastic variant picks the pivots (nothing when
-// only a merge moved rows during the read).
+// both bounds already are crack boundaries, so the answer is the difference
+// of their sums; work is the values between them, buffered writes not counted
+// — or says what CrackedSelect would partition: the pieces the missing bounds
+// fall in, or the merged live rows when there is no cracked copy yet (nothing
+// when only a merge moved rows during the read).
 func (p *Part) ConvergedSelect(lo, hi int64) (count int, sum int64, work int, ok bool) {
 	p.mu.RLock()
 	e := p.epoch.Load()
-	if ix := p.crack; ix != nil && p.selector == nil {
+	if ix := p.crack; ix != nil {
 		count, sum, work, ok = ix.LookupCountSum(lo, hi)
 	} else {
 		work = p.col.Len() - p.nDeleted
@@ -938,14 +920,4 @@ func (p *Part) Validate() error {
 		return nil
 	}
 	return p.crack.Validate()
-}
-
-// hashName is FNV-1a over the part name, used to derive per-part seeds.
-func hashName(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"holistic/internal/stochastic"
+	"holistic/internal/costmodel"
 )
 
 func naiveRange(vals []int64, lo, hi int64) (int, int64) {
@@ -132,14 +132,60 @@ func TestCrackedSelectMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestSequentialSweepStaysBounded checks the robustness claim of radix-first
+// cracking against query-driven cracking's adversary, a sweep: the sweep over
+// the lower half never touches the upper half, so with the radix pass off
+// that half stays one piece and every step re-partitions the shrinking tail.
+// With the default threshold, the first touch splits the part into buckets,
+// and the largest piece and the total partitioning work stay bounded.
+func TestSequentialSweepStaysBounded(t *testing.T) {
+	const n, steps = 1 << 19, 500
+	// 0..n-1 shuffled: the range [a, b) holds exactly b-a values.
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(i)
+	}
+	rand.New(rand.NewPCG(7, 8)).Shuffle(n, func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+	sweep := func(radixMinPiece int) (maxPiece int, work int64) {
+		c, err := NewColumn("R.A", slices.Clone(vals), Config{Shards: 1, RadixMinPiece: radixMinPiece})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := c.Parts()[0]
+		const width = n / 2 / steps
+		for lo := int64(0); lo+width <= n/2; lo += width {
+			hi := lo + width
+			if count, sum := p.CrackedSelect(lo, hi); count != width || sum != (lo+hi-1)*width/2 {
+				t.Fatalf("radix %d: [%d,%d) = %d/%d, want %d/%d", radixMinPiece, lo, hi, count, sum, width, (lo+hi-1)*width/2)
+			}
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		ix := p.Cracked()
+		mp, _ := ix.MaxPiece()
+		return mp.Size(), ix.Work()
+	}
+	if mp, work := sweep(0); mp > costmodel.DefaultRadixMinPiece || work >= 4*n {
+		t.Fatalf("default radix threshold: largest piece %d (bound %d), crack work %d (bound %d)",
+			mp, costmodel.DefaultRadixMinPiece, work, 4*n)
+	}
+	if testing.Short() {
+		return // the premise partitions ~2·10^8 values: seconds under -race
+	}
+	if mp, _ := sweep(-1); mp < n/3 {
+		t.Fatalf("radix off: largest piece %d < n/3 — the sweep no longer leaves the upper half whole", mp)
+	}
+}
+
 // TestConvergedSelectDeclines walks the conditions under which a part
 // refuses the inline lookup — no cracked copy yet, a bound that is not a crack
-// boundary, a stochastic cracking variant — and checks that each refusal
-// cracks nothing and estimates exactly the values CrackedSelect then
-// partitions (the pieces the missing bounds fall in, once each; every live
-// row without a plain cracked copy), that CrackedSelect answers as it always
-// did, and that the lookup is taken and exact once the condition is gone, at
-// any region width, pending inserts and deletes included.
+// boundary — and checks that each refusal cracks nothing and estimates
+// exactly the values CrackedSelect then partitions (the pieces the missing
+// bounds fall in, once each; every live row without a cracked copy), that
+// CrackedSelect answers as it always did, and that the lookup is taken and
+// exact once the condition is gone, at any region width, pending inserts and
+// deletes included.
 func TestConvergedSelectDeclines(t *testing.T) {
 	// 0..n-1 shuffled: the range [a, b) holds exactly b-a values.
 	const n = 12288
@@ -199,10 +245,6 @@ func TestConvergedSelectDeclines(t *testing.T) {
 	if c, s, _, ok := p.ConvergedSelect(100, 200); !ok || c != want || s != wantSum {
 		t.Fatalf("after the merge: %d/%d ok %v, want %d/%d", c, s, ok, want, wantSum)
 	}
-
-	sp := newPart(Config{Stochastic: stochastic.MDD1R, Seed: 9})
-	declines(sp, "stochastic variant, uncracked", 100, 200, n)
-	declines(sp, "stochastic variant, cracked", 100, 200, n)
 }
 
 func TestDeleteAndFirstLive(t *testing.T) {

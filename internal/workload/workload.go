@@ -6,8 +6,8 @@
 //     requested by each query is random", selectivity 1%);
 //   - RoundRobin: Exp2's multi-column pattern ("queries on all 10 columns
 //     arrive in a round robin fashion");
-//   - Sequential: a domain sweep, plain cracking's adversary (motivates the
-//     stochastic variants);
+//   - Sequential: a domain sweep, the adversary of query-driven cracking
+//     (the radix-first pass keeps its pieces bounded);
 //   - Hotspot: a skewed workload concentrating on a fraction of the domain
 //     (exercises hot-range boosts);
 //   - Shifting: a moving hotspot (exercises decay in the statistics).
