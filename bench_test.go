@@ -402,7 +402,7 @@ func BenchmarkDeleteWhereIn(b *testing.B) {
 // fully converged column: two closed-loop clients (one connection each) send
 // 16-value range selects at 2^11 grid points of a 1M-row, 2-shard holistic
 // column whose every integer in those ranges already is a crack boundary. No
-// select cracks and no boost can split a piece, so ns/op, B/op and allocs/op
+// select cracks, so ns/op, B/op and allocs/op
 // are the front end — socket, wire codec, admission, parse, per-part
 // bookkeeping — for client and server together (both live in this process).
 func BenchmarkWireSelect(b *testing.B) {
@@ -503,36 +503,6 @@ func BenchmarkAblationRanking(b *testing.B) {
 				gen := workload.NewUniform("R", "A0", 1, int64(benchN/4+1), 0.01, 6)
 				b.StartTimer()
 				for q := 0; q < 200; q++ {
-					query := gen.Next()
-					if _, err := e.Select(query.Table, query.Column, query.Lo, query.Hi); err != nil {
-						b.Fatal(err)
-					}
-				}
-				e.Close()
-			}
-		})
-	}
-}
-
-// A2: hot-range query-time boost on vs off under a skewed workload.
-func BenchmarkAblationHotRange(b *testing.B) {
-	data := workload.UniformData(7, benchN/2, 1, benchN/2+1)
-	for _, mode := range []struct {
-		name  string
-		boost int
-	}{{"boost-on", 4}, {"boost-off", -1}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				e := holistic.New(holistic.Config{
-					Strategy: holistic.StrategyHolistic, Seed: 8,
-					TargetPieceSize: 1 << 10, HotThreshold: 4, HotBoost: mode.boost,
-				})
-				tab, _ := e.CreateTable("R")
-				tab.AddColumnFromSlice("A", append([]int64{}, data...))
-				gen := workload.NewHotspot("R", "A", 1, int64(benchN/2+1), 0.002, 0.05, 0.95, 9)
-				b.StartTimer()
-				for q := 0; q < 400; q++ {
 					query := gen.Next()
 					if _, err := e.Select(query.Table, query.Column, query.Lo, query.Hi); err != nil {
 						b.Fatal(err)

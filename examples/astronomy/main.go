@@ -26,8 +26,6 @@ func main() {
 		Strategy:        holistic.StrategyHolistic,
 		Seed:            2,
 		TargetPieceSize: 1 << 12,
-		HotThreshold:    6,
-		HotBoost:        2,
 	})
 	defer eng.Close()
 

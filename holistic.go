@@ -18,7 +18,8 @@
 //   - StrategyHolistic: the paper's contribution — cracking selects plus
 //     continuous monitoring, and every scrap of idle time spent on ranked
 //     random index refinements (IdleActions or the AutoIdle worker), plus
-//     hot-range boosts and a-priori workload seeding (SeedWorkloadHint).
+//     a-priori workload seeding (SeedWorkloadHint). A select cracks only
+//     its own bounds; all further refinement waits for idle time.
 //
 // Quick start:
 //
@@ -120,8 +121,7 @@ func NewRoundRobinWorkload(gens ...WorkloadGenerator) WorkloadGenerator {
 }
 
 // NewHotspotWorkload concentrates hotProb of the queries on the first
-// hotFrac of the domain — a skewed workload that exercises hot-range
-// detection.
+// hotFrac of the domain — a skewed workload.
 func NewHotspotWorkload(table, column string, domLo, domHi int64, selectivity, hotFrac, hotProb float64, seed uint64) WorkloadGenerator {
 	return workload.NewHotspot(table, column, domLo, domHi, selectivity, hotFrac, hotProb, seed)
 }

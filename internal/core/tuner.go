@@ -20,10 +20,10 @@
 // exactly the paper's "No Knowledge" behaviour: with nothing observed yet,
 // every column has the equal-share prior and actions spread evenly.
 //
-// The tuner also covers the paper's "No Time" case: when a query's range is
-// found to be hot (many recent queries cracked the same region), the select
-// operator asks the tuner for a few extra random cracks inside that region,
-// accelerating convergence exactly where the workload concentrates.
+// In the paper's "No Time" case the tuner adds nothing to a select: the
+// query cracks its own two bounds, exactly as adaptive indexing does, and
+// the tuner only notes where it landed. Refinement beyond a query's bounds
+// is optional work, so it waits for idle time instead of the caller.
 package core
 
 import (
@@ -40,8 +40,6 @@ import (
 
 // Defaults for Config fields left zero.
 const (
-	DefaultHotThreshold = 8.0
-	DefaultHotBoost     = 2
 	// DefaultCrackRetries is how many random pivots a Step tries before
 	// falling back to cracking the largest piece.
 	DefaultCrackRetries = 3
@@ -56,12 +54,6 @@ type Config struct {
 	// TargetPieceSize is the cache-resident piece size the ranking aims
 	// for. <= 0 selects costmodel.DefaultTargetPieceSize.
 	TargetPieceSize int
-	// HotThreshold is the decayed per-bucket hit count above which a value
-	// range counts as hot. <= 0 selects DefaultHotThreshold.
-	HotThreshold float64
-	// HotBoost is how many extra random cracks a hot query triggers inside
-	// its range. < 0 disables; 0 selects DefaultHotBoost.
-	HotBoost int
 	// Seed seeds the tuner's private RNG for reproducible runs.
 	Seed uint64
 	// Predict enables the forecast-driven speculative pre-crack layer (see
@@ -71,23 +63,6 @@ type Config struct {
 	// PredictEpoch is the drift model's epoch length in observed queries.
 	// <= 0 selects stats.DefaultEpochQueries.
 	PredictEpoch int
-}
-
-func (c Config) hotThreshold() float64 {
-	if c.HotThreshold <= 0 {
-		return DefaultHotThreshold
-	}
-	return c.HotThreshold
-}
-
-func (c Config) hotBoost() int {
-	if c.HotBoost < 0 {
-		return 0
-	}
-	if c.HotBoost == 0 {
-		return DefaultHotBoost
-	}
-	return c.HotBoost
 }
 
 // Column is the tuner's view of one tunable column, implemented by the
@@ -164,8 +139,6 @@ type Tuner struct {
 	specWork    int64                    // elements touched by speculative actions
 	specWins    int64                    // speculated ranges later hit by a query
 	specRanges  map[string][]stats.Range // recent speculated ranges per column
-
-	boosts atomic.Int64 // hot-range boost cracks performed; bumped per part by hot statements, so not under mu
 }
 
 // NewTuner builds a tuner around a shared workload collector. A nil
@@ -188,24 +161,17 @@ func NewTuner(cfg Config, collector *stats.Collector) *Tuner {
 // Collector returns the workload statistics collector the tuner consults.
 func (t *Tuner) Collector() *stats.Collector { return t.collector }
 
-// childSeeds draws the two seeds of an independent generator from the tuner's
-// seeded stream, so concurrent actions never share rand state. Deterministic
-// given the seed and call order.
-func (t *Tuner) childSeeds() (seed1, seed2 uint64) {
+// childRNG draws an independent generator from the tuner's seeded stream, so
+// concurrent actions never share rand state. Deterministic given the seed and
+// call order.
+func (t *Tuner) childRNG() *rand.Rand {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.rng.Uint64(), t.rng.Uint64()
+	return rand.New(rand.NewPCG(t.rng.Uint64(), t.rng.Uint64()))
 }
 
-func (t *Tuner) childRNG() *rand.Rand { return rand.New(rand.NewPCG(t.childSeeds())) }
-
-// boostPCGs holds sources for the select path's childRNGs, reseeded in place:
-// a rand.Rand reaches its source through an interface, so a per-call PCG moves
-// to the heap however local it looks, once per part of every hot statement.
-var boostPCGs = sync.Pool{New: func() any { return new(rand.PCG) }}
-
 // Register adds a column to the tuner's candidate set, declaring its value
-// domain for histogram purposes.
+// domain for the workload sketch's buckets.
 func (t *Tuner) Register(c Column, domLo, domHi int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -251,8 +217,9 @@ func (t *Tuner) Work() int64 {
 	return t.work
 }
 
-// Boosts returns the number of hot-range boost cracks performed.
-func (t *Tuner) Boosts() int64 { return t.boosts.Load() }
+// Boosts is always 0: a select does only its own cracks. It stays, with
+// MaybeBoost, for the benchmark rig (bench/), which calls both by name.
+func (t *Tuner) Boosts() int64 { return 0 }
 
 // Merges returns how many refinement actions drained pending updates
 // instead of cracking.
@@ -589,41 +556,8 @@ func (t *Tuner) RunActionsParallel(n, workers int) (actions int, work int64) {
 	return actions, work
 }
 
-// TargetPieceSize is the convergence target: no refinement splits a piece this small.
-func (t *Tuner) TargetPieceSize() int { return int(t.model.Target()) }
-
-// MaybeBoost implements the "No Time" opportunity: called by the select
-// operator (with the column latch held, shared or exclusive) right after
-// serving a query on [lo, hi). If the range is hot per the collector, it
-// applies the configured number of extra random cracks inside the range to
-// ix and returns the elements touched; the cost lands in the query's own
-// critical path, which is acceptable because hot pieces are small by
-// construction. A boost obeys the same convergence rule as idle refinement:
-// a piece already at or below the target piece size is left alone (and not
-// counted), so a converged hot range costs two shared-latch probes and
-// stops shrinking.
-func (t *Tuner) MaybeBoost(ix *cracker.Index, col string, lo, hi int64) int {
-	boost := t.cfg.hotBoost()
-	if boost == 0 {
-		return 0
-	}
-	if !t.collector.IsHot(col, lo, hi, t.cfg.hotThreshold()) {
-		return 0
-	}
-	pcg := boostPCGs.Get().(*rand.PCG)
-	pcg.Seed(t.childSeeds())
-	rng := rand.New(pcg)
-	target := t.TargetPieceSize()
-	work := 0
-	done := 0
-	for i := 0; i < boost; i++ {
-		w := ix.RandomCrackInRange(rng, lo, hi, target)
-		work += w
-		if w > 0 {
-			done++
-		}
-	}
-	boostPCGs.Put(pcg)
-	t.boosts.Add(int64(done))
-	return work
-}
+// MaybeBoost does nothing and returns 0. Query-time cracks beyond a select's
+// own bounds are gone: refinement the query did not ask for waits for idle
+// time. The method stays for the benchmark rig (bench/), whose shard and
+// kernel rungs replay the engine's select loop by name.
+func (t *Tuner) MaybeBoost(ix *cracker.Index, col string, lo, hi int64) int { return 0 }

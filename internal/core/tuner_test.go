@@ -161,118 +161,6 @@ func TestRankingOrder(t *testing.T) {
 	}
 }
 
-func TestMaybeBoostOnlyWhenHot(t *testing.T) {
-	tn := NewTuner(Config{TargetPieceSize: 16, HotThreshold: 5, HotBoost: 3, Seed: 7}, nil)
-	c := newFakeColumn("a", 8192, 1<<20, 61)
-	tn.Register(c, 0, 1<<20)
-
-	// Cold range: no boost.
-	c.Lock()
-	w := tn.MaybeBoost(c.ix, "a", 100, 200)
-	c.Unlock()
-	if w != 0 {
-		t.Fatalf("boost on cold range did %d work", w)
-	}
-
-	// Make the range hot, then boost.
-	for i := 0; i < 10; i++ {
-		tn.NoteQuery("a", 100, 200)
-	}
-	c.Lock()
-	before := c.ix.Pieces()
-	w = tn.MaybeBoost(c.ix, "a", 100, 200)
-	after := c.ix.Pieces()
-	c.Unlock()
-	if w == 0 {
-		t.Fatal("boost on hot range did no work")
-	}
-	if after <= before {
-		t.Fatal("boost did not add pieces")
-	}
-	if tn.Boosts() == 0 {
-		t.Fatal("boost counter not advanced")
-	}
-}
-
-// A boost obeys the convergence target like idle refinement does: once the
-// hot range's pieces are at or below TargetPieceSize it does zero work and
-// counts zero boosts, instead of halving pieces forever.
-func TestMaybeBoostStopsAtTarget(t *testing.T) {
-	const target = 64
-	tn := NewTuner(Config{TargetPieceSize: target, HotThreshold: 1, HotBoost: 4, Seed: 12}, nil)
-	c := newFakeColumn("a", 8192, 1<<20, 62)
-	tn.Register(c, 0, 1<<20)
-	lo, hi := int64(1<<18), int64(1<<19)
-	for i := 0; i < 10; i++ {
-		tn.NoteQuery("a", lo, hi)
-	}
-	c.RLock()
-	defer c.RUnlock()
-	c.ix.CrackRange(lo, hi)
-	for i := 0; !rangeConverged(c.ix, lo, hi, target); i++ {
-		if i > 100000 {
-			t.Fatal("hot range never converged under boosts")
-		}
-		tn.MaybeBoost(c.ix, "a", lo, hi)
-	}
-	boosts, pieces := tn.Boosts(), c.ix.Pieces()
-	if boosts == 0 {
-		t.Fatal("no boost ran while the range was coarse")
-	}
-	for i := 0; i < 100; i++ {
-		if w := tn.MaybeBoost(c.ix, "a", lo, hi); w != 0 {
-			t.Fatalf("boost on a converged range did %d work", w)
-		}
-	}
-	if tn.Boosts() != boosts || c.ix.Pieces() != pieces {
-		t.Fatalf("converged range still boosted: boosts %d -> %d, pieces %d -> %d",
-			boosts, tn.Boosts(), pieces, c.ix.Pieces())
-	}
-}
-
-// A boost draws its pivots from a pooled generator reseeded in place; they
-// must be the pivots a fresh childRNG would have drawn, so a seeded run cracks
-// where it always did.
-func TestMaybeBoostDrawsChildRNGPivots(t *testing.T) {
-	const target, lo, hi = 32, int64(1 << 18), int64(1 << 19)
-	cfg := Config{TargetPieceSize: target, HotThreshold: 1, HotBoost: 3, Seed: 99}
-	boosted, byHand := NewTuner(cfg, nil), NewTuner(cfg, nil)
-	a, b := newFakeColumn("a", 8192, 1<<20, 63), newFakeColumn("a", 8192, 1<<20, 63)
-	boosted.Register(a, 0, 1<<20)
-	for i := 0; i < 10; i++ {
-		boosted.NoteQuery("a", lo, hi)
-	}
-	for i := 0; i < 50; i++ {
-		boosted.MaybeBoost(a.ix, "a", lo, hi)
-		rng := byHand.childRNG()
-		for j := 0; j < cfg.HotBoost; j++ {
-			b.ix.RandomCrackInRange(rng, lo, hi, target)
-		}
-	}
-	got, want := a.ix.Boundaries(), b.ix.Boundaries()
-	if len(got) < 10 || len(got) != len(want) {
-		t.Fatalf("%d boundaries from MaybeBoost, %d from childRNG draws", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("boundary %d: %+v from MaybeBoost, %+v from childRNG draws", i, got[i], want[i])
-		}
-	}
-}
-
-// rangeConverged reports whether every piece overlapping [lo, hi) holds at
-// most target values.
-func rangeConverged(ix *cracker.Index, lo, hi int64, target int) bool {
-	ok := true
-	ix.ForEachPiece(func(p cracker.Piece) bool {
-		if (!p.HasHi || p.Hi > lo) && (!p.HasLo || p.Lo < hi) && p.Size() > target {
-			ok = false
-		}
-		return ok
-	})
-	return ok
-}
-
 // RunActionsParallel with more workers than refinable shards: the surplus
 // workers spin contended and give up, and the slots they had claimed must
 // still be spent. Run with -count=50 on >= 2 cores; it lost one action in
@@ -293,18 +181,22 @@ func TestRunActionsParallelSpendsForfeitedSlots(t *testing.T) {
 	}
 }
 
+// MaybeBoost and Boosts remain only for the benchmark rig: on a range queried
+// over and over, MaybeBoost must still touch nothing and count nothing.
 func TestBoostDisabled(t *testing.T) {
-	tn := NewTuner(Config{HotThreshold: 1, HotBoost: -1, Seed: 8}, nil)
+	tn := NewTuner(Config{TargetPieceSize: 16, Seed: 8}, nil)
 	c := newFakeColumn("a", 1024, 1<<10, 71)
 	tn.Register(c, 0, 1<<10)
-	for i := 0; i < 10; i++ {
+	c.RLock()
+	defer c.RUnlock()
+	for i := 0; i < 30; i++ {
 		tn.NoteQuery("a", 0, 100)
+		if w := tn.MaybeBoost(c.ix, "a", 0, 100); w != 0 {
+			t.Fatalf("MaybeBoost did %d work", w)
+		}
 	}
-	c.Lock()
-	w := tn.MaybeBoost(c.ix, "a", 0, 100)
-	c.Unlock()
-	if w != 0 {
-		t.Fatal("disabled boost still worked")
+	if tn.Boosts() != 0 || c.ix.Pieces() != 1 || c.ix.Work() != 0 {
+		t.Fatalf("boosts %d, pieces %d, work %d: want an untouched index", tn.Boosts(), c.ix.Pieces(), c.ix.Work())
 	}
 }
 
@@ -360,23 +252,6 @@ func TestConcurrentStepsAndQueries(t *testing.T) {
 	}
 }
 
-func TestMaybeBoostDegenerateRange(t *testing.T) {
-	tn := NewTuner(Config{HotThreshold: 1, HotBoost: 2, Seed: 10}, nil)
-	c := newFakeColumn("a", 1024, 1<<10, 91)
-	tn.Register(c, 0, 1<<10)
-	for i := 0; i < 5; i++ {
-		tn.NoteQuery("a", 10, 20)
-	}
-	c.Lock()
-	defer c.Unlock()
-	if w := tn.MaybeBoost(c.ix, "a", 20, 20); w != 0 {
-		t.Fatal("boost on empty range")
-	}
-	if w := tn.MaybeBoost(c.ix, "a", 30, 10); w != 0 {
-		t.Fatal("boost on inverted range")
-	}
-}
-
 func TestRankingEmptyTuner(t *testing.T) {
 	tn := NewTuner(Config{}, nil)
 	if rk := tn.Ranking(); len(rk) != 0 {
@@ -424,29 +299,5 @@ func BenchmarkSeedWorkload(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		lo := int64(i%1000) * 1000
 		tn.SeedWorkload("a", lo, lo+1<<12, 100)
-	}
-}
-
-// A statement on a hot range calls MaybeBoost once per part, and once the
-// range's pieces are at the target every call finds nothing to split: that
-// steady state must cost one tuner lock and no allocation.
-func BenchmarkMaybeBoostHot(b *testing.B) {
-	const target, lo, hi = 64, int64(1 << 18), int64(1 << 19)
-	tn := NewTuner(Config{TargetPieceSize: target, HotThreshold: 1, Seed: 12}, nil)
-	c := newFakeColumn("a", 1<<16, 1<<20, 62)
-	tn.Register(c, 0, 1<<20)
-	for i := 0; i < 10; i++ {
-		tn.NoteQuery("a", lo, hi)
-	}
-	c.ix.CrackRange(lo, hi)
-	for !rangeConverged(c.ix, lo, hi, target) {
-		tn.MaybeBoost(c.ix, "a", lo, hi)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if w := tn.MaybeBoost(c.ix, "a", lo, hi); w != 0 {
-			b.Fatalf("boost on a converged range did %d work", w)
-		}
 	}
 }

@@ -73,7 +73,7 @@ type Params struct {
 }
 
 // Target is the resolved target piece size: the convergence point below
-// which neither idle refinement nor hot-range boosts split a piece further.
+// which idle refinement splits no piece further.
 func (p Params) Target() float64 {
 	if p.TargetPieceSize <= 0 {
 		return DefaultTargetPieceSize

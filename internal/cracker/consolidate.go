@@ -1,6 +1,6 @@
 package cracker
 
-// Consolidation: long query sequences and hot-range boosts can accumulate
+// Consolidation: long query sequences and random refinements can accumulate
 // degenerate boundaries — zero-width pieces (two boundaries at the same
 // position) and neighbouring micro-pieces far below the cache-resident
 // target. They cost tree depth and piece-catalog work without buying any

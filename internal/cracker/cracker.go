@@ -367,7 +367,7 @@ func (ix *Index) RandomCrackDomain(rng *rand.Rand) int {
 
 // randInRange returns a uniform value in [lo, hi), lo < hi. The width is
 // computed in uint64 because hi-lo overflows int64 for extreme ranges — a
-// whereless SELECT boosts with lo = MinInt64, hi = MaxInt64 — and the
+// whereless SELECT's range is lo = MinInt64, hi = MaxInt64 — and the
 // wrapping add maps the unsigned offset back into [lo, hi) exactly.
 func randInRange(rng *rand.Rand, lo, hi int64) int64 {
 	return lo + int64(rng.Uint64N(uint64(hi)-uint64(lo)))
@@ -377,7 +377,7 @@ func randInRange(rng *rand.Rand, lo, hi int64) int64 {
 // [lo, hi): it picks a random element of a piece overlapping the range as
 // pivot (the MDD1R pivot rule) and cracks there. A piece of at most minPiece
 // values is left alone — the caller's convergence target — and costs only
-// the shared latch. Used for hot-range boosts and speculative pre-cracks.
+// the shared latch. Used for speculative pre-cracks.
 func (ix *Index) RandomCrackInRange(rng *rand.Rand, lo, hi int64, minPiece int) int {
 	if lo >= hi {
 		return 0

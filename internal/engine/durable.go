@@ -157,7 +157,7 @@ func (e *Engine) RestoreState(st EngineState) error {
 // registerColumn hooks a new or restored column into the strategy's
 // monitoring machinery. The holistic tuner gets every part under ONE domain,
 // the column's: parts of one column must bucket a query alike, and a warm
-// restart must not move the buckets, so hot ranges and forecasts mean the
+// restart must not move the buckets, so forecasts mean the
 // same values before and after it.
 func (e *Engine) registerColumn(cs *colState) {
 	switch e.cfg.Strategy {

@@ -91,9 +91,6 @@ type Config struct {
 	Seed uint64
 	// TargetPieceSize: see core.Config. <= 0 selects the cost-model default.
 	TargetPieceSize int
-	// HotThreshold / HotBoost: see core.Config (holistic only).
-	HotThreshold float64
-	HotBoost     int
 	// OnlineEpoch is the online advisor's review period in queries.
 	OnlineEpoch int
 	// RadixBuild makes full-index builds use the radix sort instead of the
@@ -175,8 +172,6 @@ func New(cfg Config) *Engine {
 	case StrategyHolistic:
 		e.tuner = core.NewTuner(core.Config{
 			TargetPieceSize: cfg.TargetPieceSize,
-			HotThreshold:    cfg.HotThreshold,
-			HotBoost:        cfg.HotBoost,
 			Seed:            cfg.Seed,
 			Predict:         cfg.Predict,
 			PredictEpoch:    cfg.PredictEpoch,

@@ -250,22 +250,25 @@ func TestHolisticIdleRefinesPieces(t *testing.T) {
 func TestHolisticHotRangeBoost(t *testing.T) {
 	rng := rand.New(rand.NewPCG(13, 14))
 	vals := randomVals(rng, 50000, 1<<20)
-	e := newEngineWithData(t, Config{
-		Strategy: StrategyHolistic, Seed: 2, HotThreshold: 5, HotBoost: 3, TargetPieceSize: 64,
-	}, vals)
-	// Hammer one range; boosts should crack beyond the two query bounds.
+	e := newEngineWithData(t, Config{Strategy: StrategyHolistic, Seed: 2, TargetPieceSize: 64}, vals)
+	defer e.Close()
+	// Hammer one range; the selects crack only at the two query bounds.
 	for i := 0; i < 30; i++ {
 		if _, err := e.Select("R", "A", 1000, 3000); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if e.Tuner().Boosts() == 0 {
-		t.Fatal("hot range never boosted")
-	}
 	p, _, _ := e.PieceStats("R", "A")
-	// Plain cracking of one repeated range yields 3 pieces; boosts add more.
-	if p <= 3 {
-		t.Fatalf("pieces = %d, boost had no physical effect", p)
+	// Plain cracking of one repeated range yields 3 pieces.
+	if p != 3 || e.Tuner().Boosts() != 0 {
+		t.Fatalf("pieces = %d, boosts = %d: the select path refined beyond its bounds", p, e.Tuner().Boosts())
+	}
+	// Refinement beyond the query bounds is idle work.
+	if a, _ := e.IdleActions(20); a == 0 {
+		t.Fatal("idle refined nothing")
+	}
+	if p2, _, _ := e.PieceStats("R", "A"); p2 <= p {
+		t.Fatalf("pieces = %d after idle, idle had no physical effect", p2)
 	}
 }
 
@@ -369,7 +372,7 @@ func TestPropertyEngineMatchesOracle(t *testing.T) {
 		if holistic {
 			s = StrategyHolistic
 		}
-		e := New(Config{Strategy: s, Seed: seed, TargetPieceSize: 32, HotThreshold: 3})
+		e := New(Config{Strategy: s, Seed: seed, TargetPieceSize: 32})
 		tab, _ := e.CreateTable("R")
 		tab.AddColumnFromSlice("A", append([]int64{}, vals...))
 		oracle := append([]int64{}, vals...)
@@ -450,9 +453,9 @@ func TestDegenerateRanges(t *testing.T) {
 func TestHolisticBoostDisabledViaConfig(t *testing.T) {
 	rng := rand.New(rand.NewPCG(61, 62))
 	vals := randomVals(rng, 20000, 1<<16)
-	e := newEngineWithData(t, Config{
-		Strategy: StrategyHolistic, Seed: 9, HotThreshold: 2, HotBoost: -1, TargetPieceSize: 64,
-	}, vals)
+	// No Config field turns a query-time boost on: the default holistic
+	// engine is the one that must not boost.
+	e := newEngineWithData(t, Config{Strategy: StrategyHolistic, Seed: 9, TargetPieceSize: 64}, vals)
 	defer e.Close()
 	for i := 0; i < 30; i++ {
 		if _, err := e.Select("R", "A", 1000, 3000); err != nil {
@@ -460,7 +463,7 @@ func TestHolisticBoostDisabledViaConfig(t *testing.T) {
 		}
 	}
 	if e.Tuner().Boosts() != 0 {
-		t.Fatalf("boosts ran despite being disabled: %d", e.Tuner().Boosts())
+		t.Fatalf("boosts ran on the select path: %d", e.Tuner().Boosts())
 	}
 	// Exactly the two query-bound cracks (plus the lazy copy) exist.
 	p, _, _ := e.PieceStats("R", "A")

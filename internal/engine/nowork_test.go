@@ -1,0 +1,96 @@
+package engine
+
+import (
+	"math"
+	"math/rand/v2"
+	"slices"
+	"testing"
+
+	"holistic/internal/cracker"
+)
+
+// TestHolisticQueryWorkEqualsAdaptive is the count twin of the paper's "No
+// Time" claim: with no idle time, a holistic select does an adaptive select's
+// crack work and no more. One holistic and one adaptive engine see the same
+// data and the same stream — random 1 % ranges, one range repeated 30 times,
+// bounds at MinInt64/MaxInt64, an empty and an inverted range — and after
+// every select their answers, every part's crack work and piece count, and
+// every part's boundaries must be identical. A one-part column is large
+// enough for the radix-first pass; three parts are not.
+func TestHolisticQueryWorkEqualsAdaptive(t *testing.T) {
+	const n, domain = 1 << 18, int64(1 << 20)
+	vals := randomVals(rand.New(rand.NewPCG(31, 32)), n, domain)
+	hot := [2]int64{domain / 4, domain/4 + domain/100}
+	var stream [][2]int64
+	rng := rand.New(rand.NewPCG(33, 34))
+	for i := 0; i < 30; i++ {
+		lo := rng.Int64N(domain)
+		stream = append(stream, [2]int64{lo, lo + domain/100}, hot)
+	}
+	stream = append(stream,
+		[2]int64{math.MinInt64, domain / 8},
+		[2]int64{domain - domain/8, math.MaxInt64},
+		[2]int64{math.MinInt64, math.MaxInt64},
+		[2]int64{domain / 2, domain / 3}, // inverted
+		[2]int64{domain / 2, domain / 2}, // empty
+		hot,
+	)
+	for _, shards := range []int{1, 3} {
+		cfg := Config{Seed: 5, Shards: shards, TargetPieceSize: 64}
+		cfg.Strategy = StrategyHolistic
+		ho := newEngineWithData(t, cfg, vals)
+		cfg.Strategy = StrategyAdaptive
+		ad := newEngineWithData(t, cfg, vals)
+		for i, q := range stream {
+			rh, err := ho.Select("R", "A", q[0], q[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			ra, err := ad.Select("R", "A", q[0], q[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			wc, ws := naiveRange(vals, q[0], q[1])
+			if rh.Count != wc || rh.Sum != ws || ra.Count != wc || ra.Sum != ws {
+				t.Fatalf("shards=%d q%d %v: holistic %d/%d, adaptive %d/%d, oracle %d/%d",
+					shards, i, q, rh.Count, rh.Sum, ra.Count, ra.Sum, wc, ws)
+			}
+			hp, ap := crackedParts(t, ho), crackedParts(t, ad)
+			for j := range hp {
+				h, a := hp[j], ap[j]
+				if (h == nil) != (a == nil) {
+					t.Fatalf("shards=%d q%d part %d: holistic cracked %v, adaptive cracked %v", shards, i, j, h != nil, a != nil)
+				}
+				if h == nil {
+					continue
+				}
+				if h.Work() != a.Work() || h.Pieces() != a.Pieces() {
+					t.Fatalf("shards=%d q%d %v part %d: holistic work %d in %d pieces, adaptive %d in %d",
+						shards, i, q, j, h.Work(), h.Pieces(), a.Work(), a.Pieces())
+				}
+				if !slices.Equal(h.Boundaries(), a.Boundaries()) {
+					t.Fatalf("shards=%d q%d %v part %d: boundaries differ", shards, i, q, j)
+				}
+			}
+		}
+		ho.Close()
+		ad.Close()
+	}
+}
+
+// crackedParts returns every part's cracked copy of R.A, nil where a part
+// has none yet.
+func crackedParts(t *testing.T, e *Engine) []*cracker.Index {
+	t.Helper()
+	cs, err := e.colState("R", "A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*cracker.Index
+	for _, p := range cs.sc.Parts() {
+		p.RLock()
+		out = append(out, p.Cracked())
+		p.RUnlock()
+	}
+	return out
+}

@@ -9,7 +9,7 @@ import (
 // Select answers the paper's query template — SELECT col FROM table WHERE
 // col >= lo AND col < hi — under the engine's strategy, returning the
 // projection's count and sum plus the query-visible elapsed time. All index
-// building, cracking, merging and boosting performed inside the query's
+// building, cracking and merging performed inside the query's
 // critical path is included in Elapsed; idle-time work is not (it runs in
 // IdleActions or the background worker pool).
 //
@@ -44,13 +44,13 @@ func (e *Engine) Select(table, col string, lo, hi int64) (Result, error) {
 	var sum int64
 	switch e.cfg.Strategy {
 	case StrategyScan:
-		count, sum, _, _ = cs.sc.CountSum(lo, hi, (*shard.Part).ScanWork, (*shard.Part).ScanCountSum)
+		count, sum = cs.sc.CountSum(lo, hi, (*shard.Part).ScanWork, (*shard.Part).ScanCountSum)
 
 	case StrategyOffline:
-		count, sum, _, _ = cs.sc.CountSum(lo, hi, (*shard.Part).SortedWork, (*shard.Part).SortedCountSum)
+		count, sum = cs.sc.CountSum(lo, hi, (*shard.Part).SortedWork, (*shard.Part).SortedCountSum)
 
 	case StrategyOnline:
-		count, sum, _, _ = cs.sc.CountSum(lo, hi, (*shard.Part).SortedWork, (*shard.Part).SortedCountSum)
+		count, sum = cs.sc.CountSum(lo, hi, (*shard.Part).SortedWork, (*shard.Part).SortedCountSum)
 		sel := 0.0
 		if n := cs.sc.Live(); n > 0 {
 			sel = float64(count) / float64(n)
@@ -63,27 +63,15 @@ func (e *Engine) Select(table, col string, lo, hi int64) (Result, error) {
 		}
 
 	case StrategyAdaptive:
-		count, sum, _, _ = cs.sc.CountSum(lo, hi, (*shard.Part).ConvergedSelect, (*shard.Part).CrackedSelect)
+		count, sum = cs.sc.CountSum(lo, hi, (*shard.Part).ConvergedSelect, (*shard.Part).CrackedSelect)
 
 	case StrategyHolistic:
-		c, s, region, inline := cs.sc.CountSum(lo, hi, (*shard.Part).ConvergedSelect, (*shard.Part).CrackedSelect)
-		count, sum = c, s
-		// Continuous monitoring plus the "No Time" opportunity, per shard: a
-		// hot range earns a few extra cracks inside the query (cheap — hot
-		// pieces are already small), and none once the range's pieces have
-		// reached the target piece size — which an inline answer knows
-		// outright: no piece inside a region that small can be split.
-		boost := !inline || region > e.tuner.TargetPieceSize()
+		count, sum = cs.sc.CountSum(lo, hi, (*shard.Part).ConvergedSelect, (*shard.Part).CrackedSelect)
+		// Continuous monitoring, per shard. The select itself does exactly an
+		// adaptive select's cracks; refinement beyond its bounds is left to
+		// idle time, which the noted query steers.
 		for _, p := range cs.sc.Parts() {
 			e.tuner.NoteQuery(p.Name(), lo, hi)
-			if !boost {
-				continue
-			}
-			p.RLock()
-			if ix := p.Cracked(); ix != nil {
-				e.tuner.MaybeBoost(ix, p.Name(), lo, hi)
-			}
-			p.RUnlock()
 		}
 	}
 	return Result{Count: count, Sum: sum, Elapsed: time.Since(start)}, nil

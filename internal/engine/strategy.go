@@ -21,8 +21,7 @@ const (
 	// monitoring, no idle-time exploitation.
 	StrategyAdaptive
 	// StrategyHolistic combines them: cracking selects, continuous
-	// monitoring, idle-time refinement, hot-range boosts, and a-priori
-	// knowledge seeding.
+	// monitoring, idle-time refinement and a-priori knowledge seeding.
 	StrategyHolistic
 )
 

@@ -330,19 +330,17 @@ func (c *Column) fanOut(parts []*Part, f func(p *Part) (int, int64)) (int, int64
 // way, so a fan-out takes total-largest off its path, and only when that is at
 // least costmodel.FanOutMinWork do they get a goroutine each: one part, nothing
 // to do, or one part holding all the work stays on the caller's goroutine.
-// inline reports that every part answered its probe; region is the largest
-// work an answering part returned.
 func (c *Column) CountSum(lo, hi int64,
 	probe func(p *Part, lo, hi int64) (count int, sum int64, work int, ok bool),
 	run func(p *Part, lo, hi int64) (int, int64),
-) (count int, sum int64, region int, inline bool) {
+) (count int, sum int64) {
 	var buf [8]*Part // the declined parts; on the stack for up to 8
 	todo := buf[:0]
 	total, largest := 0, 0
 	for _, p := range c.parts {
 		cnt, s, work, ok := probe(p, lo, hi)
 		if ok {
-			count, sum, region = count+cnt, sum+s, max(region, work)
+			count, sum = count+cnt, sum+s
 			continue
 		}
 		todo = append(todo, p)
@@ -350,13 +348,13 @@ func (c *Column) CountSum(lo, hi int64,
 	}
 	if total-largest >= costmodel.FanOutMinWork {
 		cnt, s := c.fanOut(todo, func(p *Part) (int, int64) { return run(p, lo, hi) })
-		return count + cnt, sum + s, region, false
+		return count + cnt, sum + s
 	}
 	for _, p := range todo {
 		cnt, s := run(p, lo, hi)
 		count, sum = count+cnt, sum+s
 	}
-	return count, sum, region, len(todo) == 0
+	return count, sum
 }
 
 // Append assigns the next global row id to v and enqueues it. Safe for
@@ -703,10 +701,10 @@ func (p *Part) CrackedSelect(lo, hi int64) (int, int64) {
 // ConvergedSelect is the probe of an adaptive select: under the shared
 // latches, never cracking, it answers [lo, hi) as CrackedSelect would — ok:
 // both bounds already are crack boundaries, so the answer is the difference
-// of their sums; work is the values between them, buffered writes not counted
-// — or says what CrackedSelect would partition: the pieces the missing bounds
-// fall in, or the merged live rows when there is no cracked copy yet (nothing
-// when only a merge moved rows during the read).
+// of their sums and nothing is left to do — or says what CrackedSelect would
+// partition: the pieces the missing bounds fall in, or the merged live rows
+// when there is no cracked copy yet (nothing when only a merge moved rows
+// during the read).
 func (p *Part) ConvergedSelect(lo, hi int64) (count int, sum int64, work int, ok bool) {
 	p.mu.RLock()
 	e := p.epoch.Load()
@@ -723,7 +721,7 @@ func (p *Part) ConvergedSelect(lo, hi int64) (count int, sum int64, work int, ok
 	if p.epoch.Load() != e {
 		return 0, 0, 0, false
 	}
-	return count + dc, sum + ds, count, true
+	return count + dc, sum + ds, 0, true
 }
 
 // ScanWork and SortedWork are the probes of the selects that never answer

@@ -218,8 +218,8 @@ func TestConvergedSelectDeclines(t *testing.T) {
 
 	p := newPart(Config{})
 	declines(p, "uncracked part", 100, 200, n) // ... and CrackedSelect cracked [100, 200)
-	if c, s, region, ok := p.ConvergedSelect(100, 200); !ok || c != 100 || region != 100 || s != (100+199)*100/2 {
-		t.Fatalf("converged [100, 200): %d/%d region %d ok %v", c, s, region, ok)
+	if c, s, work, ok := p.ConvergedSelect(100, 200); !ok || c != 100 || work != 0 || s != (100+199)*100/2 {
+		t.Fatalf("converged [100, 200): %d/%d work %d ok %v", c, s, work, ok)
 	}
 	declines(p, "upper bound not a boundary", 100, 300, n-200) // the piece [200, n)
 	declines(p, "lower bound not a boundary", 50, 200, 100)    // the piece [0, 100)
@@ -227,19 +227,19 @@ func TestConvergedSelectDeclines(t *testing.T) {
 	declines(p, "bounds in two pieces", 25, 250, 50+100) // [0, 50) and [200, 300)
 	// A hit costs the same at any width: most of the column runs inline too.
 	declines(p, "wide range, both bounds in one piece", 1000, n-1000, n-300)
-	if c, s, region, ok := p.ConvergedSelect(1000, n-1000); !ok || c != n-2000 || region != n-2000 || s != int64(n-1)*(n-2000)/2 {
-		t.Fatalf("converged [1000, %d): %d/%d region %d ok %v", n-1000, c, s, region, ok)
+	if c, s, work, ok := p.ConvergedSelect(1000, n-1000); !ok || c != n-2000 || work != 0 || s != int64(n-1)*(n-2000)/2 {
+		t.Fatalf("converged [1000, %d): %d/%d work %d ok %v", n-1000, c, s, work, ok)
 	}
 
-	// Buffered writes are part of the answer; region counts only merged rows.
+	// Buffered writes are part of the answer.
 	p.enqueueInsert(150, uint32(n))
 	p.ingest.Delete(vals[7], 7) // whichever value row 7 holds
 	want, wantSum := 101, int64((100+199)*100/2+150)
 	if v := vals[7]; v >= 100 && v < 200 {
 		want, wantSum = want-1, wantSum-v
 	}
-	if c, s, region, ok := p.ConvergedSelect(100, 200); !ok || c != want || s != wantSum || region != 100 {
-		t.Fatalf("with pending writes: %d/%d region %d ok %v, want %d/%d region 100", c, s, region, ok, want, wantSum)
+	if c, s, _, ok := p.ConvergedSelect(100, 200); !ok || c != want || s != wantSum {
+		t.Fatalf("with pending writes: %d/%d ok %v, want %d/%d", c, s, ok, want, wantSum)
 	}
 	p.MergeStep(0)
 	if c, s, _, ok := p.ConvergedSelect(100, 200); !ok || c != want || s != wantSum {

@@ -7,9 +7,9 @@ import (
 
 // checkPredictions pins what every Predict answer must satisfy: confidence
 // in [0, 1], and each range non-empty, inside the registered (normalised)
-// domain and a union of whole hit-histogram buckets, so a predicted range and
-// the hot ranges IsHot reads can never disagree about geometry. It returns
-// how many predictions it checked.
+// domain and a union of whole buckets, so a predicted range and the ranges
+// the drift model observed can never disagree about geometry. It returns how
+// many predictions it checked.
 func checkPredictions(t *testing.T, c *Collector, col string) int {
 	t.Helper()
 	preds := c.Predict(col)

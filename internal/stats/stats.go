@@ -1,18 +1,15 @@
 // Package stats is the kernel's one workload sketch: continuous monitoring
 // of where queries land, the statistical substrate holistic indexing shares
 // with online indexing (Table 1 of the paper: "statistical analysis during
-// workload execution"). A Collector keeps, per column, one equi-width bucket
-// geometry over the column's value domain and feeds it from one write path;
-// everything the tuner asks is a read-only view over that state.
+// workload execution"). A Collector keeps, per column, a decayed query mass
+// and one equi-width bucket geometry over the column's value domain, fed from
+// one write path; everything the tuner asks is a read-only view over that
+// state.
 //
-// Where queries were (always on), decayed per noted query so a shifting
-// workload ages out stale knowledge:
-//
-//   - Frequency: the decayed share of recent queries touching a column,
-//     which weights the ranking scheme's "which column next?" decision;
-//   - IsHot: whether a bucket a query overlaps was hit more than a threshold
-//     number of times, which triggers query-time auxiliary cracks (the
-//     paper's "this column and this value range is rather hot" case).
+// Which columns queries hit (always on), decayed per noted query so a
+// shifting workload ages out stale knowledge: Frequency, the decayed share of
+// recent queries touching a column, weights the ranking scheme's "which
+// column next?" decision.
 //
 // Where they will be next (after TrackDrift; the shape follows Predictive
 // Indexing, Arulraj et al., and Learned Adaptive Indexing, Das & Ray — see
@@ -50,11 +47,11 @@ import (
 )
 
 const (
-	// Buckets is the number of equi-width histogram buckets per column.
+	// Buckets is the number of equi-width buckets per column.
 	Buckets = 64
-	// Decay is the per-query multiplicative decay applied to the hit counts
-	// and the frequency mass. 0.999 halves a counter's weight roughly every
-	// 700 queries.
+	// Decay is the per-query multiplicative decay applied to a column's
+	// frequency mass. 0.999 halves a query's weight roughly every 700
+	// queries.
 	Decay = 0.999
 	// DefaultEpochQueries is how many noted queries close one drift epoch.
 	DefaultEpochQueries = 32
@@ -108,7 +105,6 @@ type columnStats struct {
 	queries uint64  // noted queries (never decayed, weight-independent)
 	decayed float64 // decayed query mass
 	lastSeq uint64  // collector sequence at last touch (for lazy decay)
-	hits    [Buckets]float64
 
 	// Drift model; fed only while the collector tracks drift.
 	cur        [Buckets]float64 // the open epoch's accumulating masses
@@ -123,12 +119,6 @@ type columnStats struct {
 	velSamples int
 }
 
-// hitFloor is the hit count a bucket is flushed to zero below. Decay alone
-// never gets there — x*0.999 rounds a small subnormal back to itself — and 64
-// subnormal multiplies made every catchUp ten times slower after ~700k
-// queries. No reader can tell 1e-300 from zero: thresholds are of order one.
-const hitFloor = 1e-300
-
 func (cs *columnStats) catchUp(seq uint64) {
 	if cs.lastSeq == seq {
 		return
@@ -138,12 +128,6 @@ func (cs *columnStats) catchUp(seq uint64) {
 		f = math.Pow(Decay, float64(d))
 	}
 	cs.decayed *= f
-	for i, h := range cs.hits {
-		if h *= f; h < hitFloor {
-			h = 0
-		}
-		cs.hits[i] = h
-	}
 	cs.lastSeq = seq
 }
 
@@ -159,7 +143,7 @@ func (cs *columnStats) bucketOf(v int64) int {
 
 // bucketRange returns the value interval covered by bucket b, clamped to the
 // domain. For domains narrower than the bucket count the trailing buckets
-// collapse to empty ranges at the domain's top; they never accumulate hits.
+// collapse to empty ranges at the domain's top; they never accumulate mass.
 func (cs *columnStats) bucketRange(b int) Range {
 	span := uint64(cs.domain.Hi) - uint64(cs.domain.Lo)
 	lo := min(uint64(b)*cs.width, span)
@@ -258,14 +242,11 @@ func (c *Collector) RecordWeighted(col string, lo, hi int64, w float64) {
 	cs.catchUp(c.seq)
 	cs.queries++
 	cs.decayed += w
-	b0, b1, ok := cs.bucketSpan(lo, hi)
-	if !ok {
+	if c.epoch == 0 {
 		return
 	}
-	for b := b0; b <= b1; b++ {
-		cs.hits[b] += w
-	}
-	if c.epoch == 0 {
+	b0, b1, ok := cs.bucketSpan(lo, hi)
+	if !ok {
 		return
 	}
 	for b := b0; b <= b1; b++ {
@@ -345,29 +326,6 @@ func (c *Collector) Frequency(col string) float64 {
 		return 1 / float64(len(c.cols))
 	}
 	return cs.decayed / total
-}
-
-// IsHot reports whether any histogram bucket overlapping [lo, hi) has a
-// decayed hit count >= threshold. The holistic tuner uses it to decide
-// query-time auxiliary cracks.
-func (c *Collector) IsHot(col string, lo, hi int64, threshold float64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cs, ok := c.cols[col]
-	if !ok {
-		return false
-	}
-	b0, b1, ok := cs.bucketSpan(lo, hi)
-	if !ok {
-		return false
-	}
-	cs.catchUp(c.seq)
-	for b := b0; b <= b1; b++ {
-		if cs.hits[b] >= threshold {
-			return true
-		}
-	}
-	return false
 }
 
 // confidence is 1/(1+velocityVariance): 1 for a stationary or constant-drift

@@ -22,8 +22,10 @@ func TestRegisterFullInt64Domain(t *testing.T) {
 	if got := c.Queries("c"); got != 4 {
 		t.Fatalf("queries = %d, want 4", got)
 	}
-	if !c.IsHot("c", -10, -1, 1) {
-		t.Fatal("recorded negative-half range not hot")
+	cs := c.cols["c"]
+	b0, b1, ok := cs.bucketSpan(-10, -1)
+	if !ok || b0 != b1 || !cs.bucketRange(b0).Contains(-10) || !cs.bucketRange(b1).Contains(-2) {
+		t.Fatalf("negative-half range maps to buckets %d..%d (ok %v)", b0, b1, ok)
 	}
 }
 
@@ -35,17 +37,20 @@ func TestRegisterDegenerateDomains(t *testing.T) {
 	c.RecordQuery("empty", 7, 8) // must not panic
 	c.Register("top", math.MaxInt64, math.MaxInt64)
 	c.RecordQuery("top", math.MaxInt64-1, math.MaxInt64)
-	if !c.IsHot("top", math.MaxInt64-1, math.MaxInt64, 1) {
-		t.Fatal("top-of-domain query not recorded")
+	top := c.cols["top"]
+	if b0, _, ok := top.bucketSpan(math.MaxInt64-1, math.MaxInt64); !ok || !top.bucketRange(b0).Contains(math.MaxInt64-1) {
+		t.Fatalf("top-of-domain query maps to bucket %d (ok %v)", b0, ok)
 	}
 	// Narrower than the bucket count: width clamps to 1, trailing buckets
-	// collapse to empty ranges and must never be reported hot.
+	// collapse to empty ranges and a query over the whole domain must never
+	// reach them.
 	c.Register("narrow", 0, 10)
 	c.RecordQuery("narrow", 0, 10)
 	cs := c.cols["narrow"]
-	for b, hits := range cs.hits {
-		if r := cs.bucketRange(b); (hits > 0) != (r.Lo < r.Hi) || r.Hi > 10 {
-			t.Fatalf("narrow-domain bucket %d %v has %g hits", b, r, hits)
+	b0, b1, _ := cs.bucketSpan(0, 10)
+	for b := 0; b < Buckets; b++ {
+		if r := cs.bucketRange(b); (b0 <= b && b <= b1) != (r.Lo < r.Hi) || r.Hi > 10 {
+			t.Fatalf("narrow-domain bucket %d %v, whole-domain query spans %d..%d", b, r, b0, b1)
 		}
 	}
 }
@@ -56,28 +61,22 @@ func TestRegisterDegenerateDomains(t *testing.T) {
 func TestBucketBoundaryValues(t *testing.T) {
 	c := NewCollector() // 64 buckets over [0, 640): width exactly 10
 	c.Register("c", 0, 640)
-	c.RecordQuery("c", 10, 20) // exactly bucket 1
 	cs := c.cols["c"]
-	for b, hits := range cs.hits {
-		if r := cs.bucketRange(b); (hits >= 1) != (r == Range{Lo: 10, Hi: 20}) {
-			t.Fatalf("boundary-aligned query: bucket %d %v has %g hits, want exactly [10,20) hit", b, r, hits)
+	if r := cs.bucketRange(1); r != (Range{Lo: 10, Hi: 20}) {
+		t.Fatalf("bucket 1 covers %v, want [10,20)", r)
+	}
+	for _, tc := range []struct {
+		q      Range
+		b0, b1 int
+	}{
+		{Range{10, 20}, 1, 1}, // boundary-aligned: exactly bucket 1
+		{Range{19, 21}, 1, 2}, // straddles the 20 boundary: 1 and 2, not 3
+		{Range{-100, 1}, 0, 0},
+		{Range{639, 800}, Buckets - 1, Buckets - 1}, // the domain edges clamp
+	} {
+		if b0, b1, ok := cs.bucketSpan(tc.q.Lo, tc.q.Hi); !ok || b0 != tc.b0 || b1 != tc.b1 {
+			t.Fatalf("%v spans buckets %d..%d (ok %v), want %d..%d", tc.q, b0, b1, ok, tc.b0, tc.b1)
 		}
-	}
-	if c.IsHot("c", 0, 10, 1) || c.IsHot("c", 20, 30, 1) {
-		t.Fatal("neighbouring buckets contaminated by boundary-aligned query")
-	}
-	// [19, 21) straddles the 20 boundary: buckets 1 and 2, not 3.
-	c.RecordQuery("c", 19, 21)
-	if !c.IsHot("c", 20, 21, 1) || c.IsHot("c", 30, 40, 1) {
-		t.Fatal("straddling query bucket assignment wrong")
-	}
-	// The domain edges clamp instead of indexing out of range.
-	c.RecordQuery("c", -100, 1)
-	c.RecordQuery("c", 639, 800)
-	// Threshold below 1: each RecordQuery advances the decay clock, so the
-	// earlier hit has decayed slightly by the time we read it.
-	if !c.IsHot("c", 0, 1, 0.9) || !c.IsHot("c", 639, 640, 0.9) {
-		t.Fatal("queries straddling the domain edges did not clamp to edge buckets")
 	}
 }
 
@@ -142,9 +141,6 @@ func TestCatchUpLargeSeqGap(t *testing.T) {
 	// collector is back at the no-knowledge prior: equal shares.
 	if fa := c.Frequency("a"); fa != 0.5 {
 		t.Fatalf("aged-out frequency = %f, want equal share 0.5", fa)
-	}
-	if c.IsHot("a", 0, 100, 1e-300) {
-		t.Fatal("bucket hits survived a 2^62-query decay gap")
 	}
 	// New queries after the gap must re-establish statistics cleanly.
 	c.RecordQuery("b", 500, 600)

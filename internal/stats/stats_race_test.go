@@ -31,7 +31,6 @@ func TestConcurrentCollector(t *testing.T) {
 						return
 					}
 				case 2:
-					c.IsHot(col, 0, 1000, 3)
 					c.Predict(col)
 					if conf := c.Confidence(col); conf < 0 || conf > 1 {
 						t.Errorf("confidence out of range: %f", conf)

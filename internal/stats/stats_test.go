@@ -29,9 +29,6 @@ func TestUnregisteredColumn(t *testing.T) {
 	if c.Frequency("ghost") != 0 {
 		t.Fatal("unregistered column has frequency")
 	}
-	if c.IsHot("ghost", 0, 10, 1) {
-		t.Fatal("unregistered column is hot")
-	}
 	if _, ok := c.cols["ghost"]; ok {
 		t.Fatal("ghost registered")
 	}
@@ -92,29 +89,9 @@ func TestDecayShiftsFrequency(t *testing.T) {
 	}
 }
 
-func TestHotRanges(t *testing.T) {
-	c := NewCollector()
-	c.Register("a", 0, 6400) // buckets of width 100
-	for i := 0; i < 20; i++ {
-		c.RecordQuery("a", 150, 180) // bucket 1
-	}
-	c.RecordQuery("a", 850, 870) // bucket 8, once
-	if !c.IsHot("a", 160, 170, 10) {
-		t.Fatal("IsHot missed the hot bucket")
-	}
-	if c.IsHot("a", 850, 860, 10) {
-		t.Fatal("IsHot false positive")
-	}
-	// Query spanning hot and cold buckets counts as hot.
-	if !c.IsHot("a", 0, 6400, 10) {
-		t.Fatal("spanning query should be hot")
-	}
-}
-
 // A query entirely outside the domain carries no location information: it
-// raises the column's query count and frequency, adds no bucket mass (so
-// nothing turns hot, not even the query's own range) and does not advance
-// the drift epoch. Neither does a degenerate predicate.
+// raises the column's query count and frequency, adds no bucket mass and
+// does not advance the drift epoch. Neither does a degenerate predicate.
 func TestDomainEdgeQueries(t *testing.T) {
 	c := newDrift(4)
 	c.Register("a", -100, 100)
@@ -132,10 +109,8 @@ func TestDomainEdgeQueries(t *testing.T) {
 	if after := c.Frequency("a"); after <= before {
 		t.Fatalf("frequency %g did not rise above %g", after, before)
 	}
-	for _, q := range []Range{{-1000, -150}, {100, 1000}, {-100, -99}, {99, 100}, {-1000, 1000}} {
-		if c.IsHot("a", q.Lo, q.Hi, 1e-9) {
-			t.Fatalf("%v hot after out-of-domain queries only", q)
-		}
+	if cur := c.cols["a"].cur; cur != ([Buckets]float64{}) {
+		t.Fatalf("out-of-domain queries added bucket mass %v", cur)
 	}
 	if e := c.Epochs("a"); e != 0 {
 		t.Fatalf("out-of-domain queries closed %d epochs, want 0", e)
@@ -191,44 +166,6 @@ func TestPropertyFrequenciesSumToOne(t *testing.T) {
 	}
 }
 
-// TestColdBucketsReachZero: a bucket nobody queries any more decays to
-// exactly zero instead of parking in the subnormals, and the buckets still
-// queried are what they would have been.
-func TestColdBucketsReachZero(t *testing.T) {
-	c := NewCollector()
-	c.Register("a", 0, 64<<10)
-	c.RecordWeighted("a", 0, 1<<10, 1000) // bucket 0, then never again
-	if !c.IsHot("a", 0, 1<<10, 999) {
-		t.Fatal("seeded bucket is not hot")
-	}
-	// 0.999^n leaves the normal range after ~708k queries; go well past it in
-	// strides so the test is a few thousand catch-ups, not a million.
-	for i := 0; i < 4000; i++ {
-		c.mu.Lock()
-		c.seq += 499
-		c.mu.Unlock()
-		c.RecordQuery("a", 63<<10, 64<<10)
-	}
-	cs := c.cols["a"]
-	if cs.hits[0] != 0 {
-		t.Fatalf("cold bucket holds %g after 2M queries, want exactly 0", cs.hits[0])
-	}
-	for b := 1; b < Buckets-1; b++ {
-		if cs.hits[b] != 0 {
-			t.Fatalf("never-queried bucket %d holds %g", b, cs.hits[b])
-		}
-	}
-	// The live bucket: one hit every 500 queries is the geometric series
-	// 1/(1-0.999^500).
-	want := 1 / (1 - math.Pow(Decay, 500))
-	if got := cs.hits[Buckets-1]; math.Abs(got-want) > 1e-9 {
-		t.Fatalf("live bucket holds %g, want %g", got, want)
-	}
-	if c.IsHot("a", 0, 1<<10, 1e-290) || !c.IsHot("a", 63<<10, 64<<10, 1) {
-		t.Fatal("IsHot disagrees with the buckets")
-	}
-}
-
 func BenchmarkRecordQuery(b *testing.B) {
 	for _, c := range []*Collector{NewCollector(), newDrift(0)} {
 		b.Run(fmt.Sprintf("drift=%v", c.epoch > 0), func(b *testing.B) {
@@ -241,20 +178,4 @@ func BenchmarkRecordQuery(b *testing.B) {
 			}
 		})
 	}
-	// Buckets seeded once and then left alone for 2M queries while the
-	// workload stays in the top bucket: at the parent they sat in the
-	// subnormals and every call paid 64 slow multiplies (~740 ns/op).
-	b.Run("cold", func(b *testing.B) {
-		c := NewCollector()
-		c.Register("a", 0, 1<<30)
-		c.RecordWeighted("a", 0, 1<<30, 1000)
-		for i := 0; i < 2_000_000; i++ {
-			c.RecordQuery("a", 1<<30-1<<20, 1<<30)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c.RecordQuery("a", 1<<30-1<<20, 1<<30)
-		}
-	})
 }

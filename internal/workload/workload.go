@@ -8,8 +8,7 @@
 //     arrive in a round robin fashion");
 //   - Sequential: a domain sweep, the adversary of query-driven cracking
 //     (the radix-first pass keeps its pieces bounded);
-//   - Hotspot: a skewed workload concentrating on a fraction of the domain
-//     (exercises hot-range boosts);
+//   - Hotspot: a skewed workload concentrating on a fraction of the domain;
 //   - Shifting: a moving hotspot (exercises decay in the statistics).
 //
 // All generators are deterministic given their seed.
