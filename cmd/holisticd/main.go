@@ -63,9 +63,6 @@ func main() {
 		fsyncMd = flag.String("fsync", "interval", "statement-log fsync policy: always|interval|off")
 		connTO  = flag.Duration("conn-timeout", 0, "per-connection idle read deadline (0 = none)")
 		verbose = flag.Bool("v", false, "log connection-level events")
-		predict = flag.Bool("predict", false, "holistic only: forecast-driven speculative pre-cracking during idle gaps")
-		specBud = flag.Int("spec-budget", 0, "speculative attempts per traffic gap (0 = default; needs -predict)")
-		predEp  = flag.Int("predict-epoch", 0, "forecaster epoch length in queries (0 = default; needs -predict)")
 	)
 	flag.Parse()
 
@@ -83,9 +80,6 @@ func main() {
 		IdleQuantum:     *quantum,
 		IdleWorkers:     *workers,
 		Shards:          *shards,
-		Predict:         *predict,
-		SpecBudget:      *specBud,
-		PredictEpoch:    *predEp,
 	})
 	defer eng.Close()
 

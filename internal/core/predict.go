@@ -15,9 +15,9 @@
 //     no prediction is emitted at all, so an adversarial (teleporting)
 //     workload shuts speculation off by itself.
 //  3. Budget-capped. The idle runner charges every speculative attempt
-//     against a per-traffic-gap budget (idle.Runner.SetSpeculative), so a
-//     wrong forecast burns a bounded slice of one gap's idle capacity and
-//     nothing else.
+//     against a per-traffic-gap budget (idle.DefaultSpecBudget), so a wrong
+//     forecast burns a bounded slice of one gap's idle capacity and nothing
+//     else.
 //  4. Never against traffic. Speculative steps execute inside the same
 //     zero-in-flight claim/token scope as real idle steps; the load-gate
 //     rendezvous guarantee applies verbatim.
@@ -40,19 +40,6 @@ const DefaultSpecCracks = 8
 // per column for win accounting: a later query overlapping a remembered
 // range counts as one speculation win and retires the entry.
 const specWinWindow = 16
-
-// RangeStatser is the optional extension of Column that reports the average
-// cracker piece size inside a value range without the caller holding any
-// latch (implemented by shard.Part). The speculative tuner prefers it when
-// scoring predicted ranges because it also avoids materialising the cracked
-// copy of a part that has never been selected against.
-type RangeStatser interface {
-	RangePieceAvg(lo, hi int64) float64
-}
-
-// Predictive reports whether the forecast-driven speculative layer is
-// enabled (Config.Predict).
-func (t *Tuner) Predictive() bool { return t.cfg.Predict }
 
 // SpecActions returns how many speculative pre-crack actions ran. They are
 // deliberately not part of Actions(): "X refinement actions" keeps its
@@ -78,17 +65,6 @@ func (t *Tuner) SpecWins() int64 {
 	return t.specWins
 }
 
-// rangeAvg scores how coarse a shard still is inside a predicted range.
-func (t *Tuner) rangeAvg(sh *shard, r stats.Range) float64 {
-	if rs, ok := sh.col.(RangeStatser); ok {
-		return rs.RangePieceAvg(r.Lo, r.Hi)
-	}
-	ix := sh.index()
-	sh.col.RLock()
-	defer sh.col.RUnlock()
-	return ix.RangePieceAvg(r.Lo, r.Hi)
-}
-
 // realWorkPending reports whether any reactive action — crack, merge or aux
 // — still has a positive score. It asks each shard for TryStep's bid without
 // claiming anything; "claimed by another worker" still counts as pending,
@@ -109,15 +85,11 @@ func (t *Tuner) realWorkPending(shards []*shard) bool {
 
 // TrySpeculativeStep attempts one forecast-driven pre-crack action on the
 // best-scoring predicted range, with the same claim discipline and result
-// classification as TryStep. It returns StepExhausted when speculation is
-// disabled, real work is still pending (real refinement owns the idle slot),
-// no prediction clears the confidence floor, or every predicted range is
-// already pre-cracked to the speculative target — the idle runner then
-// stops charging the gap's speculative budget.
+// classification as TryStep. It returns StepExhausted when real work is
+// still pending (real refinement owns the idle slot), no prediction clears
+// the confidence floor, or every predicted range is already pre-cracked to
+// the speculative target.
 func (t *Tuner) TrySpeculativeStep() (work int, res StepResult) {
-	if !t.cfg.Predict {
-		return 0, StepExhausted
-	}
 	shards := t.snapshotShards()
 	if len(shards) == 0 {
 		return 0, StepExhausted
@@ -138,7 +110,7 @@ func (t *Tuner) TrySpeculativeStep() (work int, res StepResult) {
 		}
 		freq := t.collector.Frequency(sh.col.Name())
 		for _, pr := range preds {
-			avg := t.rangeAvg(sh, pr.Range)
+			avg := sh.col.RangePieceAvg(pr.Range.Lo, pr.Range.Hi)
 			s := t.model.PredictScore(pr.Confidence, freq, avg)
 			if s <= 0 {
 				continue // already fine enough, or no confidence
@@ -253,12 +225,8 @@ type ColumnForecast struct {
 
 // ForecastSummary snapshots every registered column's forecast. Columns
 // whose model has not closed an epoch yet are included with zero confidence
-// so an operator can see the forecaster warming up. Returns nil when
-// speculation is disabled.
+// so an operator can see the forecaster warming up.
 func (t *Tuner) ForecastSummary() []ColumnForecast {
-	if !t.cfg.Predict {
-		return nil
-	}
 	shards := t.snapshotShards()
 	out := make([]ColumnForecast, 0, len(shards))
 	for _, sh := range shards {

@@ -2,42 +2,28 @@ package core
 
 import (
 	"testing"
+
+	"holistic/internal/stats"
 )
 
 // trainStationary feeds the forecaster enough identical queries to close
 // three epochs (velocity needs two samples), yielding full confidence on a
 // stationary range.
-func trainStationary(tn *Tuner, col string, lo, hi int64, epoch int) {
-	for i := 0; i < 3*epoch; i++ {
+func trainStationary(tn *Tuner, col string, lo, hi int64) {
+	for i := 0; i < 3*stats.DefaultEpochQueries; i++ {
 		tn.NoteQuery(col, lo, hi)
-	}
-}
-
-func TestSpeculativeStepDisabledByDefault(t *testing.T) {
-	tn := NewTuner(Config{TargetPieceSize: 16}, nil)
-	if tn.Predictive() {
-		t.Fatal("Predictive() true without Config.Predict")
-	}
-	c := newFakeColumn("a", 4096, 1<<20, 1)
-	tn.Register(c, 0, 1<<20)
-	if w, res := tn.TrySpeculativeStep(); res != StepExhausted || w != 0 {
-		t.Fatalf("disabled speculation: %d,%v, want 0,StepExhausted", w, res)
-	}
-	if s := tn.ForecastSummary(); s != nil {
-		t.Fatalf("ForecastSummary = %v without Predict, want nil", s)
 	}
 }
 
 // Speculation must refuse to run while reactive refinement still has
 // positive-score work, even with a fully confident forecast in hand.
 func TestSpeculativeWaitsForRealWork(t *testing.T) {
-	const epoch = 8
 	// Global target 4096 puts the speculative target at 256: after reactive
 	// convergence there is still finer pre-cracking for speculation to do.
-	tn := NewTuner(Config{TargetPieceSize: 4096, Predict: true, PredictEpoch: epoch, Seed: 7}, nil)
+	tn := NewTuner(Config{TargetPieceSize: 4096, Seed: 7}, nil)
 	c := newFakeColumn("a", 16384, 1<<20, 61)
 	tn.Register(c, 0, 1<<20)
-	trainStationary(tn, "a", 100, 200, epoch)
+	trainStationary(tn, "a", 100, 200)
 	if conf := tn.Collector().Confidence("a"); conf != 1 {
 		t.Fatalf("stationary confidence = %f, want 1", conf)
 	}
@@ -67,13 +53,12 @@ func TestSpeculativeWaitsForRealWork(t *testing.T) {
 // Speculative steps refine the predicted range down to the speculative
 // target (finer than the global target) and then report exhaustion.
 func TestSpeculativeRefinesToSpecTargetThenStops(t *testing.T) {
-	const epoch = 8
 	// Global target equal to the column size: reactive work exhausts
 	// immediately, isolating the speculative path.
-	tn := NewTuner(Config{TargetPieceSize: 16384, Predict: true, PredictEpoch: epoch, Seed: 8}, nil)
+	tn := NewTuner(Config{TargetPieceSize: 16384, Seed: 8}, nil)
 	c := newFakeColumn("a", 16384, 1<<20, 62)
 	tn.Register(c, 0, 1<<20)
-	trainStationary(tn, "a", 100, 200, epoch)
+	trainStationary(tn, "a", 100, 200)
 	preds := tn.Collector().Predict("a")
 	if len(preds) == 0 {
 		t.Fatal("no prediction after stationary training")
@@ -107,11 +92,10 @@ func TestSpeculativeRefinesToSpecTargetThenStops(t *testing.T) {
 
 // A query overlapping a speculated range is a win, credited exactly once.
 func TestSpecWinAccounting(t *testing.T) {
-	const epoch = 8
-	tn := NewTuner(Config{TargetPieceSize: 16384, Predict: true, PredictEpoch: epoch, Seed: 9}, nil)
+	tn := NewTuner(Config{TargetPieceSize: 16384, Seed: 9}, nil)
 	c := newFakeColumn("a", 16384, 1<<20, 63)
 	tn.Register(c, 0, 1<<20)
-	trainStationary(tn, "a", 100, 200, epoch)
+	trainStationary(tn, "a", 100, 200)
 	preds := tn.Collector().Predict("a")
 	if len(preds) == 0 {
 		t.Fatal("no prediction after training")
@@ -141,13 +125,12 @@ func TestSpecWinAccounting(t *testing.T) {
 
 // ForecastSummary surfaces warming-up and trained columns alike.
 func TestForecastSummary(t *testing.T) {
-	const epoch = 8
-	tn := NewTuner(Config{TargetPieceSize: 16384, Predict: true, PredictEpoch: epoch, Seed: 10}, nil)
+	tn := NewTuner(Config{TargetPieceSize: 16384, Seed: 10}, nil)
 	hot := newFakeColumn("hot", 4096, 1<<20, 64)
 	cold := newFakeColumn("cold", 4096, 1<<20, 65)
 	tn.Register(hot, 0, 1<<20)
 	tn.Register(cold, 0, 1<<20)
-	trainStationary(tn, "hot", 100, 200, epoch)
+	trainStationary(tn, "hot", 100, 200)
 	sum := tn.ForecastSummary()
 	if len(sum) != 2 {
 		t.Fatalf("ForecastSummary has %d columns, want 2", len(sum))

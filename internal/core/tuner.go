@@ -56,13 +56,6 @@ type Config struct {
 	TargetPieceSize int
 	// Seed seeds the tuner's private RNG for reproducible runs.
 	Seed uint64
-	// Predict enables the forecast-driven speculative pre-crack layer (see
-	// predict.go): the collector additionally tracks drift, and
-	// TrySpeculativeStep pre-cracks ranges predicted to be hot next.
-	Predict bool
-	// PredictEpoch is the drift model's epoch length in observed queries.
-	// <= 0 selects stats.DefaultEpochQueries.
-	PredictEpoch int
 }
 
 // Column is the tuner's view of one tunable column, implemented by the
@@ -70,7 +63,10 @@ type Config struct {
 // it shared. CrackIndex materialises the cracked copy on first use and is
 // only called with the exclusive latch held; the returned index is stable
 // thereafter and latches itself, so refinement runs under the shared column
-// latch (see cracker.Index).
+// latch (see cracker.Index). RangePieceAvg reports the average piece size
+// inside a value range, or 0 before the cracked copy exists, without the
+// caller holding any latch; the speculative step scores predicted ranges
+// with it (see predict.go).
 type Column interface {
 	Name() string
 	Lock()
@@ -78,6 +74,7 @@ type Column interface {
 	RLock()
 	RUnlock()
 	CrackIndex() *cracker.Index
+	RangePieceAvg(lo, hi int64) float64
 }
 
 // Merger is the optional extension of Column for columns with a batched
@@ -119,7 +116,6 @@ func (sh *shard) index() *cracker.Index {
 // Tuner is the holistic tuning engine. All methods are safe for concurrent
 // use; Step in particular may be driven by many idle workers at once.
 type Tuner struct {
-	cfg       Config
 	model     costmodel.Params
 	collector *stats.Collector
 
@@ -147,11 +143,7 @@ func NewTuner(cfg Config, collector *stats.Collector) *Tuner {
 	if collector == nil {
 		collector = stats.NewCollector()
 	}
-	if cfg.Predict {
-		collector.TrackDrift(cfg.PredictEpoch)
-	}
 	return &Tuner{
-		cfg:       cfg,
 		model:     costmodel.Params{TargetPieceSize: cfg.TargetPieceSize},
 		collector: collector,
 		rng:       rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x5DEECE66D)),
@@ -187,9 +179,7 @@ func (t *Tuner) Register(c Column, domLo, domHi int64) {
 // every select the holistic strategy serves.
 func (t *Tuner) NoteQuery(col string, lo, hi int64) {
 	t.collector.RecordQuery(col, lo, hi)
-	if t.cfg.Predict {
-		t.noteSpecWin(col, lo, hi)
-	}
+	t.noteSpecWin(col, lo, hi)
 }
 
 // SeedWorkload injects a-priori workload knowledge: weight synthetic

@@ -33,6 +33,9 @@ func (f *fakeColumn) Unlock()                    { f.mu.Unlock() }
 func (f *fakeColumn) RLock()                     { f.mu.RLock() }
 func (f *fakeColumn) RUnlock()                   { f.mu.RUnlock() }
 func (f *fakeColumn) CrackIndex() *cracker.Index { return f.ix }
+func (f *fakeColumn) RangePieceAvg(lo, hi int64) float64 {
+	return f.ix.RangePieceAvg(lo, hi)
+}
 
 func (f *fakeColumn) pieces() int {
 	f.mu.Lock()

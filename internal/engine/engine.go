@@ -124,18 +124,6 @@ type Config struct {
 	// 0 selects costmodel.DefaultRadixMinPiece; < 0 disables radix-first
 	// cracking entirely.
 	RadixMinPiece int
-	// Predict enables forecast-driven speculative pre-cracking (holistic
-	// only): once reactive refinement has drained, idle workers pre-crack
-	// the ranges the workload sketch (stats.Collector.Predict) expects the
-	// next queries to hit, capped per traffic gap by SpecBudget. See
-	// core.TrySpeculativeStep for the discipline.
-	Predict bool
-	// SpecBudget caps speculative attempts per traffic gap. <= 0 selects
-	// idle.DefaultSpecBudget. Only meaningful with Predict.
-	SpecBudget int
-	// PredictEpoch is the drift model's epoch length in observed queries.
-	// <= 0 selects stats.DefaultEpochQueries. Only meaningful with Predict.
-	PredictEpoch int
 }
 
 // Result is the outcome of one select: the projection's cardinality and sum
@@ -173,8 +161,6 @@ func New(cfg Config) *Engine {
 		e.tuner = core.NewTuner(core.Config{
 			TargetPieceSize: cfg.TargetPieceSize,
 			Seed:            cfg.Seed,
-			Predict:         cfg.Predict,
-			PredictEpoch:    cfg.PredictEpoch,
 		}, nil)
 		opts := []idle.Option{}
 		if cfg.IdleQuiet > 0 {
@@ -193,15 +179,14 @@ func New(cfg Config) *Engine {
 			_, res := e.tuner.TryStep()
 			return res == core.StepWorked
 		}, opts...)
-		if cfg.Predict {
-			// Speculative drain: charged against the per-gap budget only
-			// after the real step above reports exhaustion (see
-			// idle.Runner.SetSpeculative).
-			e.runner.SetSpeculative(func() bool {
-				_, res := e.tuner.TrySpeculativeStep()
-				return res == core.StepWorked
-			}, cfg.SpecBudget)
-		}
+		// Speculative drain: once the real step above reports exhaustion,
+		// idle workers pre-crack the ranges the workload sketch expects the
+		// next queries to hit, charged against the per-gap budget (see
+		// idle.Runner.SetSpeculative and core.TrySpeculativeStep).
+		e.runner.SetSpeculative(func() bool {
+			_, res := e.tuner.TrySpeculativeStep()
+			return res == core.StepWorked
+		})
 		if cfg.AutoIdle {
 			e.runner.Start()
 		}
@@ -285,11 +270,9 @@ func (e *Engine) AutoIdleActions() int64 {
 }
 
 // ForecastStats is the operator-facing snapshot of the predictive idle
-// scheduling layer: budget state, realised speculation counters and the
-// current per-column forecast.
+// scheduling layer: the current gap's speculative budget use, realised
+// speculation counters and the current per-column forecast.
 type ForecastStats struct {
-	Enabled      bool                  `json:"enabled"`
-	SpecBudget   int                   `json:"spec_budget"`
 	SpecSpentGap int64                 `json:"spec_spent_gap"`
 	SpecActions  int64                 `json:"spec_actions"`
 	SpecWork     int64                 `json:"spec_work"`
@@ -297,15 +280,13 @@ type ForecastStats struct {
 	Columns      []core.ColumnForecast `json:"columns,omitempty"`
 }
 
-// ForecastStats snapshots the predictive layer, or nil when speculation is
-// disabled (non-holistic strategy or Config.Predict unset).
+// ForecastStats snapshots the predictive layer, or nil for strategies other
+// than holistic, which have no tuner.
 func (e *Engine) ForecastStats() *ForecastStats {
-	if e.tuner == nil || !e.tuner.Predictive() || e.runner == nil {
+	if e.tuner == nil {
 		return nil
 	}
 	return &ForecastStats{
-		Enabled:      true,
-		SpecBudget:   e.runner.SpecBudget(),
 		SpecSpentGap: e.runner.SpecSpent(),
 		SpecActions:  e.tuner.SpecActions(),
 		SpecWork:     e.tuner.SpecWork(),

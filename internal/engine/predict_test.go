@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"testing"
+
+	"holistic/internal/idle"
+	"holistic/internal/stats"
 )
 
 // TestSpeculativeStepNeverStartsAfterQueryAdmitted is the engine-level
@@ -15,23 +18,19 @@ import (
 // exhaustion.
 func TestSpeculativeStepNeverStartsAfterQueryAdmitted(t *testing.T) {
 	rng := rand.New(rand.NewPCG(701, 702))
-	const epoch = 8
 	vals := randomVals(rng, 1<<15, 1<<20)
 	e := newEngineWithData(t, Config{
 		Strategy:        StrategyHolistic,
 		Seed:            31,
 		TargetPieceSize: 4096,
 		Shards:          2,
-		Predict:         true,
-		PredictEpoch:    epoch,
-		SpecBudget:      8,
 	}, vals)
 	defer e.Close()
 
 	// Train a stationary forecast: three closed epochs per part give full
 	// confidence, and the selects' reactive cracking gives the tuner real
 	// work to drain first.
-	for i := 0; i < 3*epoch; i++ {
+	for i := 0; i < 3*stats.DefaultEpochQueries; i++ {
 		if _, err := e.Select("R", "A", 100000, 101000); err != nil {
 			t.Fatal(err)
 		}
@@ -67,15 +66,15 @@ func TestSpeculativeStepNeverStartsAfterQueryAdmitted(t *testing.T) {
 	// The gap is real now: the pending speculative work runs, capped by the
 	// per-gap budget.
 	e.runner.RunActions(100)
-	if got := e.runner.SpecActions(); got == 0 {
+	if got := e.tuner.SpecActions(); got == 0 {
 		t.Fatal("no speculative work after the query completed — the veto test proved nothing")
 	}
-	if spent, budget := e.runner.SpecSpent(), e.runner.SpecBudget(); spent > int64(budget) {
-		t.Fatalf("speculative budget overrun: spent %d of %d", spent, budget)
+	if spent := e.runner.SpecSpent(); spent > idle.DefaultSpecBudget {
+		t.Fatalf("speculative budget overrun: spent %d of %d", spent, idle.DefaultSpecBudget)
 	}
 	fs := e.ForecastStats()
-	if fs == nil || !fs.Enabled || fs.SpecActions == 0 {
-		t.Fatalf("ForecastStats = %+v, want enabled with speculative actions", fs)
+	if fs == nil || fs.SpecActions == 0 {
+		t.Fatalf("ForecastStats = %+v, want speculative actions", fs)
 	}
 	if len(fs.Columns) != 2 {
 		t.Fatalf("ForecastStats.Columns has %d entries, want one per part", len(fs.Columns))
@@ -93,8 +92,8 @@ func TestSpeculationNeverLosesAdversarial(t *testing.T) {
 		n       = 1 << 15
 		domain  = int64(1 << 20)
 		bursts  = 6
-		qpb     = 16
-		budget  = 4
+		qpb     = stats.DefaultEpochQueries
+		budget  = idle.DefaultSpecBudget
 		hotSpan = int64(4096)
 	)
 	for _, shards := range []int{1, 8} {
@@ -106,9 +105,6 @@ func TestSpeculationNeverLosesAdversarial(t *testing.T) {
 				Seed:            37,
 				TargetPieceSize: 1024,
 				Shards:          shards,
-				Predict:         true,
-				PredictEpoch:    qpb,
-				SpecBudget:      budget,
 			}, vals)
 			defer e.Close()
 
@@ -144,21 +140,23 @@ func TestSpeculationNeverLosesAdversarial(t *testing.T) {
 	}
 }
 
-// TestSpeculationWinsOnDrift is the learnable counterpart: a hot window one
-// forecast bucket wide drifts exactly four buckets per burst, one forecaster
-// epoch per burst, so after three warm-up bursts the velocity estimate is
-// stable and each gap's speculation must pre-crack where the next burst
-// lands. Gaps are deterministic runner.RunActions calls, not wall-clock
-// sleeps; radix-first cracking is off so the cold-window partition is the
-// cost speculation moves off the query path. Every answer stays
-// oracle-exact, and speculation must both run and be hit by a later query.
+// TestSpeculationWinsOnDrift is the learnable counterpart, on a plain
+// holistic engine: a hot window one forecast bucket wide drifts exactly four
+// buckets per burst, one forecaster epoch per burst, so after three warm-up
+// bursts the velocity estimate is stable and each gap's speculation must
+// pre-crack where the next burst lands. Gaps are deterministic
+// runner.RunActions calls, not wall-clock sleeps. The column (2^16 values)
+// is below the radix-first threshold, so the cold window's partition is a
+// comparison crack: the cost speculation moves off the query path. Every
+// answer stays oracle-exact, and speculation must both run and be hit by a
+// later query.
 func TestSpeculationWinsOnDrift(t *testing.T) {
 	const (
 		n      = 1 << 16
 		width  = int64(n / 64) // one forecast bucket
 		span   = width / 2
 		bursts = 3 + 5 // three warm-up bursts, then the ones that must win
-		qpb    = 16
+		qpb    = stats.DefaultEpochQueries
 	)
 	rng := rand.New(rand.NewPCG(911, 912))
 	vals := randomVals(rng, n, n)
@@ -168,9 +166,6 @@ func TestSpeculationWinsOnDrift(t *testing.T) {
 		// Coarse, so reactive refinement exhausts early in each gap and the
 		// rest of it is the speculative layer's (which refines 16x finer).
 		TargetPieceSize: 1 << 13,
-		RadixMinPiece:   -1,
-		Predict:         true,
-		PredictEpoch:    qpb,
 	}, vals)
 	defer e.Close()
 
@@ -202,6 +197,18 @@ func TestSpeculationWinsOnDrift(t *testing.T) {
 	}
 }
 
+// Speculation is part of the holistic strategy, not a switch: every holistic
+// engine reports its forecast, and no other strategy has one.
+func TestForecastStatsOnlyForHolistic(t *testing.T) {
+	for _, s := range Strategies() {
+		e := New(Config{Strategy: s})
+		if got := e.ForecastStats(); (got != nil) != (s == StrategyHolistic) {
+			t.Errorf("%v: ForecastStats = %+v", s, got)
+		}
+		e.Close()
+	}
+}
+
 // TestForecastGeometrySurvivesRestart: the sketch buckets every part of a
 // column over the COLUMN's domain, on load and on restore alike. The sharp
 // case is a maximum that sits in one part: registering each restored part
@@ -209,8 +216,8 @@ func TestSpeculationWinsOnDrift(t *testing.T) {
 // part 0's, so the same query stream would forecast different ranges after a
 // warm restart than before it.
 func TestForecastGeometrySurvivesRestart(t *testing.T) {
-	const epoch, width = 8, int64(100_000) // width: one bucket of [0, 6.4M)
-	cfg := Config{Strategy: StrategyHolistic, Seed: 43, Shards: 3, Predict: true, PredictEpoch: epoch}
+	const epoch, width = stats.DefaultEpochQueries, int64(100_000) // width: one bucket of [0, 6.4M)
+	cfg := Config{Strategy: StrategyHolistic, Seed: 43, Shards: 3}
 	vals := randomVals(rand.New(rand.NewPCG(921, 922)), 3000, 6*width)
 	vals[0], vals[1] = 64*width, 0 // the column's maximum lives in part 0 only
 	// view runs a stream drifting one bucket per epoch, then renders every

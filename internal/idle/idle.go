@@ -63,8 +63,8 @@ const DefaultQuantum = 16
 // of yielding to a fresh request stays bounded.
 const MaxRamp = 8
 
-// DefaultSpecBudget is the default per-gap cap on speculative actions: two
-// base quanta. A wrong forecast therefore burns at most a bounded fraction
+// DefaultSpecBudget is the per-gap cap on speculative actions: two base
+// quanta. A wrong forecast therefore burns at most a bounded fraction
 // of one traffic gap's idle capacity (a long gap ramps real work up to
 // MaxRamp×quantum per worker per wakeup, but speculation stays capped), and
 // never a query's critical path — speculative steps run under the same
@@ -90,15 +90,13 @@ type Runner struct {
 	// may spend one of the current gap's budget slots on specStep (a
 	// forecast-driven pre-crack). The budget is per traffic gap — it resets
 	// when the gate's gap count moves — so a wrong forecast burns at most
-	// specBudget slots before real traffic re-arms it, and zero slots while
-	// traffic is live (spec steps run inside the same claim/token scope as
-	// real ones).
-	specStep    func() bool // nil = speculation disabled
-	specBudget  int
-	specMu      sync.Mutex
-	specGap     int64        // gate gap count specSpent belongs to; guarded by specMu
-	specSpent   int64        // slots consumed in gap specGap; guarded by specMu
-	specActions atomic.Int64 // speculative steps that did work, ever
+	// DefaultSpecBudget slots before real traffic re-arms it, and zero slots
+	// while traffic is live (spec steps run inside the same claim/token
+	// scope as real ones).
+	specStep  func() bool // nil = no speculative step attached
+	specMu    sync.Mutex
+	specGap   int64 // gate gap count specSpent belongs to; guarded by specMu
+	specSpent int64 // slots consumed in gap specGap; guarded by specMu
 
 	// testHookClaim, when non-nil, runs between a step's claim and the
 	// atomic token grant. Tests use it to provoke the
@@ -185,30 +183,18 @@ func (r *Runner) Actions() int64 { return r.actions.Load() }
 func (r *Runner) SetClaimHook(h func()) { r.testHookClaim = h }
 
 // SetSpeculative attaches a speculative step the runner may drain AFTER real
-// refinement reports exhaustion, capped at perGapBudget slots per traffic
-// gap (<= 0 selects DefaultSpecBudget). The step runs inside the same
-// zero-in-flight claim/token scope as real steps, so speculation inherits
-// the never-against-traffic guarantee verbatim. Must be set while no workers
-// run (the engine wires it at construction). Failed attempts (the step
-// found nothing worth pre-cracking) consume budget too: the cap bounds how
-// often a gap even *tries* to speculate, which is what makes a maximally
-// wrong forecast cost a bounded slice of idle capacity.
-func (r *Runner) SetSpeculative(step func() bool, perGapBudget int) {
-	if step == nil {
-		return
-	}
-	if perGapBudget <= 0 {
-		perGapBudget = DefaultSpecBudget
-	}
-	r.specStep = step
-	r.specBudget = perGapBudget
-}
-
-// SpecBudget returns the per-gap speculative slot cap (0 when disabled).
-func (r *Runner) SpecBudget() int { return r.specBudget }
+// refinement reports exhaustion, capped at DefaultSpecBudget slots per
+// traffic gap. The step runs inside the same zero-in-flight claim/token
+// scope as real steps, so speculation inherits the never-against-traffic
+// guarantee verbatim. Must be set while no workers run (the engine wires it
+// at construction). Failed attempts (the step found nothing worth
+// pre-cracking) consume budget too: the cap bounds how often a gap even
+// *tries* to speculate, which is what makes a maximally wrong forecast cost
+// a bounded slice of idle capacity.
+func (r *Runner) SetSpeculative(step func() bool) { r.specStep = step }
 
 // SpecSpent returns how many speculative slots the current traffic gap has
-// consumed; it never exceeds SpecBudget within a gap.
+// consumed; it never exceeds DefaultSpecBudget within a gap.
 func (r *Runner) SpecSpent() int64 {
 	r.specMu.Lock()
 	defer r.specMu.Unlock()
@@ -217,10 +203,6 @@ func (r *Runner) SpecSpent() int64 {
 	}
 	return r.specSpent
 }
-
-// SpecActions returns the total number of speculative steps that performed
-// work. They are also included in Actions.
-func (r *Runner) SpecActions() int64 { return r.specActions.Load() }
 
 // claimSpecSlot takes one speculative budget slot for the current gap of g,
 // or reports the cap reached. The first claim after g's gap count moved
@@ -231,7 +213,7 @@ func (r *Runner) claimSpecSlot(g *loadgate.Gate) bool {
 	if gap := g.Gaps(); gap != r.specGap {
 		r.specGap, r.specSpent = gap, 0
 	}
-	if r.specSpent >= int64(r.specBudget) {
+	if r.specSpent >= DefaultSpecBudget {
 		return false
 	}
 	r.specSpent++
@@ -267,7 +249,6 @@ func (r *Runner) claimStep() (ran, more bool) {
 		if !r.specStep() {
 			return false, false
 		}
-		r.specActions.Add(1)
 		r.actions.Add(1)
 		return true, true
 	}

@@ -21,27 +21,27 @@ func TestSpeculativeOnlyAfterRealExhausted(t *testing.T) {
 	r.SetSpeculative(func() bool {
 		order = append(order, "spec")
 		return true
-	}, 4)
-	done := r.RunActions(100)
-	if done != 3+4 {
-		t.Fatalf("RunActions = %d, want 3 real + 4 speculative", done)
+	})
+	done := r.RunActions(1000)
+	if done != 3+DefaultSpecBudget {
+		t.Fatalf("RunActions = %d, want 3 real + %d speculative", done, DefaultSpecBudget)
+	}
+	if len(order) != done {
+		t.Fatalf("%d steps ran for %d actions", len(order), done)
 	}
 	for i, o := range order {
 		if (i < 3) != (o == "real") {
 			t.Fatalf("action order %v: speculation before real exhaustion", order)
 		}
 	}
-	if got := r.SpecActions(); got != 4 {
-		t.Fatalf("SpecActions = %d, want 4", got)
+	if got := r.SpecSpent(); got != DefaultSpecBudget {
+		t.Fatalf("SpecSpent = %d, want the full budget %d", got, DefaultSpecBudget)
 	}
-	if got := r.SpecSpent(); got != 4 {
-		t.Fatalf("SpecSpent = %d, want the full budget 4", got)
-	}
-	if got := r.Actions(); got != 7 {
-		t.Fatalf("Actions = %d, want 7 (speculative actions count)", got)
+	if got := r.Actions(); got != int64(done) {
+		t.Fatalf("Actions = %d, want %d (speculative actions count)", got, done)
 	}
 	// The cap holds: more idle time buys no more speculation this gap.
-	if extra := r.RunActions(100); extra != 0 {
+	if extra := r.RunActions(1000); extra != 0 {
 		t.Fatalf("post-cap RunActions = %d, want 0", extra)
 	}
 }
@@ -50,9 +50,9 @@ func TestSpeculativeOnlyAfterRealExhausted(t *testing.T) {
 // statement closing on the gate starts a new one.
 func TestSpecBudgetResetsPerGap(t *testing.T) {
 	r := NewRunner(func() bool { return false })
-	r.SetSpeculative(func() bool { return true }, 2)
-	if done := r.RunActions(100); done != 2 {
-		t.Fatalf("first gap ran %d speculative actions, want 2", done)
+	r.SetSpeculative(func() bool { return true })
+	if done := r.RunActions(1000); done != DefaultSpecBudget {
+		t.Fatalf("first gap ran %d speculative actions, want %d", done, DefaultSpecBudget)
 	}
 	r.Gate().Hold()
 	// While the statement is in flight nothing runs, speculative or not.
@@ -63,11 +63,11 @@ func TestSpecBudgetResetsPerGap(t *testing.T) {
 	if got := r.SpecSpent(); got != 0 {
 		t.Fatalf("SpecSpent after the gap closed = %d, want 0", got)
 	}
-	if done := r.RunActions(100); done != 2 {
-		t.Fatalf("second gap ran %d speculative actions, want 2", done)
+	if done := r.RunActions(1000); done != DefaultSpecBudget {
+		t.Fatalf("second gap ran %d speculative actions, want %d", done, DefaultSpecBudget)
 	}
-	if got := r.SpecActions(); got != 4 {
-		t.Fatalf("SpecActions = %d, want 4 across both gaps", got)
+	if got := r.Actions(); got != 2*DefaultSpecBudget {
+		t.Fatalf("Actions = %d, want %d across both gaps", got, 2*DefaultSpecBudget)
 	}
 }
 
@@ -77,17 +77,17 @@ func TestSpecBudgetResetsPerGap(t *testing.T) {
 func TestSpecFailedAttemptsConsumeBudget(t *testing.T) {
 	var attempts atomic.Int64
 	r := NewRunner(func() bool { return false })
-	r.SetSpeculative(func() bool { attempts.Add(1); return false }, 3)
-	for i := 0; i < 10; i++ {
+	r.SetSpeculative(func() bool { attempts.Add(1); return false })
+	for i := 0; i < 3*DefaultSpecBudget; i++ {
 		if done := r.RunActions(5); done != 0 {
 			t.Fatalf("failed speculation reported %d actions", done)
 		}
 	}
-	if got := attempts.Load(); got != 3 {
-		t.Fatalf("speculative attempts = %d, want exactly the budget 3", got)
+	if got := attempts.Load(); got != DefaultSpecBudget {
+		t.Fatalf("speculative attempts = %d, want exactly the budget %d", got, DefaultSpecBudget)
 	}
-	if got := r.SpecActions(); got != 0 {
-		t.Fatalf("SpecActions = %d, want 0 (no attempt did work)", got)
+	if got := r.Actions(); got != 0 {
+		t.Fatalf("Actions = %d, want 0 (no attempt did work)", got)
 	}
 }
 
@@ -99,28 +99,12 @@ func TestSpecYieldsToQueryAdmittedMidClaim(t *testing.T) {
 	r.SetSpeculative(func() bool {
 		t.Error("speculative step ran against an admitted query")
 		return true
-	}, 8)
+	})
 	r.SetClaimHook(r.Gate().Hold)
 	if done := r.RunActions(1); done != 0 {
 		t.Fatalf("RunActions = %d with a query admitted mid-claim", done)
 	}
 	if got := r.SpecSpent(); got != 0 {
 		t.Fatalf("SpecSpent = %d after a vetoed claim, want 0", got)
-	}
-}
-
-// Defaults and accessors.
-func TestSpecConfig(t *testing.T) {
-	r := NewRunner(func() bool { return false })
-	if r.specStep != nil || r.SpecBudget() != 0 {
-		t.Fatal("speculation enabled by default")
-	}
-	r.SetSpeculative(nil, 5) // nil step: ignored
-	if r.specStep != nil {
-		t.Fatal("nil speculative step attached")
-	}
-	r.SetSpeculative(func() bool { return false }, 0)
-	if r.specStep == nil || r.SpecBudget() != DefaultSpecBudget {
-		t.Fatalf("SpecBudget = %d, want default %d", r.SpecBudget(), DefaultSpecBudget)
 	}
 }

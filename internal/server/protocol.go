@@ -62,8 +62,8 @@ type Stats struct {
 	Strategy    string         `json:"strategy"`
 	Degraded    bool           `json:"degraded,omitempty"`
 	// Forecast is the predictive idle scheduling snapshot — per-column
-	// predicted ranges with confidence, plus speculative budget and win
-	// counters. Omitted unless the engine runs with Config.Predict.
+	// predicted ranges with confidence, plus speculative budget use and win
+	// counters. Present exactly when the strategy is holistic.
 	Forecast *engine.ForecastStats `json:"forecast,omitempty"`
 }
 

@@ -882,10 +882,10 @@ func (p *Part) PieceStats() (pieces, n int) {
 
 // RangePieceAvg returns the average size (in values) of the cracker pieces
 // overlapping the value range [lo, hi), or 0 when the part has no cracker
-// index yet or the range overlaps nothing. The speculative tuner uses it to
-// decide whether a forecast-predicted range still needs pre-cracking: unlike
-// the column-wide average, it measures exactly the region the next burst is
-// expected to hit.
+// index yet or the range overlaps nothing. It is part of the tuner's Column
+// interface. The speculative step uses it to decide whether a
+// forecast-predicted range still needs pre-cracking: unlike the column-wide
+// average, it measures exactly the region the next burst is expected to hit.
 func (p *Part) RangePieceAvg(lo, hi int64) float64 {
 	p.mu.RLock()
 	defer p.mu.RUnlock()

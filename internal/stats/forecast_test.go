@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-// newDrift returns a collector that tracks drift with the given epoch length.
+// newDrift returns a collector whose drift epochs close every epochQueries
+// noted queries instead of DefaultEpochQueries, for hand-computable epochs.
 func newDrift(epochQueries int) *Collector {
 	c := NewCollector()
-	c.TrackDrift(epochQueries)
+	c.epoch = epochQueries
 	return c
 }
 

@@ -11,16 +11,15 @@
 // recent queries touching a column, weights the ranking scheme's "which
 // column next?" decision.
 //
-// Where they will be next (after TrackDrift; the shape follows Predictive
-// Indexing, Arulraj et al., and Learned Adaptive Indexing, Das & Ray — see
-// PAPERS.md), a deliberately lightweight linear drift model over the same
-// buckets:
+// Where they will be next (always on; the shape follows Predictive Indexing,
+// Arulraj et al., and Learned Adaptive Indexing, Das & Ray — see PAPERS.md),
+// a deliberately lightweight linear drift model over the same buckets:
 //
 //   - observations accumulate, undecayed, into the open epoch, which closes
-//     every epochQueries queries of the column; epoch masses are normalised,
-//     so only the *shape* of the workload matters (scaling every observation
-//     weight by a constant leaves predictions unchanged — the metamorphic
-//     property the tests pin);
+//     every DefaultEpochQueries queries of the column; epoch masses are
+//     normalised, so only the *shape* of the workload matters (scaling every
+//     observation weight by a constant leaves predictions unchanged — the
+//     metamorphic property the tests pin);
 //   - per-bucket trend is an EWMA of normalised-mass deltas between epochs,
 //     sharpening predictions toward a moving range's leading edge;
 //   - drift velocity is an EWMA of the hot-mass centroid's movement per
@@ -106,7 +105,7 @@ type columnStats struct {
 	decayed float64 // decayed query mass
 	lastSeq uint64  // collector sequence at last touch (for lazy decay)
 
-	// Drift model; fed only while the collector tracks drift.
+	// Drift model.
 	cur        [Buckets]float64 // the open epoch's accumulating masses
 	curQueries int              // queries in the open epoch (weight-independent)
 	mass       [Buckets]float64 // normalised masses at the last epoch close
@@ -171,24 +170,12 @@ type Collector struct {
 	mu    sync.Mutex
 	cols  map[string]*columnStats
 	seq   uint64 // noted queries across all columns: the decay clock
-	epoch int    // drift epoch length in queries; 0 = drift tracking off
+	epoch int    // drift epoch length in noted queries per column
 }
 
-// NewCollector returns an empty collector with drift tracking off.
+// NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{cols: map[string]*columnStats{}}
-}
-
-// TrackDrift turns the drift model on with the given epoch length in noted
-// queries per column (<= 0 selects DefaultEpochQueries). Until it is called
-// no epoch ever closes, so Confidence is 0 and Predict returns nothing.
-func (c *Collector) TrackDrift(epochQueries int) {
-	if epochQueries <= 0 {
-		epochQueries = DefaultEpochQueries
-	}
-	c.mu.Lock()
-	c.epoch = epochQueries
-	c.mu.Unlock()
+	return &Collector{cols: map[string]*columnStats{}, epoch: DefaultEpochQueries}
 }
 
 // Register introduces a column with its value domain [domLo, domHi).
@@ -242,9 +229,6 @@ func (c *Collector) RecordWeighted(col string, lo, hi int64, w float64) {
 	cs.catchUp(c.seq)
 	cs.queries++
 	cs.decayed += w
-	if c.epoch == 0 {
-		return
-	}
 	b0, b1, ok := cs.bucketSpan(lo, hi)
 	if !ok {
 		return
