@@ -617,27 +617,3 @@ func BenchmarkAblationPieceTarget(b *testing.B) {
 		})
 	}
 }
-
-// A8: offline build cost — the paper-faithful comparison sort vs the modern
-// radix sort (does the Figure 3 offline verdict survive a faster build?).
-func BenchmarkAblationBuildSort(b *testing.B) {
-	data := workload.UniformData(18, benchN, 1, benchN+1)
-	for _, m := range []struct {
-		name  string
-		radix bool
-	}{{"comparison", false}, {"radix", true}} {
-		b.Run(m.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				e := holistic.New(holistic.Config{Strategy: holistic.StrategyOffline, Seed: 19, RadixBuild: m.radix})
-				tab, _ := e.CreateTable("R")
-				tab.AddColumnFromSlice("A", append([]int64{}, data...))
-				b.StartTimer()
-				if _, err := e.BuildFullIndex("R", "A"); err != nil {
-					b.Fatal(err)
-				}
-				e.Close()
-			}
-		})
-	}
-}

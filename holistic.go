@@ -10,7 +10,8 @@
 // under one of five indexing strategies:
 //
 //   - StrategyScan: no physical design, every query scans;
-//   - StrategyOffline: full sorted indexes built a priori (BuildFullIndex);
+//   - StrategyOffline: full sorted indexes built a priori (BuildFullIndex;
+//     cmd/holisticd builds one on every column at boot);
 //   - StrategyOnline: a COLT-style advisor builds/drops full indexes from
 //     continuous workload monitoring;
 //   - StrategyAdaptive: database cracking — each query partially reorganises

@@ -111,26 +111,6 @@ func TestPublicPhysicalDesign(t *testing.T) {
 	if out := holistic.FormatPhysicalDesign(ds); out == "" {
 		t.Fatal("empty design table")
 	}
-	// Heavy cracking then maintenance.
-	for i := int64(0); i < 100; i++ {
-		eng.Select("R", "A", i*50, i*50+25)
-	}
-	before := mustPieces(t, eng)
-	if _, err := eng.Consolidate("R", "A", 256); err != nil {
-		t.Fatal(err)
-	}
-	if after := mustPieces(t, eng); after >= before {
-		t.Fatalf("consolidation had no effect: %d -> %d", before, after)
-	}
-}
-
-func mustPieces(t *testing.T, eng *holistic.Engine) int {
-	t.Helper()
-	p, _, err := eng.PieceStats("R", "A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
 }
 
 func TestPublicErrors(t *testing.T) {

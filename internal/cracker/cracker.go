@@ -29,7 +29,6 @@
 //     lowest value, and the array below each of those gains or loses exactly
 //     the batch values below its key, so the walk that slides their positions
 //     adds those values' sum to theirs;
-//   - Consolidate only removes boundaries;
 //   - RestoreIndex recomputes the sums from the restored copy, so a snapshot
 //     does not store them.
 //
@@ -60,9 +59,9 @@ import (
 // Positions returned by one call (CrackRange, LookupRange) stay
 // valid for a later call (CountSum) only while no structural operation runs
 // in between: cracks never move a value across an existing boundary and
-// never move a boundary, but Merge and Consolidate do. The owner therefore
-// holds its own latch shared around a lookup-then-aggregate pair and
-// exclusively around Merge, Consolidate and any use of Values/Rows.
+// never move a boundary, but Merge does. The owner therefore holds its own
+// latch shared around a lookup-then-aggregate pair and exclusively around
+// Merge and any use of Values/Rows.
 type Index struct {
 	mu   sync.RWMutex
 	vals []int64

@@ -12,8 +12,8 @@ import (
 
 // One model, every mutator: a seeded program interleaves everything that can
 // move a value or a boundary — query cracks, point cracks, the three random
-// refinements, forced radix passes, batched merges, Consolidate
-// and a Boundaries -> RestoreIndex round trip — beside a plain slice of the
+// refinements, forced radix passes, batched merges and a
+// Boundaries -> RestoreIndex round trip — beside a plain slice of the
 // (value, row) pairs the index must hold. After every step Validate passes
 // (piece bounds and every boundary's sum against a running scan) and the
 // aggregates of random value ranges and random positions equal the model's.
@@ -84,7 +84,7 @@ func (m *sumModel) countSum(lo, hi int64) (count int, sum int64) {
 
 func (m *sumModel) step() string {
 	ix, rng := m.ix, m.rng
-	switch op := rng.IntN(12); op {
+	switch op := rng.IntN(11); op {
 	case 0:
 		lo, hi := m.bounds()
 		from, to := ix.CrackRange(lo, hi)
@@ -114,9 +114,6 @@ func (m *sumModel) step() string {
 		return "radixPiece"
 	case 6, 7, 8, 9:
 		return m.merge()
-	case 10:
-		ix.Consolidate(rng.IntN(12))
-		return "Consolidate"
 	default: // what a checkpoint and a restart do: the sums are not persisted
 		restored, err := RestoreIndex(slices.Clone(ix.Values()), slices.Clone(ix.Rows()), ix.Boundaries())
 		if err != nil {

@@ -208,47 +208,6 @@ func (t *Tree) HigherPos(pos int) (k int64, p int, ok bool) {
 	return k, p, ok
 }
 
-// Remove deletes the boundary with the given key, reporting whether it was
-// present. Removing a boundary merges the two pieces it separated; the
-// cracker uses this when consolidating degenerate (zero-width) pieces.
-func (t *Tree) Remove(key int64) bool {
-	var removed bool
-	t.root, removed = remove(t.root, key)
-	if removed {
-		t.size--
-	}
-	return removed
-}
-
-func remove(n *node, key int64) (*node, bool) {
-	if n == nil {
-		return nil, false
-	}
-	var removed bool
-	switch {
-	case key < n.key:
-		n.left, removed = remove(n.left, key)
-	case key > n.key:
-		n.right, removed = remove(n.right, key)
-	default:
-		removed = true
-		if n.left == nil {
-			return n.right, true
-		}
-		if n.right == nil {
-			return n.left, true
-		}
-		// Replace with in-order successor.
-		s := n.right
-		for s.left != nil {
-			s = s.left
-		}
-		n.key, n.pos, n.sum = s.key, s.pos, s.sum
-		n.right, _ = remove(n.right, s.key)
-	}
-	return rebalance(n), removed
-}
-
 // Walk visits every boundary in ascending key order. The visit function
 // returns false to stop the walk early.
 func (t *Tree) Walk(visit func(key int64, pos int, sum int64) bool) {

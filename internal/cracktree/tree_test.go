@@ -60,9 +60,6 @@ func TestEmptyTree(t *testing.T) {
 	if _, _, _, ok := tr.FloorPos(5); ok {
 		t.Fatal("FloorPos on empty tree returned ok")
 	}
-	if tr.Remove(1) {
-		t.Fatal("Remove on empty tree reported success")
-	}
 }
 
 func TestInsertAndGet(t *testing.T) {
@@ -122,8 +119,8 @@ func floorHigher(tr *Tree, key int64) (floorPos int, floorSum int64, hasFloor bo
 // and base of the piece from the floor (0, 0 without one), its end from the
 // higher boundary (n without one), exact iff Get hits — on seeded random
 // trees that hold the extreme keys and runs of boundaries sharing a position
-// (zero-width pieces), on the empty tree, and after Remove and Rewrite
-// have rearranged nodes and payloads.
+// (zero-width pieces), on the empty tree, and after Rewrite has moved the
+// payloads.
 func TestLocateMatchesFloorHigherGet(t *testing.T) {
 	const minKey, maxKey = -1 << 63, 1<<63 - 1
 	check := func(when string, tr *Tree, n int, probes []int64) {
@@ -182,11 +179,7 @@ func TestLocateMatchesFloorHigherGet(t *testing.T) {
 			probes = append(probes, rng.Int64N(domain+20)-domain/2-10)
 		}
 		check("built", &tr, n, probes)
-		for i := 0; i < len(sorted)/3; i++ {
-			tr.Remove(sorted[rng.IntN(len(sorted))])
-		}
 		validate(t, tr.root, 0, 0, false, false)
-		check("after Remove", &tr, n, probes)
 		dsum := rng.Int64()
 		tr.Rewrite(probes[rng.IntN(len(probes))], rng.IntN(2) == 0, func(_ int64, pos int, sum int64) (int, int64) {
 			return pos + 1, sum + dsum
@@ -275,38 +268,6 @@ func TestWalkFromMatchesWalkFilter(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	var tr Tree
-	keys := rand.New(rand.NewPCG(3, 4)).Perm(200)
-	for _, k := range keys {
-		tr.Insert(int64(k), k, int64(7*k))
-	}
-	removeOrder := rand.New(rand.NewPCG(5, 6)).Perm(200)
-	for i, k := range removeOrder {
-		if !tr.Remove(int64(k)) {
-			t.Fatalf("Remove(%d) failed", k)
-		}
-		// A two-child removal copies the successor into the node: every
-		// survivor must still carry its own position and sum.
-		tr.Walk(func(key int64, pos int, sum int64) bool {
-			if pos != int(key) || sum != 7*key {
-				t.Fatalf("after Remove(%d): key %d carries pos %d sum %d", k, key, pos, sum)
-			}
-			return true
-		})
-		if tr.Remove(int64(k)) {
-			t.Fatalf("second Remove(%d) succeeded", k)
-		}
-		if tr.Len() != 200-i-1 {
-			t.Fatalf("Len = %d after %d removals", tr.Len(), i+1)
-		}
-		validate(t, tr.root, 0, 0, false, false)
-	}
-	if tr.root != nil {
-		t.Fatal("tree not empty after removing everything")
-	}
-}
-
 // TestRewrite: the walk visits exactly the keys strictly above its bound, in
 // the asked direction, and each visit's answer replaces that boundary's
 // position and sum.
@@ -376,21 +337,18 @@ func TestPropertyTreeMatchesSortedMap(t *testing.T) {
 		ref := map[int64]entry{}
 		for i, raw := range opsRaw {
 			key := int64(raw % 512)
-			switch rng.IntN(5) {
+			switch rng.IntN(4) {
 			case 0, 1: // insert
 				e := entry{i, rng.Int64()}
 				tr.Insert(key, e.pos, e.sum)
 				ref[key] = e
-			case 2: // remove
-				delete(ref, key)
-				tr.Remove(key)
-			case 3: // lookup consistency checked below
+			case 2: // lookup consistency checked below
 				pos, sum, ok := tr.Get(key)
 				w, wok := ref[key]
 				if ok != wok || (ok && (entry{pos, sum}) != w) {
 					return false
 				}
-			case 4: // shift everything above key
+			case 3: // shift everything above key
 				dpos, dsum := rng.IntN(7)-3, rng.Int64()
 				tr.Rewrite(key, rng.IntN(2) == 0, func(_ int64, pos int, sum int64) (int, int64) {
 					return pos + dpos, sum + dsum

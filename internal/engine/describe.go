@@ -85,20 +85,3 @@ func FormatPhysicalDesign(ds []ColumnDesign) string {
 	}
 	return b.String()
 }
-
-// Consolidate prunes redundant crack boundaries on a column: zero-width
-// pieces always, and adjacent pieces whose merged size stays at or below
-// minPiece when minPiece > 0. It returns the number of boundaries removed,
-// summed across the column's shards. This is the kernel's index-maintenance
-// primitive, safe to run during idle time; query results are never affected.
-func (e *Engine) Consolidate(table, col string, minPiece int) (int, error) {
-	cs, err := e.colState(table, col)
-	if err != nil {
-		return 0, err
-	}
-	removed := 0
-	for _, p := range cs.sc.Parts() {
-		removed += p.Consolidate(minPiece)
-	}
-	return removed, nil
-}

@@ -51,46 +51,3 @@ func TestDescribePhysicalDesign(t *testing.T) {
 		}
 	}
 }
-
-func TestEngineConsolidate(t *testing.T) {
-	e := New(Config{Strategy: StrategyAdaptive, Seed: 2})
-	defer e.Close()
-	tab, _ := e.CreateTable("R")
-	data := make([]int64, 4096)
-	for i := range data {
-		data[i] = int64(i * 7 % 4096)
-	}
-	tab.AddColumnFromSlice("A", data)
-
-	// No cracker index yet: consolidation is a no-op, not an error.
-	if n, err := e.Consolidate("R", "A", 64); err != nil || n != 0 {
-		t.Fatalf("uncracked consolidate: %d %v", n, err)
-	}
-	// Crack heavily, then consolidate micro-pieces away.
-	for lo := int64(0); lo < 4000; lo += 40 {
-		e.Select("R", "A", lo, lo+20)
-	}
-	before, _, _ := e.PieceStats("R", "A")
-	n, err := e.Consolidate("R", "A", 256)
-	if err != nil || n == 0 {
-		t.Fatalf("consolidate: %d %v", n, err)
-	}
-	after, _, _ := e.PieceStats("R", "A")
-	if after >= before {
-		t.Fatalf("pieces %d -> %d", before, after)
-	}
-	// Queries still correct.
-	r, _ := e.Select("R", "A", 100, 300)
-	want := 0
-	for _, v := range data {
-		if v >= 100 && v < 300 {
-			want++
-		}
-	}
-	if r.Count != want {
-		t.Fatalf("post-consolidate count %d want %d", r.Count, want)
-	}
-	if _, err := e.Consolidate("R", "nope", 1); err == nil {
-		t.Fatal("missing column accepted")
-	}
-}

@@ -93,11 +93,6 @@ type Config struct {
 	TargetPieceSize int
 	// OnlineEpoch is the online advisor's review period in queries.
 	OnlineEpoch int
-	// RadixBuild makes full-index builds use the radix sort instead of the
-	// default comparison sort. The default matches the paper's MonetDB
-	// build cost profile (Time_sort); radix is the modern alternative the
-	// ablation benchmarks explore.
-	RadixBuild bool
 	// AutoIdle starts the background idle worker pool (holistic only). The
 	// experiments use manual injection instead, like the paper.
 	AutoIdle bool
@@ -216,7 +211,6 @@ func (e *Engine) idleWorkers() int {
 func (e *Engine) shardConfig() shard.Config {
 	return shard.Config{
 		Shards:        e.Shards(),
-		RadixBuild:    e.cfg.RadixBuild,
 		IngestCap:     e.cfg.IngestCap,
 		RadixMinPiece: e.cfg.RadixMinPiece,
 	}

@@ -92,36 +92,3 @@ func TestOnlineIdleForceReview(t *testing.T) {
 		t.Fatal("forced review did not build")
 	}
 }
-
-func TestRadixBuildMatchesComparisonBuild(t *testing.T) {
-	rng := rand.New(rand.NewPCG(57, 58))
-	vals := randomVals(rng, 100000, 1<<30)
-	queries := make([][2]int64, 50)
-	for i := range queries {
-		lo := rng.Int64N(1 << 30)
-		queries[i] = [2]int64{lo, lo + 1<<22}
-	}
-	run := func(radix bool) []Result {
-		e := newEngineWithData(t, Config{Strategy: StrategyOffline, RadixBuild: radix}, vals)
-		defer e.Close()
-		if _, err := e.BuildFullIndex("R", "A"); err != nil {
-			t.Fatal(err)
-		}
-		var out []Result
-		for _, q := range queries {
-			r, err := e.Select("R", "A", q[0], q[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, r)
-		}
-		return out
-	}
-	a, b := run(false), run(true)
-	for i := range a {
-		if a[i].Count != b[i].Count || a[i].Sum != b[i].Sum {
-			t.Fatalf("q%d: comparison %d/%d vs radix %d/%d",
-				i, a[i].Count, a[i].Sum, b[i].Count, b[i].Sum)
-		}
-	}
-}

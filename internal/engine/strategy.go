@@ -12,7 +12,8 @@ const (
 	// StrategyScan serves every select with a full scan; no physical design.
 	StrategyScan Strategy = iota
 	// StrategyOffline serves selects with a full sorted index built ahead
-	// of the workload (via BuildFullIndex); scans until the index exists.
+	// of the workload (via BuildFullIndex; holisticd builds one on every
+	// column at boot); scans until the index exists.
 	StrategyOffline
 	// StrategyOnline monitors the workload and builds/drops full indexes at
 	// epoch boundaries; the triggering query pays the build.

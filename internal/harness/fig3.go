@@ -22,9 +22,6 @@ type Fig3Config struct {
 	// TargetPieceSize for the holistic tuner; <= 0 uses the cost-model
 	// default.
 	TargetPieceSize int
-	// RadixBuild switches offline index builds from the paper-faithful
-	// comparison sort to the faster radix sort (ablation A8).
-	RadixBuild bool
 	// IdleWorkers: see engine.Config. Zero keeps the engine default
 	// (GOMAXPROCS idle workers).
 	IdleWorkers int
@@ -129,7 +126,6 @@ func newEngine(strategy engine.Strategy, cfg Fig3Config, data []int64) (*engine.
 		Strategy:        strategy,
 		Seed:            cfg.Seed,
 		TargetPieceSize: cfg.TargetPieceSize,
-		RadixBuild:      cfg.RadixBuild,
 		IdleWorkers:     cfg.IdleWorkers,
 	})
 	tab, err := e.CreateTable("R")

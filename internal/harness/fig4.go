@@ -22,8 +22,6 @@ type Fig4Config struct {
 	FullIndexes      int // offline: columns fully indexed a priori (paper: 2)
 	ActionsPerColumn int // holistic: refinements per column (paper: 100)
 	TargetPieceSize  int
-	// RadixBuild: see Fig3Config.
-	RadixBuild bool
 	// IdleWorkers: see engine.Config.
 	IdleWorkers int
 }
@@ -90,7 +88,6 @@ func RunFig4(cfg Fig4Config) (*Fig4Result, error) {
 			Strategy:        strategy,
 			Seed:            cfg.Seed,
 			TargetPieceSize: cfg.TargetPieceSize,
-			RadixBuild:      cfg.RadixBuild,
 			IdleWorkers:     cfg.IdleWorkers,
 		})
 		tab, err := e.CreateTable("R")

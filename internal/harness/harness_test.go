@@ -195,33 +195,6 @@ func TestRunFig4Shape(t *testing.T) {
 	}
 }
 
-// TestFig3RadixBuildAblation: with a radix-fast build, offline's first-query
-// penalty shrinks but correctness is unchanged (ablation A8's premise).
-func TestFig3RadixBuildAblation(t *testing.T) {
-	base := Fig3Config{
-		N: 150000, Queries: 150, X: 20, IdleEvery: 50,
-		Selectivity: 0.01, Seed: 3, TargetPieceSize: 512,
-	}
-	slow, err := RunFig3(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast := base
-	fast.RadixBuild = true
-	quick, err := RunFig3(fast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if testing.Short() {
-		t.Skip("wall-clock comparison of two measured builds; skipped under -short")
-	}
-	// 10% tolerance: radix wins clearly at this size, but leave room for a
-	// noisy neighbour on shared runners.
-	if quick.TSort+quick.TSort/10 >= slow.TSort {
-		t.Fatalf("radix build (%v) not faster than comparison (%v)", quick.TSort, slow.TSort)
-	}
-}
-
 func TestFig4ConfigClamping(t *testing.T) {
 	res, err := RunFig4(Fig4Config{
 		Columns: 3, N: 20000, Queries: 60, FullIndexes: 99, // clamped to 3

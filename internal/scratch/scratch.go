@@ -1,10 +1,9 @@
 // Package scratch provides pooled scratch buffers for the kernel's
-// out-of-place hot paths — the radix coarse-cracking pass over a piece
-// (package cracker) and the radix sort build (package sortindex). Those
-// operators need a values buffer and a row-id buffer the size of the piece
-// being reorganised; allocating them per call would put multi-megabyte
-// garbage on every radix crack and every index build. (A cracked copy built
-// from a base column keeps what it scatters into; see cracker.NewFromBase.)
+// out-of-place hot path, the radix coarse-cracking pass over a piece
+// (package cracker). That pass needs a values buffer and a row-id buffer the
+// size of the piece being reorganised; allocating them per call would put
+// multi-megabyte garbage on every radix crack. (A cracked copy built from a
+// base column keeps what it scatters into; see cracker.NewFromBase.)
 //
 // Buffers are recycled through sync.Pools keyed by power-of-two size class,
 // so a steady-state workload — cracking pieces of similar sizes over and

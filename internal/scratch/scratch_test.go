@@ -55,8 +55,8 @@ func TestAdoptRecycles(t *testing.T) {
 	}
 }
 
-// A warm Get/Put cycle is the pool's whole point: the radix coarse pass and
-// the radix sort build sit on it, so it must not allocate in steady state.
+// A warm Get/Put cycle is the pool's whole point: the radix coarse pass sits
+// on it, so it must not allocate in steady state.
 func TestGetPutZeroAllocWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool reuse is deliberately randomised under -race")

@@ -92,47 +92,66 @@ func TestFanOutRule(t *testing.T) {
 // BenchmarkFanOutCrossover is what costmodel.FanOutMinWork is read from: one
 // select that cracks a fresh piece of `piece` values in three on every part,
 // run on the caller's goroutine one part after the other (serial) and handed
-// to one goroutine per part (fanout). select-us is the statement alone; the
-// boundaries it made are consolidated away again off the clock, and the
-// pieces it walks through add up to 8 MB a part, so each crack starts cold in
-// cache as a select at a random position does. The crossover is the piece
-// size from which fanout reads lower than serial; serial work taken off the
-// caller at that size is (parts-1) x piece. Radix-first cracking is off: the
-// rule's unit is one partition sweep.
+// to one goroutine per part (fanout). select-us is the statement alone. Each
+// select takes the next piece of a lap through the pre-cracked column, whose
+// pieces add up to 8 MB a part, so each crack starts cold in cache as a select
+// at a random position does; once a lap is used up the column is rebuilt off
+// the clock. The crossover is the piece size from which fanout reads lower
+// than serial; serial work taken off the caller at that size is
+// (parts-1) x piece. Radix-first cracking is off: the rule's unit is one
+// partition sweep.
 func BenchmarkFanOutCrossover(b *testing.B) {
 	const perPart = 1 << 20
 	for _, parts := range []int{2, 4} {
+		// Every part's stripe is a shuffle of 0..perPart-1.
+		vals := make([]int64, parts*perPart)
+		rng := rand.New(rand.NewPCG(23, uint64(parts)))
+		for p := 0; p < parts; p++ {
+			for i, v := range rng.Perm(perPart) {
+				vals[i*parts+p] = int64(v)
+			}
+		}
 		for _, piece := range []int{1 << 12, 1 << 14, 1 << 16, 1 << 18} {
-			// Every part's stripe is a shuffle of 0..perPart-1, pre-cracked at
-			// the multiples of piece.
-			vals := make([]int64, parts*perPart)
-			rng := rand.New(rand.NewPCG(23, uint64(parts)))
-			for p := 0; p < parts; p++ {
-				for i, v := range rng.Perm(perPart) {
-					vals[i*parts+p] = int64(v)
+			// precracked builds the column cracked at the multiples of piece.
+			precracked := func() *Column {
+				c, err := NewColumn("R.A", vals, Config{Shards: parts, RadixMinPiece: -1})
+				if err != nil {
+					b.Fatal(err)
 				}
-			}
-			c, err := NewColumn("R.A", vals, Config{Shards: parts, RadixMinPiece: -1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, p := range c.Parts() {
-				p.Lock()
-				ix := p.CrackIndex()
-				p.Unlock()
-				for step := perPart / 2; step >= piece; step /= 2 { // bisect: log sweeps, not linear
-					for at := step; at < perPart; at += 2 * step {
-						ix.CrackAt(int64(at))
+				for _, p := range c.Parts() {
+					p.Lock()
+					ix := p.CrackIndex()
+					p.Unlock()
+					for step := perPart / 2; step >= piece; step /= 2 { // bisect: log sweeps, not linear
+						for at := step; at < perPart; at += 2 * step {
+							ix.CrackAt(int64(at))
+						}
 					}
 				}
+				return c
 			}
+			pieces := func(c *Column) (n int) {
+				for _, p := range c.Parts() {
+					k, _ := p.PieceStats()
+					n += k
+				}
+				return n
+			}
+			lap := perPart / piece
 			for _, mode := range []string{"serial", "fanout"} {
 				b.Run(fmt.Sprintf("parts=%d/piece=%d/%s", parts, piece, mode), func(b *testing.B) {
+					var c *Column
 					var busy time.Duration
 					for i := 0; i < b.N; i++ {
-						at := int64(i % (perPart / piece) * piece)
+						if i%lap == 0 {
+							b.StopTimer()
+							c = precracked()
+							b.StartTimer()
+						}
+						at := int64(i % lap * piece)
 						lo, hi := at+int64(piece/4), at+int64(3*piece/4)
 						f := func(p *Part) (int, int64) { return p.CrackedSelect(lo, hi) }
+						before := pieces(c)
 						count := 0
 						start := time.Now()
 						if mode == "fanout" {
@@ -147,10 +166,8 @@ func BenchmarkFanOutCrossover(b *testing.B) {
 						if count != parts*piece/2 {
 							b.Fatalf("select [%d, %d) counted %d, want %d", lo, hi, count, parts*piece/2)
 						}
-						for _, p := range c.Parts() {
-							if p.Consolidate(piece) != 2 {
-								b.Fatal("the select did not crack a fresh piece in three")
-							}
+						if pieces(c)-before != 2*parts {
+							b.Fatal("the select did not crack a fresh piece in three")
 						}
 					}
 					b.ReportMetric(float64(busy.Microseconds())/float64(b.N), "select-us")

@@ -144,8 +144,6 @@ type Config struct {
 	// behaves exactly like the pre-sharding column (and names itself after
 	// the bare column, keeping stats and ranking output identical).
 	Shards int
-	// RadixBuild makes full sorted-index builds use the radix sort.
-	RadixBuild bool
 	// Seed is read by nothing: cracking is deterministic. It stays so that
 	// callers which still set it keep compiling.
 	Seed uint64
@@ -584,12 +582,7 @@ func (p *Part) BuildSorted() {
 }
 
 func (p *Part) buildSortedLocked() {
-	vals, rows := p.liveSnapshotLocked()
-	if p.cfg.RadixBuild {
-		p.sorted = sortindex.Build(vals, rows)
-	} else {
-		p.sorted = sortindex.BuildComparison(vals, rows)
-	}
+	p.sorted = sortindex.Build(p.liveSnapshotLocked())
 }
 
 // DropSorted removes the part's sorted index, if any.
@@ -898,16 +891,6 @@ func (p *Part) RangePieceAvg(lo, hi int64) float64 {
 // PendingCounts returns the part's buffered (inserts, deletes).
 func (p *Part) PendingCounts() (ins, del int) {
 	return p.ingest.Counts()
-}
-
-// Consolidate prunes redundant crack boundaries (see cracker.Consolidate).
-func (p *Part) Consolidate(minPiece int) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.crack == nil {
-		return 0
-	}
-	return p.crack.Consolidate(minPiece)
 }
 
 // Validate checks the part's cracker-index invariants (quiesced callers).

@@ -66,18 +66,6 @@ func BenchmarkComparisonSortPairs(b *testing.B) {
 	}
 }
 
-func BenchmarkRadixSortPairs(b *testing.B) {
-	vals, rows := benchPairs(1 << 16)
-	v := make([]int64, len(vals))
-	r := make([]uint32, len(rows))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(v, vals)
-		copy(r, rows)
-		radixSortPairs(v, r)
-	}
-}
-
 func TestComparisonSortMatchesReference(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 17, 1024, 5000} {
 		vals, rows := benchPairs(n)

@@ -3,7 +3,8 @@
 // binary searches and — the reply being (count, sum) — one subtraction of
 // prefix sums, the same aggregate shortcut the cracker's boundaries carry, so
 // the paper's offline/online baselines are not charged for a scan the
-// adaptive strategies skip. Building it costs a full sort — the paper's Time_sort,
+// adaptive strategies skip. Building it costs a full comparison sort,
+// O(n log n) — the cost profile of the paper's MonetDB build, Time_sort =
 // 28.4 s for 10^8 values on the authors' hardware — which is exactly the
 // investment offline indexing must make up front and holistic indexing
 // chooses to spread over many partial indexes instead.
@@ -15,7 +16,6 @@ import (
 	"slices"
 	"sort"
 
-	"holistic/internal/scratch"
 	"holistic/internal/updates"
 )
 
@@ -36,18 +36,9 @@ func newIndex(vals []int64, rows []uint32) *Index {
 }
 
 // Build sorts vals (adopting the slice) together with rows and returns the
-// index. It uses an LSD radix sort for large inputs, falling back to the
-// standard library sort below a small threshold.
+// index. The sort is a comparison sort, O(n log n): the paper's Time_sort
+// profile.
 func Build(vals []int64, rows []uint32) *Index {
-	radixSortPairs(vals, rows)
-	return newIndex(vals, rows)
-}
-
-// BuildComparison builds the index with a comparison sort (O(n log n)).
-// This matches the cost profile of the paper's MonetDB index build
-// (Time_sort = 28.4 s for 10^8 values); Build's radix sort is the modern
-// alternative.
-func BuildComparison(vals []int64, rows []uint32) *Index {
 	comparisonSortPairs(vals, rows)
 	return newIndex(vals, rows)
 }
@@ -171,67 +162,6 @@ func (ix *Index) Merge(ins, del []updates.Entry) (missing int) {
 // lowerBound returns the first position holding a value >= v.
 func (ix *Index) lowerBound(v int64) int {
 	return sort.Search(len(ix.vals), func(i int) bool { return ix.vals[i] >= v })
-}
-
-const (
-	radixBits    = 8
-	radixBuckets = 1 << radixBits
-	radixPasses  = 64 / radixBits
-	// Below this size the standard library sort wins on constants.
-	radixCutoff = 1 << 10
-	signFlip    = uint64(1) << 63
-)
-
-// radixSortPairs sorts vals ascending, permuting rows in lockstep. LSD radix
-// over 8 passes of 8 bits; the sign bit is flipped during digit extraction so
-// negative values order correctly.
-func radixSortPairs(vals []int64, rows []uint32) {
-	n := len(vals)
-	if n < 2 {
-		return
-	}
-	if n < radixCutoff {
-		comparisonSortPairs(vals, rows)
-		return
-	}
-	// The double buffer comes from the scratch pool: repeated builds (the
-	// advisor's forced reviews, the ablation sweeps) reuse the same arrays
-	// instead of allocating 12n bytes per build.
-	buf := scratch.Get(n)
-	defer scratch.Put(buf)
-	tmpV, tmpR := buf.V, buf.R
-	var counts [radixBuckets]int
-	src, dst := vals, tmpV
-	srcR, dstR := rows, tmpR
-	for pass := 0; pass < radixPasses; pass++ {
-		shift := uint(pass * radixBits)
-		for i := range counts {
-			counts[i] = 0
-		}
-		for _, v := range src {
-			counts[byte((uint64(v)^signFlip)>>shift)]++
-		}
-		// Skip passes where all keys share the digit.
-		if counts[byte((uint64(src[0])^signFlip)>>shift)] == n {
-			continue
-		}
-		total := 0
-		for i := range counts {
-			counts[i], total = total, total+counts[i]
-		}
-		for i, v := range src {
-			b := byte((uint64(v) ^ signFlip) >> shift)
-			dst[counts[b]] = v
-			dstR[counts[b]] = srcR[i]
-			counts[b]++
-		}
-		src, dst = dst, src
-		srcR, dstR = dstR, srcR
-	}
-	if &src[0] != &vals[0] {
-		copy(vals, src)
-		copy(rows, srcR)
-	}
 }
 
 // pair is one (value, row id) element of the sort; sorting concrete pairs

@@ -79,9 +79,9 @@ func TestRangeQueries(t *testing.T) {
 	}
 }
 
-func TestRadixMatchesStdSortLarge(t *testing.T) {
+func TestBuildMatchesStdSortLarge(t *testing.T) {
 	rng := rand.New(rand.NewPCG(8, 9))
-	n := 5000 // above radixCutoff
+	n := 5000
 	vals := make([]int64, n)
 	for i := range vals {
 		vals[i] = rng.Int64() - (1 << 62) // exercise negatives
@@ -91,30 +91,12 @@ func TestRadixMatchesStdSortLarge(t *testing.T) {
 	ix := buildFrom(vals)
 	for i := range want {
 		if ix.Values()[i] != want[i] {
-			t.Fatalf("radix sort diverges at %d: %d vs %d", i, ix.Values()[i], want[i])
+			t.Fatalf("Build diverges at %d: %d vs %d", i, ix.Values()[i], want[i])
 		}
 	}
 }
 
-func TestBuildComparisonMatchesRadix(t *testing.T) {
-	rng := rand.New(rand.NewPCG(31, 32))
-	n := 4096
-	vals := make([]int64, n)
-	rows := make([]uint32, n)
-	for i := range vals {
-		vals[i] = rng.Int64() - (1 << 62)
-		rows[i] = uint32(i)
-	}
-	a := Build(append([]int64{}, vals...), append([]uint32{}, rows...))
-	b := BuildComparison(append([]int64{}, vals...), append([]uint32{}, rows...))
-	for i := range vals {
-		if a.Values()[i] != b.Values()[i] {
-			t.Fatalf("sorts diverge at %d: %d vs %d", i, a.Values()[i], b.Values()[i])
-		}
-	}
-}
-
-func TestRadixAllEqual(t *testing.T) {
+func TestBuildAllEqual(t *testing.T) {
 	vals := make([]int64, 3000)
 	for i := range vals {
 		vals[i] = 7
@@ -253,7 +235,7 @@ func TestPropertyInsertDeleteReference(t *testing.T) {
 	}
 }
 
-func BenchmarkBuildRadix1M(b *testing.B) {
+func BenchmarkBuild1M(b *testing.B) {
 	rng := rand.New(rand.NewPCG(1, 1))
 	base := make([]int64, 1<<20)
 	for i := range base {
