@@ -514,46 +514,13 @@ func BenchmarkAblationRanking(b *testing.B) {
 	}
 }
 
-// A3: radix-first cracking against the sequential-sweep adversary, 300
-// selects of 0.2% each. With the radix pass off, the sweep leaves the
-// untouched tail one piece that every select re-partitions.
-func BenchmarkAblationSequential(b *testing.B) {
-	for _, n := range []int{benchN / 2, 4 * benchN} {
-		data := workload.UniformData(11, n, 1, int64(n)+1)
-		for _, s := range []holistic.Strategy{holistic.StrategyAdaptive, holistic.StrategyHolistic} {
-			for _, radix := range []struct {
-				name     string
-				minPiece int
-			}{{"radix-default", 0}, {"radix-off", -1}} {
-				b.Run(fmt.Sprintf("n=%d/%v/%s", n, s, radix.name), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						b.StopTimer()
-						e := holistic.New(holistic.Config{Strategy: s, Seed: 12, RadixMinPiece: radix.minPiece})
-						tab, _ := e.CreateTable("R")
-						tab.AddColumnFromSlice("A", append([]int64{}, data...))
-						gen := workload.NewSequential("R", "A", 1, int64(n)+1, 0.002, 0)
-						b.StartTimer()
-						for q := 0; q < 300; q++ {
-							query := gen.Next()
-							if _, err := e.Select(query.Table, query.Column, query.Lo, query.Hi); err != nil {
-								b.Fatal(err)
-							}
-						}
-						e.Close()
-					}
-				})
-			}
-		}
-	}
-}
-
 // A5: the online strategy on the Figure 3 workload (the paper discusses but
 // does not plot it: the epoch-triggering query pays the whole build).
 func BenchmarkAblationOnline(b *testing.B) {
 	data, qs := table2Data()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		e := holistic.New(holistic.Config{Strategy: holistic.StrategyOnline, Seed: 13, OnlineEpoch: 100})
+		e := holistic.New(holistic.Config{Strategy: holistic.StrategyOnline, Seed: 13})
 		tab, _ := e.CreateTable("R")
 		tab.AddColumnFromSlice("A", append([]int64{}, data...))
 		b.StartTimer()

@@ -59,8 +59,6 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "RNG seed")
 		target  = flag.Int("target", 1<<14, "holistic target piece size (values)")
 		workers = flag.Int("idle-workers", 0, "idle worker pool size (0 = GOMAXPROCS)")
-		quiet   = flag.Duration("idle-quiet", 10*time.Millisecond, "traffic gap length before idle refinement starts")
-		quantum = flag.Int("idle-quantum", 0, "refinement actions per idle wakeup (0 = default)")
 		shards  = flag.Int("shards", 1, "striped shards per column: large selects fan out across them (<=1 = unsharded)")
 		maxIn   = flag.Int("max-inflight", server.DefaultMaxInFlight, "bounded admission: max statements in the system")
 		load    = flag.String("load", "", "preload spec: comma-separated table.col:n uniform columns, e.g. r.a:1000000,r.b:1000000")
@@ -81,8 +79,6 @@ func main() {
 		Seed:            *seed,
 		TargetPieceSize: *target,
 		AutoIdle:        st == engine.StrategyHolistic,
-		IdleQuiet:       *quiet,
-		IdleQuantum:     *quantum,
 		IdleWorkers:     *workers,
 		Shards:          *shards,
 	})

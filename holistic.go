@@ -131,8 +131,9 @@ func NewHotspotWorkload(table, column string, domLo, domHi int64, selectivity, h
 }
 
 // NewSequentialWorkload sweeps the domain with fixed-width queries — the
-// adversary of query-driven cracking, which the radix-first pass on a cold
-// piece's first touch (Config.RadixMinPiece) keeps bounded.
+// adversary of query-driven cracking, which the radix-first pass on the first
+// touch of a cold piece of at least costmodel.DefaultRadixMinPiece values
+// keeps bounded.
 func NewSequentialWorkload(table, column string, domLo, domHi int64, selectivity float64, step int64) WorkloadGenerator {
 	return workload.NewSequential(table, column, domLo, domHi, selectivity, step)
 }

@@ -75,26 +75,6 @@ func (c *Column) Append(v int64) (uint32, error) {
 	return uint32(len(c.vals) - 1), nil
 }
 
-// AppendBatch adds many values at once, returning the row id of the first.
-func (c *Column) AppendBatch(vs []int64) (uint32, error) {
-	if len(c.vals)+len(vs) > MaxRows {
-		return 0, fmt.Errorf("%w: %d + %d", ErrTooLarge, len(c.vals), len(vs))
-	}
-	first := uint32(len(c.vals))
-	c.vals = append(c.vals, vs...)
-	if c.statsOK {
-		for _, v := range vs {
-			if v < c.min {
-				c.min = v
-			}
-			if v > c.max {
-				c.max = v
-			}
-		}
-	}
-	return first, nil
-}
-
 // MinMax returns the smallest and largest value in the column. It scans once
 // and caches the result; appends keep the cache current. Ok is false for an
 // empty column.

@@ -50,31 +50,16 @@ func TestAppendAndRowIDs(t *testing.T) {
 	}
 }
 
-func TestAppendBatch(t *testing.T) {
-	c := New("a")
-	c.Append(5)
-	first, err := c.AppendBatch([]int64{10, 20, 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first != 1 {
-		t.Fatalf("first id = %d", first)
-	}
-	if c.Len() != 4 || c.Get(3) != 30 {
-		t.Fatalf("batch append wrong: %v", c.Values())
-	}
-}
-
 func TestMinMaxCachedThroughAppends(t *testing.T) {
-	c := New("a")
-	c.AppendBatch([]int64{5, -3, 9})
+	c, _ := FromSlice("a", []int64{5, -3, 9})
 	lo, hi, ok := c.MinMax()
 	if !ok || lo != -3 || hi != 9 {
 		t.Fatalf("MinMax = %d,%d,%v", lo, hi, ok)
 	}
 	// After caching, appends must keep the cache correct.
-	c.Append(-10)
-	c.AppendBatch([]int64{100, 50})
+	for _, v := range []int64{-10, 100, 50} {
+		c.Append(v)
+	}
 	lo, hi, _ = c.MinMax()
 	if lo != -10 || hi != 100 {
 		t.Fatalf("cached MinMax stale: %d,%d", lo, hi)
@@ -82,8 +67,7 @@ func TestMinMaxCachedThroughAppends(t *testing.T) {
 }
 
 func TestClone(t *testing.T) {
-	c := New("a")
-	c.AppendBatch([]int64{1, 2, 3})
+	c, _ := FromSlice("a", []int64{1, 2, 3})
 	d := c.Clone()
 	d.Append(4)
 	if c.Len() != 3 || d.Len() != 4 {
@@ -92,8 +76,7 @@ func TestClone(t *testing.T) {
 }
 
 func TestSnapshot(t *testing.T) {
-	c := New("a")
-	c.AppendBatch([]int64{9, 8, 7})
+	c, _ := FromSlice("a", []int64{9, 8, 7})
 	vals, rows := c.Snapshot()
 	vals[0] = 999 // must not affect the column
 	if c.Get(0) != 9 {

@@ -127,19 +127,16 @@ const DefaultSnapshotThreshold = 1 << 20
 
 // SnapshotScore ranks taking a checkpoint against crack and merge actions
 // for the same idle slot. walBytes is the statement-log growth since the
-// last checkpoint; threshold <= 0 selects DefaultSnapshotThreshold. The
-// score is zero below the threshold — a near-empty log is cheap to replay,
-// so the slot is better spent refining — and grows linearly past it, so a
-// long-uncheckpointed engine eventually outbids any crack: recovery time is
-// bounded no matter how hot the workload keeps the columns.
-func SnapshotScore(walBytes, threshold int64) float64 {
-	if threshold <= 0 {
-		threshold = DefaultSnapshotThreshold
-	}
-	if walBytes < threshold {
+// last checkpoint. The score is zero below DefaultSnapshotThreshold — a
+// near-empty log is cheap to replay, so the slot is better spent refining —
+// and grows linearly past it, so a long-uncheckpointed engine eventually
+// outbids any crack: recovery time is bounded no matter how hot the workload
+// keeps the columns.
+func SnapshotScore(walBytes int64) float64 {
+	if walBytes < DefaultSnapshotThreshold {
 		return 0
 	}
-	return float64(walBytes) / float64(threshold)
+	return float64(walBytes) / DefaultSnapshotThreshold
 }
 
 // SpecFineFraction is how much finer than the cache-resident target a
@@ -205,14 +202,13 @@ func (p Params) PredictScore(confidence, frequency, avgPieceSize float64) float6
 // ScanCost is the cost of a full scan of n values.
 func ScanCost(n int) float64 { return float64(n) }
 
-// SortCost is the cost of building a full sorted index over n values.
+// SortCost is the cost of building a full sorted index over n values:
+// sortindex.Build is a comparison sort, n·log2(n) element touches.
 func SortCost(n int) float64 {
 	if n < 2 {
 		return float64(n)
 	}
-	// Radix sort: a constant number of full passes; 8 passes for 64-bit keys
-	// plus a final copy, with a small per-pass constant.
-	return 9 * float64(n)
+	return float64(n) * math.Log2(float64(n))
 }
 
 // IndexedSelectCost is the cost of answering a range select with a full

@@ -57,6 +57,9 @@ func TestOperatorCosts(t *testing.T) {
 	if SortCost(1000) <= ScanCost(1000) {
 		t.Fatal("sorting must cost more than one scan")
 	}
+	if SortCost(1<<20) != 20*(1<<20) {
+		t.Fatalf("comparison sort of 2^20 values costs %f, want n·log2(n)", SortCost(1<<20))
+	}
 	n := 1 << 20
 	if IndexedSelectCost(n, 0.01) >= ScanCost(n) {
 		t.Fatal("indexed select must beat a scan at 1% selectivity")

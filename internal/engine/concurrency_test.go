@@ -20,8 +20,6 @@ func TestConcurrentQueriesWithAutoIdle(t *testing.T) {
 		Seed:            5,
 		TargetPieceSize: 128,
 		AutoIdle:        true,
-		IdleQuiet:       time.Millisecond,
-		IdleQuantum:     8,
 	})
 	defer e.Close()
 	tab, err := e.CreateTable("R")

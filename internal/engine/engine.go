@@ -91,14 +91,9 @@ type Config struct {
 	Seed uint64
 	// TargetPieceSize: see core.Config. <= 0 selects the cost-model default.
 	TargetPieceSize int
-	// OnlineEpoch is the online advisor's review period in queries.
-	OnlineEpoch int
 	// AutoIdle starts the background idle worker pool (holistic only). The
 	// experiments use manual injection instead, like the paper.
 	AutoIdle bool
-	// IdleQuiet / IdleQuantum tune the automatic idle workers.
-	IdleQuiet   time.Duration
-	IdleQuantum int
 	// IdleWorkers is the size of the automatic idle worker pool: how many
 	// goroutines pull refinement actions concurrently during idle time.
 	// <= 0 selects GOMAXPROCS — one refinement stream per core.
@@ -108,17 +103,6 @@ type Config struct {
 	// fan out one goroutine per shard and merge. <= 1 keeps one part per
 	// column (the pre-sharding behaviour). See package shard.
 	Shards int
-	// IngestCap bounds each shard's batched ingest queue: the writer whose
-	// enqueue crosses the cap pays an inline merge of the backlog. <= 0
-	// selects shard.DefaultIngestCap. Smaller caps trade write latency
-	// spikes for cheaper reads (the snapshot combine is O(queue)).
-	IngestCap int
-	// RadixMinPiece is the piece-size threshold above which the first
-	// touch of a cold piece runs a radix-first coarse pass (one
-	// out-of-place 2^8-bucket partition) instead of a comparison crack.
-	// 0 selects costmodel.DefaultRadixMinPiece; < 0 disables radix-first
-	// cracking entirely.
-	RadixMinPiece int
 }
 
 // Result is the outcome of one select: the projection's cardinality and sum
@@ -151,29 +135,19 @@ func New(cfg Config) *Engine {
 	e := &Engine{cfg: cfg, tables: map[string]*Table{}}
 	switch cfg.Strategy {
 	case StrategyOnline:
-		e.advisor = monitor.New(monitor.Config{Epoch: cfg.OnlineEpoch})
+		e.advisor = monitor.New()
 	case StrategyHolistic:
 		e.tuner = core.NewTuner(core.Config{
 			TargetPieceSize: cfg.TargetPieceSize,
 			Seed:            cfg.Seed,
 		}, nil)
-		opts := []idle.Option{}
-		if cfg.IdleQuiet > 0 {
-			opts = append(opts, idle.WithQuiet(cfg.IdleQuiet))
-		}
-		if cfg.IdleQuantum > 0 {
-			opts = append(opts, idle.WithQuantum(cfg.IdleQuantum))
-		}
-		if cfg.IdleWorkers > 0 {
-			opts = append(opts, idle.WithWorkers(cfg.IdleWorkers))
-		}
 		e.runner = idle.NewRunner(func() bool {
 			// Only a step that actually worked counts as an action; a
 			// contended or exhausted attempt ends this worker's burst (the
 			// pool retries on the next idle tick).
 			_, res := e.tuner.TryStep()
 			return res == core.StepWorked
-		}, opts...)
+		}, cfg.IdleWorkers)
 		// Speculative drain: once the real step above reports exhaustion,
 		// idle workers pre-crack the ranges the workload sketch expects the
 		// next queries to hit, charged against the per-gap budget (see
@@ -209,11 +183,7 @@ func (e *Engine) idleWorkers() int {
 
 // shardConfig derives the per-column sharding configuration.
 func (e *Engine) shardConfig() shard.Config {
-	return shard.Config{
-		Shards:        e.Shards(),
-		IngestCap:     e.cfg.IngestCap,
-		RadixMinPiece: e.cfg.RadixMinPiece,
-	}
+	return shard.Config{Shards: e.Shards()}
 }
 
 // Shards returns the effective per-column shard count.

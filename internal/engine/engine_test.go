@@ -118,7 +118,7 @@ func TestAllStrategiesAgree(t *testing.T) {
 	}
 	var runs []run
 	for _, s := range Strategies() {
-		e := newEngineWithData(t, Config{Strategy: s, Seed: 7, OnlineEpoch: 50, TargetPieceSize: 512}, vals)
+		e := newEngineWithData(t, Config{Strategy: s, Seed: 7, TargetPieceSize: 512}, vals)
 		if s == StrategyOffline {
 			if _, err := e.BuildFullIndex("R", "A"); err != nil {
 				t.Fatal(err)
@@ -187,8 +187,8 @@ func TestBuildAndDropFullIndex(t *testing.T) {
 func TestOnlineBuildsIndexAfterEpoch(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 8))
 	vals := randomVals(rng, 200000, 1<<20)
-	e := newEngineWithData(t, Config{Strategy: StrategyOnline, OnlineEpoch: 20}, vals)
-	for i := 0; i < 20; i++ {
+	e := newEngineWithData(t, Config{Strategy: StrategyOnline}, vals)
+	for i := 0; i < 100; i++ { // the advisor's review period
 		lo := rng.Int64N(1 << 20)
 		if _, err := e.Select("R", "A", lo, lo+1000); err != nil {
 			t.Fatal(err)
@@ -296,7 +296,7 @@ func TestSeedWorkloadHintFocusesIdle(t *testing.T) {
 func TestInsertDeleteVisibleAcrossStrategies(t *testing.T) {
 	base := []int64{10, 20, 30, 40, 50}
 	for _, s := range Strategies() {
-		e := newEngineWithData(t, Config{Strategy: s, OnlineEpoch: 1000}, base)
+		e := newEngineWithData(t, Config{Strategy: s}, base)
 		tab, _ := e.Table("R")
 		if s == StrategyOffline {
 			e.BuildFullIndex("R", "A")
@@ -477,7 +477,7 @@ func TestAutoIdleViaConfigSmoke(t *testing.T) {
 	vals := randomVals(rng, 30000, 1<<20)
 	e := newEngineWithData(t, Config{
 		Strategy: StrategyHolistic, Seed: 10, TargetPieceSize: 128,
-		AutoIdle: true, IdleQuiet: time.Millisecond, IdleQuantum: 16,
+		AutoIdle: true,
 	}, vals)
 	defer e.Close()
 	// Query once so the collector has a signal, then let the worker run.

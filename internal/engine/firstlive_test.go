@@ -57,9 +57,7 @@ func TestFirstLiveMatchesReferenceScan(t *testing.T) {
 					Strategy:        vr.s,
 					Seed:            31,
 					TargetPieceSize: 16,
-					OnlineEpoch:     10,
 					Shards:          shards,
-					IngestCap:       1 << 20, // merge only when the test (or the tuner) says so
 				})
 				defer e.Close()
 				tab, err := e.CreateTable("R")
@@ -152,7 +150,9 @@ func TestFirstLiveMatchesReferenceScan(t *testing.T) {
 						}
 					}
 				}
-				for i := 0; i < 40; i++ { // cracks (adaptive, holistic), advisor builds (online)
+				// Cracks (adaptive, holistic); the online advisor's review closes
+				// its 100-query epoch and builds both columns' indexes.
+				for i := 0; i < 100; i++ {
 					lo := rng.Int64N(domain)
 					sel(i%2, lo, lo+1+rng.Int64N(8))
 				}

@@ -11,11 +11,11 @@ import (
 func TestOnlineBuildPenaltyLandsOnTriggeringQuery(t *testing.T) {
 	rng := rand.New(rand.NewPCG(51, 52))
 	vals := randomVals(rng, 500000, 1<<20)
-	e := newEngineWithData(t, Config{Strategy: StrategyOnline, OnlineEpoch: 10}, vals)
+	e := newEngineWithData(t, Config{Strategy: StrategyOnline}, vals)
 	defer e.Close()
 
 	var durs []int64
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 100; i++ { // the advisor's review period
 		lo := rng.Int64N(1 << 20)
 		r, err := e.Select("R", "A", lo, lo+1000)
 		if err != nil {
@@ -23,7 +23,7 @@ func TestOnlineBuildPenaltyLandsOnTriggeringQuery(t *testing.T) {
 		}
 		durs = append(durs, r.Elapsed.Nanoseconds())
 	}
-	// Query 10 closed the epoch and built the index: it must be the most
+	// Query 100 closed the epoch and built the index: it must be the most
 	// expensive observation by a clear margin over the median scan.
 	last := durs[len(durs)-1]
 	for i, d := range durs[:len(durs)-1] {
@@ -42,14 +42,14 @@ func TestOnlineBuildPenaltyLandsOnTriggeringQuery(t *testing.T) {
 // cold after its index is built. The advisor must drop the cold index.
 func TestOnlineDropsUnusedIndex(t *testing.T) {
 	rng := rand.New(rand.NewPCG(53, 54))
-	e := New(Config{Strategy: StrategyOnline, OnlineEpoch: 10})
+	e := New(Config{Strategy: StrategyOnline})
 	defer e.Close()
 	tab, _ := e.CreateTable("R")
 	tab.AddColumnFromSlice("cold", randomVals(rng, 300000, 1<<20))
 	tab.AddColumnFromSlice("hot", randomVals(rng, 300000, 1<<20))
 
-	// Epoch 1: hammer "cold" so it gets an index.
-	for i := 0; i < 10; i++ {
+	// Epoch 1 (100 queries): hammer "cold" so it gets an index.
+	for i := 0; i < 100; i++ {
 		if _, err := e.Select("R", "cold", 0, 1000); err != nil {
 			t.Fatal(err)
 		}
@@ -58,9 +58,9 @@ func TestOnlineDropsUnusedIndex(t *testing.T) {
 	if !csCold.hasSorted() {
 		t.Fatal("cold column never indexed")
 	}
-	// Many epochs of "hot" queries only; cold's index must eventually drop
-	// (DropAfterEpochs defaults to 20).
-	for i := 0; i < 10*25; i++ {
+	// Many epochs of "hot" queries only; cold's index must drop after 20
+	// epochs without a query.
+	for i := 0; i < 100*22; i++ {
 		if _, err := e.Select("R", "hot", 0, 1000); err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestOnlineDropsUnusedIndex(t *testing.T) {
 func TestOnlineIdleForceReview(t *testing.T) {
 	rng := rand.New(rand.NewPCG(55, 56))
 	vals := randomVals(rng, 400000, 1<<20)
-	e := newEngineWithData(t, Config{Strategy: StrategyOnline, OnlineEpoch: 1000}, vals)
+	e := newEngineWithData(t, Config{Strategy: StrategyOnline}, vals)
 	defer e.Close()
 	// A few scans, far from the epoch boundary.
 	for i := 0; i < 30; i++ {

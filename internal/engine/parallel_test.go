@@ -15,7 +15,6 @@ import (
 	"math/rand/v2"
 	"sync"
 	"testing"
-	"time"
 )
 
 // strategiesUnderTest is every strategy the stress test runs. Offline gets
@@ -48,12 +47,9 @@ func TestParallelMixedWorkloadAllStrategies(t *testing.T) {
 				Strategy:        tc.s,
 				Seed:            9,
 				TargetPieceSize: 256,
-				OnlineEpoch:     25,
 			}
 			if tc.s == StrategyHolistic {
 				cfg.AutoIdle = true
-				cfg.IdleQuiet = time.Millisecond
-				cfg.IdleQuantum = 8
 				cfg.IdleWorkers = 4
 			}
 			e := newEngineWithData(t, cfg, seed)
@@ -166,8 +162,6 @@ func TestParallelCrackingConvergence(t *testing.T) {
 		Seed:            11,
 		TargetPieceSize: 128,
 		AutoIdle:        true,
-		IdleQuiet:       time.Millisecond,
-		IdleQuantum:     16,
 		IdleWorkers:     4,
 	}, seed)
 	defer e.Close()

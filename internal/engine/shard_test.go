@@ -30,7 +30,6 @@ func TestShardedStrategiesMatchOracle(t *testing.T) {
 					Strategy:        tc.s,
 					Seed:            13,
 					TargetPieceSize: 128,
-					OnlineEpoch:     20,
 					Shards:          shards,
 				}
 				e := newEngineWithData(t, cfg, seed)
@@ -186,8 +185,6 @@ func TestShardedMixedWorkload(t *testing.T) {
 				TargetPieceSize: 128,
 				Shards:          shards,
 				AutoIdle:        true,
-				IdleQuiet:       time.Millisecond,
-				IdleQuantum:     8,
 				IdleWorkers:     4,
 			}, seed)
 			defer e.Close()

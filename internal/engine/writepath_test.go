@@ -12,10 +12,12 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"holistic/internal/loadgate"
+	"holistic/internal/shard"
 )
 
 // writerLedger records the operations one writer committed, for the serial
@@ -29,6 +31,9 @@ type writerLedger struct {
 // TestShardedWriteReadOracle races writers (batched inserts + deletes)
 // against exact-oracle readers on every strategy and shard count, then
 // checks quiesced (count, sum) against a serial replay of the ledgers.
+// With one shard, each writer ends its phase with shard.DefaultIngestCap more
+// inserts and the readers keep reading until the writers are done, so the
+// queue crosses the cap and inline merges race the readers.
 //
 // Domain discipline: the seeded rows live in [0, domain) and are never
 // touched, so readers can assert exact answers mid-flight — any lost,
@@ -63,14 +68,10 @@ func TestShardedWriteReadOracle(t *testing.T) {
 					Strategy:        tc.s,
 					Seed:            23,
 					TargetPieceSize: 128,
-					OnlineEpoch:     20,
 					Shards:          shards,
-					IngestCap:       64, // small: force inline merges mid-run
 				}
 				if tc.s == StrategyHolistic {
 					cfg.AutoIdle = true
-					cfg.IdleQuiet = time.Millisecond
-					cfg.IdleQuantum = 8
 					cfg.IdleWorkers = 2
 				}
 				e := New(cfg)
@@ -98,13 +99,20 @@ func TestShardedWriteReadOracle(t *testing.T) {
 				var seq [8]int64 // per-writer unique-value counters
 
 				for phase := 0; phase < phases; phase++ {
-					var wg sync.WaitGroup
+					opsBefore := 0
+					for w := range ledgers {
+						opsBefore += len(ledgers[w].inserted) + len(ledgers[w].deleted)
+					}
+					var wg, writing sync.WaitGroup
+					var writersDone atomic.Bool
 					errCh := make(chan error, writers+readers)
 
 					for w := 0; w < writers; w++ {
 						wg.Add(1)
+						writing.Add(1)
 						go func(w int) {
 							defer wg.Done()
+							defer writing.Done()
 							wrng := rand.New(rand.NewPCG(uint64(w)+90, uint64(phase)))
 							// Writer values start at 2*domain: reader ranges top out
 							// below domain + domain/32 (+bOff), so mid-flight oracle
@@ -159,15 +167,40 @@ func TestShardedWriteReadOracle(t *testing.T) {
 									}
 								}
 							}
+							if shards > 1 {
+								return
+							}
+							// Inserts only, a cap's worth: the writer that deletes
+							// last still inserts this many after its delete, so the
+							// queue reaches a multiple of the cap on an insert,
+							// and that insert merges inline.
+							const batch = 64
+							for i := 0; i < shard.DefaultIngestCap; i += batch {
+								rows := make([][]int64, batch)
+								for j := range rows {
+									v := vbase + seq[w]
+									seq[w]++
+									rows[j] = []int64{v, v + bOff}
+									ledgers[w].inserted = append(ledgers[w].inserted, v)
+								}
+								if _, err := tab.InsertRows(rows); err != nil {
+									errCh <- err
+									return
+								}
+							}
 						}(w)
 					}
+					go func() {
+						writing.Wait()
+						writersDone.Store(true)
+					}()
 
 					for g := 0; g < readers; g++ {
 						wg.Add(1)
 						go func(g int) {
 							defer wg.Done()
 							grng := rand.New(rand.NewPCG(uint64(g)+70, uint64(phase)))
-							for i := 0; i < queries; i++ {
+							for i := 0; i < queries || !writersDone.Load(); i++ {
 								lo := grng.Int64N(domain)
 								hi := lo + grng.Int64N(domain/32) + 1
 								col, seed := "A", seedA
@@ -193,6 +226,18 @@ func TestShardedWriteReadOracle(t *testing.T) {
 					close(errCh)
 					for err := range errCh {
 						t.Fatal(err)
+					}
+
+					// Without an idle pool only an inline merge drains the
+					// queues; each column buffers one entry per insert or delete.
+					if shards == 1 && e.runner == nil {
+						ops := -opsBefore
+						for w := range ledgers {
+							ops += len(ledgers[w].inserted) + len(ledgers[w].deleted)
+						}
+						if pending := tab.PendingOps(); pending >= 2*ops {
+							t.Fatalf("phase %d: %d ops buffered of the %d written to two columns: no inline merge ran", phase, pending, 2*ops)
+						}
 					}
 
 					// Quiesce point: serial replay of every committed op.
@@ -267,8 +312,7 @@ func TestMergeStepNeverStartsAfterWriteAdmitted(t *testing.T) {
 		Strategy:        StrategyHolistic,
 		Seed:            29,
 		TargetPieceSize: 128,
-		Shards:          2,
-		IngestCap:       1 << 20, // never merge inline: the backlog is the tuner's
+		Shards:          2, // 150 inserts a part: far below the inline-merge cap
 	}, seed)
 	defer e.Close()
 	tab, err := e.Table("R")
@@ -282,7 +326,7 @@ func TestMergeStepNeverStartsAfterWriteAdmitted(t *testing.T) {
 	}
 	backlog := tab.PendingOps()
 	if backlog != 300 {
-		t.Fatalf("backlog %d, want 300 (inline merge fired despite huge cap?)", backlog)
+		t.Fatalf("backlog %d, want 300 (inline merge fired below the cap?)", backlog)
 	}
 
 	// Rendezvous: the write is admitted between the worker's idle check and
@@ -381,13 +425,15 @@ func TestInProcessWriteHoldsServerGate(t *testing.T) {
 func TestIngestCapForcesInlineMerge(t *testing.T) {
 	rng := rand.New(rand.NewPCG(701, 702))
 	seed := randomVals(rng, 2000, 1<<16)
-	e := newEngineWithData(t, Config{Strategy: StrategyScan, Shards: 2, IngestCap: 32}, seed)
+	e := newEngineWithData(t, Config{Strategy: StrategyScan, Shards: 2}, seed)
 	defer e.Close()
 	tab, err := e.Table("R")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const inserts = 500
+	// Each of the two parts takes the cap plus 250 more: every part merges
+	// once, and the 250 past the cap stay buffered.
+	const inserts = 2 * (shard.DefaultIngestCap + 250)
 	var wantSum int64
 	for i := 0; i < inserts; i++ {
 		v := int64(1<<16 + i)
@@ -396,8 +442,8 @@ func TestIngestCapForcesInlineMerge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := tab.PendingOps(); got >= inserts {
-		t.Fatalf("cap never forced a merge: %d ops still buffered", got)
+	if got := tab.PendingOps(); got != 2*250 {
+		t.Fatalf("%d ops still buffered, want 500: the cap did not force one merge a part", got)
 	}
 	r, err := e.Select("R", "A", 1<<16, 1<<16+inserts)
 	if err != nil {
@@ -446,7 +492,7 @@ func TestSelectTakesNoTableLock(t *testing.T) {
 	seed := randomVals(rng, 2000, 1<<16)
 	for _, tc := range strategiesUnderTest {
 		t.Run(tc.name, func(t *testing.T) {
-			e := newEngineWithData(t, Config{Strategy: tc.s, Shards: 2, OnlineEpoch: 1}, seed)
+			e := newEngineWithData(t, Config{Strategy: tc.s, Shards: 2}, seed)
 			defer e.Close()
 			tab, err := e.Table("R")
 			if err != nil {
@@ -458,7 +504,7 @@ func TestSelectTakesNoTableLock(t *testing.T) {
 			defer tab.mu.Unlock()
 			done := make(chan error, 1)
 			go func() {
-				for i := 0; i < 3; i++ { // OnlineEpoch 1: the advisor reviews on these
+				for i := 0; i < 100; i++ { // the online advisor reviews on the 100th
 					res, err := e.Select("R", "A", 100, 9000)
 					if err == nil && (res.Count != wantCount || res.Sum != wantSum) {
 						err = fmt.Errorf("select under a held table lock: got %d/%d want %d/%d", res.Count, res.Sum, wantCount, wantSum)

@@ -9,8 +9,8 @@
 //     control idle time ... as the time needed to apply X random index
 //     refinement actions") and what the benchmark harness uses.
 //   - Automatic: Start launches a pool of background worker goroutines
-//     (WithWorkers, default GOMAXPROCS) that watch query activity; after a
-//     configurable quiet period each worker pulls refinement actions
+//     (NewRunner's workers, default GOMAXPROCS) that watch query activity; after a
+//     DefaultQuiet traffic gap each worker pulls refinement actions
 //     concurrently, backing off the moment a query begins so that tuning
 //     work never sits in a query's critical path.
 //
@@ -36,9 +36,9 @@
 // (SetGate), which also holds every request from admission to response, so
 // a request that is queued, parsing or serialising keeps the pool out of
 // the way too. Either way the workers wake only once the gate's current
-// traffic gap has lasted the quiet period, and sustained gaps ramp the
-// per-wakeup burst up (see WithQuantum), so the pool works harder the longer
-// the system stays quiet.
+// traffic gap has lasted DefaultQuiet, and sustained gaps ramp the
+// per-wakeup burst of DefaultQuantum actions up to MaxRamp times, so the pool
+// works harder the longer the system stays quiet.
 package idle
 
 import (
@@ -74,9 +74,9 @@ const DefaultSpecBudget = 2 * DefaultQuantum
 // Runner schedules tuning actions into idle time. All methods are safe for
 // concurrent use.
 type Runner struct {
-	step    func() bool // one tuning action; false = nothing left to do
-	quiet   time.Duration
-	quantum int
+	step    func() bool   // one tuning action; false = nothing left to do
+	quiet   time.Duration // DefaultQuiet; the package's tests shorten it
+	quantum int           // DefaultQuantum; the package's tests change it
 	workers int
 
 	// gate is the runner's only admission state: statements hold it, every
@@ -109,50 +109,20 @@ type Runner struct {
 	wg     sync.WaitGroup
 }
 
-// Option configures a Runner.
-type Option func(*Runner)
-
-// WithQuiet sets the idle-detection quiet period for automatic mode.
-func WithQuiet(d time.Duration) Option {
-	return func(r *Runner) {
-		if d > 0 {
-			r.quiet = d
-		}
+// NewRunner wraps one tuning step with an automatic pool of workers
+// goroutines; workers <= 0 means GOMAXPROCS, one refinement stream per core,
+// the multi-core holistic posture. With a pool larger than one the step
+// function must be safe to call concurrently: it takes whatever latches it
+// needs itself.
+func NewRunner(step func() bool, workers int) *Runner {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-}
-
-// WithQuantum sets the actions-per-wakeup burst size for automatic mode.
-func WithQuantum(n int) Option {
-	return func(r *Runner) {
-		if n > 0 {
-			r.quantum = n
-		}
-	}
-}
-
-// WithWorkers sets the size of the automatic worker pool. The default is
-// GOMAXPROCS: one refinement stream per core, the multi-core holistic
-// posture. n <= 0 keeps the default.
-func WithWorkers(n int) Option {
-	return func(r *Runner) {
-		if n > 0 {
-			r.workers = n
-		}
-	}
-}
-
-// NewRunner wraps one tuning step. With a worker pool larger than one the
-// step function must be safe to call concurrently: it takes whatever latches
-// it needs itself.
-func NewRunner(step func() bool, opts ...Option) *Runner {
 	r := &Runner{
 		step:    step,
 		quiet:   DefaultQuiet,
 		quantum: DefaultQuantum,
-		workers: runtime.GOMAXPROCS(0),
-	}
-	for _, o := range opts {
-		o(r)
+		workers: workers,
 	}
 	r.gate.Store(loadgate.New())
 	return r

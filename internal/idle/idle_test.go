@@ -10,7 +10,7 @@ import (
 
 func TestRunActionsBounded(t *testing.T) {
 	var calls atomic.Int64
-	r := NewRunner(func() bool { calls.Add(1); return true })
+	r := NewRunner(func() bool { calls.Add(1); return true }, 0)
 	if got := r.RunActions(25); got != 25 {
 		t.Fatalf("ran %d actions", got)
 	}
@@ -27,10 +27,19 @@ func TestRunActionsStopsOnExhaustion(t *testing.T) {
 		}
 		left--
 		return true
-	})
+	}, 0)
 	if got := r.RunActions(100); got != 7 {
 		t.Fatalf("ran %d actions, want 7", got)
 	}
+}
+
+// newTimedRunner is NewRunner with the automatic pool's quiet period and
+// per-wakeup quantum replaced, so the pool's timing tests run in
+// milliseconds.
+func newTimedRunner(step func() bool, quiet time.Duration, quantum, workers int) *Runner {
+	r := NewRunner(step, workers)
+	r.quiet, r.quantum = quiet, quantum
+	return r
 }
 
 // waitFor polls cond until it holds, failing the test with msg after 2s.
@@ -63,7 +72,7 @@ func checkPoolYields(t *testing.T, r *Runner, calls *atomic.Int64, admit, releas
 // while a statement holds the runner's own gate.
 func TestRunActionsPreemptedByActiveQuery(t *testing.T) {
 	var calls atomic.Int64
-	r := NewRunner(func() bool { calls.Add(1); return true })
+	r := NewRunner(func() bool { calls.Add(1); return true }, 0)
 	r.Gate().Hold()
 	if got := r.RunActions(50); got != 0 {
 		t.Fatalf("ran %d actions while a statement was in flight", got)
@@ -76,8 +85,7 @@ func TestRunActionsPreemptedByActiveQuery(t *testing.T) {
 
 func TestAutomaticRunsWhenQuiet(t *testing.T) {
 	var calls atomic.Int64
-	r := NewRunner(func() bool { calls.Add(1); return true },
-		WithQuiet(2*time.Millisecond), WithQuantum(8))
+	r := newTimedRunner(func() bool { calls.Add(1); return true }, 2*time.Millisecond, 8, 0)
 	r.Start()
 	defer r.Stop()
 	waitFor(t, func() bool { return calls.Load() >= 8 }, "automatic runner never executed 8 actions")
@@ -87,13 +95,12 @@ func TestAutomaticRunsWhenQuiet(t *testing.T) {
 // statement holds the runner's own gate, and resumes once it ends.
 func TestAutomaticYieldsToQueries(t *testing.T) {
 	var calls atomic.Int64
-	r := NewRunner(func() bool { calls.Add(1); return true },
-		WithQuiet(time.Millisecond), WithQuantum(4))
+	r := newTimedRunner(func() bool { calls.Add(1); return true }, time.Millisecond, 4, 0)
 	checkPoolYields(t, r, &calls, r.Gate().Hold, r.Gate().Release)
 }
 
 func TestStartStopIdempotent(t *testing.T) {
-	r := NewRunner(func() bool { return true }, WithQuiet(time.Millisecond))
+	r := newTimedRunner(func() bool { return true }, time.Millisecond, DefaultQuantum, 0)
 	r.Start()
 	r.Start() // second start is a no-op
 	r.Stop()
@@ -105,8 +112,7 @@ func TestStartStopIdempotent(t *testing.T) {
 
 func TestStopHaltsWork(t *testing.T) {
 	var calls atomic.Int64
-	r := NewRunner(func() bool { calls.Add(1); return true },
-		WithQuiet(time.Millisecond), WithQuantum(4))
+	r := newTimedRunner(func() bool { calls.Add(1); return true }, time.Millisecond, 4, 0)
 	r.Start()
 	waitFor(t, func() bool { return calls.Load() > 0 }, "worker never started")
 	r.Stop()
@@ -119,8 +125,8 @@ func TestStopHaltsWork(t *testing.T) {
 
 func TestManualWhileAutomaticRunning(t *testing.T) {
 	var calls atomic.Int64
-	r := NewRunner(func() bool { calls.Add(1); return true },
-		WithQuiet(time.Hour)) // automatic effectively never fires
+	r := newTimedRunner(func() bool { calls.Add(1); return true },
+		time.Hour, DefaultQuantum, 0) // automatic effectively never fires
 	r.Start()
 	defer r.Stop()
 	if got := r.RunActions(10); got != 10 {
@@ -129,12 +135,15 @@ func TestManualWhileAutomaticRunning(t *testing.T) {
 }
 
 func TestOptionsValidation(t *testing.T) {
-	r := NewRunner(func() bool { return true }, WithQuiet(-1), WithQuantum(0), WithWorkers(0))
+	r := NewRunner(func() bool { return true }, 0)
 	if r.quiet != DefaultQuiet || r.quantum != DefaultQuantum {
-		t.Fatalf("invalid options accepted: quiet=%v quantum=%d", r.quiet, r.quantum)
+		t.Fatalf("runner timing quiet=%v quantum=%d, want the defaults", r.quiet, r.quantum)
 	}
 	if r.workers < 1 {
 		t.Fatalf("worker pool default %d, want >= 1", r.workers)
+	}
+	if r := NewRunner(func() bool { return true }, 3); r.workers != 3 {
+		t.Fatalf("worker pool %d, want 3", r.workers)
 	}
 }
 
@@ -145,7 +154,7 @@ func TestOptionsValidation(t *testing.T) {
 // exactly the interleaving the old single-check code lost.
 func TestClaimRecheckPreemptsStep(t *testing.T) {
 	var calls atomic.Int64
-	r := NewRunner(func() bool { calls.Add(1); return true })
+	r := NewRunner(func() bool { calls.Add(1); return true }, 0)
 	g := r.Gate()
 	r.testHookClaim = g.Hold
 	if got := r.RunActions(1); got != 0 {
@@ -168,7 +177,7 @@ func TestClaimRecheckPreemptsStep(t *testing.T) {
 // no token behind.
 func TestClaimHookSeesTokenDenied(t *testing.T) {
 	var calls atomic.Int64
-	r := NewRunner(func() bool { calls.Add(1); return true })
+	r := NewRunner(func() bool { calls.Add(1); return true }, 0)
 	g := r.Gate()
 	r.SetClaimHook(g.Hold)
 	if got := r.RunActions(1); got != 0 || calls.Load() != 0 {
@@ -194,7 +203,7 @@ func TestClaimHookSeesTokenDenied(t *testing.T) {
 // packed-word CAS removes. Run under -race this also exercises the token path for data races.
 func TestStepNeverStartsAfterAdmission(t *testing.T) {
 	var stop atomic.Bool
-	r := NewRunner(func() bool { return true })
+	r := NewRunner(func() bool { return true }, 0)
 	g := r.Gate()
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -234,7 +243,7 @@ func TestStepNeverStartsAfterAdmission(t *testing.T) {
 // more than one worker is inside the step function at the same time.
 func TestWorkerPoolRunsConcurrently(t *testing.T) {
 	var inStep, maxInStep, calls atomic.Int64
-	r := NewRunner(func() bool {
+	r := newTimedRunner(func() bool {
 		n := inStep.Add(1)
 		for {
 			m := maxInStep.Load()
@@ -246,7 +255,7 @@ func TestWorkerPoolRunsConcurrently(t *testing.T) {
 		inStep.Add(-1)
 		calls.Add(1)
 		return true
-	}, WithQuiet(time.Millisecond), WithQuantum(64), WithWorkers(4))
+	}, time.Millisecond, 64, 4)
 	if r.workers != 4 {
 		t.Fatalf("workers = %d, want 4", r.workers)
 	}
@@ -274,7 +283,6 @@ func TestWorkerPoolRunsConcurrently(t *testing.T) {
 // actions while a statement holds the runner's own gate.
 func TestPoolYieldsToQueries(t *testing.T) {
 	var calls atomic.Int64
-	r := NewRunner(func() bool { calls.Add(1); return true },
-		WithQuiet(time.Millisecond), WithQuantum(4), WithWorkers(4))
+	r := newTimedRunner(func() bool { calls.Add(1); return true }, time.Millisecond, 4, 4)
 	checkPoolYields(t, r, &calls, r.Gate().Hold, r.Gate().Release)
 }

@@ -17,7 +17,7 @@ func TestSpeculativeOnlyAfterRealExhausted(t *testing.T) {
 		real--
 		order = append(order, "real")
 		return true
-	})
+	}, 0)
 	r.SetSpeculative(func() bool {
 		order = append(order, "spec")
 		return true
@@ -49,7 +49,7 @@ func TestSpeculativeOnlyAfterRealExhausted(t *testing.T) {
 // Real traffic re-arms the speculative budget: the cap is per gap, and a
 // statement closing on the gate starts a new one.
 func TestSpecBudgetResetsPerGap(t *testing.T) {
-	r := NewRunner(func() bool { return false })
+	r := NewRunner(func() bool { return false }, 0)
 	r.SetSpeculative(func() bool { return true })
 	if done := r.RunActions(1000); done != DefaultSpecBudget {
 		t.Fatalf("first gap ran %d speculative actions, want %d", done, DefaultSpecBudget)
@@ -76,7 +76,7 @@ func TestSpecBudgetResetsPerGap(t *testing.T) {
 // of probes per gap, not an unbounded spin.
 func TestSpecFailedAttemptsConsumeBudget(t *testing.T) {
 	var attempts atomic.Int64
-	r := NewRunner(func() bool { return false })
+	r := NewRunner(func() bool { return false }, 0)
 	r.SetSpeculative(func() bool { attempts.Add(1); return false })
 	for i := 0; i < 3*DefaultSpecBudget; i++ {
 		if done := r.RunActions(5); done != 0 {
@@ -95,7 +95,7 @@ func TestSpecFailedAttemptsConsumeBudget(t *testing.T) {
 // the claim and the token grant vetoes the step before the speculative path
 // can be reached, and no budget is consumed.
 func TestSpecYieldsToQueryAdmittedMidClaim(t *testing.T) {
-	r := NewRunner(func() bool { return false })
+	r := NewRunner(func() bool { return false }, 0)
 	r.SetSpeculative(func() bool {
 		t.Error("speculative step ran against an admitted query")
 		return true

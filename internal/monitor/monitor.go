@@ -1,7 +1,7 @@
 // Package monitor implements an online index advisor in the style of COLT
 // (Schnaitter et al., SIGMOD 2006), the online-indexing substrate of the
 // holistic kernel. The advisor watches the query stream and, at epoch
-// boundaries (every N queries), performs what-if arithmetic with the cost
+// boundaries (every 100 queries), performs what-if arithmetic with the cost
 // model: if the observed load on an unindexed column would have been served
 // cheaply enough by a full index to amortise the build within a horizon, it
 // advises building one; full indexes that go unused for several epochs are
@@ -20,49 +20,17 @@ import (
 	"holistic/internal/costmodel"
 )
 
-// Config tunes the advisor.
-type Config struct {
-	// Epoch is the number of queries between physical design reviews.
-	// <= 0 selects 100.
-	Epoch int
-	// HorizonEpochs is how many future epochs a build must pay for itself
-	// within. <= 0 selects 10.
-	HorizonEpochs int
-	// BuildFactor scales the required benefit: build when expected benefit
-	// >= BuildFactor * build cost. <= 0 selects 1.
-	BuildFactor float64
-	// DropAfterEpochs drops a full index unused for this many consecutive
-	// epochs. <= 0 selects 20.
-	DropAfterEpochs int
-}
-
-func (c Config) epoch() int {
-	if c.Epoch <= 0 {
-		return 100
-	}
-	return c.Epoch
-}
-
-func (c Config) horizon() int {
-	if c.HorizonEpochs <= 0 {
-		return 10
-	}
-	return c.HorizonEpochs
-}
-
-func (c Config) buildFactor() float64 {
-	if c.BuildFactor <= 0 {
-		return 1
-	}
-	return c.BuildFactor
-}
-
-func (c Config) dropAfter() int {
-	if c.DropAfterEpochs <= 0 {
-		return 20
-	}
-	return c.DropAfterEpochs
-}
+const (
+	// epoch is the number of queries between physical design reviews.
+	epoch = 100
+	// horizonEpochs is how many future epochs a build must pay for itself
+	// within: build when the expected benefit over the horizon covers the
+	// build cost.
+	horizonEpochs = 10
+	// dropAfterEpochs drops a full index unused for this many consecutive
+	// epochs.
+	dropAfterEpochs = 20
+)
 
 // Advice is one physical design recommendation.
 type Advice struct {
@@ -87,16 +55,14 @@ type colInfo struct {
 // Advisor is the online index selection engine. It is safe for concurrent
 // use.
 type Advisor struct {
-	cfg Config
-
 	mu       sync.Mutex
 	cols     map[string]*colInfo
 	sinceRev int // queries since last review
 }
 
-// New returns an advisor with the given configuration.
-func New(cfg Config) *Advisor {
-	return &Advisor{cfg: cfg, cols: map[string]*colInfo{}}
+// New returns an advisor with no columns registered.
+func New() *Advisor {
+	return &Advisor{cols: map[string]*colInfo{}}
 }
 
 // Register introduces a column of n rows, initially unindexed.
@@ -134,7 +100,7 @@ func (a *Advisor) Observe(col string, selectivity float64) []Advice {
 		ci.epochSel += selectivity
 	}
 	a.sinceRev++
-	if a.sinceRev < a.cfg.epoch() {
+	if a.sinceRev < epoch {
 		return nil
 	}
 	a.sinceRev = 0
@@ -148,7 +114,7 @@ func (a *Advisor) reviewLocked() []Advice {
 		if ci.indexed {
 			if ci.epochQueries == 0 {
 				ci.idleEpochs++
-				if ci.idleEpochs >= a.cfg.dropAfter() {
+				if ci.idleEpochs >= dropAfterEpochs {
 					out = append(out, Advice{Column: name, Drop: true})
 					ci.idleEpochs = 0
 				}
@@ -159,10 +125,10 @@ func (a *Advisor) reviewLocked() []Advice {
 			avgSel := ci.epochSel / float64(ci.epochQueries)
 			perQueryGain := costmodel.ScanCost(ci.n) - costmodel.IndexedSelectCost(ci.n, avgSel)
 			if perQueryGain > 0 {
-				expectedQueries := float64(ci.epochQueries * a.cfg.horizon())
+				expectedQueries := float64(ci.epochQueries * horizonEpochs)
 				benefit := perQueryGain * expectedQueries
 				buildCost := costmodel.SortCost(ci.n)
-				if benefit >= a.cfg.buildFactor()*buildCost {
+				if benefit >= buildCost {
 					out = append(out, Advice{Column: name, Build: true, Benefit: benefit - buildCost})
 				}
 			}

@@ -3,7 +3,6 @@ package scan
 import (
 	"math"
 	"math/rand/v2"
-	"slices"
 	"testing"
 )
 
@@ -33,15 +32,6 @@ func referenceCount(vals []int64, lo, hi int64) int {
 	return n
 }
 
-func referencePositions(vals []int64, lo, hi int64, out []uint32) []uint32 {
-	for i, v := range vals {
-		if v >= lo && v < hi {
-			out = append(out, uint32(i))
-		}
-	}
-	return out
-}
-
 func randomVals(rng *rand.Rand, n int, domain int64) []int64 {
 	vals := make([]int64, n)
 	for i := range vals {
@@ -51,8 +41,8 @@ func randomVals(rng *rand.Rand, n int, domain int64) []int64 {
 }
 
 // TestScanMatchesReference is the differential test between the branch-free
-// scans and the seed's branchy ones: same count, same sum, same positions in
-// the same order, on empty, inverted, extreme and random ranges.
+// scans and the seed's branchy ones: same count and sum on empty, inverted,
+// extreme and random ranges.
 func TestScanMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 8))
 	inputs := [][]int64{
@@ -84,22 +74,14 @@ func TestScanMatchesReference(t *testing.T) {
 			if c, w := Count(vals, lo, hi), referenceCount(vals, lo, hi); c != w {
 				t.Fatalf("Count n=%d [%d,%d): got %d, reference %d", len(vals), lo, hi, c, w)
 			}
-			// Appending after a prefix, without and with room for the worst case.
-			for _, spare := range []int{0, len(vals)} {
-				prefix := func() []uint32 { return append(make([]uint32, 0, 2+spare), 9, 9) }
-				want := referencePositions(vals, lo, hi, prefix())
-				if got := Positions(vals, lo, hi, prefix()); !slices.Equal(got, want) {
-					t.Fatalf("Positions n=%d [%d,%d) spare %d: got %v, reference %v", len(vals), lo, hi, spare, got, want)
-				}
-			}
 		}
 	}
 }
 
-// Before/after pairs for the branch-free scans at ~50% selectivity, where a
+// Before/after pair for the branch-free scan at ~50% selectivity, where a
 // branch mispredicts every other element. Run with
 //
-//	go test -run '^$' -bench 'CountSum|Positions' -count 10 ./internal/scan/
+//	go test -run '^$' -bench CountSum -count 10 ./internal/scan/
 func BenchmarkCountSum(b *testing.B) {
 	const n = 1 << 21
 	vals := randomVals(rand.New(rand.NewPCG(1, 2)), n, n)
@@ -114,26 +96,6 @@ func BenchmarkCountSum(b *testing.B) {
 			b.SetBytes(n * 8)
 			for i := 0; i < b.N; i++ {
 				k.countSum(vals, n/4, 3*n/4)
-			}
-		})
-	}
-}
-
-func BenchmarkPositions(b *testing.B) {
-	const n = 1 << 21
-	vals := randomVals(rand.New(rand.NewPCG(1, 2)), n, n)
-	for _, k := range []struct {
-		name      string
-		positions func([]int64, int64, int64, []uint32) []uint32
-	}{
-		{"reference", referencePositions},
-		{"predicated", Positions},
-	} {
-		b.Run(k.name, func(b *testing.B) {
-			out := make([]uint32, 0, n)
-			b.SetBytes(n * 8)
-			for i := 0; i < b.N; i++ {
-				out = k.positions(vals, n/4, 3*n/4, out[:0])
 			}
 		})
 	}

@@ -40,50 +40,6 @@ func Count(vals []int64, lo, hi int64) int {
 	return n
 }
 
-// Positions appends the row ids (positions in vals) of qualifying values to
-// out and returns it. It is the candidate-list producing variant used for
-// multi-predicate plans.
-//
-// Branch-free via the cursor trick: every iteration unconditionally writes
-// the current position into the next output slot, then advances the cursor
-// by the predicate flag — a non-qualifying write is simply overwritten by
-// the next candidate. The output is grown to worst case up front (no
-// allocation when out has the capacity) and trimmed to the cursor at the
-// end.
-func Positions(vals []int64, lo, hi int64, out []uint32) []uint32 {
-	n := len(vals)
-	base := len(out)
-	if cap(out)-base < n {
-		grown := make([]uint32, base+n)
-		copy(grown, out)
-		out = grown
-	} else {
-		out = out[:cap(out)]
-	}
-	if base < 0 || base > len(out) {
-		return out[:0] // unreachable: both branches leave len(out) >= base+n
-	}
-	buf := out[base:]
-	k := 0
-	for i, v := range vals {
-		if uint(k) >= uint(len(buf)) {
-			break // unreachable: k <= i < n <= len(buf); BCE only
-		}
-		buf[k] = uint32(i)
-		k += b2i(v >= lo) & b2i(v < hi)
-	}
-	// Both clamps are unreachable (0 <= k <= n and len(out) >= base+n); they
-	// exist so the compiler can prove the final reslice in bounds.
-	end := base + k
-	if end < 0 {
-		end = 0
-	}
-	if end > len(out) {
-		end = len(out)
-	}
-	return out[:end]
-}
-
 // MinMax returns the smallest and largest value. Ok is false for empty input.
 func MinMax(vals []int64) (lo, hi int64, ok bool) {
 	if len(vals) == 0 {

@@ -3,7 +3,6 @@ package scan
 import (
 	"math/rand/v2"
 	"testing"
-	"testing/quick"
 )
 
 func TestCountSumBasic(t *testing.T) {
@@ -29,55 +28,10 @@ func TestEmptyAndDegenerate(t *testing.T) {
 	}
 }
 
-func TestPositions(t *testing.T) {
-	vals := []int64{9, 2, 7, 2, 5}
-	got := Positions(vals, 2, 6, nil)
-	want := []uint32{1, 3, 4}
-	if len(got) != len(want) {
-		t.Fatalf("positions %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("positions %v, want %v", got, want)
-		}
-	}
-	// Appends to existing slice.
-	got = Positions(vals, 7, 10, got)
-	if len(got) != 5 || got[3] != 0 || got[4] != 2 {
-		t.Fatalf("append positions %v", got)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	lo, hi, ok := MinMax([]int64{3, -7, 12, 0})
 	if !ok || lo != -7 || hi != 12 {
 		t.Fatalf("MinMax = %d,%d,%v", lo, hi, ok)
-	}
-}
-
-func TestPropertyCountMatchesPositions(t *testing.T) {
-	f := func(vals []int64, lo, span int16) bool {
-		l, h := int64(lo), int64(lo)+int64(span&0x7fff)
-		n, s := CountSum(vals, l, h)
-		if Count(vals, l, h) != n {
-			return false
-		}
-		pos := Positions(vals, l, h, nil)
-		if len(pos) != n {
-			return false
-		}
-		var ps int64
-		for _, p := range pos {
-			v := vals[p]
-			if v < l || v >= h {
-				return false
-			}
-			ps += v
-		}
-		return ps == s
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"holistic/internal/engine"
+	"holistic/internal/idle"
 	"holistic/internal/loadgate"
 	"holistic/internal/workload"
 )
@@ -30,7 +31,6 @@ func TestServerEndToEndBurstyClients(t *testing.T) {
 	const (
 		nClients = 8
 		bursts   = 3
-		quiet    = 2 * time.Millisecond
 	)
 	rows, perBurst := 100_000, 25
 	if testing.Short() {
@@ -44,8 +44,6 @@ func TestServerEndToEndBurstyClients(t *testing.T) {
 		Strategy:    engine.StrategyHolistic,
 		Seed:        1,
 		AutoIdle:    true,
-		IdleQuiet:   quiet,
-		IdleQuantum: 8,
 		IdleWorkers: 2,
 		// Small target piece size so refinement work outlasts the bursts:
 		// with ~100k rows converged means ~1.5k pieces, far more than the
@@ -132,7 +130,7 @@ func TestServerEndToEndBurstyClients(t *testing.T) {
 	// ---- Phase 1: busy-pinned. Traffic runs, the pin guarantees the
 	// in-flight count never reaches zero, so no refinement step may start.
 	runBurst(perBurst)
-	time.Sleep(20 * quiet) // plenty of wall time for a buggy pool to fire
+	time.Sleep(20 * idle.DefaultQuiet) // plenty of wall time for a buggy pool to fire
 	if g := gate.Snapshot().StepGrants; g != 0 {
 		t.Fatalf("criterion (c) violated: %d refinement steps started while requests were in flight", g)
 	}

@@ -114,7 +114,7 @@ func BenchmarkFanOutCrossover(b *testing.B) {
 		for _, piece := range []int{1 << 12, 1 << 14, 1 << 16, 1 << 18} {
 			// precracked builds the column cracked at the multiples of piece.
 			precracked := func() *Column {
-				c, err := NewColumn("R.A", vals, Config{Shards: parts, RadixMinPiece: -1})
+				c, err := NewColumn("R.A", vals, Config{Shards: parts, radixMin: -1})
 				if err != nil {
 					b.Fatal(err)
 				}

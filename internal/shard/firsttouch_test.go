@@ -21,10 +21,10 @@ func TestFirstTouchFromBase(t *testing.T) {
 		cfg   Config
 		touch func(c *Column)
 	}{
-		"select": {Config{Shards: 3, RadixMinPiece: 256}, func(c *Column) {
+		"select": {Config{Shards: 3, radixMin: 256}, func(c *Column) {
 			c.FanOutCountSum(func(p *Part) (int, int64) { return p.CrackedSelect(domain/3, domain/2) })
 		}},
-		"idle step": {Config{Shards: 3, RadixMinPiece: 256}, func(c *Column) {
+		"idle step": {Config{Shards: 3, radixMin: 256}, func(c *Column) {
 			// The bid materialises a part, radix pass included, so the target
 			// sits below the buckets' size for the action to crack one.
 			tu := core.NewTuner(core.Config{TargetPieceSize: 2, Seed: 1}, nil)

@@ -60,8 +60,8 @@
 // a refinement action: the holistic tuner ranks "drain this shard's queue"
 // against "crack this shard" (see internal/core and costmodel.MergeScore)
 // and the idle pool executes whichever pays more, so merging happens in
-// traffic gaps. A queue that outgrows IngestCap forces an inline merge on
-// the writer that crossed the cap — amortised batching, the backstop for
+// traffic gaps. A queue that reaches DefaultIngestCap forces an inline merge
+// on the writer that crossed the cap — amortised batching, the backstop for
 // strategies with no idle pool.
 //
 // MergeStep applies deletes in any order (tombstones) but inserts only in
@@ -147,26 +147,19 @@ type Config struct {
 	// Seed is read by nothing: cracking is deterministic. It stays so that
 	// callers which still set it keep compiling.
 	Seed uint64
-	// IngestCap bounds a part's ingest queue: the writer whose enqueue
-	// crosses the cap pays an inline merge. <= 0 selects DefaultIngestCap.
-	IngestCap int
-	// RadixMinPiece is the radix-first coarse-cracking threshold handed to
-	// each part's cracker index. 0 selects costmodel.DefaultRadixMinPiece;
-	// < 0 disables radix-first cracking.
-	RadixMinPiece int
+
+	// radixMin, when non-zero, replaces costmodel.DefaultRadixMinPiece
+	// (< 0 disables radix-first cracking). Only this package's tests set it.
+	radixMin int
 }
 
-// radixMinPiece resolves Config.RadixMinPiece to the value the cracker
-// expects (<= 0 disables).
+// radixMinPiece is the radix-first coarse-cracking threshold handed to each
+// part's cracker index (<= 0 disables).
 func (c Config) radixMinPiece() int {
-	switch {
-	case c.RadixMinPiece < 0:
-		return 0
-	case c.RadixMinPiece == 0:
+	if c.radixMin == 0 {
 		return costmodel.DefaultRadixMinPiece
-	default:
-		return c.RadixMinPiece
 	}
+	return max(c.radixMin, 0)
 }
 
 func (c Config) shards() int {
@@ -174,13 +167,6 @@ func (c Config) shards() int {
 		return 1
 	}
 	return c.Shards
-}
-
-func (c Config) ingestCap() int {
-	if c.IngestCap <= 0 {
-		return DefaultIngestCap
-	}
-	return c.IngestCap
 }
 
 // Column is one logical column split into per-shard Parts, with fan-out and
@@ -353,24 +339,6 @@ func (c *Column) CountSum(lo, hi int64,
 		count, sum = count+cnt, sum+s
 	}
 	return count, sum
-}
-
-// Append assigns the next global row id to v and enqueues it. Safe for
-// concurrent use; the caller must not mix Append with AppendAt on the same
-// column (the engine assigns row ids at the table level via AppendAt so one
-// row gets the same id in every column).
-func (c *Column) Append(v int64) (uint32, error) {
-	for {
-		r := c.rows.Load()
-		if r >= int64(column.MaxRows) {
-			return 0, column.ErrTooLarge
-		}
-		if c.rows.CompareAndSwap(r, r+1) {
-			g := uint32(r)
-			c.parts[int(g)%len(c.parts)].enqueueInsert(v, g)
-			return g, nil
-		}
-	}
 }
 
 // AppendAt enqueues v as global row g, where g was assigned by the caller
@@ -732,11 +700,11 @@ func (p *Part) SortedWork(lo, hi int64) (count int, sum int64, work int, ok bool
 }
 
 // enqueueInsert buffers one insert without touching the part latch. The
-// writer that pushes the queue past the configured cap pays an inline merge
+// writer that pushes the queue past DefaultIngestCap pays an inline merge
 // of (up to) the whole backlog — batched, amortised maintenance.
 func (p *Part) enqueueInsert(v int64, g uint32) {
 	qlen := p.ingest.Insert(v, g)
-	if cap := p.cfg.ingestCap(); qlen >= cap && qlen%cap == 0 {
+	if qlen >= DefaultIngestCap && qlen%DefaultIngestCap == 0 {
 		p.MergeStep(0)
 	}
 }

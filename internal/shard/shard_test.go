@@ -54,12 +54,9 @@ func TestStripingRoutesRows(t *testing.T) {
 		}
 	}
 	// Appends continue the stripe.
-	g, err := c.Append(17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g != 7 {
-		t.Fatalf("appended row id %d, want 7", g)
+	c.AppendAt(7, 17)
+	if c.Rows() != 8 {
+		t.Fatalf("Rows() = %d after appending row 7, want 8", c.Rows())
 	}
 	if c.Parts()[7%3].Len() != 3 {
 		t.Fatal("append routed to the wrong part")
@@ -147,7 +144,7 @@ func TestSequentialSweepStaysBounded(t *testing.T) {
 	}
 	rand.New(rand.NewPCG(7, 8)).Shuffle(n, func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
 	sweep := func(radixMinPiece int) (maxPiece int, work int64) {
-		c, err := NewColumn("R.A", slices.Clone(vals), Config{Shards: 1, RadixMinPiece: radixMinPiece})
+		c, err := NewColumn("R.A", slices.Clone(vals), Config{Shards: 1, radixMin: radixMinPiece})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,13 +402,7 @@ func TestAppendFeedsIndexes(t *testing.T) {
 	for _, p := range c.Parts() {
 		p.CrackedSelect(0, 100)
 	}
-	g, err := c.Append(25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g != 4 {
-		t.Fatalf("row id %d, want 4", g)
-	}
+	c.AppendAt(4, 25)
 	count, sum := c.FanOutCountSum(func(p *Part) (int, int64) { return p.CrackedSelect(0, 100) })
 	if count != 5 || sum != 125 {
 		t.Fatalf("after append: %d/%d, want 5/125", count, sum)

@@ -9,7 +9,7 @@ import (
 // NewColumnFromSnapshot: the restored column answers queries identically
 // and keeps the paid-for piece count (no re-cracking from scratch).
 func TestSnapshotRoundTrip(t *testing.T) {
-	cfg := Config{Shards: 3, IngestCap: 64}
+	cfg := Config{Shards: 3}
 	vals := make([]int64, 10_000)
 	for i := range vals {
 		vals[i] = int64((i * 2654435761) % 50_000)
@@ -28,9 +28,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		c.DeleteRow(g * 7)
 	}
 	for i := 0; i < 500; i++ {
-		if _, err := c.Append(int64(i % 1000)); err != nil {
-			t.Fatal(err)
-		}
+		c.AppendAt(uint32(c.Rows()), int64(i%1000))
 	}
 	c.MergePending()
 
@@ -95,10 +93,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	// The restored column keeps working: appends and deletes still apply.
-	g, err := r.Append(42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := uint32(r.Rows())
+	r.AppendAt(g, 42)
 	r.MergePending()
 	if v := r.DeleteRow(g); v != 42 {
 		t.Fatalf("post-restore delete returned %d", v)

@@ -341,9 +341,6 @@ func (s *Store) LogDelete(table string, rows []uint32) error {
 // refinement, so checkpoints never ride a query's critical path.
 type CheckpointAction struct {
 	Store *Store
-	// Threshold is the replay debt (bytes) at which checkpointing starts
-	// bidding; <= 0 selects costmodel.DefaultSnapshotThreshold.
-	Threshold int64
 	// Logf, when set, receives checkpoint failures (there is no caller to
 	// return them to on the idle path).
 	Logf func(format string, args ...any)
@@ -359,7 +356,7 @@ func (a *CheckpointAction) Score() float64 {
 		// checkpointing now would only churn disk on a failing device.
 		return 0
 	}
-	return costmodel.SnapshotScore(a.Store.ReplayDebt(), a.Threshold)
+	return costmodel.SnapshotScore(a.Store.ReplayDebt())
 }
 
 // Run implements core.AuxAction; the work reported is the WAL bytes the

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"holistic/internal/costmodel"
 	"holistic/internal/engine"
 	"holistic/internal/wal"
 )
@@ -343,15 +344,16 @@ func TestRecordRoundTrip(t *testing.T) {
 }
 
 // TestCheckpointAuctionIntegration: the checkpoint action registered with
-// the tuner runs via idle steps once replay debt passes its threshold.
+// the tuner runs via idle steps once replay debt passes
+// costmodel.DefaultSnapshotThreshold.
 func TestCheckpointAuctionIntegration(t *testing.T) {
 	dir := t.TempDir()
 	e := newEngine(t)
 	s, _ := openStore(t, nil, dir, e)
-	e.RegisterAux(&CheckpointAction{Store: s, Threshold: 1024, Logf: t.Logf})
-	seedTable(t, e, 2000) // well past 1KiB of WAL
+	e.RegisterAux(&CheckpointAction{Store: s, Logf: t.Logf})
+	seedTable(t, e, 1<<17) // two columns of 8-byte values: 2 MiB of WAL
 
-	if s.ReplayDebt() < 1024 {
+	if s.ReplayDebt() < costmodel.DefaultSnapshotThreshold {
 		t.Fatalf("test needs replay debt past threshold, have %d", s.ReplayDebt())
 	}
 	e.IdleActions(64)

@@ -31,10 +31,10 @@
 //
 // # Failure handling
 //
-// Append retries transient I/O errors with exponential backoff (Policy
-// .Retries / .Backoff), truncating any partial frame before each retry so a
-// failed attempt can never corrupt the tail. When retries are exhausted the
-// log flips to a sticky degraded state: every further Append fails fast
+// Append retries transient I/O errors DefaultRetries times with exponential
+// backoff from DefaultBackoff, truncating any partial frame before each retry
+// so a failed attempt can never corrupt the tail. When retries are exhausted
+// the log flips to a sticky degraded state: every further Append fails fast
 // with ErrDegraded and the owner is expected to stop accepting writes
 // (read-only mode). Reads are never affected.
 package wal
@@ -71,8 +71,8 @@ const (
 	// SyncAlways fsyncs after every append: an acknowledged write is on
 	// stable storage. The crash-recovery oracle runs under this policy.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs on a background ticker (Policy.Interval): a crash
-	// loses at most the last interval's records.
+	// SyncInterval fsyncs on a background ticker (DefaultSyncInterval): a
+	// crash loses at most the last interval's records.
 	SyncInterval
 	// SyncOff never fsyncs explicitly: durability is whatever the OS page
 	// cache survives. For benchmarks and tests.
@@ -107,51 +107,21 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	}
 }
 
-// Policy configures a Log's durability/failure behaviour.
+// Policy configures a Log's durability behaviour.
 type Policy struct {
 	// Sync selects the fsync policy.
 	Sync SyncPolicy
-	// Interval is the background fsync period for SyncInterval; <= 0
-	// selects DefaultSyncInterval.
-	Interval time.Duration
-	// Retries is how many times a failed append I/O is retried before the
-	// log degrades; < 0 disables retries, 0 selects DefaultRetries.
-	Retries int
-	// Backoff is the first retry's delay, doubling per attempt; <= 0
-	// selects DefaultBackoff.
-	Backoff time.Duration
 }
 
-// Policy defaults.
 const (
+	// DefaultSyncInterval is the background fsync period under SyncInterval.
 	DefaultSyncInterval = 50 * time.Millisecond
-	DefaultRetries      = 3
-	DefaultBackoff      = time.Millisecond
+	// DefaultRetries is how many times a failed append I/O is retried before
+	// the log degrades.
+	DefaultRetries = 3
+	// DefaultBackoff is the first retry's delay; it doubles per attempt.
+	DefaultBackoff = time.Millisecond
 )
-
-func (p Policy) interval() time.Duration {
-	if p.Interval <= 0 {
-		return DefaultSyncInterval
-	}
-	return p.Interval
-}
-
-func (p Policy) retries() int {
-	if p.Retries < 0 {
-		return 0
-	}
-	if p.Retries == 0 {
-		return DefaultRetries
-	}
-	return p.Retries
-}
-
-func (p Policy) backoff() time.Duration {
-	if p.Backoff <= 0 {
-		return DefaultBackoff
-	}
-	return p.Backoff
-}
 
 // ErrDegraded is returned by Append once persistent I/O failures have
 // flipped the log into its sticky degraded state. The owner should reject
@@ -170,7 +140,6 @@ type Log struct {
 	base     int64 // logical offset of the file's first record byte
 	size     int64 // logical end offset (base + record bytes in the file)
 	degraded bool
-	lastErr  error
 
 	stop chan struct{} // interval-sync ticker shutdown
 	done chan struct{}
@@ -310,13 +279,6 @@ func (l *Log) Degraded() bool {
 	return l.degraded
 }
 
-// LastErr returns the error that degraded the log, if any.
-func (l *Log) LastErr() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lastErr
-}
-
 // Append writes one record and returns the logical offset its frame ends
 // at. Under SyncAlways the record is fsynced before Append returns.
 // Transient I/O errors are retried with exponential backoff; when retries
@@ -333,16 +295,15 @@ func (l *Log) Append(payload []byte) (off int64, err error) {
 	if l.degraded {
 		return 0, ErrDegraded
 	}
-	backoff := l.policy.backoff()
+	backoff := DefaultBackoff
 	for attempt := 0; ; attempt++ {
 		err = l.writeFrameLocked(frame)
 		if err == nil {
 			l.size += int64(len(frame))
 			return l.size, nil
 		}
-		if attempt >= l.policy.retries() {
+		if attempt >= DefaultRetries {
 			l.degraded = true
-			l.lastErr = err
 			return 0, fmt.Errorf("%w (cause: %v)", ErrDegraded, err)
 		}
 		// Transient until proven otherwise: back off (outside no locks but
@@ -389,7 +350,7 @@ func (l *Log) Sync() error {
 // syncLoop is the SyncInterval background flusher.
 func (l *Log) syncLoop() {
 	defer close(l.done)
-	t := time.NewTicker(l.policy.interval())
+	t := time.NewTicker(DefaultSyncInterval)
 	defer t.Stop()
 	for {
 		select {

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 func openTemp(t *testing.T, fs FS, policy Policy) (*Log, string) {
@@ -164,7 +163,7 @@ func TestCorruptMiddleStopsReplayAtBadFrame(t *testing.T) {
 
 func TestTransientWriteErrorRetried(t *testing.T) {
 	ffs := NewFaultFS(OSFS{})
-	l, _ := openTemp(t, ffs, Policy{Sync: SyncOff, Retries: 3, Backoff: time.Microsecond})
+	l, _ := openTemp(t, ffs, Policy{Sync: SyncOff})
 	defer l.Close()
 	if _, err := l.Append([]byte("pre")); err != nil {
 		t.Fatal(err)
@@ -185,7 +184,7 @@ func TestTransientWriteErrorRetried(t *testing.T) {
 
 func TestPersistentWriteErrorDegrades(t *testing.T) {
 	ffs := NewFaultFS(OSFS{})
-	l, path := openTemp(t, ffs, Policy{Sync: SyncOff, Retries: 2, Backoff: time.Microsecond})
+	l, path := openTemp(t, ffs, Policy{Sync: SyncOff})
 	if _, err := l.Append([]byte("durable")); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +220,7 @@ func TestPersistentWriteErrorDegrades(t *testing.T) {
 
 func TestShortWriteRecovered(t *testing.T) {
 	ffs := NewFaultFS(OSFS{})
-	l, _ := openTemp(t, ffs, Policy{Sync: SyncOff, Retries: 3, Backoff: time.Microsecond})
+	l, _ := openTemp(t, ffs, Policy{Sync: SyncOff})
 	defer l.Close()
 	ffs.ShortWrite(1) // next append tears mid-frame, then retries cleanly
 	if _, err := l.Append([]byte("torn-then-whole")); err != nil {
@@ -235,7 +234,7 @@ func TestShortWriteRecovered(t *testing.T) {
 
 func TestSyncAlwaysFailureDegrades(t *testing.T) {
 	ffs := NewFaultFS(OSFS{})
-	l, _ := openTemp(t, ffs, Policy{Sync: SyncAlways, Retries: 1, Backoff: time.Microsecond})
+	l, _ := openTemp(t, ffs, Policy{Sync: SyncAlways})
 	defer l.Close()
 	ffs.FailSyncs(1, errors.New("fsync: EIO"), true)
 	if _, err := l.Append([]byte("unsynced")); !errors.Is(err, ErrDegraded) {
