@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 
-	"holistic/internal/column"
 	"holistic/internal/shard"
 )
 
@@ -221,8 +220,8 @@ func (e *Engine) ReplayInsert(table string, first uint32, rows [][]int64) error 
 		if len(vals) != len(cat.order) {
 			return fmt.Errorf("%w: replay insert of %d values into %d columns", ErrLengthMismatch, len(vals), len(cat.order))
 		}
-		if g >= int64(column.MaxRows) {
-			return column.ErrTooLarge
+		if g >= int64(shard.MaxRows) {
+			return shard.ErrTooLarge
 		}
 		t.rows.Store(g + 1)
 		cur = g + 1

@@ -146,8 +146,8 @@ func TestSmallCrackRunsInline(t *testing.T) {
 // base plus, for each part, some prefix of the statements that landed on that
 // part before the read ended. Every statement moves one row of a value no
 // other row holds, so a torn read of a part — a row counted in both its queue
-// and its cracked copy, or in neither, which is what the merge-epoch re-check
-// of shard.Part.ConvergedSelect rules out — matches no such combination.
+// and its cracked copy, or in neither, which is what holding the part's
+// shared latch across both reads rules out — matches no such combination.
 func TestConvergedSelectRacesWrites(t *testing.T) { selectRacesWrites(t, false) }
 
 // TestSmallCrackRacesWrites is the same race with readers whose bounds never

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"holistic/internal/column"
 	"holistic/internal/shard"
 )
 
@@ -255,8 +254,7 @@ func (t *Table) column(name string) (*colState, error) {
 // id) and enqueueing per column into the row's shard ingest queue — no part
 // latch is taken. Index structures absorb the insert when the buffered batch
 // is merged by a refinement action (or inline once a queue outgrows its
-// cap); reads see the row immediately through the snapshot-consistent
-// combine.
+// cap); reads see the row immediately, through each part's queue.
 func (t *Table) InsertRow(vals ...int64) (uint32, error) {
 	return t.InsertRows([][]int64{vals})
 }
@@ -284,9 +282,9 @@ func (t *Table) InsertRows(rows [][]int64) (uint32, error) {
 	}
 	t.idMu.Lock()
 	r := t.rows.Load()
-	if r+int64(len(rows)) > int64(column.MaxRows) {
+	if r+int64(len(rows)) > int64(shard.MaxRows) {
 		t.idMu.Unlock()
-		return 0, column.ErrTooLarge
+		return 0, shard.ErrTooLarge
 	}
 	if t.eng.wlog != nil {
 		if err := t.eng.wlog.LogInsert(t.name, uint32(r), rows); err != nil {
@@ -306,26 +304,12 @@ func (t *Table) InsertRows(rows [][]int64) (uint32, error) {
 	return uint32(r), nil
 }
 
-// DeleteWhere removes the first live row whose column `col` equals value.
-// It reports whether a row was deleted. Deletes hold the table lock
-// EXCLUSIVE — a delete must never observe a row some of whose columns are
-// still being enqueued — and buffer a per-shard delete for every column
-// (applied as tombstones at the next merge); a row still sitting in the
-// ingest queues is annihilated in place and never reaches the structures.
+// DeleteWhere removes the first live row whose column `col` equals value —
+// a one-value DeleteWhereIn. It reports whether a row was deleted; a row
+// deleted in memory whose log append failed reports true with the error.
 func (t *Table) DeleteWhere(col string, value int64) (bool, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	defer t.eng.writeBegin()()
-	row, ok, err := t.deleteWhereLocked(col, value)
-	if err != nil {
-		return false, err
-	}
-	if ok {
-		if lerr := t.logDeleteLocked([]uint32{row}); lerr != nil {
-			return true, lerr
-		}
-	}
-	return ok, nil
+	n, err := t.DeleteWhereIn(col, []int64{value})
+	return n > 0, err
 }
 
 // logDeleteLocked records a delete's resolved row ids, after they were
@@ -345,7 +329,11 @@ func (t *Table) logDeleteLocked(rows []uint32) error {
 // DeleteWhereIn removes, for each value in values, the first live row whose
 // column `col` equals it — the batched DELETE ... WHERE col IN (...) form.
 // It returns how many rows were deleted, sharing one exclusive-lock
-// acquisition and one idle-pool admission across the batch.
+// acquisition and one idle-pool admission across the batch. Deletes hold the
+// table lock EXCLUSIVE — a delete must never observe a row some of whose
+// columns are still being enqueued — and buffer a per-shard delete for every
+// column (applied as tombstones at the next merge); a row still sitting in
+// the ingest queues is annihilated in place and never reaches the structures.
 func (t *Table) DeleteWhereIn(col string, values []int64) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -1,11 +1,12 @@
 package engine
 
 // Adversarial tests for the concurrent write path: batched ingest queues,
-// merge refinement actions and snapshot-consistent reads. The oracle test is
-// the write-path analogue of TestShardedMixedWorkload — N writers + M
-// readers race over every strategy at shard counts {1, 2, 8}, with quiesce
-// points where (count, sum) must exactly match a serial replay of every
-// committed operation. Run with -race.
+// merge refinement actions and reads that hold each part's shared latch
+// across its index and queue. The oracle test is the write-path analogue of
+// TestShardedMixedWorkload — N writers + M readers race over every strategy
+// at shard counts {1, 2, 8}, with quiesce points where (count, sum) must
+// exactly match a serial replay of every committed operation. Run with
+// -race.
 
 import (
 	"errors"

@@ -30,16 +30,6 @@ func CountSum(vals []int64, lo, hi int64) (count int, sum int64) {
 	return int(c), s
 }
 
-// Count returns only the cardinality of the range predicate. Branch-free,
-// same pattern as CountSum.
-func Count(vals []int64, lo, hi int64) int {
-	n := 0
-	for _, v := range vals {
-		n += b2i(v >= lo) & b2i(v < hi)
-	}
-	return n
-}
-
 // MinMax returns the smallest and largest value. Ok is false for empty input.
 func MinMax(vals []int64) (lo, hi int64, ok bool) {
 	if len(vals) == 0 {

@@ -17,10 +17,10 @@ func TestEmptyAndDegenerate(t *testing.T) {
 	if n, s := CountSum(nil, 0, 10); n != 0 || s != 0 {
 		t.Fatal("empty input produced results")
 	}
-	if n := Count([]int64{1, 2, 3}, 5, 5); n != 0 {
+	if n, _ := CountSum([]int64{1, 2, 3}, 5, 5); n != 0 {
 		t.Fatal("empty range matched")
 	}
-	if n := Count([]int64{1, 2, 3}, 5, 2); n != 0 {
+	if n, _ := CountSum([]int64{1, 2, 3}, 5, 2); n != 0 {
 		t.Fatal("inverted range matched")
 	}
 	if _, _, ok := MinMax(nil); ok {

@@ -84,18 +84,18 @@
 // exactly the merged, non-tombstoned rows, so every path names the same
 // row; the caller's exclusive table lock is held for a piece, not a column.
 //
-// # Snapshot reads
+// # One latch per read
 //
 // A select must observe every row exactly once while merges move rows from
-// the queue into the structures. Reads combine (merged result under the
-// shared latch) + (queue's net CountSum) and validate the pair with the
-// part's merge epoch, a sequence lock: MergeStep, already holding the
-// exclusive latch, increments the epoch to odd before touching any
-// structure and back to even after. A reader that loads an unchanged even
-// epoch around the pair knows no merge moved rows between its two reads; on
-// repeated interference it falls back to evaluating both under the shared
-// latch, which excludes merges entirely. No row is double counted (it is in
-// the structures xor the queue at any even epoch) and none is dropped.
+// the queue into the structures. Every part read — ScanCountSum,
+// SortedCountSum, CrackedSelect and ConvergedSelect — holds the part's
+// shared latch across its index read and the queue's net CountSum
+// (Part.read). A merge moves rows only under the exclusive latch, so no row
+// can leave the queue for the structures between the two reads: each row is
+// counted in exactly one of them. Writers keep enqueueing meanwhile; a row
+// is seen if its enqueue preceded the queue read. The logical contents get
+// their consistent cut from this one latch, while structural refinement —
+// cracking under the index's own latch — stays invisible to it.
 //
 // # Latching
 //
@@ -107,19 +107,20 @@
 // the cracker index's own latch: shared for a lookup or aggregate, exclusive
 // for a crack (see cracker.Index). The ingest queue's mutex is a
 // leaf below the part latch: queue methods never take the latch, and both
-// "latch then queue" (merge, reads' fallback) and "queue only" (writers)
-// orders are deadlock free. The idle pool's claim/re-check protocol and the
+// "latch then queue" (merges, reads) and "queue only" (writers) orders are
+// deadlock free. The idle pool's claim/re-check protocol and the
 // load gate's zero-in-flight CAS apply per part unchanged: each Part
 // registers with the holistic tuner as its own action-queue shard, so during
 // a traffic gap N parts drain refinement actions concurrently.
 package shard
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
-	"holistic/internal/column"
 	"holistic/internal/costmodel"
 	"holistic/internal/cracker"
 	"holistic/internal/scan"
@@ -133,10 +134,13 @@ import (
 // reads' O(queue) combine stays cheap.
 const DefaultIngestCap = 4096
 
-// seqlockRetries is how many optimistic epoch-validated read attempts a
-// select makes before falling back to holding the shared latch across both
-// the merged and queue reads.
-const seqlockRetries = 3
+// MaxRows is the largest number of rows a column may hold. Row ids are
+// carried as uint32 inside index structures to halve their memory footprint,
+// which caps columns at 2^32-1 rows — far above the paper's 10^8 scale.
+const MaxRows = math.MaxUint32
+
+// ErrTooLarge is returned when an operation would grow a column past MaxRows.
+var ErrTooLarge = errors.New("shard: too many rows")
 
 // Config fixes a sharded column's physical-design parameters at creation.
 type Config struct {
@@ -197,8 +201,8 @@ type Column struct {
 // NewColumn splits vals into cfg.Shards striped parts. vals is adopted: the
 // caller must not reuse it.
 func NewColumn(name string, vals []int64, cfg Config) (*Column, error) {
-	if len(vals) > column.MaxRows {
-		return nil, column.ErrTooLarge
+	if len(vals) > MaxRows {
+		return nil, ErrTooLarge
 	}
 	n := cfg.shards()
 	c := &Column{name: name, cfg: cfg}
@@ -211,25 +215,31 @@ func NewColumn(name string, vals []int64, cfg Config) (*Column, error) {
 	for g, v := range vals {
 		split[g%n] = append(split[g%n], v)
 	}
-	for i := 0; i < n; i++ {
-		pname := name
-		if n > 1 {
-			pname = fmt.Sprintf("%s#%d", name, i)
-		}
-		col, err := column.FromSlice(pname, split[i])
-		if err != nil {
-			return nil, err
-		}
-		c.parts = append(c.parts, &Part{
-			name:    pname,
-			id:      i,
-			stride:  n,
-			cfg:     &c.cfg,
-			col:     col,
-			deleted: make([]bool, len(split[i])),
-		})
+	for _, part := range split {
+		c.addPart(part, nil)
 	}
 	return c, nil
+}
+
+// addPart appends the column's next part over vals, its merged storage by
+// local position, with tombstones deleted (nil: none). Both slices are
+// adopted. Loading and snapshot restore build every part here.
+func (c *Column) addPart(vals []int64, deleted []bool) *Part {
+	i, n := len(c.parts), c.cfg.shards()
+	p := &Part{name: c.name, id: i, stride: n, cfg: &c.cfg, vals: vals, deleted: deleted}
+	if n > 1 {
+		p.name = fmt.Sprintf("%s#%d", c.name, i)
+	}
+	if deleted == nil {
+		p.deleted = make([]bool, len(vals))
+	}
+	for _, d := range deleted {
+		if d {
+			p.nDeleted++
+		}
+	}
+	c.parts = append(c.parts, p)
+	return p
 }
 
 // Name returns the logical column name.
@@ -416,17 +426,21 @@ type Part struct {
 	cfg    *Config
 
 	// ingest buffers inserts and deletes behind its own leaf mutex; writers
-	// never take mu. epoch is the merge sequence lock: odd while MergeStep
-	// is moving rows from the queue into the structures (see package doc).
+	// never take mu.
 	ingest updates.Queue
-	epoch  atomic.Uint64
 
 	mu       sync.RWMutex
-	col      *column.Column
+	vals     []int64 // merged storage by local position (local i is global row i·stride+id)
+	deleted  []bool  // tombstones by local position
+	nDeleted int
 	crack    *cracker.Index
 	sorted   *sortindex.Index
-	deleted  []bool // tombstones by local position
-	nDeleted int
+
+	// lo and hi bound vals, tombstoned rows included, once bounded is set.
+	// The bounds are computed on first use and kept current by merges,
+	// always under the exclusive latch.
+	lo, hi  int64
+	bounded bool
 }
 
 // Name implements the tuner's Column interface; part names are
@@ -454,29 +468,38 @@ func (p *Part) globalRow(local int) uint32 {
 // buffered inserts).
 func (p *Part) Len() int {
 	p.mu.RLock()
-	merged := p.col.Len()
-	p.mu.RUnlock()
+	defer p.mu.RUnlock()
 	ins, _ := p.ingest.Counts()
-	return merged + ins
+	return len(p.vals) + ins
 }
 
 // Live returns the part's live rows: merged minus tombstones, plus buffered
 // inserts, minus buffered deletes.
 func (p *Part) Live() int {
 	p.mu.RLock()
-	base := p.col.Len() - p.nDeleted
-	p.mu.RUnlock()
+	defer p.mu.RUnlock()
 	ins, del := p.ingest.Counts()
-	return base + ins - del
+	return len(p.vals) - p.nDeleted + ins - del
 }
 
 // MinMax returns the merged rows' value bounds (ok=false when empty).
 // Buffered inserts are not consulted; callers use this for registration-
-// time domain bounds, not exact statistics.
+// time domain bounds, not exact statistics. The first call scans the part
+// under the exclusive latch; later calls, and the first touch, reuse it.
 func (p *Part) MinMax() (lo, hi int64, ok bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.col.MinMax()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.minMaxLocked()
+}
+
+// minMaxLocked returns the cached bounds, computing them on first use.
+// Callers hold the exclusive latch.
+func (p *Part) minMaxLocked() (lo, hi int64, ok bool) {
+	if !p.bounded && len(p.vals) > 0 {
+		p.lo, p.hi, _ = scan.MinMax(p.vals)
+		p.bounded = true
+	}
+	return p.lo, p.hi, p.bounded
 }
 
 // CrackIndex implements the tuner's Column interface: it returns the part's
@@ -493,8 +516,8 @@ func (p *Part) Cracked() *cracker.Index { return p.crack }
 func (p *Part) crackIndexLocked() *cracker.Index {
 	if p.crack == nil {
 		if p.nDeleted == 0 {
-			lo, hi, _ := p.col.MinMax()
-			p.attachCrackLocked(cracker.NewFromBase(p.col.Values(), p.globalRow(0), uint32(p.stride), lo, hi, p.cfg.radixMinPiece()))
+			lo, hi, _ := p.minMaxLocked()
+			p.attachCrackLocked(cracker.NewFromBase(p.vals, p.globalRow(0), uint32(p.stride), lo, hi, p.cfg.radixMinPiece()))
 		} else {
 			p.attachCrackLocked(cracker.New(p.liveSnapshotLocked()))
 		}
@@ -516,7 +539,7 @@ func (p *Part) attachCrackLocked(ix *cracker.Index) {
 // merge tombstones them, keeping every structure consistent with the same
 // merged-state boundary.
 func (p *Part) liveSnapshotLocked() ([]int64, []uint32) {
-	src := p.col.Values()
+	src := p.vals
 	if p.nDeleted == 0 {
 		// No tombstones — every sorted build of a loaded column: one copy and
 		// a strided fill of globalRow(0), globalRow(1), ...
@@ -567,46 +590,37 @@ func (p *Part) HasSorted() bool {
 	return p.sorted != nil
 }
 
-// readConsistent combines a merged-state read with the ingest queue's net
-// contribution on [lo, hi) under the merge-epoch sequence lock (see the
-// package doc's "Snapshot reads"). merged is evaluated with the shared
-// latch held and must not acquire latches itself.
-func (p *Part) readConsistent(lo, hi int64, merged func() (int, int64)) (int, int64) {
-	for try := 0; try < seqlockRetries; try++ {
-		p.mu.RLock()
-		// The epoch is always even here: MergeStep only holds odd epochs
-		// inside the exclusive latch, which RLock excludes.
-		e := p.epoch.Load()
-		c, s := merged()
-		p.mu.RUnlock()
-		dc, ds := p.ingest.CountSum(lo, hi)
-		if p.epoch.Load() == e {
-			return c + dc, s + ds
-		}
-		// A merge moved rows between the two reads; retry.
-	}
-	// Merges keep interleaving; hold the shared latch across both reads —
-	// a merge needs the exclusive latch, so the pair is consistent.
+// read is every part read: it holds the shared latch across merged — an
+// index read of the merged rows, which must not take latches itself — and,
+// when merged answers (ok), the ingest queue's net contribution on [lo, hi),
+// which it adds. A merge needs the exclusive latch, so no row moves from the
+// queue to the structures between the two reads (see "One latch per read").
+func (p *Part) read(lo, hi int64, merged func() (int, int64, bool)) (count int, sum int64, ok bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	c, s := merged()
-	dc, ds := p.ingest.CountSum(lo, hi)
-	return c + dc, s + ds
+	if count, sum, ok = merged(); ok {
+		dc, ds := p.ingest.CountSum(lo, hi)
+		count, sum = count+dc, sum+ds
+	}
+	return count, sum, ok
 }
 
 // ScanCountSum answers [lo, hi) with a full scan of the merged rows plus
-// the queue's net contribution — a snapshot-consistent read (see package
-// doc).
+// the queue's net contribution.
 func (p *Part) ScanCountSum(lo, hi int64) (int, int64) {
-	return p.readConsistent(lo, hi, func() (int, int64) { return p.scanLocked(lo, hi) })
+	count, sum, _ := p.read(lo, hi, func() (int, int64, bool) {
+		c, s := p.scanLocked(lo, hi)
+		return c, s, true
+	})
+	return count, sum
 }
 
 func (p *Part) scanLocked(lo, hi int64) (int, int64) {
 	if p.nDeleted == 0 {
-		return scan.CountSum(p.col.Values(), lo, hi)
+		return scan.CountSum(p.vals, lo, hi)
 	}
 	count, sum := 0, int64(0)
-	for i, v := range p.col.Values() {
+	for i, v := range p.vals {
 		if !p.deleted[i] && v >= lo && v < hi {
 			count++
 			sum += v
@@ -618,45 +632,39 @@ func (p *Part) scanLocked(lo, hi int64) (int, int64) {
 // SortedCountSum answers [lo, hi) from the part's sorted index (falling
 // back to a scan when no index exists) plus the queue's net contribution.
 func (p *Part) SortedCountSum(lo, hi int64) (int, int64) {
-	return p.readConsistent(lo, hi, func() (int, int64) {
-		if p.sorted != nil {
-			from, to := p.sorted.Range(lo, hi)
-			return p.sorted.CountSum(from, to)
+	count, sum, _ := p.read(lo, hi, func() (int, int64, bool) {
+		if p.sorted == nil {
+			c, s := p.scanLocked(lo, hi)
+			return c, s, true
 		}
-		return p.scanLocked(lo, hi)
+		c, s := p.sorted.CountSum(p.sorted.Range(lo, hi))
+		return c, s, true
 	})
+	return count, sum
 }
 
-// CrackedSelect is the adaptive select operator on one part. Once the cracked
-// copy exists it runs under the shared latch: cracking [lo, hi) takes the
-// index latch exclusively only while it partitions, and a select whose bounds
-// are already cracked takes it shared once and subtracts two boundary sums
-// (cracker.Index.CrackCountSum). It combines the cracked result with the
-// queue's net contribution and validates the pair with the merge epoch. Only
-// materialising the copy, or a merge interleaving with every one of
-// seqlockRetries attempts, falls back to the exclusive latch, under which the
-// queue cannot be drained and the combined read is trivially consistent.
+// CrackedSelect is the adaptive select operator on one part. It runs under
+// the shared latch: cracking [lo, hi) takes the index latch exclusively only
+// while it partitions, and a select whose bounds are already cracked takes it
+// shared once and subtracts two boundary sums (cracker.Index.CrackCountSum).
+// Only materialising the cracked copy, on the part's first touch, takes the
+// exclusive latch; the select then reads as any other.
 func (p *Part) CrackedSelect(lo, hi int64) (int, int64) {
-	for try := 0; try < seqlockRetries; try++ {
-		p.mu.RLock()
-		ix := p.crack
-		if ix == nil {
-			p.mu.RUnlock()
-			break
+	for {
+		count, sum, ok := p.read(lo, hi, func() (int, int64, bool) {
+			if p.crack == nil {
+				return 0, 0, false
+			}
+			c, s := p.crack.CrackCountSum(lo, hi)
+			return c, s, true
+		})
+		if ok {
+			return count, sum
 		}
-		e := p.epoch.Load()
-		count, sum := ix.CrackCountSum(lo, hi)
-		p.mu.RUnlock()
-		dc, ds := p.ingest.CountSum(lo, hi)
-		if p.epoch.Load() == e {
-			return count + dc, sum + ds
-		}
+		p.mu.Lock()
+		p.crackIndexLocked()
+		p.mu.Unlock()
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	count, sum := p.crackIndexLocked().CrackCountSum(lo, hi)
-	dc, ds := p.ingest.CountSum(lo, hi)
-	return count + dc, sum + ds
 }
 
 // ConvergedSelect is the probe of an adaptive select: under the shared
@@ -664,25 +672,20 @@ func (p *Part) CrackedSelect(lo, hi int64) (int, int64) {
 // both bounds already are crack boundaries, so the answer is the difference
 // of their sums and nothing is left to do — or says what CrackedSelect would
 // partition: the pieces the missing bounds fall in, or the merged live rows
-// when there is no cracked copy yet (nothing when only a merge moved rows
-// during the read).
+// when there is no cracked copy yet.
 func (p *Part) ConvergedSelect(lo, hi int64) (count int, sum int64, work int, ok bool) {
-	p.mu.RLock()
-	e := p.epoch.Load()
-	if ix := p.crack; ix != nil {
-		count, sum, work, ok = ix.LookupCountSum(lo, hi)
-	} else {
-		work = p.col.Len() - p.nDeleted
+	count, sum, ok = p.read(lo, hi, func() (c int, s int64, answered bool) {
+		if p.crack == nil {
+			work = len(p.vals) - p.nDeleted
+			return 0, 0, false
+		}
+		c, s, work, answered = p.crack.LookupCountSum(lo, hi)
+		return c, s, answered
+	})
+	if ok {
+		return count, sum, 0, true
 	}
-	p.mu.RUnlock()
-	if !ok {
-		return 0, 0, work, false
-	}
-	dc, ds := p.ingest.CountSum(lo, hi)
-	if p.epoch.Load() != e {
-		return 0, 0, 0, false
-	}
-	return count + dc, sum + ds, 0, true
+	return 0, 0, work, false
 }
 
 // ScanWork and SortedWork are the probes of the selects that never answer
@@ -710,26 +713,25 @@ func (p *Part) enqueueInsert(v int64, g uint32) {
 }
 
 // MergeStep drains up to max buffered operations (0 = all) into the part's
-// structures under the exclusive latch, bracketed by the merge epoch. It
-// returns the operations applied. This is the tuner's merge action and the
-// writer's inline cap merge; both are safe to race.
+// structures under the exclusive latch. It returns the operations applied.
+// This is the tuner's merge action and the writer's inline cap merge; both
+// are safe to race.
 func (p *Part) MergeStep(max int) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.mergeLocked(max)
 }
 
-func (p *Part) mergeLocked(max int) int {
-	ins, del := p.ingest.Drain(p.globalRow(p.col.Len()), p.stride, max)
-	if len(ins) == 0 && len(del) == 0 {
+func (p *Part) mergeLocked(budget int) int {
+	ins, del := p.ingest.Drain(p.globalRow(len(p.vals)), p.stride, budget)
+	n := len(ins) + len(del)
+	if n == 0 {
 		return 0
 	}
-	p.epoch.Add(1) // odd: rows are moving between queue and structures
-	n := len(ins) + len(del)
 	live := del[:0]
 	for _, e := range del {
 		local := int(e.Row) / p.stride
-		if local >= p.col.Len() || p.deleted[local] {
+		if local >= len(p.vals) || p.deleted[local] {
 			// Defensive: Drain only releases deletes for merged rows, and the
 			// queue dedups deletes per row, so neither case should occur.
 			continue
@@ -738,14 +740,14 @@ func (p *Part) mergeLocked(max int) int {
 		p.nDeleted++
 		live = append(live, e)
 	}
-	for i, e := range ins {
-		// The append cannot fail: row ids were bounds checked when assigned,
-		// and Drain guarantees dense order.
-		if _, err := p.col.Append(e.Val); err != nil {
-			ins = ins[:i]
-			break
-		}
+	// Row ids were bounds checked when assigned, and Drain releases inserts
+	// in dense row order.
+	for _, e := range ins {
+		p.vals = append(p.vals, e.Val)
 		p.deleted = append(p.deleted, false)
+		if p.bounded {
+			p.lo, p.hi = min(p.lo, e.Val), max(p.hi, e.Val)
+		}
 	}
 	// The base grew in row order; the indexes take the batch in value order.
 	updates.SortByVal(ins)
@@ -756,7 +758,6 @@ func (p *Part) mergeLocked(max int) int {
 	if p.crack != nil {
 		p.crack.Merge(ins, live)
 	}
-	p.epoch.Add(1) // even: structures and queue agree again
 	return n
 }
 
@@ -786,7 +787,7 @@ func (p *Part) firstLive(v int64) (uint32, bool) {
 	case p.crack != nil:
 		best, found = p.crack.MinRowOf(v, live)
 	default:
-		for i, val := range p.col.Values() {
+		for i, val := range p.vals {
 			if g := p.globalRow(i); val == v && !p.deleted[i] && live(g) {
 				best, found = g, true
 				break
@@ -809,14 +810,14 @@ func (p *Part) deleteLocal(local int) int64 {
 		return v
 	}
 	p.mu.RLock()
-	if local >= p.col.Len() {
+	if local >= len(p.vals) {
 		// Neither buffered nor merged: the row id is still in flight between
 		// assignment and enqueue (the table's lock ordering prevents deletes
 		// from ever racing it, so this is purely defensive).
 		p.mu.RUnlock()
 		return 0
 	}
-	v := p.col.Get(local)
+	v := p.vals[local]
 	dead := p.deleted[local]
 	p.mu.RUnlock()
 	if dead {
@@ -832,7 +833,7 @@ func (p *Part) PieceStats() (pieces, n int) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.crack == nil {
-		live := p.col.Len() - p.nDeleted
+		live := len(p.vals) - p.nDeleted
 		if live == 0 {
 			return 0, 0
 		}

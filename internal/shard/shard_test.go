@@ -2,10 +2,12 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"sync"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"holistic/internal/costmodel"
@@ -44,7 +46,7 @@ func TestStripingRoutesRows(t *testing.T) {
 		p := c.Parts()[g%3]
 		local := g / 3
 		p.RLock()
-		got := p.col.Get(local)
+		got := p.vals[local]
 		p.RUnlock()
 		if got != v {
 			t.Fatalf("row %d: part %d local %d holds %d, want %d", g, g%3, local, got, v)
@@ -290,9 +292,9 @@ func TestLiveSnapshotFastPathMatchesLoop(t *testing.T) {
 		t.Helper()
 		var wantV []int64
 		var wantR []uint32
-		for i := 0; i < p.col.Len(); i++ {
+		for i := 0; i < len(p.vals); i++ {
 			if !p.deleted[i] {
-				wantV = append(wantV, p.col.Get(i))
+				wantV = append(wantV, p.vals[i])
 				wantR = append(wantR, p.globalRow(i))
 			}
 		}
@@ -409,5 +411,76 @@ func TestAppendFeedsIndexes(t *testing.T) {
 	}
 	if c.Rows() != 5 || c.Live() != 5 {
 		t.Fatalf("Rows=%d Live=%d", c.Rows(), c.Live())
+	}
+}
+
+// TestMinMaxCachedThroughAppends: the bounds the first MinMax caches ignore
+// buffered inserts and stay current once a merge appends rows past either
+// end; an empty part has none until a merge gives it rows.
+func TestMinMaxCachedThroughAppends(t *testing.T) {
+	c, _ := NewColumn("R.A", []int64{5, -3, 9}, Config{Shards: 1})
+	p := c.Parts()[0]
+	if lo, hi, ok := p.MinMax(); !ok || lo != -3 || hi != 9 {
+		t.Fatalf("MinMax = %d,%d,%v, want -3,9,true", lo, hi, ok)
+	}
+	for i, v := range []int64{-10, 100, 50} {
+		c.AppendAt(uint32(3+i), v)
+	}
+	if lo, hi, _ := p.MinMax(); lo != -3 || hi != 9 {
+		t.Fatalf("MinMax consulted buffered inserts: %d,%d", lo, hi)
+	}
+	c.MergePending()
+	if lo, hi, _ := p.MinMax(); lo != -10 || hi != 100 {
+		t.Fatalf("cached MinMax stale after merge: %d,%d, want -10,100", lo, hi)
+	}
+
+	empty, _ := NewColumn("R.B", nil, Config{Shards: 1})
+	q := empty.Parts()[0]
+	if _, _, ok := q.MinMax(); ok {
+		t.Fatal("MinMax on an empty part reported ok")
+	}
+	empty.AppendAt(0, 7)
+	empty.MergePending()
+	if lo, hi, ok := q.MinMax(); !ok || lo != 7 || hi != 7 {
+		t.Fatalf("MinMax after first merge = %d,%d,%v, want 7,7,true", lo, hi, ok)
+	}
+}
+
+// TestPropertyAppendPreservesOrder: rows appended through the ingest queues
+// and merged land in each part's storage in row order, at any shard count,
+// and the part bounds — cached after the first half, kept current by the
+// second half's merge — agree with a naive scan.
+func TestPropertyAppendPreservesOrder(t *testing.T) {
+	f := func(vals []int64, shards uint8) bool {
+		c, _ := NewColumn("P.A", nil, Config{Shards: int(shards%4) + 1})
+		n := c.Shards()
+		for g, v := range vals {
+			if g == len(vals)/2 {
+				c.MergePending()
+				for _, p := range c.Parts() {
+					p.MinMax()
+				}
+			}
+			c.AppendAt(uint32(g), v)
+		}
+		c.MergePending()
+		for g, v := range vals {
+			if c.Parts()[g%n].vals[g/n] != v {
+				return false
+			}
+		}
+		if len(vals) == 0 {
+			return true
+		}
+		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+		for _, p := range c.Parts() {
+			if plo, phi, ok := p.MinMax(); ok {
+				lo, hi = min(lo, plo), max(hi, phi)
+			}
+		}
+		return lo == slices.Min(vals) && hi == slices.Max(vals)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }

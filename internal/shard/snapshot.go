@@ -2,10 +2,8 @@ package shard
 
 import (
 	"fmt"
-
 	"slices"
 
-	"holistic/internal/column"
 	"holistic/internal/cracker"
 	"holistic/internal/sortindex"
 )
@@ -70,7 +68,7 @@ func (p *Part) snapshot() (PartSnapshot, error) {
 		return PartSnapshot{}, fmt.Errorf("shard: part %s holds %d undrainable buffered ops at snapshot", p.name, n)
 	}
 	s := PartSnapshot{
-		Vals:    slices.Clone(p.col.Values()),
+		Vals:    slices.Clone(p.vals),
 		Deleted: slices.Clone(p.deleted),
 	}
 	if p.crack != nil {
@@ -99,46 +97,25 @@ func NewColumnFromSnapshot(snap ColumnSnapshot, cfg Config) (*Column, error) {
 	}
 	c := &Column{name: snap.Name, cfg: cfg}
 	c.rows.Store(snap.Rows)
-	for i, ps := range snap.Parts {
-		pname := snap.Name
-		if n > 1 {
-			pname = fmt.Sprintf("%s#%d", snap.Name, i)
-		}
+	for _, ps := range snap.Parts {
 		if len(ps.Deleted) != len(ps.Vals) {
-			return nil, fmt.Errorf("shard: snapshot part %s deleted/vals length mismatch", pname)
+			return nil, fmt.Errorf("shard: snapshot part %d of %q deleted/vals length mismatch", len(c.parts), snap.Name)
 		}
-		col, err := column.FromSlice(pname, ps.Vals)
-		if err != nil {
-			return nil, err
-		}
-		p := &Part{
-			name:    pname,
-			id:      i,
-			stride:  n,
-			cfg:     &c.cfg,
-			col:     col,
-			deleted: ps.Deleted,
-		}
-		for _, d := range ps.Deleted {
-			if d {
-				p.nDeleted++
-			}
-		}
+		p := c.addPart(ps.Vals, ps.Deleted)
 		if ps.HasCrack {
 			ix, err := cracker.RestoreIndex(ps.CrackVals, ps.CrackRows, ps.Boundaries)
 			if err != nil {
-				return nil, fmt.Errorf("shard: part %s: %w", pname, err)
+				return nil, fmt.Errorf("shard: part %s: %w", p.name, err)
 			}
 			p.attachCrackLocked(ix)
 		}
 		if ps.HasSorted {
 			sx, err := sortindex.FromSorted(ps.SortedVals, ps.SortedRows)
 			if err != nil {
-				return nil, fmt.Errorf("shard: part %s: %w", pname, err)
+				return nil, fmt.Errorf("shard: part %s: %w", p.name, err)
 			}
 			p.sorted = sx
 		}
-		c.parts = append(c.parts, p)
 	}
 	return c, nil
 }

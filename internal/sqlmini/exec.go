@@ -32,7 +32,7 @@ func (k Kind) String() string {
 }
 
 // Result is the structured outcome of one statement — what the network
-// server serialises onto the wire, and what String renders for humans.
+// server serialises onto the wire.
 type Result struct {
 	Kind Kind
 	// Agg, Count and Sum are set for selects. Count doubles as the affected
@@ -48,37 +48,6 @@ type Result struct {
 	Matched bool
 	// Elapsed is the statement's execution time as seen by the caller.
 	Elapsed time.Duration
-}
-
-// String renders the result as the one-line human-readable form holishell
-// prints.
-func (r *Result) String() string {
-	switch r.Kind {
-	case KindSelect:
-		switch r.Agg {
-		case AggCount:
-			return fmt.Sprintf("count=%d (%v)", r.Count, r.Elapsed)
-		case AggSum:
-			return fmt.Sprintf("sum=%d (%v)", r.Sum, r.Elapsed)
-		default:
-			return fmt.Sprintf("count=%d sum=%d (%v)", r.Count, r.Sum, r.Elapsed)
-		}
-	case KindInsert:
-		if r.Count > 1 {
-			return fmt.Sprintf("inserted %d rows from row %d", r.Count, r.Row)
-		}
-		return fmt.Sprintf("inserted row %d", r.Row)
-	case KindDelete:
-		if !r.Matched {
-			return "no row matched"
-		}
-		if r.Count > 1 {
-			return fmt.Sprintf("deleted %d rows", r.Count)
-		}
-		return "deleted 1 row"
-	default:
-		return fmt.Sprintf("%+v", *r)
-	}
 }
 
 // Run parses and executes one statement against the engine, returning the
@@ -107,26 +76,18 @@ func Run(e *engine.Engine, input string) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows := s.Rows
-		if len(rows) == 0 { // hand-built statement using the legacy field
-			rows = [][]int64{s.Values}
-		}
-		row, err := tab.InsertRows(rows)
+		row, err := tab.InsertRows(s.Rows)
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Kind: KindInsert, Row: row, Count: len(rows), Elapsed: time.Since(start)}, nil
+		return &Result{Kind: KindInsert, Row: row, Count: len(s.Rows), Elapsed: time.Since(start)}, nil
 	case *DeleteStmt:
 		start := time.Now()
 		tab, err := e.Table(s.Table)
 		if err != nil {
 			return nil, err
 		}
-		vals := s.Values
-		if len(vals) == 0 { // hand-built statement using the legacy field
-			vals = []int64{s.Value}
-		}
-		n, err := tab.DeleteWhereIn(s.Column, vals)
+		n, err := tab.DeleteWhereIn(s.Column, s.Values)
 		if err != nil {
 			return nil, err
 		}
@@ -134,15 +95,4 @@ func Run(e *engine.Engine, input string) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("sqlmini: unhandled statement %T", stmt)
 	}
-}
-
-// Exec parses and executes one statement against the engine, returning a
-// human-readable result line. It is Run plus String — the interactive-shell
-// surface.
-func Exec(e *engine.Engine, input string) (string, error) {
-	r, err := Run(e, input)
-	if err != nil {
-		return "", err
-	}
-	return r.String(), nil
 }

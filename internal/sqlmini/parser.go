@@ -30,24 +30,20 @@ type SelectStmt struct {
 func (*SelectStmt) stmt() {}
 
 // InsertStmt appends one or more rows: INSERT INTO t VALUES (..)[, (..)]*.
-// Rows holds every value group; Values aliases the first group for callers
-// of the original single-row form.
+// Rows holds every value group.
 type InsertStmt struct {
-	Table  string
-	Values []int64
-	Rows   [][]int64
+	Table string
+	Rows  [][]int64
 }
 
 func (*InsertStmt) stmt() {}
 
 // DeleteStmt deletes, for each value in Values, the first live row whose
 // column equals it: DELETE FROM t WHERE col = v, or the batched
-// DELETE FROM t WHERE col IN (v1, v2, ...). Value aliases Values[0] for
-// callers of the original equality form.
+// DELETE FROM t WHERE col IN (v1, v2, ...).
 type DeleteStmt struct {
 	Table  string
 	Column string
-	Value  int64
 	Values []int64
 }
 
@@ -307,7 +303,6 @@ func (p *parser) parseInsert() (Stmt, error) {
 		}
 		break
 	}
-	ins.Values = ins.Rows[0]
 	return ins, nil
 }
 
@@ -356,7 +351,7 @@ func (p *parser) parseDelete() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &DeleteStmt{Table: tab, Column: col, Value: vals[0], Values: vals}, nil
+		return &DeleteStmt{Table: tab, Column: col, Values: vals}, nil
 	}
 	if t.kind != tokOp || t.text != "=" {
 		return nil, fmt.Errorf("sqlmini: DELETE supports only equality or IN, got %q", t.raw)
@@ -365,7 +360,7 @@ func (p *parser) parseDelete() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DeleteStmt{Table: tab, Column: col, Value: v, Values: []int64{v}}, nil
+	return &DeleteStmt{Table: tab, Column: col, Values: []int64{v}}, nil
 }
 
 func maxI(a, b int64) int64 {

@@ -2,7 +2,6 @@ package sqlmini
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"holistic/internal/engine"
@@ -72,7 +71,7 @@ func TestParseInsertDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	ins := s.(*InsertStmt)
-	if ins.Table != "R" || len(ins.Values) != 3 || ins.Values[1] != -2 {
+	if ins.Table != "R" || len(ins.Rows) != 1 || len(ins.Rows[0]) != 3 || ins.Rows[0][1] != -2 {
 		t.Fatalf("%+v", ins)
 	}
 	s, err = Parse("delete from R where A = 5")
@@ -80,7 +79,7 @@ func TestParseInsertDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	del := s.(*DeleteStmt)
-	if del.Table != "R" || del.Column != "A" || del.Value != 5 {
+	if del.Table != "R" || del.Column != "A" || len(del.Values) != 1 || del.Values[0] != 5 {
 		t.Fatalf("%+v", del)
 	}
 }
@@ -93,9 +92,6 @@ func TestParseBatchedInsert(t *testing.T) {
 	ins := s.(*InsertStmt)
 	if len(ins.Rows) != 3 || ins.Rows[2][1] != 6 {
 		t.Fatalf("%+v", ins)
-	}
-	if len(ins.Values) != 2 || ins.Values[0] != 1 {
-		t.Fatalf("legacy Values alias broken: %+v", ins)
 	}
 	// Mismatched group widths are rejected.
 	if _, err := Parse("insert into R values (1, 2), (3)"); err == nil {
@@ -111,9 +107,6 @@ func TestParseDeleteIn(t *testing.T) {
 	del := s.(*DeleteStmt)
 	if del.Column != "A" || len(del.Values) != 3 || del.Values[2] != 9 {
 		t.Fatalf("%+v", del)
-	}
-	if del.Value != 5 {
-		t.Fatalf("legacy Value alias broken: %+v", del)
 	}
 	if _, err := Parse("delete from R where A in ()"); err == nil {
 		t.Fatal("accepted empty IN list")
@@ -152,6 +145,8 @@ func TestSaturatingUpperBound(t *testing.T) {
 	}
 }
 
+// TestExecRoundTrip executes every statement kind through Run, batched
+// forms included, and checks each result's fields against the column.
 func TestExecRoundTrip(t *testing.T) {
 	e := engine.New(engine.Config{Strategy: engine.StrategyAdaptive})
 	defer e.Close()
@@ -159,49 +154,53 @@ func TestExecRoundTrip(t *testing.T) {
 	if err := tab.AddColumnFromSlice("A", []int64{5, 15, 25, 35}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := Exec(e, "select A from R where A >= 10 and A < 30")
-	if err != nil {
-		t.Fatal(err)
+	run := func(in string) *Result {
+		t.Helper()
+		res, err := Run(e, in)
+		if err != nil {
+			t.Fatalf("Run(%q): %v", in, err)
+		}
+		return res
 	}
-	if !strings.Contains(out, "count=2") || !strings.Contains(out, "sum=40") {
-		t.Fatalf("out = %q", out)
+	if res := run("select A from R where A >= 10 and A < 30"); res.Count != 2 || res.Sum != 40 {
+		t.Fatalf("select: %+v", res)
 	}
-	out, err = Exec(e, "select count(*) from R where A between 5 and 15")
-	if err != nil || !strings.Contains(out, "count=2") {
-		t.Fatalf("count: %q %v", out, err)
+	if res := run("select count(*) from R where A between 5 and 15"); res.Agg != AggCount || res.Count != 2 {
+		t.Fatalf("count: %+v", res)
 	}
-	out, err = Exec(e, "select sum(A) from R where A > 20")
-	if err != nil || !strings.Contains(out, "sum=60") {
-		t.Fatalf("sum: %q %v", out, err)
+	if res := run("select sum(A) from R where A > 20"); res.Agg != AggSum || res.Sum != 60 {
+		t.Fatalf("sum: %+v", res)
 	}
-	if out, err = Exec(e, "insert into R values (45)"); err != nil || !strings.Contains(out, "inserted") {
-		t.Fatalf("insert: %q %v", out, err)
+	if res := run("insert into R values (45), (55)"); res.Kind != KindInsert || res.Count != 2 || res.Row != 4 {
+		t.Fatalf("batched insert: %+v", res)
 	}
-	if out, err = Exec(e, "delete from R where A = 5"); err != nil || !strings.Contains(out, "deleted 1") {
-		t.Fatalf("delete: %q %v", out, err)
+	if res := run("delete from R where A = 5"); res.Kind != KindDelete || !res.Matched || res.Count != 1 {
+		t.Fatalf("delete: %+v", res)
 	}
-	if out, _ = Exec(e, "delete from R where A = 999"); !strings.Contains(out, "no row") {
-		t.Fatalf("ghost delete: %q", out)
+	if res := run("delete from R where A in (45, 999, 55)"); !res.Matched || res.Count != 2 {
+		t.Fatalf("IN delete: %+v", res)
 	}
-	out, err = Exec(e, "select count(*) from R where A >= 0 and A < 100")
-	if err != nil || !strings.Contains(out, "count=4") {
-		t.Fatalf("final: %q %v", out, err)
+	if res := run("delete from R where A = 999"); res.Matched || res.Count != 0 {
+		t.Fatalf("ghost delete: %+v", res)
+	}
+	if res := run("select count(*) from R where A >= 0 and A < 100"); res.Count != 3 {
+		t.Fatalf("final: %+v", res)
 	}
 }
 
 func TestExecErrors(t *testing.T) {
 	e := engine.New(engine.Config{})
 	defer e.Close()
-	if _, err := Exec(e, "select A from Ghost where A = 1"); err == nil {
+	if _, err := Run(e, "select A from Ghost where A = 1"); err == nil {
 		t.Fatal("missing table accepted")
 	}
-	if _, err := Exec(e, "not sql"); err == nil {
+	if _, err := Run(e, "not sql"); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := Exec(e, "insert into Ghost values (1)"); err == nil {
+	if _, err := Run(e, "insert into Ghost values (1)"); err == nil {
 		t.Fatal("insert into missing table accepted")
 	}
-	if _, err := Exec(e, "delete from Ghost where A = 1"); err == nil {
+	if _, err := Run(e, "delete from Ghost where A = 1"); err == nil {
 		t.Fatal("delete from missing table accepted")
 	}
 }

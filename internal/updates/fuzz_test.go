@@ -8,21 +8,21 @@ import (
 // findable through its map at its exact slice index, and the maps hold
 // nothing else. A desynchronised map makes later annihilations miss (leaking
 // delete entries) or, worse, pair a delete with the wrong insert.
-func checkMaps(t *testing.T, p *Pending) {
+func checkMaps(t *testing.T, q *Queue) {
 	t.Helper()
-	if len(p.rowAt) != len(p.ins) {
-		t.Fatalf("rowAt has %d entries for %d inserts", len(p.rowAt), len(p.ins))
+	if len(q.rowAt) != len(q.ins) {
+		t.Fatalf("rowAt has %d entries for %d inserts", len(q.rowAt), len(q.ins))
 	}
-	for i, e := range p.ins {
-		if j, ok := p.rowAt[e.Row]; !ok || j != i {
+	for i, e := range q.ins {
+		if j, ok := q.rowAt[e.Row]; !ok || j != i {
 			t.Fatalf("rowAt[%d] = %d,%v want %d", e.Row, j, ok, i)
 		}
 	}
-	if len(p.delAt) != len(p.del) {
-		t.Fatalf("delAt has %d entries for %d deletes", len(p.delAt), len(p.del))
+	if len(q.delAt) != len(q.del) {
+		t.Fatalf("delAt has %d entries for %d deletes", len(q.delAt), len(q.del))
 	}
-	for i, e := range p.del {
-		if j, ok := p.delAt[e]; !ok || j != i {
+	for i, e := range q.del {
+		if j, ok := q.delAt[e]; !ok || j != i {
 			t.Fatalf("delAt[%v] = %d,%v want %d", e, j, ok, i)
 		}
 	}
@@ -46,7 +46,7 @@ func FuzzPendingMergeDelete(f *testing.F) {
 	f.Add([]byte{10, 200, 30, 41, 52, 63, 74, 85, 96, 107, 118, 129, 140})
 	f.Add([]byte{255, 254, 253, 0, 0, 0, 1, 1, 1, 2, 2, 2, 128, 64, 32})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var p Pending
+		var q Queue
 
 		// Merged state: dense storage with stride 1 (row == local index)
 		// plus tombstones — the shape shard.Part maintains.
@@ -81,7 +81,7 @@ func FuzzPendingMergeDelete(f *testing.F) {
 		}
 		check := func(lo, hi int64) {
 			mc, ms := countSumMerged(lo, hi)
-			pc, ps := p.CountSumNet(lo, hi)
+			pc, ps := q.CountSum(lo, hi)
 			wc, ws := countSumRef(lo, hi)
 			if mc+pc != wc || ms+ps != ws {
 				t.Fatalf("range [%d,%d): merged %d/%d + pending %d/%d != oracle %d/%d",
@@ -94,7 +94,7 @@ func FuzzPendingMergeDelete(f *testing.F) {
 			switch op % 6 {
 			case 0: // insert
 				v := arg % 64
-				p.Insert(v, nextRow)
+				q.Insert(v, nextRow)
 				ref[nextRow] = v
 				nextRow++
 			case 1: // stalled insert: reserve the row id, enqueue later. The
@@ -107,7 +107,7 @@ func FuzzPendingMergeDelete(f *testing.F) {
 				if len(stalled) > 0 {
 					e := stalled[0]
 					stalled = stalled[1:]
-					p.Insert(e.Val, e.Row)
+					q.Insert(e.Val, e.Row)
 					ref[e.Row] = e.Val
 				}
 			case 3: // delete a live row (buffered or merged)
@@ -131,24 +131,24 @@ func FuzzPendingMergeDelete(f *testing.F) {
 					}
 				}
 				v := ref[pick]
-				insBefore, delBefore := p.Counts()
-				if _, ok := p.rowAt[pick]; ok {
+				insBefore, delBefore := q.Counts()
+				if _, ok := q.rowAt[pick]; ok {
 					// Still buffered: kill it the way shard.deleteLocal does.
-					av, aok := p.AnnihilateRow(pick)
+					av, aok := q.AnnihilateRow(pick)
 					if !aok || av != v {
 						t.Fatalf("AnnihilateRow(%d) = %d,%v want %d,true", pick, av, aok, v)
 					}
-					insAfter, delAfter := p.Counts()
+					insAfter, delAfter := q.Counts()
 					if insAfter != insBefore || delAfter != delBefore+1 {
 						// Pairing: the insert stays, one delete joins it.
 						t.Fatalf("annihilation of (%d,%d): counts %d/%d -> %d/%d",
 							v, pick, insBefore, delBefore, insAfter, delAfter)
 					}
 				} else {
-					if !p.Delete(v, pick) {
+					if !q.Delete(v, pick) {
 						t.Fatalf("delete of live row %d (val %d) reported no effect", pick, v)
 					}
-					if _, delAfter := p.Counts(); delAfter != delBefore+1 {
+					if _, delAfter := q.Counts(); delAfter != delBefore+1 {
 						t.Fatalf("buffered delete of (%d,%d): del count %d -> %d",
 							v, pick, delBefore, delAfter)
 					}
@@ -157,7 +157,7 @@ func FuzzPendingMergeDelete(f *testing.F) {
 			case 4: // drain a budget of operations into the merged state
 				budget := int(arg%16) + 1
 				preLen := len(col)
-				ins, del := p.Drain(uint32(len(col)), 1, budget)
+				ins, del := q.Drain(uint32(len(col)), 1, budget)
 				if len(ins)+len(del) > budget {
 					t.Fatalf("Drain(%d) returned %d ops", budget, len(ins)+len(del))
 				}
@@ -184,7 +184,7 @@ func FuzzPendingMergeDelete(f *testing.F) {
 				lo := arg % 64
 				check(lo, lo+1+arg%32)
 			}
-			checkMaps(t, &p)
+			checkMaps(t, &q)
 		}
 
 		// Land every stalled insert, drain to empty, final full check. A
@@ -192,12 +192,12 @@ func FuzzPendingMergeDelete(f *testing.F) {
 		// the drain loops until it stops making progress — exactly what
 		// shard.Column.MergePending does.
 		for _, e := range stalled {
-			p.Insert(e.Val, e.Row)
+			q.Insert(e.Val, e.Row)
 			ref[e.Row] = e.Val
 		}
-		checkMaps(t, &p)
+		checkMaps(t, &q)
 		for {
-			ins, del := p.Drain(uint32(len(col)), 1, 0)
+			ins, del := q.Drain(uint32(len(col)), 1, 0)
 			if len(ins)+len(del) == 0 {
 				break
 			}
@@ -211,10 +211,10 @@ func FuzzPendingMergeDelete(f *testing.F) {
 				dead[e.Row] = true
 			}
 		}
-		if i, d := p.Counts(); i+d != 0 {
+		if i, d := q.Counts(); i+d != 0 {
 			t.Fatalf("buffer not empty after full drain: %d/%d", i, d)
 		}
-		checkMaps(t, &p)
+		checkMaps(t, &q)
 		check(0, 64)
 	})
 }

@@ -22,8 +22,8 @@ func newIndex(vals []int64) *cracker.Index {
 
 // drain drains everything mergeable above the first next rows and sorts it
 // for the indexes, as a part's merge step does.
-func drain(p *updates.Pending, next uint32, max int) (ins, del []updates.Entry) {
-	ins, del = p.Drain(next, 1, max)
+func drain(q *updates.Queue, next uint32, max int) (ins, del []updates.Entry) {
+	ins, del = q.Drain(next, 1, max)
 	updates.SortByVal(ins)
 	updates.SortByVal(del)
 	return ins, del
@@ -31,18 +31,18 @@ func drain(p *updates.Pending, next uint32, max int) (ins, del []updates.Entry) 
 
 func TestInsertThenQuery(t *testing.T) {
 	ix := newIndex([]int64{10, 30, 50})
-	var p updates.Pending
-	p.Insert(20, 3)
-	p.Insert(70, 4)
-	if n, s := p.CountSumNet(15, 35); n != 1 || s != 20 {
+	var q updates.Queue
+	q.Insert(20, 3)
+	q.Insert(70, 4)
+	if n, s := q.CountSum(15, 35); n != 1 || s != 20 {
 		t.Fatalf("buffered [15, 35): %d/%d, want 1/20", n, s)
 	}
-	ix.Merge(drain(&p, 3, 0))
+	ix.Merge(drain(&q, 3, 0))
 	from, to := ix.CrackRange(15, 35)
 	if cnt, _ := ix.CountSum(from, to); cnt != 2 { // 20 and 30
 		t.Fatalf("count %d", cnt)
 	}
-	if ins, del := p.Counts(); ins != 0 || del != 0 || ix.Len() != 5 {
+	if ins, del := q.Counts(); ins != 0 || del != 0 || ix.Len() != 5 {
 		t.Fatalf("buffer state %d/%d, index length %d", ins, del, ix.Len())
 	}
 }
@@ -51,19 +51,19 @@ func TestInsertThenQuery(t *testing.T) {
 // a delete with it, so the two net to zero in every read; deleting another
 // row of the same value leaves the insert live.
 func TestDeleteAnnihilatesPendingInsert(t *testing.T) {
-	var p updates.Pending
-	p.Insert(5, 1)
-	if v, ok := p.AnnihilateRow(1); !ok || v != 5 {
+	var q updates.Queue
+	q.Insert(5, 1)
+	if v, ok := q.AnnihilateRow(1); !ok || v != 5 {
 		t.Fatalf("AnnihilateRow(1) = %d,%v", v, ok)
 	}
-	if n, s := p.CountSumNet(0, 10); n != 0 || s != 0 {
+	if n, s := q.CountSum(0, 10); n != 0 || s != 0 {
 		t.Fatalf("insert+delete read %d/%d, want 0/0", n, s)
 	}
-	p.Insert(5, 2)
-	if _, ok := p.AnnihilateRow(3); ok {
+	q.Insert(5, 2)
+	if _, ok := q.AnnihilateRow(3); ok {
 		t.Fatal("annihilated row 3, which was never buffered")
 	}
-	if row, ok := p.MinInsertRowFor(5); !ok || row != 2 {
+	if row, ok := q.MinInsertRowFor(5); !ok || row != 2 {
 		t.Fatalf("live buffered row for 5 = %d,%v, want 2", row, ok)
 	}
 }
@@ -72,29 +72,29 @@ func TestDeleteAnnihilatesPendingInsert(t *testing.T) {
 // a partial drain moves the surviving inserts to new positions, and a later
 // delete of a survivor must still find and annihilate it.
 func TestDeleteAnnihilationAfterMerge(t *testing.T) {
-	var p updates.Pending
-	p.Insert(5, 10)
-	p.Insert(25, 11)
-	p.Insert(95, 12)
-	if ins, _ := p.Drain(10, 1, 1); len(ins) != 1 { // merges (5,10); survivors compact
+	var q updates.Queue
+	q.Insert(5, 10)
+	q.Insert(25, 11)
+	q.Insert(95, 12)
+	if ins, _ := q.Drain(10, 1, 1); len(ins) != 1 { // merges (5,10); survivors compact
 		t.Fatalf("budget-1 drain took %v", ins)
 	}
-	if v, ok := p.AnnihilateRow(12); !ok || v != 95 {
+	if v, ok := q.AnnihilateRow(12); !ok || v != 95 {
 		t.Fatalf("AnnihilateRow(12) = %d,%v after compaction", v, ok)
 	}
-	if v, ok := p.AnnihilateRow(11); !ok || v != 25 {
+	if v, ok := q.AnnihilateRow(11); !ok || v != 25 {
 		t.Fatalf("AnnihilateRow(11) = %d,%v after compaction", v, ok)
 	}
-	if n, s := p.CountSumNet(0, 100); n != 0 || s != 0 {
+	if n, s := q.CountSum(0, 100); n != 0 || s != 0 {
 		t.Fatalf("annihilated pairs read %d/%d, want 0/0 (stale index after drain?)", n, s)
 	}
 }
 
 func TestDeleteMergesAgainstIndex(t *testing.T) {
 	ix := newIndex([]int64{10, 20, 30})
-	var p updates.Pending
-	p.Delete(20, 1)
-	if missing := ix.Merge(drain(&p, 3, 0)); missing != 0 {
+	var q updates.Queue
+	q.Delete(20, 1)
+	if missing := ix.Merge(drain(&q, 3, 0)); missing != 0 {
 		t.Fatalf("the drained delete missed row 1")
 	}
 	from, to := ix.CrackRange(0, 100)
@@ -120,14 +120,14 @@ func TestPropertyPendingMatchesReference(t *testing.T) {
 		}
 		ix := newIndex(base)
 		sx := sortindex.Build(append([]int64{}, base...), append([]uint32{}, ix.Rows()...))
-		var p updates.Pending
+		var q updates.Queue
 		ref := map[uint32]int64{} // live row -> value
 		for i, v := range base {
 			ref[uint32(i)] = v
 		}
 		next, merged := uint32(len(base)), uint32(len(base)) // rows assigned, rows merged
 		merge := func(max int) int {
-			ins, del := drain(&p, merged, max)
+			ins, del := drain(&q, merged, max)
 			merged += uint32(len(ins))
 			if ix.Merge(ins, del) != 0 || sx.Merge(ins, del) != 0 {
 				return -1
@@ -140,7 +140,7 @@ func TestPropertyPendingMatchesReference(t *testing.T) {
 			switch rng.IntN(4) {
 			case 0: // insert
 				v := rng.Int64N(domain)
-				p.Insert(v, next)
+				q.Insert(v, next)
 				ref[next] = v
 				next++
 			case 1: // delete a random live row, buffered or merged
@@ -152,9 +152,9 @@ func TestPropertyPendingMatchesReference(t *testing.T) {
 					row = (row + 1) % next
 				}
 				if row >= merged {
-					p.AnnihilateRow(row)
+					q.AnnihilateRow(row)
 				} else {
-					p.Delete(ref[row], row)
+					q.Delete(ref[row], row)
 				}
 				delete(ref, row)
 			case 2: // query
@@ -166,7 +166,7 @@ func TestPropertyPendingMatchesReference(t *testing.T) {
 						wc, ws = wc+1, ws+v
 					}
 				}
-				pc, ps := p.CountSumNet(lo, hi)
+				pc, ps := q.CountSum(lo, hi)
 				from, to := ix.CrackRange(lo, hi)
 				cc, cs := ix.CountSum(from, to)
 				from, to = sx.Range(lo, hi)
