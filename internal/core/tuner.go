@@ -29,7 +29,6 @@ package core
 import (
 	"math/rand/v2"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -66,7 +65,9 @@ type Config struct {
 // latch (see cracker.Index). RangePieceAvg reports the average piece size
 // inside a value range, or 0 before the cracked copy exists, without the
 // caller holding any latch; the speculative step scores predicted ranges
-// with it (see predict.go).
+// with it (see predict.go). PieceStats reports the pieces and the values they
+// hold — one piece of the live rows before the cracked copy exists — also
+// without the caller holding any latch; the auction scores a crack with it.
 type Column interface {
 	Name() string
 	Lock()
@@ -75,6 +76,7 @@ type Column interface {
 	RUnlock()
 	CrackIndex() *cracker.Index
 	RangePieceAvg(lo, hi int64) float64
+	PieceStats() (pieces, n int)
 }
 
 // Merger is the optional extension of Column for columns with a batched
@@ -235,54 +237,13 @@ func (t *Tuner) Contended() int64 {
 	return t.contended
 }
 
-// RankEntry reports one column's current standing in the tuner's ranking.
-type RankEntry struct {
-	Column       string
-	Score        float64
-	Frequency    float64
-	AvgPieceSize float64
-	Pieces       int
-	// PendingOps is the column's buffered update backlog (0 when the column
-	// has no ingest queue). Score reflects the column's best action — crack
-	// or merge — exactly as TryStep would pick it.
-	PendingOps int
-}
-
-// Ranking returns the current ranking, best candidate first. It is a
-// diagnostic snapshot; Step recomputes scores internally.
-func (t *Tuner) Ranking() []RankEntry {
-	shards := t.snapshotShards()
-	entries := make([]RankEntry, 0, len(shards))
-	for _, sh := range shards {
-		score, _ := t.bid(sh)
-		ix := sh.index()
-		sh.col.RLock()
-		avg := ix.AvgPieceSize()
-		pieces := ix.Pieces()
-		sh.col.RUnlock()
-		pending := 0
-		if sh.merger != nil {
-			pending = sh.merger.PendingOps()
-		}
-		entries = append(entries, RankEntry{
-			Column:       sh.col.Name(),
-			Score:        score,
-			Frequency:    t.collector.Frequency(sh.col.Name()),
-			AvgPieceSize: avg,
-			Pieces:       pieces,
-			PendingOps:   pending,
-		})
-	}
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].Score > entries[j].Score })
-	return entries
-}
-
 // bid scores the one action a shard offers the idle auction. A shard has up
 // to two: drain its update backlog (ranked even at zero frequency — reads pay
 // for the backlog whether or not the tuner has seen queries) and crack; it
-// bids the better one. The crack score is frequency-weighted: an unqueried,
-// unseeded column can never rank, so its cracked copy is not materialised
-// just to be scored. Scoring takes the index latch, which a worker that has
+// bids the better one. The crack score is frequency-weighted, so an
+// unqueried, unseeded column never ranks. Scoring only reads: a column with no
+// cracked copy yet bids as one piece of its live rows, and the step that wins
+// materialises it. Scoring takes the index latch, which a worker that has
 // claimed the shard may hold for a whole crack.
 func (t *Tuner) bid(sh *shard) (score float64, merge bool) {
 	freq := t.collector.Frequency(sh.col.Name())
@@ -292,12 +253,10 @@ func (t *Tuner) bid(sh *shard) (score float64, merge bool) {
 		}
 	}
 	if freq > 0 {
-		ix := sh.index()
-		sh.col.RLock()
-		avg := ix.AvgPieceSize()
-		sh.col.RUnlock()
-		if cs := t.model.Score(freq, avg); cs > score {
-			score, merge = cs, false
+		if pieces, n := sh.col.PieceStats(); pieces > 0 {
+			if cs := t.model.Score(freq, float64(n)/float64(pieces)); cs > score {
+				score, merge = cs, false
+			}
 		}
 	}
 	return score, merge

@@ -22,9 +22,8 @@ func NewFromBase(base []int64, row0, stride uint32, lo, hi int64, radixMin int) 
 	var g buckets
 	g.count(base, lo, hi)
 	// radixPiece's scatter, with the row ids computed instead of read.
-	buf := exactBuf(n) // length n: the arrays the index keeps
-	bv, br := buf.V, buf.R
-	cur, shift, row := g.starts, g.shift, row0 // starts stays pristine for addBuckets
+	bv, br := make([]int64, n), make([]uint32, n) // the arrays the index keeps
+	cur, shift, row := g.starts, g.shift, row0    // starts stays pristine for addBuckets
 	for _, x := range base {
 		bkt := ((uint64(x) - uint64(lo)) >> shift) & (1<<radixBits - 1)
 		o := cur[bkt]

@@ -22,15 +22,14 @@ package cracker
 // ceil(64/8) levels even on maximally skewed data. An empty bucket is a
 // zero-size piece whose start collides with its right neighbour's.
 //
-// A pass scatters into a scratch-pool buffer, so steady-state passes allocate
-// nothing. The engine's first touch of a loaded part is not a crack: it is
-// NewFromBase (firsttouch.go), a build that shares this file's bucket plan.
+// A pass scatters into freshly allocated arrays: a pass over the whole column
+// keeps them as the index arrays, any other pass copies back. No workload
+// reaches the second kind: the engine's first touch of a loaded part is not a
+// crack but NewFromBase (firsttouch.go), a build that shares this file's
+// bucket plan and keeps the arrays it scatters into, and it leaves pieces
+// below the radix threshold.
 
-import (
-	"math/bits"
-
-	"holistic/internal/scratch"
-)
+import "math/bits"
 
 // radixBits is the fan-out of one coarse pass: up to 2^radixBits buckets.
 const radixBits = 8
@@ -50,23 +49,6 @@ func (ix *Index) maybeRadixPiece(a, b int) bool {
 		return false
 	}
 	return ix.radixPiece(a, b) > 0
-}
-
-// exactBuf returns a scatter destination of length AND capacity n, for the
-// pass that keeps it: the pool rounds capacity up to a power of two and files
-// adopted arrays under the class below their capacity, so a kept pooled pair
-// could carry up to 2x slack for the life of the index (a part of 2^20+1 rows
-// held 2^21). Only a power-of-two n can be an exact fit, and only an exact
-// fit is taken from the pool.
-func exactBuf(n int) *scratch.Buf {
-	if n&(n-1) == 0 {
-		buf := scratch.Get(n)
-		if cap(buf.V) == n && cap(buf.R) == n {
-			return buf
-		}
-		scratch.Put(buf)
-	}
-	return &scratch.Buf{V: make([]int64, n), R: make([]uint32, n)}
 }
 
 // radixPiece scatters the piece [a, b) into value-ordered radix buckets and
@@ -106,18 +88,10 @@ func (ix *Index) radixPiece(a, b int) int {
 	g.count(v, lo, hi)
 
 	// Out-of-place scatter. A pass over the whole column keeps its
-	// destination as the index arrays and donates the old arrays to the pool
-	// — the copy-back, the single largest slice of the pass's memory traffic,
-	// disappears. Every other pass scatters into pooled scratch and copies
+	// destination as the index arrays — the copy-back, the single largest
+	// slice of the pass's memory traffic, disappears. Every other pass copies
 	// back.
-	whole := a == 0 && b == len(ix.vals)
-	var buf *scratch.Buf
-	if whole {
-		buf = exactBuf(n)
-	} else {
-		buf = scratch.Get(n)
-	}
-	bv, br := buf.V, buf.R
+	bv, br := make([]int64, n), make([]uint32, n)
 	cur, shift := g.starts, g.shift // starts stays pristine for addBuckets
 	if len(bv) >= len(v) && len(br) >= len(r) {
 		for i, x := range v {
@@ -130,14 +104,11 @@ func (ix *Index) radixPiece(a, b int) int {
 			cur[bkt] = o + 1
 		}
 	}
-	if whole && n <= len(bv) && n <= len(br) {
-		// v and r still alias the full old arrays here because a == 0.
-		ix.vals, ix.rows = bv[:n], br[:n]
-		scratch.Adopt(buf, v, r)
+	if a == 0 && b == len(ix.vals) {
+		ix.vals, ix.rows = bv, br
 	} else {
 		copy(v, bv)
 		copy(r, br)
-		scratch.Put(buf)
 	}
 	return ix.addBuckets(&g, a, base)
 }

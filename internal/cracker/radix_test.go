@@ -122,12 +122,11 @@ func TestRadixConcurrentMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestRadixFirstTouchKeepsNoSlack: the whole-column pass keeps the buffer it
-// scattered into as the index arrays, and the scratch pool rounds capacity up
-// to a power of two — a column of 2^k+1 rows used to carry twice its length
-// for life. Whatever the length, the first crack must leave the arrays
-// exactly as long as the column — and so must the build that scatters
-// straight from a base column (NewFromBase).
+// TestRadixFirstTouchKeepsNoSlack: the whole-column pass keeps the arrays it
+// scattered into as the index arrays, so any capacity beyond the column's
+// length would be carried for life. Whatever the length, the first crack
+// must leave the arrays exactly as long as the column — and so must the build
+// that scatters straight from a base column (NewFromBase).
 func TestRadixFirstTouchKeepsNoSlack(t *testing.T) {
 	for _, n := range []int{1<<12 + 1, 3 << 11, 1 << 12} {
 		ix, orig := buildRadixIndex(n, 1<<10, uint64(n))

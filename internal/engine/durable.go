@@ -153,31 +153,32 @@ func (e *Engine) RestoreState(st EngineState) error {
 	return nil
 }
 
-// registerColumn hooks a new or restored column into the strategy's
-// monitoring machinery. The holistic tuner gets every part under ONE domain,
-// the column's: parts of one column must bucket a query alike, and a warm
-// restart must not move the buckets, so forecasts mean the
-// same values before and after it.
+// registerColumn hooks a new or restored column into the engine's
+// monitoring machinery, the online advisor or the holistic tuner. The tuner
+// gets every part under ONE domain, the column's: parts of one column must
+// bucket a query alike, and a warm restart must not move the buckets, so
+// forecasts mean the same values before and after it.
 func (e *Engine) registerColumn(cs *colState) {
-	switch e.cfg.Strategy {
-	case StrategyOnline:
+	if e.advisor != nil {
 		e.advisor.Register(cs.name, cs.sc.Rows())
 		if cs.hasSorted() {
 			e.advisor.SetIndexed(cs.name, true)
 		}
-	case StrategyHolistic:
-		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-		for _, p := range cs.sc.Parts() {
-			if plo, phi, ok := p.MinMax(); ok {
-				lo, hi = min(lo, plo), max(hi, phi)
-			}
+	}
+	if e.tuner == nil {
+		return
+	}
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, p := range cs.sc.Parts() {
+		if plo, phi, ok := p.MinMax(); ok {
+			lo, hi = min(lo, plo), max(hi, phi)
 		}
-		if lo > hi { // every part is empty
-			lo, hi = 0, 1
-		}
-		for _, p := range cs.sc.Parts() {
-			e.tuner.Register(p, lo, hi)
-		}
+	}
+	if lo > hi { // every part is empty
+		lo, hi = 0, 1
+	}
+	for _, p := range cs.sc.Parts() {
+		e.tuner.Register(p, lo, hi)
 	}
 }
 

@@ -120,9 +120,15 @@ type Engine struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
 
-	advisor *monitor.Advisor // online strategy only
-	tuner   *core.Tuner      // holistic strategy only
-	runner  *idle.Runner     // holistic strategy only
+	// The strategy's Table 1 row, read once by New, becomes these mechanisms;
+	// nothing else in the engine looks at the strategy. run answers a part
+	// the probe declined: a crack with incremental indexing, a scan without.
+	// Idle time during the workload builds the tuner and its idle pool with
+	// incremental indexing, the online advisor without.
+	run     func(p *shard.Part, lo, hi int64) (int, int64)
+	advisor *monitor.Advisor
+	tuner   *core.Tuner
+	runner  *idle.Runner
 
 	// wlog, when attached (SetWriteLog), is the durability hook: every
 	// mutation is logged through it before being acknowledged. Set once at
@@ -130,13 +136,18 @@ type Engine struct {
 	wlog WriteLog
 }
 
-// New builds an engine with the given configuration.
+// New builds an engine with the given configuration, deriving its mechanisms
+// from cfg.Strategy's row of Table 1 (Strategy.Capabilities).
 func New(cfg Config) *Engine {
-	e := &Engine{cfg: cfg, tables: map[string]*Table{}}
-	switch cfg.Strategy {
-	case StrategyOnline:
+	e := &Engine{cfg: cfg, tables: map[string]*Table{}, run: (*shard.Part).ScanCountSum}
+	caps := cfg.Strategy.Capabilities()
+	if caps.IncrementalIndexing {
+		e.run = (*shard.Part).CrackedSelect
+	}
+	switch {
+	case caps.IdleTimeDuring && !caps.IncrementalIndexing:
 		e.advisor = monitor.New()
-	case StrategyHolistic:
+	case caps.IdleTimeDuring:
 		e.tuner = core.NewTuner(core.Config{
 			TargetPieceSize: cfg.TargetPieceSize,
 			Seed:            cfg.Seed,
@@ -366,24 +377,22 @@ func (e *Engine) DropFullIndex(table, col string) error {
 // box the same X actions take a fraction of the wall-clock idle time; set
 // IdleWorkers to 1 for the paper's serial protocol and bit-reproducible
 // action sequences. It returns the actions performed and the elements they
-// touched. For the online strategy it instead forces a design review
-// (building any advised indexes); for other strategies idle time cannot be
-// exploited and it returns zeros — reproducing the Scan/Adaptive rows of
-// Table 1.
+// touched. With the online advisor it instead forces a design review
+// (building any advised indexes); an engine with neither tuner nor advisor
+// cannot exploit idle time and returns zeros — the Scan, Offline and Adaptive
+// rows of Table 1.
 func (e *Engine) IdleActions(n int) (actions int, work int64) {
-	switch e.cfg.Strategy {
-	case StrategyHolistic:
+	if e.tuner != nil {
 		return e.tuner.RunActionsParallel(n, e.idleWorkers())
-	case StrategyOnline:
+	}
+	if e.advisor != nil {
 		for _, adv := range e.advisor.ForceReview() {
 			if e.applyAdvice(adv) {
 				actions++
 			}
 		}
-		return actions, 0
-	default:
-		return 0, 0
 	}
+	return actions, 0
 }
 
 // SeedWorkloadHint injects a-priori workload knowledge for the holistic

@@ -100,6 +100,27 @@ func TestStrategyNamesAndCapabilities(t *testing.T) {
 	if len(Strategies()) != 5 {
 		t.Fatal("Strategies() incomplete")
 	}
+
+	// Each engine behaves like its row: a select cracks exactly with
+	// incremental indexing, and idle time reaches a tuner or an advisor
+	// exactly when the row exploits idle time during the workload.
+	vals := randomVals(rand.New(rand.NewPCG(3, 4)), 4096, 1<<20)
+	for _, s := range Strategies() {
+		caps := s.Capabilities()
+		e := newEngineWithData(t, Config{Strategy: s, Seed: 5, TargetPieceSize: 16, IdleWorkers: 1}, vals)
+		for i := int64(0); i < 20; i++ {
+			if _, err := e.Select("R", "A", i<<10, i<<10+512); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if pieces, _, _ := e.PieceStats("R", "A"); (pieces > 1) != caps.IncrementalIndexing {
+			t.Fatalf("%v: selects left %d pieces; incremental indexing is %v", s, pieces, caps.IncrementalIndexing)
+		}
+		if actions, _ := e.IdleActions(8); (actions > 0) != caps.IdleTimeDuring {
+			t.Fatalf("%v: an idle window took %d actions; idle time during the workload is %v", s, actions, caps.IdleTimeDuring)
+		}
+		e.Close()
+	}
 }
 
 // TestAllStrategiesAgree is the master integration property: identical data

@@ -13,22 +13,27 @@ import (
 // critical path is included in Elapsed; idle-time work is not (it runs in
 // IdleActions or the background worker pool).
 //
-// Concurrency: every strategy answers part by part and merges the partial
-// (count, sum), and one rule decides where the parts run (shard.Column.CountSum,
-// costmodel.FanOutMinWork). Each part is first probed on the caller's
-// goroutine: a scan estimates its rows, a sorted lookup nothing, an adaptive
-// or holistic select gets from shard.Part.ConvergedSelect either the answer —
-// both bounds already are crack boundaries — or the size of the pieces a
-// crack would partition. Only when the estimates the other parts would take
-// off the caller's path reach the threshold does the select start a goroutine
-// per part: a large select (a scan, a first touch) runs on several cores even
-// with no other query in the system, a small crack, like a converged lookup,
-// runs where the query is. Within a shard, selects run in parallel wherever
-// the physical design allows: scan/offline/online selects are pure reads
-// under the part's shared latch, and adaptive/holistic selects run under it
-// too, taking the cracker index latch shared to subtract two boundary sums
-// and exclusively only while partitioning a piece; only materialising the
-// cracked copy and merging pending updates take the part's exclusive latch.
+// Every strategy runs the same kernel: the strategy's Table 1 row chose the
+// mechanisms at New, and Select only asks which of them exist. Each part is
+// first probed on the caller's goroutine (shard.Part.Probe): it answers
+// through the design it holds — a sorted index with two binary searches, a
+// cracked copy that already has both bounds as crack boundaries — or
+// declines with the values answering would touch. The parts that declined are
+// answered by the engine's run, a crack (shard.Part.CrackedSelect) with
+// incremental indexing or a scan without. One rule decides where they run
+// (shard.Column.CountSum, costmodel.FanOutMinWork): only when the work the
+// other parts would take off the caller's path reaches the threshold does the
+// select start a goroutine per part, so a large select (a scan, a first touch)
+// runs on several cores even with no other query in the system, while a small
+// crack, like a converged lookup, runs where the query is. Within a shard,
+// every read holds the part's shared latch, and a crack takes the cracker
+// index latch exclusively only while it partitions a piece; only materialising
+// the cracked copy and merging pending updates take the part's exclusive
+// latch.
+//
+// With the online advisor the select then feeds the monitor, and an advised
+// build runs inside the triggering query; with the holistic tuner it notes
+// the query, which steers later idle refinement.
 func (e *Engine) Select(table, col string, lo, hi int64) (Result, error) {
 	cs, err := e.colState(table, col)
 	if err != nil {
@@ -40,17 +45,8 @@ func (e *Engine) Select(table, col string, lo, hi int64) (Result, error) {
 		defer g.Release()
 	}
 	start := time.Now()
-	var count int
-	var sum int64
-	switch e.cfg.Strategy {
-	case StrategyScan:
-		count, sum = cs.sc.CountSum(lo, hi, (*shard.Part).ScanWork, (*shard.Part).ScanCountSum)
-
-	case StrategyOffline:
-		count, sum = cs.sc.CountSum(lo, hi, (*shard.Part).SortedWork, (*shard.Part).SortedCountSum)
-
-	case StrategyOnline:
-		count, sum = cs.sc.CountSum(lo, hi, (*shard.Part).SortedWork, (*shard.Part).SortedCountSum)
+	count, sum := cs.sc.CountSum(lo, hi, (*shard.Part).Probe, e.run)
+	if e.advisor != nil {
 		sel := 0.0
 		if n := cs.sc.Live(); n > 0 {
 			sel = float64(count) / float64(n)
@@ -61,12 +57,8 @@ func (e *Engine) Select(table, col string, lo, hi int64) (Result, error) {
 		for _, adv := range e.advisor.Observe(cs.name, sel) {
 			e.applyAdvice(adv)
 		}
-
-	case StrategyAdaptive:
-		count, sum = cs.sc.CountSum(lo, hi, (*shard.Part).ConvergedSelect, (*shard.Part).CrackedSelect)
-
-	case StrategyHolistic:
-		count, sum = cs.sc.CountSum(lo, hi, (*shard.Part).ConvergedSelect, (*shard.Part).CrackedSelect)
+	}
+	if e.tuner != nil {
 		// Continuous monitoring, per shard. The select itself does exactly an
 		// adaptive select's cracks; refinement beyond its bounds is left to
 		// idle time, which the noted query steers.

@@ -6,6 +6,18 @@ import "fmt"
 // The five strategies reproduce the paper's comparison set: plain scans,
 // offline (full a-priori) indexing, online (COLT-style) indexing, adaptive
 // indexing (database cracking), and holistic indexing.
+//
+// They run in the same kernel and differ only in their row of the paper's
+// Table 1 (Capabilities), which New reads once: IncrementalIndexing makes a
+// select crack the parts its probe could not answer instead of scanning
+// them, and IdleTimeDuring builds the holistic tuner and its idle pool with
+// incremental indexing, the online advisor without. Two columns do not map
+// one to one onto engine mechanisms. Offline's IdleTimeAPriori is a full
+// index built before the workload through BuildFullIndex, by holisticd's
+// a-priori build and by the experiment harness, not by the engine itself;
+// holistic's a-priori input is SeedWorkloadHint. StatisticalAnalysis is the
+// advisor's and the tuner's monitoring, and offline's analysis happens
+// before the engine starts.
 type Strategy int
 
 const (

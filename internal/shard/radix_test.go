@@ -83,7 +83,7 @@ func TestShardedRadixMixedWorkload(t *testing.T) {
 						lo := grng.Int64N(domain)
 						hi := min(lo+grng.Int64N(domain/32)+1, domain)
 						gate.Hold()
-						count, sum := c.CountSum(lo, hi, (*Part).ConvergedSelect, (*Part).CrackedSelect)
+						count, sum := c.CountSum(lo, hi, (*Part).Probe, (*Part).CrackedSelect)
 						for _, p := range c.Parts() {
 							tu.NoteQuery(p.Name(), lo, hi)
 						}
@@ -110,7 +110,7 @@ func TestShardedRadixMixedWorkload(t *testing.T) {
 				}
 			}
 			wantCount, wantSum := c.FanOutCountSum(func(p *Part) (int, int64) { return p.ScanCountSum(0, 2*domain) })
-			count, sum := c.CountSum(0, 2*domain, (*Part).ConvergedSelect, (*Part).CrackedSelect)
+			count, sum := c.CountSum(0, 2*domain, (*Part).Probe, (*Part).CrackedSelect)
 			if count != wantCount || sum != wantSum {
 				t.Fatalf("final state diverged: got %d/%d, oracle %d/%d", count, sum, wantCount, wantSum)
 			}

@@ -35,11 +35,12 @@
 //
 // Handing a part to another goroutine costs 7-25 us — more than a converged
 // lookup or a crack of a cache-sized piece takes. So every select first probes
-// each part on the caller's goroutine, and the parts that still have work get
-// a goroutine each only when that takes at least costmodel.FanOutMinWork
-// values off the caller's path (Column.CountSum: one rule for all five
-// strategies, nothing to configure). FanOutCountSum is the unconditional
-// fan-out the benchmark rig calls.
+// each part on the caller's goroutine (Part.Probe: the part answers through
+// the design it holds, or declines with the values answering would touch),
+// and the parts that declined get a goroutine each only when that takes at
+// least costmodel.FanOutMinWork values off the caller's path (Column.CountSum:
+// one rule for all five strategies, nothing to configure). FanOutCountSum is
+// the unconditional fan-out the benchmark rig calls.
 //
 // # Interface discipline
 //
@@ -87,15 +88,15 @@
 // # One latch per read
 //
 // A select must observe every row exactly once while merges move rows from
-// the queue into the structures. Every part read — ScanCountSum,
-// SortedCountSum, CrackedSelect and ConvergedSelect — holds the part's
-// shared latch across its index read and the queue's net CountSum
-// (Part.read). A merge moves rows only under the exclusive latch, so no row
-// can leave the queue for the structures between the two reads: each row is
-// counted in exactly one of them. Writers keep enqueueing meanwhile; a row
-// is seen if its enqueue preceded the queue read. The logical contents get
-// their consistent cut from this one latch, while structural refinement —
-// cracking under the index's own latch — stays invisible to it.
+// the queue into the structures. Every part read — Probe, ScanCountSum and
+// CrackedSelect — holds the part's shared latch across its index read and
+// the queue's net CountSum (Part.read). A merge moves rows only under the
+// exclusive latch, so no row can leave the queue for the structures between
+// the two reads: each row is counted in exactly one of them. Writers keep
+// enqueueing meanwhile; a row is seen if its enqueue preceded the queue read.
+// The logical contents get their consistent cut from this one latch, while
+// structural refinement — cracking under the index's own latch — stays
+// invisible to it.
 //
 // # Latching
 //
@@ -318,12 +319,12 @@ func (c *Column) fanOut(parts []*Part, f func(p *Part) (int, int64)) (int, int64
 
 // CountSum answers [lo, hi) over every part in two steps. probe asks each
 // part, on the caller's goroutine, for the answer or — ok false — for an
-// estimate of the values answering would touch: (ScanWork, ScanCountSum),
-// (SortedWork, SortedCountSum) or (ConvergedSelect, CrackedSelect). run then
-// answers the parts that declined. The caller takes the largest itself either
-// way, so a fan-out takes total-largest off its path, and only when that is at
-// least costmodel.FanOutMinWork do they get a goroutine each: one part, nothing
-// to do, or one part holding all the work stays on the caller's goroutine.
+// estimate of the values answering would touch (the engine passes Part.Probe).
+// run — ScanCountSum or CrackedSelect — then answers the parts that declined.
+// The caller takes the largest itself either way, so a fan-out takes
+// total-largest off its path, and only when that is at least
+// costmodel.FanOutMinWork do they get a goroutine each: one part, nothing to
+// do, or one part holding all the work stays on the caller's goroutine.
 func (c *Column) CountSum(lo, hi int64,
 	probe func(p *Part, lo, hi int64) (count int, sum int64, work int, ok bool),
 	run func(p *Part, lo, hi int64) (int, int64),
@@ -462,15 +463,6 @@ func (p *Part) RUnlock() { p.mu.RUnlock() }
 // globalRow maps a local position to the global row id.
 func (p *Part) globalRow(local int) uint32 {
 	return uint32(local*p.stride + p.id)
-}
-
-// Len returns the part's total local rows (including tombstoned and
-// buffered inserts).
-func (p *Part) Len() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	ins, _ := p.ingest.Counts()
-	return len(p.vals) + ins
 }
 
 // Live returns the part's live rows: merged minus tombstones, plus buffered
@@ -629,20 +621,6 @@ func (p *Part) scanLocked(lo, hi int64) (int, int64) {
 	return count, sum
 }
 
-// SortedCountSum answers [lo, hi) from the part's sorted index (falling
-// back to a scan when no index exists) plus the queue's net contribution.
-func (p *Part) SortedCountSum(lo, hi int64) (int, int64) {
-	count, sum, _ := p.read(lo, hi, func() (int, int64, bool) {
-		if p.sorted == nil {
-			c, s := p.scanLocked(lo, hi)
-			return c, s, true
-		}
-		c, s := p.sorted.CountSum(p.sorted.Range(lo, hi))
-		return c, s, true
-	})
-	return count, sum
-}
-
 // CrackedSelect is the adaptive select operator on one part. It runs under
 // the shared latch: cracking [lo, hi) takes the index latch exclusively only
 // while it partitions, and a select whose bounds are already cracked takes it
@@ -667,39 +645,26 @@ func (p *Part) CrackedSelect(lo, hi int64) (int, int64) {
 	}
 }
 
-// ConvergedSelect is the probe of an adaptive select: under the shared
-// latches, never cracking, it answers [lo, hi) as CrackedSelect would — ok:
-// both bounds already are crack boundaries, so the answer is the difference
-// of their sums and nothing is left to do — or says what CrackedSelect would
-// partition: the pieces the missing bounds fall in, or the merged live rows
-// when there is no cracked copy yet.
-func (p *Part) ConvergedSelect(lo, hi int64) (count int, sum int64, work int, ok bool) {
+// Probe answers [lo, hi) through the design the part holds, under the
+// shared latches and without building or cracking anything: a sorted index
+// answers with two binary searches, a cracked copy when both bounds already
+// are crack boundaries (the difference of their sums). Otherwise it declines
+// (ok false) with the values a run would touch: the pieces the missing bounds
+// fall in, or the merged live rows when the part has neither.
+func (p *Part) Probe(lo, hi int64) (count int, sum int64, work int, ok bool) {
 	count, sum, ok = p.read(lo, hi, func() (c int, s int64, answered bool) {
-		if p.crack == nil {
-			work = len(p.vals) - p.nDeleted
-			return 0, 0, false
+		switch {
+		case p.sorted != nil:
+			c, s = p.sorted.CountSum(p.sorted.Range(lo, hi))
+			return c, s, true
+		case p.crack != nil:
+			c, s, work, answered = p.crack.LookupCountSum(lo, hi)
+			return c, s, answered
 		}
-		c, s, work, answered = p.crack.LookupCountSum(lo, hi)
-		return c, s, answered
+		work = len(p.vals) - p.nDeleted
+		return 0, 0, false
 	})
-	if ok {
-		return count, sum, 0, true
-	}
-	return 0, 0, work, false
-}
-
-// ScanWork and SortedWork are the probes of the selects that never answer
-// from one: a scan touches every row of the part, a sorted lookup none —
-// unless the index is missing and it scans.
-func (p *Part) ScanWork(lo, hi int64) (count int, sum int64, work int, ok bool) {
-	return 0, 0, p.Len(), false
-}
-
-func (p *Part) SortedWork(lo, hi int64) (count int, sum int64, work int, ok bool) {
-	if p.HasSorted() {
-		return 0, 0, 0, false
-	}
-	return p.ScanWork(lo, hi)
+	return count, sum, work, ok
 }
 
 // enqueueInsert buffers one insert without touching the part latch. The

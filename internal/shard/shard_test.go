@@ -60,7 +60,7 @@ func TestStripingRoutesRows(t *testing.T) {
 	if c.Rows() != 8 {
 		t.Fatalf("Rows() = %d after appending row 7, want 8", c.Rows())
 	}
-	if c.Parts()[7%3].Len() != 3 {
+	if c.Parts()[7%3].Live() != 3 {
 		t.Fatal("append routed to the wrong part")
 	}
 }
@@ -177,9 +177,10 @@ func TestSequentialSweepStaysBounded(t *testing.T) {
 	}
 }
 
-// TestConvergedSelectDeclines walks the conditions under which a part
-// refuses the inline lookup — no cracked copy yet, a bound that is not a crack
-// boundary — and checks that each refusal cracks nothing and estimates
+// TestConvergedSelectDeclines walks the conditions under which a part's
+// Probe refuses the inline lookup — no cracked copy yet, a bound that is not a
+// crack boundary — and checks that each refusal builds and cracks nothing
+// (an unmaterialised part stays so) and estimates
 // exactly the values CrackedSelect then partitions (the pieces the missing
 // bounds fall in, once each; every live row without a cracked copy), that
 // CrackedSelect answers as it always did, and that the lookup is taken and
@@ -203,8 +204,12 @@ func TestConvergedSelectDeclines(t *testing.T) {
 	declines := func(p *Part, why string, lo, hi int64, wantWork int) {
 		t.Helper()
 		pieces, _ := p.PieceStats()
-		if _, _, work, ok := p.ConvergedSelect(lo, hi); ok || work != wantWork {
-			t.Fatalf("%s: ConvergedSelect(%d, %d) = work %d, ok %v; want it to decline with %d", why, lo, hi, work, ok, wantWork)
+		fresh := p.Cracked() == nil
+		if _, _, work, ok := p.Probe(lo, hi); ok || work != wantWork {
+			t.Fatalf("%s: Probe(%d, %d) = work %d, ok %v; want it to decline with %d", why, lo, hi, work, ok, wantWork)
+		}
+		if fresh && p.Cracked() != nil {
+			t.Fatalf("%s: declining materialised the cracked copy", why)
 		}
 		if after, _ := p.PieceStats(); after != pieces {
 			t.Fatalf("%s: declining changed the piece count %d -> %d", why, pieces, after)
@@ -217,7 +222,7 @@ func TestConvergedSelectDeclines(t *testing.T) {
 
 	p := newPart(Config{})
 	declines(p, "uncracked part", 100, 200, n) // ... and CrackedSelect cracked [100, 200)
-	if c, s, work, ok := p.ConvergedSelect(100, 200); !ok || c != 100 || work != 0 || s != (100+199)*100/2 {
+	if c, s, work, ok := p.Probe(100, 200); !ok || c != 100 || work != 0 || s != (100+199)*100/2 {
 		t.Fatalf("converged [100, 200): %d/%d work %d ok %v", c, s, work, ok)
 	}
 	declines(p, "upper bound not a boundary", 100, 300, n-200) // the piece [200, n)
@@ -226,7 +231,7 @@ func TestConvergedSelectDeclines(t *testing.T) {
 	declines(p, "bounds in two pieces", 25, 250, 50+100) // [0, 50) and [200, 300)
 	// A hit costs the same at any width: most of the column runs inline too.
 	declines(p, "wide range, both bounds in one piece", 1000, n-1000, n-300)
-	if c, s, work, ok := p.ConvergedSelect(1000, n-1000); !ok || c != n-2000 || work != 0 || s != int64(n-1)*(n-2000)/2 {
+	if c, s, work, ok := p.Probe(1000, n-1000); !ok || c != n-2000 || work != 0 || s != int64(n-1)*(n-2000)/2 {
 		t.Fatalf("converged [1000, %d): %d/%d work %d ok %v", n-1000, c, s, work, ok)
 	}
 
@@ -237,13 +242,20 @@ func TestConvergedSelectDeclines(t *testing.T) {
 	if v := vals[7]; v >= 100 && v < 200 {
 		want, wantSum = want-1, wantSum-v
 	}
-	if c, s, _, ok := p.ConvergedSelect(100, 200); !ok || c != want || s != wantSum {
+	if c, s, _, ok := p.Probe(100, 200); !ok || c != want || s != wantSum {
 		t.Fatalf("with pending writes: %d/%d ok %v, want %d/%d", c, s, ok, want, wantSum)
 	}
 	p.MergeStep(0)
-	if c, s, _, ok := p.ConvergedSelect(100, 200); !ok || c != want || s != wantSum {
+	if c, s, _, ok := p.Probe(100, 200); !ok || c != want || s != wantSum {
 		t.Fatalf("after the merge: %d/%d ok %v, want %d/%d", c, s, ok, want, wantSum)
 	}
+
+	// A tombstoned row is no work: an unmaterialised part declines with its
+	// live rows.
+	q := newPart(Config{})
+	q.deleteLocal(slices.IndexFunc(vals, func(v int64) bool { return v >= 200 }))
+	q.MergeStep(0)
+	declines(q, "uncracked part with a tombstone", 100, 200, n-1)
 }
 
 func TestDeleteAndFirstLive(t *testing.T) {
@@ -334,8 +346,12 @@ func TestSortedIndexPerPart(t *testing.T) {
 			t.Fatal("BuildSorted did not build")
 		}
 	}
+	// Every part answers from its index in the probe: nothing is left to run.
 	lo, hi := int64(1000), int64(2500)
-	count, sum := c.FanOutCountSum(func(p *Part) (int, int64) { return p.SortedCountSum(lo, hi) })
+	count, sum := c.CountSum(lo, hi, (*Part).Probe, func(*Part, int64, int64) (int, int64) {
+		t.Fatal("a part with a sorted index declined the probe")
+		return 0, 0
+	})
 	wc, ws := naiveRange(vals, lo, hi)
 	if count != wc || sum != ws {
 		t.Fatalf("sorted select %d/%d, want %d/%d", count, sum, wc, ws)

@@ -84,7 +84,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		for name, f := range map[string]func(p *Part) (int, int64){
 			"scan":    func(p *Part) (int, int64) { return p.ScanCountSum(q[0], q[1]) },
 			"cracked": func(p *Part) (int, int64) { return p.CrackedSelect(q[0], q[1]) },
-			"sorted":  func(p *Part) (int, int64) { return p.SortedCountSum(q[0], q[1]) },
+			"probe": func(p *Part) (int, int64) {
+				if c, s, _, ok := p.Probe(q[0], q[1]); ok {
+					return c, s
+				}
+				return p.ScanCountSum(q[0], q[1])
+			},
 		} {
 			cnt, sum := r.FanOutCountSum(f)
 			if cnt != want[i].c || sum != want[i].s {
