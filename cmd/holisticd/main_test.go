@@ -61,9 +61,11 @@ func TestBuildAPrioriAfterLoad(t *testing.T) {
 	checkIndexed(t, eng)
 }
 
-// A recovery that replays only the statement log (no snapshot, so no
-// persisted index) also gets its index.
-func TestBuildAPrioriAfterLogOnlyRecovery(t *testing.T) {
+// restartOffline preloads spec into an offline engine logging to a fresh
+// directory, runs before on it, closes it, and recovers a second offline
+// engine from the directory.
+func restartOffline(t *testing.T, before func(*engine.Engine, *snapshot.Store)) (*engine.Engine, snapshot.RecoveryInfo) {
+	t.Helper()
 	dir := t.TempDir()
 	open := func(eng *engine.Engine) (*snapshot.Store, snapshot.RecoveryInfo) {
 		t.Helper()
@@ -84,20 +86,44 @@ func TestBuildAPrioriAfterLogOnlyRecovery(t *testing.T) {
 	if err := preload(first, spec, 7); err != nil {
 		t.Fatal(err)
 	}
+	before(first, store)
 	first.Close()
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	eng := engine.New(engine.Config{Strategy: engine.StrategyOffline, Shards: 2})
-	defer eng.Close()
+	t.Cleanup(eng.Close)
 	store, info := open(eng)
-	defer store.Close()
+	t.Cleanup(func() { store.Close() })
+	return eng, info
+}
+
+// A recovery that replays only the statement log (no snapshot, so no
+// persisted index) also gets its index.
+func TestBuildAPrioriAfterLogOnlyRecovery(t *testing.T) {
+	eng, info := restartOffline(t, func(*engine.Engine, *snapshot.Store) {})
 	if info.SnapshotLoaded || info.Replayed == 0 {
 		t.Fatalf("want a log-only recovery, got %+v", info)
 	}
 	if err := buildAPriori(eng); err != nil {
 		t.Fatal(err)
+	}
+	checkIndexed(t, eng)
+}
+
+// A warm restart from a checkpoint keeps the full index: nothing to build.
+func TestFullIndexSurvivesWarmRestart(t *testing.T) {
+	eng, info := restartOffline(t, func(first *engine.Engine, store *snapshot.Store) {
+		if err := buildAPriori(first); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !info.SnapshotLoaded {
+		t.Fatalf("want a warm restart, got %+v", info)
 	}
 	checkIndexed(t, eng)
 }

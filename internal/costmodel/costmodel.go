@@ -203,7 +203,7 @@ func (p Params) PredictScore(confidence, frequency, avgPieceSize float64) float6
 func ScanCost(n int) float64 { return float64(n) }
 
 // SortCost is the cost of building a full sorted index over n values:
-// sortindex.Build is a comparison sort, n·log2(n) element touches.
+// cracker.Index.Sort is a comparison sort, n·log2(n) element touches.
 func SortCost(n int) float64 {
 	if n < 2 {
 		return float64(n)

@@ -33,11 +33,19 @@
 //     does not store them.
 //
 // Validate re-derives every sum from a running scan.
+//
+// # The sorted state
+//
+// A full index is the limit refinement moves toward; Sort reaches it in one
+// comparison sort (sorted.go). It keeps prefix sums instead of a crack tree,
+// so locate answers every bound exactly by binary search: lookups always
+// answer, every crack is a no-op, and the piece statistics report converged.
 package cracker
 
 import (
 	"fmt"
 	"math/rand/v2"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -67,6 +75,11 @@ type Index struct {
 	vals []int64
 	rows []uint32
 	tree cracktree.Tree
+
+	// sorted marks the full index (see "The sorted state"); pre[i] is then
+	// the wrapping sum of vals[:i], len(vals)+1 entries.
+	sorted bool
+	pre    []int64
 
 	// Domain bounds of the stored values, cached at construction.
 	domLo, domHi int64
@@ -107,7 +120,7 @@ func (ix *Index) Len() int {
 }
 
 // Pieces returns the number of pieces the column is currently cracked into.
-// An uncracked, non-empty column is one piece.
+// An uncracked, non-empty column is one piece, a sorted one one per value.
 func (ix *Index) Pieces() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -115,8 +128,8 @@ func (ix *Index) Pieces() int {
 }
 
 func (ix *Index) pieces() int {
-	if len(ix.vals) == 0 {
-		return 0
+	if ix.sorted || len(ix.vals) == 0 {
+		return len(ix.vals)
 	}
 	return ix.tree.Len() + 1
 }
@@ -160,13 +173,18 @@ func (ix *Index) Rows() []uint32 { return ix.rows }
 
 // MinRowOf returns the lowest base row id among the entries holding exactly
 // value v for which live reports true. It reads v's piece under the shared
-// latch and cracks nothing, so its cost is that piece's size — the point
-// lookup a DELETE resolves its row with. live runs under the latch and must
-// not call back into the index.
+// latch and cracks nothing, so its cost is that piece's size — or, sorted,
+// the run of v's duplicates — the point lookup a DELETE resolves its row
+// with. live runs under the latch and must not call back into the index.
 func (ix *Index) MinRowOf(v int64, live func(row uint32) bool) (row uint32, ok bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	a, b, _, _ := ix.tree.Locate(v, len(ix.vals))
+	a, b, _, _ := ix.locate(v)
+	if ix.sorted { // the run of duplicates starts at a
+		for b < len(ix.vals) && ix.vals[b] == v {
+			b++
+		}
+	}
 	for i, val := range ix.vals[a:b] {
 		if val != v {
 			continue
@@ -176,6 +194,16 @@ func (ix *Index) MinRowOf(v int64, live func(row uint32) bool) (row uint32, ok b
 		}
 	}
 	return row, ok
+}
+
+// locate is tree.Locate for either state: a sorted index answers every
+// bound exactly, by binary search. The caller holds the index latch.
+func (ix *Index) locate(v int64) (start, end int, sum int64, exact bool) {
+	if ix.sorted {
+		at := sort.Search(len(ix.vals), func(i int) bool { return ix.vals[i] >= v })
+		return at, at, ix.pre[at], true
+	}
+	return ix.tree.Locate(v, len(ix.vals))
 }
 
 // lookup locates both bounds of [lo, hi). When both already are boundaries —
@@ -188,8 +216,8 @@ func (ix *Index) lookup(lo, hi int64) (from, to int, sum int64, work int, ok boo
 	if lo >= hi || len(ix.vals) == 0 {
 		return 0, 0, 0, 0, false
 	}
-	aL, bL, sLo, okLo := ix.tree.Locate(lo, len(ix.vals))
-	aH, bH, sHi, okHi := ix.tree.Locate(hi, len(ix.vals))
+	aL, bL, sLo, okLo := ix.locate(lo)
+	aH, bH, sHi, okHi := ix.locate(hi)
 	if okLo && okHi {
 		return aL, aH, sHi - sLo, 0, true
 	}
@@ -274,8 +302,8 @@ func (ix *Index) CrackRangeConcurrent(lo, hi int64) (from, to int) {
 // located once: a crack never moves a boundary or a value across one, so
 // cracking lo's piece leaves what was located for hi in another piece valid.
 func (ix *Index) crackRange(lo, hi int64) (from, to int, sum int64) {
-	aL, bL, sLo, okLo := ix.tree.Locate(lo, len(ix.vals))
-	aH, bH, sHi, okHi := ix.tree.Locate(hi, len(ix.vals))
+	aL, bL, sLo, okLo := ix.locate(lo)
+	aH, bH, sHi, okHi := ix.locate(hi)
 	if !okLo && !okHi && aL == aH && bL == bH {
 		// Both bounds fall inside the same piece. A large cold piece takes a
 		// radix coarse pass first, after which the bounds land in (possibly
@@ -309,7 +337,7 @@ func (ix *Index) crackIn(v int64, a, b int, base int64) (pos int, sum int64) {
 		// v now falls in one bucket of the piece — or the pass put a boundary
 		// exactly at v, and there is nothing left to sweep.
 		var exact bool
-		if a, b, base, exact = ix.tree.Locate(v, len(ix.vals)); exact {
+		if a, b, base, exact = ix.locate(v); exact {
 			return a, base
 		}
 	}
@@ -327,7 +355,7 @@ func (ix *Index) crackIn(v int64, a, b int, base int64) (pos int, sum int64) {
 // speculative step) never stalls readers.
 func (ix *Index) CrackAt(v int64) (pieceSize int, cracked bool) {
 	ix.mu.RLock()
-	_, _, exists := ix.tree.Get(v)
+	_, _, _, exists := ix.locate(v)
 	ix.mu.RUnlock()
 	if exists {
 		return 0, false
@@ -343,7 +371,7 @@ func (ix *Index) crackAt(v int64) (pieceSize int, cracked bool) {
 	if len(ix.vals) == 0 {
 		return 0, false
 	}
-	a, b, base, exact := ix.tree.Locate(v, len(ix.vals))
+	a, b, base, exact := ix.locate(v)
 	if exact {
 		return 0, false
 	}
@@ -383,7 +411,7 @@ func (ix *Index) RandomCrackInRange(rng *rand.Rand, lo, hi int64, minPiece int) 
 	}
 	mid := randInRange(rng, lo, hi)
 	ix.mu.RLock()
-	a, b, _, _ := ix.tree.Locate(mid, len(ix.vals))
+	a, b, _, _ := ix.locate(mid)
 	var v int64
 	split := b-a >= 2 && b-a > minPiece
 	if split {
@@ -430,9 +458,9 @@ type Piece struct {
 // Size returns the number of values in the piece.
 func (p Piece) Size() int { return p.End - p.Start }
 
-// ForEachPiece visits every piece in position order. The visit function
-// returns false to stop early; it runs under the shared latch and must not
-// call back into the index.
+// ForEachPiece visits every piece in position order (a sorted index has no
+// boundaries: one piece). The visit function returns false to stop early; it
+// runs under the shared latch and must not call back into the index.
 func (ix *Index) ForEachPiece(visit func(Piece) bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -463,18 +491,21 @@ func (ix *Index) forEachPiece(visit func(Piece) bool) {
 }
 
 // RangePieceAvg returns the average size (in values) of the pieces
-// overlapping the value range [lo, hi), or 0 for an empty index or range.
-// It descends to lo's piece and walks only the boundaries inside the range,
-// so its cost does not depend on how finely the rest of the column is
-// cracked.
+// overlapping the value range [lo, hi), or 0 for an empty index or range; a
+// sorted index reports 1. It descends to lo's piece and walks only the
+// boundaries inside the range, so its cost does not depend on how finely the
+// rest of the column is cracked.
 func (ix *Index) RangePieceAvg(lo, hi int64) float64 {
 	if lo >= hi {
 		return 0
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if len(ix.vals) == 0 {
+	switch {
+	case len(ix.vals) == 0:
 		return 0
+	case ix.sorted:
+		return 1
 	}
 	// The overlapping pieces run from lo's piece up to the first boundary at
 	// or above hi; every boundary strictly between starts one more piece.
@@ -525,6 +556,9 @@ func (ix *Index) CountSum(from, to int) (int, int64) {
 // the sum carried by the last boundary at or below pos plus the values
 // between that boundary and pos. The caller holds the index latch.
 func (ix *Index) prefixSum(pos int) int64 {
+	if ix.sorted {
+		return ix.pre[pos]
+	}
 	_, p, sum, _ := ix.tree.FloorPos(pos) // no boundary: p = 0, sum = 0
 	return sum + sumInt64(ix.vals[p:pos])
 }
@@ -560,7 +594,9 @@ func (ix *Index) CountSumConcurrent(from, to int) (int, int64) {
 //   - boundary positions are within range and non-decreasing in key order;
 //   - every value left of a boundary is < its key, every value right is >= it;
 //   - every boundary's sum is the wrapping sum of the values left of it;
-//   - vals and rows have equal length.
+//   - vals and rows have equal length;
+//   - a sorted index has no boundaries, each value is >= the one before it,
+//     and each prefix sum is the wrapping sum of the values below it.
 //
 // It is exported for use by tests across packages.
 func (ix *Index) Validate() error {
@@ -569,9 +605,12 @@ func (ix *Index) Validate() error {
 	if len(ix.vals) != len(ix.rows) {
 		return fmt.Errorf("cracker: vals/rows length mismatch %d != %d", len(ix.vals), len(ix.rows))
 	}
+	if ix.sorted && (ix.tree.Len() != 0 || len(ix.pre) != len(ix.vals)+1 || ix.pre[0] != 0) {
+		return fmt.Errorf("cracker: sorted index with %d boundaries, %d prefix sums for %d values", ix.tree.Len(), len(ix.pre), len(ix.vals))
+	}
 	// One walk: each boundary closes the piece [prevPos, pos) holding values
 	// in [prevKey, key), and its sum must equal the running sum of everything
-	// scanned so far.
+	// scanned so far. Sorted, every value bounds the next from below.
 	var (
 		err     error
 		prevPos int
@@ -588,6 +627,12 @@ func (ix *Index) Validate() error {
 				err = fmt.Errorf("cracker: vals[%d]=%d not below piece bound %d", i, v, hi)
 			}
 			run += ix.vals[i]
+			if ix.sorted {
+				prevKey, hasPrev = ix.vals[i], true
+				if err == nil && ix.pre[i+1] != run {
+					err = fmt.Errorf("cracker: prefix sum %d at %d, the values below it add to %d", ix.pre[i+1], i+1, run)
+				}
+			}
 		}
 	}
 	ix.tree.Walk(func(key int64, pos int, sum int64) bool {

@@ -121,7 +121,7 @@ func piecedIndex(tb testing.TB, n, pieces int) (ix *Index, lo, hi int64) {
 		key := int64(k) * hi / int64(pieces)
 		bs = append(bs, Boundary{Key: key, Pos: int((key + stride - 1) / stride)})
 	}
-	ix, err := RestoreIndex(vals, rows, bs)
+	ix, err := RestoreIndex(vals, rows, bs, false)
 	if err != nil {
 		tb.Fatal(err)
 	}

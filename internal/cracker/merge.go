@@ -31,10 +31,13 @@ import (
 // Merge applies a batch to the cracked copy: ins and del, each sorted by
 // value, deletes first (a batch never deletes a row it inserts). A delete
 // removes the entry holding exactly its (value, row); Merge returns how many
-// deletes found no such entry.
+// deletes found no such entry. A sorted index stays sorted (mergeSorted).
 func (ix *Index) Merge(ins, del []updates.Entry) (missing int) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	if ix.sorted {
+		return ix.mergeSorted(ins, del)
+	}
 	if len(del) > 0 {
 		missing = ix.mergeDeletes(del)
 	}

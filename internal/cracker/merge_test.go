@@ -209,7 +209,7 @@ func BenchmarkMergeStep(b *testing.B) {
 				bs = append(bs, Boundary{Key: vals[pos], Pos: pos})
 			}
 		}
-		ix, err := RestoreIndex(slices.Clone(vals), slices.Clone(rows), bs)
+		ix, err := RestoreIndex(slices.Clone(vals), slices.Clone(rows), bs, false)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,13 +10,15 @@ import (
 	"holistic/internal/updates"
 )
 
-// One model, every mutator: a seeded program interleaves everything that can
-// move a value or a boundary — query cracks, point cracks, the three random
-// refinements, forced radix passes, batched merges and a
-// Boundaries -> RestoreIndex round trip — beside a plain slice of the
-// (value, row) pairs the index must hold. After every step Validate passes
-// (piece bounds and every boundary's sum against a running scan) and the
-// aggregates of random value ranges and random positions equal the model's.
+// One model, every mutator, both states: a seeded program interleaves
+// everything that can move a value or a boundary — query cracks, point
+// cracks, the three random refinements, forced radix passes, batched merges,
+// Sort and Unsort, and a Boundaries -> RestoreIndex round trip — beside a
+// plain slice of the (value, row) pairs the index must hold. After every step
+// Validate passes (piece bounds and every boundary's sum, or an ascending
+// copy and its prefix sums, against a running scan) and the aggregates of
+// random value ranges and random positions equal the model's. On a sorted
+// index no crack partitions a value or makes a boundary.
 //
 // Values are drawn to hurt: MinInt64 and MaxInt64 (prefix sums wrap, their
 // differences must not), a handful of heavily duplicated values, and two
@@ -84,7 +86,7 @@ func (m *sumModel) countSum(lo, hi int64) (count int, sum int64) {
 
 func (m *sumModel) step() string {
 	ix, rng := m.ix, m.rng
-	switch op := rng.IntN(11); op {
+	switch op := rng.IntN(12); op {
 	case 0:
 		lo, hi := m.bounds()
 		from, to := ix.CrackRange(lo, hi)
@@ -108,14 +110,21 @@ func (m *sumModel) step() string {
 		return "RandomCrackLargest"
 	case 5: // forced radix pass over the piece a drawn value falls into
 		ix.mu.Lock()
-		a, b, _, _ := ix.tree.Locate(m.value(), len(ix.vals))
+		a, b, _, _ := ix.locate(m.value())
 		ix.radixPiece(a, b)
 		ix.mu.Unlock()
 		return "radixPiece"
 	case 6, 7, 8, 9:
 		return m.merge()
+	case 10:
+		if ix.Sorted() && rng.IntN(2) == 0 {
+			ix.Unsort()
+			return "Unsort"
+		}
+		ix.Sort()
+		return "Sort"
 	default: // what a checkpoint and a restart do: the sums are not persisted
-		restored, err := RestoreIndex(slices.Clone(ix.Values()), slices.Clone(ix.Rows()), ix.Boundaries())
+		restored, err := RestoreIndex(slices.Clone(ix.Values()), slices.Clone(ix.Rows()), ix.Boundaries(), ix.Sorted())
 		if err != nil {
 			m.fatalf("RestoreIndex of a valid index: %v", err)
 		}
@@ -238,7 +247,12 @@ func TestPropertySumsMatchModel(t *testing.T) {
 		m.ix.SetRadixMinPiece([]int{0, 2, 16, 64}[rng.IntN(4)])
 		m.check("New")
 		for steps := 20 + rng.IntN(40); steps > 0; steps-- {
-			m.check(m.step())
+			ix, sorted, work, cracks := m.ix, m.ix.Sorted(), m.ix.Work(), m.ix.Cracks()
+			op := m.step()
+			m.check(op)
+			if sorted && m.ix == ix && ix.Sorted() && (ix.Work() != work || ix.Cracks() != cracks) {
+				m.fatalf("%s on a sorted index partitioned %d values and made %d cracks", op, ix.Work()-work, ix.Cracks()-cracks)
+			}
 		}
 	}
 }

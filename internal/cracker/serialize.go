@@ -24,16 +24,20 @@ func (ix *Index) Boundaries() []Boundary {
 }
 
 // RestoreIndex rebuilds a cracker index from a snapshot: the cracked copy
-// (vals, rows — adopted, not copied) and its boundary list in ascending key
-// order. It re-validates the structural invariants the tree cannot express —
-// monotone positions and per-piece value bounds — so a corrupted snapshot is
-// rejected here rather than silently producing wrong query results. Boundary
-// sums are not part of a snapshot: they are re-derived from vals here.
-func RestoreIndex(vals []int64, rows []uint32, bs []Boundary) (*Index, error) {
+// (vals, rows — adopted, not copied), its boundary list in ascending key
+// order and whether it was sorted. It re-validates the structural invariants
+// the tree cannot express — monotone positions and per-piece value bounds,
+// or an ascending copy — so a corrupted snapshot is rejected here rather
+// than silently producing wrong query results. Boundary and prefix sums are
+// not part of a snapshot: they are re-derived from vals here.
+func RestoreIndex(vals []int64, rows []uint32, bs []Boundary, sorted bool) (*Index, error) {
 	if len(vals) != len(rows) {
 		return nil, fmt.Errorf("cracker: restore vals/rows length mismatch %d != %d", len(vals), len(rows))
 	}
 	ix := New(vals, rows)
+	if sorted { // Validate rejects boundaries and an unsorted copy
+		ix.setSorted()
+	}
 	prevPos := 0
 	prevKey := int64(0)
 	var below int64 // sum of vals[:prevPos]

@@ -1,10 +1,52 @@
-package sortindex
+package cracker
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 )
+
+func TestBuildMatchesStdSortLarge(t *testing.T) {
+	rng := rand.New(rand.NewPCG(8, 9))
+	vals, rows := make([]int64, 5000), make([]uint32, 5000)
+	for i := range vals {
+		vals[i], rows[i] = rng.Int64()-(1<<62), uint32(i) // exercise negatives
+	}
+	ix := New(slices.Clone(vals), rows)
+	ix.Sort()
+	if !slices.Equal(ix.Values(), slices.Sorted(slices.Values(vals))) {
+		t.Fatal("Sort diverges from slices.Sort")
+	}
+	for i, r := range ix.Rows() {
+		if vals[r] != ix.Values()[i] {
+			t.Fatalf("row %d carries %d, base %d", r, ix.Values()[i], vals[r])
+		}
+	}
+}
+
+func TestBuildAllEqual(t *testing.T) {
+	ix := New(slices.Repeat([]int64{7}, 3000), make([]uint32, 3000))
+	ix.Sort()
+	if ix.Len() != 3000 || ix.Values()[0] != 7 || ix.Values()[2999] != 7 || ix.Validate() != nil {
+		t.Fatal("all-equal sort corrupted data")
+	}
+}
+
+func BenchmarkBuild1M(b *testing.B) {
+	rng := rand.New(rand.NewPCG(1, 1))
+	base := make([]int64, 1<<20)
+	for i := range base {
+		base[i] = rng.Int64N(1 << 40)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ix := New(slices.Clone(base), make([]uint32, len(base)))
+		b.StartTimer()
+		ix.Sort()
+	}
+}
 
 // referenceComparisonSortPairs is the seed's interface-based comparison sort
 // (sort.Slice over an index permutation), kept as the baseline the offline-
@@ -38,7 +80,7 @@ func benchPairs(n int) ([]int64, []uint32) {
 
 // Before/after pair for the offline comparison sort: run with
 //
-//	go test -bench 'ComparisonSort' -count 10 ./internal/sortindex/ | benchstat -
+//	go test -bench 'ComparisonSort' -count 10 ./internal/cracker/ | benchstat -
 //
 // (or compare the two names by hand) to see the interface-dispatch cost the
 // concrete-pair pdqsort removes.

@@ -12,9 +12,9 @@ type ColumnDesign struct {
 	Table  string
 	Column string
 	Rows   int // live rows
-	// FullIndex reports whether a full sorted index exists (offline/online).
+	// FullIndex reports whether every part's index is sorted (offline/online).
 	FullIndex bool
-	// Cracked reports whether a cracker index has been materialised.
+	// Cracked reports whether a part holds a cracked, unsorted index.
 	Cracked bool
 	// Pieces / AvgPieceSize describe the cracker index (0 when !Cracked).
 	Pieces       int

@@ -54,8 +54,8 @@ func (e *Engine) ReadOnly() bool {
 }
 
 // TableState is one table's serializable state: the column order plus each
-// column's per-shard physical snapshot (storage, tombstones, crack
-// boundaries, sorted indexes — see shard.ColumnSnapshot).
+// column's per-shard physical snapshot (storage, tombstones, the index with
+// its crack boundaries or sorted flag — see shard.ColumnSnapshot).
 type TableState struct {
 	Name    string
 	Order   []string
@@ -114,7 +114,7 @@ func (e *Engine) CaptureState(cut func()) (EngineState, error) {
 }
 
 // RestoreState rebuilds the catalog from a captured state: tables,
-// columns, per-shard crack trees and sorted indexes, row-id allocators and
+// columns, per-shard cracked or sorted indexes, row-id allocators and
 // live counters — the warm start that answers its first query without
 // re-cracking. The engine must be empty; the shard count of the current
 // configuration must match the snapshot's (validated per column).

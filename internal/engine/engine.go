@@ -14,8 +14,8 @@
 // # Concurrency model
 //
 // The kernel is multi-core end to end. Every column is split into
-// Config.Shards striped parts (package shard), each owning its own cracker
-// index, sorted index, pending buffer and latch; a select whose parts have
+// Config.Shards striped parts (package shard), each owning its own index
+// (cracked or sorted), pending buffer and latch; a select whose parts have
 // enough work to pay for the hand-off fans out one goroutine per part and
 // merges partial aggregates, so a single large select executes on multiple
 // cores — intra-query parallelism, not just inter-query. Latching has three levels (ARCHITECTURE.md, "Latching"):
@@ -28,7 +28,7 @@
 //   - Part: every shard.Part has a reader/writer latch. The WRITE side is
 //     only for structural changes — materialising the cracked copy, merging
 //     pending updates (a merge slides piece positions and tombstones
-//     deletes), and (re)building or dropping the sorted index. Every select,
+//     deletes), and sorting or unsorting the index. Every select,
 //     cracking ones included, takes the READ side, which admits any number
 //     of queries and idle workers simultaneously.
 //   - Index: under the shared part latch, work on the part's cracker index
@@ -341,7 +341,7 @@ func (e *Engine) colState(table, col string) (*colState, error) {
 	return t.column(col)
 }
 
-// BuildFullIndex builds (or rebuilds) a full sorted index on the column and
+// BuildFullIndex sorts the column's index to completion on every part and
 // returns the wall time the build took. The per-shard builds run
 // concurrently, so a multi-core box pays roughly one shard's sort time.
 // This is the offline-indexing primitive: the harness calls it during
@@ -357,7 +357,7 @@ func (e *Engine) BuildFullIndex(table, col string) (time.Duration, error) {
 	return time.Since(start), nil
 }
 
-// DropFullIndex removes the column's full sorted index, if any.
+// DropFullIndex returns the column's full index, if any, to one piece.
 func (e *Engine) DropFullIndex(table, col string) error {
 	cs, err := e.colState(table, col)
 	if err != nil {

@@ -94,3 +94,31 @@ func crackedParts(t *testing.T, e *Engine) []*cracker.Index {
 	}
 	return out
 }
+
+// TestFullIndexTakesNoIdleWork: a full index is converged, so idle time has
+// nothing left to refine on it. A holistic engine sorts its column, serves
+// 50 selects, then gets an idle window of 200 actions: none may partition a
+// value, and the column must stay a full index, not grow a cracked copy that
+// no select would read.
+func TestFullIndexTakesNoIdleWork(t *testing.T) {
+	const n, domain = 200_000, int64(1 << 20)
+	vals := randomVals(rand.New(rand.NewPCG(35, 36)), n, domain)
+	e := newEngineWithData(t, Config{Strategy: StrategyHolistic, Seed: 1, TargetPieceSize: 4, IdleWorkers: 1}, vals)
+	defer e.Close()
+	if _, err := e.BuildFullIndex("R", "A"); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(37, 38))
+	for i := 0; i < 50; i++ {
+		lo := rng.Int64N(domain)
+		res, err := e.Select("R", "A", lo, lo+domain/100)
+		if wc, ws := naiveRange(vals, lo, lo+domain/100); err != nil || res.Count != wc || res.Sum != ws {
+			t.Fatalf("select %d: %+v, %v; oracle %d/%d", i, res, err, wc, ws)
+		}
+	}
+	actions, work := e.IdleActions(200)
+	d := e.DescribePhysicalDesign()[0]
+	if work != 0 || !d.FullIndex || d.Cracked {
+		t.Fatalf("idle window ran %d actions touching %d values; design %+v", actions, work, d)
+	}
+}

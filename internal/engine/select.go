@@ -16,8 +16,8 @@ import (
 // Every strategy runs the same kernel: the strategy's Table 1 row chose the
 // mechanisms at New, and Select only asks which of them exist. Each part is
 // first probed on the caller's goroutine (shard.Part.Probe): it answers
-// through the design it holds — a sorted index with two binary searches, a
-// cracked copy that already has both bounds as crack boundaries — or
+// through the design it holds — an index that already has both bounds as
+// boundaries, which a sorted one always has — or
 // declines with the values answering would touch. The parts that declined are
 // answered by the engine's run, a crack (shard.Part.CrackedSelect) with
 // incremental indexing or a scan without. One rule decides where they run

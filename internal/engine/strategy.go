@@ -23,9 +23,9 @@ type Strategy int
 const (
 	// StrategyScan serves every select with a full scan; no physical design.
 	StrategyScan Strategy = iota
-	// StrategyOffline serves selects with a full sorted index built ahead
-	// of the workload (via BuildFullIndex; holisticd builds one on every
-	// column at boot); scans until the index exists.
+	// StrategyOffline serves selects with a full index (each part's cracker
+	// index sorted to completion) built ahead of the workload by
+	// BuildFullIndex, which holisticd runs at boot; scans until it exists.
 	StrategyOffline
 	// StrategyOnline monitors the workload and builds/drops full indexes at
 	// epoch boundaries; the triggering query pays the build.

@@ -18,9 +18,9 @@ import (
 // columns enqueued, others not). Neither path touches a part's RW latch;
 // buffered updates reach the index structures via merge refinement actions
 // (see package shard). A delete resolves "the first live row holding v"
-// through the column's indexes (shard.Column.FirstLive: sorted index, else
-// the cracked piece holding v, a scan only for a part with neither), so the
-// exclusive hold is microseconds, not a column scan.
+// through the column's indexes (shard.Column.FirstLive: the cracked piece
+// holding v or a sorted index's run of duplicates, a scan only for a part
+// with no index), so the exclusive hold is microseconds, not a column scan.
 //
 // Reads take no table lock at all: the catalog is a copy-on-write snapshot
 // behind an atomic pointer, so a select resolves its column with one load.
@@ -86,7 +86,7 @@ func (t *Table) Rows() int {
 }
 
 // colState is one logical column: a thin handle over its sharded sub-engines
-// (shard.Column). All physical design — cracker indexes, sorted indexes,
+// (shard.Column). All physical design — cracked or sorted indexes,
 // pending updates, tombstones, latches — lives per shard in shard.Part; the
 // engine fans selects out across the parts and merges partial aggregates,
 // and each part registers with the holistic tuner as its own action-queue
@@ -97,8 +97,8 @@ type colState struct {
 	sc   *shard.Column
 }
 
-// hasSorted reports whether every part carries a full sorted index (builds
-// are all-or-nothing per column).
+// hasSorted reports whether every part's index is sorted to completion
+// (builds are all-or-nothing per column).
 func (cs *colState) hasSorted() bool {
 	for _, p := range cs.sc.Parts() {
 		if !p.HasSorted() {
@@ -108,11 +108,12 @@ func (cs *colState) hasSorted() bool {
 	return true
 }
 
-// anyCracked reports whether any part has materialised its cracked copy.
+// anyCracked reports whether any part holds a cracked, unsorted index.
 func (cs *colState) anyCracked() bool {
 	for _, p := range cs.sc.Parts() {
 		p.RLock()
-		cracked := p.Cracked() != nil
+		ix := p.Cracked()
+		cracked := ix != nil && !ix.Sorted()
 		p.RUnlock()
 		if cracked {
 			return true
@@ -121,7 +122,7 @@ func (cs *colState) anyCracked() bool {
 	return false
 }
 
-// buildSortedAll builds the full sorted index on every part, fanning the
+// buildSortedAll sorts every part's index to completion, fanning the
 // per-part builds out across goroutines (each build holds only its own
 // part's latch).
 func (cs *colState) buildSortedAll() {
@@ -141,7 +142,7 @@ func (cs *colState) buildSortedAll() {
 	wg.Wait()
 }
 
-// dropSortedAll removes every part's sorted index.
+// dropSortedAll returns every part's sorted index to one piece.
 func (cs *colState) dropSortedAll() {
 	for _, p := range cs.sc.Parts() {
 		p.DropSorted()
@@ -160,7 +161,7 @@ func (cs *colState) oracleScan(lo, hi int64) (int, int64) {
 	return count, sum
 }
 
-// validate checks every part's cracker-index invariants (quiesced callers).
+// validate checks every part's index invariants (quiesced callers).
 func (cs *colState) validate() error {
 	for _, p := range cs.sc.Parts() {
 		if err := p.Validate(); err != nil {

@@ -4,9 +4,9 @@
 // parallel-cracking design of "Main Memory Adaptive Indexing for Multi-core
 // Systems" (Alvarez et al., DaMoN 2014): instead of many cores contending on
 // one shared cracker index through ever finer latches, each shard owns a
-// private cracker index (crack tree, cracked copy and their one latch),
-// sorted index and pending update buffer, and a select visits every shard and
-// merges the partial aggregates — one goroutine per shard when the shards'
+// private cracker index (crack tree, cracked copy and their one latch) and
+// pending update buffer, and a select visits every shard and merges the
+// partial aggregates — one goroutine per shard when the shards'
 // work pays for the hand-off, one shard after the other on the caller's
 // goroutine when it does not (see "Fan-out rule").
 //
@@ -73,17 +73,24 @@
 // the base has grown, the batch is sorted by value and each index the part
 // has takes it in one Merge: one pass over the pieces, not one per row.
 //
+// # One index per part
+//
+// A part holds at most one cracker.Index: cracked (adaptive, holistic) or
+// sorted to completion by BuildSorted (offline, online), the limit
+// refinement moves toward. Probe, the merge, FirstLive and the snapshot each
+// ask that one index; a part with none scans.
+//
 // # Delete resolution
 //
 // A delete names a value, not a row: Column.FirstLive resolves it to the
 // lowest live global row id, asking every part (Part.firstLive) and taking
-// the minimum. A part answers through the index it has — sorted index:
-// binary search plus the run of duplicates; cracked copy: the one piece
-// holding the value, under the cracker index's shared latch, cracking
-// nothing; neither: an early-exit scan of its rows — skipping rows with a
-// buffered delete, then consults its buffered inserts. The indexes hold
-// exactly the merged, non-tombstoned rows, so every path names the same
-// row; the caller's exclusive table lock is held for a piece, not a column.
+// the minimum. A part answers through its index — the one piece holding the
+// value, or a sorted index's run of duplicates, under the index's shared
+// latch, cracking nothing — or, with none, an early-exit scan of its rows,
+// skipping rows with a buffered delete; then it consults its buffered
+// inserts. The index holds exactly the merged, non-tombstoned rows, so both
+// paths name the same row; the caller's exclusive table lock is held for a
+// piece, not a column.
 //
 // # One latch per read
 //
@@ -103,7 +110,7 @@
 // Each Part carries its own reader/writer latch with exactly the semantics
 // the unsharded column had (see internal/engine): the write side is only for
 // structural changes (materialising the cracked copy, merging the ingest
-// queue, (re)building the sorted index, tombstoning), while the read side
+// queue, sorting or unsorting the index, tombstoning), while the read side
 // admits any number of queries and idle workers, which coordinate through
 // the cracker index's own latch: shared for a lookup or aggregate, exclusive
 // for a crack (see cracker.Index). The ingest queue's mutex is a
@@ -125,7 +132,6 @@ import (
 	"holistic/internal/costmodel"
 	"holistic/internal/cracker"
 	"holistic/internal/scan"
-	"holistic/internal/sortindex"
 	"holistic/internal/updates"
 )
 
@@ -416,7 +422,7 @@ func (c *Column) MergePending() int {
 }
 
 // Part is one shard of a column: a contiguous stripe of rows with its own
-// storage, cracker index, sorted index, ingest queue and latch. It
+// storage, index (see "One index per part"), ingest queue and latch. It
 // implements the holistic tuner's Column interface (internal/core) — and its
 // Merger extension — so each part is an independent action-queue shard for
 // the idle pool, offering both crack and merge actions.
@@ -434,8 +440,7 @@ type Part struct {
 	vals     []int64 // merged storage by local position (local i is global row i·stride+id)
 	deleted  []bool  // tombstones by local position
 	nDeleted int
-	crack    *cracker.Index
-	sorted   *sortindex.Index
+	crack    *cracker.Index // nil until materialised; may be sorted
 
 	// lo and hi bound vals, tombstoned rows included, once bounded is set.
 	// The bounds are computed on first use and kept current by merges,
@@ -494,18 +499,15 @@ func (p *Part) minMaxLocked() (lo, hi int64, ok bool) {
 	return p.lo, p.hi, p.bounded
 }
 
-// CrackIndex implements the tuner's Column interface: it returns the part's
-// cracker index, materialising the cracked copy on first use. Callers hold
-// the exclusive latch.
-func (p *Part) CrackIndex() *cracker.Index { return p.crackIndexLocked() }
-
-// Cracked returns the cracker index if materialised, else nil. Callers hold
-// either latch mode.
+// Cracked returns the cracker index if materialised — sorted or not — else
+// nil. Callers hold either latch mode.
 func (p *Part) Cracked() *cracker.Index { return p.crack }
 
-// crackIndexLocked materialises the cracked copy: straight from the base
-// column (radix pass included) when no row is tombstoned, else from a copy.
-func (p *Part) crackIndexLocked() *cracker.Index {
+// CrackIndex implements the tuner's Column interface: it returns the part's
+// cracker index, materialising the cracked copy on first use — straight from
+// the base column (radix pass included) when no row is tombstoned, else from
+// a copy. Callers hold the exclusive latch.
+func (p *Part) CrackIndex() *cracker.Index {
 	if p.crack == nil {
 		if p.nDeleted == 0 {
 			lo, hi, _ := p.minMaxLocked()
@@ -557,29 +559,32 @@ func (p *Part) liveSnapshotLocked() ([]int64, []uint32) {
 	return vals, rows
 }
 
-// BuildSorted (re)builds the part's full sorted index from merged live rows.
+// BuildSorted sorts the part's index to completion, in place so a tuner that
+// cached it keeps the same object; a part with none first copies its merged
+// live rows (an offline build is copy plus sort, not a first touch).
 func (p *Part) BuildSorted() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.buildSortedLocked()
+	if p.crack == nil {
+		p.attachCrackLocked(cracker.New(p.liveSnapshotLocked()))
+	}
+	p.crack.Sort()
 }
 
-func (p *Part) buildSortedLocked() {
-	p.sorted = sortindex.Build(p.liveSnapshotLocked())
-}
-
-// DropSorted removes the part's sorted index, if any.
+// DropSorted returns a sorted index to one piece in place.
 func (p *Part) DropSorted() {
 	p.mu.Lock()
-	p.sorted = nil
-	p.mu.Unlock()
+	defer p.mu.Unlock()
+	if p.crack != nil {
+		p.crack.Unsort()
+	}
 }
 
-// HasSorted reports whether a full sorted index exists.
+// HasSorted reports whether the part's index is sorted to completion.
 func (p *Part) HasSorted() bool {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return p.sorted != nil
+	return p.crack != nil && p.crack.Sorted()
 }
 
 // read is every part read: it holds the shared latch across merged — an
@@ -640,24 +645,20 @@ func (p *Part) CrackedSelect(lo, hi int64) (int, int64) {
 			return count, sum
 		}
 		p.mu.Lock()
-		p.crackIndexLocked()
+		p.CrackIndex()
 		p.mu.Unlock()
 	}
 }
 
 // Probe answers [lo, hi) through the design the part holds, under the
-// shared latches and without building or cracking anything: a sorted index
-// answers with two binary searches, a cracked copy when both bounds already
-// are crack boundaries (the difference of their sums). Otherwise it declines
-// (ok false) with the values a run would touch: the pieces the missing bounds
-// fall in, or the merged live rows when the part has neither.
+// shared latches and without building or cracking anything: its index
+// answers when both bounds already are boundaries (the difference of their
+// sums) — always, once sorted. Otherwise it declines (ok false) with the
+// values a run would touch: the pieces the missing bounds fall in, or the
+// merged live rows when the part has no index.
 func (p *Part) Probe(lo, hi int64) (count int, sum int64, work int, ok bool) {
 	count, sum, ok = p.read(lo, hi, func() (c int, s int64, answered bool) {
-		switch {
-		case p.sorted != nil:
-			c, s = p.sorted.CountSum(p.sorted.Range(lo, hi))
-			return c, s, true
-		case p.crack != nil:
+		if p.crack != nil {
 			c, s, work, answered = p.crack.LookupCountSum(lo, hi)
 			return c, s, answered
 		}
@@ -714,13 +715,10 @@ func (p *Part) mergeLocked(budget int) int {
 			p.lo, p.hi = min(p.lo, e.Val), max(p.hi, e.Val)
 		}
 	}
-	// The base grew in row order; the indexes take the batch in value order.
-	updates.SortByVal(ins)
-	updates.SortByVal(live)
-	if p.sorted != nil {
-		p.sorted.Merge(ins, live)
-	}
+	// The base grew in row order; the index takes the batch in value order.
 	if p.crack != nil {
+		updates.SortByVal(ins)
+		updates.SortByVal(live)
 		p.crack.Merge(ins, live)
 	}
 	return n
@@ -732,26 +730,22 @@ func (p *Part) PendingOps() int { return p.ingest.Len() }
 
 // firstLive returns the lowest global row id in this part holding value v
 // live: merged rows that are neither tombstoned nor pending-deleted, and
-// buffered inserts. The merged rows are resolved through whichever index the
-// part has — both hold exactly the merged, non-tombstoned rows — so a DELETE
-// costs a binary search (sorted index) or one piece (cracked copy, read under
-// the index's shared latch: nothing is cracked or reorganised on the
-// writer's path) instead of a scan of the part; only a part with no index
-// scans, stopping at the first hit. The shared latch is held across the
-// queue read as well, so no merge can move a buffered insert into the
-// structures between the two and hide it from both.
+// buffered inserts. The merged rows are resolved through the part's index,
+// which holds exactly them, so a DELETE costs one piece or a binary search
+// (under the index's shared latch: nothing is cracked on the writer's path)
+// instead of a scan; only a part with no index scans, stopping at the first
+// hit. The shared latch is held across the queue read as well, so no merge
+// can move a buffered insert into the structures between the two and hide it
+// from both.
 func (p *Part) firstLive(v int64) (uint32, bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	live := func(g uint32) bool { return !p.ingest.HasDelete(v, g) }
 	var best uint32
 	found := false
-	switch {
-	case p.sorted != nil:
-		best, found = p.sorted.MinRowOf(v, live)
-	case p.crack != nil:
+	if p.crack != nil {
 		best, found = p.crack.MinRowOf(v, live)
-	default:
+	} else {
 		for i, val := range p.vals {
 			if g := p.globalRow(i); val == v && !p.deleted[i] && live(g) {
 				best, found = g, true
@@ -808,9 +802,9 @@ func (p *Part) PieceStats() (pieces, n int) {
 }
 
 // RangePieceAvg returns the average size (in values) of the cracker pieces
-// overlapping the value range [lo, hi), or 0 when the part has no cracker
-// index yet or the range overlaps nothing. It is part of the tuner's Column
-// interface. The speculative step uses it to decide whether a
+// overlapping the value range [lo, hi): 0 when the part has no index yet or
+// the range overlaps nothing, 1 once sorted. It is part of the tuner's
+// Column interface. The speculative step uses it to decide whether a
 // forecast-predicted range still needs pre-cracking: unlike the column-wide
 // average, it measures exactly the region the next burst is expected to hit.
 func (p *Part) RangePieceAvg(lo, hi int64) float64 {
@@ -827,7 +821,7 @@ func (p *Part) PendingCounts() (ins, del int) {
 	return p.ingest.Counts()
 }
 
-// Validate checks the part's cracker-index invariants (quiesced callers).
+// Validate checks the part's index invariants (quiesced callers).
 func (p *Part) Validate() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()

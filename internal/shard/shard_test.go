@@ -333,6 +333,8 @@ func TestLiveSnapshotFastPathMatchesLoop(t *testing.T) {
 	}
 }
 
+// TestSortedIndexPerPart: a sorted part answers every probe, and batched
+// merges of inserts and deletes keep it sorted with exact prefix sums.
 func TestSortedIndexPerPart(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	vals := randomVals(rng, 3000, 5000)
@@ -342,19 +344,31 @@ func TestSortedIndexPerPart(t *testing.T) {
 	}
 	for _, p := range c.Parts() {
 		p.BuildSorted()
-		if !p.HasSorted() {
-			t.Fatal("BuildSorted did not build")
-		}
 	}
-	// Every part answers from its index in the probe: nothing is left to run.
-	lo, hi := int64(1000), int64(2500)
-	count, sum := c.CountSum(lo, hi, (*Part).Probe, func(*Part, int64, int64) (int, int64) {
-		t.Fatal("a part with a sorted index declined the probe")
-		return 0, 0
-	})
-	wc, ws := naiveRange(vals, lo, hi)
-	if count != wc || sum != ws {
-		t.Fatalf("sorted select %d/%d, want %d/%d", count, sum, wc, ws)
+	for round := 0; round < 4; round++ {
+		for _, p := range c.Parts() {
+			if err := p.Validate(); !p.HasSorted() || err != nil {
+				t.Fatalf("round %d: part %d sorted %v, %v", round, p.id, p.HasSorted(), err)
+			}
+		}
+		// Every part answers from its index in the probe: nothing is left to run.
+		lo, hi := rng.Int64N(5000), rng.Int64N(5000)+1000
+		count, sum := c.CountSum(lo, hi, (*Part).Probe, func(*Part, int64, int64) (int, int64) {
+			t.Fatal("a part with a sorted index declined the probe")
+			return 0, 0
+		})
+		if wc, ws := naiveRange(vals, lo, hi); count != wc || sum != ws {
+			t.Fatalf("round %d: sorted select %d/%d, want %d/%d", round, count, sum, wc, ws)
+		}
+		for i := 0; i < 200; i++ {
+			v := rng.Int64N(5000)
+			c.AppendAt(uint32(len(vals)), v)
+			vals = append(vals, v)
+			g := rng.IntN(len(vals))
+			c.DeleteRow(uint32(g))
+			vals[g] = -1 // below every probed range
+		}
+		c.MergePending()
 	}
 }
 

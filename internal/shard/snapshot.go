@@ -5,14 +5,13 @@ import (
 	"slices"
 
 	"holistic/internal/cracker"
-	"holistic/internal/sortindex"
 )
 
 // PartSnapshot is one shard's complete physical state in serializable form:
 // the merged storage (tombstones included — local positions encode global
 // row ids, so dead rows cannot be compacted away) plus the paid-for index
-// refinements: the cracked copy with its boundary list, and the sorted
-// index if built. Restoring it resumes the part exactly where the workload
+// refinements: the cracked copy with its boundary list, or the copy sorted
+// to completion. Restoring it resumes the part exactly where the workload
 // left it, with no re-cracking and no re-sorting.
 type PartSnapshot struct {
 	// Vals is the merged storage by local position; Deleted marks
@@ -20,18 +19,14 @@ type PartSnapshot struct {
 	Vals    []int64
 	Deleted []bool
 
-	// Cracker state, present iff HasCrack: the cracked copy (values with
+	// Index state, present iff HasCrack: the cracked copy (values with
 	// aligned global row ids) and the crack-tree boundaries in ascending
-	// key order.
+	// key order — none when Sorted, the copy then being ascending.
 	HasCrack   bool
 	CrackVals  []int64
 	CrackRows  []uint32
 	Boundaries []cracker.Boundary
-
-	// Sorted-index state, present iff HasSorted.
-	HasSorted  bool
-	SortedVals []int64
-	SortedRows []uint32
+	Sorted     bool
 }
 
 // ColumnSnapshot is a whole logical column: its per-part snapshots in shard
@@ -76,11 +71,7 @@ func (p *Part) snapshot() (PartSnapshot, error) {
 		s.CrackVals = slices.Clone(p.crack.Values())
 		s.CrackRows = slices.Clone(p.crack.Rows())
 		s.Boundaries = p.crack.Boundaries()
-	}
-	if p.sorted != nil {
-		s.HasSorted = true
-		s.SortedVals = slices.Clone(p.sorted.Values())
-		s.SortedRows = slices.Clone(p.sorted.Rows())
+		s.Sorted = p.crack.Sorted()
 	}
 	return s, nil
 }
@@ -103,18 +94,11 @@ func NewColumnFromSnapshot(snap ColumnSnapshot, cfg Config) (*Column, error) {
 		}
 		p := c.addPart(ps.Vals, ps.Deleted)
 		if ps.HasCrack {
-			ix, err := cracker.RestoreIndex(ps.CrackVals, ps.CrackRows, ps.Boundaries)
+			ix, err := cracker.RestoreIndex(ps.CrackVals, ps.CrackRows, ps.Boundaries, ps.Sorted)
 			if err != nil {
 				return nil, fmt.Errorf("shard: part %s: %w", p.name, err)
 			}
 			p.attachCrackLocked(ix)
-		}
-		if ps.HasSorted {
-			sx, err := sortindex.FromSorted(ps.SortedVals, ps.SortedRows)
-			if err != nil {
-				return nil, fmt.Errorf("shard: part %s: %w", p.name, err)
-			}
-			p.sorted = sx
 		}
 	}
 	return c, nil

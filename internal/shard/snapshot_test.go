@@ -5,9 +5,10 @@ import (
 )
 
 // TestSnapshotRoundTrip proves a column's full physical state — storage,
-// tombstones, crack boundaries, sorted index — survives Snapshot →
+// tombstones, crack boundaries, sorted indexes — survives Snapshot →
 // NewColumnFromSnapshot: the restored column answers queries identically
-// and keeps the paid-for piece count (no re-cracking from scratch).
+// and keeps the paid-for piece count (no re-cracking from scratch). Part 0
+// is sorted from scratch, part 1 cracked, part 2 sorted after cracking.
 func TestSnapshotRoundTrip(t *testing.T) {
 	cfg := Config{Shards: 3}
 	vals := make([]int64, 10_000)
@@ -18,12 +19,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Crack a few ranges, build one part's sorted index, delete some rows,
-	// append some more — exercise every piece of state the snapshot holds.
+	// Sort part 0, crack a few ranges, sort part 2, delete some rows, append
+	// some more — exercise every piece of state the snapshot holds.
+	c.Parts()[0].BuildSorted()
 	for _, r := range [][2]int64{{100, 900}, {5_000, 9_000}, {20_000, 30_000}, {44_000, 48_000}} {
 		c.FanOutCountSum(func(p *Part) (int, int64) { return p.CrackedSelect(r[0], r[1]) })
 	}
-	c.Parts()[1].BuildSorted()
+	c.Parts()[2].BuildSorted()
 	for g := uint32(0); g < 50; g++ {
 		c.DeleteRow(g * 7)
 	}
@@ -77,7 +79,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if gotPieces != wantPieces {
 		t.Fatalf("restored piece count %d, want %d (refinements lost)", gotPieces, wantPieces)
 	}
-	if !r.Parts()[1].HasSorted() || r.Parts()[0].HasSorted() {
+	if p := r.Parts(); !p[0].HasSorted() || p[1].HasSorted() || !p[2].HasSorted() {
 		t.Fatal("sorted-index placement not restored")
 	}
 	for i, q := range queries {
@@ -139,6 +141,18 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	bad.Parts[0].CrackVals = cv
 	if _, err := NewColumnFromSnapshot(bad, cfg); err == nil {
 		t.Fatal("corrupted crack state accepted by restore")
+	}
+	// A sorted block whose copy does not ascend is rejected too.
+	c.Parts()[1].BuildSorted()
+	if snap, err = c.Snapshot(); err != nil || !snap.Parts[1].Sorted {
+		t.Fatalf("setup: part 1 not snapshotted sorted: %v", err)
+	}
+	bad.Parts = append([]PartSnapshot(nil), snap.Parts...)
+	cv = append([]int64(nil), snap.Parts[1].CrackVals...)
+	cv[0], cv[1] = cv[1], cv[0]
+	bad.Parts[1].CrackVals = cv
+	if _, err := NewColumnFromSnapshot(bad, cfg); err == nil {
+		t.Fatal("unsorted copy accepted as a sorted index by restore")
 	}
 
 	// Wrong shard count is rejected too.

@@ -10,9 +10,9 @@ import (
 	"holistic/internal/shard"
 )
 
-// snapMagic identifies a snapshot file; the trailing byte versions the
-// format.
-var snapMagic = [8]byte{'H', 'O', 'L', 'S', 'N', 'P', '0', '1'}
+// snapMagic identifies a snapshot file; the trailing two bytes version the
+// format. 02 has one index block per part, with a sorted flag.
+var snapMagic = [8]byte{'H', 'O', 'L', 'S', 'N', 'P', '0', '2'}
 
 // EncodeState serializes a captured engine state as one snapshot file
 // image: magic, body, CRC32 trailer over everything before it. The CRC
@@ -50,11 +50,7 @@ func appendColumnSnapshot(dst []byte, c shard.ColumnSnapshot) []byte {
 				dst = binary.LittleEndian.AppendUint64(dst, uint64(b.Key))
 				dst = binary.AppendUvarint(dst, uint64(b.Pos))
 			}
-		}
-		dst = appendBool(dst, p.HasSorted)
-		if p.HasSorted {
-			dst = appendInt64s(dst, p.SortedVals)
-			dst = appendU32s(dst, p.SortedRows)
+			dst = appendBool(dst, p.Sorted)
 		}
 	}
 	return dst
@@ -110,8 +106,11 @@ func DecodeState(b []byte) (engine.EngineState, error) {
 	if len(b) < len(snapMagic)+4 {
 		return engine.EngineState{}, fmt.Errorf("snapshot: file too short (%d bytes)", len(b))
 	}
-	if [8]byte(b[:8]) != snapMagic {
+	if [6]byte(b[:6]) != [6]byte(snapMagic[:6]) {
 		return engine.EngineState{}, fmt.Errorf("snapshot: bad magic")
+	}
+	if [8]byte(b[:8]) != snapMagic {
+		return engine.EngineState{}, fmt.Errorf("snapshot: format %s, this build reads %s", b[6:8], snapMagic[6:])
 	}
 	body, trailer := b[:len(b)-4], b[len(b)-4:]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
@@ -218,15 +217,7 @@ func (d *dec) columnSnapshot() (shard.ColumnSnapshot, error) {
 				}
 				p.Boundaries[bi] = cracker.Boundary{Key: key, Pos: int(pos)}
 			}
-		}
-		if p.HasSorted, err = d.bool(); err != nil {
-			return c, err
-		}
-		if p.HasSorted {
-			if p.SortedVals, err = d.int64s(); err != nil {
-				return c, err
-			}
-			if p.SortedRows, err = d.u32s(); err != nil {
+			if p.Sorted, err = d.bool(); err != nil {
 				return c, err
 			}
 		}

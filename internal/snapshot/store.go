@@ -1,6 +1,6 @@
 // Package snapshot is the durability layer above internal/wal: columnar
 // snapshots of the engine's merged storage AND its per-shard physical
-// design (crack-tree boundaries, sorted indexes), a manifest binding each
+// design (crack-tree boundaries, or a part's index sorted), a manifest binding each
 // snapshot to the statement-log offset it covers, and the Store that ties
 // them to a live engine — logging every statement before it is
 // acknowledged, checkpointing from the idle pool, and recovering at boot

@@ -284,6 +284,17 @@ func TestCorruptSnapshotFailsLoudly(t *testing.T) {
 	}
 }
 
+// TestOlderFormatNamed: a snapshot of an older format is refused with its
+// version named, not as bad magic.
+func TestOlderFormatNamed(t *testing.T) {
+	img := EncodeState(engine.EngineState{})
+	copy(img, "HOLSNP01")
+	_, err := DecodeState(img)
+	if err == nil || err.Error() != "snapshot: format 01, this build reads 02" {
+		t.Fatalf("format 01 image: %v", err)
+	}
+}
+
 // TestTornWALTailRecovered: a torn frame at the log's tail is truncated and
 // every fully-synced statement before it survives.
 func TestTornWALTailRecovered(t *testing.T) {

@@ -1,8 +1,8 @@
 // Package updates implements update support for cracked columns following
 // the "merge gradually" design of Updating a Cracked Database (Idreos,
 // Kersten, Manegold, SIGMOD 2007). Inserts and deletes land in per-shard
-// ingest queues; a merge step drains a batch and every index of the part
-// merges it in one pass (cracker.Index.Merge, sortindex.Index.Merge), so
+// ingest queues; a merge step drains a batch and the part's index merges it
+// in one pass (cracker.Index.Merge, cracked or sorted), so
 // update cost is deferred and paid during idle time (or amortised over
 // batches) instead of inside the writer's critical path.
 //

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"holistic/internal/cracker"
-	"holistic/internal/sortindex"
 	"holistic/internal/updates"
 )
 
@@ -119,7 +118,8 @@ func TestPropertyPendingMatchesReference(t *testing.T) {
 			base[i] = rng.Int64N(domain)
 		}
 		ix := newIndex(base)
-		sx := sortindex.Build(append([]int64{}, base...), append([]uint32{}, ix.Rows()...))
+		sx := newIndex(base)
+		sx.Sort()
 		var q updates.Queue
 		ref := map[uint32]int64{} // live row -> value
 		for i, v := range base {
@@ -169,8 +169,7 @@ func TestPropertyPendingMatchesReference(t *testing.T) {
 				pc, ps := q.CountSum(lo, hi)
 				from, to := ix.CrackRange(lo, hi)
 				cc, cs := ix.CountSum(from, to)
-				from, to = sx.Range(lo, hi)
-				sc, ss := sx.CountSum(from, to)
+				sc, ss, _, _ := sx.LookupCountSum(lo, hi)
 				if cc+pc != wc || cs+ps != ws || sc+pc != wc || ss+ps != ws {
 					return false
 				}
@@ -185,7 +184,7 @@ func TestPropertyPendingMatchesReference(t *testing.T) {
 				return false
 			}
 		}
-		return ix.Validate() == nil && ix.Len() == len(ref) && sx.Len() == len(ref)
+		return ix.Validate() == nil && sx.Validate() == nil && ix.Len() == len(ref) && sx.Len() == len(ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
