@@ -139,7 +139,7 @@ func (t *Tuner) TrySpeculativeStep() (work int, res StepResult) {
 		t.mu.Unlock()
 		return 0, StepContended
 	}
-	w := t.preCrackRange(best, bestRange)
+	w := best.col.RefineRange(t.childRNG(), bestRange.Lo, bestRange.Hi, t.model.SpecTarget(), DefaultSpecCracks)
 	best.busy.Store(false)
 	t.mu.Lock()
 	t.specActions++
@@ -147,31 +147,6 @@ func (t *Tuner) TrySpeculativeStep() (work int, res StepResult) {
 	t.recordSpecRangeLocked(best.col.Name(), bestRange)
 	t.mu.Unlock()
 	return w, StepWorked
-}
-
-// preCrackRange refines one predicted range on a claimed shard: pin the
-// range's boundaries (so the burst's first query needs no partitioning at
-// the edges), then random cracks inside until the range's pieces reach the
-// speculative target or the per-action crack bound runs out. Runs under the
-// column's shared latch, like every refinement.
-func (t *Tuner) preCrackRange(sh *shard, r stats.Range) int {
-	rng := t.childRNG()
-	ix := sh.index()
-	specTarget := t.model.SpecTarget()
-	sh.col.RLock()
-	defer sh.col.RUnlock()
-	w := 0
-	pw, _ := ix.CrackAt(r.Lo)
-	w += pw
-	pw, _ = ix.CrackAt(r.Hi)
-	w += pw
-	for i := 0; i < DefaultSpecCracks; i++ {
-		if ix.RangePieceAvg(r.Lo, r.Hi) <= specTarget {
-			break
-		}
-		w += ix.RandomCrackInRange(rng, r.Lo, r.Hi, int(specTarget))
-	}
-	return w
 }
 
 // recordSpecRangeLocked remembers a speculated range for win accounting,

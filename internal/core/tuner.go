@@ -24,6 +24,11 @@
 // query cracks its own two bounds, exactly as adaptive indexing does, and
 // the tuner only notes where it landed. Refinement beyond a query's bounds
 // is optional work, so it waits for idle time instead of the caller.
+//
+// The tuner schedules; it owns no index. A Column (shard.Part) holds its
+// index and latches, and the tuner only reads its scores and calls one of
+// its actions — RandomCrack, RefineRange or MergeStep — with a child RNG
+// drawn from the tuner's seeded stream, so a seed fixes every crack.
 package core
 
 import (
@@ -37,16 +42,10 @@ import (
 	"holistic/internal/stats"
 )
 
-// Defaults for Config fields left zero.
-const (
-	// DefaultCrackRetries is how many random pivots a Step tries before
-	// falling back to cracking the largest piece.
-	DefaultCrackRetries = 3
-	// DefaultMergeQuantum is how many buffered update operations one merge
-	// action drains — the merge analogue of "one random crack action",
-	// sized so a step stays in the same latency class as a crack.
-	DefaultMergeQuantum = 512
-)
+// DefaultMergeQuantum is how many buffered update operations one merge
+// action drains — the merge analogue of "one random crack action", sized so
+// a step stays in the same latency class as a crack.
+const DefaultMergeQuantum = 512
 
 // Config tunes the holistic tuner.
 type Config struct {
@@ -57,38 +56,27 @@ type Config struct {
 	Seed uint64
 }
 
-// Column is the tuner's view of one tunable column, implemented by the
-// engine. Lock/Unlock take the column's exclusive latch; RLock/RUnlock take
-// it shared. CrackIndex materialises the cracked copy on first use and is
-// only called with the exclusive latch held; the returned index is stable
-// thereafter and latches itself, so refinement runs under the shared column
-// latch (see cracker.Index). RangePieceAvg reports the average piece size
-// inside a value range, or 0 before the cracked copy exists, without the
-// caller holding any latch; the speculative step scores predicted ranges
-// with it (see predict.go). PieceStats reports the pieces and the values they
-// hold — one piece of the live rows before the cracked copy exists — also
-// without the caller holding any latch; the auction scores a crack with it.
+// Column is the tuner's view of one tunable column, implemented by
+// shard.Part. The column owns its index and latches: the tuner only scores
+// and calls actions, each of which latches the column itself. PieceStats
+// reports the pieces and the values they hold — one piece of the live rows
+// before the cracked copy exists — and RangePieceAvg the average piece size
+// inside a value range, 0 before the cracked copy exists; the auction scores
+// a crack with the first and a speculative step with the second (see
+// predict.go). PendingOps reports the buffered update operations, which rank
+// the merge action; MergeStep drains up to max of them and returns how many
+// it applied. RandomCrack is one random crack action and RefineRange one
+// speculative refinement of a value range (see the cracker.Index methods of
+// the same names); both materialise the cracked copy on first use and return
+// the values they partitioned.
 type Column interface {
 	Name() string
-	Lock()
-	Unlock()
-	RLock()
-	RUnlock()
-	CrackIndex() *cracker.Index
-	RangePieceAvg(lo, hi int64) float64
 	PieceStats() (pieces, n int)
-}
-
-// Merger is the optional extension of Column for columns with a batched
-// ingest queue: merging buffered updates into the indexed structures is a
-// refinement action in its own right, ranked against cracking in the same
-// per-shard action queue (see costmodel.MergeScore). PendingOps reports the
-// buffered operation count without latching; MergeStep drains up to max
-// operations (taking the column's exclusive latch itself) and returns how
-// many it applied.
-type Merger interface {
+	RangePieceAvg(lo, hi int64) float64
 	PendingOps() int
 	MergeStep(max int) int
+	RandomCrack(rng *rand.Rand) int
+	RefineRange(rng *rand.Rand, lo, hi int64, target float64, cracks int) int
 }
 
 // shard is the tuner's per-column slice of the pending-action queue. Workers
@@ -96,23 +84,8 @@ type Merger interface {
 // never crack the same column — and hence never the same piece — at once,
 // and never queue up behind one column's latch while other columns starve.
 type shard struct {
-	col    Column
-	merger Merger                        // non-nil when col also buffers updates
-	busy   atomic.Bool                   // claimed by an in-flight Step
-	ix     atomic.Pointer[cracker.Index] // cached once materialised
-}
-
-// index returns the shard's cracker index, materialising it under the
-// column's exclusive latch on first use.
-func (sh *shard) index() *cracker.Index {
-	if ix := sh.ix.Load(); ix != nil {
-		return ix
-	}
-	sh.col.Lock()
-	ix := sh.col.CrackIndex()
-	sh.col.Unlock()
-	sh.ix.Store(ix)
-	return ix
+	col  Column
+	busy atomic.Bool // claimed by an in-flight Step
 }
 
 // Tuner is the holistic tuning engine. All methods are safe for concurrent
@@ -169,11 +142,7 @@ func (t *Tuner) childRNG() *rand.Rand {
 func (t *Tuner) Register(c Column, domLo, domHi int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	sh := &shard{col: c}
-	if m, ok := c.(Merger); ok {
-		sh.merger = m
-	}
-	t.shards = append(t.shards, sh)
+	t.shards = append(t.shards, &shard{col: c})
 	t.collector.Register(c.Name(), domLo, domHi)
 }
 
@@ -247,10 +216,8 @@ func (t *Tuner) Contended() int64 {
 // claimed the shard may hold for a whole crack.
 func (t *Tuner) bid(sh *shard) (score float64, merge bool) {
 	freq := t.collector.Frequency(sh.col.Name())
-	if sh.merger != nil {
-		if pending := sh.merger.PendingOps(); pending > 0 {
-			score, merge = t.model.MergeScore(freq, pending), true
-		}
+	if pending := sh.col.PendingOps(); pending > 0 {
+		score, merge = t.model.MergeScore(freq, pending), true
 	}
 	if freq > 0 {
 		if pieces, n := sh.col.PieceStats(); pieces > 0 {
@@ -289,10 +256,9 @@ const (
 // meaning under a multi-worker pool.
 //
 // TryStep is safe — and useful — to call from many goroutines: each caller
-// claims a column shard with an atomic flag before cracking, so concurrent
-// workers fan out across columns instead of serialising on one latch, and
-// the crack itself runs under the column's shared latch, taking the cracker
-// index's own latch exclusively only while it partitions.
+// claims a column shard with an atomic flag before acting, so concurrent
+// workers fan out across columns instead of serialising on one latch. The
+// action latches the column itself (see Column).
 func (t *Tuner) TryStep() (work int, res StepResult) {
 	shards := t.snapshotShards()
 	aux := t.snapshotAux()
@@ -377,9 +343,9 @@ func (t *Tuner) TryStep() (work int, res StepResult) {
 		}
 		var w int
 		if bestMerge {
-			w = best.merger.MergeStep(DefaultMergeQuantum)
+			w = best.col.MergeStep(DefaultMergeQuantum)
 		} else {
-			w = t.crackShard(best)
+			w = best.col.RandomCrack(t.childRNG())
 		}
 		best.busy.Store(false)
 		t.mu.Lock()
@@ -396,27 +362,6 @@ func (t *Tuner) TryStep() (work int, res StepResult) {
 	t.contended++
 	t.mu.Unlock()
 	return 0, StepContended
-}
-
-// crackShard performs one random refinement on a claimed shard under the
-// column's shared latch.
-func (t *Tuner) crackShard(sh *shard) int {
-	rng := t.childRNG()
-	ix := sh.index()
-	sh.col.RLock()
-	defer sh.col.RUnlock()
-	w := 0
-	for attempt := 0; attempt < DefaultCrackRetries; attempt++ {
-		if w = ix.RandomCrackDomain(rng); w > 0 {
-			break
-		}
-	}
-	if w == 0 {
-		// Domain pivots keep hitting existing boundaries; force progress on
-		// the largest piece instead.
-		w = ix.RandomCrackLargest(rng)
-	}
-	return w
 }
 
 // runActionsSpinCap bounds how many consecutive contended attempts

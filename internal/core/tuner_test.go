@@ -9,10 +9,10 @@ import (
 	"holistic/internal/stats"
 )
 
-// fakeColumn implements Column over an in-memory cracker index.
+// fakeColumn implements Column over an in-memory cracker index, which
+// latches itself, with no update queue.
 type fakeColumn struct {
 	name string
-	mu   sync.RWMutex
 	ix   *cracker.Index
 }
 
@@ -27,21 +27,15 @@ func newFakeColumn(name string, n int, domain int64, seed uint64) *fakeColumn {
 	return &fakeColumn{name: name, ix: cracker.New(vals, rows)}
 }
 
-func (f *fakeColumn) Name() string               { return f.name }
-func (f *fakeColumn) Lock()                      { f.mu.Lock() }
-func (f *fakeColumn) Unlock()                    { f.mu.Unlock() }
-func (f *fakeColumn) RLock()                     { f.mu.RLock() }
-func (f *fakeColumn) RUnlock()                   { f.mu.RUnlock() }
-func (f *fakeColumn) CrackIndex() *cracker.Index { return f.ix }
-func (f *fakeColumn) RangePieceAvg(lo, hi int64) float64 {
-	return f.ix.RangePieceAvg(lo, hi)
-}
-func (f *fakeColumn) PieceStats() (pieces, n int) { return f.ix.Pieces(), f.ix.Len() }
-
-func (f *fakeColumn) pieces() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.ix.Pieces()
+func (f *fakeColumn) Name() string                       { return f.name }
+func (f *fakeColumn) PieceStats() (pieces, n int)        { return f.ix.Pieces(), f.ix.Len() }
+func (f *fakeColumn) RangePieceAvg(lo, hi int64) float64 { return f.ix.RangePieceAvg(lo, hi) }
+func (f *fakeColumn) PendingOps() int                    { return 0 }
+func (f *fakeColumn) MergeStep(int) int                  { return 0 }
+func (f *fakeColumn) RandomCrack(rng *rand.Rand) int     { return f.ix.RandomCrack(rng) }
+func (f *fakeColumn) pieces() int                        { return f.ix.Pieces() }
+func (f *fakeColumn) RefineRange(rng *rand.Rand, lo, hi int64, target float64, cracks int) int {
+	return f.ix.RefineRange(rng, lo, hi, target, cracks)
 }
 
 func TestStepOnEmptyTuner(t *testing.T) {
@@ -136,10 +130,7 @@ func TestRunActionsConvergesEventually(t *testing.T) {
 		t.Fatalf("expected convergence partway, ran %d", actions)
 	}
 	// avg piece size must now be at or below target.
-	c.Lock()
-	avg := c.ix.AvgPieceSize()
-	c.Unlock()
-	if avg > 256 {
+	if avg := c.ix.AvgPieceSize(); avg > 256 {
 		t.Fatalf("avg piece %f above target after convergence", avg)
 	}
 }
@@ -191,8 +182,6 @@ func TestBoostDisabled(t *testing.T) {
 	tn := NewTuner(Config{TargetPieceSize: 16, Seed: 8}, nil)
 	c := newFakeColumn("a", 1024, 1<<10, 71)
 	tn.Register(c, 0, 1<<10)
-	c.RLock()
-	defer c.RUnlock()
 	for i := 0; i < 30; i++ {
 		tn.NoteQuery("a", 0, 100)
 		if w := tn.MaybeBoost(c.ix, "a", 0, 100); w != 0 {
@@ -242,10 +231,7 @@ func TestConcurrentStepsAndQueries(t *testing.T) {
 	}
 	wg.Wait()
 	for _, c := range cols {
-		c.Lock()
-		err := c.ix.Validate()
-		c.Unlock()
-		if err != nil {
+		if err := c.ix.Validate(); err != nil {
 			t.Fatalf("column %s corrupted under concurrency: %v", c.name, err)
 		}
 	}

@@ -50,7 +50,7 @@ const DefaultRadixMinPiece = 1 << 17
 // median pivot (~0.21 ms vs ~0.67 ms for 2^17 values); the two-cursor kernel
 // before it measured ~0.88. The value stays 0.6 deliberately: changing it
 // re-weights CrackActionCost against merges and snapshots in the idle
-// auction, which is the tuner calibration's job (ROADMAP item 2),
+// auction, which is the tuner calibration's job (ROADMAP item 3),
 // not a kernel change's.
 const PredicatedCrackFactor = 0.6
 

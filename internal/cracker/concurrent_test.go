@@ -48,9 +48,9 @@ func TestConcurrentCrackAndRead(t *testing.T) {
 						return
 					}
 				case 2: // idle refinement
-					ix.RandomCrackDomain(grng)
+					ix.randomCrackDomain(grng)
 					lo := grng.Int64N(domain)
-					ix.RandomCrackInRange(grng, lo, lo+domain/128+1, 0)
+					ix.randomCrackInRange(grng, lo, lo+domain/128+1, 0)
 				}
 			}
 		}(g)
@@ -102,7 +102,7 @@ func TestConcurrentCrackSamePivot(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			if _, ok := ix.CrackAt(pivot); ok {
+			if _, ok := ix.crackAt(pivot); ok {
 				cracked.Store(g, true)
 			}
 		}(g)

@@ -8,9 +8,10 @@
 // partitions only the piece(s) its predicate bounds fall into, so the column
 // converges towards sorted order exactly where the workload has interest.
 //
-// Beyond query-driven cracking the package provides random crack actions —
-// partitioning a piece around an arbitrary pivot — which are the unit of
-// holistic indexing's idle-time work ("X index refinements" in the paper).
+// Beyond query-driven cracking the package provides the two idle-time actions
+// of holistic indexing — partitioning pieces around random pivots: RandomCrack
+// anywhere in the domain ("X index refinements" in the paper), and
+// RefineRange inside a range the workload is expected to hit.
 //
 // # The boundary-sum invariant
 //
@@ -40,6 +41,7 @@
 // comparison sort (sorted.go). It keeps prefix sums instead of a crack tree,
 // so locate answers every bound exactly by binary search: lookups always
 // answer, every crack is a no-op, and the piece statistics report converged.
+// The state is final: an owner that drops a full index drops the index.
 package cracker
 
 import (
@@ -81,7 +83,9 @@ type Index struct {
 	sorted bool
 	pre    []int64
 
-	// Domain bounds of the stored values, cached at construction.
+	// Domain bounds of the stored values, cached at construction and widened
+	// by cracked merges; only cracks read them, so a sorted index lets them
+	// go stale.
 	domLo, domHi int64
 
 	// radixMin is the piece-size threshold for radix-first coarse cracking
@@ -348,24 +352,24 @@ func (ix *Index) crackIn(v int64, a, b int, base int64) (pos int, sum int64) {
 	return m, base + sumLow
 }
 
-// CrackAt cracks the piece containing v around pivot v. It reports the size
+// crackAt cracks the piece containing v around pivot v. It reports the size
 // of the piece partitioned (the work done) and whether a new boundary was
 // created; cracking at an existing boundary is a no-op that only takes the
 // shared latch, so a pivot that loses a race (or is re-pinned by every
-// speculative step) never stalls readers.
-func (ix *Index) CrackAt(v int64) (pieceSize int, cracked bool) {
+// RefineRange) never stalls readers.
+func (ix *Index) crackAt(v int64) (pieceSize int, cracked bool) {
 	ix.mu.RLock()
 	_, _, _, exists := ix.locate(v)
 	ix.mu.RUnlock()
 	if exists {
 		return 0, false
 	}
-	return ix.crackAt(v)
+	return ix.splitAt(v)
 }
 
-// crackAt is CrackAt from the exclusive latch on: one Locate, which also
+// splitAt is crackAt from the exclusive latch on: one Locate, which also
 // catches a goroutine that cracked at exactly v since the caller last looked.
-func (ix *Index) crackAt(v int64) (pieceSize int, cracked bool) {
+func (ix *Index) splitAt(v int64) (pieceSize int, cracked bool) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if len(ix.vals) == 0 {
@@ -379,16 +383,49 @@ func (ix *Index) crackAt(v int64) (pieceSize int, cracked bool) {
 	return b - a, true
 }
 
-// RandomCrackDomain performs one random refinement action: it draws a pivot
-// uniformly from the column's value domain and cracks there. This is the
-// paper's idle-time work unit. It reports the work done (elements touched);
-// work 0 means the pivot hit an existing boundary.
-func (ix *Index) RandomCrackDomain(rng *rand.Rand) int {
+// domainPivots is how many random domain pivots RandomCrack tries before it
+// falls back to cracking the largest piece.
+const domainPivots = 3
+
+// RandomCrack is one random refinement action, the paper's idle-time work
+// unit: up to domainPivots pivots drawn uniformly from the value domain,
+// stopping at the first that splits a piece, then — when every one hit an
+// existing boundary — a pivot inside the largest piece, which forces
+// progress. It reports the work done (elements touched); 0 means nothing was
+// left to split, as on a sorted index.
+func (ix *Index) RandomCrack(rng *rand.Rand) int {
+	for attempt := 0; attempt < domainPivots; attempt++ {
+		if w := ix.randomCrackDomain(rng); w > 0 {
+			return w
+		}
+	}
+	return ix.randomCrackLargest(rng)
+}
+
+// RefineRange refines the value range [lo, hi) toward pieces of at most
+// target values: it pins both bounds as boundaries (so the first query on the
+// range needs no partitioning at its edges), then applies up to cracks random
+// cracks inside it, stopping once the range's average piece is at most
+// target. It reports the work done. The speculative step uses it on a
+// predicted range.
+func (ix *Index) RefineRange(rng *rand.Rand, lo, hi int64, target float64, cracks int) int {
+	w, _ := ix.crackAt(lo)
+	w2, _ := ix.crackAt(hi)
+	w += w2
+	for i := 0; i < cracks && ix.RangePieceAvg(lo, hi) > target; i++ {
+		w += ix.randomCrackInRange(rng, lo, hi, int(target))
+	}
+	return w
+}
+
+// randomCrackDomain draws a pivot uniformly from the column's value domain
+// and cracks there. Work 0 means the pivot hit an existing boundary.
+func (ix *Index) randomCrackDomain(rng *rand.Rand) int {
 	lo, hi, ok := ix.Domain()
 	if !ok || lo >= hi {
 		return 0
 	}
-	size, _ := ix.CrackAt(randInRange(rng, lo, hi) + 1) // pivot in (lo, hi]
+	size, _ := ix.crackAt(randInRange(rng, lo, hi) + 1) // pivot in (lo, hi]
 	return size
 }
 
@@ -400,12 +437,12 @@ func randInRange(rng *rand.Rand, lo, hi int64) int64 {
 	return lo + int64(rng.Uint64N(uint64(hi)-uint64(lo)))
 }
 
-// RandomCrackInRange performs one random refinement inside the value range
+// randomCrackInRange performs one random refinement inside the value range
 // [lo, hi): it picks a random element of a piece overlapping the range as
 // pivot (the MDD1R pivot rule) and cracks there. A piece of at most minPiece
 // values is left alone — the caller's convergence target — and costs only
-// the shared latch. Used for speculative pre-cracks.
-func (ix *Index) RandomCrackInRange(rng *rand.Rand, lo, hi int64, minPiece int) int {
+// the shared latch.
+func (ix *Index) randomCrackInRange(rng *rand.Rand, lo, hi int64, minPiece int) int {
 	if lo >= hi {
 		return 0
 	}
@@ -423,17 +460,15 @@ func (ix *Index) RandomCrackInRange(rng *rand.Rand, lo, hi int64, minPiece int) 
 	}
 	// Straight to the exclusive latch: the pivot was read from the copy a
 	// moment ago, a shared probe for it would almost always miss.
-	size, _ := ix.crackAt(v)
+	size, _ := ix.splitAt(v)
 	return size
 }
 
-// RandomCrackLargest finds the largest piece and cracks it around one of its
+// randomCrackLargest finds the largest piece and cracks it around one of its
 // elements chosen at random. O(pieces) to locate the piece, under the shared
-// latch; used by tuners that prefer guaranteed progress over the cheaper
-// domain-uniform pick. Other goroutines may split the piece between the
-// search and the crack, so the worst case is cracking a piece that is no
-// longer the largest.
-func (ix *Index) RandomCrackLargest(rng *rand.Rand) int {
+// latch. Other goroutines may split the piece between the search and the
+// crack, so the worst case is cracking a piece that is no longer the largest.
+func (ix *Index) randomCrackLargest(rng *rand.Rand) int {
 	p, ok := ix.MaxPiece()
 	if !ok || p.Size() < 2 {
 		return 0
@@ -441,7 +476,7 @@ func (ix *Index) RandomCrackLargest(rng *rand.Rand) int {
 	ix.mu.RLock()
 	v := ix.vals[p.Start+rng.IntN(p.Size())]
 	ix.mu.RUnlock()
-	size, _ := ix.CrackAt(v)
+	size, _ := ix.crackAt(v)
 	return size
 }
 

@@ -50,8 +50,8 @@ func TestEmptyIndex(t *testing.T) {
 		t.Fatal("Domain reported ok on empty index")
 	}
 	rng := rand.New(rand.NewPCG(1, 1))
-	if w := ix.RandomCrackDomain(rng); w != 0 {
-		t.Fatalf("RandomCrackDomain on empty did work %d", w)
+	if w := ix.randomCrackDomain(rng); w != 0 {
+		t.Fatalf("randomCrackDomain on empty did work %d", w)
 	}
 	if _, ok := ix.MaxPiece(); ok {
 		t.Fatal("MaxPiece on empty reported ok")
@@ -159,8 +159,8 @@ func TestAllDuplicates(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	// Random cracks on an all-duplicate column must not loop or corrupt.
 	for i := 0; i < 10; i++ {
-		ix.RandomCrackDomain(rng)
-		ix.RandomCrackLargest(rng)
+		ix.randomCrackDomain(rng)
+		ix.randomCrackLargest(rng)
 	}
 	if err := ix.Validate(); err != nil {
 		t.Fatal(err)
@@ -205,11 +205,11 @@ func TestRowIDsFollowValues(t *testing.T) {
 func TestCrackAtIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 5))
 	ix := newTestIndex(randomVals(rng, 500, 1000))
-	size, cracked := ix.CrackAt(500)
+	size, cracked := ix.crackAt(500)
 	if !cracked || size != 500 {
 		t.Fatalf("first crack: size=%d cracked=%v", size, cracked)
 	}
-	size, cracked = ix.CrackAt(500)
+	size, cracked = ix.crackAt(500)
 	if cracked || size != 0 {
 		t.Fatal("second crack at same pivot was not a no-op")
 	}
@@ -219,7 +219,7 @@ func TestRandomCracksConverge(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 22))
 	ix := newTestIndex(randomVals(rng, 10000, 1<<30))
 	for i := 0; i < 200; i++ {
-		ix.RandomCrackDomain(rng)
+		ix.randomCrackDomain(rng)
 	}
 	if p := ix.Pieces(); p < 150 {
 		t.Fatalf("only %d pieces after 200 random cracks", p)
@@ -237,7 +237,7 @@ func TestRandomCrackLargestTargetsLargest(t *testing.T) {
 	rng := rand.New(rand.NewPCG(31, 32))
 	ix := newTestIndex(randomVals(rng, 4096, 1<<20))
 	before, _ := ix.MaxPiece()
-	if ix.RandomCrackLargest(rng) == 0 {
+	if ix.randomCrackLargest(rng) == 0 {
 		t.Fatal("largest-piece crack did no work")
 	}
 	after, _ := ix.MaxPiece()
@@ -245,6 +245,50 @@ func TestRandomCrackLargestTargetsLargest(t *testing.T) {
 		t.Fatal("max piece grew")
 	}
 	if err := ix.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// RandomCrack and RefineRange are the tuner's crack and speculative steps
+// moved into the index: the same pivots from the same random numbers, the
+// same work and pieces as the sequences they replace.
+func TestRandomCrackIsDomainPivotsThenLargest(t *testing.T) {
+	vals := randomVals(rand.New(rand.NewPCG(41, 42)), 1<<12, 1<<8) // a small domain runs out of pivots
+	got, want := newTestIndex(vals), newTestIndex(vals)
+	rg, rw := rand.New(rand.NewPCG(43, 44)), rand.New(rand.NewPCG(43, 44))
+	for i := 0; i < 400; i++ {
+		w := 0
+		for a := 0; a < 3 && w == 0; a++ {
+			w = want.randomCrackDomain(rw)
+		}
+		if w == 0 {
+			w = want.randomCrackLargest(rw)
+		}
+		if g := got.RandomCrack(rg); g != w || got.Pieces() != want.Pieces() {
+			t.Fatalf("action %d: RandomCrack did %d work to %d pieces, the old step %d to %d", i, g, got.Pieces(), w, want.Pieces())
+		}
+	}
+}
+
+func TestRefineRangePinsBoundsThenCracksInside(t *testing.T) {
+	vals := randomVals(rand.New(rand.NewPCG(51, 52)), 1<<14, 1<<20)
+	got, want := newTestIndex(vals), newTestIndex(vals)
+	rg, rw := rand.New(rand.NewPCG(53, 54)), rand.New(rand.NewPCG(53, 54))
+	lo, hi := int64(1<<18), int64(1<<18+1<<16)
+	for step := 0; step < 20; step++ {
+		w, _ := want.crackAt(lo)
+		w2, _ := want.crackAt(hi)
+		for i := 0; i < 8 && want.RangePieceAvg(lo, hi) > 64; i++ {
+			w2 += want.randomCrackInRange(rw, lo, hi, 64)
+		}
+		if g := got.RefineRange(rg, lo, hi, 64, 8); g != w+w2 || got.Pieces() != want.Pieces() {
+			t.Fatalf("step %d: RefineRange did %d work to %d pieces, the old step %d to %d", step, g, got.Pieces(), w+w2, want.Pieces())
+		}
+	}
+	if _, _, _, ok := got.LookupCountSum(lo, hi); !ok || got.RangePieceAvg(lo, hi) > 64 {
+		t.Fatalf("bounds pinned %v, range avg piece %f: want pinned and <= 64", ok, got.RangePieceAvg(lo, hi))
+	}
+	if err := got.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -281,7 +325,7 @@ func TestForEachPieceEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewPCG(43, 44))
 	ix := newTestIndex(randomVals(rng, 1000, 1000))
 	for i := 0; i < 20; i++ {
-		ix.RandomCrackDomain(rng)
+		ix.randomCrackDomain(rng)
 	}
 	visited := 0
 	ix.ForEachPiece(func(p Piece) bool {
@@ -345,8 +389,8 @@ func TestPropertyCrackingEquivalence(t *testing.T) {
 			}
 			// Interleave idle-style random cracks.
 			if q%3 == 0 {
-				ix.RandomCrackDomain(rng)
-				ix.RandomCrackInRange(rng, lo, hi, 0)
+				ix.randomCrackDomain(rng)
+				ix.randomCrackInRange(rng, lo, hi, 0)
 			}
 		}
 		// Permutation invariant: cracked copy is the base data, reordered.
@@ -377,7 +421,7 @@ func TestPropertyPiecesShrinkMonotonically(t *testing.T) {
 		ix := newTestIndex(randomVals(rng, 1000, 1<<16))
 		prevMax := ix.Len()
 		for i := 0; i < 60; i++ {
-			ix.RandomCrackLargest(rng)
+			ix.randomCrackLargest(rng)
 			p, ok := ix.MaxPiece()
 			if !ok {
 				return false
@@ -425,7 +469,7 @@ func BenchmarkRandomCrackAction(b *testing.B) {
 	ix := newTestIndex(randomVals(rng, 1<<20, 1<<30))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.RandomCrackDomain(rng)
+		ix.randomCrackDomain(rng)
 	}
 }
 
@@ -439,7 +483,7 @@ func TestRandomCrackExtremeRange(t *testing.T) {
 	ix := newTestIndex(vals)
 	worked := 0
 	for i := 0; i < 64; i++ {
-		worked += ix.RandomCrackInRange(rng, -1<<63, 1<<63-1, 0)
+		worked += ix.randomCrackInRange(rng, -1<<63, 1<<63-1, 0)
 	}
 	if worked == 0 {
 		t.Fatal("64 full-range random cracks did no work")

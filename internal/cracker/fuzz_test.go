@@ -85,15 +85,15 @@ func FuzzCrackRange(f *testing.F) {
 					t.Fatalf("LookupCountSum[%d,%d) after the crack: %d/%d hit %v, want %d/%d", lo, hi, lc, ls, ok, wc, ws)
 				}
 			case 2:
-				ix.CrackAt(lo)
+				ix.crackAt(lo)
 			case 3:
-				ix.CrackAt(hi)
+				ix.crackAt(hi)
 			case 4:
-				ix.RandomCrackDomain(rng)
-				ix.RandomCrackInRange(rng, lo, hi, 0)
+				ix.randomCrackDomain(rng)
+				ix.randomCrackInRange(rng, lo, hi, 0)
 			case 5:
-				ix.RandomCrackLargest(rng)
-				ix.RandomCrackInRange(rng, lo, hi, 8) // leaves pieces <= 8 alone
+				ix.randomCrackLargest(rng)
+				ix.randomCrackInRange(rng, lo, hi, 8) // leaves pieces <= 8 alone
 			}
 			if err := ix.Validate(); err != nil {
 				t.Fatalf("after op %d at [%d,%d): %v", op, lo, hi, err)

@@ -61,9 +61,9 @@ func TestReadersExactWhileCrackingInsideRegions(t *testing.T) {
 			for i := 0; i < 1500; i++ {
 				r := rs[grng.IntN(regions)]
 				if i%2 == 0 {
-					ix.CrackAt(r.lo + 1 + grng.Int64N(r.hi-r.lo-1))
+					ix.crackAt(r.lo + 1 + grng.Int64N(r.hi-r.lo-1))
 				} else {
-					ix.RandomCrackInRange(grng, r.lo, r.hi, 0)
+					ix.randomCrackInRange(grng, r.lo, r.hi, 0)
 				}
 			}
 		}(g)
@@ -171,7 +171,7 @@ func plainCountSum(vals []int64, from, to int) (int, int64) {
 // vals[10:5] and panic) and ragged positions, each against the plain loop.
 func TestCountSumAnyPositions(t *testing.T) {
 	ix := newTestIndex([]int64{50, 10, 40, 20, 30})
-	ix.CrackAt(25)
+	ix.crackAt(25)
 	if pos, _, ok := ix.tree.Get(25); !ok || pos != 2 {
 		t.Fatalf("crack at 25 landed on position %d (found %v), want 2", pos, ok)
 	}
@@ -223,7 +223,7 @@ func TestCountSumMatchesPlainLoop(t *testing.T) {
 			ix := newTestIndex(vals)
 			for _, cracks := range []int{0, 3} {
 				for i := 0; i < cracks && n > 0; i++ {
-					ix.CrackAt(vals[rng.IntN(n)])
+					ix.crackAt(vals[rng.IntN(n)])
 				}
 				for from := -2; from <= n+2; from++ {
 					for to := -2; to <= n+2; to++ {
@@ -244,7 +244,7 @@ func TestValidateCatchesCorruptSum(t *testing.T) {
 	rng := rand.New(rand.NewPCG(45, 46))
 	ix := newTestIndex(randomVals(rng, 1000, 1<<12))
 	for i := 0; i < 20; i++ {
-		ix.RandomCrackDomain(rng)
+		ix.randomCrackDomain(rng)
 	}
 	if err := ix.Validate(); err != nil {
 		t.Fatal(err)
@@ -295,7 +295,7 @@ func TestRangePieceAvgMatchesPieceWalk(t *testing.T) {
 		t.Fatalf("uncracked index: avg %f, want the whole column", got)
 	}
 	for i := 0; i < 300; i++ {
-		ix.CrackAt(rng.Int64N(domain+40) - 20)
+		ix.crackAt(rng.Int64N(domain+40) - 20)
 	}
 	for i := 0; i < 2000; i++ {
 		lo := rng.Int64N(domain+40) - 20

@@ -160,7 +160,7 @@ func TestPropertyRippleMatchesReference(t *testing.T) {
 					return false
 				}
 			case 3: // random crack
-				ix.RandomCrackDomain(rng)
+				ix.randomCrackDomain(rng)
 			case 4: // validate
 				if ix.Validate() != nil {
 					return false

@@ -12,13 +12,13 @@ import (
 
 // One model, every mutator, both states: a seeded program interleaves
 // everything that can move a value or a boundary — query cracks, point
-// cracks, the three random refinements, forced radix passes, batched merges,
-// Sort and Unsort, and a Boundaries -> RestoreIndex round trip — beside a
-// plain slice of the (value, row) pairs the index must hold. After every step
-// Validate passes (piece bounds and every boundary's sum, or an ascending
-// copy and its prefix sums, against a running scan) and the aggregates of
-// random value ranges and random positions equal the model's. On a sorted
-// index no crack partitions a value or makes a boundary.
+// cracks, the random refinements and the two idle actions built on them,
+// forced radix passes, batched merges, Sort, and a Boundaries -> RestoreIndex
+// round trip — beside a plain slice of the (value, row) pairs the index must
+// hold. After every step Validate passes (piece bounds and every boundary's
+// sum, or an ascending copy and its prefix sums, against a running scan) and
+// the aggregates of random value ranges and random positions equal the
+// model's. On a sorted index no crack partitions a value or makes a boundary.
 //
 // Values are drawn to hurt: MinInt64 and MaxInt64 (prefix sums wrap, their
 // differences must not), a handful of heavily duplicated values, and two
@@ -86,7 +86,7 @@ func (m *sumModel) countSum(lo, hi int64) (count int, sum int64) {
 
 func (m *sumModel) step() string {
 	ix, rng := m.ix, m.rng
-	switch op := rng.IntN(12); op {
+	switch op := rng.IntN(14); op {
 	case 0:
 		lo, hi := m.bounds()
 		from, to := ix.CrackRange(lo, hi)
@@ -96,18 +96,18 @@ func (m *sumModel) step() string {
 		}
 		return "CrackRange"
 	case 1:
-		ix.CrackAt(m.value())
-		return "CrackAt"
+		ix.crackAt(m.value())
+		return "crackAt"
 	case 2:
 		lo, hi := m.bounds()
-		ix.RandomCrackInRange(rng, lo, hi, rng.IntN(4))
-		return "RandomCrackInRange"
+		ix.randomCrackInRange(rng, lo, hi, rng.IntN(4))
+		return "randomCrackInRange"
 	case 3:
-		ix.RandomCrackDomain(rng)
-		return "RandomCrackDomain"
+		ix.randomCrackDomain(rng)
+		return "randomCrackDomain"
 	case 4:
-		ix.RandomCrackLargest(rng)
-		return "RandomCrackLargest"
+		ix.randomCrackLargest(rng)
+		return "randomCrackLargest"
 	case 5: // forced radix pass over the piece a drawn value falls into
 		ix.mu.Lock()
 		a, b, _, _ := ix.locate(m.value())
@@ -117,10 +117,13 @@ func (m *sumModel) step() string {
 	case 6, 7, 8, 9:
 		return m.merge()
 	case 10:
-		if ix.Sorted() && rng.IntN(2) == 0 {
-			ix.Unsort()
-			return "Unsort"
-		}
+		ix.RandomCrack(rng)
+		return "RandomCrack"
+	case 11:
+		lo, hi := m.bounds()
+		ix.RefineRange(rng, lo, hi, float64(rng.IntN(4)), rng.IntN(9))
+		return "RefineRange"
+	case 12:
 		ix.Sort()
 		return "Sort"
 	default: // what a checkpoint and a restart do: the sums are not persisted

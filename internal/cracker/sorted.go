@@ -39,14 +39,6 @@ func (ix *Index) sumsFrom(from int) {
 	}
 }
 
-// Unsort returns a sorted index to one piece in place: the copy keeps its
-// order, the prefix sums go, and cracks partition again.
-func (ix *Index) Unsort() {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.sorted, ix.pre = false, nil
-}
-
 // Sorted reports whether the index is a full, sorted one.
 func (ix *Index) Sorted() bool {
 	ix.mu.RLock()
@@ -107,9 +99,6 @@ func (ix *Index) mergeSorted(ins, del []updates.Entry) (missing int) {
 	}
 	ix.vals, ix.rows = ix.vals[:n], ix.rows[:n]
 	ix.sumsFrom(from)
-	if n > 0 { // exact bounds, for a later Unsort's radix passes
-		ix.domLo, ix.domHi = ix.vals[0], ix.vals[n-1]
-	}
 	return missing
 }
 

@@ -134,8 +134,8 @@ func TestConcurrentManualIdleAndQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Index integrity after the storm.
-	cs, _ := e.colState("R", "A")
-	if err := cs.validate(); err != nil {
+	sc, _ := e.column("R", "A")
+	if err := sc.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -186,9 +186,9 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 	wg.Wait()
 
 	// Final integrity: a fresh query must agree with a tombstone-aware scan.
-	cs, _ := e.colState("R", "A")
-	wantCount, wantSum := cs.oracleScan(0, 1<<40)
-	if err := cs.validate(); err != nil {
+	sc, _ := e.column("R", "A")
+	wantCount, wantSum := oracleScan(sc, 0, 1<<40)
+	if err := sc.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	r, err := e.Select("R", "A", 0, 1<<40)

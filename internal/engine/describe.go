@@ -42,19 +42,19 @@ func (e *Engine) DescribePhysicalDesign() []ColumnDesign {
 		cat := t.cat.Load()
 		live := int(t.live.Load())
 		for _, name := range cat.order {
-			cs := cat.cols[name]
+			sc := cat.cols[name]
 			d := ColumnDesign{
 				Table:     t.name,
 				Column:    name,
 				Rows:      live,
-				FullIndex: cs.hasSorted(),
-				Cracked:   cs.anyCracked(),
-				Shards:    cs.sc.Shards(),
+				FullIndex: sc.HasSorted(),
+				Cracked:   sc.AnyCracked(),
+				Shards:    sc.Shards(),
 			}
 			if d.Cracked {
-				d.Pieces, d.AvgPieceSize = cs.pieceStats()
+				d.Pieces, d.AvgPieceSize = sc.PieceStats()
 			}
-			d.PendingInserts, d.PendingDeletes = cs.pendingCounts()
+			d.PendingInserts, d.PendingDeletes = sc.PendingCounts()
 			out = append(out, d)
 		}
 	}

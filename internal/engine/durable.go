@@ -102,7 +102,7 @@ func (e *Engine) CaptureState(cut func()) (EngineState, error) {
 			Live:  t.live.Load(),
 		}
 		for _, cname := range cat.order {
-			snap, err := cat.cols[cname].sc.Snapshot()
+			snap, err := cat.cols[cname].Snapshot()
 			if err != nil {
 				return EngineState{}, err
 			}
@@ -139,12 +139,11 @@ func (e *Engine) RestoreState(st EngineState) error {
 			if sc.Name() != qname {
 				return fmt.Errorf("engine: restore %s: snapshot names column %q", qname, sc.Name())
 			}
-			cs := &colState{name: qname, eng: e, sc: sc}
-			cat = cat.with(cname, cs)
+			cat = cat.with(cname, sc)
 			if i == 0 {
 				t.rows.Store(int64(sc.Rows()))
 			}
-			e.registerColumn(cs)
+			e.registerColumn(sc)
 		}
 		t.live.Store(ts.Live)
 		t.cat.Store(cat)
@@ -158,18 +157,18 @@ func (e *Engine) RestoreState(st EngineState) error {
 // gets every part under ONE domain, the column's: parts of one column must
 // bucket a query alike, and a warm restart must not move the buckets, so
 // forecasts mean the same values before and after it.
-func (e *Engine) registerColumn(cs *colState) {
+func (e *Engine) registerColumn(sc *shard.Column) {
 	if e.advisor != nil {
-		e.advisor.Register(cs.name, cs.sc.Rows())
-		if cs.hasSorted() {
-			e.advisor.SetIndexed(cs.name, true)
+		e.advisor.Register(sc.Name(), sc.Rows())
+		if sc.HasSorted() {
+			e.advisor.SetIndexed(sc.Name(), true)
 		}
 	}
 	if e.tuner == nil {
 		return
 	}
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-	for _, p := range cs.sc.Parts() {
+	for _, p := range sc.Parts() {
 		if plo, phi, ok := p.MinMax(); ok {
 			lo, hi = min(lo, plo), max(hi, phi)
 		}
@@ -177,7 +176,7 @@ func (e *Engine) registerColumn(cs *colState) {
 	if lo > hi { // every part is empty
 		lo, hi = 0, 1
 	}
-	for _, p := range cs.sc.Parts() {
+	for _, p := range sc.Parts() {
 		e.tuner.Register(p, lo, hi)
 	}
 }
@@ -227,7 +226,7 @@ func (e *Engine) ReplayInsert(table string, first uint32, rows [][]int64) error 
 		t.rows.Store(g + 1)
 		cur = g + 1
 		for j, name := range cat.order {
-			cat.cols[name].sc.AppendAt(uint32(g), vals[j])
+			cat.cols[name].AppendAt(uint32(g), vals[j])
 		}
 		t.live.Add(1)
 	}
@@ -247,8 +246,8 @@ func (e *Engine) ReplayDeleteRows(table string, rows []uint32) error {
 		if int64(g) >= t.rows.Load() {
 			return fmt.Errorf("engine: replay delete of unknown row %d in %s", g, table)
 		}
-		for _, cs := range cols {
-			cs.sc.DeleteRow(g)
+		for _, sc := range cols {
+			sc.DeleteRow(g)
 		}
 		t.live.Add(-1)
 	}

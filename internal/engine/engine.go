@@ -4,7 +4,8 @@
 // and during idle time", with "no external tool or human administration; the
 // continuous indexing properties are embedded in the database kernel".
 //
-// The engine owns a catalog of tables of integer columns, serves the paper's
+// The engine owns a catalog of tables of integer columns (each a
+// shard.Column, which holds every part's design), serves the paper's
 // query template (SELECT col FROM t WHERE col >= lo AND col < hi) under a
 // configurable strategy, supports row inserts and deletes, and — for the
 // holistic strategy — drives the tuner (internal/core) through both manual
@@ -25,12 +26,13 @@
 //     to and removed from all columns atomically; selects resolve their
 //     column from a copy-on-write catalog snapshot and take no table lock
 //     (see Table).
-//   - Part: every shard.Part has a reader/writer latch. The WRITE side is
-//     only for structural changes — materialising the cracked copy, merging
-//     pending updates (a merge slides piece positions and tombstones
-//     deletes), and sorting or unsorting the index. Every select,
-//     cracking ones included, takes the READ side, which admits any number
-//     of queries and idle workers simultaneously.
+//   - Part: every shard.Part has a reader/writer latch that only the part
+//     takes. The WRITE side is only for structural changes — materialising
+//     the cracked copy, merging pending updates (a merge slides piece
+//     positions and tombstones deletes), and sorting or freeing the index.
+//     Every select, cracking ones included, and every idle action the tuner
+//     calls on a part takes the READ side, which admits any number of
+//     queries and idle workers simultaneously.
 //   - Index: under the shared part latch, work on the part's cracker index
 //     is coordinated by the index's own reader/writer latch (see
 //     cracker.Index): a lookup or aggregate takes it shared once, whatever
@@ -332,8 +334,8 @@ func (e *Engine) Table(name string) (*Table, error) {
 	return t, nil
 }
 
-// colState resolves a column reference.
-func (e *Engine) colState(table, col string) (*colState, error) {
+// column resolves a column reference.
+func (e *Engine) column(table, col string) (*shard.Column, error) {
 	t, err := e.Table(table)
 	if err != nil {
 		return nil, err
@@ -348,24 +350,25 @@ func (e *Engine) colState(table, col string) (*colState, error) {
 // modelled a-priori idle time, and charges any uncovered remainder to the
 // first query, as the paper does.
 func (e *Engine) BuildFullIndex(table, col string) (time.Duration, error) {
-	cs, err := e.colState(table, col)
+	sc, err := e.column(table, col)
 	if err != nil {
 		return 0, err
 	}
 	start := time.Now()
-	cs.buildSortedAll()
+	sc.BuildSorted()
 	return time.Since(start), nil
 }
 
-// DropFullIndex returns the column's full index, if any, to one piece.
+// DropFullIndex frees the column's full index, if any: its parts answer by
+// scans, or by cracks that materialise a fresh copy, again.
 func (e *Engine) DropFullIndex(table, col string) error {
-	cs, err := e.colState(table, col)
+	sc, err := e.column(table, col)
 	if err != nil {
 		return err
 	}
-	cs.dropSortedAll()
+	sc.DropSorted()
 	if e.advisor != nil {
-		e.advisor.SetIndexed(cs.name, false)
+		e.advisor.SetIndexed(sc.Name(), false)
 	}
 	return nil
 }
@@ -400,12 +403,12 @@ func (e *Engine) IdleActions(n int) (actions int, work int64) {
 // against every shard (a range query touches all of them). No-op for other
 // strategies.
 func (e *Engine) SeedWorkloadHint(table, col string, lo, hi int64, weight int) error {
-	cs, err := e.colState(table, col)
+	sc, err := e.column(table, col)
 	if err != nil {
 		return err
 	}
 	if e.tuner != nil {
-		for _, p := range cs.sc.Parts() {
+		for _, p := range sc.Parts() {
 			e.tuner.SeedWorkload(p.Name(), lo, hi, weight)
 		}
 	}
@@ -416,31 +419,31 @@ func (e *Engine) SeedWorkloadHint(table, col string, lo, hi int64, weight int) e
 // it was applied. Callers must not hold any part latch (the build locks the
 // target column's parts one by one).
 func (e *Engine) applyAdvice(adv monitor.Advice) bool {
-	cs := e.findByQualifiedName(adv.Column)
-	if cs == nil {
+	sc := e.findByQualifiedName(adv.Column)
+	if sc == nil {
 		return false
 	}
 	switch {
-	case adv.Build && !cs.hasSorted():
-		cs.buildSortedAll()
-		e.advisor.SetIndexed(cs.name, true)
+	case adv.Build && !sc.HasSorted():
+		sc.BuildSorted()
+		e.advisor.SetIndexed(sc.Name(), true)
 		return true
-	case adv.Drop && cs.hasSorted():
-		cs.dropSortedAll()
-		e.advisor.SetIndexed(cs.name, false)
+	case adv.Drop && sc.HasSorted():
+		sc.DropSorted()
+		e.advisor.SetIndexed(sc.Name(), false)
 		return true
 	}
 	return false
 }
 
 // findByQualifiedName resolves a "table.column" name.
-func (e *Engine) findByQualifiedName(name string) *colState {
+func (e *Engine) findByQualifiedName(name string) *shard.Column {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	for _, t := range e.tables {
-		for _, cs := range t.cat.Load().cols {
-			if cs.name == name {
-				return cs
+		for _, sc := range t.cat.Load().cols {
+			if sc.Name() == name {
+				return sc
 			}
 		}
 	}
@@ -452,10 +455,10 @@ func (e *Engine) findByQualifiedName(name string) *colState {
 // column never cracked reports (1, n); with S shards each uncracked part
 // counts as one piece.
 func (e *Engine) PieceStats(table, col string) (pieces int, avg float64, err error) {
-	cs, e2 := e.colState(table, col)
+	sc, e2 := e.column(table, col)
 	if e2 != nil {
 		return 0, 0, e2
 	}
-	pieces, avg = cs.pieceStats()
+	pieces, avg = sc.PieceStats()
 	return pieces, avg, nil
 }

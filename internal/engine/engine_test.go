@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"holistic/internal/shard"
 )
 
 func randomVals(rng *rand.Rand, n int, domain int64) []int64 {
@@ -39,6 +41,16 @@ func naiveRange(vals []int64, lo, hi int64) (int, int64) {
 		}
 	}
 	return n, s
+}
+
+// oracleScan answers [lo, hi) with a tombstone-aware full scan of every part,
+// the reference tests compare against at quiesced points.
+func oracleScan(sc *shard.Column, lo, hi int64) (count int, sum int64) {
+	for _, p := range sc.Parts() {
+		c, s := p.ScanCountSum(lo, hi)
+		count, sum = count+c, sum+s
+	}
+	return count, sum
 }
 
 func TestCatalogErrors(t *testing.T) {
@@ -183,25 +195,55 @@ func TestOfflineWithoutIndexFallsBackToScan(t *testing.T) {
 	}
 }
 
-func TestBuildAndDropFullIndex(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 6))
-	vals := randomVals(rng, 5000, 10000)
-	e := newEngineWithData(t, Config{Strategy: StrategyOffline}, vals)
-	d, err := e.BuildFullIndex("R", "A")
-	if err != nil || d <= 0 {
-		t.Fatalf("build: %v %v", d, err)
-	}
-	r, _ := e.Select("R", "A", 100, 200)
-	wc, ws := naiveRange(vals, 100, 200)
-	if r.Count != wc || r.Sum != ws {
-		t.Fatalf("indexed select: %d/%d want %d/%d", r.Count, r.Sum, wc, ws)
-	}
-	if err := e.DropFullIndex("R", "A"); err != nil {
-		t.Fatal(err)
-	}
-	r2, _ := e.Select("R", "A", 100, 200)
-	if r2.Count != wc {
-		t.Fatal("post-drop scan wrong")
+// A dropped full index is freed whatever the strategy: the column reports no
+// index and answers like a scan through writes, and holistic idle time cracks
+// a fresh copy.
+func TestDropFullIndexFreesIndex(t *testing.T) {
+	vals := randomVals(rand.New(rand.NewPCG(9, 10)), 200000, 1<<20)
+	for _, strategy := range []Strategy{StrategyOnline, StrategyOffline, StrategyHolistic} {
+		e := newEngineWithData(t, Config{Strategy: strategy, Shards: 2, IdleWorkers: 1}, vals)
+		ref := newEngineWithData(t, Config{Strategy: StrategyScan}, vals)
+		agree := func(op int, lo, hi int64) {
+			got, _ := e.Select("R", "A", lo, hi)
+			want, _ := ref.Select("R", "A", lo, hi)
+			if got.Count != want.Count || got.Sum != want.Sum {
+				t.Fatalf("%v, op %d: select [%d, %d) %d/%d, scan %d/%d", strategy, op, lo, hi, got.Count, got.Sum, want.Count, want.Sum)
+			}
+		}
+		if d, err := e.BuildFullIndex("R", "A"); err != nil || d <= 0 {
+			t.Fatalf("%v: build: %v %v", strategy, d, err)
+		}
+		agree(-1, 100, 200) // answered by the full index
+		if err := e.DropFullIndex("R", "A"); err != nil {
+			t.Fatal(err)
+		}
+		sc, _ := e.column("R", "A")
+		pieces, _ := sc.PieceStats()
+		d := e.DescribePhysicalDesign()[0]
+		for _, p := range sc.Parts() {
+			if ix := p.Cracked(); d.FullIndex || d.Cracked || pieces != 2 || ix != nil {
+				t.Fatalf("%v after the drop: full %v, cracked %v (%d pieces of %.0f values), %d pieces over 2 parts; part %s holds a copy: %v",
+					strategy, d.FullIndex, d.Cracked, d.Pieces, d.AvgPieceSize, pieces, p.Name(), ix != nil)
+			}
+		}
+		rng := rand.New(rand.NewPCG(11, 12))
+		for i := 0; i < 50; i++ {
+			v := vals[rng.IntN(len(vals))]
+			agree(i, v, v+1<<12)
+			for _, eng := range []*Engine{e, ref} {
+				if tab, _ := eng.Table("R"); i%2 == 0 {
+					tab.InsertRow(v + 7)
+				} else {
+					tab.DeleteWhere("A", v)
+				}
+			}
+		}
+		if strategy == StrategyHolistic {
+			if n, _ := e.IdleActions(50); n == 0 || !sc.AnyCracked() || sc.Validate() != nil {
+				t.Fatalf("idle time after the drop: %d actions, cracked %v, %v", n, sc.AnyCracked(), sc.Validate())
+			}
+		}
+		e.Close()
 	}
 }
 
@@ -216,8 +258,8 @@ func TestOnlineBuildsIndexAfterEpoch(t *testing.T) {
 		}
 	}
 	// After one epoch of scans on a big column the advisor must have built.
-	cs, _ := e.colState("R", "A")
-	if !cs.hasSorted() {
+	sc, _ := e.column("R", "A")
+	if !sc.HasSorted() {
 		t.Fatal("online strategy never built the index")
 	}
 }

@@ -90,13 +90,13 @@ func TestFirstLiveMatchesReferenceScan(t *testing.T) {
 				check := func(stage string) {
 					t.Helper()
 					for c, name := range colNames {
-						cs, err := e.colState("R", name)
+						sc, err := e.column("R", name)
 						if err != nil {
 							t.Fatal(err)
 						}
 						for _, v := range probes {
 							want, wantOK := refFirstLive(model, c, v)
-							got, ok := cs.sc.FirstLive(v)
+							got, ok := sc.FirstLive(v)
 							if ok != wantOK || got != want {
 								t.Fatalf("%s: FirstLive(%s = %d) = (%d, %v), reference scan says (%d, %v)",
 									stage, name, v, got, ok, want, wantOK)
@@ -187,8 +187,8 @@ func TestFirstLiveMatchesReferenceScan(t *testing.T) {
 					check("round " + itoa(r) + ", merged")
 				}
 				for _, name := range colNames {
-					cs, _ := e.colState("R", name)
-					if err := cs.validate(); err != nil {
+					sc, _ := e.column("R", name)
+					if err := sc.Validate(); err != nil {
 						t.Fatal(err)
 					}
 				}

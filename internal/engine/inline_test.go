@@ -35,12 +35,12 @@ func TestConvergedSelectRunsInline(t *testing.T) {
 			seed := randomVals(rng, 1<<18, 1<<20) // 65 536 rows a shard
 			e := newEngineWithData(t, Config{Strategy: s, Seed: 17, Shards: 4, TargetPieceSize: 64}, seed)
 			defer e.Close()
-			cs, err := e.colState("R", "A")
+			sc, err := e.column("R", "A")
 			if err != nil {
 				t.Fatal(err)
 			}
 			const lo, hi = 1 << 18, 1<<18 + 1<<9 // ~128 rows, ~32 a shard
-			fanned := countFanOut(cs.sc)
+			fanned := countFanOut(sc)
 			if _, err := e.Select("R", "A", lo, hi); err != nil {
 				t.Fatal(err)
 			}
@@ -95,11 +95,11 @@ func TestSmallCrackRunsInline(t *testing.T) {
 			seed := randomVals(rng, 40000, 1<<20) // 10 000 rows a shard: no crack can pay
 			e := newEngineWithData(t, Config{Strategy: s, Seed: 17, Shards: 4, TargetPieceSize: 64}, seed)
 			defer e.Close()
-			cs, err := e.colState("R", "A")
+			sc, err := e.column("R", "A")
 			if err != nil {
 				t.Fatal(err)
 			}
-			fanned := countFanOut(cs.sc)
+			fanned := countFanOut(sc)
 			const lo, hi = 1 << 18, 1<<18 + 1<<12
 			pieces := 4 // uncracked: one piece a part
 			for i, q := range [][2]int64{
@@ -114,7 +114,7 @@ func TestSmallCrackRunsInline(t *testing.T) {
 				if err != nil || r.Count != wc || r.Sum != ws {
 					t.Fatalf("select %d [%d, %d): %+v, %v; want %d/%d", i, q[0], q[1], r, err, wc, ws)
 				}
-				got, _ := cs.pieceStats()
+				got, _ := sc.PieceStats()
 				if i < 4 && got <= pieces {
 					t.Fatalf("select %d cracked nothing: %d pieces before and after", i, got)
 				}
@@ -124,13 +124,13 @@ func TestSmallCrackRunsInline(t *testing.T) {
 				t.Fatalf("small cracks ran %d fan-out workers, want 0", fanned.Load())
 			}
 			if s == StrategyHolistic {
-				for _, p := range cs.sc.Parts() {
+				for _, p := range sc.Parts() {
 					if got := e.tuner.Collector().Queries(p.Name()); got != 5 {
 						t.Fatalf("tuner noted %d of 5 selects on part %s", got, p.Name())
 					}
 				}
 			}
-			if err := cs.validate(); err != nil {
+			if err := sc.Validate(); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -184,7 +184,7 @@ func selectRacesWrites(t *testing.T, freshBounds bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := e.colState("R", "A")
+	sc, err := e.column("R", "A")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,8 +258,8 @@ func selectRacesWrites(t *testing.T, freshBounds bool) {
 	var started, finished atomic.Int64 // statements begun / completed by the writer
 	var done atomic.Bool
 	var reads, widen atomic.Int64
-	fanned := countFanOut(cs.sc)
-	piecesBefore, _ := cs.pieceStats()
+	fanned := countFanOut(sc)
+	piecesBefore, _ := sc.PieceStats()
 	var wg sync.WaitGroup
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
@@ -319,7 +319,7 @@ func selectRacesWrites(t *testing.T, freshBounds bool) {
 	}
 	done.Store(true)
 	wg.Wait()
-	cs.sc.SetSelectHook(nil)
+	sc.SetSelectHook(nil)
 
 	final := base[statements]
 	if res, err := e.Select("R", "A", lo, hi); err != nil || res.Count != final.count || res.Sum != final.sum {
@@ -327,13 +327,13 @@ func selectRacesWrites(t *testing.T, freshBounds bool) {
 	}
 	// Every merged write rippled through the boundaries above it: each part's
 	// boundary sums must still equal a scan of its cracked copy.
-	if err := cs.validate(); err != nil {
+	if err := sc.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if freshBounds {
 		// The test is about cracks on the readers' goroutines: every read must
 		// have cracked, none of them through a fan-out worker.
-		pieces, _ := cs.pieceStats()
+		pieces, _ := sc.PieceStats()
 		if fanned.Load() != 0 || int64(pieces-piecesBefore) < reads.Load() {
 			t.Fatalf("%d reads added %d pieces and ran %d fan-out workers, want a crack a read and no worker",
 				reads.Load(), pieces-piecesBefore, fanned.Load())

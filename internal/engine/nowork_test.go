@@ -82,12 +82,12 @@ func TestHolisticQueryWorkEqualsAdaptive(t *testing.T) {
 // has none yet.
 func crackedParts(t *testing.T, e *Engine) []*cracker.Index {
 	t.Helper()
-	cs, err := e.colState("R", "A")
+	sc, err := e.column("R", "A")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out []*cracker.Index
-	for _, p := range cs.sc.Parts() {
+	for _, p := range sc.Parts() {
 		p.RLock()
 		out = append(out, p.Cracked())
 		p.RUnlock()

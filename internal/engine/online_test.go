@@ -54,8 +54,8 @@ func TestOnlineDropsUnusedIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	csCold, _ := e.colState("R", "cold")
-	if !csCold.hasSorted() {
+	scCold, _ := e.column("R", "cold")
+	if !scCold.HasSorted() {
 		t.Fatal("cold column never indexed")
 	}
 	// Many epochs of "hot" queries only; cold's index must drop after 20
@@ -65,8 +65,13 @@ func TestOnlineDropsUnusedIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if csCold.hasSorted() {
+	if scCold.HasSorted() {
 		t.Fatal("unused index never dropped")
+	}
+	for _, p := range scCold.Parts() {
+		if p.Cracked() != nil {
+			t.Fatalf("part %s keeps its copy after the drop", p.Name())
+		}
 	}
 }
 
@@ -87,8 +92,8 @@ func TestOnlineIdleForceReview(t *testing.T) {
 	if actions != 1 {
 		t.Fatalf("idle review built %d indexes, want 1", actions)
 	}
-	cs, _ := e.colState("R", "A")
-	if !cs.hasSorted() {
+	sc, _ := e.column("R", "A")
+	if !sc.HasSorted() {
 		t.Fatal("forced review did not build")
 	}
 }

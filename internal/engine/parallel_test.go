@@ -122,14 +122,14 @@ func TestParallelMixedWorkloadAllStrategies(t *testing.T) {
 
 			// Quiesced integrity: the cracked copy still validates, and a
 			// full-domain query sees seed + inserts exactly.
-			cs, err := e.colState("R", "A")
+			sc, err := e.column("R", "A")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := cs.validate(); err != nil {
+			if err := sc.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			wantCount, wantSum := cs.oracleScan(0, 2*domain)
+			wantCount, wantSum := oracleScan(sc, 0, 2*domain)
 			r, err := e.Select("R", "A", 0, 2*domain)
 			if err != nil {
 				t.Fatal(err)
@@ -195,17 +195,17 @@ func TestParallelCrackingConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cs, err := e.colState("R", "A")
+	sc, err := e.column("R", "A")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cs.anyCracked() {
+	if !sc.AnyCracked() {
 		t.Fatal("cracked copy never materialised")
 	}
-	if err := cs.validate(); err != nil {
+	if err := sc.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if pieces, _ := cs.pieceStats(); pieces < 2 {
+	if pieces, _ := sc.PieceStats(); pieces < 2 {
 		t.Fatalf("index never cracked: %d pieces", pieces)
 	}
 }

@@ -35,7 +35,7 @@ import (
 // build runs inside the triggering query; with the holistic tuner it notes
 // the query, which steers later idle refinement.
 func (e *Engine) Select(table, col string, lo, hi int64) (Result, error) {
-	cs, err := e.colState(table, col)
+	sc, err := e.column(table, col)
 	if err != nil {
 		return Result{}, err
 	}
@@ -45,16 +45,16 @@ func (e *Engine) Select(table, col string, lo, hi int64) (Result, error) {
 		defer g.Release()
 	}
 	start := time.Now()
-	count, sum := cs.sc.CountSum(lo, hi, (*shard.Part).Probe, e.run)
+	count, sum := sc.CountSum(lo, hi, (*shard.Part).Probe, e.run)
 	if e.advisor != nil {
 		sel := 0.0
-		if n := cs.sc.Live(); n > 0 {
+		if n := sc.Live(); n > 0 {
 			sel = float64(count) / float64(n)
 		}
 		// Epoch-boundary reviews run here, and any advised build is
 		// executed immediately: the triggering query pays the whole sort —
 		// the online-indexing penalty the paper calls out.
-		for _, adv := range e.advisor.Observe(cs.name, sel) {
+		for _, adv := range e.advisor.Observe(sc.Name(), sel) {
 			e.applyAdvice(adv)
 		}
 	}
@@ -62,7 +62,7 @@ func (e *Engine) Select(table, col string, lo, hi int64) (Result, error) {
 		// Continuous monitoring, per shard. The select itself does exactly an
 		// adaptive select's cracks; refinement beyond its bounds is left to
 		// idle time, which the noted query steers.
-		for _, p := range cs.sc.Parts() {
+		for _, p := range sc.Parts() {
 			e.tuner.NoteQuery(p.Name(), lo, hi)
 		}
 	}

@@ -65,8 +65,8 @@ func TestShardedStrategiesMatchOracle(t *testing.T) {
 						t.Fatalf("post-idle: got %d/%d want %d/%d", r.Count, r.Sum, wc, ws)
 					}
 				}
-				cs, _ := e.colState("R", "A")
-				if err := cs.validate(); err != nil {
+				sc, _ := e.column("R", "A")
+				if err := sc.Validate(); err != nil {
 					t.Fatal(err)
 				}
 				if got := e.Shards(); got != shards {
@@ -98,7 +98,7 @@ func TestShardedSelectRunsShardsConcurrently(t *testing.T) {
 			seed := randomVals(rng, 1<<18, 1<<20)
 			e := newEngineWithData(t, Config{Strategy: tc.s, Seed: 17, Shards: 4}, seed)
 			defer e.Close()
-			cs, err := e.colState("R", "A")
+			sc, err := e.column("R", "A")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,7 +117,7 @@ func TestShardedSelectRunsShardsConcurrently(t *testing.T) {
 				release := make(chan struct{})
 				var releaseOnce sync.Once
 				timeout := time.After(10 * time.Second)
-				cs.sc.SetSelectHook(func(part int) {
+				sc.SetSelectHook(func(part int) {
 					mu.Lock()
 					inside[part] = true
 					ready := len(inside) >= 2
@@ -136,7 +136,7 @@ func TestShardedSelectRunsShardsConcurrently(t *testing.T) {
 					}
 				})
 				r, err := e.Select("R", "A", 1<<18, 3<<18)
-				cs.sc.SetSelectHook(nil)
+				sc.SetSelectHook(nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -151,7 +151,7 @@ func TestShardedSelectRunsShardsConcurrently(t *testing.T) {
 					t.Fatalf("%s: %d shards entered the fan-out, want >= 2", phase, len(inside))
 				}
 			}
-			shards, fan := cs.sc.Shards(), cs.sc.MaxFanOut()
+			shards, fan := sc.Shards(), sc.MaxFanOut()
 			if shards != 4 {
 				t.Fatalf("shards = %d", shards)
 			}
@@ -251,14 +251,14 @@ func TestShardedMixedWorkload(t *testing.T) {
 
 			// Quiesced integrity: validate every shard and check the final
 			// state against the serial oracle.
-			cs, err := e.colState("R", "A")
+			sc, err := e.column("R", "A")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := cs.validate(); err != nil {
+			if err := sc.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			wantCount, wantSum := cs.oracleScan(0, 2*domain)
+			wantCount, wantSum := oracleScan(sc, 0, 2*domain)
 			r, err := e.Select("R", "A", 0, 2*domain)
 			if err != nil {
 				t.Fatal(err)

@@ -49,20 +49,20 @@ type Table struct {
 // publishes a new catalog; a published one is never written again, so any
 // goroutine may use the version it loaded without a lock.
 type catalog struct {
-	cols  map[string]*colState
+	cols  map[string]*shard.Column
 	order []string // column order for row-wise operations
 }
 
 // with returns a copy of c extended by one column.
-func (c *catalog) with(name string, cs *colState) *catalog {
+func (c *catalog) with(name string, sc *shard.Column) *catalog {
 	next := &catalog{
-		cols:  make(map[string]*colState, len(c.cols)+1),
+		cols:  make(map[string]*shard.Column, len(c.cols)+1),
 		order: append(c.order[:len(c.order):len(c.order)], name),
 	}
 	for k, v := range c.cols {
 		next.cols[k] = v
 	}
-	next.cols[name] = cs
+	next.cols[name] = sc
 	return next
 }
 
@@ -83,118 +83,6 @@ func (t *Table) Columns() []string {
 // Rows returns the number of live rows.
 func (t *Table) Rows() int {
 	return int(t.live.Load())
-}
-
-// colState is one logical column: a thin handle over its sharded sub-engines
-// (shard.Column). All physical design — cracked or sorted indexes,
-// pending updates, tombstones, latches — lives per shard in shard.Part; the
-// engine fans selects out across the parts and merges partial aggregates,
-// and each part registers with the holistic tuner as its own action-queue
-// shard (so the idle pool refines N shards of one column concurrently).
-type colState struct {
-	name string // qualified "table.column"
-	eng  *Engine
-	sc   *shard.Column
-}
-
-// hasSorted reports whether every part's index is sorted to completion
-// (builds are all-or-nothing per column).
-func (cs *colState) hasSorted() bool {
-	for _, p := range cs.sc.Parts() {
-		if !p.HasSorted() {
-			return false
-		}
-	}
-	return true
-}
-
-// anyCracked reports whether any part holds a cracked, unsorted index.
-func (cs *colState) anyCracked() bool {
-	for _, p := range cs.sc.Parts() {
-		p.RLock()
-		ix := p.Cracked()
-		cracked := ix != nil && !ix.Sorted()
-		p.RUnlock()
-		if cracked {
-			return true
-		}
-	}
-	return false
-}
-
-// buildSortedAll sorts every part's index to completion, fanning the
-// per-part builds out across goroutines (each build holds only its own
-// part's latch).
-func (cs *colState) buildSortedAll() {
-	parts := cs.sc.Parts()
-	if len(parts) == 1 {
-		parts[0].BuildSorted()
-		return
-	}
-	var wg sync.WaitGroup
-	for _, p := range parts {
-		wg.Add(1)
-		go func(p *shard.Part) {
-			defer wg.Done()
-			p.BuildSorted()
-		}(p)
-	}
-	wg.Wait()
-}
-
-// dropSortedAll returns every part's sorted index to one piece.
-func (cs *colState) dropSortedAll() {
-	for _, p := range cs.sc.Parts() {
-		p.DropSorted()
-	}
-}
-
-// oracleScan answers [lo, hi) with tombstone-aware full scans of every part,
-// serially — the reference path tests compare against at quiesced points.
-func (cs *colState) oracleScan(lo, hi int64) (int, int64) {
-	count, sum := 0, int64(0)
-	for _, p := range cs.sc.Parts() {
-		c, s := p.ScanCountSum(lo, hi)
-		count += c
-		sum += s
-	}
-	return count, sum
-}
-
-// validate checks every part's index invariants (quiesced callers).
-func (cs *colState) validate() error {
-	for _, p := range cs.sc.Parts() {
-		if err := p.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// pieceStats aggregates cracker piece counts across parts: (pieces, avg
-// piece size). A part never cracked counts as one piece over its live rows,
-// so a fresh single-shard column reports (1, n) exactly as before sharding.
-func (cs *colState) pieceStats() (pieces int, avg float64) {
-	total := 0
-	for _, p := range cs.sc.Parts() {
-		pc, n := p.PieceStats()
-		pieces += pc
-		total += n
-	}
-	if pieces == 0 {
-		return 0, 0
-	}
-	return pieces, float64(total) / float64(pieces)
-}
-
-// pendingCounts aggregates buffered updates across parts.
-func (cs *colState) pendingCounts() (ins, del int) {
-	for _, p := range cs.sc.Parts() {
-		i, d := p.PendingCounts()
-		ins += i
-		del += d
-	}
-	return ins, del
 }
 
 // AddColumnFromSlice adds a column populated with vals (adopted, not
@@ -227,25 +115,24 @@ func (t *Table) addColumnFromSlice(name string, vals []int64, logIt bool) error 
 	if err != nil {
 		return err
 	}
-	cs := &colState{name: t.name + "." + name, eng: t.eng, sc: sc}
 	if len(cat.order) == 0 {
 		t.rows.Store(int64(len(vals)))
 		t.live.Store(int64(len(vals)))
 	}
 	// Register with the strategy's machinery, then publish: a select can
 	// resolve the column the moment it is in the catalog.
-	t.eng.registerColumn(cs)
-	t.cat.Store(cat.with(name, cs))
+	t.eng.registerColumn(sc)
+	t.cat.Store(cat.with(name, sc))
 	return nil
 }
 
 // column resolves a column by bare name, lock-free (see Table).
-func (t *Table) column(name string) (*colState, error) {
-	cs, ok := t.cat.Load().cols[name]
+func (t *Table) column(name string) (*shard.Column, error) {
+	sc, ok := t.cat.Load().cols[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoColumn, t.name, name)
 	}
-	return cs, nil
+	return sc, nil
 }
 
 // InsertRow appends one row — a one-row InsertRows batch; vals must follow
@@ -298,7 +185,7 @@ func (t *Table) InsertRows(rows [][]int64) (uint32, error) {
 	for i, vals := range rows {
 		g := uint32(r + int64(i))
 		for j, name := range cat.order {
-			cat.cols[name].sc.AppendAt(g, vals[j])
+			cat.cols[name].AppendAt(g, vals[j])
 		}
 	}
 	t.live.Add(int64(len(rows)))
@@ -361,16 +248,16 @@ func (t *Table) DeleteWhereIn(col string, values []int64) (int, error) {
 // the resolved global row id.
 func (t *Table) deleteWhereLocked(col string, value int64) (uint32, bool, error) {
 	cat := t.cat.Load()
-	cs, ok := cat.cols[col]
+	sc, ok := cat.cols[col]
 	if !ok {
 		return 0, false, fmt.Errorf("%w: %s.%s", ErrNoColumn, t.name, col)
 	}
-	row, found := cs.sc.FirstLive(value)
+	row, found := sc.FirstLive(value)
 	if !found {
 		return 0, false, nil
 	}
-	for _, cs := range cat.cols {
-		cs.sc.DeleteRow(row)
+	for _, sc := range cat.cols {
+		sc.DeleteRow(row)
 	}
 	t.live.Add(-1)
 	return row, true, nil
@@ -381,8 +268,8 @@ func (t *Table) deleteWhereLocked(col string, value int64) (uint32, bool, error)
 // checkpoints call it to force buffered updates through before validating.
 func (t *Table) MergePending() int {
 	total := 0
-	for _, cs := range t.cat.Load().cols {
-		total += cs.sc.MergePending()
+	for _, sc := range t.cat.Load().cols {
+		total += sc.MergePending()
 	}
 	return total
 }
@@ -390,8 +277,8 @@ func (t *Table) MergePending() int {
 // PendingOps returns the buffered update operations across all columns.
 func (t *Table) PendingOps() int {
 	total := 0
-	for _, cs := range t.cat.Load().cols {
-		ins, del := cs.pendingCounts()
+	for _, sc := range t.cat.Load().cols {
+		ins, del := sc.PendingCounts()
 		total += ins + del
 	}
 	return total

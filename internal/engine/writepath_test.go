@@ -288,11 +288,11 @@ func TestShardedWriteReadOracle(t *testing.T) {
 					t.Fatalf("pending ops after full merge: %d", got)
 				}
 				for _, col := range []string{"A", "B"} {
-					cs, err := e.colState("R", col)
+					sc, err := e.column("R", col)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := cs.validate(); err != nil {
+					if err := sc.Validate(); err != nil {
 						t.Fatalf("%s: %v", col, err)
 					}
 				}

@@ -119,23 +119,13 @@ func BenchmarkFanOutCrossover(b *testing.B) {
 					b.Fatal(err)
 				}
 				for _, p := range c.Parts() {
-					p.Lock()
-					ix := p.CrackIndex()
-					p.Unlock()
 					for step := perPart / 2; step >= piece; step /= 2 { // bisect: log sweeps, not linear
 						for at := step; at < perPart; at += 2 * step {
-							ix.CrackAt(int64(at))
+							p.CrackedSelect(int64(at), int64(at+step)) // at+step is cracked, or the end
 						}
 					}
 				}
 				return c
-			}
-			pieces := func(c *Column) (n int) {
-				for _, p := range c.Parts() {
-					k, _ := p.PieceStats()
-					n += k
-				}
-				return n
 			}
 			lap := perPart / piece
 			for _, mode := range []string{"serial", "fanout"} {
@@ -151,7 +141,7 @@ func BenchmarkFanOutCrossover(b *testing.B) {
 						at := int64(i % lap * piece)
 						lo, hi := at+int64(piece/4), at+int64(3*piece/4)
 						f := func(p *Part) (int, int64) { return p.CrackedSelect(lo, hi) }
-						before := pieces(c)
+						before, _ := c.PieceStats()
 						count := 0
 						start := time.Now()
 						if mode == "fanout" {
@@ -166,7 +156,7 @@ func BenchmarkFanOutCrossover(b *testing.B) {
 						if count != parts*piece/2 {
 							b.Fatalf("select [%d, %d) counted %d, want %d", lo, hi, count, parts*piece/2)
 						}
-						if pieces(c)-before != 2*parts {
+						if after, _ := c.PieceStats(); after-before != 2*parts {
 							b.Fatal("the select did not crack a fresh piece in three")
 						}
 					}

@@ -55,14 +55,14 @@ func TestFirstTouchFromBase(t *testing.T) {
 			if err := p.Validate(); err != nil {
 				t.Fatalf("%s: part %d: %v", name, p.id, err)
 			}
-			p.Lock()
+			p.mu.Lock()
 			for i, r := range ix.Rows() {
 				if int(r)%c.Shards() != p.id || vals[r] != ix.Values()[i] {
-					p.Unlock()
+					p.mu.Unlock()
 					t.Fatalf("%s: part %d holds row %d with value %d, the column has %d", name, p.id, r, ix.Values()[i], vals[r])
 				}
 			}
-			p.Unlock()
+			p.mu.Unlock()
 		}
 		rng := rand.New(rand.NewPCG(3, 3))
 		for q := 0; q < 50; q++ {

@@ -104,10 +104,8 @@ func TestShardedRadixMixedWorkload(t *testing.T) {
 			// Quiesced integrity: every part validates, and the final state
 			// matches the tombstone-aware scan.
 			pool.Stop()
-			for _, p := range c.Parts() {
-				if err := p.Validate(); err != nil {
-					t.Fatal(err)
-				}
+			if err := c.Validate(); err != nil {
+				t.Fatal(err)
 			}
 			wantCount, wantSum := c.FanOutCountSum(func(p *Part) (int, int64) { return p.ScanCountSum(0, 2*domain) })
 			count, sum := c.CountSum(0, 2*domain, (*Part).Probe, (*Part).CrackedSelect)

@@ -78,7 +78,8 @@
 // A part holds at most one cracker.Index: cracked (adaptive, holistic) or
 // sorted to completion by BuildSorted (offline, online), the limit
 // refinement moves toward. Probe, the merge, FirstLive and the snapshot each
-// ask that one index; a part with none scans.
+// ask that one index; a part with none scans. DropSorted frees a sorted index
+// outright, since nothing outside the part holds it.
 //
 // # Delete resolution
 //
@@ -110,10 +111,13 @@
 // Each Part carries its own reader/writer latch with exactly the semantics
 // the unsharded column had (see internal/engine): the write side is only for
 // structural changes (materialising the cracked copy, merging the ingest
-// queue, sorting or unsorting the index, tombstoning), while the read side
+// queue, sorting or freeing the index, tombstoning), while the read side
 // admits any number of queries and idle workers, which coordinate through
 // the cracker index's own latch: shared for a lookup or aggregate, exclusive
-// for a crack (see cracker.Index). The ingest queue's mutex is a
+// for a crack (see cracker.Index). Only the part takes its latch: the tuner
+// calls its two idle actions, RandomCrack and RefineRange, which materialise
+// the cracked copy under the exclusive latch on first use and then act under
+// the shared one. The ingest queue's mutex is a
 // leaf below the part latch: queue methods never take the latch, and both
 // "latch then queue" (merges, reads) and "queue only" (writers) orders are
 // deadlock free. The idle pool's claim/re-check protocol and the
@@ -126,6 +130,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 
@@ -421,11 +426,93 @@ func (c *Column) MergePending() int {
 	return total
 }
 
+// HasSorted reports whether every part's index is sorted to completion
+// (builds are all-or-nothing per column).
+func (c *Column) HasSorted() bool {
+	for _, p := range c.parts {
+		if !p.HasSorted() {
+			return false
+		}
+	}
+	return true
+}
+
+// AnyCracked reports whether any part holds a cracked, unsorted index.
+func (c *Column) AnyCracked() bool {
+	for _, p := range c.parts {
+		p.mu.RLock()
+		cracked := p.crack != nil && !p.crack.Sorted()
+		p.mu.RUnlock()
+		if cracked {
+			return true
+		}
+	}
+	return false
+}
+
+// BuildSorted sorts every part's index to completion, one goroutine per part
+// beyond the first (each build holds only its own part's latch).
+func (c *Column) BuildSorted() {
+	var wg sync.WaitGroup
+	for _, p := range c.parts[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.BuildSorted()
+		}()
+	}
+	c.parts[0].BuildSorted()
+	wg.Wait()
+}
+
+// DropSorted frees every part's sorted index.
+func (c *Column) DropSorted() {
+	for _, p := range c.parts {
+		p.DropSorted()
+	}
+}
+
+// Validate checks every part's index invariants (quiesced callers).
+func (c *Column) Validate() error {
+	for _, p := range c.parts {
+		if err := p.Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// PieceStats aggregates the parts' piece counts: (pieces, average piece
+// size). A part never cracked counts as one piece over its live rows, so a
+// fresh single-part column reports (1, n).
+func (c *Column) PieceStats() (pieces int, avg float64) {
+	total := 0
+	for _, p := range c.parts {
+		pc, n := p.PieceStats()
+		pieces += pc
+		total += n
+	}
+	if pieces == 0 {
+		return 0, 0
+	}
+	return pieces, float64(total) / float64(pieces)
+}
+
+// PendingCounts sums the parts' buffered (inserts, deletes).
+func (c *Column) PendingCounts() (ins, del int) {
+	for _, p := range c.parts {
+		i, d := p.ingest.Counts()
+		ins += i
+		del += d
+	}
+	return ins, del
+}
+
 // Part is one shard of a column: a contiguous stripe of rows with its own
 // storage, index (see "One index per part"), ingest queue and latch. It
-// implements the holistic tuner's Column interface (internal/core) — and its
-// Merger extension — so each part is an independent action-queue shard for
-// the idle pool, offering both crack and merge actions.
+// implements the holistic tuner's Column interface (internal/core), so each
+// part is an independent action-queue shard for the idle pool, offering
+// crack, speculative and merge actions.
 type Part struct {
 	name   string
 	id     int
@@ -453,13 +540,10 @@ type Part struct {
 // "table.column#i" (bare "table.column" for a single-shard column).
 func (p *Part) Name() string { return p.name }
 
-// Lock takes the part's exclusive latch (structural changes only).
-func (p *Part) Lock() { p.mu.Lock() }
-
-// Unlock releases the exclusive latch.
-func (p *Part) Unlock() { p.mu.Unlock() }
-
-// RLock takes the part's shared latch.
+// RLock takes the part's shared latch. No package of the kernel calls RLock,
+// RUnlock, Lock, Unlock or CrackIndex — a part takes its own latches — but
+// the frozen benchmark rig (bench/) reaches past the part to its index by
+// these names.
 func (p *Part) RLock() { p.mu.RLock() }
 
 // RUnlock releases the shared latch.
@@ -499,15 +583,25 @@ func (p *Part) minMaxLocked() (lo, hi int64, ok bool) {
 	return p.lo, p.hi, p.bounded
 }
 
+// Lock takes the part's exclusive latch; see RLock.
+func (p *Part) Lock() { p.mu.Lock() }
+
+// Unlock releases the exclusive latch.
+func (p *Part) Unlock() { p.mu.Unlock() }
+
+// CrackIndex is crackIndexLocked for the benchmark rig; see RLock.
+func (p *Part) CrackIndex() *cracker.Index { return p.crackIndexLocked() }
+
 // Cracked returns the cracker index if materialised — sorted or not — else
-// nil. Callers hold either latch mode.
+// nil. Callers hold either latch mode; the index stays the part's only while
+// they do (DropSorted frees it).
 func (p *Part) Cracked() *cracker.Index { return p.crack }
 
-// CrackIndex implements the tuner's Column interface: it returns the part's
-// cracker index, materialising the cracked copy on first use — straight from
-// the base column (radix pass included) when no row is tombstoned, else from
-// a copy. Callers hold the exclusive latch.
-func (p *Part) CrackIndex() *cracker.Index {
+// crackIndexLocked returns the part's cracker index, materialising the
+// cracked copy on first use — straight from the base column (radix pass
+// included) when no row is tombstoned, else from a copy. Callers hold the
+// exclusive latch.
+func (p *Part) crackIndexLocked() *cracker.Index {
 	if p.crack == nil {
 		if p.nDeleted == 0 {
 			lo, hi, _ := p.minMaxLocked()
@@ -559,9 +653,17 @@ func (p *Part) liveSnapshotLocked() ([]int64, []uint32) {
 	return vals, rows
 }
 
-// BuildSorted sorts the part's index to completion, in place so a tuner that
-// cached it keeps the same object; a part with none first copies its merged
-// live rows (an offline build is copy plus sort, not a first touch).
+// materialise builds the cracked copy under the exclusive latch if the part
+// has no index.
+func (p *Part) materialise() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.crackIndexLocked()
+}
+
+// BuildSorted sorts the part's index to completion; a part with none first
+// copies its merged live rows (an offline build is copy plus sort, not a
+// first touch).
 func (p *Part) BuildSorted() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -571,12 +673,13 @@ func (p *Part) BuildSorted() {
 	p.crack.Sort()
 }
 
-// DropSorted returns a sorted index to one piece in place.
+// DropSorted frees a sorted index: the part answers by scans again, and a
+// later crack materialises a fresh cracked copy.
 func (p *Part) DropSorted() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.crack != nil {
-		p.crack.Unsort()
+	if p.crack != nil && p.crack.Sorted() {
+		p.crack = nil
 	}
 }
 
@@ -644,10 +747,35 @@ func (p *Part) CrackedSelect(lo, hi int64) (int, int64) {
 		if ok {
 			return count, sum
 		}
-		p.mu.Lock()
-		p.CrackIndex()
-		p.mu.Unlock()
+		p.materialise()
 	}
+}
+
+// refine runs one idle action on the part's index under the shared latch,
+// materialising the cracked copy first if the part has none. The action takes
+// the index latch exclusively only while it partitions, as a select's crack
+// does.
+func (p *Part) refine(act func(ix *cracker.Index) int) int {
+	p.mu.RLock()
+	for p.crack == nil {
+		p.mu.RUnlock()
+		p.materialise()
+		p.mu.RLock()
+	}
+	defer p.mu.RUnlock()
+	return act(p.crack)
+}
+
+// RandomCrack is the tuner's crack action on this part
+// (cracker.Index.RandomCrack); it returns the values partitioned.
+func (p *Part) RandomCrack(rng *rand.Rand) int {
+	return p.refine(func(ix *cracker.Index) int { return ix.RandomCrack(rng) })
+}
+
+// RefineRange is the tuner's speculative action on this part
+// (cracker.Index.RefineRange); it returns the values partitioned.
+func (p *Part) RefineRange(rng *rand.Rand, lo, hi int64, target float64, cracks int) int {
+	return p.refine(func(ix *cracker.Index) int { return ix.RefineRange(rng, lo, hi, target, cracks) })
 }
 
 // Probe answers [lo, hi) through the design the part holds, under the
@@ -724,8 +852,8 @@ func (p *Part) mergeLocked(budget int) int {
 	return n
 }
 
-// PendingOps returns the part's buffered operation count — the tuner's
-// Merger extension uses it to rank the merge action.
+// PendingOps returns the part's buffered operation count — the tuner uses it
+// to rank the merge action.
 func (p *Part) PendingOps() int { return p.ingest.Len() }
 
 // firstLive returns the lowest global row id in this part holding value v
@@ -814,11 +942,6 @@ func (p *Part) RangePieceAvg(lo, hi int64) float64 {
 		return 0
 	}
 	return p.crack.RangePieceAvg(lo, hi)
-}
-
-// PendingCounts returns the part's buffered (inserts, deletes).
-func (p *Part) PendingCounts() (ins, del int) {
-	return p.ingest.Counts()
 }
 
 // Validate checks the part's index invariants (quiesced callers).

@@ -342,14 +342,10 @@ func TestSortedIndexPerPart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range c.Parts() {
-		p.BuildSorted()
-	}
+	c.BuildSorted()
 	for round := 0; round < 4; round++ {
-		for _, p := range c.Parts() {
-			if err := p.Validate(); !p.HasSorted() || err != nil {
-				t.Fatalf("round %d: part %d sorted %v, %v", round, p.id, p.HasSorted(), err)
-			}
+		if err := c.Validate(); !c.HasSorted() || err != nil {
+			t.Fatalf("round %d: sorted %v, %v", round, c.HasSorted(), err)
 		}
 		// Every part answers from its index in the probe: nothing is left to run.
 		lo, hi := rng.Int64N(5000), rng.Int64N(5000)+1000
