@@ -247,7 +247,7 @@ func (ix *Index) LookupRange(lo, hi int64) (from, to int, ok bool) {
 // LookupCountSum answers [lo, hi) — tuple count and sum of values, the
 // projection checksum the engine uses to compare strategies — when crack
 // boundaries already exist for both bounds: one shared latch acquisition, two
-// tree descents and a subtraction, whatever the number of pieces or values in
+// tree lookups and a subtraction, whatever the number of pieces or values in
 // between; the cracked copy is not read. ok false means a bound is not a
 // boundary yet (or the range or index is empty); work then says how many
 // values CrackCountSum would partition as the index stands (see lookup) — what
@@ -573,7 +573,7 @@ func (ix *Index) MaxPiece() (Piece, bool) {
 // CountSum aggregates the region [from, to) of the cracked copy, returning
 // the tuple count and the sum of values. It is the positional twin of
 // LookupCountSum for callers that hold positions from CrackRange or
-// LookupRange: each end costs one tree descent, and only the ragged edge
+// LookupRange: each end costs one tree lookup, and only the ragged edge
 // between a position and the boundary below it is read — nothing when the
 // position is a boundary's, which is what those calls return. Positions are
 // clamped to the copy; an empty or inverted region yields (0, 0).
@@ -626,7 +626,8 @@ func (ix *Index) CountSumConcurrent(from, to int) (int, int64) {
 }
 
 // Validate checks the structural invariants of the index:
-//   - boundary positions are within range and non-decreasing in key order;
+//   - the crack tree's layout holds (cracktree.Tree.Check), so boundary
+//     positions are non-decreasing in key order, and they are within range;
 //   - every value left of a boundary is < its key, every value right is >= it;
 //   - every boundary's sum is the wrapping sum of the values left of it;
 //   - vals and rows have equal length;
@@ -642,6 +643,9 @@ func (ix *Index) Validate() error {
 	}
 	if ix.sorted && (ix.tree.Len() != 0 || len(ix.pre) != len(ix.vals)+1 || ix.pre[0] != 0) {
 		return fmt.Errorf("cracker: sorted index with %d boundaries, %d prefix sums for %d values", ix.tree.Len(), len(ix.pre), len(ix.vals))
+	}
+	if err := ix.tree.Check(); err != nil {
+		return err
 	}
 	// One walk: each boundary closes the piece [prevPos, pos) holding values
 	// in [prevKey, key), and its sum must equal the running sum of everything
@@ -671,8 +675,8 @@ func (ix *Index) Validate() error {
 		}
 	}
 	ix.tree.Walk(func(key int64, pos int, sum int64) bool {
-		if pos < prevPos || pos > len(ix.vals) {
-			err = fmt.Errorf("cracker: boundary %d has position %d out of order (prev %d, len %d)", key, pos, prevPos, len(ix.vals))
+		if pos > len(ix.vals) { // Check saw the positions ascend
+			err = fmt.Errorf("cracker: boundary %d has position %d past the copy's %d values", key, pos, len(ix.vals))
 			return false
 		}
 		scanPiece(pos, key, true)

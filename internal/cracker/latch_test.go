@@ -131,6 +131,28 @@ func piecedIndex(tb testing.TB, n, pieces int) (ix *Index, lo, hi int64) {
 	return ix, 0, hi
 }
 
+// TestRestoreConvergedGrid: a snapshot's boundary list as large as a
+// converged wire_point part's, 278 530 boundaries, restores into a tree that
+// passes Check (Validate runs it) and hands the same list back.
+func TestRestoreConvergedGrid(t *testing.T) {
+	const boundaries = 278530
+	ix, _, _ := piecedIndex(t, 2*boundaries, boundaries-1)
+	bs := ix.Boundaries()
+	if len(bs) != boundaries {
+		t.Fatalf("built %d boundaries, want %d", len(bs), boundaries)
+	}
+	if err := ix.tree.Check(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := RestoreIndex(slices.Clone(ix.vals), slices.Clone(ix.rows), bs, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(again.Boundaries(), bs) {
+		t.Fatal("a restored index hands back a different boundary list")
+	}
+}
+
 // A select on a cracked range must not allocate however many pieces the
 // range spans. Every run reads a region no run has read before (the
 // per-piece latch registry allocated one RWMutex per piece on first read,
@@ -172,7 +194,7 @@ func plainCountSum(vals []int64, from, to int) (int, int64) {
 func TestCountSumAnyPositions(t *testing.T) {
 	ix := newTestIndex([]int64{50, 10, 40, 20, 30})
 	ix.crackAt(25)
-	if pos, _, ok := ix.tree.Get(25); !ok || pos != 2 {
+	if pos, _, _, ok := ix.tree.Locate(25, len(ix.vals)); !ok || pos != 2 {
 		t.Fatalf("crack at 25 landed on position %d (found %v), want 2", pos, ok)
 	}
 	for _, c := range []struct {
@@ -251,7 +273,7 @@ func TestValidateCatchesCorruptSum(t *testing.T) {
 	}
 	bs := ix.Boundaries()
 	b := bs[len(bs)/2]
-	_, sum, _ := ix.tree.Get(b.Key)
+	_, _, sum, _ := ix.tree.Locate(b.Key, len(ix.vals))
 	ix.tree.Insert(b.Key, b.Pos, sum+1)
 	if err := ix.Validate(); err == nil {
 		t.Fatalf("Validate passed with boundary %d carrying sum %d instead of %d", b.Key, sum+1, sum)
