@@ -48,9 +48,9 @@ func TestConcurrentCrackAndRead(t *testing.T) {
 						return
 					}
 				case 2: // idle refinement
-					ix.randomCrackDomain(grng)
+					ix.RandomCrack(grng)
 					lo := grng.Int64N(domain)
-					ix.randomCrackInRange(grng, lo, lo+domain/128+1, 0)
+					ix.RefineRange(grng, lo, lo+domain/128+1, 0, 1)
 				}
 			}
 		}(g)

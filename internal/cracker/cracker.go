@@ -9,9 +9,12 @@
 // converges towards sorted order exactly where the workload has interest.
 //
 // Beyond query-driven cracking the package provides the two idle-time actions
-// of holistic indexing — partitioning pieces around random pivots: RandomCrack
-// anywhere in the domain ("X index refinements" in the paper), and
-// RefineRange inside a range the workload is expected to hit.
+// of holistic indexing, which share one pivot rule: crack at the value of a
+// uniformly random element of the copy (MDD1R, Halim et al., Stochastic
+// Database Cracking, VLDB 2012), so a piece is picked in proportion to its
+// size and a pivot always exists in the data. RandomCrack draws from the
+// whole copy ("X index refinements" in the paper), RefineRange from the
+// pieces of a range the workload is expected to hit.
 //
 // # The boundary-sum invariant
 //
@@ -46,6 +49,7 @@ package cracker
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sort"
 	"sync"
@@ -84,8 +88,8 @@ type Index struct {
 	pre    []int64
 
 	// Domain bounds of the stored values, cached at construction and widened
-	// by cracked merges; only cracks read them, so a sorted index lets them
-	// go stale.
+	// by cracked merges; only radix passes read them, so a sorted index lets
+	// them go stale.
 	domLo, domHi int64
 
 	// radixMin is the piece-size threshold for radix-first coarse cracking
@@ -153,17 +157,6 @@ func (ix *Index) AvgPieceSize() float64 {
 		return 0
 	}
 	return float64(len(ix.vals)) / float64(p)
-}
-
-// Domain returns the cached [lo, hi] value bounds of the indexed data.
-// Ok is false for an empty index.
-func (ix *Index) Domain() (lo, hi int64, ok bool) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if len(ix.vals) == 0 {
-		return 0, 0, false
-	}
-	return ix.domLo, ix.domHi, true
 }
 
 // Values exposes the cracked copy. Callers must treat it as read-only and
@@ -383,101 +376,73 @@ func (ix *Index) splitAt(v int64) (pieceSize int, cracked bool) {
 	return b - a, true
 }
 
-// domainPivots is how many random domain pivots RandomCrack tries before it
-// falls back to cracking the largest piece.
-const domainPivots = 3
-
 // RandomCrack is one random refinement action, the paper's idle-time work
-// unit: up to domainPivots pivots drawn uniformly from the value domain,
-// stopping at the first that splits a piece, then — when every one hit an
-// existing boundary — a pivot inside the largest piece, which forces
-// progress. It reports the work done (elements touched); 0 means nothing was
-// left to split, as on a sorted index.
+// unit: it cracks at the value of a uniformly random element of the copy
+// (crackRandomElement over all of it). It reports the work done (values
+// partitioned); 0 means the element drawn could not split its piece — it is
+// already a boundary or its piece's least value — as always on a sorted
+// index.
 func (ix *Index) RandomCrack(rng *rand.Rand) int {
-	for attempt := 0; attempt < domainPivots; attempt++ {
-		if w := ix.randomCrackDomain(rng); w > 0 {
-			return w
-		}
-	}
-	return ix.randomCrackLargest(rng)
+	return ix.crackRandomElement(rng, 0, math.MaxInt, 1)
 }
 
 // RefineRange refines the value range [lo, hi) toward pieces of at most
 // target values: it pins both bounds as boundaries (so the first query on the
-// range needs no partitioning at its edges), then applies up to cracks random
-// cracks inside it, stopping once the range's average piece is at most
-// target. It reports the work done. The speculative step uses it on a
-// predicted range.
+// range needs no partitioning at its edges), then applies up to cracks
+// crackRandomElement actions over the positions of the pieces overlapping
+// the range, stopping once their average is at most target; a piece of at
+// most target values is left alone. It reports the work done. The
+// speculative step uses it on a predicted range.
 func (ix *Index) RefineRange(rng *rand.Rand, lo, hi int64, target float64, cracks int) int {
 	w, _ := ix.crackAt(lo)
 	w2, _ := ix.crackAt(hi)
 	w += w2
-	for i := 0; i < cracks && ix.RangePieceAvg(lo, hi) > target; i++ {
-		w += ix.randomCrackInRange(rng, lo, hi, int(target))
+	for i := 0; i < cracks; i++ {
+		avg, from, to := ix.rangePieces(lo, hi)
+		if avg <= target {
+			break
+		}
+		w += ix.crackRandomElement(rng, from, to, int(target))
 	}
 	return w
 }
 
-// randomCrackDomain draws a pivot uniformly from the column's value domain
-// and cracks there. Work 0 means the pivot hit an existing boundary.
-func (ix *Index) randomCrackDomain(rng *rand.Rand) int {
-	lo, hi, ok := ix.Domain()
-	if !ok || lo >= hi {
-		return 0
-	}
-	size, _ := ix.crackAt(randInRange(rng, lo, hi) + 1) // pivot in (lo, hi]
-	return size
-}
-
-// randInRange returns a uniform value in [lo, hi), lo < hi. The width is
-// computed in uint64 because hi-lo overflows int64 for extreme ranges — a
-// whereless SELECT's range is lo = MinInt64, hi = MaxInt64 — and the
-// wrapping add maps the unsigned offset back into [lo, hi) exactly.
-func randInRange(rng *rand.Rand, lo, hi int64) int64 {
-	return lo + int64(rng.Uint64N(uint64(hi)-uint64(lo)))
-}
-
-// randomCrackInRange performs one random refinement inside the value range
-// [lo, hi): it picks a random element of a piece overlapping the range as
-// pivot (the MDD1R pivot rule) and cracks there. A piece of at most minPiece
-// values is left alone — the caller's convergence target — and costs only
-// the shared latch.
-func (ix *Index) randomCrackInRange(rng *rand.Rand, lo, hi int64, minPiece int) int {
-	if lo >= hi {
-		return 0
-	}
-	mid := randInRange(rng, lo, hi)
+// crackRandomElement is the idle actions' one pivot rule: it draws a
+// uniformly random element of positions [from, to) of the copy (clamped to
+// the copy, so MaxInt means its end and a span read before a merge stays in
+// range) and cracks at its value. Under the shared latch alone it returns 0
+// when that value already is a boundary, when its piece holds at most
+// minPiece values (or one), or when no value of the piece lies below it —
+// a crack there would leave an empty piece. That scan stops at the first
+// smaller value, which a random element usually meets within a few reads.
+func (ix *Index) crackRandomElement(rng *rand.Rand, from, to, minPiece int) int {
 	ix.mu.RLock()
-	a, b, _, _ := ix.locate(mid)
+	to = min(to, len(ix.vals))
+	split := false
 	var v int64
-	split := b-a >= 2 && b-a > minPiece
-	if split {
-		v = ix.vals[a+rng.IntN(b-a)]
+	if from < to {
+		v = ix.vals[from+rng.IntN(to-from)]
+		a, b, _, exact := ix.locate(v)
+		split = !exact && b-a > max(minPiece, 1) && anyBelow(ix.vals[a:b], v)
 	}
 	ix.mu.RUnlock()
 	if !split {
 		return 0
 	}
 	// Straight to the exclusive latch: the pivot was read from the copy a
-	// moment ago, a shared probe for it would almost always miss.
+	// moment ago, and splitAt locates it again.
 	size, _ := ix.splitAt(v)
 	return size
 }
 
-// randomCrackLargest finds the largest piece and cracks it around one of its
-// elements chosen at random. O(pieces) to locate the piece, under the shared
-// latch. Other goroutines may split the piece between the search and the
-// crack, so the worst case is cracking a piece that is no longer the largest.
-func (ix *Index) randomCrackLargest(rng *rand.Rand) int {
-	p, ok := ix.MaxPiece()
-	if !ok || p.Size() < 2 {
-		return 0
+// anyBelow reports whether some value in vals is < v.
+func anyBelow(vals []int64, v int64) bool {
+	for _, x := range vals {
+		if x < v {
+			return true
+		}
 	}
-	ix.mu.RLock()
-	v := ix.vals[p.Start+rng.IntN(p.Size())]
-	ix.mu.RUnlock()
-	size, _ := ix.crackAt(v)
-	return size
+	return false
 }
 
 // Piece describes one contiguous region of the cracked copy. Values in the
@@ -531,43 +496,37 @@ func (ix *Index) forEachPiece(visit func(Piece) bool) {
 // boundaries inside the range, so its cost does not depend on how finely the
 // rest of the column is cracked.
 func (ix *Index) RangePieceAvg(lo, hi int64) float64 {
+	avg, _, _ := ix.rangePieces(lo, hi)
+	return avg
+}
+
+// rangePieces is RangePieceAvg that also returns the positions [from, to)
+// the overlapping pieces span; a sorted index spans nothing to split.
+func (ix *Index) rangePieces(lo, hi int64) (avg float64, from, to int) {
 	if lo >= hi {
-		return 0
+		return 0, 0, 0
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	switch {
 	case len(ix.vals) == 0:
-		return 0
+		return 0, 0, 0
 	case ix.sorted:
-		return 1
+		return 1, 0, 0
 	}
 	// The overlapping pieces run from lo's piece up to the first boundary at
 	// or above hi; every boundary strictly between starts one more piece.
-	start, _, _, _ := ix.tree.Locate(lo, len(ix.vals))
-	end, pieces := len(ix.vals), 1
+	from, _, _, _ = ix.tree.Locate(lo, len(ix.vals))
+	to, pieces := len(ix.vals), 1
 	ix.tree.WalkFrom(lo+1, func(key int64, pos int, _ int64) bool {
 		if key >= hi {
-			end = pos
+			to = pos
 			return false
 		}
 		pieces++
 		return true
 	})
-	return float64(end-start) / float64(pieces)
-}
-
-// MaxPiece returns the largest piece. Ok is false for an empty index.
-func (ix *Index) MaxPiece() (Piece, bool) {
-	var best Piece
-	found := false
-	ix.ForEachPiece(func(p Piece) bool {
-		if !found || p.Size() > best.Size() {
-			best, found = p, true
-		}
-		return true
-	})
-	return best, found
+	return float64(to-from) / float64(pieces), from, to
 }
 
 // CountSum aggregates the region [from, to) of the cracked copy, returning

@@ -46,16 +46,27 @@ func TestEmptyIndex(t *testing.T) {
 	if from, to := ix.CrackRange(1, 10); from != 0 || to != 0 {
 		t.Fatalf("CrackRange on empty = %d,%d", from, to)
 	}
-	if _, _, ok := ix.Domain(); ok {
-		t.Fatal("Domain reported ok on empty index")
-	}
 	rng := rand.New(rand.NewPCG(1, 1))
-	if w := ix.randomCrackDomain(rng); w != 0 {
-		t.Fatalf("randomCrackDomain on empty did work %d", w)
+	if w := ix.RandomCrack(rng); w != 0 {
+		t.Fatalf("RandomCrack on empty did work %d", w)
 	}
-	if _, ok := ix.MaxPiece(); ok {
-		t.Fatal("MaxPiece on empty reported ok")
+	if w := ix.RefineRange(rng, 1, 10, 1, 4); w != 0 || ix.Pieces() != 0 {
+		t.Fatalf("RefineRange on empty did work %d to %d pieces", w, ix.Pieces())
 	}
+	if _, ok := maxPiece(ix); ok {
+		t.Fatal("maxPiece on empty reported ok")
+	}
+}
+
+// maxPiece returns the largest piece; ok is false for an empty index.
+func maxPiece(ix *Index) (best Piece, ok bool) {
+	ix.ForEachPiece(func(p Piece) bool {
+		if !ok || p.Size() > best.Size() {
+			best, ok = p, true
+		}
+		return true
+	})
+	return best, ok
 }
 
 func TestInvertedAndEmptyRange(t *testing.T) {
@@ -148,6 +159,14 @@ func TestAllDuplicates(t *testing.T) {
 		vals[i] = 42
 	}
 	ix := newTestIndex(vals)
+	rng := rand.New(rand.NewPCG(1, 2))
+	// A single-valued piece has nothing to split: no value lies below any
+	// element, so a random crack does no work and adds no boundary.
+	for i := 0; i < 10; i++ {
+		if w := ix.RandomCrack(rng); w != 0 || ix.Pieces() != 1 {
+			t.Fatalf("RandomCrack on a single-valued piece did work %d to %d pieces", w, ix.Pieces())
+		}
+	}
 	from, to := ix.CrackRange(42, 43)
 	if to-from != 100 {
 		t.Fatalf("dup query count %d", to-from)
@@ -156,11 +175,10 @@ func TestAllDuplicates(t *testing.T) {
 	if from != to {
 		t.Fatal("exclusive upper bound leaked duplicates")
 	}
-	rng := rand.New(rand.NewPCG(1, 2))
 	// Random cracks on an all-duplicate column must not loop or corrupt.
 	for i := 0; i < 10; i++ {
-		ix.randomCrackDomain(rng)
-		ix.randomCrackLargest(rng)
+		ix.RandomCrack(rng)
+		ix.RefineRange(rng, 0, 100, 0, 2)
 	}
 	if err := ix.Validate(); err != nil {
 		t.Fatal(err)
@@ -219,7 +237,7 @@ func TestRandomCracksConverge(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 22))
 	ix := newTestIndex(randomVals(rng, 10000, 1<<30))
 	for i := 0; i < 200; i++ {
-		ix.randomCrackDomain(rng)
+		ix.RandomCrack(rng)
 	}
 	if p := ix.Pieces(); p < 150 {
 		t.Fatalf("only %d pieces after 200 random cracks", p)
@@ -233,62 +251,120 @@ func TestRandomCracksConverge(t *testing.T) {
 	}
 }
 
-func TestRandomCrackLargestTargetsLargest(t *testing.T) {
-	rng := rand.New(rand.NewPCG(31, 32))
-	ix := newTestIndex(randomVals(rng, 4096, 1<<20))
-	before, _ := ix.MaxPiece()
-	if ix.randomCrackLargest(rng) == 0 {
-		t.Fatal("largest-piece crack did no work")
+// TestRandomCrackPicksBySize: the pivot is a uniformly random element, so a
+// piece is split in proportion to its size — one piece of 10 000 values
+// beside 100 two-value pieces takes nearly every action. A sorted index and
+// a piece whose values are all equal have nothing to split.
+func TestRandomCrackPicksBySize(t *testing.T) {
+	vals := make([]int64, 0, 10200)
+	for v := int64(0); v < 10000; v++ {
+		vals = append(vals, 1_000_000+v)
 	}
-	after, _ := ix.MaxPiece()
-	if after.Size() > before.Size() {
-		t.Fatal("max piece grew")
+	for k := int64(0); k < 100; k++ {
+		vals = append(vals, 10*k, 10*k+5)
+	}
+	rng := rand.New(rand.NewPCG(61, 62))
+	rng.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+	ix := newTestIndex(vals)
+	for k := int64(0); k < 100; k++ {
+		ix.CrackRange(10*k, 10*k+10) // each two-value piece [10k, 10k+10)
+	}
+	ix.CrackRange(1_000_000, 1<<40) // the big piece
+	if err := ix.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	const actions = 100
+	for i := 0; i < actions; i++ {
+		before := ix.Pieces()
+		w := ix.RandomCrack(rng)
+		if want := before + min(w, 1); ix.Pieces() != want {
+			t.Fatalf("action %d did work %d and went from %d to %d pieces", i, w, before, ix.Pieces())
+		}
+	}
+	big := 0 // boundaries the actions put inside the big piece
+	for _, b := range ix.Boundaries() {
+		if b.Key > 1_000_000 && b.Key < 1<<40 {
+			big++
+		}
+	}
+	if big < actions*9/10 {
+		t.Fatalf("%d of %d actions split the 10 000-value piece, want most", big, actions)
+	}
+	if err := ix.Validate(); err != nil {
+		t.Fatal(err)
+	}
+
+	ix.Sort()
+	pieces := ix.Pieces()
+	for i := 0; i < 20; i++ {
+		if w := ix.RandomCrack(rng); w != 0 || ix.Pieces() != pieces || len(ix.Boundaries()) != 0 {
+			t.Fatalf("RandomCrack on a sorted index did work %d, %d pieces, %d boundaries", w, ix.Pieces(), len(ix.Boundaries()))
+		}
+	}
+}
+
+// TestRandomCrackLeavesNoEmptyPiece: a pivot is always a value of the data
+// and never its piece's least, so idle cracks leave no empty piece even when
+// a few values sit far above a dense base — where uniform domain pivots used
+// to land in the gap and crack nothing but a new empty piece.
+func TestRandomCrackLeavesNoEmptyPiece(t *testing.T) {
+	vals := make([]int64, 0, 1<<16+64)
+	for v := int64(1); v <= 1<<16; v++ {
+		vals = append(vals, v)
+	}
+	for k := int64(0); k < 64; k++ {
+		vals = append(vals, 1<<40+k)
+	}
+	rng := rand.New(rand.NewPCG(71, 72))
+	rng.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+	ix := newTestIndex(vals)
+	for i := 0; i < 2000; i++ {
+		ix.RandomCrack(rng)
+	}
+	empty, nonEmpty := 0, 0
+	ix.ForEachPiece(func(p Piece) bool {
+		if p.Size() == 0 {
+			empty++
+		} else {
+			nonEmpty++
+		}
+		return true
+	})
+	if empty > 0 {
+		t.Errorf("%d of %d pieces are empty", empty, empty+nonEmpty)
+	}
+	if want := float64(ix.Len()) / float64(nonEmpty); ix.AvgPieceSize() != want {
+		t.Fatalf("AvgPieceSize %.2f, %d values over %d non-empty pieces is %.2f", ix.AvgPieceSize(), ix.Len(), nonEmpty, want)
 	}
 	if err := ix.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// RandomCrack and RefineRange are the tuner's crack and speculative steps
-// moved into the index: the same pivots from the same random numbers, the
-// same work and pieces as the sequences they replace.
-func TestRandomCrackIsDomainPivotsThenLargest(t *testing.T) {
-	vals := randomVals(rand.New(rand.NewPCG(41, 42)), 1<<12, 1<<8) // a small domain runs out of pivots
-	got, want := newTestIndex(vals), newTestIndex(vals)
-	rg, rw := rand.New(rand.NewPCG(43, 44)), rand.New(rand.NewPCG(43, 44))
-	for i := 0; i < 400; i++ {
-		w := 0
-		for a := 0; a < 3 && w == 0; a++ {
-			w = want.randomCrackDomain(rw)
-		}
-		if w == 0 {
-			w = want.randomCrackLargest(rw)
-		}
-		if g := got.RandomCrack(rg); g != w || got.Pieces() != want.Pieces() {
-			t.Fatalf("action %d: RandomCrack did %d work to %d pieces, the old step %d to %d", i, g, got.Pieces(), w, want.Pieces())
-		}
-	}
-}
-
+// TestRefineRangePinsBoundsThenCracksInside: RefineRange makes both bounds
+// boundaries, cracks only inside the range until its pieces average at most
+// target, and then does no more work.
 func TestRefineRangePinsBoundsThenCracksInside(t *testing.T) {
 	vals := randomVals(rand.New(rand.NewPCG(51, 52)), 1<<14, 1<<20)
-	got, want := newTestIndex(vals), newTestIndex(vals)
-	rg, rw := rand.New(rand.NewPCG(53, 54)), rand.New(rand.NewPCG(53, 54))
+	ix := newTestIndex(vals)
+	rng := rand.New(rand.NewPCG(53, 54))
 	lo, hi := int64(1<<18), int64(1<<18+1<<16)
 	for step := 0; step < 20; step++ {
-		w, _ := want.crackAt(lo)
-		w2, _ := want.crackAt(hi)
-		for i := 0; i < 8 && want.RangePieceAvg(lo, hi) > 64; i++ {
-			w2 += want.randomCrackInRange(rw, lo, hi, 64)
-		}
-		if g := got.RefineRange(rg, lo, hi, 64, 8); g != w+w2 || got.Pieces() != want.Pieces() {
-			t.Fatalf("step %d: RefineRange did %d work to %d pieces, the old step %d to %d", step, g, got.Pieces(), w+w2, want.Pieces())
+		ix.RefineRange(rng, lo, hi, 64, 8)
+	}
+	if _, _, _, ok := ix.LookupCountSum(lo, hi); !ok || ix.RangePieceAvg(lo, hi) > 64 {
+		t.Fatalf("bounds pinned %v, range avg piece %f: want pinned and <= 64", ok, ix.RangePieceAvg(lo, hi))
+	}
+	for _, b := range ix.Boundaries() {
+		if b.Key < lo || b.Key > hi {
+			t.Fatalf("boundary %d outside [%d, %d]", b.Key, lo, hi)
 		}
 	}
-	if _, _, _, ok := got.LookupCountSum(lo, hi); !ok || got.RangePieceAvg(lo, hi) > 64 {
-		t.Fatalf("bounds pinned %v, range avg piece %f: want pinned and <= 64", ok, got.RangePieceAvg(lo, hi))
+	pieces := ix.Pieces()
+	if w := ix.RefineRange(rng, lo, hi, 64, 8); w != 0 || ix.Pieces() != pieces {
+		t.Fatalf("converged range: RefineRange did work %d, pieces %d -> %d", w, pieces, ix.Pieces())
 	}
-	if err := got.Validate(); err != nil {
+	if err := ix.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -325,7 +401,7 @@ func TestForEachPieceEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewPCG(43, 44))
 	ix := newTestIndex(randomVals(rng, 1000, 1000))
 	for i := 0; i < 20; i++ {
-		ix.randomCrackDomain(rng)
+		ix.RandomCrack(rng)
 	}
 	visited := 0
 	ix.ForEachPiece(func(p Piece) bool {
@@ -344,7 +420,7 @@ func TestStats(t *testing.T) {
 	if ix.Len() != 1000 || ix.Pieces() != ix.Cracks()+1 {
 		t.Fatalf("len %d, %d pieces from %d cracks", ix.Len(), ix.Pieces(), ix.Cracks())
 	}
-	if p, ok := ix.MaxPiece(); !ok || p.Size() <= 0 || ix.AvgPieceSize() <= 0 {
+	if p, ok := maxPiece(ix); !ok || p.Size() <= 0 || ix.AvgPieceSize() <= 0 {
 		t.Fatalf("stats degenerate: max piece %+v, avg %f", p, ix.AvgPieceSize())
 	}
 	if ix.Work() <= 0 {
@@ -389,8 +465,8 @@ func TestPropertyCrackingEquivalence(t *testing.T) {
 			}
 			// Interleave idle-style random cracks.
 			if q%3 == 0 {
-				ix.randomCrackDomain(rng)
-				ix.randomCrackInRange(rng, lo, hi, 0)
+				ix.RandomCrack(rng)
+				ix.RefineRange(rng, lo, hi, 0, 1)
 			}
 		}
 		// Permutation invariant: cracked copy is the base data, reordered.
@@ -421,8 +497,8 @@ func TestPropertyPiecesShrinkMonotonically(t *testing.T) {
 		ix := newTestIndex(randomVals(rng, 1000, 1<<16))
 		prevMax := ix.Len()
 		for i := 0; i < 60; i++ {
-			ix.randomCrackLargest(rng)
-			p, ok := ix.MaxPiece()
+			ix.RandomCrack(rng)
+			p, ok := maxPiece(ix)
 			if !ok {
 				return false
 			}
@@ -464,31 +540,63 @@ func BenchmarkCrackConvergedLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkRandomCrackAction times one idle crack on 2^20 uniform values
+// and on a dense base of 2^20 values with 1 024 more far above it, where
+// uniform domain pivots used to fall into the empty gap. Each fresh index
+// takes 20 000 actions, so both shapes are measured mid-refinement.
 func BenchmarkRandomCrackAction(b *testing.B) {
-	rng := rand.New(rand.NewPCG(3, 3))
-	ix := newTestIndex(randomVals(rng, 1<<20, 1<<30))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.randomCrackDomain(rng)
+	shapes := []struct {
+		name string
+		vals func(*rand.Rand) []int64
+	}{
+		{"uniform", func(rng *rand.Rand) []int64 { return randomVals(rng, 1<<20, 1<<30) }},
+		{"skewed", func(rng *rand.Rand) []int64 {
+			vals := make([]int64, 0, 1<<20+1024)
+			for v := int64(1); v <= 1<<20; v++ {
+				vals = append(vals, v)
+			}
+			for k := int64(0); k < 1024; k++ {
+				vals = append(vals, 1<<40+k)
+			}
+			rng.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+			return vals
+		}},
+	}
+	for _, shape := range shapes {
+		b.Run(shape.name, func(b *testing.B) {
+			rng := rand.New(rand.NewPCG(3, 3))
+			base := shape.vals(rng)
+			var ix *Index
+			for i := 0; i < b.N; i++ {
+				if i%20000 == 0 {
+					b.StopTimer()
+					ix = newTestIndex(base)
+					b.StartTimer()
+				}
+				ix.RandomCrack(rng)
+			}
+		})
 	}
 }
 
-// TestRandomCrackExtremeRange is the regression for the whereless-SELECT
-// boost: [MinInt64, MaxInt64) made hi-lo wrap negative and panic inside
-// Int64N. The sampler must treat the width as unsigned and still produce
-// useful cracks.
+// TestRandomCrackExtremeRange: a whereless SELECT's boost refines
+// [MinInt64, MaxInt64), whose width overflows int64. The pivot is drawn by
+// position, so the range's width is never computed, and the refinement
+// still cracks inside.
 func TestRandomCrackExtremeRange(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
 	vals := randomVals(rng, 4096, 1<<30)
 	ix := newTestIndex(vals)
-	worked := 0
 	for i := 0; i < 64; i++ {
-		worked += ix.randomCrackInRange(rng, -1<<63, 1<<63-1, 0)
+		ix.RefineRange(rng, -1<<63, 1<<63-1, 0, 1)
 	}
-	if worked == 0 {
-		t.Fatal("64 full-range random cracks did no work")
+	if p := ix.Pieces(); p < 32 {
+		t.Fatalf("64 full-range refinements left %d pieces", p)
 	}
 	if n, s := ix.CountSum(0, 1<<30); n != len(vals) {
 		t.Fatalf("index corrupted by extreme-range cracks: count %d sum %d", n, s)
+	}
+	if err := ix.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -80,10 +80,8 @@ func TestFirstTouchMatchesCopyThenRadix(t *testing.T) {
 					t.Fatalf("%s: cracks/work/radixMin %d/%d/%d, want %d/%d/%d", name,
 						got.Cracks(), got.Work(), got.radixMin, want.Cracks(), want.Work(), want.radixMin)
 				}
-				glo, ghi, gok := got.Domain()
-				wlo, whi, wok := want.Domain()
-				if glo != wlo || ghi != whi || gok != wok {
-					t.Fatalf("%s: domain %d,%d,%v, want %d,%d,%v", name, glo, ghi, gok, wlo, whi, wok)
+				if got.domLo != want.domLo || got.domHi != want.domHi {
+					t.Fatalf("%s: domain %d,%d, want %d,%d", name, got.domLo, got.domHi, want.domLo, want.domHi)
 				}
 				if err := got.Validate(); err != nil {
 					t.Fatalf("%s: %v", name, err)

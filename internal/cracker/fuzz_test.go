@@ -89,11 +89,11 @@ func FuzzCrackRange(f *testing.F) {
 			case 3:
 				ix.crackAt(hi)
 			case 4:
-				ix.randomCrackDomain(rng)
-				ix.randomCrackInRange(rng, lo, hi, 0)
+				ix.RandomCrack(rng)
+				ix.RefineRange(rng, lo, hi, 0, 1)
 			case 5:
-				ix.randomCrackLargest(rng)
-				ix.randomCrackInRange(rng, lo, hi, 8) // leaves pieces <= 8 alone
+				ix.RandomCrack(rng)
+				ix.RefineRange(rng, lo, hi, 8, 1) // leaves pieces <= 8 alone
 			}
 			if err := ix.Validate(); err != nil {
 				t.Fatalf("after op %d at [%d,%d): %v", op, lo, hi, err)

@@ -63,7 +63,7 @@ func TestReadersExactWhileCrackingInsideRegions(t *testing.T) {
 				if i%2 == 0 {
 					ix.crackAt(r.lo + 1 + grng.Int64N(r.hi-r.lo-1))
 				} else {
-					ix.randomCrackInRange(grng, r.lo, r.hi, 0)
+					ix.RefineRange(grng, r.lo, r.hi, 0, 1)
 				}
 			}
 		}(g)
@@ -266,7 +266,7 @@ func TestValidateCatchesCorruptSum(t *testing.T) {
 	rng := rand.New(rand.NewPCG(45, 46))
 	ix := newTestIndex(randomVals(rng, 1000, 1<<12))
 	for i := 0; i < 20; i++ {
-		ix.randomCrackDomain(rng)
+		ix.RandomCrack(rng)
 	}
 	if err := ix.Validate(); err != nil {
 		t.Fatal(err)

@@ -19,8 +19,7 @@ func TestMergeInsertIntoEmpty(t *testing.T) {
 	if ix.Len() != 1 || ix.Values()[0] != 5 {
 		t.Fatalf("contents %v", ix.Values())
 	}
-	lo, hi, _ := ix.Domain()
-	if lo != 5 || hi != 5 {
+	if lo, hi := ix.domLo, ix.domHi; lo != 5 || hi != 5 {
 		t.Fatalf("domain %d,%d", lo, hi)
 	}
 	if from, to := ix.CrackRange(5, 6); to-from != 1 {
@@ -160,7 +159,7 @@ func TestPropertyRippleMatchesReference(t *testing.T) {
 					return false
 				}
 			case 3: // random crack
-				ix.randomCrackDomain(rng)
+				ix.RandomCrack(rng)
 			case 4: // validate
 				if ix.Validate() != nil {
 					return false

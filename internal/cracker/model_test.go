@@ -98,16 +98,10 @@ func (m *sumModel) step() string {
 	case 1:
 		ix.crackAt(m.value())
 		return "crackAt"
-	case 2:
-		lo, hi := m.bounds()
-		ix.randomCrackInRange(rng, lo, hi, rng.IntN(4))
-		return "randomCrackInRange"
-	case 3:
-		ix.randomCrackDomain(rng)
-		return "randomCrackDomain"
-	case 4:
-		ix.randomCrackLargest(rng)
-		return "randomCrackLargest"
+	case 2: // the pivot rule over any span, past the copy's end included
+		n := ix.Len()
+		ix.crackRandomElement(rng, rng.IntN(n+1), rng.IntN(n+2), rng.IntN(4))
+		return "crackRandomElement"
 	case 5: // forced radix pass over the piece a drawn value falls into
 		ix.mu.Lock()
 		a, b, _, _ := ix.locate(m.value())
@@ -116,7 +110,7 @@ func (m *sumModel) step() string {
 		return "radixPiece"
 	case 6, 7, 8, 9:
 		return m.merge()
-	case 10:
+	case 3, 4, 10:
 		ix.RandomCrack(rng)
 		return "RandomCrack"
 	case 11:
