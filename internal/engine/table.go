@@ -162,6 +162,9 @@ func (t *Table) InsertRows(rows [][]int64) (uint32, error) {
 	defer t.mu.RUnlock()
 	defer t.eng.writeBegin()()
 	cat := t.cat.Load()
+	if len(cat.order) == 0 { // the log records no row without values
+		return 0, fmt.Errorf("%w: table %s has no columns", ErrLengthMismatch, t.name)
+	}
 	for _, vals := range rows {
 		if len(vals) != len(cat.order) {
 			return 0, fmt.Errorf("%w: insert of %d values into %d columns",

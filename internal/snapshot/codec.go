@@ -20,7 +20,8 @@ var snapMagic = [8]byte{'H', 'O', 'L', 'S', 'N', 'P', '0', '2'}
 // falls back to an older snapshot (or cold start) rather than restoring
 // garbage.
 func EncodeState(st engine.EngineState) []byte {
-	dst := append([]byte(nil), snapMagic[:]...)
+	dst := make([]byte, 0, stateSize(st))
+	dst = append(dst, snapMagic[:]...)
 	dst = binary.AppendUvarint(dst, uint64(len(st.Tables)))
 	for _, t := range st.Tables {
 		dst = appendString(dst, t.Name)
@@ -32,6 +33,28 @@ func EncodeState(st engine.EngineState) []byte {
 		}
 	}
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst))
+}
+
+// stateSize is the exact length of EncodeState's image.
+func stateSize(st engine.EngineState) int {
+	n := len(snapMagic) + uvarintLen(uint64(len(st.Tables))) + 4
+	for _, t := range st.Tables {
+		n += stringSize(t.Name) + uvarintLen(uint64(t.Live)) + uvarintLen(uint64(len(t.Order)))
+		for i, cname := range t.Order {
+			c := t.Columns[i]
+			n += stringSize(cname) + stringSize(c.Name) + uvarintLen(uint64(c.Rows)) + uvarintLen(uint64(len(c.Parts)))
+			for _, p := range c.Parts {
+				n += sliceSize(len(p.Vals), 8) + sliceSize(len(p.Deleted), 1) + 1
+				if p.HasCrack {
+					n += sliceSize(len(p.CrackVals), 8) + sliceSize(len(p.CrackRows), 4) + uvarintLen(uint64(len(p.Boundaries))) + 1
+					for _, b := range p.Boundaries {
+						n += 8 + uvarintLen(uint64(b.Pos))
+					}
+				}
+			}
+		}
+	}
+	return n
 }
 
 func appendColumnSnapshot(dst []byte, c shard.ColumnSnapshot) []byte {
@@ -71,32 +94,26 @@ func appendBools(dst []byte, bs []bool) []byte {
 	return dst
 }
 
-func (d *dec) bool() (bool, error) {
-	s, err := d.bytes(1)
-	if err != nil {
-		return false, err
+// bool reads one byte that must be 0 or 1.
+func (d *dec) bool() bool {
+	s := d.bytes(1)
+	if len(s) == 1 && s[0] > 1 {
+		d.fail("invalid bool %d at %d", s[0], d.off-1)
 	}
-	if s[0] > 1 {
-		return false, fmt.Errorf("snapshot: invalid bool %d at %d", s[0], d.off-1)
-	}
-	return s[0] == 1, nil
+	return len(s) == 1 && s[0] == 1
 }
 
-func (d *dec) bools() ([]bool, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(d.b)-d.off) {
-		return nil, fmt.Errorf("snapshot: bool slice length %d exceeds payload", n)
-	}
-	bs := make([]bool, n)
-	for i := range bs {
-		if bs[i], err = d.bool(); err != nil {
-			return nil, err
+func (d *dec) bools() []bool {
+	s := d.bytes(d.count(1, "bool slice"))
+	bs := make([]bool, len(s))
+	for i, b := range s {
+		if b > 1 {
+			d.fail("invalid bool %d at %d", b, d.off-len(s)+i)
+			return nil
 		}
+		bs[i] = b == 1
 	}
-	return bs, nil
+	return bs
 }
 
 // DecodeState parses a snapshot file image, verifying magic and CRC. It
@@ -116,112 +133,36 @@ func DecodeState(b []byte) (engine.EngineState, error) {
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
 		return engine.EngineState{}, fmt.Errorf("snapshot: checksum mismatch")
 	}
+	// Each count is bounded by the smallest encoding of what it counts: a
+	// table is at least 3 bytes, a column 4, a part 3, a boundary 9.
 	d := &dec{b: body, off: len(snapMagic)}
-	ntables, err := d.uvarint()
-	if err != nil {
+	st := engine.EngineState{Tables: make([]engine.TableState, d.count(3, "table"))}
+	for i := range st.Tables {
+		t := &st.Tables[i]
+		t.Name, t.Live = d.string(), int64(d.uvarint())
+		t.Order = make([]string, d.count(4, "column"))
+		t.Columns = make([]shard.ColumnSnapshot, len(t.Order))
+		for j := range t.Order {
+			t.Order[j] = d.string()
+			c := &t.Columns[j]
+			c.Name, c.Rows = d.string(), int64(d.uvarint())
+			c.Parts = make([]shard.PartSnapshot, d.count(3, "part"))
+			for k := range c.Parts {
+				p := &c.Parts[k]
+				p.Vals, p.Deleted, p.HasCrack = d.int64s(), d.bools(), d.bool()
+				if p.HasCrack {
+					p.CrackVals, p.CrackRows = d.int64s(), d.u32s()
+					p.Boundaries = make([]cracker.Boundary, d.count(9, "boundary"))
+					for l := range p.Boundaries {
+						p.Boundaries[l] = cracker.Boundary{Key: d.i64(), Pos: int(d.uvarint())}
+					}
+					p.Sorted = d.bool()
+				}
+			}
+		}
+	}
+	if err := d.end(); err != nil {
 		return engine.EngineState{}, err
 	}
-	if ntables > uint64(len(body)) {
-		return engine.EngineState{}, fmt.Errorf("snapshot: table count %d exceeds payload", ntables)
-	}
-	st := engine.EngineState{Tables: make([]engine.TableState, 0, ntables)}
-	for ti := uint64(0); ti < ntables; ti++ {
-		var ts engine.TableState
-		if ts.Name, err = d.string(); err != nil {
-			return engine.EngineState{}, err
-		}
-		live, err := d.uvarint()
-		if err != nil {
-			return engine.EngineState{}, err
-		}
-		ts.Live = int64(live)
-		ncols, err := d.uvarint()
-		if err != nil {
-			return engine.EngineState{}, err
-		}
-		if ncols > uint64(len(body)) {
-			return engine.EngineState{}, fmt.Errorf("snapshot: column count %d exceeds payload", ncols)
-		}
-		for ci := uint64(0); ci < ncols; ci++ {
-			cname, err := d.string()
-			if err != nil {
-				return engine.EngineState{}, err
-			}
-			cs, err := d.columnSnapshot()
-			if err != nil {
-				return engine.EngineState{}, err
-			}
-			ts.Order = append(ts.Order, cname)
-			ts.Columns = append(ts.Columns, cs)
-		}
-		st.Tables = append(st.Tables, ts)
-	}
-	if d.off != len(body) {
-		return engine.EngineState{}, fmt.Errorf("snapshot: %d trailing bytes", len(body)-d.off)
-	}
 	return st, nil
-}
-
-func (d *dec) columnSnapshot() (shard.ColumnSnapshot, error) {
-	var c shard.ColumnSnapshot
-	var err error
-	if c.Name, err = d.string(); err != nil {
-		return c, err
-	}
-	rows, err := d.uvarint()
-	if err != nil {
-		return c, err
-	}
-	c.Rows = int64(rows)
-	nparts, err := d.uvarint()
-	if err != nil {
-		return c, err
-	}
-	if nparts > uint64(len(d.b)) {
-		return c, fmt.Errorf("snapshot: part count %d exceeds payload", nparts)
-	}
-	for pi := uint64(0); pi < nparts; pi++ {
-		var p shard.PartSnapshot
-		if p.Vals, err = d.int64s(); err != nil {
-			return c, err
-		}
-		if p.Deleted, err = d.bools(); err != nil {
-			return c, err
-		}
-		if p.HasCrack, err = d.bool(); err != nil {
-			return c, err
-		}
-		if p.HasCrack {
-			if p.CrackVals, err = d.int64s(); err != nil {
-				return c, err
-			}
-			if p.CrackRows, err = d.u32s(); err != nil {
-				return c, err
-			}
-			nb, err := d.uvarint()
-			if err != nil {
-				return c, err
-			}
-			if nb > uint64(len(d.b)) {
-				return c, fmt.Errorf("snapshot: boundary count %d exceeds payload", nb)
-			}
-			p.Boundaries = make([]cracker.Boundary, nb)
-			for bi := range p.Boundaries {
-				key, err := d.i64()
-				if err != nil {
-					return c, err
-				}
-				pos, err := d.uvarint()
-				if err != nil {
-					return c, err
-				}
-				p.Boundaries[bi] = cracker.Boundary{Key: key, Pos: int(pos)}
-			}
-			if p.Sorted, err = d.bool(); err != nil {
-				return c, err
-			}
-		}
-		c.Parts = append(c.Parts, p)
-	}
-	return c, nil
 }

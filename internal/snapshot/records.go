@@ -3,6 +3,7 @@ package snapshot
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Statement-record opcodes. Records are logical, not textual SQL: a delete
@@ -31,6 +32,8 @@ type Record struct {
 	DelRows []uint32
 }
 
+// The appends never grow dst: every encoder sizes its output first.
+
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
@@ -52,9 +55,46 @@ func appendU32s(dst []byte, vs []uint32) []byte {
 	return dst
 }
 
+// uvarintLen is the encoded length of x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+func stringSize(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
+// sliceSize is the encoded length of a length-prefixed slice of n values of
+// width bytes each.
+func sliceSize(n, width int) int { return uvarintLen(uint64(n)) + n*width }
+
+// recordSize is the exact encoded length of r.
+func recordSize(r Record) int {
+	n := 1 + stringSize(r.Table)
+	switch r.Op {
+	case opAddColumn:
+		n += stringSize(r.Col) + sliceSize(len(r.Vals), 8)
+	case opInsert:
+		cols := insertCols(r.Rows)
+		n += 4 + uvarintLen(uint64(len(r.Rows))) + uvarintLen(uint64(cols)) + 8*len(r.Rows)*cols
+	case opDelete:
+		n += sliceSize(len(r.DelRows), 4)
+	}
+	return n
+}
+
+func insertCols(rows [][]int64) int {
+	if len(rows) == 0 {
+		return 0
+	}
+	return len(rows[0])
+}
+
 // EncodeRecord serializes one statement record as a WAL payload.
-func EncodeRecord(r Record) []byte {
-	dst := []byte{r.Op}
+func EncodeRecord(r Record) []byte { return encodeRecord(0, r) }
+
+// encodeRecord serializes r behind headroom zero bytes, in one allocation
+// of the exact size. Store.append leaves wal.FrameHeaderSize bytes there
+// for the log to frame the record in place.
+func encodeRecord(headroom int, r Record) []byte {
+	dst := make([]byte, headroom, headroom+recordSize(r))
+	dst = append(dst, r.Op)
 	dst = appendString(dst, r.Table)
 	switch r.Op {
 	case opCreateTable:
@@ -64,11 +104,7 @@ func EncodeRecord(r Record) []byte {
 	case opInsert:
 		dst = binary.LittleEndian.AppendUint32(dst, r.First)
 		dst = binary.AppendUvarint(dst, uint64(len(r.Rows)))
-		cols := 0
-		if len(r.Rows) > 0 {
-			cols = len(r.Rows[0])
-		}
-		dst = binary.AppendUvarint(dst, uint64(cols))
+		dst = binary.AppendUvarint(dst, uint64(insertCols(r.Rows)))
 		for _, row := range r.Rows {
 			for _, v := range row {
 				dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
@@ -80,93 +116,101 @@ func EncodeRecord(r Record) []byte {
 	return dst
 }
 
-// dec is a bounds-checked cursor over one record payload. Every read
-// reports truncation as an error — arbitrary bytes must never panic (the
-// WAL layer's CRC makes corruption here unreachable in practice, but the
-// decoder does not rely on it).
+// dec is a cursor over one record payload or snapshot image. The first
+// malformed field records err and empties the cursor, so every later read
+// returns a zero value without reading or allocating and the caller checks
+// err once. Arbitrary bytes never panic (the WAL's and the image's CRCs
+// make corruption here unreachable in practice, but the decoder does not
+// rely on them).
 type dec struct {
 	b   []byte
 	off int
+	err error
 }
 
-func (d *dec) uvarint() (uint64, error) {
+func (d *dec) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("snapshot: "+format, args...)
+	}
+	d.off = len(d.b)
+}
+
+// end returns the first error, or one for bytes left over.
+func (d *dec) end() error {
+	if d.off != len(d.b) {
+		d.fail("%d trailing bytes", len(d.b)-d.off)
+	}
+	return d.err
+}
+
+// uvarint reads one uvarint in its shortest form. The encoders write no
+// other, so a padded one is corruption, and rejecting it keeps every
+// decoded record and image re-encodable to the bytes it came from.
+func (d *dec) uvarint() uint64 {
 	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("snapshot: truncated uvarint at %d", d.off)
+	if n <= 0 || n != uvarintLen(v) {
+		d.fail("bad uvarint at %d", d.off)
+		return 0
 	}
 	d.off += n
-	return v, nil
+	return v
 }
 
-func (d *dec) bytes(n int) ([]byte, error) {
+func (d *dec) bytes(n int) []byte {
 	if n < 0 || n > len(d.b)-d.off {
-		return nil, fmt.Errorf("snapshot: truncated field at %d (want %d bytes, have %d)", d.off, n, len(d.b)-d.off)
+		d.fail("truncated field at %d (want %d bytes, have %d)", d.off, n, len(d.b)-d.off)
+		return nil
 	}
-	s := d.b[d.off : d.off+n]
 	d.off += n
-	return s, nil
+	return d.b[d.off-n : d.off]
 }
 
-func (d *dec) string() (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
+// count reads a length prefix of items that encode to at least width bytes
+// each. It is checked by division against the bytes left, so no length,
+// however large, overflows the check or sizes an allocation past them.
+func (d *dec) count(width int, what string) int {
+	n := d.uvarint()
+	if n > uint64(len(d.b)-d.off)/uint64(width) {
+		d.fail("%s count %d exceeds payload", what, n)
+		return 0
 	}
-	if n > uint64(len(d.b)-d.off) {
-		return "", fmt.Errorf("snapshot: string length %d exceeds payload", n)
-	}
-	s, err := d.bytes(int(n))
-	return string(s), err
+	return int(n)
 }
 
-func (d *dec) u32() (uint32, error) {
-	s, err := d.bytes(4)
-	if err != nil {
-		return 0, err
+func (d *dec) string() string { return string(d.bytes(d.count(1, "string"))) }
+
+func (d *dec) u32() uint32 {
+	if s := d.bytes(4); len(s) == 4 {
+		return binary.LittleEndian.Uint32(s)
 	}
-	return binary.LittleEndian.Uint32(s), nil
+	return 0
 }
 
-func (d *dec) i64() (int64, error) {
-	s, err := d.bytes(8)
-	if err != nil {
-		return 0, err
+func (d *dec) i64() int64 {
+	if s := d.bytes(8); len(s) == 8 {
+		return int64(binary.LittleEndian.Uint64(s))
 	}
-	return int64(binary.LittleEndian.Uint64(s)), nil
+	return 0
 }
 
-func (d *dec) int64s() ([]int64, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n*8 > uint64(len(d.b)-d.off) {
-		return nil, fmt.Errorf("snapshot: int64 slice length %d exceeds payload", n)
-	}
-	vs := make([]int64, n)
+// getInt64s decodes s, whose length is a multiple of 8, in one loop.
+func getInt64s(s []byte) []int64 {
+	vs := make([]int64, len(s)/8)
 	for i := range vs {
-		if vs[i], err = d.i64(); err != nil {
-			return nil, err
-		}
+		vs[i] = int64(binary.LittleEndian.Uint64(s[8*i:]))
 	}
-	return vs, nil
+	return vs
 }
 
-func (d *dec) u32s() ([]uint32, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n*4 > uint64(len(d.b)-d.off) {
-		return nil, fmt.Errorf("snapshot: uint32 slice length %d exceeds payload", n)
-	}
-	vs := make([]uint32, n)
+func (d *dec) int64s() []int64 { return getInt64s(d.bytes(8 * d.count(8, "int64 slice"))) }
+
+func (d *dec) u32s() []uint32 {
+	s := d.bytes(4 * d.count(4, "uint32 slice"))
+	vs := make([]uint32, len(s)/4)
 	for i := range vs {
-		if vs[i], err = d.u32(); err != nil {
-			return nil, err
-		}
+		vs[i] = binary.LittleEndian.Uint32(s[4*i:])
 	}
-	return vs, nil
+	return vs
 }
 
 // DecodeRecord parses one WAL payload. It never panics on arbitrary input.
@@ -175,51 +219,32 @@ func DecodeRecord(b []byte) (Record, error) {
 		return Record{}, fmt.Errorf("snapshot: empty record")
 	}
 	d := &dec{b: b, off: 1}
-	r := Record{Op: b[0]}
-	var err error
-	if r.Table, err = d.string(); err != nil {
-		return Record{}, err
-	}
+	r := Record{Op: b[0], Table: d.string()}
 	switch r.Op {
 	case opCreateTable:
 	case opAddColumn:
-		if r.Col, err = d.string(); err != nil {
-			return Record{}, err
-		}
-		if r.Vals, err = d.int64s(); err != nil {
-			return Record{}, err
-		}
+		r.Col, r.Vals = d.string(), d.int64s()
 	case opInsert:
-		if r.First, err = d.u32(); err != nil {
-			return Record{}, err
+		r.First = d.u32()
+		nrows, ncols := d.uvarint(), d.uvarint()
+		// The engine logs no row without values, so rows and columns are
+		// both present or both absent.
+		if (nrows == 0) != (ncols == 0) || nrows > uint64(len(b)-d.off)/8/max(ncols, 1) {
+			d.fail("insert of %d×%d exceeds payload", nrows, ncols)
+			break
 		}
-		nrows, err := d.uvarint()
-		if err != nil {
-			return Record{}, err
-		}
-		ncols, err := d.uvarint()
-		if err != nil {
-			return Record{}, err
-		}
-		if nrows*ncols*8 > uint64(len(b)) {
-			return Record{}, fmt.Errorf("snapshot: insert of %d×%d exceeds payload", nrows, ncols)
-		}
+		vals := getInt64s(d.bytes(int(nrows * ncols * 8)))
 		r.Rows = make([][]int64, nrows)
-		for i := range r.Rows {
-			row := make([]int64, ncols)
-			for j := range row {
-				if row[j], err = d.i64(); err != nil {
-					return Record{}, err
-				}
-			}
-			r.Rows[i] = row
+		for i, c := 0, int(ncols); i < len(r.Rows); i++ {
+			r.Rows[i] = vals[i*c : (i+1)*c : (i+1)*c]
 		}
 	case opDelete:
-		if r.DelRows, err = d.u32s(); err != nil {
-			return Record{}, err
-		}
+		r.DelRows = d.u32s()
 	default:
 		return Record{}, fmt.Errorf("snapshot: unknown record op %d", r.Op)
+	}
+	if err := d.end(); err != nil {
+		return Record{}, err
 	}
 	return r, nil
 }

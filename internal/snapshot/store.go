@@ -205,7 +205,16 @@ func (s *Store) readFile(path string) ([]byte, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return io.ReadAll(f)
+	n, err := f.Seek(0, io.SeekEnd)
+	if err == nil {
+		_, err = f.Seek(0, io.SeekStart)
+	}
+	if err != nil {
+		return nil, err
+	}
+	b := make([]byte, n)
+	_, err = io.ReadFull(f, b)
+	return b, err
 }
 
 // writeFileAtomic writes data to name via temp file + fsync + rename +
@@ -281,11 +290,9 @@ func (s *Store) Checkpoint() (int64, error) {
 	if old > 0 {
 		s.fs.Remove(filepath.Join(s.dir, fmt.Sprintf("snap-%d.snap", old)))
 	}
-	if err := s.log.Rebase(cut); err != nil && !errors.Is(err, wal.ErrDegraded) {
-		// Non-fatal: the un-compacted log plus the new manifest still
-		// recover correctly; the next checkpoint retries.
-		return cut - prev, nil
-	}
+	// A failed rebase is non-fatal: the un-compacted log plus the new
+	// manifest still recover correctly; the next checkpoint retries.
+	s.log.Rebase(cut)
 	return cut - prev, nil
 }
 
@@ -308,7 +315,7 @@ func (s *Store) Close() error { return s.log.Close() }
 // degraded state into the engine's read-only sentinel so servers surface a
 // structured error.
 func (s *Store) append(r Record) error {
-	_, err := s.log.Append(EncodeRecord(r))
+	_, err := s.log.AppendFrame(encodeRecord(wal.FrameHeaderSize, r))
 	if err != nil && errors.Is(err, wal.ErrDegraded) {
 		return fmt.Errorf("%w: %w", engine.ErrReadOnly, err)
 	}

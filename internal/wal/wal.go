@@ -56,8 +56,8 @@ var Magic = [8]byte{'H', 'O', 'L', 'W', 'A', 'L', '0', '1'}
 // headerSize is the fixed file header: magic plus the base logical offset.
 const headerSize = 16
 
-// frameHeaderSize is the per-record header: payload length plus CRC32.
-const frameHeaderSize = 8
+// FrameHeaderSize is the per-record header: payload length plus CRC32.
+const FrameHeaderSize = 8
 
 // MaxFrame caps one payload. Statement records are small; the largest
 // legitimate record is a preload column (8 bytes per value), so 1 GiB is
@@ -238,30 +238,35 @@ var ErrBadMagic = errors.New("bad magic")
 func DecodeAll(body []byte) (payloads [][]byte, valid int64) {
 	off := 0
 	for {
-		if len(body)-off < frameHeaderSize {
+		if len(body)-off < FrameHeaderSize {
 			return payloads, int64(off)
 		}
 		n := int(binary.LittleEndian.Uint32(body[off:]))
 		crc := binary.LittleEndian.Uint32(body[off+4:])
-		if n > MaxFrame || n > len(body)-off-frameHeaderSize {
+		if n > MaxFrame || n > len(body)-off-FrameHeaderSize {
 			return payloads, int64(off)
 		}
-		payload := body[off+frameHeaderSize : off+frameHeaderSize+n]
+		payload := body[off+FrameHeaderSize : off+FrameHeaderSize+n]
 		if crc32.ChecksumIEEE(payload) != crc {
 			return payloads, int64(off)
 		}
 		payloads = append(payloads, payload)
-		off += frameHeaderSize + n
+		off += FrameHeaderSize + n
 	}
 }
 
 // EncodeFrame appends one frame for payload to dst and returns it.
 func EncodeFrame(dst, payload []byte) []byte {
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
+	var hdr [FrameHeaderSize]byte
+	putFrameHeader(hdr[:], payload)
 	dst = append(dst, hdr[:]...)
 	return append(dst, payload...)
+}
+
+// putFrameHeader writes payload's length and CRC into hdr.
+func putFrameHeader(hdr, payload []byte) {
+	binary.LittleEndian.PutUint32(hdr, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
 }
 
 // Size returns the log's logical end offset: the offset the next record
@@ -280,16 +285,28 @@ func (l *Log) Degraded() bool {
 }
 
 // Append writes one record and returns the logical offset its frame ends
-// at. Under SyncAlways the record is fsynced before Append returns.
-// Transient I/O errors are retried with exponential backoff; when retries
-// are exhausted the log degrades and this — and every later — Append
-// returns ErrDegraded. A failed attempt truncates its partial frame, so the
-// on-disk tail stays valid whether or not the append eventually succeeds.
+// at. It copies payload behind a frame header; a caller that can leave
+// FrameHeaderSize bytes of headroom calls AppendFrame and saves the copy.
 func (l *Log) Append(payload []byte) (off int64, err error) {
-	if len(payload) > MaxFrame {
-		return 0, fmt.Errorf("wal: record of %d bytes exceeds MaxFrame", len(payload))
+	frame := make([]byte, FrameHeaderSize+len(payload))
+	copy(frame[FrameHeaderSize:], payload)
+	return l.AppendFrame(frame)
+}
+
+// AppendFrame writes the record frame[FrameHeaderSize:] and returns the
+// logical offset its frame ends at. It fills in the length and CRC in
+// frame's first FrameHeaderSize bytes, so the record is written from the
+// caller's buffer without a copy. Under SyncAlways the record is fsynced
+// before AppendFrame returns. Transient I/O errors are retried with
+// exponential backoff; when retries are exhausted the log degrades and
+// this — and every later — append returns ErrDegraded. A failed attempt
+// truncates its partial frame, so the on-disk tail stays valid whether or
+// not the append eventually succeeds.
+func (l *Log) AppendFrame(frame []byte) (off int64, err error) {
+	if n := len(frame) - FrameHeaderSize; n < 0 || n > MaxFrame {
+		return 0, fmt.Errorf("wal: record of %d bytes does not fit a frame", n)
 	}
-	frame := EncodeFrame(make([]byte, 0, frameHeaderSize+len(payload)), payload)
+	putFrameHeader(frame, frame[FrameHeaderSize:])
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.degraded {
@@ -378,7 +395,7 @@ func (l *Log) ReplayFrom(from int64, fn func(end int64, payload []byte) error) e
 	payloads, _ := DecodeAll(body)
 	off := l.base
 	for _, p := range payloads {
-		off += int64(frameHeaderSize + len(p))
+		off += int64(FrameHeaderSize + len(p))
 		if off <= from {
 			continue
 		}
@@ -418,7 +435,7 @@ func (l *Log) Rebase(upTo int64) error {
 		payloads, _ := DecodeAll(body)
 		off := l.base
 		for _, p := range payloads {
-			end := off + int64(frameHeaderSize+len(p))
+			end := off + int64(FrameHeaderSize+len(p))
 			if end > upTo {
 				suffix = EncodeFrame(suffix, p)
 			}
