@@ -1,7 +1,5 @@
 package core
 
-import "sync/atomic"
-
 // AuxAction is a non-column maintenance action — checkpointing is the
 // canonical one — that bids in the tuner's ranked auction against cracks
 // and merges. Score returns the action's current urgency on the same scale
@@ -15,18 +13,11 @@ type AuxAction interface {
 	Run() int
 }
 
-// auxShard pairs an aux action with its claim flag, mirroring the
-// per-column shards: two workers never run the same aux action at once.
-type auxShard struct {
-	act  AuxAction
-	busy atomic.Bool
-}
-
 // RegisterAux adds a maintenance action to the tuner's auction.
 func (t *Tuner) RegisterAux(a AuxAction) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.aux = append(t.aux, &auxShard{act: a})
+	t.addLocked(&candidate{aux: a})
 }
 
 // AuxRuns returns how many aux actions the tuner has executed.
@@ -34,10 +25,4 @@ func (t *Tuner) AuxRuns() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.auxRuns
-}
-
-func (t *Tuner) snapshotAux() []*auxShard {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]*auxShard(nil), t.aux...)
 }

@@ -28,11 +28,11 @@ func TestAuxActionBidsInAuction(t *testing.T) {
 	a := &fakeAux{}
 	tn.RegisterAux(a)
 
-	if _, res := tn.TryStep(); res != StepExhausted {
+	if _, res := tn.TryStep(nil); res != StepExhausted {
 		t.Fatalf("zero-scored aux should leave tuner exhausted, got %v", res)
 	}
 	a.score.Store(3)
-	w, res := tn.TryStep()
+	w, res := tn.TryStep(nil)
 	if res != StepWorked || w != 7 {
 		t.Fatalf("TryStep = (%d, %v), want (7, StepWorked)", w, res)
 	}
@@ -42,7 +42,7 @@ func TestAuxActionBidsInAuction(t *testing.T) {
 	if tn.AuxRuns() != 1 || tn.Actions() != 1 {
 		t.Fatalf("counters: aux %d actions %d, want 1/1", tn.AuxRuns(), tn.Actions())
 	}
-	if _, res := tn.TryStep(); res != StepExhausted {
+	if _, res := tn.TryStep(nil); res != StepExhausted {
 		t.Fatalf("satisfied aux should exhaust again, got %v", res)
 	}
 }

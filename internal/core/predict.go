@@ -6,16 +6,18 @@
 //
 // Discipline, in order of priority:
 //
-//  1. Real work first. TrySpeculativeStep refuses to run while any column
-//     still has a positive crack/merge/aux score — speculation only spends
-//     idle slots that reactive refinement has no use for.
+//  1. Real work first. Speculation is the lower tier of TryStep's auction:
+//     it is reached only when no crack, merge or aux bid is positive and no
+//     candidate is claimed, so it only spends idle slots that reactive
+//     refinement has no use for.
 //  2. Confidence-scaled bids. Predicted ranges are ranked by
 //     costmodel.PredictScore, which multiplies the payoff by the
 //     sketch's confidence; below the sketch's own confidence floor
 //     no prediction is emitted at all, so an adversarial (teleporting)
 //     workload shuts speculation off by itself.
-//  3. Budget-capped. The idle runner charges every speculative attempt
-//     against a per-traffic-gap budget (idle.DefaultSpecBudget), so a wrong
+//  3. Budget-capped. TryStep asks its speculate argument for a slot before
+//     the speculative tier bids; the idle runner grants at most
+//     idle.DefaultSpecBudget attempts per traffic gap, so a wrong
 //     forecast burns a bounded slice of one gap's idle capacity and nothing
 //     else.
 //  4. Never against traffic. Speculative steps execute inside the same
@@ -65,88 +67,29 @@ func (t *Tuner) SpecWins() int64 {
 	return t.specWins
 }
 
-// realWorkPending reports whether any reactive action — crack, merge or aux
-// — still has a positive score. It asks each shard for TryStep's bid without
-// claiming anything; "claimed by another worker" still counts as pending,
-// so speculation stays strictly behind real work even under contention.
-func (t *Tuner) realWorkPending(shards []*shard) bool {
-	for _, sh := range shards {
-		if s, _ := t.bid(sh); s > 0 {
-			return true
+// specBid is a column's bid in the auction's speculative tier: its best
+// predicted range, scored by costmodel.PredictScore (confidence × the payoff
+// of refining the range to the speculative target). A range already at the
+// target, or a forecast below the confidence floor, bids 0. Aux actions do
+// not speculate.
+func (t *Tuner) specBid(c *candidate) bid {
+	b := bid{c: c, act: actSpec}
+	if c.col == nil {
+		return b
+	}
+	name := c.col.Name()
+	preds := t.collector.Predict(name)
+	if len(preds) == 0 {
+		return b
+	}
+	freq := t.collector.Frequency(name)
+	for _, pr := range preds {
+		avg := c.col.RangePieceAvg(pr.Range.Lo, pr.Range.Hi)
+		if s := t.model.PredictScore(pr.Confidence, freq, avg); s > b.score {
+			b.score, b.r = s, pr.Range
 		}
 	}
-	for _, a := range t.snapshotAux() {
-		if a.act.Score() > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// TrySpeculativeStep attempts one forecast-driven pre-crack action on the
-// best-scoring predicted range, with the same claim discipline and result
-// classification as TryStep. It returns StepExhausted when real work is
-// still pending (real refinement owns the idle slot), no prediction clears
-// the confidence floor, or every predicted range is already pre-cracked to
-// the speculative target.
-func (t *Tuner) TrySpeculativeStep() (work int, res StepResult) {
-	shards := t.snapshotShards()
-	if len(shards) == 0 {
-		return 0, StepExhausted
-	}
-	if t.realWorkPending(shards) {
-		return 0, StepExhausted
-	}
-	var (
-		best      *shard
-		bestRange stats.Range
-		bestScore float64
-		claimable bool
-	)
-	for _, sh := range shards {
-		preds := t.collector.Predict(sh.col.Name())
-		if len(preds) == 0 {
-			continue
-		}
-		freq := t.collector.Frequency(sh.col.Name())
-		for _, pr := range preds {
-			avg := sh.col.RangePieceAvg(pr.Range.Lo, pr.Range.Hi)
-			s := t.model.PredictScore(pr.Confidence, freq, avg)
-			if s <= 0 {
-				continue // already fine enough, or no confidence
-			}
-			claimable = true
-			if sh.busy.Load() {
-				continue // another worker owns this column's action queue
-			}
-			if s > bestScore {
-				best, bestRange, bestScore = sh, pr.Range, s
-			}
-		}
-	}
-	if best == nil {
-		if !claimable {
-			return 0, StepExhausted
-		}
-		t.mu.Lock()
-		t.contended++
-		t.mu.Unlock()
-		return 0, StepContended
-	}
-	if !best.busy.CompareAndSwap(false, true) {
-		t.mu.Lock()
-		t.contended++
-		t.mu.Unlock()
-		return 0, StepContended
-	}
-	w := best.col.RefineRange(t.childRNG(), bestRange.Lo, bestRange.Hi, t.model.SpecTarget(), DefaultSpecCracks)
-	best.busy.Store(false)
-	t.mu.Lock()
-	t.specActions++
-	t.specWork += int64(w)
-	t.recordSpecRangeLocked(best.col.Name(), bestRange)
-	t.mu.Unlock()
-	return w, StepWorked
+	return b
 }
 
 // recordSpecRangeLocked remembers a speculated range for win accounting,
@@ -198,14 +141,20 @@ type ColumnForecast struct {
 	Ranges     []PredictedRange `json:"ranges,omitempty"`
 }
 
-// ForecastSummary snapshots every registered column's forecast. Columns
-// whose model has not closed an epoch yet are included with zero confidence
-// so an operator can see the forecaster warming up.
+// ForecastSummary snapshots every registered column's forecast; aux actions
+// have none and are skipped. Columns whose model has not closed an epoch yet
+// are included with zero confidence so an operator can see the forecaster
+// warming up.
 func (t *Tuner) ForecastSummary() []ColumnForecast {
-	shards := t.snapshotShards()
-	out := make([]ColumnForecast, 0, len(shards))
-	for _, sh := range shards {
-		name := sh.col.Name()
+	t.mu.Lock()
+	cands := t.cands
+	t.mu.Unlock()
+	out := make([]ColumnForecast, 0, len(cands))
+	for _, c := range cands {
+		if c.col == nil {
+			continue
+		}
+		name := c.col.Name()
 		cf := ColumnForecast{
 			Column:     name,
 			Confidence: t.collector.Confidence(name),

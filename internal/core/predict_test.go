@@ -15,8 +15,11 @@ func trainStationary(tn *Tuner, col string, lo, hi int64) {
 	}
 }
 
-// Speculation must refuse to run while reactive refinement still has
-// positive-score work, even with a fully confident forecast in hand.
+// always grants every speculative slot.
+func always() bool { return true }
+
+// Speculation must not be asked for a slot while reactive refinement still
+// has positive-score work, even with a fully confident forecast in hand.
 func TestSpeculativeWaitsForRealWork(t *testing.T) {
 	// Global target 4096 puts the speculative target at 256: after reactive
 	// convergence there is still finer pre-cracking for speculation to do.
@@ -27,18 +30,29 @@ func TestSpeculativeWaitsForRealWork(t *testing.T) {
 	if conf := tn.Collector().Confidence("a"); conf != 1 {
 		t.Fatalf("stationary confidence = %f, want 1", conf)
 	}
-	// The column is coarse and hot: reactive cracking owns every idle slot.
-	if w, res := tn.TrySpeculativeStep(); res != StepExhausted || w != 0 {
-		t.Fatalf("speculation ran ahead of real work: %d,%v", w, res)
+	// The column is coarse and hot: reactive cracking owns every idle slot
+	// and the auction never asks for a speculative one.
+	asked := 0
+	speculate := func() bool { asked++; return true }
+	steps := 0
+	for b, _ := scan(tn.cands, 0, tn.realBid); b.c != nil; b, _ = scan(tn.cands, 0, tn.realBid) {
+		if _, res := tn.TryStep(speculate); res != StepWorked {
+			t.Fatalf("reactive step %d: %v", steps, res)
+		}
+		if asked != 0 || tn.SpecActions() != 0 {
+			t.Fatalf("step %d asked %d speculative slots, ran %d speculative actions, with real work pending",
+				steps, asked, tn.SpecActions())
+		}
+		steps++
 	}
-	// Drain the reactive work, then speculation may spend idle capacity.
-	if actions, _ := tn.RunActions(100000); actions == 0 {
+	if steps == 0 {
 		t.Fatal("no reactive work drained")
 	}
+	// Real work is drained: the next step asks once and speculates.
 	reactive := tn.Actions()
-	w, res := tn.TrySpeculativeStep()
-	if res != StepWorked || w <= 0 {
-		t.Fatalf("post-exhaustion speculation: %d,%v, want work", w, res)
+	w, res := tn.TryStep(speculate)
+	if res != StepWorked || w <= 0 || asked != 1 {
+		t.Fatalf("post-exhaustion speculation: %d,%v after %d slots, want work after 1", w, res, asked)
 	}
 	if tn.SpecActions() != 1 || tn.SpecWork() != int64(w) {
 		t.Fatalf("SpecActions=%d SpecWork=%d after one step of %d",
@@ -66,7 +80,7 @@ func TestSpeculativeRefinesToSpecTargetThenStops(t *testing.T) {
 	pr := preds[0].Range
 	worked := 0
 	for i := 0; i < 100; i++ {
-		w, res := tn.TrySpeculativeStep()
+		w, res := tn.TryStep(always)
 		if res == StepExhausted {
 			break
 		}
@@ -83,7 +97,7 @@ func TestSpeculativeRefinesToSpecTargetThenStops(t *testing.T) {
 		t.Fatalf("predicted range avg piece %f above speculative target %f", avg, target)
 	}
 	// Exhausted means exhausted: no further work, no spurious contention.
-	if w, res := tn.TrySpeculativeStep(); res != StepExhausted || w != 0 {
+	if w, res := tn.TryStep(always); res != StepExhausted || w != 0 {
 		t.Fatalf("post-convergence speculation: %d,%v", w, res)
 	}
 }
@@ -98,7 +112,7 @@ func TestSpecWinAccounting(t *testing.T) {
 	if len(preds) == 0 {
 		t.Fatal("no prediction after training")
 	}
-	if _, res := tn.TrySpeculativeStep(); res != StepWorked {
+	if _, res := tn.TryStep(always); res != StepWorked {
 		t.Fatalf("speculative step: %v", res)
 	}
 	if tn.SpecWins() != 0 {

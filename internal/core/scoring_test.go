@@ -31,14 +31,13 @@ func TestScoringNeverMaterialises(t *testing.T) {
 		}
 		return n
 	}
-	// Speculation scores every part, finds real work pending and declines.
-	if _, res := tn.TrySpeculativeStep(); res != core.StepExhausted {
-		t.Fatalf("speculation ran ahead of real work: %v", res)
+	// The step scores every part and materialises only the winner's copy;
+	// with real work pending it never asks for a speculative slot.
+	speculate := func() bool {
+		t.Error("speculative slot asked with real work pending")
+		return true
 	}
-	if n := materialised(); n != 0 {
-		t.Fatalf("scoring materialised %d parts", n)
-	}
-	if _, res := tn.TryStep(); res != core.StepWorked {
+	if _, res := tn.TryStep(speculate); res != core.StepWorked {
 		t.Fatalf("step: %v", res)
 	}
 	if n := materialised(); n != 1 {

@@ -79,29 +79,33 @@ type Column interface {
 	RefineRange(rng *rand.Rand, lo, hi int64, target float64, cracks int) int
 }
 
-// shard is the tuner's per-column slice of the pending-action queue. Workers
-// claim a shard with an atomic flag before acting on it, so two idle workers
-// never crack the same column — and hence never the same piece — at once,
-// and never queue up behind one column's latch while other columns starve.
-type shard struct {
-	col  Column
-	busy atomic.Bool // claimed by an in-flight Step
+// candidate is one bidder in the idle auction: a column, which bids a crack
+// or a merge and, in the speculative tier, a pre-crack, or an aux action
+// (a checkpoint). Workers claim a candidate with an atomic flag before acting
+// on it, so two idle workers never act on the same column — and hence never
+// the same piece — or run the same aux action at once, and never queue up
+// behind one column's latch while other columns starve.
+type candidate struct {
+	col  Column    // nil for an aux action
+	aux  AuxAction // nil for a column
+	busy atomic.Bool
 }
 
 // Tuner is the holistic tuning engine. All methods are safe for concurrent
-// use; Step in particular may be driven by many idle workers at once.
+// use; TryStep in particular may be driven by many idle workers at once.
 type Tuner struct {
 	model     costmodel.Params
 	collector *stats.Collector
 
-	mu        sync.Mutex
-	shards    []*shard
-	aux       []*auxShard // registered maintenance actions (see aux.go)
+	mu sync.Mutex
+	// cands only ever grows by a copying append (addLocked), so a step reads
+	// the slice under mu once and scans it without a lock or a copy.
+	cands     []*candidate
 	rng       *rand.Rand
 	rr        int   // round-robin rotation cursor for rank ties
 	actions   int64 // refinement actions performed
 	work      int64 // elements touched by those actions
-	contended int64 // Steps that yielded because every candidate was claimed
+	contended int64 // Steps that yielded to a claimed candidate
 	merges    int64 // refinement actions that drained pending updates
 	mergedOps int64 // buffered operations applied by those merges
 	auxRuns   int64 // aux maintenance actions executed
@@ -142,8 +146,14 @@ func (t *Tuner) childRNG() *rand.Rand {
 func (t *Tuner) Register(c Column, domLo, domHi int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.shards = append(t.shards, &shard{col: c})
+	t.addLocked(&candidate{col: c})
 	t.collector.Register(c.Name(), domLo, domHi)
+}
+
+// addLocked appends a candidate to a fresh copy of the slice: a step still
+// scanning the old one never sees it change. Caller holds t.mu.
+func (t *Tuner) addLocked(c *candidate) {
+	t.cands = append(t.cands[:len(t.cands):len(t.cands)], c)
 }
 
 // NoteQuery records a range query for monitoring. The engine calls it for
@@ -197,171 +207,172 @@ func (t *Tuner) MergedOps() int64 {
 	return t.mergedOps
 }
 
-// Contended returns how many Steps yielded without cracking because every
-// refinable column was already claimed by another worker — a diagnostic for
-// sizing the idle worker pool against the number of active columns.
+// Contended returns how many Steps yielded without acting because no
+// unclaimed candidate had work while another worker held one — a diagnostic
+// for sizing the idle worker pool against the number of active columns.
 func (t *Tuner) Contended() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.contended
 }
 
-// bid scores the one action a shard offers the idle auction. A shard has up
-// to two: drain its update backlog (ranked even at zero frequency — reads pay
-// for the backlog whether or not the tuner has seen queries) and crack; it
-// bids the better one. The crack score is frequency-weighted, so an
-// unqueried, unseeded column never ranks. Scoring only reads: a column with no
-// cracked copy yet bids as one piece of its live rows, and the step that wins
-// materialises it. Scoring takes the index latch, which a worker that has
-// claimed the shard may hold for a whole crack.
-func (t *Tuner) bid(sh *shard) (score float64, merge bool) {
-	freq := t.collector.Frequency(sh.col.Name())
-	if pending := sh.col.PendingOps(); pending > 0 {
-		score, merge = t.model.MergeScore(freq, pending), true
+// action is what a winning bid runs.
+type action uint8
+
+const (
+	actCrack action = iota // Column.RandomCrack
+	actMerge               // Column.MergeStep
+	actAux                 // AuxAction.Run
+	actSpec                // Column.RefineRange over a predicted range
+)
+
+// bid is one candidate's offer in one scan of the auction.
+type bid struct {
+	c     *candidate
+	score float64
+	act   action
+	r     stats.Range // actSpec only: the predicted range to refine
+}
+
+// realBid scores the one action a candidate offers the auction's real tier.
+// An aux action bids its own score. A column has up to two actions: drain its
+// update backlog (ranked even at zero frequency — reads pay for the backlog
+// whether or not the tuner has seen queries) and crack; it bids the better
+// one. The crack score is frequency-weighted, so an unqueried, unseeded
+// column never ranks. Scoring only reads: a column with no cracked copy yet
+// bids as one piece of its live rows, and the step that wins materialises
+// it. Scoring takes the index latch, which a worker that has claimed the
+// column may hold for a whole crack.
+func (t *Tuner) realBid(c *candidate) bid {
+	if c.aux != nil {
+		return bid{c: c, score: c.aux.Score(), act: actAux}
+	}
+	b := bid{c: c, act: actCrack}
+	freq := t.collector.Frequency(c.col.Name())
+	if pending := c.col.PendingOps(); pending > 0 {
+		b.score, b.act = t.model.MergeScore(freq, pending), actMerge
 	}
 	if freq > 0 {
-		if pieces, n := sh.col.PieceStats(); pieces > 0 {
-			if cs := t.model.Score(freq, float64(n)/float64(pieces)); cs > score {
-				score, merge = cs, false
+		if pieces, n := c.col.PieceStats(); pieces > 0 {
+			if cs := t.model.Score(freq, float64(n)/float64(pieces)); cs > b.score {
+				b.score, b.act = cs, actCrack
 			}
 		}
 	}
-	return score, merge
+	return b
 }
 
-func (t *Tuner) snapshotShards() []*shard {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]*shard(nil), t.shards...)
+// scan returns the best positive bid of one tier (realBid or specBid) among
+// the unclaimed candidates, and whether any candidate was claimed by another
+// worker. A claimed candidate is not scored (see realBid). Ties keep the
+// first candidate in rr-rotated order, the round-robin the paper's "No
+// Knowledge" case needs.
+func scan(cands []*candidate, rr int, tier func(*candidate) bid) (best bid, claimed bool) {
+	n := len(cands)
+	for i := range n {
+		c := cands[(rr+i)%n]
+		if c.busy.Load() {
+			claimed = true
+		} else if b := tier(c); b.score > best.score {
+			best = b
+		}
+	}
+	return best, claimed
 }
 
 // StepResult classifies one TryStep attempt.
 type StepResult int
 
 const (
-	// StepWorked: a refinement action ran (its work may still be 0 if the
-	// random pivot hit an existing boundary).
+	// StepWorked: an action ran (its work may still be 0 if the random
+	// pivot hit an existing boundary).
 	StepWorked StepResult = iota
-	// StepContended: every refinable column was claimed by another worker;
-	// nothing ran and nothing was counted. The caller should yield.
+	// StepContended: nothing unclaimed had work, but another worker held a
+	// candidate; nothing ran and nothing was counted. The caller should
+	// yield.
 	StepContended
-	// StepExhausted: no column has refinement potential left.
+	// StepExhausted: no candidate has work left.
 	StepExhausted
 )
 
-// TryStep attempts one idle refinement action on the best-ranked unclaimed
-// column, returning the work done (elements touched) and what happened.
-// Only StepWorked counts toward Actions(); a contended attempt is tallied
-// in Contended() instead, so "X refinement actions" keeps the paper's
-// meaning under a multi-worker pool.
+// TryStep runs one idle action: the best bid of one auction over every
+// registered column and aux action, returning the work done (elements
+// touched) and what happened. Only StepWorked counts toward Actions(); a
+// contended attempt is tallied in Contended() instead, so "X refinement
+// actions" keeps the paper's meaning under a multi-worker pool.
+//
+// Speculation is the auction's lower tier (see predict.go). It is reached
+// only when no real bid is positive and no candidate is claimed, and only if
+// speculate, asked at most once per step, grants a slot; each column then
+// bids its best predicted range. A nil speculate never speculates.
 //
 // TryStep is safe — and useful — to call from many goroutines: each caller
-// claims a column shard with an atomic flag before acting, so concurrent
+// claims a candidate with an atomic flag before acting, so concurrent
 // workers fan out across columns instead of serialising on one latch. The
 // action latches the column itself (see Column).
-func (t *Tuner) TryStep() (work int, res StepResult) {
-	shards := t.snapshotShards()
-	aux := t.snapshotAux()
-	if len(shards) == 0 && len(aux) == 0 {
-		return 0, StepExhausted
-	}
+func (t *Tuner) TryStep(speculate func() bool) (work int, res StepResult) {
 	t.mu.Lock()
-	rr := t.rr
+	cands, rr := t.cands, t.rr
 	t.rr++
 	t.mu.Unlock()
-
-	// Linear best-unclaimed scan (no sort, no allocation on the hot idle
-	// path). Ties keep the first candidate in rr-rotated order, the same
-	// round-robin the paper's "No Knowledge" case needs. If the claim race
-	// is lost, rescan: the raced shard is busy now, so the next-best wins.
-	n := len(shards)
-	for attempt := 0; attempt < n+len(aux); attempt++ {
-		var best *shard
-		bestScore := 0.0
-		bestMerge := false
-		refinable := false
-		for i := 0; i < n; i++ {
-			sh := shards[(rr+i)%n]
-			if sh.busy.Load() {
-				// Another worker owns this column's action queue, so it was
-				// refinable a moment ago. Do not score it (see bid).
-				refinable = true
-				continue
-			}
-			s, merge := t.bid(sh)
-			if s <= 0 {
-				continue
-			}
-			refinable = true
-			if s > bestScore {
-				best, bestScore, bestMerge = sh, s, merge
-			}
+	granted := false
+	// A lost claim race rescans: the raced candidate is claimed now, so the
+	// next-best wins or the step yields.
+	for range len(cands) + 1 {
+		b, claimed := scan(cands, rr, t.realBid)
+		if b.c == nil && !claimed && speculate != nil && (granted || speculate()) {
+			granted = true
+			b, claimed = scan(cands, rr, t.specBid)
 		}
-		// Aux maintenance actions (checkpoints) bid in the same auction:
-		// the best one competes with the best column action and the higher
-		// score wins the claim.
-		var bestAux *auxShard
-		for _, a := range aux {
-			s := a.act.Score()
-			if s <= 0 {
-				continue
-			}
-			refinable = true
-			if a.busy.Load() {
-				continue
-			}
-			if s > bestScore {
-				best, bestScore, bestAux = nil, s, a
-			}
-		}
-		if best == nil && bestAux == nil {
-			if !refinable {
+		if b.c == nil {
+			if !claimed {
 				return 0, StepExhausted
 			}
-			// Every refinable column is claimed right now. Yield instead of
-			// queueing behind a latch.
-			t.mu.Lock()
-			t.contended++
-			t.mu.Unlock()
-			return 0, StepContended
+			break
 		}
-		if bestAux != nil {
-			if !bestAux.busy.CompareAndSwap(false, true) {
-				continue // lost the claim race; rescan for the next best
-			}
-			w := bestAux.act.Run()
-			bestAux.busy.Store(false)
-			t.mu.Lock()
-			t.actions++
-			t.work += int64(w)
-			t.auxRuns++
-			t.mu.Unlock()
-			return w, StepWorked
+		if b.c.busy.CompareAndSwap(false, true) {
+			return t.run(b), StepWorked
 		}
-		if !best.busy.CompareAndSwap(false, true) {
-			continue // lost the claim race; rescan for the next best
-		}
-		var w int
-		if bestMerge {
-			w = best.col.MergeStep(DefaultMergeQuantum)
-		} else {
-			w = best.col.RandomCrack(t.childRNG())
-		}
-		best.busy.Store(false)
-		t.mu.Lock()
-		t.actions++
-		t.work += int64(w)
-		if bestMerge {
-			t.merges++
-			t.mergedOps += int64(w)
-		}
-		t.mu.Unlock()
-		return w, StepWorked
 	}
 	t.mu.Lock()
 	t.contended++
 	t.mu.Unlock()
 	return 0, StepContended
+}
+
+// run performs a claimed bid's action, releases the claim and counts the
+// action. Speculative actions are counted apart from Actions (see
+// SpecActions).
+func (t *Tuner) run(b bid) int {
+	var w int
+	switch b.act {
+	case actCrack:
+		w = b.c.col.RandomCrack(t.childRNG())
+	case actMerge:
+		w = b.c.col.MergeStep(DefaultMergeQuantum)
+	case actAux:
+		w = b.c.aux.Run()
+	case actSpec:
+		w = b.c.col.RefineRange(t.childRNG(), b.r.Lo, b.r.Hi, t.model.SpecTarget(), DefaultSpecCracks)
+	}
+	b.c.busy.Store(false)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	switch b.act {
+	case actSpec:
+		t.specActions++
+		t.specWork += int64(w)
+		t.recordSpecRangeLocked(b.c.col.Name(), b.r)
+		return w
+	case actMerge:
+		t.merges++
+		t.mergedOps += int64(w)
+	case actAux:
+		t.auxRuns++
+	}
+	t.actions++
+	t.work += int64(w)
+	return w
 }
 
 // runActionsSpinCap bounds how many consecutive contended attempts
@@ -378,7 +389,7 @@ const runActionsSpinCap = 1 << 12
 func (t *Tuner) RunActions(n int) (actions int, work int64) {
 	spins := 0
 	for actions < n {
-		w, res := t.TryStep()
+		w, res := t.TryStep(nil)
 		switch res {
 		case StepWorked:
 			actions++
@@ -400,12 +411,12 @@ func (t *Tuner) RunActions(n int) (actions int, work int64) {
 // RunActionsParallel spreads an idle window of up to n refinement actions
 // over a pool of workers: the multi-core version of the paper's "idle time
 // is the time needed to apply X random index refinement actions". Workers
-// claim slots of the shared budget atomically and fan out across column
-// shards via TryStep. A worker that gives up under contention (more workers
-// than refinable shards) forfeits the slot it claimed; once the pool has
-// drained and holds no shard, the forfeited slots run serially, so the
-// window performs exactly n actions unless the columns converge first.
-// workers <= 1 degrades to the serial RunActions.
+// claim slots of the shared budget atomically and fan out across columns
+// via TryStep(nil), which never speculates. A worker that gives up under
+// contention (more workers than refinable columns) forfeits the slot it
+// claimed; once the pool has drained and holds no claim, the forfeited slots
+// run serially, so the window performs exactly n actions unless the columns
+// converge first. workers <= 1 degrades to the serial RunActions.
 func (t *Tuner) RunActionsParallel(n, workers int) (actions int, work int64) {
 	if workers > n {
 		workers = n
@@ -422,7 +433,7 @@ func (t *Tuner) RunActionsParallel(n, workers int) (actions int, work int64) {
 			spins := 0
 			for budget.Add(1) <= int64(n) {
 			attempt:
-				w, res := t.TryStep()
+				w, res := t.TryStep(nil)
 				switch res {
 				case StepWorked:
 					acts.Add(1)

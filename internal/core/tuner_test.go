@@ -40,7 +40,7 @@ func (f *fakeColumn) RefineRange(rng *rand.Rand, lo, hi int64, target float64, c
 
 func TestStepOnEmptyTuner(t *testing.T) {
 	tn := NewTuner(Config{}, nil)
-	if w, res := tn.TryStep(); res != StepExhausted || w != 0 {
+	if w, res := tn.TryStep(nil); res != StepExhausted || w != 0 {
 		t.Fatalf("TryStep on empty tuner: %d,%v", w, res)
 	}
 	if a, w := tn.RunActions(10); a != 0 || w != 0 {
@@ -116,8 +116,25 @@ func TestConvergenceStopsActions(t *testing.T) {
 	}
 	// Once pieces fit "in cache", further idle time is left unused —
 	// the paper's observed plateau.
-	if _, res := tn.TryStep(); res != StepExhausted {
+	if _, res := tn.TryStep(nil); res != StepExhausted {
 		t.Fatal("TryStep reported work available on converged catalog")
+	}
+}
+
+// A step over a converged catalog scores every candidate and allocates
+// nothing: the idle pool polls it on every tick of every quiet period.
+func TestTryStepExhaustedZeroAlloc(t *testing.T) {
+	tn := NewTuner(Config{TargetPieceSize: 1 << 20, Seed: 12}, nil)
+	for i := 0; i < 4; i++ {
+		name := string(rune('a' + i))
+		tn.Register(newFakeColumn(name, 1000, 1<<10, uint64(100+i)), 0, 1<<10)
+		tn.NoteQuery(name, 0, 100)
+	}
+	if _, res := tn.TryStep(nil); res != StepExhausted {
+		t.Fatalf("converged catalog: %v, want StepExhausted", res)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { tn.TryStep(nil) }); allocs != 0 {
+		t.Fatalf("exhausted TryStep allocates %.1f times, want 0", allocs)
 	}
 }
 
@@ -147,7 +164,7 @@ func TestRankingOrder(t *testing.T) {
 	// The queried column outranks the unqueried one, which cannot rank at
 	// all: every step refines the hot column.
 	for i := 0; i < 4; i++ {
-		if _, res := tn.TryStep(); res != StepWorked {
+		if _, res := tn.TryStep(nil); res != StepWorked {
 			t.Fatalf("step %d: %v", i, res)
 		}
 	}
@@ -222,7 +239,7 @@ func TestConcurrentStepsAndQueries(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				switch g % 2 {
 				case 0:
-					tn.TryStep()
+					tn.TryStep(nil)
 				case 1:
 					tn.NoteQuery(cols[i%3].name, int64(i*10), int64(i*10+100))
 				}

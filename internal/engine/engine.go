@@ -154,21 +154,15 @@ func New(cfg Config) *Engine {
 			TargetPieceSize: cfg.TargetPieceSize,
 			Seed:            cfg.Seed,
 		}, nil)
-		e.runner = idle.NewRunner(func() bool {
-			// Only a step that actually worked counts as an action; a
-			// contended or exhausted attempt ends this worker's burst (the
-			// pool retries on the next idle tick).
-			_, res := e.tuner.TryStep()
+		e.runner = idle.NewRunner(func(speculate func() bool) bool {
+			// One auction step: real work first, then a forecast-driven
+			// pre-crack charged to the gap's speculative budget. Only a step
+			// that actually worked counts as an action; a contended or
+			// exhausted attempt ends this worker's burst (the pool retries on
+			// the next idle tick).
+			_, res := e.tuner.TryStep(speculate)
 			return res == core.StepWorked
 		}, cfg.IdleWorkers)
-		// Speculative drain: once the real step above reports exhaustion,
-		// idle workers pre-crack the ranges the workload sketch expects the
-		// next queries to hit, charged against the per-gap budget (see
-		// idle.Runner.SetSpeculative and core.TrySpeculativeStep).
-		e.runner.SetSpeculative(func() bool {
-			_, res := e.tuner.TrySpeculativeStep()
-			return res == core.StepWorked
-		})
 		if cfg.AutoIdle {
 			e.runner.Start()
 		}

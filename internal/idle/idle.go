@@ -1,18 +1,25 @@
 // Package idle implements idle-time detection and budgeted tuning work, the
 // scheduling substrate of holistic indexing. The paper's defining move is to
 // exploit "any idle time as it appears" by spending it on small, preemptible
-// index refinement actions. A Runner wraps a step function — one refinement
+// index refinement actions. A Runner wraps a step function — one tuning
 // action — and drives it in two modes:
 //
-//   - Manual: RunActions(n) executes a bounded burst synchronously. This is
-//     the paper's own experimental protocol ("we artificially induce and
+//   - Manual: RunActions(n) executes a bounded burst synchronously, the
+//     paper's own experimental protocol ("we artificially induce and
 //     control idle time ... as the time needed to apply X random index
-//     refinement actions") and what the benchmark harness uses.
+//     refinement actions"). The engine's manual windows (Engine.IdleActions)
+//     do not come here: they call the tuner's RunActionsParallel directly.
 //   - Automatic: Start launches a pool of background worker goroutines
 //     (NewRunner's workers, default GOMAXPROCS) that watch query activity; after a
 //     DefaultQuiet traffic gap each worker pulls refinement actions
 //     concurrently, backing off the moment a query begins so that tuning
 //     work never sits in a query's critical path.
+//
+// The step is handed a speculate function that grants one slot of the
+// current traffic gap's speculative budget (DefaultSpecBudget). The holistic
+// tuner asks it only when its auction has no real work and no claimed
+// candidate, so a step that runs real work, or yields to another worker,
+// spends nothing.
 //
 // Preemption protocol: a step is claimed, not just run. Every worker (and
 // RunActions) first checks that the runner's load gate (internal/loadgate)
@@ -74,9 +81,9 @@ const DefaultSpecBudget = 2 * DefaultQuantum
 // Runner schedules tuning actions into idle time. All methods are safe for
 // concurrent use.
 type Runner struct {
-	step    func() bool   // one tuning action; false = nothing left to do
-	quiet   time.Duration // DefaultQuiet; the package's tests shorten it
-	quantum int           // DefaultQuantum; the package's tests change it
+	step    func(speculate func() bool) bool // one tuning action; false = nothing ran
+	quiet   time.Duration                    // DefaultQuiet; the package's tests shorten it
+	quantum int                              // DefaultQuantum; the package's tests change it
 	workers int
 
 	// gate is the runner's only admission state: statements hold it, every
@@ -86,14 +93,11 @@ type Runner struct {
 	actions atomic.Int64 // total actions executed
 	stopped atomic.Bool
 
-	// Speculative drain: when real refinement reports exhaustion, a worker
-	// may spend one of the current gap's budget slots on specStep (a
-	// forecast-driven pre-crack). The budget is per traffic gap — it resets
-	// when the gate's gap count moves — so a wrong forecast burns at most
+	// Speculative budget: the step's speculate argument takes one of the
+	// current gap's slots. The budget is per traffic gap — it resets when
+	// the gate's gap count moves — so a wrong forecast burns at most
 	// DefaultSpecBudget slots before real traffic re-arms it, and zero slots
-	// while traffic is live (spec steps run inside the same claim/token
-	// scope as real ones).
-	specStep  func() bool // nil = no speculative step attached
+	// while traffic is live (the step runs inside the claim/token scope).
 	specMu    sync.Mutex
 	specGap   int64 // gate gap count specSpent belongs to; guarded by specMu
 	specSpent int64 // slots consumed in gap specGap; guarded by specMu
@@ -113,8 +117,10 @@ type Runner struct {
 // goroutines; workers <= 0 means GOMAXPROCS, one refinement stream per core,
 // the multi-core holistic posture. With a pool larger than one the step
 // function must be safe to call concurrently: it takes whatever latches it
-// needs itself.
-func NewRunner(step func() bool, workers int) *Runner {
+// needs itself. The step reports whether an action ran. Each call of its
+// speculate argument charges a slot, granted or not, so even a maximally
+// wrong forecast costs a bounded slice of idle capacity.
+func NewRunner(step func(speculate func() bool) bool, workers int) *Runner {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -152,17 +158,6 @@ func (r *Runner) Actions() int64 { return r.actions.Load() }
 // while no workers run.
 func (r *Runner) SetClaimHook(h func()) { r.testHookClaim = h }
 
-// SetSpeculative attaches a speculative step the runner may drain AFTER real
-// refinement reports exhaustion, capped at DefaultSpecBudget slots per
-// traffic gap. The step runs inside the same zero-in-flight claim/token
-// scope as real steps, so speculation inherits the never-against-traffic
-// guarantee verbatim. Must be set while no workers run (the engine wires it
-// at construction). Failed attempts (the step found nothing worth
-// pre-cracking) consume budget too: the cap bounds how often a gap even
-// *tries* to speculate, which is what makes a maximally wrong forecast cost
-// a bounded slice of idle capacity.
-func (r *Runner) SetSpeculative(step func() bool) { r.specStep = step }
-
 // SpecSpent returns how many speculative slots the current traffic gap has
 // consumed; it never exceeds DefaultSpecBudget within a gap.
 func (r *Runner) SpecSpent() int64 {
@@ -194,49 +189,33 @@ func (r *Runner) claimSpecSlot(g *loadgate.Gate) bool {
 // preliminary idle check it takes one step token from the gate — a CAS that
 // only succeeds while the gate's in-flight count is exactly zero — so a
 // statement admitted at any point before the token grant forces a yield;
-// there is no re-check race left. ran reports whether the step executed;
-// more is false only when the step function reports exhaustion.
-func (r *Runner) claimStep() (ran, more bool) {
+// there is no re-check race left. It reports whether an action executed.
+func (r *Runner) claimStep() bool {
 	g := r.Gate()
 	if g.Busy() {
-		return false, true
+		return false
 	}
 	if h := r.testHookClaim; h != nil {
 		h()
 	}
 	if !g.StepBegin() {
 		// A statement arrived after the claim: yield without stepping.
-		return false, true
+		return false
 	}
 	defer g.StepEnd()
-	if !r.step() {
-		// Real refinement is exhausted; spend one speculative budget slot if
-		// the gap still has one. The token taken above stays held, so the
-		// speculative step is gated against traffic exactly like a real one.
-		if r.specStep == nil || !r.claimSpecSlot(g) {
-			return false, false
-		}
-		if !r.specStep() {
-			return false, false
-		}
-		r.actions.Add(1)
-		return true, true
+	if !r.step(func() bool { return r.claimSpecSlot(g) }) {
+		return false
 	}
 	r.actions.Add(1)
-	return true, true
+	return true
 }
 
 // RunActions synchronously executes up to n tuning actions, stopping early
-// if the step function reports exhaustion or the gate is held. It
-// returns the number of actions actually executed. This is the manual idle
-// injection the experiments use.
+// if the step function runs none or the gate is held. It returns the number
+// of actions actually executed.
 func (r *Runner) RunActions(n int) int {
 	done := 0
-	for i := 0; i < n; i++ {
-		ran, _ := r.claimStep()
-		if !ran {
-			break // preempted by a query, or exhausted
-		}
+	for done < n && r.claimStep() {
 		done++
 	}
 	return done
@@ -312,8 +291,7 @@ func (r *Runner) loop(stop <-chan struct{}) {
 				if r.stopped.Load() {
 					break
 				}
-				ran, more := r.claimStep()
-				if !ran || !more {
+				if !r.claimStep() {
 					break
 				}
 			}

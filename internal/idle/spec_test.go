@@ -1,27 +1,39 @@
 package idle
 
 import (
+	"math/rand/v2"
 	"sync/atomic"
 	"testing"
+
+	"holistic/internal/core"
 )
+
+// tiered is a step shaped like the tuner's auction: real work first, then,
+// only if the runner grants a speculative slot, spec.
+func tiered(real, spec func() bool) func(func() bool) bool {
+	return func(speculate func() bool) bool {
+		return real() || speculate() && spec()
+	}
+}
+
+func never() bool { return false }
 
 // Speculative steps must only run after the real step reports exhaustion,
 // and must stop at the per-gap budget cap.
 func TestSpeculativeOnlyAfterRealExhausted(t *testing.T) {
 	var order []string
 	real := 3
-	r := NewRunner(func() bool {
+	r := NewRunner(tiered(func() bool {
 		if real == 0 {
 			return false
 		}
 		real--
 		order = append(order, "real")
 		return true
-	}, 0)
-	r.SetSpeculative(func() bool {
+	}, func() bool {
 		order = append(order, "spec")
 		return true
-	})
+	}), 0)
 	done := r.RunActions(1000)
 	if done != 3+DefaultSpecBudget {
 		t.Fatalf("RunActions = %d, want 3 real + %d speculative", done, DefaultSpecBudget)
@@ -49,8 +61,7 @@ func TestSpeculativeOnlyAfterRealExhausted(t *testing.T) {
 // Real traffic re-arms the speculative budget: the cap is per gap, and a
 // statement closing on the gate starts a new one.
 func TestSpecBudgetResetsPerGap(t *testing.T) {
-	r := NewRunner(func() bool { return false }, 0)
-	r.SetSpeculative(func() bool { return true })
+	r := NewRunner(tiered(never, func() bool { return true }), 0)
 	if done := r.RunActions(1000); done != DefaultSpecBudget {
 		t.Fatalf("first gap ran %d speculative actions, want %d", done, DefaultSpecBudget)
 	}
@@ -76,8 +87,7 @@ func TestSpecBudgetResetsPerGap(t *testing.T) {
 // of probes per gap, not an unbounded spin.
 func TestSpecFailedAttemptsConsumeBudget(t *testing.T) {
 	var attempts atomic.Int64
-	r := NewRunner(func() bool { return false }, 0)
-	r.SetSpeculative(func() bool { attempts.Add(1); return false })
+	r := NewRunner(tiered(never, func() bool { attempts.Add(1); return false }), 0)
 	for i := 0; i < 3*DefaultSpecBudget; i++ {
 		if done := r.RunActions(5); done != 0 {
 			t.Fatalf("failed speculation reported %d actions", done)
@@ -95,16 +105,69 @@ func TestSpecFailedAttemptsConsumeBudget(t *testing.T) {
 // the claim and the token grant vetoes the step before the speculative path
 // can be reached, and no budget is consumed.
 func TestSpecYieldsToQueryAdmittedMidClaim(t *testing.T) {
-	r := NewRunner(func() bool { return false }, 0)
-	r.SetSpeculative(func() bool {
+	r := NewRunner(tiered(never, func() bool {
 		t.Error("speculative step ran against an admitted query")
 		return true
-	})
+	}), 0)
 	r.SetClaimHook(r.Gate().Hold)
 	if done := r.RunActions(1); done != 0 {
 		t.Fatalf("RunActions = %d with a query admitted mid-claim", done)
 	}
 	if got := r.SpecSpent(); got != 0 {
 		t.Fatalf("SpecSpent = %d after a vetoed claim, want 0", got)
+	}
+}
+
+// blockingColumn is one coarse core.Column whose crack blocks until release
+// is closed, announcing on entered that a worker holds its claim.
+type blockingColumn struct {
+	entered, release chan struct{}
+}
+
+func (c *blockingColumn) Name() string                       { return "r.a" }
+func (c *blockingColumn) PieceStats() (pieces, n int)        { return 1, 1 << 20 }
+func (c *blockingColumn) RangePieceAvg(int64, int64) float64 { return 1 << 20 }
+func (c *blockingColumn) PendingOps() int                    { return 0 }
+func (c *blockingColumn) MergeStep(int) int                  { return 0 }
+func (c *blockingColumn) RefineRange(*rand.Rand, int64, int64, float64, int) int {
+	return 0
+}
+func (c *blockingColumn) RandomCrack(*rand.Rand) int {
+	c.entered <- struct{}{}
+	<-c.release
+	return 1
+}
+
+// A step that finds the only column claimed by another worker yields as
+// contended before the speculative tier: it spends no slot of the gap's
+// budget. The runner is wired as engine.New wires it.
+func TestSpecContendedStepSpendsNoSlot(t *testing.T) {
+	col := &blockingColumn{entered: make(chan struct{}), release: make(chan struct{})}
+	tn := core.NewTuner(core.Config{Seed: 1}, nil)
+	tn.Register(col, 0, 1<<20)
+	tn.NoteQuery(col.Name(), 0, 100)
+	r := NewRunner(func(speculate func() bool) bool {
+		_, res := tn.TryStep(speculate)
+		return res == core.StepWorked
+	}, 1)
+
+	done := make(chan struct{})
+	go func() { // another worker, holding the column's claim mid-crack
+		defer close(done)
+		tn.TryStep(nil)
+	}()
+	<-col.entered
+	ran := r.RunActions(1)
+	spent := r.SpecSpent()
+	close(col.release)
+	<-done
+	if ran != 0 {
+		t.Fatalf("RunActions = %d while the only column was claimed", ran)
+	}
+	if spent != 0 {
+		t.Fatalf("a contended step spent %d speculative slots, want 0", spent)
+	}
+	if got := tn.Contended(); got != 1 {
+		t.Fatalf("Contended = %d, want 1", got)
 	}
 }

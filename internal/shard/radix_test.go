@@ -41,8 +41,8 @@ func TestShardedRadixMixedWorkload(t *testing.T) {
 			for _, p := range c.Parts() {
 				tu.Register(p, 0, 2*domain)
 			}
-			pool := idle.NewRunner(func() bool {
-				_, res := tu.TryStep()
+			pool := idle.NewRunner(func(speculate func() bool) bool {
+				_, res := tu.TryStep(speculate)
 				return res == core.StepWorked
 			}, 4)
 			pool.Start()
