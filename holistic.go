@@ -12,8 +12,8 @@
 //   - StrategyScan: no physical design, every query scans;
 //   - StrategyOffline: full indexes — cracker indexes sorted to completion —
 //     built a priori (BuildFullIndex; cmd/holisticd at boot);
-//   - StrategyOnline: a COLT-style advisor builds/drops full indexes from
-//     continuous workload monitoring;
+//   - StrategyOnline: a COLT-style epoch review of the workload builds and
+//     drops full indexes, and the select that closes the epoch pays a build;
 //   - StrategyAdaptive: database cracking — each query partially reorganises
 //     the column around its predicate bounds;
 //   - StrategyHolistic: the paper's contribution — cracking selects plus

@@ -11,10 +11,10 @@
 // payoff of giving the next idle crack to a column is that distance weighted
 // by how often the workload actually touches the column.
 //
-// The same package provides the rough operator cost estimates the online
-// (COLT-style) advisor needs for its what-if index selection: all estimates
-// are in abstract "element touch" units so they are machine independent and
-// only ever compared with one another.
+// The same package provides the rough operator cost estimates behind the
+// online strategy's (COLT-style) what-if index selection, BuildPays: all
+// estimates are in abstract "element touch" units so they are machine
+// independent and only ever compared with one another.
 package costmodel
 
 import (
@@ -197,7 +197,22 @@ func (p Params) PredictScore(confidence, frequency, avgPieceSize float64) float6
 }
 
 // Operator cost estimates, in element-touch units. They support the online
-// advisor's what-if arithmetic; only ratios matter.
+// review's what-if arithmetic (BuildPays); only ratios matter.
+
+// buildHorizon is how many epochs of the load that asked for a full index
+// the index must pay for its build within.
+const buildHorizon = 10
+
+// BuildPays is the online review's what-if test: a full index on a column of
+// n live values pays when queries selects per epoch, at average selectivity
+// avgSel (clamped to [0, 1]), would have saved more over buildHorizon epochs
+// than the sort costs. On a tiny column two binary searches cost more than
+// the scan they replace, so no load pays.
+func BuildPays(n, queries int, avgSel float64) bool {
+	avgSel = min(max(avgSel, 0), 1)
+	gain := ScanCost(n) - IndexedSelectCost(n, avgSel)
+	return gain > 0 && gain*float64(queries*buildHorizon) >= SortCost(n)
+}
 
 // ScanCost is the cost of a full scan of n values.
 func ScanCost(n int) float64 { return float64(n) }

@@ -72,6 +72,42 @@ func TestOperatorCosts(t *testing.T) {
 	}
 }
 
+// TestBuildMustPayForSort pins the online build threshold to the comparison
+// sort's price. A 1M-value column queried once per epoch at 1% selectivity
+// saves about 0.99M per query, 9.9M over the horizon: less than its
+// n·log2 n ≈ 19.9M build, so it does not pay (a 9n price would have). Three
+// queries per epoch save 29.7M and do pay.
+func TestBuildMustPayForSort(t *testing.T) {
+	if BuildPays(1_000_000, 1, 0.01) || !BuildPays(1_000_000, 3, 0.01) {
+		t.Fatal("1M values at 1%: one query per epoch must not pay for the sort, three must")
+	}
+}
+
+// TestTinyColumnNotWorthIndexing: on 8 values two binary searches cost more
+// than the scan they replace, so no load pays for a build; nor does any load
+// on an empty column.
+func TestTinyColumnNotWorthIndexing(t *testing.T) {
+	if BuildPays(8, 1<<20, 0.5) || BuildPays(0, 1<<20, 0) {
+		t.Fatal("2^20 queries per epoch pay for an index on 8 or 0 values")
+	}
+}
+
+// TestSelectivityClamped: a selectivity below 0 buys no more than the
+// cheapest indexed select, and above 1 the index cannot beat the scan that
+// returns everything. One query per epoch on 1M values does not pay at
+// selectivity 0, but would at an unclamped -5.
+func TestSelectivityClamped(t *testing.T) {
+	for _, queries := range []int{1, 2, 100, 1 << 20} {
+		if BuildPays(1_000_000, queries, -5) != BuildPays(1_000_000, queries, 0) ||
+			BuildPays(1_000_000, queries, 42) != BuildPays(1_000_000, queries, 1) {
+			t.Fatalf("%d queries per epoch: selectivities -5 and 42 decide unlike 0 and 1", queries)
+		}
+	}
+	if !BuildPays(1_000_000, 100, -5) || BuildPays(1_000_000, 1<<20, 42) {
+		t.Fatal("clamped selectivity: 100 selects at 0 must pay, none at 1 may")
+	}
+}
+
 func TestSpecTarget(t *testing.T) {
 	p := Params{TargetPieceSize: 1 << 18}
 	if st := p.SpecTarget(); st != 1<<14 {

@@ -30,15 +30,8 @@ type ColumnDesign struct {
 // DescribePhysicalDesign returns the current physical design of every
 // column, sorted by table then column name.
 func (e *Engine) DescribePhysicalDesign() []ColumnDesign {
-	e.mu.RLock()
-	tables := make([]*Table, 0, len(e.tables))
-	for _, t := range e.tables {
-		tables = append(tables, t)
-	}
-	e.mu.RUnlock()
-
 	var out []ColumnDesign
-	for _, t := range tables {
+	for _, t := range e.tableList() {
 		cat := t.cat.Load()
 		live := int(t.live.Load())
 		for _, name := range cat.order {

@@ -152,18 +152,12 @@ func (e *Engine) RestoreState(st EngineState) error {
 	return nil
 }
 
-// registerColumn hooks a new or restored column into the engine's
-// monitoring machinery, the online advisor or the holistic tuner. The tuner
-// gets every part under ONE domain, the column's: parts of one column must
-// bucket a query alike, and a warm restart must not move the buckets, so
-// forecasts mean the same values before and after it.
+// registerColumn hooks a new or restored column into the holistic tuner (the
+// online review reads the catalog instead). The tuner gets every part under
+// ONE domain, the column's: parts of one column must bucket a query alike,
+// and a warm restart must not move the buckets, so forecasts mean the same
+// values before and after it.
 func (e *Engine) registerColumn(sc *shard.Column) {
-	if e.advisor != nil {
-		e.advisor.Register(sc.Name(), sc.Rows())
-		if sc.HasSorted() {
-			e.advisor.SetIndexed(sc.Name(), true)
-		}
-	}
 	if e.tuner == nil {
 		return
 	}

@@ -69,7 +69,6 @@ import (
 	"holistic/internal/core"
 	"holistic/internal/idle"
 	"holistic/internal/loadgate"
-	"holistic/internal/monitor"
 	"holistic/internal/shard"
 )
 
@@ -126,11 +125,11 @@ type Engine struct {
 	// nothing else in the engine looks at the strategy. run answers a part
 	// the probe declined: a crack with incremental indexing, a scan without.
 	// Idle time during the workload builds the tuner and its idle pool with
-	// incremental indexing, the online advisor without.
-	run     func(p *shard.Part, lo, hi int64) (int, int64)
-	advisor *monitor.Advisor
-	tuner   *core.Tuner
-	runner  *idle.Runner
+	// incremental indexing, the online review without.
+	run    func(p *shard.Part, lo, hi int64) (int, int64)
+	online *onlineReview
+	tuner  *core.Tuner
+	runner *idle.Runner
 
 	// wlog, when attached (SetWriteLog), is the durability hook: every
 	// mutation is logged through it before being acknowledged. Set once at
@@ -148,7 +147,7 @@ func New(cfg Config) *Engine {
 	}
 	switch {
 	case caps.IdleTimeDuring && !caps.IncrementalIndexing:
-		e.advisor = monitor.New()
+		e.online = newOnlineReview()
 	case caps.IdleTimeDuring:
 		e.tuner = core.NewTuner(core.Config{
 			TargetPieceSize: cfg.TargetPieceSize,
@@ -279,18 +278,24 @@ func (e *Engine) writeBegin() func() {
 	return g.Release
 }
 
-// MergePending force-drains every table's ingest queues (see
-// Table.MergePending) and returns the operations applied. Quiesce helper
-// for validation and checkpoints.
-func (e *Engine) MergePending() int {
+// tableList returns the catalog's tables. It takes e.mu shared and no
+// Table.mu: each table's column set is a copy-on-write snapshot.
+func (e *Engine) tableList() []*Table {
 	e.mu.RLock()
+	defer e.mu.RUnlock()
 	tables := make([]*Table, 0, len(e.tables))
 	for _, t := range e.tables {
 		tables = append(tables, t)
 	}
-	e.mu.RUnlock()
+	return tables
+}
+
+// MergePending force-drains every table's ingest queues (see
+// Table.MergePending) and returns the operations applied. Quiesce helper
+// for validation and checkpoints.
+func (e *Engine) MergePending() int {
 	total := 0
-	for _, t := range tables {
+	for _, t := range e.tableList() {
 		total += t.MergePending()
 	}
 	return total
@@ -361,9 +366,6 @@ func (e *Engine) DropFullIndex(table, col string) error {
 		return err
 	}
 	sc.DropSorted()
-	if e.advisor != nil {
-		e.advisor.SetIndexed(sc.Name(), false)
-	}
 	return nil
 }
 
@@ -374,22 +376,18 @@ func (e *Engine) DropFullIndex(table, col string) error {
 // box the same X actions take a fraction of the wall-clock idle time; set
 // IdleWorkers to 1 for the paper's serial protocol and bit-reproducible
 // action sequences. It returns the actions performed and the elements they
-// touched. With the online advisor it instead forces a design review
-// (building any advised indexes); an engine with neither tuner nor advisor
-// cannot exploit idle time and returns zeros — the Scan, Offline and Adaptive
-// rows of Table 1.
+// touched. With the online review it instead ends the epoch and reviews the
+// design now, returning the indexes built or dropped; an engine with neither
+// tuner nor review cannot exploit idle time and returns zeros — the Scan,
+// Offline and Adaptive rows of Table 1.
 func (e *Engine) IdleActions(n int) (actions int, work int64) {
 	if e.tuner != nil {
 		return e.tuner.RunActionsParallel(n, e.idleWorkers())
 	}
-	if e.advisor != nil {
-		for _, adv := range e.advisor.ForceReview() {
-			if e.applyAdvice(adv) {
-				actions++
-			}
-		}
+	if e.online != nil {
+		return e.review(e.online.take()), 0
 	}
-	return actions, 0
+	return 0, 0
 }
 
 // SeedWorkloadHint injects a-priori workload knowledge for the holistic
@@ -404,41 +402,6 @@ func (e *Engine) SeedWorkloadHint(table, col string, lo, hi int64, weight int) e
 	if e.tuner != nil {
 		for _, p := range sc.Parts() {
 			e.tuner.SeedWorkload(p.Name(), lo, hi, weight)
-		}
-	}
-	return nil
-}
-
-// applyAdvice executes one online-advisor recommendation, reporting whether
-// it was applied. Callers must not hold any part latch (the build locks the
-// target column's parts one by one).
-func (e *Engine) applyAdvice(adv monitor.Advice) bool {
-	sc := e.findByQualifiedName(adv.Column)
-	if sc == nil {
-		return false
-	}
-	switch {
-	case adv.Build && !sc.HasSorted():
-		sc.BuildSorted()
-		e.advisor.SetIndexed(sc.Name(), true)
-		return true
-	case adv.Drop && sc.HasSorted():
-		sc.DropSorted()
-		e.advisor.SetIndexed(sc.Name(), false)
-		return true
-	}
-	return false
-}
-
-// findByQualifiedName resolves a "table.column" name.
-func (e *Engine) findByQualifiedName(name string) *shard.Column {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	for _, t := range e.tables {
-		for _, sc := range t.cat.Load().cols {
-			if sc.Name() == name {
-				return sc
-			}
 		}
 	}
 	return nil

@@ -114,7 +114,7 @@ func TestStrategyNamesAndCapabilities(t *testing.T) {
 	}
 
 	// Each engine behaves like its row: a select cracks exactly with
-	// incremental indexing, and idle time reaches a tuner or an advisor
+	// incremental indexing, and idle time reaches a tuner or the online review
 	// exactly when the row exploits idle time during the workload.
 	vals := randomVals(rand.New(rand.NewPCG(3, 4)), 4096, 1<<20)
 	for _, s := range Strategies() {
@@ -251,13 +251,13 @@ func TestOnlineBuildsIndexAfterEpoch(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 8))
 	vals := randomVals(rng, 200000, 1<<20)
 	e := newEngineWithData(t, Config{Strategy: StrategyOnline}, vals)
-	for i := 0; i < 100; i++ { // the advisor's review period
+	for i := 0; i < 100; i++ { // the review's epoch
 		lo := rng.Int64N(1 << 20)
 		if _, err := e.Select("R", "A", lo, lo+1000); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// After one epoch of scans on a big column the advisor must have built.
+	// After one epoch of scans on a big column the review must have built.
 	sc, _ := e.column("R", "A")
 	if !sc.HasSorted() {
 		t.Fatal("online strategy never built the index")

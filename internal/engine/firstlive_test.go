@@ -150,7 +150,7 @@ func TestFirstLiveMatchesReferenceScan(t *testing.T) {
 						}
 					}
 				}
-				// Cracks (adaptive, holistic); the online advisor's review closes
+				// Cracks (adaptive, holistic); the online review closes
 				// its 100-query epoch and builds both columns' indexes.
 				for i := 0; i < 100; i++ {
 					lo := rng.Int64N(domain)

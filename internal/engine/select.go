@@ -31,9 +31,9 @@ import (
 // the cracked copy and merging pending updates take the part's exclusive
 // latch.
 //
-// With the online advisor the select then feeds the monitor, and an advised
-// build runs inside the triggering query; with the holistic tuner it notes
-// the query, which steers later idle refinement.
+// With the online review the select is then counted, and the select that
+// closes an epoch runs the review, paying for any build it decides; with the
+// holistic tuner it notes the query, which steers later idle refinement.
 func (e *Engine) Select(table, col string, lo, hi int64) (Result, error) {
 	sc, err := e.column(table, col)
 	if err != nil {
@@ -46,17 +46,8 @@ func (e *Engine) Select(table, col string, lo, hi int64) (Result, error) {
 	}
 	start := time.Now()
 	count, sum := sc.CountSum(lo, hi, (*shard.Part).Probe, e.run)
-	if e.advisor != nil {
-		sel := 0.0
-		if n := sc.Live(); n > 0 {
-			sel = float64(count) / float64(n)
-		}
-		// Epoch-boundary reviews run here, and any advised build is
-		// executed immediately: the triggering query pays the whole sort —
-		// the online-indexing penalty the paper calls out.
-		for _, adv := range e.advisor.Observe(sc.Name(), sel) {
-			e.applyAdvice(adv)
-		}
+	if e.online != nil {
+		e.observe(sc, count)
 	}
 	if e.tuner != nil {
 		// Continuous monitoring, per shard. The select itself does exactly an

@@ -11,12 +11,12 @@ import "fmt"
 // Table 1 (Capabilities), which New reads once: IncrementalIndexing makes a
 // select crack the parts its probe could not answer instead of scanning
 // them, and IdleTimeDuring builds the holistic tuner and its idle pool with
-// incremental indexing, the online advisor without. Two columns do not map
+// incremental indexing, the online review without. Two columns do not map
 // one to one onto engine mechanisms. Offline's IdleTimeAPriori is a full
 // index built before the workload through BuildFullIndex, by holisticd's
 // a-priori build and by the experiment harness, not by the engine itself;
 // holistic's a-priori input is SeedWorkloadHint. StatisticalAnalysis is the
-// advisor's and the tuner's monitoring, and offline's analysis happens
+// online review's and the tuner's monitoring, and offline's analysis happens
 // before the engine starts.
 type Strategy int
 
@@ -27,8 +27,9 @@ const (
 	// index sorted to completion) built ahead of the workload by
 	// BuildFullIndex, which holisticd runs at boot; scans until it exists.
 	StrategyOffline
-	// StrategyOnline monitors the workload and builds/drops full indexes at
-	// epoch boundaries; the triggering query pays the build.
+	// StrategyOnline reviews the workload every epoch of selects, building
+	// and dropping full indexes; the select that closes the epoch pays the
+	// build.
 	StrategyOnline
 	// StrategyAdaptive is database cracking: selects crack as they go, no
 	// monitoring, no idle-time exploitation.

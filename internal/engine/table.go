@@ -87,9 +87,8 @@ func (t *Table) Rows() int {
 
 // AddColumnFromSlice adds a column populated with vals (adopted, not
 // copied). The length must match the table's existing columns. The column is
-// split into Config.Shards striped parts and registered with the strategy's
-// monitoring machinery — per part for the holistic tuner, so every shard is
-// an independent refinement target.
+// split into Config.Shards striped parts and, with the holistic tuner,
+// registered per part, so every shard is an independent refinement target.
 func (t *Table) AddColumnFromSlice(name string, vals []int64) error {
 	return t.addColumnFromSlice(name, vals, true)
 }

@@ -486,8 +486,8 @@ func TestFailedInsertBatchInsertsNothing(t *testing.T) {
 // TestSelectTakesNoTableLock: a select resolves its column from the
 // catalog snapshot and must finish while the table lock is held exclusively
 // — which is also what a delete queued behind an fsyncing insert looks like
-// to a sync.RWMutex reader. Every strategy: the online advisor's by-name
-// lookup sits on the select path too.
+// to a sync.RWMutex reader. Every strategy: the online review's catalog
+// walk sits on the select path too.
 func TestSelectTakesNoTableLock(t *testing.T) {
 	rng := rand.New(rand.NewPCG(801, 802))
 	seed := randomVals(rng, 2000, 1<<16)
@@ -505,7 +505,7 @@ func TestSelectTakesNoTableLock(t *testing.T) {
 			defer tab.mu.Unlock()
 			done := make(chan error, 1)
 			go func() {
-				for i := 0; i < 100; i++ { // the online advisor reviews on the 100th
+				for i := 0; i < 100; i++ { // the online review runs on the 100th
 					res, err := e.Select("R", "A", 100, 9000)
 					if err == nil && (res.Count != wantCount || res.Sum != wantSum) {
 						err = fmt.Errorf("select under a held table lock: got %d/%d want %d/%d", res.Count, res.Sum, wantCount, wantSum)

@@ -24,8 +24,9 @@
 //
 // Record offsets are logical, monotonic across the log's whole life: the
 // file carries a small header recording the logical offset of its first
-// byte, and a checkpoint rewrites the log to an empty file whose base is the
-// checkpoint's offset (see Rebase). A snapshot manifest binds a snapshot to
+// byte, and a checkpoint rewrites the log to a file that holds only the
+// records after the checkpoint's offset and whose base is that offset (see
+// Rebase). A snapshot manifest binds a snapshot to
 // the logical offset it covers; replay starts at that offset regardless of
 // how often the log has been compacted since.
 //
@@ -408,10 +409,13 @@ func (l *Log) ReplayFrom(from int64, fn func(end int64, payload []byte) error) e
 	return err
 }
 
-// Rebase compacts the log after a checkpoint: records at logical offsets <=
-// upTo are covered by the snapshot, so the file is atomically replaced by
-// one whose base is the log's current end and whose body holds any records
-// appended after upTo... in the common case (upTo == Size()) an empty file.
+// Rebase compacts the log after a checkpoint: records ending at logical
+// offsets <= upTo are covered by the snapshot, so the file is atomically
+// replaced by one whose base is upTo and whose body holds the records
+// appended after it, each at its old logical offset. That suffix is often
+// not empty: Store.Checkpoint drops the table locks once CaptureState has
+// read upTo, so every write made while the snapshot is encoded and synced
+// lands in it.
 // Failure to rebase is not a durability failure — the old, larger file
 // remains fully valid — so errors are returned for logging but do not
 // degrade the log.
@@ -421,8 +425,7 @@ func (l *Log) Rebase(upTo int64) error {
 	if l.degraded {
 		return ErrDegraded
 	}
-	// Collect the suffix appended after upTo (usually empty: checkpoints
-	// capture the WAL end under the same quiesce that blocks appends).
+	// Collect the suffix appended after upTo.
 	var suffix []byte
 	if l.size > upTo {
 		if _, err := l.f.Seek(headerSize, io.SeekStart); err != nil {

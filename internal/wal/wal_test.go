@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -291,6 +292,58 @@ func TestRebaseCompactsAndPreservesOffsets(t *testing.T) {
 	if fi, err := os.Stat(path); err != nil || fi.Size() > 200 {
 		t.Fatalf("rebased file not compacted (size %d, err %v)", fi.Size(), err)
 	}
+}
+
+// TestRebaseKeepsSuffix: records appended after the checkpoint's cut — the
+// writes made while a checkpoint encodes and syncs its snapshot — survive
+// the rebase at their logical offsets, before and after a reopen, and the
+// file holds nothing else.
+func TestRebaseKeepsSuffix(t *testing.T) {
+	type record struct {
+		end     int64
+		payload string
+	}
+	l, path := openTemp(t, OSFS{}, Policy{Sync: SyncOff})
+	for i := 0; i < 5; i++ {
+		if _, err := l.Append(bytes.Repeat([]byte{byte(i)}, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cut, fileSize := l.Size(), int64(headerSize)
+	var suffix []record
+	for _, p := range []string{"written", "during", "the-checkpoint"} {
+		end, err := l.Append([]byte(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		suffix = append(suffix, record{end, p})
+		fileSize += int64(FrameHeaderSize + len(p))
+	}
+	if err := l.Rebase(cut); err != nil {
+		t.Fatalf("Rebase: %v", err)
+	}
+	check := func(l *Log, when string) {
+		t.Helper()
+		var got []record
+		err := l.ReplayFrom(cut, func(end int64, p []byte) error {
+			got = append(got, record{end, string(p)})
+			return nil
+		})
+		if size := suffix[len(suffix)-1].end; err != nil || l.Size() != size || !slices.Equal(got, suffix) {
+			t.Fatalf("%s: size %d (want %d), replay from the cut %v (%v), want %v", when, l.Size(), size, got, err, suffix)
+		}
+	}
+	check(l, "after Rebase")
+	l.Close()
+	if fi, err := os.Stat(path); err != nil || fi.Size() != fileSize {
+		t.Fatalf("rebased file: %v (%v), want the header and the suffix, %d bytes", fi, err, fileSize)
+	}
+	l2, _, err := Open(OSFS{}, path, Policy{Sync: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	check(l2, "after reopen")
 }
 
 func TestRebaseRenameFailureKeepsOldLog(t *testing.T) {
