@@ -156,7 +156,8 @@ func (e *Engine) RestoreState(st EngineState) error {
 // online review reads the catalog instead). The tuner gets every part under
 // ONE domain, the column's: parts of one column must bucket a query alike,
 // and a warm restart must not move the buckets, so forecasts mean the same
-// values before and after it.
+// values before and after it. Every part brings its bounds from the load or
+// restore that built it, so this scans nothing.
 func (e *Engine) registerColumn(sc *shard.Column) {
 	if e.tuner == nil {
 		return

@@ -85,10 +85,13 @@ func (t *Table) Rows() int {
 	return int(t.live.Load())
 }
 
-// AddColumnFromSlice adds a column populated with vals (adopted, not
-// copied). The length must match the table's existing columns. The column is
-// split into Config.Shards striped parts and, with the holistic tuner,
-// registered per part, so every shard is an independent refinement target.
+// AddColumnFromSlice adds a column populated with vals. The length must
+// match the table's existing columns. With one shard the column adopts vals
+// as its storage, so the caller must not reuse it; with Config.Shards > 1 it
+// stripes vals into per-part arrays in one parallel pass (shard.NewColumn)
+// and keeps no reference to it. Either way each part's value bounds come out
+// of that pass. With the holistic tuner the column is registered per part,
+// so every shard is an independent refinement target.
 func (t *Table) AddColumnFromSlice(name string, vals []int64) error {
 	return t.addColumnFromSlice(name, vals, true)
 }

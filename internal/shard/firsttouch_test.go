@@ -77,8 +77,9 @@ func TestFirstTouchFromBase(t *testing.T) {
 }
 
 // BenchmarkFirstTouch times one part's first select on an 8M-row, 2-part
-// column: its cracked copy, radix pass and column bounds included. Each
-// iteration builds a fresh column off the clock.
+// column: its cracked copy and radix pass included. The part's bounds are
+// not: NewColumn paid for them at load (BenchmarkNewColumn). Each iteration
+// builds a fresh column off the clock.
 func BenchmarkFirstTouch(b *testing.B) {
 	const n, domain = 8 << 20, 1 << 40
 	vals := randomVals(rand.New(rand.NewPCG(1, 2)), n, domain)

@@ -131,6 +131,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -210,8 +211,17 @@ type Column struct {
 	selectHook atomic.Pointer[func(part int)]
 }
 
-// NewColumn splits vals into cfg.Shards striped parts. vals is adopted: the
-// caller must not reuse it.
+// NewColumn builds a column over vals in one pass. A one-part column adopts
+// vals as its storage: the caller must not reuse it. An N-part column stripes
+// vals into N per-part arrays (global row g to part g % N, local position
+// g / N) and keeps no reference to it. Either way each part leaves with its
+// value bounds, so neither registration nor the first touch rescans it.
+//
+// The pass is cut into chunks of whole stripes (local rows [a, b) of every
+// part), one per GOMAXPROCS worker, each copying its stripes and keeping every
+// part's bounds as it goes. As with a select's fan-out, a chunk gets a
+// goroutine only when it holds at least costmodel.FanOutMinWork values, so a
+// small column loads on the caller's goroutine.
 func NewColumn(name string, vals []int64, cfg Config) (*Column, error) {
 	if len(vals) > MaxRows {
 		return nil, ErrTooLarge
@@ -219,36 +229,108 @@ func NewColumn(name string, vals []int64, cfg Config) (*Column, error) {
 	n := cfg.shards()
 	c := &Column{name: name, cfg: cfg}
 	c.rows.Store(int64(len(vals)))
-	per := (len(vals) + n - 1) / n
-	split := make([][]int64, n)
-	for i := range split {
-		split[i] = make([]int64, 0, per)
+	for i := range n {
+		if n == 1 {
+			c.addPart(vals, nil)
+		} else {
+			// Part i holds global rows i, i+n, ...: ceil((len-i)/n) of them.
+			c.addPart(make([]int64, (len(vals)-i+n-1)/n), nil)
+		}
 	}
-	for g, v := range vals {
-		split[g%n] = append(split[g%n], v)
+	local := len(c.parts[0].vals) // the longest part
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(vals)/costmodel.FanOutMinWork))
+	bounds := make([][]partBounds, workers)
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bounds[w] = c.loadStripes(vals, local*w/workers, local*(w+1)/workers)
+		}()
 	}
-	for _, part := range split {
-		c.addPart(part, nil)
+	bounds[0] = c.loadStripes(vals, 0, local/workers)
+	wg.Wait()
+	for i, p := range c.parts {
+		var pb partBounds
+		for _, wb := range bounds {
+			if wb[i].ok {
+				pb.widen(wb[i].lo, wb[i].hi)
+			}
+		}
+		p.lo, p.hi = pb.lo, pb.hi
 	}
 	return c, nil
 }
 
+// partBounds is one part's value bounds over (part of) a load.
+type partBounds struct {
+	lo, hi int64
+	ok     bool // lo and hi bound at least one value
+}
+
+func (b *partBounds) widen(lo, hi int64) {
+	if !b.ok {
+		b.lo, b.hi, b.ok = lo, hi, true
+	}
+	b.lo, b.hi = min(b.lo, lo), max(b.hi, hi)
+}
+
+// loadBlock is how many local rows of every part loadStripes copies before
+// moving on: the block's stripes of vals (n·32 KiB) stay in cache while each
+// part reads its column of them, so vals is read from memory once, not once
+// per part.
+const loadBlock = 1 << 12
+
+// loadStripes copies local rows [a, b) of every part out of vals — the rows
+// a one-part column adopted stay where they are — and returns each part's
+// bounds over them. Parts shorter than b stop at their length.
+func (c *Column) loadStripes(vals []int64, a, b int) []partBounds {
+	n := len(c.parts)
+	out := make([]partBounds, n)
+	for ba := a; ba < b; ba += loadBlock {
+		for i, p := range c.parts {
+			end := min(ba+loadBlock, b, len(p.vals))
+			if ba >= end {
+				continue
+			}
+			dst := p.vals[ba:end]
+			if n == 1 {
+				lo, hi, _ := scan.MinMax(dst)
+				out[i].widen(lo, hi)
+				continue
+			}
+			g := ba*n + i
+			lo, hi := vals[g], vals[g]
+			for j := range dst {
+				v := vals[g]
+				dst[j] = v
+				lo, hi = min(lo, v), max(hi, v)
+				g += n
+			}
+			out[i].widen(lo, hi)
+		}
+	}
+	return out
+}
+
 // addPart appends the column's next part over vals, its merged storage by
 // local position, with tombstones deleted (nil: none). Both slices are
-// adopted. Loading and snapshot restore build every part here.
+// adopted; tombstones that mark no row are dropped, since a part allocates
+// them at its first delete. Loading and snapshot restore build every part
+// here.
 func (c *Column) addPart(vals []int64, deleted []bool) *Part {
 	i, n := len(c.parts), c.cfg.shards()
-	p := &Part{name: c.name, id: i, stride: n, cfg: &c.cfg, vals: vals, deleted: deleted}
+	p := &Part{name: c.name, id: i, stride: n, cfg: &c.cfg, vals: vals}
 	if n > 1 {
 		p.name = fmt.Sprintf("%s#%d", c.name, i)
-	}
-	if deleted == nil {
-		p.deleted = make([]bool, len(vals))
 	}
 	for _, d := range deleted {
 		if d {
 			p.nDeleted++
 		}
+	}
+	if p.nDeleted > 0 {
+		p.deleted = deleted
 	}
 	c.parts = append(c.parts, p)
 	return p
@@ -525,15 +607,14 @@ type Part struct {
 
 	mu       sync.RWMutex
 	vals     []int64 // merged storage by local position (local i is global row i·stride+id)
-	deleted  []bool  // tombstones by local position
+	deleted  []bool  // tombstones by local position; nil until the first delete merges
 	nDeleted int
 	crack    *cracker.Index // nil until materialised; may be sorted
 
-	// lo and hi bound vals, tombstoned rows included, once bounded is set.
-	// The bounds are computed on first use and kept current by merges,
-	// always under the exclusive latch.
-	lo, hi  int64
-	bounded bool
+	// lo and hi bound vals, tombstoned rows included, whenever vals is not
+	// empty: the load or restore sets them and merges widen them, under the
+	// exclusive latch.
+	lo, hi int64
 }
 
 // Name implements the tuner's Column interface; part names are
@@ -565,22 +646,12 @@ func (p *Part) Live() int {
 
 // MinMax returns the merged rows' value bounds (ok=false when empty).
 // Buffered inserts are not consulted; callers use this for registration-
-// time domain bounds, not exact statistics. The first call scans the part
-// under the exclusive latch; later calls, and the first touch, reuse it.
+// time domain bounds, not exact statistics. It scans nothing: a part has its
+// bounds from the load or restore that built it.
 func (p *Part) MinMax() (lo, hi int64, ok bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.minMaxLocked()
-}
-
-// minMaxLocked returns the cached bounds, computing them on first use.
-// Callers hold the exclusive latch.
-func (p *Part) minMaxLocked() (lo, hi int64, ok bool) {
-	if !p.bounded && len(p.vals) > 0 {
-		p.lo, p.hi, _ = scan.MinMax(p.vals)
-		p.bounded = true
-	}
-	return p.lo, p.hi, p.bounded
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.lo, p.hi, len(p.vals) > 0
 }
 
 // Lock takes the part's exclusive latch; see RLock.
@@ -604,8 +675,7 @@ func (p *Part) Cracked() *cracker.Index { return p.crack }
 func (p *Part) crackIndexLocked() *cracker.Index {
 	if p.crack == nil {
 		if p.nDeleted == 0 {
-			lo, hi, _ := p.minMaxLocked()
-			p.attachCrackLocked(cracker.NewFromBase(p.vals, p.globalRow(0), uint32(p.stride), lo, hi, p.cfg.radixMinPiece()))
+			p.attachCrackLocked(cracker.NewFromBase(p.vals, p.globalRow(0), uint32(p.stride), p.lo, p.hi, p.cfg.radixMinPiece()))
 		} else {
 			p.attachCrackLocked(cracker.New(p.liveSnapshotLocked()))
 		}
@@ -651,6 +721,12 @@ func (p *Part) liveSnapshotLocked() ([]int64, []uint32) {
 		}
 	}
 	return vals, rows
+}
+
+// deadLocked reports whether the row at local position is tombstoned.
+// Callers hold either latch mode.
+func (p *Part) deadLocked(local int) bool {
+	return p.nDeleted != 0 && p.deleted[local]
 }
 
 // materialise builds the cracked copy under the exclusive latch if the part
@@ -825,10 +901,13 @@ func (p *Part) mergeLocked(budget int) int {
 	live := del[:0]
 	for _, e := range del {
 		local := int(e.Row) / p.stride
-		if local >= len(p.vals) || p.deleted[local] {
+		if local >= len(p.vals) || p.deadLocked(local) {
 			// Defensive: Drain only releases deletes for merged rows, and the
 			// queue dedups deletes per row, so neither case should occur.
 			continue
+		}
+		if p.deleted == nil {
+			p.deleted = make([]bool, len(p.vals), cap(p.vals))
 		}
 		p.deleted[local] = true
 		p.nDeleted++
@@ -837,11 +916,14 @@ func (p *Part) mergeLocked(budget int) int {
 	// Row ids were bounds checked when assigned, and Drain releases inserts
 	// in dense row order.
 	for _, e := range ins {
-		p.vals = append(p.vals, e.Val)
-		p.deleted = append(p.deleted, false)
-		if p.bounded {
-			p.lo, p.hi = min(p.lo, e.Val), max(p.hi, e.Val)
+		if len(p.vals) == 0 {
+			p.lo, p.hi = e.Val, e.Val
 		}
+		p.vals = append(p.vals, e.Val)
+		if p.deleted != nil {
+			p.deleted = append(p.deleted, false)
+		}
+		p.lo, p.hi = min(p.lo, e.Val), max(p.hi, e.Val)
 	}
 	// The base grew in row order; the index takes the batch in value order.
 	if p.crack != nil {
@@ -875,7 +957,7 @@ func (p *Part) firstLive(v int64) (uint32, bool) {
 		best, found = p.crack.MinRowOf(v, live)
 	} else {
 		for i, val := range p.vals {
-			if g := p.globalRow(i); val == v && !p.deleted[i] && live(g) {
+			if g := p.globalRow(i); val == v && !p.deadLocked(i) && live(g) {
 				best, found = g, true
 				break
 			}
@@ -905,7 +987,7 @@ func (p *Part) deleteLocal(local int) int64 {
 		return 0
 	}
 	v := p.vals[local]
-	dead := p.deleted[local]
+	dead := p.deadLocked(local)
 	p.mu.RUnlock()
 	if dead {
 		return v

@@ -315,7 +315,7 @@ func TestLiveSnapshotFastPathMatchesLoop(t *testing.T) {
 		var wantV []int64
 		var wantR []uint32
 		for i := 0; i < len(p.vals); i++ {
-			if !p.deleted[i] {
+			if !p.deadLocked(i) {
 				wantV = append(wantV, p.vals[i])
 				wantR = append(wantR, p.globalRow(i))
 			}
@@ -450,7 +450,7 @@ func TestAppendFeedsIndexes(t *testing.T) {
 	}
 }
 
-// TestMinMaxCachedThroughAppends: the bounds the first MinMax caches ignore
+// TestMinMaxCachedThroughAppends: the bounds the load sets ignore
 // buffered inserts and stay current once a merge appends rows past either
 // end; an empty part has none until a merge gives it rows.
 func TestMinMaxCachedThroughAppends(t *testing.T) {
@@ -484,7 +484,7 @@ func TestMinMaxCachedThroughAppends(t *testing.T) {
 
 // TestPropertyAppendPreservesOrder: rows appended through the ingest queues
 // and merged land in each part's storage in row order, at any shard count,
-// and the part bounds — cached after the first half, kept current by the
+// and the part bounds — read after the first half, kept current by the
 // second half's merge — agree with a naive scan.
 func TestPropertyAppendPreservesOrder(t *testing.T) {
 	f := func(vals []int64, shards uint8) bool {

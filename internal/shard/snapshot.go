@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"holistic/internal/cracker"
+	"holistic/internal/scan"
 )
 
 // PartSnapshot is one shard's complete physical state in serializable form:
@@ -62,10 +63,9 @@ func (p *Part) snapshot() (PartSnapshot, error) {
 	if n := p.ingest.Len(); n != 0 {
 		return PartSnapshot{}, fmt.Errorf("shard: part %s holds %d undrainable buffered ops at snapshot", p.name, n)
 	}
-	s := PartSnapshot{
-		Vals:    slices.Clone(p.vals),
-		Deleted: slices.Clone(p.deleted),
-	}
+	// One flag per row, all false for a part that never had a delete.
+	s := PartSnapshot{Vals: slices.Clone(p.vals), Deleted: make([]bool, len(p.vals))}
+	copy(s.Deleted, p.deleted)
 	if p.crack != nil {
 		s.HasCrack = true
 		s.CrackVals = slices.Clone(p.crack.Values())
@@ -93,6 +93,7 @@ func NewColumnFromSnapshot(snap ColumnSnapshot, cfg Config) (*Column, error) {
 			return nil, fmt.Errorf("shard: snapshot part %d of %q deleted/vals length mismatch", len(c.parts), snap.Name)
 		}
 		p := c.addPart(ps.Vals, ps.Deleted)
+		p.lo, p.hi, _ = scan.MinMax(ps.Vals)
 		if ps.HasCrack {
 			ix, err := cracker.RestoreIndex(ps.CrackVals, ps.CrackRows, ps.Boundaries, ps.Sorted)
 			if err != nil {
