@@ -42,7 +42,7 @@ const DefaultRadixMinPiece = 1 << 17
 // the partition sweep runs at close to memory speed instead of paying a
 // misprediction every other element. The factor is the single-core ratio of
 // predicated to branchy sweep time on random data; re-measure it with the
-// BenchmarkPartition2/{reference,predicated} pair in internal/cracker. Cost
+// BenchmarkPartition2/{reference,rows,values} kernels in internal/cracker. Cost
 // estimates only ever compare against one another, so the exact value
 // matters less than applying it consistently to every partition-sweep term.
 //

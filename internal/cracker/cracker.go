@@ -38,6 +38,17 @@
 //
 // Validate re-derives every sum from a running scan.
 //
+// # Row ids on demand
+//
+// A select only counts and sums values, so a copy starts values-only: every
+// crack, radix pass, sort and merge moves 8 bytes a value, and the copy
+// costs no more than the column. Only a DELETE's first-live lookup
+// (MinRowOf) asks which base row an entry is; the owner attaches row ids
+// before its first one (AttachRows, attach.go), and from then on they move
+// in lockstep with the values. A values-only merge deletes by value: count
+// and sum depend only on the multiset, and the owner's tombstone keeps the
+// row's identity.
+//
 // # The sorted state
 //
 // A full index is the limit refinement moves toward; Sort reaches it in one
@@ -70,6 +81,10 @@ import (
 // from sharding (package shard gives every shard a private index), not from
 // latching below the index.
 //
+// rows is nil while the copy is values-only (see "Row ids on demand");
+// once attached it is as long as vals and rows[i] is the base row of
+// vals[i].
+//
 // Positions returned by one call (CrackRange, LookupRange) stay
 // valid for a later call (CountSum) only while no structural operation runs
 // in between: cracks never move a value across an existing boundary and
@@ -101,8 +116,9 @@ type Index struct {
 	work   atomic.Int64 // elements touched by partitioning, the dominant cost
 }
 
-// New builds a cracker index that adopts vals and rows (no copy). Both
-// slices must have the same length; rows[i] is the base row id of vals[i].
+// New builds a cracker index that adopts vals and rows (no copy). rows is
+// nil for a values-only index; otherwise both slices have the same length
+// and rows[i] is the base row id of vals[i].
 func New(vals []int64, rows []uint32) *Index {
 	ix := &Index{vals: vals, rows: rows}
 	if len(vals) > 0 {
@@ -165,17 +181,30 @@ func (ix *Index) AvgPieceSize() float64 {
 // array.
 func (ix *Index) Values() []int64 { return ix.vals }
 
-// Rows exposes the base row ids aligned with Values, under the same rule.
+// Rows exposes the base row ids aligned with Values, under the same rule:
+// nil while the index is values-only.
 func (ix *Index) Rows() []uint32 { return ix.rows }
+
+// HasRows reports whether row ids are attached (see "Row ids on demand").
+func (ix *Index) HasRows() bool {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.rows != nil
+}
 
 // MinRowOf returns the lowest base row id among the entries holding exactly
 // value v for which live reports true. It reads v's piece under the shared
 // latch and cracks nothing, so its cost is that piece's size — or, sorted,
 // the run of v's duplicates — the point lookup a DELETE resolves its row
 // with. live runs under the latch and must not call back into the index.
+// A values-only index names no row: the caller attaches row ids first
+// (AttachRows).
 func (ix *Index) MinRowOf(v int64, live func(row uint32) bool) (row uint32, ok bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
+	if ix.rows == nil {
+		return 0, false
+	}
 	a, b, _, _ := ix.locate(v)
 	if ix.sorted { // the run of duplicates starts at a
 		for b < len(ix.vals) && ix.vals[b] == v {
@@ -589,7 +618,7 @@ func (ix *Index) CountSumConcurrent(from, to int) (int, int64) {
 //     positions are non-decreasing in key order, and they are within range;
 //   - every value left of a boundary is < its key, every value right is >= it;
 //   - every boundary's sum is the wrapping sum of the values left of it;
-//   - vals and rows have equal length;
+//   - rows, once attached, is as long as vals;
 //   - a sorted index has no boundaries, each value is >= the one before it,
 //     and each prefix sum is the wrapping sum of the values below it.
 //
@@ -597,7 +626,7 @@ func (ix *Index) CountSumConcurrent(from, to int) (int, int64) {
 func (ix *Index) Validate() error {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if len(ix.vals) != len(ix.rows) {
+	if ix.rows != nil && len(ix.vals) != len(ix.rows) {
 		return fmt.Errorf("cracker: vals/rows length mismatch %d != %d", len(ix.vals), len(ix.rows))
 	}
 	if ix.sorted && (ix.tree.Len() != 0 || len(ix.pre) != len(ix.vals)+1 || ix.pre[0] != 0) {

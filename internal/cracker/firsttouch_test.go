@@ -18,10 +18,11 @@ func boundaries(ix *Index) [][3]int64 {
 	return out
 }
 
-// TestFirstTouchMatchesCopyThenRadix holds NewFromBase to the three steps it
-// fuses — a snapshot copy with strided row ids, New, and a whole-column
-// radixPiece when the base reaches the threshold — value for value, row for
-// row, boundary for boundary, below, at and above the threshold.
+// TestFirstTouchMatchesCopyThenRadix holds NewFromBase to the steps it
+// fuses — a values-only copy, New, and a whole-column radixPiece when the
+// base reaches the threshold — value for value and boundary for boundary,
+// below, at and above the threshold. Neither copy carries row ids until
+// AttachRows gives both the same strided ones.
 func TestFirstTouchMatchesCopyThenRadix(t *testing.T) {
 	const radixMin = 1 << 10
 	rng := rand.New(rand.NewPCG(27, 1))
@@ -42,50 +43,58 @@ func TestFirstTouchMatchesCopyThenRadix(t *testing.T) {
 		}},
 	}
 	for _, n := range []int{0, 1, radixMin - 1, radixMin, radixMin + 1, 2 * radixMin, 3*radixMin + 7} {
-		for _, stride := range []uint32{1, 3, 8} {
-			for _, sh := range shapes {
-				name := fmt.Sprintf("n=%d/stride=%d/%s", n, stride, sh.name)
-				base := make([]int64, n)
-				for i := range base {
-					base[i] = sh.gen(i)
-				}
-				pristine := slices.Clone(base)
+		for _, sh := range shapes {
+			name := fmt.Sprintf("n=%d/%s", n, sh.name)
+			base := make([]int64, n)
+			for i := range base {
+				base[i] = sh.gen(i)
+			}
+			pristine := slices.Clone(base)
+			var lo, hi int64
+			if n > 0 {
+				lo, hi = slices.Min(base), slices.Max(base)
+			}
+			got := NewFromBase(base, lo, hi, radixMin)
+
+			want := New(slices.Clone(base), nil)
+			want.SetRadixMinPiece(radixMin)
+			if n >= radixMin {
+				want.radixPiece(0, n)
+			}
+
+			if !slices.Equal(base, pristine) {
+				t.Fatalf("%s: the base was written", name)
+			}
+			if !slices.Equal(got.vals, want.vals) || got.rows != nil || want.rows != nil {
+				t.Fatalf("%s: arrays differ from copy-then-radix, or carry row ids", name)
+			}
+			if gb, wb := boundaries(got), boundaries(want); !slices.Equal(gb, wb) {
+				t.Fatalf("%s: boundaries %v, want %v", name, gb, wb)
+			}
+			if got.Cracks() != want.Cracks() || got.Work() != want.Work() || got.radixMin != want.radixMin {
+				t.Fatalf("%s: cracks/work/radixMin %d/%d/%d, want %d/%d/%d", name,
+					got.Cracks(), got.Work(), got.radixMin, want.Cracks(), want.Work(), want.radixMin)
+			}
+			if got.domLo != want.domLo || got.domHi != want.domHi {
+				t.Fatalf("%s: domain %d,%d, want %d,%d", name, got.domLo, got.domHi, want.domLo, want.domHi)
+			}
+			for _, stride := range []uint32{1, 3, 8} {
 				row0 := uint32(rng.IntN(int(stride)))
-				var lo, hi int64
-				if n > 0 {
-					lo, hi = slices.Min(base), slices.Max(base)
+				ix := NewFromBase(base, lo, hi, radixMin)
+				if err := ix.AttachRows(base, row0, stride, nil); err != nil {
+					t.Fatalf("%s/stride=%d: %v", name, stride, err)
 				}
-				got := NewFromBase(base, row0, stride, lo, hi, radixMin)
-
-				rows := make([]uint32, n)
-				for i := range rows {
-					rows[i] = row0 + uint32(i)*stride
+				for i, r := range ix.rows {
+					if k := (r - row0) / stride; base[k] != ix.vals[i] {
+						t.Fatalf("%s/stride=%d: row %d holds %d, the base %d", name, stride, r, ix.vals[i], base[k])
+					}
 				}
-				want := New(slices.Clone(base), rows)
-				want.SetRadixMinPiece(radixMin)
-				if n >= radixMin {
-					want.radixPiece(0, n)
+				if gb, wb := boundaries(ix), boundaries(want); !slices.Equal(gb, wb) {
+					t.Fatalf("%s/stride=%d: attach moved boundaries", name, stride)
 				}
-
-				if !slices.Equal(base, pristine) {
-					t.Fatalf("%s: the base was written", name)
-				}
-				if !slices.Equal(got.vals, want.vals) || !slices.Equal(got.rows, want.rows) {
-					t.Fatalf("%s: arrays differ from copy-then-radix", name)
-				}
-				if gb, wb := boundaries(got), boundaries(want); !slices.Equal(gb, wb) {
-					t.Fatalf("%s: boundaries %v, want %v", name, gb, wb)
-				}
-				if got.Cracks() != want.Cracks() || got.Work() != want.Work() || got.radixMin != want.radixMin {
-					t.Fatalf("%s: cracks/work/radixMin %d/%d/%d, want %d/%d/%d", name,
-						got.Cracks(), got.Work(), got.radixMin, want.Cracks(), want.Work(), want.radixMin)
-				}
-				if got.domLo != want.domLo || got.domHi != want.domHi {
-					t.Fatalf("%s: domain %d,%d, want %d,%d", name, got.domLo, got.domHi, want.domLo, want.domHi)
-				}
-				if err := got.Validate(); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
+			}
+			if err := got.Validate(); err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
 		}
 	}

@@ -29,9 +29,12 @@ import (
 // latch — see the Index comment.
 
 // Merge applies a batch to the cracked copy: ins and del, each sorted by
-// value, deletes first (a batch never deletes a row it inserts). A delete
-// removes the entry holding exactly its (value, row); Merge returns how many
-// deletes found no such entry. A sorted index stays sorted (mergeSorted).
+// value, deletes first (a batch never deletes a row it inserts). With row ids
+// attached a delete removes the entry holding exactly its (value, row); on a
+// values-only copy it removes one entry of its value, which is all count and
+// sum depend on (the base's tombstone keeps the row's identity). Merge
+// returns how many deletes found no such entry. A sorted index stays sorted
+// (mergeSorted).
 func (ix *Index) Merge(ins, del []updates.Entry) (missing int) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -47,6 +50,28 @@ func (ix *Index) Merge(ins, del []updates.Entry) (missing int) {
 	return missing
 }
 
+// removeEntry moves the first entry of [at, e) holding d — its value alone
+// when rows is nil — out to e-1, the piece's top, and reports whether there
+// was one.
+func removeEntry(vals []int64, rows []uint32, at, e int, d updates.Entry) bool {
+	if rows == nil {
+		for ; at < e; at++ {
+			if vals[at] == d.Val {
+				vals[at] = vals[e-1]
+				return true
+			}
+		}
+		return false
+	}
+	for ; at < e; at++ {
+		if vals[at] == d.Val && rows[at] == d.Row {
+			vals[at], rows[at] = vals[e-1], rows[e-1]
+			return true
+		}
+	}
+	return false
+}
+
 func (ix *Index) mergeDeletes(del []updates.Entry) (missing int) {
 	vals, rows := ix.vals, ix.rows
 	from, _, _, _ := ix.tree.Locate(del[0].Val, len(vals))
@@ -57,21 +82,18 @@ func (ix *Index) mergeDeletes(del []updates.Entry) (missing int) {
 	piece := func(end int, hi int64, top bool) {
 		e := end
 		for ; i < len(del) && (top || del[i].Val < hi); i++ {
-			at := from
-			for at < e && (vals[at] != del[i].Val || rows[at] != del[i].Row) {
-				at++
-			}
-			if at == e {
+			if !removeEntry(vals, rows, from, e, del[i]) {
 				missing++
 				continue
 			}
 			e--
-			vals[at], rows[at] = vals[e], rows[e]
 			gone += del[i].Val
 		}
 		m := min(shift, e-from)
 		copy(vals[from-shift:], vals[e-m:e])
-		copy(rows[from-shift:], rows[e-m:e])
+		if rows != nil {
+			copy(rows[from-shift:], rows[e-m:e])
+		}
 		shift += end - e
 	}
 	ix.tree.Rewrite(del[0].Val, false, func(key int64, pos int, sum int64) (int, int64) {
@@ -80,7 +102,10 @@ func (ix *Index) mergeDeletes(del []updates.Entry) (missing int) {
 		return pos - shift, sum - gone
 	})
 	piece(len(vals), 0, true)
-	ix.vals, ix.rows = vals[:len(vals)-shift], rows[:len(rows)-shift]
+	ix.vals = vals[:len(vals)-shift]
+	if rows != nil {
+		ix.rows = rows[:len(rows)-shift]
+	}
 	return missing
 }
 
@@ -92,11 +117,19 @@ func (ix *Index) mergeInserts(ins []updates.Entry) {
 		ix.domLo, ix.domHi = ins[0].Val, ins[k-1].Val
 	}
 	ix.domLo, ix.domHi = min(ix.domLo, ins[0].Val), max(ix.domHi, ins[k-1].Val)
-	vals, rows := slices.Grow(ix.vals, k)[:n+k], slices.Grow(ix.rows, k)[:n+k]
+	vals, rows := slices.Grow(ix.vals, k)[:n+k], ix.rows
+	if rows != nil {
+		rows = slices.Grow(rows, k)[:n+k]
+	}
 	ix.vals, ix.rows = vals, rows
 	place := func(at int, es []updates.Entry) {
 		for j, e := range es {
-			vals[at+j], rows[at+j] = e.Val, e.Row
+			vals[at+j] = e.Val
+		}
+		if rows != nil {
+			for j, e := range es {
+				rows[at+j] = e.Row
+			}
 		}
 	}
 	var below int64 // sum of ins[:k], the batch values not yet placed
@@ -113,7 +146,9 @@ func (ix *Index) mergeInserts(ins []updates.Entry) {
 		// The piece [pos, end) slides up by j and takes ins[j:k] on top.
 		m := min(j, end-pos)
 		copy(vals[end+j-m:], vals[pos:pos+m])
-		copy(rows[end+j-m:], rows[pos:pos+m])
+		if rows != nil {
+			copy(rows[end+j-m:], rows[pos:pos+m])
+		}
 		place(end+j, ins[j:k])
 		k, end = j, pos
 		return pos + j, sum + below

@@ -1,6 +1,7 @@
 package cracker
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -16,9 +17,12 @@ import (
 // forced radix passes, batched merges, Sort, and a Boundaries -> RestoreIndex
 // round trip — beside a plain slice of the (value, row) pairs the index must
 // hold. After every step Validate passes (piece bounds and every boundary's
-// sum, or an ascending copy and its prefix sums, against a running scan) and
-// the aggregates of random value ranges and random positions equal the
+// sum, or an ascending copy and its prefix sums, against a running scan),
+// the index holds the model's values — with their row ids once attached —
+// and the aggregates of random value ranges and random positions equal the
 // model's. On a sorted index no crack partitions a value or makes a boundary.
+// Each program runs twice: values-only, where one step attaches the row ids
+// from a base rebuilt out of the model, and with row ids from the start.
 //
 // Values are drawn to hurt: MinInt64 and MaxInt64 (prefix sums wrap, their
 // differences must not), a handful of heavily duplicated values, and two
@@ -37,7 +41,29 @@ type sumModel struct {
 	ix      *Index
 	rows    []modelRow
 	nextRow uint32
-	palette int // which value generator this program uses
+	palette int  // which value generator this program uses
+	rowsOn  bool // the index carries row ids
+}
+
+// attach gives the index row ids from a base rebuilt out of the model: row r
+// holds its value, and the ids the model does not hold are tombstoned.
+func (m *sumModel) attach() {
+	base, dead := make([]int64, m.nextRow), make([]bool, m.nextRow)
+	for i := range dead {
+		dead[i] = true
+	}
+	for _, e := range m.rows {
+		base[e.r], dead[e.r] = e.v, false
+	}
+	if err := m.ix.AttachRows(base, 0, 1, dead); err != nil {
+		m.fatalf("AttachRows: %v", err)
+	}
+	m.rowsOn = true
+}
+
+// holds reports whether some row of the model holds v.
+func (m *sumModel) holds(v int64) bool {
+	return slices.ContainsFunc(m.rows, func(e modelRow) bool { return e.v == v })
 }
 
 func (m *sumModel) fatalf(format string, args ...any) {
@@ -86,7 +112,7 @@ func (m *sumModel) countSum(lo, hi int64) (count int, sum int64) {
 
 func (m *sumModel) step() string {
 	ix, rng := m.ix, m.rng
-	switch op := rng.IntN(14); op {
+	switch op := rng.IntN(15); op {
 	case 0:
 		lo, hi := m.bounds()
 		from, to := ix.CrackRange(lo, hi)
@@ -120,6 +146,9 @@ func (m *sumModel) step() string {
 	case 12:
 		ix.Sort()
 		return "Sort"
+	case 13:
+		m.attach()
+		return "AttachRows"
 	default: // what a checkpoint and a restart do: the sums are not persisted
 		restored, err := RestoreIndex(slices.Clone(ix.Values()), slices.Clone(ix.Rows()), ix.Boundaries(), ix.Sorted())
 		if err != nil {
@@ -127,6 +156,9 @@ func (m *sumModel) step() string {
 		}
 		restored.SetRadixMinPiece(ix.radixMin)
 		m.ix = restored
+		if m.rowsOn { // an empty copy restores values-only
+			m.attach()
+		}
 		return "RestoreIndex"
 	}
 }
@@ -162,8 +194,12 @@ func (m *sumModel) merge() string {
 	}
 	absent := 0
 	for rng.IntN(4) == 0 {
-		del = append(del, updates.Entry{Val: m.value(), Row: m.nextRow}) // no row has that id yet
-		absent++
+		// No row has that id yet; a values-only copy deletes by value, so
+		// there it must be a value no row holds.
+		if v := m.value(); m.rowsOn || !m.holds(v) {
+			del = append(del, updates.Entry{Val: v, Row: m.nextRow})
+			absent++
+		}
 	}
 	updates.SortByVal(ins)
 	updates.SortByVal(del)
@@ -184,6 +220,29 @@ func (m *sumModel) check(after string) {
 	}
 	if ix.Len() != len(m.rows) {
 		m.fatalf("after %s: index holds %d values, model %d", after, ix.Len(), len(m.rows))
+	}
+	if (ix.Rows() != nil) != m.rowsOn {
+		m.fatalf("after %s: row ids attached %v, want %v", after, ix.Rows() != nil, m.rowsOn)
+	}
+	got, want := make([]modelRow, ix.Len()), slices.Clone(m.rows)
+	for i, v := range ix.Values() {
+		got[i].v = v
+		if m.rowsOn {
+			got[i].r = ix.Rows()[i]
+		} else {
+			want[i].r = 0
+		}
+	}
+	byPair := func(a, b modelRow) int {
+		if c := cmp.Compare(a.v, b.v); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.r, b.r)
+	}
+	slices.SortFunc(got, byPair)
+	slices.SortFunc(want, byPair)
+	if !slices.Equal(got, want) {
+		m.fatalf("after %s: the index holds other entries than the model", after)
 	}
 	for i := 0; i < 3; i++ {
 		lo, hi := m.bounds()
@@ -225,13 +284,21 @@ func (m *sumModel) check(after string) {
 }
 
 func TestPropertySumsMatchModel(t *testing.T) {
+	for _, attached := range []bool{false, true} {
+		t.Run(map[bool]string{false: "values-only", true: "attached"}[attached], func(t *testing.T) {
+			runSumModel(t, attached)
+		})
+	}
+}
+
+func runSumModel(t *testing.T, attached bool) {
 	programs := 1000
 	if testing.Short() {
 		programs = 200
 	}
 	for seed := 0; seed < programs; seed++ {
 		rng := rand.New(rand.NewPCG(uint64(seed), 0x5eed))
-		m := &sumModel{t: t, seed: seed, rng: rng, palette: seed % 4}
+		m := &sumModel{t: t, seed: seed, rng: rng, palette: seed % 4, rowsOn: attached}
 		n := rng.IntN(200)
 		vals := make([]int64, n)
 		rows := make([]uint32, n)
@@ -240,6 +307,9 @@ func TestPropertySumsMatchModel(t *testing.T) {
 			m.rows = append(m.rows, modelRow{vals[i], rows[i]})
 		}
 		m.nextRow = uint32(n)
+		if !attached {
+			rows = nil
+		}
 		m.ix = New(vals, rows)
 		m.ix.SetRadixMinPiece([]int{0, 2, 16, 64}[rng.IntN(4)])
 		m.check("New")

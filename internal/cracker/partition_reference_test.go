@@ -215,7 +215,8 @@ func FuzzPartition(f *testing.F) {
 
 // BenchmarkPartition2 is the before/after pair behind
 // costmodel.PredicatedCrackFactor: branchy vs predicated sweeps of shuffled
-// values, by piece size — up to the largest piece a comparison crack sweeps
+// values — the predicated one with the row ids in lockstep (rows) and over a
+// values-only copy (values) — by piece size — up to the largest piece a comparison crack sweeps
 // (costmodel.DefaultRadixMinPiece; larger cold pieces take the radix pass) —
 // and by where the pivot falls in the piece: a kernel whose cursors are
 // data-dependent slows down off the median, while the branchy loop speeds up
@@ -224,7 +225,8 @@ func FuzzPartition(f *testing.F) {
 //
 //	go test -run '^$' -bench 'Partition2' -count 10 ./internal/cracker/
 //
-// and read predicated/reference ns/op as the factor on the host at hand.
+// and read rows/reference ns/op as the factor on the host at hand, and
+// values/rows as what a values-only copy saves.
 func BenchmarkPartition2(b *testing.B) {
 	const total = 1 << 17
 	kernels := []struct {
@@ -232,8 +234,12 @@ func BenchmarkPartition2(b *testing.B) {
 		partition func(vals []int64, rows []uint32, a, b int, pivot int64) int
 	}{
 		{"reference", referencePartition2},
-		{"predicated", func(vals []int64, rows []uint32, a, b int, pivot int64) int {
+		{"rows", func(vals []int64, rows []uint32, a, b int, pivot int64) int {
 			m, _ := partition2(vals, rows, a, b, pivot)
+			return m
+		}},
+		{"values", func(vals []int64, _ []uint32, a, b int, pivot int64) int {
+			m, _ := partition2(vals, nil, a, b, pivot)
 			return m
 		}},
 	}

@@ -55,7 +55,7 @@ func (ix *Index) maybeRadixPiece(a, b int) bool {
 // registers the bucket boundaries, returning the number of boundaries
 // inserted (0 when the piece is single-valued and cannot be split).
 func (ix *Index) radixPiece(a, b int) int {
-	if a < 0 || a >= b || b > len(ix.vals) || b > len(ix.rows) {
+	if a < 0 || a >= b || b > len(ix.vals) {
 		return 0
 	}
 	n := b - a
@@ -63,7 +63,6 @@ func (ix *Index) radixPiece(a, b int) int {
 		return 0
 	}
 	v := ix.vals[a:b]
-	r := ix.rows[a:b]
 
 	// The piece's value bounds come from the crack tree (its own boundary
 	// key below, its right neighbour's key above) with the cached domain
@@ -90,27 +89,61 @@ func (ix *Index) radixPiece(a, b int) int {
 	// Out-of-place scatter. A pass over the whole column keeps its
 	// destination as the index arrays — the copy-back, the single largest
 	// slice of the pass's memory traffic, disappears. Every other pass copies
-	// back.
-	bv, br := make([]int64, n), make([]uint32, n)
-	cur, shift := g.starts, g.shift // starts stays pristine for addBuckets
-	if len(bv) >= len(v) && len(br) >= len(r) {
-		for i, x := range v {
-			bkt := ((uint64(x) - uint64(lo)) >> shift) & (1<<radixBits - 1)
-			o := cur[bkt]
-			if uint(o) < uint(len(bv)) && uint(o) < uint(len(br)) {
-				bv[o] = x
-				br[o] = r[i]
-			}
-			cur[bkt] = o + 1
+	// back. A values-only copy scatters values alone.
+	whole := a == 0 && b == len(ix.vals)
+	bv := make([]int64, n)
+	if rows := ix.rows; rows == nil {
+		g.scatter(v, bv)
+	} else {
+		if b > len(rows) {
+			return 0 // unreachable: rows is as long as vals; BCE only
+		}
+		r := rows[a:b]
+		br := make([]uint32, n)
+		g.scatterRows(v, r, bv, br)
+		if whole {
+			ix.rows = br
+		} else {
+			copy(r, br)
 		}
 	}
-	if a == 0 && b == len(ix.vals) {
-		ix.vals, ix.rows = bv, br
+	if whole {
+		ix.vals = bv
 	} else {
 		copy(v, bv)
-		copy(r, br)
 	}
 	return ix.addBuckets(&g, a, base)
+}
+
+// scatter writes v into dst bucket by bucket under plan g, which count made
+// over v; dst is len(v) long. starts stays pristine for addBuckets.
+func (g *buckets) scatter(v, dst []int64) {
+	cur, lo, shift := g.starts, g.lo, g.shift
+	for _, x := range v {
+		bkt := ((uint64(x) - uint64(lo)) >> shift) & (1<<radixBits - 1)
+		o := cur[bkt]
+		if uint(o) < uint(len(dst)) {
+			dst[o] = x
+		}
+		cur[bkt] = o + 1
+	}
+}
+
+// scatterRows is scatter with row ids r moved to dr in lockstep.
+func (g *buckets) scatterRows(v []int64, r []uint32, dv []int64, dr []uint32) {
+	if len(r) < len(v) {
+		return // unreachable: both are the piece's length; BCE only
+	}
+	cur, lo, shift := g.starts, g.lo, g.shift
+	for i, x := range v {
+		bkt := ((uint64(x) - uint64(lo)) >> shift) & (1<<radixBits - 1)
+		o := cur[bkt]
+		if uint(o) < uint(len(dv)) && uint(o) < uint(len(dr)) {
+			dv[o] = x
+			dr[o] = r[i]
+		}
+		cur[bkt] = o + 1
+	}
 }
 
 // buckets is one radix pass's plan over values in [lo, hi]: bucket k holds

@@ -64,7 +64,7 @@ func FuzzRadixPartition(f *testing.F) {
 		}
 		radix := mk(radixMin)
 		comparison := mk(0)
-		fused := NewFromBase(orig, 0, 1, slices.Min(orig), slices.Max(orig), radixMin)
+		fused := NewFromBase(orig, slices.Min(orig), slices.Max(orig), radixMin)
 
 		for i := 2; i+2 < len(data); i += 3 {
 			concurrent := data[i]&1 == 1
@@ -94,7 +94,11 @@ func FuzzRadixPartition(f *testing.F) {
 		}
 
 		// The radix indexes still hold exactly the original multiset, value
-		// by value, with every row id paired to its original value.
+		// by value, with every row id paired to its original value — the
+		// values-only build's once AttachRows gives it row ids.
+		if err := fused.AttachRows(orig, 0, 1, nil); err != nil {
+			t.Fatal(err)
+		}
 		for _, ix := range []*Index{radix, fused} {
 			got := make(map[uint32]int64, n)
 			for i, r := range ix.Rows() {

@@ -86,11 +86,10 @@ func (t *Table) Rows() int {
 }
 
 // AddColumnFromSlice adds a column populated with vals. The length must
-// match the table's existing columns. With one shard the column adopts vals
-// as its storage, so the caller must not reuse it; with Config.Shards > 1 it
-// stripes vals into per-part arrays in one parallel pass (shard.NewColumn)
-// and keeps no reference to it. Either way each part's value bounds come out
-// of that pass. With the holistic tuner the column is registered per part,
+// match the table's existing columns. The column adopts vals as its
+// storage, so the caller must not reuse it: with Config.Shards > 1 the
+// parts are striped in place into vals' own memory (shard.NewColumn). Either
+// way each part's value bounds come out of the load. With the holistic tuner the column is registered per part,
 // so every shard is an independent refinement target.
 func (t *Table) AddColumnFromSlice(name string, vals []int64) error {
 	return t.addColumnFromSlice(name, vals, true)

@@ -13,12 +13,7 @@ import (
 // into pieces with their value bounds — so the "with every query the
 // underlying storage changes, adapting to the queries" behaviour is visible.
 func Fig2(vals []int64, queries [][2]int64) string {
-	v := append([]int64{}, vals...)
-	rows := make([]uint32, len(v))
-	for i := range rows {
-		rows[i] = uint32(i)
-	}
-	ix := cracker.New(v, rows)
+	ix := cracker.New(append([]int64{}, vals...), nil)
 
 	var b strings.Builder
 	b.WriteString("Figure 2: adaptive indexing (database cracking) step by step\n\n")

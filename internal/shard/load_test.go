@@ -15,8 +15,8 @@ import (
 // stripe and chunk edges — serial below costmodel.FanOutMinWork values, one
 // chunk per GOMAXPROCS worker at 1<<20+5 (run it with -cpu 1,2,4) — and
 // checks that every part holds exactly its stripe with the bounds a scan of
-// it gives, that no part has tombstones, and that a one-part column adopted
-// vals while an N-part column kept none of it.
+// it gives, that no part has tombstones, and that the parts lie in vals'
+// memory one after the other, each with no spare capacity.
 func TestNewColumnStripesAndBounds(t *testing.T) {
 	rng := rand.New(rand.NewPCG(45, 1))
 	for _, n := range []int{1, 2, 3, 8} {
@@ -39,6 +39,7 @@ func TestNewColumnStripesAndBounds(t *testing.T) {
 				if c.Shards() != n || c.Rows() != length {
 					t.Fatalf("%d parts over %d rows, want %d over %d", c.Shards(), c.Rows(), n, length)
 				}
+				at := 0 // where part i starts in vals' memory
 				for i, p := range c.Parts() {
 					var stripe []int64
 					for g := i; g < length; g += n {
@@ -54,9 +55,10 @@ func TestNewColumnStripesAndBounds(t *testing.T) {
 					if p.deleted != nil || p.nDeleted != 0 {
 						t.Fatalf("part %d: a load allocated %d tombstones", i, len(p.deleted))
 					}
-					if length > 0 && len(p.vals) > 0 && (&p.vals[0] == &vals[0]) != (n == 1) {
-						t.Fatalf("part %d of %d aliases vals: %v", i, n, n == 1)
+					if len(p.vals) > 0 && &p.vals[0] != &vals[at] || cap(p.vals) != len(p.vals) {
+						t.Fatalf("part %d of %d is not vals[%d:%d] with no spare capacity", i, n, at, at+len(p.vals))
 					}
+					at += len(p.vals)
 				}
 			})
 		}

@@ -91,7 +91,9 @@
 // skipping rows with a buffered delete; then it consults its buffered
 // inserts. The index holds exactly the merged, non-tombstoned rows, so both
 // paths name the same row; the caller's exclusive table lock is held for a
-// piece, not a column.
+// piece, not a column. An index is built values-only, and the column's first
+// resolution through it attaches its row ids (cracker.Index.AttachRows): a
+// column no delete names never pays for them.
 //
 // # One latch per read
 //
@@ -132,6 +134,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -211,17 +214,20 @@ type Column struct {
 	selectHook atomic.Pointer[func(part int)]
 }
 
-// NewColumn builds a column over vals in one pass. A one-part column adopts
-// vals as its storage: the caller must not reuse it. An N-part column stripes
-// vals into N per-part arrays (global row g to part g % N, local position
-// g / N) and keeps no reference to it. Either way each part leaves with its
-// value bounds, so neither registration nor the first touch rescans it.
+// NewColumn builds a column over vals, which it adopts as the parts'
+// storage whatever their number: the caller must not reuse it. Global row g
+// lives in part g % N at local position g / N, and the parts lie in vals'
+// memory one after the other, part 0 first. A one-part column keeps vals as
+// it is. An N-part column saves the rows past part 0's length, writes parts
+// 1..N-1 over them and moves part 0 down into the front of vals, so a load
+// copies (N-1)/N of the column aside, not all of it into new parts. Each
+// part leaves with its value bounds, so neither registration nor the first
+// touch rescans it.
 //
-// The pass is cut into chunks of whole stripes (local rows [a, b) of every
-// part), one per GOMAXPROCS worker, each copying its stripes and keeping every
-// part's bounds as it goes. As with a select's fan-out, a chunk gets a
-// goroutine only when it holds at least costmodel.FanOutMinWork values, so a
-// small column loads on the caller's goroutine.
+// Each step is cut into chunks, one per GOMAXPROCS worker. As with a
+// select's fan-out, a step gets more than the caller's goroutine only when
+// it holds at least costmodel.FanOutMinWork values, so a small column loads
+// on the caller's goroutine.
 func NewColumn(name string, vals []int64, cfg Config) (*Column, error) {
 	if len(vals) > MaxRows {
 		return nil, ErrTooLarge
@@ -229,27 +235,20 @@ func NewColumn(name string, vals []int64, cfg Config) (*Column, error) {
 	n := cfg.shards()
 	c := &Column{name: name, cfg: cfg}
 	c.rows.Store(int64(len(vals)))
-	for i := range n {
-		if n == 1 {
-			c.addPart(vals, nil)
-		} else {
-			// Part i holds global rows i, i+n, ...: ceil((len-i)/n) of them.
-			c.addPart(make([]int64, (len(vals)-i+n-1)/n), nil)
-		}
+	// Part i holds global rows i, i+n, ...: ceil((len-i)/n) of them; part 0
+	// is the longest.
+	head := (len(vals) + n - 1) / n
+	for i, at := 0, 0; i < n; i++ {
+		l := (len(vals) - i + n - 1) / n
+		c.addPart(vals[at:at+l:at+l], nil)
+		at += l
 	}
-	local := len(c.parts[0].vals) // the longest part
-	workers := max(1, min(runtime.GOMAXPROCS(0), len(vals)/costmodel.FanOutMinWork))
-	bounds := make([][]partBounds, workers)
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			bounds[w] = c.loadStripes(vals, local*w/workers, local*(w+1)/workers)
-		}()
+	tail := slices.Clone(vals[head:]) // global rows head.., saved before parts 1..n-1 are written over them
+	bounds := make([][]partBounds, loadWorkers(len(vals)))
+	inParallel(len(bounds), head, func(w, a, b int) { bounds[w] = c.loadStripes(vals[:head], tail, a, b) })
+	if n > 1 {
+		bounds[0][0] = c.movePart0(vals, tail)
 	}
-	bounds[0] = c.loadStripes(vals, 0, local/workers)
-	wg.Wait()
 	for i, p := range c.parts {
 		var pb partBounds
 		for _, wb := range bounds {
@@ -260,6 +259,71 @@ func NewColumn(name string, vals []int64, cfg Config) (*Column, error) {
 		p.lo, p.hi = pb.lo, pb.hi
 	}
 	return c, nil
+}
+
+// movePart0 moves part 0 of an N-part load (N > 1) into place and returns
+// its bounds: local row j moves from global row j*N — vals[j*N], or tail
+// once that is past part 0's length — down to vals[j], a range of rows [lo,
+// hi) with hi <= lo*N at a time, so no row of a range is written where
+// another row of it still reads.
+func (c *Column) movePart0(vals, tail []int64) partBounds {
+	n, head := len(c.parts), len(c.parts[0].vals)
+	split := (head + n - 1) / n // rows j*n >= head from split on
+	var b0 partBounds
+	if head > 0 {
+		b0.widen(vals[0], vals[0])
+	}
+	wb := make([]partBounds, runtime.GOMAXPROCS(0))
+	for lo := 1; lo < head; {
+		hi := min(head, lo*n)
+		inParallel(loadWorkers(hi-lo), hi-lo, func(w, a, b int) {
+			a, b = lo+a, lo+b
+			if a == b {
+				return
+			}
+			l, h := int64(math.MaxInt64), int64(math.MinInt64)
+			j := a
+			for ; j < min(b, split); j++ {
+				v := vals[j*n]
+				vals[j] = v
+				l, h = min(l, v), max(h, v)
+			}
+			for ; j < b; j++ {
+				v := tail[j*n-head]
+				vals[j] = v
+				l, h = min(l, v), max(h, v)
+			}
+			wb[w].widen(l, h)
+		})
+		lo = hi
+	}
+	for _, b := range wb {
+		if b.ok {
+			b0.widen(b.lo, b.hi)
+		}
+	}
+	return b0
+}
+
+// loadWorkers is how many workers a load step over m values gets: one per
+// GOMAXPROCS, each with at least costmodel.FanOutMinWork values.
+func loadWorkers(m int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), m/costmodel.FanOutMinWork))
+}
+
+// inParallel runs f over [0, m) cut into workers chunks, chunk w being
+// [m*w/workers, m*(w+1)/workers); the first runs on the caller's goroutine.
+func inParallel(workers, m int, f func(w, a, b int)) {
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(w, m*w/workers, m*(w+1)/workers)
+		}()
+	}
+	f(0, 0, m/workers)
+	wg.Wait()
 }
 
 // partBounds is one part's value bounds over (part of) a load.
@@ -275,42 +339,52 @@ func (b *partBounds) widen(lo, hi int64) {
 	b.lo, b.hi = min(b.lo, lo), max(b.hi, hi)
 }
 
-// loadBlock is how many local rows of every part loadStripes copies before
+// loadBlock is how many local rows of every part loadStripes visits before
 // moving on: the block's stripes of vals (n·32 KiB) stay in cache while each
 // part reads its column of them, so vals is read from memory once, not once
 // per part.
 const loadBlock = 1 << 12
 
-// loadStripes copies local rows [a, b) of every part out of vals — the rows
-// a one-part column adopted stay where they are — and returns each part's
-// bounds over them. Parts shorter than b stop at their length.
-func (c *Column) loadStripes(vals []int64, a, b int) []partBounds {
+// loadStripes writes local rows [a, b) of parts 1..n-1 and returns their
+// bounds over those rows — of part 0's too when it is the only part, which
+// stays where it is. Global row g is read from head while g < len(head) and
+// from tail after; parts shorter than b stop at their length.
+func (c *Column) loadStripes(head, tail []int64, a, b int) []partBounds {
 	n := len(c.parts)
 	out := make([]partBounds, n)
 	for ba := a; ba < b; ba += loadBlock {
-		for i, p := range c.parts {
-			end := min(ba+loadBlock, b, len(p.vals))
-			if ba >= end {
-				continue
+		if n == 1 {
+			lo, hi, _ := scan.MinMax(head[ba:min(ba+loadBlock, b)])
+			out[0].widen(lo, hi)
+			continue
+		}
+		for i, p := range c.parts[1:] {
+			if end := min(ba+loadBlock, b, len(p.vals)); ba < end {
+				out[i+1].widen(gatherStripe(p.vals[ba:end], head, tail, ba*n+i+1, n))
 			}
-			dst := p.vals[ba:end]
-			if n == 1 {
-				lo, hi, _ := scan.MinMax(dst)
-				out[i].widen(lo, hi)
-				continue
-			}
-			g := ba*n + i
-			lo, hi := vals[g], vals[g]
-			for j := range dst {
-				v := vals[g]
-				dst[j] = v
-				lo, hi = min(lo, v), max(hi, v)
-				g += n
-			}
-			out[i].widen(lo, hi)
 		}
 	}
 	return out
+}
+
+// gatherStripe copies rows g, g+n, ... into dst (not empty), reading head,
+// then tail, and returns their bounds.
+func gatherStripe(dst, head, tail []int64, g, n int) (lo, hi int64) {
+	lo, hi = math.MaxInt64, math.MinInt64
+	j := 0
+	for ; j < len(dst) && g < len(head); j++ {
+		v := head[g]
+		dst[j] = v
+		lo, hi = min(lo, v), max(hi, v)
+		g += n
+	}
+	for g -= len(head); j < len(dst); j++ {
+		v := tail[g]
+		dst[j] = v
+		lo, hi = min(lo, v), max(hi, v)
+		g += n
+	}
+	return lo, hi
 }
 
 // addPart appends the column's next part over vals, its merged storage by
@@ -460,8 +534,15 @@ func (c *Column) AppendAt(g uint32, v int64) {
 
 // FirstLive returns the lowest global row id holding value v live — merged
 // and not tombstoned or pending-deleted, or still buffered in an ingest
-// queue — the same "first live row" contract the unsharded column had.
+// queue — the same "first live row" contract the unsharded column had. The
+// column's first resolution gives every part's index its row ids at once,
+// one goroutine per part beyond the first (each attach holds only its own
+// part's latches), so that DELETE waits for the slowest part's attach, not
+// for their sum.
 func (c *Column) FirstLive(v int64) (row uint32, ok bool) {
+	if slices.ContainsFunc(c.parts, (*Part).valuesOnly) {
+		inParallel(len(c.parts), len(c.parts), func(_, a, _ int) { c.parts[a].attachRows() })
+	}
 	best := uint32(0)
 	for _, p := range c.parts {
 		if g, found := p.firstLive(v); found && (!ok || g < best) {
@@ -669,15 +750,15 @@ func (p *Part) CrackIndex() *cracker.Index { return p.crackIndexLocked() }
 func (p *Part) Cracked() *cracker.Index { return p.crack }
 
 // crackIndexLocked returns the part's cracker index, materialising the
-// cracked copy on first use — straight from the base column (radix pass
-// included) when no row is tombstoned, else from a copy. Callers hold the
-// exclusive latch.
+// values-only cracked copy on first use — straight from the base column
+// (radix pass included) when no row is tombstoned, else from a copy. Callers
+// hold the exclusive latch.
 func (p *Part) crackIndexLocked() *cracker.Index {
 	if p.crack == nil {
 		if p.nDeleted == 0 {
-			p.attachCrackLocked(cracker.NewFromBase(p.vals, p.globalRow(0), uint32(p.stride), p.lo, p.hi, p.cfg.radixMinPiece()))
+			p.attachCrackLocked(cracker.NewFromBase(p.vals, p.lo, p.hi, p.cfg.radixMinPiece()))
 		} else {
-			p.attachCrackLocked(cracker.New(p.liveSnapshotLocked()))
+			p.attachCrackLocked(cracker.New(p.liveSnapshotLocked(), nil))
 		}
 	}
 	return p.crack
@@ -691,36 +772,22 @@ func (p *Part) attachCrackLocked(ix *cracker.Index) {
 	p.crack = ix
 }
 
-// liveSnapshotLocked copies the merged, non-tombstoned rows paired with
-// their global row ids. Rows with a buffered (not yet applied) delete ARE
-// included: reads subtract them through the queue's net CountSum until the
-// merge tombstones them, keeping every structure consistent with the same
-// merged-state boundary.
-func (p *Part) liveSnapshotLocked() ([]int64, []uint32) {
-	src := p.vals
+// liveSnapshotLocked copies the values of the merged, non-tombstoned rows,
+// the multiset a values-only copy holds. Rows with a buffered (not yet
+// applied) delete ARE included: reads subtract them through the queue's net
+// CountSum until the merge tombstones them, keeping every structure
+// consistent with the same merged-state boundary.
+func (p *Part) liveSnapshotLocked() []int64 {
 	if p.nDeleted == 0 {
-		// No tombstones — every sorted build of a loaded column: one copy and
-		// a strided fill of globalRow(0), globalRow(1), ...
-		vals := make([]int64, len(src))
-		copy(vals, src)
-		rows := make([]uint32, len(src))
-		row, stride := p.globalRow(0), uint32(p.stride)
-		for i := range rows {
-			rows[i] = row
-			row += stride
-		}
-		return vals, rows
+		return slices.Clone(p.vals)
 	}
-	n := len(src) - p.nDeleted
-	vals := make([]int64, 0, n)
-	rows := make([]uint32, 0, n)
-	for i, v := range src {
+	vals := make([]int64, 0, len(p.vals)-p.nDeleted)
+	for i, v := range p.vals {
 		if !p.deleted[i] {
 			vals = append(vals, v)
-			rows = append(rows, p.globalRow(i))
 		}
 	}
-	return vals, rows
+	return vals
 }
 
 // deadLocked reports whether the row at local position is tombstoned.
@@ -738,13 +805,13 @@ func (p *Part) materialise() {
 }
 
 // BuildSorted sorts the part's index to completion; a part with none first
-// copies its merged live rows (an offline build is copy plus sort, not a
+// copies its merged live values (an offline build is copy plus sort, not a
 // first touch).
 func (p *Part) BuildSorted() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.crack == nil {
-		p.attachCrackLocked(cracker.New(p.liveSnapshotLocked()))
+		p.attachCrackLocked(cracker.New(p.liveSnapshotLocked(), nil))
 	}
 	p.crack.Sort()
 }
@@ -944,17 +1011,19 @@ func (p *Part) PendingOps() int { return p.ingest.Len() }
 // which holds exactly them, so a DELETE costs one piece or a binary search
 // (under the index's shared latch: nothing is cracked on the writer's path)
 // instead of a scan; only a part with no index scans, stopping at the first
-// hit. The shared latch is held across the queue read as well, so no merge
-// can move a buffered insert into the structures between the two and hide it
-// from both.
+// hit. The first resolution through a values-only copy attaches its row ids
+// (cracker.Index.AttachRows, one pass over the base under the index's
+// exclusive latch; the base moves only under the part's exclusive latch). The
+// shared latch is held across the queue read as well, so no merge can move a
+// buffered insert into the structures between the two and hide it from both.
 func (p *Part) firstLive(v int64) (uint32, bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	live := func(g uint32) bool { return !p.ingest.HasDelete(v, g) }
 	var best uint32
 	found := false
-	if p.crack != nil {
-		best, found = p.crack.MinRowOf(v, live)
+	if ix := p.crack; ix != nil && p.attachRowsLocked() == nil {
+		best, found = ix.MinRowOf(v, live)
 	} else {
 		for i, val := range p.vals {
 			if g := p.globalRow(i); val == v && !p.deadLocked(i) && live(g) {
@@ -967,6 +1036,29 @@ func (p *Part) firstLive(v int64) (uint32, bool) {
 		best, found = r, true
 	}
 	return best, found
+}
+
+// valuesOnly reports whether the part's index has no row ids yet.
+func (p *Part) valuesOnly() bool {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.crack != nil && !p.crack.HasRows()
+}
+
+// attachRows gives the part's index, if any, its row ids.
+func (p *Part) attachRows() {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	if p.crack != nil {
+		p.attachRowsLocked()
+	}
+}
+
+// attachRowsLocked gives the part's index its row ids from the merged rows
+// (cracker.Index.AttachRows); it does nothing once they are there. Callers
+// hold either latch mode and have an index.
+func (p *Part) attachRowsLocked() error {
+	return p.crack.AttachRows(p.vals, p.globalRow(0), uint32(p.stride), p.deleted)
 }
 
 // deleteLocal deletes the row at local position: a still-buffered insert is
@@ -1026,12 +1118,61 @@ func (p *Part) RangePieceAvg(lo, hi int64) float64 {
 	return p.crack.RangePieceAvg(lo, hi)
 }
 
-// Validate checks the part's index invariants (quiesced callers).
+// Validate checks the part's index invariants (quiesced callers): the
+// index's own (cracker.Index.Validate), and that it holds exactly the live
+// merged rows — each attached row id by checkRowsLocked, a values-only copy
+// as a multiset of the live values.
 func (p *Part) Validate() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.crack == nil {
 		return nil
 	}
-	return p.crack.Validate()
+	if err := p.crack.Validate(); err != nil {
+		return err
+	}
+	vals, rows := p.crack.Values(), p.crack.Rows()
+	if rows != nil {
+		return p.checkRowsLocked(vals, rows)
+	}
+	got, want := slices.Clone(vals), p.liveSnapshotLocked()
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		return fmt.Errorf("shard: part %s: the copy's %d values are not the %d live rows' values", p.name, len(got), len(want))
+	}
+	return nil
+}
+
+// checkRowsLocked verifies a copy with row ids against the part's merged
+// rows in one pass: it holds exactly the live rows, each row id is one of
+// this part's rows (g % stride == id, local position in range), live, holds
+// the value beside it, and appears once. Snapshot restore and Validate use
+// it. Callers hold either latch mode.
+func (p *Part) checkRowsLocked(vals []int64, rows []uint32) error {
+	if len(rows) != len(vals) || len(vals) != len(p.vals)-p.nDeleted {
+		return fmt.Errorf("shard: part %s: copy of %d values and %d row ids, the part has %d live rows", p.name, len(vals), len(rows), len(p.vals)-p.nDeleted)
+	}
+	seen := make([]uint64, (len(p.vals)+63)/64)
+	for i, g := range rows {
+		local := int(g) / p.stride
+		var bad string
+		switch {
+		case int(g)%p.stride != p.id:
+			bad = "belongs to another part"
+		case local >= len(p.vals):
+			bad = "is past the part's rows"
+		case p.deadLocked(local):
+			bad = "is tombstoned"
+		case p.vals[local] != vals[i]:
+			bad = fmt.Sprintf("holds %d, not the copy's %d", p.vals[local], vals[i])
+		case seen[local/64]&(1<<(local%64)) != 0:
+			bad = "appears twice"
+		}
+		if bad != "" {
+			return fmt.Errorf("shard: part %s: copy entry %d names row %d, which %s", p.name, i, g, bad)
+		}
+		seen[local/64] |= 1 << (local % 64)
+	}
+	return nil
 }

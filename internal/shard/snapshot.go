@@ -20,9 +20,11 @@ type PartSnapshot struct {
 	Vals    []int64
 	Deleted []bool
 
-	// Index state, present iff HasCrack: the cracked copy (values with
-	// aligned global row ids) and the crack-tree boundaries in ascending
-	// key order — none when Sorted, the copy then being ascending.
+	// Index state, present iff HasCrack: the cracked copy's values, its
+	// global row ids aligned with them — empty while the copy is
+	// values-only, until a delete first resolves through it — and the
+	// crack-tree boundaries in ascending key order — none when Sorted, the
+	// copy then being ascending.
 	HasCrack   bool
 	CrackVals  []int64
 	CrackRows  []uint32
@@ -79,8 +81,10 @@ func (p *Part) snapshot() (PartSnapshot, error) {
 // NewColumnFromSnapshot rebuilds a column from its snapshot under cfg. The
 // shard count must match the snapshot's (striping is positional: a row's
 // part is g % N, so N is part of the on-disk layout, recorded in the
-// manifest). Index state is re-validated on the way in — a corrupted
-// snapshot fails restore instead of serving wrong answers.
+// manifest). Index state is re-validated on the way in — the index's own
+// invariants, its length against the part's live rows, and every attached
+// row id (checkRowsLocked) — so a corrupted snapshot fails restore instead
+// of serving wrong answers or letting a later delete tombstone the wrong row.
 func NewColumnFromSnapshot(snap ColumnSnapshot, cfg Config) (*Column, error) {
 	n := cfg.shards()
 	if len(snap.Parts) != n {
@@ -95,6 +99,13 @@ func NewColumnFromSnapshot(snap ColumnSnapshot, cfg Config) (*Column, error) {
 		p := c.addPart(ps.Vals, ps.Deleted)
 		p.lo, p.hi, _ = scan.MinMax(ps.Vals)
 		if ps.HasCrack {
+			if len(ps.CrackRows) > 0 {
+				if err := p.checkRowsLocked(ps.CrackVals, ps.CrackRows); err != nil {
+					return nil, err
+				}
+			} else if live := len(ps.Vals) - p.nDeleted; len(ps.CrackVals) != live {
+				return nil, fmt.Errorf("shard: part %s: copy of %d values, the part has %d live rows", p.name, len(ps.CrackVals), live)
+			}
 			ix, err := cracker.RestoreIndex(ps.CrackVals, ps.CrackRows, ps.Boundaries, ps.Sorted)
 			if err != nil {
 				return nil, fmt.Errorf("shard: part %s: %w", p.name, err)

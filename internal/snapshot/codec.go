@@ -11,8 +11,13 @@ import (
 )
 
 // snapMagic identifies a snapshot file; the trailing two bytes version the
-// format. 02 has one index block per part, with a sorted flag.
-var snapMagic = [8]byte{'H', 'O', 'L', 'S', 'N', 'P', '0', '2'}
+// format. 02 has one index block per part, with a sorted flag; 03 lets a
+// values-only copy write no row ids (a zero-length CrackRows). 02's grammar
+// is a subset of 03's, so the decoder reads both.
+var snapMagic = [8]byte{'H', 'O', 'L', 'S', 'N', 'P', '0', '3'}
+
+// snapMagic02 is the previous format's magic, still read.
+var snapMagic02 = [8]byte{'H', 'O', 'L', 'S', 'N', 'P', '0', '2'}
 
 // EncodeState serializes a captured engine state as one snapshot file
 // image: magic, body, CRC32 trailer over everything before it. The CRC
@@ -126,8 +131,8 @@ func DecodeState(b []byte) (engine.EngineState, error) {
 	if [6]byte(b[:6]) != [6]byte(snapMagic[:6]) {
 		return engine.EngineState{}, fmt.Errorf("snapshot: bad magic")
 	}
-	if [8]byte(b[:8]) != snapMagic {
-		return engine.EngineState{}, fmt.Errorf("snapshot: format %s, this build reads %s", b[6:8], snapMagic[6:])
+	if m := [8]byte(b[:8]); m != snapMagic && m != snapMagic02 {
+		return engine.EngineState{}, fmt.Errorf("snapshot: format %s, this build reads %s and %s", b[6:8], snapMagic02[6:], snapMagic[6:])
 	}
 	body, trailer := b[:len(b)-4], b[len(b)-4:]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {

@@ -52,6 +52,25 @@ func pinnedState() engine.EngineState {
 	}}
 }
 
+// pinnedValuesOnlyState holds a values-only cracked part with boundaries and
+// a values-only sorted part, each with a tombstone: copies with no row ids.
+func pinnedValuesOnlyState() engine.EngineState {
+	return engine.EngineState{Tables: []engine.TableState{
+		{Name: "v", Order: []string{"a"}, Live: 4, Columns: []shard.ColumnSnapshot{
+			{Name: "a", Rows: 6, Parts: []shard.PartSnapshot{
+				{
+					Vals: []int64{5, 3, 9}, Deleted: []bool{false, true, false},
+					HasCrack: true, CrackVals: []int64{5, 9}, Boundaries: []cracker.Boundary{{Key: 6, Pos: 1}},
+				},
+				{
+					Vals: []int64{300, -2, 7}, Deleted: []bool{false, false, true},
+					HasCrack: true, CrackVals: []int64{-2, 300}, Sorted: true,
+				},
+			}},
+		}},
+	}}
+}
+
 // TestEncodingUnchanged pins the on-disk bytes of both encoders. The
 // expected images were produced by the append-per-value encoders this
 // package used before it sized its output, so a pass proves the sized
@@ -76,17 +95,38 @@ func TestEncodingUnchanged(t *testing.T) {
 			t.Fatalf("record op %d does not survive a decode", r.Op)
 		}
 	}
-	const wantState = "484f4c534e5030320205656d7074790000026b76e807020161016106020305000000000000000300000000000000090000000000000003000100010303000000000000000500000000000000090000000000000003020000000000000004000000030400000000000000010900000000000000020000000000ffffffac0200032c01000000000000feffffffffffffff0700000000000000030000010103feffffffffffffff07000000000000002c01000000000000030300000005000000010000000001016201620602030a00000000000000060000000000000012000000000000000300010000035802000000000000fcffffffffffffff0e0000000000000003000001002230e32a"
+	const wantState = "484f4c534e5030330205656d7074790000026b76e807020161016106020305000000000000000300000000000000090000000000000003000100010303000000000000000500000000000000090000000000000003020000000000000004000000030400000000000000010900000000000000020000000000ffffffac0200032c01000000000000feffffffffffffff0700000000000000030000010103feffffffffffffff07000000000000002c01000000000000030300000005000000010000000001016201620602030a00000000000000060000000000000012000000000000000300010000035802000000000000fcffffffffffffff0e000000000000000300000100e941d0e4"
+	const wantValuesOnly = "484f4c534e50303301017604010161016106020305000000000000000300000000000000090000000000000003000100010205000000000000000900000000000000000106000000000000000100032c01000000000000feffffffffffffff0700000000000000030000010102feffffffffffffff2c0100000000000000000139cedaca"
+	for _, c := range []struct {
+		name string
+		st   engine.EngineState
+		want string
+	}{{"state", pinnedState(), wantState}, {"values-only state", pinnedValuesOnlyState(), wantValuesOnly}} {
+		img := EncodeState(c.st)
+		if h := hex.EncodeToString(img); h != c.want {
+			t.Fatalf("%s:\n got %s\nwant %s", c.name, h, c.want)
+		}
+		st, err := DecodeState(img)
+		if err != nil {
+			t.Fatalf("pinned %s does not decode: %v", c.name, err)
+		}
+		if !bytes.Equal(EncodeState(st), img) {
+			t.Fatalf("pinned %s does not survive a decode", c.name)
+		}
+	}
+}
+
+// TestFormat02Reads: an image of the previous format, 02, whose grammar is a
+// subset of 03's, decodes to the state it holds.
+func TestFormat02Reads(t *testing.T) {
 	img := EncodeState(pinnedState())
-	if h := hex.EncodeToString(img); h != wantState {
-		t.Fatalf("state:\n got %s\nwant %s", h, wantState)
-	}
-	st, err := DecodeState(img)
+	copy(img, snapMagic02[:])
+	st, err := DecodeState(seal(img[:len(img)-4]))
 	if err != nil {
-		t.Fatalf("pinned state does not decode: %v", err)
+		t.Fatalf("format 02 image: %v", err)
 	}
-	if !bytes.Equal(EncodeState(st), img) {
-		t.Fatalf("pinned state does not survive a decode")
+	if !bytes.Equal(EncodeState(st), EncodeState(pinnedState())) {
+		t.Fatalf("format 02 image decodes to another state")
 	}
 }
 
@@ -290,12 +330,14 @@ func FuzzDecodeRecord(f *testing.F) {
 }
 
 // FuzzDecodeState: DecodeState never panics, and a state that decodes
-// re-encodes to the same image. The input is taken both as a whole image
+// re-encodes to the same image (a format 02 one as 03). The input is taken both as a whole image
 // and as a body sealed with its CRC, so the fuzzer reaches the decoder
 // behind the checksum.
 func FuzzDecodeState(f *testing.F) {
 	img := EncodeState(pinnedState())
 	f.Add(img[:len(img)-4])
+	vo := EncodeState(pinnedValuesOnlyState())
+	f.Add(vo[:len(vo)-4])
 	empty := EncodeState(engine.EngineState{})
 	f.Add(empty[:len(empty)-4])
 	f.Add(overflowState(1 << 61))
@@ -307,7 +349,13 @@ func FuzzDecodeState(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if got := EncodeState(st); !bytes.Equal(got, sealed) {
+		// A format 02 image re-encodes as 03: the same body behind the
+		// current magic, under its own checksum.
+		want := sealed
+		if [8]byte(sealed[:8]) == snapMagic02 {
+			want = seal(append(snapMagic[:], sealed[8:len(sealed)-4]...))
+		}
+		if got := EncodeState(st); !bytes.Equal(got, want) {
 			t.Fatalf("re-encoded %x, decoded from %x", got, sealed)
 		}
 	})

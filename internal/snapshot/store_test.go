@@ -290,7 +290,7 @@ func TestOlderFormatNamed(t *testing.T) {
 	img := EncodeState(engine.EngineState{})
 	copy(img, "HOLSNP01")
 	_, err := DecodeState(img)
-	if err == nil || err.Error() != "snapshot: format 01, this build reads 02" {
+	if err == nil || err.Error() != "snapshot: format 01, this build reads 02 and 03" {
 		t.Fatalf("format 01 image: %v", err)
 	}
 }
