@@ -16,28 +16,51 @@ import (
 var ErrReadOnly = errors.New("engine: read-only mode, durability degraded")
 
 // WriteLog is the engine's durability hook. When attached via SetWriteLog,
-// every mutation is logged BEFORE it is acknowledged; a non-nil error
-// aborts the statement (inserts are logged before their row ids are
-// committed, so a failed log burns nothing). Implementations wrap
+// every mutation is logged and durable BEFORE it is acknowledged; a non-nil
+// error aborts the statement (inserts are logged before their row ids are
+// committed, so a failed append burns nothing). Implementations wrap
 // persistent failures with ErrReadOnly to flip the engine read-only.
+//
+// Inserts and deletes append and wait in two calls: LogInsert and LogDelete
+// append a record and return the offset it ends at, and WaitDurable blocks
+// until it is durable. No lock is held across a durability wait — the
+// appends run under the table's locks, which order the records, and the
+// waits run after those locks are released, so concurrent writers share one
+// fsync (group commit). The schema statements, rare and serialised anyway,
+// append and wait in one call.
 //
 // Records are logical, not textual: deletes carry the row ids the
 // statement resolved, because DeleteWhere's "first live row" resolution
 // depends on interleaving and replaying by value could pick a different
 // row on a multi-column table.
 type WriteLog interface {
-	// LogCreateTable records a CREATE TABLE.
+	// LogCreateTable records a CREATE TABLE and waits until it is durable.
 	LogCreateTable(table string) error
-	// LogAddColumn records a column load with its full contents.
+	// LogAddColumn records a column load with its full contents and waits
+	// until it is durable.
 	LogAddColumn(table, col string, vals []int64) error
-	// LogInsert records an insert batch starting at row id first. It is
-	// called with the table's id mutex held: calls arrive in row-id order.
-	LogInsert(table string, first uint32, rows [][]int64) error
-	// LogDelete records the resolved global row ids one DELETE removed.
-	// It is called with the table lock held exclusively, after the rows
-	// were tombstoned: a failed log leaves the (unacknowledged) deletes
-	// applied in memory, which recovery treats as an in-flight statement.
-	LogDelete(table string, rows []uint32) error
+	// LogInsert appends an insert batch starting at row id first and
+	// returns the record's end offset. It is called with the table's id
+	// mutex held: calls arrive in row-id order.
+	LogInsert(table string, first uint32, rows [][]int64) (end int64, err error)
+	// LogDelete appends the resolved global row ids one DELETE removed and
+	// returns the record's end offset. It is called with the table lock
+	// held exclusively, after the rows were tombstoned: a failed log leaves
+	// the (unacknowledged) deletes applied in memory, which recovery treats
+	// as an in-flight statement.
+	LogDelete(table string, rows []uint32) (end int64, err error)
+	// WaitDurable returns once every record ending at or before end is
+	// durable. It is called with no lock held.
+	WaitDurable(end int64) error
+}
+
+// LogStats is the write log's traffic, for \stats: the records appended
+// and fsyncs made since it opened, and the bytes appended but not yet known
+// durable.
+type LogStats struct {
+	Records         int64 `json:"records"`
+	Fsyncs          int64 `json:"fsyncs"`
+	DurableLagBytes int64 `json:"durable_lag_bytes"`
 }
 
 // SetWriteLog attaches the durability hook. Call once at boot, before the
@@ -51,6 +74,16 @@ func (e *Engine) ReadOnly() bool {
 		return d.Degraded()
 	}
 	return false
+}
+
+// LogStats reports the attached write log's counters, or nil when no log
+// is attached or it keeps none.
+func (e *Engine) LogStats() *LogStats {
+	if s, ok := e.wlog.(interface{ LogStats() LogStats }); ok {
+		st := s.LogStats()
+		return &st
+	}
+	return nil
 }
 
 // TableState is one table's serializable state: the column order plus each
@@ -70,8 +103,9 @@ type EngineState struct {
 }
 
 // CaptureState deep-copies the whole catalog at a consistent cut. It holds
-// every table's lock exclusively (writers hold at most one table lock, and
-// each logs and applies entirely inside it, so under all locks every logged
+// every table's lock exclusively and waits until every insert ticket taken
+// is published (writers hold at most one table lock, each logs and enqueues
+// inside it, and a published batch is applied whole, so then every logged
 // statement is fully applied and nothing is in flight), drains all pending
 // buffers, and invokes cut — the caller reads the WAL offset there, binding
 // the state to exactly the log prefix it covers. The copies are
@@ -88,6 +122,7 @@ func (e *Engine) CaptureState(cut func()) (EngineState, error) {
 		t := e.tables[name]
 		t.mu.Lock()
 		defer t.mu.Unlock()
+		t.waitPublishedLocked()
 	}
 	if cut != nil {
 		cut()
@@ -131,7 +166,7 @@ func (e *Engine) RestoreState(st EngineState) error {
 			return fmt.Errorf("engine: restore %s: %d column snapshots for %d columns", ts.Name, len(ts.Columns), len(ts.Order))
 		}
 		for i, cname := range ts.Order {
-			sc, err := shard.NewColumnFromSnapshot(ts.Columns[i], e.shardConfig())
+			sc, err := shard.NewColumnFromSnapshot(ts.Columns[i], t.shardConfig())
 			if err != nil {
 				return err
 			}
@@ -142,6 +177,7 @@ func (e *Engine) RestoreState(st EngineState) error {
 			cat = cat.with(cname, sc)
 			if i == 0 {
 				t.rows.Store(int64(sc.Rows()))
+				t.visible.Store(int64(sc.Rows()))
 			}
 			e.registerColumn(sc)
 		}
@@ -219,6 +255,7 @@ func (e *Engine) ReplayInsert(table string, first uint32, rows [][]int64) error 
 			return shard.ErrTooLarge
 		}
 		t.rows.Store(g + 1)
+		t.visible.Store(g + 1)
 		cur = g + 1
 		for j, name := range cat.order {
 			cat.cols[name].AppendAt(uint32(g), vals[j])

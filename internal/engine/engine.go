@@ -126,7 +126,7 @@ type Engine struct {
 	// the probe declined: a crack with incremental indexing, a scan without.
 	// Idle time during the workload builds the tuner and its idle pool with
 	// incremental indexing, the online review without.
-	run    func(p *shard.Part, lo, hi int64) (int, int64)
+	run    func(p *shard.Part, lo, hi, vis int64) (int, int64)
 	online *onlineReview
 	tuner  *core.Tuner
 	runner *idle.Runner
@@ -140,10 +140,10 @@ type Engine struct {
 // New builds an engine with the given configuration, deriving its mechanisms
 // from cfg.Strategy's row of Table 1 (Strategy.Capabilities).
 func New(cfg Config) *Engine {
-	e := &Engine{cfg: cfg, tables: map[string]*Table{}, run: (*shard.Part).ScanCountSum}
+	e := &Engine{cfg: cfg, tables: map[string]*Table{}, run: (*shard.Part).ScanCountSumAt}
 	caps := cfg.Strategy.Capabilities()
 	if caps.IncrementalIndexing {
-		e.run = (*shard.Part).CrackedSelect
+		e.run = (*shard.Part).CrackedSelectAt
 	}
 	switch {
 	case caps.IdleTimeDuring && !caps.IncrementalIndexing:

@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"time"
-
-	"holistic/internal/shard"
-)
+import "time"
 
 // Select answers the paper's query template — SELECT col FROM table WHERE
 // col >= lo AND col < hi — under the engine's strategy, returning the
@@ -15,11 +11,11 @@ import (
 //
 // Every strategy runs the same kernel: the strategy's Table 1 row chose the
 // mechanisms at New, and Select only asks which of them exist. Each part is
-// first probed on the caller's goroutine (shard.Part.Probe): it answers
+// first probed on the caller's goroutine (shard.Part.ProbeAt): it answers
 // through the design it holds — an index that already has both bounds as
 // boundaries, which a sorted one always has — or
 // declines with the values answering would touch. The parts that declined are
-// answered by the engine's run, a crack (shard.Part.CrackedSelect) with
+// answered by the engine's run, a crack (shard.Part.CrackedSelectAt) with
 // incremental indexing or a scan without. One rule decides where they run
 // (shard.Column.CountSum, costmodel.FanOutMinWork): only when the work the
 // other parts would take off the caller's path reaches the threshold does the
@@ -29,13 +25,19 @@ import (
 // every read holds the part's shared latch, and a crack takes the cracker
 // index latch exclusively only while it partitions a piece; only materialising
 // the cracked copy and merging pending updates take the part's exclusive
-// latch.
+// latch. Every part is read at the table's visibility watermark, which the
+// select loads once (Table.countSum), so it sees an insert batch in every
+// part or in none.
 //
 // With the online review the select is then counted, and the select that
 // closes an epoch runs the review, paying for any build it decides; with the
 // holistic tuner it notes the query, which steers later idle refinement.
 func (e *Engine) Select(table, col string, lo, hi int64) (Result, error) {
-	sc, err := e.column(table, col)
+	t, err := e.Table(table)
+	if err != nil {
+		return Result{}, err
+	}
+	sc, err := t.column(col)
 	if err != nil {
 		return Result{}, err
 	}
@@ -45,7 +47,7 @@ func (e *Engine) Select(table, col string, lo, hi int64) (Result, error) {
 		defer g.Release()
 	}
 	start := time.Now()
-	count, sum := sc.CountSum(lo, hi, (*shard.Part).Probe, e.run)
+	count, sum := t.countSum(sc, lo, hi, e.run)
 	if e.online != nil {
 		e.observe(sc, count)
 	}

@@ -367,14 +367,16 @@ func TestMergeStepNeverStartsAfterWriteAdmitted(t *testing.T) {
 	}
 }
 
-// blockingLog is a WriteLog whose LogInsert parks until release is closed;
-// the test that uses it calls no other method.
+// blockingLog is a WriteLog whose durability wait parks until release is
+// closed; the test that uses it inserts once and calls no other method.
 type blockingLog struct {
 	WriteLog
 	entered, release chan struct{}
 }
 
-func (l blockingLog) LogInsert(string, uint32, [][]int64) error {
+func (l blockingLog) LogInsert(string, uint32, [][]int64) (int64, error) { return 1, nil }
+
+func (l blockingLog) WaitDurable(int64) error {
 	close(l.entered)
 	<-l.release
 	return nil

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"holistic/internal/engine"
+	"holistic/internal/snapshot"
+	"holistic/internal/wal"
 )
 
 // degradedLog is a WriteLog that can be tripped into the sticky degraded
@@ -19,11 +21,12 @@ func (d *degradedLog) err() error {
 	}
 	return nil
 }
-func (d *degradedLog) Degraded() bool                             { return d.broken }
-func (d *degradedLog) LogCreateTable(string) error                { return d.err() }
-func (d *degradedLog) LogAddColumn(string, string, []int64) error { return d.err() }
-func (d *degradedLog) LogInsert(string, uint32, [][]int64) error  { return d.err() }
-func (d *degradedLog) LogDelete(string, []uint32) error           { return d.err() }
+func (d *degradedLog) Degraded() bool                                     { return d.broken }
+func (d *degradedLog) LogCreateTable(string) error                        { return d.err() }
+func (d *degradedLog) LogAddColumn(string, string, []int64) error         { return d.err() }
+func (d *degradedLog) LogInsert(string, uint32, [][]int64) (int64, error) { return 1, d.err() }
+func (d *degradedLog) LogDelete(string, []uint32) (int64, error)          { return 1, d.err() }
+func (d *degradedLog) WaitDurable(int64) error                            { return d.err() }
 
 // TestServerReadOnlyCode: when the durability layer degrades, writes get a
 // structured "read_only" error code, reads keep serving, and \stats
@@ -62,6 +65,42 @@ func TestServerReadOnlyCode(t *testing.T) {
 	}
 	if !stats.Degraded {
 		t.Fatalf("stats.Degraded = false on a degraded server")
+	}
+}
+
+// TestStatsReportLog: \stats carries the statement log's counters when a
+// durable log is attached — records, fsyncs, and no lag once a write was
+// acknowledged under fsync always — and omits them without one.
+func TestStatsReportLog(t *testing.T) {
+	srv, addr, _ := startServer(t, engine.Config{Strategy: engine.StrategyAdaptive, Seed: 1}, 100, nil)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if stats, err := c.Stats(); err != nil || stats.Log != nil {
+		t.Fatalf("stats without a log: %+v, %v; want no log counters", stats, err)
+	}
+	store, _, err := snapshot.Open(nil, t.TempDir(), srv.eng, snapshot.Config{
+		Policy: wal.Policy{Sync: wal.SyncAlways},
+		Shards: srv.eng.Shards(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	srv.eng.SetWriteLog(store)
+	for _, stmt := range []string{"insert into r values (101), (102)", "delete from r where a in (101)"} {
+		if resp, err := c.Exec(stmt); err != nil || !resp.OK {
+			t.Fatalf("%s: %+v %v", stmt, resp, err)
+		}
+	}
+	stats, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l := stats.Log; l == nil || l.Records != 2 || l.Fsyncs < 1 || l.DurableLagBytes != 0 {
+		t.Fatalf("log counters %+v, want 2 records, at least one fsync, no lag", l)
 	}
 }
 

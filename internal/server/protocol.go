@@ -65,6 +65,9 @@ type Stats struct {
 	// predicted ranges with confidence, plus speculative budget use and win
 	// counters. Present exactly when the strategy is holistic.
 	Forecast *engine.ForecastStats `json:"forecast,omitempty"`
+	// Log is the statement log's traffic — records, fsyncs and the bytes
+	// appended but not yet durable. Present when a durable log is attached.
+	Log *engine.LogStats `json:"log,omitempty"`
 }
 
 // parseRequest decodes one wire line, trimmed of white space and not empty.

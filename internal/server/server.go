@@ -368,6 +368,7 @@ func (s *Server) command(id int64, stmt string) Response {
 			Strategy:    s.eng.Strategy().String(),
 			Degraded:    s.eng.ReadOnly(),
 			Forecast:    s.eng.ForecastStats(),
+			Log:         s.eng.LogStats(),
 		}}
 	case `\pieces`:
 		if len(fields) != 3 {

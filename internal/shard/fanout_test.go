@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"holistic/internal/costmodel"
+	"holistic/internal/updates"
 )
 
 // TestFanOutRule drives Column.CountSum with made-up probes: each part either
@@ -55,8 +56,8 @@ func TestFanOutRule(t *testing.T) {
 					declined++
 				}
 			}
-			count, sum := c.CountSum(7, 9,
-				func(p *Part, lo, hi int64) (int, int64, int, bool) {
+			count, sum := c.CountSum(7, 9, updates.AllRows,
+				func(p *Part, lo, hi, _ int64) (int, int64, int, bool) {
 					if lo != 7 || hi != 9 {
 						t.Errorf("probe got [%d, %d)", lo, hi)
 					}
@@ -65,7 +66,7 @@ func TestFanOutRule(t *testing.T) {
 					}
 					return 10 + p.id, int64(p.id), 0, true
 				},
-				func(p *Part, lo, hi int64) (int, int64) {
+				func(p *Part, lo, hi, _ int64) (int, int64) {
 					ran[p.id].Add(1)
 					return 10 + p.id, int64(p.id)
 				})

@@ -9,6 +9,7 @@ import (
 
 	"holistic/internal/core"
 	"holistic/internal/idle"
+	"holistic/internal/updates"
 )
 
 // TestShardedRadixMixedWorkload races radix-first coarse cracking against
@@ -83,7 +84,7 @@ func TestShardedRadixMixedWorkload(t *testing.T) {
 						lo := grng.Int64N(domain)
 						hi := min(lo+grng.Int64N(domain/32)+1, domain)
 						gate.Hold()
-						count, sum := c.CountSum(lo, hi, (*Part).Probe, (*Part).CrackedSelect)
+						count, sum := c.CountSum(lo, hi, updates.AllRows, (*Part).ProbeAt, (*Part).CrackedSelectAt)
 						for _, p := range c.Parts() {
 							tu.NoteQuery(p.Name(), lo, hi)
 						}
@@ -108,7 +109,7 @@ func TestShardedRadixMixedWorkload(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantCount, wantSum := c.FanOutCountSum(func(p *Part) (int, int64) { return p.ScanCountSum(0, 2*domain) })
-			count, sum := c.CountSum(0, 2*domain, (*Part).Probe, (*Part).CrackedSelect)
+			count, sum := c.CountSum(0, 2*domain, updates.AllRows, (*Part).ProbeAt, (*Part).CrackedSelectAt)
 			if count != wantCount || sum != wantSum {
 				t.Fatalf("final state diverged: got %d/%d, oracle %d/%d", count, sum, wantCount, wantSum)
 			}

@@ -108,6 +108,20 @@
 // structural refinement — cracking under the index's own latch — stays
 // invisible to it.
 //
+// # Visibility
+//
+// A column may share a visibility watermark with the other columns of its
+// table (Config.Visible): the engine enqueues an insert batch before its log
+// record is durable and publishes it whole, by raising the watermark past
+// its rows, once it is. Buffered rows at or above the watermark count for
+// no read, resolve no delete and stay in the queue at a merge. A select
+// reads every part at one watermark (Column.CountSum), so it sees a batch in
+// every part or in none. A merge drains only rows visible when it
+// runs, which may be past the watermark a running select loaded; the part
+// read subtracts such merged rows again (Part.read), so each read counts
+// exactly the live rows below its watermark. Without a watermark every
+// buffered row is visible from its enqueue.
+//
 // # Latching
 //
 // Each Part carries its own reader/writer latch with exactly the semantics
@@ -168,9 +182,22 @@ type Config struct {
 	// callers which still set it keep compiling.
 	Seed uint64
 
+	// Visible, when set, is the visibility watermark the column shares
+	// with the rest of its table: rows at or above it are not yet published
+	// (see "Visibility"). Nil makes every row visible once enqueued.
+	Visible *atomic.Int64
+
 	// radixMin, when non-zero, replaces costmodel.DefaultRadixMinPiece
 	// (< 0 disables radix-first cracking). Only this package's tests set it.
 	radixMin int
+}
+
+// visible loads the visibility watermark; updates.AllRows without one.
+func (c *Config) visible() int64 {
+	if c.Visible == nil {
+		return updates.AllRows
+	}
+	return c.Visible.Load()
 }
 
 // radixMinPiece is the radix-first coarse-cracking threshold handed to each
@@ -484,23 +511,25 @@ func (c *Column) fanOut(parts []*Part, f func(p *Part) (int, int64)) (int, int64
 	return int(count.Load()), sum.Load()
 }
 
-// CountSum answers [lo, hi) over every part in two steps. probe asks each
+// CountSum answers [lo, hi) over every part in two steps, every part at
+// visibility watermark vis (see "Visibility"). probe asks each
 // part, on the caller's goroutine, for the answer or — ok false — for an
-// estimate of the values answering would touch (the engine passes Part.Probe).
-// run — ScanCountSum or CrackedSelect — then answers the parts that declined.
+// estimate of the values answering would touch (the engine passes
+// Part.ProbeAt). run — ScanCountSumAt or CrackedSelectAt — then answers the
+// parts that declined.
 // The caller takes the largest itself either way, so a fan-out takes
 // total-largest off its path, and only when that is at least
 // costmodel.FanOutMinWork do they get a goroutine each: one part, nothing to
 // do, or one part holding all the work stays on the caller's goroutine.
-func (c *Column) CountSum(lo, hi int64,
-	probe func(p *Part, lo, hi int64) (count int, sum int64, work int, ok bool),
-	run func(p *Part, lo, hi int64) (int, int64),
+func (c *Column) CountSum(lo, hi, vis int64,
+	probe func(p *Part, lo, hi, vis int64) (count int, sum int64, work int, ok bool),
+	run func(p *Part, lo, hi, vis int64) (int, int64),
 ) (count int, sum int64) {
 	var buf [8]*Part // the declined parts; on the stack for up to 8
 	todo := buf[:0]
 	total, largest := 0, 0
 	for _, p := range c.parts {
-		cnt, s, work, ok := probe(p, lo, hi)
+		cnt, s, work, ok := probe(p, lo, hi, vis)
 		if ok {
 			count, sum = count+cnt, sum+s
 			continue
@@ -509,11 +538,11 @@ func (c *Column) CountSum(lo, hi int64,
 		total, largest = total+work, max(largest, work)
 	}
 	if total-largest >= costmodel.FanOutMinWork {
-		cnt, s := c.fanOut(todo, func(p *Part) (int, int64) { return run(p, lo, hi) })
+		cnt, s := c.fanOut(todo, func(p *Part) (int, int64) { return run(p, lo, hi, vis) })
 		return count + cnt, sum + s
 	}
 	for _, p := range todo {
-		cnt, s := run(p, lo, hi)
+		cnt, s := run(p, lo, hi, vis)
 		count, sum = count+cnt, sum+s
 	}
 	return count, sum
@@ -521,20 +550,40 @@ func (c *Column) CountSum(lo, hi int64,
 
 // AppendAt enqueues v as global row g, where g was assigned by the caller
 // (the table's atomic row counter, so every column of one row agrees on the
-// id). Safe for concurrent use.
+// id), and merges the row's part inline when the row pushed its queue to
+// DefaultIngestCap — amortised maintenance, the backstop for strategies
+// with no idle pool. The row must be visible once enqueued (a column with
+// no watermark); a writer that publishes later calls Enqueue. Safe for
+// concurrent use.
 func (c *Column) AppendAt(g uint32, v int64) {
+	if p := c.Enqueue(g, v); p != nil {
+		p.MergeStep(0)
+	}
+}
+
+// Enqueue buffers v as global row g without touching any part latch, like
+// AppendAt, but leaves the inline merge to the caller: it returns the part
+// whose queue the row pushed to a multiple of DefaultIngestCap (nil if
+// none), which the caller merges once the row is visible — a merge drains
+// no invisible row.
+func (c *Column) Enqueue(g uint32, v int64) *Part {
 	for {
 		r := c.rows.Load()
 		if int64(g) < r || c.rows.CompareAndSwap(r, int64(g)+1) {
 			break
 		}
 	}
-	c.parts[int(g)%len(c.parts)].enqueueInsert(v, g)
+	p := c.parts[int(g)%len(c.parts)]
+	if qlen := p.ingest.Insert(v, g); qlen >= DefaultIngestCap && qlen%DefaultIngestCap == 0 {
+		return p
+	}
+	return nil
 }
 
 // FirstLive returns the lowest global row id holding value v live — merged
 // and not tombstoned or pending-deleted, or still buffered in an ingest
-// queue — the same "first live row" contract the unsharded column had. The
+// queue below the visibility watermark — the same "first live row" contract
+// the unsharded column had. The
 // column's first resolution gives every part's index its row ids at once,
 // one goroutine per part beyond the first (each attach holds only its own
 // part's latches), so that DELETE waits for the slowest part's attach, not
@@ -543,9 +592,10 @@ func (c *Column) FirstLive(v int64) (row uint32, ok bool) {
 	if slices.ContainsFunc(c.parts, (*Part).valuesOnly) {
 		inParallel(len(c.parts), len(c.parts), func(_, a, _ int) { c.parts[a].attachRows() })
 	}
+	vis := c.cfg.visible()
 	best := uint32(0)
 	for _, p := range c.parts {
-		if g, found := p.firstLive(v); found && (!ok || g < best) {
+		if g, found := p.firstLive(v, vis); found && (!ok || g < best) {
 			best, ok = g, true
 		}
 	}
@@ -833,25 +883,51 @@ func (p *Part) HasSorted() bool {
 	return p.crack != nil && p.crack.Sorted()
 }
 
-// read is every part read: it holds the shared latch across merged — an
-// index read of the merged rows, which must not take latches itself — and,
-// when merged answers (ok), the ingest queue's net contribution on [lo, hi),
-// which it adds. A merge needs the exclusive latch, so no row moves from the
-// queue to the structures between the two reads (see "One latch per read").
-func (p *Part) read(lo, hi int64, merged func() (int, int64, bool)) (count int, sum int64, ok bool) {
+// read is every part read at visibility watermark vis: it holds the shared
+// latch across merged — an index read of the merged rows, which must not
+// take latches itself — and, when merged answers (ok), the ingest queue's
+// net contribution on [lo, hi) below vis, which it adds. A merge needs the
+// exclusive latch, so no row moves from the queue to the structures between
+// the two reads (see "One latch per read"); merged rows at or above vis,
+// which a merge published after vis was loaded, are subtracted again (see
+// "Visibility").
+func (p *Part) read(lo, hi, vis int64, merged func() (int, int64, bool)) (count int, sum int64, ok bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if count, sum, ok = merged(); ok {
-		dc, ds := p.ingest.CountSum(lo, hi)
-		count, sum = count+dc, sum+ds
+		dc, ds := p.ingest.CountSum(lo, hi, vis)
+		tc, ts := p.mergedFromLocked(lo, hi, vis)
+		count, sum = count+dc-tc, sum+ds-ts
 	}
 	return count, sum, ok
 }
 
-// ScanCountSum answers [lo, hi) with a full scan of the merged rows plus
-// the queue's net contribution.
+// mergedFromLocked counts the merged live rows in [lo, hi) whose global row
+// id is at least vis. Callers hold either latch mode.
+func (p *Part) mergedFromLocked(lo, hi, vis int64) (count int, sum int64) {
+	n := len(p.vals)
+	if n == 0 || vis > int64(p.globalRow(n-1)) {
+		return 0, 0
+	}
+	from := max(vis-int64(p.id)+int64(p.stride)-1, 0) / int64(p.stride)
+	for i := int(from); i < n; i++ {
+		if v := p.vals[i]; v >= lo && v < hi && !p.deadLocked(i) {
+			count++
+			sum += v
+		}
+	}
+	return count, sum
+}
+
+// ScanCountSum is ScanCountSumAt at the watermark now.
 func (p *Part) ScanCountSum(lo, hi int64) (int, int64) {
-	count, sum, _ := p.read(lo, hi, func() (int, int64, bool) {
+	return p.ScanCountSumAt(lo, hi, p.cfg.visible())
+}
+
+// ScanCountSumAt answers [lo, hi) at visibility watermark vis with a full
+// scan of the merged rows plus the queue's net contribution.
+func (p *Part) ScanCountSumAt(lo, hi, vis int64) (int, int64) {
+	count, sum, _ := p.read(lo, hi, vis, func() (int, int64, bool) {
 		c, s := p.scanLocked(lo, hi)
 		return c, s, true
 	})
@@ -872,15 +948,21 @@ func (p *Part) scanLocked(lo, hi int64) (int, int64) {
 	return count, sum
 }
 
-// CrackedSelect is the adaptive select operator on one part. It runs under
+// CrackedSelect is CrackedSelectAt at the watermark now.
+func (p *Part) CrackedSelect(lo, hi int64) (int, int64) {
+	return p.CrackedSelectAt(lo, hi, p.cfg.visible())
+}
+
+// CrackedSelectAt is the adaptive select operator on one part, at visibility
+// watermark vis. It runs under
 // the shared latch: cracking [lo, hi) takes the index latch exclusively only
 // while it partitions, and a select whose bounds are already cracked takes it
 // shared once and subtracts two boundary sums (cracker.Index.CrackCountSum).
 // Only materialising the cracked copy, on the part's first touch, takes the
 // exclusive latch; the select then reads as any other.
-func (p *Part) CrackedSelect(lo, hi int64) (int, int64) {
+func (p *Part) CrackedSelectAt(lo, hi, vis int64) (int, int64) {
 	for {
-		count, sum, ok := p.read(lo, hi, func() (int, int64, bool) {
+		count, sum, ok := p.read(lo, hi, vis, func() (int, int64, bool) {
 			if p.crack == nil {
 				return 0, 0, false
 			}
@@ -921,14 +1003,20 @@ func (p *Part) RefineRange(rng *rand.Rand, lo, hi int64, target float64, cracks 
 	return p.refine(func(ix *cracker.Index) int { return ix.RefineRange(rng, lo, hi, target, cracks) })
 }
 
-// Probe answers [lo, hi) through the design the part holds, under the
-// shared latches and without building or cracking anything: its index
+// Probe is ProbeAt at the watermark now.
+func (p *Part) Probe(lo, hi int64) (count int, sum int64, work int, ok bool) {
+	return p.ProbeAt(lo, hi, p.cfg.visible())
+}
+
+// ProbeAt answers [lo, hi) at visibility watermark vis through the design
+// the part holds, under the shared latches and without building or cracking
+// anything: its index
 // answers when both bounds already are boundaries (the difference of their
 // sums) — always, once sorted. Otherwise it declines (ok false) with the
 // values a run would touch: the pieces the missing bounds fall in, or the
 // merged live rows when the part has no index.
-func (p *Part) Probe(lo, hi int64) (count int, sum int64, work int, ok bool) {
-	count, sum, ok = p.read(lo, hi, func() (c int, s int64, answered bool) {
+func (p *Part) ProbeAt(lo, hi, vis int64) (count int, sum int64, work int, ok bool) {
+	count, sum, ok = p.read(lo, hi, vis, func() (c int, s int64, answered bool) {
 		if p.crack != nil {
 			c, s, work, answered = p.crack.LookupCountSum(lo, hi)
 			return c, s, answered
@@ -937,16 +1025,6 @@ func (p *Part) Probe(lo, hi int64) (count int, sum int64, work int, ok bool) {
 		return 0, 0, false
 	})
 	return count, sum, work, ok
-}
-
-// enqueueInsert buffers one insert without touching the part latch. The
-// writer that pushes the queue past DefaultIngestCap pays an inline merge
-// of (up to) the whole backlog — batched, amortised maintenance.
-func (p *Part) enqueueInsert(v int64, g uint32) {
-	qlen := p.ingest.Insert(v, g)
-	if qlen >= DefaultIngestCap && qlen%DefaultIngestCap == 0 {
-		p.MergeStep(0)
-	}
 }
 
 // MergeStep drains up to max buffered operations (0 = all) into the part's
@@ -960,7 +1038,7 @@ func (p *Part) MergeStep(max int) int {
 }
 
 func (p *Part) mergeLocked(budget int) int {
-	ins, del := p.ingest.Drain(p.globalRow(len(p.vals)), p.stride, budget)
+	ins, del := p.ingest.Drain(p.globalRow(len(p.vals)), p.stride, budget, p.cfg.visible())
 	n := len(ins) + len(del)
 	if n == 0 {
 		return 0
@@ -1007,7 +1085,7 @@ func (p *Part) PendingOps() int { return p.ingest.Len() }
 
 // firstLive returns the lowest global row id in this part holding value v
 // live: merged rows that are neither tombstoned nor pending-deleted, and
-// buffered inserts. The merged rows are resolved through the part's index,
+// buffered inserts below the visibility watermark vis. The merged rows are resolved through the part's index,
 // which holds exactly them, so a DELETE costs one piece or a binary search
 // (under the index's shared latch: nothing is cracked on the writer's path)
 // instead of a scan; only a part with no index scans, stopping at the first
@@ -1016,7 +1094,7 @@ func (p *Part) PendingOps() int { return p.ingest.Len() }
 // exclusive latch; the base moves only under the part's exclusive latch). The
 // shared latch is held across the queue read as well, so no merge can move a
 // buffered insert into the structures between the two and hide it from both.
-func (p *Part) firstLive(v int64) (uint32, bool) {
+func (p *Part) firstLive(v, vis int64) (uint32, bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	live := func(g uint32) bool { return !p.ingest.HasDelete(v, g) }
@@ -1032,7 +1110,7 @@ func (p *Part) firstLive(v int64) (uint32, bool) {
 			}
 		}
 	}
-	if r, ok := p.ingest.MinInsertRowFor(v); ok && (!found || r < best) {
+	if r, ok := p.ingest.MinInsertRowFor(v, vis); ok && (!found || r < best) {
 		best, found = r, true
 	}
 	return best, found

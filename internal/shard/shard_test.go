@@ -12,6 +12,7 @@ import (
 
 	"holistic/internal/costmodel"
 	"holistic/internal/cracker"
+	"holistic/internal/updates"
 )
 
 func naiveRange(vals []int64, lo, hi int64) (int, int64) {
@@ -246,7 +247,7 @@ func TestConvergedSelectDeclines(t *testing.T) {
 	}
 
 	// Buffered writes are part of the answer.
-	p.enqueueInsert(150, uint32(n))
+	p.ingest.Insert(150, uint32(n))
 	p.ingest.Delete(vals[7], 7) // whichever value row 7 holds
 	want, wantSum := 101, int64((100+199)*100/2+150)
 	if v := vals[7]; v >= 100 && v < 200 {
@@ -351,7 +352,7 @@ func TestSortedIndexPerPart(t *testing.T) {
 		}
 		// Every part answers from its index in the probe: nothing is left to run.
 		lo, hi := rng.Int64N(5000), rng.Int64N(5000)+1000
-		count, sum := c.CountSum(lo, hi, (*Part).Probe, func(*Part, int64, int64) (int, int64) {
+		count, sum := c.CountSum(lo, hi, updates.AllRows, (*Part).ProbeAt, func(*Part, int64, int64, int64) (int, int64) {
 			t.Fatal("a part with a sorted index declined the probe")
 			return 0, 0
 		})

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"holistic/internal/core"
+	"holistic/internal/updates"
 )
 
 // rowModel is a table of two row-aligned columns as a plain slice: row g
@@ -41,17 +42,17 @@ func (m *rowModel) firstLive(col []int64, v int64) (uint32, bool) {
 // full index before the delete.
 type partStrategy struct {
 	name   string
-	run    func(p *Part, lo, hi int64) (int, int64)
+	run    func(p *Part, lo, hi, vis int64) (int, int64)
 	idle   bool
 	sorted bool
 }
 
 var partStrategies = []partStrategy{
-	{"scan", (*Part).ScanCountSum, false, false},
-	{"offline", (*Part).ScanCountSum, false, true},
-	{"online", (*Part).ScanCountSum, false, true},
-	{"adaptive", (*Part).CrackedSelect, false, false},
-	{"holistic", (*Part).CrackedSelect, true, false},
+	{"scan", (*Part).ScanCountSumAt, false, false},
+	{"offline", (*Part).ScanCountSumAt, false, true},
+	{"online", (*Part).ScanCountSumAt, false, true},
+	{"adaptive", (*Part).CrackedSelectAt, false, false},
+	{"holistic", (*Part).CrackedSelectAt, true, false},
 }
 
 // TestValuesOnlyUntilFirstDelete drives two row-aligned columns, a and b,
@@ -98,7 +99,7 @@ func TestValuesOnlyUntilFirstDelete(t *testing.T) {
 						hi := lo + rng.Int64N(domain/4) + 1
 						for ci, c := range cols {
 							col := [][]int64{m.a, m.b}[ci]
-							gc, gs := c.CountSum(lo, hi, (*Part).Probe, st.run)
+							gc, gs := c.CountSum(lo, hi, updates.AllRows, (*Part).ProbeAt, st.run)
 							if wc, ws := m.countSum(col, lo, hi); gc != wc || gs != ws {
 								t.Fatalf("%s: column %d [%d, %d): %d/%d, a scan gives %d/%d", stage, ci, lo, hi, gc, gs, wc, ws)
 							}

@@ -311,35 +311,61 @@ func (s *Store) Degraded() bool { return s.log.Degraded() }
 // server's shutdown ordering), then Close flushes and closes the log.
 func (s *Store) Close() error { return s.log.Close() }
 
-// append encodes and logs one record, translating the WAL's sticky
-// degraded state into the engine's read-only sentinel so servers surface a
-// structured error.
-func (s *Store) append(r Record) error {
-	_, err := s.log.AppendFrame(encodeRecord(wal.FrameHeaderSize, r))
+// LogStats reports the statement log's counters (engine.LogStats).
+func (s *Store) LogStats() engine.LogStats {
+	st := s.log.Stats()
+	return engine.LogStats{Records: st.Records, Fsyncs: st.Fsyncs, DurableLagBytes: st.DurableLag}
+}
+
+// readOnly translates the WAL's sticky degraded state into the engine's
+// read-only sentinel so servers surface a structured error.
+func readOnly(err error) error {
 	if err != nil && errors.Is(err, wal.ErrDegraded) {
 		return fmt.Errorf("%w: %w", engine.ErrReadOnly, err)
 	}
 	return err
 }
 
+// append encodes and appends one record, returning the offset it ends at;
+// it does not wait for the record to be durable.
+func (s *Store) append(r Record) (int64, error) {
+	end, err := s.log.AppendFrame(encodeRecord(wal.FrameHeaderSize, r))
+	return end, readOnly(err)
+}
+
+// appendDurable appends one record and waits until it is durable.
+func (s *Store) appendDurable(r Record) error {
+	end, err := s.append(r)
+	if err != nil {
+		return err
+	}
+	return s.WaitDurable(end)
+}
+
 // LogCreateTable implements engine.WriteLog.
 func (s *Store) LogCreateTable(table string) error {
-	return s.append(Record{Op: opCreateTable, Table: table})
+	return s.appendDurable(Record{Op: opCreateTable, Table: table})
 }
 
 // LogAddColumn implements engine.WriteLog.
 func (s *Store) LogAddColumn(table, col string, vals []int64) error {
-	return s.append(Record{Op: opAddColumn, Table: table, Col: col, Vals: vals})
+	return s.appendDurable(Record{Op: opAddColumn, Table: table, Col: col, Vals: vals})
 }
 
 // LogInsert implements engine.WriteLog.
-func (s *Store) LogInsert(table string, first uint32, rows [][]int64) error {
+func (s *Store) LogInsert(table string, first uint32, rows [][]int64) (int64, error) {
 	return s.append(Record{Op: opInsert, Table: table, First: first, Rows: rows})
 }
 
 // LogDelete implements engine.WriteLog.
-func (s *Store) LogDelete(table string, rows []uint32) error {
+func (s *Store) LogDelete(table string, rows []uint32) (int64, error) {
 	return s.append(Record{Op: opDelete, Table: table, DelRows: rows})
+}
+
+// WaitDurable implements engine.WriteLog: the statement log's group commit
+// (wal.Log.WaitDurable).
+func (s *Store) WaitDurable(end int64) error {
+	return readOnly(s.log.WaitDurable(end))
 }
 
 // CheckpointAction adapts the Store to the tuner's auction (core.AuxAction

@@ -326,6 +326,44 @@ func TestTornWALTailRecovered(t *testing.T) {
 	expect(t, e2, "a", 0, 50, 50, 50*49/2)
 }
 
+// TestPreExtendedWALRecovers: a store crashed while open leaves its log
+// extended with zeros past the last frame. Recovery reports no tear and
+// loses nothing; a partial frame in the zeros is reported as a tear and cut.
+func TestPreExtendedWALRecovers(t *testing.T) {
+	dir := t.TempDir()
+	e1 := newEngine(t)
+	s1, _ := openStore(t, nil, dir, e1)
+	tb := seedTable(t, e1, 50)
+	if _, err := tb.InsertRow(1000, 2000); err != nil {
+		t.Fatal(err)
+	}
+	crashed, err := os.ReadFile(filepath.Join(dir, walName)) // s1 is still open
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := s1.log.Size() // the records end here; the extension follows
+	partial := append([]byte(nil), crashed...)
+	copy(partial[16+end:], wal.EncodeFrame(nil, []byte("torn record"))[:9]) // past the 16-byte file header
+	for _, tc := range []struct {
+		name string
+		wal  []byte
+		torn bool
+	}{{"zeros", crashed, false}, {"partial frame", partial, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := t.TempDir()
+			if err := os.WriteFile(filepath.Join(d, walName), tc.wal, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			e2 := newEngine(t)
+			_, info := openStore(t, nil, d, e2)
+			if (info.TornAt >= 0) != tc.torn || info.Replayed != 4 {
+				t.Fatalf("recovery %+v, want torn %v and 4 records replayed", info, tc.torn)
+			}
+			expect(t, e2, "a", 0, 2000, 51, 50*49/2+1000)
+		})
+	}
+}
+
 // TestRecordRoundTrip covers every opcode through Encode/Decode.
 func TestRecordRoundTrip(t *testing.T) {
 	recs := []Record{

@@ -81,7 +81,7 @@ func FuzzPendingMergeDelete(f *testing.F) {
 		}
 		check := func(lo, hi int64) {
 			mc, ms := countSumMerged(lo, hi)
-			pc, ps := q.CountSum(lo, hi)
+			pc, ps := q.CountSum(lo, hi, AllRows)
 			wc, ws := countSumRef(lo, hi)
 			if mc+pc != wc || ms+ps != ws {
 				t.Fatalf("range [%d,%d): merged %d/%d + pending %d/%d != oracle %d/%d",
@@ -157,7 +157,7 @@ func FuzzPendingMergeDelete(f *testing.F) {
 			case 4: // drain a budget of operations into the merged state
 				budget := int(arg%16) + 1
 				preLen := len(col)
-				ins, del := q.Drain(uint32(len(col)), 1, budget)
+				ins, del := q.Drain(uint32(len(col)), 1, budget, AllRows)
 				if len(ins)+len(del) > budget {
 					t.Fatalf("Drain(%d) returned %d ops", budget, len(ins)+len(del))
 				}
@@ -197,7 +197,7 @@ func FuzzPendingMergeDelete(f *testing.F) {
 		}
 		checkMaps(t, &q)
 		for {
-			ins, del := q.Drain(uint32(len(col)), 1, 0)
+			ins, del := q.Drain(uint32(len(col)), 1, 0, AllRows)
 			if len(ins)+len(del) == 0 {
 				break
 			}

@@ -11,7 +11,7 @@ func TestQueueDrainContiguity(t *testing.T) {
 	q.Insert(10, 0)
 	q.Insert(11, 1)
 	q.Insert(13, 3)
-	ins, del := q.Drain(0, 1, 0)
+	ins, del := q.Drain(0, 1, 0, AllRows)
 	if len(del) != 0 {
 		t.Fatalf("drained %d deletes from an insert-only queue", len(del))
 	}
@@ -23,7 +23,7 @@ func TestQueueDrainContiguity(t *testing.T) {
 	}
 	// The gap closes; the drain resumes.
 	q.Insert(12, 2)
-	ins, _ = q.Drain(2, 1, 0)
+	ins, _ = q.Drain(2, 1, 0, AllRows)
 	if len(ins) != 2 || ins[0].Row != 2 || ins[1].Row != 3 {
 		t.Fatalf("drain after gap closed: %v", ins)
 	}
@@ -38,7 +38,7 @@ func TestQueueDrainStride(t *testing.T) {
 	q.Insert(21, 7)
 	q.Insert(19, 4)
 	q.Insert(17, 1)
-	ins, _ := q.Drain(1, 3, 0)
+	ins, _ := q.Drain(1, 3, 0, AllRows)
 	if len(ins) != 3 || ins[0].Row != 1 || ins[1].Row != 4 || ins[2].Row != 7 {
 		t.Fatalf("strided drain: %v", ins)
 	}
@@ -51,7 +51,7 @@ func TestQueueDrainBudget(t *testing.T) {
 		q.Insert(int64(i), uint32(10+i))
 	}
 	q.Delete(100, 5) // a buffered delete for merged row 5
-	ins, del := q.Drain(10, 1, 4)
+	ins, del := q.Drain(10, 1, 4, AllRows)
 	if len(ins)+len(del) != 4 {
 		t.Fatalf("budgeted drain returned %d ops, want 4", len(ins)+len(del))
 	}
@@ -68,11 +68,11 @@ func TestQueueNetCountSum(t *testing.T) {
 	q.Insert(5, 0)
 	q.Insert(7, 1)
 	q.Delete(6, 42) // row 42 lives in the merged structures
-	c, s := q.CountSum(0, 10)
+	c, s := q.CountSum(0, 10, AllRows)
 	if c != 1 || s != 6 {
 		t.Fatalf("net count/sum %d/%d, want 1/6", c, s)
 	}
-	c, s = q.CountSum(7, 10)
+	c, s = q.CountSum(7, 10, AllRows)
 	if c != 1 || s != 7 {
 		t.Fatalf("net count/sum on [7,10) %d/%d, want 1/7", c, s)
 	}
@@ -103,17 +103,17 @@ func TestQueueAnnihilateRow(t *testing.T) {
 	}
 	// The dead pair nets to zero in reads but stays buffered: the insert
 	// must still materialise (then tombstone) to keep row order dense.
-	if c, s := q.CountSum(0, 100); c != 0 || s != 0 {
+	if c, s := q.CountSum(0, 100, AllRows); c != 0 || s != 0 {
 		t.Fatalf("dead pair leaked into reads: %d/%d", c, s)
 	}
-	ins, del := q.Drain(3, 1, 0)
+	ins, del := q.Drain(3, 1, 0, AllRows)
 	if len(ins) != 1 || ins[0] != (Entry{9, 3}) {
 		t.Fatalf("dead pair's insert did not drain: %v", ins)
 	}
 	if len(del) != 0 {
 		t.Fatalf("paired delete drained before its row merged: %v", del)
 	}
-	ins, del = q.Drain(4, 1, 0)
+	ins, del = q.Drain(4, 1, 0, AllRows)
 	if len(del) != 1 || del[0] != (Entry{9, 3}) || len(ins) != 0 {
 		t.Fatalf("paired delete did not follow: ins=%v del=%v", ins, del)
 	}
@@ -141,13 +141,13 @@ func TestQueueConcurrentWriters(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	c, s := q.CountSum(0, int64(writers*per))
+	c, s := q.CountSum(0, int64(writers*per), AllRows)
 	wantC := writers * per
 	wantS := int64(wantC) * int64(wantC-1) / 2
 	if c != wantC || s != wantS {
 		t.Fatalf("after concurrent inserts: %d/%d, want %d/%d", c, s, wantC, wantS)
 	}
-	ins, _ := q.Drain(0, 1, 0)
+	ins, _ := q.Drain(0, 1, 0, AllRows)
 	if len(ins) != wantC {
 		t.Fatalf("drained %d inserts, want %d", len(ins), wantC)
 	}

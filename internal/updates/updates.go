@@ -15,9 +15,14 @@ package updates
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sync"
 )
+
+// AllRows is the visibility bound that admits every buffered row: the bound
+// of a column whose inserts publish as they are enqueued.
+const AllRows = math.MaxInt64
 
 // Entry is one buffered update: value Val destined for (insert) or removed
 // from (delete) global base row Row. Row ids are unique per table, so at
@@ -35,7 +40,10 @@ func SortByVal(es []Entry) {
 // Queue is the ingest buffer of one column shard: the part's not-yet-merged
 // inserts and deletes behind their own mutex, so writers enqueue updates
 // without ever taking the shard's RW latch, readers fold the buffer's net
-// contribution into their results, and the merge step drains batches. The
+// contribution into their results, and the merge step drains batches.
+// Readers, resolvers and drains pass a visibility bound: entries for rows at
+// or above it belong to statements not yet published, so they count for
+// nothing, resolve nothing and stay buffered. The
 // mutex is a leaf — Queue methods never take any other lock — so they can be
 // called with or without the shard latch held. The zero value is an empty
 // queue ready for use.
@@ -122,14 +130,14 @@ func (q *Queue) HasDelete(v int64, row uint32) bool {
 	return ok
 }
 
-// MinInsertRowFor returns the lowest buffered-insert row id holding value v
-// live — inserts already paired with a delete (AnnihilateRow) are dead and
-// skipped.
-func (q *Queue) MinInsertRowFor(v int64) (row uint32, ok bool) {
+// MinInsertRowFor returns the lowest buffered-insert row id below the
+// visibility bound holding value v live — inserts already paired with a
+// delete (AnnihilateRow) are dead and skipped.
+func (q *Queue) MinInsertRowFor(v int64, below int64) (row uint32, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for _, e := range q.ins {
-		if e.Val != v {
+		if e.Val != v || int64(e.Row) >= below {
 			continue
 		}
 		if _, dead := q.delAt[e]; dead {
@@ -142,20 +150,22 @@ func (q *Queue) MinInsertRowFor(v int64) (row uint32, ok bool) {
 	return row, ok
 }
 
-// CountSum returns the buffer's net contribution to a range select over
-// [lo, hi): buffered inserts add, buffered deletes subtract (their rows are
-// in the merged structures and would otherwise be counted there).
-func (q *Queue) CountSum(lo, hi int64) (count int, sum int64) {
+// CountSum returns the net contribution of the buffer's rows below the
+// visibility bound to a range select over [lo, hi): buffered inserts add,
+// buffered deletes subtract (their rows are in the merged structures and
+// would otherwise be counted there). A delete of a row at or above the bound
+// is paired with that row's still-invisible insert, so both are skipped.
+func (q *Queue) CountSum(lo, hi, below int64) (count int, sum int64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for _, e := range q.ins {
-		if e.Val >= lo && e.Val < hi {
+		if e.Val >= lo && e.Val < hi && int64(e.Row) < below {
 			count++
 			sum += e.Val
 		}
 	}
 	for _, e := range q.del {
-		if e.Val >= lo && e.Val < hi {
+		if e.Val >= lo && e.Val < hi && int64(e.Row) < below {
 			count--
 			sum -= e.Val
 		}
@@ -178,17 +188,18 @@ func (q *Queue) Len() int {
 
 // Drain removes and returns up to max buffered operations for the merge
 // step to apply: buffered deletes whose target row is already merged
-// (Row < next), plus the longest prefix of buffered inserts that is
-// contiguous in row order starting at row `next` and stepping by `stride` —
-// the only order in which the part's dense base storage can grow. Inserts
-// whose row ids leave a gap (a writer still in flight between row-id
-// assignment and enqueue) stay buffered for the next drain, as does a
+// (Row < next), plus the longest prefix of buffered inserts below the
+// visibility bound that is contiguous in row order starting at row `next`
+// and stepping by `stride` — the only order in which the part's dense base
+// storage can grow. Inserts whose row ids leave a gap (a writer still in
+// flight between row-id assignment and enqueue) or are not yet visible stay
+// buffered for the next drain, as does a
 // delete paired with a still-buffered insert (AnnihilateRow): releasing it
 // early would force the merge to drop it against a row that does not exist
 // yet, resurrecting the row once its insert lands. Such a pair drains over
 // two steps — the insert materialises, then the delete tombstones it.
 // max <= 0 means no limit.
-func (q *Queue) Drain(next uint32, stride int, max int) (ins, del []Entry) {
+func (q *Queue) Drain(next uint32, stride int, max int, below int64) (ins, del []Entry) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if max <= 0 {
@@ -219,7 +230,7 @@ func (q *Queue) Drain(next uint32, stride int, max int) (ins, del []Entry) {
 	// remainder to the front and rebuild the row index.
 	slices.SortFunc(q.ins, func(a, b Entry) int { return cmp.Compare(a.Row, b.Row) })
 	k := 0
-	for k < len(q.ins) && k < budget && q.ins[k].Row == next {
+	for k < len(q.ins) && k < budget && q.ins[k].Row == next && int64(next) < below {
 		next += uint32(stride)
 		k++
 	}

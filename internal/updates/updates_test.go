@@ -22,7 +22,7 @@ func newIndex(vals []int64) *cracker.Index {
 // drain drains everything mergeable above the first next rows and sorts it
 // for the indexes, as a part's merge step does.
 func drain(q *updates.Queue, next uint32, max int) (ins, del []updates.Entry) {
-	ins, del = q.Drain(next, 1, max)
+	ins, del = q.Drain(next, 1, max, updates.AllRows)
 	updates.SortByVal(ins)
 	updates.SortByVal(del)
 	return ins, del
@@ -33,7 +33,7 @@ func TestInsertThenQuery(t *testing.T) {
 	var q updates.Queue
 	q.Insert(20, 3)
 	q.Insert(70, 4)
-	if n, s := q.CountSum(15, 35); n != 1 || s != 20 {
+	if n, s := q.CountSum(15, 35, updates.AllRows); n != 1 || s != 20 {
 		t.Fatalf("buffered [15, 35): %d/%d, want 1/20", n, s)
 	}
 	ix.Merge(drain(&q, 3, 0))
@@ -55,14 +55,14 @@ func TestDeleteAnnihilatesPendingInsert(t *testing.T) {
 	if v, ok := q.AnnihilateRow(1); !ok || v != 5 {
 		t.Fatalf("AnnihilateRow(1) = %d,%v", v, ok)
 	}
-	if n, s := q.CountSum(0, 10); n != 0 || s != 0 {
+	if n, s := q.CountSum(0, 10, updates.AllRows); n != 0 || s != 0 {
 		t.Fatalf("insert+delete read %d/%d, want 0/0", n, s)
 	}
 	q.Insert(5, 2)
 	if _, ok := q.AnnihilateRow(3); ok {
 		t.Fatal("annihilated row 3, which was never buffered")
 	}
-	if row, ok := q.MinInsertRowFor(5); !ok || row != 2 {
+	if row, ok := q.MinInsertRowFor(5, updates.AllRows); !ok || row != 2 {
 		t.Fatalf("live buffered row for 5 = %d,%v, want 2", row, ok)
 	}
 }
@@ -75,7 +75,7 @@ func TestDeleteAnnihilationAfterMerge(t *testing.T) {
 	q.Insert(5, 10)
 	q.Insert(25, 11)
 	q.Insert(95, 12)
-	if ins, _ := q.Drain(10, 1, 1); len(ins) != 1 { // merges (5,10); survivors compact
+	if ins, _ := q.Drain(10, 1, 1, updates.AllRows); len(ins) != 1 { // merges (5,10); survivors compact
 		t.Fatalf("budget-1 drain took %v", ins)
 	}
 	if v, ok := q.AnnihilateRow(12); !ok || v != 95 {
@@ -84,7 +84,7 @@ func TestDeleteAnnihilationAfterMerge(t *testing.T) {
 	if v, ok := q.AnnihilateRow(11); !ok || v != 25 {
 		t.Fatalf("AnnihilateRow(11) = %d,%v after compaction", v, ok)
 	}
-	if n, s := q.CountSum(0, 100); n != 0 || s != 0 {
+	if n, s := q.CountSum(0, 100, updates.AllRows); n != 0 || s != 0 {
 		t.Fatalf("annihilated pairs read %d/%d, want 0/0 (stale index after drain?)", n, s)
 	}
 }
@@ -166,7 +166,7 @@ func TestPropertyPendingMatchesReference(t *testing.T) {
 						wc, ws = wc+1, ws+v
 					}
 				}
-				pc, ps := q.CountSum(lo, hi)
+				pc, ps := q.CountSum(lo, hi, updates.AllRows)
 				from, to := ix.CrackRange(lo, hi)
 				cc, cs := ix.CountSum(from, to)
 				sc, ss, _, _ := sx.LookupCountSum(lo, hi)

@@ -18,6 +18,8 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(EncodeFrame(nil, []byte("whole"))[:7])
 	// A length far larger than the buffer.
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0})
+	// A frame followed by the zeros of a pre-extended file.
+	f.Add(append(EncodeFrame(nil, []byte("tail")), make([]byte, 64)...))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		payloads, valid := DecodeAll(body)
 		if valid < 0 || valid > int64(len(body)) {
