@@ -305,7 +305,7 @@ func benchParallelIdle(b *testing.B, workers int) {
 				b.Fatal(err)
 			}
 			// Seed interest so every column ranks above zero.
-			if err := e.SeedWorkloadHint("R", fmt.Sprintf("A%d", c), 1, int64(rows)+1, 10); err != nil {
+			if err := e.SeedWorkloadHint("R", fmt.Sprintf("A%d", c), 10); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -540,7 +540,7 @@ func BenchmarkAblationRanking(b *testing.B) {
 			tab.AddColumnFromSlice(fmt.Sprintf("A%d", c), append([]int64{}, data[c]...))
 		}
 		if seeded {
-			e.SeedWorkloadHint("R", "A0", 1, int64(benchN/4+1), 100)
+			e.SeedWorkloadHint("R", "A0", 100)
 		}
 		e.IdleActions(400)
 		return e

@@ -37,9 +37,9 @@ func main() {
 	must(sky.AddColumnFromSlice("dec", holistic.GenerateUniform(12, rows, 0, decMax)))
 	must(sky.AddColumnFromSlice("mag", holistic.GenerateUniform(13, rows, 0, magMax)))
 
-	// The survey team always scans the same right-ascension strip first:
-	// seed that knowledge so the pre-observation idle window refines ra.
-	must(eng.SeedWorkloadHint("sky", "ra", 100_000, 120_000, 50))
+	// The survey team always queries right ascension first: seed that
+	// knowledge so the pre-observation idle window refines ra.
+	must(eng.SeedWorkloadHint("sky", "ra", 50))
 	actions, _ := eng.IdleActions(300)
 	pRA, _, _ := eng.PieceStats("sky", "ra")
 	pDec, _, _ := eng.PieceStats("sky", "dec")

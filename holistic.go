@@ -20,10 +20,8 @@
 //     continuous monitoring, and every scrap of idle time spent on ranked
 //     random index refinements (IdleActions or the AutoIdle worker), plus
 //     a-priori workload seeding (SeedWorkloadHint). A select cracks only
-//     its own bounds; all further refinement waits for idle time. Once
-//     reactive refinement is done, the idle pool speculatively pre-cracks
-//     the ranges the workload's drift forecast expects next, within a
-//     fixed per-gap budget; this is always on for holistic.
+//     its own bounds; all further refinement waits for idle time, and
+//     stops once a column's pieces fit the CPU cache.
 //
 // Quick start:
 //

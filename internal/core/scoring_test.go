@@ -31,13 +31,8 @@ func TestScoringNeverMaterialises(t *testing.T) {
 		}
 		return n
 	}
-	// The step scores every part and materialises only the winner's copy;
-	// with real work pending it never asks for a speculative slot.
-	speculate := func() bool {
-		t.Error("speculative slot asked with real work pending")
-		return true
-	}
-	if _, res := tn.TryStep(speculate); res != core.StepWorked {
+	// The step scores every part and materialises only the winner's copy.
+	if _, res := tn.TryStep(); res != core.StepWorked {
 		t.Fatalf("step: %v", res)
 	}
 	if n := materialised(); n != 1 {

@@ -27,8 +27,8 @@
 //
 // The tuner schedules; it owns no index. A Column (shard.Part) holds its
 // index and latches, and the tuner only reads its scores and calls one of
-// its actions — RandomCrack, RefineRange or MergeStep — with a child RNG
-// drawn from the tuner's seeded stream, so a seed fixes every crack.
+// its actions — RandomCrack or MergeStep — with a child RNG drawn from the
+// tuner's seeded stream, so a seed fixes every crack.
 package core
 
 import (
@@ -60,31 +60,26 @@ type Config struct {
 // shard.Part. The column owns its index and latches: the tuner only scores
 // and calls actions, each of which latches the column itself. PieceStats
 // reports the pieces and the values they hold — one piece of the live rows
-// before the cracked copy exists — and RangePieceAvg the average piece size
-// inside a value range, 0 before the cracked copy exists; the auction scores
-// a crack with the first and a speculative step with the second (see
-// predict.go). PendingOps reports the buffered update operations, which rank
-// the merge action; MergeStep drains up to max of them and returns how many
-// it applied. RandomCrack is one random crack action and RefineRange one
-// speculative refinement of a value range (see the cracker.Index methods of
-// the same names); both materialise the cracked copy on first use and return
-// the values they partitioned.
+// before the cracked copy exists — which score the crack action. PendingOps
+// reports the buffered update operations, which rank the merge action;
+// MergeStep drains up to max of them and returns how many it applied.
+// RandomCrack is one random crack action (cracker.Index.RandomCrack); it
+// materialises the cracked copy on first use and returns the values it
+// partitioned.
 type Column interface {
 	Name() string
 	PieceStats() (pieces, n int)
-	RangePieceAvg(lo, hi int64) float64
 	PendingOps() int
 	MergeStep(max int) int
 	RandomCrack(rng *rand.Rand) int
-	RefineRange(rng *rand.Rand, lo, hi int64, target float64, cracks int) int
 }
 
 // candidate is one bidder in the idle auction: a column, which bids a crack
-// or a merge and, in the speculative tier, a pre-crack, or an aux action
-// (a checkpoint). Workers claim a candidate with an atomic flag before acting
-// on it, so two idle workers never act on the same column — and hence never
-// the same piece — or run the same aux action at once, and never queue up
-// behind one column's latch while other columns starve.
+// or a merge, or an aux action (a checkpoint). Workers claim a candidate
+// with an atomic flag before acting on it, so two idle workers never act on
+// the same column — and hence never the same piece — or run the same aux
+// action at once, and never queue up behind one column's latch while other
+// columns starve.
 type candidate struct {
 	col  Column    // nil for an aux action
 	aux  AuxAction // nil for a column
@@ -109,11 +104,6 @@ type Tuner struct {
 	merges    int64 // refinement actions that drained pending updates
 	mergedOps int64 // buffered operations applied by those merges
 	auxRuns   int64 // aux maintenance actions executed
-
-	specActions int64                    // speculative pre-crack actions performed
-	specWork    int64                    // elements touched by speculative actions
-	specWins    int64                    // speculated ranges later hit by a query
-	specRanges  map[string][]stats.Range // recent speculated ranges per column
 }
 
 // NewTuner builds a tuner around a shared workload collector. A nil
@@ -141,13 +131,14 @@ func (t *Tuner) childRNG() *rand.Rand {
 	return rand.New(rand.NewPCG(t.rng.Uint64(), t.rng.Uint64()))
 }
 
-// Register adds a column to the tuner's candidate set, declaring its value
-// domain for the workload sketch's buckets.
+// Register adds a column to the tuner's candidate set. Nothing reads domLo
+// and domHi: they stay for the benchmark rig (bench/), which calls Register
+// by name.
 func (t *Tuner) Register(c Column, domLo, domHi int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.addLocked(&candidate{col: c})
-	t.collector.Register(c.Name(), domLo, domHi)
+	t.collector.Register(c.Name())
 }
 
 // addLocked appends a candidate to a fresh copy of the slice: a step still
@@ -156,22 +147,22 @@ func (t *Tuner) addLocked(c *candidate) {
 	t.cands = append(t.cands[:len(t.cands):len(t.cands)], c)
 }
 
-// NoteQuery records a range query for monitoring. The engine calls it for
-// every select the holistic strategy serves.
+// NoteQuery records a query on a column for monitoring. The engine calls it
+// for every select the holistic strategy serves. Nothing reads lo and hi:
+// they stay for the benchmark rig (bench/), which calls NoteQuery by name.
 func (t *Tuner) NoteQuery(col string, lo, hi int64) {
-	t.collector.RecordQuery(col, lo, hi)
-	t.noteSpecWin(col, lo, hi)
+	t.collector.RecordQuery(col)
 }
 
 // SeedWorkload injects a-priori workload knowledge: weight synthetic
-// queries over [lo, hi) of the column. This is the offline-indexing-style
-// input for the paper's "Some Idle Time and Enough Knowledge" case — after
-// seeding, idle actions concentrate on the seeded columns before any real
-// query arrives. It is one weighted observation: seeding expresses mass, not
-// a stream of distinct arrivals, so it advances the sketch's decay and epoch
-// clocks by a single query.
-func (t *Tuner) SeedWorkload(col string, lo, hi int64, weight int) {
-	t.collector.RecordWeighted(col, lo, hi, float64(weight))
+// queries on the column. This is the offline-indexing-style input for the
+// paper's "Some Idle Time and Enough Knowledge" case — after seeding, idle
+// actions concentrate on the seeded columns before any real query arrives.
+// It is one weighted observation: seeding expresses mass, not a stream of
+// distinct arrivals, so it advances the sketch's decay clock by a single
+// query.
+func (t *Tuner) SeedWorkload(col string, weight int) {
+	t.collector.RecordWeighted(col, float64(weight))
 }
 
 // Actions returns the number of idle refinement actions performed.
@@ -223,7 +214,6 @@ const (
 	actCrack action = iota // Column.RandomCrack
 	actMerge               // Column.MergeStep
 	actAux                 // AuxAction.Run
-	actSpec                // Column.RefineRange over a predicted range
 )
 
 // bid is one candidate's offer in one scan of the auction.
@@ -231,19 +221,17 @@ type bid struct {
 	c     *candidate
 	score float64
 	act   action
-	r     stats.Range // actSpec only: the predicted range to refine
 }
 
-// realBid scores the one action a candidate offers the auction's real tier.
-// An aux action bids its own score. A column has up to two actions: drain its
-// update backlog (ranked even at zero frequency — reads pay for the backlog
-// whether or not the tuner has seen queries) and crack; it bids the better
-// one. The crack score is frequency-weighted, so an unqueried, unseeded
+// bidOf scores the one action a candidate offers the auction. An aux action
+// bids its own score. A column has up to two actions: drain its update
+// backlog (ranked even at zero frequency — reads pay for the backlog whether
+// or not the tuner has seen queries) and crack; it bids the better one. The crack score is frequency-weighted, so an unqueried, unseeded
 // column never ranks. Scoring only reads: a column with no cracked copy yet
 // bids as one piece of its live rows, and the step that wins materialises
 // it. Scoring takes the index latch, which a worker that has claimed the
 // column may hold for a whole crack.
-func (t *Tuner) realBid(c *candidate) bid {
+func (t *Tuner) bidOf(c *candidate) bid {
 	if c.aux != nil {
 		return bid{c: c, score: c.aux.Score(), act: actAux}
 	}
@@ -262,18 +250,17 @@ func (t *Tuner) realBid(c *candidate) bid {
 	return b
 }
 
-// scan returns the best positive bid of one tier (realBid or specBid) among
-// the unclaimed candidates, and whether any candidate was claimed by another
-// worker. A claimed candidate is not scored (see realBid). Ties keep the
-// first candidate in rr-rotated order, the round-robin the paper's "No
-// Knowledge" case needs.
-func scan(cands []*candidate, rr int, tier func(*candidate) bid) (best bid, claimed bool) {
+// scan returns the best positive bid among the unclaimed candidates, and
+// whether any candidate was claimed by another worker. A claimed candidate
+// is not scored (see bidOf). Ties keep the first candidate in rr-rotated
+// order, the round-robin the paper's "No Knowledge" case needs.
+func (t *Tuner) scan(cands []*candidate, rr int) (best bid, claimed bool) {
 	n := len(cands)
 	for i := range n {
 		c := cands[(rr+i)%n]
 		if c.busy.Load() {
 			claimed = true
-		} else if b := tier(c); b.score > best.score {
+		} else if b := t.bidOf(c); b.score > best.score {
 			best = b
 		}
 	}
@@ -301,29 +288,19 @@ const (
 // contended attempt is tallied in Contended() instead, so "X refinement
 // actions" keeps the paper's meaning under a multi-worker pool.
 //
-// Speculation is the auction's lower tier (see predict.go). It is reached
-// only when no real bid is positive and no candidate is claimed, and only if
-// speculate, asked at most once per step, grants a slot; each column then
-// bids its best predicted range. A nil speculate never speculates.
-//
 // TryStep is safe — and useful — to call from many goroutines: each caller
 // claims a candidate with an atomic flag before acting, so concurrent
 // workers fan out across columns instead of serialising on one latch. The
 // action latches the column itself (see Column).
-func (t *Tuner) TryStep(speculate func() bool) (work int, res StepResult) {
+func (t *Tuner) TryStep() (work int, res StepResult) {
 	t.mu.Lock()
 	cands, rr := t.cands, t.rr
 	t.rr++
 	t.mu.Unlock()
-	granted := false
 	// A lost claim race rescans: the raced candidate is claimed now, so the
 	// next-best wins or the step yields.
 	for range len(cands) + 1 {
-		b, claimed := scan(cands, rr, t.realBid)
-		if b.c == nil && !claimed && speculate != nil && (granted || speculate()) {
-			granted = true
-			b, claimed = scan(cands, rr, t.specBid)
-		}
+		b, claimed := t.scan(cands, rr)
 		if b.c == nil {
 			if !claimed {
 				return 0, StepExhausted
@@ -341,8 +318,7 @@ func (t *Tuner) TryStep(speculate func() bool) (work int, res StepResult) {
 }
 
 // run performs a claimed bid's action, releases the claim and counts the
-// action. Speculative actions are counted apart from Actions (see
-// SpecActions).
+// action.
 func (t *Tuner) run(b bid) int {
 	var w int
 	switch b.act {
@@ -352,18 +328,11 @@ func (t *Tuner) run(b bid) int {
 		w = b.c.col.MergeStep(DefaultMergeQuantum)
 	case actAux:
 		w = b.c.aux.Run()
-	case actSpec:
-		w = b.c.col.RefineRange(t.childRNG(), b.r.Lo, b.r.Hi, t.model.SpecTarget(), DefaultSpecCracks)
 	}
 	b.c.busy.Store(false)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	switch b.act {
-	case actSpec:
-		t.specActions++
-		t.specWork += int64(w)
-		t.recordSpecRangeLocked(b.c.col.Name(), b.r)
-		return w
 	case actMerge:
 		t.merges++
 		t.mergedOps += int64(w)
@@ -389,7 +358,7 @@ const runActionsSpinCap = 1 << 12
 func (t *Tuner) RunActions(n int) (actions int, work int64) {
 	spins := 0
 	for actions < n {
-		w, res := t.TryStep(nil)
+		w, res := t.TryStep()
 		switch res {
 		case StepWorked:
 			actions++
@@ -412,7 +381,7 @@ func (t *Tuner) RunActions(n int) (actions int, work int64) {
 // over a pool of workers: the multi-core version of the paper's "idle time
 // is the time needed to apply X random index refinement actions". Workers
 // claim slots of the shared budget atomically and fan out across columns
-// via TryStep(nil), which never speculates. A worker that gives up under
+// via TryStep. A worker that gives up under
 // contention (more workers than refinable columns) forfeits the slot it
 // claimed; once the pool has drained and holds no claim, the forfeited slots
 // run serially, so the window performs exactly n actions unless the columns
@@ -433,7 +402,7 @@ func (t *Tuner) RunActionsParallel(n, workers int) (actions int, work int64) {
 			spins := 0
 			for budget.Add(1) <= int64(n) {
 			attempt:
-				w, res := t.TryStep(nil)
+				w, res := t.TryStep()
 				switch res {
 				case StepWorked:
 					acts.Add(1)

@@ -27,20 +27,16 @@ func newFakeColumn(name string, n int, domain int64, seed uint64) *fakeColumn {
 	return &fakeColumn{name: name, ix: cracker.New(vals, rows)}
 }
 
-func (f *fakeColumn) Name() string                       { return f.name }
-func (f *fakeColumn) PieceStats() (pieces, n int)        { return f.ix.Pieces(), f.ix.Len() }
-func (f *fakeColumn) RangePieceAvg(lo, hi int64) float64 { return f.ix.RangePieceAvg(lo, hi) }
-func (f *fakeColumn) PendingOps() int                    { return 0 }
-func (f *fakeColumn) MergeStep(int) int                  { return 0 }
-func (f *fakeColumn) RandomCrack(rng *rand.Rand) int     { return f.ix.RandomCrack(rng) }
-func (f *fakeColumn) pieces() int                        { return f.ix.Pieces() }
-func (f *fakeColumn) RefineRange(rng *rand.Rand, lo, hi int64, target float64, cracks int) int {
-	return f.ix.RefineRange(rng, lo, hi, target, cracks)
-}
+func (f *fakeColumn) Name() string                   { return f.name }
+func (f *fakeColumn) PieceStats() (pieces, n int)    { return f.ix.Pieces(), f.ix.Len() }
+func (f *fakeColumn) PendingOps() int                { return 0 }
+func (f *fakeColumn) MergeStep(int) int              { return 0 }
+func (f *fakeColumn) RandomCrack(rng *rand.Rand) int { return f.ix.RandomCrack(rng) }
+func (f *fakeColumn) pieces() int                    { return f.ix.Pieces() }
 
 func TestStepOnEmptyTuner(t *testing.T) {
 	tn := NewTuner(Config{}, nil)
-	if w, res := tn.TryStep(nil); res != StepExhausted || w != 0 {
+	if w, res := tn.TryStep(); res != StepExhausted || w != 0 {
 		t.Fatalf("TryStep on empty tuner: %d,%v", w, res)
 	}
 	if a, w := tn.RunActions(10); a != 0 || w != 0 {
@@ -98,7 +94,7 @@ func TestSeedWorkloadActsLikeKnowledge(t *testing.T) {
 	tn.Register(other, 0, 1<<20)
 	// A-priori knowledge, no real queries yet (the paper's "Some Idle Time
 	// and Enough Knowledge" case).
-	tn.SeedWorkload("seeded", 0, 1<<20, 100)
+	tn.SeedWorkload("seeded", 100)
 	tn.RunActions(30)
 	if seeded.pieces() <= other.pieces()*3 {
 		t.Fatalf("seeding ignored: seeded=%d other=%d pieces", seeded.pieces(), other.pieces())
@@ -116,7 +112,7 @@ func TestConvergenceStopsActions(t *testing.T) {
 	}
 	// Once pieces fit "in cache", further idle time is left unused —
 	// the paper's observed plateau.
-	if _, res := tn.TryStep(nil); res != StepExhausted {
+	if _, res := tn.TryStep(); res != StepExhausted {
 		t.Fatal("TryStep reported work available on converged catalog")
 	}
 }
@@ -130,10 +126,10 @@ func TestTryStepExhaustedZeroAlloc(t *testing.T) {
 		tn.Register(newFakeColumn(name, 1000, 1<<10, uint64(100+i)), 0, 1<<10)
 		tn.NoteQuery(name, 0, 100)
 	}
-	if _, res := tn.TryStep(nil); res != StepExhausted {
+	if _, res := tn.TryStep(); res != StepExhausted {
 		t.Fatalf("converged catalog: %v, want StepExhausted", res)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { tn.TryStep(nil) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { tn.TryStep() }); allocs != 0 {
 		t.Fatalf("exhausted TryStep allocates %.1f times, want 0", allocs)
 	}
 }
@@ -164,7 +160,7 @@ func TestRankingOrder(t *testing.T) {
 	// The queried column outranks the unqueried one, which cannot rank at
 	// all: every step refines the hot column.
 	for i := 0; i < 4; i++ {
-		if _, res := tn.TryStep(nil); res != StepWorked {
+		if _, res := tn.TryStep(); res != StepWorked {
 			t.Fatalf("step %d: %v", i, res)
 		}
 	}
@@ -239,7 +235,7 @@ func TestConcurrentStepsAndQueries(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				switch g % 2 {
 				case 0:
-					tn.TryStep(nil)
+					tn.TryStep()
 				case 1:
 					tn.NoteQuery(cols[i%3].name, int64(i*10), int64(i*10+100))
 				}
@@ -264,7 +260,7 @@ func TestSeedWorkloadUnregisteredColumnIgnored(t *testing.T) {
 	c := newFakeColumn("real", 2048, 1<<16, 92)
 	tn.Register(c, 0, 1<<16)
 	// Seeding a ghost column must not panic or skew anything.
-	tn.SeedWorkload("ghost", 0, 100, 50)
+	tn.SeedWorkload("ghost", 50)
 	if f := tn.Collector().Frequency("ghost"); f != 0 {
 		t.Fatalf("ghost frequency %f", f)
 	}
@@ -297,7 +293,6 @@ func BenchmarkSeedWorkload(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		lo := int64(i%1000) * 1000
-		tn.SeedWorkload("a", lo, lo+1<<12, 100)
+		tn.SeedWorkload("a", 100)
 	}
 }

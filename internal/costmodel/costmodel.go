@@ -139,63 +139,6 @@ func SnapshotScore(walBytes int64) float64 {
 	return float64(walBytes) / DefaultSnapshotThreshold
 }
 
-// SpecFineFraction is how much finer than the cache-resident target a
-// speculatively pre-cracked range is refined. Real refinement stops when the
-// whole column's average piece fits the cache; a *predicted* range is worth
-// concentrating extra idle budget on precisely because the next burst will
-// hammer it, so speculation drives just that range SpecFineFraction× finer.
-// This is also what keeps speculation subordinate to real work: by the time
-// the tuner speculates, the column-wide backlog is already drained, and the
-// extra refinement only ever spends budgeted idle slots.
-const SpecFineFraction = 16
-
-// specTargetFloor is the smallest speculative piece target; refining below
-// a few cache lines of values costs more in tree bookkeeping than any scan
-// saves.
-const specTargetFloor = 64
-
-// SpecTarget is the piece size speculation refines a predicted range toward:
-// the cache-resident target divided by SpecFineFraction, floored.
-func (p Params) SpecTarget() float64 {
-	t := p.Target() / SpecFineFraction
-	if t < specTargetFloor {
-		t = specTargetFloor
-	}
-	return t
-}
-
-// SpecDistance is Distance against the finer speculative target: how many
-// halvings a predicted range still needs before the next burst finds it
-// effectively pre-indexed.
-func (p Params) SpecDistance(avgPieceSize float64) float64 {
-	t := p.SpecTarget()
-	if avgPieceSize <= t || avgPieceSize <= 0 {
-		return 0
-	}
-	return math.Log2(avgPieceSize / t)
-}
-
-// PredictScore ranks a forecast-predicted range for a speculative pre-crack
-// slot: the forecaster's confidence in the range scales the expected payoff,
-// so a near-certain drift gets the full bid while a shaky forecast bids
-// almost nothing (and below the forecaster's own confidence floor it never
-// reaches the tuner at all). Frequency enters as (0.5 + frequency) rather
-// than as a pure factor: a high-confidence prediction on a column with a
-// small workload share is still worth idle slots — the forecast itself is
-// the evidence the range is about to be queried — but busier columns still
-// outbid quieter ones. The distance term uses the speculative (finer)
-// target, so a zero score means the predicted range is already pre-cracked
-// and speculation is done.
-func (p Params) PredictScore(confidence, frequency, avgPieceSize float64) float64 {
-	if confidence <= 0 {
-		return 0
-	}
-	if frequency < 0 {
-		frequency = 0
-	}
-	return confidence * (0.5 + frequency) * p.SpecDistance(avgPieceSize)
-}
-
 // Operator cost estimates, in element-touch units. They support the online
 // review's what-if arithmetic (BuildPays); only ratios matter.
 

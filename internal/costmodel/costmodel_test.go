@@ -108,49 +108,6 @@ func TestSelectivityClamped(t *testing.T) {
 	}
 }
 
-func TestSpecTarget(t *testing.T) {
-	p := Params{TargetPieceSize: 1 << 18}
-	if st := p.SpecTarget(); st != 1<<14 {
-		t.Fatalf("spec target = %f, want %d", st, 1<<14)
-	}
-	// The floor keeps tiny targets from shattering pieces below useful size.
-	if st := (Params{TargetPieceSize: 128}).SpecTarget(); st != specTargetFloor {
-		t.Fatalf("floored spec target = %f, want %d", st, specTargetFloor)
-	}
-	// SpecDistance keeps counting halvings below the real target.
-	if d := p.SpecDistance(1 << 18); math.Abs(d-4) > 1e-9 {
-		t.Fatalf("spec distance at real target = %f, want 4", d)
-	}
-	if d := p.SpecDistance(1 << 14); d != 0 {
-		t.Fatalf("spec distance at spec target = %f, want 0", d)
-	}
-}
-
-func TestPredictScore(t *testing.T) {
-	p := Params{TargetPieceSize: 1 << 18}
-	avg := float64(1 << 20)
-	// Confidence scales the bid linearly; zero confidence bids nothing.
-	if s := p.PredictScore(0, 0.5, avg); s != 0 {
-		t.Fatalf("zero-confidence score = %f", s)
-	}
-	full, half := p.PredictScore(1, 0.5, avg), p.PredictScore(0.5, 0.5, avg)
-	if full <= 0 || math.Abs(half-full/2) > 1e-9 {
-		t.Fatalf("confidence scaling: full=%f half=%f", full, half)
-	}
-	// A confident forecast on a rarely queried column still bids: the
-	// forecast itself is evidence the range is about to be hot.
-	if s := p.PredictScore(1, 0, avg); s <= 0 {
-		t.Fatalf("zero-frequency confident forecast scored %f, want > 0", s)
-	}
-	if p.PredictScore(1, 0.8, avg) <= p.PredictScore(1, 0.1, avg) {
-		t.Fatal("frequency weighting inverted")
-	}
-	// Already pre-cracked to the speculative target: nothing left to buy.
-	if s := p.PredictScore(1, 1, p.SpecTarget()); s != 0 {
-		t.Fatalf("converged range scored %f", s)
-	}
-}
-
 func TestPropertyDistanceMonotone(t *testing.T) {
 	f := func(targetRaw uint16, aRaw, bRaw uint32) bool {
 		p := Params{TargetPieceSize: int(targetRaw) + 1}

@@ -49,8 +49,7 @@ func TestConcurrentCrackAndRead(t *testing.T) {
 					}
 				case 2: // idle refinement
 					ix.RandomCrack(grng)
-					lo := grng.Int64N(domain)
-					ix.RefineRange(grng, lo, lo+domain/128+1, 0, 1)
+					ix.RandomCrack(grng)
 				}
 			}
 		}(g)
@@ -102,7 +101,7 @@ func TestConcurrentCrackSamePivot(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			if _, ok := ix.crackAt(pivot); ok {
+			if _, ok := crackAt(ix, pivot); ok {
 				cracked.Store(g, true)
 			}
 		}(g)

@@ -8,13 +8,11 @@
 // partitions only the piece(s) its predicate bounds fall into, so the column
 // converges towards sorted order exactly where the workload has interest.
 //
-// Beyond query-driven cracking the package provides the two idle-time actions
-// of holistic indexing, which share one pivot rule: crack at the value of a
-// uniformly random element of the copy (MDD1R, Halim et al., Stochastic
-// Database Cracking, VLDB 2012), so a piece is picked in proportion to its
-// size and a pivot always exists in the data. RandomCrack draws from the
-// whole copy ("X index refinements" in the paper), RefineRange from the
-// pieces of a range the workload is expected to hit.
+// Beyond query-driven cracking the package provides the idle-time action of
+// holistic indexing, RandomCrack ("X index refinements" in the paper): crack
+// at the value of a uniformly random element of the copy (MDD1R, Halim et
+// al., Stochastic Database Cracking, VLDB 2012), so a piece is picked in
+// proportion to its size and a pivot always exists in the data.
 //
 // # The boundary-sum invariant
 //
@@ -60,7 +58,6 @@ package cracker
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"sort"
 	"sync"
@@ -374,23 +371,10 @@ func (ix *Index) crackIn(v int64, a, b int, base int64) (pos int, sum int64) {
 	return m, base + sumLow
 }
 
-// crackAt cracks the piece containing v around pivot v. It reports the size
-// of the piece partitioned (the work done) and whether a new boundary was
-// created; cracking at an existing boundary is a no-op that only takes the
-// shared latch, so a pivot that loses a race (or is re-pinned by every
-// RefineRange) never stalls readers.
-func (ix *Index) crackAt(v int64) (pieceSize int, cracked bool) {
-	ix.mu.RLock()
-	_, _, _, exists := ix.locate(v)
-	ix.mu.RUnlock()
-	if exists {
-		return 0, false
-	}
-	return ix.splitAt(v)
-}
-
-// splitAt is crackAt from the exclusive latch on: one Locate, which also
-// catches a goroutine that cracked at exactly v since the caller last looked.
+// splitAt cracks the piece containing v around pivot v under the exclusive
+// latch. It reports the size of the piece partitioned (the work done) and
+// whether a new boundary was created; its one Locate also catches a
+// goroutine that cracked at exactly v since the caller last looked.
 func (ix *Index) splitAt(v int64) (pieceSize int, cracked bool) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -406,53 +390,21 @@ func (ix *Index) splitAt(v int64) (pieceSize int, cracked bool) {
 }
 
 // RandomCrack is one random refinement action, the paper's idle-time work
-// unit: it cracks at the value of a uniformly random element of the copy
-// (crackRandomElement over all of it). It reports the work done (values
-// partitioned); 0 means the element drawn could not split its piece — it is
-// already a boundary or its piece's least value — as always on a sorted
-// index.
+// unit: it draws a uniformly random element of the copy and cracks at its
+// value. It reports the work done (values partitioned). Under the shared
+// latch alone it returns 0 when that value already is a boundary, when its
+// piece holds one value, or when no value of the piece lies below it — a
+// crack there would leave an empty piece — as always on a sorted index. That
+// scan stops at the first smaller value, which a random element usually
+// meets within a few reads.
 func (ix *Index) RandomCrack(rng *rand.Rand) int {
-	return ix.crackRandomElement(rng, 0, math.MaxInt, 1)
-}
-
-// RefineRange refines the value range [lo, hi) toward pieces of at most
-// target values: it pins both bounds as boundaries (so the first query on the
-// range needs no partitioning at its edges), then applies up to cracks
-// crackRandomElement actions over the positions of the pieces overlapping
-// the range, stopping once their average is at most target; a piece of at
-// most target values is left alone. It reports the work done. The
-// speculative step uses it on a predicted range.
-func (ix *Index) RefineRange(rng *rand.Rand, lo, hi int64, target float64, cracks int) int {
-	w, _ := ix.crackAt(lo)
-	w2, _ := ix.crackAt(hi)
-	w += w2
-	for i := 0; i < cracks; i++ {
-		avg, from, to := ix.rangePieces(lo, hi)
-		if avg <= target {
-			break
-		}
-		w += ix.crackRandomElement(rng, from, to, int(target))
-	}
-	return w
-}
-
-// crackRandomElement is the idle actions' one pivot rule: it draws a
-// uniformly random element of positions [from, to) of the copy (clamped to
-// the copy, so MaxInt means its end and a span read before a merge stays in
-// range) and cracks at its value. Under the shared latch alone it returns 0
-// when that value already is a boundary, when its piece holds at most
-// minPiece values (or one), or when no value of the piece lies below it —
-// a crack there would leave an empty piece. That scan stops at the first
-// smaller value, which a random element usually meets within a few reads.
-func (ix *Index) crackRandomElement(rng *rand.Rand, from, to, minPiece int) int {
 	ix.mu.RLock()
-	to = min(to, len(ix.vals))
 	split := false
 	var v int64
-	if from < to {
-		v = ix.vals[from+rng.IntN(to-from)]
+	if n := len(ix.vals); n > 0 {
+		v = ix.vals[rng.IntN(n)]
 		a, b, _, exact := ix.locate(v)
-		split = !exact && b-a > max(minPiece, 1) && anyBelow(ix.vals[a:b], v)
+		split = !exact && b-a > 1 && anyBelow(ix.vals[a:b], v)
 	}
 	ix.mu.RUnlock()
 	if !split {
@@ -523,29 +475,23 @@ func (ix *Index) forEachPiece(visit func(Piece) bool) {
 // overlapping the value range [lo, hi), or 0 for an empty index or range; a
 // sorted index reports 1. It descends to lo's piece and walks only the
 // boundaries inside the range, so its cost does not depend on how finely the
-// rest of the column is cracked.
+// rest of the column is cracked. The benchmark rig (bench/) reads it by name;
+// nothing in the kernel does.
 func (ix *Index) RangePieceAvg(lo, hi int64) float64 {
-	avg, _, _ := ix.rangePieces(lo, hi)
-	return avg
-}
-
-// rangePieces is RangePieceAvg that also returns the positions [from, to)
-// the overlapping pieces span; a sorted index spans nothing to split.
-func (ix *Index) rangePieces(lo, hi int64) (avg float64, from, to int) {
 	if lo >= hi {
-		return 0, 0, 0
+		return 0
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	switch {
 	case len(ix.vals) == 0:
-		return 0, 0, 0
+		return 0
 	case ix.sorted:
-		return 1, 0, 0
+		return 1
 	}
 	// The overlapping pieces run from lo's piece up to the first boundary at
 	// or above hi; every boundary strictly between starts one more piece.
-	from, _, _, _ = ix.tree.Locate(lo, len(ix.vals))
+	from, _, _, _ := ix.tree.Locate(lo, len(ix.vals))
 	to, pieces := len(ix.vals), 1
 	ix.tree.WalkFrom(lo+1, func(key int64, pos int, _ int64) bool {
 		if key >= hi {
@@ -555,7 +501,7 @@ func (ix *Index) rangePieces(lo, hi int64) (avg float64, from, to int) {
 		pieces++
 		return true
 	})
-	return float64(to-from) / float64(pieces), from, to
+	return float64(to-from) / float64(pieces)
 }
 
 // CountSum aggregates the region [from, to) of the cracked copy, returning

@@ -50,8 +50,8 @@ func TestEmptyIndex(t *testing.T) {
 	if w := ix.RandomCrack(rng); w != 0 {
 		t.Fatalf("RandomCrack on empty did work %d", w)
 	}
-	if w := ix.RefineRange(rng, 1, 10, 1, 4); w != 0 || ix.Pieces() != 0 {
-		t.Fatalf("RefineRange on empty did work %d to %d pieces", w, ix.Pieces())
+	if w, ok := crackAt(ix, 5); w != 0 || ok || ix.Pieces() != 0 {
+		t.Fatalf("crack at 5 on empty did work %d (%v) to %d pieces", w, ok, ix.Pieces())
 	}
 	if _, ok := maxPiece(ix); ok {
 		t.Fatal("maxPiece on empty reported ok")
@@ -175,10 +175,12 @@ func TestAllDuplicates(t *testing.T) {
 	if from != to {
 		t.Fatal("exclusive upper bound leaked duplicates")
 	}
-	// Random cracks on an all-duplicate column must not loop or corrupt.
+	// Random cracks and pinned pivots on an all-duplicate column must not
+	// loop or corrupt.
 	for i := 0; i < 10; i++ {
 		ix.RandomCrack(rng)
-		ix.RefineRange(rng, 0, 100, 0, 2)
+		crackAt(ix, 0)
+		crackAt(ix, 100)
 	}
 	if err := ix.Validate(); err != nil {
 		t.Fatal(err)
@@ -220,14 +222,18 @@ func TestRowIDsFollowValues(t *testing.T) {
 	}
 }
 
+// crackAt pins a boundary at v: the exclusive-latch split a select's bound
+// and an idle pivot both end in.
+func crackAt(ix *Index, v int64) (pieceSize int, cracked bool) { return ix.splitAt(v) }
+
 func TestCrackAtIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 5))
 	ix := newTestIndex(randomVals(rng, 500, 1000))
-	size, cracked := ix.crackAt(500)
+	size, cracked := crackAt(ix, 500)
 	if !cracked || size != 500 {
 		t.Fatalf("first crack: size=%d cracked=%v", size, cracked)
 	}
-	size, cracked = ix.crackAt(500)
+	size, cracked = crackAt(ix, 500)
 	if cracked || size != 0 {
 		t.Fatal("second crack at same pivot was not a no-op")
 	}
@@ -341,34 +347,6 @@ func TestRandomCrackLeavesNoEmptyPiece(t *testing.T) {
 	}
 }
 
-// TestRefineRangePinsBoundsThenCracksInside: RefineRange makes both bounds
-// boundaries, cracks only inside the range until its pieces average at most
-// target, and then does no more work.
-func TestRefineRangePinsBoundsThenCracksInside(t *testing.T) {
-	vals := randomVals(rand.New(rand.NewPCG(51, 52)), 1<<14, 1<<20)
-	ix := newTestIndex(vals)
-	rng := rand.New(rand.NewPCG(53, 54))
-	lo, hi := int64(1<<18), int64(1<<18+1<<16)
-	for step := 0; step < 20; step++ {
-		ix.RefineRange(rng, lo, hi, 64, 8)
-	}
-	if _, _, _, ok := ix.LookupCountSum(lo, hi); !ok || ix.RangePieceAvg(lo, hi) > 64 {
-		t.Fatalf("bounds pinned %v, range avg piece %f: want pinned and <= 64", ok, ix.RangePieceAvg(lo, hi))
-	}
-	for _, b := range ix.Boundaries() {
-		if b.Key < lo || b.Key > hi {
-			t.Fatalf("boundary %d outside [%d, %d]", b.Key, lo, hi)
-		}
-	}
-	pieces := ix.Pieces()
-	if w := ix.RefineRange(rng, lo, hi, 64, 8); w != 0 || ix.Pieces() != pieces {
-		t.Fatalf("converged range: RefineRange did work %d, pieces %d -> %d", w, pieces, ix.Pieces())
-	}
-	if err := ix.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestForEachPieceTilesArray(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 42))
 	ix := newTestIndex(randomVals(rng, 3000, 10000))
@@ -466,7 +444,7 @@ func TestPropertyCrackingEquivalence(t *testing.T) {
 			// Interleave idle-style random cracks.
 			if q%3 == 0 {
 				ix.RandomCrack(rng)
-				ix.RefineRange(rng, lo, hi, 0, 1)
+				ix.RandomCrack(rng)
 			}
 		}
 		// Permutation invariant: cracked copy is the base data, reordered.
@@ -579,19 +557,21 @@ func BenchmarkRandomCrackAction(b *testing.B) {
 	}
 }
 
-// TestRandomCrackExtremeRange: a whereless SELECT's boost refines
-// [MinInt64, MaxInt64), whose width overflows int64. The pivot is drawn by
-// position, so the range's width is never computed, and the refinement
-// still cracks inside.
+// TestRandomCrackExtremeRange: a whereless SELECT pins boundaries at
+// MinInt64 and MaxInt64, whose distance overflows int64. The idle pivot is
+// drawn by position, so no value width is ever computed, and random cracks
+// between the extreme boundaries still split.
 func TestRandomCrackExtremeRange(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
 	vals := randomVals(rng, 4096, 1<<30)
 	ix := newTestIndex(vals)
+	crackAt(ix, -1<<63)
+	crackAt(ix, 1<<63-1)
 	for i := 0; i < 64; i++ {
-		ix.RefineRange(rng, -1<<63, 1<<63-1, 0, 1)
+		ix.RandomCrack(rng)
 	}
 	if p := ix.Pieces(); p < 32 {
-		t.Fatalf("64 full-range refinements left %d pieces", p)
+		t.Fatalf("64 random cracks between extreme boundaries left %d pieces", p)
 	}
 	if n, s := ix.CountSum(0, 1<<30); n != len(vals) {
 		t.Fatalf("index corrupted by extreme-range cracks: count %d sum %d", n, s)

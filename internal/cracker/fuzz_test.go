@@ -85,15 +85,16 @@ func FuzzCrackRange(f *testing.F) {
 					t.Fatalf("LookupCountSum[%d,%d) after the crack: %d/%d hit %v, want %d/%d", lo, hi, lc, ls, ok, wc, ws)
 				}
 			case 2:
-				ix.crackAt(lo)
+				crackAt(ix, lo)
 			case 3:
-				ix.crackAt(hi)
+				crackAt(ix, hi)
 			case 4:
 				ix.RandomCrack(rng)
-				ix.RefineRange(rng, lo, hi, 0, 1)
-			case 5:
 				ix.RandomCrack(rng)
-				ix.RefineRange(rng, lo, hi, 8, 1) // leaves pieces <= 8 alone
+			case 5: // both bounds pinned, then a random crack
+				crackAt(ix, lo)
+				crackAt(ix, hi)
+				ix.RandomCrack(rng)
 			}
 			if err := ix.Validate(); err != nil {
 				t.Fatalf("after op %d at [%d,%d): %v", op, lo, hi, err)

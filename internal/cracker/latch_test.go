@@ -16,7 +16,8 @@ import (
 
 // TestReadersExactWhileCrackingInsideRegions: readers aggregate fixed,
 // pre-cracked regions by position while crackers split random pivots
-// strictly inside those same regions. A crack permutes values within the
+// strictly inside those same regions and random cracks (RandomCrack)
+// anywhere in the copy. A crack permutes values within the
 // region it is reading, so any read that overlapped a partition would see a
 // value twice or not at all; every (count, sum) must equal the prefix-sum
 // oracle. Run with -race.
@@ -61,9 +62,9 @@ func TestReadersExactWhileCrackingInsideRegions(t *testing.T) {
 			for i := 0; i < 1500; i++ {
 				r := rs[grng.IntN(regions)]
 				if i%2 == 0 {
-					ix.crackAt(r.lo + 1 + grng.Int64N(r.hi-r.lo-1))
+					crackAt(ix, r.lo+1+grng.Int64N(r.hi-r.lo-1))
 				} else {
-					ix.RefineRange(grng, r.lo, r.hi, 0, 1)
+					ix.RandomCrack(grng)
 				}
 			}
 		}(g)
@@ -193,7 +194,7 @@ func plainCountSum(vals []int64, from, to int) (int, int64) {
 // vals[10:5] and panic) and ragged positions, each against the plain loop.
 func TestCountSumAnyPositions(t *testing.T) {
 	ix := newTestIndex([]int64{50, 10, 40, 20, 30})
-	ix.crackAt(25)
+	crackAt(ix, 25)
 	if pos, _, _, ok := ix.tree.Locate(25, len(ix.vals)); !ok || pos != 2 {
 		t.Fatalf("crack at 25 landed on position %d (found %v), want 2", pos, ok)
 	}
@@ -245,7 +246,7 @@ func TestCountSumMatchesPlainLoop(t *testing.T) {
 			ix := newTestIndex(vals)
 			for _, cracks := range []int{0, 3} {
 				for i := 0; i < cracks && n > 0; i++ {
-					ix.crackAt(vals[rng.IntN(n)])
+					crackAt(ix, vals[rng.IntN(n)])
 				}
 				for from := -2; from <= n+2; from++ {
 					for to := -2; to <= n+2; to++ {
@@ -317,7 +318,7 @@ func TestRangePieceAvgMatchesPieceWalk(t *testing.T) {
 		t.Fatalf("uncracked index: avg %f, want the whole column", got)
 	}
 	for i := 0; i < 300; i++ {
-		ix.crackAt(rng.Int64N(domain+40) - 20)
+		crackAt(ix, rng.Int64N(domain+40)-20)
 	}
 	for i := 0; i < 2000; i++ {
 		lo := rng.Int64N(domain+40) - 20

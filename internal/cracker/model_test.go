@@ -13,8 +13,7 @@ import (
 
 // One model, every mutator, both states: a seeded program interleaves
 // everything that can move a value or a boundary — query cracks, point
-// cracks, the random refinements and the two idle actions built on them,
-// forced radix passes, batched merges, Sort, and a Boundaries -> RestoreIndex
+// cracks, the idle action's random cracks, forced radix passes, batched merges, Sort, and a Boundaries -> RestoreIndex
 // round trip — beside a plain slice of the (value, row) pairs the index must
 // hold. After every step Validate passes (piece bounds and every boundary's
 // sum, or an ascending copy and its prefix sums, against a running scan),
@@ -122,12 +121,8 @@ func (m *sumModel) step() string {
 		}
 		return "CrackRange"
 	case 1:
-		ix.crackAt(m.value())
+		crackAt(ix, m.value())
 		return "crackAt"
-	case 2: // the pivot rule over any span, past the copy's end included
-		n := ix.Len()
-		ix.crackRandomElement(rng, rng.IntN(n+1), rng.IntN(n+2), rng.IntN(4))
-		return "crackRandomElement"
 	case 5: // forced radix pass over the piece a drawn value falls into
 		ix.mu.Lock()
 		a, b, _, _ := ix.locate(m.value())
@@ -136,13 +131,15 @@ func (m *sumModel) step() string {
 		return "radixPiece"
 	case 6, 7, 8, 9:
 		return m.merge()
-	case 3, 4, 10:
+	case 2, 3, 4, 10:
 		ix.RandomCrack(rng)
 		return "RandomCrack"
-	case 11:
+	case 11: // both bounds pinned, then a random crack
 		lo, hi := m.bounds()
-		ix.RefineRange(rng, lo, hi, float64(rng.IntN(4)), rng.IntN(9))
-		return "RefineRange"
+		crackAt(ix, lo)
+		crackAt(ix, hi)
+		ix.RandomCrack(rng)
+		return "crackAt+RandomCrack"
 	case 12:
 		ix.Sort()
 		return "Sort"

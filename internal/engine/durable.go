@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"holistic/internal/shard"
@@ -189,26 +188,14 @@ func (e *Engine) RestoreState(st EngineState) error {
 }
 
 // registerColumn hooks a new or restored column into the holistic tuner (the
-// online review reads the catalog instead). The tuner gets every part under
-// ONE domain, the column's: parts of one column must bucket a query alike,
-// and a warm restart must not move the buckets, so forecasts mean the same
-// values before and after it. Every part brings its bounds from the load or
-// restore that built it, so this scans nothing.
+// online review reads the catalog instead): every part is a candidate of its
+// own.
 func (e *Engine) registerColumn(sc *shard.Column) {
 	if e.tuner == nil {
 		return
 	}
-	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 	for _, p := range sc.Parts() {
-		if plo, phi, ok := p.MinMax(); ok {
-			lo, hi = min(lo, plo), max(hi, phi)
-		}
-	}
-	if lo > hi { // every part is empty
-		lo, hi = 0, 1
-	}
-	for _, p := range sc.Parts() {
-		e.tuner.Register(p, lo, hi)
+		e.tuner.Register(p, 0, 0)
 	}
 }
 

@@ -153,13 +153,11 @@ func New(cfg Config) *Engine {
 			TargetPieceSize: cfg.TargetPieceSize,
 			Seed:            cfg.Seed,
 		}, nil)
-		e.runner = idle.NewRunner(func(speculate func() bool) bool {
-			// One auction step: real work first, then a forecast-driven
-			// pre-crack charged to the gap's speculative budget. Only a step
-			// that actually worked counts as an action; a contended or
-			// exhausted attempt ends this worker's burst (the pool retries on
-			// the next idle tick).
-			_, res := e.tuner.TryStep(speculate)
+		e.runner = idle.NewRunner(func() bool {
+			// One auction step. Only a step that actually worked counts as an
+			// action; a contended or exhausted attempt ends this worker's
+			// burst (the pool retries on the next idle tick).
+			_, res := e.tuner.TryStep()
 			return res == core.StepWorked
 		}, cfg.IdleWorkers)
 		if cfg.AutoIdle {
@@ -237,32 +235,6 @@ func (e *Engine) AutoIdleActions() int64 {
 		return 0
 	}
 	return e.runner.Actions()
-}
-
-// ForecastStats is the operator-facing snapshot of the predictive idle
-// scheduling layer: the current gap's speculative budget use, realised
-// speculation counters and the current per-column forecast.
-type ForecastStats struct {
-	SpecSpentGap int64                 `json:"spec_spent_gap"`
-	SpecActions  int64                 `json:"spec_actions"`
-	SpecWork     int64                 `json:"spec_work"`
-	SpecWins     int64                 `json:"spec_wins"`
-	Columns      []core.ColumnForecast `json:"columns,omitempty"`
-}
-
-// ForecastStats snapshots the predictive layer, or nil for strategies other
-// than holistic, which have no tuner.
-func (e *Engine) ForecastStats() *ForecastStats {
-	if e.tuner == nil {
-		return nil
-	}
-	return &ForecastStats{
-		SpecSpentGap: e.runner.SpecSpent(),
-		SpecActions:  e.tuner.SpecActions(),
-		SpecWork:     e.tuner.SpecWork(),
-		SpecWins:     e.tuner.SpecWins(),
-		Columns:      e.tuner.ForecastSummary(),
-	}
 }
 
 // writeBegin holds the idle pool's load gate for one write — idle workers
@@ -391,17 +363,16 @@ func (e *Engine) IdleActions(n int) (actions int, work int64) {
 }
 
 // SeedWorkloadHint injects a-priori workload knowledge for the holistic
-// tuner: weight synthetic queries over [lo, hi) of the column, recorded
-// against every shard (a range query touches all of them). No-op for other
-// strategies.
-func (e *Engine) SeedWorkloadHint(table, col string, lo, hi int64, weight int) error {
+// tuner: weight synthetic queries on the column, recorded against every
+// shard (a range query touches all of them). No-op for other strategies.
+func (e *Engine) SeedWorkloadHint(table, col string, weight int) error {
 	sc, err := e.column(table, col)
 	if err != nil {
 		return err
 	}
 	if e.tuner != nil {
 		for _, p := range sc.Parts() {
-			e.tuner.SeedWorkload(p.Name(), lo, hi, weight)
+			e.tuner.SeedWorkload(p.Name(), weight)
 		}
 	}
 	return nil

@@ -345,7 +345,7 @@ func TestSeedWorkloadHintFocusesIdle(t *testing.T) {
 	if err := tab.AddColumnFromSlice("cold", randomVals(rng, 20000, 1<<20)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SeedWorkloadHint("R", "hot", 0, 1<<20, 100); err != nil {
+	if err := e.SeedWorkloadHint("R", "hot", 100); err != nil {
 		t.Fatal(err)
 	}
 	e.IdleActions(60)

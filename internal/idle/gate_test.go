@@ -13,7 +13,7 @@ import (
 // once the traffic gap starts, taking its step tokens from that gate.
 func TestGateVetoesPool(t *testing.T) {
 	var calls atomic.Int64
-	r := newTimedRunner(func(func() bool) bool { calls.Add(1); return true }, time.Millisecond, 4, 2)
+	r := newTimedRunner(func() bool { calls.Add(1); return true }, time.Millisecond, 4, 2)
 	g := loadgate.New()
 	r.SetGate(g)
 	checkPoolYields(t, r, &calls, g.Begin, g.End)
@@ -27,7 +27,7 @@ func TestGateVetoesPool(t *testing.T) {
 // The test hook injects the arrival inside the claim window.
 func TestGateRecheckPreemptsStep(t *testing.T) {
 	var calls atomic.Int64
-	r := NewRunner(func(func() bool) bool { calls.Add(1); return true }, 0)
+	r := NewRunner(func() bool { calls.Add(1); return true }, 0)
 	g := loadgate.New()
 	r.SetGate(g)
 	r.testHookClaim = g.Begin // a request arrives mid-claim
@@ -48,7 +48,7 @@ func TestGateRecheckPreemptsStep(t *testing.T) {
 // gate too.
 func TestManualRunRespectsGate(t *testing.T) {
 	var calls atomic.Int64
-	r := NewRunner(func(func() bool) bool { calls.Add(1); return true }, 0)
+	r := NewRunner(func() bool { calls.Add(1); return true }, 0)
 	g := loadgate.New()
 	r.SetGate(g)
 	g.Begin()
@@ -64,7 +64,7 @@ func TestManualRunRespectsGate(t *testing.T) {
 // TestBurstRampsWithGapLength: the per-wakeup burst grows with the traffic
 // gap, capped at MaxRamp.
 func TestBurstRampsWithGapLength(t *testing.T) {
-	r := newTimedRunner(func(func() bool) bool { return true }, 10*time.Millisecond, 8, 0)
+	r := newTimedRunner(func() bool { return true }, 10*time.Millisecond, 8, 0)
 	g := r.Gate()
 	g.Hold()
 	g.Release() // gap starts now

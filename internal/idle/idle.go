@@ -15,12 +15,6 @@
 //     concurrently, backing off the moment a query begins so that tuning
 //     work never sits in a query's critical path.
 //
-// The step is handed a speculate function that grants one slot of the
-// current traffic gap's speculative budget (DefaultSpecBudget). The holistic
-// tuner asks it only when its auction has no real work and no claimed
-// candidate, so a step that runs real work, or yields to another worker,
-// spends nothing.
-//
 // Preemption protocol: a step is claimed, not just run. Every worker (and
 // RunActions) first checks that the runner's load gate (internal/loadgate)
 // holds no statement, announces its claim, then takes one step token from
@@ -70,20 +64,12 @@ const DefaultQuantum = 16
 // of yielding to a fresh request stays bounded.
 const MaxRamp = 8
 
-// DefaultSpecBudget is the per-gap cap on speculative actions: two base
-// quanta. A wrong forecast therefore burns at most a bounded fraction
-// of one traffic gap's idle capacity (a long gap ramps real work up to
-// MaxRamp×quantum per worker per wakeup, but speculation stays capped), and
-// never a query's critical path — speculative steps run under the same
-// zero-in-flight tokens as real ones.
-const DefaultSpecBudget = 2 * DefaultQuantum
-
 // Runner schedules tuning actions into idle time. All methods are safe for
 // concurrent use.
 type Runner struct {
-	step    func(speculate func() bool) bool // one tuning action; false = nothing ran
-	quiet   time.Duration                    // DefaultQuiet; the package's tests shorten it
-	quantum int                              // DefaultQuantum; the package's tests change it
+	step    func() bool   // one tuning action; false = nothing ran
+	quiet   time.Duration // DefaultQuiet; the package's tests shorten it
+	quantum int           // DefaultQuantum; the package's tests change it
 	workers int
 
 	// gate is the runner's only admission state: statements hold it, every
@@ -92,15 +78,6 @@ type Runner struct {
 	gate    atomic.Pointer[loadgate.Gate]
 	actions atomic.Int64 // total actions executed
 	stopped atomic.Bool
-
-	// Speculative budget: the step's speculate argument takes one of the
-	// current gap's slots. The budget is per traffic gap — it resets when
-	// the gate's gap count moves — so a wrong forecast burns at most
-	// DefaultSpecBudget slots before real traffic re-arms it, and zero slots
-	// while traffic is live (the step runs inside the claim/token scope).
-	specMu    sync.Mutex
-	specGap   int64 // gate gap count specSpent belongs to; guarded by specMu
-	specSpent int64 // slots consumed in gap specGap; guarded by specMu
 
 	// testHookClaim, when non-nil, runs between a step's claim and the
 	// atomic token grant. Tests use it to provoke the
@@ -117,10 +94,8 @@ type Runner struct {
 // goroutines; workers <= 0 means GOMAXPROCS, one refinement stream per core,
 // the multi-core holistic posture. With a pool larger than one the step
 // function must be safe to call concurrently: it takes whatever latches it
-// needs itself. The step reports whether an action ran. Each call of its
-// speculate argument charges a slot, granted or not, so even a maximally
-// wrong forecast costs a bounded slice of idle capacity.
-func NewRunner(step func(speculate func() bool) bool, workers int) *Runner {
+// needs itself. The step reports whether an action ran.
+func NewRunner(step func() bool, workers int) *Runner {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -158,33 +133,6 @@ func (r *Runner) Actions() int64 { return r.actions.Load() }
 // while no workers run.
 func (r *Runner) SetClaimHook(h func()) { r.testHookClaim = h }
 
-// SpecSpent returns how many speculative slots the current traffic gap has
-// consumed; it never exceeds DefaultSpecBudget within a gap.
-func (r *Runner) SpecSpent() int64 {
-	r.specMu.Lock()
-	defer r.specMu.Unlock()
-	if r.specGap != r.Gate().Gaps() {
-		return 0
-	}
-	return r.specSpent
-}
-
-// claimSpecSlot takes one speculative budget slot for the current gap of g,
-// or reports the cap reached. The first claim after g's gap count moved
-// re-arms the budget.
-func (r *Runner) claimSpecSlot(g *loadgate.Gate) bool {
-	r.specMu.Lock()
-	defer r.specMu.Unlock()
-	if gap := g.Gaps(); gap != r.specGap {
-		r.specGap, r.specSpent = gap, 0
-	}
-	if r.specSpent >= DefaultSpecBudget {
-		return false
-	}
-	r.specSpent++
-	return true
-}
-
 // claimStep attempts to run exactly one tuning action. After the
 // preliminary idle check it takes one step token from the gate — a CAS that
 // only succeeds while the gate's in-flight count is exactly zero — so a
@@ -203,7 +151,7 @@ func (r *Runner) claimStep() bool {
 		return false
 	}
 	defer g.StepEnd()
-	if !r.step(func() bool { return r.claimSpecSlot(g) }) {
+	if !r.step() {
 		return false
 	}
 	r.actions.Add(1)

@@ -1,16 +1,19 @@
 package idle
 
 import (
+	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"holistic/internal/core"
 )
 
 func TestRunActionsBounded(t *testing.T) {
 	var calls atomic.Int64
-	r := NewRunner(func(func() bool) bool { calls.Add(1); return true }, 0)
+	r := NewRunner(func() bool { calls.Add(1); return true }, 0)
 	if got := r.RunActions(25); got != 25 {
 		t.Fatalf("ran %d actions", got)
 	}
@@ -21,7 +24,7 @@ func TestRunActionsBounded(t *testing.T) {
 
 func TestRunActionsStopsOnExhaustion(t *testing.T) {
 	left := 7
-	r := NewRunner(func(func() bool) bool {
+	r := NewRunner(func() bool {
 		if left == 0 {
 			return false
 		}
@@ -36,7 +39,7 @@ func TestRunActionsStopsOnExhaustion(t *testing.T) {
 // newTimedRunner is NewRunner with the automatic pool's quiet period and
 // per-wakeup quantum replaced, so the pool's timing tests run in
 // milliseconds.
-func newTimedRunner(step func(func() bool) bool, quiet time.Duration, quantum, workers int) *Runner {
+func newTimedRunner(step func() bool, quiet time.Duration, quantum, workers int) *Runner {
 	r := NewRunner(step, workers)
 	r.quiet, r.quantum = quiet, quantum
 	return r
@@ -72,7 +75,7 @@ func checkPoolYields(t *testing.T, r *Runner, calls *atomic.Int64, admit, releas
 // while a statement holds the runner's own gate.
 func TestRunActionsPreemptedByActiveQuery(t *testing.T) {
 	var calls atomic.Int64
-	r := NewRunner(func(func() bool) bool { calls.Add(1); return true }, 0)
+	r := NewRunner(func() bool { calls.Add(1); return true }, 0)
 	r.Gate().Hold()
 	if got := r.RunActions(50); got != 0 {
 		t.Fatalf("ran %d actions while a statement was in flight", got)
@@ -85,7 +88,7 @@ func TestRunActionsPreemptedByActiveQuery(t *testing.T) {
 
 func TestAutomaticRunsWhenQuiet(t *testing.T) {
 	var calls atomic.Int64
-	r := newTimedRunner(func(func() bool) bool { calls.Add(1); return true }, 2*time.Millisecond, 8, 0)
+	r := newTimedRunner(func() bool { calls.Add(1); return true }, 2*time.Millisecond, 8, 0)
 	r.Start()
 	defer r.Stop()
 	waitFor(t, func() bool { return calls.Load() >= 8 }, "automatic runner never executed 8 actions")
@@ -95,12 +98,12 @@ func TestAutomaticRunsWhenQuiet(t *testing.T) {
 // statement holds the runner's own gate, and resumes once it ends.
 func TestAutomaticYieldsToQueries(t *testing.T) {
 	var calls atomic.Int64
-	r := newTimedRunner(func(func() bool) bool { calls.Add(1); return true }, time.Millisecond, 4, 0)
+	r := newTimedRunner(func() bool { calls.Add(1); return true }, time.Millisecond, 4, 0)
 	checkPoolYields(t, r, &calls, r.Gate().Hold, r.Gate().Release)
 }
 
 func TestStartStopIdempotent(t *testing.T) {
-	r := newTimedRunner(func(func() bool) bool { return true }, time.Millisecond, DefaultQuantum, 0)
+	r := newTimedRunner(func() bool { return true }, time.Millisecond, DefaultQuantum, 0)
 	r.Start()
 	r.Start() // second start is a no-op
 	r.Stop()
@@ -112,7 +115,7 @@ func TestStartStopIdempotent(t *testing.T) {
 
 func TestStopHaltsWork(t *testing.T) {
 	var calls atomic.Int64
-	r := newTimedRunner(func(func() bool) bool { calls.Add(1); return true }, time.Millisecond, 4, 0)
+	r := newTimedRunner(func() bool { calls.Add(1); return true }, time.Millisecond, 4, 0)
 	r.Start()
 	waitFor(t, func() bool { return calls.Load() > 0 }, "worker never started")
 	r.Stop()
@@ -125,7 +128,7 @@ func TestStopHaltsWork(t *testing.T) {
 
 func TestManualWhileAutomaticRunning(t *testing.T) {
 	var calls atomic.Int64
-	r := newTimedRunner(func(func() bool) bool { calls.Add(1); return true },
+	r := newTimedRunner(func() bool { calls.Add(1); return true },
 		time.Hour, DefaultQuantum, 0) // automatic effectively never fires
 	r.Start()
 	defer r.Stop()
@@ -135,14 +138,14 @@ func TestManualWhileAutomaticRunning(t *testing.T) {
 }
 
 func TestOptionsValidation(t *testing.T) {
-	r := NewRunner(func(func() bool) bool { return true }, 0)
+	r := NewRunner(func() bool { return true }, 0)
 	if r.quiet != DefaultQuiet || r.quantum != DefaultQuantum {
 		t.Fatalf("runner timing quiet=%v quantum=%d, want the defaults", r.quiet, r.quantum)
 	}
 	if r.workers < 1 {
 		t.Fatalf("worker pool default %d, want >= 1", r.workers)
 	}
-	if r := NewRunner(func(func() bool) bool { return true }, 3); r.workers != 3 {
+	if r := NewRunner(func() bool { return true }, 3); r.workers != 3 {
 		t.Fatalf("worker pool %d, want 3", r.workers)
 	}
 }
@@ -154,7 +157,7 @@ func TestOptionsValidation(t *testing.T) {
 // exactly the interleaving the old single-check code lost.
 func TestClaimRecheckPreemptsStep(t *testing.T) {
 	var calls atomic.Int64
-	r := NewRunner(func(func() bool) bool { calls.Add(1); return true }, 0)
+	r := NewRunner(func() bool { calls.Add(1); return true }, 0)
 	g := r.Gate()
 	r.testHookClaim = g.Hold
 	if got := r.RunActions(1); got != 0 {
@@ -177,7 +180,7 @@ func TestClaimRecheckPreemptsStep(t *testing.T) {
 // no token behind.
 func TestClaimHookSeesTokenDenied(t *testing.T) {
 	var calls atomic.Int64
-	r := NewRunner(func(func() bool) bool { calls.Add(1); return true }, 0)
+	r := NewRunner(func() bool { calls.Add(1); return true }, 0)
 	g := r.Gate()
 	r.SetClaimHook(g.Hold)
 	if got := r.RunActions(1); got != 0 || calls.Load() != 0 {
@@ -203,7 +206,7 @@ func TestClaimHookSeesTokenDenied(t *testing.T) {
 // packed-word CAS removes. Run under -race this also exercises the token path for data races.
 func TestStepNeverStartsAfterAdmission(t *testing.T) {
 	var stop atomic.Bool
-	r := NewRunner(func(func() bool) bool { return true }, 0)
+	r := NewRunner(func() bool { return true }, 0)
 	g := r.Gate()
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -243,7 +246,7 @@ func TestStepNeverStartsAfterAdmission(t *testing.T) {
 // more than one worker is inside the step function at the same time.
 func TestWorkerPoolRunsConcurrently(t *testing.T) {
 	var inStep, maxInStep, calls atomic.Int64
-	r := newTimedRunner(func(func() bool) bool {
+	r := newTimedRunner(func() bool {
 		n := inStep.Add(1)
 		for {
 			m := maxInStep.Load()
@@ -283,6 +286,52 @@ func TestWorkerPoolRunsConcurrently(t *testing.T) {
 // actions while a statement holds the runner's own gate.
 func TestPoolYieldsToQueries(t *testing.T) {
 	var calls atomic.Int64
-	r := newTimedRunner(func(func() bool) bool { calls.Add(1); return true }, time.Millisecond, 4, 4)
+	r := newTimedRunner(func() bool { calls.Add(1); return true }, time.Millisecond, 4, 4)
 	checkPoolYields(t, r, &calls, r.Gate().Hold, r.Gate().Release)
+}
+
+// blockingColumn is one coarse core.Column whose crack blocks until release
+// is closed, announcing on entered that a worker holds its claim.
+type blockingColumn struct {
+	entered, release chan struct{}
+}
+
+func (c *blockingColumn) Name() string                { return "r.a" }
+func (c *blockingColumn) PieceStats() (pieces, n int) { return 1, 1 << 20 }
+func (c *blockingColumn) PendingOps() int             { return 0 }
+func (c *blockingColumn) MergeStep(int) int           { return 0 }
+func (c *blockingColumn) RandomCrack(*rand.Rand) int {
+	c.entered <- struct{}{}
+	<-c.release
+	return 1
+}
+
+// A step that finds the only column claimed by another worker yields as
+// contended: nothing runs, the runner counts no action and the tuner counts
+// one contended step. The runner is wired as engine.New wires it.
+func TestContendedStepYields(t *testing.T) {
+	col := &blockingColumn{entered: make(chan struct{}), release: make(chan struct{})}
+	tn := core.NewTuner(core.Config{Seed: 1}, nil)
+	tn.Register(col, 0, 1<<20)
+	tn.NoteQuery(col.Name(), 0, 100)
+	r := NewRunner(func() bool {
+		_, res := tn.TryStep()
+		return res == core.StepWorked
+	}, 1)
+
+	done := make(chan struct{})
+	go func() { // another worker, holding the column's claim mid-crack
+		defer close(done)
+		tn.TryStep()
+	}()
+	<-col.entered
+	ran := r.RunActions(1)
+	close(col.release)
+	<-done
+	if ran != 0 || r.Actions() != 0 {
+		t.Fatalf("RunActions = %d (Actions %d) while the only column was claimed", ran, r.Actions())
+	}
+	if got := tn.Contended(); got != 1 {
+		t.Fatalf("Contended = %d, want 1", got)
+	}
 }

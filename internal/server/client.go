@@ -56,7 +56,8 @@ func (c *Client) Send(stmt string) (int64, error) {
 func (c *Client) Recv() (Response, error) {
 	line, err := c.br.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
-		// A line longer than br's buffer (\stats with a forecast): collect it.
+		// A line longer than br's buffer (an error text quoting a long
+		// token): collect it.
 		c.long = append(c.long[:0], line...)
 		for err == bufio.ErrBufferFull {
 			line, err = c.br.ReadSlice('\n')

@@ -292,9 +292,9 @@ func TestRequestDecodeAllocs(t *testing.T) {
 }
 
 // TestClientRecvLongLines pipelines requests at a peer whose responses
-// alternate between a few bytes and more than 64 KiB — a \stats reply with a
-// forecast payload is one such line. Recv must return each whole, in order,
-// however they straddle its read buffer.
+// alternate between a few bytes and more than 64 KiB — an error text that
+// quotes a long token is one such line. Recv must return each whole, in
+// order, however they straddle its read buffer.
 func TestClientRecvLongLines(t *testing.T) {
 	const n = 12
 	sizeOf := func(id int64) int { return int(id%3) * 40_000 } // 0, 40 000, 80 000 bytes of payload

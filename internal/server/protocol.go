@@ -61,10 +61,6 @@ type Stats struct {
 	IdleActions int64          `json:"idle_actions"`
 	Strategy    string         `json:"strategy"`
 	Degraded    bool           `json:"degraded,omitempty"`
-	// Forecast is the predictive idle scheduling snapshot — per-column
-	// predicted ranges with confidence, plus speculative budget use and win
-	// counters. Present exactly when the strategy is holistic.
-	Forecast *engine.ForecastStats `json:"forecast,omitempty"`
 	// Log is the statement log's traffic — records, fsyncs and the bytes
 	// appended but not yet durable. Present when a durable log is attached.
 	Log *engine.LogStats `json:"log,omitempty"`

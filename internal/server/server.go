@@ -367,7 +367,6 @@ func (s *Server) command(id int64, stmt string) Response {
 			IdleActions: s.eng.AutoIdleActions(),
 			Strategy:    s.eng.Strategy().String(),
 			Degraded:    s.eng.ReadOnly(),
-			Forecast:    s.eng.ForecastStats(),
 			Log:         s.eng.LogStats(),
 		}}
 	case `\pieces`:

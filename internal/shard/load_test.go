@@ -49,7 +49,7 @@ func TestNewColumnStripesAndBounds(t *testing.T) {
 						t.Fatalf("part %d holds %d values that are not vals[%d::%d] (%d values)", i, len(p.vals), i, n, len(stripe))
 					}
 					lo, hi, ok := scan.MinMax(p.vals)
-					if glo, ghi, gok := p.MinMax(); gok != ok || glo != lo || ghi != hi {
+					if glo, ghi, gok := bounds(p); gok != ok || glo != lo || ghi != hi {
 						t.Fatalf("part %d: bounds %d,%d,%v, a scan gives %d,%d,%v", i, glo, ghi, gok, lo, hi, ok)
 					}
 					if p.deleted != nil || p.nDeleted != 0 {
@@ -125,8 +125,8 @@ func TestLazyTombstones(t *testing.T) {
 	}
 	allocated(r, false, true, false)
 	for i, p := range r.Parts() {
-		lo, hi, ok := p.MinMax()
-		if wlo, whi, wok := c.Parts()[i].MinMax(); lo != wlo || hi != whi || ok != wok {
+		lo, hi, ok := bounds(p)
+		if wlo, whi, wok := bounds(c.Parts()[i]); lo != wlo || hi != whi || ok != wok {
 			t.Fatalf("restored part %d bounds %d,%d,%v, the column had %d,%d,%v", i, lo, hi, ok, wlo, whi, wok)
 		}
 	}

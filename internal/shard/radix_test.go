@@ -42,8 +42,8 @@ func TestShardedRadixMixedWorkload(t *testing.T) {
 			for _, p := range c.Parts() {
 				tu.Register(p, 0, 2*domain)
 			}
-			pool := idle.NewRunner(func(speculate func() bool) bool {
-				_, res := tu.TryStep(speculate)
+			pool := idle.NewRunner(func() bool {
+				_, res := tu.TryStep()
 				return res == core.StepWorked
 			}, 4)
 			pool.Start()

@@ -131,9 +131,9 @@
 // admits any number of queries and idle workers, which coordinate through
 // the cracker index's own latch: shared for a lookup or aggregate, exclusive
 // for a crack (see cracker.Index). Only the part takes its latch: the tuner
-// calls its two idle actions, RandomCrack and RefineRange, which materialise
-// the cracked copy under the exclusive latch on first use and then act under
-// the shared one. The ingest queue's mutex is a
+// calls its idle crack action, RandomCrack, which materialises the cracked
+// copy under the exclusive latch on first use and then acts under the shared
+// one. The ingest queue's mutex is a
 // leaf below the part latch: queue methods never take the latch, and both
 // "latch then queue" (merges, reads) and "queue only" (writers) orders are
 // deadlock free. The idle pool's claim/re-check protocol and the
@@ -725,7 +725,7 @@ func (c *Column) PendingCounts() (ins, del int) {
 // storage, index (see "One index per part"), ingest queue and latch. It
 // implements the holistic tuner's Column interface (internal/core), so each
 // part is an independent action-queue shard for the idle pool, offering
-// crack, speculative and merge actions.
+// crack and merge actions.
 type Part struct {
 	name   string
 	id     int
@@ -773,16 +773,6 @@ func (p *Part) Live() int {
 	defer p.mu.RUnlock()
 	ins, del := p.ingest.Counts()
 	return len(p.vals) - p.nDeleted + ins - del
-}
-
-// MinMax returns the merged rows' value bounds (ok=false when empty).
-// Buffered inserts are not consulted; callers use this for registration-
-// time domain bounds, not exact statistics. It scans nothing: a part has its
-// bounds from the load or restore that built it.
-func (p *Part) MinMax() (lo, hi int64, ok bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.lo, p.hi, len(p.vals) > 0
 }
 
 // Lock takes the part's exclusive latch; see RLock.
@@ -976,11 +966,12 @@ func (p *Part) CrackedSelectAt(lo, hi, vis int64) (int, int64) {
 	}
 }
 
-// refine runs one idle action on the part's index under the shared latch,
-// materialising the cracked copy first if the part has none. The action takes
-// the index latch exclusively only while it partitions, as a select's crack
-// does.
-func (p *Part) refine(act func(ix *cracker.Index) int) int {
+// RandomCrack is the tuner's crack action on this part
+// (cracker.Index.RandomCrack); it returns the values partitioned. It runs
+// under the shared latch, materialising the cracked copy first if the part
+// has none, and takes the index latch exclusively only while it partitions,
+// as a select's crack does.
+func (p *Part) RandomCrack(rng *rand.Rand) int {
 	p.mu.RLock()
 	for p.crack == nil {
 		p.mu.RUnlock()
@@ -988,19 +979,7 @@ func (p *Part) refine(act func(ix *cracker.Index) int) int {
 		p.mu.RLock()
 	}
 	defer p.mu.RUnlock()
-	return act(p.crack)
-}
-
-// RandomCrack is the tuner's crack action on this part
-// (cracker.Index.RandomCrack); it returns the values partitioned.
-func (p *Part) RandomCrack(rng *rand.Rand) int {
-	return p.refine(func(ix *cracker.Index) int { return ix.RandomCrack(rng) })
-}
-
-// RefineRange is the tuner's speculative action on this part
-// (cracker.Index.RefineRange); it returns the values partitioned.
-func (p *Part) RefineRange(rng *rand.Rand, lo, hi int64, target float64, cracks int) int {
-	return p.refine(func(ix *cracker.Index) int { return ix.RefineRange(rng, lo, hi, target, cracks) })
+	return p.crack.RandomCrack(rng)
 }
 
 // Probe is ProbeAt at the watermark now.
@@ -1183,10 +1162,8 @@ func (p *Part) PieceStats() (pieces, n int) {
 
 // RangePieceAvg returns the average size (in values) of the cracker pieces
 // overlapping the value range [lo, hi): 0 when the part has no index yet or
-// the range overlaps nothing, 1 once sorted. It is part of the tuner's
-// Column interface. The speculative step uses it to decide whether a
-// forecast-predicted range still needs pre-cracking: unlike the column-wide
-// average, it measures exactly the region the next burst is expected to hit.
+// the range overlaps nothing, 1 once sorted. The benchmark rig (bench/)
+// reads it by name; nothing in the kernel does.
 func (p *Part) RangePieceAvg(lo, hi int64) float64 {
 	p.mu.RLock()
 	defer p.mu.RUnlock()

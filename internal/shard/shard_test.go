@@ -443,35 +443,43 @@ func TestAppendFeedsIndexes(t *testing.T) {
 	}
 }
 
+// bounds reads the part's cached value bounds, the ones a materialising
+// crack hands cracker.NewFromBase (ok=false when the part has no rows).
+func bounds(p *Part) (lo, hi int64, ok bool) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.lo, p.hi, len(p.vals) > 0
+}
+
 // TestMinMaxCachedThroughAppends: the bounds the load sets ignore
 // buffered inserts and stay current once a merge appends rows past either
 // end; an empty part has none until a merge gives it rows.
 func TestMinMaxCachedThroughAppends(t *testing.T) {
 	c, _ := NewColumn("R.A", []int64{5, -3, 9}, Config{Shards: 1})
 	p := c.Parts()[0]
-	if lo, hi, ok := p.MinMax(); !ok || lo != -3 || hi != 9 {
-		t.Fatalf("MinMax = %d,%d,%v, want -3,9,true", lo, hi, ok)
+	if lo, hi, ok := bounds(p); !ok || lo != -3 || hi != 9 {
+		t.Fatalf("bounds = %d,%d,%v, want -3,9,true", lo, hi, ok)
 	}
 	for i, v := range []int64{-10, 100, 50} {
 		c.AppendAt(uint32(3+i), v)
 	}
-	if lo, hi, _ := p.MinMax(); lo != -3 || hi != 9 {
-		t.Fatalf("MinMax consulted buffered inserts: %d,%d", lo, hi)
+	if lo, hi, _ := bounds(p); lo != -3 || hi != 9 {
+		t.Fatalf("bounds consulted buffered inserts: %d,%d", lo, hi)
 	}
 	c.MergePending()
-	if lo, hi, _ := p.MinMax(); lo != -10 || hi != 100 {
-		t.Fatalf("cached MinMax stale after merge: %d,%d, want -10,100", lo, hi)
+	if lo, hi, _ := bounds(p); lo != -10 || hi != 100 {
+		t.Fatalf("cached bounds stale after merge: %d,%d, want -10,100", lo, hi)
 	}
 
 	empty, _ := NewColumn("R.B", nil, Config{Shards: 1})
 	q := empty.Parts()[0]
-	if _, _, ok := q.MinMax(); ok {
-		t.Fatal("MinMax on an empty part reported ok")
+	if _, _, ok := bounds(q); ok {
+		t.Fatal("bounds on an empty part reported ok")
 	}
 	empty.AppendAt(0, 7)
 	empty.MergePending()
-	if lo, hi, ok := q.MinMax(); !ok || lo != 7 || hi != 7 {
-		t.Fatalf("MinMax after first merge = %d,%d,%v, want 7,7,true", lo, hi, ok)
+	if lo, hi, ok := bounds(q); !ok || lo != 7 || hi != 7 {
+		t.Fatalf("bounds after first merge = %d,%d,%v, want 7,7,true", lo, hi, ok)
 	}
 }
 
@@ -487,7 +495,7 @@ func TestPropertyAppendPreservesOrder(t *testing.T) {
 			if g == len(vals)/2 {
 				c.MergePending()
 				for _, p := range c.Parts() {
-					p.MinMax()
+					bounds(p)
 				}
 			}
 			c.AppendAt(uint32(g), v)
@@ -503,7 +511,7 @@ func TestPropertyAppendPreservesOrder(t *testing.T) {
 		}
 		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 		for _, p := range c.Parts() {
-			if plo, phi, ok := p.MinMax(); ok {
+			if plo, phi, ok := bounds(p); ok {
 				lo, hi = min(lo, plo), max(hi, phi)
 			}
 		}

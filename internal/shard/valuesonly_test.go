@@ -134,7 +134,9 @@ func TestValuesOnlyUntilFirstDelete(t *testing.T) {
 					}
 					for _, c := range cols {
 						for _, p := range c.Parts() {
-							p.RefineRange(rng, domain/4, domain/2, 4, 8)
+							for range 8 {
+								p.RandomCrack(rng)
+							}
 						}
 					}
 					check("idle cracks", false)
