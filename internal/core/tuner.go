@@ -6,8 +6,8 @@
 //     incremental: the only tuning primitive is a random crack action on
 //     some column's cracker index;
 //   - like online indexing, the tuner continuously monitors the workload
-//     (package stats) and maintains a ranking of which column deserves the
-//     next refinement (package costmodel);
+//     (one decayed sketch per column, see sketch) and maintains a ranking
+//     of which column deserves the next refinement (package costmodel);
 //   - like offline indexing, it exploits idle time and a-priori workload
 //     knowledge: idle windows are spent on the top-ranked columns, and
 //     expected workloads can be seeded before any query arrives.
@@ -32,6 +32,7 @@
 package core
 
 import (
+	"math"
 	"math/rand/v2"
 	"runtime"
 	"sync"
@@ -39,13 +40,23 @@ import (
 
 	"holistic/internal/costmodel"
 	"holistic/internal/cracker"
-	"holistic/internal/stats"
 )
 
 // DefaultMergeQuantum is how many buffered update operations one merge
 // action drains — the merge analogue of "one random crack action", sized so
 // a step stays in the same latency class as a crack.
 const DefaultMergeQuantum = 512
+
+const (
+	// Decay is the per-select multiplicative decay applied to every
+	// column's query mass. 0.999 halves a select's weight roughly every 700
+	// selects, whatever the number of parts the selects visit.
+	Decay = 0.999
+	// maxWeight caps an observation's weight so a hostile seed weight
+	// cannot push a column's decayed mass to +Inf (which would turn every
+	// Frequency into NaN).
+	maxWeight = 1e12
+)
 
 // Config tunes the holistic tuner.
 type Config struct {
@@ -82,15 +93,43 @@ type Column interface {
 // columns starve.
 type candidate struct {
 	col  Column    // nil for an aux action
+	sk   *sketch   // col's column's workload sketch; nil for an aux action
 	aux  AuxAction // nil for a column
 	busy atomic.Bool
+}
+
+// sketch is one column's workload statistics, the "statistical analysis
+// during workload execution" holistic indexing shares with online indexing
+// (Table 1 of the paper). All the column's parts bid with it: every select
+// visits every part, so it is one observation. Tuner.smu guards it.
+type sketch struct {
+	parts   int     // candidates bidding with this sketch
+	queries uint64  // noted observations (never decayed, weight-independent)
+	mass    float64 // decayed observation mass as of seq
+	seq     uint64  // decay clock at the last touch (for lazy decay)
+}
+
+// decayTo catches the sketch's mass up to clock.
+func (s *sketch) decayTo(clock uint64) {
+	if s.seq != clock {
+		s.mass *= math.Pow(Decay, float64(clock-s.seq))
+		s.seq = clock
+	}
 }
 
 // Tuner is the holistic tuning engine. All methods are safe for concurrent
 // use; TryStep in particular may be driven by many idle workers at once.
 type Tuner struct {
-	model     costmodel.Params
-	collector *stats.Collector
+	model costmodel.Params
+
+	// smu guards the workload sketches, keyed by column name and listed in
+	// registration order (Frequency walks them in that order, so a seed
+	// fixes its sums), and the decay clock, which ticks once per
+	// observation.
+	smu      sync.Mutex
+	sketches map[string]*sketch
+	order    []*sketch
+	clock    uint64
 
 	mu sync.Mutex
 	// cands only ever grows by a copying append (addLocked), so a step reads
@@ -106,21 +145,15 @@ type Tuner struct {
 	auxRuns   int64 // aux maintenance actions executed
 }
 
-// NewTuner builds a tuner around a shared workload collector. A nil
-// collector gets a private one.
-func NewTuner(cfg Config, collector *stats.Collector) *Tuner {
-	if collector == nil {
-		collector = stats.NewCollector()
-	}
+// NewTuner builds a tuner. Nothing reads its second argument: it stays for
+// the benchmark rig (bench/), which calls NewTuner by name with nil.
+func NewTuner(cfg Config, _ any) *Tuner {
 	return &Tuner{
-		model:     costmodel.Params{TargetPieceSize: cfg.TargetPieceSize},
-		collector: collector,
-		rng:       rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x5DEECE66D)),
+		model:    costmodel.Params{TargetPieceSize: cfg.TargetPieceSize},
+		sketches: map[string]*sketch{},
+		rng:      rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x5DEECE66D)),
 	}
 }
-
-// Collector returns the workload statistics collector the tuner consults.
-func (t *Tuner) Collector() *stats.Collector { return t.collector }
 
 // childRNG draws an independent generator from the tuner's seeded stream, so
 // concurrent actions never share rand state. Deterministic given the seed and
@@ -131,14 +164,34 @@ func (t *Tuner) childRNG() *rand.Rand {
 	return rand.New(rand.NewPCG(t.rng.Uint64(), t.rng.Uint64()))
 }
 
-// Register adds a column to the tuner's candidate set. Nothing reads domLo
-// and domHi: they stay for the benchmark rig (bench/), which calls Register
-// by name.
-func (t *Tuner) Register(c Column, domLo, domHi int64) {
+// RegisterColumn adds a column's parts to the candidate set, all bidding
+// with one workload sketch under name. Registering a known name again
+// resets its sketch and adds the parts to it. No parts registers nothing.
+func (t *Tuner) RegisterColumn(name string, parts ...Column) {
+	if len(parts) == 0 {
+		return
+	}
+	t.smu.Lock()
+	s := t.sketches[name]
+	if s == nil {
+		s = &sketch{}
+		t.sketches[name] = s
+		t.order = append(t.order, s)
+	}
+	*s = sketch{parts: s.parts + len(parts), seq: t.clock}
+	t.smu.Unlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.addLocked(&candidate{col: c})
-	t.collector.Register(c.Name())
+	for _, c := range parts {
+		t.addLocked(&candidate{col: c, sk: s})
+	}
+}
+
+// Register adds c as a one-part column under its own name. Nothing reads
+// domLo and domHi: they stay for the benchmark rig (bench/), which calls
+// Register by name.
+func (t *Tuner) Register(c Column, domLo, domHi int64) {
+	t.RegisterColumn(c.Name(), c)
 }
 
 // addLocked appends a candidate to a fresh copy of the slice: a step still
@@ -147,11 +200,12 @@ func (t *Tuner) addLocked(c *candidate) {
 	t.cands = append(t.cands[:len(t.cands):len(t.cands)], c)
 }
 
-// NoteQuery records a query on a column for monitoring. The engine calls it
-// for every select the holistic strategy serves. Nothing reads lo and hi:
-// they stay for the benchmark rig (bench/), which calls NoteQuery by name.
+// NoteQuery records one select on a column for monitoring, however many
+// parts it visited. The engine calls it for every select the holistic
+// strategy serves. Nothing reads lo and hi: they stay for the benchmark rig
+// (bench/), which calls NoteQuery by name.
 func (t *Tuner) NoteQuery(col string, lo, hi int64) {
-	t.collector.RecordQuery(col)
+	t.observe(col, 1)
 }
 
 // SeedWorkload injects a-priori workload knowledge: weight synthetic
@@ -162,7 +216,64 @@ func (t *Tuner) NoteQuery(col string, lo, hi int64) {
 // distinct arrivals, so it advances the sketch's decay clock by a single
 // query.
 func (t *Tuner) SeedWorkload(col string, weight int) {
-	t.collector.RecordWeighted(col, float64(weight))
+	t.observe(col, float64(weight))
+}
+
+// observe notes one observation of mass w on col: one tick of the decay
+// clock, whatever w. Non-positive (and NaN) weights are ignored; an
+// unregistered column ticks the clock and records nothing.
+func (t *Tuner) observe(col string, w float64) {
+	if !(w > 0) {
+		return
+	}
+	w = min(w, maxWeight)
+	t.smu.Lock()
+	defer t.smu.Unlock()
+	t.clock++
+	if s, ok := t.sketches[col]; ok {
+		s.decayTo(t.clock)
+		s.mass += w
+		s.queries++
+	}
+}
+
+// Queries returns how many observations were noted on a column (undecayed;
+// a weighted observation counts once).
+func (t *Tuner) Queries(col string) uint64 {
+	t.smu.Lock()
+	defer t.smu.Unlock()
+	if s, ok := t.sketches[col]; ok {
+		return s.queries
+	}
+	return 0
+}
+
+// Frequency returns the share each part of col bids with (0 if col is not
+// registered): its decayed mass over Σ parts × mass, so all parts' shares
+// sum to 1. With no mass anywhere it is 1/(parts registered), the "no
+// workload knowledge" prior that spreads actions round-robin.
+func (t *Tuner) Frequency(col string) float64 {
+	t.smu.Lock()
+	defer t.smu.Unlock()
+	if s, ok := t.sketches[col]; ok {
+		return t.shareLocked(s)
+	}
+	return 0
+}
+
+// shareLocked is Frequency of a registered sketch: one walk over the
+// columns, each caught up to the clock. Caller holds t.smu.
+func (t *Tuner) shareLocked(s *sketch) float64 {
+	total, parts := 0.0, 0
+	for _, o := range t.order {
+		o.decayTo(t.clock)
+		total += float64(o.parts) * o.mass
+		parts += o.parts
+	}
+	if total < 1e-9 {
+		return 1 / float64(parts)
+	}
+	return s.mass / total
 }
 
 // Actions returns the number of idle refinement actions performed.
@@ -236,7 +347,9 @@ func (t *Tuner) bidOf(c *candidate) bid {
 		return bid{c: c, score: c.aux.Score(), act: actAux}
 	}
 	b := bid{c: c, act: actCrack}
-	freq := t.collector.Frequency(c.col.Name())
+	t.smu.Lock()
+	freq := t.shareLocked(c.sk)
+	t.smu.Unlock()
 	if pending := c.col.PendingOps(); pending > 0 {
 		b.score, b.act = t.model.MergeScore(freq, pending), actMerge
 	}

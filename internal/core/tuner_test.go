@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"holistic/internal/cracker"
-	"holistic/internal/stats"
 )
 
 // fakeColumn implements Column over an in-memory cracker index, which
@@ -206,20 +205,6 @@ func TestBoostDisabled(t *testing.T) {
 	}
 }
 
-func TestSharedCollector(t *testing.T) {
-	coll := stats.NewCollector()
-	tn := NewTuner(Config{}, coll)
-	if tn.Collector() != coll {
-		t.Fatal("collector not shared")
-	}
-	c := newFakeColumn("a", 128, 1<<10, 81)
-	tn.Register(c, 0, 1<<10)
-	tn.NoteQuery("a", 0, 5)
-	if coll.Queries("a") != 1 {
-		t.Fatal("NoteQuery did not reach shared collector")
-	}
-}
-
 func TestConcurrentStepsAndQueries(t *testing.T) {
 	tn := NewTuner(Config{TargetPieceSize: 16, Seed: 9}, nil)
 	cols := make([]*fakeColumn, 3)
@@ -261,7 +246,7 @@ func TestSeedWorkloadUnregisteredColumnIgnored(t *testing.T) {
 	tn.Register(c, 0, 1<<16)
 	// Seeding a ghost column must not panic or skew anything.
 	tn.SeedWorkload("ghost", 50)
-	if f := tn.Collector().Frequency("ghost"); f != 0 {
+	if f := tn.Frequency("ghost"); f != 0 {
 		t.Fatalf("ghost frequency %f", f)
 	}
 	// The real column still gets all the idle work.

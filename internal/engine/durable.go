@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"holistic/internal/core"
 	"holistic/internal/shard"
 )
 
@@ -189,14 +190,16 @@ func (e *Engine) RestoreState(st EngineState) error {
 
 // registerColumn hooks a new or restored column into the holistic tuner (the
 // online review reads the catalog instead): every part is a candidate of its
-// own.
+// own, and all of them bid with the column's one workload sketch.
 func (e *Engine) registerColumn(sc *shard.Column) {
 	if e.tuner == nil {
 		return
 	}
-	for _, p := range sc.Parts() {
-		e.tuner.Register(p, 0, 0)
+	parts := make([]core.Column, len(sc.Parts()))
+	for i, p := range sc.Parts() {
+		parts[i] = p
 	}
+	e.tuner.RegisterColumn(sc.Name(), parts...)
 }
 
 // ReplayCreateTable re-applies a logged CREATE TABLE without re-logging.

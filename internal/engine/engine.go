@@ -363,17 +363,16 @@ func (e *Engine) IdleActions(n int) (actions int, work int64) {
 }
 
 // SeedWorkloadHint injects a-priori workload knowledge for the holistic
-// tuner: weight synthetic queries on the column, recorded against every
-// shard (a range query touches all of them). No-op for other strategies.
+// tuner: weight synthetic queries on the column, one observation its
+// shards share (a range query touches all of them). No-op for other
+// strategies.
 func (e *Engine) SeedWorkloadHint(table, col string, weight int) error {
 	sc, err := e.column(table, col)
 	if err != nil {
 		return err
 	}
 	if e.tuner != nil {
-		for _, p := range sc.Parts() {
-			e.tuner.SeedWorkload(p.Name(), weight)
-		}
+		e.tuner.SeedWorkload(sc.Name(), weight)
 	}
 	return nil
 }

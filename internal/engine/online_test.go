@@ -213,3 +213,131 @@ func TestOnlineIdleForceReview(t *testing.T) {
 		}
 	}
 }
+
+// TestOnlineHotColumnGetsIndex: one epoch of selects on one of two columns
+// builds a full index on that column only.
+func TestOnlineHotColumnGetsIndex(t *testing.T) {
+	rng := rand.New(rand.NewPCG(65, 66))
+	e := newEngineWithData(t, Config{Strategy: StrategyOnline}, randomVals(rng, 300000, 1<<20))
+	defer e.Close()
+	tab, _ := e.Table("R")
+	tab.AddColumnFromSlice("B", randomVals(rng, 300000, 1<<20))
+	for i := 0; i < 100; i++ {
+		if _, err := e.Select("R", "A", 1000, 1000+1<<20/100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hot, _ := e.column("R", "A")
+	cold, _ := e.column("R", "B")
+	if !hot.HasSorted() || cold.HasSorted() {
+		t.Fatalf("after one epoch on A: A indexed %v, B indexed %v; want A only", hot.HasSorted(), cold.HasSorted())
+	}
+}
+
+// TestOnlineIndexedColumnNotRebuilt: the same load on an indexed and an
+// unindexed column builds only the missing index; the existing one is kept.
+func TestOnlineIndexedColumnNotRebuilt(t *testing.T) {
+	rng := rand.New(rand.NewPCG(67, 68))
+	e := newEngineWithData(t, Config{Strategy: StrategyOnline}, randomVals(rng, 300000, 1<<20))
+	defer e.Close()
+	tab, _ := e.Table("R")
+	tab.AddColumnFromSlice("B", randomVals(rng, 300000, 1<<20))
+	if _, err := e.BuildFullIndex("R", "A"); err != nil {
+		t.Fatal(err)
+	}
+	for _, col := range []string{"A", "B"} {
+		for i := 0; i < 33; i++ {
+			if _, err := e.Select("R", col, 1000, 1000+1<<20/100); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if changed, _ := e.IdleActions(1); changed != 1 {
+		t.Fatalf("review changed %d indexes, want 1 (B built, A untouched)", changed)
+	}
+	for _, col := range []string{"A", "B"} {
+		if sc, _ := e.column("R", col); !sc.HasSorted() {
+			t.Fatalf("column %s has no full index, want both", col)
+		}
+	}
+}
+
+// fullIndexes reads back through DescribePhysicalDesign which columns carry
+// a full index.
+func fullIndexes(e *Engine) map[string]bool {
+	out := map[string]bool{}
+	for _, d := range e.DescribePhysicalDesign() {
+		out[d.Column] = d.FullIndex
+	}
+	return out
+}
+
+// selectOnePercent sends n selects of about 1% selectivity on R.col.
+func selectOnePercent(t *testing.T, e *Engine, col string, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := e.Select("R", col, 1000, 1000+1<<20/100); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestOnlineIndexOnlyAtEpochBoundary: the review runs only when the 100th
+// select closes the epoch; no select before it builds the index.
+func TestOnlineIndexOnlyAtEpochBoundary(t *testing.T) {
+	rng := rand.New(rand.NewPCG(69, 70))
+	e := newEngineWithData(t, Config{Strategy: StrategyOnline}, randomVals(rng, 300000, 1<<20))
+	defer e.Close()
+	for i := 0; i < 99; i++ {
+		selectOnePercent(t, e, "A", 1)
+		if fullIndexes(e)["A"] {
+			t.Fatalf("index built before the epoch boundary, at select %d", i+1)
+		}
+	}
+	selectOnePercent(t, e, "A", 1)
+	if !fullIndexes(e)["A"] {
+		t.Fatal("no index built at the epoch boundary")
+	}
+}
+
+// TestOnlineDropAfterIdleEpochs: an index no select reads is kept through
+// 19 reviews and dropped by the 20th, while the read column keeps its own.
+func TestOnlineDropAfterIdleEpochs(t *testing.T) {
+	rng := rand.New(rand.NewPCG(71, 72))
+	e := newEngineWithData(t, Config{Strategy: StrategyOnline}, randomVals(rng, 300000, 1<<20))
+	defer e.Close()
+	tab, _ := e.Table("R")
+	tab.AddColumnFromSlice("stale", randomVals(rng, 300000, 1<<20))
+	if _, err := e.BuildFullIndex("R", "stale"); err != nil {
+		t.Fatal(err)
+	}
+	for ep := 1; ep <= 20; ep++ {
+		selectOnePercent(t, e, "A", 100)
+		got := fullIndexes(e)
+		if !got["A"] {
+			t.Fatalf("after epoch %d: the read column has no index", ep)
+		}
+		if got["stale"] != (ep < 20) {
+			t.Fatalf("after epoch %d: stale index kept %v, want it dropped at epoch 20", ep, got["stale"])
+		}
+	}
+}
+
+// TestOnlineForceReview: IdleActions reviews an open epoch at once, and
+// that review consumes the epoch's counts: with the index dropped by hand,
+// a second review sees no load and does not rebuild it.
+func TestOnlineForceReview(t *testing.T) {
+	rng := rand.New(rand.NewPCG(73, 74))
+	e := newEngineWithData(t, Config{Strategy: StrategyOnline}, randomVals(rng, 300000, 1<<20))
+	defer e.Close()
+	selectOnePercent(t, e, "A", 50)
+	if changed, _ := e.IdleActions(1); changed != 1 || !fullIndexes(e)["A"] {
+		t.Fatalf("forced review changed %d indexes, want 1; design %v", changed, fullIndexes(e))
+	}
+	if err := e.DropFullIndex("R", "A"); err != nil {
+		t.Fatal(err)
+	}
+	if changed, _ := e.IdleActions(1); changed != 0 || fullIndexes(e)["A"] {
+		t.Fatalf("second forced review changed %d indexes, want 0; design %v", changed, fullIndexes(e))
+	}
+}

@@ -52,12 +52,11 @@ func (e *Engine) Select(table, col string, lo, hi int64) (Result, error) {
 		e.observe(sc, count)
 	}
 	if e.tuner != nil {
-		// Continuous monitoring, per shard. The select itself does exactly an
-		// adaptive select's cracks; refinement beyond its bounds is left to
-		// idle time, which the noted query steers.
-		for _, p := range sc.Parts() {
-			e.tuner.NoteQuery(p.Name(), lo, hi)
-		}
+		// Continuous monitoring: one observation of the column, whatever its
+		// shard count. The select itself does exactly an adaptive select's
+		// cracks; refinement beyond its bounds is left to idle time, which
+		// the noted query steers.
+		e.tuner.NoteQuery(sc.Name(), lo, hi)
 	}
 	return Result{Count: count, Sum: sum, Elapsed: time.Since(start)}, nil
 }

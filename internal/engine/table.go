@@ -176,8 +176,9 @@ func (t *Table) Rows() int {
 // match the table's existing columns. The column adopts vals as its
 // storage, so the caller must not reuse it: with Config.Shards > 1 the
 // parts are striped in place into vals' own memory (shard.NewColumn). Either
-// way each part's value bounds come out of the load. With the holistic tuner the column is registered per part,
-// so every shard is an independent refinement target.
+// way each part's value bounds come out of the load. With the holistic tuner
+// every shard is an independent refinement target, bidding with the column's
+// one workload sketch.
 func (t *Table) AddColumnFromSlice(name string, vals []int64) error {
 	return t.addColumnFromSlice(name, vals, true)
 }

@@ -228,16 +228,9 @@ type Column struct {
 	parts []*Part
 	rows  atomic.Int64 // high-water mark of rows ever appended
 
-	// Fan-out instrumentation: how many fan-out workers are active right now
-	// and the high-water mark ever observed, direct evidence of intra-query
-	// parallelism.
-	active    atomic.Int32
-	maxActive atomic.Int32
-
 	// selectHook, when set, is invoked with the part index as each fan-out
-	// worker starts (after registering in active). Tests install a
-	// rendezvous here to prove that two parts of one select really execute
-	// concurrently.
+	// worker starts. Tests install a rendezvous here to prove that two
+	// parts of one select really execute concurrently.
 	selectHook atomic.Pointer[func(part int)]
 }
 
@@ -450,11 +443,6 @@ func (c *Column) Parts() []*Part { return c.parts }
 // not-yet-merged ones).
 func (c *Column) Rows() int { return int(c.rows.Load()) }
 
-// MaxFanOut returns the highest number of fan-out workers ever observed
-// running concurrently on this column: >= 2 proves intra-query parallelism
-// actually happened. Selects that ran on the caller's goroutine do not count.
-func (c *Column) MaxFanOut() int { return int(c.maxActive.Load()) }
-
 // SetSelectHook installs (or clears, with nil) the fan-out test hook. Safe
 // to call while selects run.
 func (c *Column) SetSelectHook(h func(part int)) {
@@ -464,23 +452,6 @@ func (c *Column) SetSelectHook(h func(part int)) {
 	}
 	c.selectHook.Store(&h)
 }
-
-// enter registers one fan-out worker on part i, maintaining the concurrency
-// high-water mark, and fires the test hook.
-func (c *Column) enter(i int) {
-	a := c.active.Add(1)
-	for {
-		m := c.maxActive.Load()
-		if a <= m || c.maxActive.CompareAndSwap(m, a) {
-			break
-		}
-	}
-	if h := c.selectHook.Load(); h != nil {
-		(*h)(i)
-	}
-}
-
-func (c *Column) exit() { c.active.Add(-1) }
 
 // FanOutCountSum runs f on every part — one goroutine per part beyond the
 // first, which runs on the caller's goroutine — and returns the merged
@@ -492,9 +463,10 @@ func (c *Column) FanOutCountSum(f func(p *Part) (int, int64)) (int, int64) {
 func (c *Column) fanOut(parts []*Part, f func(p *Part) (int, int64)) (int, int64) {
 	var count, sum atomic.Int64
 	worker := func(p *Part) {
-		c.enter(p.id)
+		if h := c.selectHook.Load(); h != nil {
+			(*h)(p.id)
+		}
 		n, s := f(p)
-		c.exit()
 		count.Add(int64(n))
 		sum.Add(s)
 	}

@@ -422,9 +422,6 @@ func TestFanOutRunsPartsConcurrently(t *testing.T) {
 	if count != wc || sum != ws {
 		t.Fatalf("got %d/%d want %d/%d", count, sum, wc, ws)
 	}
-	if c.MaxFanOut() < 2 {
-		t.Fatalf("MaxFanOut = %d, want >= 2", c.MaxFanOut())
-	}
 }
 
 func TestAppendFeedsIndexes(t *testing.T) {
