@@ -21,13 +21,15 @@ var ErrReadOnly = errors.New("engine: read-only mode, durability degraded")
 // committed, so a failed append burns nothing). Implementations wrap
 // persistent failures with ErrReadOnly to flip the engine read-only.
 //
-// Inserts and deletes append and wait in two calls: LogInsert and LogDelete
-// append a record and return the offset it ends at, and WaitDurable blocks
-// until it is durable. No lock is held across a durability wait — the
-// appends run under the table's locks, which order the records, and the
-// waits run after those locks are released, so concurrent writers share one
-// fsync (group commit). The schema statements, rare and serialised anyway,
-// append and wait in one call.
+// Column loads, inserts and deletes append and wait in two calls:
+// LogAddColumn, LogInsert and LogDelete append a record and return the
+// offset it ends at, and WaitDurable blocks until it is durable. No lock is
+// held across an insert's or a delete's durability wait — the appends run
+// under the table's locks, which order the records, and the waits run after
+// those locks are released, so concurrent writers share one fsync (group
+// commit). A column load waits under its table's lock, alongside its stripe
+// pass, and publishes the column once both are done. LogCreateTable, rare
+// and serialised anyway, appends and waits in one call.
 //
 // Records are logical, not textual: deletes carry the row ids the
 // statement resolved, because DeleteWhere's "first live row" resolution
@@ -36,9 +38,10 @@ var ErrReadOnly = errors.New("engine: read-only mode, durability degraded")
 type WriteLog interface {
 	// LogCreateTable records a CREATE TABLE and waits until it is durable.
 	LogCreateTable(table string) error
-	// LogAddColumn records a column load with its full contents and waits
-	// until it is durable.
-	LogAddColumn(table, col string, vals []int64) error
+	// LogAddColumn appends a column load's record with its full contents
+	// and returns the record's end offset. The record is written before it
+	// returns: the caller may then write over vals.
+	LogAddColumn(table, col string, vals []int64) (end int64, err error)
 	// LogInsert appends an insert batch starting at row id first and
 	// returns the record's end offset. It is called with the table's id
 	// mutex held: calls arrive in row-id order.

@@ -174,9 +174,12 @@ func (t *Table) Rows() int {
 
 // AddColumnFromSlice adds a column populated with vals. The length must
 // match the table's existing columns. The column adopts vals as its
-// storage, so the caller must not reuse it: with Config.Shards > 1 the
-// parts are striped in place into vals' own memory (shard.NewColumn). Either
-// way each part's value bounds come out of the load. With the holistic tuner
+// storage, so the caller must not reuse it, even after an error: with
+// Config.Shards > 1 the parts are striped in place into vals' own memory
+// (shard.NewColumn). Either way each part's value bounds come out of the
+// load. With a write log attached the load is logged from vals' memory
+// first; the stripe pass runs while the log makes the record durable, and
+// the column is published once both are done. With the holistic tuner
 // every shard is an independent refinement target, bidding with the column's
 // one workload sketch.
 func (t *Table) AddColumnFromSlice(name string, vals []int64) error {
@@ -195,13 +198,30 @@ func (t *Table) addColumnFromSlice(name string, vals []int64, logIt bool) error 
 		return fmt.Errorf("%w: %s.%s has %d values, table has %d rows",
 			ErrLengthMismatch, t.name, name, len(vals), t.rows.Load())
 	}
+	if len(vals) > shard.MaxRows {
+		// Refused before it is logged: replay could not load it either.
+		return shard.ErrTooLarge
+	}
+	var durable chan error
 	if logIt && t.eng.wlog != nil {
-		// Log before adopting vals: the record carries the full contents.
-		if err := t.eng.wlog.LogAddColumn(t.name, name, vals); err != nil {
+		// Log before adopting vals: the record carries the full contents,
+		// written from vals' memory. Once the append returns the bytes are
+		// in the log, so the stripe pass may write over vals while the
+		// record is made durable.
+		end, err := t.eng.wlog.LogAddColumn(t.name, name, vals)
+		if err != nil {
 			return err
 		}
+		durable = make(chan error, 1)
+		go func() { durable <- t.eng.wlog.WaitDurable(end) }()
 	}
 	sc, err := shard.NewColumn(t.name+"."+name, vals, t.shardConfig())
+	if durable != nil {
+		// The column is published only once its record is durable.
+		if werr := <-durable; werr != nil {
+			return werr
+		}
+	}
 	if err != nil {
 		return err
 	}

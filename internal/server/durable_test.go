@@ -21,12 +21,12 @@ func (d *degradedLog) err() error {
 	}
 	return nil
 }
-func (d *degradedLog) Degraded() bool                                     { return d.broken }
-func (d *degradedLog) LogCreateTable(string) error                        { return d.err() }
-func (d *degradedLog) LogAddColumn(string, string, []int64) error         { return d.err() }
-func (d *degradedLog) LogInsert(string, uint32, [][]int64) (int64, error) { return 1, d.err() }
-func (d *degradedLog) LogDelete(string, []uint32) (int64, error)          { return 1, d.err() }
-func (d *degradedLog) WaitDurable(int64) error                            { return d.err() }
+func (d *degradedLog) Degraded() bool                                      { return d.broken }
+func (d *degradedLog) LogCreateTable(string) error                         { return d.err() }
+func (d *degradedLog) LogAddColumn(string, string, []int64) (int64, error) { return 1, d.err() }
+func (d *degradedLog) LogInsert(string, uint32, [][]int64) (int64, error)  { return 1, d.err() }
+func (d *degradedLog) LogDelete(string, []uint32) (int64, error)           { return 1, d.err() }
+func (d *degradedLog) WaitDurable(int64) error                             { return d.err() }
 
 // TestServerReadOnlyCode: when the durability layer degrades, writes get a
 // structured "read_only" error code, reads keep serving, and \stats

@@ -8,8 +8,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/rand/v2"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"holistic/internal/cracker"
 	"holistic/internal/engine"
@@ -205,6 +207,41 @@ func TestEncodersAllocateOnce(t *testing.T) {
 	}
 }
 
+// TestValueBytesMatchEncoder: a column load's values are written from a
+// byte view of their memory on a little-endian host and from the portable
+// per-value encoder's copy elsewhere. The two hold the same bytes, so either
+// host writes the record EncodeRecord pins.
+func TestValueBytesMatchEncoder(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 7))
+	cases := [][]int64{nil, {}, {0}, {-1}, {math.MinInt64}, {math.MaxInt64}, {math.MinInt64, math.MaxInt64, 0, -1, 1}}
+	for _, n := range []int{2, 7, 1000} {
+		vs := make([]int64, n)
+		for i := range vs {
+			vs[i] = int64(rng.Uint64())
+		}
+		cases = append(cases, vs)
+	}
+	for _, vs := range cases {
+		want := appendValues(nil, vs)
+		if nativeLittleEndian {
+			view := int64View(vs)
+			if !bytes.Equal(view, want) {
+				t.Fatalf("%d values: the byte view differs from the encoder", len(vs))
+			}
+			if len(vs) > 0 && &view[0] != (*byte)(unsafe.Pointer(&vs[0])) {
+				t.Fatalf("%d values: the byte view is a copy", len(vs))
+			}
+		}
+		if !bytes.Equal(valueBytes(vs), want) {
+			t.Fatalf("%d values: valueBytes differs from the encoder", len(vs))
+		}
+		r := Record{Op: opAddColumn, Table: "t", Col: "a", Vals: vs}
+		if got := append(appendRecordHead(nil, r), valueBytes(vs)...); !bytes.Equal(got, EncodeRecord(r)) {
+			t.Fatalf("%d values: head and values differ from the record", len(vs))
+		}
+	}
+}
+
 // overflowRecords carries lengths whose byte counts overflow uint64 when
 // multiplied by their value width, each followed by a few bytes of data.
 // In the "+1" cases the wrapped byte count equals the bytes that follow.
@@ -389,19 +426,37 @@ func benchState() engine.EngineState {
 		Columns: []shard.ColumnSnapshot{col("a", false), col("b", true)}}}}
 }
 
-// BenchmarkEncodeAddColumn encodes a 2M-value column's WAL record with the
-// log's frame headroom, as LogAddColumn does: one allocation.
-func BenchmarkEncodeAddColumn(b *testing.B) {
+// BenchmarkLogAddColumn appends a 2M-value column's record to a store's
+// log under SyncOff, as a logged column load does: the values are written
+// from the column's own memory, so an append allocates no buffer for them.
+// Every eighth append is preceded by an untimed checkpoint, which compacts
+// the log.
+func BenchmarkLogAddColumn(b *testing.B) {
 	vals := make([]int64, 2<<20)
 	for i := range vals {
 		vals[i] = int64(i * 31)
 	}
-	r := Record{Op: opAddColumn, Table: "r", Col: "a", Vals: vals}
-	b.SetBytes(int64(recordSize(r)))
+	e := engine.New(engine.Config{Strategy: engine.StrategyHolistic, Seed: 1})
+	defer e.Close()
+	s, _, err := Open(nil, b.TempDir(), e, Config{Policy: wal.Policy{Sync: wal.SyncOff}, Shards: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	b.SetBytes(int64(8 * len(vals)))
 	b.ReportAllocs()
 	b.ResetTimer()
-	for range b.N {
-		encodeRecord(wal.FrameHeaderSize, r)
+	for i := range b.N {
+		if i%8 == 7 {
+			b.StopTimer()
+			if _, err := s.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if _, err := s.LogAddColumn("r", "a", vals); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

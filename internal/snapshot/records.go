@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"unsafe"
 )
 
 // Statement-record opcodes. Records are logical, not textual SQL: a delete
@@ -40,11 +41,35 @@ func appendString(dst []byte, s string) []byte {
 }
 
 func appendInt64s(dst []byte, vs []int64) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(vs)))
+	return appendValues(binary.AppendUvarint(dst, uint64(len(vs))), vs)
+}
+
+// appendValues appends vs in the records' byte order, 8 little-endian
+// bytes per value: the portable encoding that valueBytes views in place on
+// a little-endian host.
+func appendValues(dst []byte, vs []int64) []byte {
 	for _, v := range vs {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
 	}
 	return dst
+}
+
+// nativeLittleEndian reports whether the host lays an int64 out in the
+// records' byte order.
+var nativeLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// valueBytes returns vs as a record stores them: on a little-endian host a
+// view of vs' own memory, no copy, and elsewhere an encoded copy.
+func valueBytes(vs []int64) []byte {
+	if !nativeLittleEndian {
+		return appendValues(make([]byte, 0, 8*len(vs)), vs)
+	}
+	return int64View(vs)
+}
+
+// int64View is vs' memory as bytes, in the host's byte order.
+func int64View(vs []int64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), 8*len(vs))
 }
 
 func appendU32s(dst []byte, vs []uint32) []byte {
@@ -93,22 +118,30 @@ func EncodeRecord(r Record) []byte { return encodeRecord(0, r) }
 // of the exact size. Store.append leaves wal.FrameHeaderSize bytes there
 // for the log to frame the record in place.
 func encodeRecord(headroom int, r Record) []byte {
-	dst := make([]byte, headroom, headroom+recordSize(r))
+	dst := appendRecordHead(make([]byte, headroom, headroom+recordSize(r)), r)
+	if r.Op == opAddColumn {
+		dst = appendValues(dst, r.Vals)
+	}
+	return dst
+}
+
+// appendRecordHead appends r's bytes up to an add-column record's values,
+// which is all of any other record. An add-column head ends at the values'
+// count; their bytes (appendValues, valueBytes) complete the record.
+func appendRecordHead(dst []byte, r Record) []byte {
 	dst = append(dst, r.Op)
 	dst = appendString(dst, r.Table)
 	switch r.Op {
 	case opCreateTable:
 	case opAddColumn:
 		dst = appendString(dst, r.Col)
-		dst = appendInt64s(dst, r.Vals)
+		dst = binary.AppendUvarint(dst, uint64(len(r.Vals)))
 	case opInsert:
 		dst = binary.LittleEndian.AppendUint32(dst, r.First)
 		dst = binary.AppendUvarint(dst, uint64(len(r.Rows)))
 		dst = binary.AppendUvarint(dst, uint64(insertCols(r.Rows)))
 		for _, row := range r.Rows {
-			for _, v := range row {
-				dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
-			}
+			dst = appendValues(dst, row)
 		}
 	case opDelete:
 		dst = appendU32s(dst, r.DelRows)

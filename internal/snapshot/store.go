@@ -329,7 +329,7 @@ func readOnly(err error) error {
 // append encodes and appends one record, returning the offset it ends at;
 // it does not wait for the record to be durable.
 func (s *Store) append(r Record) (int64, error) {
-	end, err := s.log.AppendFrame(encodeRecord(wal.FrameHeaderSize, r))
+	end, err := s.log.AppendFrame(encodeRecord(wal.FrameHeaderSize, r), nil)
 	return end, readOnly(err)
 }
 
@@ -347,9 +347,13 @@ func (s *Store) LogCreateTable(table string) error {
 	return s.appendDurable(Record{Op: opCreateTable, Table: table})
 }
 
-// LogAddColumn implements engine.WriteLog.
-func (s *Store) LogAddColumn(table, col string, vals []int64) error {
-	return s.appendDurable(Record{Op: opAddColumn, Table: table, Col: col, Vals: vals})
+// LogAddColumn implements engine.WriteLog. Only the record's head is
+// encoded: the values are written from vals' own memory (valueBytes).
+func (s *Store) LogAddColumn(table, col string, vals []int64) (int64, error) {
+	r := Record{Op: opAddColumn, Table: table, Col: col, Vals: vals}
+	head := make([]byte, wal.FrameHeaderSize, wal.FrameHeaderSize+recordSize(r)-8*len(vals))
+	end, err := s.log.AppendFrame(appendRecordHead(head, r), valueBytes(vals))
+	return end, readOnly(err)
 }
 
 // LogInsert implements engine.WriteLog.

@@ -2,10 +2,15 @@ package snapshot
 
 import (
 	"errors"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"holistic/internal/costmodel"
 	"holistic/internal/engine"
@@ -411,5 +416,193 @@ func TestCheckpointAuctionIntegration(t *testing.T) {
 	}
 	if s.ReplayDebt() != 0 {
 		t.Fatalf("replay debt %d after idle checkpoint", s.ReplayDebt())
+	}
+}
+
+// TestAddColumnBodyFaults fails the write of a column load's values — the
+// body of its frame, written from the caller's memory — by error, short
+// write, bit flip and a dead disk. A reopen replays the whole column or
+// none of it, never a partial record.
+func TestAddColumnBodyFaults(t *testing.T) {
+	boom := errors.New("write: EIO")
+	for _, tc := range []struct {
+		name  string
+		arm   func(*wal.FaultFS) // the values are the frame's first write, its head the second
+		whole bool               // a reopen replays column b
+		fails bool               // the load is refused, read-only
+	}{
+		{"error", func(f *wal.FaultFS) { f.FailWrites(1, boom, false) }, true, false},
+		{"short", func(f *wal.FaultFS) { f.ShortWrite(1) }, true, false},
+		{"flip", func(f *wal.FaultFS) { f.FlipBit(1) }, false, false},
+		{"sticky", func(f *wal.FaultFS) { f.FailWrites(1, boom, true) }, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ffs := wal.NewFaultFS(wal.OSFS{})
+			e1 := newEngine(t)
+			s1, _ := openStore(t, ffs, dir, e1)
+			tb, err := e1.CreateTable("kv")
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b := make([]int64, 5000), make([]int64, 5000)
+			for i := range a {
+				a[i], b[i] = int64(i), int64(2*i)
+			}
+			if err := tb.AddColumnFromSlice("a", a); err != nil {
+				t.Fatal(err)
+			}
+			tc.arm(ffs)
+			err = tb.AddColumnFromSlice("b", b)
+			if tc.fails != errors.Is(err, engine.ErrReadOnly) || (!tc.fails && err != nil) {
+				t.Fatalf("load of b: %v", err)
+			}
+			s1.Close()
+			ffs.Clear()
+
+			e2 := newEngine(t)
+			_, info := openStore(t, nil, dir, e2)
+			tb2, err := e2.Table("kv")
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantCols := []string{"a"}
+			if tc.whole {
+				wantCols = append(wantCols, "b")
+			}
+			if cols := tb2.Columns(); !slices.Equal(cols, wantCols) {
+				t.Fatalf("reopen %+v: columns %v, want %v", info, cols, wantCols)
+			}
+			expect(t, e2, "a", 0, 5000, 5000, 5000*4999/2)
+			if tc.whole {
+				expect(t, e2, "b", 0, 10000, 5000, 5000*4999)
+			}
+		})
+	}
+}
+
+// TestStripedLoadSurvivesRestart loads two columns of a three-shard table
+// through a store under each fsync policy, closes it with no checkpoint and
+// reopens it: every row reads back in row order, so the log holds each
+// column as it was handed in, not as the load striped it. No goroutine
+// outlives a load.
+func TestStripedLoadSurvivesRestart(t *testing.T) {
+	const shards, rows = 3, 10_007
+	for _, policy := range []wal.SyncPolicy{wal.SyncAlways, wal.SyncInterval, wal.SyncOff} {
+		t.Run(policy.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			open := func() (*engine.Engine, *Store) {
+				e := engine.New(engine.Config{Strategy: engine.StrategyHolistic, Seed: 42, Shards: shards})
+				t.Cleanup(e.Close)
+				s, _, err := Open(nil, dir, e, Config{Policy: wal.Policy{Sync: policy}, Shards: shards})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { s.Close() })
+				e.SetWriteLog(s)
+				return e, s
+			}
+			e1, s1 := open()
+			tb, err := e1.CreateTable("kv")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewPCG(1, uint64(policy)))
+			want := map[string][]int64{}
+			goroutines := runtime.NumGoroutine()
+			for _, col := range []string{"a", "b"} {
+				vals := make([]int64, rows)
+				for i := range vals {
+					vals[i] = rng.Int64()
+				}
+				want[col] = slices.Clone(vals)
+				if err := tb.AddColumnFromSlice(col, vals); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after the loads, %d before", runtime.NumGoroutine(), goroutines)
+				}
+			}
+
+			if err := s1.Close(); err != nil {
+				t.Fatal(err)
+			}
+			e2, _ := open()
+			st, err := e2.CaptureState(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, c := range st.Tables[0].Columns {
+				col := st.Tables[0].Order[j]
+				for g, v := range want[col] {
+					if got := c.Parts[g%shards].Vals[g/shards]; got != v {
+						t.Fatalf("%s row %d reads %d after the restart, was loaded as %d", col, g, got, v)
+					}
+				}
+			}
+		})
+	}
+}
+
+// gatedSyncFS parks each fsync of the files it opened, once armed, until
+// release is closed, and says so on entered.
+type gatedSyncFS struct {
+	wal.OSFS
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+func (g *gatedSyncFS) OpenFile(name string, flag int, perm os.FileMode) (wal.File, error) {
+	f, err := g.OSFS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &gatedSyncFile{File: f, fs: g}, nil
+}
+
+type gatedSyncFile struct {
+	wal.File
+	fs *gatedSyncFS
+}
+
+func (f *gatedSyncFile) Sync() error {
+	if f.fs.armed.CompareAndSwap(true, false) {
+		close(f.fs.entered)
+		<-f.fs.release
+	}
+	return f.File.Sync()
+}
+
+// TestLoadPublishedOnceDurable: a logged column load is not in the catalog
+// while its record's fsync is in flight, and is once the load returns.
+func TestLoadPublishedOnceDurable(t *testing.T) {
+	gfs := &gatedSyncFS{entered: make(chan struct{}), release: make(chan struct{})}
+	e := engine.New(engine.Config{Strategy: engine.StrategyHolistic, Seed: 42, Shards: 2})
+	t.Cleanup(e.Close)
+	openStore(t, gfs, t.TempDir(), e)
+	tb, err := e.CreateTable("kv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]int64, 1000)
+	for i := range vals {
+		vals[i] = int64(i)
+	}
+	gfs.armed.Store(true)
+	loaded := make(chan error, 1)
+	go func() { loaded <- tb.AddColumnFromSlice("a", vals) }()
+	<-gfs.entered
+	if cols := tb.Columns(); len(cols) != 0 {
+		t.Fatalf("columns %v published before the load's record is durable", cols)
+	}
+	close(gfs.release)
+	if err := <-loaded; err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Select("kv", "a", 0, 1000)
+	if err != nil || res.Count != 1000 || res.Sum != 999*1000/2 {
+		t.Fatalf("select after the load: %+v, %v", res, err)
 	}
 }

@@ -280,3 +280,97 @@ func TestPreExtendedTail(t *testing.T) {
 		})
 	}
 }
+
+// seekCountingFS counts the Seeks on the files it opened.
+type seekCountingFS struct {
+	OSFS
+	seeks int
+}
+
+func (s *seekCountingFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := s.OSFS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &seekCountingFile{File: f, fs: s}, nil
+}
+
+type seekCountingFile struct {
+	File
+	fs *seekCountingFS
+}
+
+func (f *seekCountingFile) Seek(off int64, whence int) (int64, error) {
+	f.fs.seeks++
+	return f.File.Seek(off, whence)
+}
+
+// TestAppendDoesNotSeek: an append writes at the tail's offset, so it makes
+// no Seek, with a body or without one, across a pre-extension of the file.
+func TestAppendDoesNotSeek(t *testing.T) {
+	sfs := &seekCountingFS{}
+	l, _ := openTemp(t, sfs, Policy{Sync: SyncAlways})
+	defer l.Close()
+	sfs.seeks = 0
+	body := make([]byte, PreExtend)
+	for i := range 4 {
+		if _, err := l.Append([]byte("record")); err != nil {
+			t.Fatal(err)
+		}
+		end, err := l.AppendFrame(make([]byte, FrameHeaderSize+i), body)
+		if err == nil {
+			err = l.WaitDurable(end)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sfs.seeks != 0 {
+		t.Fatalf("%d seeks in 8 appends", sfs.seeks)
+	}
+	if got := replayAll(t, l); len(got) != 8 || len(got[7]) != 3+PreExtend {
+		t.Fatalf("replayed %d records", len(got))
+	}
+}
+
+// TestConcurrentBodyAppends: writers append head+body frames at once, each
+// waiting for its own; every record replays whole, in some order.
+func TestConcurrentBodyAppends(t *testing.T) {
+	const writers, per = 4, 20
+	l, path := openTemp(t, OSFS{}, Policy{Sync: SyncAlways})
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range per {
+				body := bytes.Repeat([]byte{byte(w), byte(i)}, 4096+i)
+				end, err := l.AppendFrame(append(make([]byte, FrameHeaderSize), byte(w), byte(i)), body)
+				if err == nil {
+					err = l.WaitDurable(end)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	l.Close()
+	l2, tear, err := Open(OSFS{}, path, Policy{Sync: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	got := replayAll(t, l2)
+	if tear != -1 || len(got) != writers*per {
+		t.Fatalf("tear %d, %d records, want %d", tear, len(got), writers*per)
+	}
+	for _, p := range got {
+		w, i := p[0], p[1]
+		if want := bytes.Repeat([]byte{w, i}, 4096+int(i)); !bytes.Equal(p[2:], want) {
+			t.Fatalf("record %d/%d replays torn", w, i)
+		}
+	}
+}

@@ -14,10 +14,10 @@ type FaultFS struct {
 	Inner FS
 
 	mu sync.Mutex
-	// writesUntilErr: the n-th Write call across all opened files fails
-	// with WriteErr (sticky if StickyWrites).
+	// writesUntilErr: the n-th Write or WriteAt call across all opened
+	// files fails with WriteErr (sticky if StickyWrites).
 	writesUntilErr int
-	// shortWriteAt: the n-th Write call writes only half its buffer and
+	// shortWriteAt: the n-th write writes only half its buffer and
 	// reports success for the truncated length — a torn write.
 	shortWriteAt int
 	// syncsUntilErr: the n-th Sync call fails with SyncErr (sticky if
@@ -25,7 +25,7 @@ type FaultFS struct {
 	syncsUntilErr int
 	// renamesUntilErr: the n-th Rename fails with RenameErr.
 	renamesUntilErr int
-	// flipBitAt: the n-th Write call has one bit of its payload flipped
+	// flipBitAt: the n-th write has one bit of its payload flipped
 	// before reaching the inner file — silent corruption.
 	flipBitAt int
 
@@ -44,7 +44,8 @@ type FaultFS struct {
 // NewFaultFS wraps inner with no faults armed.
 func NewFaultFS(inner FS) *FaultFS { return &FaultFS{Inner: inner} }
 
-// FailWrites arms a write failure: the n-th Write from now returns err.
+// FailWrites arms a write failure: the n-th Write or WriteAt from now
+// returns err.
 // sticky makes every later write fail too (a dead disk rather than a
 // glitch).
 func (f *FaultFS) FailWrites(n int, err error, sticky bool) {
@@ -56,7 +57,7 @@ func (f *FaultFS) FailWrites(n int, err error, sticky bool) {
 	f.stickyWrites = sticky
 }
 
-// ShortWrite arms a torn write: the n-th Write from now persists only half
+// ShortWrite arms a torn write: the n-th write from now persists only half
 // its buffer yet reports the short length with a nil error.
 func (f *FaultFS) ShortWrite(n int) {
 	f.mu.Lock()
@@ -65,7 +66,7 @@ func (f *FaultFS) ShortWrite(n int) {
 	f.shortWriteAt = n
 }
 
-// FlipBit arms silent corruption: the n-th Write from now has one payload
+// FlipBit arms silent corruption: the n-th write from now has one payload
 // bit inverted before it reaches the disk.
 func (f *FaultFS) FlipBit(n int) {
 	f.mu.Lock()
@@ -176,7 +177,15 @@ type faultFile struct {
 	fs *FaultFS
 }
 
-func (ff *faultFile) Write(p []byte) (int, error) {
+func (ff *faultFile) Write(p []byte) (int, error) { return ff.write(p, ff.File.Write) }
+
+func (ff *faultFile) WriteAt(p []byte, off int64) (int, error) {
+	return ff.write(p, func(b []byte) (int, error) { return ff.File.WriteAt(b, off) })
+}
+
+// write passes p to the inner file's write through the write knobs: Write
+// and WriteAt count as one sequence of writes.
+func (ff *faultFile) write(p []byte, inner func([]byte) (int, error)) (int, error) {
 	writeLen, flipAt, err := ff.fs.writeFault(len(p))
 	if err != nil {
 		return 0, err
@@ -185,18 +194,11 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 		mut := make([]byte, len(p))
 		copy(mut, p)
 		mut[flipAt] ^= 0x10
-		return ff.File.Write(mut)
+		return inner(mut)
 	}
-	if writeLen < len(p) {
-		n, err := ff.File.Write(p[:writeLen])
-		if err != nil {
-			return n, err
-		}
-		// A torn write reports the short count with no error, exactly like
-		// a crash mid-write followed by an optimistic caller.
-		return n, nil
-	}
-	return ff.File.Write(p)
+	// A torn write reports the short count with no error, exactly like a
+	// crash mid-write followed by an optimistic caller.
+	return inner(p[:writeLen])
 }
 
 func (ff *faultFile) Sync() error {

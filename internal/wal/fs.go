@@ -32,6 +32,9 @@ type FS interface {
 type File interface {
 	io.Reader
 	io.Writer
+	// WriterAt writes at an offset without moving the file position: the
+	// log appends with it.
+	io.WriterAt
 	io.Closer
 	io.Seeker
 	// Sync flushes the file to stable storage (fsync).

@@ -40,7 +40,9 @@
 // # Commit
 //
 // Appending and making durable are two calls. AppendFrame writes a frame at
-// the tail under the log's mutex and returns the offset it ends at;
+// the tail under the log's mutex — with WriteAt at the tail's offset, so an
+// append makes no Seek and one write per piece of the record — and returns
+// the offset it ends at;
 // WaitDurable(end) returns once every record up to end is on stable storage.
 // The log keeps one watermark, the durable offset. A waiter it does not yet
 // cover reads the log's size, fsyncs at once, outside the mutex, and on
@@ -384,31 +386,44 @@ func (l *Log) Stats() Stats {
 
 // Append writes one record, waits until it is durable under the log's
 // policy (WaitDurable) and returns the logical offset its frame ends at. It
-// copies payload behind a frame header; a caller that can leave
-// FrameHeaderSize bytes of headroom calls AppendFrame and saves the copy.
+// copies payload behind a frame header, so the frame is one write; a caller
+// that can leave FrameHeaderSize bytes of headroom calls AppendFrame and
+// saves the copy.
 func (l *Log) Append(payload []byte) (off int64, err error) {
 	frame := make([]byte, FrameHeaderSize+len(payload))
 	copy(frame[FrameHeaderSize:], payload)
-	if off, err = l.AppendFrame(frame); err != nil {
+	if off, err = l.AppendFrame(frame, nil); err != nil {
 		return 0, err
 	}
 	return off, l.WaitDurable(off)
 }
 
-// AppendFrame writes the record frame[FrameHeaderSize:] at the tail and
-// returns the logical offset its frame ends at; it does not wait for the
-// record to be durable (WaitDurable). It fills in the length and CRC in
-// frame's first FrameHeaderSize bytes, so the record is written from the
-// caller's buffer without a copy. Transient I/O errors are retried with
-// exponential backoff, sleeping without the log's mutex; when retries are
-// exhausted the log degrades and this — and every later — append returns
-// ErrDegraded. A failed attempt truncates its partial frame, so the on-disk
-// tail stays valid whether or not the append eventually succeeds.
-func (l *Log) AppendFrame(frame []byte) (off int64, err error) {
-	if n := len(frame) - FrameHeaderSize; n < 0 || n > MaxFrame {
+// AppendFrame writes the record head[FrameHeaderSize:] followed by body at
+// the tail and returns the logical offset its frame ends at; it does not
+// wait for the record to be durable (WaitDurable). It fills in the length
+// and CRC in head's first FrameHeaderSize bytes, so the record is written
+// from the caller's memory without a copy: head in one write or, when body
+// is not empty, body and then head, the body's CRC running while the body
+// is written. Once AppendFrame returns, neither slice is read again.
+// Transient I/O errors are retried with exponential backoff, sleeping
+// without the log's mutex; when retries are exhausted the log degrades and
+// this — and every later — append returns ErrDegraded. A failed attempt
+// truncates its partial frame, so the on-disk tail stays valid whether or
+// not the append eventually succeeds.
+func (l *Log) AppendFrame(head, body []byte) (off int64, err error) {
+	n := len(head) - FrameHeaderSize + len(body)
+	if len(head) < FrameHeaderSize || n > MaxFrame {
 		return 0, fmt.Errorf("wal: record of %d bytes does not fit a frame", n)
 	}
-	putFrameHeader(frame, frame[FrameHeaderSize:])
+	binary.LittleEndian.PutUint32(head, uint32(n))
+	crc := frameCRC(head, head[FrameHeaderSize:])
+	seal := func() { binary.LittleEndian.PutUint32(head[4:], crc) }
+	if len(body) > 0 {
+		sum := make(chan uint32, 1)
+		go func() { sum <- crc32.Update(crc, crc32.IEEETable, body) }()
+		seal = sync.OnceFunc(func() { binary.LittleEndian.PutUint32(head[4:], <-sum) })
+		defer seal() // the CRC's reads of body end before the return
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	backoff := DefaultBackoff
@@ -416,9 +431,9 @@ func (l *Log) AppendFrame(frame []byte) (off int64, err error) {
 		if l.degraded {
 			return 0, ErrDegraded
 		}
-		err = l.writeFrameLocked(frame)
+		err = l.writeFrameLocked(head, body, seal)
 		if err == nil {
-			l.size += int64(len(frame))
+			l.size += int64(len(head) + len(body))
 			l.records++
 			return l.size, nil
 		}
@@ -437,31 +452,43 @@ func (l *Log) AppendFrame(frame []byte) (off int64, err error) {
 
 // writeFrameLocked writes one frame at the current tail, first extending
 // the file PreExtend bytes past the frame if it does not fit, and restores
-// the tail on any failure so a partial frame never survives.
-func (l *Log) writeFrameLocked(frame []byte) error {
+// the tail on any failure so a partial frame never survives. It writes
+// body, then seals head (seal fills in its CRC) and writes it.
+func (l *Log) writeFrameLocked(head, body []byte, seal func()) error {
 	fileEnd := headerSize + (l.size - l.base)
-	if need := fileEnd + int64(len(frame)); need > l.fileLen {
+	if need := fileEnd + int64(len(head)+len(body)); need > l.fileLen {
 		if err := l.f.Truncate(need + PreExtend); err != nil {
 			return err
 		}
 		l.fileLen = need + PreExtend
 	}
-	if _, err := l.f.Seek(fileEnd, io.SeekStart); err != nil {
-		return err
+	err := writeAt(l.f, body, fileEnd+int64(len(head)))
+	if err == nil {
+		seal()
+		err = writeAt(l.f, head, fileEnd)
 	}
-	if n, err := l.f.Write(frame); err != nil || n != len(frame) {
+	if err != nil {
 		// Cut the partial frame off (the next attempt extends the file
 		// again, with zeros); if even that fails the next recovery scan cuts
 		// it (the CRC cannot match a half-written frame).
 		if l.f.Truncate(fileEnd) == nil {
 			l.fileLen = fileEnd
 		}
-		if err == nil {
-			err = io.ErrShortWrite
-		}
 		return err
 	}
 	return nil
+}
+
+// writeAt writes b whole to f at off; an empty b is no write at all.
+func writeAt(f File, b []byte, off int64) error {
+	if len(b) == 0 {
+		return nil
+	}
+	n, err := f.WriteAt(b, off)
+	if err == nil && n != len(b) {
+		err = io.ErrShortWrite
+	}
+	return err
 }
 
 // WaitDurable returns once every record ending at or before end is durable

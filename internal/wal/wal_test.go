@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+	"time"
 )
 
 func openTemp(t *testing.T, fs FS, policy Policy) (*Log, string) {
@@ -412,5 +413,85 @@ func TestParseSyncPolicy(t *testing.T) {
 	}
 	if _, err := ParseSyncPolicy("sometimes"); err == nil {
 		t.Fatal("bogus policy accepted")
+	}
+}
+
+// TestBodyWriteFaults fails the body write of a frame appended as a head
+// and a body — the shape of a logged column load — by error, short write
+// and bit flip. A failed write cuts the file back to the frame's start
+// before the retry, the retry lands whole, exhausting the retries degrades
+// the log, and a reopen replays the whole record or none of it.
+func TestBodyWriteFaults(t *testing.T) {
+	body := make([]byte, 64<<10)
+	for i := range body {
+		body[i] = byte(i*31 + i>>8)
+	}
+	record := append([]byte("head"), body...)
+	boom := errors.New("write: EIO")
+	for _, tc := range []struct {
+		name     string
+		arm      func(*FaultFS) // the body is the frame's first write, the head its second
+		backoffs int
+		whole    bool // a reopen replays the record
+		degraded bool
+	}{
+		{"error", func(f *FaultFS) { f.FailWrites(1, boom, false) }, 1, true, false},
+		{"short", func(f *FaultFS) { f.ShortWrite(1) }, 1, true, false},
+		{"flip", func(f *FaultFS) { f.FlipBit(1) }, 0, false, false},
+		{"sticky", func(f *FaultFS) { f.FailWrites(1, boom, true) }, DefaultRetries, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ffs := NewFaultFS(OSFS{})
+			l, path := openTemp(t, ffs, Policy{Sync: SyncOff})
+			if _, err := l.Append([]byte("before")); err != nil {
+				t.Fatal(err)
+			}
+			before := l.Size()
+			var cuts []int64 // the file's length at each backoff
+			sleep = func(time.Duration) {
+				fi, err := os.Stat(path)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				cuts = append(cuts, fi.Size())
+			}
+			defer func() { sleep = time.Sleep }()
+			tc.arm(ffs)
+			_, err := l.AppendFrame(append(make([]byte, FrameHeaderSize), "head"...), body)
+			if tc.degraded {
+				if !errors.Is(err, ErrDegraded) || !l.Degraded() {
+					t.Fatalf("append: %v, degraded %v; want ErrDegraded", err, l.Degraded())
+				}
+			} else if err != nil {
+				t.Fatalf("append: %v", err)
+			}
+			if len(cuts) != tc.backoffs {
+				t.Fatalf("%d backoffs, want %d", len(cuts), tc.backoffs)
+			}
+			for i, c := range cuts {
+				if c != headerSize+before {
+					t.Fatalf("backoff %d: file is %d bytes, want it cut to the frame's start, %d", i, c, headerSize+before)
+				}
+			}
+			l.Close()
+
+			ffs.Clear()
+			l2, tear, err := Open(OSFS{}, path, Policy{Sync: SyncOff})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l2.Close()
+			want := [][]byte{[]byte("before")}
+			wantTear := int64(-1)
+			if tc.whole {
+				want = append(want, record)
+			} else if !tc.degraded {
+				wantTear = before // the flipped frame is cut at recovery
+			}
+			if got := replayAll(t, l2); tear != wantTear || !slices.EqualFunc(got, want, bytes.Equal) {
+				t.Fatalf("reopen: tear %d (want %d), %d records (want %d)", tear, wantTear, len(got), len(want))
+			}
+		})
 	}
 }
