@@ -28,10 +28,12 @@ const DefaultTargetPieceSize = 1 << 18
 
 // DefaultRadixMinPiece is the piece size above which the first touch of a
 // cold piece runs a radix coarse pass instead of a comparison crack. A radix
-// pass costs ~2 sweeps (histogram + scatter) and buys up to 8 halvings (2^8
-// buckets); a comparison crack costs 1 sweep and buys one halving. Radix
+// pass costs ~2 sweeps (histogram + scatter) and buys one halving per bit of
+// its fan-out, which the cracker sizes to the piece so uniform buckets hold
+// ~2^11 values (2^6 buckets at this threshold, up to 2^11 for a multi-million
+// value part); a comparison crack costs 1 sweep and buys one halving. Radix
 // therefore wins whenever the piece still needs 2+ halvings — but it also
-// fans out into up to 256 pieces at once, so gating it at half the
+// fans out into many pieces at once, so gating it at half the
 // cache-resident target keeps it from shattering pieces that one or two
 // comparison cracks would finish, while every genuinely cold piece (the
 // multi-megabyte first touch of a column) takes the coarse pass.

@@ -331,7 +331,8 @@ func (ix *Index) crackRange(lo, hi int64) (from, to int, sum int64) {
 		// Both bounds fall inside the same piece. A large cold piece takes a
 		// radix coarse pass first, after which the bounds land in (possibly
 		// different) buckets — re-dispatch. Recursion depth is bounded by the
-		// radix level count (the span shrinks 2^radixBits-fold per level).
+		// radix level count: the span shrinks at least 2^radixMinBits-fold
+		// per level, so at most ceil(64/radixMinBits) levels.
 		if ix.maybeRadixPiece(aL, bL) {
 			return ix.crackRange(lo, hi)
 		}

@@ -3,7 +3,8 @@ package cracker
 // NewFromBase builds the values-only cracked copy of a base column whose
 // values lie in [lo, hi]. A base of at least radixMin (> 0) values that is not
 // single-valued is histogrammed and scattered straight into the array the
-// index keeps, leaving exactly what New(copy, nil) plus a whole-column
+// index keeps, under the same piece-sized fan-out as a radix pass (fanOut),
+// leaving exactly what New(copy, nil) plus a whole-column
 // radixPiece leaves (array, boundaries, sums, tallies); any other base is
 // copied. Either way base is only read, and the index's radix threshold is
 // radixMin. Row ids are not written: AttachRows adds them when a delete first

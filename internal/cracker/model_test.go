@@ -25,7 +25,7 @@ import (
 //
 // Values are drawn to hurt: MinInt64 and MaxInt64 (prefix sums wrap, their
 // differences must not), a handful of heavily duplicated values, and two
-// tight clusters a wide gap apart, so a radix pass leaves most of its 256
+// tight clusters a wide gap apart, so a radix pass leaves most of its
 // buckets empty and registers runs of boundaries at one position.
 
 type modelRow struct {

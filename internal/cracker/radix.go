@@ -7,20 +7,26 @@ package cracker
 // queries stop paying for reorganisation. Following "Main Memory Adaptive
 // Indexing for Multi-core Systems" (Alvarez et al., DaMoN 2014), the first
 // touch of a large cold piece instead pays ONE out-of-place pass that
-// scatters the piece into up to 2^8 radix buckets on the high bits of the
-// value range, and registers every bucket boundary as a crack-tree piece.
-// Subsequent queries comparison-crack within a bucket as usual — the radix
-// pass replaces the first ~8 comparison sweeps with two sequential passes
+// scatters the piece into radix buckets on the high bits of the value range,
+// and registers every bucket boundary as a crack-tree piece. Subsequent
+// queries comparison-crack within a bucket as usual — the radix pass replaces
+// the first ~log2(buckets) comparison sweeps with two sequential passes
 // (histogram + scatter) over the same data.
+//
+// The fan-out is sized to the piece: enough bits that a uniform piece leaves
+// buckets of about radixBucket values, between radixMinBits and
+// radixMaxBits (fanOut). A 4M-value part gets 2^11 buckets of ~2k values,
+// a piece at the default threshold (2^17) gets 2^6.
 //
 // Bucket keys are derived from the piece's OWN data min/max, not the column
 // domain: merged updates drift the column domain, and a piece's value bounds
 // in the crack tree are open at the extremes, so the data itself is the only
 // reliable range. Because every bucket boundary is inserted — including
-// empty buckets — each level divides the value span by up to 256, so
-// repeated radix passes over still-large buckets terminate in at most
-// ceil(64/8) levels even on maximally skewed data. An empty bucket is a
-// zero-size piece whose start collides with its right neighbour's.
+// empty buckets — each level divides the value span by at least
+// 2^radixMinBits, so repeated radix passes over still-large buckets
+// terminate in at most ceil(64/radixMinBits) levels even on maximally skewed
+// data. An empty bucket is a zero-size piece whose start collides with its
+// right neighbour's.
 //
 // A pass scatters into freshly allocated arrays: a pass over the whole column
 // keeps them as the index arrays, any other pass copies back. No workload
@@ -31,8 +37,29 @@ package cracker
 
 import "math/bits"
 
-// radixBits is the fan-out of one coarse pass: up to 2^radixBits buckets.
-const radixBits = 8
+// The fan-out of one coarse pass, in bits (see fanOut).
+const (
+	// radixBucket is the bucket size a pass aims at: 2^11 values, 16 KB,
+	// inside L1d, where one comparison crack partitions a bucket in a few µs.
+	radixBucket = 1 << 11
+	// radixMaxBits caps the fan-out at 2^11 buckets. Histogram plus scatter
+	// of 2^22 values into a fresh array (BenchmarkRadixFanOut, 2-vCPU Xeon)
+	// costs 0–20 % more at 11 bits than at 8, and 25–65 % more at 12.
+	radixMaxBits = 11
+	// radixMinBits floors the fan-out of a small piece, so every level of a
+	// pass at least quarters the value span.
+	radixMinBits = 2
+)
+
+// fanOut returns the bit width of a pass over n values:
+// clamp(ceil(log2(n/radixBucket)), radixMinBits, radixMaxBits).
+func fanOut(n int) int {
+	w := 0
+	if n > radixBucket {
+		w = bits.Len64(uint64(n-1) / radixBucket) // ceil(log2(n/radixBucket))
+	}
+	return min(max(w, radixMinBits), radixMaxBits)
+}
 
 // SetRadixMinPiece sets the piece-size threshold above which a crack touch
 // runs a radix-first coarse pass instead of a comparison split. n <= 0
@@ -120,7 +147,7 @@ func (ix *Index) radixPiece(a, b int) int {
 func (g *buckets) scatter(v, dst []int64) {
 	cur, lo, shift := g.starts, g.lo, g.shift
 	for _, x := range v {
-		bkt := ((uint64(x) - uint64(lo)) >> shift) & (1<<radixBits - 1)
+		bkt := ((uint64(x) - uint64(lo)) >> shift) & (1<<radixMaxBits - 1)
 		o := cur[bkt]
 		if uint(o) < uint(len(dst)) {
 			dst[o] = x
@@ -136,7 +163,7 @@ func (g *buckets) scatterRows(v []int64, r []uint32, dv []int64, dr []uint32) {
 	}
 	cur, lo, shift := g.starts, g.lo, g.shift
 	for i, x := range v {
-		bkt := ((uint64(x) - uint64(lo)) >> shift) & (1<<radixBits - 1)
+		bkt := ((uint64(x) - uint64(lo)) >> shift) & (1<<radixMaxBits - 1)
 		o := cur[bkt]
 		if uint(o) < uint(len(dv)) && uint(o) < uint(len(dr)) {
 			dv[o] = x
@@ -154,27 +181,29 @@ type buckets struct {
 	lo     int64
 	shift  uint
 	nb     int
-	starts [1<<radixBits + 1]int
-	sum    [1 << radixBits]int64
+	starts [1<<radixMaxBits + 1]int
+	sum    [1 << radixMaxBits]int64
 }
 
 // count plans buckets for values in [lo, hi], lo < hi, and runs the histogram
-// pass over v. shift is chosen so the largest bucket index fits in radixBits
-// bits; all arithmetic is uint64, as hi-lo overflows int64 when the values
-// span most of the int64 range. The &0xff mask is redundant but lets the
-// compiler drop the bounds check in the hot loop, and locals keep the loop
-// from re-reading lo and shift through g after every store.
+// pass over v. shift is chosen so the largest bucket index fits in
+// fanOut(len(v)) bits; all arithmetic is uint64, as hi-lo overflows int64
+// when the values span most of the int64 range. The arrays are sized for
+// radixMaxBits whatever the fan-out, so the mask to radixMaxBits bits is
+// redundant but lets the compiler drop the bounds check in the hot loop, and
+// locals keep the loop from re-reading lo and shift through g after every
+// store.
 func (g *buckets) count(v []int64, lo, hi int64) {
 	span := uint64(hi) - uint64(lo)
 	shift := uint(0)
-	if w := bits.Len64(span); w > radixBits {
-		shift = uint(w - radixBits)
+	if w, fb := bits.Len64(span), fanOut(len(v)); w > fb {
+		shift = uint(w - fb)
 	}
 	g.lo, g.shift, g.nb = lo, shift, int(span>>shift)+1
-	var hist [1 << radixBits]int
-	var sum [1 << radixBits]int64
+	var hist [1 << radixMaxBits]int
+	var sum [1 << radixMaxBits]int64
 	for _, x := range v {
-		bkt := ((uint64(x) - uint64(lo)) >> shift) & (1<<radixBits - 1)
+		bkt := ((uint64(x) - uint64(lo)) >> shift) & (1<<radixMaxBits - 1)
 		hist[bkt]++
 		sum[bkt] += x
 	}
@@ -183,7 +212,7 @@ func (g *buckets) count(v []int64, lo, hi int64) {
 		g.starts[k] = at
 		at += h
 	}
-	g.starts[1<<radixBits], g.sum = at, sum
+	g.starts[1<<radixMaxBits], g.sum = at, sum
 }
 
 // addBuckets registers every bucket boundary of a piece scattered to position
@@ -194,7 +223,7 @@ func (g *buckets) count(v []int64, lo, hi int64) {
 // Bucket k's sum is below, the sum below the piece, plus the buckets below k.
 func (ix *Index) addBuckets(g *buckets, a int, below int64) int {
 	inserted := 0
-	for k := 1; k < g.nb && k < 1<<radixBits; k++ {
+	for k := 1; k < g.nb && k < 1<<radixMaxBits; k++ {
 		key := g.lo + int64(uint64(k)<<g.shift)
 		below += g.sum[k-1]
 		if ix.tree.Insert(key, a+g.starts[k], below) {
@@ -202,6 +231,6 @@ func (ix *Index) addBuckets(g *buckets, a int, below int64) int {
 		}
 	}
 	ix.cracks.Add(int64(inserted))
-	ix.work.Add(int64(2 * g.starts[1<<radixBits])) // histogram pass + scatter pass
+	ix.work.Add(int64(2 * g.starts[1<<radixMaxBits])) // histogram pass + scatter pass
 	return inserted
 }

@@ -2,9 +2,12 @@ package cracker
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
+
+	"holistic/internal/costmodel"
 )
 
 // buildRadixIndex returns an index over n pseudo-random values with
@@ -22,6 +25,14 @@ func buildRadixIndex(n, minPiece int, seed uint64) (*Index, []int64) {
 	ix := New(vals, rows)
 	ix.SetRadixMinPiece(minPiece)
 	return ix, orig
+}
+
+// plannedBuckets is the number of buckets the fan-out rule plans for a first
+// pass over vals, whose bounds are the values' own.
+func plannedBuckets(vals []int64) int {
+	var g buckets
+	g.count(vals, slices.Min(vals), slices.Max(vals))
+	return g.nb
 }
 
 func oracleCountSum(vals []int64, lo, hi int64) (int, int64) {
@@ -51,9 +62,68 @@ func TestRadixFirstCrackRange(t *testing.T) {
 		if err := ix.Validate(); err != nil {
 			t.Fatalf("query %d: %v", q, err)
 		}
+		// The first query's pass: two sweeps of the column and every planned
+		// bucket registered (32 at n = 2^16).
+		if q == 0 && (ix.Work() < 2*n || ix.Pieces() < plannedBuckets(orig)) {
+			t.Fatalf("first query: work %d, %d pieces, want >= %d and >= %d; coarse pass did not run",
+				ix.Work(), ix.Pieces(), 2*n, plannedBuckets(orig))
+		}
 	}
-	if ix.Pieces() < 256 {
-		t.Fatalf("radix-first produced only %d pieces; coarse pass did not run", ix.Pieces())
+}
+
+// TestRadixFanOutRule: a pass's fan-out is ceil(log2(n/radixBucket)) bits,
+// clamped to [radixMinBits, radixMaxBits].
+func TestRadixFanOutRule(t *testing.T) {
+	for _, c := range []struct{ n, buckets int }{
+		{1 << 30, 1 << radixMaxBits},
+		{1 << 22, 2048},
+		{1<<21 + 1, 2048},
+		{1 << 21, 1024},
+		{costmodel.DefaultRadixMinPiece, 64},
+		{4097, 4},
+		{4096, 1 << radixMinBits},
+		{64, 1 << radixMinBits}, // a tiny test threshold gets the floor
+	} {
+		if got := 1 << fanOut(c.n); got != c.buckets {
+			t.Errorf("n=%d: %d buckets, want %d", c.n, got, c.buckets)
+		}
+	}
+}
+
+// TestFanOutCutsSelectWork is the fan-out's gain in work units, whatever the
+// host: NewFromBase over 2^22 uniform values leaves L1-sized buckets, and 100
+// seeded 1 % selects after it partition at most a quarter of what they
+// partition behind a fixed 256-way pass.
+func TestFanOutCutsSelectWork(t *testing.T) {
+	const n, top = 1 << 22, 1 << 23
+	const fixed8 = 2823388 // these selects' work when every pass is 2^8-way
+	rng := rand.New(rand.NewPCG(51, 1))
+	base := make([]int64, n)
+	for i := range base {
+		base[i] = 1 + rng.Int64N(top)
+	}
+	ix := NewFromBase(base, slices.Min(base), slices.Max(base), costmodel.DefaultRadixMinPiece)
+	largest, _ := maxPiece(ix)
+	if largest.Size() > 2*radixBucket {
+		t.Fatalf("largest piece after the first touch holds %d values, want <= %d", largest.Size(), 2*radixBucket)
+	}
+	const width = top / 100
+	for q := 0; q < 100; q++ {
+		lo := 1 + rng.Int64N(top-width)
+		c, s := ix.CrackCountSum(lo, lo+width)
+		if q%10 == 0 {
+			if wc, ws := oracleCountSum(base, lo, lo+width); c != wc || s != ws {
+				t.Fatalf("query %d [%d,%d): got count=%d sum=%d, want count=%d sum=%d", q, lo, lo+width, c, s, wc, ws)
+			}
+		}
+	}
+	work := ix.Work() - 2*n
+	t.Logf("largest piece after the first touch: %d values; 100 selects partitioned %d values", largest.Size(), work)
+	if work > fixed8/4 {
+		t.Fatalf("100 selects partitioned %d values, want <= %d", work, fixed8/4)
+	}
+	if err := ix.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -88,6 +158,47 @@ func TestRadixSkewedAndDuplicates(t *testing.T) {
 		}
 	}
 	if err := ix.Validate(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A piece just above the threshold gets the smallest fan-out. Maximally
+	// skewed: one value duplicated to the threshold plus both int64 extremes,
+	// so every level leaves the duplicates' bucket at the threshold and only
+	// the span shrinks, radixMinBits bits a level. The value's offset from
+	// MinInt64 is odd, so no level before the last puts a boundary at it.
+	const thr, dup = 64, int64(1)
+	skew := []int64{math.MinInt64, math.MaxInt64}
+	for range thr {
+		skew = append(skew, dup)
+	}
+	rng.Shuffle(len(skew), func(i, j int) { skew[i], skew[j] = skew[j], skew[i] })
+	sk := New(append([]int64(nil), skew...), nil)
+	sk.SetRadixMinPiece(thr)
+	if fanOut(len(skew)) != radixMinBits {
+		t.Fatalf("a %d-value piece gets %d bits, want the floor %d", len(skew), fanOut(len(skew)), radixMinBits)
+	}
+	levels := 0
+	for {
+		a, b, _, exact := sk.locate(dup)
+		if exact || !sk.maybeRadixPiece(a, b) {
+			break
+		}
+		levels++
+	}
+	if bound := (64 + radixMinBits - 1) / radixMinBits; levels != bound {
+		t.Fatalf("%d radix levels, want the bound ceil(64/%d) = %d exactly", levels, radixMinBits, bound)
+	}
+	if err := sk.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range [][2]int64{{dup, dup + 1}, {math.MinInt64, dup}, {dup + 1, math.MaxInt64}, {math.MinInt64, math.MaxInt64}} {
+		from, to := sk.CrackRange(r[0], r[1])
+		wc, ws := oracleCountSum(skew, r[0], r[1])
+		if gc, gs := sk.CountSum(from, to); gc != wc || gs != ws {
+			t.Fatalf("skewed [%d,%d): got count=%d sum=%d, want count=%d sum=%d", r[0], r[1], gc, gs, wc, ws)
+		}
+	}
+	if err := sk.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -137,8 +248,9 @@ func TestRadixFirstTouchKeepsNoSlack(t *testing.T) {
 			if gc, gs := ix.CountSum(from, to); gc != wc || gs != ws {
 				t.Fatalf("n=%d: got count=%d sum=%d, want count=%d sum=%d", n, gc, gs, wc, ws)
 			}
-			if ix.Pieces() < 256 {
-				t.Fatalf("n=%d: %d pieces; the coarse pass did not run", n, ix.Pieces())
+			if ix.Work() < int64(2*n) || ix.Pieces() < plannedBuckets(orig) {
+				t.Fatalf("n=%d: work %d, %d pieces, want >= %d and >= %d; the coarse pass did not run",
+					n, ix.Work(), ix.Pieces(), 2*n, plannedBuckets(orig))
 			}
 			if cv, cr := cap(ix.Values()), cap(ix.Rows()); cv != ix.Len() || (ix.Rows() != nil && cr != ix.Len()) {
 				t.Fatalf("n=%d: after the first crack cap(vals)=%d cap(rows)=%d, want %d", n, cv, cr, ix.Len())
@@ -147,5 +259,49 @@ func TestRadixFirstTouchKeepsNoSlack(t *testing.T) {
 				t.Fatalf("n=%d: %v", n, err)
 			}
 		}
+	}
+}
+
+// BenchmarkRadixFanOut times one coarse pass's two loops, histogram plus
+// scatter of 2^22 uniform values into a fresh array, at 8 to 12 bits of
+// fan-out: the measurement behind radixMaxBits. The loops copy
+// buckets.count's and buckets.scatter's with arrays sized for 12 bits, since
+// the kernel's own stop at radixMaxBits.
+func BenchmarkRadixFanOut(b *testing.B) {
+	const n, width = 1 << 22, 40
+	rng := rand.New(rand.NewPCG(8, 12))
+	v := make([]int64, n)
+	for i := range v {
+		v[i] = rng.Int64N(1 << width)
+	}
+	for bits := 8; bits <= 12; bits++ {
+		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
+			shift := uint(width - bits)
+			b.SetBytes(8 * n)
+			for range b.N {
+				dst := make([]int64, n)
+				var hist [1 << 12]int
+				var sum [1 << 12]int64
+				for _, x := range v {
+					bkt := (uint64(x) >> shift) & (1<<12 - 1)
+					hist[bkt]++
+					sum[bkt] += x
+				}
+				at := 0
+				for k, h := range hist {
+					hist[k] = at
+					at += h
+				}
+				for _, x := range v {
+					bkt := (uint64(x) >> shift) & (1<<12 - 1)
+					o := hist[bkt]
+					if uint(o) < uint(len(dst)) {
+						dst[o] = x
+					}
+					hist[bkt] = o + 1
+				}
+				sinkSum = sum[0]
+			}
+		})
 	}
 }

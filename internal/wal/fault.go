@@ -39,6 +39,8 @@ type FaultFS struct {
 	writes  int
 	syncs   int
 	renames int
+	// injected counts the faults fired so far, of every kind.
+	injected int
 }
 
 // NewFaultFS wraps inner with no faults armed.
@@ -94,6 +96,15 @@ func (f *FaultFS) FailRenames(n int, err error) {
 	f.renameErr = err
 }
 
+// Injected returns how many faults have fired since the FaultFS was made:
+// failed, torn or corrupted writes, failed syncs and failed renames. A test
+// asserts it to prove the fault it armed was met.
+func (f *FaultFS) Injected() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.injected
+}
+
 // Clear disarms every fault.
 func (f *FaultFS) Clear() {
 	f.mu.Lock()
@@ -111,12 +122,15 @@ func (f *FaultFS) writeFault(n int) (writeLen int, flipAt int, err error) {
 	defer f.mu.Unlock()
 	f.writes++
 	if f.writesUntilErr > 0 && (f.writes == f.writesUntilErr || (f.stickyWrites && f.writes > f.writesUntilErr)) {
+		f.injected++
 		return 0, -1, f.writeErr
 	}
 	if f.shortWriteAt > 0 && f.writes == f.shortWriteAt {
+		f.injected++
 		return n / 2, -1, nil
 	}
 	if f.flipBitAt > 0 && f.writes == f.flipBitAt && n > 0 {
+		f.injected++
 		return n, n / 2, nil
 	}
 	return n, -1, nil
@@ -127,6 +141,7 @@ func (f *FaultFS) syncFault() error {
 	defer f.mu.Unlock()
 	f.syncs++
 	if f.syncsUntilErr > 0 && (f.syncs == f.syncsUntilErr || (f.stickySyncs && f.syncs > f.syncsUntilErr)) {
+		f.injected++
 		return f.syncErr
 	}
 	return nil
@@ -147,6 +162,9 @@ func (f *FaultFS) Rename(oldpath, newpath string) error {
 	f.mu.Lock()
 	f.renames++
 	fail := f.renamesUntilErr > 0 && f.renames == f.renamesUntilErr
+	if fail {
+		f.injected++
+	}
 	err := f.renameErr
 	f.mu.Unlock()
 	if fail {

@@ -178,6 +178,9 @@ func TestTransientWriteErrorRetried(t *testing.T) {
 	if l.Degraded() {
 		t.Fatal("log degraded after a recovered transient error")
 	}
+	if n := ffs.Injected(); n != 1 {
+		t.Fatalf("%d faults injected, want exactly the one armed", n)
+	}
 	got := replayAll(t, l)
 	if len(got) != 2 || string(got[1]) != "retried" {
 		t.Fatalf("retried record lost or duplicated: %q", got)
@@ -227,6 +230,9 @@ func TestShortWriteRecovered(t *testing.T) {
 	ffs.ShortWrite(1) // next append tears mid-frame, then retries cleanly
 	if _, err := l.Append([]byte("torn-then-whole")); err != nil {
 		t.Fatalf("short write not recovered: %v", err)
+	}
+	if n := ffs.Injected(); n != 1 {
+		t.Fatalf("%d faults injected, want exactly the one armed", n)
 	}
 	got := replayAll(t, l)
 	if len(got) != 1 || string(got[0]) != "torn-then-whole" {
