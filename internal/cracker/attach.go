@@ -25,13 +25,13 @@ import (
 
 // AttachRows gives a values-only index its row ids: base is the column the
 // copy was built from, by local position, the row id of base[i] is row0 +
-// i*stride (wrapping), and dead[i] marks a tombstoned row the copy does not
-// hold (nil: none). It holds the index latch exclusively for one pass over
-// base and does nothing when row ids are already attached. Each piece must
-// receive as many live base values as it holds, adding to the same sum; if
-// not, the live base is not the copy's multiset, AttachRows says so and the
-// index is left as it was.
-func (ix *Index) AttachRows(base []int64, row0, stride uint32, dead []bool) error {
+// i*stride (wrapping), and bit i%64 of dead[i/64] marks a tombstoned row
+// the copy does not hold (nil: none). It holds the index latch exclusively
+// for one pass over base and does nothing when row ids are already
+// attached. Each piece must receive as many live base values as it holds,
+// adding to the same sum; if not, the live base is not the copy's multiset,
+// AttachRows says so and the index is left as it was.
+func (ix *Index) AttachRows(base []int64, row0, stride uint32, dead []uint64) error {
 	if ix.HasRows() {
 		return nil
 	}
@@ -48,7 +48,7 @@ func (ix *Index) AttachRows(base []int64, row0, stride uint32, dead []bool) erro
 	for i, v := range base {
 		g := row
 		row += stride
-		if dead != nil && dead[i] {
+		if dead != nil && dead[i/64]&(1<<(i%64)) != 0 {
 			continue
 		}
 		f := &fills[pm.find(v)]

@@ -21,6 +21,17 @@ func attachBase(rng *rand.Rand, n int, domain int64) (base []int64, dead []bool,
 	return base, dead, live
 }
 
+// pack is AttachRows' tombstone bitmap of dead: bit i%64 of word i/64.
+func pack(dead []bool) []uint64 {
+	b := make([]uint64, (len(dead)+63)/64)
+	for i, d := range dead {
+		if d {
+			b[i/64] |= 1 << (i % 64)
+		}
+	}
+	return b
+}
+
 // design is everything of an index a select can observe.
 type design struct {
 	bounds [][3]int64
@@ -62,7 +73,7 @@ func TestAttachRowsKeepsDesign(t *testing.T) {
 				ix.Sort()
 			}
 			before := designOf(ix)
-			if err := ix.AttachRows(base, row0, stride, dead); err != nil {
+			if err := ix.AttachRows(base, row0, stride, pack(dead)); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			if after := designOf(ix); !after.equal(before) {
@@ -96,7 +107,7 @@ func TestAttachRowsKeepsDesign(t *testing.T) {
 					t.Fatalf("%s: MinRowOf(%d) = %d/%v, a scan finds %d/%v", name, v, got, ok, want, found)
 				}
 			}
-			if err := ix.AttachRows(base, row0, stride, dead); err != nil || !designOf(ix).equal(before) {
+			if err := ix.AttachRows(base, row0, stride, pack(dead)); err != nil || !designOf(ix).equal(before) {
 				t.Fatalf("%s: a second attach is not a no-op: %v", name, err)
 			}
 		}

@@ -27,6 +27,42 @@ import (
 //
 // A merge moves positions handed out earlier, so it runs under the exclusive
 // latch — see the Index comment.
+//
+// # Growth
+//
+// A merge that outgrows an array moves it to one sized for what it holds
+// (GrowTo): the copy and the base live side by side in memory for the
+// index's life, so append's 25 % would be a quarter of the column held for a
+// few thousand rows.
+
+// growFloor is the length below which GrowTo leaves growth to append: a
+// small array fed single-row merges still doubles, so it moves O(log n)
+// times.
+const growFloor = 1 << 16
+
+// Slack is the spare capacity an array of n elements gets when it moves:
+// 1/64 of n.
+func Slack(n int) int { return n / 64 }
+
+// GrowTo returns s with length m, its elements below min(len(s), m) kept
+// and any above len(s) left for the caller to write. An array of at least
+// growFloor elements that must move gets room for m plus 1/64 of what it
+// held, so it moves once per n/64 rows merged; a smaller one grows as
+// append grows it. Every per-row array of a part grows here: the base and
+// its tombstones (package shard), the copy, its row ids and a sorted
+// index's prefix sums.
+func GrowTo[S ~[]E, E any](s S, m int) S {
+	n := len(s)
+	switch {
+	case m <= cap(s):
+		return s[:m]
+	case n < growFloor:
+		return slices.Grow(s, m-n)[:m]
+	}
+	t := make(S, m, m+Slack(n))
+	copy(t, s)
+	return t
+}
 
 // Merge applies a batch to the cracked copy: ins and del, each sorted by
 // value, deletes first (a batch never deletes a row it inserts). With row ids
@@ -117,9 +153,9 @@ func (ix *Index) mergeInserts(ins []updates.Entry) {
 		ix.domLo, ix.domHi = ins[0].Val, ins[k-1].Val
 	}
 	ix.domLo, ix.domHi = min(ix.domLo, ins[0].Val), max(ix.domHi, ins[k-1].Val)
-	vals, rows := slices.Grow(ix.vals, k)[:n+k], ix.rows
+	vals, rows := GrowTo(ix.vals, n+k), ix.rows
 	if rows != nil {
-		rows = slices.Grow(rows, k)[:n+k]
+		rows = GrowTo(rows, n+k)
 	}
 	ix.vals, ix.rows = vals, rows
 	place := func(at int, es []updates.Entry) {

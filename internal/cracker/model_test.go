@@ -54,7 +54,7 @@ func (m *sumModel) attach() {
 	for _, e := range m.rows {
 		base[e.r], dead[e.r] = e.v, false
 	}
-	if err := m.ix.AttachRows(base, 0, 1, dead); err != nil {
+	if err := m.ix.AttachRows(base, 0, 1, pack(dead)); err != nil {
 		m.fatalf("AttachRows: %v", err)
 	}
 	m.rowsOn = true

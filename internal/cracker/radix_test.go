@@ -264,44 +264,68 @@ func TestRadixFirstTouchKeepsNoSlack(t *testing.T) {
 
 // BenchmarkRadixFanOut times one coarse pass's two loops, histogram plus
 // scatter of 2^22 uniform values into a fresh array, at 8 to 12 bits of
-// fan-out: the measurement behind radixMaxBits. The loops copy
-// buckets.count's and buckets.scatter's with arrays sized for 12 bits, since
-// the kernel's own stop at radixMaxBits.
+// fan-out: the measurement behind radixMaxBits. values scatters values
+// alone, as NewFromBase and a values-only copy do; rows moves a row id
+// beside each value (buckets.scatterRows), two write streams per bucket.
+// The loops copy buckets.count's and buckets.scatter's with arrays sized
+// for 12 bits, since the kernel's own stop at radixMaxBits.
 func BenchmarkRadixFanOut(b *testing.B) {
 	const n, width = 1 << 22, 40
 	rng := rand.New(rand.NewPCG(8, 12))
 	v := make([]int64, n)
+	r := make([]uint32, n)
 	for i := range v {
-		v[i] = rng.Int64N(1 << width)
+		v[i], r[i] = rng.Int64N(1<<width), uint32(i)
 	}
-	for bits := 8; bits <= 12; bits++ {
-		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
-			shift := uint(width - bits)
-			b.SetBytes(8 * n)
-			for range b.N {
-				dst := make([]int64, n)
-				var hist [1 << 12]int
-				var sum [1 << 12]int64
-				for _, x := range v {
-					bkt := (uint64(x) >> shift) & (1<<12 - 1)
-					hist[bkt]++
-					sum[bkt] += x
-				}
-				at := 0
-				for k, h := range hist {
-					hist[k] = at
-					at += h
-				}
-				for _, x := range v {
-					bkt := (uint64(x) >> shift) & (1<<12 - 1)
-					o := hist[bkt]
-					if uint(o) < uint(len(dst)) {
-						dst[o] = x
-					}
-					hist[bkt] = o + 1
-				}
-				sinkSum = sum[0]
+	for _, withRows := range []bool{false, true} {
+		for bits := 8; bits <= 12; bits++ {
+			name := fmt.Sprintf("values/bits=%d", bits)
+			if withRows {
+				name = fmt.Sprintf("rows/bits=%d", bits)
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				shift := uint(width - bits)
+				b.SetBytes(8 * n)
+				for range b.N {
+					dst := make([]int64, n)
+					var dstRows []uint32
+					if withRows {
+						dstRows = make([]uint32, n)
+					}
+					var hist [1 << 12]int
+					var sum [1 << 12]int64
+					for _, x := range v {
+						bkt := (uint64(x) >> shift) & (1<<12 - 1)
+						hist[bkt]++
+						sum[bkt] += x
+					}
+					at := 0
+					for k, h := range hist {
+						hist[k] = at
+						at += h
+					}
+					if withRows {
+						for i, x := range v {
+							bkt := (uint64(x) >> shift) & (1<<12 - 1)
+							o := hist[bkt]
+							if uint(o) < uint(len(dst)) && uint(o) < uint(len(dstRows)) {
+								dst[o], dstRows[o] = x, r[i]
+							}
+							hist[bkt] = o + 1
+						}
+					} else {
+						for _, x := range v {
+							bkt := (uint64(x) >> shift) & (1<<12 - 1)
+							o := hist[bkt]
+							if uint(o) < uint(len(dst)) {
+								dst[o] = x
+							}
+							hist[bkt] = o + 1
+						}
+					}
+					sinkSum = sum[0]
+				}
+			})
+		}
 	}
 }

@@ -37,7 +37,7 @@ func (ix *Index) setSorted() {
 // sumsFrom recomputes the prefix sums above position from.
 func (ix *Index) sumsFrom(from int) {
 	n := len(ix.vals)
-	ix.pre = slices.Grow(ix.pre[:from+1], n-from)[:n+1]
+	ix.pre = GrowTo(ix.pre, n+1)
 	for i := from; i < n; i++ {
 		ix.pre[i+1] = ix.pre[i] + ix.vals[i]
 	}
@@ -72,12 +72,12 @@ func (ix *Index) mergeSorted(ins, del []updates.Entry) (missing int) {
 	}
 	if len(ins) > 0 {
 		k := len(ins)
-		ix.vals = slices.Grow(ix.vals[:n], k)[:n+k]
+		ix.vals = GrowTo(ix.vals[:n], n+k)
 		var low int // the lowest position the inserts moved
 		if ix.rows == nil {
 			low = mergeBackVals(ix.vals, n, ins)
 		} else {
-			ix.rows = slices.Grow(ix.rows[:n], k)[:n+k]
+			ix.rows = GrowTo(ix.rows[:n], n+k)
 			low = mergeBackPairs(ix.vals, ix.rows, n, ins)
 		}
 		from = min(from, low)

@@ -82,8 +82,8 @@ func TestLazyTombstones(t *testing.T) {
 			if got := p.deleted != nil; got != want[i] {
 				t.Fatalf("part %d: tombstones allocated %v, want %v", i, got, want[i])
 			}
-			if p.deleted != nil && len(p.deleted) != len(p.vals) {
-				t.Fatalf("part %d: %d tombstones for %d rows", i, len(p.deleted), len(p.vals))
+			if p.deleted != nil && len(p.deleted) != words(len(p.vals)) {
+				t.Fatalf("part %d: %d tombstone words for %d rows", i, len(p.deleted), len(p.vals))
 			}
 		}
 	}

@@ -408,27 +408,38 @@ func gatherStripe(dst, head, tail []int64, g, n int) (lo, hi int64) {
 }
 
 // addPart appends the column's next part over vals, its merged storage by
-// local position, with tombstones deleted (nil: none). Both slices are
-// adopted; tombstones that mark no row are dropped, since a part allocates
-// them at its first delete. Loading and snapshot restore build every part
-// here.
+// local position, which it adopts, with deleted[i] marking a tombstoned row
+// (nil: none). The flags are packed into the part's bitmap; a part with no
+// dead row gets none, since a part allocates it at its first delete.
+// Loading and snapshot restore build every part here.
 func (c *Column) addPart(vals []int64, deleted []bool) *Part {
 	i, n := len(c.parts), c.cfg.shards()
 	p := &Part{name: c.name, id: i, stride: n, cfg: &c.cfg, vals: vals}
 	if n > 1 {
 		p.name = fmt.Sprintf("%s#%d", c.name, i)
 	}
-	for _, d := range deleted {
+	for local, d := range deleted {
 		if d {
+			if p.deleted == nil {
+				p.deleted = make(bitmap, words(len(vals)), words(cap(vals)))
+			}
+			p.deleted.set(local)
 			p.nDeleted++
 		}
-	}
-	if p.nDeleted > 0 {
-		p.deleted = deleted
 	}
 	c.parts = append(c.parts, p)
 	return p
 }
+
+// bitmap holds one bit per local position: bit i%64 of word i/64.
+type bitmap []uint64
+
+// words is the length of a bitmap over n positions.
+func words(n int) int { return (n + 63) / 64 }
+
+func (b bitmap) has(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
+
+func (b bitmap) set(i int) { b[i/64] |= 1 << (i % 64) }
 
 // Name returns the logical column name.
 func (c *Column) Name() string { return c.name }
@@ -709,9 +720,9 @@ type Part struct {
 	ingest updates.Queue
 
 	mu       sync.RWMutex
-	vals     []int64 // merged storage by local position (local i is global row i·stride+id)
-	deleted  []bool  // tombstones by local position; nil until the first delete merges
-	nDeleted int
+	vals     []int64        // merged storage by local position (local i is global row i·stride+id)
+	deleted  bitmap         // tombstones, one bit per local position; nil until the first delete merges
+	nDeleted int            // bits set in deleted
 	crack    *cracker.Index // nil until materialised; may be sorted
 
 	// lo and hi bound vals, tombstoned rows included, whenever vals is not
@@ -795,7 +806,7 @@ func (p *Part) liveSnapshotLocked() []int64 {
 	}
 	vals := make([]int64, 0, len(p.vals)-p.nDeleted)
 	for i, v := range p.vals {
-		if !p.deleted[i] {
+		if !p.deleted.has(i) {
 			vals = append(vals, v)
 		}
 	}
@@ -805,7 +816,7 @@ func (p *Part) liveSnapshotLocked() []int64 {
 // deadLocked reports whether the row at local position is tombstoned.
 // Callers hold either latch mode.
 func (p *Part) deadLocked(local int) bool {
-	return p.nDeleted != 0 && p.deleted[local]
+	return p.nDeleted != 0 && p.deleted.has(local)
 }
 
 // materialise builds the cracked copy under the exclusive latch if the part
@@ -902,7 +913,7 @@ func (p *Part) scanLocked(lo, hi int64) (int, int64) {
 	}
 	count, sum := 0, int64(0)
 	for i, v := range p.vals {
-		if !p.deleted[i] && v >= lo && v < hi {
+		if !p.deleted.has(i) && v >= lo && v < hi {
 			count++
 			sum += v
 		}
@@ -1003,23 +1014,27 @@ func (p *Part) mergeLocked(budget int) int {
 			continue
 		}
 		if p.deleted == nil {
-			p.deleted = make([]bool, len(p.vals), cap(p.vals))
+			p.deleted = make(bitmap, words(len(p.vals)), words(cap(p.vals)))
 		}
-		p.deleted[local] = true
+		p.deleted.set(local)
 		p.nDeleted++
 		live = append(live, e)
 	}
 	// Row ids were bounds checked when assigned, and Drain releases inserts
 	// in dense row order.
-	for _, e := range ins {
+	if len(ins) > 0 {
 		if len(p.vals) == 0 {
-			p.lo, p.hi = e.Val, e.Val
+			p.lo, p.hi = ins[0].Val, ins[0].Val
 		}
-		p.vals = append(p.vals, e.Val)
-		if p.deleted != nil {
-			p.deleted = append(p.deleted, false)
+		at := len(p.vals)
+		p.vals = cracker.GrowTo(p.vals, at+len(ins))
+		for i, e := range ins {
+			p.vals[at+i] = e.Val
+			p.lo, p.hi = min(p.lo, e.Val), max(p.hi, e.Val)
 		}
-		p.lo, p.hi = min(p.lo, e.Val), max(p.hi, e.Val)
+		if p.deleted != nil { // the new words are zero: no bit past len(p.vals) is ever set
+			p.deleted = cracker.GrowTo(p.deleted, words(len(p.vals)))
+		}
 	}
 	// The base grew in row order; the index takes the batch in value order.
 	if p.crack != nil {
@@ -1180,7 +1195,7 @@ func (p *Part) checkRowsLocked(vals []int64, rows []uint32) error {
 	if len(rows) != len(vals) || len(vals) != len(p.vals)-p.nDeleted {
 		return fmt.Errorf("shard: part %s: copy of %d values and %d row ids, the part has %d live rows", p.name, len(vals), len(rows), len(p.vals)-p.nDeleted)
 	}
-	seen := make([]uint64, (len(p.vals)+63)/64)
+	seen := make(bitmap, words(len(p.vals)))
 	for i, g := range rows {
 		local := int(g) / p.stride
 		var bad string
@@ -1193,13 +1208,13 @@ func (p *Part) checkRowsLocked(vals []int64, rows []uint32) error {
 			bad = "is tombstoned"
 		case p.vals[local] != vals[i]:
 			bad = fmt.Sprintf("holds %d, not the copy's %d", p.vals[local], vals[i])
-		case seen[local/64]&(1<<(local%64)) != 0:
+		case seen.has(local):
 			bad = "appears twice"
 		}
 		if bad != "" {
 			return fmt.Errorf("shard: part %s: copy entry %d names row %d, which %s", p.name, i, g, bad)
 		}
-		seen[local/64] |= 1 << (local % 64)
+		seen.set(local)
 	}
 	return nil
 }

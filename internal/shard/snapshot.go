@@ -67,7 +67,9 @@ func (p *Part) snapshot() (PartSnapshot, error) {
 	}
 	// One flag per row, all false for a part that never had a delete.
 	s := PartSnapshot{Vals: slices.Clone(p.vals), Deleted: make([]bool, len(p.vals))}
-	copy(s.Deleted, p.deleted)
+	for i := range s.Deleted {
+		s.Deleted[i] = p.deadLocked(i)
+	}
 	if p.crack != nil {
 		s.HasCrack = true
 		s.CrackVals = slices.Clone(p.crack.Values())

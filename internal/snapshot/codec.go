@@ -121,6 +121,20 @@ func (d *dec) bools() []bool {
 	return bs
 }
 
+// partInt64s and partU32s decode one of a part's per-row arrays with the
+// spare capacity a merge that moves it leaves (cracker.Slack): the log
+// replayed after the snapshot then merges its first rows in place, where an
+// exact array would be copied whole by the first insert.
+func (d *dec) partInt64s() []int64 {
+	s := d.bytes(8 * d.count(8, "int64 slice"))
+	return getInt64s(s, cracker.Slack(len(s)/8))
+}
+
+func (d *dec) partU32s() []uint32 {
+	s := d.bytes(4 * d.count(4, "uint32 slice"))
+	return getU32s(s, cracker.Slack(len(s)/4))
+}
+
 // DecodeState parses a snapshot file image, verifying magic and CRC. It
 // never panics on arbitrary input; any mismatch is an error, restoring
 // nothing.
@@ -154,9 +168,9 @@ func DecodeState(b []byte) (engine.EngineState, error) {
 			c.Parts = make([]shard.PartSnapshot, d.count(3, "part"))
 			for k := range c.Parts {
 				p := &c.Parts[k]
-				p.Vals, p.Deleted, p.HasCrack = d.int64s(), d.bools(), d.bool()
+				p.Vals, p.Deleted, p.HasCrack = d.partInt64s(), d.bools(), d.bool()
 				if p.HasCrack {
-					p.CrackVals, p.CrackRows = d.int64s(), d.u32s()
+					p.CrackVals, p.CrackRows = d.partInt64s(), d.partU32s()
 					p.Boundaries = make([]cracker.Boundary, d.count(9, "boundary"))
 					for l := range p.Boundaries {
 						p.Boundaries[l] = cracker.Boundary{Key: d.i64(), Pos: int(d.uvarint())}

@@ -182,6 +182,45 @@ func TestLoadInsertDeleteRoundTrip(t *testing.T) {
 	expect(t, r, "a", 0, 6000, 1001, 999*1000/2-4+5000+5002)
 }
 
+// TestDecodedPartsKeepMergeSlack: a decoded part's base, copy and row ids
+// come with the spare capacity a merge leaves (cracker.Slack), so the log
+// replayed after a snapshot merges its first rows without moving them.
+func TestDecodedPartsKeepMergeSlack(t *testing.T) {
+	e := engine.New(engine.Config{Strategy: engine.StrategyHolistic, Seed: 42, Shards: 2})
+	defer e.Close()
+	tb := seedTable(t, e, 12_800)
+	for _, col := range []string{"a", "b"} {
+		if _, err := e.Select("kv", col, 100, 9000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := tb.DeleteWhereIn("a", []int64{7, 8}); err != nil || n != 2 { // attaches a's row ids
+		t.Fatalf("DeleteWhereIn = %d, %v", n, err)
+	}
+	e.MergePending()
+	st, err := e.CaptureState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := DecodeState(EncodeState(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range dec.Tables[0].Columns {
+		for i, p := range c.Parts {
+			if n := len(p.Vals); cap(p.Vals) != n+n/64 {
+				t.Fatalf("%s part %d: base of %d rows has capacity %d, want %d", c.Name, i, n, cap(p.Vals), n+n/64)
+			}
+			if n := len(p.CrackVals); !p.HasCrack || cap(p.CrackVals) != n+n/64 || cap(p.CrackRows) != len(p.CrackRows)+len(p.CrackRows)/64 {
+				t.Fatalf("%s part %d: copy of %d values has capacity %d, row ids %d of %d", c.Name, i, n, cap(p.CrackVals), len(p.CrackRows), cap(p.CrackRows))
+			}
+			if (len(p.CrackRows) > 0) != (c.Name == "kv.a") {
+				t.Fatalf("%s part %d: %d row ids; only a's delete attaches them", c.Name, i, len(p.CrackRows))
+			}
+		}
+	}
+}
+
 // TestEncodersAllocateOnce: each encoder sizes its output exactly and
 // allocates it once; a record encoded for the log leaves the frame
 // header's headroom in front of it.

@@ -226,20 +226,23 @@ func (d *dec) i64() int64 {
 	return 0
 }
 
-// getInt64s decodes s, whose length is a multiple of 8, in one loop.
-func getInt64s(s []byte) []int64 {
-	vs := make([]int64, len(s)/8)
+// getInt64s decodes s, whose length is a multiple of 8, in one loop, into a
+// slice with room for spare more values.
+func getInt64s(s []byte, spare int) []int64 {
+	vs := make([]int64, len(s)/8, len(s)/8+spare)
 	for i := range vs {
 		vs[i] = int64(binary.LittleEndian.Uint64(s[8*i:]))
 	}
 	return vs
 }
 
-func (d *dec) int64s() []int64 { return getInt64s(d.bytes(8 * d.count(8, "int64 slice"))) }
+func (d *dec) int64s() []int64 { return getInt64s(d.bytes(8*d.count(8, "int64 slice")), 0) }
 
-func (d *dec) u32s() []uint32 {
-	s := d.bytes(4 * d.count(4, "uint32 slice"))
-	vs := make([]uint32, len(s)/4)
+func (d *dec) u32s() []uint32 { return getU32s(d.bytes(4*d.count(4, "uint32 slice")), 0) }
+
+// getU32s is getInt64s for uint32s.
+func getU32s(s []byte, spare int) []uint32 {
+	vs := make([]uint32, len(s)/4, len(s)/4+spare)
 	for i := range vs {
 		vs[i] = binary.LittleEndian.Uint32(s[4*i:])
 	}
@@ -266,7 +269,7 @@ func DecodeRecord(b []byte) (Record, error) {
 			d.fail("insert of %d×%d exceeds payload", nrows, ncols)
 			break
 		}
-		vals := getInt64s(d.bytes(int(nrows * ncols * 8)))
+		vals := getInt64s(d.bytes(int(nrows*ncols*8)), 0)
 		r.Rows = make([][]int64, nrows)
 		for i, c := 0, int(ncols); i < len(r.Rows); i++ {
 			r.Rows[i] = vals[i*c : (i+1)*c : (i+1)*c]

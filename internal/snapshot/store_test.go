@@ -201,6 +201,9 @@ func TestCheckpointRenameFailureKeepsOldEpoch(t *testing.T) {
 		if _, err := s1.Checkpoint(); err == nil {
 			t.Fatalf("checkpoint with rename fault %d should fail", fail)
 		}
+		if n := ffs.Injected(); n != fail {
+			t.Fatalf("%d rename faults injected after arming %d", n, fail)
+		}
 		ffs.Clear()
 		if s1.Epoch() != 0 {
 			t.Fatalf("epoch advanced to %d despite failed publish", s1.Epoch())
@@ -229,8 +232,8 @@ func TestDegradedLogTurnsEngineReadOnly(t *testing.T) {
 	if _, err := tb.InsertRow(1, 2); !errors.Is(err, engine.ErrReadOnly) {
 		t.Fatalf("insert on degraded log: err = %v, want ErrReadOnly", err)
 	}
-	if !s.Degraded() || !e.ReadOnly() {
-		t.Fatalf("degraded=%v readOnly=%v, want true/true", s.Degraded(), e.ReadOnly())
+	if !s.Degraded() || !e.ReadOnly() || ffs.Injected() == 0 {
+		t.Fatalf("degraded=%v readOnly=%v, %d faults injected, want true/true and some", s.Degraded(), e.ReadOnly(), ffs.Injected())
 	}
 	// Reads still serve, and the failed insert admitted nothing.
 	expect(t, e, "a", 0, 1_000, 100, 100*99/2)
@@ -426,15 +429,16 @@ func TestCheckpointAuctionIntegration(t *testing.T) {
 func TestAddColumnBodyFaults(t *testing.T) {
 	boom := errors.New("write: EIO")
 	for _, tc := range []struct {
-		name  string
-		arm   func(*wal.FaultFS) // the values are the frame's first write, its head the second
-		whole bool               // a reopen replays column b
-		fails bool               // the load is refused, read-only
+		name   string
+		arm    func(*wal.FaultFS) // the values are the frame's first write, its head the second
+		whole  bool               // a reopen replays column b
+		fails  bool               // the load is refused, read-only
+		faults int                // faults the arm fires
 	}{
-		{"error", func(f *wal.FaultFS) { f.FailWrites(1, boom, false) }, true, false},
-		{"short", func(f *wal.FaultFS) { f.ShortWrite(1) }, true, false},
-		{"flip", func(f *wal.FaultFS) { f.FlipBit(1) }, false, false},
-		{"sticky", func(f *wal.FaultFS) { f.FailWrites(1, boom, true) }, false, true},
+		{"error", func(f *wal.FaultFS) { f.FailWrites(1, boom, false) }, true, false, 1},
+		{"short", func(f *wal.FaultFS) { f.ShortWrite(1) }, true, false, 1},
+		{"flip", func(f *wal.FaultFS) { f.FlipBit(1) }, false, false, 1},
+		{"sticky", func(f *wal.FaultFS) { f.FailWrites(1, boom, true) }, false, true, wal.DefaultRetries + 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -456,6 +460,9 @@ func TestAddColumnBodyFaults(t *testing.T) {
 			err = tb.AddColumnFromSlice("b", b)
 			if tc.fails != errors.Is(err, engine.ErrReadOnly) || (!tc.fails && err != nil) {
 				t.Fatalf("load of b: %v", err)
+			}
+			if n := ffs.Injected(); n != tc.faults {
+				t.Fatalf("%d faults injected, want %d", n, tc.faults)
 			}
 			s1.Close()
 			ffs.Clear()

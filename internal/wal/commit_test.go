@@ -49,8 +49,8 @@ func TestConcurrentAppendsUnderStickySyncFailure(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("an appender hung on a failing fsync")
 	}
-	if !l.Degraded() {
-		t.Fatal("sticky fsync failures did not degrade the log")
+	if !l.Degraded() || ffs.Injected() == 0 {
+		t.Fatalf("sticky fsync failures did not degrade the log: degraded %v, %d faults injected", l.Degraded(), ffs.Injected())
 	}
 	l.Close()
 	ffs.Clear()
@@ -110,6 +110,9 @@ func TestRetrySleepsOutsideMutex(t *testing.T) {
 			}
 			if slept != 1 {
 				t.Fatalf("%d backoffs, want 1", slept)
+			}
+			if n := ffs.Injected(); n != 1 {
+				t.Fatalf("%d faults injected, want exactly the one armed", n)
 			}
 			if got := replayAll(t, l); len(got) != 1 || string(got[0]) != "retried" {
 				t.Fatalf("replay after the retry: %q", got)

@@ -205,6 +205,9 @@ func TestPersistentWriteErrorDegrades(t *testing.T) {
 	if !l.Degraded() {
 		t.Fatal("Degraded() false after persistent failure")
 	}
+	if ffs.Injected() == 0 {
+		t.Fatal("no write fault fired")
+	}
 	l.Close()
 
 	// The file on disk is still fully valid: only the durable record.
@@ -247,6 +250,9 @@ func TestSyncAlwaysFailureDegrades(t *testing.T) {
 	ffs.FailSyncs(1, errors.New("fsync: EIO"), true)
 	if _, err := l.Append([]byte("unsynced")); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("want ErrDegraded on persistent fsync failure, got %v", err)
+	}
+	if ffs.Injected() == 0 {
+		t.Fatal("no fsync fault fired")
 	}
 }
 
@@ -369,6 +375,9 @@ func TestRebaseRenameFailureKeepsOldLog(t *testing.T) {
 	if l.Degraded() {
 		t.Fatal("failed Rebase degraded the log; old file is still valid")
 	}
+	if n := ffs.Injected(); n != 1 {
+		t.Fatalf("%d faults injected, want exactly the one armed", n)
+	}
 	// Log still fully usable.
 	if _, err := l.Append([]byte("post")); err != nil {
 		t.Fatalf("Append after failed Rebase: %v", err)
@@ -387,6 +396,9 @@ func TestBitFlipCaughtOnRecovery(t *testing.T) {
 	ffs.FlipBit(1) // corrupt the next frame silently on its way to disk
 	if _, err := l.Append([]byte("silently-corrupted")); err != nil {
 		t.Fatal(err)
+	}
+	if n := ffs.Injected(); n != 1 {
+		t.Fatalf("%d faults injected, want exactly the one armed", n)
 	}
 	l.Close()
 
@@ -438,13 +450,14 @@ func TestBodyWriteFaults(t *testing.T) {
 		name     string
 		arm      func(*FaultFS) // the body is the frame's first write, the head its second
 		backoffs int
+		faults   int  // faults the arm fires
 		whole    bool // a reopen replays the record
 		degraded bool
 	}{
-		{"error", func(f *FaultFS) { f.FailWrites(1, boom, false) }, 1, true, false},
-		{"short", func(f *FaultFS) { f.ShortWrite(1) }, 1, true, false},
-		{"flip", func(f *FaultFS) { f.FlipBit(1) }, 0, false, false},
-		{"sticky", func(f *FaultFS) { f.FailWrites(1, boom, true) }, DefaultRetries, false, true},
+		{"error", func(f *FaultFS) { f.FailWrites(1, boom, false) }, 1, 1, true, false},
+		{"short", func(f *FaultFS) { f.ShortWrite(1) }, 1, 1, true, false},
+		{"flip", func(f *FaultFS) { f.FlipBit(1) }, 0, 1, false, false},
+		{"sticky", func(f *FaultFS) { f.FailWrites(1, boom, true) }, DefaultRetries, DefaultRetries + 1, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ffs := NewFaultFS(OSFS{})
@@ -474,6 +487,9 @@ func TestBodyWriteFaults(t *testing.T) {
 			}
 			if len(cuts) != tc.backoffs {
 				t.Fatalf("%d backoffs, want %d", len(cuts), tc.backoffs)
+			}
+			if n := ffs.Injected(); n != tc.faults {
+				t.Fatalf("%d faults injected, want %d", n, tc.faults)
 			}
 			for i, c := range cuts {
 				if c != headerSize+before {
