@@ -155,7 +155,7 @@ func BenchmarkAttachRows(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				ix, err := RestoreIndex(slices.Clone(vals), nil, bs, false)
+				ix, err := RestoreIndex(slices.Clone(vals), bs, false)
 				if err != nil {
 					b.Fatal(err)
 				}

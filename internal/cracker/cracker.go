@@ -38,7 +38,8 @@
 //
 // # Row ids on demand
 //
-// A select only counts and sums values, so a copy starts values-only: every
+// A select only counts and sums values, so a copy starts values-only, after
+// a load and after a restore alike (a snapshot stores no row ids): every
 // crack, radix pass, sort and merge moves 8 bytes a value, and the copy
 // costs no more than the column. Only a DELETE's first-live lookup
 // (MinRowOf) asks which base row an entry is; the owner attaches row ids

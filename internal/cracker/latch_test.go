@@ -111,10 +111,8 @@ func piecedIndex(tb testing.TB, n, pieces int) (ix *Index, lo, hi int64) {
 	tb.Helper()
 	stride := int64(max(4, (pieces+n-1)/n))
 	vals := make([]int64, n)
-	rows := make([]uint32, n)
 	for i := range vals {
 		vals[i] = int64(i) * stride
-		rows[i] = uint32(i)
 	}
 	hi = int64(n) * stride
 	bs := make([]Boundary, 0, pieces+1)
@@ -122,8 +120,11 @@ func piecedIndex(tb testing.TB, n, pieces int) (ix *Index, lo, hi int64) {
 		key := int64(k) * hi / int64(pieces)
 		bs = append(bs, Boundary{Key: key, Pos: int((key + stride - 1) / stride)})
 	}
-	ix, err := RestoreIndex(vals, rows, bs, false)
+	ix, err := RestoreIndex(slices.Clone(vals), bs, false)
 	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := ix.AttachRows(vals, 0, 1, nil); err != nil { // row i at position i
 		tb.Fatal(err)
 	}
 	if got := ix.Pieces(); got != pieces+2 { // + the empty pieces outside [0, 4n)
@@ -145,9 +146,12 @@ func TestRestoreConvergedGrid(t *testing.T) {
 	if err := ix.tree.Check(); err != nil {
 		t.Fatal(err)
 	}
-	again, err := RestoreIndex(slices.Clone(ix.vals), slices.Clone(ix.rows), bs, false)
+	again, err := RestoreIndex(slices.Clone(ix.vals), bs, false)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := again.AttachRows(ix.vals, 0, 1, nil); err != nil || !slices.Equal(again.rows, ix.rows) {
+		t.Fatalf("the restored index attaches other row ids: %v", err)
 	}
 	if !slices.Equal(again.Boundaries(), bs) {
 		t.Fatal("a restored index hands back a different boundary list")

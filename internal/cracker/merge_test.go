@@ -192,10 +192,6 @@ func BenchmarkMergeStep(b *testing.B) {
 	rng := rand.New(rand.NewPCG(26, 26))
 	vals := randomVals(rng, n, 1<<40)
 	slices.Sort(vals)
-	rows := make([]uint32, n)
-	for i := range rows {
-		rows[i] = uint32(i)
-	}
 	for _, pieces := range []int{1_000, 22_000, 278_000} {
 		// Boundaries at evenly spaced values of the sorted copy.
 		var bs []Boundary
@@ -208,8 +204,11 @@ func BenchmarkMergeStep(b *testing.B) {
 				bs = append(bs, Boundary{Key: vals[pos], Pos: pos})
 			}
 		}
-		ix, err := RestoreIndex(slices.Clone(vals), slices.Clone(rows), bs, false)
+		ix, err := RestoreIndex(slices.Clone(vals), bs, false)
 		if err != nil {
+			b.Fatal(err)
+		}
+		if err := ix.AttachRows(vals, 0, 1, nil); err != nil { // row i at position i
 			b.Fatal(err)
 		}
 		for _, size := range []int{1, 64, 512, 4096} {

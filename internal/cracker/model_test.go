@@ -147,13 +147,13 @@ func (m *sumModel) step() string {
 		m.attach()
 		return "AttachRows"
 	default: // what a checkpoint and a restart do: the sums are not persisted
-		restored, err := RestoreIndex(slices.Clone(ix.Values()), slices.Clone(ix.Rows()), ix.Boundaries(), ix.Sorted())
+		restored, err := RestoreIndex(slices.Clone(ix.Values()), ix.Boundaries(), ix.Sorted())
 		if err != nil {
 			m.fatalf("RestoreIndex of a valid index: %v", err)
 		}
 		restored.SetRadixMinPiece(ix.radixMin)
 		m.ix = restored
-		if m.rowsOn { // an empty copy restores values-only
+		if m.rowsOn { // a restored copy is values-only until attached
 			m.attach()
 		}
 		return "RestoreIndex"

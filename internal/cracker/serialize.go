@@ -23,21 +23,16 @@ func (ix *Index) Boundaries() []Boundary {
 	return bs
 }
 
-// RestoreIndex rebuilds a cracker index from a snapshot: the cracked copy
-// (vals, rows — adopted, not copied; no rows restores a values-only index),
-// its boundary list in ascending key order and whether it was sorted. It
-// re-validates the structural invariants the tree cannot express — monotone
-// positions and per-piece value bounds, or an ascending copy — so a
-// corrupted snapshot is rejected here rather than silently producing wrong
-// query results. Boundary and prefix sums are not part of a snapshot: they
-// are re-derived from vals here.
-func RestoreIndex(vals []int64, rows []uint32, bs []Boundary, sorted bool) (*Index, error) {
-	if len(rows) == 0 {
-		rows = nil
-	} else if len(vals) != len(rows) {
-		return nil, fmt.Errorf("cracker: restore vals/rows length mismatch %d != %d", len(vals), len(rows))
-	}
-	ix := New(vals, rows)
+// RestoreIndex rebuilds a values-only cracker index from a snapshot: the
+// cracked copy (adopted, not copied; AttachRows gives it row ids, as after
+// a load), its boundary list in ascending key order and whether it was
+// sorted. It re-validates the structural invariants the tree cannot
+// express — monotone positions and per-piece value bounds, or an ascending
+// copy — so a corrupted snapshot is rejected here rather than silently
+// producing wrong query results. Boundary and prefix sums are not part of
+// a snapshot: they are re-derived from vals here.
+func RestoreIndex(vals []int64, bs []Boundary, sorted bool) (*Index, error) {
+	ix := New(vals, nil)
 	if sorted { // Validate rejects boundaries and an unsorted copy
 		ix.setSorted()
 	}

@@ -385,24 +385,35 @@ func (t *Table) DeleteWhereIn(col string, values []int64) (int, error) {
 // nothing was logged). Resolution of later values in a batch depends on
 // earlier deletes being applied, so deletes cannot be log-first the way
 // inserts are; WAL order still equals apply order — nothing else writes
-// while the exclusive lock is held. On a log failure the unacknowledged
-// deletes stay applied in memory; recovery treats them as the statement in
-// flight that a crash may lose.
+// while the exclusive lock is held. The column's row ids are attached
+// before anything is deleted, so a copy that refuses them (its values are
+// not the live base's) fails the statement with nothing applied or logged.
+// On a log failure the unacknowledged deletes stay applied in memory;
+// recovery treats them as the statement in flight that a crash may lose.
 func (t *Table) deleteWhereIn(col string, values []int64) (deleted int, end int64, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	cat := t.cat.Load()
+	sc, ok := cat.cols[col]
+	if !ok {
+		return 0, 0, fmt.Errorf("%w: %s.%s", ErrNoColumn, t.name, col)
+	}
+	if err := sc.AttachRows(); err != nil {
+		return 0, 0, fmt.Errorf("engine: delete from %s.%s: %w", t.name, col, err)
+	}
 	resolved := make([]uint32, 0, len(values))
 	t.deletes.Add(1)
 	for _, v := range values {
-		row, ok, err := t.deleteWhereLocked(col, v)
-		if err != nil {
-			t.deletes.Add(1)
-			return deleted, 0, err
+		row, found := sc.FirstLive(v)
+		if !found {
+			continue
 		}
-		if ok {
-			deleted++
-			resolved = append(resolved, row)
+		for _, c := range cat.cols {
+			c.DeleteRow(row)
 		}
+		t.live.Add(-1)
+		deleted++
+		resolved = append(resolved, row)
 	}
 	t.deletes.Add(1)
 	if t.eng.wlog == nil || len(resolved) == 0 {
@@ -410,25 +421,6 @@ func (t *Table) deleteWhereIn(col string, values []int64) (deleted int, end int6
 	}
 	end, err = t.eng.wlog.LogDelete(t.name, resolved)
 	return deleted, end, err
-}
-
-// deleteWhereLocked deletes under a held exclusive table lock, returning
-// the resolved global row id.
-func (t *Table) deleteWhereLocked(col string, value int64) (uint32, bool, error) {
-	cat := t.cat.Load()
-	sc, ok := cat.cols[col]
-	if !ok {
-		return 0, false, fmt.Errorf("%w: %s.%s", ErrNoColumn, t.name, col)
-	}
-	row, found := sc.FirstLive(value)
-	if !found {
-		return 0, false, nil
-	}
-	for _, sc := range cat.cols {
-		sc.DeleteRow(row)
-	}
-	t.live.Add(-1)
-	return row, true, nil
 }
 
 // MergePending drains every column's ingest queues into the index

@@ -91,9 +91,9 @@
 // skipping rows with a buffered delete; then it consults its buffered
 // inserts. The index holds exactly the merged, non-tombstoned rows, so both
 // paths name the same row; the caller's exclusive table lock is held for a
-// piece, not a column. An index is built values-only, and the column's first
-// resolution through it attaches its row ids (cracker.Index.AttachRows): a
-// column no delete names never pays for them.
+// piece, not a column. An index is built or restored values-only, and the
+// column's first resolution through it attaches its row ids
+// (Column.AttachRows): a column no delete names never pays for them.
 //
 // # One latch per read
 //
@@ -563,18 +563,27 @@ func (c *Column) Enqueue(g uint32, v int64) *Part {
 	return nil
 }
 
+// AttachRows gives every part's values-only index its row ids at once, one
+// goroutine per part beyond the first, so the caller waits for the slowest
+// part's attach, not for their sum. A part whose live base is not its
+// copy's multiset (cracker.Index.AttachRows) stays values-only, and the
+// error names it: the engine's DELETE attaches before it deletes anything.
+func (c *Column) AttachRows() error {
+	if !slices.ContainsFunc(c.parts, (*Part).valuesOnly) {
+		return nil
+	}
+	errs := make([]error, len(c.parts))
+	inParallel(len(c.parts), len(c.parts), func(_, a, _ int) { errs[a] = c.parts[a].attachRows() })
+	return errors.Join(errs...)
+}
+
 // FirstLive returns the lowest global row id holding value v live — merged
 // and not tombstoned or pending-deleted, or still buffered in an ingest
 // queue below the visibility watermark — the same "first live row" contract
-// the unsharded column had. The
-// column's first resolution gives every part's index its row ids at once,
-// one goroutine per part beyond the first (each attach holds only its own
-// part's latches), so that DELETE waits for the slowest part's attach, not
-// for their sum.
+// the unsharded column had. It attaches row ids first (AttachRows) but
+// does not report a refusal; a part that refused is answered by a scan.
 func (c *Column) FirstLive(v int64) (row uint32, ok bool) {
-	if slices.ContainsFunc(c.parts, (*Part).valuesOnly) {
-		inParallel(len(c.parts), len(c.parts), func(_, a, _ int) { c.parts[a].attachRows() })
-	}
+	_ = c.AttachRows() // a refusal is AttachRows' to report; that part scans below
 	vis := c.cfg.visible()
 	best := uint32(0)
 	for _, p := range c.parts {
@@ -1051,22 +1060,21 @@ func (p *Part) PendingOps() int { return p.ingest.Len() }
 
 // firstLive returns the lowest global row id in this part holding value v
 // live: merged rows that are neither tombstoned nor pending-deleted, and
-// buffered inserts below the visibility watermark vis. The merged rows are resolved through the part's index,
-// which holds exactly them, so a DELETE costs one piece or a binary search
-// (under the index's shared latch: nothing is cracked on the writer's path)
-// instead of a scan; only a part with no index scans, stopping at the first
-// hit. The first resolution through a values-only copy attaches its row ids
-// (cracker.Index.AttachRows, one pass over the base under the index's
-// exclusive latch; the base moves only under the part's exclusive latch). The
-// shared latch is held across the queue read as well, so no merge can move a
-// buffered insert into the structures between the two and hide it from both.
+// buffered inserts below the visibility watermark vis. The merged rows are
+// resolved through the part's index, which holds exactly them, so a DELETE
+// costs one piece or a binary search (under the index's shared latch:
+// nothing is cracked on the writer's path) instead of a scan; only a part
+// whose index has no row ids (none, or an attach refused) scans, stopping
+// at the first hit. The shared latch is held across the queue read as well,
+// so no merge can move a buffered insert into the structures between the
+// two and hide it from both.
 func (p *Part) firstLive(v, vis int64) (uint32, bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	live := func(g uint32) bool { return !p.ingest.HasDelete(v, g) }
 	var best uint32
 	found := false
-	if ix := p.crack; ix != nil && p.attachRowsLocked() == nil {
+	if ix := p.crack; ix != nil && ix.HasRows() {
 		best, found = ix.MinRowOf(v, live)
 	} else {
 		for i, val := range p.vals {
@@ -1089,20 +1097,18 @@ func (p *Part) valuesOnly() bool {
 	return p.crack != nil && !p.crack.HasRows()
 }
 
-// attachRows gives the part's index, if any, its row ids.
-func (p *Part) attachRows() {
+// attachRows gives the part's index, if any, its row ids from the merged
+// rows, which move only under the part's exclusive latch.
+func (p *Part) attachRows() error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	if p.crack != nil {
-		p.attachRowsLocked()
+	if p.crack == nil {
+		return nil
 	}
-}
-
-// attachRowsLocked gives the part's index its row ids from the merged rows
-// (cracker.Index.AttachRows); it does nothing once they are there. Callers
-// hold either latch mode and have an index.
-func (p *Part) attachRowsLocked() error {
-	return p.crack.AttachRows(p.vals, p.globalRow(0), uint32(p.stride), p.deleted)
+	if err := p.crack.AttachRows(p.vals, p.globalRow(0), uint32(p.stride), p.deleted); err != nil {
+		return fmt.Errorf("shard: part %s: %w", p.name, err)
+	}
+	return nil
 }
 
 // deleteLocal deletes the row at local position: a still-buffered insert is
@@ -1189,8 +1195,8 @@ func (p *Part) Validate() error {
 // checkRowsLocked verifies a copy with row ids against the part's merged
 // rows in one pass: it holds exactly the live rows, each row id is one of
 // this part's rows (g % stride == id, local position in range), live, holds
-// the value beside it, and appears once. Snapshot restore and Validate use
-// it. Callers hold either latch mode.
+// the value beside it, and appears once. Validate uses it. Callers hold
+// either latch mode.
 func (p *Part) checkRowsLocked(vals []int64, rows []uint32) error {
 	if len(rows) != len(vals) || len(vals) != len(p.vals)-p.nDeleted {
 		return fmt.Errorf("shard: part %s: copy of %d values and %d row ids, the part has %d live rows", p.name, len(vals), len(rows), len(p.vals)-p.nDeleted)

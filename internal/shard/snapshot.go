@@ -20,14 +20,13 @@ type PartSnapshot struct {
 	Vals    []int64
 	Deleted []bool
 
-	// Index state, present iff HasCrack: the cracked copy's values, its
-	// global row ids aligned with them — empty while the copy is
-	// values-only, until a delete first resolves through it — and the
+	// Index state, present iff HasCrack: the cracked copy's values and the
 	// crack-tree boundaries in ascending key order — none when Sorted, the
-	// copy then being ascending.
+	// copy then being ascending. The copy's row ids are not part of it: they
+	// are derivable from the base, and the first delete that resolves
+	// through the restored copy attaches them, as after a load.
 	HasCrack   bool
 	CrackVals  []int64
-	CrackRows  []uint32
 	Boundaries []cracker.Boundary
 	Sorted     bool
 }
@@ -73,7 +72,6 @@ func (p *Part) snapshot() (PartSnapshot, error) {
 	if p.crack != nil {
 		s.HasCrack = true
 		s.CrackVals = slices.Clone(p.crack.Values())
-		s.CrackRows = slices.Clone(p.crack.Rows())
 		s.Boundaries = p.crack.Boundaries()
 		s.Sorted = p.crack.Sorted()
 	}
@@ -83,10 +81,12 @@ func (p *Part) snapshot() (PartSnapshot, error) {
 // NewColumnFromSnapshot rebuilds a column from its snapshot under cfg. The
 // shard count must match the snapshot's (striping is positional: a row's
 // part is g % N, so N is part of the on-disk layout, recorded in the
-// manifest). Index state is re-validated on the way in — the index's own
-// invariants, its length against the part's live rows, and every attached
-// row id (checkRowsLocked) — so a corrupted snapshot fails restore instead
-// of serving wrong answers or letting a later delete tombstone the wrong row.
+// manifest). Index state is re-validated on the way in — the copy's length
+// against the part's live rows and the index's own invariants — so a
+// corrupted snapshot fails restore instead of serving wrong answers. The
+// restored copies are values-only; a copy whose values are not the live
+// base's multiset but pass both checks is refused by the first delete that
+// attaches its row ids (Column.AttachRows).
 func NewColumnFromSnapshot(snap ColumnSnapshot, cfg Config) (*Column, error) {
 	n := cfg.shards()
 	if len(snap.Parts) != n {
@@ -101,14 +101,10 @@ func NewColumnFromSnapshot(snap ColumnSnapshot, cfg Config) (*Column, error) {
 		p := c.addPart(ps.Vals, ps.Deleted)
 		p.lo, p.hi, _ = scan.MinMax(ps.Vals)
 		if ps.HasCrack {
-			if len(ps.CrackRows) > 0 {
-				if err := p.checkRowsLocked(ps.CrackVals, ps.CrackRows); err != nil {
-					return nil, err
-				}
-			} else if live := len(ps.Vals) - p.nDeleted; len(ps.CrackVals) != live {
+			if live := len(ps.Vals) - p.nDeleted; len(ps.CrackVals) != live {
 				return nil, fmt.Errorf("shard: part %s: copy of %d values, the part has %d live rows", p.name, len(ps.CrackVals), live)
 			}
-			ix, err := cracker.RestoreIndex(ps.CrackVals, ps.CrackRows, ps.Boundaries, ps.Sorted)
+			ix, err := cracker.RestoreIndex(ps.CrackVals, ps.Boundaries, ps.Sorted)
 			if err != nil {
 				return nil, fmt.Errorf("shard: part %s: %w", p.name, err)
 			}

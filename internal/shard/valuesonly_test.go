@@ -180,12 +180,17 @@ func TestValuesOnlyUntilFirstDelete(t *testing.T) {
 	}
 }
 
-// TestRestoreChecksRowIDs: a snapshot whose cracked copy names a row it
-// cannot hold — a tombstoned row, a row of another part, a row twice, a row
-// holding another value, a row past the part's end — or lacks one, or a
-// values-only copy of another length than the live rows, is refused at
-// restore, and Validate refuses a wrong copy in a live part.
-func TestRestoreChecksRowIDs(t *testing.T) {
+// TestCorruptCopyRefused: a snapshot stores no row ids, so a corrupt
+// snapshot can only hold a wrong copy, and each fault is refused. A copy
+// of another length than the live rows fails restore. A copy with one
+// value changed inside its piece's bounds passes restore (its length and
+// the index's own invariants hold), and the first attach of its row ids
+// refuses it — the value of a tombstoned row, of another part's row, a
+// value twice, a value no row holds — naming the part and leaving the copy
+// values-only, so no delete resolves through it. A copy whose values are
+// right but whose row ids name other rows cannot come from a file any
+// more; Validate still refuses it in a live part.
+func TestCorruptCopyRefused(t *testing.T) {
 	cfg := Config{Shards: 2}
 	vals := make([]int64, 400)
 	for i := range vals {
@@ -197,55 +202,64 @@ func TestRestoreChecksRowIDs(t *testing.T) {
 	}
 	c.FanOutCountSum(func(p *Part) (int, int64) { return p.CrackedSelect(10, 50) })
 	g, _ := c.FirstLive(vals[6]) // attaches row ids on both parts
+	if g != 6 {
+		t.Fatalf("the delete took row %d, want 6", g)
+	}
 	c.DeleteRow(g)
 	c.MergePending()
 	snap, err := c.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p0 := snap.Parts[0]
-	if len(p0.CrackRows) != len(p0.CrackVals) {
-		t.Fatalf("part 0's snapshot has %d row ids for %d values", len(p0.CrackRows), len(p0.CrackVals))
-	}
 	if _, err := NewColumnFromSnapshot(snap, cfg); err != nil {
 		t.Fatalf("a valid snapshot: %v", err)
 	}
-	if g != 6 {
-		t.Fatalf("the delete took row %d, want 6", g)
-	}
-	// at returns the copy position of global row r in part 0's snapshot.
-	at := func(r uint32) int { return slices.Index(p0.CrackRows, r) }
+	// Part 0 holds the even rows; its first piece holds the values below 10.
+	p0 := snap.Parts[0]
+	at := func(v int64) int { return slices.Index(p0.CrackVals, v) }
 	for _, tc := range []struct {
 		name    string
-		corrupt func(rows []uint32) []uint32
+		corrupt func(cv []int64)
 	}{
-		{"a tombstoned row", func(rows []uint32) []uint32 { rows[at(8)] = 6; return rows }},
-		{"another part's row", func(rows []uint32) []uint32 { rows[at(8)] = 9; return rows }},
-		{"a row twice", func(rows []uint32) []uint32 { rows[at(194)] = 0; return rows }}, // both hold 0
-		{"another value", func(rows []uint32) []uint32 { rows[at(2)], rows[at(4)] = 4, 2; return rows }},
-		{"a row past the part", func(rows []uint32) []uint32 { rows[at(8)] = 2 * uint32(len(vals)); return rows }},
-		{"one row id short", func(rows []uint32) []uint32 { return rows[:len(rows)-1] }},
+		{"a tombstoned row's value", func(cv []int64) { cv[at(8)] = 6 }},
+		{"another part's value", func(cv []int64) { cv[at(8)] = 9 }},
+		{"a value twice", func(cv []int64) { cv[at(2)] = 4 }},
+		{"a value no row holds", func(cv []int64) { cv[at(8)] = -1 }},
 	} {
 		bad := snap
 		bad.Parts = slices.Clone(snap.Parts)
-		bad.Parts[0].CrackRows = tc.corrupt(slices.Clone(p0.CrackRows))
-		_, err := NewColumnFromSnapshot(bad, cfg)
+		bad.Parts[0].CrackVals = slices.Clone(p0.CrackVals)
+		tc.corrupt(bad.Parts[0].CrackVals)
+		r, err := NewColumnFromSnapshot(bad, cfg)
+		if err != nil {
+			t.Fatalf("%s: refused at restore, want at the first attach: %v", tc.name, err)
+		}
+		before := slices.Clone(r.Parts()[0].Cracked().Values())
+		err = r.AttachRows()
 		if err == nil {
-			t.Errorf("%s: restored", tc.name)
-		} else if !strings.Contains(err.Error(), "t.a#0") {
-			t.Errorf("%s: the error does not name the part: %v", tc.name, err)
+			t.Errorf("%s: row ids attached", tc.name)
+		} else if !strings.Contains(err.Error(), "t.a#0") || strings.Contains(err.Error(), "t.a#1") {
+			t.Errorf("%s: the error does not name part 0 alone: %v", tc.name, err)
+		}
+		if ix := r.Parts()[0].Cracked(); ix.HasRows() || !slices.Equal(ix.Values(), before) {
+			t.Errorf("%s: a refused attach changed the copy", tc.name)
 		}
 	}
 
-	// A values-only copy must hold as many values as the part has live rows.
-	bad := snap
-	bad.Parts = slices.Clone(snap.Parts)
-	bad.Parts[0].CrackVals, bad.Parts[0].CrackRows = append(slices.Clone(p0.CrackVals), 1<<40), nil
-	if _, err := NewColumnFromSnapshot(bad, cfg); err == nil {
-		t.Error("a values-only copy with one value too many restored")
+	// A copy must hold as many values as the part has live rows.
+	for name, cv := range map[string][]int64{
+		"one value short":    p0.CrackVals[:len(p0.CrackVals)-1],
+		"one value too many": append(slices.Clone(p0.CrackVals), 1<<40),
+	} {
+		bad := snap
+		bad.Parts = slices.Clone(snap.Parts)
+		bad.Parts[0].CrackVals = cv
+		if _, err := NewColumnFromSnapshot(bad, cfg); err == nil || !strings.Contains(err.Error(), "t.a#0") {
+			t.Errorf("%s: restore gave %v, want an error naming the part", name, err)
+		}
 	}
 
-	// The same check runs in Validate.
+	// Row ids naming other rows are refused by Validate.
 	p := c.Parts()[0]
 	p.Lock()
 	rows := p.Cracked().Rows()
@@ -254,5 +268,90 @@ func TestRestoreChecksRowIDs(t *testing.T) {
 	p.Unlock()
 	if err := p.Validate(); err == nil {
 		t.Fatal("Validate passed a copy whose row ids name other values")
+	}
+}
+
+// TestRestoreThenDelete: a column whose copies had row ids before the
+// snapshot restores values-only; its first delete resolves the row a scan
+// of the model names and attaches row ids on every part, and every answer
+// is exact before and after.
+func TestRestoreThenDelete(t *testing.T) {
+	const n, domain = 3000, 500
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(uint64(shards), 53))
+			m := &rowModel{a: randomVals(rng, n, domain), dead: make([]bool, n)}
+			cfg := Config{Shards: shards, radixMin: 256}
+			c, err := NewColumn("t.a", slices.Clone(m.a), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			answers := func(stage string, c *Column) {
+				t.Helper()
+				if err := c.Validate(); err != nil {
+					t.Fatalf("%s: %v", stage, err)
+				}
+				for q := 0; q < 20; q++ {
+					lo := rng.Int64N(domain)
+					hi := lo + rng.Int64N(domain/4) + 1
+					gc, gs := c.CountSum(lo, hi, updates.AllRows, (*Part).ProbeAt, (*Part).CrackedSelectAt)
+					if wc, ws := m.countSum(m.a, lo, hi); gc != wc || gs != ws {
+						t.Fatalf("%s: [%d, %d): %d/%d, a scan gives %d/%d", stage, lo, hi, gc, gs, wc, ws)
+					}
+				}
+			}
+			hasRows := func(c *Column) (with, without int) {
+				for _, p := range c.Parts() {
+					p.RLock()
+					if p.Cracked().HasRows() {
+						with++
+					} else {
+						without++
+					}
+					p.RUnlock()
+				}
+				return with, without
+			}
+			deleteOne := func(c *Column) {
+				t.Helper()
+				v := m.a[rng.IntN(n)]
+				if err := c.AttachRows(); err != nil {
+					t.Fatal(err)
+				}
+				g, ok := c.FirstLive(v)
+				if wg, wok := m.firstLive(m.a, v); ok != wok || g != wg {
+					t.Fatalf("FirstLive(%d) = %d/%v, a scan gives %d/%v", v, g, ok, wg, wok)
+				}
+				if ok {
+					c.DeleteRow(g)
+					m.dead[g] = true
+				}
+				c.MergePending()
+			}
+
+			answers("load", c)
+			deleteOne(c)
+			if with, without := hasRows(c); without != 0 {
+				t.Fatalf("before the snapshot: %d parts with row ids, %d without", with, without)
+			}
+			answers("a delete", c)
+			snap, err := c.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := NewColumnFromSnapshot(snap, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if with, _ := hasRows(r); with != 0 {
+				t.Fatalf("restored: %d parts with row ids", with)
+			}
+			answers("restored", r)
+			deleteOne(r)
+			if with, without := hasRows(r); without != 0 {
+				t.Fatalf("after the first delete: %d parts with row ids, %d without", with, without)
+			}
+			answers("restored, a delete", r)
+		})
 	}
 }

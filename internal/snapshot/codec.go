@@ -12,8 +12,9 @@ import (
 
 // snapMagic identifies a snapshot file; the trailing two bytes version the
 // format. 02 has one index block per part, with a sorted flag; 03 lets a
-// values-only copy write no row ids (a zero-length CrackRows). 02's grammar
-// is a subset of 03's, so the decoder reads both.
+// copy write no row ids (a zero-length slice). 02's grammar is a subset of
+// 03's, so the decoder reads both. This build writes no row ids and drops
+// those an older image holds: the first delete attaches them from the base.
 var snapMagic = [8]byte{'H', 'O', 'L', 'S', 'N', 'P', '0', '3'}
 
 // snapMagic02 is the previous format's magic, still read.
@@ -51,7 +52,7 @@ func stateSize(st engine.EngineState) int {
 			for _, p := range c.Parts {
 				n += sliceSize(len(p.Vals), 8) + sliceSize(len(p.Deleted), 1) + 1
 				if p.HasCrack {
-					n += sliceSize(len(p.CrackVals), 8) + sliceSize(len(p.CrackRows), 4) + uvarintLen(uint64(len(p.Boundaries))) + 1
+					n += sliceSize(len(p.CrackVals), 8) + sliceSize(0, 4) + uvarintLen(uint64(len(p.Boundaries))) + 1
 					for _, b := range p.Boundaries {
 						n += 8 + uvarintLen(uint64(b.Pos))
 					}
@@ -72,7 +73,7 @@ func appendColumnSnapshot(dst []byte, c shard.ColumnSnapshot) []byte {
 		dst = appendBool(dst, p.HasCrack)
 		if p.HasCrack {
 			dst = appendInt64s(dst, p.CrackVals)
-			dst = appendU32s(dst, p.CrackRows)
+			dst = append(dst, 0) // no row ids
 			dst = binary.AppendUvarint(dst, uint64(len(p.Boundaries)))
 			for _, b := range p.Boundaries {
 				dst = binary.LittleEndian.AppendUint64(dst, uint64(b.Key))
@@ -121,18 +122,13 @@ func (d *dec) bools() []bool {
 	return bs
 }
 
-// partInt64s and partU32s decode one of a part's per-row arrays with the
+// partInt64s decodes one of a part's per-row arrays with the
 // spare capacity a merge that moves it leaves (cracker.Slack): the log
 // replayed after the snapshot then merges its first rows in place, where an
 // exact array would be copied whole by the first insert.
 func (d *dec) partInt64s() []int64 {
 	s := d.bytes(8 * d.count(8, "int64 slice"))
 	return getInt64s(s, cracker.Slack(len(s)/8))
-}
-
-func (d *dec) partU32s() []uint32 {
-	s := d.bytes(4 * d.count(4, "uint32 slice"))
-	return getU32s(s, cracker.Slack(len(s)/4))
 }
 
 // DecodeState parses a snapshot file image, verifying magic and CRC. It
@@ -170,7 +166,12 @@ func DecodeState(b []byte) (engine.EngineState, error) {
 				p := &c.Parts[k]
 				p.Vals, p.Deleted, p.HasCrack = d.partInt64s(), d.bools(), d.bool()
 				if p.HasCrack {
-					p.CrackVals, p.CrackRows = d.partInt64s(), d.partU32s()
+					p.CrackVals = d.partInt64s()
+					if m := d.count(4, "row id"); m != 0 && m != len(p.CrackVals) {
+						d.fail("%d row ids for a copy of %d values", m, len(p.CrackVals))
+					} else {
+						d.bytes(4 * m) // an older image's row ids, dropped
+					}
 					p.Boundaries = make([]cracker.Boundary, d.count(9, "boundary"))
 					for l := range p.Boundaries {
 						p.Boundaries[l] = cracker.Boundary{Key: d.i64(), Pos: int(d.uvarint())}

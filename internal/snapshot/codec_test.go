@@ -30,7 +30,9 @@ var pinnedRecords = []Record{
 
 // pinnedState holds a cracked part with boundaries, a sorted part, parts
 // without an index, tombstones, an empty table, and uvarints of more than
-// one byte (Live, a boundary position).
+// one byte (Live, a boundary position). wantState is its image as an earlier
+// build wrote it, each copy with row ids: a[0]'s were 2, 0, 4 and a[1]'s
+// 3, 5, 1.
 func pinnedState() engine.EngineState {
 	return engine.EngineState{Tables: []engine.TableState{
 		{Name: "empty"},
@@ -38,12 +40,12 @@ func pinnedState() engine.EngineState {
 			{Name: "a", Rows: 6, Parts: []shard.PartSnapshot{
 				{
 					Vals: []int64{5, 3, 9}, Deleted: []bool{false, true, false},
-					HasCrack: true, CrackVals: []int64{3, 5, 9}, CrackRows: []uint32{2, 0, 4},
+					HasCrack: true, CrackVals: []int64{3, 5, 9},
 					Boundaries: []cracker.Boundary{{Key: 4, Pos: 1}, {Key: 9, Pos: 2}, {Key: -1 << 40, Pos: 300}},
 				},
 				{
 					Vals: []int64{300, -2, 7}, Deleted: []bool{false, false, true},
-					HasCrack: true, CrackVals: []int64{-2, 7, 300}, CrackRows: []uint32{3, 5, 1}, Sorted: true,
+					HasCrack: true, CrackVals: []int64{-2, 7, 300}, Sorted: true,
 				},
 			}},
 			{Name: "b", Rows: 6, Parts: []shard.PartSnapshot{
@@ -73,10 +75,70 @@ func pinnedValuesOnlyState() engine.EngineState {
 	}}
 }
 
+// wantState is pinnedState's image with row ids beside every copy, as
+// earlier builds wrote it. wantStateValuesOnly is the same image with each
+// row-id slice emptied (withoutRowIDs), which is what this build writes.
+const (
+	wantState           = "484f4c534e5030330205656d7074790000026b76e807020161016106020305000000000000000300000000000000090000000000000003000100010303000000000000000500000000000000090000000000000003020000000000000004000000030400000000000000010900000000000000020000000000ffffffac0200032c01000000000000feffffffffffffff0700000000000000030000010103feffffffffffffff07000000000000002c01000000000000030300000005000000010000000001016201620602030a00000000000000060000000000000012000000000000000300010000035802000000000000fcffffffffffffff0e000000000000000300000100e941d0e4"
+	wantStateValuesOnly = "484f4c534e5030330205656d7074790000026b76e807020161016106020305000000000000000300000000000000090000000000000003000100010303000000000000000500000000000000090000000000000000030400000000000000010900000000000000020000000000ffffffac0200032c01000000000000feffffffffffffff0700000000000000030000010103feffffffffffffff07000000000000002c01000000000000000001016201620602030a00000000000000060000000000000012000000000000000300010000035802000000000000fcffffffffffffff0e0000000000000003000001004b2c620c"
+)
+
+// fromHex decodes a pinned image.
+func fromHex(s string) []byte {
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// withoutRowIDs is what a decoded image re-encodes to: the same bytes
+// behind the current magic with each copy's row-id slice emptied, under
+// its own checksum. It walks the grammar of an image that decoded, copying
+// every byte but the row ids.
+func withoutRowIDs(img []byte) []byte {
+	b, off := img[:len(img)-4], len(snapMagic)
+	out := append(make([]byte, 0, len(b)), snapMagic[:]...)
+	uv := func() int {
+		v, n := binary.Uvarint(b[off:])
+		out, off = append(out, b[off:off+n]...), off+n
+		return int(v)
+	}
+	keep := func(n int) { out, off = append(out, b[off:off+n]...), off+n }
+	for range uv() { // tables: name, live, columns
+		keep(uv())
+		uv()
+		for range uv() { // columns: name in the table, own name, rows, parts
+			keep(uv())
+			keep(uv())
+			uv()
+			for range uv() { // parts: values, tombstones, index flag
+				keep(8 * uv())
+				keep(uv())
+				hasCrack := b[off] == 1
+				keep(1)
+				if hasCrack { // copy, row ids, boundaries, sorted flag
+					keep(8 * uv())
+					rows, n := binary.Uvarint(b[off:])
+					out, off = append(out, 0), off+n+4*int(rows)
+					for range uv() {
+						keep(8)
+						uv()
+					}
+					keep(1)
+				}
+			}
+		}
+	}
+	return seal(out)
+}
+
 // TestEncodingUnchanged pins the on-disk bytes of both encoders. The
-// expected images were produced by the append-per-value encoders this
-// package used before it sized its output, so a pass proves the sized
+// records and wantState were produced by the append-per-value encoders
+// this package used before it sized its output, so a pass proves the sized
 // encoders write the same bytes and that existing data directories open.
+// An image with row ids decodes with them dropped: wantState re-encodes to
+// wantStateValuesOnly, pinnedState's image.
 func TestEncodingUnchanged(t *testing.T) {
 	wantRecords := []string{
 		"010174",
@@ -97,13 +159,15 @@ func TestEncodingUnchanged(t *testing.T) {
 			t.Fatalf("record op %d does not survive a decode", r.Op)
 		}
 	}
-	const wantState = "484f4c534e5030330205656d7074790000026b76e807020161016106020305000000000000000300000000000000090000000000000003000100010303000000000000000500000000000000090000000000000003020000000000000004000000030400000000000000010900000000000000020000000000ffffffac0200032c01000000000000feffffffffffffff0700000000000000030000010103feffffffffffffff07000000000000002c01000000000000030300000005000000010000000001016201620602030a00000000000000060000000000000012000000000000000300010000035802000000000000fcffffffffffffff0e000000000000000300000100e941d0e4"
 	const wantValuesOnly = "484f4c534e50303301017604010161016106020305000000000000000300000000000000090000000000000003000100010205000000000000000900000000000000000106000000000000000100032c01000000000000feffffffffffffff0700000000000000030000010102feffffffffffffff2c0100000000000000000139cedaca"
+	if h := hex.EncodeToString(withoutRowIDs(fromHex(wantState))); h != wantStateValuesOnly {
+		t.Fatalf("wantState without its row ids:\n got %s\nwant %s", h, wantStateValuesOnly)
+	}
 	for _, c := range []struct {
 		name string
 		st   engine.EngineState
 		want string
-	}{{"state", pinnedState(), wantState}, {"values-only state", pinnedValuesOnlyState(), wantValuesOnly}} {
+	}{{"state", pinnedState(), wantStateValuesOnly}, {"values-only state", pinnedValuesOnlyState(), wantValuesOnly}} {
 		img := EncodeState(c.st)
 		if h := hex.EncodeToString(img); h != c.want {
 			t.Fatalf("%s:\n got %s\nwant %s", c.name, h, c.want)
@@ -116,12 +180,20 @@ func TestEncodingUnchanged(t *testing.T) {
 			t.Fatalf("pinned %s does not survive a decode", c.name)
 		}
 	}
+	st, err := DecodeState(fromHex(wantState))
+	if err != nil {
+		t.Fatalf("the image with row ids does not decode: %v", err)
+	}
+	if h := hex.EncodeToString(EncodeState(st)); h != wantStateValuesOnly {
+		t.Fatalf("the image with row ids re-encodes to\n %s\nwant %s", h, wantStateValuesOnly)
+	}
 }
 
 // TestFormat02Reads: an image of the previous format, 02, whose grammar is a
-// subset of 03's, decodes to the state it holds.
+// subset of 03's and whose every copy carries row ids, decodes to the state
+// it holds with the row ids dropped.
 func TestFormat02Reads(t *testing.T) {
-	img := EncodeState(pinnedState())
+	img := fromHex(wantState)
 	copy(img, snapMagic02[:])
 	st, err := DecodeState(seal(img[:len(img)-4]))
 	if err != nil {
@@ -130,6 +202,40 @@ func TestFormat02Reads(t *testing.T) {
 	if !bytes.Equal(EncodeState(st), EncodeState(pinnedState())) {
 		t.Fatalf("format 02 image decodes to another state")
 	}
+}
+
+// TestImageWithRowIDsRestores: an image an earlier build wrote of a live
+// engine — two parts per column, column a's copies with the row ids its
+// delete of a=7 attached, b's values-only — decodes, restores and answers,
+// and its first DELETE resolves through the copies the restore left
+// values-only.
+func TestImageWithRowIDsRestores(t *testing.T) {
+	const img = "484f4c534e50303301026b7609020161046b762e610a0205050000000000000009000000000000000700000000000000080000000000000004000000000000000500000100000104040000000000000005000000000000000900000000000000080000000000000004080000000000000002000000060000000401000000000000000003000000000000000005000000000000000107000000000000000200050300000000000000010000000000000002000000000000000600000000000000000000000000000005000000000001050000000000000000010000000000000002000000000000000300000000000000060000000000000005090000000300000005000000010000000700000004010000000000000001030000000000000003050000000000000004070000000000000005000162046b762e620a020532000000000000005a0000000000000046000000000000005000000000000000280000000000000005000001000001042800000000000000320000000000000050000000000000005a00000000000000000219000000000000000041000000000000000200051e000000000000000a0000000000000014000000000000003c00000000000000000000000000000005000000000001050a00000000000000140000000000000000000000000000001e000000000000003c000000000000000002190000000000000003410000000000000005008cbdaac2"
+	st, err := DecodeState(fromHex(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engine.New(engine.Config{Strategy: engine.StrategyHolistic, Seed: 42, Shards: 2})
+	defer e.Close()
+	if err := e.RestoreState(st); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	again, err := e.CaptureState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(EncodeState(again), withoutRowIDs(fromHex(img))) {
+		t.Fatal("the restored engine captures to another state than the image without its row ids")
+	}
+	// a was 5 3 9 1 7 2 8 6 4 0 and b ten times a; a=7 (row 4) is deleted.
+	expect(t, e, "a", 0, 10, 9, 38)
+	expect(t, e, "b", 0, 100, 9, 380)
+	tb, _ := e.Table("kv")
+	if n, err := tb.DeleteWhereIn("a", []int64{3, 7}); err != nil || n != 1 {
+		t.Fatalf("DeleteWhereIn(a, 3, 7) = %d, %v; want 1 (a=3, row 1), nil", n, err)
+	}
+	expect(t, e, "a", 0, 10, 8, 35)
+	expect(t, e, "b", 0, 100, 8, 350)
 }
 
 // TestLoadInsertDeleteRoundTrip takes a loaded, inserted-into and
@@ -182,9 +288,9 @@ func TestLoadInsertDeleteRoundTrip(t *testing.T) {
 	expect(t, r, "a", 0, 6000, 1001, 999*1000/2-4+5000+5002)
 }
 
-// TestDecodedPartsKeepMergeSlack: a decoded part's base, copy and row ids
-// come with the spare capacity a merge leaves (cracker.Slack), so the log
-// replayed after a snapshot merges its first rows without moving them.
+// TestDecodedPartsKeepMergeSlack: a decoded part's base and copy come with
+// the spare capacity a merge leaves (cracker.Slack), so the log replayed
+// after a snapshot merges its first rows without moving them.
 func TestDecodedPartsKeepMergeSlack(t *testing.T) {
 	e := engine.New(engine.Config{Strategy: engine.StrategyHolistic, Seed: 42, Shards: 2})
 	defer e.Close()
@@ -194,7 +300,7 @@ func TestDecodedPartsKeepMergeSlack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n, err := tb.DeleteWhereIn("a", []int64{7, 8}); err != nil || n != 2 { // attaches a's row ids
+	if n, err := tb.DeleteWhereIn("a", []int64{7, 8}); err != nil || n != 2 {
 		t.Fatalf("DeleteWhereIn = %d, %v", n, err)
 	}
 	e.MergePending()
@@ -211,11 +317,8 @@ func TestDecodedPartsKeepMergeSlack(t *testing.T) {
 			if n := len(p.Vals); cap(p.Vals) != n+n/64 {
 				t.Fatalf("%s part %d: base of %d rows has capacity %d, want %d", c.Name, i, n, cap(p.Vals), n+n/64)
 			}
-			if n := len(p.CrackVals); !p.HasCrack || cap(p.CrackVals) != n+n/64 || cap(p.CrackRows) != len(p.CrackRows)+len(p.CrackRows)/64 {
-				t.Fatalf("%s part %d: copy of %d values has capacity %d, row ids %d of %d", c.Name, i, n, cap(p.CrackVals), len(p.CrackRows), cap(p.CrackRows))
-			}
-			if (len(p.CrackRows) > 0) != (c.Name == "kv.a") {
-				t.Fatalf("%s part %d: %d row ids; only a's delete attaches them", c.Name, i, len(p.CrackRows))
+			if n := len(p.CrackVals); !p.HasCrack || cap(p.CrackVals) != n+n/64 {
+				t.Fatalf("%s part %d: copy of %d values has capacity %d, want %d", c.Name, i, n, cap(p.CrackVals), n+n/64)
 			}
 		}
 	}
@@ -383,6 +486,20 @@ func TestDecodeRejectsNonCanonical(t *testing.T) {
 	if _, err := DecodeState(seal(body)); err == nil {
 		t.Errorf("bool 2 decoded")
 	}
+
+	// A copy's row ids are none or one per value. The image ends with the
+	// two-value copy's empty row-id slice, no boundaries and the sorted flag.
+	img = EncodeState(engine.EngineState{Tables: []engine.TableState{{Name: "t", Order: []string{"a"},
+		Columns: []shard.ColumnSnapshot{{Name: "a", Parts: []shard.PartSnapshot{{Vals: []int64{7, 8}, Deleted: []bool{false, false},
+			HasCrack: true, CrackVals: []int64{7, 8}}}}}}}})
+	head := img[:len(img)-4-3]
+	for rows := range 4 {
+		body := binary.AppendUvarint(slices.Clone(head), uint64(rows))
+		body = append(append(body, make([]byte, 4*rows)...), 0, 0)
+		if _, err := DecodeState(seal(body)); (err == nil) != (rows == 0 || rows == 2) {
+			t.Errorf("%d row ids for a copy of 2 values: %v", rows, err)
+		}
+	}
 }
 
 // FuzzDecodeRecord: DecodeRecord never panics, and a record that decodes
@@ -406,11 +523,12 @@ func FuzzDecodeRecord(f *testing.F) {
 }
 
 // FuzzDecodeState: DecodeState never panics, and a state that decodes
-// re-encodes to the same image (a format 02 one as 03). The input is taken both as a whole image
-// and as a body sealed with its CRC, so the fuzzer reaches the decoder
-// behind the checksum.
+// re-encodes to the same image with each copy's row ids emptied and a
+// format 02 magic as 03 (withoutRowIDs), so a decoder that drops any other
+// byte fails. The input is taken both as a whole image and as a body sealed
+// with its CRC, so the fuzzer reaches the decoder behind the checksum.
 func FuzzDecodeState(f *testing.F) {
-	img := EncodeState(pinnedState())
+	img := fromHex(wantState)
 	f.Add(img[:len(img)-4])
 	vo := EncodeState(pinnedValuesOnlyState())
 	f.Add(vo[:len(vo)-4])
@@ -425,13 +543,7 @@ func FuzzDecodeState(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// A format 02 image re-encodes as 03: the same body behind the
-		// current magic, under its own checksum.
-		want := sealed
-		if [8]byte(sealed[:8]) == snapMagic02 {
-			want = seal(append(snapMagic[:], sealed[8:len(sealed)-4]...))
-		}
-		if got := EncodeState(st); !bytes.Equal(got, want) {
+		if got, want := EncodeState(st), withoutRowIDs(sealed); !bytes.Equal(got, want) {
 			t.Fatalf("re-encoded %x, decoded from %x", got, sealed)
 		}
 	})
@@ -445,11 +557,10 @@ func benchState() engine.EngineState {
 		c := shard.ColumnSnapshot{Name: name, Rows: parts * per}
 		for p := range parts {
 			ps := shard.PartSnapshot{Vals: make([]int64, per), Deleted: make([]bool, per), HasCrack: true,
-				CrackVals: make([]int64, per), CrackRows: make([]uint32, per), Sorted: sorted}
+				CrackVals: make([]int64, per), Sorted: sorted}
 			for i := range per {
 				ps.Vals[i] = int64((i*7919 + p) % per)
 				ps.CrackVals[i] = int64(i)
-				ps.CrackRows[i] = uint32(i*parts + p)
 				ps.Deleted[i] = i%97 == 0
 			}
 			if !sorted {

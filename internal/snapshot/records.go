@@ -238,11 +238,9 @@ func getInt64s(s []byte, spare int) []int64 {
 
 func (d *dec) int64s() []int64 { return getInt64s(d.bytes(8*d.count(8, "int64 slice")), 0) }
 
-func (d *dec) u32s() []uint32 { return getU32s(d.bytes(4*d.count(4, "uint32 slice")), 0) }
-
-// getU32s is getInt64s for uint32s.
-func getU32s(s []byte, spare int) []uint32 {
-	vs := make([]uint32, len(s)/4, len(s)/4+spare)
+func (d *dec) u32s() []uint32 {
+	s := d.bytes(4 * d.count(4, "uint32 slice"))
+	vs := make([]uint32, len(s)/4)
 	for i := range vs {
 		vs[i] = binary.LittleEndian.Uint32(s[4*i:])
 	}

@@ -292,6 +292,73 @@ func TestCorruptSnapshotFailsLoudly(t *testing.T) {
 	}
 }
 
+// TestCorruptCopyFailsFirstDelete: a snapshot whose copy has one value
+// changed inside its piece's bounds carries a valid checksum and passes
+// restore (the copy's length and the index's invariants hold). Row ids are
+// not in the file, so the first DELETE attaches them from the base, and
+// that attach refuses the copy: the statement fails naming the part, and
+// no row is tombstoned, buffered or logged.
+func TestCorruptCopyFailsFirstDelete(t *testing.T) {
+	dir := t.TempDir()
+	twoParts := func() *engine.Engine {
+		e := engine.New(engine.Config{Strategy: engine.StrategyHolistic, Seed: 42, Shards: 2})
+		t.Cleanup(e.Close)
+		return e
+	}
+	e1 := twoParts()
+	s1, _ := openStore(t, nil, dir, e1)
+	seedTable(t, e1, 5000)
+	for _, q := range [][2]int64{{100, 900}, {1500, 2500}} {
+		if _, err := e1.Select("kv", "a", q[0], q[1]); err != nil {
+			t.Fatalf("Select: %v", err)
+		}
+	}
+	if _, err := s1.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	s1.Close()
+
+	snap := filepath.Join(dir, "snap-1.snap")
+	b, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatalf("read snapshot: %v", err)
+	}
+	st, err := DecodeState(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Column a holds a=i, part 0 its even rows: give part 0's piece
+	// [100, 900) the value 102 twice, one in place of another of its values.
+	p := &st.Tables[0].Columns[0].Parts[0]
+	i := slices.IndexFunc(p.CrackVals, func(v int64) bool { return v >= 100 && v < 900 && v != 102 })
+	if !p.HasCrack || i < 0 || !slices.Contains(p.CrackVals, 102) {
+		t.Fatalf("setup: part 0 of a has no piece [100, 900) holding 102 and another value")
+	}
+	p.CrackVals[i] = 102
+	if err := os.WriteFile(snap, EncodeState(st), 0o644); err != nil {
+		t.Fatalf("write snapshot: %v", err)
+	}
+
+	e2 := twoParts()
+	s2, info := openStore(t, nil, dir, e2)
+	if !info.SnapshotLoaded {
+		t.Fatalf("the snapshot did not load: %+v", info)
+	}
+	tb, _ := e2.Table("kv")
+	records := s2.LogStats().Records
+	n, err := tb.DeleteWhereIn("a", []int64{3000, 4})
+	if err == nil || n != 0 || !strings.Contains(err.Error(), "part kv.a#0:") || strings.Contains(err.Error(), "kv.a#1") {
+		t.Fatalf("DeleteWhereIn over the corrupt copy = %d, %v; want 0 and an error naming kv.a#0 alone", n, err)
+	}
+	if got := s2.LogStats().Records; got != records {
+		t.Fatalf("the refused DELETE logged %d records", got-records)
+	}
+	if live, pending := tb.Rows(), tb.PendingOps(); live != 5000 || pending != 0 {
+		t.Fatalf("after the refused DELETE: %d live rows, %d buffered ops; want 5000 and 0", live, pending)
+	}
+	expect(t, e2, "b", 0, 10_000, 5000, 5000*4999)
+}
+
 // TestOlderFormatNamed: a snapshot of an older format is refused with its
 // version named, not as bad magic.
 func TestOlderFormatNamed(t *testing.T) {
