@@ -1,6 +1,6 @@
 // Benchmarks that regenerate every table and figure of the paper's
-// evaluation section, plus ablations of the design choices DESIGN.md calls
-// out. Figure/table benches run a complete (scaled) experiment per
+// evaluation section, plus ablations of the design choices ARCHITECTURE.md
+// describes. Figure/table benches run a complete (scaled) experiment per
 // iteration and report the headline quantities as custom metrics, so
 // `go test -bench=. -benchmem` reproduces the paper's evaluation end to end;
 // `cmd/holisticbench` runs the same experiments at arbitrary scale.
@@ -8,7 +8,7 @@
 // Scale note: the paper uses N=10^8 rows and 10^4 queries on a 2012 Xeon;
 // these benches default to N≈10^6 and 10^3..2·10^3 queries so the whole
 // suite stays CI-sized. The curves' shape — who wins, by what factor, where
-// the crossovers sit — is preserved (see EXPERIMENTS.md).
+// the crossovers sit — is preserved.
 package holistic_test
 
 import (
@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -59,15 +60,18 @@ func benchFig3(b *testing.B, x int) {
 	reportSeconds(b, "holistic-s", res.Holistic.Total().Seconds())
 	reportSeconds(b, "t_init-s", res.TInit.Seconds())
 	reportSeconds(b, "t_sort-s", res.TSort.Seconds())
+	// Table 2's cells: each strategy's total work, idle tuning and (for
+	// offline) the whole build included.
+	for _, row := range harness.Table2(res) {
+		reportSeconds(b, strings.ToLower(row.Strategy)+"-total-s", row.TotalWork.Seconds())
+	}
 }
 
 func BenchmarkFig3a_X10(b *testing.B)   { benchFig3(b, 10) }
 func BenchmarkFig3b_X100(b *testing.B)  { benchFig3(b, 100) }
 func BenchmarkFig3c_X1000(b *testing.B) { benchFig3(b, 1000) }
 
-// --- Table 2: total time per strategy, one bench per row ------------------
-// Each bench times exactly one strategy's full query sequence, so ns/op is
-// the strategy's total time — the paper's Table 2 cells.
+// --- Shared by the ablations: one column and its query sequence ---------
 
 func table2Data() ([]int64, []workload.Query) {
 	data := workload.UniformData(1, benchN, 1, benchN+1)
@@ -77,19 +81,6 @@ func table2Data() ([]int64, []workload.Query) {
 		qs[i] = gen.Next()
 	}
 	return data, qs
-}
-
-func newBenchEngine(b *testing.B, s holistic.Strategy, data []int64) *holistic.Engine {
-	b.Helper()
-	e := holistic.New(holistic.Config{Strategy: s, Seed: 3, TargetPieceSize: 1 << 14})
-	tab, err := e.CreateTable("R")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := tab.AddColumnFromSlice("A", append([]int64{}, data...)); err != nil {
-		b.Fatal(err)
-	}
-	return e
 }
 
 func runSequence(b *testing.B, e *holistic.Engine, qs []workload.Query, idleEvery, x int) {
@@ -105,58 +96,6 @@ func runSequence(b *testing.B, e *holistic.Engine, qs []workload.Query, idleEver
 		}
 	}
 }
-
-func BenchmarkTable2Scan(b *testing.B) {
-	data, qs := table2Data()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		e := newBenchEngine(b, holistic.StrategyScan, data)
-		b.StartTimer()
-		runSequence(b, e, qs, 0, 0)
-		e.Close()
-	}
-}
-
-func BenchmarkTable2Offline(b *testing.B) {
-	data, qs := table2Data()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		e := newBenchEngine(b, holistic.StrategyOffline, data)
-		b.StartTimer()
-		// Table 2 charges offline the full build.
-		if _, err := e.BuildFullIndex("R", "A"); err != nil {
-			b.Fatal(err)
-		}
-		runSequence(b, e, qs, 0, 0)
-		e.Close()
-	}
-}
-
-func BenchmarkTable2Adaptive(b *testing.B) {
-	data, qs := table2Data()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		e := newBenchEngine(b, holistic.StrategyAdaptive, data)
-		b.StartTimer()
-		runSequence(b, e, qs, 0, 0)
-		e.Close()
-	}
-}
-
-func benchTable2Holistic(b *testing.B, x int) {
-	data, qs := table2Data()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		e := newBenchEngine(b, holistic.StrategyHolistic, data)
-		b.StartTimer()
-		runSequence(b, e, qs, 100, x)
-		e.Close()
-	}
-}
-
-func BenchmarkTable2Holistic_X10(b *testing.B)   { benchTable2Holistic(b, 10) }
-func BenchmarkTable2Holistic_X100(b *testing.B)  { benchTable2Holistic(b, 100) }
-func BenchmarkTable2Holistic_X1000(b *testing.B) { benchTable2Holistic(b, 1000) }
 
 // --- Figure 4: multi-column experiment ------------------------------------
 

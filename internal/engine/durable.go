@@ -178,9 +178,9 @@ func (e *Engine) RestoreState(st EngineState) error {
 				return fmt.Errorf("engine: restore %s: snapshot names column %q", qname, sc.Name())
 			}
 			cat = cat.with(cname, sc)
-			if i == 0 {
-				t.rows.Store(int64(sc.Rows()))
-				t.visible.Store(int64(sc.Rows()))
+			if i == 0 { // NewColumnFromSnapshot checked Rows against the parts
+				t.rows.Store(ts.Columns[i].Rows)
+				t.visible.Store(ts.Columns[i].Rows)
 			}
 			e.registerColumn(sc)
 		}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"holistic/internal/shard"
+	"holistic/internal/updates"
 )
 
 func randomVals(rng *rand.Rand, n int, domain int64) []int64 {
@@ -47,7 +48,7 @@ func naiveRange(vals []int64, lo, hi int64) (int, int64) {
 // the reference tests compare against at quiesced points.
 func oracleScan(sc *shard.Column, lo, hi int64) (count int, sum int64) {
 	for _, p := range sc.Parts() {
-		c, s := p.ScanCountSum(lo, hi)
+		c, s := p.ScanCountSumAt(lo, hi, updates.AllRows)
 		count, sum = count+c, sum+s
 	}
 	return count, sum

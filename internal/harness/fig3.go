@@ -72,166 +72,82 @@ func (r *Fig3Result) Strategies() []*Series {
 // column of Table 2.
 func RunFig3(cfg Fig3Config) (*Fig3Result, error) {
 	cfg.fill()
-	data := workload.UniformData(cfg.Seed, cfg.N, 1, int64(cfg.N)+1)
-	queries := pregenerate(cfg.Seed+1, "R", "A", 1, int64(cfg.N)+1, cfg.Selectivity, cfg.Queries)
+	cols := []column{{"A", workload.UniformData(cfg.Seed, cfg.N, 1, int64(cfg.N)+1)}}
+	queries := pregenerate(workload.NewUniform("R", "A", 1, int64(cfg.N)+1, cfg.Selectivity, cfg.Seed+1), cfg.Queries)
 
 	res := &Fig3Result{}
-
-	// Holistic first: its initial idle window defines T_init, which the
-	// offline run may exploit (the paper gives offline the same a-priori
+	var want []checksum
+	// Holistic first: its a-priori idle window defines T_init, which
+	// offline's build may use (the paper gives offline the same a-priori
 	// idle time).
-	holistic, sums, tInit, idleTotal, err := runHolisticFig3(cfg, data, queries)
-	if err != nil {
-		return nil, err
+	for _, r := range []struct {
+		strategy engine.Strategy
+		out      *Series
+		name     string
+	}{
+		{engine.StrategyHolistic, &res.Holistic, "Holistic Indexing"},
+		{engine.StrategyScan, &res.Scan, "Scan"},
+		{engine.StrategyAdaptive, &res.Adaptive, "Database Cracking"},
+		{engine.StrategyOffline, &res.Offline, "Offline Indexing"},
+	} {
+		s, sums, err := res.run(cfg, r.strategy, r.name, cols, queries)
+		if err != nil {
+			return nil, err
+		}
+		if want == nil {
+			want = sums
+		}
+		if err := verifyAgainst(want, sums, r.name); err != nil {
+			return nil, err
+		}
+		*r.out = s
 	}
-	res.Holistic = holistic
-	res.TInit = tInit
-	res.IdleTotal = idleTotal
-
-	scan, err := runPlain(engine.StrategyScan, "Scan", cfg, data, queries, sums)
-	if err != nil {
-		return nil, err
-	}
-	res.Scan = scan
-
-	adaptive, err := runPlain(engine.StrategyAdaptive, "Database Cracking", cfg, data, queries, sums)
-	if err != nil {
-		return nil, err
-	}
-	res.Adaptive = adaptive
-
-	offline, tSort, err := runOfflineFig3(cfg, data, queries, sums, tInit)
-	if err != nil {
-		return nil, err
-	}
-	res.Offline = offline
-	res.TSort = tSort
 	return res, nil
+}
+
+// run is one strategy's part of Exp1, on an engine of its own. Its row of
+// Table 1 picks the a-priori step — X refinement actions, timed as T_init,
+// with incremental indexing; otherwise a full index build, whose part past
+// T_init query 1 waits for (the paper's "queries start arriving before the
+// index is ready") — and whether it uses the idle windows during the
+// workload.
+func (r *Fig3Result) run(cfg Fig3Config, strategy engine.Strategy, name string, cols []column, queries []workload.Query) (Series, []checksum, error) {
+	e, err := newEngine(strategy, cfg.Seed, cfg.TargetPieceSize, cfg.IdleWorkers, cols)
+	if err != nil {
+		return Series{}, nil, err
+	}
+	defer e.Close()
+	caps := strategy.Capabilities()
+	var firstWait time.Duration
+	switch {
+	case caps.IdleTimeAPriori && caps.IncrementalIndexing:
+		t0 := time.Now()
+		e.IdleActions(cfg.X)
+		r.TInit = time.Since(t0)
+		r.IdleTotal += r.TInit
+	case caps.IdleTimeAPriori:
+		if r.TSort, err = e.BuildFullIndex("R", "A"); err != nil {
+			return Series{}, nil, err
+		}
+		firstWait = max(r.TSort-r.TInit, 0)
+	}
+	x := 0
+	if caps.IdleTimeDuring {
+		x = cfg.X
+	}
+	s, sums, idle, err := pass(e, name, queries, cfg.IdleEvery, x, firstWait)
+	r.IdleTotal += idle
+	return s, sums, err
 }
 
 // pregenerate fixes the query sequence so every strategy answers the same
 // workload.
-func pregenerate(seed uint64, table, col string, domLo, domHi int64, sel float64, n int) []workload.Query {
-	gen := workload.NewUniform(table, col, domLo, domHi, sel, seed)
+func pregenerate(gen workload.Generator, n int) []workload.Query {
 	qs := make([]workload.Query, n)
 	for i := range qs {
 		qs[i] = gen.Next()
 	}
 	return qs
-}
-
-// newEngine builds a single-column engine over a private copy of data.
-func newEngine(strategy engine.Strategy, cfg Fig3Config, data []int64) (*engine.Engine, error) {
-	e := engine.New(engine.Config{
-		Strategy:        strategy,
-		Seed:            cfg.Seed,
-		TargetPieceSize: cfg.TargetPieceSize,
-		IdleWorkers:     cfg.IdleWorkers,
-	})
-	tab, err := e.CreateTable("R")
-	if err != nil {
-		return nil, err
-	}
-	if err := tab.AddColumnFromSlice("A", append([]int64{}, data...)); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-func runHolisticFig3(cfg Fig3Config, data []int64, queries []workload.Query) (Series, []checksum, time.Duration, time.Duration, error) {
-	e, err := newEngine(engine.StrategyHolistic, cfg, data)
-	if err != nil {
-		return Series{}, nil, 0, 0, err
-	}
-	defer e.Close()
-	s := Series{Name: "Holistic Indexing", PerQuery: make([]time.Duration, 0, len(queries))}
-	sums := make([]checksum, 0, len(queries))
-
-	// A-priori idle window: X refinement actions on the fresh column.
-	t0 := time.Now()
-	e.IdleActions(cfg.X)
-	tInit := time.Since(t0)
-	idleTotal := tInit
-
-	for i, q := range queries {
-		if i > 0 && i%cfg.IdleEvery == 0 {
-			t0 = time.Now()
-			e.IdleActions(cfg.X)
-			idleTotal += time.Since(t0)
-		}
-		r, err := e.Select(q.Table, q.Column, q.Lo, q.Hi)
-		if err != nil {
-			return Series{}, nil, 0, 0, err
-		}
-		s.PerQuery = append(s.PerQuery, r.Elapsed)
-		sums = append(sums, checksum{r.Count, r.Sum})
-	}
-	s.SetExtra("t_init", tInit.Seconds())
-	s.SetExtra("idle_total", idleTotal.Seconds())
-	return s, sums, tInit, idleTotal, nil
-}
-
-// runPlain runs scan or adaptive: no idle exploitation (Table 1's × marks).
-func runPlain(strategy engine.Strategy, name string, cfg Fig3Config, data []int64, queries []workload.Query, expect []checksum) (Series, error) {
-	e, err := newEngine(strategy, cfg, data)
-	if err != nil {
-		return Series{}, err
-	}
-	defer e.Close()
-	s := Series{Name: name, PerQuery: make([]time.Duration, 0, len(queries))}
-	sums := make([]checksum, 0, len(queries))
-	for _, q := range queries {
-		r, err := e.Select(q.Table, q.Column, q.Lo, q.Hi)
-		if err != nil {
-			return Series{}, err
-		}
-		s.PerQuery = append(s.PerQuery, r.Elapsed)
-		sums = append(sums, checksum{r.Count, r.Sum})
-	}
-	if err := verifyAgainst(expect, sums, name); err != nil {
-		return Series{}, err
-	}
-	return s, nil
-}
-
-// runOfflineFig3 builds the full index a priori; the a-priori idle window
-// (tInit) covers part of the sort, and the first query waits for the rest —
-// the paper's "queries start arriving before the index is ready and have to
-// wait for indexing to finish".
-func runOfflineFig3(cfg Fig3Config, data []int64, queries []workload.Query, expect []checksum, tInit time.Duration) (Series, time.Duration, error) {
-	e, err := newEngine(engine.StrategyOffline, cfg, data)
-	if err != nil {
-		return Series{}, 0, err
-	}
-	defer e.Close()
-	tSort, err := e.BuildFullIndex("R", "A")
-	if err != nil {
-		return Series{}, 0, err
-	}
-	uncovered := tSort - tInit
-	if uncovered < 0 {
-		uncovered = 0
-	}
-	s := Series{Name: "Offline Indexing", PerQuery: make([]time.Duration, 0, len(queries))}
-	sums := make([]checksum, 0, len(queries))
-	for i, q := range queries {
-		r, err := e.Select(q.Table, q.Column, q.Lo, q.Hi)
-		if err != nil {
-			return Series{}, 0, err
-		}
-		d := r.Elapsed
-		if i == 0 {
-			d += uncovered
-		}
-		s.PerQuery = append(s.PerQuery, d)
-		sums = append(sums, checksum{r.Count, r.Sum})
-	}
-	if err := verifyAgainst(expect, sums, s.Name); err != nil {
-		return Series{}, 0, err
-	}
-	s.SetExtra("t_sort", tSort.Seconds())
-	s.SetExtra("build_wait", uncovered.Seconds())
-	return s, tSort, nil
 }
 
 // Table2Row is one strategy's line in the paper's Table 2.

@@ -60,102 +60,69 @@ type Fig4Result struct {
 	HolisticIdle time.Duration
 }
 
-// colName returns the i-th column's name (A1..An, as in the paper).
-func colName(i int) string { return fmt.Sprintf("A%d", i+1) }
-
 // RunFig4 executes Exp2. Both strategies see identical columns and the same
-// round-robin query sequence; results are cross-verified.
+// round-robin query sequence, one after the other, offline first; results
+// are cross-verified.
 func RunFig4(cfg Fig4Config) (*Fig4Result, error) {
 	cfg.fill()
 	domHi := int64(cfg.N) + 1
-	cols := make([][]int64, cfg.Columns)
-	for i := range cols {
-		cols[i] = workload.UniformData(cfg.Seed+uint64(i)*101, cfg.N, 1, domHi)
-	}
-	// Round-robin query sequence over all columns.
+	cols := make([]column, cfg.Columns)
 	gens := make([]workload.Generator, cfg.Columns)
-	for i := range gens {
-		gens[i] = workload.NewUniform("R", colName(i), 1, domHi, cfg.Selectivity, cfg.Seed+7000+uint64(i))
+	for i := range cols {
+		name := fmt.Sprintf("A%d", i+1) // A1..An, as in the paper
+		cols[i] = column{name, workload.UniformData(cfg.Seed+uint64(i)*101, cfg.N, 1, domHi)}
+		gens[i] = workload.NewUniform("R", name, 1, domHi, cfg.Selectivity, cfg.Seed+7000+uint64(i))
 	}
-	rr := workload.NewRoundRobin(gens...)
-	queries := make([]workload.Query, cfg.Queries)
-	for i := range queries {
-		queries[i] = rr.Next()
-	}
-
-	build := func(strategy engine.Strategy) (*engine.Engine, error) {
-		e := engine.New(engine.Config{
-			Strategy:        strategy,
-			Seed:            cfg.Seed,
-			TargetPieceSize: cfg.TargetPieceSize,
-			IdleWorkers:     cfg.IdleWorkers,
-		})
-		tab, err := e.CreateTable("R")
-		if err != nil {
-			return nil, err
-		}
-		for i, data := range cols {
-			if err := tab.AddColumnFromSlice(colName(i), append([]int64{}, data...)); err != nil {
-				return nil, err
-			}
-		}
-		return e, nil
-	}
+	queries := pregenerate(workload.NewRoundRobin(gens...), cfg.Queries)
 
 	res := &Fig4Result{}
-
-	// Offline: sort the first FullIndexes columns during the idle window.
-	eOff, err := build(engine.StrategyOffline)
-	if err != nil {
-		return nil, err
-	}
-	defer eOff.Close()
-	t0 := time.Now()
-	for i := 0; i < cfg.FullIndexes; i++ {
-		if _, err := eOff.BuildFullIndex("R", colName(i)); err != nil {
-			return nil, err
-		}
-	}
-	res.OfflineIdle = time.Since(t0)
-
-	// Holistic: spread ActionsPerColumn × Columns refinements; with no
-	// workload knowledge the tuner's equal prior rotates columns round
-	// robin, exactly the paper's setup.
-	eHol, err := build(engine.StrategyHolistic)
-	if err != nil {
-		return nil, err
-	}
-	defer eHol.Close()
-	t0 = time.Now()
-	eHol.IdleActions(cfg.ActionsPerColumn * cfg.Columns)
-	res.HolisticIdle = time.Since(t0)
-
-	// Run the query sequence on both.
-	offSeries := Series{Name: "Offline Indexing", PerQuery: make([]time.Duration, 0, len(queries))}
-	holSeries := Series{Name: "Holistic Indexing", PerQuery: make([]time.Duration, 0, len(queries))}
-	offSums := make([]checksum, 0, len(queries))
-	holSums := make([]checksum, 0, len(queries))
-	for _, q := range queries {
-		r, err := eOff.Select(q.Table, q.Column, q.Lo, q.Hi)
+	var want []checksum
+	for _, r := range []struct {
+		strategy engine.Strategy
+		out      *Series
+		name     string
+		idle     *time.Duration
+		apriori  func(e *engine.Engine) error
+	}{
+		// Offline sorts the first FullIndexes columns in the a-priori idle
+		// time.
+		{engine.StrategyOffline, &res.Offline, "Offline Indexing", &res.OfflineIdle, func(e *engine.Engine) error {
+			for _, c := range cols[:cfg.FullIndexes] {
+				if _, err := e.BuildFullIndex("R", c.name); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		// Holistic spreads ActionsPerColumn × Columns refinements instead;
+		// with no workload knowledge the tuner's equal prior rotates columns
+		// round robin, exactly the paper's setup.
+		{engine.StrategyHolistic, &res.Holistic, "Holistic Indexing", &res.HolisticIdle, func(e *engine.Engine) error {
+			e.IdleActions(cfg.ActionsPerColumn * cfg.Columns)
+			return nil
+		}},
+	} {
+		e, err := newEngine(r.strategy, cfg.Seed, cfg.TargetPieceSize, cfg.IdleWorkers, cols)
 		if err != nil {
 			return nil, err
 		}
-		offSeries.PerQuery = append(offSeries.PerQuery, r.Elapsed)
-		offSums = append(offSums, checksum{r.Count, r.Sum})
-
-		r, err = eHol.Select(q.Table, q.Column, q.Lo, q.Hi)
+		t0 := time.Now()
+		err = r.apriori(e)
+		*r.idle = time.Since(t0)
+		var sums []checksum
+		if err == nil {
+			*r.out, sums, _, err = pass(e, r.name, queries, 0, 0, 0)
+		}
+		e.Close()
 		if err != nil {
 			return nil, err
 		}
-		holSeries.PerQuery = append(holSeries.PerQuery, r.Elapsed)
-		holSums = append(holSums, checksum{r.Count, r.Sum})
+		if want == nil {
+			want = sums
+		}
+		if err := verifyAgainst(want, sums, r.name); err != nil {
+			return nil, err
+		}
 	}
-	if err := verifyAgainst(offSums, holSums, "Holistic (Fig4)"); err != nil {
-		return nil, err
-	}
-	offSeries.SetExtra("idle_used", res.OfflineIdle.Seconds())
-	holSeries.SetExtra("idle_used", res.HolisticIdle.Seconds())
-	res.Offline = offSeries
-	res.Holistic = holSeries
 	return res, nil
 }

@@ -1,8 +1,16 @@
 // Package harness runs the paper's experiments end to end: it generates the
-// data and query workloads, drives engines under each indexing strategy with
-// the paper's idle-time protocol, records per-query response times, verifies
-// that every strategy returns identical results, and renders the series as
-// paper-style cumulative curves (ASCII/CSV) and tables.
+// data and query workloads, runs every indexing strategy through the same
+// query pass, records per-query response times, verifies that every strategy
+// returns identical results, and renders the series as paper-style
+// cumulative curves (ASCII/CSV) and tables.
+//
+// One driver serves every experiment: newEngine loads the columns under a
+// strategy and pass answers the query sequence, opening the experiment's
+// idle windows between queries. What a strategy may do with idle time is its
+// row of the paper's Table 1 (engine.Capabilities), the row Timeline draws
+// Figure 1 from: a-priori idle time buys incremental refinement or a full
+// index build, and only a strategy that exploits idle time during the
+// workload gets the windows.
 //
 // Accounting follows the paper exactly: "idle time" is the measured wall
 // time of refinement work executed outside any query's critical path; query-
@@ -12,24 +20,17 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"time"
+
+	"holistic/internal/engine"
+	"holistic/internal/workload"
 )
 
 // Series is one strategy's per-query timing trace.
 type Series struct {
 	Name     string
 	PerQuery []time.Duration
-	// Extra carries named side measurements in seconds (e.g. "t_init",
-	// "t_sort", "idle_total").
-	Extra map[string]float64
-}
-
-// SetExtra records a named side measurement in seconds.
-func (s *Series) SetExtra(name string, seconds float64) {
-	if s.Extra == nil {
-		s.Extra = map[string]float64{}
-	}
-	s.Extra[name] = seconds
 }
 
 // Cumulative returns the running sum of per-query times — the y-axis of the
@@ -71,4 +72,58 @@ func verifyAgainst(expected []checksum, got []checksum, name string) error {
 		}
 	}
 	return nil
+}
+
+// column is one column of an experiment's table R.
+type column struct {
+	name string
+	vals []int64
+}
+
+// newEngine builds an engine under strategy whose table R holds a private
+// copy of every column.
+func newEngine(strategy engine.Strategy, seed uint64, target, workers int, cols []column) (*engine.Engine, error) {
+	e := engine.New(engine.Config{
+		Strategy:        strategy,
+		Seed:            seed,
+		TargetPieceSize: target,
+		IdleWorkers:     workers,
+	})
+	tab, err := e.CreateTable("R")
+	for _, c := range cols {
+		if err != nil {
+			break
+		}
+		err = tab.AddColumnFromSlice(c.name, slices.Clone(c.vals))
+	}
+	if err != nil {
+		e.Close()
+		return nil, err
+	}
+	return e, nil
+}
+
+// pass answers queries on e in order and returns the series, named name,
+// the answers and the time its idle windows took. Before query i it opens
+// an idle window of x actions when x > 0, i > 0 and i%idleEvery == 0; query
+// 1 also waits firstWait.
+func pass(e *engine.Engine, name string, queries []workload.Query, idleEvery, x int, firstWait time.Duration) (Series, []checksum, time.Duration, error) {
+	s := Series{Name: name, PerQuery: make([]time.Duration, len(queries))}
+	sums := make([]checksum, len(queries))
+	var idle time.Duration
+	wait := firstWait
+	for i, q := range queries {
+		if x > 0 && i > 0 && i%idleEvery == 0 {
+			t0 := time.Now()
+			e.IdleActions(x)
+			idle += time.Since(t0)
+		}
+		r, err := e.Select(q.Table, q.Column, q.Lo, q.Hi)
+		if err != nil {
+			return Series{}, nil, 0, err
+		}
+		s.PerQuery[i], wait = r.Elapsed+wait, 0
+		sums[i] = checksum{r.Count, r.Sum}
+	}
+	return s, sums, idle, nil
 }

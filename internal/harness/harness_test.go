@@ -1,11 +1,13 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"holistic/internal/engine"
+	"holistic/internal/workload"
 )
 
 func TestSeriesCumulativeAndTotal(t *testing.T) {
@@ -16,10 +18,6 @@ func TestSeriesCumulativeAndTotal(t *testing.T) {
 	}
 	if s.Total() != 6 {
 		t.Fatalf("total %v", s.Total())
-	}
-	s.SetExtra("foo", 1.5)
-	if s.Extra["foo"] != 1.5 {
-		t.Fatal("extra lost")
 	}
 }
 
@@ -167,8 +165,8 @@ func TestRunFig4Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	off, hol := res.Offline.Total(), res.Holistic.Total()
-	// Direction of the win at this small scale; the order-of-magnitude
-	// factor is asserted at full scale by BenchmarkFig4 and EXPERIMENTS.md.
+	// Direction of the win at this small scale; BenchmarkFig4 asserts it
+	// at full scale.
 	// Skipped under -short: two measured wall-clock totals on a loaded
 	// runner can cross without a code regression.
 	if !testing.Short() && hol >= off {
@@ -207,6 +205,90 @@ func TestFig4ConfigClamping(t *testing.T) {
 	// experiment must still verify and complete.
 	if len(res.Offline.PerQuery) != 60 || len(res.Holistic.PerQuery) != 60 {
 		t.Fatal("query counts wrong")
+	}
+}
+
+// TestFig4OneColumn: a single column is still named A1 and both passes
+// run and agree.
+func TestFig4OneColumn(t *testing.T) {
+	res, err := RunFig4(Fig4Config{Columns: 1, N: 5000, Queries: 20, ActionsPerColumn: 5, TargetPieceSize: 64, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Offline.PerQuery) != 20 || len(res.Holistic.PerQuery) != 20 {
+		t.Fatal("query counts wrong")
+	}
+}
+
+// passColumn is the one column the pass tests load: 0..n-1 shuffled.
+func passColumn(n int) []column {
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(i * 7919 % n)
+	}
+	return []column{{"A", vals}}
+}
+
+// TestPassOpensIdleWindows counts the windows a pass opens through the
+// tuner's actions: one of x actions before every IdleEvery-th query past
+// the first, none a priori and none after the last query.
+func TestPassOpensIdleWindows(t *testing.T) {
+	const n, queries, idleEvery, x = 100000, 23, 5, 3
+	e, err := newEngine(engine.StrategyHolistic, 1, 64, 1, passColumn(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	qs := pregenerate(workload.NewUniform("R", "A", 0, n, 0.01, 2), queries)
+	if _, _, _, err := pass(e, "h", qs, idleEvery, x, 0); err != nil {
+		t.Fatal(err)
+	}
+	windows := (queries - 1) / idleEvery
+	if got := e.Tuner().Actions(); got != int64(windows*x) {
+		t.Fatalf("tuner ran %d actions, want %d windows of %d", got, windows, x)
+	}
+}
+
+// TestPassFirstWait: the wait is charged to query 1 and to no other.
+func TestPassFirstWait(t *testing.T) {
+	e, err := newEngine(engine.StrategyScan, 1, 0, 1, passColumn(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	s, _, _, err := pass(e, "s", pregenerate(workload.NewUniform("R", "A", 0, 1000, 0.1, 2), 10), 0, 0, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range s.PerQuery {
+		if (d >= time.Hour) != (i == 0) {
+			t.Fatalf("query %d took %v", i+1, d)
+		}
+	}
+}
+
+// TestPassDivergenceFails: one changed value makes a strategy's answers
+// differ from the first pass's, and the check names the query.
+func TestPassDivergenceFails(t *testing.T) {
+	qs := []workload.Query{{Table: "R", Column: "A", Lo: 0, Hi: 10}, {Table: "R", Column: "A", Lo: 500, Hi: 510}}
+	answers := func(cols []column) []checksum {
+		e, err := newEngine(engine.StrategyAdaptive, 1, 0, 1, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		_, sums, _, err := pass(e, "a", qs, 0, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sums
+	}
+	want := answers(passColumn(1000))
+	cols := passColumn(1000)
+	cols[0].vals[slices.Index(cols[0].vals, 505)] = 2000
+	err := verifyAgainst(want, answers(cols), "changed")
+	if err == nil || !strings.Contains(err.Error(), "query 1") {
+		t.Fatalf("diverging answers: %v", err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"strings"
+	"time"
 )
 
 // ASCIIPlot renders cumulative response time curves on log-log axes, the
@@ -28,11 +29,7 @@ func ASCIIPlot(title string, series []*Series, width, height int) string {
 			maxQ = len(s.PerQuery)
 		}
 		for _, c := range s.Cumulative() {
-			y := float64(c.Microseconds())
-			if y < 1 {
-				y = 1
-			}
-			ly := math.Log10(y)
+			ly := logMicros(c)
 			minY = math.Min(minY, ly)
 			maxY = math.Max(maxY, ly)
 		}
@@ -56,11 +53,7 @@ func ASCIIPlot(title string, series []*Series, width, height int) string {
 		m := markers[si%len(markers)]
 		for i, c := range s.Cumulative() {
 			x := int(math.Log10(float64(i+1)) / maxX * float64(width-1))
-			y := float64(c.Microseconds())
-			if y < 1 {
-				y = 1
-			}
-			ry := (math.Log10(y) - minY) / (maxY - minY)
+			ry := (logMicros(c) - minY) / (maxY - minY)
 			row := height - 1 - int(ry*float64(height-1))
 			if row >= 0 && row < height && x >= 0 && x < width {
 				grid[row][x] = m
@@ -81,6 +74,12 @@ func ASCIIPlot(title string, series []*Series, width, height int) string {
 		fmt.Fprintf(&b, "  [%c] %s (total %s)\n", markers[si%len(markers)], s.Name, s.Total().Round(0))
 	}
 	return b.String()
+}
+
+// logMicros is d's height on the plot's y axis: log10 of its microseconds,
+// 0 below one.
+func logMicros(d time.Duration) float64 {
+	return math.Log10(max(float64(d.Microseconds()), 1))
 }
 
 // WriteCSV emits one row per query with each series' cumulative time in
@@ -145,14 +144,4 @@ func FormatTable1(rows []Table1Row) string {
 			mark(r.IdleTimeDuring), mark(r.IncrementalIndexing), r.Workload)
 	}
 	return b.String()
-}
-
-// Table1Row is one strategy's feature row.
-type Table1Row struct {
-	Name                string
-	StatisticalAnalysis bool
-	IdleTimeAPriori     bool
-	IdleTimeDuring      bool
-	IncrementalIndexing bool
-	Workload            string
 }

@@ -82,20 +82,18 @@ func FormatTimelines(queries, gapEvery int) string {
 	return b.String()
 }
 
+// Table1Row is one strategy's feature row.
+type Table1Row struct {
+	Name string
+	engine.Capabilities
+}
+
 // Table1Rows derives the paper's Table 1 from the engine's strategy
 // capability flags (scan excluded, as in the paper).
 func Table1Rows() []Table1Row {
 	var rows []Table1Row
 	for _, s := range []engine.Strategy{engine.StrategyOffline, engine.StrategyOnline, engine.StrategyAdaptive, engine.StrategyHolistic} {
-		c := s.Capabilities()
-		rows = append(rows, Table1Row{
-			Name:                s.String(),
-			StatisticalAnalysis: c.StatisticalAnalysis,
-			IdleTimeAPriori:     c.IdleTimeAPriori,
-			IdleTimeDuring:      c.IdleTimeDuring,
-			IncrementalIndexing: c.IncrementalIndexing,
-			Workload:            c.Workload,
-		})
+		rows = append(rows, Table1Row{Name: s.String(), Capabilities: s.Capabilities()})
 	}
 	return rows
 }

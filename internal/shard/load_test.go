@@ -9,6 +9,7 @@ import (
 
 	"holistic/internal/costmodel"
 	"holistic/internal/scan"
+	"holistic/internal/updates"
 )
 
 // TestNewColumnStripesAndBounds loads columns of every length around the
@@ -36,8 +37,8 @@ func TestNewColumnStripesAndBounds(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if c.Shards() != n || c.Rows() != length {
-					t.Fatalf("%d parts over %d rows, want %d over %d", c.Shards(), c.Rows(), n, length)
+				if c.Shards() != n || c.Live() != length {
+					t.Fatalf("%d parts over %d rows, want %d over %d", c.Shards(), c.Live(), n, length)
 				}
 				at := 0 // where part i starts in vals' memory
 				for i, p := range c.Parts() {
@@ -134,7 +135,7 @@ func TestLazyTombstones(t *testing.T) {
 		t.Fatalf("restored %d live rows, the column had %d, want 1019", r.Live(), c.Live())
 	}
 	for _, q := range [][2]int64{{0, 1 << 20}, {vals[4], vals[4] + 1}, {1000, 1020}} {
-		wc, ws := c.FanOutCountSum(func(p *Part) (int, int64) { return p.ScanCountSum(q[0], q[1]) })
+		wc, ws := c.FanOutCountSum(func(p *Part) (int, int64) { return p.ScanCountSumAt(q[0], q[1], updates.AllRows) })
 		gc, gs := r.FanOutCountSum(func(p *Part) (int, int64) { return p.CrackedSelect(q[0], q[1]) })
 		if gc != wc || gs != ws {
 			t.Fatalf("[%d,%d): restored %d/%d, want %d/%d", q[0], q[1], gc, gs, wc, ws)

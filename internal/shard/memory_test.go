@@ -215,7 +215,7 @@ func TestPartBytesPerRow(t *testing.T) {
 		}
 		c.MergePending()
 		insert(rows / 200)
-		total += c.Rows()
+		total += int(next)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)

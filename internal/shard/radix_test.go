@@ -108,7 +108,7 @@ func TestShardedRadixMixedWorkload(t *testing.T) {
 			if err := c.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			wantCount, wantSum := c.FanOutCountSum(func(p *Part) (int, int64) { return p.ScanCountSum(0, 2*domain) })
+			wantCount, wantSum := c.FanOutCountSum(func(p *Part) (int, int64) { return p.ScanCountSumAt(0, 2*domain, updates.AllRows) })
 			count, sum := c.CountSum(0, 2*domain, updates.AllRows, (*Part).ProbeAt, (*Part).CrackedSelectAt)
 			if count != wantCount || sum != wantSum {
 				t.Fatalf("final state diverged: got %d/%d, oracle %d/%d", count, sum, wantCount, wantSum)

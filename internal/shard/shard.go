@@ -35,7 +35,7 @@
 //
 // Handing a part to another goroutine costs 7-25 us — more than a converged
 // lookup or a crack of a cache-sized piece takes. So every select first probes
-// each part on the caller's goroutine (Part.Probe: the part answers through
+// each part on the caller's goroutine (Part.ProbeAt: the part answers through
 // the design it holds, or declines with the values answering would touch),
 // and the parts that declined get a goroutine each only when that takes at
 // least costmodel.FanOutMinWork values off the caller's path (Column.CountSum:
@@ -77,7 +77,7 @@
 //
 // A part holds at most one cracker.Index: cracked (adaptive, holistic) or
 // sorted to completion by BuildSorted (offline, online), the limit
-// refinement moves toward. Probe, the merge, FirstLive and the snapshot each
+// refinement moves toward. ProbeAt, the merge, FirstLive and the snapshot each
 // ask that one index; a part with none scans. DropSorted frees a sorted index
 // outright, since nothing outside the part holds it.
 //
@@ -98,8 +98,8 @@
 // # One latch per read
 //
 // A select must observe every row exactly once while merges move rows from
-// the queue into the structures. Every part read — Probe, ScanCountSum and
-// CrackedSelect — holds the part's shared latch across its index read and
+// the queue into the structures. Every part read — ProbeAt, ScanCountSumAt
+// and CrackedSelectAt — holds the part's shared latch across its index read and
 // the queue's net CountSum (Part.read). A merge moves rows only under the
 // exclusive latch, so no row can leave the queue for the structures between
 // the two reads: each row is counted in exactly one of them. Writers keep
@@ -226,7 +226,6 @@ type Column struct {
 	name  string
 	cfg   Config
 	parts []*Part
-	rows  atomic.Int64 // high-water mark of rows ever appended
 
 	// selectHook, when set, is invoked with the part index as each fan-out
 	// worker starts. Tests install a rendezvous here to prove that two
@@ -254,7 +253,6 @@ func NewColumn(name string, vals []int64, cfg Config) (*Column, error) {
 	}
 	n := cfg.shards()
 	c := &Column{name: name, cfg: cfg}
-	c.rows.Store(int64(len(vals)))
 	// Part i holds global rows i, i+n, ...: ceil((len-i)/n) of them; part 0
 	// is the longest.
 	head := (len(vals) + n - 1) / n
@@ -450,10 +448,6 @@ func (c *Column) Shards() int { return len(c.parts) }
 // Parts returns the per-shard sub-engines, in shard order.
 func (c *Column) Parts() []*Part { return c.parts }
 
-// Rows returns the number of rows ever appended (including deleted and
-// not-yet-merged ones).
-func (c *Column) Rows() int { return int(c.rows.Load()) }
-
 // SetSelectHook installs (or clears, with nil) the fan-out test hook. Safe
 // to call while selects run.
 func (c *Column) SetSelectHook(h func(part int)) {
@@ -473,24 +467,15 @@ func (c *Column) FanOutCountSum(f func(p *Part) (int, int64)) (int, int64) {
 
 func (c *Column) fanOut(parts []*Part, f func(p *Part) (int, int64)) (int, int64) {
 	var count, sum atomic.Int64
-	worker := func(p *Part) {
+	inParallel(len(parts), len(parts), func(_, a, _ int) {
+		p := parts[a]
 		if h := c.selectHook.Load(); h != nil {
 			(*h)(p.id)
 		}
 		n, s := f(p)
 		count.Add(int64(n))
 		sum.Add(s)
-	}
-	var wg sync.WaitGroup
-	for _, p := range parts[1:] {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			worker(p)
-		}()
-	}
-	worker(parts[0])
-	wg.Wait()
+	})
 	return int(count.Load()), sum.Load()
 }
 
@@ -550,12 +535,6 @@ func (c *Column) AppendAt(g uint32, v int64) {
 // none), which the caller merges once the row is visible — a merge drains
 // no invisible row.
 func (c *Column) Enqueue(g uint32, v int64) *Part {
-	for {
-		r := c.rows.Load()
-		if int64(g) < r || c.rows.CompareAndSwap(r, int64(g)+1) {
-			break
-		}
-	}
 	p := c.parts[int(g)%len(c.parts)]
 	if qlen := p.ingest.Insert(v, g); qlen >= DefaultIngestCap && qlen%DefaultIngestCap == 0 {
 		return p
@@ -658,16 +637,7 @@ func (c *Column) AnyCracked() bool {
 // BuildSorted sorts every part's index to completion, one goroutine per part
 // beyond the first (each build holds only its own part's latch).
 func (c *Column) BuildSorted() {
-	var wg sync.WaitGroup
-	for _, p := range c.parts[1:] {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.BuildSorted()
-		}()
-	}
-	c.parts[0].BuildSorted()
-	wg.Wait()
+	inParallel(len(c.parts), len(c.parts), func(_, a, _ int) { c.parts[a].BuildSorted() })
 }
 
 // DropSorted frees every part's sorted index.
@@ -901,11 +871,6 @@ func (p *Part) mergedFromLocked(lo, hi, vis int64) (count int, sum int64) {
 	return count, sum
 }
 
-// ScanCountSum is ScanCountSumAt at the watermark now.
-func (p *Part) ScanCountSum(lo, hi int64) (int, int64) {
-	return p.ScanCountSumAt(lo, hi, p.cfg.visible())
-}
-
 // ScanCountSumAt answers [lo, hi) at visibility watermark vis with a full
 // scan of the merged rows plus the queue's net contribution.
 func (p *Part) ScanCountSumAt(lo, hi, vis int64) (int, int64) {
@@ -972,11 +937,6 @@ func (p *Part) RandomCrack(rng *rand.Rand) int {
 	}
 	defer p.mu.RUnlock()
 	return p.crack.RandomCrack(rng)
-}
-
-// Probe is ProbeAt at the watermark now.
-func (p *Part) Probe(lo, hi int64) (count int, sum int64, work int, ok bool) {
-	return p.ProbeAt(lo, hi, p.cfg.visible())
 }
 
 // ProbeAt answers [lo, hi) at visibility watermark vis through the design

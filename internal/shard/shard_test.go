@@ -59,8 +59,8 @@ func TestStripingRoutesRows(t *testing.T) {
 	}
 	// Appends continue the stripe.
 	c.AppendAt(7, 17)
-	if c.Rows() != 8 {
-		t.Fatalf("Rows() = %d after appending row 7, want 8", c.Rows())
+	if c.Live() != 8 {
+		t.Fatalf("Live() = %d after appending row 7, want 8", c.Live())
 	}
 	if c.Parts()[7%3].Live() != 3 {
 		t.Fatal("append routed to the wrong part")
@@ -92,7 +92,7 @@ func TestFanOutMatchesNaive(t *testing.T) {
 			lo := rng.Int64N(10000)
 			hi := lo + rng.Int64N(2000)
 			count, sum := c.FanOutCountSum(func(p *Part) (int, int64) {
-				return p.ScanCountSum(lo, hi)
+				return p.ScanCountSumAt(lo, hi, updates.AllRows)
 			})
 			wc, ws := naiveRange(vals, lo, hi)
 			if count != wc || sum != ws {
@@ -189,7 +189,7 @@ func TestSequentialSweepStaysBounded(t *testing.T) {
 }
 
 // TestConvergedSelectDeclines walks the conditions under which a part's
-// Probe refuses the inline lookup — no cracked copy yet, a bound that is not a
+// ProbeAt refuses the inline lookup — no cracked copy yet, a bound that is not a
 // crack boundary — and checks that each refusal builds and cracks nothing
 // (an unmaterialised part stays so) and estimates
 // exactly the values CrackedSelect then partitions (the pieces the missing
@@ -216,8 +216,8 @@ func TestConvergedSelectDeclines(t *testing.T) {
 		t.Helper()
 		pieces, _ := p.PieceStats()
 		fresh := p.Cracked() == nil
-		if _, _, work, ok := p.Probe(lo, hi); ok || work != wantWork {
-			t.Fatalf("%s: Probe(%d, %d) = work %d, ok %v; want it to decline with %d", why, lo, hi, work, ok, wantWork)
+		if _, _, work, ok := p.ProbeAt(lo, hi, updates.AllRows); ok || work != wantWork {
+			t.Fatalf("%s: ProbeAt(%d, %d) = work %d, ok %v; want it to decline with %d", why, lo, hi, work, ok, wantWork)
 		}
 		if fresh && p.Cracked() != nil {
 			t.Fatalf("%s: declining materialised the cracked copy", why)
@@ -233,7 +233,7 @@ func TestConvergedSelectDeclines(t *testing.T) {
 
 	p := newPart(Config{})
 	declines(p, "uncracked part", 100, 200, n) // ... and CrackedSelect cracked [100, 200)
-	if c, s, work, ok := p.Probe(100, 200); !ok || c != 100 || work != 0 || s != (100+199)*100/2 {
+	if c, s, work, ok := p.ProbeAt(100, 200, updates.AllRows); !ok || c != 100 || work != 0 || s != (100+199)*100/2 {
 		t.Fatalf("converged [100, 200): %d/%d work %d ok %v", c, s, work, ok)
 	}
 	declines(p, "upper bound not a boundary", 100, 300, n-200) // the piece [200, n)
@@ -242,7 +242,7 @@ func TestConvergedSelectDeclines(t *testing.T) {
 	declines(p, "bounds in two pieces", 25, 250, 50+100) // [0, 50) and [200, 300)
 	// A hit costs the same at any width: most of the column runs inline too.
 	declines(p, "wide range, both bounds in one piece", 1000, n-1000, n-300)
-	if c, s, work, ok := p.Probe(1000, n-1000); !ok || c != n-2000 || work != 0 || s != int64(n-1)*(n-2000)/2 {
+	if c, s, work, ok := p.ProbeAt(1000, n-1000, updates.AllRows); !ok || c != n-2000 || work != 0 || s != int64(n-1)*(n-2000)/2 {
 		t.Fatalf("converged [1000, %d): %d/%d work %d ok %v", n-1000, c, s, work, ok)
 	}
 
@@ -253,11 +253,11 @@ func TestConvergedSelectDeclines(t *testing.T) {
 	if v := vals[7]; v >= 100 && v < 200 {
 		want, wantSum = want-1, wantSum-v
 	}
-	if c, s, _, ok := p.Probe(100, 200); !ok || c != want || s != wantSum {
+	if c, s, _, ok := p.ProbeAt(100, 200, updates.AllRows); !ok || c != want || s != wantSum {
 		t.Fatalf("with pending writes: %d/%d ok %v, want %d/%d", c, s, ok, want, wantSum)
 	}
 	p.MergeStep(0)
-	if c, s, _, ok := p.Probe(100, 200); !ok || c != want || s != wantSum {
+	if c, s, _, ok := p.ProbeAt(100, 200, updates.AllRows); !ok || c != want || s != wantSum {
 		t.Fatalf("after the merge: %d/%d ok %v, want %d/%d", c, s, ok, want, wantSum)
 	}
 
@@ -296,7 +296,7 @@ func TestDeleteAndFirstLive(t *testing.T) {
 	if c.Live() != 2 {
 		t.Fatalf("Live() = %d, want 2", c.Live())
 	}
-	count, sum := c.FanOutCountSum(func(p *Part) (int, int64) { return p.ScanCountSum(0, 100) })
+	count, sum := c.FanOutCountSum(func(p *Part) (int, int64) { return p.ScanCountSumAt(0, 100, updates.AllRows) })
 	if count != 2 || sum != 16 {
 		t.Fatalf("post-delete scan %d/%d, want 2/16", count, sum)
 	}
@@ -416,7 +416,7 @@ func TestFanOutRunsPartsConcurrently(t *testing.T) {
 			t.Error("fan-out never had 2 parts in flight: selects are serial")
 		}
 	})
-	count, sum := c.FanOutCountSum(func(p *Part) (int, int64) { return p.ScanCountSum(0, 1<<16) })
+	count, sum := c.FanOutCountSum(func(p *Part) (int, int64) { return p.ScanCountSumAt(0, 1<<16, updates.AllRows) })
 	c.SetSelectHook(nil)
 	wc, ws := naiveRange(vals, 0, 1<<16)
 	if count != wc || sum != ws {
@@ -435,8 +435,8 @@ func TestAppendFeedsIndexes(t *testing.T) {
 	if count != 5 || sum != 125 {
 		t.Fatalf("after append: %d/%d, want 5/125", count, sum)
 	}
-	if c.Rows() != 5 || c.Live() != 5 {
-		t.Fatalf("Rows=%d Live=%d", c.Rows(), c.Live())
+	if c.Live() != 5 {
+		t.Fatalf("Live=%d", c.Live())
 	}
 }
 

@@ -32,7 +32,9 @@ type PartSnapshot struct {
 }
 
 // ColumnSnapshot is a whole logical column: its per-part snapshots in shard
-// order plus the row high-water mark that restores the id allocator.
+// order plus the row high-water mark that restores the id allocator — the
+// rows the parts hold, since a snapshot drains every queue and row ids are
+// dense.
 type ColumnSnapshot struct {
 	Name  string
 	Rows  int64
@@ -45,13 +47,14 @@ type ColumnSnapshot struct {
 // backlog — a row id assigned but never enqueued, impossible once writers
 // are excluded — is an error rather than silent data loss.
 func (c *Column) Snapshot() (ColumnSnapshot, error) {
-	snap := ColumnSnapshot{Name: c.name, Rows: c.rows.Load(), Parts: make([]PartSnapshot, 0, len(c.parts))}
+	snap := ColumnSnapshot{Name: c.name, Parts: make([]PartSnapshot, 0, len(c.parts))}
 	for _, p := range c.parts {
 		ps, err := p.snapshot()
 		if err != nil {
 			return ColumnSnapshot{}, err
 		}
 		snap.Parts = append(snap.Parts, ps)
+		snap.Rows += int64(len(ps.Vals))
 	}
 	return snap, nil
 }
@@ -81,8 +84,9 @@ func (p *Part) snapshot() (PartSnapshot, error) {
 // NewColumnFromSnapshot rebuilds a column from its snapshot under cfg. The
 // shard count must match the snapshot's (striping is positional: a row's
 // part is g % N, so N is part of the on-disk layout, recorded in the
-// manifest). Index state is re-validated on the way in — the copy's length
-// against the part's live rows and the index's own invariants — so a
+// manifest). The row high-water mark must be the rows the parts hold. Index
+// state is re-validated on the way in — the copy's length against the
+// part's live rows and the index's own invariants — so a
 // corrupted snapshot fails restore instead of serving wrong answers. The
 // restored copies are values-only; a copy whose values are not the live
 // base's multiset but pass both checks is refused by the first delete that
@@ -93,8 +97,9 @@ func NewColumnFromSnapshot(snap ColumnSnapshot, cfg Config) (*Column, error) {
 		return nil, fmt.Errorf("shard: snapshot of %q has %d parts, config wants %d", snap.Name, len(snap.Parts), n)
 	}
 	c := &Column{name: snap.Name, cfg: cfg}
-	c.rows.Store(snap.Rows)
+	rows := 0
 	for _, ps := range snap.Parts {
+		rows += len(ps.Vals)
 		if len(ps.Deleted) != len(ps.Vals) {
 			return nil, fmt.Errorf("shard: snapshot part %d of %q deleted/vals length mismatch", len(c.parts), snap.Name)
 		}
@@ -110,6 +115,9 @@ func NewColumnFromSnapshot(snap ColumnSnapshot, cfg Config) (*Column, error) {
 			}
 			p.attachCrackLocked(ix)
 		}
+	}
+	if int64(rows) != snap.Rows {
+		return nil, fmt.Errorf("shard: snapshot of %q records %d rows, its parts hold %d", snap.Name, snap.Rows, rows)
 	}
 	return c, nil
 }

@@ -2,6 +2,8 @@ package shard
 
 import (
 	"testing"
+
+	"holistic/internal/updates"
 )
 
 // TestSnapshotRoundTrip proves a column's full physical state — storage,
@@ -30,7 +32,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		c.DeleteRow(g * 7)
 	}
 	for i := 0; i < 500; i++ {
-		c.AppendAt(uint32(c.Rows()), int64(i%1000))
+		c.AppendAt(uint32(len(vals)+i), int64(i%1000))
 	}
 	c.MergePending()
 
@@ -45,7 +47,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	want := make([]ans, len(queries))
 	for i, q := range queries {
-		cnt, sum := c.FanOutCountSum(func(p *Part) (int, int64) { return p.ScanCountSum(q[0], q[1]) })
+		cnt, sum := c.FanOutCountSum(func(p *Part) (int, int64) { return p.ScanCountSumAt(q[0], q[1], updates.AllRows) })
 		want[i] = ans{cnt, sum}
 	}
 
@@ -58,8 +60,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("NewColumnFromSnapshot: %v", err)
 	}
 
-	if r.Rows() != c.Rows() {
-		t.Fatalf("row high-water %d != %d", r.Rows(), c.Rows())
+	if snap.Rows != int64(len(vals)+500) {
+		t.Fatalf("row high-water %d, want %d", snap.Rows, len(vals)+500)
 	}
 	if r.Live() != c.Live() {
 		t.Fatalf("live %d != %d", r.Live(), c.Live())
@@ -75,13 +77,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	for i, q := range queries {
 		for name, f := range map[string]func(p *Part) (int, int64){
-			"scan":    func(p *Part) (int, int64) { return p.ScanCountSum(q[0], q[1]) },
+			"scan":    func(p *Part) (int, int64) { return p.ScanCountSumAt(q[0], q[1], updates.AllRows) },
 			"cracked": func(p *Part) (int, int64) { return p.CrackedSelect(q[0], q[1]) },
 			"probe": func(p *Part) (int, int64) {
-				if c, s, _, ok := p.Probe(q[0], q[1]); ok {
+				if c, s, _, ok := p.ProbeAt(q[0], q[1], updates.AllRows); ok {
 					return c, s
 				}
-				return p.ScanCountSum(q[0], q[1])
+				return p.ScanCountSumAt(q[0], q[1], updates.AllRows)
 			},
 		} {
 			cnt, sum := r.FanOutCountSum(f)
@@ -91,7 +93,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	// The restored column keeps working: appends and deletes still apply.
-	g := uint32(r.Rows())
+	g := uint32(snap.Rows)
 	r.AppendAt(g, 42)
 	r.MergePending()
 	if v := r.DeleteRow(g); v != 42 {
@@ -149,5 +151,35 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	// Wrong shard count is rejected too.
 	if _, err := NewColumnFromSnapshot(snap, Config{Shards: 3}); err == nil {
 		t.Fatal("shard-count mismatch accepted by restore")
+	}
+}
+
+// TestSnapshotRejectsWrongRows: the row high-water mark restores the id
+// allocator, so an image whose Rows disagrees with the rows its parts hold
+// fails restore — one row short would hand out a live row's id again.
+func TestSnapshotRejectsWrongRows(t *testing.T) {
+	cfg := Config{Shards: 2}
+	c, err := NewColumn("t.a", []int64{5, 1, 4, 2, 3}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.AppendAt(5, 9)
+	c.DeleteRow(1)
+	snap, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Rows != 6 {
+		t.Fatalf("snapshot records %d rows, want 6 (tombstoned rows included)", snap.Rows)
+	}
+	if _, err := NewColumnFromSnapshot(snap, cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, rows := range []int64{5, 7, 0} {
+		bad := snap
+		bad.Rows = rows
+		if _, err := NewColumnFromSnapshot(bad, cfg); err == nil {
+			t.Fatalf("restore accepted %d rows over parts holding 6", rows)
+		}
 	}
 }
