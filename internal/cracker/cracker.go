@@ -81,7 +81,8 @@ import (
 //
 // rows is nil while the copy is values-only (see "Row ids on demand");
 // once attached it is as long as vals and rows[i] is the base row of
-// vals[i].
+// vals[i]. The index keeps no value bounds: the one pass that needs a
+// piece's range, a radix pass, reads it off the piece (radix.go).
 //
 // Positions returned by one call (CrackRange, LookupRange) stay
 // valid for a later call (CountSum) only while no structural operation runs
@@ -100,11 +101,6 @@ type Index struct {
 	sorted bool
 	pre    []int64
 
-	// Domain bounds of the stored values, cached at construction and widened
-	// by cracked merges; only radix passes read them, so a sorted index lets
-	// them go stale.
-	domLo, domHi int64
-
 	// radixMin is the piece-size threshold for radix-first coarse cracking
 	// (see radix.go); <= 0 disables it. Set once via SetRadixMinPiece before
 	// the index is shared.
@@ -114,24 +110,11 @@ type Index struct {
 	work   atomic.Int64 // elements touched by partitioning, the dominant cost
 }
 
-// New builds a cracker index that adopts vals and rows (no copy). rows is
-// nil for a values-only index; otherwise both slices have the same length
-// and rows[i] is the base row id of vals[i].
+// New builds a cracker index that adopts vals and rows without copying or
+// reading them. rows is nil for a values-only index; otherwise both slices
+// have the same length and rows[i] is the base row id of vals[i].
 func New(vals []int64, rows []uint32) *Index {
-	ix := &Index{vals: vals, rows: rows}
-	if len(vals) > 0 {
-		lo, hi := vals[0], vals[0]
-		for _, v := range vals[1:] {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		ix.domLo, ix.domHi = lo, hi
-	}
-	return ix
+	return &Index{vals: vals, rows: rows}
 }
 
 // Len returns the number of values in the index.

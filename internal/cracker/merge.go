@@ -147,12 +147,6 @@ func (ix *Index) mergeDeletes(del []updates.Entry) (missing int) {
 
 func (ix *Index) mergeInserts(ins []updates.Entry) {
 	n, k := len(ix.vals), len(ins)
-	if n == 0 {
-		// Nothing left to bound the domain; boundaries that outlived the last
-		// delete still slide below.
-		ix.domLo, ix.domHi = ins[0].Val, ins[k-1].Val
-	}
-	ix.domLo, ix.domHi = min(ix.domLo, ins[0].Val), max(ix.domHi, ins[k-1].Val)
 	vals, rows := GrowTo(ix.vals, n+k), ix.rows
 	if rows != nil {
 		rows = GrowTo(rows, n+k)

@@ -19,9 +19,6 @@ func TestMergeInsertIntoEmpty(t *testing.T) {
 	if ix.Len() != 1 || ix.Values()[0] != 5 {
 		t.Fatalf("contents %v", ix.Values())
 	}
-	if lo, hi := ix.domLo, ix.domHi; lo != 5 || hi != 5 {
-		t.Fatalf("domain %d,%d", lo, hi)
-	}
 	if from, to := ix.CrackRange(5, 6); to-from != 1 {
 		t.Fatal("inserted value not queryable")
 	}

@@ -18,14 +18,16 @@ package cracker
 // radixMaxBits (fanOut). A 4M-value part gets 2^11 buckets of ~2k values,
 // a piece at the default threshold (2^17) gets 2^6.
 //
-// Bucket keys are derived from the piece's OWN data min/max, not the column
-// domain: merged updates drift the column domain, and a piece's value bounds
-// in the crack tree are open at the extremes, so the data itself is the only
-// reliable range. Because every bucket boundary is inserted — including
-// empty buckets — each level divides the value span by at least
-// 2^radixMinBits, so repeated radix passes over still-large buckets
-// terminate in at most ceil(64/radixMinBits) levels even on maximally skewed
-// data. An empty bucket is a zero-size piece whose start collides with its
+// Bucket keys are derived from the piece's OWN data min/max, read in one
+// pass before the histogram, not from the piece's key interval or a column
+// domain: merged updates drift the domain, a piece's interval in the crack
+// tree is open at the extremes, and either can be far wider than the data,
+// so the data itself is the only tight range. Because every bucket boundary
+// is inserted — including empty buckets — each level divides the value span
+// by at least 2^radixMinBits, so repeated radix passes over still-large
+// buckets terminate in at most ceil(64/radixMinBits) levels even on
+// maximally skewed data, and a bucket holding one value ends its descent at
+// once. An empty bucket is a zero-size piece whose start collides with its
 // right neighbour's.
 //
 // A pass scatters into freshly allocated arrays: a pass over the whole column
@@ -35,7 +37,11 @@ package cracker
 // bucket plan and keeps the arrays it scatters into, and it leaves pieces
 // below the radix threshold.
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"holistic/internal/scan"
+)
 
 // The fan-out of one coarse pass, in bits (see fanOut).
 const (
@@ -80,33 +86,15 @@ func (ix *Index) maybeRadixPiece(a, b int) bool {
 
 // radixPiece scatters the piece [a, b) into value-ordered radix buckets and
 // registers the bucket boundaries, returning the number of boundaries
-// inserted (0 when the piece is single-valued and cannot be split).
+// inserted (0 when the piece is single-valued and cannot be split). The
+// buckets span the piece's own min and max (see the file comment); the sum
+// below the piece is its starting boundary's, so prefixSum reads no value.
 func (ix *Index) radixPiece(a, b int) int {
 	if a < 0 || a >= b || b > len(ix.vals) {
 		return 0
 	}
-	n := b - a
-	if n < 2 {
-		return 0
-	}
 	v := ix.vals[a:b]
-
-	// The piece's value bounds come from the crack tree (its own boundary
-	// key below, its right neighbour's key above) with the cached domain
-	// bounds for the outermost pieces — no scan needed. The bounds are
-	// conservative (merged deletes never shrink the domain), which only
-	// coarsens the buckets; correctness needs just lo <= min(piece) and
-	// max(piece) <= hi, both guaranteed by the cracking invariant.
-	// base is the sum of the copy below the piece: its own boundary's, or 0
-	// for the piece at the front of the array.
-	lo, hi := ix.domLo, ix.domHi
-	var base int64
-	if k, p, sum, ok := ix.tree.FloorPos(a); ok && p == a {
-		lo, base = k, sum
-	}
-	if k, _, ok := ix.tree.HigherPos(a); ok {
-		hi = k - 1 // neighbour key is exclusive: values < k
-	}
+	lo, hi, _ := scan.MinMax(v)
 	if lo >= hi {
 		return 0
 	}
@@ -118,7 +106,7 @@ func (ix *Index) radixPiece(a, b int) int {
 	// slice of the pass's memory traffic, disappears. Every other pass copies
 	// back. A values-only copy scatters values alone.
 	whole := a == 0 && b == len(ix.vals)
-	bv := make([]int64, n)
+	bv := make([]int64, len(v))
 	if rows := ix.rows; rows == nil {
 		g.scatter(v, bv)
 	} else {
@@ -126,7 +114,7 @@ func (ix *Index) radixPiece(a, b int) int {
 			return 0 // unreachable: rows is as long as vals; BCE only
 		}
 		r := rows[a:b]
-		br := make([]uint32, n)
+		br := make([]uint32, len(v))
 		g.scatterRows(v, r, bv, br)
 		if whole {
 			ix.rows = br
@@ -139,7 +127,7 @@ func (ix *Index) radixPiece(a, b int) int {
 	} else {
 		copy(v, bv)
 	}
-	return ix.addBuckets(&g, a, base)
+	return ix.addBuckets(&g, a, ix.prefixSum(a))
 }
 
 // scatter writes v into dst bucket by bucket under plan g, which count made

@@ -161,45 +161,65 @@ func TestRadixSkewedAndDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A piece just above the threshold gets the smallest fan-out. Maximally
-	// skewed: one value duplicated to the threshold plus both int64 extremes,
-	// so every level leaves the duplicates' bucket at the threshold and only
-	// the span shrinks, radixMinBits bits a level. The value's offset from
-	// MinInt64 is odd, so no level before the last puts a boundary at it.
+	// A piece just above the threshold gets the smallest fan-out, and each
+	// level takes the span of the value a probe descends towards down by at
+	// least radixMinBits bits. Two fixtures, each one value duplicated to the
+	// threshold plus outliers:
+	//   - geometric: dup + 4^j for j = 0..31. Every level's span is the
+	//     largest outlier left, whose bucket it leaves alone, so the descent
+	//     peels one outlier a level and meets the bound ceil(64/radixMinBits)
+	//     exactly;
+	//   - extremes: both int64 extremes. The first level leaves the
+	//     duplicates alone in a bucket, and a single-valued piece ends the
+	//     descent, since the buckets span the piece's data, not its key
+	//     interval.
 	const thr, dup = 64, int64(1)
-	skew := []int64{math.MinInt64, math.MaxInt64}
-	for range thr {
-		skew = append(skew, dup)
+	geometric := []int64{}
+	for j := range 32 {
+		geometric = append(geometric, dup+1<<(2*j))
 	}
-	rng.Shuffle(len(skew), func(i, j int) { skew[i], skew[j] = skew[j], skew[i] })
-	sk := New(append([]int64(nil), skew...), nil)
-	sk.SetRadixMinPiece(thr)
-	if fanOut(len(skew)) != radixMinBits {
-		t.Fatalf("a %d-value piece gets %d bits, want the floor %d", len(skew), fanOut(len(skew)), radixMinBits)
-	}
-	levels := 0
-	for {
-		a, b, _, exact := sk.locate(dup)
-		if exact || !sk.maybeRadixPiece(a, b) {
-			break
+	for _, c := range []struct {
+		name     string
+		outliers []int64
+		levels   int
+	}{
+		{"geometric", geometric, (64 + radixMinBits - 1) / radixMinBits},
+		{"extremes", []int64{math.MinInt64, math.MaxInt64}, 1},
+	} {
+		skew := slices.Clone(c.outliers)
+		for range thr {
+			skew = append(skew, dup)
 		}
-		levels++
-	}
-	if bound := (64 + radixMinBits - 1) / radixMinBits; levels != bound {
-		t.Fatalf("%d radix levels, want the bound ceil(64/%d) = %d exactly", levels, radixMinBits, bound)
-	}
-	if err := sk.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range [][2]int64{{dup, dup + 1}, {math.MinInt64, dup}, {dup + 1, math.MaxInt64}, {math.MinInt64, math.MaxInt64}} {
-		from, to := sk.CrackRange(r[0], r[1])
-		wc, ws := oracleCountSum(skew, r[0], r[1])
-		if gc, gs := sk.CountSum(from, to); gc != wc || gs != ws {
-			t.Fatalf("skewed [%d,%d): got count=%d sum=%d, want count=%d sum=%d", r[0], r[1], gc, gs, wc, ws)
+		rng.Shuffle(len(skew), func(i, j int) { skew[i], skew[j] = skew[j], skew[i] })
+		sk := New(slices.Clone(skew), nil)
+		sk.SetRadixMinPiece(thr)
+		if fanOut(len(skew)) != radixMinBits {
+			t.Fatalf("%s: a %d-value piece gets %d bits, want the floor %d", c.name, len(skew), fanOut(len(skew)), radixMinBits)
 		}
-	}
-	if err := sk.Validate(); err != nil {
-		t.Fatal(err)
+		levels := 0
+		for {
+			a, b, _, exact := sk.locate(dup)
+			if exact || !sk.maybeRadixPiece(a, b) {
+				break
+			}
+			levels++
+		}
+		if levels != c.levels {
+			t.Fatalf("%s: %d radix levels, want %d exactly", c.name, levels, c.levels)
+		}
+		if err := sk.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range [][2]int64{{dup, dup + 1}, {math.MinInt64, dup}, {dup + 1, math.MaxInt64}, {math.MinInt64, math.MaxInt64}} {
+			from, to := sk.CrackRange(r[0], r[1])
+			wc, ws := oracleCountSum(skew, r[0], r[1])
+			if gc, gs := sk.CountSum(from, to); gc != wc || gs != ws {
+				t.Fatalf("%s [%d,%d): got count=%d sum=%d, want count=%d sum=%d", c.name, r[0], r[1], gc, gs, wc, ws)
+			}
+		}
+		if err := sk.Validate(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

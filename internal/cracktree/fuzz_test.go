@@ -17,7 +17,7 @@ import (
 //	2     insert a run of 1 + arg1 keys from key with stride 1 + arg2%16,
 //	      descending when arg2 >= 128 — enough to fill and split blocks
 //	3     Locate key
-//	4     FloorPos and HigherPos at position key
+//	4     FloorPos at position key
 //	5     WalkFrom key, stopping after 1 + arg1 visits
 //	6, 7  Rewrite above key, ascending for 6 and descending for 7, by the
 //	      position delta arg1 (as a signed byte, clamped to keep the order)

@@ -12,7 +12,7 @@
 // contents are unsorted. Positions are non-decreasing in key order, so the
 // same two-level search works by position. Database cracking refines pieces
 // over time by inserting new boundaries; the tree must support ordered
-// lookups (the piece around a key, Locate; floor and higher by position),
+// lookups (the piece around a key, Locate; the floor of a position),
 // in-order traversal for piece enumeration, and one rewriting walk, in either
 // direction, over the boundaries above a key — the walk a batched merge moves
 // every piece above its lowest value with.
@@ -160,24 +160,6 @@ func (t *Tree) FloorPos(pos int) (k int64, p int, sum int64, ok bool) {
 		}
 	}
 	return 0, 0, 0, false
-}
-
-// HigherPos returns the boundary with the smallest position strictly greater
-// than pos; among equals the smallest key wins. It is the piece-end
-// counterpart of FloorPos.
-func (t *Tree) HigherPos(pos int) (k int64, p int, ok bool) {
-	if len(t.blocks) == 0 {
-		return 0, 0, false
-	}
-	b, i := t.seekPos(pos)
-	if i++; i == t.blocks[b].n {
-		if b++; b == len(t.blocks) {
-			return 0, 0, false
-		}
-		i = 0
-	}
-	x := t.blocks[b]
-	return x.keys[i], int(x.pos[i]), true
 }
 
 // Walk visits every boundary in ascending key order. The visit function

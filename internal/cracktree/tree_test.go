@@ -78,14 +78,6 @@ func (m *model) floorPos(pos int) (int64, int, int64, bool) {
 	return m.keys[i-1], m.pos[i-1], m.sums[i-1], true
 }
 
-func (m *model) higherPos(pos int) (int64, int, bool) {
-	i := m.upperPos(pos)
-	if i == len(m.keys) {
-		return 0, 0, false
-	}
-	return m.keys[i], m.pos[i], true
-}
-
 // rewrite is Tree.Rewrite on the model; it returns the keys in visit order.
 func (m *model) rewrite(above int64, down bool, visit func(int64, int, int64) (int, int64)) []int64 {
 	var seen []int64
@@ -119,8 +111,8 @@ func (m *model) shiftRange(above int64) (minDelta int, any bool) {
 	return lo - m.pos[i], true
 }
 
-// compare holds the tree to the model: Check, Len, a full Walk, and Locate,
-// FloorPos and HigherPos at every probe. n is the cracked array's length.
+// compare holds the tree to the model: Check, Len, a full Walk, and Locate
+// and FloorPos at every probe. n is the cracked array's length.
 func compare(tr *Tree, m *model, n int, keys []int64, positions []int) error {
 	if err := tr.Check(); err != nil {
 		return err
@@ -154,11 +146,6 @@ func compare(tr *Tree, m *model, n int, keys []int64, positions []int) error {
 		if k != wk || p != wp || s != ws || ok != wok {
 			return fmt.Errorf("FloorPos(%d) = %d,%d,%d,%v; model says %d,%d,%d,%v", pos, k, p, s, ok, wk, wp, ws, wok)
 		}
-		k, p, ok = tr.HigherPos(pos)
-		wk, wp, wok = m.higherPos(pos)
-		if k != wk || p != wp || ok != wok {
-			return fmt.Errorf("HigherPos(%d) = %d,%d,%v; model says %d,%d,%v", pos, k, p, ok, wk, wp, wok)
-		}
 	}
 	return nil
 }
@@ -182,9 +169,6 @@ func TestEmptyTree(t *testing.T) {
 	}
 	if _, _, _, ok := tr.FloorPos(5); ok {
 		t.Fatal("FloorPos on empty tree returned ok")
-	}
-	if _, _, ok := tr.HigherPos(5); ok {
-		t.Fatal("HigherPos on empty tree returned ok")
 	}
 	visit := func(int64, int, int64) bool { t.Fatal("walk over an empty tree visited"); return false }
 	tr.Walk(visit)
@@ -232,8 +216,7 @@ func TestInsertOverwrites(t *testing.T) {
 	}
 }
 
-// TestLocateMatchesFloorHigherGet: Locate, FloorPos and HigherPos must
-// answer what the sorted-slice model answers — on seeded random trees over a
+// TestLocateMatchesFloorHigherGet: Locate and FloorPos must answer what the sorted-slice model answers — on seeded random trees over a
 // key domain of up to 40 blocks' worth of keys, inserted in random order so
 // blocks split everywhere, holding the extreme keys and runs of boundaries
 // sharing a position (zero-width pieces), probed at every key, its
@@ -513,11 +496,10 @@ func TestAscendingInsertsPackBlocks(t *testing.T) {
 	}
 }
 
-// FloorPos and HigherPos search by position: among boundaries sharing a
-// position (zero-width pieces) FloorPos returns the largest key, HigherPos
-// the smallest of the next position, and FloorPos hands back that boundary's
-// sum.
-func TestFloorPosHigherPos(t *testing.T) {
+// FloorPos searches by position: among boundaries sharing a position
+// (zero-width pieces) it returns the largest key and hands back that
+// boundary's sum.
+func TestFloorPos(t *testing.T) {
 	var tr Tree
 	for _, b := range []struct {
 		key int64
@@ -526,25 +508,21 @@ func TestFloorPosHigherPos(t *testing.T) {
 		tr.Insert(b.key, b.pos, int64(100*b.pos))
 	}
 	for _, c := range []struct {
-		pos               int
-		floorKey, highKey int64
-		floorOK, highOK   bool
+		pos      int
+		floorKey int64
+		floorOK  bool
 	}{
-		{-1, 0, 10, false, true},
-		{0, 10, 20, true, true},
-		{4, 10, 20, true, true},
-		{5, 40, 50, true, true},
-		{8, 40, 50, true, true},
-		{9, 60, 0, true, false},
-		{99, 60, 0, true, false},
+		{-1, 0, false},
+		{0, 10, true},
+		{4, 10, true},
+		{5, 40, true},
+		{8, 40, true},
+		{9, 60, true},
+		{99, 60, true},
 	} {
 		k, p, sum, ok := tr.FloorPos(c.pos)
 		if ok != c.floorOK || (ok && (k != c.floorKey || p > c.pos || sum != int64(100*p))) {
 			t.Errorf("FloorPos(%d) = %d,%d,%d,%v; want key %d ok %v", c.pos, k, p, sum, ok, c.floorKey, c.floorOK)
-		}
-		k, p, ok = tr.HigherPos(c.pos)
-		if ok != c.highOK || (ok && (k != c.highKey || p <= c.pos)) {
-			t.Errorf("HigherPos(%d) = %d,%d,%v; want key %d ok %v", c.pos, k, p, ok, c.highKey, c.highOK)
 		}
 	}
 }

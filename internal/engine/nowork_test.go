@@ -78,6 +78,49 @@ func TestHolisticQueryWorkEqualsAdaptive(t *testing.T) {
 	}
 }
 
+// TestMoreIdleCutsSelectWork is the count twin of the harness's wall-clock
+// TestFig3MoreIdleHelpsHolistic: idle refinement is work a later select no
+// longer does. Two holistic engines see the same data and the same 300 1 %
+// selects, with an idle window every 50 selects of X = 5 actions on one and
+// X = 200 on the other; the crack work the selects themselves do, summed
+// over the parts, must be strictly lower with the larger windows.
+func TestMoreIdleCutsSelectWork(t *testing.T) {
+	const n, domain = 300_000, int64(1 << 20)
+	vals := randomVals(rand.New(rand.NewPCG(37, 38)), n, domain)
+	rng := rand.New(rand.NewPCG(39, 40))
+	stream := make([][2]int64, 300)
+	for i := range stream {
+		lo := rng.Int64N(domain - domain/100)
+		stream[i] = [2]int64{lo, lo + domain/100}
+	}
+	partsWork := func(e *Engine) (w int64) {
+		for _, ix := range crackedParts(t, e) {
+			if ix != nil {
+				w += ix.Work()
+			}
+		}
+		return w
+	}
+	selectWork := func(x int) (w int64) {
+		e := newEngineWithData(t, Config{Strategy: StrategyHolistic, Seed: 7, TargetPieceSize: 256, IdleWorkers: 1}, vals)
+		defer e.Close()
+		for i, q := range stream {
+			if i > 0 && i%50 == 0 {
+				e.IdleActions(x)
+			}
+			before := partsWork(e)
+			if _, err := e.Select("R", "A", q[0], q[1]); err != nil {
+				t.Fatal(err)
+			}
+			w += partsWork(e) - before
+		}
+		return w
+	}
+	if small, large := selectWork(5), selectWork(200); large >= small {
+		t.Fatalf("selects did %d work after X=200 windows, %d after X=5", large, small)
+	}
+}
+
 // crackedParts returns every part's cracked copy of R.A, nil where a part
 // has none yet.
 func crackedParts(t *testing.T, e *Engine) []*cracker.Index {

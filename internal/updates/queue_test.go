@@ -122,6 +122,46 @@ func TestQueueAnnihilateRow(t *testing.T) {
 	}
 }
 
+// TestQueueOutOfOrderArrivals: inserts whose rows arrive out of order, as
+// when a later statement's writer enqueues first, are found by row, resolve
+// to the lowest live row below the visibility bound holding a value, and
+// drain in row order up to the first gap.
+func TestQueueOutOfOrderArrivals(t *testing.T) {
+	var q Queue
+	q.Insert(10, 5)
+	q.Insert(20, 2)
+	q.Insert(10, 3)
+	if r, ok := q.MinInsertRowFor(10, AllRows); !ok || r != 3 {
+		t.Fatalf("MinInsertRowFor(10) = %d,%v; want 3", r, ok)
+	}
+	if v, ok := q.AnnihilateRow(2); !ok || v != 20 {
+		t.Fatalf("AnnihilateRow(2) = %d,%v; want 20", v, ok)
+	}
+	q.Insert(10, 1)
+	for _, c := range []struct {
+		below int64
+		row   uint32
+		ok    bool
+	}{{AllRows, 1, true}, {2, 1, true}, {1, 0, false}} {
+		if r, ok := q.MinInsertRowFor(10, c.below); ok != c.ok || r != c.row {
+			t.Fatalf("MinInsertRowFor(10, %d) = %d,%v; want %d,%v", c.below, r, ok, c.row, c.ok)
+		}
+	}
+	if v, ok := q.AnnihilateRow(1); !ok || v != 10 {
+		t.Fatalf("AnnihilateRow(1) = %d,%v; want 10", v, ok)
+	}
+	if _, ok := q.AnnihilateRow(4); ok {
+		t.Fatal("AnnihilateRow hit row 4, which was never inserted")
+	}
+	if r, ok := q.MinInsertRowFor(10, AllRows); !ok || r != 3 {
+		t.Fatalf("MinInsertRowFor(10) after killing row 1 = %d,%v; want 3", r, ok)
+	}
+	ins, _ := q.Drain(1, 1, 0, AllRows)
+	if len(ins) != 3 || ins[0].Row != 1 || ins[1].Row != 2 || ins[2].Row != 3 {
+		t.Fatalf("drain up to the gap at row 4: %v", ins)
+	}
+}
+
 // TestQueueConcurrentWriters hammers one queue from many goroutines and
 // checks nothing is lost: every writer's (count, sum) contribution must be
 // visible in the drained + buffered total. Run under -race this is also the

@@ -47,18 +47,20 @@ func SortByVal(es []Entry) {
 // mutex is a leaf — Queue methods never take any other lock — so they can be
 // called with or without the shard latch held. The zero value is an empty
 // queue ready for use.
+//
+// The insert buffer keeps no index beside it. A lookup by row reads it
+// through, as a lookup by value (MinInsertRowFor) always has: both run on
+// a DELETE, under the exclusive table latch, and a scan of at most a
+// burst's rows costs less there than sorting them would. Drain alone puts
+// the buffer in row order, the order the part's storage grows in.
 type Queue struct {
 	mu  sync.Mutex
 	ins []Entry
 	del []Entry
-	// rowAt indexes the insert buffer by row id (unique per row), so
-	// annihilation and value lookups by row are O(1). Allocated lazily on
-	// first insert; rebuilt after a drain compacts the buffer.
-	rowAt map[uint32]int
-	// delAt gives O(1) membership for buffered deletes: a pending-delete row
-	// is logically dead and must be hidden from reads, and a duplicate
-	// delete of the same (val, row) must not be buffered twice.
-	delAt map[Entry]int
+	// dels holds exactly del's entries: a pending-delete row is logically
+	// dead and must be hidden from reads, and a duplicate delete of the same
+	// (val, row) must not be buffered twice.
+	dels map[Entry]struct{}
 }
 
 // Insert buffers an insert of value v for base row `row` and returns the
@@ -67,11 +69,7 @@ type Queue struct {
 func (q *Queue) Insert(v int64, row uint32) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.rowAt == nil {
-		q.rowAt = make(map[uint32]int)
-	}
 	q.ins = append(q.ins, Entry{v, row})
-	q.rowAt[row] = len(q.ins) - 1
 	return len(q.ins) + len(q.del)
 }
 
@@ -83,7 +81,7 @@ func (q *Queue) Delete(v int64, row uint32) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	e := Entry{v, row}
-	if _, ok := q.delAt[e]; ok {
+	if _, ok := q.dels[e]; ok {
 		return false
 	}
 	q.bufferDelete(e)
@@ -92,11 +90,11 @@ func (q *Queue) Delete(v int64, row uint32) bool {
 
 // bufferDelete appends e to the delete buffer. Callers hold q.mu.
 func (q *Queue) bufferDelete(e Entry) {
-	if q.delAt == nil {
-		q.delAt = make(map[Entry]int)
+	if q.dels == nil {
+		q.dels = make(map[Entry]struct{})
 	}
 	q.del = append(q.del, e)
-	q.delAt[e] = len(q.del) - 1
+	q.dels[e] = struct{}{}
 }
 
 // AnnihilateRow logically deletes the buffered insert destined for `row`, if
@@ -109,12 +107,12 @@ func (q *Queue) bufferDelete(e Entry) {
 func (q *Queue) AnnihilateRow(row uint32) (int64, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	i, ok := q.rowAt[row]
-	if !ok {
+	i := slices.IndexFunc(q.ins, func(e Entry) bool { return e.Row == row })
+	if i < 0 {
 		return 0, false
 	}
 	e := q.ins[i]
-	if _, dead := q.delAt[e]; dead {
+	if _, dead := q.dels[e]; dead {
 		return 0, false
 	}
 	q.bufferDelete(e)
@@ -126,7 +124,7 @@ func (q *Queue) AnnihilateRow(row uint32) (int64, bool) {
 func (q *Queue) HasDelete(v int64, row uint32) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	_, ok := q.delAt[Entry{v, row}]
+	_, ok := q.dels[Entry{v, row}]
 	return ok
 }
 
@@ -140,7 +138,7 @@ func (q *Queue) MinInsertRowFor(v int64, below int64) (row uint32, ok bool) {
 		if e.Val != v || int64(e.Row) >= below {
 			continue
 		}
-		if _, dead := q.delAt[e]; dead {
+		if _, dead := q.dels[e]; dead {
 			continue
 		}
 		if !ok || e.Row < row {
@@ -206,28 +204,25 @@ func (q *Queue) Drain(next uint32, stride int, max int, below int64) (ins, del [
 		max = len(q.ins) + len(q.del)
 	}
 	// Applicable deletes drain first; application order does not matter for
-	// tombstoning. Compaction moves survivors, so their index rebuilds.
+	// tombstoning.
 	if len(q.del) > 0 {
 		kept := q.del[:0]
 		for _, e := range q.del {
 			if e.Row < next && len(del) < max {
 				del = append(del, e)
-				delete(q.delAt, e)
+				delete(q.dels, e)
 			} else {
 				kept = append(kept, e)
 			}
 		}
 		q.del = kept
-		for i, e := range q.del {
-			q.delAt[e] = i
-		}
 	}
 	budget := max - len(del)
 	if budget == 0 || len(q.ins) == 0 {
 		return ins, del
 	}
-	// Sort the insert buffer by row, take the contiguous prefix, compact the
-	// remainder to the front and rebuild the row index.
+	// Sort the insert buffer by row, take the contiguous prefix and compact
+	// the remainder to the front.
 	slices.SortFunc(q.ins, func(a, b Entry) int { return cmp.Compare(a.Row, b.Row) })
 	k := 0
 	for k < len(q.ins) && k < budget && q.ins[k].Row == next && int64(next) < below {
@@ -238,10 +233,6 @@ func (q *Queue) Drain(next uint32, stride int, max int, below int64) (ins, del [
 		ins = append(ins, q.ins[:k]...)
 		copy(q.ins, q.ins[k:])
 		q.ins = q.ins[:len(q.ins)-k]
-	}
-	clear(q.rowAt)
-	for i, e := range q.ins {
-		q.rowAt[e.Row] = i
 	}
 	return ins, del
 }

@@ -8,8 +8,7 @@
 //     arrive in a round robin fashion");
 //   - Sequential: a domain sweep, the adversary of query-driven cracking
 //     (the radix-first pass keeps its pieces bounded);
-//   - Hotspot: a skewed workload concentrating on a fraction of the domain;
-//   - Shifting: a moving hotspot (exercises decay in the statistics).
+//   - Hotspot: a skewed workload concentrating on a fraction of the domain.
 //
 // All generators are deterministic given their seed.
 package workload
@@ -197,61 +196,4 @@ func (h *Hotspot) Next() Query {
 		}
 	}
 	return Query{Table: h.table, Column: h.column, Lo: lo, Hi: hi}
-}
-
-// Shifting is a hotspot whose focus window moves across the domain every
-// period queries, testing how quickly statistics decay and refocus.
-type Shifting struct {
-	table, column string
-	domLo, domHi  int64
-	width         int64
-	windowFrac    float64
-	period        int
-	count         int
-	windowIdx     int64
-	rng           *rand.Rand
-}
-
-// NewShifting builds a moving-hotspot generator.
-func NewShifting(table, column string, domLo, domHi int64, selectivity, windowFrac float64, period int, seed uint64) *Shifting {
-	if windowFrac <= 0 || windowFrac > 1 {
-		windowFrac = 0.1
-	}
-	if period <= 0 {
-		period = 100
-	}
-	return &Shifting{
-		table:      table,
-		column:     column,
-		domLo:      domLo,
-		domHi:      domHi,
-		width:      span(domLo, domHi, selectivity),
-		windowFrac: windowFrac,
-		period:     period,
-		rng:        rand.New(rand.NewPCG(seed, seed^0xBF58476D1CE4E5B9)),
-	}
-}
-
-// Next implements Generator.
-func (s *Shifting) Next() Query {
-	domSpan := s.domHi - s.domLo
-	winSpan := int64(float64(domSpan) * s.windowFrac)
-	if winSpan < 1 {
-		winSpan = 1
-	}
-	nWindows := domSpan / winSpan
-	if nWindows < 1 {
-		nWindows = 1
-	}
-	winLo := s.domLo + (s.windowIdx%nWindows)*winSpan
-	lo := winLo + s.rng.Int64N(winSpan)
-	s.count++
-	if s.count%s.period == 0 {
-		s.windowIdx++
-	}
-	hi := lo + s.width
-	if hi > s.domHi {
-		hi = s.domHi
-	}
-	return Query{Table: s.table, Column: s.column, Lo: lo, Hi: hi}
 }

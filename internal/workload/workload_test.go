@@ -144,36 +144,6 @@ func TestHotspotClamping(t *testing.T) {
 	}
 }
 
-func TestShiftingMovesFocus(t *testing.T) {
-	g := NewShifting("R", "A", 0, 100000, 0.001, 0.1, 50, 13)
-	firstPhase := make([]int64, 0, 50)
-	for i := 0; i < 50; i++ {
-		firstPhase = append(firstPhase, g.Next().Lo)
-	}
-	secondPhase := make([]int64, 0, 50)
-	for i := 0; i < 50; i++ {
-		secondPhase = append(secondPhase, g.Next().Lo)
-	}
-	// Phase 1 lives in window [0, 10000), phase 2 in [10000, 20000).
-	for _, lo := range firstPhase {
-		if lo >= 10000 {
-			t.Fatalf("phase 1 query at %d", lo)
-		}
-	}
-	for _, lo := range secondPhase {
-		if lo < 10000 || lo >= 20000 {
-			t.Fatalf("phase 2 query at %d", lo)
-		}
-	}
-}
-
-func TestShiftingDefaults(t *testing.T) {
-	g := NewShifting("R", "A", 0, 1000, 0.01, -5, 0, 1)
-	if g.windowFrac != 0.1 || g.period != 100 {
-		t.Fatalf("defaults not applied: %f %d", g.windowFrac, g.period)
-	}
-}
-
 func TestPropertyQueriesAlwaysWellFormed(t *testing.T) {
 	f := func(seed uint64, selRaw uint8) bool {
 		sel := float64(selRaw%100+1) / 100
@@ -181,7 +151,6 @@ func TestPropertyQueriesAlwaysWellFormed(t *testing.T) {
 			NewUniform("R", "A", 0, 10000, sel, seed),
 			NewSequential("R", "A", 0, 10000, sel, 37),
 			NewHotspot("R", "A", 0, 10000, sel, 0.2, 0.8, seed),
-			NewShifting("R", "A", 0, 10000, sel, 0.25, 10, seed),
 		}
 		rr := NewRoundRobin(gens...)
 		for i := 0; i < 200; i++ {
