@@ -356,7 +356,6 @@ func BenchmarkDurableInsertParallel(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer store.Close()
-			e.SetWriteLog(store)
 			tab, err := e.CreateTable("R")
 			if err == nil {
 				err = tab.AddColumnFromSlice("A", make([]int64, 1024))

@@ -85,8 +85,9 @@ func main() {
 	defer eng.Close()
 
 	// Durable mode: recover the data directory into the (still empty)
-	// engine, then attach the store so every write is logged before it is
-	// acknowledged, and let checkpoints bid in the idle auction.
+	// engine — Open attaches the store, so every write from then on is
+	// logged before it is acknowledged — and let checkpoints bid in the
+	// idle auction.
 	var store *snapshot.Store
 	recovered := false
 	if *dataDir != "" {
@@ -103,7 +104,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("holisticd: -data-dir %s: %v", *dataDir, err)
 		}
-		eng.SetWriteLog(store)
 		eng.RegisterAux(&snapshot.CheckpointAction{Store: store, Logf: log.Printf})
 		recovered = info.SnapshotLoaded || info.Replayed > 0
 		switch {

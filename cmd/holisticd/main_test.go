@@ -77,7 +77,6 @@ func restartOffline(t *testing.T, before func(*engine.Engine, *snapshot.Store)) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.SetWriteLog(store)
 		return store, info
 	}
 

@@ -39,23 +39,6 @@ const DefaultTargetPieceSize = 1 << 18
 // multi-megabyte first touch of a column) takes the coarse pass.
 const DefaultRadixMinPiece = 1 << 17
 
-// PredicatedCrackFactor scales the comparison-crack cost terms for the
-// predicated (branch-free) partition loops: with no data-dependent branches
-// the partition sweep runs at close to memory speed instead of paying a
-// misprediction every other element. The factor is the single-core ratio of
-// predicated to branchy sweep time on random data; re-measure it with the
-// BenchmarkPartition2/{reference,rows,values} kernels in internal/cracker. Cost
-// estimates only ever compare against one another, so the exact value
-// matters less than applying it consistently to every partition-sweep term.
-//
-// The one-cursor kernel (PR 22) measures ~0.32 on the 2-core dev host at a
-// median pivot (~0.21 ms vs ~0.67 ms for 2^17 values); the two-cursor kernel
-// before it measured ~0.88. The value stays 0.6 deliberately: changing it
-// re-weights CrackActionCost against merges and snapshots in the idle
-// auction, which is the tuner calibration's job (ROADMAP item 3),
-// not a kernel change's.
-const PredicatedCrackFactor = 0.6
-
 // FanOutMinWork is how many values a fan-out must take off the caller's
 // goroutine before a select starts one (shard.Column.CountSum); below it the
 // parts run one after the other. A hand-off costs 7 us with the other core
@@ -178,10 +161,4 @@ func IndexedSelectCost(n int, selectivity float64) float64 {
 		return 0
 	}
 	return 2*math.Log2(float64(n)+1) + selectivity*float64(n)
-}
-
-// CrackActionCost is the expected cost of one random refinement action:
-// one predicated partition sweep of an average piece.
-func CrackActionCost(avgPieceSize float64) float64 {
-	return PredicatedCrackFactor * avgPieceSize
 }

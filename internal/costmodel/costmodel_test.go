@@ -67,9 +67,6 @@ func TestOperatorCosts(t *testing.T) {
 	if IndexedSelectCost(0, 0.5) != 0 {
 		t.Fatal("empty column costs")
 	}
-	if CrackActionCost(4096) != PredicatedCrackFactor*4096 {
-		t.Fatal("crack action cost")
-	}
 }
 
 // TestBuildMustPayForSort pins the online build threshold to the comparison

@@ -213,8 +213,8 @@ func FuzzPartition(f *testing.F) {
 	})
 }
 
-// BenchmarkPartition2 is the before/after pair behind
-// costmodel.PredicatedCrackFactor: branchy vs predicated sweeps of shuffled
+// BenchmarkPartition2 is the before/after pair of the seed's branchy
+// partition and the predicated kernel: branchy vs predicated sweeps of shuffled
 // values — the predicated one with the row ids in lockstep (rows) and over a
 // values-only copy (values) — by piece size — up to the largest piece a comparison crack sweeps
 // (costmodel.DefaultRadixMinPiece; larger cold pieces take the radix pass) —
@@ -225,7 +225,8 @@ func FuzzPartition(f *testing.F) {
 //
 //	go test -run '^$' -bench 'Partition2' -count 10 ./internal/cracker/
 //
-// and read rows/reference ns/op as the factor on the host at hand, and
+// and read rows/reference ns/op as the predicated kernel's cost against the
+// branchy loop on the host at hand, and
 // values/rows as what a values-only copy saves.
 func BenchmarkPartition2(b *testing.B) {
 	const total = 1 << 17

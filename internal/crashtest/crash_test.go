@@ -95,7 +95,6 @@ func childMain() int {
 		fmt.Fprintf(os.Stderr, "child: open store: %v\n", err)
 		return 1
 	}
-	eng.SetWriteLog(store)
 
 	// Schema setup is idempotent: a kill mid-setup leaves any prefix of
 	// {createTable, addColumn} in the log, and the next run finishes it.

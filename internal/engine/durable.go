@@ -15,8 +15,9 @@ import (
 // server surfaces it as a structured wire error; reads keep working.
 var ErrReadOnly = errors.New("engine: read-only mode, durability degraded")
 
-// WriteLog is the engine's durability hook. When attached via SetWriteLog,
-// every mutation is logged and durable BEFORE it is acknowledged; a non-nil
+// WriteLog is the engine's durability hook. When attached (snapshot.Open
+// attaches its Store once it has replayed the log into the engine), every
+// mutation is logged and durable BEFORE it is acknowledged; a non-nil
 // error aborts the statement (inserts are logged before their row ids are
 // committed, so a failed append burns nothing). Implementations wrap
 // persistent failures with ErrReadOnly to flip the engine read-only.
@@ -67,7 +68,8 @@ type LogStats struct {
 }
 
 // SetWriteLog attaches the durability hook. Call once at boot, before the
-// engine serves any traffic.
+// engine serves any traffic. snapshot.Open calls it for its Store; a direct
+// call is for a test that logs to a fake.
 func (e *Engine) SetWriteLog(wl WriteLog) { e.wlog = wl }
 
 // ReadOnly reports whether the attached write log has degraded — the
@@ -205,57 +207,24 @@ func (e *Engine) registerColumn(sc *shard.Column) {
 	e.tuner.RegisterColumn(sc.Name(), parts...)
 }
 
-// ReplayCreateTable re-applies a logged CREATE TABLE without re-logging.
-func (e *Engine) ReplayCreateTable(name string) error {
-	_, err := e.createTable(name, false)
-	return err
-}
-
-// ReplayAddColumn re-applies a logged column load without re-logging.
-func (e *Engine) ReplayAddColumn(table, col string, vals []int64) error {
-	t, err := e.Table(table)
-	if err != nil {
-		return err
-	}
-	return t.addColumnFromSlice(col, vals, false)
-}
-
-// ReplayInsert re-applies a logged insert batch. Rows below the table's
-// current high-water mark are already covered by the snapshot the replay
-// started from and are skipped, so a record straddling the snapshot cut
-// (possible only with an interval-fsync'd log) never double-inserts.
+// ReplayInsert re-applies a logged insert batch through InsertRows. Rows
+// below the table's current high-water mark are already covered by the
+// snapshot the replay started from and are skipped, so a record straddling
+// the snapshot cut (possible only with an interval-fsync'd log) never
+// double-inserts; a record that starts past the mark is a gap in the log.
 func (e *Engine) ReplayInsert(table string, first uint32, rows [][]int64) error {
 	t, err := e.Table(table)
 	if err != nil {
 		return err
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	cat := t.cat.Load()
 	cur := t.rows.Load()
 	if int64(first) > cur {
 		return fmt.Errorf("engine: replay insert at row %d but table %s has only %d rows (log gap)", first, table, cur)
 	}
-	for i, vals := range rows {
-		g := int64(first) + int64(i)
-		if g < cur {
-			continue
-		}
-		if len(vals) != len(cat.order) {
-			return fmt.Errorf("%w: replay insert of %d values into %d columns", ErrLengthMismatch, len(vals), len(cat.order))
-		}
-		if g >= int64(shard.MaxRows) {
-			return shard.ErrTooLarge
-		}
-		t.rows.Store(g + 1)
-		t.visible.Store(g + 1)
-		cur = g + 1
-		for j, name := range cat.order {
-			cat.cols[name].AppendAt(uint32(g), vals[j])
-		}
-		t.live.Add(1)
+	if skip := cur - int64(first); skip < int64(len(rows)) {
+		_, err = t.InsertRows(rows[skip:])
 	}
-	return nil
+	return err
 }
 
 // ReplayDeleteRows re-applies a logged delete by its resolved row ids.

@@ -275,16 +275,12 @@ func (e *Engine) MergePending() int {
 
 // CreateTable registers a new, empty table.
 func (e *Engine) CreateTable(name string) (*Table, error) {
-	return e.createTable(name, true)
-}
-
-func (e *Engine) createTable(name string, logIt bool) (*Table, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if _, ok := e.tables[name]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrTableExists, name)
 	}
-	if logIt && e.wlog != nil {
+	if e.wlog != nil {
 		if err := e.wlog.LogCreateTable(name); err != nil {
 			return nil, err
 		}

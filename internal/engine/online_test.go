@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -41,6 +42,39 @@ func TestOnlineBuildPenaltyLandsOnTriggeringQuery(t *testing.T) {
 	if r.Elapsed.Nanoseconds() > durs[0]/10 {
 		t.Fatalf("post-build query %v not much cheaper than scan %dns", r.Elapsed, durs[0])
 	}
+}
+
+// TestOnlineProbeDeclinesUntilEpochCloses is the count twin of
+// TestOnlineBuildPenaltyLandsOnTriggeringQuery: until the select that closes
+// the review's epoch no part has an index, so every part's probe declines
+// with a scan of its live rows as the work; that select builds the index,
+// and from then on every part's probe answers with no work.
+func TestOnlineProbeDeclinesUntilEpochCloses(t *testing.T) {
+	rng := rand.New(rand.NewPCG(51, 52))
+	e := newEngineWithData(t, Config{Strategy: StrategyOnline, Shards: 2}, randomVals(rng, 20000, 1<<20))
+	defer e.Close()
+	tab, _ := e.Table("R")
+	sc, _ := e.column("R", "A")
+	probe := func(lo, hi int64, answer bool, when string) {
+		t.Helper()
+		for _, p := range sc.Parts() {
+			want := 0
+			if !answer {
+				want = p.Live()
+			}
+			if _, _, work, ok := p.ProbeAt(lo, hi, tab.visible.Load()); ok != answer || work != want {
+				t.Fatalf("%s: part %s probe answered %v with work %d, want %v with %d", when, p.Name(), ok, work, answer, want)
+			}
+		}
+	}
+	for i := 1; i <= 100; i++ { // the review's epoch
+		lo := rng.Int64N(1 << 20)
+		probe(lo, lo+1000, false, fmt.Sprintf("before select %d", i))
+		if _, err := e.Select("R", "A", lo, lo+1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probe(1000, 2000, true, "after the epoch-closing select")
 }
 
 // TestOnlineDropsUnusedIndex drives two columns: one hot, one that goes

@@ -183,10 +183,6 @@ func (t *Table) Rows() int {
 // every shard is an independent refinement target, bidding with the column's
 // one workload sketch.
 func (t *Table) AddColumnFromSlice(name string, vals []int64) error {
-	return t.addColumnFromSlice(name, vals, true)
-}
-
-func (t *Table) addColumnFromSlice(name string, vals []int64, logIt bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.waitPublishedLocked()
@@ -203,7 +199,7 @@ func (t *Table) addColumnFromSlice(name string, vals []int64, logIt bool) error 
 		return shard.ErrTooLarge
 	}
 	var durable chan error
-	if logIt && t.eng.wlog != nil {
+	if t.eng.wlog != nil {
 		// Log before adopting vals: the record carries the full contents,
 		// written from vals' memory. Once the append returns the bytes are
 		// in the log, so the stripe pass may write over vals while the

@@ -89,7 +89,6 @@ func TestStatsReportLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	srv.eng.SetWriteLog(store)
 	for _, stmt := range []string{"insert into r values (101), (102)", "delete from r where a in (101)"} {
 		if resp, err := c.Exec(stmt); err != nil || !resp.OK {
 			t.Fatalf("%s: %+v %v", stmt, resp, err)

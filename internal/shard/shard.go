@@ -522,7 +522,8 @@ func (c *Column) CountSum(lo, hi, vis int64,
 // DefaultIngestCap — amortised maintenance, the backstop for strategies
 // with no idle pool. The row must be visible once enqueued (a column with
 // no watermark); a writer that publishes later calls Enqueue. Safe for
-// concurrent use.
+// concurrent use. Nothing in the kernel calls it: the benchmark rig
+// (bench/) appends its rows with it by name.
 func (c *Column) AppendAt(g uint32, v int64) {
 	if p := c.Enqueue(g, v); p != nil {
 		p.MergeStep(0)

@@ -24,7 +24,11 @@
 //  2. Load and CRC-check the manifest's snapshot; restore the engine's
 //     tables, columns and index structures from it.
 //  3. Open the WAL (truncating any torn tail) and replay every record
-//     after the manifest's offset through the engine's Replay* methods.
+//     after the manifest's offset through the engine's write path: a
+//     CREATE TABLE, column load or INSERT re-runs the statement that
+//     logged it (an INSERT skips the rows the snapshot already holds), a
+//     DELETE re-applies the row ids it resolved.
+//  4. Attach the Store to the engine as its write log.
 //
 // A corrupt snapshot fails recovery loudly — the operator keeps the data
 // directory — rather than silently serving partial data.
@@ -74,7 +78,7 @@ type RecoveryInfo struct {
 }
 
 // Store is the engine's durability backend. It implements engine.WriteLog;
-// attach with eng.SetWriteLog(store) after Open.
+// Open attaches it to the engine it recovered.
 type Store struct {
 	fs     wal.FS
 	dir    string
@@ -102,8 +106,10 @@ type Config struct {
 	Strategy string
 }
 
-// Open recovers the data directory into eng (which must be empty) and
-// returns the ready Store. The caller attaches it with eng.SetWriteLog and
+// Open recovers the data directory into eng (which must be empty, with no
+// write log attached) and returns the ready Store, attached to eng as its
+// write log once replay has succeeded: replayed statements run with no log
+// and are not logged again, and every write after Open is. The caller
 // registers the checkpoint action. A missing directory is created; a
 // missing manifest is a cold start.
 func Open(fs wal.FS, dir string, eng *engine.Engine, cfg Config) (*Store, RecoveryInfo, error) {
@@ -162,22 +168,37 @@ func Open(fs wal.FS, dir string, eng *engine.Engine, cfg Config) (*Store, Recove
 		replayed++
 		return nil
 	})
+	if err == nil && log.Size() < info.WALOffset {
+		// The log ends before the snapshot's cut: its tail never reached
+		// the disk, or a corrupt frame before the cut was cut off. Records
+		// appended from here on must lie past the cut, or the next recovery
+		// would skip them as covered by the snapshot.
+		err = log.Rebase(info.WALOffset)
+	}
 	if err != nil {
 		log.Close()
 		return nil, info, err
 	}
 	info.Replayed = replayed
 	s.log = log
+	eng.SetWriteLog(s)
 	return s, info, nil
 }
 
-// apply dispatches one replayed record to the engine.
+// apply re-runs one replayed record through the engine method that logged
+// it; Open attaches no log until replay is done, so nothing is re-logged.
+// A delete replays by the row ids it resolved.
 func (s *Store) apply(r Record) error {
 	switch r.Op {
 	case opCreateTable:
-		return s.eng.ReplayCreateTable(r.Table)
+		_, err := s.eng.CreateTable(r.Table)
+		return err
 	case opAddColumn:
-		return s.eng.ReplayAddColumn(r.Table, r.Col, r.Vals)
+		t, err := s.eng.Table(r.Table)
+		if err != nil {
+			return err
+		}
+		return t.AddColumnFromSlice(r.Col, r.Vals)
 	case opInsert:
 		return s.eng.ReplayInsert(r.Table, r.First, r.Rows)
 	case opDelete:

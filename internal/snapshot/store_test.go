@@ -30,7 +30,6 @@ func openStore(t *testing.T, fs wal.FS, dir string, e *engine.Engine) (*Store, R
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	e.SetWriteLog(s)
 	t.Cleanup(func() { s.Close() })
 	return s, info
 }
@@ -70,7 +69,8 @@ func expect(t *testing.T, e *engine.Engine, col string, lo, hi int64, wantCount 
 }
 
 // TestRecoverFromWALOnly: mutations logged but never checkpointed replay
-// fully on restart.
+// fully on restart. Nothing but Open attaches the store (openStore does
+// not call SetWriteLog), so the writes are logged because Open attached it.
 func TestRecoverFromWALOnly(t *testing.T) {
 	dir := t.TempDir()
 	e1 := newEngine(t)
@@ -157,6 +157,153 @@ func TestCheckpointThenRecover(t *testing.T) {
 	// 0..4999 plus 9000, minus a=10.
 	wantSum := int64(5000*4999/2) + 9000 - 10
 	expect(t, e2, "a", 0, 10_000, 5000, wantSum)
+}
+
+// TestShortLogKeepsLaterWrites: a log that ends before the manifest's
+// offset — a checkpoint whose log rebase never landed, over a log tail that
+// never reached the disk — starts again at the offset, so a write
+// acknowledged after the reopen is replayed by the next one.
+func TestShortLogKeepsLaterWrites(t *testing.T) {
+	dir := t.TempDir()
+	walPath := filepath.Join(dir, walName)
+	e1 := newEngine(t)
+	s1, _ := openStore(t, nil, dir, e1)
+	tb := seedTable(t, e1, 100)
+	short, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]int64, 1000)
+	for i := range rows {
+		rows[i] = []int64{int64(100 + i), int64(2 * (100 + i))}
+	}
+	if _, err := tb.InsertRows(rows); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s1.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s1.Close()
+	if err := os.WriteFile(walPath, short, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	e2 := newEngine(t)
+	s2, info := openStore(t, nil, dir, e2)
+	if got := s2.log.Size(); got != info.WALOffset {
+		t.Errorf("reopened log ends at %d, want the manifest's offset %d", got, info.WALOffset)
+	}
+	tb2, _ := e2.Table("kv")
+	if g, err := tb2.InsertRow(5000, 10000); err != nil || g != 1100 {
+		t.Fatalf("InsertRow after the reopen = %d, %v; want row 1100", g, err)
+	}
+	s2.Close()
+
+	e3 := newEngine(t)
+	_, info = openStore(t, nil, dir, e3)
+	if info.Replayed != 1 {
+		t.Fatalf("replayed %d records, want the acknowledged insert", info.Replayed)
+	}
+	expect(t, e3, "a", 0, 10_000, 1101, 1100*1099/2+5000)
+}
+
+// TestReplayInsertAgainstSnapshot: an insert record replays the rows past
+// the table's row count only — a record whose first rows the snapshot
+// already holds replays its tail — and one that starts past the row count
+// is a gap in the log, which fails Open.
+func TestReplayInsertAgainstSnapshot(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		first uint32
+	}{{"straddle", 98}, {"gap", 101}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			e1 := newEngine(t)
+			s1, _ := openStore(t, nil, dir, e1)
+			seedTable(t, e1, 100)
+			if _, err := s1.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			var rows [][]int64
+			for g := int64(tc.first); g < int64(tc.first)+4; g++ {
+				rows = append(rows, []int64{g, 2 * g})
+			}
+			end, err := s1.LogInsert("kv", tc.first, rows)
+			if err == nil {
+				err = s1.WaitDurable(end)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			s1.Close()
+
+			e2 := newEngine(t)
+			s2, info, err := Open(nil, dir, e2, Config{Policy: wal.Policy{Sync: wal.SyncAlways}, Shards: e2.Shards()})
+			if tc.name == "gap" {
+				if err == nil || !strings.Contains(err.Error(), "log gap") {
+					t.Fatalf("Open over a record at row 101 of a 100-row table: %v, want the log-gap error", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s2.Close() })
+			if info.Replayed != 1 {
+				t.Fatalf("replayed %d records, want 1", info.Replayed)
+			}
+			// Rows 98 and 99 come from the snapshot, 100 and 101 from the record.
+			expect(t, e2, "a", 0, 1000, 102, 101*102/2)
+			tb, _ := e2.Table("kv")
+			if g, err := tb.InsertRow(500, 1000); err != nil || g != 102 {
+				t.Fatalf("InsertRow after the replay = %d, %v; want row 102", g, err)
+			}
+		})
+	}
+}
+
+// TestReplayIntoAutoIdleEngine recovers a log of insert and delete records
+// into a holistic engine whose idle pool is running, so each replayed
+// statement's hold on the write gate races the pool's steps (CI runs it
+// under -race -cpu 1,2,4). The inserts push the queues past their cap, so
+// replay merges inline as the live statements did.
+func TestReplayIntoAutoIdleEngine(t *testing.T) {
+	const shards, base, batches, batch = 2, 20_000, 150, 64
+	dir := t.TempDir()
+	open := func(autoIdle bool) (*engine.Engine, *Store) {
+		e := engine.New(engine.Config{Strategy: engine.StrategyHolistic, Seed: 42, Shards: shards, AutoIdle: autoIdle, IdleWorkers: 2})
+		t.Cleanup(e.Close)
+		s, _ := openStore(t, nil, dir, e)
+		return e, s
+	}
+	e1, s1 := open(false)
+	tb := seedTable(t, e1, base)
+	count, sum := base, int64(base*(base-1)/2)
+	for i := 0; i < batches; i++ {
+		rows := make([][]int64, batch)
+		for j := range rows {
+			a := int64(base + i*batch + j)
+			rows[j] = []int64{a, 2 * a}
+			count, sum = count+1, sum+a
+		}
+		if _, err := tb.InsertRows(rows); err != nil {
+			t.Fatal(err)
+		}
+		if i%10 == 9 {
+			gone := []int64{int64(i), int64(base + i*batch)}
+			if n, err := tb.DeleteWhereIn("a", gone); err != nil || n != 2 {
+				t.Fatalf("DeleteWhereIn(%v) = %d, %v", gone, n, err)
+			}
+			count, sum = count-2, sum-gone[0]-gone[1]
+		}
+	}
+	s1.Close()
+
+	e2, _ := open(true)
+	expect(t, e2, "a", 0, 1<<40, count, sum)
+	expect(t, e2, "b", 0, 1<<40, count, 2*sum)
+	e2.MergePending()
+	expect(t, e2, "a", 0, 1<<40, count, sum)
 }
 
 // TestCheckpointCompactsWAL: a checkpoint rebases the log so restart does
@@ -573,7 +720,6 @@ func TestStripedLoadSurvivesRestart(t *testing.T) {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { s.Close() })
-				e.SetWriteLog(s)
 				return e, s
 			}
 			e1, s1 := open()

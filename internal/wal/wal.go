@@ -609,7 +609,8 @@ func (l *Log) ReplayFrom(from int64, fn func(end int64, payload []byte) error) e
 // not empty: Store.Checkpoint drops the table locks once CaptureState has
 // read upTo, so every write made while the snapshot is encoded and synced
 // lands in it. The new file is synced whole before it replaces the old one,
-// so the durable watermark moves to the log's end.
+// so the durable watermark moves to the log's end. A log that ends before
+// upTo starts empty at upTo: the next record ends past the snapshot's cut.
 // Failure to rebase is not a durability failure — the old, larger file
 // remains fully valid — so errors are returned for logging but do not
 // degrade the log.
@@ -636,7 +637,7 @@ func (l *Log) Rebase(upTo int64) error {
 			off = end
 		}
 	}
-	return l.replaceLocked(l.size-int64(len(suffix)), suffix)
+	return l.replaceLocked(max(l.size, upTo)-int64(len(suffix)), suffix)
 }
 
 // upgrade rewrites a HOLWAL01 file's records in the current format at the
@@ -658,7 +659,8 @@ func (l *Log) upgrade() error {
 
 // replaceLocked atomically replaces the log file by one whose base is
 // newBase and whose records are frames — written, synced, renamed over the
-// old file and the directory synced — and makes it the log's file.
+// old file and the directory synced — and makes it the log's file, ending
+// at newBase plus the frames.
 func (l *Log) replaceLocked(newBase int64, frames []byte) error {
 	tmp := l.path + ".tmp"
 	nf, err := l.fs.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -686,6 +688,7 @@ func (l *Log) replaceLocked(newBase int64, frames []byte) error {
 	old := l.f
 	l.f = nf
 	l.base = newBase
+	l.size = newBase + int64(len(frames))
 	l.fileLen = headerSize + int64(len(frames))
 	old.Close()
 	// The records are synced; the rename is durable once the directory is.

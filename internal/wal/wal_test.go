@@ -359,6 +359,50 @@ func TestRebaseKeepsSuffix(t *testing.T) {
 	check(l2, "after reopen")
 }
 
+// TestRebasePastEnd: rebasing a log that ends before the cut — its tail
+// never reached the disk — leaves it empty at the cut, so the next record
+// ends past the cut, before and after a reopen, and a replay from the cut
+// finds it.
+func TestRebasePastEnd(t *testing.T) {
+	l, path := openTemp(t, OSFS{}, Policy{Sync: SyncOff})
+	if _, err := l.Append([]byte("covered")); err != nil {
+		t.Fatal(err)
+	}
+	cut := l.Size() + 1000
+	if err := l.Rebase(cut); err != nil {
+		t.Fatalf("Rebase: %v", err)
+	}
+	if l.Size() != cut {
+		t.Fatalf("size %d after Rebase past the end, want the cut %d", l.Size(), cut)
+	}
+	end, err := l.Append([]byte("acknowledged"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := cut + FrameHeaderSize + int64(len("acknowledged")); end != want {
+		t.Fatalf("record ends at %d, want %d", end, want)
+	}
+	l.Close()
+	l2, _, err := Open(OSFS{}, path, Policy{Sync: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	var got []string
+	if err := l2.ReplayFrom(cut, func(e int64, p []byte) error {
+		if e != end {
+			t.Errorf("record %q ends at %d after reopen, want %d", p, e, end)
+		}
+		got = append(got, string(p))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if l2.Size() != end || !slices.Equal(got, []string{"acknowledged"}) {
+		t.Fatalf("reopened: size %d, replay from the cut %q; want %d and the record appended after the rebase", l2.Size(), got, end)
+	}
+}
+
 func TestRebaseRenameFailureKeepsOldLog(t *testing.T) {
 	ffs := NewFaultFS(OSFS{})
 	l, _ := openTemp(t, ffs, Policy{Sync: SyncOff})
