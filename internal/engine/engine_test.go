@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand/v2"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"holistic/internal/shard"
@@ -133,54 +132,6 @@ func TestStrategyNamesAndCapabilities(t *testing.T) {
 			t.Fatalf("%v: an idle window took %d actions; idle time during the workload is %v", s, actions, caps.IdleTimeDuring)
 		}
 		e.Close()
-	}
-}
-
-// TestAllStrategiesAgree is the master integration property: identical data
-// and queries produce identical results under every strategy.
-func TestAllStrategiesAgree(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	vals := randomVals(rng, 20000, 50000)
-	queries := make([][2]int64, 300)
-	for i := range queries {
-		lo := rng.Int64N(50000)
-		queries[i] = [2]int64{lo, lo + rng.Int64N(600) + 1}
-	}
-	type run struct {
-		name    string
-		results []Result
-	}
-	var runs []run
-	for _, s := range Strategies() {
-		e := newEngineWithData(t, Config{Strategy: s, Seed: 7, TargetPieceSize: 512}, vals)
-		if s == StrategyOffline {
-			if _, err := e.BuildFullIndex("R", "A"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var rs []Result
-		for qi, q := range queries {
-			r, err := e.Select("R", "A", q[0], q[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			rs = append(rs, r)
-			// Sprinkle idle windows; results must be unaffected.
-			if qi%50 == 25 {
-				e.IdleActions(20)
-			}
-		}
-		e.Close()
-		runs = append(runs, run{s.String(), rs})
-	}
-	for qi := range queries {
-		wc, ws := naiveRange(vals, queries[qi][0], queries[qi][1])
-		for _, r := range runs {
-			if r.results[qi].Count != wc || r.results[qi].Sum != ws {
-				t.Fatalf("q%d %v: %s returned %d/%d want %d/%d",
-					qi, queries[qi], r.name, r.results[qi].Count, r.results[qi].Sum, wc, ws)
-			}
-		}
 	}
 }
 
@@ -354,135 +305,6 @@ func TestSeedWorkloadHintFocusesIdle(t *testing.T) {
 	pc, _, _ := e.PieceStats("R", "cold")
 	if ph <= pc*3 {
 		t.Fatalf("seeded column not favoured: hot=%d cold=%d pieces", ph, pc)
-	}
-}
-
-func TestInsertDeleteVisibleAcrossStrategies(t *testing.T) {
-	base := []int64{10, 20, 30, 40, 50}
-	for _, s := range Strategies() {
-		e := newEngineWithData(t, Config{Strategy: s}, base)
-		tab, _ := e.Table("R")
-		if s == StrategyOffline {
-			e.BuildFullIndex("R", "A")
-		}
-		// Query first so cracked strategies materialise their copy, then
-		// mutate: updates must flow through pending buffers.
-		if _, err := e.Select("R", "A", 0, 100); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tab.InsertRow(25); err != nil {
-			t.Fatal(err)
-		}
-		if ok, err := tab.DeleteWhere("A", 40); err != nil || !ok {
-			t.Fatalf("delete: %v %v", ok, err)
-		}
-		if ok, _ := tab.DeleteWhere("A", 999); ok {
-			t.Fatal("deleted a value that does not exist")
-		}
-		r, err := e.Select("R", "A", 0, 100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Live rows: 10,20,30,50,25 -> count 5, sum 135.
-		if r.Count != 5 || r.Sum != 135 {
-			t.Fatalf("%v after updates: %d/%d", s, r.Count, r.Sum)
-		}
-		if tab.Rows() != 5 {
-			t.Fatalf("%v live rows %d", s, tab.Rows())
-		}
-		e.Close()
-	}
-}
-
-func TestMultiColumnRowAlignment(t *testing.T) {
-	e := New(Config{Strategy: StrategyHolistic, Seed: 4})
-	tab, _ := e.CreateTable("R")
-	tab.AddColumnFromSlice("a", []int64{1, 2, 3})
-	tab.AddColumnFromSlice("b", []int64{10, 20, 30})
-	// Crack both columns.
-	e.Select("R", "a", 0, 10)
-	e.Select("R", "b", 0, 100)
-	// Deleting via column a must remove the row from b too.
-	if ok, _ := tab.DeleteWhere("a", 2); !ok {
-		t.Fatal("delete failed")
-	}
-	rb, _ := e.Select("R", "b", 0, 100)
-	if rb.Count != 2 || rb.Sum != 40 {
-		t.Fatalf("b after delete via a: %d/%d", rb.Count, rb.Sum)
-	}
-	// Insert a full row.
-	if _, err := tab.InsertRow(7, 70); err != nil {
-		t.Fatal(err)
-	}
-	ra, _ := e.Select("R", "a", 0, 10)
-	rb, _ = e.Select("R", "b", 0, 100)
-	if ra.Count != 3 || rb.Count != 3 || rb.Sum != 110 {
-		t.Fatalf("after insert: a=%d b=%d/%d", ra.Count, rb.Count, rb.Sum)
-	}
-	if _, err := tab.InsertRow(1); !errors.Is(err, ErrLengthMismatch) {
-		t.Fatalf("short insert: %v", err)
-	}
-}
-
-// TestPropertyEngineMatchesOracle drives a random mix of queries, inserts,
-// deletes and idle windows through adaptive and holistic engines and checks
-// every result against a naive oracle.
-func TestPropertyEngineMatchesOracle(t *testing.T) {
-	f := func(seed uint64, holistic bool) bool {
-		rng := rand.New(rand.NewPCG(seed, 77))
-		domain := int64(2000)
-		vals := randomVals(rng, 500, domain)
-		s := StrategyAdaptive
-		if holistic {
-			s = StrategyHolistic
-		}
-		e := New(Config{Strategy: s, Seed: seed, TargetPieceSize: 32})
-		tab, _ := e.CreateTable("R")
-		tab.AddColumnFromSlice("A", append([]int64{}, vals...))
-		oracle := append([]int64{}, vals...)
-		for op := 0; op < 80; op++ {
-			switch rng.IntN(6) {
-			case 0: // insert
-				v := rng.Int64N(domain)
-				if _, err := tab.InsertRow(v); err != nil {
-					return false
-				}
-				oracle = append(oracle, v)
-			case 1: // delete
-				if len(oracle) == 0 {
-					continue
-				}
-				v := oracle[rng.IntN(len(oracle))]
-				ok, err := tab.DeleteWhere("A", v)
-				if err != nil || !ok {
-					return false
-				}
-				for i, ov := range oracle {
-					if ov == v {
-						oracle = append(oracle[:i], oracle[i+1:]...)
-						break
-					}
-				}
-			case 5: // idle window
-				e.IdleActions(5)
-			default: // query
-				lo := rng.Int64N(domain+100) - 50
-				hi := lo + rng.Int64N(domain/2+1)
-				r, err := e.Select("R", "A", lo, hi)
-				if err != nil {
-					return false
-				}
-				wc, ws := naiveRange(oracle, lo, hi)
-				if r.Count != wc || r.Sum != ws {
-					return false
-				}
-			}
-		}
-		e.Close()
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }
 

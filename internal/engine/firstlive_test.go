@@ -9,6 +9,7 @@ package engine
 import (
 	"math"
 	"math/rand/v2"
+	"strconv"
 	"testing"
 )
 
@@ -51,7 +52,7 @@ func TestFirstLiveMatchesReferenceScan(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 8} {
 		for _, vr := range strategiesUnderTest {
-			t.Run(vr.name+"/shards="+itoa(shards), func(t *testing.T) {
+			t.Run(vr.name+"/shards="+strconv.Itoa(shards), func(t *testing.T) {
 				rng := rand.New(rand.NewPCG(1501, uint64(shards)))
 				e := New(Config{
 					Strategy:        vr.s,
@@ -182,9 +183,9 @@ func TestFirstLiveMatchesReferenceScan(t *testing.T) {
 							e.IdleActions(2) // holistic: cracks and partial merges mid-round
 						}
 					}
-					check("round " + itoa(r) + ", updates buffered")
+					check("round " + strconv.Itoa(r) + ", updates buffered")
 					tab.MergePending()
-					check("round " + itoa(r) + ", merged")
+					check("round " + strconv.Itoa(r) + ", merged")
 				}
 				for _, name := range colNames {
 					sc, _ := e.column("R", name)

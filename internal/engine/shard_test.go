@@ -7,6 +7,7 @@ package engine
 
 import (
 	"math/rand/v2"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -25,7 +26,7 @@ func TestShardedStrategiesMatchOracle(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 8} {
 		for _, tc := range strategiesUnderTest {
-			t.Run(tc.name+"/shards="+itoa(shards), func(t *testing.T) {
+			t.Run(tc.name+"/shards="+strconv.Itoa(shards), func(t *testing.T) {
 				cfg := Config{
 					Strategy:        tc.s,
 					Seed:            13,
@@ -174,7 +175,7 @@ func TestShardedMixedWorkload(t *testing.T) {
 	seed := randomVals(rng, n, domain)
 
 	for _, shards := range []int{1, 2, 8} {
-		t.Run("shards="+itoa(shards), func(t *testing.T) {
+		t.Run("shards="+strconv.Itoa(shards), func(t *testing.T) {
 			e := newEngineWithData(t, Config{
 				Strategy:        StrategyHolistic,
 				Seed:            19,
@@ -268,72 +269,4 @@ func TestShardedMixedWorkload(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestShardedDeletesMatchOracle exercises DeleteWhere routing across shards.
-func TestShardedDeletesMatchOracle(t *testing.T) {
-	rng := rand.New(rand.NewPCG(501, 502))
-	const domain = int64(500)
-	seed := randomVals(rng, 3000, domain)
-	ref := append([]int64{}, seed...)
-
-	e := newEngineWithData(t, Config{Strategy: StrategyHolistic, Seed: 23, Shards: 4}, seed)
-	defer e.Close()
-	tab, _ := e.Table("R")
-
-	for i := 0; i < 400; i++ {
-		switch rng.IntN(3) {
-		case 0:
-			v := rng.Int64N(domain)
-			if _, err := tab.InsertRow(v); err != nil {
-				t.Fatal(err)
-			}
-			ref = append(ref, v)
-		case 1:
-			v := rng.Int64N(domain)
-			deleted, err := tab.DeleteWhere("A", v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inRef := false
-			for j, rv := range ref {
-				if rv == v {
-					ref = append(ref[:j], ref[j+1:]...)
-					inRef = true
-					break
-				}
-			}
-			if deleted != inRef {
-				t.Fatalf("DeleteWhere(%d) = %v, reference says %v", v, deleted, inRef)
-			}
-		case 2:
-			lo := rng.Int64N(domain)
-			hi := lo + rng.Int64N(domain/4) + 1
-			r, err := e.Select("R", "A", lo, hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wc, ws := naiveRange(ref, lo, hi)
-			if r.Count != wc || r.Sum != ws {
-				t.Fatalf("op %d [%d,%d): got %d/%d want %d/%d", i, lo, hi, r.Count, r.Sum, wc, ws)
-			}
-		}
-	}
-	if got := tab.Rows(); got != len(ref) {
-		t.Fatalf("Rows() = %d, want %d", got, len(ref))
-	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }

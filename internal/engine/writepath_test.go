@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -64,7 +65,7 @@ func TestShardedWriteReadOracle(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 8} {
 		for _, tc := range strategiesUnderTest {
-			t.Run(tc.name+"/shards="+itoa(shards), func(t *testing.T) {
+			t.Run(tc.name+"/shards="+strconv.Itoa(shards), func(t *testing.T) {
 				cfg := Config{
 					Strategy:        tc.s,
 					Seed:            23,

@@ -31,6 +31,14 @@ func startServer(t *testing.T, engCfg engine.Config, n int, tweak func(*Config))
 	if err := tab.AddColumnFromSlice("a", append([]int64(nil), vals...)); err != nil {
 		t.Fatal(err)
 	}
+	srv, addr := serve(t, eng, tweak)
+	return srv, addr, vals
+}
+
+// serve starts a server for eng on a loopback port and shuts it down when
+// the test ends.
+func serve(t *testing.T, eng *engine.Engine, tweak func(*Config)) (*Server, string) {
+	t.Helper()
 	cfg := Config{Engine: eng}
 	if tweak != nil {
 		tweak(&cfg)
@@ -46,7 +54,7 @@ func startServer(t *testing.T, engCfg engine.Config, n int, tweak func(*Config))
 		defer cancel()
 		srv.Shutdown(ctx)
 	})
-	return srv, lis.Addr().String(), vals
+	return srv, lis.Addr().String()
 }
 
 // oracle answers range count/sum queries from a sorted copy with prefix

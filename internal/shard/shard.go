@@ -85,15 +85,20 @@
 //
 // A delete names a value, not a row: Column.FirstLive resolves it to the
 // lowest live global row id, asking every part (Part.firstLive) and taking
-// the minimum. A part answers through its index — the one piece holding the
-// value, or a sorted index's run of duplicates, under the index's shared
-// latch, cracking nothing — or, with none, an early-exit scan of its rows,
-// skipping rows with a buffered delete; then it consults its buffered
-// inserts. The index holds exactly the merged, non-tombstoned rows, so both
-// paths name the same row; the caller's exclusive table lock is held for a
-// piece, not a column. An index is built or restored values-only, and the
-// column's first resolution through it attaches its row ids
-// (Column.AttachRows): a column no delete names never pays for them.
+// the minimum. Within a part every buffered insert's row lies above every
+// merged row — its local position is at least len(vals) — since a merge
+// drains only the buffer's row-ordered prefix from the next position
+// (updates.Queue.Drain). So a part answers through its index — the one piece
+// holding the value, or a sorted index's run of duplicates, under the
+// index's shared latch, cracking nothing — or, with none, an early-exit scan
+// of its rows, skipping rows with a buffered delete, and reads its buffered
+// inserts only on a miss; and Part.deleteLocal tells a merged row from a
+// buffered one by position alone. The index holds exactly the merged,
+// non-tombstoned rows, so both paths name the same row; the caller's
+// exclusive table lock is held for a piece, not a column. An index is built
+// or restored values-only, and the column's first resolution through it
+// attaches its row ids (Column.AttachRows): a column no delete names never
+// pays for them.
 //
 // # One latch per read
 //
@@ -574,11 +579,11 @@ func (c *Column) FirstLive(v int64) (row uint32, ok bool) {
 	return best, ok
 }
 
-// DeleteRow deletes global row g in its part: a still-buffered insert gets
+// DeleteRow deletes global row g in its part: a merged row gets a buffered
+// delete (applied as a tombstone at the next merge), a still-buffered insert
 // a delete paired with it in the queue (the pair nets to zero immediately
-// and drains as materialise-then-tombstone, keeping row order dense), a
-// merged row gets a buffered delete (applied as a tombstone at the next
-// merge). It returns the deleted value.
+// and drains as materialise-then-tombstone, keeping row order dense). The
+// row's position says which it is. It returns the deleted value.
 func (c *Column) DeleteRow(g uint32) int64 {
 	n := len(c.parts)
 	return c.parts[int(g)%n].deleteLocal(int(g) / n)
@@ -1026,29 +1031,25 @@ func (p *Part) PendingOps() int { return p.ingest.Len() }
 // costs one piece or a binary search (under the index's shared latch:
 // nothing is cracked on the writer's path) instead of a scan; only a part
 // whose index has no row ids (none, or an attach refused) scans, stopping
-// at the first hit. The shared latch is held across the queue read as well,
-// so no merge can move a buffered insert into the structures between the
-// two and hide it from both.
+// at the first hit. Buffered rows lie above merged ones, so the queue is
+// read only on a merged miss, under the same shared latch: no merge can
+// move a buffered insert into the structures in between and hide it.
 func (p *Part) firstLive(v, vis int64) (uint32, bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	live := func(g uint32) bool { return !p.ingest.HasDelete(v, g) }
-	var best uint32
-	found := false
 	if ix := p.crack; ix != nil && ix.HasRows() {
-		best, found = ix.MinRowOf(v, live)
+		if g, ok := ix.MinRowOf(v, live); ok {
+			return g, true
+		}
 	} else {
 		for i, val := range p.vals {
 			if g := p.globalRow(i); val == v && !p.deadLocked(i) && live(g) {
-				best, found = g, true
-				break
+				return g, true
 			}
 		}
 	}
-	if r, ok := p.ingest.MinInsertRowFor(v, vis); ok && (!found || r < best) {
-		best, found = r, true
-	}
-	return best, found
+	return p.ingest.MinInsertRowFor(v, vis)
 }
 
 // valuesOnly reports whether the part's index has no row ids yet.
@@ -1072,30 +1073,25 @@ func (p *Part) attachRows() error {
 	return nil
 }
 
-// deleteLocal deletes the row at local position: a still-buffered insert is
-// annihilated (paired with a queued delete), a merged live row gets a
-// buffered delete. It returns the row's value (0 if the row does not exist
-// or is already dead).
+// deleteLocal deletes the row at local position: below len(p.vals) a merged
+// live row gets a buffered delete, past it a still-buffered insert is
+// annihilated (paired with a queued delete) — the only case that reads the
+// insert buffer. The shared latch keeps a merge from moving the row
+// meanwhile. It returns the row's value (0 for a row not yet enqueued).
 func (p *Part) deleteLocal(local int) int64 {
 	g := p.globalRow(local)
-	if v, ok := p.ingest.AnnihilateRow(g); ok {
-		return v
-	}
 	p.mu.RLock()
+	defer p.mu.RUnlock()
 	if local >= len(p.vals) {
-		// Neither buffered nor merged: the row id is still in flight between
-		// assignment and enqueue (the table's lock ordering prevents deletes
-		// from ever racing it, so this is purely defensive).
-		p.mu.RUnlock()
-		return 0
+		// A miss is a row id in flight between assignment and enqueue,
+		// which the table's lock ordering keeps deletes from racing.
+		v, _ := p.ingest.AnnihilateRow(g)
+		return v
 	}
 	v := p.vals[local]
-	dead := p.deadLocked(local)
-	p.mu.RUnlock()
-	if dead {
-		return v
+	if !p.deadLocked(local) {
+		p.ingest.Delete(v, g) // dedups a delete already buffered for this row
 	}
-	p.ingest.Delete(v, g) // dedups a delete already buffered for this row
 	return v
 }
 

@@ -122,6 +122,10 @@ func Open(fs wal.FS, dir string, eng *engine.Engine, cfg Config) (*Store, Recove
 	s := &Store{fs: fs, dir: dir, eng: eng, shards: max(cfg.Shards, 1)}
 	info := RecoveryInfo{TornAt: -1}
 
+	// A cold start restores the empty state, so RestoreState refuses a
+	// non-empty engine on both paths: the log has no record of a table made
+	// before Open, and no replay could apply a later write to it.
+	var st engine.EngineState
 	man, err := s.readManifest()
 	switch {
 	case err == nil:
@@ -132,11 +136,7 @@ func Open(fs wal.FS, dir string, eng *engine.Engine, cfg Config) (*Store, Recove
 		if err != nil {
 			return nil, info, fmt.Errorf("snapshot: manifest names %s: %w", man.Snapshot, err)
 		}
-		st, err := DecodeState(img)
-		if err != nil {
-			return nil, info, err
-		}
-		if err := eng.RestoreState(st); err != nil {
+		if st, err = DecodeState(img); err != nil {
 			return nil, info, err
 		}
 		info.SnapshotLoaded = true
@@ -144,11 +144,11 @@ func Open(fs wal.FS, dir string, eng *engine.Engine, cfg Config) (*Store, Recove
 		info.WALOffset = man.WALOffset
 		s.epoch.Store(man.Epoch)
 		s.checkpointed.Store(man.WALOffset)
-	case errors.Is(err, os.ErrNotExist):
-		// Cold start: no snapshot yet, the whole log replays into an
-		// empty engine.
-	default:
+	case !errors.Is(err, os.ErrNotExist):
 		return nil, info, err
+	}
+	if err := eng.RestoreState(st); err != nil {
+		return nil, info, fmt.Errorf("snapshot: recover %s: %w", dir, err)
 	}
 
 	log, tear, err := wal.Open(fs, filepath.Join(dir, walName), cfg.Policy)

@@ -391,6 +391,29 @@ func TestDegradedLogTurnsEngineReadOnly(t *testing.T) {
 	}
 }
 
+// TestColdOpenRefusesLoadedEngine: a data dir with no snapshot yet refuses
+// an engine that already holds a table, as a snapshot's restore does: the
+// log never recorded that table, so no replay could apply the inserts it
+// would log into it. The refused dir stays recoverable.
+func TestColdOpenRefusesLoadedEngine(t *testing.T) {
+	dir := t.TempDir()
+	e1 := newEngine(t)
+	seedTable(t, e1, 10)
+	if s, _, err := Open(nil, dir, e1, Config{Shards: e1.Shards()}); err == nil {
+		s.Close()
+		t.Fatal("cold Open accepted an engine that already holds table kv")
+	}
+	e2 := newEngine(t)
+	s2, _ := openStore(t, nil, dir, e2)
+	if _, err := seedTable(t, e2, 10).InsertRow(10, 20); err != nil {
+		t.Fatalf("InsertRow: %v", err)
+	}
+	s2.Close()
+	e3 := newEngine(t)
+	openStore(t, nil, dir, e3)
+	expect(t, e3, "a", 0, 100, 11, 55)
+}
+
 // TestShardMismatchRefused: a data dir laid out with N shards refuses to
 // open under a different shard count (striping is positional).
 func TestShardMismatchRefused(t *testing.T) {

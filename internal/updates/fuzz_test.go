@@ -5,12 +5,20 @@ import (
 	"testing"
 )
 
-// checkQueue asserts the delete set's invariant: dels holds exactly del's
-// entries. An entry missing from it resurrects a pending-deleted row in
-// reads and lets the same delete be buffered twice; an entry left behind
-// by a drain hides a row that no longer exists and keeps the set growing.
-func checkQueue(t *testing.T, q *Queue) {
+// checkQueue asserts the queue's invariants, given how many rows have merged
+// (stride 1, so a row id is its local position). Every buffered insert lies
+// above every merged row, which a shard relies on to resolve and delete a
+// row without reading the buffer. And dels holds exactly del's entries. An
+// entry missing from it resurrects a pending-deleted row in reads and lets
+// the same delete be buffered twice; an entry left behind by a drain hides a
+// row that no longer exists and keeps the set growing.
+func checkQueue(t *testing.T, q *Queue, merged int) {
 	t.Helper()
+	for _, e := range q.ins {
+		if int(e.Row) < merged {
+			t.Fatalf("buffered insert %v lies below merged row %d", e, merged-1)
+		}
+	}
 	if len(q.dels) != len(q.del) {
 		t.Fatalf("dels has %d entries for %d deletes", len(q.dels), len(q.del))
 	}
@@ -31,11 +39,12 @@ func buffered(q *Queue, row uint32) bool {
 // FuzzPendingMergeDelete drives random interleavings of Insert, Delete,
 // AnnihilateRow and Drain (the concurrent write path's primitives) against
 // a map-based oracle that applies every update immediately. After every
-// operation the delete set's invariant must hold, annihilation semantics
-// must be exact (deleting a still-buffered insert pairs a delete with it —
-// the pair nets to zero and drains as materialise-then-tombstone, keeping
-// row order dense), and the combined view — dense merged storage plus the
-// buffer's net CountSum — must equal the oracle on every probed range.
+// operation the queue's invariants must hold (checkQueue), annihilation
+// semantics must be exact (deleting a still-buffered insert pairs a delete
+// with it — the pair nets to zero and drains as materialise-then-tombstone,
+// keeping row order dense), and the combined view — dense merged storage
+// plus the buffer's net CountSum — must equal the oracle on every probed
+// range.
 //
 // Row-id gaps are part of the model: a fraction of row ids are "stalled"
 // (assigned but not yet enqueued, like a writer between row reservation and
@@ -48,6 +57,10 @@ func FuzzPendingMergeDelete(f *testing.F) {
 	// Two rows merge; a merged row is deleted and a buffered one annihilated;
 	// two drains release both deletes.
 	f.Add([]byte{0, 5, 0, 6, 4, 15, 3, 0, 0, 7, 3, 2, 4, 15, 4, 15})
+	// A stalled row splits the buffer: the drain releases only the row below
+	// it, and the two above stay buffered, above the merged row, until the
+	// stalled one lands and a second drain takes all three.
+	f.Add([]byte{0, 5, 1, 6, 0, 7, 0, 8, 4, 15, 2, 0, 4, 15, 5, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var q Queue
 
@@ -187,7 +200,7 @@ func FuzzPendingMergeDelete(f *testing.F) {
 				lo := arg % 64
 				check(lo, lo+1+arg%32)
 			}
-			checkQueue(t, &q)
+			checkQueue(t, &q, len(col))
 		}
 
 		// Land every stalled insert, drain to empty, final full check. A
@@ -198,7 +211,7 @@ func FuzzPendingMergeDelete(f *testing.F) {
 			q.Insert(e.Val, e.Row)
 			ref[e.Row] = e.Val
 		}
-		checkQueue(t, &q)
+		checkQueue(t, &q, len(col))
 		for {
 			ins, del := q.Drain(uint32(len(col)), 1, 0, AllRows)
 			if len(ins)+len(del) == 0 {
@@ -217,7 +230,7 @@ func FuzzPendingMergeDelete(f *testing.F) {
 		if i, d := q.Counts(); i+d != 0 {
 			t.Fatalf("buffer not empty after full drain: %d/%d", i, d)
 		}
-		checkQueue(t, &q)
+		checkQueue(t, &q, len(col))
 		check(0, 64)
 	})
 }

@@ -104,6 +104,8 @@ func (q *Queue) bufferDelete(e Entry) {
 // delete is buffered alongside it. The pair nets to zero in every read and
 // count; the merge materialises the row and tombstones it on the following
 // step. The report is true only when this call killed a live buffered insert.
+// Drain keeps every buffered row above every merged one, so a shard calls
+// it only for a row past its merged storage.
 func (q *Queue) AnnihilateRow(row uint32) (int64, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -130,7 +132,8 @@ func (q *Queue) HasDelete(v int64, row uint32) bool {
 
 // MinInsertRowFor returns the lowest buffered-insert row id below the
 // visibility bound holding value v live — inserts already paired with a
-// delete (AnnihilateRow) are dead and skipped.
+// delete (AnnihilateRow) are dead and skipped. Drain keeps every buffered
+// row above every merged one, so a shard asks only when no merged row holds v.
 func (q *Queue) MinInsertRowFor(v int64, below int64) (row uint32, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
