@@ -5,9 +5,6 @@ import (
 	"math/rand/v2"
 	"testing"
 	"time"
-
-	"holistic/internal/shard"
-	"holistic/internal/updates"
 )
 
 func randomVals(rng *rand.Rand, n int, domain int64) []int64 {
@@ -41,16 +38,6 @@ func naiveRange(vals []int64, lo, hi int64) (int, int64) {
 		}
 	}
 	return n, s
-}
-
-// oracleScan answers [lo, hi) with a tombstone-aware full scan of every part,
-// the reference tests compare against at quiesced points.
-func oracleScan(sc *shard.Column, lo, hi int64) (count int, sum int64) {
-	for _, p := range sc.Parts() {
-		c, s := p.ScanCountSumAt(lo, hi, updates.AllRows)
-		count, sum = count+c, sum+s
-	}
-	return count, sum
 }
 
 func TestCatalogErrors(t *testing.T) {
@@ -305,56 +292,6 @@ func TestSeedWorkloadHintFocusesIdle(t *testing.T) {
 	pc, _, _ := e.PieceStats("R", "cold")
 	if ph <= pc*3 {
 		t.Fatalf("seeded column not favoured: hot=%d cold=%d pieces", ph, pc)
-	}
-}
-
-func TestEmptyColumn(t *testing.T) {
-	for _, s := range Strategies() {
-		e := newEngineWithData(t, Config{Strategy: s}, nil)
-		r, err := e.Select("R", "A", 0, 100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Count != 0 || r.Sum != 0 {
-			t.Fatalf("%v on empty column: %+v", s, r)
-		}
-		e.Close()
-	}
-}
-
-func TestDegenerateRanges(t *testing.T) {
-	vals := []int64{1, 2, 3}
-	for _, s := range Strategies() {
-		e := newEngineWithData(t, Config{Strategy: s}, vals)
-		for _, q := range [][2]int64{{2, 2}, {3, 1}} {
-			r, err := e.Select("R", "A", q[0], q[1])
-			if err != nil || r.Count != 0 {
-				t.Fatalf("%v degenerate %v: %+v %v", s, q, r, err)
-			}
-		}
-		e.Close()
-	}
-}
-
-func TestHolisticBoostDisabledViaConfig(t *testing.T) {
-	rng := rand.New(rand.NewPCG(61, 62))
-	vals := randomVals(rng, 20000, 1<<16)
-	// No Config field turns a query-time boost on: the default holistic
-	// engine is the one that must not boost.
-	e := newEngineWithData(t, Config{Strategy: StrategyHolistic, Seed: 9, TargetPieceSize: 64}, vals)
-	defer e.Close()
-	for i := 0; i < 30; i++ {
-		if _, err := e.Select("R", "A", 1000, 3000); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if e.Tuner().Boosts() != 0 {
-		t.Fatalf("boosts ran on the select path: %d", e.Tuner().Boosts())
-	}
-	// Exactly the two query-bound cracks (plus the lazy copy) exist.
-	p, _, _ := e.PieceStats("R", "A")
-	if p != 3 {
-		t.Fatalf("pieces = %d, want 3 without boosts", p)
 	}
 }
 

@@ -37,11 +37,8 @@ func TestOnlineBuildPenaltyLandsOnTriggeringQuery(t *testing.T) {
 			t.Fatalf("epoch-closing query (%d ns) cheaper than query %d (%d ns)", last, i, d)
 		}
 	}
-	// And queries after the build are far cheaper than scans.
-	r, _ := e.Select("R", "A", 1000, 2000)
-	if r.Elapsed.Nanoseconds() > durs[0]/10 {
-		t.Fatalf("post-build query %v not much cheaper than scan %dns", r.Elapsed, durs[0])
-	}
+	// That queries after the build are far cheaper than scans is
+	// TestOnlineSelectAfterBuildBeatsScan's (-tags wallclock).
 }
 
 // TestOnlineProbeDeclinesUntilEpochCloses is the count twin of

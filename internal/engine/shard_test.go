@@ -1,82 +1,16 @@
 package engine
 
-// Tests for the sharded kernel: every strategy must agree with the serial
-// scan oracle at any shard count, a single select must really execute on
-// several shards at once, and the mixed concurrent workload of
-// parallel_test.go must hold across shard counts {1, 2, 8}. Run with -race.
+// Tests for the sharded kernel: a single select must really execute on
+// several shards at once. Every strategy at shard counts {1, 3, 8}, alone
+// and under concurrent readers, writers and idle windows, is
+// TestEngineMatchesModel's (model_test.go). Run with -race.
 
 import (
 	"math/rand/v2"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
 )
-
-// TestShardedStrategiesMatchOracle sweeps shard counts across all five
-// strategies: every select must match the serial-scan oracle exactly.
-func TestShardedStrategiesMatchOracle(t *testing.T) {
-	const (
-		n       = 20000
-		domain  = int64(1 << 16)
-		queries = 80
-	)
-	rng := rand.New(rand.NewPCG(201, 202))
-	seed := randomVals(rng, n, domain)
-
-	for _, shards := range []int{1, 2, 8} {
-		for _, tc := range strategiesUnderTest {
-			t.Run(tc.name+"/shards="+strconv.Itoa(shards), func(t *testing.T) {
-				cfg := Config{
-					Strategy:        tc.s,
-					Seed:            13,
-					TargetPieceSize: 128,
-					Shards:          shards,
-				}
-				e := newEngineWithData(t, cfg, seed)
-				defer e.Close()
-				if tc.s == StrategyOffline {
-					if _, err := e.BuildFullIndex("R", "A"); err != nil {
-						t.Fatal(err)
-					}
-				}
-				qrng := rand.New(rand.NewPCG(7, uint64(shards)))
-				for i := 0; i < queries; i++ {
-					lo := qrng.Int64N(domain)
-					hi := lo + qrng.Int64N(domain/16) + 1
-					r, err := e.Select("R", "A", lo, hi)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wc, ws := naiveRange(seed, lo, hi)
-					if r.Count != wc || r.Sum != ws {
-						t.Fatalf("[%d,%d): got %d/%d want %d/%d", lo, hi, r.Count, r.Sum, wc, ws)
-					}
-				}
-				if tc.s == StrategyHolistic {
-					e.IdleActions(64)
-					// Idle refinement must not change any answer.
-					lo := domain / 4
-					r, err := e.Select("R", "A", lo, 3*lo)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wc, ws := naiveRange(seed, lo, 3*lo)
-					if r.Count != wc || r.Sum != ws {
-						t.Fatalf("post-idle: got %d/%d want %d/%d", r.Count, r.Sum, wc, ws)
-					}
-				}
-				sc, _ := e.column("R", "A")
-				if err := sc.Validate(); err != nil {
-					t.Fatal(err)
-				}
-				if got := e.Shards(); got != shards {
-					t.Fatalf("Shards() = %d, want %d", got, shards)
-				}
-			})
-		}
-	}
-}
 
 // TestShardedSelectRunsShardsConcurrently is the acceptance-criterion test:
 // with >= 2 shards, ONE large select on an uncracked column must execute
@@ -154,118 +88,6 @@ func TestShardedSelectRunsShardsConcurrently(t *testing.T) {
 			}
 			if shards := sc.Shards(); shards != 4 {
 				t.Fatalf("shards = %d", shards)
-			}
-		})
-	}
-}
-
-// TestShardedMixedWorkload extends the parallel_test.go stress pattern to
-// the sharded engine: concurrent exact-oracle readers, disjoint-domain
-// writers and idle refinement (manual + auto pool) race over shard counts
-// {1, 2, 8}, and the quiesced end state must match the tombstone-aware scan.
-func TestShardedMixedWorkload(t *testing.T) {
-	const (
-		n       = 20000
-		domain  = int64(1 << 16)
-		readers = 4
-		queries = 80
-		inserts = 150
-	)
-	rng := rand.New(rand.NewPCG(401, 402))
-	seed := randomVals(rng, n, domain)
-
-	for _, shards := range []int{1, 2, 8} {
-		t.Run("shards="+strconv.Itoa(shards), func(t *testing.T) {
-			e := newEngineWithData(t, Config{
-				Strategy:        StrategyHolistic,
-				Seed:            19,
-				TargetPieceSize: 128,
-				Shards:          shards,
-				AutoIdle:        true,
-				IdleWorkers:     4,
-			}, seed)
-			defer e.Close()
-			tab, err := e.Table("R")
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			var wg sync.WaitGroup
-			errCh := make(chan error, readers+2)
-
-			// Writer: inserts land strictly above the queried domain.
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				wrng := rand.New(rand.NewPCG(5, 6))
-				for i := 0; i < inserts; i++ {
-					if _, err := tab.InsertRow(domain + wrng.Int64N(domain)); err != nil {
-						errCh <- err
-						return
-					}
-				}
-			}()
-
-			// Manual idle injector racing the auto pool.
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < 40; i++ {
-					e.IdleActions(4)
-				}
-			}()
-
-			// Readers: exact oracle checks on the immutable low domain.
-			for g := 0; g < readers; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					grng := rand.New(rand.NewPCG(uint64(g)+30, 40))
-					for i := 0; i < queries; i++ {
-						lo := grng.Int64N(domain)
-						hi := lo + grng.Int64N(domain/32) + 1
-						if hi > domain {
-							hi = domain
-						}
-						r, err := e.Select("R", "A", lo, hi)
-						if err != nil {
-							errCh <- err
-							return
-						}
-						wc, _ := naiveRange(seed, lo, hi)
-						if r.Count != wc {
-							errCh <- &mismatchError{"A", lo, hi, r.Count, wc}
-							return
-						}
-					}
-				}(g)
-			}
-			wg.Wait()
-			close(errCh)
-			for err := range errCh {
-				t.Fatal(err)
-			}
-
-			// Quiesced integrity: validate every shard and check the final
-			// state against the serial oracle.
-			sc, err := e.column("R", "A")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sc.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			wantCount, wantSum := oracleScan(sc, 0, 2*domain)
-			r, err := e.Select("R", "A", 0, 2*domain)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.Count != wantCount || r.Sum != wantSum {
-				t.Fatalf("final state diverged: got %d/%d, oracle %d/%d",
-					r.Count, r.Sum, wantCount, wantSum)
-			}
-			if wantCount != n+inserts {
-				t.Fatalf("rows lost: %d live, want %d", wantCount, n+inserts)
 			}
 		})
 	}
