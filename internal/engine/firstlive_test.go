@@ -1,4 +1,4 @@
-package engine
+package engine_test
 
 // Differential test for index-resolved DELETE: shard.Column.FirstLive — a
 // binary search with a sorted index, one cracked piece with a cracker index,
@@ -11,6 +11,8 @@ import (
 	"math/rand/v2"
 	"strconv"
 	"testing"
+
+	. "holistic/internal/engine"
 )
 
 // modelRow is one row of the reference table; its index is the row id.
@@ -51,11 +53,11 @@ func TestFirstLiveMatchesReferenceScan(t *testing.T) {
 	colNames := [2]string{"A", "B"}
 
 	for _, shards := range []int{1, 2, 8} {
-		for _, vr := range strategiesUnderTest {
-			t.Run(vr.name+"/shards="+strconv.Itoa(shards), func(t *testing.T) {
+		for _, s := range Strategies() {
+			t.Run(s.String()+"/shards="+strconv.Itoa(shards), func(t *testing.T) {
 				rng := rand.New(rand.NewPCG(1501, uint64(shards)))
 				e := New(Config{
-					Strategy:        vr.s,
+					Strategy:        s,
 					Seed:            31,
 					TargetPieceSize: 16,
 					Shards:          shards,
@@ -91,7 +93,7 @@ func TestFirstLiveMatchesReferenceScan(t *testing.T) {
 				check := func(stage string) {
 					t.Helper()
 					for c, name := range colNames {
-						sc, err := e.column("R", name)
+						sc, err := e.Column("R", name)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -144,7 +146,7 @@ func TestFirstLiveMatchesReferenceScan(t *testing.T) {
 				// No index anywhere yet: every part answers by the fallback scan.
 				check("loaded, never cracked")
 
-				if vr.s == StrategyOffline {
+				if s == StrategyOffline {
 					for _, name := range colNames {
 						if _, err := e.BuildFullIndex("R", name); err != nil {
 							t.Fatal(err)
@@ -188,7 +190,7 @@ func TestFirstLiveMatchesReferenceScan(t *testing.T) {
 					check("round " + strconv.Itoa(r) + ", merged")
 				}
 				for _, name := range colNames {
-					sc, _ := e.column("R", name)
+					sc, _ := e.Column("R", name)
 					if err := sc.Validate(); err != nil {
 						t.Fatal(err)
 					}

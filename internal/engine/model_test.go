@@ -1,4 +1,4 @@
-package engine
+package engine_test
 
 // The engine's model test: seeded programs run against every strategy at
 // shards {1, 3, 8} beside a model of table R(a, b).
@@ -14,12 +14,21 @@ package engine
 // idle windows, with b = 2a+1 on every row, and checks the model exactly
 // where the contract makes one answer right: on the stable band while the
 // race runs, and on whole columns at the quiesce points that follow.
+//
+// A durable program logs to a data directory through snapshot.Open, takes
+// checkpoints and reopens: it closes the store and the engine and recovers
+// the directory into a fresh engine, which must hold the model's table.
+// The test sits outside package engine so that it can open snapshot, which
+// imports engine; export_test.go lends it the two internals it reads.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"sync"
@@ -27,42 +36,100 @@ import (
 	"testing"
 	"time"
 
+	. "holistic/internal/engine" // the package under test
 	"holistic/internal/shard"
+	"holistic/internal/snapshot"
+	"holistic/internal/wal"
 )
 
-// strategiesUnderTest is every strategy the model runs.
-var strategiesUnderTest = []struct {
-	name string
-	s    Strategy
-}{
-	{"scan", StrategyScan},
-	{"offline", StrategyOffline},
-	{"online", StrategyOnline},
-	{"adaptive", StrategyAdaptive},
-	{"holistic", StrategyHolistic},
-}
-
 func TestEngineMatchesModel(t *testing.T) {
-	for _, shards := range []int{1, 3, 8} {
-		for _, st := range strategiesUnderTest {
-			cfg := Config{Strategy: st.s, Seed: 3, TargetPieceSize: 16, Shards: shards}
-			name := st.name + "/shards=" + strconv.Itoa(shards)
+	policies := []wal.SyncPolicy{wal.SyncAlways, wal.SyncInterval, wal.SyncOff}
+	for i, shards := range []int{1, 3, 8} {
+		for j, s := range Strategies() {
+			cfg := Config{Strategy: s, Seed: 3, TargetPieceSize: 16, Shards: shards}
+			name := s.String() + "/shards=" + strconv.Itoa(shards)
+			policy := policies[(i+j)%len(policies)] // each strategy and each shard count runs all three
 			for _, load := range []struct{ n, ops int }{{0, 300}, {2000, 300}, {20000, 100}} {
-				t.Run(name+"/rows="+strconv.Itoa(load.n), func(t *testing.T) { runModelProgram(t, cfg, load.n, load.ops) })
+				name := name + "/rows=" + strconv.Itoa(load.n)
+				t.Run(name, func(t *testing.T) { runModelProgram(t, cfg, load.n, load.ops, nil) })
+				if load.n <= 2000 {
+					t.Run(name+"/durable="+policy.String(), func(t *testing.T) {
+						t.Parallel() // its checkpoints' fsyncs overlap the others'
+						runModelProgram(t, cfg, load.n, load.ops, newDurable(t, policy))
+					})
+				}
 			}
-			t.Run(name+"/concurrent", func(t *testing.T) { runConcurrentProgram(t, cfg) })
+			t.Run(name+"/concurrent", func(t *testing.T) {
+				var d *durable
+				if shards == 3 { // the writers wait on the group commit
+					d = newDurable(t, wal.SyncAlways)
+				}
+				runConcurrentProgram(t, cfg, d)
+			})
 		}
 	}
+}
+
+// durable is a durable program's data directory and sync policy, the
+// FaultFS it opens the directory through and the store open on it. A nil
+// *durable runs in memory.
+type durable struct {
+	dir    string
+	policy wal.SyncPolicy
+	fs     *wal.FaultFS
+	store  *snapshot.Store
+}
+
+func newDurable(t *testing.T, policy wal.SyncPolicy) *durable {
+	return &durable{dir: t.TempDir(), policy: policy, fs: wal.NewFaultFS(wal.OSFS{})}
+}
+
+// open builds a fresh engine for cfg, closed when the test ends; a durable
+// program's engine first recovers the directory (snapshot.Open).
+func (d *durable) open(t *testing.T, cfg Config) (*Engine, snapshot.RecoveryInfo) {
+	t.Helper()
+	e := New(cfg)
+	t.Cleanup(e.Close)
+	if d == nil {
+		return e, snapshot.RecoveryInfo{}
+	}
+	s, info, err := snapshot.Open(d.fs, d.dir, e, snapshot.Config{Policy: wal.Policy{Sync: d.policy}, Shards: cfg.Shards})
+	if err != nil {
+		t.Fatalf("recover %s: %v", d.dir, err)
+	}
+	t.Cleanup(func() { s.Close() })
+	d.store = s
+	return e, info
+}
+
+// reopen closes the store and e, and recovers the directory into a fresh
+// engine.
+func (d *durable) reopen(t *testing.T, cfg Config, e *Engine) (*Engine, snapshot.RecoveryInfo) {
+	t.Helper()
+	if err := d.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	return d.open(t, cfg)
 }
 
 // runModelProgram loads n rows and runs one seeded program of ops ops. After
 // every op both columns' count and sum and Table.Rows must match the model;
 // at the end every column, merged, must validate.
-func runModelProgram(t *testing.T, cfg Config, n, ops int) {
+//
+// A durable program (d non-nil) also takes checkpoints and reopens, and
+// ends with a reopen. A checkpoint must absorb exactly the replay debt
+// before it and leave none. A reopen must find the snapshot of the last
+// checkpoint, if any, and replay exactly the records logged after it: the
+// CREATE TABLE, each load, each insert batch accepted and each DELETE that
+// resolved a row (a refused insert and a DELETE that found nothing log
+// nothing). The recovered engine must then pass the checks above and
+// validate; right after a checkpoint it must also keep each column's piece
+// count and capture to the snapshot's bytes.
+func runModelProgram(t *testing.T, cfg Config, n, ops int, d *durable) {
 	const domain = int64(48) // ~40 rows a value in a 2 000-row load
 	rng := rand.New(rand.NewPCG(uint64(cfg.Shards), uint64(cfg.Strategy)<<16|uint64(n)))
-	e := New(cfg)
-	defer e.Close()
+	e, _ := d.open(t, cfg)
 	if e.Shards() != cfg.Shards {
 		t.Fatalf("Shards() = %d, want %d", e.Shards(), cfg.Shards)
 	}
@@ -70,6 +137,8 @@ func runModelProgram(t *testing.T, cfg Config, n, ops int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The model's log: checkpoints taken, records logged since the last.
+	checkpoints, logged := 0, 1 // the CREATE TABLE
 	names := [2]string{"a", "b"}
 	var rows []modelRow
 	// The model's live rows, and each column's count and sum over
@@ -101,6 +170,7 @@ func runModelProgram(t *testing.T, cfg Config, n, ops int) {
 		if err := tab.AddColumnFromSlice(names[c], vals); err != nil {
 			t.Fatal(err)
 		}
+		logged++
 	}
 
 	op := "the load"
@@ -119,6 +189,54 @@ func runModelProgram(t *testing.T, cfg Config, n, ops int) {
 		if tab.Rows() != live {
 			t.Fatalf("after %s: Rows() = %d, model %d", op, tab.Rows(), live)
 		}
+	}
+	// checkpoint takes one; an uncompacted one fails its log compaction
+	// (wal.Log.Rebase, the checkpoint's third rename), which leaves the
+	// records it covers in the log for the next recovery to skip.
+	checkpoint := func(uncompacted bool) {
+		t.Helper()
+		faults := d.fs.Injected()
+		if uncompacted {
+			d.fs.FailRenames(3, errors.New("injected rename failure"))
+			defer d.fs.Clear()
+		}
+		debt := d.store.ReplayDebt()
+		if got, err := d.store.Checkpoint(); err != nil || got != debt || d.store.ReplayDebt() != 0 {
+			t.Fatalf("after %s: Checkpoint() = %d, %v over a replay debt of %d, leaving %d", op, got, err, debt, d.store.ReplayDebt())
+		}
+		if uncompacted && d.fs.Injected() != faults+1 {
+			t.Fatalf("after %s: the log compaction's rename was not failed", op)
+		}
+		checkpoints, logged = checkpoints+1, 0
+	}
+	reopen := func(checkpointed bool) {
+		t.Helper()
+		var pieces [2]int
+		for c, name := range names {
+			pieces[c], _, _ = e.PieceStats("R", name)
+		}
+		var info snapshot.RecoveryInfo
+		e, info = d.reopen(t, cfg, e)
+		if info.SnapshotLoaded != (checkpoints > 0) || info.Epoch != uint64(checkpoints) || info.Replayed != logged {
+			t.Fatalf("after %s: recovered %+v; model: %d checkpoints, %d records logged since the last", op, info, checkpoints, logged)
+		}
+		if tab, err = e.Table("R"); err != nil {
+			t.Fatal(err)
+		}
+		if checkpointed { // before any select cracks the restored design
+			for c, name := range names {
+				if got, _, _ := e.PieceStats("R", name); got != pieces[c] {
+					t.Fatalf("after %s: column %s has %d pieces, had %d before the reopen", op, name, got, pieces[c])
+				}
+			}
+			img, err := os.ReadFile(filepath.Join(d.dir, fmt.Sprintf("snap-%d.snap", checkpoints)))
+			st, cerr := e.CaptureState(nil)
+			if err != nil || cerr != nil || !bytes.Equal(snapshot.EncodeState(st), img) {
+				t.Fatalf("after %s: the recovered engine does not capture to the snapshot's bytes (%v, %v)", op, err, cerr)
+			}
+		}
+		check()
+		validateColumns(t, e, names)
 	}
 	// pick draws a delete value: a live row's, from the last rows inserted
 	// (likely still buffered) or from anywhere (likely merged); a dead row's;
@@ -147,8 +265,12 @@ func runModelProgram(t *testing.T, cfg Config, n, ops int) {
 		sel(c, 2, 2, 0, 0) // empty
 		sel(c, 3, 1, 0, 0) // inverted
 	}
+	durableOps := 0
+	if d != nil {
+		durableOps = 6
+	}
 	for range ops {
-		switch p := rng.IntN(100); {
+		switch p := rng.IntN(100 + durableOps); {
 		case p < 30:
 			op = "a select" // empty, inverted, open-ended or plain, sometimes from MinInt64
 			c := rng.IntN(2)
@@ -169,6 +291,7 @@ func runModelProgram(t *testing.T, cfg Config, n, ops int) {
 			if first, err := tab.InsertRows(batch); err != nil || int(first) != len(rows) {
 				t.Fatalf("insert of %d rows: first row %d, %v; model expects %d", len(batch), first, err, len(rows))
 			}
+			logged++
 			for _, r := range batch {
 				rows = append(rows, modelRow{vals: [2]int64{r[0], r[1]}, live: true})
 				add(rows[len(rows)-1], 1)
@@ -193,6 +316,9 @@ func runModelProgram(t *testing.T, cfg Config, n, ops int) {
 			if got, err := tab.DeleteWhereIn("a", values); err != nil || got != want {
 				t.Fatalf("delete where a in %v: %d, %v; model deletes %d", values, got, err, want)
 			}
+			if want > 0 {
+				logged++
+			}
 		case p < 88:
 			op = "an idle window"
 			e.IdleActions(1 + rng.IntN(8))
@@ -204,11 +330,26 @@ func runModelProgram(t *testing.T, cfg Config, n, ops int) {
 			if _, err := e.BuildFullIndex("R", names[rng.IntN(2)]); err != nil {
 				t.Fatal(err)
 			}
-		default:
+		case p < 100:
 			op = "a full-index drop"
 			if err := e.DropFullIndex("R", names[rng.IntN(2)]); err != nil {
 				t.Fatal(err)
 			}
+		case p < 103:
+			op = "a checkpoint"
+			uncompacted := rng.IntN(3) == 0
+			if uncompacted {
+				op = "a checkpoint that leaves the log uncompacted"
+			}
+			checkpoint(uncompacted)
+		default: // half of them as a clean shutdown would
+			checkpointed := rng.IntN(2) == 0
+			op = "a reopen"
+			if checkpointed {
+				op = "a checkpoint and a reopen"
+				checkpoint(false)
+			}
+			reopen(checkpointed)
 		}
 		check()
 	}
@@ -216,13 +357,17 @@ func runModelProgram(t *testing.T, cfg Config, n, ops int) {
 	e.MergePending()
 	check()
 	validateColumns(t, e, names)
+	if d != nil {
+		op = "the final reopen"
+		reopen(false)
+	}
 }
 
 // validateColumns checks both columns' structures (shard.Column.Validate).
 func validateColumns(t *testing.T, e *Engine, names [2]string) {
 	t.Helper()
 	for _, name := range names {
-		sc, err := e.column("R", name)
+		sc, err := e.Column("R", name)
 		if err == nil {
 			err = sc.Validate()
 		}
@@ -263,10 +408,11 @@ type ledger struct {
 //     stable band, exactly, while writers insert batches of 1-8 rows above
 //     both bands and IN-delete their own buffered and merged rows, their share
 //     of the victim band and values never present;
-//   - readers against inline cap merges: at shards 1 each writer ends a phase
-//     with shard.DefaultIngestCap more inserts after its last delete, so some
-//     insert lands a queue on a multiple of the cap and merges it inline;
-//     with no idle pool, fewer ops buffered than written proves one ran;
+//   - readers against inline cap merges: at shards 1, and in a durable
+//     program, each writer ends a phase with shard.DefaultIngestCap more
+//     inserts after its last delete, so some insert lands a queue on a
+//     multiple of the cap and merges it inline; at shards 1 with no idle
+//     pool, fewer ops buffered than written proves one ran;
 //   - readers against idle cracks and merges: the windows run the tuner's
 //     cracks and merges under holistic (and its AutoIdle pool at shards 3)
 //     and force a review under online, which builds and drops full indexes;
@@ -276,13 +422,22 @@ type ledger struct {
 //     indexes only after phase 0, so its phase 0 scans;
 //   - Table.countSum's repeat: inserts publish and DELETEs apply during the
 //     readers' selects. The exact check of a read that spans both, on rows the
-//     writers touch, is the selectRacesWrites pair's (inline_test.go).
+//     writers touch, is the selectRacesWrites pair's (inline_test.go);
+//   - a checkpoint against writers: a durable program (d non-nil, every
+//     strategy at shards 3) logs at wal.SyncAlways, so the writers' waits go
+//     through the group commit, and the idle goroutine takes one
+//     checkpoint in phase 0, whose capture waits out the insert batches in
+//     flight. The reopen replays phase 1's cap's worth, so replay merges
+//     inline as the live statements did; with holistic's AutoIdle pool,
+//     replay races the pool's steps.
 //
 // At every quiesce point both columns' full-range count and sum and
 // Table.Rows must equal the writers' replayed ledgers, before and after
 // MergePending, which must leave nothing buffered; at the end every column
-// must validate, and a cracking strategy's columns must be cracked.
-func runConcurrentProgram(t *testing.T, cfg Config) {
+// must validate, and a cracking strategy's columns must be cracked. A
+// durable program then reopens, and the recovered engine must find the
+// checkpoint, match the ledgers and validate.
+func runConcurrentProgram(t *testing.T, cfg Config, d *durable) {
 	const writers, victims, phases = 3, 16, 2 // victims: each writer's share
 	n, writes, queries := 6000, 40, 25
 	if testing.Short() {
@@ -295,8 +450,11 @@ func runConcurrentProgram(t *testing.T, cfg Config) {
 		cfg.AutoIdle, cfg.IdleWorkers = true, 2
 	}
 	rng := rand.New(rand.NewPCG(uint64(cfg.Shards), uint64(cfg.Strategy)))
-	stable := randomVals(rng, n, stableDomain)
-	a := append([]int64{}, stable...)
+	stable := make([]int64, n)
+	for i := range stable {
+		stable[i] = rng.Int64N(stableDomain)
+	}
+	a := slices.Clone(stable)
 	for i := range writers * victims {
 		a = append(a, victimBase+int64(i))
 	}
@@ -318,8 +476,7 @@ func runConcurrentProgram(t *testing.T, cfg Config) {
 		return j - i, pre[j] - pre[i]
 	}
 
-	e := New(cfg)
-	defer e.Close()
+	e, _ := d.open(t, cfg)
 	tab, err := e.CreateTable("R")
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +487,7 @@ func runConcurrentProgram(t *testing.T, cfg Config) {
 		if err := tab.AddColumnFromSlice(names[c], vals); err != nil {
 			t.Fatal(err)
 		}
-		cols[c], _ = e.column("R", names[c])
+		cols[c], _ = e.Column("R", names[c])
 	}
 	// check compares both columns' full range and Table.Rows with the load
 	// plus every writer's replayed ledger.
@@ -360,10 +517,10 @@ func runConcurrentProgram(t *testing.T, cfg Config) {
 		for _, l := range ledgers {
 			opsBefore += l.inserted + l.deleted
 		}
-		var fanned [2]*atomic.Int64
+		var fanned atomic.Int64 // fan-out workers started in phase 0
 		if phase == 0 {
-			for c, sc := range cols {
-				fanned[c] = countFanOut(sc)
+			for _, sc := range cols {
+				sc.SetSelectHook(func(int) { fanned.Add(1) })
 			}
 		}
 		var writing, reading, idling sync.WaitGroup
@@ -379,8 +536,8 @@ func runConcurrentProgram(t *testing.T, cfg Config) {
 					seq[w]++
 					return writerBase + int64(w)<<32 + seq[w]
 				}
-				insert := func() bool {
-					batch := make([][]int64, 1+wrng.IntN(8))
+				insert := func(most int) bool { // a batch of 1 to most rows
+					batch := make([][]int64, 1+wrng.IntN(most))
 					for j := range batch {
 						v := fresh()
 						batch[j] = []int64{v, bOf(v)}
@@ -396,7 +553,7 @@ func runConcurrentProgram(t *testing.T, cfg Config) {
 					return true
 				}
 				for i := range writes {
-					if !insert() {
+					if !insert(8) {
 						return
 					}
 					if i%3 != 2 {
@@ -427,9 +584,13 @@ func runConcurrentProgram(t *testing.T, cfg Config) {
 						l.deleted, l.sum = l.deleted+1, l.sum-v
 					}
 				}
-				if cfg.Shards == 1 { // a cap's worth after the last delete
+				if cfg.Shards == 1 || d != nil { // a cap's worth after the last delete
+					most := 8
+					if d != nil {
+						most = 128 // fewer batches, fewer fsyncs
+					}
 					for end := l.inserted + shard.DefaultIngestCap; l.inserted < end; {
-						if !insert() {
+						if !insert(most) {
 							return
 						}
 					}
@@ -471,6 +632,11 @@ func runConcurrentProgram(t *testing.T, cfg Config) {
 		go func() { // a column's first touch is a select's, so phase 0's fans out
 			defer idling.Done()
 			<-firstRead
+			if d != nil && phase == 0 {
+				if _, err := d.store.Checkpoint(); err != nil {
+					t.Errorf("phase 0: checkpoint: %v", err)
+				}
+			}
 			irng := rand.New(rand.NewPCG(99, uint64(phase)))
 			for !readersDone.Load() {
 				e.IdleActions(1 + irng.IntN(8))
@@ -491,13 +657,13 @@ func runConcurrentProgram(t *testing.T, cfg Config) {
 			for _, sc := range cols {
 				sc.SetSelectHook(nil)
 			}
-			if got := fanned[0].Load() + fanned[1].Load(); cfg.Shards == 8 && got == 0 {
+			if cfg.Shards == 8 && fanned.Load() == 0 {
 				t.Fatalf("phase 0: no select of the %d-row load started a fan-out worker", loadRows)
 			}
 		}
 		// Without an idle pool only an inline merge drains the queues, and
 		// each column buffers one entry per row inserted or deleted.
-		if cfg.Shards == 1 && e.runner == nil && phase < phases {
+		if cfg.Shards == 1 && !e.HasIdleRunner() && phase < phases {
 			ops := -opsBefore
 			for _, l := range ledgers {
 				ops += l.inserted + l.deleted
@@ -527,5 +693,17 @@ func runConcurrentProgram(t *testing.T, cfg Config) {
 				t.Fatalf("column %s: cracked %v, %d pieces over %d parts after the readers", names[c], sc.AnyCracked(), pieces, cfg.Shards)
 			}
 		}
+	}
+	if d != nil {
+		var info snapshot.RecoveryInfo
+		e, info = d.reopen(t, cfg, e)
+		if !info.SnapshotLoaded || info.Epoch != 1 {
+			t.Fatalf("the reopen recovered %+v, want phase 0's checkpoint", info)
+		}
+		if tab, err = e.Table("R"); err != nil {
+			t.Fatal(err)
+		}
+		check("the reopen")
+		validateColumns(t, e, names)
 	}
 }

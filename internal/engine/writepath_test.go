@@ -178,9 +178,9 @@ func TestIngestCapForcesInlineMerge(t *testing.T) {
 // last row has the wrong width fails whole — no row of it is visible, and no
 // row id is burned for the next insert.
 func TestFailedInsertBatchInsertsNothing(t *testing.T) {
-	for _, tc := range strategiesUnderTest {
-		t.Run(tc.name, func(t *testing.T) {
-			e := newEngineWithData(t, Config{Strategy: tc.s, Shards: 2}, []int64{1, 2, 3})
+	for _, s := range Strategies() {
+		t.Run(s.String(), func(t *testing.T) {
+			e := newEngineWithData(t, Config{Strategy: s, Shards: 2}, []int64{1, 2, 3})
 			defer e.Close()
 			tab, err := e.Table("R")
 			if err != nil {
@@ -210,9 +210,9 @@ func TestFailedInsertBatchInsertsNothing(t *testing.T) {
 func TestSelectTakesNoTableLock(t *testing.T) {
 	rng := rand.New(rand.NewPCG(801, 802))
 	seed := randomVals(rng, 2000, 1<<16)
-	for _, tc := range strategiesUnderTest {
-		t.Run(tc.name, func(t *testing.T) {
-			e := newEngineWithData(t, Config{Strategy: tc.s, Shards: 2}, seed)
+	for _, s := range Strategies() {
+		t.Run(s.String(), func(t *testing.T) {
+			e := newEngineWithData(t, Config{Strategy: s, Shards: 2}, seed)
 			defer e.Close()
 			tab, err := e.Table("R")
 			if err != nil {

@@ -4,7 +4,8 @@ package harness
 
 // Wall-clock claims about Figure 3, built only with -tags wallclock: two
 // measured totals on a shared host differ by scheduler noise, so tier-1
-// carries the count twin, engine.TestMoreIdleCutsSelectWork, instead.
+// carries their count twins, engine.TestMoreIdleCutsSelectWork and
+// engine.TestHolisticQueryWorkEqualsAdaptive, instead.
 
 import (
 	"fmt"
@@ -36,4 +37,26 @@ func TestFig3MoreIdleHelpsHolistic(t *testing.T) {
 		tries = append(tries, fmt.Sprintf("X=5 -> %v, X=200 -> %v", small, large))
 	}
 	t.Fatalf("more idle actions made holistic slower in 3 tries: %s", strings.Join(tries, "; "))
+}
+
+// TestFig3HolisticWithinAdaptive: idle cracks only help, so holistic's
+// query-visible total stays within 20 % of adaptive's on the same stream.
+// Best of three fresh runs.
+func TestFig3HolisticWithinAdaptive(t *testing.T) {
+	var tries []string
+	for range 3 {
+		res, err := RunFig3(Fig3Config{
+			N: 200000, Queries: 400, X: 50, IdleEvery: 100,
+			Selectivity: 0.01, Seed: 42, TargetPieceSize: 1024,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		holistic, adaptive := res.Holistic.Total(), res.Adaptive.Total()
+		if holistic <= adaptive+adaptive/5 {
+			return
+		}
+		tries = append(tries, fmt.Sprintf("holistic %v, adaptive %v", holistic, adaptive))
+	}
+	t.Fatalf("holistic exceeded adaptive by more than 20 %% in 3 tries: %s", strings.Join(tries, "; "))
 }

@@ -35,13 +35,13 @@ func TestVerifyAgainst(t *testing.T) {
 }
 
 // TestRunFig3SmallShape runs Exp1 at a tiny scale and asserts the paper's
-// qualitative shape: Scan ≫ Adaptive ≥ Holistic on query-visible time, and
-// offline's first query pays the uncovered build.
+// qualitative shape: Scan ≫ Adaptive on query-visible time, and offline's
+// first query pays the uncovered build. Adaptive ≥ Holistic is
+// TestFig3HolisticWithinAdaptive's, behind the wallclock tag.
 //
-// Wall-clock comparisons carry tolerance margins, and the strategy-vs-
-// strategy assertions are skipped under -short: on a loaded shared runner
-// scheduler noise can invert small measured gaps without any regression in
-// the code (the accounting checks below still run).
+// The scan-vs-adaptive assertion is skipped under -short: on a loaded shared
+// runner scheduler noise can invert small measured gaps without any
+// regression in the code (the accounting checks below still run).
 func TestRunFig3SmallShape(t *testing.T) {
 	res, err := RunFig3(Fig3Config{
 		N:               200000,
@@ -55,16 +55,8 @@ func TestRunFig3SmallShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, adaptive, holistic := res.Scan.Total(), res.Adaptive.Total(), res.Holistic.Total()
-	if !testing.Short() {
-		if scan < adaptive*2 {
-			t.Fatalf("scan (%v) should dwarf adaptive (%v)", scan, adaptive)
-		}
-		// 20% tolerance: idle cracks only help, but timer noise on shared
-		// runners can nudge two near-equal totals either way.
-		if holistic > adaptive+adaptive/5 {
-			t.Fatalf("holistic (%v) should not exceed adaptive (%v): idle cracks only help", holistic, adaptive)
-		}
+	if scan, adaptive := res.Scan.Total(), res.Adaptive.Total(); !testing.Short() && scan < adaptive*2 {
+		t.Fatalf("scan (%v) should dwarf adaptive (%v)", scan, adaptive)
 	}
 	if res.TInit <= 0 || res.IdleTotal < res.TInit || res.TSort <= 0 {
 		t.Fatalf("idle accounting: t_init=%v idle=%v t_sort=%v", res.TInit, res.IdleTotal, res.TSort)

@@ -238,56 +238,6 @@ func TestImageWithRowIDsRestores(t *testing.T) {
 	expect(t, e, "b", 0, 100, 8, 350)
 }
 
-// TestLoadInsertDeleteRoundTrip takes a loaded, inserted-into and
-// deleted-from column through capture, encode, decode and restore. Parts
-// hold tombstones only from their first merged delete, but every part
-// still encodes one flag per row, so the restored engine captures to the
-// same image and answers alike.
-func TestLoadInsertDeleteRoundTrip(t *testing.T) {
-	cfg := engine.Config{Strategy: engine.StrategyHolistic, Seed: 42, Shards: 3}
-	e := engine.New(cfg)
-	defer e.Close()
-	tb := seedTable(t, e, 1000)
-	if _, err := tb.InsertRows([][]int64{{5000, 1}, {5001, 2}, {5002, 3}}); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := tb.DeleteWhereIn("a", []int64{4, 5001}); err != nil || n != 2 {
-		t.Fatalf("DeleteWhereIn = %d, %v", n, err)
-	}
-	e.MergePending()
-	st, err := e.CaptureState(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	img := EncodeState(st)
-	dec, err := DecodeState(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Row 4 is in part 1, row 1001 (a=5001) in part 2; part 0 is all live.
-	for _, c := range dec.Tables[0].Columns {
-		for i, p := range c.Parts {
-			dead := slices.Index(p.Deleted, true)
-			if len(p.Deleted) != len(p.Vals) || (dead >= 0) != (i > 0) {
-				t.Fatalf("%s part %d: %d flags for %d rows, first dead at %d", c.Name, i, len(p.Deleted), len(p.Vals), dead)
-			}
-		}
-	}
-	r := engine.New(cfg)
-	defer r.Close()
-	if err := r.RestoreState(dec); err != nil {
-		t.Fatal(err)
-	}
-	again, err := r.CaptureState(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(EncodeState(again), img) {
-		t.Fatal("the restored engine captures to a different image")
-	}
-	expect(t, r, "a", 0, 6000, 1001, 999*1000/2-4+5000+5002)
-}
-
 // TestDecodedPartsKeepMergeSlack: a decoded part's base and copy come with
 // the spare capacity a merge leaves (cracker.Slack), so the log replayed
 // after a snapshot merges its first rows without moving them.

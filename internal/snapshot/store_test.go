@@ -2,7 +2,6 @@ package snapshot
 
 import (
 	"errors"
-	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -66,97 +65,6 @@ func expect(t *testing.T, e *engine.Engine, col string, lo, hi int64, wantCount 
 	if res.Count != wantCount || res.Sum != wantSum {
 		t.Fatalf("Select %s [%d,%d) = (%d, %d), want (%d, %d)", col, lo, hi, res.Count, res.Sum, wantCount, wantSum)
 	}
-}
-
-// TestRecoverFromWALOnly: mutations logged but never checkpointed replay
-// fully on restart. Nothing but Open attaches the store (openStore does
-// not call SetWriteLog), so the writes are logged because Open attached it.
-func TestRecoverFromWALOnly(t *testing.T) {
-	dir := t.TempDir()
-	e1 := newEngine(t)
-	s1, _ := openStore(t, nil, dir, e1)
-
-	tb := seedTable(t, e1, 100)
-	if _, err := tb.InsertRows([][]int64{{100, 200}, {101, 202}}); err != nil {
-		t.Fatalf("InsertRows: %v", err)
-	}
-	if _, err := tb.DeleteWhere("a", 5); err != nil {
-		t.Fatalf("DeleteWhere: %v", err)
-	}
-	if err := s1.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	e2 := newEngine(t)
-	_, info := openStore(t, nil, dir, e2)
-	if info.SnapshotLoaded {
-		t.Fatalf("no checkpoint was taken, yet a snapshot loaded")
-	}
-	if info.Replayed != 5 { // create + 2 addColumn + insert + delete
-		t.Fatalf("replayed %d records, want 5", info.Replayed)
-	}
-	// 0..101 minus the deleted a=5: count 101, sum 0+..+101 - 5.
-	expect(t, e2, "a", 0, 1_000, 101, 102*101/2-5)
-	expect(t, e2, "b", 0, 10_000, 101, 102*101-10)
-}
-
-// TestCheckpointThenRecover: snapshot + WAL-suffix recovery restores data
-// AND the physical design (crack pieces survive the restart).
-func TestCheckpointThenRecover(t *testing.T) {
-	dir := t.TempDir()
-	e1 := newEngine(t)
-	s1, _ := openStore(t, nil, dir, e1)
-	seedTable(t, e1, 5000)
-
-	// Crack a few ranges so the snapshot has a physical design to carry.
-	for _, q := range [][2]int64{{100, 900}, {1500, 2500}, {3000, 4200}, {400, 4600}} {
-		if _, err := e1.Select("kv", "a", q[0], q[1]); err != nil {
-			t.Fatalf("Select: %v", err)
-		}
-	}
-	piecesBefore, _, err := e1.PieceStats("kv", "a")
-	if err != nil {
-		t.Fatalf("PieceStats: %v", err)
-	}
-	if piecesBefore < 4 {
-		t.Fatalf("expected cracked column, got %d pieces", piecesBefore)
-	}
-
-	if _, err := s1.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-	if s1.Epoch() != 1 {
-		t.Fatalf("epoch = %d, want 1", s1.Epoch())
-	}
-
-	// Post-checkpoint mutations land only in the WAL suffix.
-	tb, _ := e1.Table("kv")
-	if _, err := tb.InsertRow(9_000, 18_000); err != nil {
-		t.Fatalf("InsertRow: %v", err)
-	}
-	if _, err := tb.DeleteWhere("a", 10); err != nil {
-		t.Fatalf("DeleteWhere: %v", err)
-	}
-	s1.Close()
-
-	e2 := newEngine(t)
-	_, info := openStore(t, nil, dir, e2)
-	if !info.SnapshotLoaded || info.Epoch != 1 {
-		t.Fatalf("recovery info = %+v, want snapshot epoch 1", info)
-	}
-	if info.Replayed != 2 {
-		t.Fatalf("replayed %d suffix records, want 2", info.Replayed)
-	}
-	piecesAfter, _, err := e2.PieceStats("kv", "a")
-	if err != nil {
-		t.Fatalf("PieceStats after recovery: %v", err)
-	}
-	if piecesAfter < piecesBefore {
-		t.Fatalf("physical design lost: %d pieces after recovery, had %d", piecesAfter, piecesBefore)
-	}
-	// 0..4999 plus 9000, minus a=10.
-	wantSum := int64(5000*4999/2) + 9000 - 10
-	expect(t, e2, "a", 0, 10_000, 5000, wantSum)
 }
 
 // TestShortLogKeepsLaterWrites: a log that ends before the manifest's
@@ -262,66 +170,15 @@ func TestReplayInsertAgainstSnapshot(t *testing.T) {
 	}
 }
 
-// TestReplayIntoAutoIdleEngine recovers a log of insert and delete records
-// into a holistic engine whose idle pool is running, so each replayed
-// statement's hold on the write gate races the pool's steps (CI runs it
-// under -race -cpu 1,2,4). The inserts push the queues past their cap, so
-// replay merges inline as the live statements did.
-func TestReplayIntoAutoIdleEngine(t *testing.T) {
-	const shards, base, batches, batch = 2, 20_000, 150, 64
-	dir := t.TempDir()
-	open := func(autoIdle bool) (*engine.Engine, *Store) {
-		e := engine.New(engine.Config{Strategy: engine.StrategyHolistic, Seed: 42, Shards: shards, AutoIdle: autoIdle, IdleWorkers: 2})
-		t.Cleanup(e.Close)
-		s, _ := openStore(t, nil, dir, e)
-		return e, s
-	}
-	e1, s1 := open(false)
-	tb := seedTable(t, e1, base)
-	count, sum := base, int64(base*(base-1)/2)
-	for i := 0; i < batches; i++ {
-		rows := make([][]int64, batch)
-		for j := range rows {
-			a := int64(base + i*batch + j)
-			rows[j] = []int64{a, 2 * a}
-			count, sum = count+1, sum+a
-		}
-		if _, err := tb.InsertRows(rows); err != nil {
-			t.Fatal(err)
-		}
-		if i%10 == 9 {
-			gone := []int64{int64(i), int64(base + i*batch)}
-			if n, err := tb.DeleteWhereIn("a", gone); err != nil || n != 2 {
-				t.Fatalf("DeleteWhereIn(%v) = %d, %v", gone, n, err)
-			}
-			count, sum = count-2, sum-gone[0]-gone[1]
-		}
-	}
-	s1.Close()
-
-	e2, _ := open(true)
-	expect(t, e2, "a", 0, 1<<40, count, sum)
-	expect(t, e2, "b", 0, 1<<40, count, 2*sum)
-	e2.MergePending()
-	expect(t, e2, "a", 0, 1<<40, count, sum)
-}
-
-// TestCheckpointCompactsWAL: a checkpoint rebases the log so restart does
-// not replay records the snapshot already covers.
+// TestCheckpointCompactsWAL: a checkpoint rebases the log, so the file it
+// leaves holds no record the snapshot covers.
 func TestCheckpointCompactsWAL(t *testing.T) {
 	dir := t.TempDir()
 	e1 := newEngine(t)
 	s1, _ := openStore(t, nil, dir, e1)
 	seedTable(t, e1, 2000)
-	debt := s1.ReplayDebt()
-	if debt == 0 {
-		t.Fatalf("expected replay debt before checkpoint")
-	}
-	if n, err := s1.Checkpoint(); err != nil || n != debt {
-		t.Fatalf("Checkpoint = (%d, %v), want (%d, nil)", n, err, debt)
-	}
-	if got := s1.ReplayDebt(); got != 0 {
-		t.Fatalf("replay debt %d after checkpoint, want 0", got)
+	if _, err := s1.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
 	st, err := os.Stat(filepath.Join(dir, walName))
 	if err != nil {
@@ -389,6 +246,47 @@ func TestDegradedLogTurnsEngineReadOnly(t *testing.T) {
 	if got := act.Score(); got != 0 {
 		t.Fatalf("degraded checkpoint score = %v, want 0", got)
 	}
+}
+
+// TestFailedSyncHidesInsert: an fsync that fails for good under an INSERT,
+// whose record reached the log file but never became durable, fails the
+// statement read-only and annihilates its batch before it publishes: no
+// select counts a row of it, even while the wait runs, and the next write
+// is refused. A reopen on a healthy disk finds the batch whole or not at all.
+func TestFailedSyncHidesInsert(t *testing.T) {
+	dir := t.TempDir()
+	ffs := wal.NewFaultFS(wal.OSFS{})
+	e1 := newEngine(t)
+	s1, _ := openStore(t, ffs, dir, e1)
+	tb := seedTable(t, e1, 100)
+	batch := [][]int64{{1000, 2000}, {1001, 2002}, {1002, 2004}}
+	ffs.FailSyncs(1, errors.New("fsync: EIO"), true)
+	failed := make(chan error, 1)
+	go func() { _, err := tb.InsertRows(batch); failed <- err }()
+	for done := false; !done; { // select the batch's range until the insert has failed, and once after
+		select {
+		case err := <-failed:
+			if !errors.Is(err, engine.ErrReadOnly) {
+				t.Fatalf("insert under a failing fsync: %v, want ErrReadOnly", err)
+			}
+			done = true
+		default:
+		}
+		expect(t, e1, "a", 1000, 2000, 0, 0)
+	}
+	if _, err := tb.InsertRow(3000, 6000); !errors.Is(err, engine.ErrReadOnly) || ffs.Injected() == 0 {
+		t.Fatalf("the next insert: %v after %d faults, want ErrReadOnly after some", err, ffs.Injected())
+	}
+	s1.Close()
+
+	e2 := newEngine(t)
+	openStore(t, nil, dir, e2)
+	res, err := e2.Select("kv", "a", 1000, 2000)
+	if err != nil || res.Count != 0 && (res.Count != 3 || res.Sum != 3003) {
+		t.Fatalf("the reopen holds %d/%d of the batch (%v), want all 3/3003 or none", res.Count, res.Sum, err)
+	}
+	expect(t, e2, "a", 0, 1000, 100, 100*99/2)
+	expect(t, e2, "a", 2000, 10_000, 0, 0)
 }
 
 // TestColdOpenRefusesLoadedEngine: a data dir with no snapshot yet refuses
@@ -725,70 +623,6 @@ func TestAddColumnBodyFaults(t *testing.T) {
 	}
 }
 
-// TestStripedLoadSurvivesRestart loads two columns of a three-shard table
-// through a store under each fsync policy, closes it with no checkpoint and
-// reopens it: every row reads back in row order, so the log holds each
-// column as it was handed in, not as the load striped it. No goroutine
-// outlives a load.
-func TestStripedLoadSurvivesRestart(t *testing.T) {
-	const shards, rows = 3, 10_007
-	for _, policy := range []wal.SyncPolicy{wal.SyncAlways, wal.SyncInterval, wal.SyncOff} {
-		t.Run(policy.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			open := func() (*engine.Engine, *Store) {
-				e := engine.New(engine.Config{Strategy: engine.StrategyHolistic, Seed: 42, Shards: shards})
-				t.Cleanup(e.Close)
-				s, _, err := Open(nil, dir, e, Config{Policy: wal.Policy{Sync: policy}, Shards: shards})
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { s.Close() })
-				return e, s
-			}
-			e1, s1 := open()
-			tb, err := e1.CreateTable("kv")
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewPCG(1, uint64(policy)))
-			want := map[string][]int64{}
-			goroutines := runtime.NumGoroutine()
-			for _, col := range []string{"a", "b"} {
-				vals := make([]int64, rows)
-				for i := range vals {
-					vals[i] = rng.Int64()
-				}
-				want[col] = slices.Clone(vals)
-				if err := tb.AddColumnFromSlice(col, vals); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
-				if time.Now().After(deadline) {
-					t.Fatalf("%d goroutines after the loads, %d before", runtime.NumGoroutine(), goroutines)
-				}
-			}
-
-			if err := s1.Close(); err != nil {
-				t.Fatal(err)
-			}
-			e2, _ := open()
-			st, err := e2.CaptureState(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j, c := range st.Tables[0].Columns {
-				col := st.Tables[0].Order[j]
-				for g, v := range want[col] {
-					if got := c.Parts[g%shards].Vals[g/shards]; got != v {
-						t.Fatalf("%s row %d reads %d after the restart, was loaded as %d", col, g, got, v)
-					}
-				}
-			}
-		})
-	}
-}
-
 // gatedSyncFS parks each fsync of the files it opened, once armed, until
 // release is closed, and says so on entered.
 type gatedSyncFS struct {
@@ -819,7 +653,8 @@ func (f *gatedSyncFile) Sync() error {
 }
 
 // TestLoadPublishedOnceDurable: a logged column load is not in the catalog
-// while its record's fsync is in flight, and is once the load returns.
+// while its record's fsync is in flight, and is once the load returns; no
+// goroutine it started outlives it.
 func TestLoadPublishedOnceDurable(t *testing.T) {
 	gfs := &gatedSyncFS{entered: make(chan struct{}), release: make(chan struct{})}
 	e := engine.New(engine.Config{Strategy: engine.StrategyHolistic, Seed: 42, Shards: 2})
@@ -833,6 +668,7 @@ func TestLoadPublishedOnceDurable(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i)
 	}
+	goroutines := runtime.NumGoroutine()
 	gfs.armed.Store(true)
 	loaded := make(chan error, 1)
 	go func() { loaded <- tb.AddColumnFromSlice("a", vals) }()
@@ -843,6 +679,11 @@ func TestLoadPublishedOnceDurable(t *testing.T) {
 	close(gfs.release)
 	if err := <-loaded; err != nil {
 		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the load, %d before", runtime.NumGoroutine(), goroutines)
+		}
 	}
 	res, err := e.Select("kv", "a", 0, 1000)
 	if err != nil || res.Count != 1000 || res.Sum != 999*1000/2 {
