@@ -157,12 +157,17 @@ func BenchmarkFig2CrackingSteps(b *testing.B) {
 // --- Multi-core: concurrent selects and the parallel idle pool -------------
 
 // BenchmarkConcurrentSelects measures select throughput on one holistic
-// column in the cracked steady state. The "serial" variant issues
-// queries from a single goroutine — the seed's effective behaviour, where
-// the column-wide mutex serialised every select. The "parallel" variant
-// drives the same engine from GOMAXPROCS goroutines via RunParallel; on a
-// 4+ core machine it should sustain >= 2x the serial throughput because
-// already-cracked ranges are served under shared latches.
+// column of 2^20 rows, one part, after 500 warm-up selects and 2 000 idle
+// actions. Every select asks a fresh random 0.1 % range, so nearly every
+// one cracks two small pieces: it times the crack path — the probe, the
+// piece latches, two partitions and two boundary inserts — in a crack tree
+// that grows by two boundaries a select, not the converged lookup. "serial"
+// issues the selects from one goroutine, "parallel" from GOMAXPROCS
+// goroutines via RunParallel. Cracks of different pieces run at once (each
+// holds only its piece's latch, cracker.Index), so parallel ns/op falls
+// below serial's, but not to serial/GOMAXPROCS: every select also writes
+// state all selects share (the tuner's workload sketch, the load gate, the
+// part's queue mutex and latch counts, the crack tree itself).
 func benchConcurrentSelects(b *testing.B, parallel bool) {
 	const rows = 1 << 20
 	data := workload.UniformData(21, rows, 1, rows+1)

@@ -340,8 +340,9 @@ type bid struct {
 // or not the tuner has seen queries) and crack; it bids the better one. The crack score is frequency-weighted, so an unqueried, unseeded
 // column never ranks. Scoring only reads: a column with no cracked copy yet
 // bids as one piece of its live rows, and the step that wins materialises
-// it. Scoring takes the index latch, which a worker that has claimed the
-// column may hold for a whole crack.
+// it. Scoring reads the index's piece count under its shared latches, which
+// a worker cracking the column holds exclusively only while it inserts
+// boundaries.
 func (t *Tuner) bidOf(c *candidate) bid {
 	if c.aux != nil {
 		return bid{c: c, score: c.aux.Score(), act: actAux}

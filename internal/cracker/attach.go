@@ -26,11 +26,11 @@ import (
 // AttachRows gives a values-only index its row ids: base is the column the
 // copy was built from, by local position, the row id of base[i] is row0 +
 // i*stride (wrapping), and bit i%64 of dead[i/64] marks a tombstoned row
-// the copy does not hold (nil: none). It holds the index latch exclusively
-// for one pass over base and does nothing when row ids are already
-// attached. Each piece must receive as many live base values as it holds,
-// adding to the same sum; if not, the live base is not the copy's multiset,
-// AttachRows says so and the index is left as it was.
+// the copy does not hold (nil: none). It holds the structure latch
+// exclusively for one pass over base and does nothing when row ids are
+// already attached. Each piece must receive as many live base values as it
+// holds, adding to the same sum; if not, the live base is not the copy's
+// multiset, AttachRows says so and the index is left as it was.
 func (ix *Index) AttachRows(base []int64, row0, stride uint32, dead []uint64) error {
 	if ix.HasRows() {
 		return nil
@@ -64,7 +64,9 @@ func (ix *Index) AttachRows(base []int64, row0, stride uint32, dead []uint64) er
 			return fmt.Errorf("cracker: attach: the live base's values ending at %d are not the copy's", f.end)
 		}
 	}
+	ix.tmu.lock()
 	ix.vals, ix.rows = vals, rows
+	ix.tmu.Unlock()
 	return nil
 }
 
@@ -81,7 +83,7 @@ type fill struct {
 // keys[j]), and fills[j] starts at its first position owing its sum. A
 // cracked copy's keys are its boundaries, whose sums give each piece's; a
 // sorted copy's pieces are its runs of equal values. The caller holds the
-// index latch.
+// structure latch.
 func (ix *Index) pieceFills() (keys []int64, fills []fill) {
 	n := len(ix.vals)
 	var below []int64 // the sum of the copy before each piece, then all of it

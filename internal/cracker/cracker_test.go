@@ -222,8 +222,8 @@ func TestRowIDsFollowValues(t *testing.T) {
 	}
 }
 
-// crackAt pins a boundary at v: the exclusive-latch split a select's bound
-// and an idle pivot both end in.
+// crackAt pins a boundary at v: the split a select's bound and an idle
+// pivot both end in.
 func crackAt(ix *Index, v int64) (pieceSize int, cracked bool) { return ix.splitAt(v) }
 
 func TestCrackAtIdempotent(t *testing.T) {

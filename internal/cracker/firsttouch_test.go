@@ -59,7 +59,7 @@ func TestFirstTouchMatchesCopyThenRadix(t *testing.T) {
 			want := New(slices.Clone(base), nil)
 			want.SetRadixMinPiece(radixMin)
 			if n >= radixMin {
-				want.radixPiece(0, n)
+				want.radixPiece(0, n, 0)
 			}
 
 			if !slices.Equal(base, pristine) {

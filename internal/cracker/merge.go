@@ -74,6 +74,8 @@ func GrowTo[S ~[]E, E any](s S, m int) S {
 func (ix *Index) Merge(ins, del []updates.Entry) (missing int) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	ix.tmu.lock()
+	defer ix.tmu.Unlock()
 	if ix.sorted {
 		return ix.mergeSorted(ins, del)
 	}

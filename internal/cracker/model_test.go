@@ -125,8 +125,8 @@ func (m *sumModel) step() string {
 		return "crackAt"
 	case 5: // forced radix pass over the piece a drawn value falls into
 		ix.mu.Lock()
-		a, b, _, _ := ix.locate(m.value())
-		ix.radixPiece(a, b)
+		a, b, sum, _ := ix.locate(m.value())
+		ix.radixPiece(a, b, sum)
 		ix.mu.Unlock()
 		return "radixPiece"
 	case 6, 7, 8, 9:

@@ -1,8 +1,8 @@
 package cracker
 
 // The predicated (branch-free) partition kernel — the innermost loop every
-// select, merge and idle refinement funnels through, and the whole of a
-// crack's exclusive-latch section.
+// select, merge and idle refinement funnels through, and the whole of what a
+// crack does while it holds its piece's latch.
 //
 // The seed's Hoare-style loops branched on every comparison; with a random
 // pivot over unsorted data each branch is a coin flip, so the partition paid

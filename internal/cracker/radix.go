@@ -72,24 +72,14 @@ func fanOut(n int) int {
 // disables radix-first cracking (the default for a bare New).
 func (ix *Index) SetRadixMinPiece(n int) { ix.radixMin = n }
 
-// maybeRadixPiece runs a radix coarse pass over the piece [a, b) if the
-// radix-first heuristic says the piece is worth it, reporting whether any
-// boundaries were inserted. Like every crack it runs with the index latch
-// held exclusively, which is what makes the buffer swap below sound: no
-// reader can be inside ix.vals.
-func (ix *Index) maybeRadixPiece(a, b int) bool {
-	if ix.radixMin <= 0 || b-a < ix.radixMin {
-		return false
-	}
-	return ix.radixPiece(a, b) > 0
-}
-
-// radixPiece scatters the piece [a, b) into value-ordered radix buckets and
-// registers the bucket boundaries, returning the number of boundaries
-// inserted (0 when the piece is single-valued and cannot be split). The
-// buckets span the piece's own min and max (see the file comment); the sum
-// below the piece is its starting boundary's, so prefixSum reads no value.
-func (ix *Index) radixPiece(a, b int) int {
+// radixPiece scatters the piece [a, b), whose prefix sum is below, into
+// value-ordered radix buckets and registers the bucket boundaries, returning
+// the number of boundaries inserted (0 when the piece is single-valued and
+// cannot be split). The buckets span the piece's own min and max (see the
+// file comment). The caller holds the piece's stripe (see crack), or the
+// structure latch exclusively for a pass over the whole copy, which replaces
+// the arrays: no reader can be inside them then.
+func (ix *Index) radixPiece(a, b int, below int64) int {
 	if a < 0 || a >= b || b > len(ix.vals) {
 		return 0
 	}
@@ -107,6 +97,7 @@ func (ix *Index) radixPiece(a, b int) int {
 	// back. A values-only copy scatters values alone.
 	whole := a == 0 && b == len(ix.vals)
 	bv := make([]int64, len(v))
+	var br []uint32
 	if rows := ix.rows; rows == nil {
 		g.scatter(v, bv)
 	} else {
@@ -114,20 +105,20 @@ func (ix *Index) radixPiece(a, b int) int {
 			return 0 // unreachable: rows is as long as vals; BCE only
 		}
 		r := rows[a:b]
-		br := make([]uint32, len(v))
+		br = make([]uint32, len(v))
 		g.scatterRows(v, r, bv, br)
-		if whole {
-			ix.rows = br
-		} else {
+		if !whole {
 			copy(r, br)
 		}
 	}
 	if whole {
-		ix.vals = bv
+		ix.tmu.lock() // a lookup reads the arrays' length under it alone
+		ix.vals, ix.rows = bv, br
+		ix.tmu.Unlock()
 	} else {
 		copy(v, bv)
 	}
-	return ix.addBuckets(&g, a, ix.prefixSum(a))
+	return ix.addBuckets(&g, a, below)
 }
 
 // scatter writes v into dst bucket by bucket under plan g, which count made
@@ -209,7 +200,10 @@ func (g *buckets) count(v []int64, lo, hi int64) {
 // pass, returning the boundaries inserted. All keys lie strictly inside the
 // piece's open value interval, so none collides with an existing boundary.
 // Bucket k's sum is below, the sum below the piece, plus the buckets below k.
+// It takes the tree latch exclusively.
 func (ix *Index) addBuckets(g *buckets, a int, below int64) int {
+	ix.tmu.lock()
+	defer ix.tmu.Unlock()
 	inserted := 0
 	for k := 1; k < g.nb && k < 1<<radixMaxBits; k++ {
 		key := g.lo + int64(uint64(k)<<g.shift)

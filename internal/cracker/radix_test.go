@@ -198,8 +198,8 @@ func TestRadixSkewedAndDuplicates(t *testing.T) {
 		}
 		levels := 0
 		for {
-			a, b, _, exact := sk.locate(dup)
-			if exact || !sk.maybeRadixPiece(a, b) {
+			a, b, sum, exact := sk.locate(dup)
+			if exact || !sk.radixWorth(a, b) || sk.radixPiece(a, b, sum) == 0 {
 				break
 			}
 			levels++

@@ -13,8 +13,8 @@ type Boundary struct {
 
 // Boundaries returns the crack-tree entries in ascending key order.
 func (ix *Index) Boundaries() []Boundary {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
+	ix.tmu.rlock()
+	defer ix.tmu.RUnlock()
 	bs := make([]Boundary, 0, ix.tree.Len())
 	ix.tree.Walk(func(key int64, pos int, _ int64) bool {
 		bs = append(bs, Boundary{Key: key, Pos: pos})

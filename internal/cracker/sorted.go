@@ -15,6 +15,8 @@ import (
 func (ix *Index) Sort() {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	ix.tmu.lock()
+	defer ix.tmu.Unlock()
 	if ix.sorted {
 		return
 	}
@@ -28,7 +30,7 @@ func (ix *Index) Sort() {
 }
 
 // setSorted marks an ascending copy sorted and derives its prefix sums. The
-// caller holds the exclusive latch (or owns the index outright).
+// caller holds the structure latch exclusively (or owns the index outright).
 func (ix *Index) setSorted() {
 	ix.sorted, ix.pre = true, make([]int64, 1, len(ix.vals)+1)
 	ix.sumsFrom(0)
@@ -55,7 +57,7 @@ func (ix *Index) Sorted() bool {
 // delete's (value, row) — or, values-only, one entry of its value per
 // delete; inserts are one backward merge into the grown arrays; the prefix
 // sums are recomputed from the first position either changed. The caller
-// holds the exclusive latch.
+// holds the structure latch exclusively.
 func (ix *Index) mergeSorted(ins, del []updates.Entry) (missing int) {
 	n := len(ix.vals)
 	from := n

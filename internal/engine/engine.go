@@ -34,12 +34,12 @@
 //     calls on a part takes the READ side, which admits any number of
 //     queries and idle workers simultaneously.
 //   - Index: under the shared part latch, work on the part's cracker index
-//     is coordinated by the index's own reader/writer latch (see
-//     cracker.Index): a lookup or aggregate takes it shared once, whatever
-//     the number of pieces it spans; a crack takes it exclusively while it
-//     partitions. Concurrent selects on cracked ranges therefore proceed
-//     fully in parallel, and parallelism between cracks comes from the
-//     shards.
+//     is coordinated by the index's own latches (see cracker.Index): a
+//     lookup or aggregate reads the crack tree under shared latches,
+//     whatever the number of pieces it spans; a crack holds only the latch
+//     of the piece it partitions. Concurrent selects on cracked ranges
+//     therefore proceed fully in parallel, and so do cracks of different
+//     pieces.
 //
 // Idle refinement is preemptible at action granularity: every select and
 // write holds the idle pool's load gate (package loadgate) while it runs,

@@ -3,10 +3,12 @@ package engine
 import (
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"testing"
 
 	"holistic/internal/cracker"
+	"holistic/internal/workload"
 )
 
 // TestHolisticQueryWorkEqualsAdaptive is the count twin of the paper's "No
@@ -127,6 +129,78 @@ func TestMoreIdleCutsSelectWork(t *testing.T) {
 		}
 		prev = w
 	}
+}
+
+// TestScanReadsDwarfAdaptiveWork is the count twin of the harness's
+// wall-clock TestFig3ScanDwarfsAdaptive (Figure 3's "scan ≫ adaptive"): on
+// TestRunFig3SmallShape's shape and seeds — 200 000 uniform values, 400
+// uniform 1 % selects — the values a scan engine's selects read are at least
+// twice the values an adaptive engine's selects partition. A select's values
+// are what each part's probe says answering it would touch (shard.Part.ProbeAt:
+// every live row of a part with no index, the pieces the missing bounds fall
+// in otherwise), and for adaptive at least the crack work its parts' indexes
+// gained. Both engines answer every select alike, and the scan engine never
+// builds an index. It runs at GOMAXPROCS 1, so neither the part count nor
+// the select's fan-out follows the host.
+func TestScanReadsDwarfAdaptiveWork(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n, queries, seed = 200_000, 400, 42
+	vals := workload.UniformData(seed, n, 1, n+1)
+	gen := workload.NewUniform("R", "A", 1, n+1, 0.01, seed+1)
+	cfg := Config{Seed: seed, TargetPieceSize: 1024}
+	cfg.Strategy = StrategyScan
+	sc := newEngineWithData(t, cfg, vals)
+	defer sc.Close()
+	cfg.Strategy = StrategyAdaptive
+	ad := newEngineWithData(t, cfg, vals)
+	defer ad.Close()
+	probed := func(e *Engine, lo, hi int64) (w int64) {
+		c, err := e.column("R", "A")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range c.Parts() {
+			if _, _, work, ok := p.ProbeAt(lo, hi, math.MaxInt64); !ok {
+				w += int64(work)
+			}
+		}
+		return w
+	}
+	cracked := func() (w int64) {
+		for _, ix := range crackedParts(t, ad) {
+			if ix != nil {
+				w += ix.Work()
+			}
+		}
+		return w
+	}
+	var scanned, partitioned int64
+	for i := 0; i < queries; i++ {
+		q := gen.Next()
+		scanned += probed(sc, q.Lo, q.Hi)
+		rs, err := sc.Select(q.Table, q.Column, q.Lo, q.Hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe, before := probed(ad, q.Lo, q.Hi), cracked()
+		ra, err := ad.Select(q.Table, q.Column, q.Lo, q.Hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		partitioned += max(probe, cracked()-before)
+		if rs.Count != ra.Count || rs.Sum != ra.Sum {
+			t.Fatalf("q%d [%d, %d): scan %d/%d, adaptive %d/%d", i, q.Lo, q.Hi, rs.Count, rs.Sum, ra.Count, ra.Sum)
+		}
+		for j, ix := range crackedParts(t, sc) {
+			if ix != nil {
+				t.Fatalf("q%d: the scan engine's part %d holds an index", i, j)
+			}
+		}
+	}
+	if scanned < 2*partitioned {
+		t.Fatalf("scan's selects read %d values, adaptive's partitioned %d: not at least twice", scanned, partitioned)
+	}
+	t.Logf("scan's selects read %d values, adaptive's partitioned %d (%.1fx)", scanned, partitioned, float64(scanned)/float64(max(partitioned, 1)))
 }
 
 // crackedParts returns every part's cracked copy of R.A, nil where a part

@@ -22,10 +22,10 @@ import "time"
 // select start a goroutine per part, so a large select (a scan, a first touch)
 // runs on several cores even with no other query in the system, while a small
 // crack, like a converged lookup, runs where the query is. Within a shard,
-// every read holds the part's shared latch, and a crack takes the cracker
-// index latch exclusively only while it partitions a piece; only materialising
-// the cracked copy and merging pending updates take the part's exclusive
-// latch. Every part is read at the table's visibility watermark, which the
+// every read holds the part's shared latch, and a crack holds only the latch
+// of the piece it partitions (cracker.Index), so cracks of different pieces
+// run at once; only materialising the cracked copy and merging pending
+// updates take the part's exclusive latch. Every part is read at the table's visibility watermark, which the
 // select loads once (Table.countSum), so it sees an insert batch in every
 // part or in none.
 //

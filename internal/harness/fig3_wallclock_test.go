@@ -4,8 +4,9 @@ package harness
 
 // Wall-clock claims about Figure 3, built only with -tags wallclock: two
 // measured totals on a shared host differ by scheduler noise, so tier-1
-// carries their count twins, engine.TestMoreIdleCutsSelectWork and
-// engine.TestHolisticQueryWorkEqualsAdaptive, instead.
+// carries their count twins, engine.TestMoreIdleCutsSelectWork,
+// engine.TestHolisticQueryWorkEqualsAdaptive and
+// engine.TestScanReadsDwarfAdaptiveWork, instead.
 
 import (
 	"fmt"
@@ -59,4 +60,25 @@ func TestFig3HolisticWithinAdaptive(t *testing.T) {
 		tries = append(tries, fmt.Sprintf("holistic %v, adaptive %v", holistic, adaptive))
 	}
 	t.Fatalf("holistic exceeded adaptive by more than 20 %% in 3 tries: %s", strings.Join(tries, "; "))
+}
+
+// TestFig3ScanDwarfsAdaptive: scan's query-visible total is at least twice
+// adaptive's on TestRunFig3SmallShape's stream. Best of three fresh runs.
+func TestFig3ScanDwarfsAdaptive(t *testing.T) {
+	var tries []string
+	for range 3 {
+		res, err := RunFig3(Fig3Config{
+			N: 200000, Queries: 400, X: 50, IdleEvery: 100,
+			Selectivity: 0.01, Seed: 42, TargetPieceSize: 1024,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan, adaptive := res.Scan.Total(), res.Adaptive.Total()
+		if scan >= 2*adaptive {
+			return
+		}
+		tries = append(tries, fmt.Sprintf("scan %v, adaptive %v", scan, adaptive))
+	}
+	t.Fatalf("scan did not reach twice adaptive in 3 tries: %s", strings.Join(tries, "; "))
 }

@@ -34,14 +34,13 @@ func TestVerifyAgainst(t *testing.T) {
 	}
 }
 
-// TestRunFig3SmallShape runs Exp1 at a tiny scale and asserts the paper's
-// qualitative shape: Scan ≫ Adaptive on query-visible time, and offline's
-// first query pays the uncovered build. Adaptive ≥ Holistic is
-// TestFig3HolisticWithinAdaptive's, behind the wallclock tag.
-//
-// The scan-vs-adaptive assertion is skipped under -short: on a loaded shared
-// runner scheduler noise can invert small measured gaps without any
-// regression in the code (the accounting checks below still run).
+// TestRunFig3SmallShape runs Exp1 at a tiny scale and checks its
+// accounting: the idle windows, and offline's first query paying the
+// uncovered build. The shape's wall-clock claims — scan ≫ adaptive,
+// adaptive ≥ holistic — are TestFig3ScanDwarfsAdaptive's and
+// TestFig3HolisticWithinAdaptive's, behind the wallclock tag; their count
+// twins run in tier-1 (engine.TestScanReadsDwarfAdaptiveWork,
+// engine.TestHolisticQueryWorkEqualsAdaptive).
 func TestRunFig3SmallShape(t *testing.T) {
 	res, err := RunFig3(Fig3Config{
 		N:               200000,
@@ -54,9 +53,6 @@ func TestRunFig3SmallShape(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if scan, adaptive := res.Scan.Total(), res.Adaptive.Total(); !testing.Short() && scan < adaptive*2 {
-		t.Fatalf("scan (%v) should dwarf adaptive (%v)", scan, adaptive)
 	}
 	if res.TInit <= 0 || res.IdleTotal < res.TInit || res.TSort <= 0 {
 		t.Fatalf("idle accounting: t_init=%v idle=%v t_sort=%v", res.TInit, res.IdleTotal, res.TSort)

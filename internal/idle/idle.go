@@ -29,7 +29,7 @@
 // paper's "small, preemptible actions" design calls for. The step function
 // must be safe for concurrent calls when the pool has more than one worker;
 // the holistic tuner guarantees this via per-column action claims and the
-// cracker index's own latch.
+// cracker index's own latches.
 //
 // The gate is the runner's only idle signal. NewRunner gives the runner a
 // gate of its own, on which the engine brackets every select and write;

@@ -19,7 +19,7 @@ import (
 // against the scan oracle. The threshold sits far below the default, so
 // coarse passes fire on real query traffic at every part count. The radix
 // pass rewrites whole pieces and inserts up to 255 boundaries at once — the
-// widest structural change one exclusive hold of the index latch covers.
+// widest change a crack makes under one piece's latch.
 // Run with -race.
 func TestShardedRadixMixedWorkload(t *testing.T) {
 	const (

@@ -3,8 +3,8 @@
 // query instead of only across queries. This follows the partitioned
 // parallel-cracking design of "Main Memory Adaptive Indexing for Multi-core
 // Systems" (Alvarez et al., DaMoN 2014): instead of many cores contending on
-// one shared cracker index through ever finer latches, each shard owns a
-// private cracker index (crack tree, cracked copy and their one latch) and
+// one shared cracker index, each shard owns a private cracker index (crack
+// tree, cracked copy and their latches) and
 // pending update buffer, and a select visits every shard and merges the
 // partial aggregates — one goroutine per shard when the shards'
 // work pays for the hand-off, one shard after the other on the caller's
@@ -110,7 +110,7 @@
 // the two reads: each row is counted in exactly one of them. Writers keep
 // enqueueing meanwhile; a row is seen if its enqueue preceded the queue read.
 // The logical contents get their consistent cut from this one latch, while
-// structural refinement — cracking under the index's own latch — stays
+// structural refinement — cracking under the index's own latches — stays
 // invisible to it.
 //
 // # Visibility
@@ -134,8 +134,10 @@
 // structural changes (materialising the cracked copy, merging the ingest
 // queue, sorting or freeing the index, tombstoning), while the read side
 // admits any number of queries and idle workers, which coordinate through
-// the cracker index's own latch: shared for a lookup or aggregate, exclusive
-// for a crack (see cracker.Index). Only the part takes its latch: the tuner
+// the cracker index's own latches: a lookup or aggregate reads the crack
+// tree under shared latches, and a crack holds only the latch of the piece
+// it partitions (see cracker.Index), so cracks of different pieces run at
+// once. Only the part takes its latch: the tuner
 // calls its idle crack action, RandomCrack, which materialises the cracked
 // copy under the exclusive latch on first use and then acts under the shared
 // one. The ingest queue's mutex is a
@@ -908,9 +910,9 @@ func (p *Part) CrackedSelect(lo, hi int64) (int, int64) {
 
 // CrackedSelectAt is the adaptive select operator on one part, at visibility
 // watermark vis. It runs under
-// the shared latch: cracking [lo, hi) takes the index latch exclusively only
-// while it partitions, and a select whose bounds are already cracked takes it
-// shared once and subtracts two boundary sums (cracker.Index.CrackCountSum).
+// the shared latch: cracking [lo, hi) latches only the pieces it
+// partitions, and a select whose bounds are already cracked reads the crack
+// tree and subtracts two boundary sums (cracker.Index.CrackCountSum).
 // Only materialising the cracked copy, on the part's first touch, takes the
 // exclusive latch; the select then reads as any other.
 func (p *Part) CrackedSelectAt(lo, hi, vis int64) (int, int64) {
@@ -932,8 +934,8 @@ func (p *Part) CrackedSelectAt(lo, hi, vis int64) (int, int64) {
 // RandomCrack is the tuner's crack action on this part
 // (cracker.Index.RandomCrack); it returns the values partitioned. It runs
 // under the shared latch, materialising the cracked copy first if the part
-// has none, and takes the index latch exclusively only while it partitions,
-// as a select's crack does.
+// has none, and latches only the piece it partitions, as a select's crack
+// does.
 func (p *Part) RandomCrack(rng *rand.Rand) int {
 	p.mu.RLock()
 	for p.crack == nil {
