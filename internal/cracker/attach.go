@@ -26,17 +26,12 @@ import (
 // AttachRows gives a values-only index its row ids: base is the column the
 // copy was built from, by local position, the row id of base[i] is row0 +
 // i*stride (wrapping), and bit i%64 of dead[i/64] marks a tombstoned row
-// the copy does not hold (nil: none). It holds the structure latch
-// exclusively for one pass over base and does nothing when row ids are
-// already attached. Each piece must receive as many live base values as it
+// the copy does not hold (nil: none). It makes one pass over base, which
+// the owner keeps apart from every other call, and does nothing when row
+// ids are already attached. Each piece must receive as many live base values as it
 // holds, adding to the same sum; if not, the live base is not the copy's
 // multiset, AttachRows says so and the index is left as it was.
 func (ix *Index) AttachRows(base []int64, row0, stride uint32, dead []uint64) error {
-	if ix.HasRows() {
-		return nil
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
 	if ix.rows != nil {
 		return nil
 	}
@@ -64,9 +59,7 @@ func (ix *Index) AttachRows(base []int64, row0, stride uint32, dead []uint64) er
 			return fmt.Errorf("cracker: attach: the live base's values ending at %d are not the copy's", f.end)
 		}
 	}
-	ix.tmu.lock()
 	ix.vals, ix.rows = vals, rows
-	ix.tmu.Unlock()
 	return nil
 }
 
@@ -82,8 +75,7 @@ type fill struct {
 // value piece j+1 may hold, so piece j holds the values in [keys[j-1],
 // keys[j]), and fills[j] starts at its first position owing its sum. A
 // cracked copy's keys are its boundaries, whose sums give each piece's; a
-// sorted copy's pieces are its runs of equal values. The caller holds the
-// structure latch.
+// sorted copy's pieces are its runs of equal values.
 func (ix *Index) pieceFills() (keys []int64, fills []fill) {
 	n := len(ix.vals)
 	var below []int64 // the sum of the copy before each piece, then all of it

@@ -72,35 +72,34 @@ import (
 //
 // # Latches
 //
-// Three latches, taken in this order, let cracks of different pieces run at
-// once (Graefe et al., Concurrency Control for Adaptive Indexing: latch the
-// piece, not the column):
+// The structure — the arrays themselves (vals, rows, the sorted state) — is
+// latched once, by the owner: Merge, Sort, AttachRows and Validate replace
+// or rewrite it, and the owner keeps each of them apart from every other
+// call on the index (package shard runs them under the part's exclusive
+// latch). Every other call may run beside any other, and two latches taken
+// in this order let cracks of different pieces run at once (Graefe et al.,
+// Concurrency Control for Adaptive Indexing: latch the piece, not the
+// column):
 //
-//   - mu, the structure latch, guards the arrays themselves (vals, rows, the
-//     sorted state). Every crack and value read holds it shared; Merge, Sort,
-//     AttachRows, Validate and a radix pass over the whole copy, which
-//     replaces the arrays, hold it exclusively, and those that change the
-//     tree or replace the arrays take the tree latch too.
 //   - stripes, a fixed array of piece latches keyed by the position a piece
 //     starts at, guard the values inside a piece: a crack holds its piece's
-//     stripe while it partitions, a reader while it reads values (MinRowOf,
-//     RandomCrack's pivot, CountSum's ragged edges). A crack never moves a
-//     boundary, so a piece keeps its start while it exists, and the lower half
-//     of a split keeps its stripe. Pieces whose starts share a stripe wait on
-//     each other, which costs time, never correctness.
+//     stripe while it partitions or radix-scatters it, a reader while it
+//     reads values (MinRowOf, RandomCrack's pivot, CountSum's ragged edges).
+//     A crack never moves a boundary, so a piece keeps its start while it
+//     exists, and the lower half of a split keeps its stripe. Pieces whose
+//     starts share a stripe wait on each other, which costs time, never
+//     correctness.
 //   - tmu, the tree latch, guards the crack tree: shared for each locate,
 //     exclusive for the moment a crack inserts its boundaries. Nothing waits
 //     on a stripe while holding it. A reader of the tree and the arrays'
 //     length alone (LookupCountSum, LookupRange, the piece statistics,
-//     Boundaries) holds it alone, so a converged select takes one latch, as
-//     before the split.
+//     Boundaries) holds it alone, so a converged select takes one latch.
 //
 // A crack locates its piece under the tree latch and tries the piece's
 // stripe before releasing it. A taken stripe makes it wait for the stripe
 // and locate again: an unchanged start means no other crack split the piece
 // in between, a boundary now at the bound is answered by lookup, and
-// anything else retries (see latchBounds). A converged select reads only the
-// tree latch (LookupCountSum).
+// anything else retries (see latchBounds).
 //
 // rows is nil while the copy is values-only (see "Row ids on demand");
 // once attached it is as long as vals and rows[i] is the base row of
@@ -114,7 +113,6 @@ import (
 // latch shared around a lookup-then-aggregate pair and exclusively around
 // Merge and any use of Values/Rows.
 type Index struct {
-	mu   sync.RWMutex
 	tmu  spinRW
 	vals []int64
 	rows []uint32
@@ -236,11 +234,7 @@ func New(vals []int64, rows []uint32) *Index {
 }
 
 // Len returns the number of values in the index.
-func (ix *Index) Len() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.vals)
-}
+func (ix *Index) Len() int { return len(ix.vals) }
 
 // Pieces returns the number of pieces the column is currently cracked into.
 // An uncracked, non-empty column is one piece, a sorted one one per value.
@@ -277,8 +271,8 @@ func (ix *Index) AvgPieceSize() float64 {
 
 // Values exposes the cracked copy. Callers must treat it as read-only and
 // hold the index exclusively through the owner's latch (see the Index
-// comment): a concurrent crack reorders — a radix pass even replaces — the
-// array.
+// comment): a concurrent crack reorders the array, and Merge and AttachRows
+// replace it.
 func (ix *Index) Values() []int64 { return ix.vals }
 
 // Rows exposes the base row ids aligned with Values, under the same rule:
@@ -286,11 +280,7 @@ func (ix *Index) Values() []int64 { return ix.vals }
 func (ix *Index) Rows() []uint32 { return ix.rows }
 
 // HasRows reports whether row ids are attached (see "Row ids on demand").
-func (ix *Index) HasRows() bool {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.rows != nil
-}
+func (ix *Index) HasRows() bool { return ix.rows != nil }
 
 // MinRowOf returns the lowest base row id among the entries holding exactly
 // value v for which live reports true. It reads v's piece under its stripe
@@ -300,8 +290,6 @@ func (ix *Index) HasRows() bool {
 // values-only index names no row: the caller attaches row ids first
 // (AttachRows).
 func (ix *Index) MinRowOf(v int64, live func(row uint32) bool) (row uint32, ok bool) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	if ix.rows == nil {
 		return 0, false
 	}
@@ -330,7 +318,7 @@ func (ix *Index) MinRowOf(v int64, live func(row uint32) bool) (row uint32, ok b
 // latchPiece locks the stripe of v's piece [a, b) of a cracked index and
 // returns the piece and the stripe. It locates again under the stripe until
 // the piece still starts where it was found: then no crack can be moving its
-// values. The caller holds mu shared and unlocks the stripe.
+// values. The caller unlocks the stripe.
 func (ix *Index) latchPiece(v int64) (a, b, s int) {
 	a, b, _, _ = ix.locateShared(v)
 	for {
@@ -346,8 +334,8 @@ func (ix *Index) latchPiece(v int64) (a, b, s int) {
 }
 
 // locate is tree.Locate for either state: a sorted index answers every
-// bound exactly, by binary search. The caller holds mu, and tmu too unless
-// the index is sorted.
+// bound exactly, by binary search. The caller holds tmu unless the index is
+// sorted.
 func (ix *Index) locate(v int64) (start, end int, sum int64, exact bool) {
 	if ix.sorted {
 		at := sort.Search(len(ix.vals), func(i int) bool { return ix.vals[i] >= v })
@@ -368,8 +356,7 @@ func (ix *Index) locateShared(v int64) (start, end int, sum int64, exact bool) {
 // Otherwise work is the number of values a crack would have to partition to
 // make them so: the sizes of the one or two pieces the missing bounds fall in
 // (0 for an empty range or index, where there is nothing to crack). It
-// takes the tree latch shared, and no other: whatever replaces the arrays
-// holds it exclusively too.
+// takes the tree latch shared, and no other.
 func (ix *Index) lookup(lo, hi int64) (from, to int, sum int64, work int, ok bool) {
 	if lo >= hi {
 		return 0, 0, 0, 0, false
@@ -449,7 +436,7 @@ func (ix *Index) crackRange(lo, hi int64) (from, to int, sum int64) {
 		return 0, 0, 0
 	}
 	bs := [2]bound{{v: lo}, {v: hi}}
-	ix.crackLatched(bs[:])
+	ix.crack(bs[:])
 	return bs[0].a, bs[1].a, bs[1].sum - bs[0].sum
 }
 
@@ -457,22 +444,8 @@ func (ix *Index) crackRange(lo, hi int64) (from, to int, sum int64) {
 // (the work done) and whether this call made the boundary; its locates also
 // catch a goroutine that cracked at exactly v since the caller last looked.
 func (ix *Index) splitAt(v int64) (pieceSize int, cracked bool) {
-	first := ix.crackLatched([]bound{{v: v}})
+	first := ix.crack([]bound{{v: v}})
 	return max(first, 0), first >= 0
-}
-
-// crackLatched is crack under the shared structure latch, or the exclusive
-// one when the crack must radix the whole copy.
-func (ix *Index) crackLatched(bs []bound) (first int) {
-	ix.mu.RLock()
-	first, ok := ix.crack(bs, false)
-	ix.mu.RUnlock()
-	if !ok {
-		ix.mu.Lock()
-		first, _ = ix.crack(bs, true)
-		ix.mu.Unlock()
-	}
-	return first
 }
 
 // bound is one bound of a crack: v's piece [a, b) and the prefix sum at a,
@@ -497,32 +470,26 @@ func (ix *Index) radixWorth(a, b int) bool {
 }
 
 // crack makes every bound in bs (one or two, ascending) a boundary and
-// leaves each exact, at its boundary's position and prefix sum. The caller
-// holds mu shared, or exclusively when excl; shared, crack returns ok false
-// with nothing done when a piece to crack is the whole copy and would take a
-// radix pass, which replaces the arrays — the caller then retakes mu
-// exclusively and calls again. first is the size of the piece bs[0] was
-// cracked in, or -1 when it was a boundary already.
+// leaves each exact, at its boundary's position and prefix sum. first is the
+// size of the piece bs[0] was cracked in, or -1 when it was a boundary
+// already.
 //
 // Each round latches the pieces still to crack (latchBounds), and
 // partitions them with only their stripes held, taking the tree latch
 // exclusively just to insert the boundaries. A radix pass ends the round
 // instead, since it leaves the bounds in buckets that start elsewhere.
-func (ix *Index) crack(bs []bound, excl bool) (first int, ok bool) {
+func (ix *Index) crack(bs []bound) (first int) {
 	first = -1
 	if len(ix.vals) == 0 {
 		for i := range bs {
 			bs[i] = bound{v: bs[i].v, exact: true}
 		}
-		return first, true
+		return first
 	}
 	for {
-		s0, s1, ok := ix.latchBounds(bs, excl)
-		if !ok {
-			return first, false
-		}
+		s0, s1 := ix.latchBounds(bs)
 		if s0 < 0 && s1 < 0 {
-			return first, true
+			return first
 		}
 		// A large cold piece takes a radix coarse pass first (one pass when
 		// both bounds share it), and the bounds land in (possibly different)
@@ -548,16 +515,14 @@ func (ix *Index) crack(bs []bound, excl bool) (first int, ok bool) {
 		}
 		ix.partition(bs, same)
 		ix.unlock2(s0, s1)
-		return first, true
+		return first
 	}
 }
 
 // latchBounds locates the bounds in bs and locks the stripes of the pieces
 // that are not boundaries yet, in stripe order, returning them (-1 for
 // none); every bound's piece is then its located one, and no other crack can
-// be moving its values. ok is false, with no stripe held, when a piece is
-// the whole copy and would take a radix pass while mu is held shared (see
-// crack).
+// be moving its values.
 //
 // The stripes are first tried with the tree latch still held from the
 // locate: a try never waits, and no boundary can appear in between. A stripe
@@ -565,25 +530,20 @@ func (ix *Index) crack(bs []bound, excl bool) (first int, ok bool) {
 // locate again: a bound whose piece still starts where it did is guarded by
 // the stripe held, one that became a boundary needs nothing more, and any
 // other change — another crack split the piece meanwhile — starts over.
-func (ix *Index) latchBounds(bs []bound, excl bool) (s0, s1 int, ok bool) {
+func (ix *Index) latchBounds(bs []bound) (s0, s1 int) {
 	var held [2]bound
 	ix.tmu.rlock()
 	for {
 		ix.locateAll(bs)
 		s := [2]int{-1, -1}
 		for i := range bs {
-			if bs[i].exact {
-				continue
+			if !bs[i].exact {
+				s[i] = stripeOf(bs[i].a)
 			}
-			if !excl && ix.radixWorth(bs[i].a, bs[i].b) && bs[i].a == 0 && bs[i].b == len(ix.vals) {
-				ix.tmu.RUnlock()
-				return -1, -1, false
-			}
-			s[i] = stripeOf(bs[i].a)
 		}
 		if s[0] < 0 && s[1] < 0 || ix.try2(s[0], s[1]) {
 			ix.tmu.RUnlock()
-			return s[0], s[1], true
+			return s[0], s[1]
 		}
 		ix.tmu.RUnlock()
 		copy(held[:], bs)
@@ -596,7 +556,7 @@ func (ix *Index) latchBounds(bs []bound, excl bool) (s0, s1 int, ok bool) {
 		}
 		if !moved {
 			ix.tmu.RUnlock()
-			return s[0], s[1], true
+			return s[0], s[1]
 		}
 		ix.unlock2(s[0], s[1])
 	}
@@ -644,9 +604,7 @@ func (ix *Index) partition(bs []bound, same bool) {
 // sorted index. That scan stops at the first smaller value, which a random
 // element usually meets within a few reads.
 func (ix *Index) RandomCrack(rng *rand.Rand) int {
-	ix.mu.RLock()
 	v, split := ix.randomPivot(rng)
-	ix.mu.RUnlock()
 	if !split {
 		return 0
 	}
@@ -657,7 +615,7 @@ func (ix *Index) RandomCrack(rng *rand.Rand) int {
 }
 
 // randomPivot draws the element and decides whether cracking at it splits
-// its piece (see RandomCrack). The caller holds mu shared.
+// its piece (see RandomCrack).
 func (ix *Index) randomPivot(rng *rand.Rand) (v int64, split bool) {
 	n := len(ix.vals)
 	if n == 0 {
@@ -788,8 +746,6 @@ func (ix *Index) RangePieceAvg(lo, hi int64) float64 {
 // is read under its piece's stripe. Positions are clamped to the copy; an
 // empty or inverted region yields (0, 0).
 func (ix *Index) CountSum(from, to int) (int, int64) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	from, to = max(from, 0), min(to, len(ix.vals))
 	if from >= to {
 		return 0, 0
@@ -861,11 +817,10 @@ func (ix *Index) CountSumConcurrent(from, to int) (int, int64) {
 //   - a sorted index has no boundaries, each value is >= the one before it,
 //     and each prefix sum is the wrapping sum of the values below it.
 //
-// It holds the structure latch exclusively, so no crack runs while it scans.
-// It is exported for use by tests across packages.
+// The owner keeps it apart from every other call (see "Latches"), so no
+// crack runs while it scans. It is exported for use by tests across
+// packages.
 func (ix *Index) Validate() error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
 	if ix.rows != nil && len(ix.vals) != len(ix.rows) {
 		return fmt.Errorf("cracker: vals/rows length mismatch %d != %d", len(ix.vals), len(ix.rows))
 	}

@@ -25,8 +25,8 @@ import (
 // over the boundaries above its lowest value — one for its deletes, one for
 // its inserts — and at most k moved values per piece, whether k is 1 or 512.
 //
-// A merge moves positions handed out earlier, so it runs under the exclusive
-// latch — see the Index comment.
+// A merge moves positions handed out earlier, so the owner runs it apart
+// from every other call — see the Index comment.
 //
 // # Growth
 //
@@ -70,12 +70,8 @@ func GrowTo[S ~[]E, E any](s S, m int) S {
 // values-only copy it removes one entry of its value, which is all count and
 // sum depend on (the base's tombstone keeps the row's identity). Merge
 // returns how many deletes found no such entry. A sorted index stays sorted
-// (mergeSorted).
+// (mergeSorted). The owner keeps it apart from every other call.
 func (ix *Index) Merge(ins, del []updates.Entry) (missing int) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.tmu.lock()
-	defer ix.tmu.Unlock()
 	if ix.sorted {
 		return ix.mergeSorted(ins, del)
 	}

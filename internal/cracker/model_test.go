@@ -124,10 +124,8 @@ func (m *sumModel) step() string {
 		crackAt(ix, m.value())
 		return "crackAt"
 	case 5: // forced radix pass over the piece a drawn value falls into
-		ix.mu.Lock()
-		a, b, sum, _ := ix.locate(m.value())
+		a, b, sum, _ := ix.locateShared(m.value())
 		ix.radixPiece(a, b, sum)
-		ix.mu.Unlock()
 		return "radixPiece"
 	case 6, 7, 8, 9:
 		return m.merge()

@@ -30,12 +30,11 @@ package cracker
 // once. An empty bucket is a zero-size piece whose start collides with its
 // right neighbour's.
 //
-// A pass scatters into freshly allocated arrays: a pass over the whole column
-// keeps them as the index arrays, any other pass copies back. No workload
-// reaches the second kind: the engine's first touch of a loaded part is not a
-// crack but NewFromBase (firsttouch.go), a build that shares this file's
-// bucket plan and keeps the arrays it scatters into, and it leaves pieces
-// below the radix threshold.
+// A pass scatters into freshly allocated arrays and copies back, under its
+// piece's stripe like any other crack. No workload reaches it: a part's
+// first touch is not a crack but NewFromBase (firsttouch.go), a build that
+// shares this file's bucket plan and keeps the array it scatters into, and
+// it leaves pieces below the radix threshold.
 
 import (
 	"math/bits"
@@ -76,9 +75,7 @@ func (ix *Index) SetRadixMinPiece(n int) { ix.radixMin = n }
 // value-ordered radix buckets and registers the bucket boundaries, returning
 // the number of boundaries inserted (0 when the piece is single-valued and
 // cannot be split). The buckets span the piece's own min and max (see the
-// file comment). The caller holds the piece's stripe (see crack), or the
-// structure latch exclusively for a pass over the whole copy, which replaces
-// the arrays: no reader can be inside them then.
+// file comment). The caller holds the piece's stripe (see crack).
 func (ix *Index) radixPiece(a, b int, below int64) int {
 	if a < 0 || a >= b || b > len(ix.vals) {
 		return 0
@@ -91,13 +88,9 @@ func (ix *Index) radixPiece(a, b int, below int64) int {
 	var g buckets
 	g.count(v, lo, hi)
 
-	// Out-of-place scatter. A pass over the whole column keeps its
-	// destination as the index arrays — the copy-back, the single largest
-	// slice of the pass's memory traffic, disappears. Every other pass copies
-	// back. A values-only copy scatters values alone.
-	whole := a == 0 && b == len(ix.vals)
+	// Out-of-place scatter, then copy back. A values-only copy scatters
+	// values alone.
 	bv := make([]int64, len(v))
-	var br []uint32
 	if rows := ix.rows; rows == nil {
 		g.scatter(v, bv)
 	} else {
@@ -105,19 +98,11 @@ func (ix *Index) radixPiece(a, b int, below int64) int {
 			return 0 // unreachable: rows is as long as vals; BCE only
 		}
 		r := rows[a:b]
-		br = make([]uint32, len(v))
+		br := make([]uint32, len(v))
 		g.scatterRows(v, r, bv, br)
-		if !whole {
-			copy(r, br)
-		}
+		copy(r, br)
 	}
-	if whole {
-		ix.tmu.lock() // a lookup reads the arrays' length under it alone
-		ix.vals, ix.rows = bv, br
-		ix.tmu.Unlock()
-	} else {
-		copy(v, bv)
-	}
+	copy(v, bv)
 	return ix.addBuckets(&g, a, below)
 }
 

@@ -253,11 +253,12 @@ func TestRadixConcurrentMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestRadixFirstTouchKeepsNoSlack: the whole-column pass keeps the arrays it
-// scattered into as the index arrays, so any capacity beyond the column's
-// length would be carried for life. Whatever the length, the first crack
-// must leave the arrays exactly as long as the column — and so must the build
-// that scatters straight from a base column (NewFromBase).
+// TestRadixFirstTouchKeepsNoSlack: a copy lives as long as its column, so any
+// capacity beyond the column's length would be carried for life. Whatever the
+// length, the first crack — a radix pass over the whole copy, which copies
+// back into the arrays it was given — must leave the arrays exactly as long
+// as the column, and so must the build that scatters straight from a base
+// column into the array it keeps (NewFromBase).
 func TestRadixFirstTouchKeepsNoSlack(t *testing.T) {
 	for _, n := range []int{1<<12 + 1, 3 << 11, 1 << 12} {
 		ix, orig := buildRadixIndex(n, 1<<10, uint64(n))

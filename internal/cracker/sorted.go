@@ -11,12 +11,9 @@ import (
 // Sort sorts the copy in place — with its row ids, once attached — a full
 // index (see "The sorted state"): the crack tree goes and prefix sums answer
 // every aggregate. The comparison sort costs O(n log n), the paper's
-// Time_sort profile. Sorting a sorted index does nothing.
+// Time_sort profile. Sorting a sorted index does nothing. The owner keeps it
+// apart from every other call.
 func (ix *Index) Sort() {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.tmu.lock()
-	defer ix.tmu.Unlock()
 	if ix.sorted {
 		return
 	}
@@ -30,7 +27,7 @@ func (ix *Index) Sort() {
 }
 
 // setSorted marks an ascending copy sorted and derives its prefix sums. The
-// caller holds the structure latch exclusively (or owns the index outright).
+// caller owns the index outright (see "Latches" on Index).
 func (ix *Index) setSorted() {
 	ix.sorted, ix.pre = true, make([]int64, 1, len(ix.vals)+1)
 	ix.sumsFrom(0)
@@ -46,18 +43,13 @@ func (ix *Index) sumsFrom(from int) {
 }
 
 // Sorted reports whether the index is a full, sorted one.
-func (ix *Index) Sorted() bool {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.sorted
-}
+func (ix *Index) Sorted() bool { return ix.sorted }
 
 // mergeSorted is Merge on a sorted index. Deletes are one filter pass from
 // the lowest one's position, dropping each entry that holds exactly a
 // delete's (value, row) — or, values-only, one entry of its value per
 // delete; inserts are one backward merge into the grown arrays; the prefix
-// sums are recomputed from the first position either changed. The caller
-// holds the structure latch exclusively.
+// sums are recomputed from the first position either changed.
 func (ix *Index) mergeSorted(ins, del []updates.Entry) (missing int) {
 	n := len(ix.vals)
 	from := n

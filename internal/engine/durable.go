@@ -3,7 +3,8 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"holistic/internal/core"
 	"holistic/internal/shard"
@@ -116,15 +117,12 @@ type EngineState struct {
 // the state to exactly the log prefix it covers. The copies are
 // deep: serialization can proceed after the locks drop.
 func (e *Engine) CaptureState(cut func()) (EngineState, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	names := make([]string, 0, len(e.tables))
-	for name := range e.tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	tables := *e.tables.Load()
+	names := slices.Sorted(maps.Keys(tables))
 	for _, name := range names {
-		t := e.tables[name]
+		t := tables[name]
 		t.mu.Lock()
 		defer t.mu.Unlock()
 		t.waitPublishedLocked()
@@ -134,7 +132,7 @@ func (e *Engine) CaptureState(cut func()) (EngineState, error) {
 	}
 	st := EngineState{Tables: make([]TableState, 0, len(names))}
 	for _, name := range names {
-		t := e.tables[name]
+		t := tables[name]
 		cat := t.cat.Load()
 		ts := TableState{
 			Name:  name,
@@ -161,7 +159,7 @@ func (e *Engine) CaptureState(cut func()) (EngineState, error) {
 func (e *Engine) RestoreState(st EngineState) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.tables) != 0 {
+	if len(*e.tables.Load()) != 0 {
 		return fmt.Errorf("engine: RestoreState on a non-empty catalog")
 	}
 	for _, ts := range st.Tables {
@@ -188,7 +186,7 @@ func (e *Engine) RestoreState(st EngineState) error {
 		}
 		t.live.Store(ts.Live)
 		t.cat.Store(cat)
-		e.tables[ts.Name] = t
+		e.addTableLocked(t)
 	}
 	return nil
 }

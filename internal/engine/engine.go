@@ -21,25 +21,27 @@
 // merges partial aggregates, so a single large select executes on multiple
 // cores — intra-query parallelism, not just inter-query. Latching has three levels (ARCHITECTURE.md, "Latching"):
 //
-//   - Table: Engine.mu (RWMutex) guards the table map. Table.mu is taken by
-//     writers only — inserts shared, deletes exclusive — so rows are added
-//     to and removed from all columns atomically; selects resolve their
-//     column from a copy-on-write catalog snapshot and take no table lock
-//     (see Table).
+//   - Table: the table map and each table's column set are copy-on-write
+//     snapshots behind atomic pointers, so a select resolves its column with
+//     two loads and takes no lock (see Table). Engine.mu is the table map's
+//     writers' lock (CreateTable, RestoreState, CaptureState). Table.mu is
+//     taken by writers only — inserts shared, deletes exclusive — so rows
+//     are added to and removed from all columns atomically.
 //   - Part: every shard.Part has a reader/writer latch that only the part
 //     takes. The WRITE side is only for structural changes — materialising
 //     the cracked copy, merging pending updates (a merge slides piece
-//     positions and tombstones deletes), and sorting or freeing the index.
-//     Every select, cracking ones included, and every idle action the tuner
-//     calls on a part takes the READ side, which admits any number of
-//     queries and idle workers simultaneously.
+//     positions and tombstones deletes), attaching the index's row ids, and
+//     sorting or freeing the index; it is the index's structure latch. Every
+//     select, cracking ones included, and every idle action the tuner calls
+//     on a part takes the READ side, which admits any number of queries and
+//     idle workers simultaneously.
 //   - Index: under the shared part latch, work on the part's cracker index
-//     is coordinated by the index's own latches (see cracker.Index): a
-//     lookup or aggregate reads the crack tree under shared latches,
+//     is coordinated by the index's two latches (see cracker.Index): a
+//     lookup or aggregate reads the crack tree under its shared tree latch,
 //     whatever the number of pieces it spans; a crack holds only the latch
-//     of the piece it partitions. Concurrent selects on cracked ranges
-//     therefore proceed fully in parallel, and so do cracks of different
-//     pieces.
+//     of the piece it partitions, and the tree latch exclusively just to
+//     insert its boundaries. Concurrent selects on cracked ranges therefore
+//     proceed fully in parallel, and so do cracks of different pieces.
 //
 // Idle refinement is preemptible at action granularity: every select and
 // write holds the idle pool's load gate (package loadgate) while it runs,
@@ -62,8 +64,11 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"holistic/internal/core"
@@ -118,8 +123,13 @@ type Result struct {
 type Engine struct {
 	cfg Config
 
-	mu     sync.RWMutex
-	tables map[string]*Table
+	// tables is the catalog's table map, copy-on-write like Table.cat: a
+	// statement resolves its table with one load. mu is the writers' lock:
+	// CreateTable and RestoreState republish the map under it, and
+	// CaptureState holds it so a checkpoint's cut is ordered against a
+	// logged CREATE TABLE.
+	mu     sync.Mutex
+	tables atomic.Pointer[map[string]*Table] // never nil
 
 	// The strategy's Table 1 row, read once by New, becomes these mechanisms;
 	// nothing else in the engine looks at the strategy. run answers a part
@@ -140,7 +150,8 @@ type Engine struct {
 // New builds an engine with the given configuration, deriving its mechanisms
 // from cfg.Strategy's row of Table 1 (Strategy.Capabilities).
 func New(cfg Config) *Engine {
-	e := &Engine{cfg: cfg, tables: map[string]*Table{}, run: (*shard.Part).ScanCountSumAt}
+	e := &Engine{cfg: cfg, run: (*shard.Part).ScanCountSumAt}
+	e.tables.Store(&map[string]*Table{})
 	caps := cfg.Strategy.Capabilities()
 	if caps.IncrementalIndexing {
 		e.run = (*shard.Part).CrackedSelectAt
@@ -250,16 +261,18 @@ func (e *Engine) writeBegin() func() {
 	return g.Release
 }
 
-// tableList returns the catalog's tables. It takes e.mu shared and no
-// Table.mu: each table's column set is a copy-on-write snapshot.
+// tableList returns the catalog's tables. It takes no lock: the table map
+// and each table's column set are copy-on-write snapshots.
 func (e *Engine) tableList() []*Table {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	tables := make([]*Table, 0, len(e.tables))
-	for _, t := range e.tables {
-		tables = append(tables, t)
-	}
-	return tables
+	return slices.Collect(maps.Values(*e.tables.Load()))
+}
+
+// addTableLocked republishes the table map with t in it. The caller holds
+// e.mu.
+func (e *Engine) addTableLocked(t *Table) {
+	next := maps.Clone(*e.tables.Load())
+	next[t.name] = t
+	e.tables.Store(&next)
 }
 
 // MergePending force-drains every table's ingest queues (see
@@ -277,7 +290,7 @@ func (e *Engine) MergePending() int {
 func (e *Engine) CreateTable(name string) (*Table, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, ok := e.tables[name]; ok {
+	if _, ok := (*e.tables.Load())[name]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrTableExists, name)
 	}
 	if e.wlog != nil {
@@ -286,15 +299,13 @@ func (e *Engine) CreateTable(name string) (*Table, error) {
 		}
 	}
 	t := newTable(name, e)
-	e.tables[name] = t
+	e.addTableLocked(t)
 	return t, nil
 }
 
-// Table returns a table by name.
+// Table returns a table by name, with one load and no lock.
 func (e *Engine) Table(name string) (*Table, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	t, ok := e.tables[name]
+	t, ok := (*e.tables.Load())[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoTable, name)
 	}

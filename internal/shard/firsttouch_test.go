@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"holistic/internal/core"
+	"holistic/internal/cracker"
 )
 
 // TestFirstTouchFromBase materialises every part's cracked copy — built
@@ -73,6 +74,74 @@ func TestFirstTouchFromBase(t *testing.T) {
 				t.Fatalf("%s [%d,%d): got %d/%d want %d/%d", name, lo, hi, count, sum, wc, ws)
 			}
 		}
+	}
+}
+
+// TestTombstonedFirstTouch tombstones rows of every part before its first
+// select, then selects: the part builds its copy from its live rows alone,
+// through the same radix build as an untouched part. The copy must hold
+// exactly the live values, keep at least the planned buckets as pieces, pass
+// Validate, and answer every range as a scan of the live rows does.
+func TestTombstonedFirstTouch(t *testing.T) {
+	const n, domain, radixMin = 6000, 1 << 30, 256
+	vals := randomVals(rand.New(rand.NewPCG(61, 1)), n, domain)
+	c, err := NewColumn("R.A", slices.Clone(vals), Config{Shards: 2, radixMin: radixMin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := make([]bool, n)
+	for g := 0; g < n; g += 5 {
+		c.DeleteRow(uint32(g))
+		dead[g] = true
+	}
+	c.MergePending()
+	for _, p := range c.Parts() {
+		if p.Cracked() != nil || p.nDeleted == 0 {
+			t.Fatalf("part %d: index %v and %d tombstones before the first select", p.id, p.Cracked() != nil, p.nDeleted)
+		}
+	}
+	var live []int64
+	for g, v := range vals {
+		if !dead[g] {
+			live = append(live, v)
+		}
+	}
+	check := func(lo, hi int64) {
+		t.Helper()
+		count, sum := c.FanOutCountSum(func(p *Part) (int, int64) { return p.CrackedSelect(lo, hi) })
+		if wc, ws := naiveRange(live, lo, hi); count != wc || sum != ws {
+			t.Fatalf("[%d,%d): got %d/%d want %d/%d", lo, hi, count, sum, wc, ws)
+		}
+	}
+	check(domain/3, domain/2)
+	for _, p := range c.Parts() {
+		p.mu.Lock()
+		var want []int64
+		for g := p.id; g < n; g += c.Shards() {
+			if !dead[g] {
+				want = append(want, vals[g])
+			}
+		}
+		planned := cracker.NewFromBase(want, p.lo, p.hi, radixMin).Pieces() // the part plans over its bounds
+		got := slices.Clone(p.crack.Values())
+		pieces := p.crack.Pieces()
+		p.mu.Unlock()
+		if pieces < planned || planned < 4 {
+			t.Fatalf("part %d: %d pieces after the first select, want at least the %d planned buckets", p.id, pieces, planned)
+		}
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("part %d: the copy's %d values are not the %d live rows' values", p.id, len(got), len(want))
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("part %d: %v", p.id, err)
+		}
+	}
+	rng := rand.New(rand.NewPCG(61, 2))
+	for q := 0; q < 50; q++ {
+		lo := rng.Int64N(domain)
+		check(lo, lo+rng.Int64N(domain/8)+1)
 	}
 }
 

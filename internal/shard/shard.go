@@ -89,8 +89,8 @@
 // merged row — its local position is at least len(vals) — since a merge
 // drains only the buffer's row-ordered prefix from the next position
 // (updates.Queue.Drain). So a part answers through its index — the one piece
-// holding the value, or a sorted index's run of duplicates, under the
-// index's shared latch, cracking nothing — or, with none, an early-exit scan
+// holding the value, or a sorted index's run of duplicates, under that
+// piece's latch, cracking nothing — or, with none, an early-exit scan
 // of its rows, skipping rows with a buffered delete, and reads its buffered
 // inserts only on a miss; and Part.deleteLocal tells a merged row from a
 // buffered one by position alone. The index holds exactly the merged,
@@ -110,7 +110,7 @@
 // the two reads: each row is counted in exactly one of them. Writers keep
 // enqueueing meanwhile; a row is seen if its enqueue preceded the queue read.
 // The logical contents get their consistent cut from this one latch, while
-// structural refinement — cracking under the index's own latches — stays
+// structural refinement — cracking under the index's piece latches — stays
 // invisible to it.
 //
 // # Visibility
@@ -132,16 +132,16 @@
 // Each Part carries its own reader/writer latch with exactly the semantics
 // the unsharded column had (see internal/engine): the write side is only for
 // structural changes (materialising the cracked copy, merging the ingest
-// queue, sorting or freeing the index, tombstoning), while the read side
-// admits any number of queries and idle workers, which coordinate through
-// the cracker index's own latches: a lookup or aggregate reads the crack
-// tree under shared latches, and a crack holds only the latch of the piece
-// it partitions (see cracker.Index), so cracks of different pieces run at
-// once. Only the part takes its latch: the tuner
-// calls its idle crack action, RandomCrack, which materialises the cracked
-// copy under the exclusive latch on first use and then acts under the shared
-// one. The ingest queue's mutex is a
-// leaf below the part latch: queue methods never take the latch, and both
+// queue, sorting or freeing the index, attaching its row ids, tombstoning),
+// so it is also the index's structure latch, and the read side admits any
+// number of queries and idle workers, which coordinate through the cracker
+// index's two latches: a lookup or aggregate reads the crack tree under its
+// shared latch, and a crack holds only the latch of the piece it partitions
+// (see cracker.Index), so cracks of different pieces run at once. Only the
+// part takes its latch: the tuner calls its idle crack action, RandomCrack,
+// which materialises the cracked copy under the exclusive latch on first use
+// and then acts under the shared one. The ingest queue's mutex is a leaf
+// below the part latch: queue methods never take the latch, and both
 // "latch then queue" (merges, reads) and "queue only" (writers) orders are
 // deadlock free. The idle pool's claim/re-check protocol and the
 // load gate's zero-in-flight CAS apply per part unchanged: each Part
@@ -760,16 +760,18 @@ func (p *Part) CrackIndex() *cracker.Index { return p.crackIndexLocked() }
 func (p *Part) Cracked() *cracker.Index { return p.crack }
 
 // crackIndexLocked returns the part's cracker index, materialising the
-// values-only cracked copy on first use — straight from the base column
-// (radix pass included) when no row is tombstoned, else from a copy. Callers
+// values-only cracked copy on first use: NewFromBase scatters it, radix pass
+// included, straight from the base column, or from a copy of the live rows
+// when some are tombstoned (p.lo and p.hi bound those too). So no crack
+// under the shared latch is ever a radix pass over the whole copy. Callers
 // hold the exclusive latch.
 func (p *Part) crackIndexLocked() *cracker.Index {
 	if p.crack == nil {
-		if p.nDeleted == 0 {
-			p.attachCrackLocked(cracker.NewFromBase(p.vals, p.lo, p.hi, p.cfg.radixMinPiece()))
-		} else {
-			p.attachCrackLocked(cracker.New(p.liveSnapshotLocked(), nil))
+		base := p.vals
+		if p.nDeleted != 0 {
+			base = p.liveSnapshotLocked()
 		}
+		p.attachCrackLocked(cracker.NewFromBase(base, p.lo, p.hi, p.cfg.radixMinPiece()))
 	}
 	return p.crack
 }
@@ -1030,8 +1032,8 @@ func (p *Part) PendingOps() int { return p.ingest.Len() }
 // live: merged rows that are neither tombstoned nor pending-deleted, and
 // buffered inserts below the visibility watermark vis. The merged rows are
 // resolved through the part's index, which holds exactly them, so a DELETE
-// costs one piece or a binary search (under the index's shared latch:
-// nothing is cracked on the writer's path) instead of a scan; only a part
+// costs one piece or a binary search (under the piece's latch: nothing is
+// cracked on the writer's path) instead of a scan; only a part
 // whose index has no row ids (none, or an attach refused) scans, stopping
 // at the first hit. Buffered rows lie above merged ones, so the queue is
 // read only on a merged miss, under the same shared latch: no merge can
@@ -1062,10 +1064,11 @@ func (p *Part) valuesOnly() bool {
 }
 
 // attachRows gives the part's index, if any, its row ids from the merged
-// rows, which move only under the part's exclusive latch.
+// rows. It replaces the index's arrays, so it holds the exclusive latch, as
+// a merge does.
 func (p *Part) attachRows() error {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.crack == nil {
 		return nil
 	}

@@ -3,8 +3,11 @@ package shard
 import (
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"holistic/internal/core"
@@ -177,6 +180,89 @@ func TestValuesOnlyUntilFirstDelete(t *testing.T) {
 				check("a delete, merged", true)
 			})
 		}
+	}
+}
+
+// TestAttachRowsRacesCracks runs a column's first DELETE — which attaches
+// row ids to every part's values-only copy and so replaces its arrays —
+// while selects crack the same parts and RandomCrack refines them. The
+// attach holds each part's exclusive latch, so no crack reads an array it
+// replaces (-race sees one that does), every select answers exactly, and
+// afterwards every part has row ids and passes Validate.
+func TestAttachRowsRacesCracks(t *testing.T) {
+	const n, domain, workers = 20000, 1 << 30, 4
+	vals := randomVals(rand.New(rand.NewPCG(61, 3)), n, domain)
+	const gone = domain + 7 // the value deleted, above every select's range
+	vals[n/2] = gone
+	c, err := NewColumn("R.A", slices.Clone(vals), Config{Shards: 2, radixMin: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.FanOutCountSum(func(p *Part) (int, int64) { return p.CrackedSelect(0, domain/2) })
+	for _, p := range c.Parts() {
+		if !p.valuesOnly() {
+			t.Fatalf("part %d: no values-only copy before the delete", p.id)
+		}
+	}
+	var steps atomic.Int64
+	stop := make(chan struct{})
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(uint64(w), 61))
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				steps.Add(1)
+				if w%2 == 1 {
+					c.Parts()[i%2].RandomCrack(rng)
+					continue
+				}
+				lo := rng.Int64N(domain)
+				hi := min(lo+rng.Int64N(domain/64)+1, domain)
+				count, sum := c.FanOutCountSum(func(p *Part) (int, int64) { return p.CrackedSelect(lo, hi) })
+				if wc, ws := naiveRange(vals, lo, hi); count != wc || sum != ws {
+					errs <- fmt.Errorf("[%d,%d): got %d/%d want %d/%d", lo, hi, count, sum, wc, ws)
+					return
+				}
+			}
+		}()
+	}
+	waitSteps := func(k int64) {
+		for target := steps.Load() + k; steps.Load() < target; {
+			runtime.Gosched()
+		}
+	}
+	waitSteps(4 * workers)
+	g, ok := c.FirstLive(gone)
+	if !ok || g != n/2 {
+		t.Errorf("FirstLive(%d) = %d, %v; want row %d", gone, g, ok, n/2)
+	}
+	c.DeleteRow(g)
+	waitSteps(4 * workers)
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	c.MergePending()
+	for _, p := range c.Parts() {
+		if p.valuesOnly() {
+			t.Errorf("part %d: still values-only after the delete", p.id)
+		}
+		if err := p.Validate(); err != nil {
+			t.Errorf("part %d: %v", p.id, err)
+		}
+	}
+	if _, ok := c.FirstLive(gone); ok {
+		t.Errorf("value %d still live after its only row was deleted", int64(gone))
 	}
 }
 

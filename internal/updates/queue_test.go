@@ -63,6 +63,36 @@ func TestQueueDrainBudget(t *testing.T) {
 	}
 }
 
+// TestQueueDrainReleasesBuffers: a drain that empties a buffer releases it,
+// so a fully drained queue holds no capacity, whatever burst it took; a
+// partial drain keeps what is still buffered, and the queue refills after a
+// release.
+func TestQueueDrainReleasesBuffers(t *testing.T) {
+	var q Queue
+	const burst = 4096
+	for i := range burst {
+		q.Insert(int64(i), uint32(burst+i))
+		if i%3 == 0 {
+			q.Delete(int64(i), uint32(i)) // rows below burst are merged
+		}
+	}
+	ins, _ := q.Drain(burst, 1, burst/2, AllRows)
+	if cap(q.ins) == 0 || q.Len() == 0 {
+		t.Fatalf("a partial drain left %d ops in %d slots of inserts", q.Len(), cap(q.ins))
+	}
+	if ins, _ := q.Drain(uint32(burst+len(ins)), 1, 0, AllRows); q.Len() != 0 || len(ins) == 0 {
+		t.Fatalf("a full drain left %d ops", q.Len())
+	}
+	if cap(q.ins) != 0 || cap(q.del) != 0 || q.dels != nil {
+		t.Fatalf("a drained queue holds capacity: ins %d, del %d, delete set %v", cap(q.ins), cap(q.del), q.dels != nil)
+	}
+	q.Insert(7, 2*burst)
+	q.Delete(3, 3)
+	if ins, del := q.Counts(); ins != 1 || del != 1 {
+		t.Fatalf("after a release the queue buffers %d inserts and %d deletes, want 1 and 1", ins, del)
+	}
+}
+
 func TestQueueNetCountSum(t *testing.T) {
 	var q Queue
 	q.Insert(5, 0)

@@ -199,7 +199,8 @@ func (q *Queue) Len() int {
 // early would force the merge to drop it against a row that does not exist
 // yet, resurrecting the row once its insert lands. Such a pair drains over
 // two steps — the insert materialises, then the delete tombstones it.
-// max <= 0 means no limit.
+// max <= 0 means no limit. A buffer the drain empties is released, so a
+// queue does not keep the capacity of the largest burst it has seen.
 func (q *Queue) Drain(next uint32, stride int, max int, below int64) (ins, del []Entry) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -219,6 +220,9 @@ func (q *Queue) Drain(next uint32, stride int, max int, below int64) (ins, del [
 			}
 		}
 		q.del = kept
+		if len(kept) == 0 {
+			q.del, q.dels = nil, nil
+		}
 	}
 	budget := max - len(del)
 	if budget == 0 || len(q.ins) == 0 {
@@ -236,6 +240,9 @@ func (q *Queue) Drain(next uint32, stride int, max int, below int64) (ins, del [
 		ins = append(ins, q.ins[:k]...)
 		copy(q.ins, q.ins[k:])
 		q.ins = q.ins[:len(q.ins)-k]
+		if len(q.ins) == 0 {
+			q.ins = nil
+		}
 	}
 	return ins, del
 }
