@@ -30,3 +30,34 @@ func TestPartitionZeroAlloc(t *testing.T) {
 		t.Fatalf("partition3 allocates %.1f per run, want 0", a)
 	}
 }
+
+// TestPartitionValuesZeroAlloc holds the values-only path (rows nil) to the
+// same contract, once per kernel the host supports: partition2Vals, and
+// the vector kernel with its scalar tail.
+func TestPartitionValuesZeroAlloc(t *testing.T) {
+	const n = 1<<12 + 5 // whole vectors and a scalar tail
+	rng := rand.New(rand.NewPCG(7, 9))
+	v := make([]int64, n)
+	for i := range v {
+		v[i] = rng.Int64N(n)
+	}
+	for _, k := range valuesKernels {
+		t.Run(k.name, func(t *testing.T) {
+			ran := withValuesKernel(k.vector, func() {
+				if a := testing.AllocsPerRun(20, func() {
+					partition2(v, nil, 0, n, int64(n/2))
+				}); a != 0 {
+					t.Fatalf("%s kernel: partition2 allocates %.1f per run, want 0", k.name, a)
+				}
+				if a := testing.AllocsPerRun(20, func() {
+					partition3(v, nil, 0, n, int64(n/4), int64(3*n/4))
+				}); a != 0 {
+					t.Fatalf("%s kernel: partition3 allocates %.1f per run, want 0", k.name, a)
+				}
+			})
+			if !ran {
+				t.Skipf("%s kernel: not supported on this CPU", k.name)
+			}
+		})
+	}
+}

@@ -20,8 +20,17 @@ import (
 // anywhere in the copy. A crack permutes values within the
 // region it is reading, so any read that overlapped a partition would see a
 // value twice or not at all; every (count, sum) must equal the prefix-sum
-// oracle. Run with -race.
+// oracle. Run with -race, over a copy with row ids (the lockstep kernel)
+// and over a values-only copy (the vector kernel where the CPU has it, whose
+// accesses -race sees only through partition_race_amd64.go).
 func TestReadersExactWhileCrackingInsideRegions(t *testing.T) {
+	t.Run("rows", func(t *testing.T) { readersExactWhileCracking(t, newTestIndex) })
+	t.Run("values", func(t *testing.T) {
+		readersExactWhileCracking(t, func(vals []int64) *Index { return New(slices.Clone(vals), nil) })
+	})
+}
+
+func readersExactWhileCracking(t *testing.T, newIndex func([]int64) *Index) {
 	const n, domain, regions, readers, crackers = 1 << 16, int64(1 << 24), 8, 4, 3
 	rng := rand.New(rand.NewPCG(31, 32))
 	vals := randomVals(rng, n, domain)
@@ -37,7 +46,7 @@ func TestReadersExactWhileCrackingInsideRegions(t *testing.T) {
 		return b - a, prefix[b] - prefix[a]
 	}
 
-	ix := newTestIndex(vals)
+	ix := newIndex(vals)
 	type region struct {
 		lo, hi   int64
 		from, to int

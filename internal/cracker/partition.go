@@ -23,6 +23,19 @@ package cracker
 // v[left:right] holds the values >= pivot met so far; the order of values
 // WITHIN a side is unspecified and nothing may rely on it.
 //
+// A values-only copy (rows nil) has a second kernel on amd64 CPUs with
+// AVX-512F: partition2Vector (partition_amd64.go and .s) moves eight values
+// a step, packing each vector's lows and highs into registers and storing
+// them at a low cursor rising from the piece's start and a high cursor
+// falling from its end; the last (< 8) values go through the one-cursor loop.
+// The kernel is picked once, when the package loads, from CPUID and XGETBV
+// (vectorSupported): a hardware dispatch, not a setting. Every other host
+// and GOARCH runs partition2Vals, which is also the vector kernel's
+// differential oracle; the lockstep (vals, rows) loop has no vector twin.
+// Both kernels return the same split position and low sum, but each leaves
+// the values within a side in its own order, so the elements RandomCrack
+// draws as pivots may differ between hosts for one seed (answers cannot).
+//
 // The low side's wrapping sum is folded into the sweep (the value masked by
 // the negated flag; measured free): every crack seeds its new boundary's
 // prefix sum with it. Nothing in here allocates.
@@ -31,6 +44,11 @@ package cracker
 // file with -gcflags='-d=ssa/check_bce' and fails if any check appears. The
 // loop runs over zero-based views of equal length, and one never-taken guard
 // states the cursor invariant for the prove pass.
+
+// vectorPartition says whether partition2 sends a values-only piece through
+// partition2Vector instead of partition2Vals. It is set from the CPU when the
+// package loads; only tests change it, to run both kernels.
+var vectorPartition = vectorSupported()
 
 // b2i returns 1 when b is true, 0 otherwise. The compiler lowers the
 // conditional to a flag materialisation (SETcc on amd64), not a branch.
@@ -47,6 +65,9 @@ func b2i(b bool) int {
 // Branch-free: the loop body is identical whichever side a value belongs to.
 func partition2(vals []int64, rows []uint32, a, b int, pivot int64) (m int, sumLow int64) {
 	if rows == nil {
+		if vectorPartition {
+			return partition2Vector(vals, a, b, pivot)
+		}
 		return partition2Vals(vals, a, b, pivot)
 	}
 	// The caller always passes a valid piece (0 <= a <= b <= len); spelling

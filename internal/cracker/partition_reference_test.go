@@ -72,18 +72,34 @@ func identityRows(n int) []uint32 {
 
 // checkBands fails unless vals[a:b] is banded at the split positions cuts
 // against the bounds (band k holds bounds[k-1] <= v < bounds[k]), everything
-// outside [a, b) is untouched, and every row id still carries its value.
+// outside [a, b) is untouched, and every row id still carries its value. With
+// rows nil (a values-only copy) it checks instead that vals[a:b] is still
+// orig[a:b]'s multiset.
 func checkBands(t *testing.T, name string, orig, vals []int64, rows []uint32, a, b int, bounds []int64, cuts []int) {
 	t.Helper()
-	seen := make([]bool, len(orig))
-	for i, v := range vals {
-		r := rows[i]
-		if seen[r] || orig[r] != v {
-			t.Fatalf("%s: row %d detached from its value at position %d", name, r, i)
+	if rows == nil {
+		for i, v := range vals {
+			if (i < a || i >= b) && v != orig[i] {
+				t.Fatalf("%s: position %d outside [%d,%d) was written", name, i, a, b)
+			}
 		}
-		seen[r] = true
-		if (i < a || i >= b) && int(r) != i {
-			t.Fatalf("%s: position %d outside [%d,%d) was moved", name, i, a, b)
+		want, got := slices.Clone(orig[a:b]), slices.Clone(vals[a:b])
+		slices.Sort(want)
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: [%d,%d) is no longer the piece's multiset", name, a, b)
+		}
+	} else {
+		seen := make([]bool, len(orig))
+		for i, v := range vals {
+			r := rows[i]
+			if seen[r] || orig[r] != v {
+				t.Fatalf("%s: row %d detached from its value at position %d", name, r, i)
+			}
+			seen[r] = true
+			if (i < a || i >= b) && int(r) != i {
+				t.Fatalf("%s: position %d outside [%d,%d) was moved", name, i, a, b)
+			}
 		}
 	}
 	band := 0
@@ -102,8 +118,13 @@ func checkBands(t *testing.T, name string, orig, vals []int64, rows []uint32, a,
 // fixes them), a correctly banded permutation with rows still paired and
 // nothing outside [a, b) written, and returned sums equal to a plain loop
 // (plainCountSum) over the bands. The permutations themselves may differ.
+// The same checks then run over a values-only copy (rows nil) with every
+// values-only kernel the host supports (checkValuesPartition).
 func checkPartition(t *testing.T, name string, orig []int64, a, b int, lo, hi int64) {
 	t.Helper()
+	for _, k := range valuesKernels {
+		withValuesKernel(k.vector, func() { checkValuesPartition(t, k.name+"/"+name, orig, a, b, lo, hi) })
+	}
 	n := len(orig)
 	pv, pr := append([]int64(nil), orig...), identityRows(n)
 	rv, rr := append([]int64(nil), orig...), identityRows(n)
@@ -131,6 +152,130 @@ func checkPartition(t *testing.T, name string, orig []int64, a, b int, lo, hi in
 	_, wm := plainCountSum(pv, g1, g2)
 	if sLow != wl || sMid != wm {
 		t.Fatalf("%s: partition3 [%d,%d) [%d,%d) sums %d,%d, plain loop %d,%d", name, a, b, lo, hi, sLow, sMid, wl, wm)
+	}
+}
+
+// valuesKernels are the kernels partition2 may run over a values-only copy
+// (rows nil): partition2Vals everywhere, partition2Vector where the CPU has
+// AVX-512F (vectorSupported).
+var valuesKernels = []struct {
+	name   string
+	vector bool
+}{{"scalar", false}, {"vector", true}}
+
+// withValuesKernel runs f with partition2's values-only path switched to the
+// vector kernel or to the scalar one, and reports false without running f
+// when the host lacks the vector kernel.
+func withValuesKernel(vector bool, f func()) bool {
+	if vector && !vectorSupported() {
+		return false
+	}
+	saved := vectorPartition
+	vectorPartition = vector
+	defer func() { vectorPartition = saved }()
+	f()
+	return true
+}
+
+// countBelow is the number of values < pivot, the split position any
+// partition of vals at pivot must return (relative to the piece's start).
+func countBelow(vals []int64, pivot int64) int {
+	n := 0
+	for _, v := range vals {
+		n += b2i(v < pivot)
+	}
+	return n
+}
+
+// checkValuesPartition runs partition2 at lo and partition3 at [lo, hi)
+// (lo <= hi) over a values-only copy of orig, on [a, b), with whichever
+// values-only kernel is switched in; name carries the kernel's name. Split
+// positions must equal the counts below each bound, the piece must stay
+// orig[a:b]'s multiset, correctly banded, with nothing outside [a, b)
+// written, and the sums must equal plainCountSum over the bands.
+func checkValuesPartition(t *testing.T, name string, orig []int64, a, b int, lo, hi int64) {
+	t.Helper()
+	vals := slices.Clone(orig)
+	m, sum := partition2(vals, nil, a, b, lo)
+	if want := a + countBelow(orig[a:b], lo); m != want {
+		t.Fatalf("%s: values-only partition2 [%d,%d) pivot %d split at %d, want %d", name, a, b, lo, m, want)
+	}
+	checkBands(t, name+"/values/partition2", orig, vals, nil, a, b, []int64{lo}, []int{m})
+	if _, ws := plainCountSum(vals, a, m); sum != ws {
+		t.Fatalf("%s: values-only partition2 [%d,%d) pivot %d low sum %d, plain loop %d", name, a, b, lo, sum, ws)
+	}
+
+	vals = append(vals[:0], orig...)
+	m1, m2, sLow, sMid := partition3(vals, nil, a, b, lo, hi)
+	if w1, w2 := a+countBelow(orig[a:b], lo), a+countBelow(orig[a:b], hi); m1 != w1 || m2 != w2 {
+		t.Fatalf("%s: values-only partition3 [%d,%d) [%d,%d) split at %d,%d, want %d,%d", name, a, b, lo, hi, m1, m2, w1, w2)
+	}
+	checkBands(t, name+"/values/partition3", orig, vals, nil, a, b, []int64{lo, hi}, []int{m1, m2})
+	_, wl := plainCountSum(vals, a, m1)
+	_, wm := plainCountSum(vals, m1, m2)
+	if sLow != wl || sMid != wm {
+		t.Fatalf("%s: values-only partition3 [%d,%d) [%d,%d) sums %d,%d, plain loop %d,%d", name, a, b, lo, hi, sLow, sMid, wl, wm)
+	}
+}
+
+// TestPartitionValuesMatchesReference is the values-only kernels'
+// differential test (checkValuesPartition), run once per kernel the host
+// supports: every piece of 0 to 40 values (the vector kernel takes whole
+// vectors from 16 values on and hands the rest to the scalar loop), then
+// random pieces up to 2 100 values at random offsets, over small domains
+// (duplicates, pivots equal to values), wide ones and the full int64 range
+// (wrapping sums), with pivots drawn from the piece, just beside a value,
+// MinInt64 and MaxInt64.
+func TestPartitionValuesMatchesReference(t *testing.T) {
+	for _, k := range valuesKernels {
+		t.Run(k.name, func(t *testing.T) {
+			ran := withValuesKernel(k.vector, func() {
+				rng := rand.New(rand.NewPCG(17, 19))
+				check := func(n int) {
+					domain := []int64{4, 1 << 20, 0}[rng.IntN(3)]
+					pad := rng.IntN(10)
+					orig := make([]int64, n+pad+rng.IntN(10))
+					for i := range orig {
+						if domain == 0 {
+							orig[i] = int64(rng.Uint64())
+						} else {
+							orig[i] = rng.Int64N(domain) - domain/2
+						}
+					}
+					if n > 0 && rng.IntN(8) == 0 {
+						orig[pad], orig[pad+n-1] = math.MinInt64, math.MaxInt64
+					}
+					pick := func() int64 {
+						switch r := rng.IntN(8); {
+						case r == 0:
+							return math.MinInt64
+						case r == 1:
+							return math.MaxInt64
+						case n == 0 || r == 2:
+							return int64(rng.Uint64())
+						default:
+							return orig[pad+rng.IntN(n)] + int64(rng.IntN(3)) - 1
+						}
+					}
+					lo, hi := pick(), pick()
+					if lo > hi {
+						lo, hi = hi, lo
+					}
+					checkValuesPartition(t, k.name, orig, pad, pad+n, lo, hi)
+				}
+				for n := 0; n <= 40; n++ {
+					for trial := 0; trial < 200; trial++ {
+						check(n)
+					}
+				}
+				for trial := 0; trial < 2000; trial++ {
+					check(41 + rng.IntN(2060))
+				}
+			})
+			if !ran {
+				t.Skipf("%s kernel: not supported on this CPU", k.name)
+			}
+		})
 	}
 }
 
@@ -240,7 +385,11 @@ func BenchmarkPartition2(b *testing.B) {
 			return m
 		}},
 		{"values", func(vals []int64, _ []uint32, a, b int, pivot int64) int {
-			m, _ := partition2(vals, nil, a, b, pivot)
+			m, _ := partition2Vals(vals, a, b, pivot)
+			return m
+		}},
+		{"values/vector", func(vals []int64, _ []uint32, a, b int, pivot int64) int {
+			m, _ := partition2Vector(vals, a, b, pivot)
 			return m
 		}},
 	}
@@ -256,6 +405,9 @@ func BenchmarkPartition2(b *testing.B) {
 		} {
 			for _, k := range kernels {
 				b.Run(fmt.Sprintf("%s/n=%d/pivot=%s", k.name, n, pv.name), func(b *testing.B) {
+					if k.name == "values/vector" && !vectorSupported() {
+						b.Skip("this CPU lacks the vector kernel")
+					}
 					vals, rows := make([]int64, total), identityRows(total)
 					b.SetBytes(total * 8)
 					for i := 0; i < b.N; i++ {
