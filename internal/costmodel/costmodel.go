@@ -30,7 +30,7 @@ const DefaultTargetPieceSize = 1 << 18
 // cold piece runs a radix coarse pass instead of a comparison crack. A radix
 // pass costs ~2 sweeps (histogram + scatter) and buys one halving per bit of
 // its fan-out, which the cracker sizes to the piece so uniform buckets hold
-// ~2^11 values (2^6 buckets at this threshold, up to 2^11 for a multi-million
+// ~2^10 values (2^7 buckets at this threshold, up to 2^12 for a multi-million
 // value part); a comparison crack costs 1 sweep and buys one halving. Radix
 // therefore wins whenever the piece still needs 2+ halvings — but it also
 // fans out into many pieces at once, so gating it at half the

@@ -96,3 +96,60 @@ func TestFirstTouchMatchesCopyThenRadix(t *testing.T) {
 		}
 	}
 }
+
+// TestFirstTouchSkipsTombstones holds NewFromLive to NewFromBase over a copy
+// of the live values, in base order — array, boundaries, sums and tallies —
+// below, at and above the threshold, with the bounds the owner keeps, which
+// cover tombstoned values too. Tombstones fall at word edges, on the last
+// position, on none and on all; the base must not be written.
+func TestFirstTouchSkipsTombstones(t *testing.T) {
+	const radixMin = 1 << 10
+	rng := rand.New(rand.NewPCG(63, 1))
+	patterns := []struct {
+		name   string
+		isDead func(i, n int) bool
+	}{
+		{"none", func(int, int) bool { return false }},
+		{"all", func(int, int) bool { return true }},
+		{"edges", func(i, n int) bool { return i%64 == 0 || i%64 == 63 || i == n-1 }},
+		{"one-fifth", func(int, int) bool { return rng.IntN(5) == 0 }},
+	}
+	for _, n := range []int{0, 1, radixMin - 1, radixMin + 1, 5 * radixMin / 4, 4*radixMin + 7} {
+		for _, pat := range patterns {
+			base := make([]int64, n)
+			dead := make([]uint64, (n+63)/64)
+			var live []int64
+			for i := range base {
+				base[i] = rng.Int64N(1 << 40)
+				if pat.isDead(i, n) {
+					dead[i/64] |= 1 << (i % 64)
+				} else {
+					live = append(live, base[i])
+				}
+			}
+			pristine := slices.Clone(base)
+			var lo, hi int64
+			if n > 0 {
+				lo, hi = slices.Min(base), slices.Max(base)
+			}
+			got := NewFromLive(base, dead, lo, hi, radixMin)
+			want := NewFromBase(live, lo, hi, radixMin)
+			id := fmt.Sprintf("n=%d/%s", n, pat.name)
+			if !slices.Equal(base, pristine) {
+				t.Fatalf("%s: the base was written", id)
+			}
+			if !slices.Equal(got.vals, want.vals) || cap(got.vals) != len(live) {
+				t.Fatalf("%s: array differs from NewFromBase over the live copy, or has slack", id)
+			}
+			if gb, wb := boundaries(got), boundaries(want); !slices.Equal(gb, wb) {
+				t.Fatalf("%s: boundaries %v, want %v", id, gb, wb)
+			}
+			if got.Cracks() != want.Cracks() || got.Work() != want.Work() {
+				t.Fatalf("%s: cracks/work %d/%d, want %d/%d", id, got.Cracks(), got.Work(), want.Cracks(), want.Work())
+			}
+			if err := got.Validate(); err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+		}
+	}
+}

@@ -15,8 +15,11 @@ package cracker
 //
 // The fan-out is sized to the piece: enough bits that a uniform piece leaves
 // buckets of about radixBucket values, between radixMinBits and
-// radixMaxBits (fanOut). A 4M-value part gets 2^11 buckets of ~2k values,
-// a piece at the default threshold (2^17) gets 2^6.
+// radixMaxBits (fanOut). A 4M-value part gets 2^12 buckets of ~1k values,
+// a piece at the default threshold (2^17) gets 2^7. The bucket size is what
+// an early select pays: each of its bounds partitions the bucket it falls
+// in. The fan-out is what the pass pays: its scatter writes one stream per
+// bucket. The constants trade the two.
 //
 // Bucket keys are derived from the piece's OWN data min/max, read in one
 // pass before the histogram, not from the piece's key interval or a column
@@ -32,7 +35,7 @@ package cracker
 //
 // A pass scatters into freshly allocated arrays and copies back, under its
 // piece's stripe like any other crack. No workload reaches it: a part's
-// first touch is not a crack but NewFromBase (firsttouch.go), a build that
+// first touch is not a crack but NewFromLive (firsttouch.go), a build that
 // shares this file's bucket plan and keeps the array it scatters into, and
 // it leaves pieces below the radix threshold.
 
@@ -44,13 +47,19 @@ import (
 
 // The fan-out of one coarse pass, in bits (see fanOut).
 const (
-	// radixBucket is the bucket size a pass aims at: 2^11 values, 16 KB,
-	// inside L1d, where one comparison crack partitions a bucket in a few µs.
-	radixBucket = 1 << 11
-	// radixMaxBits caps the fan-out at 2^11 buckets. Histogram plus scatter
-	// of 2^22 values into a fresh array (BenchmarkRadixFanOut, 2-vCPU Xeon)
-	// costs 0–20 % more at 11 bits than at 8, and 25–65 % more at 12.
-	radixMaxBits = 11
+	// radixBucket is the bucket size a pass aims at: 2^10 values, 8 KB. A
+	// select partitions the bucket each bound falls in, and the vector
+	// kernel partitions at what it reads from L3 (~0.57 ns a value), so
+	// halving the bucket halves a cold select's crack.
+	radixBucket = 1 << 10
+	// radixMaxBits caps the fan-out at 2^12 buckets, the most a 4M-value
+	// part needs. The first touch pays for it: histogram plus scatter of
+	// 2^22 values costs ~20 % more at 12 bits than at 11, and ~40 % more
+	// than at 8 (BenchmarkRadixFanOut, 2-vCPU Xeon). Halving the bucket
+	// again, at 13 bits, would leave a 300k-value column in buckets barely
+	// above a 256-value idle target, so idle refinement would have nothing
+	// left to save its selects.
+	radixMaxBits = 12
 	// radixMinBits floors the fan-out of a small piece, so every level of a
 	// pass at least quarters the value span.
 	radixMinBits = 2
@@ -86,13 +95,13 @@ func (ix *Index) radixPiece(a, b int, below int64) int {
 		return 0
 	}
 	var g buckets
-	g.count(v, lo, hi)
+	g.count(v, nil, len(v), lo, hi)
 
 	// Out-of-place scatter, then copy back. A values-only copy scatters
 	// values alone.
 	bv := make([]int64, len(v))
 	if rows := ix.rows; rows == nil {
-		g.scatter(v, bv)
+		g.scatter(v, nil, bv)
 	} else {
 		if b > len(rows) {
 			return 0 // unreachable: rows is as long as vals; BCE only
@@ -106,11 +115,15 @@ func (ix *Index) radixPiece(a, b int, below int64) int {
 	return ix.addBuckets(&g, a, below)
 }
 
-// scatter writes v into dst bucket by bucket under plan g, which count made
-// over v; dst is len(v) long. starts stays pristine for addBuckets.
-func (g *buckets) scatter(v, dst []int64) {
+// scatter writes the values of v that dead leaves live into dst bucket by
+// bucket under plan g, which count made over them; dst holds exactly as
+// many. starts stays pristine for addBuckets.
+func (g *buckets) scatter(v []int64, dead []uint64, dst []int64) {
 	cur, lo, shift := g.starts, g.lo, g.shift
-	for _, x := range v {
+	for i, x := range v {
+		if tombstoned(dead, i) {
+			continue
+		}
 		bkt := ((uint64(x) - uint64(lo)) >> shift) & (1<<radixMaxBits - 1)
 		o := cur[bkt]
 		if uint(o) < uint(len(dst)) {
@@ -149,29 +162,33 @@ type buckets struct {
 	sum    [1 << radixMaxBits]int64
 }
 
-// count plans buckets for values in [lo, hi], lo < hi, and runs the histogram
-// pass over v. shift is chosen so the largest bucket index fits in
-// fanOut(len(v)) bits; all arithmetic is uint64, as hi-lo overflows int64
-// when the values span most of the int64 range. The arrays are sized for
-// radixMaxBits whatever the fan-out, so the mask to radixMaxBits bits is
-// redundant but lets the compiler drop the bounds check in the hot loop, and
-// locals keep the loop from re-reading lo and shift through g after every
-// store.
-func (g *buckets) count(v []int64, lo, hi int64) {
+// count plans buckets for the n values of v in [lo, hi], lo < hi, and runs
+// the histogram pass over them; a position of v that dead marks tombstoned
+// (see NewFromLive; nil: none) is not one of them. shift is chosen so the
+// largest bucket index fits in fanOut(n) bits; all arithmetic is uint64, as
+// hi-lo overflows int64 when the values span most of the int64 range. The
+// arrays are sized for radixMaxBits whatever the fan-out, so the mask to
+// radixMaxBits bits is redundant but lets the compiler drop the bounds check
+// in the hot loop, and locals keep the loop from re-reading lo and shift
+// through g after every store.
+func (g *buckets) count(v []int64, dead []uint64, n int, lo, hi int64) {
 	span := uint64(hi) - uint64(lo)
 	shift := uint(0)
-	if w, fb := bits.Len64(span), fanOut(len(v)); w > fb {
+	if w, fb := bits.Len64(span), fanOut(n); w > fb {
 		shift = uint(w - fb)
 	}
 	g.lo, g.shift, g.nb = lo, shift, int(span>>shift)+1
 	var hist [1 << radixMaxBits]int
 	var sum [1 << radixMaxBits]int64
-	for _, x := range v {
+	for i, x := range v {
+		if tombstoned(dead, i) {
+			continue
+		}
 		bkt := ((uint64(x) - uint64(lo)) >> shift) & (1<<radixMaxBits - 1)
 		hist[bkt]++
 		sum[bkt] += x
 	}
-	at := 0 // buckets from nb on are empty: their starts are all len(v)
+	at := 0 // buckets from nb on are empty: their starts are all n
 	for k, h := range hist {
 		g.starts[k] = at
 		at += h

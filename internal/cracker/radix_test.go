@@ -31,7 +31,7 @@ func buildRadixIndex(n, minPiece int, seed uint64) (*Index, []int64) {
 // pass over vals, whose bounds are the values' own.
 func plannedBuckets(vals []int64) int {
 	var g buckets
-	g.count(vals, slices.Min(vals), slices.Max(vals))
+	g.count(vals, nil, len(vals), slices.Min(vals), slices.Max(vals))
 	return g.nb
 }
 
@@ -63,7 +63,7 @@ func TestRadixFirstCrackRange(t *testing.T) {
 			t.Fatalf("query %d: %v", q, err)
 		}
 		// The first query's pass: two sweeps of the column and every planned
-		// bucket registered (32 at n = 2^16).
+		// bucket registered (64 at n = 2^16).
 		if q == 0 && (ix.Work() < 2*n || ix.Pieces() < plannedBuckets(orig)) {
 			t.Fatalf("first query: work %d, %d pieces, want >= %d and >= %d; coarse pass did not run",
 				ix.Work(), ix.Pieces(), 2*n, plannedBuckets(orig))
@@ -76,12 +76,14 @@ func TestRadixFirstCrackRange(t *testing.T) {
 func TestRadixFanOutRule(t *testing.T) {
 	for _, c := range []struct{ n, buckets int }{
 		{1 << 30, 1 << radixMaxBits},
-		{1 << 22, 2048},
-		{1<<21 + 1, 2048},
-		{1 << 21, 1024},
-		{costmodel.DefaultRadixMinPiece, 64},
-		{4097, 4},
-		{4096, 1 << radixMinBits},
+		{1 << 22, 4096},
+		{1<<21 + 1, 4096},
+		{1 << 21, 2048},
+		{1 << 20, 1024},
+		{costmodel.DefaultRadixMinPiece, 128},
+		{4097, 8},
+		{4096, 4},
+		{2048, 1 << radixMinBits},
 		{64, 1 << radixMinBits}, // a tiny test threshold gets the floor
 	} {
 		if got := 1 << fanOut(c.n); got != c.buckets {
@@ -91,12 +93,16 @@ func TestRadixFanOutRule(t *testing.T) {
 }
 
 // TestFanOutCutsSelectWork is the fan-out's gain in work units, whatever the
-// host: NewFromBase over 2^22 uniform values leaves L1-sized buckets, and 100
-// seeded 1 % selects after it partition at most a quarter of what they
-// partition behind a fixed 256-way pass.
+// host: NewFromBase over 2^22 uniform values leaves ~1k-value buckets, and
+// 100 seeded 1 % selects after it partition at most a quarter of what they
+// partition behind a fixed 256-way pass, and at most 0.6× what they
+// partition behind the 2^11-way pass of the rule that aimed at 2^11 values.
 func TestFanOutCutsSelectWork(t *testing.T) {
 	const n, top = 1 << 22, 1 << 23
-	const fixed8 = 2823388 // these selects' work when every pass is 2^8-way
+	const (
+		fixed8 = 2823388 // these selects' work when every pass is 2^8-way
+		rule11 = 406316  // ... when the rule aims at 2^11 values and stops at 11 bits
+	)
 	rng := rand.New(rand.NewPCG(51, 1))
 	base := make([]int64, n)
 	for i := range base {
@@ -119,8 +125,8 @@ func TestFanOutCutsSelectWork(t *testing.T) {
 	}
 	work := ix.Work() - 2*n
 	t.Logf("largest piece after the first touch: %d values; 100 selects partitioned %d values", largest.Size(), work)
-	if work > fixed8/4 {
-		t.Fatalf("100 selects partitioned %d values, want <= %d", work, fixed8/4)
+	if bound := int64(min(fixed8/4, rule11*6/10)); work > bound {
+		t.Fatalf("100 selects partitioned %d values, want <= %d", work, bound)
 	}
 	if err := ix.Validate(); err != nil {
 		t.Fatal(err)
@@ -284,12 +290,12 @@ func TestRadixFirstTouchKeepsNoSlack(t *testing.T) {
 }
 
 // BenchmarkRadixFanOut times one coarse pass's two loops, histogram plus
-// scatter of 2^22 uniform values into a fresh array, at 8 to 12 bits of
+// scatter of 2^22 uniform values into a fresh array, at 8 to 13 bits of
 // fan-out: the measurement behind radixMaxBits. values scatters values
 // alone, as NewFromBase and a values-only copy do; rows moves a row id
 // beside each value (buckets.scatterRows), two write streams per bucket.
 // The loops copy buckets.count's and buckets.scatter's with arrays sized
-// for 12 bits, since the kernel's own stop at radixMaxBits.
+// for 13 bits, one past the kernel's own stop at radixMaxBits.
 func BenchmarkRadixFanOut(b *testing.B) {
 	const n, width = 1 << 22, 40
 	rng := rand.New(rand.NewPCG(8, 12))
@@ -299,7 +305,7 @@ func BenchmarkRadixFanOut(b *testing.B) {
 		v[i], r[i] = rng.Int64N(1<<width), uint32(i)
 	}
 	for _, withRows := range []bool{false, true} {
-		for bits := 8; bits <= 12; bits++ {
+		for bits := 8; bits <= 13; bits++ {
 			name := fmt.Sprintf("values/bits=%d", bits)
 			if withRows {
 				name = fmt.Sprintf("rows/bits=%d", bits)
@@ -313,10 +319,10 @@ func BenchmarkRadixFanOut(b *testing.B) {
 					if withRows {
 						dstRows = make([]uint32, n)
 					}
-					var hist [1 << 12]int
-					var sum [1 << 12]int64
+					var hist [1 << 13]int
+					var sum [1 << 13]int64
 					for _, x := range v {
-						bkt := (uint64(x) >> shift) & (1<<12 - 1)
+						bkt := (uint64(x) >> shift) & (1<<13 - 1)
 						hist[bkt]++
 						sum[bkt] += x
 					}
@@ -327,7 +333,7 @@ func BenchmarkRadixFanOut(b *testing.B) {
 					}
 					if withRows {
 						for i, x := range v {
-							bkt := (uint64(x) >> shift) & (1<<12 - 1)
+							bkt := (uint64(x) >> shift) & (1<<13 - 1)
 							o := hist[bkt]
 							if uint(o) < uint(len(dst)) && uint(o) < uint(len(dstRows)) {
 								dst[o], dstRows[o] = x, r[i]
@@ -336,7 +342,7 @@ func BenchmarkRadixFanOut(b *testing.B) {
 						}
 					} else {
 						for _, x := range v {
-							bkt := (uint64(x) >> shift) & (1<<12 - 1)
+							bkt := (uint64(x) >> shift) & (1<<13 - 1)
 							o := hist[bkt]
 							if uint(o) < uint(len(dst)) {
 								dst[o] = x

@@ -226,29 +226,44 @@ func selectRacesWrites(t *testing.T, freshBounds bool) {
 		base = append(base, state{cur.count + st.delta.count, cur.sum + st.delta.sum})
 	}
 	// explains reports whether got is base[from] plus a per-part prefix of
-	// statements from+1..to.
+	// statements from+1..to. It meets in the middle: the sums of every pair
+	// of prefixes of the first half of the parts go in a set, and each sum
+	// of prefixes of the second half looks up what it leaves of got, so a
+	// window of w statements costs about (w/4+1)^2 steps, not (w/4+1)^4.
+	add := func(a, b state) state { return state{a.count + b.count, a.sum + b.sum} }
 	explains := func(from, to int64, got state) bool {
-		var perPart [shards][]state
-		for k := from + 1; k <= to; k++ {
-			perPart[plan[k].part] = append(perPart[plan[k].part], plan[k].delta)
+		var prefixes [shards][]state // prefixes[p][i]: part p's first i deltas
+		for p := range prefixes {
+			prefixes[p] = []state{{}}
 		}
-		var try func(p int, acc state) bool
-		try = func(p int, acc state) bool {
-			if p == shards {
-				return acc == got
+		for k := from + 1; k <= to; k++ {
+			pp := prefixes[plan[k].part]
+			prefixes[plan[k].part] = append(pp, add(pp[len(pp)-1], plan[k].delta))
+		}
+		// sums lists the sum of every choice of one prefix per part.
+		sums := func(parts [][]state) []state {
+			out := []state{{}}
+			for _, pp := range parts {
+				next := make([]state, 0, len(out)*len(pp))
+				for _, a := range out {
+					for _, b := range pp {
+						next = append(next, add(a, b))
+					}
+				}
+				out = next
 			}
-			if try(p+1, acc) {
+			return out
+		}
+		low := map[state]bool{}
+		for _, a := range sums(prefixes[:shards/2]) {
+			low[add(base[from], a)] = true
+		}
+		for _, b := range sums(prefixes[shards/2:]) {
+			if low[state{got.count - b.count, got.sum - b.sum}] {
 				return true
 			}
-			for _, d := range perPart[p] {
-				acc = state{acc.count + d.count, acc.sum + d.sum}
-				if try(p+1, acc) {
-					return true
-				}
-			}
-			return false
 		}
-		return try(0, base[from])
+		return false
 	}
 
 	var started, finished atomic.Int64 // statements begun / completed by the writer

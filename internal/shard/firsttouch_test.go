@@ -145,23 +145,73 @@ func TestTombstonedFirstTouch(t *testing.T) {
 	}
 }
 
-// BenchmarkFirstTouch times one part's first select on an 8M-row, 2-part
-// column: its cracked copy and radix pass included. The part's bounds are
-// not: NewColumn paid for them at load (BenchmarkNewColumn). Each iteration
-// builds a fresh column off the clock.
+// TestFirstTouchCopiesLiveRowsOnce: a part with tombstones builds its
+// cracked copy straight from its base, skipping the tombstoned rows, so its
+// first touch allocates one copy of the live values, not a snapshot of them
+// and then the copy, whether the build radixes (threshold below the live
+// count) or copies (threshold above it).
+func TestFirstTouchCopiesLiveRowsOnce(t *testing.T) {
+	const n = 1 << 17
+	vals := randomVals(rand.New(rand.NewPCG(63, 2)), n, 1<<40)
+	for _, radixMin := range []int{1 << 10, 2 * n} {
+		c, err := NewColumn("R.A", slices.Clone(vals), Config{radixMin: radixMin})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for g := 0; g < n; g += 5 {
+			c.DeleteRow(uint32(g))
+		}
+		c.MergePending()
+		p := c.Parts()[0]
+		live := n - p.nDeleted
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p.materialise()
+		runtime.ReadMemStats(&after)
+		copyBytes := uint64(8 * live)
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("radixMin=%d: the first touch of %d live rows allocated %d B, one copy is %d B", radixMin, live, got, copyBytes)
+		if got > copyBytes+copyBytes/8 {
+			t.Fatalf("radixMin=%d: the first touch allocated %d B, want one %d-B copy", radixMin, got, copyBytes)
+		}
+		if p.crack.Len() != live || (radixMin < live) != (p.crack.Pieces() > 1) {
+			t.Fatalf("radixMin=%d: a copy of %d values in %d pieces, want %d values", radixMin, p.crack.Len(), p.crack.Pieces(), live)
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFirstTouch times the first select on an 8M-row, 2-part column:
+// the cracked copy and radix pass included. one-part first-touches one part
+// on the caller's goroutine; both-parts first-touches both at once through
+// the fan-out, the shape of a cold column's first query. The parts' bounds
+// are not timed: NewColumn paid for them at load (BenchmarkNewColumn). Each
+// iteration builds a fresh column off the clock.
 func BenchmarkFirstTouch(b *testing.B) {
 	const n, domain = 8 << 20, 1 << 40
 	vals := randomVals(rand.New(rand.NewPCG(1, 2)), n, domain)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		c, err := NewColumn("R.A", slices.Clone(vals), Config{Shards: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		runtime.GC()
-		b.StartTimer()
-		c.Parts()[0].CrackedSelect(domain/2, domain/2+domain/100)
+	sel := func(p *Part) (int, int64) { return p.CrackedSelect(domain/2, domain/2+domain/100) }
+	for _, c := range []struct {
+		name  string
+		touch func(c *Column)
+	}{
+		{"one-part", func(c *Column) { sel(c.Parts()[0]) }},
+		{"both-parts", func(c *Column) { c.FanOutCountSum(sel) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				col, err := NewColumn("R.A", slices.Clone(vals), Config{Shards: 2})
+				if err != nil {
+					b.Fatal(err)
+				}
+				runtime.GC()
+				b.StartTimer()
+				c.touch(col)
+			}
+		})
 	}
 }

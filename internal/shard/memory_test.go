@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+
+	"holistic/internal/cracker"
 )
 
 // TestPartGrowthSlack: a merge that outgrows the base moves it to an array
@@ -124,7 +126,7 @@ func TestBitmapTombstones(t *testing.T) {
 						live = append(live, vals[g])
 					}
 				}
-				if got := p.liveSnapshotLocked(); !slices.Equal(got, live) {
+				if got := cracker.LiveValues(p.vals, p.deleted); !slices.Equal(got, live) {
 					t.Fatalf("%s: part %d: live values differ from the model's", name, p.id)
 				}
 				for lo := int64(-1); lo <= domain; lo += 3 {

@@ -760,18 +760,16 @@ func (p *Part) CrackIndex() *cracker.Index { return p.crackIndexLocked() }
 func (p *Part) Cracked() *cracker.Index { return p.crack }
 
 // crackIndexLocked returns the part's cracker index, materialising the
-// values-only cracked copy on first use: NewFromBase scatters it, radix pass
-// included, straight from the base column, or from a copy of the live rows
-// when some are tombstoned (p.lo and p.hi bound those too). So no crack
-// under the shared latch is ever a radix pass over the whole copy. Callers
-// hold the exclusive latch.
+// values-only cracked copy on first use: NewFromLive scatters it, radix pass
+// included, straight from the base column, skipping tombstoned rows (p.lo
+// and p.hi bound the live rows too). So no crack under the shared latch is
+// ever a radix pass over the whole copy, and the copy is the build's only
+// allocation of the part's size. A row whose delete is still buffered is
+// live here: reads subtract it through the queue's net CountSum until a
+// merge tombstones it. Callers hold the exclusive latch.
 func (p *Part) crackIndexLocked() *cracker.Index {
 	if p.crack == nil {
-		base := p.vals
-		if p.nDeleted != 0 {
-			base = p.liveSnapshotLocked()
-		}
-		p.attachCrackLocked(cracker.NewFromBase(base, p.lo, p.hi, p.cfg.radixMinPiece()))
+		p.attachCrackLocked(cracker.NewFromLive(p.vals, p.deleted, p.lo, p.hi, p.cfg.radixMinPiece()))
 	}
 	return p.crack
 }
@@ -782,24 +780,6 @@ func (p *Part) crackIndexLocked() *cracker.Index {
 func (p *Part) attachCrackLocked(ix *cracker.Index) {
 	ix.SetRadixMinPiece(p.cfg.radixMinPiece())
 	p.crack = ix
-}
-
-// liveSnapshotLocked copies the values of the merged, non-tombstoned rows,
-// the multiset a values-only copy holds. Rows with a buffered (not yet
-// applied) delete ARE included: reads subtract them through the queue's net
-// CountSum until the merge tombstones them, keeping every structure
-// consistent with the same merged-state boundary.
-func (p *Part) liveSnapshotLocked() []int64 {
-	if p.nDeleted == 0 {
-		return slices.Clone(p.vals)
-	}
-	vals := make([]int64, 0, len(p.vals)-p.nDeleted)
-	for i, v := range p.vals {
-		if !p.deleted.has(i) {
-			vals = append(vals, v)
-		}
-	}
-	return vals
 }
 
 // deadLocked reports whether the row at local position is tombstoned.
@@ -823,7 +803,7 @@ func (p *Part) BuildSorted() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.crack == nil {
-		p.attachCrackLocked(cracker.New(p.liveSnapshotLocked(), nil))
+		p.attachCrackLocked(cracker.New(cracker.LiveValues(p.vals, p.deleted), nil))
 	}
 	p.crack.Sort()
 }
@@ -1145,7 +1125,7 @@ func (p *Part) Validate() error {
 	if rows != nil {
 		return p.checkRowsLocked(vals, rows)
 	}
-	got, want := slices.Clone(vals), p.liveSnapshotLocked()
+	got, want := slices.Clone(vals), cracker.LiveValues(p.vals, p.deleted)
 	slices.Sort(got)
 	slices.Sort(want)
 	if !slices.Equal(got, want) {

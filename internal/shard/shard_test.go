@@ -319,7 +319,7 @@ func TestLiveSnapshotFastPathMatchesLoop(t *testing.T) {
 				want = append(want, vals[p.globalRow(i)])
 			}
 		}
-		if got := p.liveSnapshotLocked(); !slices.Equal(got, want) {
+		if got := cracker.LiveValues(p.vals, p.deleted); !slices.Equal(got, want) {
 			t.Fatalf("part %d (%d tombstones): snapshot differs from the per-row loop", p.id, p.nDeleted)
 		}
 	}
