@@ -42,12 +42,14 @@ const DefaultRadixMinPiece = 1 << 17
 // FanOutMinWork is how many values a fan-out must take off the caller's
 // goroutine before a select starts one (shard.Column.CountSum); below it the
 // parts run one after the other. A hand-off costs 7 us with the other core
-// spinning and up to 25 us with it parked, 4.5k-16k values at the partition
-// kernel's ~1.6 ns a value, and pays from ~32k values when a second core is
-// really free — never when it is not (docs/pr23_select_handoff.md), so the
-// constant sits a factor of two above that. Re-measure with
-// BenchmarkFanOutCrossover in internal/shard (serial vs fanned out, pieces of
-// 2^12..2^18 values, 2 and 4 parts).
+// spinning and up to 25 us with it parked (docs/pr23_select_handoff.md).
+// With the vector kernels a cold crack in three costs ~0.45 ns a value on a
+// narrow copy and ~0.95 on a wide one, and BenchmarkFanOutCrossover in
+// internal/shard (serial vs fanned out, pieces of 2^12..2^18 values, 2 and
+// 4 parts; re-measure with it) reads the same crossover at both widths on
+// the 2-vCPU Xeon: 2 parts pay from pieces between 2^16 and 2^18 values
+// (65k-262k values taken off the caller), 4 parts from pieces between 2^12
+// and 2^14 (12k-49k); never when the second core is busy.
 const FanOutMinWork = 1 << 16
 
 // Params configures the model.

@@ -33,13 +33,16 @@ func TestPartitionZeroAlloc(t *testing.T) {
 
 // TestPartitionValuesZeroAlloc holds the values-only path (rows nil) to the
 // same contract, once per kernel the host supports: partition2Vals, and
-// the vector kernel with its scalar tail.
+// the vector kernel with its scalar tail, and the narrow copy's
+// partition2Off32 and partition2OffVector (partitionVec32 and its tail).
 func TestPartitionValuesZeroAlloc(t *testing.T) {
 	const n = 1<<12 + 5 // whole vectors and a scalar tail
 	rng := rand.New(rand.NewPCG(7, 9))
 	v := make([]int64, n)
+	off := make([]uint32, n)
 	for i := range v {
 		v[i] = rng.Int64N(n)
+		off[i] = uint32(v[i])
 	}
 	for _, k := range valuesKernels {
 		t.Run(k.name, func(t *testing.T) {
@@ -53,6 +56,12 @@ func TestPartitionValuesZeroAlloc(t *testing.T) {
 					partition3(v, nil, 0, n, int64(n/4), int64(3*n/4))
 				}); a != 0 {
 					t.Fatalf("%s kernel: partition3 allocates %.1f per run, want 0", k.name, a)
+				}
+				if a := testing.AllocsPerRun(20, func() {
+					m, _ := partition2Off(off, 0, n, n/4)
+					partition2Off(off, m, n, 3*n/4)
+				}); a != 0 {
+					t.Fatalf("%s kernel: partition2Off allocates %.1f per run, want 0", k.name, a)
 				}
 			})
 			if !ran {

@@ -38,7 +38,7 @@ func (ix *Index) AttachRows(base []int64, row0, stride uint32, dead []uint64) er
 	keys, fills := ix.pieceFills()
 	var pm pieceMap
 	pm.build(keys)
-	vals, rows := make([]int64, len(ix.vals)), make([]uint32, len(ix.vals))
+	vals, rows := make([]int64, ix.Len()), make([]uint32, ix.Len())
 	row := row0
 	for i, v := range base {
 		g := row
@@ -59,7 +59,7 @@ func (ix *Index) AttachRows(base []int64, row0, stride uint32, dead []uint64) er
 			return fmt.Errorf("cracker: attach: the live base's values ending at %d are not the copy's", f.end)
 		}
 	}
-	ix.vals, ix.rows = vals, rows
+	ix.vals, ix.rows, ix.off, ix.ref = vals, rows, nil, 0 // a narrow copy is refilled wide
 	return nil
 }
 
@@ -77,7 +77,7 @@ type fill struct {
 // cracked copy's keys are its boundaries, whose sums give each piece's; a
 // sorted copy's pieces are its runs of equal values.
 func (ix *Index) pieceFills() (keys []int64, fills []fill) {
-	n := len(ix.vals)
+	n := ix.Len()
 	var below []int64 // the sum of the copy before each piece, then all of it
 	if ix.sorted {
 		fills, below = append(fills, fill{}), append(below, 0)
@@ -95,7 +95,7 @@ func (ix *Index) pieceFills() (keys []int64, fills []fill) {
 			return true
 		})
 		last := fills[len(fills)-1].at
-		below = append(below, below[len(below)-1]+sumInt64(ix.vals[last:]))
+		below = append(below, below[len(below)-1]+ix.sumRange(last, n))
 	}
 	for j := range fills {
 		fills[j].sum = below[j] - below[j+1]

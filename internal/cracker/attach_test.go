@@ -85,8 +85,8 @@ func TestAttachRowsKeepsDesign(t *testing.T) {
 			seen := make(map[uint32]bool)
 			for i, r := range ix.Rows() {
 				k := int((r - row0) / stride)
-				if seen[r] || dead[k] || base[k] != ix.Values()[i] {
-					t.Fatalf("%s: entry %d holds %d with row %d (base %d, dead %v, seen %v)", name, i, ix.Values()[i], r, base[k], dead[k], seen[r])
+				if seen[r] || dead[k] || base[k] != ix.AppendValues(nil)[i] {
+					t.Fatalf("%s: entry %d holds %d with row %d (base %d, dead %v, seen %v)", name, i, ix.AppendValues(nil)[i], r, base[k], dead[k], seen[r])
 				}
 				seen[r] = true
 			}
@@ -130,9 +130,9 @@ func TestAttachRowsRefusesAnotherMultiset(t *testing.T) {
 		if name == "other value, sorted" {
 			ix.Sort()
 		}
-		before := slices.Clone(ix.Values())
-		if err := ix.AttachRows(base, 0, 1, nil); err == nil || ix.Rows() != nil || !slices.Equal(ix.Values(), before) {
-			t.Fatalf("%s: attach of another multiset: err %v, rows %v, values %v", name, err, ix.Rows(), ix.Values())
+		before := slices.Clone(ix.AppendValues(nil))
+		if err := ix.AttachRows(base, 0, 1, nil); err == nil || ix.Rows() != nil || !slices.Equal(ix.AppendValues(nil), before) {
+			t.Fatalf("%s: attach of another multiset: err %v, rows %v, values %v", name, err, ix.Rows(), ix.AppendValues(nil))
 		}
 	}
 }
@@ -150,7 +150,7 @@ func BenchmarkAttachRows(b *testing.B) {
 		for ix.Pieces() < pieces {
 			ix.RandomCrack(rng)
 		}
-		vals, bs := slices.Clone(ix.Values()), ix.Boundaries()
+		vals, bs := slices.Clone(ix.AppendValues(nil)), ix.Boundaries()
 		b.Run(fmt.Sprintf("pieces=%d", pieces), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -86,8 +86,8 @@ func TestConcurrentCrackAndRead(t *testing.T) {
 	if err := ix.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if c, s := ix.CountSum(0, ix.Len()); c != n || s != sumInt64(orig) {
-		t.Fatalf("values lost: count %d sum %d, want %d and %d", c, s, n, sumInt64(orig))
+	if c, s := ix.CountSum(0, ix.Len()); c != n || s != sumVals(orig) {
+		t.Fatalf("values lost: count %d sum %d, want %d and %d", c, s, n, sumVals(orig))
 	}
 	if p := ix.Pieces(); p < gs {
 		t.Fatalf("suspiciously few pieces after concurrent storm: %d", p)
@@ -254,7 +254,7 @@ func TestCrackParksOnlyItsPiece(t *testing.T) {
 	if err := ix.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if c, s := ix.CountSum(0, n); c != n || s != sumInt64(orig) {
+	if c, s := ix.CountSum(0, n); c != n || s != sumVals(orig) {
 		t.Fatalf("values lost: %d/%d", c, s)
 	}
 }

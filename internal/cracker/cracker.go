@@ -40,13 +40,32 @@
 //
 // A select only counts and sums values, so a copy starts values-only, after
 // a load and after a restore alike (a snapshot stores no row ids): every
-// crack, radix pass, sort and merge moves 8 bytes a value, and the copy
-// costs no more than the column. Only a DELETE's first-live lookup
-// (MinRowOf) asks which base row an entry is; the owner attaches row ids
-// before its first one (AttachRows, attach.go), and from then on they move
-// in lockstep with the values. A values-only merge deletes by value: count
-// and sum depend only on the multiset, and the owner's tombstone keeps the
-// row's identity.
+// crack, radix pass, sort and merge moves 8 bytes a value or fewer (see
+// "Narrow copies"), and the copy costs no more than the column. Only a
+// DELETE's first-live lookup (MinRowOf) asks which base row an entry is;
+// the owner attaches row ids before its first one (AttachRows, attach.go),
+// and from then on they move in lockstep with the values. A values-only
+// merge deletes by value: count and sum depend only on the multiset, and
+// the owner's tombstone keeps the row's identity.
+//
+// # Narrow copies
+//
+// A values-only copy whose values span less than 2^32 — hi − lo ≤
+// MaxUint32 in uint64 arithmetic — is stored narrow: as uint32 offsets from
+// a reference ref, the least value it may hold, so value i is ref + off[i].
+// It takes 4 bytes a value instead of 8, and its first touch and every
+// crack move half the bytes. Crack-tree keys, boundary sums and every
+// answer stay absolute int64: a bound v is compared with the offsets as
+// clamp(v − ref, 0, 2^32) (a pivot past every offset leaves the whole piece
+// low), and k offsets add to their values' wrapping sum as k·ref + Σoff.
+//
+// The index picks the width of the arrays it builds itself — NewFromLive and
+// RestoreIndex — from the data's span; a bare New adopts the caller's wide
+// array. Cracks, radix passes and RandomCrack, which run under piece
+// stripes, work on either width and never change it; the owner-exclusive
+// Merge, Sort and AttachRows widen a narrow copy first, in one pass. So a
+// narrow copy is values-only, unsorted and never merged; Validate checks
+// the first two.
 //
 // # The sorted state
 //
@@ -59,8 +78,10 @@ package cracker
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -101,25 +122,30 @@ import (
 // in between, a boundary now at the bound is answered by lookup, and
 // anything else retries (see latchBounds).
 //
-// rows is nil while the copy is values-only (see "Row ids on demand");
-// once attached it is as long as vals and rows[i] is the base row of
-// vals[i]. The index keeps no value bounds: the one pass that needs a
-// piece's range, a radix pass, reads it off the piece (radix.go).
+// The copy is vals, or off and ref while it is narrow (see "Narrow
+// copies"); the other array is nil. rows is nil while the copy is
+// values-only (see "Row ids on demand"); once attached it is as long as
+// vals and rows[i] is the base row of vals[i]. Beyond a narrow copy's ref
+// the index keeps no value bounds: the one pass that needs a piece's range,
+// a radix pass, reads it off the piece (radix.go).
 //
 // Positions returned by one call (CrackRange, LookupRange) stay
 // valid for a later call (CountSum) only while no structural operation runs
 // in between: cracks never move a value across an existing boundary and
 // never move a boundary, but Merge does. The owner therefore holds its own
 // latch shared around a lookup-then-aggregate pair and exclusively around
-// Merge and any use of Values/Rows.
+// Merge and any use of AppendValues/Rows.
 type Index struct {
 	tmu  spinRW
 	vals []int64
+	off  []uint32
+	ref  int64
 	rows []uint32
 	tree cracktree.Tree
 
 	// sorted marks the full index (see "The sorted state"); pre[i] is then
-	// the wrapping sum of vals[:i], len(vals)+1 entries.
+	// the wrapping sum of vals[:i], len(vals)+1 entries. A sorted copy is
+	// wide.
 	sorted bool
 	pre    []int64
 
@@ -227,14 +253,66 @@ func (ix *Index) unlock2(i, j int) {
 }
 
 // New builds a cracker index that adopts vals and rows without copying or
-// reading them. rows is nil for a values-only index; otherwise both slices
-// have the same length and rows[i] is the base row id of vals[i].
+// reading them, so its copy is wide. rows is nil for a values-only index;
+// otherwise both slices have the same length and rows[i] is the base row id
+// of vals[i].
 func New(vals []int64, rows []uint32) *Index {
 	return &Index{vals: vals, rows: rows}
 }
 
 // Len returns the number of values in the index.
-func (ix *Index) Len() int { return len(ix.vals) }
+func (ix *Index) Len() int { return len(ix.vals) + len(ix.off) }
+
+// narrowFits reports whether values in [lo, hi] fit a narrow copy.
+func narrowFits(lo, hi int64) bool {
+	return lo <= hi && uint64(hi)-uint64(lo) <= math.MaxUint32
+}
+
+// at returns value i of the copy, at either width.
+func (ix *Index) at(i int) int64 {
+	if ix.off != nil {
+		return ix.ref + int64(ix.off[i])
+	}
+	return ix.vals[i]
+}
+
+// sumRange returns the wrapping sum of values [i, j) of the copy, at either
+// width.
+func (ix *Index) sumRange(i, j int) int64 {
+	if ix.off != nil {
+		return int64(j-i)*ix.ref + sumVals(ix.off[i:j])
+	}
+	return sumVals(ix.vals[i:j])
+}
+
+// offPivot maps bound v to a narrow copy's offsets: clamp(v − ref, 0, 2^32),
+// so an offset is below the result exactly when its value is below v.
+func (ix *Index) offPivot(v int64) uint64 {
+	switch d := uint64(v) - uint64(ix.ref); {
+	case v <= ix.ref:
+		return 0
+	case d > 1<<32:
+		return 1 << 32
+	default:
+		return d
+	}
+}
+
+// widen turns a narrow copy wide, with room for m values when m exceeds
+// its length — the capacity GrowTo would give — so the merge that widens
+// it does not move it again. The owner holds the index exclusively.
+func (ix *Index) widen(m int) {
+	if ix.off == nil {
+		return
+	}
+	n := len(ix.off)
+	c := n
+	if m > n {
+		c = m + Slack(n)
+	}
+	ix.vals = ix.AppendValues(make([]int64, 0, c))
+	ix.off, ix.ref = nil, 0
+}
 
 // Pieces returns the number of pieces the column is currently cracked into.
 // An uncracked, non-empty column is one piece, a sorted one one per value.
@@ -246,8 +324,8 @@ func (ix *Index) Pieces() int {
 
 // pieces counts the pieces; the caller holds the tree latch.
 func (ix *Index) pieces() int {
-	if ix.sorted || len(ix.vals) == 0 {
-		return len(ix.vals)
+	if ix.sorted || ix.Len() == 0 {
+		return ix.Len()
 	}
 	return ix.tree.Len() + 1
 }
@@ -266,18 +344,30 @@ func (ix *Index) AvgPieceSize() float64 {
 	if p == 0 {
 		return 0
 	}
-	return float64(len(ix.vals)) / float64(p)
+	return float64(ix.Len()) / float64(p)
 }
 
-// Values exposes the cracked copy. Callers must treat it as read-only and
-// hold the index exclusively through the owner's latch (see the Index
-// comment): a concurrent crack reorders the array, and Merge and AttachRows
-// replace it.
-func (ix *Index) Values() []int64 { return ix.vals }
+// AppendValues appends the cracked copy's values, in position order, to
+// dst and returns the extended slice: a copy, widened from a narrow copy's
+// offsets. Callers hold the index exclusively through the owner's latch
+// (see the Index comment): a concurrent crack reorders the array.
+func (ix *Index) AppendValues(dst []int64) []int64 {
+	if ix.off == nil {
+		return append(dst, ix.vals...)
+	}
+	dst = slices.Grow(dst, len(ix.off))
+	for _, o := range ix.off {
+		dst = append(dst, ix.ref+int64(o))
+	}
+	return dst
+}
 
-// Rows exposes the base row ids aligned with Values, under the same rule:
-// nil while the index is values-only.
+// Rows exposes the base row ids aligned with AppendValues' values, under
+// the same rule, read-only: nil while the index is values-only.
 func (ix *Index) Rows() []uint32 { return ix.rows }
+
+// Narrow reports whether the copy is stored narrow (see "Narrow copies").
+func (ix *Index) Narrow() bool { return ix.off != nil }
 
 // HasRows reports whether row ids are attached (see "Row ids on demand").
 func (ix *Index) HasRows() bool { return ix.rows != nil }
@@ -341,7 +431,7 @@ func (ix *Index) locate(v int64) (start, end int, sum int64, exact bool) {
 		at := sort.Search(len(ix.vals), func(i int) bool { return ix.vals[i] >= v })
 		return at, at, ix.pre[at], true
 	}
-	return ix.tree.Locate(v, len(ix.vals))
+	return ix.tree.Locate(v, ix.Len())
 }
 
 // locateShared is locate under a shared tree latch of its own.
@@ -362,7 +452,7 @@ func (ix *Index) lookup(lo, hi int64) (from, to int, sum int64, work int, ok boo
 		return 0, 0, 0, 0, false
 	}
 	ix.tmu.rlock()
-	if len(ix.vals) == 0 {
+	if ix.Len() == 0 {
 		ix.tmu.RUnlock()
 		return 0, 0, 0, 0, false
 	}
@@ -480,7 +570,7 @@ func (ix *Index) radixWorth(a, b int) bool {
 // instead, since it leaves the bounds in buckets that start elsewhere.
 func (ix *Index) crack(bs []bound) (first int) {
 	first = -1
-	if len(ix.vals) == 0 {
+	if ix.Len() == 0 {
 		for i := range bs {
 			bs[i] = bound{v: bs[i].v, exact: true}
 		}
@@ -569,16 +659,17 @@ func (ix *Index) latchBounds(bs []bound) (s0, s1 int) {
 func (ix *Index) partition(bs []bound, same bool) {
 	var pos [2]int
 	var sum [2]int64
-	if same {
+	if same { // in three: split on lo, then the upper band on hi (Alvarez et al.)
 		lo, hi := &bs[0], &bs[1]
-		m1, m2, sumLow, sumMid := partition3(ix.vals, ix.rows, lo.a, lo.b, lo.v, hi.v)
+		m1, sumLow := ix.partition2(lo.a, lo.b, lo.v)
+		m2, sumMid := ix.partition2(m1, lo.b, hi.v)
 		pos[0], sum[0] = m1, lo.sum+sumLow
 		pos[1], sum[1] = m2, lo.sum+sumLow+sumMid
 		ix.work.Add(int64(lo.b - lo.a))
 	} else {
 		for i := range bs {
 			if b := &bs[i]; !b.exact {
-				m, sumLow := partition2(ix.vals, ix.rows, b.a, b.b, b.v)
+				m, sumLow := ix.partition2(b.a, b.b, b.v)
 				pos[i], sum[i] = m, b.sum+sumLow
 				ix.work.Add(int64(b.b - b.a))
 			}
@@ -593,6 +684,17 @@ func (ix *Index) partition(bs []bound, same bool) {
 		}
 	}
 	ix.tmu.Unlock()
+}
+
+// partition2 is partition2 (partition.go) over the copy at either width:
+// it splits [a, b) at v, returning the split position and the low side's
+// wrapping sum.
+func (ix *Index) partition2(a, b int, v int64) (m int, sumLow int64) {
+	if ix.off == nil {
+		return partition2(ix.vals, ix.rows, a, b, v)
+	}
+	m, s := partition2Off(ix.off, a, b, ix.offPivot(v))
+	return m, int64(m-a)*ix.ref + int64(s)
 }
 
 // RandomCrack is one random refinement action, the paper's idle-time work
@@ -617,7 +719,7 @@ func (ix *Index) RandomCrack(rng *rand.Rand) int {
 // randomPivot draws the element and decides whether cracking at it splits
 // its piece (see RandomCrack).
 func (ix *Index) randomPivot(rng *rand.Rand) (v int64, split bool) {
-	n := len(ix.vals)
+	n := ix.Len()
 	if n == 0 {
 		return 0, false
 	}
@@ -636,9 +738,9 @@ func (ix *Index) randomPivot(rng *rand.Rand) (v int64, split bool) {
 			start = now
 			continue
 		}
-		v = ix.vals[p]
+		v = ix.at(p)
 		a, b, _, exact := ix.locateShared(v) // a == start: v lies in p's piece
-		split = !exact && b-a > 1 && anyBelow(ix.vals[a:b], v)
+		split = !exact && b-a > 1 && ix.anyBelow(a, b, v)
 		ix.unlock2(s, -1)
 		return v, split
 	}
@@ -653,8 +755,17 @@ func (ix *Index) floorPos(pos int) int {
 	return p
 }
 
+// anyBelow reports whether some value of the copy in [a, b) is < v, a value
+// the copy holds.
+func (ix *Index) anyBelow(a, b int, v int64) bool {
+	if ix.off != nil {
+		return anyBelow(ix.off[a:b], uint32(v-ix.ref))
+	}
+	return anyBelow(ix.vals[a:b], v)
+}
+
 // anyBelow reports whether some value in vals is < v.
-func anyBelow(vals []int64, v int64) bool {
+func anyBelow[E word](vals []E, v E) bool {
 	for _, x := range vals {
 		if x < v {
 			return true
@@ -682,7 +793,7 @@ func (p Piece) Size() int { return p.End - p.Start }
 func (ix *Index) ForEachPiece(visit func(Piece) bool) {
 	ix.tmu.rlock()
 	defer ix.tmu.RUnlock()
-	if len(ix.vals) == 0 {
+	if ix.Len() == 0 {
 		return
 	}
 	prevPos := 0
@@ -701,7 +812,7 @@ func (ix *Index) ForEachPiece(visit func(Piece) bool) {
 	if stopped {
 		return
 	}
-	visit(Piece{Start: prevPos, End: len(ix.vals), Lo: prevKey, HasLo: hasPrev})
+	visit(Piece{Start: prevPos, End: ix.Len(), Lo: prevKey, HasLo: hasPrev})
 }
 
 // RangePieceAvg returns the average size (in values) of the pieces
@@ -716,16 +827,17 @@ func (ix *Index) RangePieceAvg(lo, hi int64) float64 {
 	}
 	ix.tmu.rlock()
 	defer ix.tmu.RUnlock()
+	n := ix.Len()
 	switch {
-	case len(ix.vals) == 0:
+	case n == 0:
 		return 0
 	case ix.sorted:
 		return 1
 	}
 	// The overlapping pieces run from lo's piece up to the first boundary at
 	// or above hi; every boundary strictly between starts one more piece.
-	from, _, _, _ := ix.tree.Locate(lo, len(ix.vals))
-	to, pieces := len(ix.vals), 1
+	from, _, _, _ := ix.tree.Locate(lo, n)
+	to, pieces := n, 1
 	ix.tree.WalkFrom(lo+1, func(key int64, pos int, _ int64) bool {
 		if key >= hi {
 			to = pos
@@ -746,7 +858,7 @@ func (ix *Index) RangePieceAvg(lo, hi int64) float64 {
 // is read under its piece's stripe. Positions are clamped to the copy; an
 // empty or inverted region yields (0, 0).
 func (ix *Index) CountSum(from, to int) (int, int64) {
-	from, to = max(from, 0), min(to, len(ix.vals))
+	from, to = max(from, 0), min(to, ix.Len())
 	if from >= to {
 		return 0, 0
 	}
@@ -773,7 +885,7 @@ func (ix *Index) CountSum(from, to int) (int, int64) {
 		}
 		ix.lock2(i, j)
 		if ix.floorPos(from) == pf && ix.floorPos(to) == pt { // no crack split the edges' pieces
-			sum := st + sumInt64(ix.vals[pt:to]) - sf - sumInt64(ix.vals[pf:from])
+			sum := st + ix.sumRange(pt, to) - sf - ix.sumRange(pf, from)
 			ix.unlock2(i, j)
 			return to - from, sum
 		}
@@ -781,24 +893,28 @@ func (ix *Index) CountSum(from, to int) (int, int64) {
 	}
 }
 
-// sumInt64 adds vals into four independent accumulators: one is a serial
-// dependency chain whose speed depends on where the linker places the loop
-// (±15 % measured), four keep the adders busy wherever it lands. Re-slicing by
-// a checked length drops every bounds check; wrap-around is the plain loop's,
-// int64 addition being associative and commutative modulo 2^64. No select
-// or crack calls it: it reads CountSum's ragged edges and re-derives the
-// boundary sums in RestoreIndex.
-func sumInt64(vals []int64) int64 {
+// word is an element of a copy: a value, or a narrow copy's offset.
+type word interface{ int64 | uint32 }
+
+// sumVals adds vals, each as an int64 (an offset zero-extended), into four
+// independent accumulators: one is a serial dependency chain whose speed
+// depends on where the linker places the loop (±15 % measured), four keep
+// the adders busy wherever it lands. Re-slicing by a checked length drops
+// every bounds check; wrap-around is the plain loop's, int64 addition being
+// associative and commutative modulo 2^64. No select or crack calls it: it
+// reads CountSum's ragged edges and re-derives the boundary sums in
+// RestoreIndex.
+func sumVals[E word](vals []E) int64 {
 	var s0, s1, s2, s3 int64
 	for len(vals) >= 4 {
-		s0 += vals[0]
-		s1 += vals[1]
-		s2 += vals[2]
-		s3 += vals[3]
+		s0 += int64(vals[0])
+		s1 += int64(vals[1])
+		s2 += int64(vals[2])
+		s3 += int64(vals[3])
 		vals = vals[4:]
 	}
 	for _, v := range vals {
-		s0 += v
+		s0 += int64(v)
 	}
 	return s0 + s1 + s2 + s3
 }
@@ -814,6 +930,7 @@ func (ix *Index) CountSumConcurrent(from, to int) (int, int64) {
 //   - every value left of a boundary is < its key, every value right is >= it;
 //   - every boundary's sum is the wrapping sum of the values left of it;
 //   - rows, once attached, is as long as vals;
+//   - a narrow copy (see "Narrow copies") is values-only and unsorted;
 //   - a sorted index has no boundaries, each value is >= the one before it,
 //     and each prefix sum is the wrapping sum of the values below it.
 //
@@ -821,6 +938,10 @@ func (ix *Index) CountSumConcurrent(from, to int) (int, int64) {
 // crack runs while it scans. It is exported for use by tests across
 // packages.
 func (ix *Index) Validate() error {
+	n := ix.Len()
+	if ix.off != nil && (ix.vals != nil || ix.rows != nil || ix.sorted) {
+		return fmt.Errorf("cracker: narrow copy beside %d wide values, %d row ids, sorted %v", len(ix.vals), len(ix.rows), ix.sorted)
+	}
 	if ix.rows != nil && len(ix.vals) != len(ix.rows) {
 		return fmt.Errorf("cracker: vals/rows length mismatch %d != %d", len(ix.vals), len(ix.rows))
 	}
@@ -842,15 +963,16 @@ func (ix *Index) Validate() error {
 	)
 	scanPiece := func(end int, hi int64, hasHi bool) {
 		for i := prevPos; i < end && err == nil; i++ {
-			switch v := ix.vals[i]; {
+			v := ix.at(i)
+			switch {
 			case hasPrev && v < prevKey:
-				err = fmt.Errorf("cracker: vals[%d]=%d below piece bound %d", i, v, prevKey)
+				err = fmt.Errorf("cracker: value %d = %d below piece bound %d", i, v, prevKey)
 			case hasHi && v >= hi:
-				err = fmt.Errorf("cracker: vals[%d]=%d not below piece bound %d", i, v, hi)
+				err = fmt.Errorf("cracker: value %d = %d not below piece bound %d", i, v, hi)
 			}
-			run += ix.vals[i]
+			run += v
 			if ix.sorted {
-				prevKey, hasPrev = ix.vals[i], true
+				prevKey, hasPrev = v, true
 				if err == nil && ix.pre[i+1] != run {
 					err = fmt.Errorf("cracker: prefix sum %d at %d, the values below it add to %d", ix.pre[i+1], i+1, run)
 				}
@@ -858,8 +980,8 @@ func (ix *Index) Validate() error {
 		}
 	}
 	ix.tree.Walk(func(key int64, pos int, sum int64) bool {
-		if pos > len(ix.vals) { // Check saw the positions ascend
-			err = fmt.Errorf("cracker: boundary %d has position %d past the copy's %d values", key, pos, len(ix.vals))
+		if pos > n { // Check saw the positions ascend
+			err = fmt.Errorf("cracker: boundary %d has position %d past the copy's %d values", key, pos, n)
 			return false
 		}
 		scanPiece(pos, key, true)
@@ -870,7 +992,7 @@ func (ix *Index) Validate() error {
 		return err == nil
 	})
 	if err == nil {
-		scanPiece(len(ix.vals), 0, false)
+		scanPiece(n, 0, false)
 	}
 	return err
 }

@@ -112,7 +112,7 @@ func TestRepeatQueryIsPureLookup(t *testing.T) {
 		t.Fatal("repeat query did partitioning work")
 	}
 	n, _ := ix.CountSum(from, to)
-	wantN, _ := naiveRange(ix.Values(), 100, 200)
+	wantN, _ := naiveRange(ix.AppendValues(nil), 100, 200)
 	if n != wantN {
 		t.Fatalf("repeat count %d want %d", n, wantN)
 	}
@@ -203,7 +203,7 @@ func TestRowIDsFollowValues(t *testing.T) {
 	from, to := ix.CrackRange(20, 45)
 	got := map[uint32]int64{}
 	for i := from; i < to; i++ {
-		got[ix.Rows()[i]] = ix.Values()[i]
+		got[ix.Rows()[i]] = ix.AppendValues(nil)[i]
 	}
 	// Row ids must still map to their original base values.
 	for r, v := range got {
@@ -434,7 +434,7 @@ func TestPropertyCrackingEquivalence(t *testing.T) {
 			}
 			// Every returned value must satisfy the predicate.
 			for i := from; i < to; i++ {
-				if v := ix.Values()[i]; v < lo || v >= hi {
+				if v := ix.AppendValues(nil)[i]; v < lo || v >= hi {
 					return false
 				}
 			}
@@ -449,7 +449,7 @@ func TestPropertyCrackingEquivalence(t *testing.T) {
 		}
 		// Permutation invariant: cracked copy is the base data, reordered.
 		got := make([]int64, n)
-		copy(got, ix.Values())
+		copy(got, ix.AppendValues(nil))
 		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 		for i := range got {
 			if got[i] != baseSorted[i] {
@@ -458,7 +458,7 @@ func TestPropertyCrackingEquivalence(t *testing.T) {
 		}
 		// Row ids still map to original values.
 		for i, r := range ix.Rows() {
-			if base[r] != ix.Values()[i] {
+			if base[r] != ix.AppendValues(nil)[i] {
 				return false
 			}
 		}

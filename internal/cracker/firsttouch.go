@@ -3,16 +3,18 @@ package cracker
 import "math/bits"
 
 // NewFromBase builds the values-only cracked copy of a base column whose
-// values lie in [lo, hi]. A base of at least radixMin (> 0) values with
-// lo < hi is histogrammed over [lo, hi] and scattered straight into the
-// array the index keeps, under the same piece-sized fan-out as a radix pass
-// (fanOut: a 4M-value part leaves 2^12 buckets of ~1k values); any other
-// base is copied. When lo and hi are the base's own minimum and maximum, as
-// the owner's bounds are after a load, that leaves exactly what
-// New(copy, nil) plus a whole-column radixPiece leaves (array, boundaries,
-// sums, tallies). Either way base is only read, the bounds are not kept,
-// and the index's radix threshold is radixMin. Row ids are not written:
-// AttachRows adds them when a delete first needs them.
+// values lie in [lo, hi], narrow when they span less than 2^32 (see
+// "Narrow copies"; ref is lo). A base of at least radixMin (> 0) values
+// with lo < hi is histogrammed over [lo, hi] and scattered straight into
+// the array the index keeps, under the same piece-sized fan-out as a radix
+// pass (fanOut: a 4M-value part leaves 2^12 buckets of ~1k values); any
+// other base is copied. When lo and hi are the base's own minimum and
+// maximum, as the owner's bounds are after a load, that leaves exactly what
+// New(copy, nil) plus a whole-column radixPiece leaves (values in order,
+// boundaries, sums, tallies), narrow where New's copy is wide. Either way
+// base is only read, only lo is kept (as a narrow copy's ref), and the
+// index's radix threshold is radixMin. Row ids are not written: AttachRows
+// adds them when a delete first needs them.
 func NewFromBase(base []int64, lo, hi int64, radixMin int) *Index {
 	return NewFromLive(base, nil, lo, hi, radixMin)
 }
@@ -25,13 +27,25 @@ func NewFromBase(base []int64, lo, hi int64, radixMin int) *Index {
 // NewFromBase over LiveValues(base, dead).
 func NewFromLive(base []int64, dead []uint64, lo, hi int64, radixMin int) *Index {
 	n := liveCount(base, dead)
+	ix := &Index{radixMin: radixMin}
+	narrow := n > 0 && narrowFits(lo, hi)
 	if radixMin <= 0 || n < radixMin || lo >= hi {
-		return &Index{vals: LiveValues(base, dead), radixMin: radixMin}
+		if narrow {
+			ix.off, ix.ref = liveCopy[uint32](base, dead, n, lo), lo
+		} else {
+			ix.vals = liveCopy[int64](base, dead, n, 0)
+		}
+		return ix
 	}
-	ix := &Index{vals: make([]int64, n), radixMin: radixMin} // the array the index keeps
 	var g buckets
-	g.count(base, dead, n, lo, hi)
-	g.scatter(base, dead, ix.vals)
+	count(&g, base, dead, n, lo, hi, 0)
+	if narrow { // the array the index keeps
+		ix.off, ix.ref = make([]uint32, n), lo
+		scatter(&g, base, dead, ix.off, lo)
+	} else {
+		ix.vals = make([]int64, n)
+		scatter(&g, base, dead, ix.vals, 0)
+	}
 	ix.addBuckets(&g, 0, 0)
 	return ix
 }
@@ -40,19 +54,20 @@ func NewFromLive(base []int64, dead []uint64, lo, hi int64, radixMin int) *Index
 // NewFromLive), in base order and exactly as long as their count: the
 // multiset a values-only copy of base holds.
 func LiveValues(base []int64, dead []uint64) []int64 {
-	vals := make([]int64, liveCount(base, dead))
-	if len(vals) == len(base) {
-		copy(vals, base)
-		return vals
-	}
+	return liveCopy[int64](base, dead, liveCount(base, dead), 0)
+}
+
+// liveCopy is LiveValues, n the live count, with each value less ref.
+func liveCopy[D word](base []int64, dead []uint64, n int, ref int64) []D {
+	dst := make([]D, n)
 	o := 0
 	for i, x := range base {
-		if !tombstoned(dead, i) && uint(o) < uint(len(vals)) {
-			vals[o] = x
+		if !tombstoned(dead, i) && uint(o) < uint(len(dst)) {
+			dst[o] = D(x - ref)
 			o++
 		}
 	}
-	return vals
+	return dst
 }
 
 // liveCount is the number of positions of base that dead leaves live.

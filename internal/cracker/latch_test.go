@@ -20,13 +20,23 @@ import (
 // anywhere in the copy. A crack permutes values within the
 // region it is reading, so any read that overlapped a partition would see a
 // value twice or not at all; every (count, sum) must equal the prefix-sum
-// oracle. Run with -race, over a copy with row ids (the lockstep kernel)
-// and over a values-only copy (the vector kernel where the CPU has it, whose
-// accesses -race sees only through partition_race_amd64.go).
+// oracle. Run with -race, over a copy with row ids (the lockstep kernel),
+// over a values-only copy (the vector kernel where the CPU has it, whose
+// accesses -race sees only through partition_race_amd64.go) and over a
+// narrow one (uint32 offsets: partitionVec32, seen the same way).
 func TestReadersExactWhileCrackingInsideRegions(t *testing.T) {
 	t.Run("rows", func(t *testing.T) { readersExactWhileCracking(t, newTestIndex) })
 	t.Run("values", func(t *testing.T) {
 		readersExactWhileCracking(t, func(vals []int64) *Index { return New(slices.Clone(vals), nil) })
+	})
+	t.Run("narrow", func(t *testing.T) {
+		readersExactWhileCracking(t, func(vals []int64) *Index {
+			ix := NewFromBase(vals, slices.Min(vals), slices.Max(vals), 0)
+			if ix.off == nil {
+				t.Fatal("the copy is not narrow")
+			}
+			return ix
+		})
 	})
 }
 
@@ -231,7 +241,7 @@ func TestCountSumAnyPositions(t *testing.T) {
 		{"ragged both sides", 1, 4},
 		{"ragged inside one piece", 3, 4},
 	} {
-		wc, ws := plainCountSum(ix.Values(), c.from, c.to)
+		wc, ws := plainCountSum(ix.AppendValues(nil), c.from, c.to)
 		if gc, gs := ix.CountSum(c.from, c.to); gc != wc || gs != ws {
 			t.Errorf("%s: CountSum(%d, %d) = %d, %d; plain loop %d, %d", c.name, c.from, c.to, gc, gs, wc, ws)
 		}
@@ -239,7 +249,7 @@ func TestCountSumAnyPositions(t *testing.T) {
 }
 
 // TestCountSumMatchesPlainLoop compares the aggregate with a one-accumulator
-// loop: every length around sumInt64's unroll width, every [from, to) —
+// loop: every length around sumVals' unroll width, every [from, to) —
 // bounds CountSum clamps and inverted ones included — extreme values and sums
 // that wrap around, on an uncracked copy (all ragged edge) and again after a
 // few cracks (boundary sums plus ragged edges).
@@ -263,9 +273,9 @@ func TestCountSumMatchesPlainLoop(t *testing.T) {
 				}
 				for from := -2; from <= n+2; from++ {
 					for to := -2; to <= n+2; to++ {
-						wc, ws := plainCountSum(ix.Values(), from, to)
+						wc, ws := plainCountSum(ix.AppendValues(nil), from, to)
 						if c, s := ix.CountSum(from, to); c != wc || s != ws {
-							t.Fatalf("CountSum(%d, %d) over %v = %d, %d; plain loop %d, %d", from, to, ix.Values(), c, s, wc, ws)
+							t.Fatalf("CountSum(%d, %d) over %v = %d, %d; plain loop %d, %d", from, to, ix.AppendValues(nil), c, s, wc, ws)
 						}
 					}
 				}

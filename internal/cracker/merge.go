@@ -69,9 +69,12 @@ func GrowTo[S ~[]E, E any](s S, m int) S {
 // attached a delete removes the entry holding exactly its (value, row); on a
 // values-only copy it removes one entry of its value, which is all count and
 // sum depend on (the base's tombstone keeps the row's identity). Merge
-// returns how many deletes found no such entry. A sorted index stays sorted
-// (mergeSorted). The owner keeps it apart from every other call.
+// returns how many deletes found no such entry. A narrow copy is widened
+// first (see "Narrow copies"), with room for the inserts. A sorted index
+// stays sorted (mergeSorted). The owner keeps it apart from every other
+// call.
 func (ix *Index) Merge(ins, del []updates.Entry) (missing int) {
+	ix.widen(ix.Len() + len(ins))
 	if ix.sorted {
 		return ix.mergeSorted(ins, del)
 	}

@@ -16,8 +16,8 @@ func one(v int64, r uint32) []updates.Entry { return []updates.Entry{{Val: v, Ro
 func TestMergeInsertIntoEmpty(t *testing.T) {
 	ix := newTestIndex(nil)
 	ix.Merge(one(5, 0), nil)
-	if ix.Len() != 1 || ix.Values()[0] != 5 {
-		t.Fatalf("contents %v", ix.Values())
+	if ix.Len() != 1 || ix.AppendValues(nil)[0] != 5 {
+		t.Fatalf("contents %v", ix.AppendValues(nil))
 	}
 	if from, to := ix.CrackRange(5, 6); to-from != 1 {
 		t.Fatal("inserted value not queryable")
@@ -166,7 +166,7 @@ func TestPropertyRippleMatchesReference(t *testing.T) {
 		if ix.Len() != len(ref) {
 			return false
 		}
-		got := append([]int64{}, ix.Values()...)
+		got := append([]int64{}, ix.AppendValues(nil)...)
 		want := make([]int64, len(ref))
 		for i, e := range ref {
 			want[i] = e.v

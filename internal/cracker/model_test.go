@@ -145,7 +145,7 @@ func (m *sumModel) step() string {
 		m.attach()
 		return "AttachRows"
 	default: // what a checkpoint and a restart do: the sums are not persisted
-		restored, err := RestoreIndex(slices.Clone(ix.Values()), ix.Boundaries(), ix.Sorted())
+		restored, err := RestoreIndex(slices.Clone(ix.AppendValues(nil)), ix.Boundaries(), ix.Sorted())
 		if err != nil {
 			m.fatalf("RestoreIndex of a valid index: %v", err)
 		}
@@ -220,7 +220,7 @@ func (m *sumModel) check(after string) {
 		m.fatalf("after %s: row ids attached %v, want %v", after, ix.Rows() != nil, m.rowsOn)
 	}
 	got, want := make([]modelRow, ix.Len()), slices.Clone(m.rows)
-	for i, v := range ix.Values() {
+	for i, v := range ix.AppendValues(nil) {
 		got[i].v = v
 		if m.rowsOn {
 			got[i].r = ix.Rows()[i]
@@ -268,7 +268,7 @@ func (m *sumModel) check(after string) {
 			m.fatalf("after %s and a crack: LookupCountSum[%d, %d) = %d/%d hit %v, model %d/%d", after, lo, hi, c, s, ok, wc, ws)
 		}
 		from, to := rng.IntN(ix.Len()+3)-1, rng.IntN(ix.Len()+3)-1
-		wc, ws = plainCountSum(ix.Values(), from, to)
+		wc, ws = plainCountSum(ix.AppendValues(nil), from, to)
 		if c, s := ix.CountSum(from, to); c != wc || s != ws {
 			m.fatalf("after %s: CountSum(%d, %d) = %d/%d, plain loop %d/%d", after, from, to, c, s, wc, ws)
 		}

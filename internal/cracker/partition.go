@@ -32,6 +32,11 @@ package cracker
 // (vectorSupported): a hardware dispatch, not a setting. Every other host
 // and GOARCH runs partition2Vals, which is also the vector kernel's
 // differential oracle; the lockstep (vals, rows) loop has no vector twin.
+//
+// A narrow copy's uint32 offsets (see "Narrow copies" in cracker.go) have
+// the same pair: partition2Off32, the one-cursor loop, and
+// partition2OffVector, whose assembly (partitionVec32) moves sixteen
+// offsets a step, picked by partition2Off under the same vectorPartition.
 // Both kernels return the same split position and low sum, but each leaves
 // the values within a side in its own order, so the elements RandomCrack
 // draws as pivots may differ between hosts for one seed (answers cannot).
@@ -129,14 +134,40 @@ func partition2Vals(vals []int64, a, b int, pivot int64) (m int, sumLow int64) {
 	return a + left, sumLow
 }
 
-// partition3 reorders vals[a:b] into three bands: < lo, [lo, hi), >= hi,
-// returning the two split positions (m1 = start of middle, m2 = start of the
-// high band) and the wrapping sums of the low and middle bands. Alvarez et
-// al. observe that two predicated two-way passes are faster than one branchy
-// three-way pass, so crack-in-three is exactly that: split on lo, then split
-// the upper band on hi.
-func partition3(vals []int64, rows []uint32, a, b int, lo, hi int64) (m1, m2 int, sumLow, sumMid int64) {
-	m1, sumLow = partition2(vals, rows, a, b, lo)
-	m2, sumMid = partition2(vals, rows, m1, b, hi)
-	return m1, m2, sumLow, sumMid
+// partition2Off is partition2 over a narrow copy's offsets off[a:b] with
+// pivot, an offset in [0, 2^32] (Index.offPivot): offsets < pivot precede
+// the others. It returns the split position and the low side's offsets'
+// sum, which cannot wrap in 64 bits.
+func partition2Off(off []uint32, a, b int, pivot uint64) (m int, sumLow uint64) {
+	if vectorPartition {
+		return partition2OffVector(off, a, b, pivot)
+	}
+	return partition2Off32(off, a, b, pivot)
+}
+
+// partition2Off32 is partition2Vals over offsets, stack ring included: it
+// pays here too, 2^17 shuffled offsets taking ~103 µs with it and ~265
+// without (BenchmarkPartition2/offsets, same host).
+func partition2Off32(off []uint32, a, b int, pivot uint64) (m int, sumLow uint64) {
+	if a < 0 || a >= b || b > len(off) {
+		return a, 0
+	}
+	v := off[a:b]
+	var ring [256]uint8
+	left := 0
+	for right, rv := range v {
+		if uint(left) > uint(right) {
+			break
+		}
+		v[right] = v[left]
+		v[left] = rv
+		lt := b2i(uint64(rv) < pivot)
+		ring[right&255] = uint8(lt)
+		left += lt
+		sumLow += uint64(rv) & -uint64(lt)
+	}
+	if ring[(len(v)-1)&255] > 1 {
+		return a, 0 // unreachable: a flag is 0 or 1
+	}
+	return a + left, sumLow
 }

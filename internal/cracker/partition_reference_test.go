@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -58,6 +59,19 @@ func referencePartition3(vals []int64, rows []uint32, a, b int, lo, hi int64) (m
 		}
 	}
 	return lt, gt + 1
+}
+
+// partition3 reorders vals[a:b] into three bands: < lo, [lo, hi), >= hi,
+// returning the two split positions (m1 = start of middle, m2 = start of the
+// high band) and the wrapping sums of the low and middle bands: the crack in
+// three Index.partition makes. Alvarez et al. observe that two predicated
+// two-way passes are faster than one branchy three-way pass, so
+// crack-in-three is exactly that: split on lo, then split the upper band on
+// hi.
+func partition3(vals []int64, rows []uint32, a, b int, lo, hi int64) (m1, m2 int, sumLow, sumMid int64) {
+	m1, sumLow = partition2(vals, rows, a, b, lo)
+	m2, sumMid = partition2(vals, rows, m1, b, hi)
+	return m1, m2, sumLow, sumMid
 }
 
 // identityRows returns the row ids 0..n-1, so orig[rows[i]] names the value
@@ -218,6 +232,50 @@ func checkValuesPartition(t *testing.T, name string, orig []int64, a, b int, lo,
 	}
 }
 
+// widenOffsets returns a narrow copy's offsets as int64s, for the checks
+// written over values.
+func widenOffsets(off []uint32) []int64 {
+	w := make([]int64, len(off))
+	for i, o := range off {
+		w[i] = int64(o)
+	}
+	return w
+}
+
+// checkOffPartition is checkValuesPartition over a narrow copy's offsets:
+// partition2Off at lo, then at hi over the upper band (the three-way split
+// a crack makes), lo <= hi <= 2^32, with whichever kernel is switched in
+// (partition2Off32 or partition2OffVector). The sums must equal the plain
+// loop's, which cannot wrap.
+func checkOffPartition(t *testing.T, name string, orig []uint32, a, b int, lo, hi uint64) {
+	t.Helper()
+	wideOrig := widenOffsets(orig)
+	off := slices.Clone(orig)
+	m, sum := partition2Off(off, a, b, lo)
+	if want := a + countBelow(wideOrig[a:b], int64(lo)); m != want {
+		t.Fatalf("%s: partition2Off [%d,%d) pivot %d split at %d, want %d", name, a, b, lo, m, want)
+	}
+	wide := widenOffsets(off)
+	checkBands(t, name+"/offsets/partition2", wideOrig, wide, nil, a, b, []int64{int64(lo)}, []int{m})
+	if _, ws := plainCountSum(wide, a, m); int64(sum) != ws {
+		t.Fatalf("%s: partition2Off [%d,%d) pivot %d low sum %d, plain loop %d", name, a, b, lo, sum, ws)
+	}
+
+	off = append(off[:0], orig...)
+	m1, sLow := partition2Off(off, a, b, lo)
+	m2, sMid := partition2Off(off, m1, b, hi)
+	if w1, w2 := a+countBelow(wideOrig[a:b], int64(lo)), a+countBelow(wideOrig[a:b], int64(hi)); m1 != w1 || m2 != w2 {
+		t.Fatalf("%s: partition2Off in three [%d,%d) [%d,%d) split at %d,%d, want %d,%d", name, a, b, lo, hi, m1, m2, w1, w2)
+	}
+	wide = widenOffsets(off)
+	checkBands(t, name+"/offsets/partition3", wideOrig, wide, nil, a, b, []int64{int64(lo), int64(hi)}, []int{m1, m2})
+	_, wl := plainCountSum(wide, a, m1)
+	_, wm := plainCountSum(wide, m1, m2)
+	if int64(sLow) != wl || int64(sMid) != wm {
+		t.Fatalf("%s: partition2Off in three [%d,%d) [%d,%d) sums %d,%d, plain loop %d,%d", name, a, b, lo, hi, sLow, sMid, wl, wm)
+	}
+}
+
 // TestPartitionValuesMatchesReference is the values-only kernels'
 // differential test (checkValuesPartition), run once per kernel the host
 // supports: every piece of 0 to 40 values (the vector kernel takes whole
@@ -225,7 +283,10 @@ func checkValuesPartition(t *testing.T, name string, orig []int64, a, b int, lo,
 // random pieces up to 2 100 values at random offsets, over small domains
 // (duplicates, pivots equal to values), wide ones and the full int64 range
 // (wrapping sums), with pivots drawn from the piece, just beside a value,
-// MinInt64 and MaxInt64.
+// MinInt64 and MaxInt64. The narrow copy's kernels (checkOffPartition:
+// partition2Off32, and partitionVec32 on sixteen offsets a step, from 32
+// on) take the same sizes over offsets, with pivots at 0, MaxUint32 and
+// 2^32 (past every offset).
 func TestPartitionValuesMatchesReference(t *testing.T) {
 	for _, k := range valuesKernels {
 		t.Run(k.name, func(t *testing.T) {
@@ -263,13 +324,47 @@ func TestPartitionValuesMatchesReference(t *testing.T) {
 					}
 					checkValuesPartition(t, k.name, orig, pad, pad+n, lo, hi)
 				}
-				for n := 0; n <= 40; n++ {
+				checkOff := func(n int) {
+					domain := []uint64{4, 1 << 20, 1 << 32}[rng.IntN(3)]
+					pad := rng.IntN(10)
+					orig := make([]uint32, n+pad+rng.IntN(10))
+					for i := range orig {
+						orig[i] = uint32(rng.Uint64N(domain))
+					}
+					if n > 0 && rng.IntN(8) == 0 {
+						orig[pad], orig[pad+n-1] = 0, math.MaxUint32
+					}
+					pick := func() uint64 {
+						switch r := rng.IntN(8); {
+						case r == 0:
+							return 0
+						case r == 1:
+							return 1 << 32
+						case r == 2:
+							return math.MaxUint32
+						case n == 0 || r == 3:
+							return rng.Uint64N(1<<32 + 1)
+						default: // a value of the piece or one beside it, in [0, 2^32]
+							return max(uint64(orig[pad+rng.IntN(n)])+uint64(rng.IntN(3)), 1) - 1
+						}
+					}
+					lo, hi := pick(), pick()
+					if lo > hi {
+						lo, hi = hi, lo
+					}
+					checkOffPartition(t, k.name, orig, pad, pad+n, lo, hi)
+				}
+				for n := 0; n <= 72; n++ {
 					for trial := 0; trial < 200; trial++ {
-						check(n)
+						if n <= 40 {
+							check(n)
+						}
+						checkOff(n)
 					}
 				}
 				for trial := 0; trial < 2000; trial++ {
 					check(41 + rng.IntN(2060))
+					checkOff(73 + rng.IntN(2060))
 				}
 			})
 			if !ran {
@@ -339,6 +434,9 @@ func TestPartitionMatchesReference(t *testing.T) {
 // FuzzPartition drives checkPartition from raw bytes: eight per value (so
 // MinInt64, MaxInt64 and wrapping sums are one mutation away), then the
 // sub-range and both pivots, which may be values of the piece or anything.
+// The same bytes, four per offset, then drive checkOffPartition with every
+// narrow kernel the host supports (partition2Off32, partitionVec32), the
+// pivots taken modulo 2^32 + 1.
 func FuzzPartition(f *testing.F) {
 	f.Add([]byte{}, uint16(0), uint16(0), int64(0), int64(0))
 	f.Add([]byte("one cursor, front to back, sums folded into the sweep"), uint16(1), uint16(5), int64(0x6f72662072), int64(0x7320656874))
@@ -355,6 +453,20 @@ func FuzzPartition(f *testing.F) {
 			lo, hi = hi, lo
 		}
 		checkPartition(t, "fuzz", orig, from, to, lo, hi)
+
+		off := make([]uint32, len(data)/4)
+		for i := range off {
+			off[i] = binary.LittleEndian.Uint32(data[4*i:])
+		}
+		from = int(a) % (len(off) + 1)
+		to = from + int(b)%(len(off)-from+1)
+		olo, ohi := uint64(lo)%(1<<32+1), uint64(hi)%(1<<32+1)
+		if olo > ohi {
+			olo, ohi = ohi, olo
+		}
+		for _, k := range valuesKernels {
+			withValuesKernel(k.vector, func() { checkOffPartition(t, k.name+"/fuzz", off, from, to, olo, ohi) })
+		}
 	})
 }
 
@@ -371,25 +483,36 @@ func FuzzPartition(f *testing.F) {
 //	go test -run '^$' -bench 'Partition2' -count 10 ./internal/cracker/
 //
 // and read rows/reference ns/op as the predicated kernel's cost against the
-// branchy loop on the host at hand, and
-// values/rows as what a values-only copy saves.
+// branchy loop on the host at hand,
+// values/rows as what a values-only copy saves, and offsets/values as what
+// a narrow copy saves (the same values as uint32 offsets, ref 0).
 func BenchmarkPartition2(b *testing.B) {
 	const total = 1 << 17
 	kernels := []struct {
 		name      string
-		partition func(vals []int64, rows []uint32, a, b int, pivot int64) int
+		partition func(vals []int64, off, rows []uint32, a, b int, pivot int64) int
 	}{
-		{"reference", referencePartition2},
-		{"rows", func(vals []int64, rows []uint32, a, b int, pivot int64) int {
+		{"reference", func(vals []int64, _, rows []uint32, a, b int, pivot int64) int {
+			return referencePartition2(vals, rows, a, b, pivot)
+		}},
+		{"rows", func(vals []int64, _, rows []uint32, a, b int, pivot int64) int {
 			m, _ := partition2(vals, rows, a, b, pivot)
 			return m
 		}},
-		{"values", func(vals []int64, _ []uint32, a, b int, pivot int64) int {
+		{"values", func(vals []int64, _, _ []uint32, a, b int, pivot int64) int {
 			m, _ := partition2Vals(vals, a, b, pivot)
 			return m
 		}},
-		{"values/vector", func(vals []int64, _ []uint32, a, b int, pivot int64) int {
+		{"values/vector", func(vals []int64, _, _ []uint32, a, b int, pivot int64) int {
 			m, _ := partition2Vector(vals, a, b, pivot)
+			return m
+		}},
+		{"offsets", func(_ []int64, off, _ []uint32, a, b int, pivot int64) int {
+			m, _ := partition2Off32(off, a, b, uint64(max(pivot, 0)))
+			return m
+		}},
+		{"offsets/vector", func(_ []int64, off, _ []uint32, a, b int, pivot int64) int {
+			m, _ := partition2OffVector(off, a, b, uint64(max(pivot, 0)))
 			return m
 		}},
 	}
@@ -405,17 +528,20 @@ func BenchmarkPartition2(b *testing.B) {
 		} {
 			for _, k := range kernels {
 				b.Run(fmt.Sprintf("%s/n=%d/pivot=%s", k.name, n, pv.name), func(b *testing.B) {
-					if k.name == "values/vector" && !vectorSupported() {
+					if strings.HasSuffix(k.name, "/vector") && !vectorSupported() {
 						b.Skip("this CPU lacks the vector kernel")
 					}
-					vals, rows := make([]int64, total), identityRows(total)
+					vals, off, rows := make([]int64, total), make([]uint32, total), identityRows(total)
 					b.SetBytes(total * 8)
 					for i := 0; i < b.N; i++ {
 						b.StopTimer()
 						copy(vals, src) // re-shuffle: a partitioned input has no mispredictions
+						for j, v := range src {
+							off[j] = uint32(v)
+						}
 						b.StartTimer()
 						for a := 0; a < total; a += n {
-							k.partition(vals, rows, a, a+n, pv.pivot)
+							k.partition(vals, off, rows, a, a+n, pv.pivot)
 						}
 					}
 				})

@@ -34,7 +34,8 @@ package cracker
 // right neighbour's.
 //
 // A pass scatters into freshly allocated arrays and copies back, under its
-// piece's stripe like any other crack. No workload reaches it: a part's
+// piece's stripe like any other crack; over a narrow copy it buckets and
+// scatters the offsets, at the copy's width. No workload reaches it: a part's
 // first touch is not a crack but NewFromLive (firsttouch.go), a build that
 // shares this file's bucket plan and keeps the array it scatters into, and
 // it leaves pieces below the radix threshold.
@@ -86,61 +87,88 @@ func (ix *Index) SetRadixMinPiece(n int) { ix.radixMin = n }
 // cannot be split). The buckets span the piece's own min and max (see the
 // file comment). The caller holds the piece's stripe (see crack).
 func (ix *Index) radixPiece(a, b int, below int64) int {
-	if a < 0 || a >= b || b > len(ix.vals) {
-		return 0
-	}
-	v := ix.vals[a:b]
-	lo, hi, _ := scan.MinMax(v)
-	if lo >= hi {
-		return 0
-	}
 	var g buckets
-	g.count(v, nil, len(v), lo, hi)
-
-	// Out-of-place scatter, then copy back. A values-only copy scatters
-	// values alone.
-	bv := make([]int64, len(v))
-	if rows := ix.rows; rows == nil {
-		g.scatter(v, nil, bv)
-	} else {
-		if b > len(rows) {
-			return 0 // unreachable: rows is as long as vals; BCE only
-		}
-		r := rows[a:b]
-		br := make([]uint32, len(v))
-		g.scatterRows(v, r, bv, br)
-		copy(r, br)
+	var split bool
+	switch {
+	case ix.off != nil:
+		split = radixValues(&g, ix.off, a, b, ix.ref)
+	case ix.rows == nil:
+		split = radixValues(&g, ix.vals, a, b, 0)
+	default:
+		split = radixRows(&g, ix.vals, ix.rows, a, b)
 	}
-	copy(v, bv)
+	if !split {
+		return 0
+	}
 	return ix.addBuckets(&g, a, below)
 }
 
+// radixValues plans g over the values-only piece [a, b) of the copy all,
+// whose values are ref + all[i], scatters it out of place and copies it
+// back. It reports false, and moves nothing, when the piece is empty or
+// single-valued.
+func radixValues[E word](g *buckets, all []E, a, b int, ref int64) bool {
+	if a < 0 || a >= b || b > len(all) {
+		return false
+	}
+	v := all[a:b]
+	lo, hi, _ := scan.MinMax(v)
+	if lo >= hi {
+		return false
+	}
+	count(g, v, nil, len(v), lo, hi, ref)
+	bv := make([]E, len(v))
+	scatter(g, v, nil, bv, 0)
+	copy(v, bv)
+	return true
+}
+
+// radixRows is radixValues over a wide copy with its row ids.
+func radixRows(g *buckets, vals []int64, rows []uint32, a, b int) bool {
+	if a < 0 || a >= b || b > len(vals) || b > len(rows) {
+		return false
+	}
+	v, r := vals[a:b], rows[a:b]
+	lo, hi, _ := scan.MinMax(v)
+	if lo >= hi {
+		return false
+	}
+	count(g, v, nil, len(v), lo, hi, 0)
+	bv, br := make([]int64, len(v)), make([]uint32, len(v))
+	g.scatterRows(v, r, bv, br)
+	copy(v, bv)
+	copy(r, br)
+	return true
+}
+
 // scatter writes the values of v that dead leaves live into dst bucket by
-// bucket under plan g, which count made over them; dst holds exactly as
-// many. starts stays pristine for addBuckets.
-func (g *buckets) scatter(v []int64, dead []uint64, dst []int64) {
-	cur, lo, shift := g.starts, g.lo, g.shift
+// bucket under plan g, which count made over them, each less ref (to
+// offsets from ref when dst is narrow; 0 keeps them as they are); dst holds
+// exactly as many. starts stays pristine for addBuckets.
+func scatter[S, D word](g *buckets, v []S, dead []uint64, dst []D, ref int64) {
+	cur, from, shift := g.starts, g.from, g.shift
 	for i, x := range v {
 		if tombstoned(dead, i) {
 			continue
 		}
-		bkt := ((uint64(x) - uint64(lo)) >> shift) & (1<<radixMaxBits - 1)
+		bkt := ((uint64(x) - from) >> shift) & (1<<radixMaxBits - 1)
 		o := cur[bkt]
 		if uint(o) < uint(len(dst)) {
-			dst[o] = x
+			dst[o] = D(int64(x) - ref)
 		}
 		cur[bkt] = o + 1
 	}
 }
 
-// scatterRows is scatter with row ids r moved to dr in lockstep.
+// scatterRows is scatter over wide values with row ids r moved to dr in
+// lockstep.
 func (g *buckets) scatterRows(v []int64, r []uint32, dv []int64, dr []uint32) {
 	if len(r) < len(v) {
 		return // unreachable: both are the piece's length; BCE only
 	}
-	cur, lo, shift := g.starts, g.lo, g.shift
+	cur, from, shift := g.starts, g.from, g.shift
 	for i, x := range v {
-		bkt := ((uint64(x) - uint64(lo)) >> shift) & (1<<radixMaxBits - 1)
+		bkt := ((uint64(x) - from) >> shift) & (1<<radixMaxBits - 1)
 		o := cur[bkt]
 		if uint(o) < uint(len(dv)) && uint(o) < uint(len(dr)) {
 			dv[o] = x
@@ -153,47 +181,55 @@ func (g *buckets) scatterRows(v []int64, r []uint32, dv []int64, dr []uint32) {
 // buckets is one radix pass's plan over values in [lo, hi]: bucket k holds
 // exactly the values in [lo + k<<shift, lo + (k+1)<<shift), the first nb of
 // which can be non-empty; it starts at offset starts[k] of the scattered
-// piece, and its values add to sum[k].
+// piece, and its values add to sum[k]. from is lo as the scattered
+// elements hold it, an offset in a narrow copy: element x goes to bucket
+// (x − from) >> shift.
 type buckets struct {
 	lo     int64
+	from   uint64
 	shift  uint
 	nb     int
 	starts [1<<radixMaxBits + 1]int
 	sum    [1 << radixMaxBits]int64
 }
 
-// count plans buckets for the n values of v in [lo, hi], lo < hi, and runs
-// the histogram pass over them; a position of v that dead marks tombstoned
-// (see NewFromLive; nil: none) is not one of them. shift is chosen so the
-// largest bucket index fits in fanOut(n) bits; all arithmetic is uint64, as
-// hi-lo overflows int64 when the values span most of the int64 range. The
-// arrays are sized for radixMaxBits whatever the fan-out, so the mask to
-// radixMaxBits bits is redundant but lets the compiler drop the bounds check
-// in the hot loop, and locals keep the loop from re-reading lo and shift
-// through g after every store.
-func (g *buckets) count(v []int64, dead []uint64, n int, lo, hi int64) {
-	span := uint64(hi) - uint64(lo)
+// count plans buckets for the n elements of v in [lo, hi], lo < hi, each
+// the value ref + x, and runs the histogram pass over them; a position of v
+// that dead marks tombstoned (see NewFromLive; nil: none) is not one of
+// them. shift is chosen so the largest bucket index fits in fanOut(n) bits;
+// all arithmetic is uint64, as hi-lo overflows int64 when the values span
+// most of the int64 range. The arrays are sized for radixMaxBits whatever
+// the fan-out, so the mask to radixMaxBits bits is redundant but lets the
+// compiler drop the bounds check in the hot loop, and locals keep the loop
+// from re-reading lo and shift through g after every store. A bucket's
+// count and sum share one 16-byte entry, so an element updates one cache
+// line, not two.
+func count[E word](g *buckets, v []E, dead []uint64, n int, lo, hi E, ref int64) {
+	from := uint64(lo)
+	span := uint64(hi) - from
 	shift := uint(0)
 	if w, fb := bits.Len64(span), fanOut(n); w > fb {
 		shift = uint(w - fb)
 	}
-	g.lo, g.shift, g.nb = lo, shift, int(span>>shift)+1
-	var hist [1 << radixMaxBits]int
-	var sum [1 << radixMaxBits]int64
+	g.lo, g.from, g.shift, g.nb = int64(lo)+ref, from, shift, int(span>>shift)+1
+	var hist [1 << radixMaxBits]struct {
+		n int
+		s int64
+	}
 	for i, x := range v {
 		if tombstoned(dead, i) {
 			continue
 		}
-		bkt := ((uint64(x) - uint64(lo)) >> shift) & (1<<radixMaxBits - 1)
-		hist[bkt]++
-		sum[bkt] += x
+		h := &hist[((uint64(x)-from)>>shift)&(1<<radixMaxBits-1)]
+		h.n++
+		h.s += int64(x)
 	}
 	at := 0 // buckets from nb on are empty: their starts are all n
 	for k, h := range hist {
-		g.starts[k] = at
-		at += h
+		g.starts[k], g.sum[k] = at, h.s+int64(h.n)*ref
+		at += h.n
 	}
-	g.starts[1<<radixMaxBits], g.sum = at, sum
+	g.starts[1<<radixMaxBits] = at
 }
 
 // addBuckets registers every bucket boundary of a piece scattered to position

@@ -31,7 +31,7 @@ func buildRadixIndex(n, minPiece int, seed uint64) (*Index, []int64) {
 // pass over vals, whose bounds are the values' own.
 func plannedBuckets(vals []int64) int {
 	var g buckets
-	g.count(vals, nil, len(vals), slices.Min(vals), slices.Max(vals))
+	count(&g, vals, nil, len(vals), slices.Min(vals), slices.Max(vals), 0)
 	return g.nb
 }
 
@@ -279,7 +279,7 @@ func TestRadixFirstTouchKeepsNoSlack(t *testing.T) {
 				t.Fatalf("n=%d: work %d, %d pieces, want >= %d and >= %d; the coarse pass did not run",
 					n, ix.Work(), ix.Pieces(), 2*n, plannedBuckets(orig))
 			}
-			if cv, cr := cap(ix.Values()), cap(ix.Rows()); cv != ix.Len() || (ix.Rows() != nil && cr != ix.Len()) {
+			if cv, cr := cap(ix.vals)+cap(ix.off), cap(ix.Rows()); cv != ix.Len() || (ix.Rows() != nil && cr != ix.Len()) {
 				t.Fatalf("n=%d: after the first crack cap(vals)=%d cap(rows)=%d, want %d", n, cv, cr, ix.Len())
 			}
 			if err := ix.Validate(); err != nil {
@@ -294,7 +294,7 @@ func TestRadixFirstTouchKeepsNoSlack(t *testing.T) {
 // fan-out: the measurement behind radixMaxBits. values scatters values
 // alone, as NewFromBase and a values-only copy do; rows moves a row id
 // beside each value (buckets.scatterRows), two write streams per bucket.
-// The loops copy buckets.count's and buckets.scatter's with arrays sized
+// The loops copy count's and scatter's with arrays sized
 // for 13 bits, one past the kernel's own stop at radixMaxBits.
 func BenchmarkRadixFanOut(b *testing.B) {
 	const n, width = 1 << 22, 40
@@ -319,38 +319,41 @@ func BenchmarkRadixFanOut(b *testing.B) {
 					if withRows {
 						dstRows = make([]uint32, n)
 					}
-					var hist [1 << 13]int
-					var sum [1 << 13]int64
-					for _, x := range v {
-						bkt := (uint64(x) >> shift) & (1<<13 - 1)
-						hist[bkt]++
-						sum[bkt] += x
+					var hist [1 << 13]struct {
+						n int
+						s int64
 					}
+					for _, x := range v {
+						h := &hist[(uint64(x)>>shift)&(1<<13-1)]
+						h.n++
+						h.s += x
+					}
+					var starts [1 << 13]int
 					at := 0
 					for k, h := range hist {
-						hist[k] = at
-						at += h
+						starts[k] = at
+						at += h.n
 					}
 					if withRows {
 						for i, x := range v {
 							bkt := (uint64(x) >> shift) & (1<<13 - 1)
-							o := hist[bkt]
+							o := starts[bkt]
 							if uint(o) < uint(len(dst)) && uint(o) < uint(len(dstRows)) {
 								dst[o], dstRows[o] = x, r[i]
 							}
-							hist[bkt] = o + 1
+							starts[bkt] = o + 1
 						}
 					} else {
 						for _, x := range v {
 							bkt := (uint64(x) >> shift) & (1<<13 - 1)
-							o := hist[bkt]
+							o := starts[bkt]
 							if uint(o) < uint(len(dst)) {
 								dst[o] = x
 							}
-							hist[bkt] = o + 1
+							starts[bkt] = o + 1
 						}
 					}
-					sinkSum = sum[0]
+					sinkSum = hist[0].s
 				}
 			})
 		}

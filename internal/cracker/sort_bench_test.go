@@ -15,12 +15,12 @@ func TestBuildMatchesStdSortLarge(t *testing.T) {
 	}
 	ix := New(slices.Clone(vals), rows)
 	ix.Sort()
-	if !slices.Equal(ix.Values(), slices.Sorted(slices.Values(vals))) {
+	if !slices.Equal(ix.AppendValues(nil), slices.Sorted(slices.Values(vals))) {
 		t.Fatal("Sort diverges from slices.Sort")
 	}
 	for i, r := range ix.Rows() {
-		if vals[r] != ix.Values()[i] {
-			t.Fatalf("row %d carries %d, base %d", r, ix.Values()[i], vals[r])
+		if vals[r] != ix.AppendValues(nil)[i] {
+			t.Fatalf("row %d carries %d, base %d", r, ix.AppendValues(nil)[i], vals[r])
 		}
 	}
 }
@@ -28,7 +28,7 @@ func TestBuildMatchesStdSortLarge(t *testing.T) {
 func TestBuildAllEqual(t *testing.T) {
 	ix := New(slices.Repeat([]int64{7}, 3000), make([]uint32, 3000))
 	ix.Sort()
-	if ix.Len() != 3000 || ix.Values()[0] != 7 || ix.Values()[2999] != 7 || ix.Validate() != nil {
+	if ix.Len() != 3000 || ix.AppendValues(nil)[0] != 7 || ix.AppendValues(nil)[2999] != 7 || ix.Validate() != nil {
 		t.Fatal("all-equal sort corrupted data")
 	}
 }

@@ -17,6 +17,7 @@ func (ix *Index) Sort() {
 	if ix.sorted {
 		return
 	}
+	ix.widen(0) // a sorted copy is wide (see "Narrow copies")
 	if ix.rows == nil {
 		slices.Sort(ix.vals)
 	} else {

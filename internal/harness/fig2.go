@@ -17,7 +17,7 @@ func Fig2(vals []int64, queries [][2]int64) string {
 
 	var b strings.Builder
 	b.WriteString("Figure 2: adaptive indexing (database cracking) step by step\n\n")
-	fmt.Fprintf(&b, "initial column (1 piece): %v\n", ix.Values())
+	fmt.Fprintf(&b, "initial column (1 piece): %v\n", vals)
 	for qi, q := range queries {
 		from, to := ix.CrackRange(q[0], q[1])
 		fmt.Fprintf(&b, "\nQ%d: select where %d <= A < %d  -> rows [%d,%d)\n", qi+1, q[0], q[1], from, to)
@@ -29,6 +29,7 @@ func Fig2(vals []int64, queries [][2]int64) string {
 // renderPieces draws each piece with its known value bounds.
 func renderPieces(ix *cracker.Index) string {
 	var b strings.Builder
+	vals := ix.AppendValues(nil)
 	ix.ForEachPiece(func(p cracker.Piece) bool {
 		lo, hi := "-inf", "+inf"
 		if p.HasLo {
@@ -37,7 +38,7 @@ func renderPieces(ix *cracker.Index) string {
 		if p.HasHi {
 			hi = fmt.Sprint(p.Hi)
 		}
-		fmt.Fprintf(&b, "  piece [%s, %s): %v\n", lo, hi, ix.Values()[p.Start:p.End])
+		fmt.Fprintf(&b, "  piece [%s, %s): %v\n", lo, hi, vals[p.Start:p.End])
 		return true
 	})
 	return b.String()

@@ -30,8 +30,9 @@ func CountSum(vals []int64, lo, hi int64) (count int, sum int64) {
 	return int(c), s
 }
 
-// MinMax returns the smallest and largest value. Ok is false for empty input.
-func MinMax(vals []int64) (lo, hi int64, ok bool) {
+// MinMax returns the smallest and largest value — of a column, or of a
+// narrow cracked copy's uint32 offsets. Ok is false for empty input.
+func MinMax[E int64 | uint32](vals []E) (lo, hi E, ok bool) {
 	if len(vals) == 0 {
 		return 0, 0, false
 	}

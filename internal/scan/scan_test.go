@@ -23,7 +23,7 @@ func TestEmptyAndDegenerate(t *testing.T) {
 	if n, _ := CountSum([]int64{1, 2, 3}, 5, 2); n != 0 {
 		t.Fatal("inverted range matched")
 	}
-	if _, _, ok := MinMax(nil); ok {
+	if _, _, ok := MinMax[int64](nil); ok {
 		t.Fatal("MinMax ok on empty")
 	}
 }

@@ -58,9 +58,9 @@ func TestFirstTouchFromBase(t *testing.T) {
 			}
 			p.mu.Lock()
 			for i, r := range ix.Rows() {
-				if int(r)%c.Shards() != p.id || vals[r] != ix.Values()[i] {
+				if int(r)%c.Shards() != p.id || vals[r] != ix.AppendValues(nil)[i] {
 					p.mu.Unlock()
-					t.Fatalf("%s: part %d holds row %d with value %d, the column has %d", name, p.id, r, ix.Values()[i], vals[r])
+					t.Fatalf("%s: part %d holds row %d with value %d, the column has %d", name, p.id, r, ix.AppendValues(nil)[i], vals[r])
 				}
 			}
 			p.mu.Unlock()
@@ -123,7 +123,7 @@ func TestTombstonedFirstTouch(t *testing.T) {
 			}
 		}
 		planned := cracker.NewFromBase(want, p.lo, p.hi, radixMin).Pieces() // the part plans over its bounds
-		got := slices.Clone(p.crack.Values())
+		got := slices.Clone(p.crack.AppendValues(nil))
 		pieces := p.crack.Pieces()
 		p.mu.Unlock()
 		if pieces < planned || planned < 4 {
@@ -149,10 +149,21 @@ func TestTombstonedFirstTouch(t *testing.T) {
 // cracked copy straight from its base, skipping the tombstoned rows, so its
 // first touch allocates one copy of the live values, not a snapshot of them
 // and then the copy, whether the build radixes (threshold below the live
-// count) or copies (threshold above it).
+// count) or copies (threshold above it). A copy is 4 bytes a value when
+// the part's values span less than 2^32 (narrow; see package cracker) and 8
+// otherwise.
 func TestFirstTouchCopiesLiveRowsOnce(t *testing.T) {
 	const n = 1 << 17
-	vals := randomVals(rand.New(rand.NewPCG(63, 2)), n, 1<<40)
+	for _, c := range []struct {
+		domain int64
+		bytes  uint64
+	}{{1 << 30, 4}, {1 << 40, 8}} {
+		firstTouchCopiesLiveRowsOnce(t, randomVals(rand.New(rand.NewPCG(63, 2)), n, c.domain), c.bytes)
+	}
+}
+
+func firstTouchCopiesLiveRowsOnce(t *testing.T, vals []int64, bytesPerValue uint64) {
+	n := len(vals)
 	for _, radixMin := range []int{1 << 10, 2 * n} {
 		c, err := NewColumn("R.A", slices.Clone(vals), Config{radixMin: radixMin})
 		if err != nil {
@@ -168,7 +179,7 @@ func TestFirstTouchCopiesLiveRowsOnce(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		p.materialise()
 		runtime.ReadMemStats(&after)
-		copyBytes := uint64(8 * live)
+		copyBytes := bytesPerValue * uint64(live)
 		got := after.TotalAlloc - before.TotalAlloc
 		t.Logf("radixMin=%d: the first touch of %d live rows allocated %d B, one copy is %d B", radixMin, live, got, copyBytes)
 		if got > copyBytes+copyBytes/8 {

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -17,52 +18,73 @@ import (
 // chunk per GOMAXPROCS worker at 1<<20+5 (run it with -cpu 1,2,4) — and
 // checks that every part holds exactly its stripe with the bounds a scan of
 // it gives, that no part has tombstones, and that the parts lie in vals'
-// memory one after the other, each with no spare capacity.
+// memory one after the other, each with no spare capacity. Values span the
+// whole int64 range, 2^20 (a two-part load then saves its scratch rows as
+// uint32 offsets), 2^30 from MinInt64 (offsets from a reference that wraps)
+// or exactly 2^32 − 1 from MinInt64.
 func TestNewColumnStripesAndBounds(t *testing.T) {
 	rng := rand.New(rand.NewPCG(45, 1))
 	for _, n := range []int{1, 2, 3, 8} {
-		for _, length := range []int{0, 1, n - 1, n + 1, costmodel.FanOutMinWork - 1, costmodel.FanOutMinWork + 3, 1<<20 + 5} {
+		for _, length := range []int{0, 1, n - 1, n + 1, costmodel.FanOutMinWork - 1, costmodel.FanOutMinWork + 3, 1<<20 + 5, 2, 3, 4, 5, 1<<20 + 6} {
 			t.Run(fmt.Sprintf("shards=%d/len=%d", n, length), func(t *testing.T) {
-				vals := make([]int64, length)
-				for i := range vals {
-					vals[i] = int64(rng.Uint64())
-				}
-				if length > 0 {
-					// The type's edges, in one part each unless the column is
-					// shorter than a stripe.
-					vals[length-1], vals[length/2] = math.MinInt64, math.MaxInt64
-				}
-				want := slices.Clone(vals)
-				c, err := NewColumn("R.A", vals, Config{Shards: n})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if c.Shards() != n || c.Live() != length {
-					t.Fatalf("%d parts over %d rows, want %d over %d", c.Shards(), c.Live(), n, length)
-				}
-				at := 0 // where part i starts in vals' memory
-				for i, p := range c.Parts() {
-					var stripe []int64
-					for g := i; g < length; g += n {
-						stripe = append(stripe, want[g])
-					}
-					if !slices.Equal(p.vals, stripe) {
-						t.Fatalf("part %d holds %d values that are not vals[%d::%d] (%d values)", i, len(p.vals), i, n, len(stripe))
-					}
-					lo, hi, ok := scan.MinMax(p.vals)
-					if glo, ghi, gok := bounds(p); gok != ok || glo != lo || ghi != hi {
-						t.Fatalf("part %d: bounds %d,%d,%v, a scan gives %d,%d,%v", i, glo, ghi, gok, lo, hi, ok)
-					}
-					if p.deleted != nil || p.nDeleted != 0 {
-						t.Fatalf("part %d: a load allocated %d tombstones", i, len(p.deleted))
-					}
-					if len(p.vals) > 0 && &p.vals[0] != &vals[at] || cap(p.vals) != len(p.vals) {
-						t.Fatalf("part %d of %d is not vals[%d:%d] with no spare capacity", i, n, at, at+len(p.vals))
-					}
-					at += len(p.vals)
+				for _, span := range []string{"int64", "narrow", "wrap", "2^32-1"} {
+					t.Run("span="+span, func(t *testing.T) { stripesAndBounds(t, rng, n, length, span) })
 				}
 			})
 		}
+	}
+}
+
+func stripesAndBounds(t *testing.T, rng *rand.Rand, n, length int, span string) {
+	vals := make([]int64, length)
+	for i := range vals {
+		switch span {
+		case "int64":
+			vals[i] = int64(rng.Uint64())
+		case "narrow":
+			vals[i] = rng.Int64N(1<<20) - 1<<19
+		case "wrap":
+			vals[i] = math.MinInt64 + rng.Int64N(1<<30)
+		default:
+			vals[i] = math.MinInt64 + rng.Int64N(math.MaxUint32)
+		}
+	}
+	if length > 0 && (span == "int64" || span == "2^32-1") {
+		// The span's edges, in one part each unless the column is
+		// shorter than a stripe.
+		vals[length-1], vals[length/2] = math.MinInt64, math.MaxInt64
+		if span != "int64" {
+			vals[length/2] = math.MinInt64 + math.MaxUint32
+		}
+	}
+	want := slices.Clone(vals)
+	c, err := NewColumn("R.A", vals, Config{Shards: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Shards() != n || c.Live() != length {
+		t.Fatalf("%d parts over %d rows, want %d over %d", c.Shards(), c.Live(), n, length)
+	}
+	at := 0 // where part i starts in vals' memory
+	for i, p := range c.Parts() {
+		var stripe []int64
+		for g := i; g < length; g += n {
+			stripe = append(stripe, want[g])
+		}
+		if !slices.Equal(p.vals, stripe) {
+			t.Fatalf("part %d holds %d values that are not vals[%d::%d] (%d values)", i, len(p.vals), i, n, len(stripe))
+		}
+		lo, hi, ok := scan.MinMax(p.vals)
+		if glo, ghi, gok := bounds(p); gok != ok || glo != lo || ghi != hi {
+			t.Fatalf("part %d: bounds %d,%d,%v, a scan gives %d,%d,%v", i, glo, ghi, gok, lo, hi, ok)
+		}
+		if p.deleted != nil || p.nDeleted != 0 {
+			t.Fatalf("part %d: a load allocated %d tombstones", i, len(p.deleted))
+		}
+		if len(p.vals) > 0 && &p.vals[0] != &vals[at] || cap(p.vals) != len(p.vals) {
+			t.Fatalf("part %d of %d is not vals[%d:%d] with no spare capacity", i, n, at, at+len(p.vals))
+		}
+		at += len(p.vals)
 	}
 }
 
@@ -148,13 +170,19 @@ func TestLazyTombstones(t *testing.T) {
 
 // BenchmarkNewColumn times loading an 8M-row column — cold_crack's set-up —
 // into one part (adopted: the pass reads for bounds only) and into two
-// (striped into fresh arrays). Each iteration loads a fresh clone made off
-// the clock.
+// (striped in place with a quarter of the column as scratch, loadPair),
+// over values spanning 2^40 and 2^30: the scratch is 16 MiB of int64s, or
+// 8 MiB of uint32 offsets. Each iteration loads a fresh clone made off the
+// clock.
 func BenchmarkNewColumn(b *testing.B) {
 	const n = 8 << 20
-	vals := randomVals(rand.New(rand.NewPCG(1, 2)), n, 1<<40)
-	for _, shards := range []int{1, 2} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+	for _, c := range []struct {
+		shards int
+		span   int64
+	}{{1, 1 << 40}, {2, 1 << 40}, {2, 1 << 30}} {
+		vals := randomVals(rand.New(rand.NewPCG(1, 2)), n, c.span)
+		shards := c.shards
+		b.Run(fmt.Sprintf("shards=%d/span=2^%d", shards, bits.Len64(uint64(c.span))-1), func(b *testing.B) {
 			b.SetBytes(n * 8)
 			b.ReportAllocs()
 			for range b.N {

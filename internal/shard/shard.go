@@ -246,9 +246,9 @@ type Column struct {
 // memory one after the other, part 0 first. A one-part column keeps vals as
 // it is. An N-part column saves the rows past part 0's length, writes parts
 // 1..N-1 over them and moves part 0 down into the front of vals, so a load
-// copies (N-1)/N of the column aside, not all of it into new parts. Each
-// part leaves with its value bounds, so neither registration nor the first
-// touch rescans it.
+// copies (N-1)/N of the column aside, not all of it into new parts. A
+// two-part column saves a quarter instead (loadPair). Each part leaves with
+// its value bounds, so neither registration nor the first touch rescans it.
 //
 // Each step is cut into chunks, one per GOMAXPROCS worker. As with a
 // select's fan-out, a step gets more than the caller's goroutine only when
@@ -268,11 +268,17 @@ func NewColumn(name string, vals []int64, cfg Config) (*Column, error) {
 		c.addPart(vals[at:at+l:at+l], nil)
 		at += l
 	}
-	tail := slices.Clone(vals[head:]) // global rows head.., saved before parts 1..n-1 are written over them
-	bounds := make([][]partBounds, loadWorkers(len(vals)))
-	inParallel(len(bounds), head, func(w, a, b int) { bounds[w] = c.loadStripes(vals[:head], tail, a, b) })
-	if n > 1 {
-		bounds[0][0] = c.movePart0(vals, tail)
+	var bounds [][]partBounds
+	if n == 2 {
+		bounds = [][]partBounds{c.loadPair(vals)}
+	} else {
+		tail := slices.Clone(vals[head:]) // global rows head.., saved before parts 1..n-1 are written over them
+		bounds = make([][]partBounds, loadWorkers(len(vals)))
+		inParallel(len(bounds), head, func(w, a, b int) { bounds[w] = c.loadStripes(vals[:head], tail, a, b) })
+		if n > 1 { // part 0 reads rows j*n >= head from tail, from row split*n on
+			split := (head + n - 1) / n
+			bounds[0][0] = movePart0(c, vals, tail[min(split*n-head, len(tail)):], 0, n)
+		}
 	}
 	for i, p := range c.parts {
 		var pb partBounds
@@ -287,11 +293,11 @@ func NewColumn(name string, vals []int64, cfg Config) (*Column, error) {
 }
 
 // movePart0 moves part 0 of an N-part load (N > 1) into place and returns
-// its bounds: local row j moves from global row j*N — vals[j*N], or tail
-// once that is past part 0's length — down to vals[j], a range of rows [lo,
-// hi) with hi <= lo*N at a time, so no row of a range is written where
-// another row of it still reads.
-func (c *Column) movePart0(vals, tail []int64) partBounds {
+// its bounds: local row j moves from global row j*N — vals[j*N], or, once
+// that is past part 0's length (j >= split), ref + saved[(j-split)*step] —
+// down to vals[j], a range of rows [lo, hi) with hi <= lo*N at a time, so
+// no row of a range is written where another row of it still reads.
+func movePart0[E int64 | uint32](c *Column, vals []int64, saved []E, ref int64, step int) partBounds {
 	n, head := len(c.parts), len(c.parts[0].vals)
 	split := (head + n - 1) / n // rows j*n >= head from split on
 	var b0 partBounds
@@ -314,7 +320,7 @@ func (c *Column) movePart0(vals, tail []int64) partBounds {
 				l, h = min(l, v), max(h, v)
 			}
 			for ; j < b; j++ {
-				v := tail[j*n-head]
+				v := ref + int64(saved[(j-split)*step])
 				vals[j] = v
 				l, h = min(l, v), max(h, v)
 			}
@@ -390,6 +396,97 @@ func (c *Column) loadStripes(head, tail []int64, a, b int) []partBounds {
 		}
 	}
 	return out
+}
+
+// loadPair stripes a two-part load in vals' own memory with a quarter of
+// the column as scratch, not the half the N-part load saves: it copies aside
+// only the upper half's even rows, which part 0 still needs once part 1 is
+// written over them — as uint32 offsets, an eighth of the column's bytes,
+// when they lie within 2^31 of the first of them (else as int64s) — then
+// writes part 1 over the upper half from the top down (placePart1) and
+// moves part 0 down (movePart0). It returns both parts' bounds. A load's
+// scratch is fresh memory, and on the 2-vCPU dev host each 4 KiB page of
+// it costs ~1.4 µs to fault in: 32 MiB of it was ~12 ms of an 8M-row load.
+func (c *Column) loadPair(vals []int64) []partBounds {
+	head := len(c.parts[0].vals)
+	e0 := head + head&1 // the first even global row past part 0
+	ne := max(0, len(vals)-e0+1) / 2
+	if ne > 0 {
+		ref := int64(uint64(vals[e0]) - 1<<31) // wrapping: ref + offset gives the row back
+		if evens := make([]uint32, ne); saveOffsets(vals, e0, evens, ref) {
+			return finishPair(c, vals, evens, ref)
+		}
+	}
+	evens := make([]int64, ne)
+	inParallel(loadWorkers(ne), ne, func(_, a, b int) {
+		for k := a; k < b; k++ {
+			evens[k] = vals[e0+2*k]
+		}
+	})
+	return finishPair(c, vals, evens, 0)
+}
+
+// saveOffsets copies global rows e0, e0+2, ... into evens as offsets from
+// ref (wrapping), and reports whether every row was within 2^32 above ref;
+// a worker stops at the first that is not.
+func saveOffsets(vals []int64, e0 int, evens []uint32, ref int64) bool {
+	over := make([]bool, loadWorkers(len(evens)))
+	inParallel(len(over), len(evens), func(w, a, b int) {
+		for k := a; k < b; k++ {
+			d := uint64(vals[e0+2*k]) - uint64(ref)
+			if d > math.MaxUint32 {
+				over[w] = true
+				return
+			}
+			evens[k] = uint32(d)
+		}
+	})
+	return !slices.Contains(over, true)
+}
+
+// finishPair writes part 1 and moves part 0 of a two-part load whose even
+// rows past part 0 are saved in evens, less ref, and returns the bounds.
+func finishPair[E int64 | uint32](c *Column, vals []int64, evens []E, ref int64) []partBounds {
+	p1 := placePart1(vals, len(c.parts[0].vals))
+	return []partBounds{movePart0(c, vals, evens, ref, 1), p1}
+}
+
+// placePart1 writes part 1 of a two-part load over vals[head:] — local row
+// j takes global row 2j+1 — and returns its bounds. Going down from the top,
+// each write lands on a row that is either even (saved by loadPair) or odd
+// and already moved: the odd row head+j is part 1's local row
+// (head+j-1)/2 >= j. Each read is of a row not yet written over: row 2j+1
+// is below head+j. Rows run in rounds of distance d from the top, [0, 1),
+// [1, 2), [2, 3), [3, 5), [5, 9), ..., [d, 2d-1): a round's writes are read
+// by rounds at about twice its distance and its reads were written by none
+// before it, so the rows of a round run in parallel.
+func placePart1(vals []int64, head int) partBounds {
+	l1 := len(vals) - head
+	wb := make([]partBounds, runtime.GOMAXPROCS(0))
+	for dlo := 0; dlo < l1; {
+		dhi := min(l1, max(dlo+1, 2*dlo-1))
+		lo := l1 - dhi
+		inParallel(loadWorkers(dhi-dlo), dhi-dlo, func(w, a, b int) {
+			if a == b {
+				return
+			}
+			l, h := int64(math.MaxInt64), int64(math.MinInt64)
+			for j := lo + a; j < lo+b; j++ {
+				v := vals[2*j+1]
+				vals[head+j] = v
+				l, h = min(l, v), max(h, v)
+			}
+			wb[w].widen(l, h)
+		})
+		dlo = dhi
+	}
+	var p1 partBounds
+	for _, b := range wb {
+		if b.ok {
+			p1.widen(b.lo, b.hi)
+		}
+	}
+	return p1
 }
 
 // gatherStripe copies rows g, g+n, ... into dst (not empty), reading head,
@@ -1121,11 +1218,11 @@ func (p *Part) Validate() error {
 	if err := p.crack.Validate(); err != nil {
 		return err
 	}
-	vals, rows := p.crack.Values(), p.crack.Rows()
+	vals, rows := p.crack.AppendValues(nil), p.crack.Rows()
 	if rows != nil {
 		return p.checkRowsLocked(vals, rows)
 	}
-	got, want := slices.Clone(vals), cracker.LiveValues(p.vals, p.deleted)
+	got, want := vals, cracker.LiveValues(p.vals, p.deleted)
 	slices.Sort(got)
 	slices.Sort(want)
 	if !slices.Equal(got, want) {

@@ -74,7 +74,7 @@ func (p *Part) snapshot() (PartSnapshot, error) {
 	}
 	if p.crack != nil {
 		s.HasCrack = true
-		s.CrackVals = slices.Clone(p.crack.Values())
+		s.CrackVals = p.crack.AppendValues(nil)
 		s.Boundaries = p.crack.Boundaries()
 		s.Sorted = p.crack.Sorted()
 	}

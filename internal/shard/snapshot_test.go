@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"slices"
 	"testing"
 
 	"holistic/internal/updates"
@@ -98,6 +99,78 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	r.MergePending()
 	if v := r.DeleteRow(g); v != 42 {
 		t.Fatalf("post-restore delete returned %d", v)
+	}
+}
+
+// TestSnapshotRoundTripNarrow: a part whose copy is narrow (uint32 offsets;
+// see "Narrow copies" in package cracker) writes the same values-only
+// snapshot a wide one does, and is restored narrow with its boundaries:
+// the restored column answers as the original, passes Validate, and a
+// merge of inserts 2^40 away widens it and keeps it answering. A part whose
+// values span 2^32 or more is restored wide.
+func TestSnapshotRoundTripNarrow(t *testing.T) {
+	for _, span := range []int64{50_000, 1 << 40} {
+		cfg := Config{Shards: 2, radixMin: 512}
+		vals := make([]int64, 10_000)
+		for i := range vals {
+			vals[i] = int64(i*2654435761) % span
+		}
+		c, err := NewColumn("t.a", vals, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries := [][2]int64{{0, span}, {123, span / 3}, {span / 2, span/2 + 999}, {-5, 7}}
+		want := make([][2]int64, len(queries))
+		for i, q := range queries {
+			cnt, sum := c.FanOutCountSum(func(p *Part) (int, int64) { return p.CrackedSelect(q[0], q[1]) })
+			want[i] = [2]int64{int64(cnt), sum}
+		}
+		narrow := span < 1<<32
+		for _, p := range c.Parts() {
+			if p.Cracked().Narrow() != narrow {
+				t.Fatalf("span %d: part %d narrow %v", span, p.id, !narrow)
+			}
+		}
+		snap, err := c.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewColumnFromSnapshot(snap, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range r.Parts() {
+			ix, orig := p.Cracked(), c.Parts()[i].Cracked()
+			if ix.Narrow() != narrow || !slices.Equal(ix.Boundaries(), orig.Boundaries()) || !slices.Equal(ix.AppendValues(nil), orig.AppendValues(nil)) {
+				t.Fatalf("span %d: part %d restored narrow %v, or with other boundaries or values", span, i, ix.Narrow())
+			}
+		}
+		check := func(what string) {
+			t.Helper()
+			for i, q := range queries {
+				cnt, sum := r.FanOutCountSum(func(p *Part) (int, int64) { return p.CrackedSelect(q[0], q[1]) })
+				if cnt != int(want[i][0]) || sum != want[i][1] {
+					t.Fatalf("span %d, %s: query %v got (%d,%d), want %v", span, what, q, cnt, sum, want[i])
+				}
+			}
+		}
+		check("restored")
+		g := uint32(snap.Rows)
+		r.AppendAt(g, 1<<40+span)
+		r.AppendAt(g+1, -1<<40)
+		r.MergePending()
+		if err := r.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range r.Parts() {
+			if p.Cracked().Narrow() {
+				t.Fatalf("span %d: part %d still narrow after a merge", span, p.id)
+			}
+		}
+		check("merged")
 	}
 }
 
